@@ -1,6 +1,5 @@
 //! Planner cost/benefit: the same queries evaluated with the cost-based
-//! planner on vs off (syntactic order), and intra-query parallelism at
-//! 1/2/4 worker threads, at SNB scales 1000 and 4000.
+//! planner on vs off (syntactic order), at SNB scales 1000 and 4000.
 //!
 //! `value_join` is the headline case from the ROADMAP: its two patterns
 //! share no structural variable, so syntactic evaluation builds the
@@ -8,10 +7,10 @@
 //! the planner pushes the IN conjunct into the second pattern (turning
 //! it into a binding form) and joins on `e`. `value_join_pessimal`
 //! additionally writes the broad pattern first, so the planner must
-//! also reorder. The thread sweeps measure `BindingTable::join_parallel`
-//! on a wide two-hop join and parallel multi-source reachability; on a
-//! single-core container (`nproc` = 1) they collapse to the sequential
-//! path and should read as noise around 1×.
+//! also reorder. `two_hop_wide` and `reach_many` are the wide-join and
+//! multi-source-reachability statements the repo benchmark's
+//! `wide_par_1c` workload runs end to end (`trajectory/`, which checks
+//! the literals here have not drifted).
 //!
 //! Results are identical under every configuration — pinned by
 //! `crates/core/tests/planner_equivalence.rs`.
@@ -32,13 +31,11 @@ const VALUE_JOIN_PESSIMAL: &str = "CONSTRUCT (b)<-[:colleague]-(a) \
      MATCH (b:Person), (a:Person {employer = e}) \
      WHERE e IN b.employer AND a.personId < 40";
 
-/// Wide two-hop join whose intermediate exceeds the parallel-join
-/// threshold (every knows edge on the probe side).
+/// Wide two-hop join: every knows edge on the probe side.
 const TWO_HOP_WIDE: &str = "CONSTRUCT (n)-[:fof]->(k) \
      MATCH (n:Person)-[:knows]->(m:Person), (m)-[:knows]->(k:Person)";
 
-/// Multi-source reachability: enough sources to trigger the partitioned
-/// shared-frontier search.
+/// Multi-source reachability: 500 sources sharing one frontier search.
 const REACH_MANY: &str = "CONSTRUCT (m) \
      MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.personId < 500";
 
@@ -59,22 +56,15 @@ fn bench_plan(c: &mut Criterion, persons: usize) {
         }
     }
 
-    // The thread sweep runs at scale 1000 only: one two_hop_wide
-    // iteration at SNB-4000 costs ~9 s on a single core, which buys
-    // three more minutes of wall clock per run without adding signal —
-    // scaling is a multi-core property either way (PR 4 convention).
+    // Scale 1000 only: one two_hop_wide iteration at SNB-4000 costs
+    // several seconds without adding signal.
     if persons <= 1000 {
         engine.set_planner(true);
-        for threads in [1usize, 2, 4] {
-            engine.set_parallelism(threads);
-            g.bench_function(format!("two_hop_wide_{threads}t"), |b| {
-                b.iter(|| black_box(engine.query_graph(TWO_HOP_WIDE).unwrap()))
-            });
-            g.bench_function(format!("reach_many_{threads}t"), |b| {
-                b.iter(|| black_box(engine.query_graph(REACH_MANY).unwrap()))
+        for (name, query) in [("two_hop_wide", TWO_HOP_WIDE), ("reach_many", REACH_MANY)] {
+            g.bench_function(name, |b| {
+                b.iter(|| black_box(engine.query_graph(query).unwrap()))
             });
         }
-        engine.set_parallelism(1);
     }
     g.finish();
 }

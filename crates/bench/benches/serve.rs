@@ -13,10 +13,6 @@
 //! * a one-shot throughput/percentile run printed to stdout
 //!   (statements/s, p50/p95/p99 latency per client count) — those are
 //!   the numbers recorded in docs/BENCHMARKING.md.
-//!
-//! Single-core caveat: this container pins everything to one core, so
-//! client threads and server workers time-share; multi-client numbers
-//! measure multiplexing overhead, not parallel speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcore_bench::snb_engine;

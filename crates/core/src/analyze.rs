@@ -259,6 +259,24 @@ pub fn parse_diagnostic(e: &gcore_parser::ParseError) -> Diagnostic {
     Diagnostic::new(DiagCode::ParseError, e.span, message)
 }
 
+/// Parse one statement and analyze it against `catalog`: the body of
+/// `check` on both [`Engine`](crate::Engine) (live catalog) and
+/// [`QueryExecutor`](crate::QueryExecutor) (snapshot catalog).
+pub(crate) fn check_text(text: &str, catalog: &Catalog) -> Vec<Diagnostic> {
+    match gcore_parser::parse_statement(text) {
+        Err(e) => vec![parse_diagnostic(&e)],
+        Ok(stmt) => analyze_statement(&stmt, Some(&CatalogSummary::of(catalog))),
+    }
+}
+
+/// [`check_text`] for a `;`-separated script (the body of `check_script`).
+pub(crate) fn check_script_text(text: &str, catalog: &Catalog) -> Vec<Diagnostic> {
+    match gcore_parser::parse_script(text) {
+        Err(e) => vec![parse_diagnostic(&e)],
+        Ok(stmts) => analyze_script(&stmts, Some(&CatalogSummary::of(catalog))),
+    }
+}
+
 /// The evaluation gate: run the structural passes and reject the
 /// statement if any error-severity diagnostic was found.
 pub fn check_statement(stmt: &Statement) -> Result<()> {

@@ -526,17 +526,17 @@ impl BindingTable {
     /// the non-missing side wins in the merged row. This matches the
     /// partial-function reading of §A.1.
     pub fn join(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::Inner)
+        self.join_inner(other, JoinKind::Inner, None)
     }
 
     /// Ω₁ ⋉ Ω₂ — bindings of Ω₁ compatible with at least one of Ω₂.
     pub fn semijoin(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::Semi)
+        self.join_inner(other, JoinKind::Semi, None)
     }
 
     /// Ω₁ ∖ Ω₂ — bindings of Ω₁ compatible with none of Ω₂.
     pub fn antijoin(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::Anti)
+        self.join_inner(other, JoinKind::Anti, None)
     }
 
     /// Ω₁ ⟕ Ω₂ = (Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂) — the OPTIONAL operator.
@@ -546,154 +546,32 @@ impl BindingTable {
         joined.union(&anti)
     }
 
-    /// Ω₁ ⋈ Ω₂ with the probe side partitioned across `threads` scoped
-    /// worker threads — **bit-identical** to [`join`](Self::join) at
-    /// any thread count.
-    ///
-    /// The build side (hash map over `other`'s shared-column keys) and
-    /// the pool unification happen once, up front, on the calling
-    /// thread; workers then probe disjoint contiguous ranges of Ω₁'s
-    /// rows into private scratch buffers, touching only shared
-    /// immutable state. Concatenating the buffers in chunk order
-    /// reproduces the sequential emission order exactly, and the final
-    /// sort/dedup normalization is order-insensitive anyway — hence the
-    /// bit-identical guarantee (pinned by the differential suite in
-    /// `tests/planner_equivalence.rs`).
-    ///
-    /// Small probe sides fall back to the sequential join: partitioning
-    /// costs more than it saves below a few thousand rows.
-    ///
-    /// A `cancel` token (when given) is polled once per
-    /// [`CHECK_STRIDE`](crate::cancel::CHECK_STRIDE) probe rows; a
-    /// fired token makes every worker abandon its remaining range, so
-    /// the returned table is *partial* — the caller must check the
-    /// token afterwards and discard it (the evaluator raises `E016`).
-    /// A token that never fires leaves the result bit-identical.
-    pub fn join_parallel(
+    /// [`join`](Self::join) under a cancellation token, polled about
+    /// once per [`CHECK_STRIDE`](crate::cancel::CHECK_STRIDE) candidate
+    /// row pairs: a fired token abandons the probe loop and surfaces as
+    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError), so even
+    /// a single explosive product stops within its deadline. A token
+    /// that never fires leaves the result bit-identical to `join`.
+    pub fn join_with(
         &self,
         other: &BindingTable,
-        threads: usize,
-        cancel: Option<&crate::cancel::CancelToken>,
-    ) -> BindingTable {
-        const PAR_MIN_ROWS: usize = 4096;
-        if threads <= 1 || self.nrows < PAR_MIN_ROWS {
-            return self.join(other);
-        }
-
-        let shared: Vec<(usize, usize)> = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| other.column_index(&c.var).map(|j| (i, j)))
-            .collect();
-        let (columns, map_a, map_b) = merged_schema(self, other);
-        let width = columns.len();
-        let (pool, other_map) = unify_pools(self, other);
-        let translate = other_map.as_deref();
-
-        let mut keyed: FxHashMap<Vec<Code>, Vec<u32>> = FxHashMap::default();
-        let mut wild: Vec<u32> = Vec::new();
-        for r in 0..other.nrows {
-            let key: Vec<Code> = shared
-                .iter()
-                .map(|&(_, j)| translate_code(other.cols[j][r], translate))
-                .collect();
-            if key.contains(&MISSING) {
-                wild.push(r as u32);
-            } else {
-                keyed.entry(key).or_default().push(r as u32);
-            }
-        }
-
-        // Probe one contiguous range of Ω₁ rows into a private buffer;
-        // reads only shared immutable state, so any number of workers
-        // can run it concurrently.
-        let emit_range = |range: std::ops::Range<usize>| -> (Vec<Code>, usize) {
-            let mut data: Vec<Code> = Vec::new();
-            let mut emitted = 0usize;
-            let mut key = Vec::with_capacity(shared.len());
-            let emit = |a_row: usize, b_row: u32, data: &mut Vec<Code>, emitted: &mut usize| {
-                let b_row = b_row as usize;
-                let ok = shared.iter().all(|&(i, j)| {
-                    let a = self.cols[i][a_row];
-                    let b = translate_code(other.cols[j][b_row], translate);
-                    a == MISSING || b == MISSING || a == b
-                });
-                if !ok {
-                    return;
-                }
-                let base = data.len();
-                data.resize(base + width, MISSING);
-                for (i, &mi) in map_a.iter().enumerate() {
-                    data[base + mi] = self.cols[i][a_row];
-                }
-                for (bi, &mi) in map_b.iter().enumerate() {
-                    if data[base + mi] == MISSING {
-                        data[base + mi] = translate_code(other.cols[bi][b_row], translate);
-                    }
-                }
-                *emitted += 1;
-            };
-            let mut tick = 0u32;
-            for a_row in range {
-                if let Some(token) = cancel {
-                    tick = tick.wrapping_add(1);
-                    if tick.is_multiple_of(crate::cancel::CHECK_STRIDE) && token.is_cancelled() {
-                        break;
-                    }
-                }
-                key.clear();
-                key.extend(shared.iter().map(|&(i, _)| self.cols[i][a_row]));
-                if key.contains(&MISSING) {
-                    for b_row in 0..other.nrows as u32 {
-                        emit(a_row, b_row, &mut data, &mut emitted);
-                    }
-                } else {
-                    if let Some(idxs) = keyed.get(&key) {
-                        for &b_row in idxs {
-                            emit(a_row, b_row, &mut data, &mut emitted);
-                        }
-                    }
-                    for &b_row in &wild {
-                        emit(a_row, b_row, &mut data, &mut emitted);
-                    }
-                }
-            }
-            (data, emitted)
-        };
-
-        let threads = threads.min(self.nrows);
-        let chunk = self.nrows.div_ceil(threads);
-        let mut parts: Vec<(Vec<Code>, usize)> = Vec::with_capacity(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let emit_range = &emit_range;
-                    let lo = t * chunk;
-                    let hi = (lo + chunk).min(self.nrows);
-                    s.spawn(move || emit_range(lo..hi))
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("parallel join worker panicked"));
-            }
-        });
-        let mut data: Vec<Code> = Vec::with_capacity(parts.iter().map(|p| p.0.len()).sum());
-        let mut emitted = 0usize;
-        for (d, e) in parts {
-            data.extend_from_slice(&d);
-            emitted += e;
-        }
-        BindingTable::from_flat_rows(
-            columns,
-            pool,
-            data,
-            emitted,
-            self.has_values || other.has_values,
-        )
+        cancel: &crate::cancel::CancelToken,
+    ) -> crate::error::Result<BindingTable> {
+        let joined = self.join_inner(other, JoinKind::Inner, Some(cancel));
+        cancel.check()?;
+        Ok(joined)
     }
 
-    fn join_inner(&self, other: &BindingTable, kind: JoinKind) -> BindingTable {
+    /// The one hash join behind ⋈, ⋉ and ∖. With a `cancel` token the
+    /// result is *empty* once the token has fired — only
+    /// [`join_with`](Self::join_with), which turns that into an error,
+    /// passes one.
+    fn join_inner(
+        &self,
+        other: &BindingTable,
+        kind: JoinKind,
+        cancel: Option<&crate::cancel::CancelToken>,
+    ) -> BindingTable {
         // Shared variables drive a hash join on encoded keys; rows with
         // Missing in a shared column fall back to a scan bucket (they
         // are compatible with every key).
@@ -742,9 +620,32 @@ impl BindingTable {
             JoinKind::Semi | JoinKind::Anti => self.columns.len(),
         };
         let mut key = Vec::with_capacity(shared.len());
+        // Candidate pairs examined since the last poll. Counting pairs
+        // rather than probe rows bounds the work between polls even
+        // when a few probe rows face a huge build side (a product).
+        let mut unpolled = 0usize;
         for a_row in 0..self.nrows {
             key.clear();
             key.extend(shared.iter().map(|&(i, _)| self.cols[i][a_row]));
+            // `None`: a Missing key cell — every build row is a candidate.
+            let bucket: Option<&[u32]> = if key.contains(&MISSING) {
+                None
+            } else {
+                Some(keyed.get(&key).map_or(&[], Vec::as_slice))
+            };
+            if let Some(token) = cancel {
+                unpolled += 1 + bucket.map_or(other.nrows, |b| b.len() + wild.len());
+                if unpolled >= crate::cancel::CHECK_STRIDE as usize {
+                    unpolled = 0;
+                    if token.is_cancelled() {
+                        // The caller discards a cancelled join: do not
+                        // sort and dedup what was emitted so far.
+                        data.clear();
+                        emitted = 0;
+                        break;
+                    }
+                }
+            }
             let mut matched = false;
             let emit = |b_row: u32, data: &mut Vec<Code>, emitted: &mut usize| {
                 let b_row = b_row as usize;
@@ -769,26 +670,17 @@ impl BindingTable {
             // Semi/anti joins only need existence — stop probing at the
             // first compatible row instead of scanning out the bucket.
             let exists_only = kind != JoinKind::Inner;
-            if key.contains(&MISSING) {
-                // This row is compatible with any key value in the
-                // missing positions — scan everything.
-                for b_row in 0..other.nrows as u32 {
-                    matched |= emit(b_row, &mut data, &mut emitted);
-                    if matched && exists_only {
-                        break;
-                    }
-                }
-            } else {
-                if let Some(idxs) = keyed.get(&key) {
-                    for &b_row in idxs {
+            match bucket {
+                None => {
+                    for b_row in 0..other.nrows as u32 {
                         matched |= emit(b_row, &mut data, &mut emitted);
                         if matched && exists_only {
                             break;
                         }
                     }
                 }
-                if !(matched && exists_only) {
-                    for &b_row in &wild {
+                Some(idxs) => {
+                    for &b_row in idxs.iter().chain(&wild) {
                         matched |= emit(b_row, &mut data, &mut emitted);
                         if matched && exists_only {
                             break;

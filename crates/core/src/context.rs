@@ -6,7 +6,9 @@
 //! PATH-view definitions from the query head.
 
 use crate::binding::{Bound, Column};
+use crate::cancel::CancelToken;
 use crate::error::{EngineError, Result};
+use crate::obs::CoreMetrics;
 use crate::snapshot::EngineSnapshot;
 use gcore_parser::ast::PathClause;
 use gcore_ppg::{
@@ -15,6 +17,7 @@ use gcore_ppg::{
 };
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A path computed during matching (not yet part of any graph's `P`).
 #[derive(Clone, Debug)]
@@ -57,6 +60,62 @@ impl FreshPath {
     }
 }
 
+/// Every setting that steers the evaluation of a statement, declared
+/// once: an [`Engine`] owns one, [`Engine::executor`] clones it into the
+/// [`QueryExecutor`], and each statement's [`EvalCtx`] is constructed
+/// with it and never changes it. No setting may change results — the
+/// `*_equivalence` differential suites pin each one.
+///
+/// [`Engine`]: crate::Engine
+/// [`Engine::executor`]: crate::Engine::executor
+/// [`QueryExecutor`]: crate::QueryExecutor
+#[derive(Clone, Debug)]
+pub struct EvalOptions {
+    /// Cost-based MATCH planning: join ordering, IN pushdown and
+    /// path-strategy selection — evaluation order and operator
+    /// strategy, never results. Off evaluates patterns in syntactic
+    /// order, the reference semantics the differential suites and the
+    /// planner on/off benchmark compare against. Defaults to on unless
+    /// the `GCORE_PLAN` environment variable is `off`/`0`/`false`.
+    pub planner: bool,
+    /// Per-statement wall-clock budget, armed on [`cancel`](Self::cancel)
+    /// the moment evaluation starts; a statement over it is
+    /// cooperatively cancelled at its next loop boundary. Evaluation is
+    /// read-only against a snapshot, so an over-budget statement simply
+    /// has no result. `None` (the default) = no limit.
+    pub statement_deadline: Option<Duration>,
+    /// Collect a [`QueryProfile`](crate::obs::QueryProfile) span tree
+    /// for every statement (default: off, at near-zero cost). Its only
+    /// observable effects are the profile itself and the cost of
+    /// collecting it.
+    pub profiling: bool,
+    /// Cooperative cancellation signal. The long loops in the matcher,
+    /// the joins and the path searchers poll it; at the next loop
+    /// boundary after it fires, evaluation unwinds with
+    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError), stable
+    /// code `E016`. Defaults to a token that never fires.
+    pub cancel: CancelToken,
+    /// Counters bumped during evaluation (statements, cancellations,
+    /// planner reorders / pushdowns / misestimates). An engine installs
+    /// its registry-backed set; the default counts privately.
+    pub metrics: CoreMetrics,
+}
+
+impl Default for EvalOptions {
+    fn default() -> Self {
+        EvalOptions {
+            planner: !matches!(
+                std::env::var("GCORE_PLAN").as_deref(),
+                Ok("off") | Ok("0") | Ok("false")
+            ),
+            statement_deadline: None,
+            profiling: false,
+            cancel: CancelToken::new(),
+            metrics: CoreMetrics::standalone(),
+        }
+    }
+}
+
 /// Evaluation context for one top-level query.
 ///
 /// Created per statement from an immutable [`EngineSnapshot`]; all the
@@ -87,49 +146,25 @@ pub struct EvalCtx {
     /// isolated-node graph derived from a table, so several patterns ON
     /// the same table see the same node identities.
     pub table_graphs: RefCell<std::collections::HashMap<String, Arc<PathPropertyGraph>>>,
-    /// WHERE-conjunct pushdown switch. Always semantically neutral;
-    /// disabled only by the ablation benchmarks.
-    pub filter_pushdown: std::cell::Cell<bool>,
-    /// Cost-based MATCH planner switch (join ordering, IN pushdown,
-    /// path-strategy selection). Semantically neutral; defaults to the
-    /// `GCORE_PLAN` environment variable (`off`/`0` disables).
-    pub planner: std::cell::Cell<bool>,
-    /// Worker threads for intra-query parallel operators (partitioned
-    /// hash joins, multi-source path search). `1` = sequential; results
-    /// are bit-identical at any setting.
-    pub parallelism: std::cell::Cell<usize>,
-    /// Cooperative cancellation signal for this statement. The long
-    /// loops in the matcher, the joins and the path searchers poll it;
-    /// when it fires, evaluation unwinds with
-    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError).
-    /// Defaults to a token that never fires, which is guaranteed not to
-    /// change results.
-    pub cancel: crate::cancel::CancelToken,
-    /// Per-statement span collector for execution profiles. Disabled by
-    /// default (no state, near-zero cost); like everything else here it
-    /// is query-local and guaranteed not to change results.
+    /// The settings this statement evaluates under — fixed at
+    /// construction, so nothing below the executor can change them.
+    pub options: EvalOptions,
+    /// Per-statement span collector for execution profiles; collects
+    /// only when [`EvalOptions::profiling`] is set. Query-local like
+    /// everything else here, and guaranteed not to change results.
     pub profiler: crate::obs::Profiler,
-    /// Core metric handles bumped during evaluation (planner reorders,
-    /// pushdowns, misestimates). Executors derived from an [`Engine`]
-    /// share the engine's registry-backed set; a fresh context counts
-    /// privately.
-    ///
-    /// [`Engine`]: crate::Engine
-    pub metrics: crate::obs::CoreMetrics,
-}
-
-/// Default planner switch: on unless `GCORE_PLAN` is `off`/`0`.
-pub(crate) fn planner_default() -> bool {
-    !matches!(
-        std::env::var("GCORE_PLAN").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
 }
 
 impl EvalCtx {
-    /// Fresh context over a frozen engine snapshot.
-    pub fn new(snapshot: Arc<EngineSnapshot>) -> Self {
+    /// Fresh context over a frozen engine snapshot, evaluating under
+    /// `options`.
+    pub fn new(snapshot: Arc<EngineSnapshot>, options: EvalOptions) -> Self {
         let catalog = snapshot.catalog().clone();
+        let profiler = if options.profiling {
+            crate::obs::Profiler::enabled()
+        } else {
+            crate::obs::Profiler::disabled()
+        };
         EvalCtx {
             snapshot,
             catalog: RefCell::new(catalog),
@@ -139,24 +174,24 @@ impl EvalCtx {
             view_cache: RefCell::new(std::collections::HashMap::new()),
             view_in_progress: RefCell::new(Vec::new()),
             table_graphs: RefCell::new(std::collections::HashMap::new()),
-            filter_pushdown: std::cell::Cell::new(true),
-            planner: std::cell::Cell::new(planner_default()),
-            parallelism: std::cell::Cell::new(1),
-            cancel: crate::cancel::CancelToken::new(),
-            profiler: crate::obs::Profiler::disabled(),
-            metrics: crate::obs::CoreMetrics::standalone(),
+            options,
+            profiler,
         }
     }
 
     /// Error out when this statement's cancellation token has fired.
     pub fn check_cancelled(&self) -> Result<()> {
-        self.cancel.check()
+        self.options.cancel.check()
     }
 
     /// Convenience for tests and standalone evaluation: freeze `catalog`
-    /// into a throwaway epoch-0 snapshot and build a context over it.
+    /// into a throwaway epoch-0 snapshot and build a context over it
+    /// with default options.
     pub fn from_catalog(catalog: Catalog) -> Self {
-        Self::new(Arc::new(EngineSnapshot::freeze(catalog, 0)))
+        Self::new(
+            Arc::new(EngineSnapshot::freeze(catalog, 0)),
+            EvalOptions::default(),
+        )
     }
 
     /// Intern a fresh path, returning its arena binding.

@@ -46,7 +46,8 @@
 //! assert!(results.iter().all(|r| r.is_ok()));
 //! ```
 
-use crate::analyze::{parse_diagnostic, CatalogSummary};
+use crate::cancel::CancelToken;
+use crate::context::EvalOptions;
 use crate::diag::Diagnostic;
 use crate::error::{Result, SemanticError};
 use crate::executor::QueryExecutor;
@@ -68,12 +69,9 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct Engine {
     catalog: Catalog,
-    filter_pushdown: bool,
-    planner: bool,
-    parallelism: usize,
-    /// Per-statement evaluation budget: statements over it are
-    /// cooperatively cancelled (`E016`). `None` = no limit.
-    statement_deadline: Option<std::time::Duration>,
+    /// The evaluation settings every derived executor starts from; its
+    /// `metrics` are the pre-resolved handles into `registry`.
+    options: EvalOptions,
     /// LRU bound on each snapshot's SCC-condensation cache; `None`
     /// (the default) keeps the cache unbounded.
     scc_cache_capacity: Option<usize>,
@@ -82,14 +80,10 @@ pub struct Engine {
     /// The snapshot of the current epoch, taken lazily and dropped by
     /// the next commit.
     snapshot: Option<Arc<EngineSnapshot>>,
-    /// Collect an execution profile for every statement (default: off).
-    profiling: bool,
     /// The engine's unified metrics registry. Shared by clones of the
     /// engine and by every executor it derives, so counters aggregate
     /// across the engine's whole lifetime.
     registry: Arc<crate::obs::MetricsRegistry>,
-    /// Pre-resolved handles into `registry` for the core counters.
-    metrics: crate::obs::CoreMetrics,
 }
 
 impl Default for Engine {
@@ -107,57 +101,37 @@ impl Engine {
     /// An engine over an existing catalog.
     pub fn with_catalog(catalog: Catalog) -> Self {
         let registry = Arc::new(crate::obs::MetricsRegistry::new());
-        let metrics = crate::obs::CoreMetrics::registered(&registry);
+        let options = EvalOptions {
+            metrics: crate::obs::CoreMetrics::registered(&registry),
+            ..EvalOptions::default()
+        };
         Engine {
             catalog,
-            filter_pushdown: true,
-            planner: crate::context::planner_default(),
-            parallelism: 1,
-            statement_deadline: None,
+            options,
             scc_cache_capacity: None,
             epoch: 0,
             snapshot: None,
-            profiling: false,
             registry,
-            metrics,
         }
     }
 
-    /// Enable or disable WHERE-conjunct pushdown (default: enabled).
-    /// Pushdown is semantics-preserving; this switch exists for the
-    /// ablation benchmarks only.
-    pub fn set_filter_pushdown(&mut self, enabled: bool) {
-        self.filter_pushdown = enabled;
-    }
-
-    /// Enable or disable the cost-based MATCH planner (default: on,
-    /// unless the `GCORE_PLAN` environment variable is `off`/`0`).
-    /// Planning is semantics-preserving — it changes evaluation order
-    /// and operator strategy, never results; the switch exists for the
-    /// ablation benchmarks and the differential test suite.
+    /// Set [`EvalOptions::planner`] for every statement this engine (or
+    /// an executor derived from it) evaluates from now on.
     pub fn set_planner(&mut self, enabled: bool) {
-        self.planner = enabled;
+        self.options.planner = enabled;
     }
 
-    /// Set the worker-thread count for intra-query parallel operators
-    /// (partitioned hash joins, multi-source path search). `0` and `1`
-    /// both mean sequential. Results are bit-identical at any setting;
-    /// the differential suite pins this.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
+    // Inert: intra-query parallelism was removed in PR 12. Kept only
+    // because the frozen benchmark calls it (trajectory/src/fixture.rs:71,
+    // run.rs:495); the next benchmark PR drops those calls and this shim
+    // together.
+    #[doc(hidden)]
+    pub fn set_parallelism(&mut self, _threads: usize) {}
 
-    /// Set a per-statement evaluation budget: every statement this
-    /// engine (or an executor derived from it) evaluates from now on
-    /// gets `budget` of wall-clock time, and is cooperatively
-    /// cancelled — returning
-    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError),
-    /// stable code `E016` — at the next loop boundary after it runs
-    /// over. `None` (the default) disables the limit. Cancellation
-    /// never corrupts state: evaluation is read-only against a
-    /// snapshot, so an over-budget statement simply has no result.
+    /// Set [`EvalOptions::statement_deadline`] for every statement this
+    /// engine (or an executor derived from it) evaluates from now on.
     pub fn set_statement_deadline(&mut self, budget: Option<std::time::Duration>) {
-        self.statement_deadline = budget;
+        self.options.statement_deadline = budget;
     }
 
     /// Render the planner's decisions for a statement without running
@@ -166,14 +140,12 @@ impl Engine {
         self.executor().explain(text)
     }
 
-    /// Enable or disable execution profiling for every statement this
-    /// engine (or an executor derived from it) evaluates (default:
-    /// off). Profiling never changes results; its only observable
-    /// effects are the profile itself and the cost of collecting it.
+    /// Set [`EvalOptions::profiling`] for every statement this engine
+    /// (or an executor derived from it) evaluates from now on.
     /// [`Engine::run`] discards the collected profile — use
     /// [`Engine::profile`] to get it back.
     pub fn set_profiling(&mut self, enabled: bool) {
-        self.profiling = enabled;
+        self.options.profiling = enabled;
     }
 
     /// `EXPLAIN ANALYZE`: run one statement with profiling forced on
@@ -276,14 +248,13 @@ impl Engine {
     /// A read-only executor pinned to the current epoch's snapshot.
     /// `Send + Sync`: share it across threads, or clone it per thread.
     pub fn executor(&mut self) -> QueryExecutor {
-        let mut exec = QueryExecutor::new(self.snapshot());
-        exec.set_filter_pushdown(self.filter_pushdown);
-        exec.set_planner(self.planner);
-        exec.set_parallelism(self.parallelism);
-        exec.set_statement_deadline(self.statement_deadline);
-        exec.set_profiling(self.profiling);
-        exec.set_metrics(self.metrics.clone());
-        exec
+        // Each executor gets a token of its own: cancelling one must
+        // not cancel its siblings or the engine's later statements.
+        let options = EvalOptions {
+            cancel: CancelToken::new(),
+            ..self.options.clone()
+        };
+        QueryExecutor::with_options(self.snapshot(), options)
     }
 
     /// Parse and evaluate one statement. `GRAPH VIEW name AS (…)`
@@ -307,13 +278,7 @@ impl Engine {
     /// get a uniform report for arbitrary input.
     #[must_use]
     pub fn check(&self, text: &str) -> Vec<Diagnostic> {
-        match parse_statement(text) {
-            Err(e) => vec![parse_diagnostic(&e)],
-            Ok(stmt) => {
-                let summary = CatalogSummary::of(self.catalog());
-                crate::analyze::analyze_statement(&stmt, Some(&summary))
-            }
-        }
+        crate::analyze::check_text(text, &self.catalog)
     }
 
     /// [`check`](Engine::check) for a `;`-separated script. `GRAPH
@@ -321,37 +286,17 @@ impl Engine {
     /// for later ones, mirroring [`run_script`](Engine::run_script).
     #[must_use]
     pub fn check_script(&self, text: &str) -> Vec<Diagnostic> {
-        match parse_script(text) {
-            Err(e) => vec![parse_diagnostic(&e)],
-            Ok(stmts) => {
-                let summary = CatalogSummary::of(self.catalog());
-                crate::analyze::analyze_script(&stmts, Some(&summary))
-            }
-        }
+        crate::analyze::check_script_text(text, &self.catalog)
     }
 
     /// Run a query that must produce a graph.
     pub fn query_graph(&mut self, text: &str) -> Result<PathPropertyGraph> {
-        match self.run(text)? {
-            QueryOutput::Graph(g) => Ok(g),
-            QueryOutput::Table(_) => Err(SemanticError::WrongOutputSort {
-                expected: "graph",
-                found: "table",
-            }
-            .into()),
-        }
+        self.run(text)?.graph_or_wrong_sort()
     }
 
     /// Run a query that must produce a table (§5 SELECT).
     pub fn query_table(&mut self, text: &str) -> Result<Table> {
-        match self.run(text)? {
-            QueryOutput::Table(t) => Ok(t),
-            QueryOutput::Graph(_) => Err(SemanticError::WrongOutputSort {
-                expected: "table",
-                found: "graph",
-            }
-            .into()),
-        }
+        self.run(text)?.table_or_wrong_sort()
     }
 
     /// Evaluate an already-parsed statement: read-only against the
@@ -430,7 +375,7 @@ impl Engine {
     /// route). Counts as a write: the epoch advances to one past the
     /// maximum of the live epoch and the stored one — monotone for
     /// connected clients whichever is ahead — and the cached snapshot
-    /// is dropped. Evaluation settings (planner, parallelism, …) are
+    /// is dropped. Evaluation settings (planner, deadline, …) are
     /// kept. Returns the new epoch.
     pub fn reload_from(
         &mut self,

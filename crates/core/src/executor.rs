@@ -17,11 +17,10 @@
 //! the catalog state of its snapshot's epoch, forever — the
 //! snapshot-isolation property the differential tests pin down.
 
-use crate::analyze::{parse_diagnostic, CatalogSummary};
 use crate::cancel::CancelToken;
-use crate::context::EvalCtx;
+use crate::context::{EvalCtx, EvalOptions};
 use crate::diag::Diagnostic;
-use crate::error::{Result, SemanticError};
+use crate::error::Result;
 use crate::query::{Evaluator, QueryOutput};
 use crate::snapshot::EngineSnapshot;
 use gcore_parser::ast::Statement;
@@ -61,97 +60,46 @@ use std::time::Duration;
 #[derive(Clone)]
 pub struct QueryExecutor {
     snapshot: Arc<EngineSnapshot>,
-    filter_pushdown: bool,
-    planner: bool,
-    parallelism: usize,
-    cancel: CancelToken,
-    statement_deadline: Option<Duration>,
-    profiling: bool,
-    metrics: crate::obs::CoreMetrics,
+    options: EvalOptions,
 }
 
 impl QueryExecutor {
-    /// An executor over an existing snapshot.
+    /// An executor over an existing snapshot, with default options.
     pub fn new(snapshot: Arc<EngineSnapshot>) -> Self {
-        QueryExecutor {
-            snapshot,
-            filter_pushdown: true,
-            planner: crate::context::planner_default(),
-            parallelism: 1,
-            cancel: CancelToken::new(),
-            statement_deadline: None,
-            profiling: false,
-            metrics: crate::obs::CoreMetrics::standalone(),
-        }
+        Self::with_options(snapshot, EvalOptions::default())
     }
 
-    /// Enable or disable WHERE-conjunct pushdown (default: enabled;
-    /// semantics-preserving, exists for ablation benchmarks only).
-    pub fn set_filter_pushdown(&mut self, enabled: bool) {
-        self.filter_pushdown = enabled;
+    /// An executor evaluating under `options` (how
+    /// [`Engine::executor`](crate::Engine::executor) hands its own on).
+    pub(crate) fn with_options(snapshot: Arc<EngineSnapshot>, options: EvalOptions) -> Self {
+        QueryExecutor { snapshot, options }
     }
 
-    /// Enable or disable the cost-based MATCH planner (default: on,
-    /// unless the `GCORE_PLAN` environment variable is `off`/`0`).
-    /// Semantics-preserving: plans only change evaluation order and
-    /// operator strategy, never results.
-    pub fn set_planner(&mut self, enabled: bool) {
-        self.planner = enabled;
-    }
+    // Inert: intra-query parallelism was removed in PR 12. Kept only
+    // because the frozen benchmark calls it (trajectory/src/probes.rs:237,247);
+    // the next benchmark PR drops those calls and this shim together.
+    #[doc(hidden)]
+    pub fn set_parallelism(&mut self, _threads: usize) {}
 
-    /// Set the worker-thread count for intra-query parallel operators
-    /// (partitioned hash joins, multi-source path search). `0` and `1`
-    /// both mean sequential; results are bit-identical at any setting.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
-    /// Install a cancellation token: every statement this executor
-    /// evaluates polls it, and evaluation returns
-    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError)
-    /// (code `E016`) at the next loop boundary after the token fires.
-    /// Cancelling through any clone of the token is observed here.
+    /// Install [`EvalOptions::cancel`]: every statement this executor
+    /// evaluates polls the token, and cancelling through any clone of
+    /// it is observed here.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = token;
+        self.options.cancel = token;
     }
 
     /// The executor's cancellation token; cancel through a clone of it
     /// to stop an in-flight statement from another thread.
     #[must_use]
     pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
+        &self.options.cancel
     }
 
-    /// Set a per-statement evaluation budget: each statement gets
-    /// `budget` from the moment [`eval`](QueryExecutor::eval) starts,
-    /// and is cooperatively cancelled (code `E016`) once it runs over.
-    /// `None` disables the deadline. Composes with
+    /// Set [`EvalOptions::statement_deadline`]. Composes with
     /// [`set_cancel_token`](QueryExecutor::set_cancel_token): whichever
     /// fires first wins.
     pub fn set_statement_deadline(&mut self, budget: Option<Duration>) {
-        self.statement_deadline = budget;
-    }
-
-    /// Enable or disable execution profiling (default: off). When on,
-    /// [`eval`](QueryExecutor::eval) collects a
-    /// [`QueryProfile`](crate::obs::QueryProfile) span tree for every
-    /// statement and discards it; use
-    /// [`run_profiled`](QueryExecutor::run_profiled) /
-    /// [`eval_profiled`](QueryExecutor::eval_profiled) to get it back.
-    /// Profiling never changes results — the differential suite pins
-    /// profiling-on ≡ profiling-off over the whole corpus.
-    pub fn set_profiling(&mut self, enabled: bool) {
-        self.profiling = enabled;
-    }
-
-    /// Install the metric handles bumped on every statement this
-    /// executor evaluates (statement/cancellation counts, planner
-    /// reorders/pushdowns/misestimates). [`Engine::executor`] installs
-    /// the engine's registry-backed set here.
-    ///
-    /// [`Engine::executor`]: crate::Engine::executor
-    pub fn set_metrics(&mut self, metrics: crate::obs::CoreMetrics) {
-        self.metrics = metrics;
+        self.options.statement_deadline = budget;
     }
 
     /// Render the planner's decisions for a statement without running
@@ -161,12 +109,9 @@ impl QueryExecutor {
     pub fn explain(&self, text: &str) -> Result<String> {
         let stmt = parse_statement(text)?;
         let catalog = self.snapshot.catalog();
-        let resolve = |on: Option<&gcore_parser::ast::Location>| match on {
-            None => catalog.default_graph().ok(),
-            Some(gcore_parser::ast::Location::Named(name)) => catalog.graph(name).ok(),
-            Some(gcore_parser::ast::Location::Subquery(_)) => None,
-        };
-        Ok(crate::plan::explain_statement(&stmt, &resolve))
+        Ok(crate::plan::explain_statement(&stmt, &|on| {
+            crate::plan::plan_graph(catalog, on)
+        }))
     }
 
     /// The snapshot this executor evaluates against.
@@ -201,13 +146,7 @@ impl QueryExecutor {
     /// failures come back as a single `E000` diagnostic.
     #[must_use]
     pub fn check(&self, text: &str) -> Vec<Diagnostic> {
-        match parse_statement(text) {
-            Err(e) => vec![parse_diagnostic(&e)],
-            Ok(stmt) => {
-                let summary = CatalogSummary::of(self.snapshot.catalog());
-                crate::analyze::analyze_statement(&stmt, Some(&summary))
-            }
-        }
+        crate::analyze::check_text(text, self.snapshot.catalog())
     }
 
     /// [`check`](QueryExecutor::check) for a `;`-separated script.
@@ -215,37 +154,17 @@ impl QueryExecutor {
     /// graphs for later ones.
     #[must_use]
     pub fn check_script(&self, text: &str) -> Vec<Diagnostic> {
-        match parse_script(text) {
-            Err(e) => vec![parse_diagnostic(&e)],
-            Ok(stmts) => {
-                let summary = CatalogSummary::of(self.snapshot.catalog());
-                crate::analyze::analyze_script(&stmts, Some(&summary))
-            }
-        }
+        crate::analyze::check_script_text(text, self.snapshot.catalog())
     }
 
     /// Run a query that must produce a graph.
     pub fn query_graph(&self, text: &str) -> Result<PathPropertyGraph> {
-        match self.run(text)? {
-            QueryOutput::Graph(g) => Ok(g),
-            QueryOutput::Table(_) => Err(SemanticError::WrongOutputSort {
-                expected: "graph",
-                found: "table",
-            }
-            .into()),
-        }
+        self.run(text)?.graph_or_wrong_sort()
     }
 
     /// Run a query that must produce a table (§5 SELECT).
     pub fn query_table(&self, text: &str) -> Result<Table> {
-        match self.run(text)? {
-            QueryOutput::Table(t) => Ok(t),
-            QueryOutput::Graph(_) => Err(SemanticError::WrongOutputSort {
-                expected: "table",
-                found: "graph",
-            }
-            .into()),
-        }
+        self.run(text)?.table_or_wrong_sort()
     }
 
     /// Evaluate an already-parsed statement against the snapshot.
@@ -253,7 +172,8 @@ impl QueryExecutor {
     /// `GRAPH VIEW` statements evaluate and return their materialized
     /// graph but register nothing (the executor is read-only).
     pub fn eval(&self, stmt: &Statement) -> Result<QueryOutput> {
-        self.eval_inner(stmt, self.profiling).map(|(out, _)| out)
+        self.eval_inner(stmt, self.options.profiling)
+            .map(|(out, _)| out)
     }
 
     /// Parse and evaluate one statement with profiling forced on,
@@ -283,30 +203,25 @@ impl QueryExecutor {
         // Static analysis first: sort mismatches are rejected before
         // any evaluation work (§3 "they must be of the right sort").
         crate::analyze::check_statement(stmt)?;
-        let mut ctx = EvalCtx::new(self.snapshot.clone());
-        ctx.filter_pushdown.set(self.filter_pushdown);
-        ctx.planner.set(self.planner);
-        ctx.parallelism.set(self.parallelism);
+        let mut options = self.options.clone();
+        options.profiling = profiling;
         // The per-statement budget starts now; an explicit token and a
         // deadline compose (whichever fires first cancels).
-        ctx.cancel = match self.statement_deadline {
-            Some(budget) => self.cancel.with_timeout(budget),
-            None => self.cancel.clone(),
-        };
-        if profiling {
-            ctx.profiler = crate::obs::Profiler::enabled();
+        if let Some(budget) = options.statement_deadline {
+            options.cancel = options.cancel.with_timeout(budget);
         }
-        ctx.metrics = self.metrics.clone();
-        crate::obs::CoreMetrics::add(&self.metrics.statements, 1);
+        let ctx = EvalCtx::new(self.snapshot.clone(), options);
+        let metrics = &ctx.options.metrics;
+        crate::obs::CoreMetrics::add(&metrics.statements, 1);
         let evaluator = Evaluator::new(&ctx);
         let result = evaluator.eval_statement(stmt);
         if result.as_ref().is_err_and(|e| e.is_cancelled()) {
-            crate::obs::CoreMetrics::add(&self.metrics.cancellations, 1);
+            crate::obs::CoreMetrics::add(&metrics.cancellations, 1);
         }
         let output = result?;
         let profile = ctx.profiler.take();
         if let Some(p) = &profile {
-            crate::obs::CoreMetrics::add(&self.metrics.planner_misestimates, p.misestimates);
+            crate::obs::CoreMetrics::add(&metrics.planner_misestimates, p.misestimates);
         }
         Ok((output, profile))
     }

@@ -79,7 +79,7 @@ pub mod snapshot;
 pub use analyze::{analyze_script, analyze_statement, CatalogSummary};
 pub use binding::{BindingTable, Bound, Column};
 pub use cancel::CancelToken;
-pub use context::EvalCtx;
+pub use context::{EvalCtx, EvalOptions};
 pub use diag::{render_all, DiagCode, Diagnostic, Severity};
 pub use engine::{run_batch_on, Engine};
 pub use error::{EngineError, Result, RuntimeError, SemanticError};

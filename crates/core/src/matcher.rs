@@ -11,9 +11,9 @@
 
 use crate::binding::{BindingTable, Bound, Column, TableBuilder};
 use crate::context::FreshPath;
-use crate::error::{Result, RuntimeError, SemanticError};
+use crate::error::{Result, SemanticError};
 use crate::expr::{eval_expr, Env, Rv};
-use crate::paths::{PathSearcher, ViewMap};
+use crate::paths::PathSearcher;
 use crate::query::Evaluator;
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
@@ -432,7 +432,7 @@ impl<'e> PatternMatcher<'e> {
         let mut extra: Vec<Bound> = Vec::with_capacity(2);
         let mut tick = 0u32;
         for ri in 0..table.len() {
-            self.ev.ctx.cancel.checkpoint(&mut tick)?;
+            self.ev.ctx.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
@@ -525,8 +525,8 @@ impl<'e> PatternMatcher<'e> {
         });
         let nfa = Nfa::compile(&effective);
         let views = self.ev.resolve_views(&nfa, &self.graph)?;
-        let searcher =
-            PathSearcher::new(&self.graph, &nfa, &views).with_cancel(self.ev.ctx.cancel.clone());
+        let searcher = PathSearcher::new(&self.graph, &nfa, &views)
+            .with_cancel(self.ev.ctx.options.cancel.clone());
 
         let prev_idx = table
             .column_index(prev_var)
@@ -581,21 +581,7 @@ impl<'e> PatternMatcher<'e> {
             } else if cacheable {
                 Some(snapshot.reachable_many_cached(&self.graph, &nfa, &searcher, &srcs))
             } else {
-                let threads = self.ev.ctx.parallelism.get();
-                (srcs.len() >= 2).then(|| {
-                    if threads > 1 && srcs.len() >= PARALLEL_REACH_MIN_SOURCES {
-                        reachable_many_parallel(
-                            &self.graph,
-                            &nfa,
-                            &views,
-                            &srcs,
-                            threads,
-                            &self.ev.ctx.cancel,
-                        )
-                    } else {
-                        searcher.reachable_many(&srcs)
-                    }
-                })
+                (srcs.len() >= 2).then(|| searcher.reachable_many(&srcs))
             }
         } else {
             None
@@ -608,7 +594,7 @@ impl<'e> PatternMatcher<'e> {
         // once from the graph's degree statistics. Both strategies
         // answer the identical boolean (`tests/planner_equivalence.rs`
         // pins this), so statistics can never change results.
-        let pair_strategy = if self.ev.ctx.planner.get() {
+        let pair_strategy = if self.ev.ctx.options.planner {
             crate::plan::bound_pair_strategy(self.graph.stats(), Some(&effective))
         } else {
             crate::plan::BoundPairStrategy::Bidirectional
@@ -798,7 +784,7 @@ impl<'e> PatternMatcher<'e> {
         let mut extra: Vec<Bound> = Vec::with_capacity(2);
         let mut tick = 0u32;
         for ri in 0..table.len() {
-            self.ev.ctx.cancel.checkpoint(&mut tick)?;
+            self.ev.ctx.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
@@ -914,49 +900,6 @@ fn structural_vars(pattern: &Pattern) -> FxHashSet<String> {
     vars
 }
 
-/// Below this many sources the per-thread setup (a fresh searcher and
-/// SCC condensation per worker) outweighs the parallel win.
-const PARALLEL_REACH_MIN_SOURCES: usize = 64;
-
-/// Multi-source reachability with the source set chunked contiguously
-/// across scoped worker threads.
-///
-/// Each worker builds its own [`PathSearcher`] (the searcher caches
-/// its reversed NFA in a non-`Sync` cell) over the same shared graph,
-/// NFA and view relations. A source's destination set is a pure
-/// function of (graph, NFA, views, source) — independent of which
-/// other sources share the call — so merging the workers' disjoint
-/// maps reproduces the sequential [`PathSearcher::reachable_many`]
-/// result exactly.
-fn reachable_many_parallel(
-    graph: &Arc<PathPropertyGraph>,
-    nfa: &Nfa,
-    views: &ViewMap,
-    srcs: &[NodeId],
-    threads: usize,
-    cancel: &crate::cancel::CancelToken,
-) -> FxHashMap<NodeId, Arc<Vec<NodeId>>> {
-    let threads = threads.min(srcs.len()).max(1);
-    let chunk = srcs.len().div_ceil(threads);
-    let mut out = FxHashMap::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = srcs
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    PathSearcher::new(graph, nfa, views)
-                        .with_cancel(cancel.clone())
-                        .reachable_many(part)
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("reachability worker panicked"));
-        }
-    });
-    out
-}
-
 fn first_label(groups: &[LabelDisjunction]) -> Option<String> {
     // Only usable as an index when the first group is a single label.
     match groups.first() {
@@ -964,7 +907,3 @@ fn first_label(groups: &[LabelDisjunction]) -> Option<String> {
         _ => None,
     }
 }
-
-/// Unused import silencer for RuntimeError (referenced by siblings).
-#[allow(unused)]
-fn _keep(e: RuntimeError) {}

@@ -394,8 +394,7 @@ struct ProfilerState {
 /// [`EvalCtx`](crate::EvalCtx).
 ///
 /// Query-local interior mutability, exactly like the context's other
-/// `RefCell` state: evaluation is single-threaded per statement (the
-/// parallel join/search workers never touch the context), so a
+/// `RefCell` state: evaluation is single-threaded per statement, so a
 /// `RefCell` suffices. Disabled (the default) it holds no state at
 /// all; every recording call is one `Option` check, no clock reads, no
 /// allocation — the ≤ 2 % disabled-overhead budget of the matching

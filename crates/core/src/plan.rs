@@ -47,6 +47,21 @@ use std::sync::Arc;
 /// no statistics for that pattern.
 pub type PlanResolver<'a> = dyn Fn(Option<&Location>) -> Option<Arc<PathPropertyGraph>> + 'a;
 
+/// The [`PlanResolver`] over a catalog: side-effect-free location
+/// resolution. Subqueries are never evaluated and tables never
+/// materialized as graphs — those locations plan without statistics
+/// (and inhibit reordering).
+pub(crate) fn plan_graph(
+    catalog: &gcore_ppg::Catalog,
+    on: Option<&Location>,
+) -> Option<Arc<PathPropertyGraph>> {
+    match on {
+        None => catalog.default_graph().ok(),
+        Some(Location::Named(name)) => catalog.graph(name).ok(),
+        Some(Location::Subquery(_)) => None,
+    }
+}
+
 /// Fallback cardinalities used when a graph has no statistics. All
 /// constants are deterministic, so plans are stable for a given input.
 const DEFAULT_NODES: f64 = 1000.0;

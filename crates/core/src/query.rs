@@ -46,6 +46,28 @@ impl QueryOutput {
             QueryOutput::Graph(_) => None,
         }
     }
+
+    /// The graph, or `WrongOutputSort` (the body of `query_graph`).
+    pub(crate) fn graph_or_wrong_sort(self) -> Result<PathPropertyGraph> {
+        self.into_graph().ok_or_else(|| {
+            SemanticError::WrongOutputSort {
+                expected: "graph",
+                found: "table",
+            }
+            .into()
+        })
+    }
+
+    /// The table, or `WrongOutputSort` (the body of `query_table`).
+    pub(crate) fn table_or_wrong_sort(self) -> Result<Table> {
+        self.into_table().ok_or_else(|| {
+            SemanticError::WrongOutputSort {
+                expected: "table",
+                found: "graph",
+            }
+            .into()
+        })
+    }
 }
 
 /// Evaluator for one top-level statement, holding the shared context.
@@ -214,14 +236,16 @@ impl<'e> Evaluator<'e> {
         // pushdown, residual WHERE. Correlated (subquery) matches run
         // unplanned — their semantics depend on outer bindings the
         // planner does not model.
-        let plan = if self.ctx.planner.get() && outer.is_none() {
+        let plan = if self.ctx.options.planner && outer.is_none() {
             let span = prof.start("plan", String::new);
-            let p = crate::plan::plan_match(m, &|on| self.plan_graph(on));
+            let p = crate::plan::plan_match(m, &|on| {
+                crate::plan::plan_graph(&self.ctx.catalog.borrow(), on)
+            });
             if p.reordered {
-                crate::obs::CoreMetrics::add(&self.ctx.metrics.planner_reorders, 1);
+                crate::obs::CoreMetrics::add(&self.ctx.options.metrics.planner_reorders, 1);
             }
             crate::obs::CoreMetrics::add(
-                &self.ctx.metrics.planner_pushdowns,
+                &self.ctx.options.metrics.planner_pushdowns,
                 p.pushed.len() as u64,
             );
             prof.annotate(span, || {
@@ -238,12 +262,7 @@ impl<'e> Evaluator<'e> {
             None
         };
         let m = plan.as_ref().map_or(m, |p| &p.clause);
-        let threads = self.ctx.parallelism.get();
-        let prefilters = if self.ctx.filter_pushdown.get() {
-            pushdown_prefilters(m.where_clause.as_ref())
-        } else {
-            Default::default()
-        };
+        let prefilters = pushdown_prefilters(m.where_clause.as_ref());
         let mut table = BindingTable::unit();
         for (pos, lp) in m.patterns.iter().enumerate() {
             // One poll per pattern: each iteration runs a full pattern
@@ -261,9 +280,10 @@ impl<'e> Evaluator<'e> {
             let matcher = PatternMatcher::new(self, graph).with_prefilters(prefilters.clone());
             let t = matcher.eval_pattern(&lp.pattern, outer)?;
             prof.finish_rows(span, t.len() as u64);
+            let cancel = &self.ctx.options.cancel;
             if pos == 0 {
                 // Joining the unit table is the identity; no join span.
-                table = table.join_parallel(&t, threads, Some(&self.ctx.cancel));
+                table = table.join_with(&t, cancel)?;
             } else {
                 let span = prof.start("join", || {
                     let shared: Vec<&str> = t
@@ -278,10 +298,9 @@ impl<'e> Evaluator<'e> {
                         format!("on {}", shared.join(", "))
                     }
                 });
-                table = table.join_parallel(&t, threads, Some(&self.ctx.cancel));
+                table = table.join_with(&t, cancel)?;
                 prof.finish_rows(span, table.len() as u64);
             }
-            self.ctx.check_cancelled()?;
         }
         // Re-pin the ambient graph to the syntactically last pattern's:
         // WHERE pattern predicates must observe the same graph as the
@@ -310,7 +329,10 @@ impl<'e> Evaluator<'e> {
                 self.ctx.set_ambient(graph.clone());
                 let matcher =
                     PatternMatcher::new(self, graph).with_prefilters(opt_prefilters.clone());
-                ot = ot.join(&matcher.eval_pattern(&lp.pattern, outer)?);
+                ot = ot.join_with(
+                    &matcher.eval_pattern(&lp.pattern, outer)?,
+                    &self.ctx.options.cancel,
+                )?;
             }
             if let Some(w) = &opt.where_clause {
                 ot = self.filter_table(ot, w, outer)?;
@@ -324,19 +346,6 @@ impl<'e> Evaluator<'e> {
         }
         prof.finish_rows(match_span, table.len() as u64);
         Ok(table)
-    }
-
-    /// Plan-time location resolution: like
-    /// [`resolve_location`](Self::resolve_location) but side-effect
-    /// free. Subqueries are never evaluated and tables never
-    /// materialized as graphs — those locations plan without
-    /// statistics (and inhibit reordering).
-    fn plan_graph(&self, on: Option<&Location>) -> Option<Arc<PathPropertyGraph>> {
-        match on {
-            None => self.ctx.default_graph().ok(),
-            Some(Location::Named(name)) => self.ctx.graph(name).ok(),
-            Some(Location::Subquery(_)) => None,
-        }
     }
 
     /// Resolve an `ON location` to a graph; `None` uses the default.
@@ -375,7 +384,7 @@ impl<'e> Evaluator<'e> {
             if first_err.is_some() {
                 return false;
             }
-            if let Err(e) = self.ctx.cancel.checkpoint(&mut tick) {
+            if let Err(e) = self.ctx.options.cancel.checkpoint(&mut tick) {
                 first_err = Some(e);
                 return false;
             }

@@ -166,6 +166,32 @@ fn engine_statement_deadline_applies_and_clears() {
     assert!(output.into_table().is_some());
 }
 
+/// A deadline must interrupt a *single* join, not only the gap between
+/// two patterns: the third product here is 250³ ≈ 15.6 M rows, which
+/// takes seconds to build (and at SNB-1000 would exhaust memory before
+/// any between-pattern poll ran). The join polls the token as it
+/// probes, so the statement comes back in a small multiple of its 5 ms
+/// budget; the bound is loose for debug builds on a busy box yet far
+/// below the time to build the whole product.
+#[test]
+fn deadline_interrupts_a_single_large_join() {
+    let mut engine = Engine::new();
+    let data = generate(&SnbConfig::scale(250), &engine.catalog().ids().clone());
+    engine.register_graph("snb", data.graph);
+    engine.set_default_graph("snb");
+    engine.set_statement_deadline(Some(Duration::from_millis(5)));
+    let started = std::time::Instant::now();
+    let err = engine
+        .run("SELECT COUNT(*) AS c MATCH (a:Person), (b:Person), (c:Person)")
+        .expect_err("a 5 ms budget must cancel the three-way product");
+    let elapsed = started.elapsed();
+    assert!(err.is_cancelled(), "got {err}");
+    assert!(
+        elapsed < Duration::from_millis(750),
+        "the join ran {elapsed:?} past a 5 ms deadline"
+    );
+}
+
 /// Cancelling mid-flight from another thread stops a statement that
 /// would otherwise grind through an enormous cross product. The stride
 /// bounds how much work a checkpoint may miss, so a prompt cancel must

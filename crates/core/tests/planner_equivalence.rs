@@ -1,9 +1,8 @@
 //! Differential planner suite: the cost-based planner (join reordering,
-//! IN-conjunct pushdown, path-strategy selection) and intra-query
-//! parallelism are pure optimizations — every query must return exactly
-//! the same output with them on, off, or at any thread count, and under
-//! *arbitrary* graph statistics (statistics steer cost estimates, never
-//! semantics).
+//! IN-conjunct pushdown, path-strategy selection) is a pure
+//! optimization — every query must return exactly the same output with
+//! it on or off, and under *arbitrary* graph statistics (statistics
+//! steer cost estimates, never semantics).
 //!
 //! Outputs are compared canonically (see `common/mod.rs`, shared with
 //! the snapshot and cold-start suites): identifiers skolemized above the
@@ -23,13 +22,12 @@ use proptest::prelude::*;
 // Engine fixtures
 // ---------------------------------------------------------------------
 
-/// The guided-tour engine with planner and parallelism pinned *before*
-/// any statement runs, so the two corpus `GRAPH VIEW` definitions are
-/// also built under the configuration being differenced.
-fn tour_engine(planner: bool, threads: usize) -> Engine {
+/// The guided-tour engine with the planner pinned *before* any
+/// statement runs, so the two corpus `GRAPH VIEW` definitions are also
+/// built under the configuration being differenced.
+fn tour_engine(planner: bool) -> Engine {
     let mut engine = Engine::new();
     engine.set_planner(planner);
-    engine.set_parallelism(threads);
     let ids = engine.catalog().ids().clone();
     let d = social_dataset(&ids);
     let fig2 = figure2(&ids);
@@ -44,8 +42,8 @@ fn tour_engine(planner: bool, threads: usize) -> Engine {
 /// Run the whole §3/§5 corpus on a fresh tour engine and canonicalize
 /// every statement's result (errors included — a query that fails must
 /// fail identically under every configuration).
-fn corpus_canon(planner: bool, threads: usize) -> Vec<String> {
-    let mut engine = tour_engine(planner, threads);
+fn corpus_canon(planner: bool) -> Vec<String> {
+    let mut engine = tour_engine(planner);
     let watermark = engine.catalog().ids().peek();
     corpus_texts()
         .iter()
@@ -54,13 +52,13 @@ fn corpus_canon(planner: bool, threads: usize) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------
-// Corpus: planner on ≡ off, parallel ≡ sequential
+// Corpus: planner on ≡ off
 // ---------------------------------------------------------------------
 
 #[test]
 fn corpus_planner_on_matches_off() {
-    let off = corpus_canon(false, 1);
-    let on = corpus_canon(true, 1);
+    let off = corpus_canon(false);
+    let on = corpus_canon(true);
     for (i, (a, b)) in off.iter().zip(&on).enumerate() {
         assert_eq!(
             a,
@@ -68,22 +66,6 @@ fn corpus_planner_on_matches_off() {
             "corpus statement {i} ({}) diverged with the planner on",
             gcore_repro::corpus::ALL[i].id
         );
-    }
-}
-
-#[test]
-fn corpus_parallel_matches_sequential() {
-    let sequential = corpus_canon(true, 1);
-    for threads in [2, 4, 8] {
-        let parallel = corpus_canon(true, threads);
-        for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_eq!(
-                a,
-                b,
-                "corpus statement {i} ({}) diverged at {threads} threads",
-                gcore_repro::corpus::ALL[i].id
-            );
-        }
     }
 }
 
@@ -164,10 +146,9 @@ const SNB_QUERIES: &[&str] = &[
      OPTIONAL (p)-[:hasInterest]->(t:Tag)",
 ];
 
-fn snb_canon(planner: bool, threads: usize, persons: usize) -> Vec<String> {
+fn snb_canon(planner: bool, persons: usize) -> Vec<String> {
     let mut engine = Engine::new();
     engine.set_planner(planner);
-    engine.set_parallelism(threads);
     let data = generate(&SnbConfig::scale(persons), &engine.catalog().ids().clone());
     engine.register_graph("snb", data.graph);
     engine.set_default_graph("snb");
@@ -180,22 +161,10 @@ fn snb_canon(planner: bool, threads: usize, persons: usize) -> Vec<String> {
 
 #[test]
 fn snb_planner_on_matches_off() {
-    let off = snb_canon(false, 1, 1000);
-    let on = snb_canon(true, 1, 1000);
+    let off = snb_canon(false, 1000);
+    let on = snb_canon(true, 1000);
     for (i, (a, b)) in off.iter().zip(&on).enumerate() {
         assert_eq!(a, b, "SNB query {i} diverged with the planner on");
-    }
-}
-
-#[test]
-fn snb_parallel_matches_sequential() {
-    let sequential = snb_canon(true, 1, 1000);
-    for threads in [2, 4] {
-        assert_eq!(
-            sequential,
-            snb_canon(true, threads, 1000),
-            "SNB results diverged at {threads} threads"
-        );
     }
 }
 
@@ -332,7 +301,7 @@ proptest! {
     fn arbitrary_stats_never_change_results(
         vals in prop::collection::vec(0u64..1_000_000_000, 8..32),
     ) {
-        let reference = corpus_canon(false, 1);
+        let reference = corpus_canon(false);
         let scrambled = scrambled_canon(&vals);
         for (i, (a, b)) in reference.iter().zip(&scrambled).enumerate() {
             prop_assert_eq!(

@@ -53,3 +53,16 @@ impl From<std::io::Error> for ServeError {
         ServeError::Io(e.to_string())
     }
 }
+
+impl From<gcore_store::wire::WireError> for ServeError {
+    fn from(e: gcore_store::wire::WireError) -> Self {
+        use gcore_store::wire::WireError;
+        ServeError::Protocol(
+            match e {
+                WireError::Truncated => "truncated payload",
+                WireError::BadUtf8 => "payload text is not UTF-8",
+            }
+            .into(),
+        )
+    }
+}

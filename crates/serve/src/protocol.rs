@@ -47,6 +47,7 @@
 //! (the code table is documented in `docs/DIAGNOSTICS.md`).
 
 use crate::error::ServeError;
+use gcore_store::wire::{put_str, put_u32, put_u64, Cursor, Fnv1a};
 
 /// The 8-byte magic a client opens every connection with.
 pub const HANDSHAKE_MAGIC: [u8; 8] = *b"GCORESRV";
@@ -71,38 +72,6 @@ pub const FRAME_CHECKSUM_LEN: usize = 8;
 // ---------------------------------------------------------------------
 // Checksum
 // ---------------------------------------------------------------------
-
-/// Incremental FNV-1a/64 over the frame prefix; byte-compatible with
-/// [`gcore_store::fnv1a64`] (a unit test pins the parity, so the serve
-/// protocol and the storage format can never drift apart silently).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorb `bytes`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The digest of everything absorbed so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// The checksum of a frame with the given kind byte and payload:
 /// FNV-1a over kind, the little-endian length field and the payload.
@@ -317,74 +286,12 @@ pub fn decode_frame_exact(bytes: &[u8]) -> Result<Frame, ServeError> {
 // Payload helpers
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked sequential reader (the store's `Cursor` idiom, with
-/// protocol errors).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| ServeError::Protocol("truncated payload".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ServeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, ServeError> {
-        let n = self.u32()? as usize;
-        // Clamp the preallocation by the physically present bytes: a
-        // corrupt count surfaces as a protocol error, never a giant
-        // allocation (the store decoder's convention).
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| ServeError::Protocol("payload text is not UTF-8".into()))
-    }
-
-    fn finish(&self) -> Result<(), ServeError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(ServeError::Protocol("trailing bytes in payload".into()))
-        }
+/// A payload must be consumed exactly.
+fn finish(c: &Cursor<'_>) -> Result<(), ServeError> {
+    if c.is_empty() {
+        Ok(())
+    } else {
+        Err(ServeError::Protocol("trailing bytes in payload".into()))
     }
 }
 
@@ -405,7 +312,7 @@ pub fn decode_hello(payload: &[u8]) -> Result<(u32, u64), ServeError> {
     let mut c = Cursor::new(payload);
     let version = c.u32()?;
     let epoch = c.u64()?;
-    c.finish()?;
+    finish(&c)?;
     Ok((version, epoch))
 }
 
@@ -438,7 +345,7 @@ pub fn decode_header(payload: &[u8]) -> Result<(u64, OutputSort), ServeError> {
         1 => OutputSort::Graph,
         b => return Err(ServeError::Protocol(format!("unknown output sort {b}"))),
     };
-    c.finish()?;
+    finish(&c)?;
     Ok((epoch, sort))
 }
 
@@ -454,8 +361,8 @@ pub fn encode_error(code: ErrorCode, message: &str) -> Vec<u8> {
 pub fn decode_error(payload: &[u8]) -> Result<(ErrorCode, String), ServeError> {
     let mut c = Cursor::new(payload);
     let code = ErrorCode::from_u16(c.u16()?);
-    let message = c.str()?;
-    c.finish()?;
+    let message = c.str()?.to_owned();
+    finish(&c)?;
     Ok((code, message))
 }
 
@@ -529,7 +436,7 @@ impl AdminRequest {
         let req = match c.u8()? {
             ADMIN_LIST => AdminRequest::ListGraphs,
             ADMIN_STATS => AdminRequest::Stats,
-            ADMIN_EXPLAIN => AdminRequest::Explain(c.str()?),
+            ADMIN_EXPLAIN => AdminRequest::Explain(c.str()?.to_owned()),
             ADMIN_SAVE => AdminRequest::Save,
             ADMIN_LOAD => AdminRequest::Load,
             ADMIN_PING => AdminRequest::Ping,
@@ -538,7 +445,7 @@ impl AdminRequest {
             ADMIN_SLOWLOG => AdminRequest::SlowLog,
             op => return Err(ServeError::Protocol(format!("unknown admin op {op}"))),
         };
-        c.finish()?;
+        finish(&c)?;
         Ok(req)
     }
 }
@@ -646,18 +553,18 @@ impl AdminResponse {
         let resp = match c.u8()? {
             RESP_GRAPHS => {
                 let n = c.u32()? as usize;
-                let mut graphs = Vec::with_capacity(n.min(1024));
+                let mut graphs = Vec::with_capacity(c.capacity_for(n, 4));
                 for _ in 0..n {
-                    graphs.push(c.str()?);
+                    graphs.push(c.str()?.to_owned());
                 }
                 let m = c.u32()? as usize;
-                let mut tables = Vec::with_capacity(m.min(1024));
+                let mut tables = Vec::with_capacity(c.capacity_for(m, 4));
                 for _ in 0..m {
-                    tables.push(c.str()?);
+                    tables.push(c.str()?.to_owned());
                 }
                 let default_graph = match c.u8()? {
                     0 => None,
-                    1 => Some(c.str()?),
+                    1 => Some(c.str()?.to_owned()),
                     b => {
                         return Err(ServeError::Protocol(format!("bad default-graph tag {b}")));
                     }
@@ -670,27 +577,27 @@ impl AdminResponse {
             }
             RESP_STATS => {
                 let n = c.u32()? as usize;
-                let mut counters = Vec::with_capacity(n.min(1024));
+                let mut counters = Vec::with_capacity(c.capacity_for(n, 12));
                 for _ in 0..n {
-                    let name = c.str()?;
+                    let name = c.str()?.to_owned();
                     let value = c.u64()?;
                     counters.push((name, value));
                 }
                 AdminResponse::Stats(counters)
             }
-            RESP_EXPLAIN => AdminResponse::Explain(c.str()?),
+            RESP_EXPLAIN => AdminResponse::Explain(c.str()?.to_owned()),
             RESP_EPOCH => AdminResponse::Epoch(c.u64()?),
             RESP_OK => AdminResponse::Ok,
-            RESP_TEXT => AdminResponse::Text(c.str()?),
+            RESP_TEXT => AdminResponse::Text(c.str()?.to_owned()),
             RESP_SLOWLOG => {
                 let n = c.u32()? as usize;
-                let mut entries = Vec::with_capacity(n.min(1024));
+                let mut entries = Vec::with_capacity(c.capacity_for(n, 24));
                 for _ in 0..n {
                     entries.push(crate::stats::SlowLogEntry {
-                        text: c.str()?,
+                        text: c.str()?.to_owned(),
                         epoch: c.u64()?,
                         elapsed_us: c.u64()?,
-                        profile: c.str()?,
+                        profile: c.str()?.to_owned(),
                     });
                 }
                 AdminResponse::SlowLog(entries)
@@ -701,7 +608,7 @@ impl AdminResponse {
                 )))
             }
         };
-        c.finish()?;
+        finish(&c)?;
         Ok(resp)
     }
 }
@@ -709,25 +616,6 @@ impl AdminResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_the_store_checksum() {
-        for sample in [
-            &b""[..],
-            b"a",
-            b"GCORESRV",
-            b"frame payload \xf0\x9f\xa6\x80",
-        ] {
-            let mut h = Fnv1a::new();
-            h.update(sample);
-            assert_eq!(h.finish(), gcore_store::fnv1a64(sample));
-        }
-        // Incremental absorption is the same as one-shot.
-        let mut h = Fnv1a::new();
-        h.update(b"split ");
-        h.update(b"payload");
-        assert_eq!(h.finish(), gcore_store::fnv1a64(b"split payload"));
-    }
 
     #[test]
     fn frames_round_trip() {

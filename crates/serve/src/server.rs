@@ -868,7 +868,7 @@ impl<'a> Connection<'a> {
     ///
     /// The deadline is installed on the executor and observed by the
     /// evaluation itself at its loop boundaries (pattern expansion,
-    /// join partitions, path frontier pops), so expiry hands the worker
+    /// join probes, path frontier pops), so expiry hands the worker
     /// straight back to the pool — there is no detached thread left
     /// burning a core on an answer nobody will read. The connection
     /// timeout (admin-overridable) always governs the query route,

@@ -11,7 +11,7 @@
 
 use crate::backend::{graph_key, stats_key, table_key, StorageBackend, MANIFEST_KEY};
 use crate::error::StoreError;
-use crate::format::fnv1a64;
+use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
 use gcore_ppg::{Catalog, GraphStats};
 
 const MANIFEST_MAGIC: [u8; 8] = *b"GCOREMAN";
@@ -39,50 +39,43 @@ impl Manifest {
     /// snapshot epoch.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        payload.extend_from_slice(&(self.graphs.len() as u32).to_le_bytes());
-        for name in &self.graphs {
-            payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            payload.extend_from_slice(name.as_bytes());
-        }
-        payload.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        for name in &self.tables {
-            payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            payload.extend_from_slice(name.as_bytes());
+        for names in [&self.graphs, &self.tables] {
+            put_u32(&mut payload, names.len() as u32);
+            for name in names {
+                put_str(&mut payload, name);
+            }
         }
         match &self.default_graph {
             Some(name) => {
                 payload.push(1);
-                payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                payload.extend_from_slice(name.as_bytes());
+                put_str(&mut payload, name);
             }
             None => payload.push(0),
         }
-        payload.extend_from_slice(&self.epoch.to_le_bytes());
+        put_u64(&mut payload, self.epoch);
         let mut out = Vec::with_capacity(MANIFEST_MAGIC.len() + 12 + payload.len() + 8);
         out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        put_u32(&mut out, MANIFEST_VERSION);
+        put_u64(&mut out, payload.len() as u64);
         out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        put_u64(&mut out, fnv1a64(&payload));
         out
     }
 
     /// Parse and validate a manifest blob.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, StoreError> {
-        let take = |at: usize, n: usize| -> Result<&[u8], StoreError> {
-            bytes.get(at..at + n).ok_or(StoreError::Truncated)
-        };
-        if take(0, 8)? != MANIFEST_MAGIC {
+        let mut cur = Cursor::new(bytes);
+        if cur.take(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC {
             return Err(StoreError::BadMagic);
         }
-        let version = u32::from_le_bytes(take(8, 4)?.try_into().unwrap());
+        let version = cur.u32()?;
         if version == 0 || version > MANIFEST_VERSION {
             return Err(StoreError::BadVersion(version));
         }
-        let len = u64::from_le_bytes(take(12, 8)?.try_into().unwrap()) as usize;
-        let payload = take(20, len)?;
-        let checksum = u64::from_le_bytes(take(20 + len, 8)?.try_into().unwrap());
-        if 20 + len + 8 != bytes.len() {
+        let len = usize::try_from(cur.u64()?).map_err(|_| StoreError::Truncated)?;
+        let payload = cur.take(len)?;
+        let checksum = cur.u64()?;
+        if !cur.is_empty() {
             return Err(StoreError::Corrupt("trailing bytes in manifest".into()));
         }
         if checksum != fnv1a64(payload) {
@@ -91,65 +84,25 @@ impl Manifest {
             });
         }
 
-        let mut pos = 0usize;
-        let read_str = |pos: &mut usize| -> Result<String, StoreError> {
-            let n = u32::from_le_bytes(
-                payload
-                    .get(*pos..*pos + 4)
-                    .ok_or(StoreError::Truncated)?
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            *pos += 4;
-            let s = payload.get(*pos..*pos + n).ok_or(StoreError::Truncated)?;
-            *pos += n;
-            String::from_utf8(s.to_vec())
-                .map_err(|_| StoreError::Corrupt("manifest name is not UTF-8".into()))
+        let mut sec = Cursor::new(payload);
+        let mut names = || -> Result<Vec<String>, StoreError> {
+            let count = sec.u32()? as usize;
+            let mut names = Vec::with_capacity(sec.capacity_for(count, 4));
+            for _ in 0..count {
+                names.push(sec.str()?.to_owned());
+            }
+            Ok(names)
         };
-        let count = u32::from_le_bytes(
-            payload
-                .get(pos..pos + 4)
-                .ok_or(StoreError::Truncated)?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        pos += 4;
-        let mut graphs = Vec::with_capacity(count);
-        for _ in 0..count {
-            graphs.push(read_str(&mut pos)?);
-        }
-        let tcount = u32::from_le_bytes(
-            payload
-                .get(pos..pos + 4)
-                .ok_or(StoreError::Truncated)?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        pos += 4;
-        let mut tables = Vec::with_capacity(tcount);
-        for _ in 0..tcount {
-            tables.push(read_str(&mut pos)?);
-        }
-        let default_graph = match payload.get(pos).ok_or(StoreError::Truncated)? {
-            0 => {
-                pos += 1;
-                None
-            }
-            1 => {
-                pos += 1;
-                Some(read_str(&mut pos)?)
-            }
+        let graphs = names()?;
+        let tables = names()?;
+        let default_graph = match sec.u8()? {
+            0 => None,
+            1 => Some(sec.str()?.to_owned()),
             b => return Err(StoreError::Corrupt(format!("bad default-graph tag {b}"))),
         };
         // Version 1 manifests end here; version 2 appends the epoch.
-        let epoch = if version >= 2 {
-            let raw = payload.get(pos..pos + 8).ok_or(StoreError::Truncated)?;
-            pos += 8;
-            u64::from_le_bytes(raw.try_into().unwrap())
-        } else {
-            0
-        };
-        if pos != payload.len() {
+        let epoch = if version >= 2 { sec.u64()? } else { 0 };
+        if !sec.is_empty() {
             return Err(StoreError::Corrupt(
                 "trailing bytes in manifest payload".into(),
             ));

@@ -1,5 +1,6 @@
 //! Errors raised by the storage layer.
 
+use crate::wire::WireError;
 use gcore_ppg::GraphError;
 use std::fmt;
 use std::io;
@@ -60,6 +61,15 @@ impl std::error::Error for StoreError {
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => StoreError::Truncated,
+            WireError::BadUtf8 => StoreError::Corrupt(e.to_string()),
+        }
     }
 }
 

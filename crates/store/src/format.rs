@@ -34,6 +34,7 @@
 //! object stores) without touching the data model.
 
 use crate::error::StoreError;
+use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
 use gcore_ppg::export::ElementRef;
 use gcore_ppg::{
     sorted_elements, Attributes, Date, EdgeLabelStats, GraphStats, Key, Label, PathPropertyGraph,
@@ -63,90 +64,6 @@ const VALUE_INT: u8 = 1;
 const VALUE_FLOAT: u8 = 2;
 const VALUE_STR: u8 = 3;
 const VALUE_DATE: u8 = 4;
-
-// ---------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and plenty to catch the
-/// torn/overwritten/bit-rotted payloads a storage layer must detect
-/// (this is an integrity check, not a cryptographic one). Shared with
-/// the manifest codec in `catalog_io` and with the `gcore-serve` wire
-/// protocol, which frames requests/responses with the same checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-// ---------------------------------------------------------------------
-// Primitive writers/readers
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked sequential reader over a byte slice.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self.pos.checked_add(n).ok_or(StoreError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(StoreError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, StoreError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| StoreError::Corrupt("string is not valid UTF-8".into()))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Symbol table
@@ -372,7 +289,7 @@ fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
         VALUE_FLOAT => Ok(Value::Float(f64::from_bits(cur.u64()?))),
         VALUE_STR => Ok(Value::Str(cur.str()?.to_owned())),
         VALUE_DATE => {
-            let year = i32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+            let year = cur.i32()?;
             let month = cur.u8()?;
             let day = cur.u8()?;
             Date::new(year, month, day).map(Value::Date).ok_or_else(|| {
@@ -465,11 +382,11 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
     // at least its 4-byte length prefix).
     let payload = read_section(&mut cur, TAG_SYMBOLS, "symbols")?;
     let mut sym = Cursor::new(payload);
-    let mut labels = Vec::with_capacity(label_count.min(payload.len() / 4 + 1));
+    let mut labels = Vec::with_capacity(sym.capacity_for(label_count, 4));
     for _ in 0..label_count {
         labels.push(Label::new(sym.str()?));
     }
-    let mut keys = Vec::with_capacity(key_count.min(payload.len() / 4 + 1));
+    let mut keys = Vec::with_capacity(sym.capacity_for(key_count, 4));
     for _ in 0..key_count {
         keys.push(Key::new(sym.str()?));
     }
@@ -520,7 +437,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
         // nnodes is checksummed but still untrusted (a malicious file
         // can carry a valid checksum): clamp by the 8 bytes each entry
         // must occupy in what remains of the section.
-        let cap = nnodes.min(payload.len().saturating_sub(sec.pos) / 8 + 1);
+        let cap = sec.capacity_for(nnodes, 8);
         let mut nodes = Vec::with_capacity(cap);
         for _ in 0..nnodes {
             nodes.push(gcore_ppg::NodeId(sec.u64()?));
@@ -640,7 +557,7 @@ pub fn decode_stats(bytes: &[u8]) -> Result<GraphStats, StoreError> {
     let path_count = sec.u64()?;
 
     let n = sec.u32()? as usize;
-    let mut nodes_per_label = Vec::with_capacity(n.min(payload.len() / 12 + 1));
+    let mut nodes_per_label = Vec::with_capacity(sec.capacity_for(n, 12));
     for _ in 0..n {
         let label = Label::new(sec.str()?);
         nodes_per_label.push((label, sec.u64()?));
@@ -648,7 +565,7 @@ pub fn decode_stats(bytes: &[u8]) -> Result<GraphStats, StoreError> {
     nodes_per_label.sort_unstable_by_key(|(l, _)| *l);
 
     let n = sec.u32()? as usize;
-    let mut edges_per_label = Vec::with_capacity(n.min(payload.len() / 28 + 1));
+    let mut edges_per_label = Vec::with_capacity(sec.capacity_for(n, 28));
     for _ in 0..n {
         let label = Label::new(sec.str()?);
         edges_per_label.push((
@@ -664,7 +581,7 @@ pub fn decode_stats(bytes: &[u8]) -> Result<GraphStats, StoreError> {
 
     let read_props = |sec: &mut Cursor<'_>| -> Result<Vec<(Key, PropStats)>, StoreError> {
         let n = sec.u32()? as usize;
-        let mut rows = Vec::with_capacity(n.min(payload.len() / 28 + 1));
+        let mut rows = Vec::with_capacity(sec.capacity_for(n, 28));
         for _ in 0..n {
             let key = Key::new(sec.str()?);
             rows.push((
@@ -738,9 +655,9 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StoreError> {
     }
     let col_count = cur.u32()? as usize;
     let row_count = cur.u64()? as usize;
-    let payload_len = bytes
-        .len()
-        .checked_sub(cur.pos + 8)
+    let payload_len = cur
+        .remaining()
+        .checked_sub(8)
         .ok_or(StoreError::Truncated)?;
     let payload = cur.take(payload_len)?;
     let checksum = cur.u64()?;
@@ -752,18 +669,18 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StoreError> {
     // preallocations by what the payload could physically hold (each
     // column needs its 4-byte length prefix, each cell a tag byte).
     let mut sec = Cursor::new(payload);
-    let mut columns = Vec::with_capacity(col_count.min(payload.len() / 4 + 1));
+    let mut columns = Vec::with_capacity(sec.capacity_for(col_count, 4));
     for _ in 0..col_count {
         columns.push(sec.str()?.to_owned());
     }
     let mut table =
         Table::new(columns).map_err(|e| StoreError::Corrupt(format!("bad table header: {e}")))?;
-    let cell_cap = col_count.min(payload.len() + 1);
+    let cell_cap = sec.capacity_for(col_count, 1);
     for _ in 0..row_count {
         let mut row = Vec::with_capacity(cell_cap);
         for _ in 0..col_count {
-            if sec.bytes.get(sec.pos) == Some(&VALUE_NULL) {
-                sec.pos += 1;
+            if sec.peek() == Some(VALUE_NULL) {
+                sec.u8()?;
                 row.push(Value::Null);
             } else {
                 row.push(decode_value(&mut sec)?);

@@ -1,7 +1,7 @@
 //! # gcore-store — durable snapshot storage
 //!
 //! Everything the G-CORE engine evaluates lives in memory; this crate is
-//! the persistence seam named in the ROADMAP. It provides three layers,
+//! the persistence seam named in the ROADMAP. It provides four layers,
 //! std-only and dependency-free:
 //!
 //! * **A binary graph format** ([`mod@format`]): a versioned,
@@ -13,6 +13,10 @@
 //!   produce byte-identical files, in any process, because symbols are
 //!   written sorted by name and elements in the canonical order of
 //!   [`gcore_ppg::sorted_elements`].
+//! * **Wire primitives** ([`wire`]): the little-endian integer /
+//!   length-prefixed string writers, the bounds-checked reader and the
+//!   FNV-1a checksum that the formats here and the `gcore-serve`
+//!   protocol are all built from.
 //! * **Pluggable storage backends** ([`backend`]): the object-store
 //!   shaped [`StorageBackend`] trait (named blobs in, named blobs out)
 //!   with two implementations — [`MemBackend`] for tests and staging,
@@ -53,6 +57,7 @@ pub mod backend;
 pub mod catalog_io;
 pub mod error;
 pub mod format;
+pub mod wire;
 
 pub use backend::{DirBackend, MemBackend, StorageBackend};
 pub use catalog_io::{
@@ -60,6 +65,7 @@ pub use catalog_io::{
 };
 pub use error::StoreError;
 pub use format::{
-    decode_graph, decode_stats, decode_table, encode_graph, encode_stats, encode_table, fnv1a64,
+    decode_graph, decode_stats, decode_table, encode_graph, encode_stats, encode_table,
     FORMAT_VERSION, MAGIC, STATS_MAGIC, TABLE_MAGIC,
 };
+pub use wire::fnv1a64;
