@@ -1,5 +1,14 @@
 //! CONSTRUCT cost (§A.3): identity reuse, skolemization, grouping,
 //! aggregation and SET, at a fixed SNB scale.
+//!
+//! `skolem_edges_wide` and `identity_many_rows` are the two statements
+//! of the repo benchmark's `wide_par_1c` workload (`two_hop_wide` and
+//! `reach_many` of `plan.rs`), kept here under the names of what they
+//! cost CONSTRUCT: tens of thousands of minted edges from hundreds of
+//! thousands of rows, and half a million rows collapsing onto a thousand
+//! identities. Both were quadratic / per-row-map bound before staging
+//! went linear; `crates/core/tests/construct_scaling.rs` guards the
+//! growth rate, these record the absolute cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcore_bench::snb_engine;
@@ -29,6 +38,16 @@ fn bench_construct(c: &mut Criterion) {
             "count_aggregation",
             "CONSTRUCT (t)<-[e:pop]-(n) SET e.cnt := COUNT(*) \
              MATCH (n:Person)-[:hasInterest]->(t:Tag)",
+        ),
+        (
+            "skolem_edges_wide",
+            "CONSTRUCT (n)-[:fof]->(k) \
+             MATCH (n:Person)-[:knows]->(m:Person), (m)-[:knows]->(k:Person)",
+        ),
+        (
+            "identity_many_rows",
+            "CONSTRUCT (m) \
+             MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.personId < 500",
         ),
         (
             "graph_union_shorthand",

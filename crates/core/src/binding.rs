@@ -201,6 +201,16 @@ fn cmp_rows(a: &[Code], b: &[Code], rank: &[u32]) -> Ordering {
     Ordering::Equal
 }
 
+/// The pool's value order for [`cmp_codes`]; empty (and free) for a table
+/// without literal cells, whatever another table has grown the pool to.
+fn value_ranks(pool: &ValueInterner, has_values: bool) -> Arc<Vec<u32>> {
+    if has_values {
+        pool.rank_snapshot()
+    } else {
+        Arc::new(Vec::new())
+    }
+}
+
 /// A column of a binding table: the variable name and the graph its
 /// element attributes resolve against (λ and σ are per-graph, and views
 /// may give the *same identity* different properties — e.g.
@@ -272,11 +282,7 @@ impl BindingTable {
         debug_assert_eq!(data.len(), nrows * width);
         let mut perm: Vec<u32> = (0..nrows as u32).collect();
         if nrows > 1 {
-            let rank = if has_values {
-                pool.rank_snapshot()
-            } else {
-                Arc::new(Vec::new())
-            };
+            let rank = value_ranks(&pool, has_values);
             let rank: &[u32] = &rank;
             perm.sort_unstable_by(|&a, &b| {
                 let ra = &data[a as usize * width..][..width];
@@ -305,11 +311,7 @@ impl BindingTable {
         if self.nrows <= 1 {
             return;
         }
-        let rank = if self.has_values {
-            self.pool.rank_snapshot()
-        } else {
-            Arc::new(Vec::new())
-        };
+        let rank = value_ranks(&self.pool, self.has_values);
         let rank: &[u32] = &rank;
         let mut perm: Vec<u32> = (0..self.nrows as u32).collect();
         perm.sort_unstable_by(|&a, &b| {
@@ -413,9 +415,9 @@ impl BindingTable {
 
     /// The interner code of the cell at (`row`, `col`) when it holds a
     /// literal, `None` for every other sort. Crate-private fast path:
-    /// literal-heavy loops resolve the code against a pool snapshot or
-    /// through [`ValueInterner::with_resolved`], skipping the per-cell
-    /// pool lock + clone that [`bound`](Self::bound) would pay.
+    /// literal-heavy loops resolve the code through
+    /// [`ValueInterner::with_resolved`], skipping the per-cell clone
+    /// that [`bound`](Self::bound) would pay.
     pub(crate) fn value_code(&self, row: usize, col: usize) -> Option<u32> {
         let c = self.cols[col][row];
         (tag_of(c) == TAG_VALUE).then(|| payload_of(c) as u32)
@@ -436,6 +438,47 @@ impl BindingTable {
     /// comparisons against [`code`](Self::code).
     pub(crate) fn encode_for_probe(&self, b: &Bound) -> u64 {
         encode(&self.pool, b)
+    }
+
+    /// The order CONSTRUCT sorts its group keys by: lexicographic over
+    /// raw cells, each pair compared the way `Rv::total_cmp` orders the
+    /// decoded values — NULL < literals (by value, not by interning
+    /// order) < nodes < edges < paths < fresh paths. `Bound`'s own order
+    /// (and so row order) ranks literals *last*; skolem identifiers are
+    /// minted in group order, so the difference is observable. Key parts
+    /// that are not cells of this table (endpoint identifiers, group
+    /// ordinals) must be plain numbers below 2⁶¹; they compare as such.
+    pub(crate) fn rv_key_order(&self) -> impl Fn(&[u64], &[u64]) -> Ordering {
+        let rank = value_ranks(&self.pool, self.has_values);
+        move |a, b| {
+            for (&x, &y) in a.iter().zip(b) {
+                let c = match (tag_of(x) == TAG_VALUE, tag_of(y) == TAG_VALUE) {
+                    (true, false) if y != MISSING => Ordering::Less,
+                    (false, true) if x != MISSING => Ordering::Greater,
+                    _ => cmp_codes(x, y, &rank),
+                };
+                if c != Ordering::Equal {
+                    return c;
+                }
+            }
+            a.len().cmp(&b.len())
+        }
+    }
+
+    /// This table with extra columns appended, given cell by cell. Row
+    /// order is kept (nothing is re-normalized), so row indexes stay
+    /// aligned with `self` — CONSTRUCT's WHEN pass binds its construct
+    /// variables this way.
+    pub(crate) fn with_columns(&self, extra: Vec<(Column, Vec<Bound>)>) -> BindingTable {
+        let mut t = self.clone();
+        for (column, cells) in extra {
+            debug_assert_eq!(cells.len(), t.nrows);
+            let codes: Vec<Code> = cells.iter().map(|b| encode(&t.pool, b)).collect();
+            t.has_values |= codes.iter().any(|&c| tag_of(c) == TAG_VALUE);
+            t.columns.push(column);
+            t.cols.push(codes);
+        }
+        t
     }
 
     /// Keep only rows satisfying the predicate (row order preserved — a
@@ -867,22 +910,15 @@ impl TableBuilder {
 
     /// Finish into a normalized (sorted, deduplicated) table.
     pub fn finish(self) -> BindingTable {
-        let mut t = self.finish_raw();
-        t.normalize();
-        t
-    }
-
-    /// Finish keeping the push order (no sorting, no dedup). Used when
-    /// row indexes must stay aligned with another table — e.g. the
-    /// CONSTRUCT staging extension of the match bindings.
-    pub fn finish_raw(self) -> BindingTable {
-        BindingTable {
+        let mut t = BindingTable {
             columns: self.columns,
             cols: self.cols,
             nrows: self.nrows,
             pool: self.pool,
             has_values: self.has_values,
-        }
+        };
+        t.normalize();
+        t
     }
 }
 

@@ -23,8 +23,14 @@
 //! not depend on any group this degenerates to the all-or-nothing
 //! semantics of the formalism. Dangling edges are impossible: an edge or
 //! path whose endpoint group was filtered away is dropped with it.
+//!
+//! Cost is linear in binding rows plus constructed elements: rows are
+//! partitioned by their *encoded* cells, the groups (not the rows) are
+//! ordered, each group yields one element, and the groups themselves are
+//! what is kept for `WHEN` — nothing is recorded per row unless a `WHEN`
+//! asks for it.
 
-use crate::binding::{BindingTable, Bound, Column, TableBuilder};
+use crate::binding::{BindingTable, Bound, Column};
 use crate::context::FreshPath;
 use crate::error::{Result, RuntimeError, SemanticError};
 use crate::expr::{eval_aggregate, eval_expr, Env, Rv};
@@ -33,72 +39,123 @@ use gcore_parser::ast::{
     ConstructClause, ConstructConnection, ConstructItem, ConstructPattern, Direction, Expr, Ident,
     PropAssign, RemoveItem, SetItem,
 };
+use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{
     Attributes, EdgeId, ElementId, IdGen, Key, Label, NodeId, PathId, PathPropertyGraph, PathShape,
     PropertySet, Value,
 };
-use std::cmp::Ordering;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// Group keys
+// Groups
 // ---------------------------------------------------------------------
 
-/// An `Rv` wrapper with the total order of [`Rv::total_cmp`], usable as a
-/// (deterministic) BTreeMap key for grouping.
-#[derive(Clone, Debug)]
-struct OrdRv(Rv);
+/// What identifies a group: the encoded cells ([`BindingTable::code`]) of
+/// its grouping columns — for an edge preceded by its endpoint
+/// identifiers; a `GROUP e₁, …` part is the ordinal of the row's
+/// expression group ([`group_by_exprs`]). Equal keys are equal groups.
+type GroupKey = Vec<u64>;
 
-impl PartialEq for OrdRv {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-impl Eq for OrdRv {}
-impl PartialOrd for OrdRv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdRv {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+/// The groups of one object construct with their contributing rows
+/// (ascending), in [`Rv::total_cmp`] order of the values the keys stand
+/// for — the order elements are staged and skolem identifiers minted in.
+type Groups = Vec<(GroupKey, Vec<usize>)>;
 
-type GroupKey = Vec<OrdRv>;
-
-fn bound_key(b: &Bound) -> OrdRv {
-    OrdRv(Rv::from_bound(b))
-}
-
-/// Per-loop grouping-key decoder. Literal cells are decoded against one
-/// snapshot of the table's value pool, fetched lazily on the first
-/// literal encountered — the grouping loops then pay no pool read-lock
-/// and exactly one clone per cell, instead of the per-cell lock + double
-/// clone of `bound_key(&table.bound(…))`.
-struct KeyDecoder<'a> {
-    bindings: &'a BindingTable,
-    snap: std::cell::OnceCell<Arc<Vec<Value>>>,
-}
-
-impl<'a> KeyDecoder<'a> {
-    fn new(bindings: &'a BindingTable) -> Self {
-        KeyDecoder {
-            bindings,
-            snap: std::cell::OnceCell::new(),
+/// Partition the binding rows by the key `key` writes (`false`: the row
+/// contributes nothing), then order the groups — thousands — rather
+/// than the rows — hundreds of thousands.
+fn group_rows(
+    ev: &Evaluator<'_>,
+    bindings: &BindingTable,
+    mut key: impl FnMut(usize, &mut GroupKey) -> bool,
+) -> Result<Groups> {
+    let mut index: FxHashMap<GroupKey, Vec<usize>> = FxHashMap::default();
+    let mut buf = GroupKey::new();
+    let mut tick = 0u32;
+    for ri in 0..bindings.len() {
+        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        buf.clear();
+        if !key(ri, &mut buf) {
+            continue;
         }
-    }
-
-    fn key(&self, ri: usize, ci: usize) -> OrdRv {
-        match self.bindings.value_code(ri, ci) {
-            Some(code) => {
-                let snap = self.snap.get_or_init(|| self.bindings.pool().snapshot());
-                OrdRv(Rv::Value(snap[code as usize].clone()))
+        match index.get_mut(buf.as_slice()) {
+            Some(rows) => rows.push(ri),
+            None => {
+                index.insert(buf.clone(), vec![ri]);
             }
-            None => bound_key(&self.bindings.bound(ri, ci)),
         }
+    }
+    let mut groups: Groups = index.into_iter().collect();
+    let order = bindings.rv_key_order();
+    groups.sort_unstable_by(|a, b| order(&a.0, &b.0));
+    Ok(groups)
+}
+
+/// Partition `table`'s rows by the values of `exprs`: `(key, rows)` per
+/// group, rows ascending, groups in [`Rv::total_cmp`] order of their
+/// keys. SELECT's `GROUP BY` and CONSTRUCT's `GROUP` both partition
+/// with it.
+pub(crate) fn group_by_exprs(
+    ev: &Evaluator<'_>,
+    table: &BindingTable,
+    exprs: &[Expr],
+    outer: Option<&Env<'_>>,
+) -> Result<Vec<(Vec<Rv>, Vec<usize>)>> {
+    // Keys are all `exprs.len()` long: lexicographic, first difference.
+    let cmp = |a: &[Rv], b: &[Rv]| {
+        let mut pairs = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
+        pairs
+            .find(|c| c.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let mut keyed: Vec<(Vec<Rv>, usize)> = Vec::with_capacity(table.len());
+    let mut tick = 0u32;
+    for ri in 0..table.len() {
+        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        let mut env = Env::new(table, ri);
+        env.parent = outer;
+        let key: Result<Vec<Rv>> = exprs
+            .iter()
+            .map(|e| eval_expr(ev.ctx, ev, &env, e))
+            .collect();
+        keyed.push((key?, ri));
+    }
+    keyed.sort_by(|a, b| cmp(&a.0, &b.0)); // stable: rows stay ascending
+    let mut groups: Vec<(Vec<Rv>, Vec<usize>)> = Vec::new();
+    for (key, ri) in keyed {
+        match groups.last_mut() {
+            Some((last, rows)) if cmp(last, &key).is_eq() => rows.push(ri),
+            _ => groups.push((key, vec![ri])),
+        }
+    }
+    Ok(groups)
+}
+
+/// The binding-table columns an expression reads through its variables.
+pub(crate) fn collect_var_cols(e: &Expr, bindings: &BindingTable, out: &mut Vec<usize>) {
+    match e {
+        Expr::Var(v) => {
+            if let Some(i) = bindings.column_index(v) {
+                if !out.contains(&i) {
+                    out.push(i);
+                }
+            }
+        }
+        Expr::Prop(b, _) | Expr::LabelTest(b, _) | Expr::Unary(_, b) => {
+            collect_var_cols(b, bindings, out)
+        }
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
+            collect_var_cols(a, bindings, out);
+            collect_var_cols(b, bindings, out);
+        }
+        Expr::Func(_, args) => {
+            for a in args {
+                collect_var_cols(a, bindings, out);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -106,65 +163,76 @@ impl<'a> KeyDecoder<'a> {
 // Staged elements
 // ---------------------------------------------------------------------
 
-/// One constructed path group: the identity (for stored paths), the walk
-/// to project, and the graph its element attributes come from.
-struct PathGroup {
-    id: Option<PathId>,
-    walk: Option<PathShape>,
-    /// Projection-only members (ALL-paths construct).
-    proj_nodes: Vec<NodeId>,
-    proj_edges: Vec<EdgeId>,
-    graph: Arc<PathPropertyGraph>,
+/// One group of one construct pattern, kept (its rows moved here, not
+/// dropped) after its element is staged: everything the WHEN pass reads.
+struct Staged {
+    /// Index of the construct pattern that staged the group.
+    pattern: usize,
+    /// The construct variable the element is visible as in a WHEN
+    /// condition (a [`Skolem`] token) with its binding; `None` for
+    /// elements MATCH bound — their variable is a binding-table column.
+    var: Option<(usize, Bound)>,
+    /// What the group produced: one node or one edge; for a path its
+    /// projected members and then the stored path object, if any.
+    elems: Vec<ElementId>,
+    /// The binding rows that fed the group.
+    rows: Vec<usize>,
 }
 
-/// Accumulates everything a CONSTRUCT produces before WHEN filtering.
+/// Everything a CONSTRUCT produces before WHEN filtering.
 struct Staging {
     graph: PathPropertyGraph,
-    /// Per binding row: construct-variable bindings (for WHEN).
-    row_env: Vec<BTreeMap<String, Bound>>,
-    /// Elements produced per pattern (for WHEN group filtering).
-    pattern_elems: Vec<Vec<ElementId>>,
-    /// Which rows fed each element (element → rows).
-    elem_rows: BTreeMap<ElementId, Vec<usize>>,
-    /// Edges / paths depend on these endpoint/member elements.
-    deps: BTreeMap<ElementId, Vec<ElementId>>,
+    groups: Vec<Staged>,
+    /// Index of the pattern being staged.
+    pattern: usize,
+}
+
+impl Staging {
+    fn keep(&mut self, var: Option<(usize, Bound)>, elems: Vec<ElementId>, rows: Vec<usize>) {
+        let pattern = self.pattern;
+        self.groups.push(Staged {
+            pattern,
+            var,
+            elems,
+            rows,
+        });
+    }
 }
 
 /// Shared skolem state: `new(x, Ω′(Γ))` must return the same identifier
 /// for the same variable and group across all patterns of one CONSTRUCT.
+/// Variables are interned to token indexes, so a lookup hashes a
+/// `(usize, GroupKey)` it is handed — no string, no second key clone.
 struct Skolem {
     ids: IdGen,
-    nodes: BTreeMap<(String, GroupKey), NodeId>,
-    edges: BTreeMap<(String, GroupKey), EdgeId>,
-    paths: BTreeMap<(String, GroupKey), PathId>,
+    tokens: Vec<String>,
+    nodes: FxHashMap<(usize, GroupKey), NodeId>,
+    edges: FxHashMap<(usize, GroupKey), EdgeId>,
+    paths: FxHashMap<(usize, GroupKey), PathId>,
 }
 
 impl Skolem {
-    fn node(&mut self, token: &str, key: &GroupKey) -> NodeId {
-        if let Some(id) = self.nodes.get(&(token.to_owned(), key.clone())) {
-            return *id;
-        }
-        let id = self.ids.node();
-        self.nodes.insert((token.to_owned(), key.clone()), id);
-        id
+    fn token(&mut self, name: &str) -> usize {
+        let known = self.tokens.iter().position(|t| t == name);
+        known.unwrap_or_else(|| {
+            self.tokens.push(name.to_owned());
+            self.tokens.len() - 1
+        })
     }
 
-    fn edge(&mut self, token: &str, key: &GroupKey) -> EdgeId {
-        if let Some(id) = self.edges.get(&(token.to_owned(), key.clone())) {
-            return *id;
-        }
-        let id = self.ids.edge();
-        self.edges.insert((token.to_owned(), key.clone()), id);
-        id
+    fn node(&mut self, token: usize, key: GroupKey) -> NodeId {
+        let ids = &self.ids;
+        *self.nodes.entry((token, key)).or_insert_with(|| ids.node())
     }
 
-    fn path(&mut self, token: &str, key: &GroupKey) -> PathId {
-        if let Some(id) = self.paths.get(&(token.to_owned(), key.clone())) {
-            return *id;
-        }
-        let id = self.ids.path();
-        self.paths.insert((token.to_owned(), key.clone()), id);
-        id
+    fn edge(&mut self, token: usize, key: GroupKey) -> EdgeId {
+        let ids = &self.ids;
+        *self.edges.entry((token, key)).or_insert_with(|| ids.edge())
+    }
+
+    fn path(&mut self, token: usize, key: GroupKey) -> PathId {
+        let ids = &self.ids;
+        *self.paths.entry((token, key)).or_insert_with(|| ids.path())
     }
 }
 
@@ -182,19 +250,18 @@ pub fn eval_construct(
 ) -> Result<PathPropertyGraph> {
     let mut skolem = Skolem {
         ids: ev.ctx.catalog.borrow().ids().clone(),
-        nodes: BTreeMap::new(),
-        edges: BTreeMap::new(),
-        paths: BTreeMap::new(),
+        tokens: Vec::new(),
+        nodes: FxHashMap::default(),
+        edges: FxHashMap::default(),
+        paths: FxHashMap::default(),
     };
     let mut staging = Staging {
         graph: PathPropertyGraph::new(),
-        row_env: vec![BTreeMap::new(); bindings.len()],
-        pattern_elems: Vec::new(),
-        elem_rows: BTreeMap::new(),
-        deps: BTreeMap::new(),
+        groups: Vec::new(),
+        pattern: 0,
     };
     let mut union_graphs: Vec<Arc<PathPropertyGraph>> = Vec::new();
-    let mut whens: Vec<(usize, Expr)> = Vec::new();
+    let mut whens: Vec<(usize, &Expr)> = Vec::new();
     let mut anon = 0usize;
 
     // A variable's explicit GROUP applies to *every* occurrence of that
@@ -209,8 +276,6 @@ pub fn eval_construct(
                 union_graphs.push(ev.ctx.graph(name)?);
             }
             ConstructItem::Pattern(pat) => {
-                let idx = staging.pattern_elems.len();
-                staging.pattern_elems.push(Vec::new());
                 stage_pattern(
                     ev,
                     pat,
@@ -222,48 +287,25 @@ pub fn eval_construct(
                     &group_overrides,
                 )?;
                 if let Some(w) = &pat.when {
-                    whens.push((idx, w.clone()));
+                    whens.push((staging.pattern, w));
                 }
+                staging.pattern += 1;
             }
         }
     }
 
-    // WHEN filtering: a group survives iff the condition is truthy for at
-    // least one of its feeding rows (evaluated with the construct
-    // variables bound against the staged graph).
-    let mut dead: Vec<ElementId> = Vec::new();
-    if !whens.is_empty() {
-        let staged = Arc::new(staging.graph.clone());
-        let ext = extended_table(bindings, &staging.row_env, &staged);
-        for (pidx, cond) in &whens {
-            for elem in &staging.pattern_elems[*pidx] {
-                let rows = staging.elem_rows.get(elem).cloned().unwrap_or_default();
-                let mut alive = false;
-                for &ri in &rows {
-                    let mut env = Env::new(&ext, ri);
-                    env.parent = outer;
-                    let v = eval_when(ev, &ext, &rows, ri, cond, outer)
-                        .or_else(|_| eval_expr(ev.ctx, ev, &env, cond))?;
-                    if v.truthy() {
-                        alive = true;
-                        break;
-                    }
-                }
-                if !alive {
-                    dead.push(*elem);
-                }
-            }
-        }
-    }
-
-    let result = if dead.is_empty() {
+    let dead = if whens.is_empty() {
+        FxHashSet::default()
+    } else {
+        when_pass(ev, &whens, &staging, &skolem.tokens, bindings, outer)?
+    };
+    let mut out = if dead.is_empty() {
         staging.graph
     } else {
-        rebuild_without(&staging, &dead)
+        rebuild_without(&staging.graph, &dead)
     };
 
     // Union in the named graphs (§3 shorthand for `… UNION social_graph`).
-    let mut out = result;
     for g in union_graphs {
         out = gcore_ppg::ops::union(&out, &g);
     }
@@ -302,109 +344,117 @@ fn collect_group_overrides(construct: &ConstructClause) -> Result<BTreeMap<Strin
     Ok(map)
 }
 
-/// Evaluate a WHEN condition that may contain aggregates over the group.
-fn eval_when(
+// ---------------------------------------------------------------------
+// WHEN
+// ---------------------------------------------------------------------
+
+/// The elements the WHEN conditions filter away. An element of a
+/// filtered pattern survives iff its condition is truthy for at least
+/// one row of the groups that fed it — every group of the CONSTRUCT
+/// that produced it, so a walk member shared by several stored paths
+/// lives as long as one of them does. Conditions see the construct
+/// variables bound against the staged graph; aggregates in them fold
+/// over the element's feeding rows.
+fn when_pass(
     ev: &Evaluator<'_>,
-    table: &BindingTable,
-    group_rows: &[usize],
-    row: usize,
-    cond: &Expr,
-    outer: Option<&Env<'_>>,
-) -> Result<Rv> {
-    if !cond.contains_aggregate() {
-        let mut env = Env::new(table, row);
-        env.parent = outer;
-        return eval_expr(ev.ctx, ev, &env, cond);
-    }
-    let folded = fold_aggregates(ev, table, group_rows, &[], cond, outer)?;
-    let mut env = Env::new(table, row);
-    env.parent = outer;
-    eval_expr(ev.ctx, ev, &env, &folded)
-}
-
-/// The binding table extended with one column per construct variable,
-/// resolving against the staged graph (so `e.score` sees the freshly
-/// computed property).
-fn extended_table(
+    whens: &[(usize, &Expr)],
+    staging: &Staging,
+    tokens: &[String],
     bindings: &BindingTable,
-    row_env: &[BTreeMap<String, Bound>],
-    staged: &Arc<PathPropertyGraph>,
-) -> BindingTable {
-    let mut vars: Vec<String> = Vec::new();
-    for m in row_env {
-        for v in m.keys() {
-            if !vars.contains(v) && bindings.column_index(v).is_none() {
-                vars.push(v.clone());
-            }
+    outer: Option<&Env<'_>>,
+) -> Result<FxHashSet<ElementId>> {
+    let ext = extended_table(bindings, staging, tokens);
+    let mut fed_by: FxHashMap<ElementId, Vec<usize>> = FxHashMap::default();
+    for (gi, group) in staging.groups.iter().enumerate() {
+        for elem in &group.elems {
+            fed_by.entry(*elem).or_default().push(gi);
         }
     }
-    let mut columns: Vec<Column> = bindings.columns().to_vec();
-    for v in &vars {
-        columns.push(Column {
-            var: v.clone(),
-            graph: staged.clone(),
-        });
-    }
-    // NOTE: finished raw (no normalization) on purpose — row order must
-    // stay aligned with `bindings` for group indexes.
-    let mut b = TableBuilder::with_pool(columns, bindings.pool().clone());
-    let mut extra: Vec<Bound> = Vec::with_capacity(vars.len());
-    for (ri, env) in row_env.iter().enumerate().take(bindings.len()) {
-        extra.clear();
-        for v in &vars {
-            extra.push(env.get(v).cloned().unwrap_or(Bound::Missing));
-        }
-        b.push_extended(bindings, ri, &extra);
-    }
-    b.finish_raw()
-}
-
-/// Rebuild the staged graph without the dead elements (and without
-/// anything that depends on them).
-fn rebuild_without(staging: &Staging, dead: &[ElementId]) -> PathPropertyGraph {
-    let mut killed: Vec<ElementId> = dead.to_vec();
-    // Transitively kill dependents (edges on dead nodes, paths on dead
-    // edges/nodes).
-    loop {
-        let mut grew = false;
-        for (elem, deps) in &staging.deps {
-            if killed.contains(elem) {
+    let mut dead: FxHashSet<ElementId> = FxHashSet::default();
+    let mut tick = 0u32;
+    for &(pattern, cond) in whens {
+        let mut seen: FxHashSet<ElementId> = FxHashSet::default();
+        let of_pattern = staging.groups.iter().filter(|g| g.pattern == pattern);
+        for elem in of_pattern.flat_map(|g| &g.elems) {
+            if !seen.insert(*elem) {
                 continue;
             }
-            if deps.iter().any(|d| killed.contains(d)) {
-                killed.push(*elem);
-                grew = true;
+            let feeding = fed_by[elem].iter().flat_map(|&gi| &staging.groups[gi].rows);
+            let rows: Vec<usize> = feeding.copied().collect();
+            let cond = if cond.contains_aggregate() {
+                Cow::Owned(fold_aggregates(ev, &ext, &rows, &[], cond, outer)?)
+            } else {
+                Cow::Borrowed(cond)
+            };
+            let mut alive = false;
+            for &ri in &rows {
+                ev.ctx.options.cancel.checkpoint(&mut tick)?;
+                let mut env = Env::new(&ext, ri);
+                env.parent = outer;
+                if eval_expr(ev.ctx, ev, &env, &cond)?.truthy() {
+                    alive = true;
+                    break;
+                }
+            }
+            if !alive {
+                dead.insert(*elem);
             }
         }
-        if !grew {
-            break;
+    }
+    Ok(dead)
+}
+
+/// The binding table extended with one column per construct variable
+/// (built column-wise from the staged groups), resolving against the
+/// staged graph so `e.score` sees the freshly computed property. Row
+/// indexes stay those of `bindings`.
+fn extended_table(bindings: &BindingTable, staging: &Staging, tokens: &[String]) -> BindingTable {
+    let staged = Arc::new(staging.graph.clone());
+    let mut cells: Vec<Option<Vec<Bound>>> = vec![None; tokens.len()];
+    for group in &staging.groups {
+        let Some((token, bound)) = &group.var else {
+            continue;
+        };
+        let column = cells[*token].get_or_insert_with(|| vec![Bound::Missing; bindings.len()]);
+        for &ri in &group.rows {
+            column[ri] = bound.clone();
         }
     }
-    let g = &staging.graph;
+    let column = |var: &String| Column {
+        var: var.clone(),
+        graph: staged.clone(),
+    };
+    let named = tokens.iter().zip(cells);
+    let extra = named.filter_map(|(var, cells)| Some((column(var), cells?)));
+    bindings.with_columns(extra.collect())
+}
+
+/// The staged graph without the dead elements and without anything left
+/// dangling by them: an edge missing an endpoint, a path missing a
+/// member.
+fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPropertyGraph {
     let mut out = PathPropertyGraph::new();
     for id in g.node_ids_sorted() {
-        if !killed.contains(&ElementId::Node(id)) {
+        if !dead.contains(&ElementId::Node(id)) {
             out.add_node(id, g.node(id).expect("staged node").attrs.clone());
         }
     }
     for id in g.edge_ids_sorted() {
-        if killed.contains(&ElementId::Edge(id)) {
-            continue;
-        }
         let e = g.edge(id).expect("staged edge");
-        if out.contains_node(e.src) && out.contains_node(e.dst) {
+        if !dead.contains(&ElementId::Edge(id))
+            && out.contains_node(e.src)
+            && out.contains_node(e.dst)
+        {
             out.add_edge(id, e.src, e.dst, e.attrs.clone())
                 .expect("endpoints staged");
         }
     }
     for id in g.path_ids_sorted() {
-        if killed.contains(&ElementId::Path(id)) {
-            continue;
-        }
         let p = g.path(id).expect("staged path");
-        let ok = p.shape.nodes().iter().all(|n| out.contains_node(*n))
-            && p.shape.edges().iter().all(|e| out.contains_edge(*e));
-        if ok {
+        if !dead.contains(&ElementId::Path(id))
+            && p.shape.nodes().iter().all(|n| out.contains_node(*n))
+            && p.shape.edges().iter().all(|e| out.contains_edge(*e))
+        {
             out.add_path(id, p.shape.clone(), p.attrs.clone())
                 .expect("members staged");
         }
@@ -416,17 +466,128 @@ fn rebuild_without(staging: &Staging, dead: &[ElementId]) -> PathPropertyGraph {
 // Pattern staging
 // ---------------------------------------------------------------------
 
+/// What a node or edge construct says about its element's attributes,
+/// with the pattern's trailing SET / REMOVE items on its variable folded
+/// in (applied in this order). Labels and keys are interned once here,
+/// not once per group.
+struct Template<'a> {
+    /// `(=n)` and `SET x = y`.
+    copies: Vec<&'a str>,
+    /// `:Label` and `SET x:Label`.
+    labels: Vec<Label>,
+    /// `{k := v}` and `SET x.k := v`.
+    assigns: Vec<(Key, &'a Expr)>,
+    /// `REMOVE x:Label`.
+    drop_labels: Vec<Label>,
+    /// `REMOVE x.k`.
+    drop_props: Vec<Key>,
+}
+
+/// `{k := v}` items followed by the pattern's `SET var.k := v` items.
+fn assigns_for<'a>(
+    pat: &'a ConstructPattern,
+    var: Option<&str>,
+    own: &'a [PropAssign],
+) -> Vec<(Key, &'a Expr)> {
+    let own = own.iter().map(|a| (Key::new(&a.key), &a.value));
+    let set = pat.sets.iter().filter_map(move |s| match s {
+        SetItem::Prop { var: v, key, value } if var == Some(v.as_str()) => {
+            Some((Key::new(key), value))
+        }
+        _ => None,
+    });
+    own.chain(set).collect()
+}
+
+impl<'a> Template<'a> {
+    fn new(
+        pat: &'a ConstructPattern,
+        var: Option<&str>,
+        copy_of: Option<&'a str>,
+        labels: &[String],
+        assigns: &'a [PropAssign],
+    ) -> Self {
+        let mut t = Template {
+            copies: copy_of.into_iter().collect(),
+            labels: labels.iter().map(|l| Label::new(l)).collect(),
+            assigns: assigns_for(pat, var, assigns),
+            drop_labels: Vec::new(),
+            drop_props: Vec::new(),
+        };
+        for set in &pat.sets {
+            match set {
+                SetItem::Label { var: v, label } if var == Some(v.as_str()) => {
+                    t.labels.push(Label::new(label))
+                }
+                SetItem::Copy { var: v, from } if var == Some(v.as_str()) => t.copies.push(from),
+                _ => {}
+            }
+        }
+        for rem in &pat.removes {
+            match rem {
+                RemoveItem::Prop { var: v, key } if var == Some(v.as_str()) => {
+                    t.drop_props.push(Key::new(key))
+                }
+                RemoveItem::Label { var: v, label } if var == Some(v.as_str()) => {
+                    t.drop_labels.push(Label::new(label))
+                }
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// Instantiate the template for one group on top of `attrs`.
+    fn apply(
+        &self,
+        ev: &Evaluator<'_>,
+        attrs: &mut Attributes,
+        bindings: &BindingTable,
+        rows: &[usize],
+        group_cols: &[usize],
+        outer: Option<&Env<'_>>,
+    ) -> Result<()> {
+        for cv in &self.copies {
+            union_copied_attrs(attrs, cv, bindings, rows)?;
+        }
+        for &l in &self.labels {
+            attrs.labels.insert(l);
+        }
+        assign_props(ev, attrs, &self.assigns, bindings, rows, group_cols, outer)?;
+        for &l in &self.drop_labels {
+            attrs.labels.remove(l);
+        }
+        for &k in &self.drop_props {
+            attrs.set_prop(k, PropertySet::empty());
+        }
+        Ok(())
+    }
+}
+
+/// Evaluate `{k := v}` assignments over a group and union the values
+/// into `attrs`.
+fn assign_props(
+    ev: &Evaluator<'_>,
+    attrs: &mut Attributes,
+    assigns: &[(Key, &Expr)],
+    bindings: &BindingTable,
+    rows: &[usize],
+    group_cols: &[usize],
+    outer: Option<&Env<'_>>,
+) -> Result<()> {
+    for &(key, value) in assigns {
+        let vs = eval_assign(ev, bindings, rows, group_cols, value, outer)?;
+        let merged = attrs.prop(key).union(&vs);
+        attrs.set_prop(key, merged);
+    }
+    Ok(())
+}
+
 struct NodeSpec<'a> {
     token: String,
     named: Option<&'a str>,
-    copy_of: Option<&'a str>,
     group: Option<&'a [Expr]>,
-    labels: &'a [String],
-    assigns: Vec<&'a PropAssign>,
-    set_labels: Vec<&'a str>,
-    set_copies: Vec<&'a str>,
-    removes_prop: Vec<&'a str>,
-    removes_label: Vec<&'a str>,
+    template: Template<'a>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -440,129 +601,56 @@ fn stage_pattern<'a>(
     anon: &mut usize,
     overrides: &'a BTreeMap<String, Vec<Expr>>,
 ) -> Result<()> {
+    let mut token_for = |var: Option<&Ident>, kind: &str| match var {
+        Some(v) => v.text.clone(),
+        None => {
+            *anon += 1;
+            format!("#c{kind}{}", *anon - 1)
+        }
+    };
+
     // ---- collect the node constructs of the chain -------------------
-    fn fresh_token(anon: &mut usize, kind: &str) -> String {
-        let t = format!("#c{kind}{anon}");
-        *anon += 1;
-        t
-    }
-
-    fn mk_node_spec<'a>(
-        n: &'a gcore_parser::ast::ConstructNode,
-        token: String,
-        overrides: &'a BTreeMap<String, Vec<Expr>>,
-    ) -> NodeSpec<'a> {
-        let group = n.group.as_deref().or_else(|| {
-            n.var
-                .as_deref()
-                .and_then(|v| overrides.get(v))
-                .map(Vec::as_slice)
-        });
-        NodeSpec {
-            token,
-            named: n.var.as_deref(),
-            copy_of: n.copy_of.as_deref(),
-            group,
-            labels: &n.labels,
-            assigns: n.assigns.iter().collect(),
-            set_labels: Vec::new(),
-            set_copies: Vec::new(),
-            removes_prop: Vec::new(),
-            removes_label: Vec::new(),
-        }
-    }
-
-    let mut node_specs: Vec<NodeSpec<'_>> = Vec::new();
-    let start_token = pat
-        .start
-        .var
-        .as_ref()
-        .map(|v| v.text.clone())
-        .unwrap_or_else(|| fresh_token(anon, "n"));
-    node_specs.push(mk_node_spec(&pat.start, start_token, overrides));
-    for step in &pat.steps {
-        let t = step
-            .node
-            .var
-            .as_ref()
-            .map(|v| v.text.clone())
-            .unwrap_or_else(|| fresh_token(anon, "n"));
-        node_specs.push(mk_node_spec(&step.node, t, overrides));
-    }
-
-    // ---- fold trailing SET / REMOVE into the element specs ----------
-    for set in &pat.sets {
-        let var = match set {
-            SetItem::Prop { var, .. } | SetItem::Label { var, .. } | SetItem::Copy { var, .. } => {
-                var.as_str()
+    let nodes = std::iter::once(&pat.start).chain(pat.steps.iter().map(|s| &s.node));
+    let node_specs: Vec<NodeSpec<'_>> = nodes
+        .map(|n| {
+            let named = n.var.as_deref();
+            let inherited = named.and_then(|v| overrides.get(v)).map(Vec::as_slice);
+            NodeSpec {
+                token: token_for(n.var.as_ref(), "n"),
+                named,
+                group: n.group.as_deref().or(inherited),
+                template: Template::new(pat, named, n.copy_of.as_deref(), &n.labels, &n.assigns),
             }
-        };
-        let mut found = false;
-        for spec in node_specs.iter_mut().filter(|s| s.named == Some(var)) {
-            found = true;
-            match set {
-                SetItem::Prop { .. } => {} // handled via assigns below
-                SetItem::Label { label, .. } => spec.set_labels.push(label),
-                SetItem::Copy { from, .. } => spec.set_copies.push(from),
-            }
-        }
-        // Connection variables are handled during connection staging.
-        let conn_has = pat.steps.iter().any(|s| match &s.connection {
-            ConstructConnection::Edge(e) => e.var.as_deref() == Some(var),
-            ConstructConnection::Path(p) => p.var == var,
-        });
-        if !found && !conn_has {
-            return Err(SemanticError::UnknownSetTarget(var.to_owned()).into());
-        }
-    }
-    for rem in &pat.removes {
-        let var = match rem {
-            RemoveItem::Prop { var, .. } | RemoveItem::Label { var, .. } => var.as_str(),
-        };
-        let mut found = false;
-        for spec in node_specs.iter_mut().filter(|s| s.named == Some(var)) {
-            found = true;
-            match rem {
-                RemoveItem::Prop { key, .. } => spec.removes_prop.push(key),
-                RemoveItem::Label { label, .. } => spec.removes_label.push(label),
-            }
-        }
-        let conn_has = pat.steps.iter().any(|s| match &s.connection {
-            ConstructConnection::Edge(e) => e.var.as_deref() == Some(var),
-            ConstructConnection::Path(p) => p.var == var,
-        });
-        if !found && !conn_has {
-            return Err(SemanticError::UnknownSetTarget(var.to_owned()).into());
-        }
-    }
-
-    // SET x.k := v on nodes becomes an extra assign.
-    let set_prop_assigns: Vec<(String, PropAssign)> = pat
-        .sets
-        .iter()
-        .filter_map(|s| match s {
-            SetItem::Prop { var, key, value } => Some((
-                var.text.clone(),
-                PropAssign {
-                    key: key.clone().into(),
-                    value: value.clone(),
-                },
-            )),
-            _ => None,
         })
         .collect();
+
+    // ---- every SET / REMOVE must target a variable of this pattern ---
+    let connection_vars = pat.steps.iter().filter_map(|s| match &s.connection {
+        ConstructConnection::Edge(e) => e.var.as_deref(),
+        ConstructConnection::Path(p) => Some(p.var.as_str()),
+    });
+    let targets: Vec<&str> = (node_specs.iter().filter_map(|s| s.named))
+        .chain(connection_vars)
+        .collect();
+    let set_vars = pat.sets.iter().map(|set| match set {
+        SetItem::Prop { var, .. } | SetItem::Label { var, .. } | SetItem::Copy { var, .. } => var,
+    });
+    let remove_vars = pat.removes.iter().map(|rem| match rem {
+        RemoveItem::Prop { var, .. } | RemoveItem::Label { var, .. } => var,
+    });
+    if let Some(var) = set_vars
+        .chain(remove_vars)
+        .find(|v| !targets.contains(&v.as_str()))
+    {
+        return Err(SemanticError::UnknownSetTarget(var.text.clone()).into());
+    }
 
     // ---- stage nodes -------------------------------------------------
     // node_ids[i][row] = the node this row's group produced (None = skip).
     let mut node_ids: Vec<Vec<Option<NodeId>>> = Vec::with_capacity(node_specs.len());
     let mut node_group_cols: Vec<Vec<usize>> = Vec::with_capacity(node_specs.len());
     for spec in &node_specs {
-        let extra: Vec<&PropAssign> = set_prop_assigns
-            .iter()
-            .filter(|(v, _)| spec.named == Some(v.as_str()))
-            .map(|(_, a)| a)
-            .collect();
-        let (ids, cols) = stage_node(ev, spec, &extra, bindings, outer, skolem, staging)?;
+        let (ids, cols) = stage_node(ev, spec, bindings, outer, skolem, staging)?;
         node_ids.push(ids);
         node_group_cols.push(cols);
     }
@@ -571,67 +659,12 @@ fn stage_pattern<'a>(
     for (i, step) in pat.steps.iter().enumerate() {
         match &step.connection {
             ConstructConnection::Edge(e) => {
-                let token = e
-                    .var
-                    .as_ref()
-                    .map(|v| v.text.clone())
-                    .unwrap_or_else(|| fresh_token(anon, "e"));
-                let extra: Vec<&PropAssign> = set_prop_assigns
-                    .iter()
-                    .filter(|(v, _)| e.var.as_deref() == Some(v.as_str()))
-                    .map(|(_, a)| a)
-                    .collect();
-                let set_labels: Vec<&str> = pat
-                    .sets
-                    .iter()
-                    .filter_map(|s| match s {
-                        SetItem::Label { var, label } if e.var.as_deref() == Some(var.as_str()) => {
-                            Some(label.as_str())
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let set_copies: Vec<&str> = pat
-                    .sets
-                    .iter()
-                    .filter_map(|s| match s {
-                        SetItem::Copy { var, from } if e.var.as_deref() == Some(var.as_str()) => {
-                            Some(from.as_str())
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let removes_prop: Vec<&str> = pat
-                    .removes
-                    .iter()
-                    .filter_map(|r| match r {
-                        RemoveItem::Prop { var, key } if e.var.as_deref() == Some(var.as_str()) => {
-                            Some(key.as_str())
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let removes_label: Vec<&str> = pat
-                    .removes
-                    .iter()
-                    .filter_map(|r| match r {
-                        RemoveItem::Label { var, label }
-                            if e.var.as_deref() == Some(var.as_str()) =>
-                        {
-                            Some(label.as_str())
-                        }
-                        _ => None,
-                    })
-                    .collect();
+                let var = e.var.as_deref();
                 stage_edge(
                     ev,
                     e,
-                    &token,
-                    &extra,
-                    &set_labels,
-                    &set_copies,
-                    &removes_prop,
-                    &removes_label,
+                    &token_for(e.var.as_ref(), "e"),
+                    &Template::new(pat, var, e.copy_of.as_deref(), &e.labels, &e.assigns),
                     (&node_ids[i], &node_group_cols[i]),
                     (&node_ids[i + 1], &node_group_cols[i + 1]),
                     bindings,
@@ -641,45 +674,32 @@ fn stage_pattern<'a>(
                 )?;
             }
             ConstructConnection::Path(p) => {
-                let extra: Vec<&PropAssign> = set_prop_assigns
-                    .iter()
-                    .filter(|(v, _)| p.var == *v)
-                    .map(|(_, a)| a)
-                    .collect();
-                stage_path(ev, p, &extra, bindings, outer, skolem, staging)?;
+                let assigns = assigns_for(pat, Some(p.var.as_str()), &p.assigns);
+                stage_path(ev, p, &assigns, bindings, outer, skolem, staging)?;
             }
         }
     }
     Ok(())
 }
 
-/// Result of [`group_rows_for`]: the groups (key → contributing row
-/// indexes), the binding-table columns defining the key, and whether
-/// the variable was bound by MATCH.
-type Grouping = (BTreeMap<GroupKey, Vec<usize>>, Vec<usize>, bool);
-
-/// Grouping key + group columns for one object construct occurrence.
+/// The groups of one node construct, the binding-table columns defining
+/// them, and whether the variable was bound by MATCH.
 fn group_rows_for(
     ev: &Evaluator<'_>,
     var: Option<&str>,
     group: Option<&[Expr]>,
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
-) -> Result<Grouping> {
-    let bound_col = var.and_then(|v| bindings.column_index(v));
-    if let Some(ci) = bound_col {
+) -> Result<(Groups, Vec<usize>, bool)> {
+    if let Some(ci) = var.and_then(|v| bindings.column_index(v)) {
         if group.is_some() {
             return Err(SemanticError::GroupOnBoundVariable(var.unwrap_or("?").to_owned()).into());
         }
-        // Γ = {x}: group by identity.
-        let keys = KeyDecoder::new(bindings);
-        let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
-        for ri in 0..bindings.len() {
-            if bindings.is_missing_at(ri, ci) {
-                continue; // Ω′(x) undefined ⇒ G∅ for this row
-            }
-            groups.entry(vec![keys.key(ri, ci)]).or_default().push(ri);
-        }
+        // Γ = {x}: group by identity; Ω′(x) undefined ⇒ G∅ for the row.
+        let groups = group_rows(ev, bindings, |ri, key| {
+            key.push(bindings.code(ri, ci));
+            !bindings.is_missing_at(ri, ci)
+        })?;
         return Ok((groups, vec![ci], true));
     }
     match group {
@@ -688,63 +708,24 @@ fn group_rows_for(
             for e in exprs {
                 collect_var_cols(e, bindings, &mut cols);
             }
-            let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
-            for ri in 0..bindings.len() {
-                let mut env = Env::new(bindings, ri);
-                env.parent = outer;
-                let mut key = Vec::with_capacity(exprs.len());
-                let mut defined = true;
-                for e in exprs {
-                    let v = eval_expr(ev.ctx, ev, &env, e)?;
-                    if matches!(v, Rv::Null) {
-                        defined = false;
-                        break;
-                    }
-                    key.push(OrdRv(v));
-                }
-                if defined {
-                    groups.entry(key).or_default().push(ri);
-                }
-            }
+            // A NULL component leaves Ω′(Γ) undefined: no element.
+            let groups = group_by_exprs(ev, bindings, exprs, outer)?
+                .into_iter()
+                .enumerate()
+                .filter(|(_, (key, _))| !key.iter().any(|v| matches!(v, Rv::Null)))
+                .map(|(ordinal, (_, rows))| (vec![ordinal as u64], rows))
+                .collect();
             Ok((groups, cols, false))
         }
         None => {
             // Default: one element per binding (Γ = all variables).
             let width = bindings.columns().len();
-            let keys = KeyDecoder::new(bindings);
-            let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
-            for ri in 0..bindings.len() {
-                let key: GroupKey = (0..width).map(|ci| keys.key(ri, ci)).collect();
-                groups.entry(key).or_default().push(ri);
-            }
-            let cols = (0..width).collect();
-            Ok((groups, cols, false))
+            let groups = group_rows(ev, bindings, |ri, key| {
+                key.extend((0..width).map(|ci| bindings.code(ri, ci)));
+                true
+            })?;
+            Ok((groups, (0..width).collect(), false))
         }
-    }
-}
-
-fn collect_var_cols(e: &Expr, bindings: &BindingTable, out: &mut Vec<usize>) {
-    match e {
-        Expr::Var(v) => {
-            if let Some(i) = bindings.column_index(v) {
-                if !out.contains(&i) {
-                    out.push(i);
-                }
-            }
-        }
-        Expr::Prop(b, _) | Expr::LabelTest(b, _) | Expr::Unary(_, b) => {
-            collect_var_cols(b, bindings, out)
-        }
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            collect_var_cols(a, bindings, out);
-            collect_var_cols(b, bindings, out);
-        }
-        Expr::Func(_, args) => {
-            for a in args {
-                collect_var_cols(a, bindings, out);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -753,7 +734,6 @@ fn collect_var_cols(e: &Expr, bindings: &BindingTable, out: &mut Vec<usize>) {
 fn stage_node(
     ev: &Evaluator<'_>,
     spec: &NodeSpec<'_>,
-    extra_assigns: &[&PropAssign],
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
     skolem: &mut Skolem,
@@ -761,89 +741,42 @@ fn stage_node(
 ) -> Result<(Vec<Option<NodeId>>, Vec<usize>)> {
     let (groups, group_cols, is_bound) =
         group_rows_for(ev, spec.named, spec.group, bindings, outer)?;
-    let mut per_row: Vec<Option<NodeId>> = vec![None; bindings.len().max(1)];
-    if bindings.len() > per_row.len() {
-        per_row.resize(bindings.len(), None);
-    }
+    let token = skolem.token(&spec.token);
+    let mut per_row: Vec<Option<NodeId>> = vec![None; bindings.len()];
+    let mut tick = 0u32;
 
-    for (key, rows) in &groups {
-        let id = if is_bound {
-            match bindings.bound(rows[0], group_cols[0]) {
-                Bound::Node(n) => n,
-                other => {
-                    return Err(SemanticError::SortMismatch {
-                        var: spec.named.unwrap_or("?").to_owned(),
-                        expected: "node".into(),
-                        found: format!("{other:?}"),
-                    }
-                    .into())
-                }
-            }
-        } else {
-            skolem.node(&spec.token, key)
-        };
-
-        // Base attributes: identity carry-over for bound vars, copy
-        // syntax for `(=n)`.
+    for (key, rows) in groups {
+        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        // Identity and its attributes carry over for bound variables.
         let mut attrs = Attributes::new();
-        if is_bound {
+        let id = if is_bound {
             let ci = group_cols[0];
-            let col = &bindings.columns()[ci];
-            if let Some(a) = col.graph.attributes(ElementId::Node(id)) {
+            let Bound::Node(n) = bindings.bound(rows[0], ci) else {
+                return Err(SemanticError::SortMismatch {
+                    var: spec.named.unwrap_or("?").to_owned(),
+                    expected: "node".into(),
+                    found: format!("{:?}", bindings.bound(rows[0], ci)),
+                }
+                .into());
+            };
+            if let Some(a) = bindings.columns()[ci].graph.attributes(ElementId::Node(n)) {
                 attrs = a.clone();
             }
-        }
-        if let Some(cv) = spec.copy_of {
-            union_copied_attrs(&mut attrs, cv, bindings, rows)?;
-        }
-        for cv in &spec.set_copies {
-            union_copied_attrs(&mut attrs, cv, bindings, rows)?;
-        }
-        for l in spec.labels {
-            attrs.labels.insert(Label::new(l));
-        }
-        for l in &spec.set_labels {
-            attrs.labels.insert(Label::new(l));
-        }
-        let assigns = spec
-            .assigns
-            .iter()
-            .copied()
-            .chain(extra_assigns.iter().copied());
-        for a in assigns {
-            let vs = eval_assign(ev, bindings, rows, &group_cols, &a.value, outer)?;
-            let merged = attrs.prop(Key::new(&a.key)).union(&vs);
-            attrs.set_prop(Key::new(&a.key), merged);
-        }
-        for l in &spec.removes_label {
-            attrs.labels.remove(Label::new(l));
-        }
-        for k in &spec.removes_prop {
-            attrs.set_prop(Key::new(k), PropertySet::empty());
-        }
+            n
+        } else {
+            skolem.node(token, key)
+        };
+        let template = &spec.template;
+        template.apply(ev, &mut attrs, bindings, &rows, &group_cols, outer)?;
 
         staging.graph.add_node(id, attrs);
-        let elem = ElementId::Node(id);
-        record_elem(staging, elem, rows);
-        for &ri in rows {
+        for &ri in &rows {
             per_row[ri] = Some(id);
-            staging.row_env[ri].insert(spec.token.clone(), Bound::Node(id));
         }
+        let var = (!is_bound).then_some((token, Bound::Node(id)));
+        staging.keep(var, vec![ElementId::Node(id)], rows);
     }
     Ok((per_row, group_cols))
-}
-
-fn record_elem(staging: &mut Staging, elem: ElementId, rows: &[usize]) {
-    if let Some(last) = staging.pattern_elems.last_mut() {
-        if !last.contains(&elem) {
-            last.push(elem);
-        }
-    }
-    staging
-        .elem_rows
-        .entry(elem)
-        .or_default()
-        .extend(rows.iter().copied());
 }
 
 /// Union the labels/properties of a copied element (`(=n)` / `SET x = y`)
@@ -1077,11 +1010,7 @@ fn stage_edge(
     ev: &Evaluator<'_>,
     e: &gcore_parser::ast::ConstructEdge,
     token: &str,
-    extra_assigns: &[&PropAssign],
-    set_labels: &[&str],
-    set_copies: &[&str],
-    removes_prop: &[&str],
-    removes_label: &[&str],
+    template: &Template<'_>,
     left: (&[Option<NodeId>], &[usize]),
     right: (&[Option<NodeId>], &[usize]),
     bindings: &BindingTable,
@@ -1094,65 +1023,57 @@ fn stage_edge(
         Direction::Out | Direction::Undirected => (left.0, left.1, right.0, right.1),
         Direction::In => (right.0, right.1, left.0, left.1),
     };
+    let var = e.var.as_deref().unwrap_or_default();
 
     let bound_col = e.var.as_deref().and_then(|v| bindings.column_index(v));
     if bound_col.is_some() && e.group.is_some() {
-        return Err(SemanticError::GroupOnBoundVariable(
-            e.var.as_deref().unwrap_or_default().to_owned(),
-        )
-        .into());
+        return Err(SemanticError::GroupOnBoundVariable(var.to_owned()).into());
     }
 
     // Group columns: endpoints' group columns + our own identity/group.
     let mut group_cols: Vec<usize> = src_cols.to_vec();
-    for &c in dst_cols {
+    for &c in dst_cols.iter().chain(bound_col.iter()) {
         if !group_cols.contains(&c) {
             group_cols.push(c);
         }
     }
-    if let Some(ci) = bound_col {
-        if !group_cols.contains(&ci) {
-            group_cols.push(ci);
-        }
-    }
+    // Per row, the ordinal of its GROUP-expression group.
+    let mut expr_group: Option<Vec<u64>> = None;
     if let Some(exprs) = &e.group {
         for ge in exprs {
             collect_var_cols(ge, bindings, &mut group_cols);
         }
+        let ordinals = expr_group.insert(vec![0; bindings.len()]);
+        let by_exprs = group_by_exprs(ev, bindings, exprs, outer)?;
+        for (ordinal, (_, rows)) in by_exprs.iter().enumerate() {
+            for &ri in rows {
+                ordinals[ri] = ordinal as u64;
+            }
+        }
     }
 
     // Group rows: by (src, dst, identity-or-GROUP).
-    let keys = KeyDecoder::new(bindings);
-    let mut groups: BTreeMap<GroupKey, (NodeId, NodeId, Vec<usize>)> = BTreeMap::new();
-    for ri in 0..bindings.len() {
+    let groups = group_rows(ev, bindings, |ri, key| {
         let (Some(src), Some(dst)) = (src_ids[ri], dst_ids[ri]) else {
-            continue; // dangling prevention
+            return false; // dangling prevention
         };
-        let mut key: GroupKey = vec![OrdRv(Rv::Node(src)), OrdRv(Rv::Node(dst))];
-        if let Some(ci) = bound_col {
-            if bindings.is_missing_at(ri, ci) {
-                continue;
-            }
-            key.push(keys.key(ri, ci));
-        }
-        if let Some(exprs) = &e.group {
-            let mut env = Env::new(bindings, ri);
-            env.parent = outer;
-            for gexpr in exprs {
-                key.push(OrdRv(eval_expr(ev.ctx, ev, &env, gexpr)?));
-            }
-        }
-        let entry = groups.entry(key).or_insert_with(|| (src, dst, Vec::new()));
-        entry.2.push(ri);
-    }
+        key.extend([src.raw(), dst.raw()]);
+        key.extend(bound_col.map(|ci| bindings.code(ri, ci)));
+        key.extend(expr_group.as_ref().map(|ordinals| ordinals[ri]));
+        !bound_col.is_some_and(|ci| bindings.is_missing_at(ri, ci))
+    })?;
 
-    for (key, (src, dst, rows)) in &groups {
+    let token = skolem.token(token);
+    let mut tick = 0u32;
+    for (key, rows) in groups {
+        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        let (src, dst) = (NodeId(key[0]), NodeId(key[1]));
         let (id, mut attrs) = match bound_col {
             Some(ci) => {
                 let b = bindings.bound(rows[0], ci);
                 let Bound::Edge(eid) = b else {
                     return Err(SemanticError::SortMismatch {
-                        var: e.var.as_deref().unwrap_or_default().to_owned(),
+                        var: var.to_owned(),
                         expected: "edge".into(),
                         found: format!("{b:?}"),
                     }
@@ -1160,64 +1081,23 @@ fn stage_edge(
                 };
                 // Identity rule (§3): a bound edge keeps its endpoints.
                 let col = &bindings.columns()[ci];
-                let Some((osrc, odst)) = col.graph.endpoints(eid) else {
-                    return Err(SemanticError::EdgeEndpointsUnbound(
-                        e.var.as_deref().unwrap_or_default().to_owned(),
-                    )
-                    .into());
+                let Some(original) = col.graph.endpoints(eid) else {
+                    return Err(SemanticError::EdgeEndpointsUnbound(var.to_owned()).into());
                 };
-                if (osrc, odst) != (*src, *dst) {
-                    return Err(SemanticError::EdgeEndpointsChanged(
-                        e.var.as_deref().unwrap_or_default().to_owned(),
-                    )
-                    .into());
+                if original != (src, dst) {
+                    return Err(SemanticError::EdgeEndpointsChanged(var.to_owned()).into());
                 }
-                let attrs = col
-                    .graph
-                    .attributes(ElementId::Edge(eid))
-                    .cloned()
-                    .unwrap_or_default();
-                (eid, attrs)
+                let attrs = col.graph.attributes(ElementId::Edge(eid));
+                (eid, attrs.cloned().unwrap_or_default())
             }
             None => (skolem.edge(token, key), Attributes::new()),
         };
-
-        if let Some(cv) = &e.copy_of {
-            union_copied_attrs(&mut attrs, cv, bindings, rows)?;
-        }
-        for cv in set_copies {
-            union_copied_attrs(&mut attrs, cv, bindings, rows)?;
-        }
-        for l in &e.labels {
-            attrs.labels.insert(Label::new(l));
-        }
-        for l in set_labels {
-            attrs.labels.insert(Label::new(l));
-        }
-        for a in e.assigns.iter().chain(extra_assigns.iter().copied()) {
-            let vs = eval_assign(ev, bindings, rows, &group_cols, &a.value, outer)?;
-            let merged = attrs.prop(Key::new(&a.key)).union(&vs);
-            attrs.set_prop(Key::new(&a.key), merged);
-        }
-        for l in removes_label {
-            attrs.labels.remove(Label::new(l));
-        }
-        for k in removes_prop {
-            attrs.set_prop(Key::new(k), PropertySet::empty());
-        }
+        template.apply(ev, &mut attrs, bindings, &rows, &group_cols, outer)?;
 
         // Endpoints are guaranteed staged by the node pass.
-        staging.graph.add_edge(id, *src, *dst, attrs)?;
-        let elem = ElementId::Edge(id);
-        record_elem(staging, elem, rows);
-        staging
-            .deps
-            .entry(elem)
-            .or_default()
-            .extend([ElementId::Node(*src), ElementId::Node(*dst)]);
-        for &ri in rows {
-            staging.row_env[ri].insert(token.to_owned(), Bound::Edge(id));
-        }
+        staging.graph.add_edge(id, src, dst, attrs)?;
+        let var = bound_col.is_none().then_some((token, Bound::Edge(id)));
+        staging.keep(var, vec![ElementId::Edge(id)], rows);
     }
     Ok(())
 }
@@ -1229,7 +1109,7 @@ fn stage_edge(
 fn stage_path(
     ev: &Evaluator<'_>,
     p: &gcore_parser::ast::ConstructPath,
-    extra_assigns: &[&PropAssign],
+    assigns: &[(Key, &Expr)],
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
     skolem: &mut Skolem,
@@ -1239,162 +1119,104 @@ fn stage_path(
         return Err(SemanticError::ConstructPathUnbound(p.var.text.clone()).into());
     };
     let col_graph = bindings.columns()[ci].graph.clone();
-    let group_cols = vec![ci];
 
     // Group rows by path identity.
-    let keys = KeyDecoder::new(bindings);
-    let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
-    for ri in 0..bindings.len() {
-        if bindings.is_missing_at(ri, ci) {
-            continue;
-        }
-        groups.entry(vec![keys.key(ri, ci)]).or_default().push(ri);
-    }
+    let groups = group_rows(ev, bindings, |ri, key| {
+        key.push(bindings.code(ri, ci));
+        !bindings.is_missing_at(ri, ci)
+    })?;
 
-    for (key, rows) in &groups {
-        let b = bindings.bound(rows[0], ci);
-        let group: PathGroup = match &b {
-            Bound::Path(pid) => {
-                let data = col_graph.path(*pid).ok_or_else(|| {
-                    RuntimeError::Other(format!("stored path {pid} missing from its graph"))
-                })?;
-                PathGroup {
-                    id: Some(*pid),
-                    walk: Some(data.shape.clone()),
-                    proj_nodes: Vec::new(),
-                    proj_edges: Vec::new(),
-                    graph: col_graph.clone(),
-                }
-            }
-            Bound::FreshPath(idx) => match ev.ctx.fresh_path(*idx) {
-                FreshPath::Walk { shape, graph, .. } => PathGroup {
-                    id: if p.stored {
-                        Some(skolem.path(&p.var, key))
-                    } else {
-                        None
-                    },
-                    walk: Some(shape),
-                    proj_nodes: Vec::new(),
-                    proj_edges: Vec::new(),
-                    graph,
-                },
-                FreshPath::Projection {
-                    nodes,
-                    edges,
-                    graph,
-                    ..
-                } => {
+    let token = skolem.token(&p.var);
+    let mut tick = 0u32;
+    for (key, rows) in groups {
+        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        // The identity (for a stored path object), the walk or the
+        // ALL-paths projection to project, and the graph the members'
+        // attributes come from.
+        let mut projection: (Vec<NodeId>, Vec<EdgeId>) = Default::default();
+        let mut attrs = Attributes::new();
+        let (id, walk, graph): (Option<PathId>, Option<PathShape>, _) =
+            match bindings.bound(rows[0], ci) {
+                Bound::Path(pid) => {
+                    let data = col_graph.path(pid).ok_or_else(|| {
+                        RuntimeError::Other(format!("stored path {pid} missing from its graph"))
+                    })?;
                     if p.stored {
-                        return Err(SemanticError::AllPathsEscape(p.var.text.clone()).into());
+                        attrs = data.attrs.clone();
                     }
-                    PathGroup {
-                        id: None,
-                        walk: None,
-                        proj_nodes: nodes,
-                        proj_edges: edges,
+                    (Some(pid), Some(data.shape.clone()), col_graph.clone())
+                }
+                Bound::FreshPath(idx) => match ev.ctx.fresh_path(idx) {
+                    FreshPath::Walk { shape, graph, .. } => (
+                        p.stored.then(|| skolem.path(token, key)),
+                        Some(shape),
                         graph,
+                    ),
+                    FreshPath::Projection {
+                        nodes,
+                        edges,
+                        graph,
+                        ..
+                    } => {
+                        if p.stored {
+                            return Err(SemanticError::AllPathsEscape(p.var.text.clone()).into());
+                        }
+                        projection = (nodes, edges);
+                        (None, None, graph)
                     }
+                },
+                other => {
+                    return Err(SemanticError::SortMismatch {
+                        var: p.var.text.clone(),
+                        expected: "path".into(),
+                        found: format!("{other:?}"),
+                    }
+                    .into())
                 }
-            },
-            other => {
-                return Err(SemanticError::SortMismatch {
-                    var: p.var.text.clone(),
-                    expected: "path".into(),
-                    found: format!("{other:?}"),
-                }
-                .into())
-            }
-        };
+            };
 
-        // Project the walk's nodes and edges (with their attributes).
-        if let Some(walk) = &group.walk {
-            for &n in walk.nodes() {
-                let attrs = group
-                    .graph
-                    .attributes(ElementId::Node(n))
-                    .cloned()
-                    .unwrap_or_default();
-                staging.graph.add_node(n, attrs);
-                record_elem(staging, ElementId::Node(n), rows);
-            }
-            for &eid in walk.edges() {
-                let Some(edata) = group.graph.edge(eid) else {
-                    continue;
-                };
-                staging
-                    .graph
-                    .add_edge(eid, edata.src, edata.dst, edata.attrs.clone())?;
-                record_elem(staging, ElementId::Edge(eid), rows);
+        // Project the members (with their attributes).
+        let (nodes, edges) = match &walk {
+            Some(walk) => (walk.nodes(), walk.edges()),
+            None => (projection.0.as_slice(), projection.1.as_slice()),
+        };
+        let node_attrs = |n: NodeId| graph.attributes(ElementId::Node(n)).cloned();
+        let mut elems: Vec<ElementId> = Vec::with_capacity(nodes.len() + edges.len() + 1);
+        for &n in nodes {
+            if walk.is_some() || graph.contains_node(n) {
+                staging.graph.add_node(n, node_attrs(n).unwrap_or_default());
+                elems.push(ElementId::Node(n));
             }
         }
-        for &n in &group.proj_nodes {
-            if group.graph.contains_node(n) {
-                let attrs = group
-                    .graph
-                    .attributes(ElementId::Node(n))
-                    .cloned()
-                    .unwrap_or_default();
-                staging.graph.add_node(n, attrs);
-                record_elem(staging, ElementId::Node(n), rows);
-            }
-        }
-        for &eid in &group.proj_edges {
-            if let Some(edata) = group.graph.edge(eid) {
-                staging.graph.add_node(
-                    edata.src,
-                    group
+        for &eid in edges {
+            let Some(edata) = graph.edge(eid) else {
+                continue;
+            };
+            if walk.is_none() {
+                // A projection lists its edges' endpoints only when they
+                // lie on a conforming path themselves.
+                for end in [edata.src, edata.dst] {
+                    staging
                         .graph
-                        .attributes(ElementId::Node(edata.src))
-                        .cloned()
-                        .unwrap_or_default(),
-                );
-                staging.graph.add_node(
-                    edata.dst,
-                    group
-                        .graph
-                        .attributes(ElementId::Node(edata.dst))
-                        .cloned()
-                        .unwrap_or_default(),
-                );
-                staging
-                    .graph
-                    .add_edge(eid, edata.src, edata.dst, edata.attrs.clone())?;
-                record_elem(staging, ElementId::Edge(eid), rows);
+                        .add_node(end, node_attrs(end).unwrap_or_default());
+                }
             }
+            let attrs = edata.attrs.clone();
+            staging.graph.add_edge(eid, edata.src, edata.dst, attrs)?;
+            elems.push(ElementId::Edge(eid));
         }
 
         // Stored path object (`@p`).
-        if p.stored {
-            let (Some(pid), Some(walk)) = (group.id, group.walk.as_ref()) else {
-                continue;
-            };
-            let mut attrs = if let Bound::Path(orig) = &b {
-                col_graph
-                    .attributes(ElementId::Path(*orig))
-                    .cloned()
-                    .unwrap_or_default()
-            } else {
-                Attributes::new()
-            };
+        if let (true, Some(pid), Some(walk)) = (p.stored, id, walk) {
             for l in &p.labels {
                 attrs.labels.insert(Label::new(l));
             }
-            for a in p.assigns.iter().chain(extra_assigns.iter().copied()) {
-                let vs = eval_assign(ev, bindings, rows, &group_cols, &a.value, outer)?;
-                let merged = attrs.prop(Key::new(&a.key)).union(&vs);
-                attrs.set_prop(Key::new(&a.key), merged);
-            }
-            staging.graph.add_path(pid, walk.clone(), attrs)?;
-            let elem = ElementId::Path(pid);
-            record_elem(staging, elem, rows);
-            let mut deps: Vec<ElementId> =
-                walk.nodes().iter().map(|&n| ElementId::Node(n)).collect();
-            deps.extend(walk.edges().iter().map(|&e| ElementId::Edge(e)));
-            staging.deps.entry(elem).or_default().extend(deps);
-            for &ri in rows {
-                staging.row_env[ri].insert(p.var.text.clone(), Bound::Path(pid));
-            }
+            assign_props(ev, &mut attrs, assigns, bindings, &rows, &[ci], outer)?;
+            staging.graph.add_path(pid, walk, attrs)?;
+            elems.push(ElementId::Path(pid));
         }
+        // The path variable is a MATCH column: WHEN reads it from there.
+        staging.keep(None, elems, rows);
     }
     Ok(())
 }

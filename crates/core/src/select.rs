@@ -7,6 +7,7 @@
 //! whole table forms one group; otherwise each binding is its own row.
 
 use crate::binding::BindingTable;
+use crate::construct::{collect_var_cols, eval_group_aggregate, group_by_exprs};
 use crate::error::{Result, RuntimeError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::query::Evaluator;
@@ -23,7 +24,8 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
 
     // Partition rows into groups.
     let groups: Vec<Vec<usize>> = if !s.group_by.is_empty() {
-        group_by(ev, &bindings, &s.group_by, outer)?
+        let by_exprs = group_by_exprs(ev, &bindings, &s.group_by, outer)?;
+        by_exprs.into_iter().map(|(_, rows)| rows).collect()
     } else if aggregated {
         vec![(0..bindings.len()).collect()]
     } else {
@@ -34,7 +36,7 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
     let group_cols: Vec<usize> = {
         let mut cols = Vec::new();
         for e in &s.group_by {
-            collect_cols(e, &bindings, &mut cols);
+            collect_var_cols(e, &bindings, &mut cols);
         }
         cols
     };
@@ -121,73 +123,6 @@ fn alias_index(e: &Expr, items: &[SelectItem]) -> Option<usize> {
         .position(|i| i.alias.as_deref() == Some(name.as_str()))
 }
 
-fn group_by(
-    ev: &Evaluator<'_>,
-    bindings: &BindingTable,
-    exprs: &[Expr],
-    outer: Option<&Env<'_>>,
-) -> Result<Vec<Vec<usize>>> {
-    // Deterministic grouping: BTreeMap over stringified keys would lose
-    // type order, so sort (key, index) pairs with Rv's total order.
-    let mut keyed: Vec<(Vec<Rv>, usize)> = Vec::with_capacity(bindings.len());
-    for ri in 0..bindings.len() {
-        let mut env = Env::new(bindings, ri);
-        env.parent = outer;
-        let mut key = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            key.push(eval_expr(ev.ctx, ev, &env, e)?);
-        }
-        keyed.push((key, ri));
-    }
-    keyed.sort_by(|a, b| cmp_rv_list(&a.0, &b.0));
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut prev: Option<&[Rv]> = None;
-    for (key, ri) in &keyed {
-        let same = prev.is_some_and(|p| cmp_rv_list(p, key) == Ordering::Equal);
-        if !same {
-            groups.push(Vec::new());
-        }
-        groups.last_mut().expect("just pushed").push(*ri);
-        prev = Some(key);
-    }
-    Ok(groups)
-}
-
-fn cmp_rv_list(a: &[Rv], b: &[Rv]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        let c = x.total_cmp(y);
-        if c != Ordering::Equal {
-            return c;
-        }
-    }
-    a.len().cmp(&b.len())
-}
-
-fn collect_cols(e: &Expr, bindings: &BindingTable, out: &mut Vec<usize>) {
-    match e {
-        Expr::Var(v) => {
-            if let Some(i) = bindings.column_index(v) {
-                if !out.contains(&i) {
-                    out.push(i);
-                }
-            }
-        }
-        Expr::Prop(b, _) | Expr::LabelTest(b, _) | Expr::Unary(_, b) => {
-            collect_cols(b, bindings, out)
-        }
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            collect_cols(a, bindings, out);
-            collect_cols(b, bindings, out);
-        }
-        Expr::Func(_, args) => {
-            for a in args {
-                collect_cols(a, bindings, out);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Evaluate one projection item over a group: aggregates fold over the
 /// group's rows, plain expressions use the representative row.
 fn eval_item(
@@ -199,9 +134,7 @@ fn eval_item(
     outer: Option<&Env<'_>>,
 ) -> Result<Rv> {
     if expr.contains_aggregate() {
-        return crate::construct::eval_group_aggregate(
-            ev, bindings, group, group_cols, expr, outer,
-        );
+        return eval_group_aggregate(ev, bindings, group, group_cols, expr, outer);
     }
     let Some(&repr) = group.first() else {
         return Ok(Rv::Null);

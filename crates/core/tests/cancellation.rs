@@ -2,7 +2,8 @@
 //! never fires must leave every result bit-identical to an engine with
 //! no token at all, a token that has already fired must fail every
 //! statement with `E016`, and a deadline must cut a pathological
-//! statement short without wedging the engine for later statements.
+//! statement short — in the joins, and in CONSTRUCT — without wedging
+//! the engine for later statements.
 //!
 //! Outputs are compared canonically (see `common/mod.rs`, shared with
 //! the planner, snapshot and cold-start suites).
@@ -190,6 +191,46 @@ fn deadline_interrupts_a_single_large_join() {
         elapsed < Duration::from_millis(750),
         "the join ran {elapsed:?} past a 5 ms deadline"
     );
+}
+
+/// CONSTRUCT polls the token too. The product here is cheap to *match*
+/// (250 000 rows, timed first through a SELECT over the same MATCH) and
+/// dear to *construct*: one skolem node with two evaluated properties
+/// per binding. The budget is a few times the measured MATCH time, so it
+/// runs out while the rows are being grouped and staged, and the
+/// statement must come back soon after — not after the whole graph is
+/// built.
+#[test]
+fn deadline_interrupts_a_large_construct() {
+    const MATCH: &str = "MATCH (n:Person), (m:Person)";
+    let mut engine = Engine::new();
+    let data = generate(&SnbConfig::scale(500), &engine.catalog().ids().clone());
+    engine.register_graph("snb", data.graph);
+    engine.set_default_graph("snb");
+
+    let started = std::time::Instant::now();
+    let rows = engine.query_table(&format!("SELECT COUNT(*) AS c {MATCH}"));
+    assert!(rows.is_ok(), "the MATCH alone is affordable");
+    let budget = started.elapsed() * 3 + Duration::from_millis(5);
+
+    engine.set_statement_deadline(Some(budget));
+    let started = std::time::Instant::now();
+    let err = engine
+        .run(&format!(
+            "CONSTRUCT (v :Pair {{a := n.personId, b := m.personId}}) {MATCH}"
+        ))
+        .expect_err("the budget cannot cover 250 000 constructed nodes");
+    let elapsed = started.elapsed();
+    assert!(err.is_cancelled(), "got {err}");
+    assert!(
+        elapsed < budget + Duration::from_millis(750),
+        "CONSTRUCT ran {elapsed:?} past a {budget:?} deadline"
+    );
+
+    // The engine is not wedged: the next statement evaluates in full.
+    engine.set_statement_deadline(None);
+    let g = engine.query_graph("CONSTRUCT (n) MATCH (n:Person) WHERE n.personId < 5");
+    assert_eq!(g.expect("deadline cleared").node_count(), 5);
 }
 
 /// Cancelling mid-flight from another thread stops a statement that

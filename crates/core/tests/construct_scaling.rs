@@ -1,0 +1,52 @@
+//! CONSTRUCT staging is linear in binding rows plus constructed
+//! elements. A timing test, so `#[ignore]`d: the `test-release` CI job
+//! runs it (`cargo test --release -- --ignored`); debug builds and loaded
+//! boxes never gate on it.
+
+use gcore::Engine;
+use gcore_ppg::{Attributes, GraphBuilder};
+use std::time::Duration;
+
+/// A ring of `n` nodes: `(a)-[:next]->(b)-[:next]->(c)` matches `n` rows
+/// and `CONSTRUCT (a)-[:hop2]->(c)` mints `n` skolem edges from them.
+fn ring_engine(n: usize) -> Engine {
+    let mut engine = Engine::new();
+    let mut b = GraphBuilder::new(engine.catalog().ids().clone());
+    let nodes: Vec<_> = (0..n).map(|_| b.node(Attributes::labeled("N"))).collect();
+    for i in 0..n {
+        b.edge(nodes[i], nodes[(i + 1) % n], Attributes::labeled("next"));
+    }
+    engine.register_graph("ring", b.build());
+    engine.set_default_graph("ring");
+    engine
+}
+
+/// Time inside the `construct` operator span, best of three.
+fn construct_time(engine: &mut Engine, edges: usize) -> Duration {
+    let statement = "CONSTRUCT (a)-[:hop2]->(c) MATCH (a)-[:next]->(b)-[:next]->(c)";
+    let once = |engine: &mut Engine| {
+        let (output, profile) = engine.profile(statement).expect("profiled run");
+        assert_eq!(output.into_graph().expect("a graph").edge_count(), edges);
+        let construct = profile.spans.iter().find(|s| s.op == "construct");
+        construct.expect("a construct span").elapsed
+    };
+    (0..3).map(|_| once(engine)).min().expect("three runs")
+}
+
+/// Eight times the constructed edges must cost about eight times the
+/// CONSTRUCT time. A per-element `Vec::contains` dedup (what staging did
+/// before) makes it 64×; the bound of 24 leaves a linear implementation
+/// 3× of headroom for cache effects and timer noise.
+#[test]
+#[ignore = "timing test: run with --release -- --ignored (CI test-release job)"]
+fn construct_time_grows_linearly_with_constructed_edges() {
+    const N: usize = 4_000;
+    let small = construct_time(&mut ring_engine(N), N);
+    let large = construct_time(&mut ring_engine(8 * N), 8 * N);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio < 24.0,
+        "CONSTRUCT of {} edges took {large:?}, of {N} edges {small:?}: {ratio:.1}× for 8× the work",
+        8 * N
+    );
+}

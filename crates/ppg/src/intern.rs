@@ -30,8 +30,6 @@ pub struct ValueInterner {
     /// pool size it was computed at (the pool is append-only, so size
     /// doubles as a generation counter).
     rank_cache: RwLock<Option<(usize, Arc<Vec<u32>>)>>,
-    /// Memoized [`snapshot`](Self::snapshot), keyed the same way.
-    value_cache: RwLock<Option<(usize, Arc<Vec<Value>>)>>,
 }
 
 #[derive(Default, Debug)]
@@ -78,26 +76,6 @@ impl ValueInterner {
     /// If `code` was never handed out by this pool.
     pub fn with_resolved<R>(&self, code: u32, f: impl FnOnce(&Value) -> R) -> R {
         f(&self.inner.read().unwrap().values[code as usize])
-    }
-
-    /// A snapshot of every value interned so far, indexable by code —
-    /// the per-loop decode accessor: literal-heavy loops fetch it once
-    /// and index it per cell, paying no lock and no clone per cell.
-    ///
-    /// Memoized by pool size (the pool is append-only, so codes in any
-    /// existing table are always covered by a fresh snapshot); repeated
-    /// calls against a stable pool cost one `Arc` clone.
-    pub fn snapshot(&self) -> Arc<Vec<Value>> {
-        let inner = self.inner.read().unwrap();
-        let n = inner.values.len();
-        if let Some((at, cached)) = self.value_cache.read().unwrap().as_ref() {
-            if *at == n {
-                return cached.clone();
-            }
-        }
-        let snap = Arc::new(inner.values.clone());
-        *self.value_cache.write().unwrap() = Some((n, snap.clone()));
-        snap
     }
 
     /// Number of distinct values interned so far.
@@ -166,21 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn with_resolved_borrows_and_snapshot_memoizes() {
+    fn with_resolved_borrows() {
         let pool = ValueInterner::new();
         let a = pool.intern(&Value::str("hello"));
         assert!(pool.with_resolved(a, |v| matches!(v, Value::Str(_))));
         assert_eq!(pool.with_resolved(a, |v| v.clone()), Value::str("hello"));
-
-        let s1 = pool.snapshot();
-        let s2 = pool.snapshot();
-        assert!(Arc::ptr_eq(&s1, &s2)); // stable pool ⇒ cached snapshot
-        assert_eq!(s1[a as usize], Value::str("hello"));
-
-        let b = pool.intern(&Value::Int(9));
-        let s3 = pool.snapshot();
-        assert!(!Arc::ptr_eq(&s1, &s3)); // growth invalidates the cache
-        assert_eq!(s3[b as usize], Value::Int(9));
     }
 
     #[test]
