@@ -103,6 +103,22 @@ fn bench_matching_snb4000(c: &mut Criterion, engine: &mut gcore::Engine) {
              OPTIONAL (n)<-[:has_creator]-(msg:Post) \
              WHERE n.personId < 400",
         ),
+        // The OPTIONAL pattern starts at a variable the main clause
+        // bound to 200 persons: it is matched from those, not from every
+        // node of the graph.
+        (
+            "optional_seeded",
+            "CONSTRUCT (n) SET n.msgs := COUNT(*) \
+             MATCH (n:Person) WHERE n.personId < 200 \
+             OPTIONAL (n)<-[:has_creator]-(msg:Post)",
+        ),
+        // ~400 000 reachability rows behind a WHERE the scan of `n`
+        // already applied: the rows are neither filtered again nor
+        // joined to anything.
+        (
+            "reach_filter_once",
+            "CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.personId < 100",
+        ),
     ];
 
     for (name, query) in cases {

@@ -9,7 +9,8 @@
 //! * Ω₁ ⋈ Ω₂ — natural join of compatible bindings,
 //! * Ω₁ ⋉ Ω₂ — semijoin,
 //! * Ω₁ ∖ Ω₂ — antijoin,
-//! * Ω₁ ⟕ Ω₂ = (Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂) — left outer join (OPTIONAL).
+//! * Ω₁ ⟕ Ω₂ = (Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂) — left outer join (OPTIONAL), computed
+//!   in the same single probe pass as ⋈.
 //!
 //! Tables are kept sorted and deduplicated (set semantics), which also
 //! makes every downstream result deterministic.
@@ -38,6 +39,8 @@
 //!   merged such rows at dedup time — but means the concrete numeric
 //!   variant of a decoded literal is canonical, not verbatim.
 
+use crate::cancel::{CancelToken, CHECK_STRIDE};
+use crate::error::Result;
 use gcore_ppg::hash::FxHashMap;
 use gcore_ppg::{EdgeId, NodeId, PathId, PathPropertyGraph, Value, ValueInterner};
 use std::cmp::Ordering;
@@ -483,22 +486,53 @@ impl BindingTable {
 
     /// Keep only rows satisfying the predicate (row order preserved — a
     /// subset of a sorted, deduplicated table needs no re-normalizing).
-    pub fn filter(&self, mut pred: impl FnMut(usize) -> bool) -> BindingTable {
-        let keep: Vec<u32> = (0..self.nrows as u32)
-            .filter(|&r| pred(r as usize))
-            .collect();
+    /// The predicate may fail (the first error wins and ends the pass),
+    /// and `cancel` is polled once per [`CHECK_STRIDE`] rows, so a filter
+    /// over a huge table stops within its deadline; a token that never
+    /// fires has no effect on the result.
+    pub fn try_filter(
+        &self,
+        cancel: &CancelToken,
+        mut pred: impl FnMut(usize) -> Result<bool>,
+    ) -> Result<BindingTable> {
+        let mut keep: Vec<u32> = Vec::new();
+        let mut tick = 0u32;
+        for r in 0..self.nrows {
+            cancel.checkpoint(&mut tick)?;
+            if pred(r)? {
+                keep.push(r as u32);
+            }
+        }
         let cols = self
             .cols
             .iter()
             .map(|col| keep.iter().map(|&r| col[r as usize]).collect())
             .collect();
-        BindingTable {
+        Ok(BindingTable {
             columns: self.columns.clone(),
             cols,
             nrows: keep.len(),
             pool: self.pool.clone(),
             has_values: self.has_values,
+        })
+    }
+
+    /// The distinct node identifiers of column `col`, ascending — read
+    /// from the raw codes, nothing is decoded. `None` when any cell is
+    /// not a node (`Missing` padding of an OPTIONAL, or another sort):
+    /// such a column cannot seed a pattern, because an unbound cell is
+    /// compatible with every binding of the other side.
+    pub(crate) fn distinct_nodes(&self, col: usize) -> Option<Vec<NodeId>> {
+        let mut ids = Vec::with_capacity(self.nrows);
+        for &c in &self.cols[col] {
+            if tag_of(c) != TAG_NODE {
+                return None;
+            }
+            ids.push(NodeId(payload_of(c)));
         }
+        ids.sort_unstable();
+        ids.dedup();
+        Some(ids)
     }
 
     /// Project to a subset of variables (dropping others, deduplicating).
@@ -513,24 +547,6 @@ impl BindingTable {
         };
         t.normalize();
         t
-    }
-
-    /// Add a column computed from each existing row. The new column may
-    /// fan out (0..n values per row).
-    pub fn extend_column(
-        &self,
-        column: Column,
-        mut f: impl FnMut(usize) -> Vec<Bound>,
-    ) -> BindingTable {
-        let mut columns = self.columns.clone();
-        columns.push(column);
-        let mut b = TableBuilder::with_pool(columns, self.pool.clone());
-        for row in 0..self.nrows {
-            for v in f(row) {
-                b.push_extended(self, row, &[v]);
-            }
-        }
-        b.finish()
     }
 
     /// Ω₁ ∪ Ω₂. Schemas are aligned by union of variables; rows missing a
@@ -582,38 +598,47 @@ impl BindingTable {
         self.join_inner(other, JoinKind::Anti, None)
     }
 
-    /// Ω₁ ⟕ Ω₂ = (Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂) — the OPTIONAL operator.
+    /// Ω₁ ⟕ Ω₂ = (Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂) — the OPTIONAL operator, in one
+    /// probe pass: a left row no right row is compatible with is emitted
+    /// once, padded with `Missing`.
     pub fn left_outer_join(&self, other: &BindingTable) -> BindingTable {
-        let joined = self.join(other);
-        let anti = self.antijoin(other);
-        joined.union(&anti)
+        self.join_inner(other, JoinKind::LeftOuter, None)
     }
 
     /// [`join`](Self::join) under a cancellation token, polled about
-    /// once per [`CHECK_STRIDE`](crate::cancel::CHECK_STRIDE) candidate
-    /// row pairs: a fired token abandons the probe loop and surfaces as
+    /// once per [`CHECK_STRIDE`] candidate row pairs: a fired token
+    /// abandons the probe loop and surfaces as
     /// [`RuntimeError::Cancelled`](crate::error::RuntimeError), so even
     /// a single explosive product stops within its deadline. A token
     /// that never fires leaves the result bit-identical to `join`.
-    pub fn join_with(
-        &self,
-        other: &BindingTable,
-        cancel: &crate::cancel::CancelToken,
-    ) -> crate::error::Result<BindingTable> {
+    pub fn join_with(&self, other: &BindingTable, cancel: &CancelToken) -> Result<BindingTable> {
         let joined = self.join_inner(other, JoinKind::Inner, Some(cancel));
         cancel.check()?;
         Ok(joined)
     }
 
-    /// The one hash join behind ⋈, ⋉ and ∖. With a `cancel` token the
-    /// result is *empty* once the token has fired — only
-    /// [`join_with`](Self::join_with), which turns that into an error,
-    /// passes one.
+    /// [`left_outer_join`](Self::left_outer_join) under a cancellation
+    /// token, with the guarantees of [`join_with`](Self::join_with).
+    pub fn left_outer_join_with(
+        &self,
+        other: &BindingTable,
+        cancel: &CancelToken,
+    ) -> Result<BindingTable> {
+        let joined = self.join_inner(other, JoinKind::LeftOuter, Some(cancel));
+        cancel.check()?;
+        Ok(joined)
+    }
+
+    /// The one hash join behind ⋈, ⋉, ∖ and ⟕. With a `cancel` token
+    /// the result is *empty* once the token has fired — only
+    /// [`join_with`](Self::join_with) and
+    /// [`left_outer_join_with`](Self::left_outer_join_with), which turn
+    /// that into an error, pass one.
     fn join_inner(
         &self,
         other: &BindingTable,
         kind: JoinKind,
-        cancel: Option<&crate::cancel::CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> BindingTable {
         // Shared variables drive a hash join on encoded keys; rows with
         // Missing in a shared column fall back to a scan bucket (they
@@ -658,10 +683,9 @@ impl BindingTable {
         // per-row allocation on the join's hot path.
         let mut data: Vec<Code> = Vec::new();
         let mut emitted = 0usize;
-        let out_width = match kind {
-            JoinKind::Inner => width,
-            JoinKind::Semi | JoinKind::Anti => self.columns.len(),
-        };
+        // ⋈ and ⟕ emit merged rows; ⋉ and ∖ only need existence and keep
+        // the left schema and row verbatim.
+        let merges = matches!(kind, JoinKind::Inner | JoinKind::LeftOuter);
         let mut key = Vec::with_capacity(shared.len());
         // Candidate pairs examined since the last poll. Counting pairs
         // rather than probe rows bounds the work between polls even
@@ -678,7 +702,7 @@ impl BindingTable {
             };
             if let Some(token) = cancel {
                 unpolled += 1 + bucket.map_or(other.nrows, |b| b.len() + wild.len());
-                if unpolled >= crate::cancel::CHECK_STRIDE as usize {
+                if unpolled >= CHECK_STRIDE as usize {
                     unpolled = 0;
                     if token.is_cancelled() {
                         // The caller discards a cancelled join: do not
@@ -695,7 +719,7 @@ impl BindingTable {
                 if !compatible(a_row, b_row) {
                     return false;
                 }
-                if kind == JoinKind::Inner {
+                if merges {
                     let base = data.len();
                     data.resize(base + width, MISSING);
                     for (i, &mi) in map_a.iter().enumerate() {
@@ -710,9 +734,9 @@ impl BindingTable {
                 }
                 true
             };
-            // Semi/anti joins only need existence — stop probing at the
-            // first compatible row instead of scanning out the bucket.
-            let exists_only = kind != JoinKind::Inner;
+            // Stop probing at the first compatible row when existence
+            // is all that is asked.
+            let exists_only = !merges;
             match bucket {
                 None => {
                     for b_row in 0..other.nrows as u32 {
@@ -731,35 +755,36 @@ impl BindingTable {
                     }
                 }
             }
-            // Semi/anti joins keep the left schema and row verbatim.
             let keep_left = match kind {
                 JoinKind::Semi => matched,
-                JoinKind::Anti => !matched,
+                JoinKind::Anti | JoinKind::LeftOuter => !matched,
                 JoinKind::Inner => false,
             };
             if keep_left {
+                // The left columns are the merged schema's prefix.
                 data.extend(self.cols.iter().map(|c| c[a_row]));
+                if merges {
+                    data.resize(data.len() + width - self.cols.len(), MISSING);
+                }
                 emitted += 1;
             }
         }
-        match kind {
-            JoinKind::Inner => BindingTable::from_flat_rows(
+        if merges {
+            BindingTable::from_flat_rows(
                 columns,
                 pool,
                 data,
                 emitted,
                 self.has_values || other.has_values,
-            ),
-            JoinKind::Semi | JoinKind::Anti => {
-                debug_assert_eq!(data.len(), emitted * out_width);
-                BindingTable::from_flat_rows(
-                    self.columns.clone(),
-                    self.pool.clone(),
-                    data,
-                    emitted,
-                    self.has_values,
-                )
-            }
+            )
+        } else {
+            BindingTable::from_flat_rows(
+                self.columns.clone(),
+                self.pool.clone(),
+                data,
+                emitted,
+                self.has_values,
+            )
         }
     }
 }
@@ -769,6 +794,7 @@ enum JoinKind {
     Inner,
     Semi,
     Anti,
+    LeftOuter,
 }
 
 #[inline]
@@ -1079,20 +1105,77 @@ mod tests {
     }
 
     #[test]
-    fn extend_column_fans_out() {
-        let t = table(&["x"], vec![vec![n(1)]]);
-        let e = t.extend_column(col("v"), |_| {
-            vec![Bound::Value(Value::Int(1)), Bound::Value(Value::Int(2))]
+    fn left_outer_join_keeps_every_left_row_once() {
+        // x=1 matches twice, x=2 never, and the Missing-x row is
+        // compatible with both right rows.
+        let a = table(&["x"], vec![vec![n(1)], vec![n(2)], vec![Bound::Missing]]);
+        let b = table(&["x", "y"], vec![vec![n(1), n(8)], vec![n(1), n(9)]]);
+        let l = a.left_outer_join(&b);
+        assert_eq!(l.var_names(), vec!["x", "y"]);
+        let rows: Vec<Vec<Bound>> = (0..l.len()).map(|r| row(&l, r)).collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec![n(1), n(8)],
+                vec![n(1), n(9)],
+                vec![n(2), Bound::Missing],
+            ]
+        );
+        assert_eq!(rows, {
+            let u = a.join(&b).union(&a.antijoin(&b));
+            (0..u.len()).map(|r| row(&u, r)).collect::<Vec<_>>()
         });
-        assert_eq!(e.len(), 2);
-        let f = t.extend_column(col("v"), |_| vec![]);
-        assert!(f.is_empty());
+    }
+
+    #[test]
+    fn distinct_nodes_needs_a_pure_node_column() {
+        let t = table(
+            &["x", "y"],
+            vec![vec![n(3), n(7)], vec![n(1), n(7)], vec![n(3), n(8)]],
+        );
+        assert_eq!(t.distinct_nodes(0), Some(vec![NodeId(1), NodeId(3)]));
+        assert_eq!(t.distinct_nodes(1), Some(vec![NodeId(7), NodeId(8)]));
+        let padded = table(&["x"], vec![vec![n(1)], vec![Bound::Missing]]);
+        assert_eq!(padded.distinct_nodes(0), None);
+        let edges = table(&["e"], vec![vec![Bound::Edge(EdgeId(4))]]);
+        assert_eq!(edges.distinct_nodes(0), None);
+    }
+
+    #[test]
+    fn try_filter_stops_at_the_first_error_and_at_a_fired_token() {
+        let t = table(&["x"], vec![vec![n(1)], vec![n(2)], vec![n(3)]]);
+        let live = CancelToken::new();
+        let kept = t.try_filter(&live, |r| Ok(r != 1)).unwrap();
+        assert_eq!(kept.len(), 2);
+        let mut seen = 0;
+        let err = t.try_filter(&live, |r| {
+            seen += 1;
+            if r == 1 {
+                Err(crate::error::RuntimeError::DivisionByZero.into())
+            } else {
+                Ok(true)
+            }
+        });
+        assert!(err.is_err());
+        assert_eq!(seen, 2, "rows after the failing one are not evaluated");
+        // Polling is strided: a fired token is noticed within one stride.
+        let big = table(
+            &["x"],
+            (0..2 * u64::from(CHECK_STRIDE))
+                .map(|i| vec![n(i)])
+                .collect(),
+        );
+        let fired = CancelToken::new();
+        fired.cancel();
+        let err = big.try_filter(&fired, |_| Ok(true)).unwrap_err();
+        assert!(err.is_cancelled());
     }
 
     #[test]
     fn filter_keeps_schema() {
         let t = table(&["x"], vec![vec![n(1)], vec![n(2)]]);
-        let f = t.filter(|r| t.bound(r, 0) == n(2));
+        let keep_two = |r| Ok(t.bound(r, 0) == n(2));
+        let f = t.try_filter(&CancelToken::new(), keep_two).unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f.var_names(), vec!["x"]);
     }
@@ -1100,7 +1183,7 @@ mod tests {
     #[test]
     fn derived_tables_share_the_pool() {
         let t = table(&["x"], vec![vec![Bound::Value(Value::Int(3))]]);
-        let f = t.filter(|_| true);
+        let f = t.try_filter(&CancelToken::new(), |_| Ok(true)).unwrap();
         assert!(Arc::ptr_eq(t.pool(), f.pool()));
         let p = t.project(&["x"]);
         assert!(Arc::ptr_eq(t.pool(), p.pool()));

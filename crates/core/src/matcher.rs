@@ -8,16 +8,24 @@
 //!
 //! All candidate enumeration is in sorted identifier order, so the
 //! resulting binding table is deterministic.
+//!
+//! The matcher is also where *scan filters* run — the WHERE conjuncts
+//! [`place_conjuncts`](crate::plan::place_conjuncts) assigned to a node
+//! or edge variable are applied at every site that binds the variable,
+//! and nowhere else — and a pattern whose start variable an earlier
+//! pattern already bound is *seeded* from those identifiers instead of
+//! the label index.
 
 use crate::binding::{BindingTable, Bound, Column, TableBuilder};
 use crate::context::FreshPath;
 use crate::error::{Result, SemanticError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::paths::PathSearcher;
+use crate::plan::ScanFilter;
 use crate::query::Evaluator;
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
-    Connection, Direction, EdgePattern, LabelDisjunction, NodePattern, PathMode, PathPattern,
+    Connection, Direction, EdgePattern, Expr, LabelDisjunction, NodePattern, PathMode, PathPattern,
     Pattern, PropEntry, Regex,
 };
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
@@ -41,10 +49,11 @@ pub struct PatternMatcher<'e> {
     /// The graph being matched.
     pub graph: Arc<PathPropertyGraph>,
     anon: Cell<usize>,
-    /// Single-variable WHERE conjuncts pushed down by the evaluator:
-    /// applied the moment the variable is bound, pruning the search
-    /// space (most importantly the *source set* of path patterns).
-    prefilters: FxHashMap<String, Vec<&'e gcore_parser::ast::Expr>>,
+    /// The WHERE conjuncts this matcher owns: each is applied the moment
+    /// its variable is bound — pruning the search space (most
+    /// importantly the *source set* of path patterns) — and is not
+    /// evaluated again on the joined table.
+    scan_filters: &'e [ScanFilter<'e>],
 }
 
 impl<'e> PatternMatcher<'e> {
@@ -54,52 +63,29 @@ impl<'e> PatternMatcher<'e> {
             ev,
             graph,
             anon: Cell::new(0),
-            prefilters: FxHashMap::default(),
+            scan_filters: &[],
         }
     }
 
-    /// Attach pushed-down WHERE conjuncts (keyed by the single variable
-    /// each references). Filtering is idempotent, so the evaluator still
-    /// applies the full WHERE afterwards; pushdown only prunes earlier.
-    pub fn with_prefilters(
-        mut self,
-        prefilters: FxHashMap<String, Vec<&'e gcore_parser::ast::Expr>>,
-    ) -> Self {
-        self.prefilters = prefilters;
+    /// Attach the scan filters of the clause being matched.
+    pub fn with_scan_filters(mut self, scan_filters: &'e [ScanFilter<'e>]) -> Self {
+        self.scan_filters = scan_filters;
         self
     }
 
-    /// Apply the pushed-down conjuncts for `var`, if any.
-    fn apply_prefilters(
+    /// Apply the scan filters on `var`, if any.
+    fn apply_scan_filters(
         &self,
         table: BindingTable,
         var: &str,
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
-        let Some(exprs) = self.prefilters.get(var) else {
+        let on_var = self.scan_filters.iter().filter(|f| f.var == var);
+        let exprs: Vec<&Expr> = on_var.map(|f| f.expr).collect();
+        if exprs.is_empty() {
             return Ok(table);
-        };
-        let mut first_err = None;
-        let filtered = table.filter(|ri| {
-            if first_err.is_some() {
-                return false;
-            }
-            let mut env = Env::new(&table, ri);
-            env.parent = outer;
-            exprs
-                .iter()
-                .all(|e| match eval_expr(self.ev.ctx, self.ev, &env, e) {
-                    Ok(v) => v.truthy(),
-                    Err(err) => {
-                        first_err = Some(err);
-                        false
-                    }
-                })
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(filtered),
         }
+        self.ev.filter_table(table, &exprs, outer)
     }
 
     fn fresh_anon(&self, kind: &str) -> String {
@@ -117,8 +103,22 @@ impl<'e> PatternMatcher<'e> {
     }
 
     /// Evaluate a pattern; anonymous element columns are projected away.
-    pub fn eval_pattern(&self, pattern: &Pattern, outer: Option<&Env<'_>>) -> Result<BindingTable> {
-        let (table, _) = self.eval_chain(pattern, outer)?;
+    ///
+    /// `seed`, when given, lists every node the start variable may take
+    /// (ascending): the caller joins the result on that variable against
+    /// a table holding exactly these nodes, so seeding is a semijoin
+    /// reduction and the join's result is unchanged.
+    pub fn eval_pattern(
+        &self,
+        pattern: &Pattern,
+        outer: Option<&Env<'_>>,
+        seed: Option<&[NodeId]>,
+    ) -> Result<BindingTable> {
+        let (table, _) = self.eval_chain(pattern, outer, seed)?;
+        if table.columns().iter().all(|c| !c.var.starts_with('#')) {
+            // Nothing to drop: the chain table is the pattern's table.
+            return Ok(table);
+        }
         let keep: Vec<&str> = table
             .columns()
             .iter()
@@ -129,11 +129,13 @@ impl<'e> PatternMatcher<'e> {
     }
 
     /// Evaluate a pattern keeping anonymous columns, returning chain
-    /// column info (for PATH-view walk extraction).
+    /// column info (for PATH-view walk extraction). `seed` as in
+    /// [`eval_pattern`](Self::eval_pattern).
     pub fn eval_chain(
         &self,
         pattern: &Pattern,
         outer: Option<&Env<'_>>,
+        seed: Option<&[NodeId]>,
     ) -> Result<(BindingTable, ChainInfo)> {
         // Structural variables of this pattern decide which `{k = v}`
         // entries bind fresh value variables vs. filter.
@@ -150,7 +152,7 @@ impl<'e> PatternMatcher<'e> {
             conn_vars: Vec::new(),
         };
 
-        let mut table = self.bind_start(&start_var, &pattern.start, outer, &structural)?;
+        let mut table = self.bind_start(&start_var, &pattern.start, outer, seed, &structural)?;
         for step in &pattern.steps {
             // Chain steps are the matcher's outermost expansion loop:
             // one poll per step bounds the latency of noticing a
@@ -196,6 +198,7 @@ impl<'e> PatternMatcher<'e> {
         var: &str,
         node: &NodePattern,
         outer: Option<&Env<'_>>,
+        seed: Option<&[NodeId]>,
         structural: &FxHashSet<String>,
     ) -> Result<BindingTable> {
         // If the outer scope (correlated subquery) already binds this
@@ -205,19 +208,30 @@ impl<'e> PatternMatcher<'e> {
             b.push(&[Bound::Node(n)]);
             return self.constrain_node(b.finish(), var, node, outer, structural);
         }
-        // When the first group is a single label, seed from the label
-        // index — that group is then already satisfied, so only the
-        // remaining groups are re-checked per candidate.
         let (candidates, rest_groups): (Vec<NodeId>, &[LabelDisjunction]) =
-            match first_label(&node.labels) {
-                Some(label) => (
+            match (seed, first_label(&node.labels)) {
+                // Nodes an earlier pattern bound: they may come from
+                // another graph and were not drawn from a label index, so
+                // identifiers this graph lacks are dropped and every
+                // label group is checked.
+                (Some(seed), _) => (
+                    seed.iter()
+                        .copied()
+                        .filter(|&n| self.graph.contains_node(n))
+                        .collect(),
+                    &node.labels[..],
+                ),
+                // When the first group is a single label, seed from the
+                // label index — that group is then already satisfied, so
+                // only the remaining groups are re-checked per candidate.
+                (None, Some(label)) => (
                     match Label::lookup(&label) {
                         Some(l) => self.graph.nodes_with_label(l),
                         None => Vec::new(),
                     },
                     &node.labels[1..],
                 ),
-                None => (self.graph.node_ids_sorted(), &node.labels[..]),
+                (None, None) => (self.graph.node_ids_sorted(), &node.labels[..]),
             };
         let mut b = TableBuilder::new(vec![self.col(var)]);
         for n in candidates {
@@ -254,7 +268,7 @@ impl<'e> PatternMatcher<'e> {
         for entry in &node.props {
             table = self.apply_prop_entry(table, var, entry, outer, structural)?;
         }
-        self.apply_prefilters(table, var, outer)
+        self.apply_scan_filters(table, var, outer)
     }
 
     /// Every label-disjunction group must be satisfied.
@@ -274,20 +288,20 @@ impl<'e> PatternMatcher<'e> {
         let idx = table
             .column_index(var)
             .ok_or_else(|| SemanticError::UnboundVariable(var.to_owned()))?;
-        Ok(table.filter(|ri| {
+        table.try_filter(&self.ev.ctx.options.cancel, |ri| {
             let id: ElementId = match table.bound(ri, idx) {
                 Bound::Node(n) => n.into(),
                 Bound::Edge(e) => e.into(),
                 Bound::Path(p) => p.into(),
-                Bound::FreshPath(_) => return false, // computed paths carry no labels
-                _ => return false,
+                // Computed paths carry no labels.
+                _ => return Ok(false),
             };
-            resolved.iter().all(|group| {
+            Ok(resolved.iter().all(|group| {
                 group
                     .iter()
                     .any(|l| l.is_some_and(|l| self.graph.has_label(id, l)))
-            })
-        }))
+            }))
+        })
     }
 
     /// `{key = expr}`: bind (unrolling multi-valued properties) when the
@@ -317,49 +331,40 @@ impl<'e> PatternMatcher<'e> {
             self.graph.prop(id, key)
         };
 
+        let cancel = &self.ev.ctx.options.cancel;
         // Binding form: RHS is a variable that is neither structural nor
-        // already bound (here or in the outer scope).
-        if let gcore_parser::ast::Expr::Var(v) = &entry.value {
+        // already bound (here or in the outer scope). The new column
+        // fans out: one row per value of the property.
+        if let Expr::Var(v) = &entry.value {
             let is_bound = table.binds(v)
                 || structural.contains(v.as_str())
                 || outer.is_some_and(|o| o.binds(v));
             if !is_bound {
-                return Ok(table.extend_column(self.col(v), |ri| {
-                    prop_of(&table, ri)
-                        .iter()
-                        .map(|val| Bound::Value(val.clone()))
-                        .collect()
-                }));
+                let mut columns = table.columns().to_vec();
+                columns.push(self.col(v));
+                let mut b = TableBuilder::with_pool(columns, table.pool().clone());
+                let mut tick = 0u32;
+                for ri in 0..table.len() {
+                    cancel.checkpoint(&mut tick)?;
+                    for val in prop_of(&table, ri).iter() {
+                        b.push_extended(&table, ri, &[Bound::Value(val.clone())]);
+                    }
+                }
+                return Ok(b.finish());
             }
         }
         // Filter form: membership of the evaluated scalar (set equality
         // when the RHS itself evaluates to a set).
-        let mut result = Ok(());
-        let filtered = table.filter(|ri| {
-            if result.is_err() {
-                return false;
-            }
+        table.try_filter(cancel, |ri| {
             let mut env = Env::new(&table, ri);
             env.parent = outer;
-            match eval_expr(self.ev.ctx, self.ev, &env, &entry.value) {
-                Ok(rv) => {
-                    let props = prop_of(&table, ri);
-                    match &rv {
-                        Rv::Set(s) => props.set_eq(s),
-                        _ => match rv.as_scalar() {
-                            Some(v) => props.contains(&v),
-                            None => false,
-                        },
-                    }
-                }
-                Err(e) => {
-                    result = Err(e);
-                    false
-                }
-            }
-        });
-        result?;
-        Ok(filtered)
+            let rv = eval_expr(self.ev.ctx, self.ev, &env, &entry.value)?;
+            let props = prop_of(&table, ri);
+            Ok(match &rv {
+                Rv::Set(s) => props.set_eq(s),
+                _ => rv.as_scalar().is_some_and(|v| props.contains(&v)),
+            })
+        })
     }
 
     /// Expand rows over one edge pattern.
@@ -485,7 +490,7 @@ impl<'e> PatternMatcher<'e> {
         for entry in &edge.props {
             out = self.apply_prop_entry(out, edge_var, entry, outer, structural)?;
         }
-        self.apply_prefilters(out, edge_var, outer)
+        self.apply_scan_filters(out, edge_var, outer)
     }
 
     /// Expand rows over one path pattern (computed or stored).

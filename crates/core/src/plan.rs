@@ -14,6 +14,11 @@
 //!   structural node/edge variable) is rewritten into a property entry
 //!   `{key = e}` on `b`'s pattern, turning a post-join filter into a
 //!   match-time constraint;
+//! * **conjunct placement** — [`place_conjuncts`] puts every remaining
+//!   top-level conjunct in exactly one place: a *scan filter* the
+//!   matcher applies wherever its one node/edge variable is bound, or
+//!   the *residual* WHERE evaluated on the joined table. Stats-free, so
+//!   evaluation uses it with the planner on or off;
 //! * **path strategy selection** — for fixed-endpoint path checks the
 //!   planner chooses between the bidirectional meet and a reverse-only
 //!   cone from the destination, based on the relation's degree
@@ -30,8 +35,9 @@
 //! [`MatchPlan`] of every MATCH clause in a statement.
 
 use gcore_parser::ast::{
-    Connection, Direction, Expr, FullGraphQuery, LabelDisjunction, Location, MatchClause,
-    NodePattern, PathMode, Pattern, PropEntry, Query, QueryBody, QuerySource, Regex, Statement,
+    BinaryOp, Connection, Direction, Expr, FullGraphQuery, Func, LabelDisjunction, LocatedPattern,
+    Location, MatchClause, NodePattern, PathMode, Pattern, PropEntry, Query, QueryBody,
+    QuerySource, Regex, Statement,
 };
 use gcore_parser::print_located;
 use gcore_ppg::hash::FxHashSet;
@@ -117,7 +123,7 @@ pub struct PlannedPattern {
 pub struct MatchPlan {
     /// The clause to evaluate: patterns permuted into planned order,
     /// pushed conjuncts injected as property entries and removed from
-    /// the (residual) WHERE. Optionals are never touched.
+    /// the WHERE. Optionals are never touched.
     pub clause: MatchClause,
     /// Planned order, aligned with `clause.patterns`.
     pub order: Vec<PlannedPattern>,
@@ -125,8 +131,6 @@ pub struct MatchPlan {
     pub reordered: bool,
     /// Rendered `e IN b.key` conjuncts that were pushed into patterns.
     pub pushed: Vec<String>,
-    /// Number of conjuncts left in the residual WHERE.
-    pub residual_conjuncts: usize,
     /// Human-readable notes (why reordering was skipped, etc.).
     pub notes: Vec<String>,
 }
@@ -151,7 +155,6 @@ pub fn plan_match(m: &MatchClause, resolve: &PlanResolver<'_>) -> MatchPlan {
 
     // --- IN-conjunct pushdown (unconditional: never gated on stats) ---
     let mut pushed = Vec::new();
-    let mut residual_conjuncts = 0;
     if let Some(w) = clause.where_clause.take() {
         let mut conjuncts = Vec::new();
         split_and(w, &mut conjuncts);
@@ -163,7 +166,6 @@ pub fn plan_match(m: &MatchClause, resolve: &PlanResolver<'_>) -> MatchPlan {
                 residual.push(c);
             }
         }
-        residual_conjuncts = residual.len();
         clause.where_clause = rebuild_and(residual);
     }
 
@@ -214,9 +216,132 @@ pub fn plan_match(m: &MatchClause, resolve: &PlanResolver<'_>) -> MatchPlan {
         order: order_info,
         reordered,
         pushed,
-        residual_conjuncts,
         notes,
     }
+}
+
+// ---------------------------------------------------------------------
+// Conjunct placement
+// ---------------------------------------------------------------------
+
+/// A WHERE conjunct the matcher evaluates wherever it binds `var`.
+#[derive(Clone, Copy, Debug)]
+pub struct ScanFilter<'a> {
+    /// The one variable the conjunct reads: a node or edge variable.
+    pub var: &'a str,
+    /// The conjunct.
+    pub expr: &'a Expr,
+}
+
+/// Where each top-level conjunct of one WHERE is evaluated — every
+/// conjunct is in exactly one of the two lists.
+#[derive(Debug, Default)]
+pub struct Placement<'a> {
+    /// Applied by the matcher at every site that binds the variable, in
+    /// WHERE order.
+    pub scan: Vec<ScanFilter<'a>>,
+    /// Evaluated on the joined table, in WHERE order.
+    pub residual: Vec<&'a Expr>,
+}
+
+/// Place the top-level conjuncts of `where_clause` for a block of
+/// `patterns` (the main clause, or one OPTIONAL block with its own
+/// WHERE). A conjunct becomes a scan filter when
+///
+/// * it reads exactly one variable, and one of `patterns` binds that
+///   variable as a **node or edge** — path, cost and `{k = v}` value
+///   variables are bound at sites the matcher does not filter;
+/// * it contains no subquery, pattern predicate or aggregate;
+/// * every attribute access (`x.k`, `x:L`, `labels(x)`, `nodes(x)`, …)
+///   has a plain variable as base: such an access resolves against the
+///   variable's own column, while any other base reads the ambient graph,
+///   which at scan time is the pattern's and at WHERE time the last
+///   pattern's.
+///
+/// Everything else is residual. A scan filter sees the same cell and the
+/// same graph at every binding site as it would on the joined table, so
+/// evaluating it only there removes exactly the rows the residual pass
+/// would have removed.
+pub fn place_conjuncts<'a>(
+    where_clause: Option<&'a Expr>,
+    patterns: &[LocatedPattern],
+) -> Placement<'a> {
+    fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+        match e {
+            Expr::Binary(BinaryOp::And, a, b) => {
+                conjuncts(a, out);
+                conjuncts(b, out);
+            }
+            other => out.push(other),
+        }
+    }
+    let mut placed = Placement::default();
+    let Some(w) = where_clause else {
+        return placed;
+    };
+    let mut all = Vec::new();
+    conjuncts(w, &mut all);
+    for c in all {
+        let mut var = None;
+        let scannable = reads_one_column(c, &mut var);
+        match var {
+            Some(v) if scannable && patterns.iter().any(|lp| binds_element(&lp.pattern, v)) => {
+                placed.scan.push(ScanFilter { var: v, expr: c });
+            }
+            _ => placed.residual.push(c),
+        }
+    }
+    placed
+}
+
+/// Walk a conjunct: `false` when it cannot be a scan filter whatever it
+/// reads (see [`place_conjuncts`]); otherwise `var` holds the single
+/// variable met so far (`None` for a constant expression).
+fn reads_one_column<'a>(e: &'a Expr, var: &mut Option<&'a str>) -> bool {
+    let is_var = |x: &Expr| matches!(x, Expr::Var(_));
+    match e {
+        Expr::Var(v) => *var.get_or_insert(v.as_str()) == v.as_str(),
+        Expr::Prop(base, _) | Expr::LabelTest(base, _) => {
+            is_var(base) && reads_one_column(base, var)
+        }
+        Expr::Func(f, args) => {
+            let reads_graph = matches!(f, Func::Labels | Func::Nodes | Func::Edges | Func::Length);
+            (!reads_graph || args.iter().all(is_var))
+                && args.iter().all(|a| reads_one_column(a, var))
+        }
+        Expr::Unary(_, a) => reads_one_column(a, var),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
+            reads_one_column(a, var) && reads_one_column(b, var)
+        }
+        Expr::Case {
+            operand,
+            whens,
+            else_,
+        } => operand
+            .as_deref()
+            .into_iter()
+            .chain(whens.iter().flat_map(|(c, r)| [c, r]))
+            .chain(else_.as_deref())
+            .all(|x| reads_one_column(x, var)),
+        Expr::Exists(_) | Expr::PatternPredicate(_) | Expr::Aggregate { .. } => false,
+        Expr::Int(_)
+        | Expr::Float(_)
+        | Expr::Str(_)
+        | Expr::Bool(_)
+        | Expr::Null
+        | Expr::DateLit(_) => true,
+    }
+}
+
+/// Does the pattern bind `var` as a node or an edge — the sites where
+/// the matcher applies `var`'s scan filters?
+pub(crate) fn binds_element(pattern: &Pattern, var: &str) -> bool {
+    let is = |v: &Option<gcore_parser::ast::Ident>| v.as_ref().is_some_and(|v| v.as_str() == var);
+    pattern.nodes().any(|n| is(&n.var))
+        || pattern.steps.iter().any(|s| match &s.connection {
+            Connection::Edge(e) => is(&e.var),
+            Connection::Path(_) => false,
+        })
 }
 
 /// Split an expression into its top-level AND conjuncts (owned).
@@ -739,6 +864,7 @@ fn render_match(m: &MatchClause, resolve: &PlanResolver<'_>, out: &mut String) {
         plan.order.len(),
         if plan.order.len() == 1 { "" } else { "s" },
     );
+    let placed = place_conjuncts(plan.clause.where_clause.as_ref(), &plan.clause.patterns);
     for (i, (slot, lp)) in plan.order.iter().zip(&plan.clause.patterns).enumerate() {
         let join = if slot.join_vars.is_empty() {
             String::new()
@@ -769,22 +895,12 @@ fn render_match(m: &MatchClause, resolve: &PlanResolver<'_>, out: &mut String) {
                 );
             }
         }
+        render_scan_filters(&placed, &lp.pattern, out);
     }
     for p in &plan.pushed {
         let _ = writeln!(out, "  pushed into pattern: {p}");
     }
-    if plan.residual_conjuncts > 0 {
-        let _ = writeln!(
-            out,
-            "  residual WHERE: {} conjunct{}",
-            plan.residual_conjuncts,
-            if plan.residual_conjuncts == 1 {
-                ""
-            } else {
-                "s"
-            },
-        );
-    }
+    render_residual(&placed, "  ", out);
     for note in &plan.notes {
         let _ = writeln!(out, "  note: {note}");
     }
@@ -795,6 +911,32 @@ fn render_match(m: &MatchClause, resolve: &PlanResolver<'_>, out: &mut String) {
             opt.patterns.len(),
             if opt.patterns.len() == 1 { "" } else { "s" },
         );
+        let placed = place_conjuncts(opt.where_clause.as_ref(), &opt.patterns);
+        for lp in &opt.patterns {
+            render_scan_filters(&placed, &lp.pattern, out);
+        }
+        render_residual(&placed, "     ", out);
+    }
+}
+
+/// One `scan filter <var>: <expr>` line per conjunct `pattern` applies
+/// while binding its variables.
+fn render_scan_filters(placed: &Placement<'_>, pattern: &Pattern, out: &mut String) {
+    for f in placed.scan.iter().filter(|f| binds_element(pattern, f.var)) {
+        let _ = writeln!(
+            out,
+            "     scan filter {}: {}",
+            f.var,
+            gcore_parser::print_expr(f.expr)
+        );
+    }
+}
+
+fn render_residual(placed: &Placement<'_>, indent: &str, out: &mut String) {
+    let n = placed.residual.len();
+    if n > 0 {
+        let s = if n == 1 { "" } else { "s" };
+        let _ = writeln!(out, "{indent}residual WHERE: {n} conjunct{s}");
     }
 }
 
@@ -890,7 +1032,11 @@ mod tests {
         );
         let plan = plan_match(&m, &resolver(g));
         assert_eq!(plan.pushed.len(), 1);
-        assert_eq!(plan.residual_conjuncts, 1);
+        // What is left, `a.personId < 3`, is a scan filter on `a`.
+        let placed = place_conjuncts(plan.clause.where_clause.as_ref(), &plan.clause.patterns);
+        assert_eq!(placed.scan.len(), 1);
+        assert_eq!(placed.scan[0].var, "a");
+        assert!(placed.residual.is_empty());
         // The entry landed on b's pattern.
         let b_pat = plan
             .clause
@@ -914,7 +1060,45 @@ mod tests {
         let m = clause_of("CONSTRUCT (b) MATCH (n:Person), (b:Team) WHERE n IN b.member");
         let plan = plan_match(&m, &resolver(g));
         assert!(plan.pushed.is_empty());
-        assert_eq!(plan.residual_conjuncts, 1);
+        let placed = place_conjuncts(plan.clause.where_clause.as_ref(), &plan.clause.patterns);
+        assert_eq!(placed.residual.len(), 1, "two variables: residual");
+        assert!(placed.scan.is_empty());
+    }
+
+    /// Every conjunct lands in exactly one list, by the rule in
+    /// [`place_conjuncts`]'s docs.
+    #[test]
+    fn conjuncts_are_placed_once() {
+        let m = clause_of(
+            "CONSTRUCT (n) MATCH (n:Person {employer = v})-[e:knows]->(m)-/@p:route/->(k) \
+             WHERE n.personId < 3 AND e.since > 2000 AND (m:Person) AND labels(m)[0] = 'Person' \
+               AND p.hops = 2 AND v = 'Acme' AND n.personId < m.personId \
+               AND nodes(p)[1].personId = 4 AND (n)-[:knows]->(k) AND 1 = 1 AND x.age > 3",
+        );
+        let placed = place_conjuncts(m.where_clause.as_ref(), &m.patterns);
+        let scan: Vec<(&str, String)> = placed
+            .scan
+            .iter()
+            .map(|f| (f.var, gcore_parser::print_expr(f.expr)))
+            .collect();
+        assert_eq!(
+            scan,
+            vec![
+                ("n", "(n.personId < 3)".to_owned()),
+                ("e", "(e.since > 2000)".to_owned()),
+                ("m", "(m:Person)".to_owned()),
+                ("m", "(labels(m)[0] = 'Person')".to_owned()),
+            ]
+        );
+        // Path variable, value variable, two variables, a non-variable
+        // base, a pattern predicate, a constant, a variable no pattern
+        // binds.
+        assert_eq!(placed.residual.len(), 7);
+        assert_eq!(
+            placed.scan.len() + placed.residual.len(),
+            11,
+            "each conjunct placed exactly once"
+        );
     }
 
     #[test]
@@ -977,6 +1161,7 @@ mod tests {
         let b = explain_statement(&stmt, &r);
         assert_eq!(a, b);
         assert!(a.contains("reordered: 1, 0"), "got:\n{a}");
-        assert!(a.contains("residual WHERE: 1 conjunct"), "got:\n{a}");
+        assert!(a.contains("scan filter n: (n.personId < 3)"), "got:\n{a}");
+        assert!(!a.contains("residual WHERE"), "got:\n{a}");
     }
 }

@@ -8,13 +8,14 @@ use crate::error::{Result, RuntimeError, SemanticError};
 use crate::expr::{eval_expr, Env, SubqueryEval};
 use crate::matcher::PatternMatcher;
 use crate::paths::{Segment, ViewMap, ViewSegments};
+use crate::plan::{binds_element, place_conjuncts, ScanFilter};
 use crate::regex::Nfa;
 use crate::select::eval_select;
 use gcore_parser::ast::{
     FullGraphQuery, GraphSetOp, HeadClause, Location, MatchClause, PathClause, Pattern, Query,
     QueryBody, QuerySource, Statement,
 };
-use gcore_ppg::{ops, PathPropertyGraph, PathShape, Table, Value};
+use gcore_ppg::{ops, NodeId, PathPropertyGraph, PathShape, Table, Value};
 use std::sync::Arc;
 
 /// The result of a G-CORE query: a graph (the core language) or a table
@@ -225,45 +226,52 @@ impl<'e> Evaluator<'e> {
     /// Evaluate a MATCH clause: join located patterns, filter by WHERE,
     /// then left-outer-join the OPTIONAL blocks in order (§A.2).
     ///
-    /// Single-variable WHERE conjuncts are additionally *pushed down*
-    /// into the matcher, pruning candidate sets before path expansion;
-    /// the full WHERE is still applied afterwards (filters are
-    /// idempotent, so semantics are unchanged).
+    /// Each piece of that work happens once. A WHERE conjunct is either a
+    /// scan filter the matcher applies while binding its variable or part
+    /// of the residual evaluated on the joined table, never both
+    /// ([`place_conjuncts`]); and a pattern whose start variable the
+    /// accumulated table already binds is seeded from those nodes rather
+    /// than matched in isolation (`start_seed`).
     pub fn eval_match(&self, m: &MatchClause, outer: Option<&Env<'_>>) -> Result<BindingTable> {
         let prof = &self.ctx.profiler;
+        let cancel = &self.ctx.options.cancel;
         let match_span = prof.start("match", || format!("{} pattern(s)", m.patterns.len()));
-        // Plan top-level MATCH clauses: greedy join ordering, IN-conjunct
-        // pushdown, residual WHERE. Correlated (subquery) matches run
+        // Plan top-level MATCH clauses: greedy join ordering and
+        // IN-conjunct pushdown. Correlated (subquery) matches run
         // unplanned — their semantics depend on outer bindings the
         // planner does not model.
-        let plan = if self.ctx.options.planner && outer.is_none() {
-            let span = prof.start("plan", String::new);
-            let p = crate::plan::plan_match(m, &|on| {
+        let planned = self.ctx.options.planner && outer.is_none();
+        let plan_span = if planned {
+            prof.start("plan", String::new)
+        } else {
+            crate::obs::SpanId::NONE
+        };
+        let plan = planned.then(|| {
+            crate::plan::plan_match(m, &|on| {
                 crate::plan::plan_graph(&self.ctx.catalog.borrow(), on)
-            });
+            })
+        });
+        let m = plan.as_ref().map_or(m, |p| &p.clause);
+        let placed = place_conjuncts(m.where_clause.as_ref(), &m.patterns);
+        if let Some(p) = &plan {
+            let metrics = &self.ctx.options.metrics;
             if p.reordered {
-                crate::obs::CoreMetrics::add(&self.ctx.options.metrics.planner_reorders, 1);
+                crate::obs::CoreMetrics::add(&metrics.planner_reorders, 1);
             }
-            crate::obs::CoreMetrics::add(
-                &self.ctx.options.metrics.planner_pushdowns,
-                p.pushed.len() as u64,
-            );
-            prof.annotate(span, || {
+            crate::obs::CoreMetrics::add(&metrics.planner_pushdowns, p.pushed.len() as u64);
+            prof.annotate(plan_span, || {
                 format!(
                     "reordered={} pushed={} residual_conjuncts={}",
                     p.reordered,
                     p.pushed.len(),
-                    p.residual_conjuncts
+                    placed.residual.len()
                 )
             });
-            prof.finish(span);
-            Some(p)
-        } else {
-            None
-        };
-        let m = plan.as_ref().map_or(m, |p| &p.clause);
-        let prefilters = pushdown_prefilters(m.where_clause.as_ref());
-        let mut table = BindingTable::unit();
+            prof.finish(plan_span);
+        }
+        // `None` until the first pattern: its table *is* the accumulated
+        // table (a clause without patterns yields the unit table).
+        let mut acc: Option<BindingTable> = None;
         for (pos, lp) in m.patterns.iter().enumerate() {
             // One poll per pattern: each iteration runs a full pattern
             // match plus a join, so a fired token stops the clause
@@ -274,34 +282,49 @@ impl<'e> Evaluator<'e> {
             let span = prof.start("pattern", || {
                 format!("{}. {}", pos + 1, gcore_parser::print_located(lp))
             });
-            if let Some(p) = &plan {
-                prof.set_estimate(span, p.order[pos].estimate);
+            let seed = start_seed(&lp.pattern, &[acc.as_ref()]);
+            match (&seed, &plan) {
+                // The planner's estimate is for the pattern matched in
+                // isolation, which a seeded pattern is not.
+                (Some(ids), _) => prof.annotate(span, || seeded_note(&lp.pattern, ids)),
+                (None, Some(p)) => prof.set_estimate(span, p.order[pos].estimate),
+                (None, None) => {}
             }
-            let matcher = PatternMatcher::new(self, graph).with_prefilters(prefilters.clone());
-            let t = matcher.eval_pattern(&lp.pattern, outer)?;
+            let matcher = PatternMatcher::new(self, graph).with_scan_filters(&placed.scan);
+            let t = matcher.eval_pattern(&lp.pattern, outer, seed.as_deref())?;
+            if prof.is_enabled() {
+                // `rows` is what is left after the conjuncts this pattern
+                // applied; no `where` span will account for them.
+                let applies = |f: &&ScanFilter<'_>| binds_element(&lp.pattern, f.var);
+                let applied = placed.scan.iter().filter(applies).count();
+                if applied > 0 {
+                    prof.add_counter(span, "scan_filters", applied as u64);
+                }
+            }
             prof.finish_rows(span, t.len() as u64);
-            let cancel = &self.ctx.options.cancel;
-            if pos == 0 {
-                // Joining the unit table is the identity; no join span.
-                table = table.join_with(&t, cancel)?;
-            } else {
-                let span = prof.start("join", || {
-                    let shared: Vec<&str> = t
-                        .columns()
-                        .iter()
-                        .filter(|c| table.column_index(&c.var).is_some())
-                        .map(|c| c.var.as_str())
-                        .collect();
-                    if shared.is_empty() {
-                        "on ∅ (product)".to_owned()
-                    } else {
-                        format!("on {}", shared.join(", "))
-                    }
-                });
-                table = table.join_with(&t, cancel)?;
-                prof.finish_rows(span, table.len() as u64);
-            }
+            acc = Some(match acc {
+                None => t,
+                Some(table) => {
+                    let span = prof.start("join", || {
+                        let shared: Vec<&str> = t
+                            .columns()
+                            .iter()
+                            .filter(|c| table.column_index(&c.var).is_some())
+                            .map(|c| c.var.as_str())
+                            .collect();
+                        if shared.is_empty() {
+                            "on ∅ (product)".to_owned()
+                        } else {
+                            format!("on {}", shared.join(", "))
+                        }
+                    });
+                    let joined = table.join_with(&t, cancel)?;
+                    prof.finish_rows(span, joined.len() as u64);
+                    joined
+                }
+            });
         }
+        let mut table = acc.unwrap_or_else(BindingTable::unit);
         // Re-pin the ambient graph to the syntactically last pattern's:
         // WHERE pattern predicates must observe the same graph as the
         // unplanned evaluation.
@@ -313,31 +336,49 @@ impl<'e> Evaluator<'e> {
                 }
             }
         }
-        if let Some(w) = &m.where_clause {
+        if !placed.residual.is_empty() {
             let input = table.len() as u64;
-            let span = prof.start("where", || gcore_parser::print_expr(w));
+            let span = prof.start("where", || {
+                let conjuncts: Vec<String> = placed
+                    .residual
+                    .iter()
+                    .map(|c| gcore_parser::print_expr(c))
+                    .collect();
+                conjuncts.join(" AND ")
+            });
             prof.add_counter(span, "input_rows", input);
-            table = self.filter_table(table, w, outer)?;
+            table = self.filter_table(table, &placed.residual, outer)?;
             prof.finish_rows(span, table.len() as u64);
         }
         for opt in &m.optionals {
             let span = prof.start("optional", || format!("{} pattern(s)", opt.patterns.len()));
-            let opt_prefilters = pushdown_prefilters(opt.where_clause.as_ref());
-            let mut ot = BindingTable::unit();
+            let placed = place_conjuncts(opt.where_clause.as_ref(), &opt.patterns);
+            let mut block: Option<BindingTable> = None;
+            let mut pattern_rows = 0u64;
             for lp in &opt.patterns {
+                self.ctx.check_cancelled()?;
                 let graph = self.resolve_location(&lp.on)?;
                 self.ctx.set_ambient(graph.clone());
-                let matcher =
-                    PatternMatcher::new(self, graph).with_prefilters(opt_prefilters.clone());
-                ot = ot.join_with(
-                    &matcher.eval_pattern(&lp.pattern, outer)?,
-                    &self.ctx.options.cancel,
-                )?;
+                // The block's own table decides when it binds the start
+                // variable; otherwise the table it will be joined to.
+                let seed = start_seed(&lp.pattern, &[block.as_ref(), Some(&table)]);
+                if let Some(ids) = &seed {
+                    prof.annotate(span, || seeded_note(&lp.pattern, ids));
+                }
+                let matcher = PatternMatcher::new(self, graph).with_scan_filters(&placed.scan);
+                let t = matcher.eval_pattern(&lp.pattern, outer, seed.as_deref())?;
+                pattern_rows += t.len() as u64;
+                block = Some(match block {
+                    None => t,
+                    Some(b) => b.join_with(&t, cancel)?,
+                });
             }
-            if let Some(w) = &opt.where_clause {
-                ot = self.filter_table(ot, w, outer)?;
+            prof.add_counter(span, "pattern_rows", pattern_rows);
+            let mut block = block.unwrap_or_else(BindingTable::unit);
+            if !placed.residual.is_empty() {
+                block = self.filter_table(block, &placed.residual, outer)?;
             }
-            table = table.left_outer_join(&ot);
+            table = table.left_outer_join_with(&block, cancel)?;
             prof.finish_rows(span, table.len() as u64);
         }
         // Correlated subqueries: Jγ K_{Ω,G} = Jγ K_G ⋉ Ω (§A.2).
@@ -371,37 +412,23 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// Keep rows whose WHERE condition is TRUE.
+    /// Keep the rows on which every one of `conjuncts` is TRUE.
     pub fn filter_table(
         &self,
         table: BindingTable,
-        cond: &gcore_parser::ast::Expr,
+        conjuncts: &[&gcore_parser::ast::Expr],
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
-        let mut first_err = None;
-        let mut tick = 0u32;
-        let filtered = table.filter(|ri| {
-            if first_err.is_some() {
-                return false;
-            }
-            if let Err(e) = self.ctx.options.cancel.checkpoint(&mut tick) {
-                first_err = Some(e);
-                return false;
-            }
+        table.try_filter(&self.ctx.options.cancel, |ri| {
             let mut env = Env::new(&table, ri);
             env.parent = outer;
-            match eval_expr(self.ctx, self, &env, cond) {
-                Ok(v) => v.truthy(),
-                Err(e) => {
-                    first_err = Some(e);
-                    false
+            for c in conjuncts {
+                if !eval_expr(self.ctx, self, &env, c)?.truthy() {
+                    return Ok(false);
                 }
             }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(filtered),
-        }
+            Ok(true)
+        })
     }
 
     /// Materialize the segments of every PATH view referenced by an NFA
@@ -460,15 +487,15 @@ impl<'e> Evaluator<'e> {
             ))
             .into());
         }
-        let (mut table, chain) = matcher.eval_chain(first, None)?;
+        let (mut table, chain) = matcher.eval_chain(first, None, None)?;
         // Non-linear shapes: the remaining comma-separated patterns
         // constrain (and can bind variables usable in COST, footnote 3).
         for extra in &def.patterns[1..] {
-            let t = matcher.eval_pattern(extra, None)?;
+            let t = matcher.eval_pattern(extra, None, None)?;
             table = table.join(&t);
         }
         if let Some(w) = &def.where_clause {
-            table = self.filter_table(table, w, None)?;
+            table = self.filter_table(table, &[w], None)?;
         }
 
         let start_idx = table
@@ -586,70 +613,26 @@ impl SubqueryEval for Evaluator<'_> {
         // one.
         let graph = self.ctx.ambient_graph()?;
         let matcher = PatternMatcher::new(self, graph);
-        let table = matcher.eval_pattern(p, Some(env))?;
+        let table = matcher.eval_pattern(p, Some(env), None)?;
         let filtered = table.semijoin(&env_to_table(env));
         Ok(!filtered.is_empty())
     }
 }
 
-/// Split a WHERE condition into its top-level AND conjuncts and keep the
-/// ones that reference exactly one variable and contain no subqueries —
-/// those can be evaluated the moment the variable is bound.
-fn pushdown_prefilters(
-    where_clause: Option<&gcore_parser::ast::Expr>,
-) -> gcore_ppg::hash::FxHashMap<String, Vec<&gcore_parser::ast::Expr>> {
-    use gcore_parser::ast::{BinaryOp, Expr};
+/// The nodes a pattern's start variable can take, when one of `bound`
+/// (first match wins) already has the variable as a column of nothing
+/// but nodes. The pattern's table is about to be joined to that table on
+/// the variable, so rows starting elsewhere could never survive.
+fn start_seed(pattern: &Pattern, bound: &[Option<&BindingTable>]) -> Option<Vec<NodeId>> {
+    let var = pattern.start.var.as_ref()?;
+    let mut tables = bound.iter().flatten();
+    tables.find_map(|t| t.column_index(var).map(|col| t.distinct_nodes(col)))?
+}
 
-    fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::Binary(BinaryOp::And, a, b) => {
-                conjuncts(a, out);
-                conjuncts(b, out);
-            }
-            other => out.push(other),
-        }
-    }
-
-    /// Collect referenced variables; `None` means "not pushable" (the
-    /// expression contains a subquery, pattern predicate or aggregate).
-    fn vars(e: &Expr, out: &mut Vec<String>) -> bool {
-        match e {
-            Expr::Var(v) => {
-                if !out.contains(&v.text) {
-                    out.push(v.text.clone());
-                }
-                true
-            }
-            Expr::Prop(a, _) | Expr::LabelTest(a, _) | Expr::Unary(_, a) => vars(a, out),
-            Expr::Index(a, b) | Expr::Binary(_, a, b) => vars(a, out) && vars(b, out),
-            Expr::Func(_, args) => args.iter().all(|a| vars(a, out)),
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                operand.as_deref().is_none_or(|o| vars(o, out))
-                    && whens.iter().all(|(c, r)| vars(c, out) && vars(r, out))
-                    && else_.as_deref().is_none_or(|x| vars(x, out))
-            }
-            Expr::Exists(_) | Expr::PatternPredicate(_) | Expr::Aggregate { .. } => false,
-            _ => true,
-        }
-    }
-
-    let mut map: gcore_ppg::hash::FxHashMap<String, Vec<&Expr>> = Default::default();
-    let Some(w) = where_clause else {
-        return map;
-    };
-    let mut cs = Vec::new();
-    conjuncts(w, &mut cs);
-    for c in cs {
-        let mut vs = Vec::new();
-        if vars(c, &mut vs) && vs.len() == 1 {
-            map.entry(vs.remove(0)).or_default().push(c);
-        }
-    }
-    map
+/// The `[seeded <var>: k ids]` annotation of a seeded pattern's span.
+fn seeded_note(pattern: &Pattern, ids: &[NodeId]) -> String {
+    let var = pattern.start.var.as_ref().map_or("", |v| v.as_str());
+    format!("[seeded {var}: {} ids]", ids.len())
 }
 
 /// Flatten an environment chain into a one-row table (inner scopes

@@ -2,8 +2,8 @@
 //! never fires must leave every result bit-identical to an engine with
 //! no token at all, a token that has already fired must fail every
 //! statement with `E016`, and a deadline must cut a pathological
-//! statement short — in the joins, and in CONSTRUCT — without wedging
-//! the engine for later statements.
+//! statement short — in the joins, in the OPTIONAL outer join, and in
+//! CONSTRUCT — without wedging the engine for later statements.
 //!
 //! Outputs are compared canonically (see `common/mod.rs`, shared with
 //! the planner, snapshot and cold-start suites).
@@ -231,6 +231,47 @@ fn deadline_interrupts_a_large_construct() {
     engine.set_statement_deadline(None);
     let g = engine.query_graph("CONSTRUCT (n) MATCH (n:Person) WHERE n.personId < 5");
     assert_eq!(g.expect("deadline cleared").node_count(), 5);
+}
+
+/// The OPTIONAL left outer join polls the token as it probes, like the
+/// inner join. The main clause here is cheap (a 62 500-row product,
+/// timed first through a SELECT of its own) and the outer join dear:
+/// the block shares no variable with it, so every one of its 250 rows
+/// is compatible with every main row — 15.6 M rows. The budget is a few
+/// times the measured main clause, so it runs out inside the outer
+/// join, and the statement must come back soon after.
+#[test]
+fn deadline_interrupts_a_large_optional() {
+    const MATCH: &str = "MATCH (a:Person), (b:Person)";
+    let mut engine = Engine::new();
+    let data = generate(&SnbConfig::scale(250), &engine.catalog().ids().clone());
+    engine.register_graph("snb", data.graph);
+    engine.set_default_graph("snb");
+
+    let started = std::time::Instant::now();
+    let rows = engine.query_table(&format!("SELECT COUNT(*) AS c {MATCH}"));
+    assert!(rows.is_ok(), "the main clause alone is affordable");
+    let budget = started.elapsed() * 3 + Duration::from_millis(5);
+
+    engine.set_statement_deadline(Some(budget));
+    let started = std::time::Instant::now();
+    let err = engine
+        .run(&format!("SELECT COUNT(*) AS c {MATCH} OPTIONAL (c:Person)"))
+        .expect_err("the budget cannot cover a 15.6 M-row outer join");
+    let elapsed = started.elapsed();
+    assert!(err.is_cancelled(), "got {err}");
+    assert!(
+        elapsed < budget + Duration::from_millis(750),
+        "the outer join ran {elapsed:?} past a {budget:?} deadline"
+    );
+
+    // The engine is not wedged: the next statement evaluates in full.
+    engine.set_statement_deadline(None);
+    let t = engine.query_table(
+        "SELECT n.personId AS id MATCH (n:Person) WHERE n.personId < 5 \
+         OPTIONAL (n)<-[:has_creator]-(msg:Post)",
+    );
+    assert!(t.expect("deadline cleared").len() >= 5);
 }
 
 /// Cancelling mid-flight from another thread stops a statement that

@@ -4,13 +4,18 @@
 //! modes (it runs in the `GCORE_PLAN=off` CI job too), and checks that
 //! every profiled statement yields a structurally well-formed profile.
 //!
+//! The profile's *counts* also guard MATCH against doing work twice
+//! (`match_work_is_not_repeated`): counts repeat exactly, timings do not.
+//!
 //! Outputs are compared canonically (see `common/mod.rs`, shared with
 //! the planner, snapshot and cancellation suites).
 
 mod common;
 
 use common::{canon_result, corpus_texts, prepared_engine};
+use gcore::obs::ProfileSpan;
 use gcore::Engine;
+use gcore_ppg::{Key, Label, Value};
 use gcore_snb::{generate, SnbConfig};
 
 /// Run the whole §3/§5 corpus on a fresh tour engine and canonicalize
@@ -73,8 +78,12 @@ const SNB_MIX: &[&str] = &[
 ];
 
 fn snb_engine() -> Engine {
+    snb_engine_at(1000)
+}
+
+fn snb_engine_at(persons: usize) -> Engine {
     let mut engine = Engine::new();
-    let data = generate(&SnbConfig::scale(1000), &engine.catalog().ids().clone());
+    let data = generate(&SnbConfig::scale(persons), &engine.catalog().ids().clone());
     engine.register_graph("snb", data.graph);
     engine.set_default_graph("snb");
     engine
@@ -145,4 +154,71 @@ fn planner_on() -> bool {
         std::env::var("GCORE_PLAN").as_deref(),
         Ok("off") | Ok("0") | Ok("false")
     )
+}
+
+/// The first span tagged `op`, depth first.
+fn find_span<'a>(spans: &'a [ProfileSpan], op: &str) -> Option<&'a ProfileSpan> {
+    spans.iter().find_map(|s| {
+        if s.op == op {
+            Some(s)
+        } else {
+            find_span(&s.children, op)
+        }
+    })
+}
+
+/// MATCH does each piece of work once, whatever the size of the graph
+/// around it. The trajectory's `optional_count` statement for ten
+/// persons must evaluate its OPTIONAL pattern from those ten persons —
+/// `pattern_rows` is the number of `has_creator` edges from posts into
+/// exactly them, counted from the graph, at SNB-500 and SNB-2000 alike —
+/// and its WHERE, whose two conjuncts the matcher applied while scanning
+/// `n`, must not run again (no `where` span). A regression to matching
+/// the OPTIONAL pattern in isolation would report every post of the
+/// graph instead.
+#[test]
+fn match_work_is_not_repeated() {
+    const LO: i64 = 40;
+    const HI: i64 = 50;
+    let text = format!(
+        "SELECT n.personId AS id, COUNT(*) AS posts \
+         MATCH (n:Person) WHERE n.personId >= {LO} AND n.personId < {HI} \
+         OPTIONAL (n)<-[:has_creator]-(msg:Post) \
+         GROUP BY n.personId"
+    );
+    for persons in [500, 2000] {
+        let mut engine = snb_engine_at(persons);
+        let graph = engine.graph("snb").expect("registered");
+        let (post, has_creator) = (Label::new("Post"), Label::new("has_creator"));
+        let all_posts = graph.nodes_with_label(post);
+        let posts_of_the_ten = all_posts
+            .iter()
+            .flat_map(|&p| graph.out_steps_with_label(p, has_creator).into_owned())
+            .filter(|&(_, author)| {
+                let id = graph.prop(author.into(), Key::new("personId"));
+                matches!(id.as_singleton(), Some(&Value::Int(i)) if (LO..HI).contains(&i))
+            })
+            .count() as u64;
+        assert!(posts_of_the_ten > 0 && posts_of_the_ten < all_posts.len() as u64 / 10);
+
+        let (_, profile) = engine.profile(&text).expect("statement runs");
+        let optional = find_span(&profile.spans, "optional").expect("an optional span");
+        let pattern_rows = optional.counters.iter().find(|(k, _)| k == "pattern_rows");
+        assert_eq!(
+            pattern_rows.map(|&(_, v)| v),
+            Some(posts_of_the_ten),
+            "SNB-{persons}: {}",
+            profile.render(true)
+        );
+        assert!(
+            optional.detail.contains("[seeded n: 10 ids]"),
+            "SNB-{persons}: {}",
+            optional.detail
+        );
+        assert!(
+            find_span(&profile.spans, "where").is_none(),
+            "a fully scan-filtered WHERE ran again:\n{}",
+            profile.render(true)
+        );
+    }
 }
