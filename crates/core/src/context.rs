@@ -71,9 +71,8 @@ impl FreshPath {
 /// [`QueryExecutor`]: crate::QueryExecutor
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
-    /// Cost-based MATCH planning: join ordering, IN pushdown and
-    /// path-strategy selection — evaluation order and operator
-    /// strategy, never results. Off evaluates patterns in syntactic
+    /// Cost-based MATCH planning: join ordering and IN pushdown —
+    /// evaluation order, never results. Off evaluates patterns in syntactic
     /// order, the reference semantics the differential suites and the
     /// planner on/off benchmark compare against. Defaults to on unless
     /// the `GCORE_PLAN` environment variable is `off`/`0`/`false`.

@@ -86,6 +86,6 @@ pub use error::{EngineError, Result, RuntimeError, SemanticError};
 pub use executor::QueryExecutor;
 pub use expr::{Env, Rv};
 pub use obs::{CoreMetrics, MetricsRegistry, Profiler, QueryProfile};
-pub use plan::{explain_statement, plan_match, BoundPairStrategy, MatchPlan};
+pub use plan::{explain_statement, plan_match, MatchPlan};
 pub use query::{Evaluator, QueryOutput};
 pub use snapshot::EngineSnapshot;

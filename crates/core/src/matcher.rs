@@ -21,12 +21,12 @@ use crate::context::FreshPath;
 use crate::error::{Result, SemanticError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::paths::PathSearcher;
-use crate::plan::ScanFilter;
+use crate::plan::{first_label, structural_vars, ScanFilter};
 use crate::query::Evaluator;
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
     Connection, Direction, EdgePattern, Expr, LabelDisjunction, NodePattern, PathMode, PathPattern,
-    Pattern, PropEntry, Regex,
+    Pattern, PropEntry,
 };
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{ElementId, Key, Label, NodeId, PathPropertyGraph, PathShape, Value};
@@ -512,13 +512,6 @@ impl<'e> PatternMatcher<'e> {
             ))
             .into());
         };
-        // Direction handling: In-direction searches with the reversed
-        // regex; Undirected unions both orientations.
-        let effective = match pat.direction {
-            Direction::Out => regex.clone(),
-            Direction::In => reverse_regex(regex),
-            Direction::Undirected => Regex::Alt(vec![regex.clone(), reverse_regex(regex)]),
-        };
         let prof = &self.ev.ctx.profiler;
         let span = prof.start("path-search", || {
             let mode = match pat.mode {
@@ -528,7 +521,9 @@ impl<'e> PatternMatcher<'e> {
             };
             format!("{mode} {prev_var}→{dst_var}")
         });
-        let nfa = Nfa::compile(&effective);
+        // Every search starts at `prev_var`, whichever way the pattern
+        // points: the automaton is compiled for that reading.
+        let nfa = Nfa::compile_directed(regex, pat.direction);
         let views = self.ev.resolve_views(&nfa, &self.graph)?;
         let searcher = PathSearcher::new(&self.graph, &nfa, &views)
             .with_cancel(self.ev.ctx.options.cancel.clone());
@@ -552,11 +547,11 @@ impl<'e> PatternMatcher<'e> {
         }
 
         // Pure reachability (`-/<r>/->` with neither path nor cost bound)
-        // from several sources shares one product search: collect the
-        // distinct sources of rows whose destination is unbound and run
-        // the SCC-condensed multi-source reachability once. Rows whose
-        // destination *is* bound become single-pair tests, answered by
-        // the bidirectional search below.
+        // shares one product search between all rows whose destination
+        // is unbound: the SCC-condensed multi-source reachability over
+        // their distinct sources. Rows whose destination *is* bound
+        // become single-pair tests, answered by the bidirectional search
+        // below.
         //
         // When the NFA is view-free and the graph lives in the engine
         // snapshot, the condensation goes through the snapshot's SCC
@@ -566,7 +561,8 @@ impl<'e> PatternMatcher<'e> {
         // segment relations are query-local), as do transient graphs
         // (subquery results, tables viewed as graphs).
         let pure_reach = matches!(pat.mode, PathMode::Shortest(_)) && !binds_path && !binds_cost;
-        let shared: Option<FxHashMap<NodeId, Arc<Vec<NodeId>>>> = if pure_reach {
+        let mut shared: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
+        if pure_reach {
             let mut srcs: Vec<NodeId> = (0..table.len())
                 .filter(|&ri| {
                     !dst_bound.is_some_and(|i| matches!(table.bound(ri, i), Bound::Node(_)))
@@ -581,32 +577,17 @@ impl<'e> PatternMatcher<'e> {
             let snapshot = &self.ev.ctx.snapshot;
             let cacheable =
                 views.is_empty() && snapshot.catalog().contains_graph_handle(&self.graph);
-            if srcs.is_empty() {
-                None
-            } else if cacheable {
-                Some(snapshot.reachable_many_cached(&self.graph, &nfa, &searcher, &srcs))
-            } else {
-                (srcs.len() >= 2).then(|| searcher.reachable_many(&srcs))
+            if !srcs.is_empty() {
+                shared = if cacheable {
+                    snapshot.reachable_many_cached(&self.graph, &nfa, &searcher, &srcs)
+                } else {
+                    searcher.reachable_many(&srcs)
+                };
             }
-        } else {
-            None
-        };
+        }
         // A fired token makes the shared search bail with partial maps;
         // they must become an error, never an (empty) answer.
         self.ev.ctx.check_cancelled()?;
-
-        // Fixed-endpoint rows: pick the single-pair checking strategy
-        // once from the graph's degree statistics. Both strategies
-        // answer the identical boolean (`tests/planner_equivalence.rs`
-        // pins this), so statistics can never change results.
-        let pair_strategy = if self.ev.ctx.options.planner {
-            crate::plan::bound_pair_strategy(self.graph.stats(), Some(&effective))
-        } else {
-            crate::plan::BoundPairStrategy::Bidirectional
-        };
-        if dst_bound.is_some() {
-            prof.annotate(span, || format!("[{}]", pair_strategy.describe()));
-        }
 
         let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
         let mut extra: Vec<Bound> = Vec::with_capacity(3);
@@ -618,27 +599,15 @@ impl<'e> PatternMatcher<'e> {
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
-            let targets: Option<FxHashSet<NodeId>> =
-                dst_bound.and_then(|i| match table.bound(ri, i) {
-                    Bound::Node(d) => {
-                        let mut s = FxHashSet::default();
-                        s.insert(d);
-                        Some(s)
-                    }
-                    _ => None,
-                });
+            let target: Option<NodeId> = dst_bound.and_then(|i| match table.bound(ri, i) {
+                Bound::Node(d) => Some(d),
+                _ => None,
+            });
 
             match pat.mode {
                 PathMode::All => {
                     // Graph projection per destination.
-                    let dsts: Vec<NodeId> = match &targets {
-                        Some(t) => t.iter().copied().collect(),
-                        None => searcher.reachable(src),
-                    };
-                    for dst in dsts {
-                        let Some((nodes, edges)) = searcher.all_paths_projection(src, dst) else {
-                            continue;
-                        };
+                    for (dst, nodes, edges) in searcher.all_paths_from(src, target) {
                         extra.clear();
                         if binds_path {
                             extra.push(self.ev.ctx.add_fresh_path(FreshPath::Projection {
@@ -661,36 +630,11 @@ impl<'e> PatternMatcher<'e> {
                         bld.push_extended(&table, ri, &extra);
                     }
                 }
-                PathMode::Shortest(k) if !binds_path && !binds_cost => {
-                    // Pure reachability test.
-                    let _ = k;
-                    let owned;
-                    let dsts: &[NodeId] = match &targets {
-                        Some(t) => {
-                            // The destination is bound: a single-pair
-                            // test per candidate, by the strategy the
-                            // planner picked above.
-                            owned = t
-                                .iter()
-                                .copied()
-                                .filter(|&d| match pair_strategy {
-                                    crate::plan::BoundPairStrategy::Bidirectional => {
-                                        searcher.reachable_pair(src, d)
-                                    }
-                                    crate::plan::BoundPairStrategy::ReverseCone => {
-                                        searcher.reachable_pair_reverse(src, d)
-                                    }
-                                })
-                                .collect::<Vec<_>>();
-                            &owned
-                        }
-                        None => match &shared {
-                            Some(m) => m.get(&src).map(|v| v.as_slice()).unwrap_or(&[]),
-                            None => {
-                                owned = searcher.reachable(src);
-                                &owned
-                            }
-                        },
+                PathMode::Shortest(_) if pure_reach => {
+                    let dsts: &[NodeId] = match &target {
+                        Some(d) if searcher.reachable_pair(src, *d) => std::slice::from_ref(d),
+                        Some(_) => &[],
+                        None => shared.get(&src).map_or(&[], |v| v.as_slice()),
                     };
                     for &dst in dsts {
                         extra.clear();
@@ -701,6 +645,8 @@ impl<'e> PatternMatcher<'e> {
                     }
                 }
                 PathMode::Shortest(k) => {
+                    let targets: Option<FxHashSet<NodeId>> =
+                        target.map(|d| [d].into_iter().collect());
                     let found = searcher.k_shortest(src, k as usize, targets.as_ref());
                     let mut dsts: Vec<NodeId> = found.keys().copied().collect();
                     dsts.sort_unstable();
@@ -854,61 +800,4 @@ pub fn conforms(graph: &PathPropertyGraph, shape: &PathShape, nfa: &Nfa) -> bool
         })
         .collect();
     walk_conforms(nfa, &node_labels, &steps)
-}
-
-/// Reverse a regular expression: swaps concatenation order and inverts
-/// edge directions (`ℓ` ↔ `ℓ⁻`); node tests and views stay in place
-/// (views are segment relations whose reversal is handled by swapping
-/// lookup direction — we conservatively keep them, which restricts
-/// reversed view traversal to symmetric views; asymmetric reversed views
-/// simply find fewer paths).
-fn reverse_regex(r: &Regex) -> Regex {
-    match r {
-        Regex::Label(l) => Regex::LabelInv(l.clone()),
-        Regex::LabelInv(l) => Regex::Label(l.clone()),
-        Regex::NodeTest(_) | Regex::Wildcard | Regex::View(_) => r.clone(),
-        Regex::Concat(parts) => Regex::Concat(parts.iter().rev().map(reverse_regex).collect()),
-        Regex::Alt(parts) => Regex::Alt(parts.iter().map(reverse_regex).collect()),
-        Regex::Star(inner) => Regex::Star(Box::new(reverse_regex(inner))),
-        Regex::Plus(inner) => Regex::Plus(Box::new(reverse_regex(inner))),
-        Regex::Opt(inner) => Regex::Opt(Box::new(reverse_regex(inner))),
-    }
-}
-
-/// All node/edge/path/cost variables declared structurally by a pattern.
-fn structural_vars(pattern: &Pattern) -> FxHashSet<String> {
-    let mut vars = FxHashSet::default();
-    fn add_node(vars: &mut FxHashSet<String>, n: &NodePattern) {
-        if let Some(v) = &n.var {
-            vars.insert(v.text.clone());
-        }
-    }
-    add_node(&mut vars, &pattern.start);
-    for step in &pattern.steps {
-        add_node(&mut vars, &step.node);
-        match &step.connection {
-            Connection::Edge(e) => {
-                if let Some(v) = &e.var {
-                    vars.insert(v.text.clone());
-                }
-            }
-            Connection::Path(p) => {
-                if let Some(v) = &p.var {
-                    vars.insert(v.text.clone());
-                }
-                if let Some(c) = &p.cost_var {
-                    vars.insert(c.text.clone());
-                }
-            }
-        }
-    }
-    vars
-}
-
-fn first_label(groups: &[LabelDisjunction]) -> Option<String> {
-    // Only usable as an index when the first group is a single label.
-    match groups.first() {
-        Some(LabelDisjunction(ls, _)) if ls.len() == 1 => Some(ls[0].clone()),
-        _ => None,
-    }
 }

@@ -18,38 +18,43 @@
 //!
 //! # Search strategy
 //!
-//! Three orthogonal accelerations (all semantics-preserving — the
-//! equivalence property tests in `tests/path_equivalence.rs` check each
-//! against the baseline search):
+//! Every search expands product states through one step enumerator
+//! ([`ExpandMode::Indexed`], the default, reads the graph's
+//! label-partitioned adjacency slices once per state and symbol;
+//! [`ExpandMode::Scan`] filters full adjacency lists and is the
+//! reference the equivalence tests compare against). On top of it sit
+//! three traversals, and each entry point is a thin caller of one:
 //!
-//! * **Indexed expansion** ([`ExpandMode::Indexed`], the default): when
-//!   an NFA transition consumes a concrete label, product states expand
-//!   through the graph's label-partitioned adjacency slices
-//!   ([`PathPropertyGraph::out_steps_with_label`] /
-//!   [`in_steps_with_label`](PathPropertyGraph::in_steps_with_label))
-//!   instead of scanning and filtering every incident edge. Per-state
-//!   transitions are pre-grouped by symbol
-//!   ([`Nfa::grouped_transitions`]), so each label slice is read once
-//!   per state. [`ExpandMode::Scan`] keeps the pre-overhaul scan
-//!   expansion selectable for controlled benchmarking.
-//! * **Bidirectional search** ([`PathSearcher::reachable_pair`]): a
-//!   single-pair reachability test runs two alternating BFS frontiers —
-//!   forward over the NFA, backward over its reversal
-//!   ([`Nfa::reverse`]) — and stops at the first meeting product state.
-//! * **Backward cone pruning**: [`PathSearcher::k_shortest`] with
-//!   concrete targets first computes the set of product states
-//!   *co-reachable* to acceptance at a target (one cheap reversed BFS)
-//!   and lets the canonical Dijkstra expand only inside that cone.
-//!   States outside the cone cannot contribute any accepting walk, so
-//!   results — including tie-breaking — are bit-identical.
+//! * **The sweep** (`Sweep`) — the walk-free traversal: one visited set
+//!   (per-node bitmasks of NFA states), one frontier, advanced a level at
+//!   a time or run to its fixpoint, under the searcher's NFA or its
+//!   reversal ([`Nfa::reverse`], total: view segments are indexed by
+//!   destination on first backward use), optionally confined to the
+//!   states of an earlier sweep.
+//!   [`reachable`](PathSearcher::reachable) is a forward fixpoint; the
+//!   *cone* of states co-reachable to acceptance at given targets, which
+//!   [`k_shortest`](PathSearcher::k_shortest) never leaves, is a backward
+//!   fixpoint; [`reachable_pair`](PathSearcher::reachable_pair) advances
+//!   a forward and a backward sweep, the smaller frontier first, until
+//!   they meet; [`all_paths_from`](PathSearcher::all_paths_from) is one
+//!   forward fixpoint, then per destination a backward fixpoint confined
+//!   to it and one pass over the steps of the states both visited.
+//! * **The ordered search** — [`k_shortest`](PathSearcher::k_shortest),
+//!   the only search that materializes walks: a Dijkstra over the
+//!   product (inside the cone when targets are given) whose frontier
+//!   entries are parent pointers, replayed into walks on acceptance.
+//! * **The condensation** —
+//!   [`reachable_many`](PathSearcher::reachable_many) answers
+//!   reachability from many sources with one Tarjan pass over the
+//!   product: every state of a strongly connected component reaches the
+//!   same destinations, so destination sets are accumulated once per
+//!   component in reverse topological order, `Arc`-shared between
+//!   components that add nothing of their own. The snapshot's SCC cache
+//!   keeps its answers per (graph, regex).
 //!
-//! For the many-source reachability shape (`MATCH (x)-/<r>/->(y)` with
-//! hundreds of seed nodes), [`PathSearcher::reachable_many`] shares one
-//! product exploration across all sources: the product digraph is
-//! condensed into strongly connected components (every state of an SCC
-//! reaches the same destinations) and per-component destination sets are
-//! accumulated once in reverse topological order, `Arc`-shared between
-//! components wherever a component adds nothing of its own.
+//! `tests/path_equivalence.rs` checks each against the scan-mode
+//! unidirectional search or a brute-force enumeration;
+//! `tests/path_conformance.rs` pins the exact answers.
 
 use crate::regex::{Nfa, Sym};
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
@@ -84,6 +89,9 @@ pub struct ViewSegments {
     /// True when the view declares an explicit COST (so path costs are
     /// real-valued, not hop counts).
     pub weighted: bool,
+    /// Indexes into `segments`, keyed by destination node, ascending —
+    /// what a backward traversal expands through.
+    by_dst: OnceCell<FxHashMap<NodeId, Vec<usize>>>,
 }
 
 impl ViewSegments {
@@ -121,7 +129,20 @@ impl ViewSegments {
             segments,
             by_src,
             weighted,
+            by_dst: OnceCell::new(),
         }
+    }
+
+    /// The segments ending at `node`, built on first use.
+    fn ending_at(&self, node: NodeId) -> &[usize] {
+        let by_dst = self.by_dst.get_or_init(|| {
+            let mut by_dst: FxHashMap<NodeId, Vec<usize>> = FxHashMap::default();
+            for (i, s) in self.segments.iter().enumerate() {
+                by_dst.entry(s.dst).or_default().push(i);
+            }
+            by_dst
+        });
+        by_dst.get(&node).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -137,47 +158,156 @@ pub struct FoundPath {
     pub cost: f64,
 }
 
-/// A set of product states, stored as per-node NFA-state bitmasks for
-/// small automata (the common case) or as a plain hash set otherwise.
-enum StateSet {
-    /// `masks[v]` has bit `q` set iff `(v, q)` is in the set. Only used
-    /// when the automaton has ≤ 64 states.
-    Masks(FxHashMap<NodeId, u64>),
-    Set(FxHashSet<(NodeId, usize)>),
+/// A set of product states: per node, a bitmask of NFA states, 64 to a
+/// word — so a whole ε-closure is tested and inserted with one lookup.
+#[derive(Default)]
+struct StateSet {
+    /// Bit `b` of `bits[(v, i)]` is set iff `(v, 64·i + b)` is a member.
+    bits: FxHashMap<(NodeId, u32), u64>,
 }
 
 impl StateSet {
     #[inline]
     fn contains(&self, v: NodeId, q: usize) -> bool {
-        match self {
-            StateSet::Masks(m) => m.get(&v).is_some_and(|&mask| mask & (1 << q) != 0),
-            StateSet::Set(s) => s.contains(&(v, q)),
+        let word = self.bits.get(&(v, (q / 64) as u32));
+        word.is_some_and(|w| w >> (q % 64) & 1 != 0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.bits.iter().flat_map(|(&(v, i), &word)| {
+            // Peel the lowest set bit off the word until none is left.
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let state = 64 * i as usize + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    (v, state)
+                })
+            })
+        })
+    }
+
+    /// The nodes with a member state the automaton accepts in, ascending.
+    fn accepting_nodes(&self, nfa: &Nfa) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = self
+            .iter()
+            .filter(|&(_, q)| nfa.accepts(q))
+            .map(|(v, _)| v)
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+}
+
+/// The walk-free traversal of the product of graph and automaton: one
+/// visited set and one frontier of states entered but not yet expanded.
+/// Seeded with [`seed`](Self::seed), then advanced one level at a time
+/// or [`run`](Self::run) to its fixpoint.
+struct Sweep<'s, 'a> {
+    searcher: &'s PathSearcher<'a>,
+    /// The searcher's automaton, or its reversal for a backward sweep.
+    nfa: &'s Nfa,
+    /// States outside this set are never entered (`None`: no bound).
+    within: Option<&'s StateSet>,
+    seen: StateSet,
+    frontier: Vec<(NodeId, usize)>,
+    /// Words per node in `seen`, and every state's ε-closure as that
+    /// many mask words.
+    words: usize,
+    eps: Vec<u64>,
+}
+
+impl<'s, 'a> Sweep<'s, 'a> {
+    fn new(searcher: &'s PathSearcher<'a>, nfa: &'s Nfa, within: Option<&'s StateSet>) -> Self {
+        let words = nfa.num_states().div_ceil(64);
+        let mut eps = vec![0u64; nfa.num_states() * words];
+        for s in 0..nfa.num_states() {
+            for &c in nfa.closure(s) {
+                eps[s * words + c / 64] |= 1 << (c % 64);
+            }
+        }
+        Sweep {
+            searcher,
+            nfa,
+            within,
+            seen: StateSet::default(),
+            frontier: Vec::new(),
+            words,
+            eps,
         }
     }
 
-    /// Nodes with at least one member state satisfying `pred`.
-    fn nodes_with_state(&self, pred: impl Fn(usize) -> bool) -> Vec<NodeId> {
-        match self {
-            StateSet::Masks(m) => {
-                let keep: u64 = (0..64)
-                    .filter(|&q| pred(q))
-                    .fold(0, |acc, q| acc | (1 << q));
-                m.iter()
-                    .filter(|(_, &mask)| mask & keep != 0)
-                    .map(|(&v, _)| v)
-                    .collect()
+    /// Start from `state` at `node` (a node the graph lacks seeds
+    /// nothing).
+    fn seed(&mut self, node: NodeId, state: usize) {
+        if self.searcher.graph.contains_node(node) {
+            self.enter(node, state);
+        }
+    }
+
+    /// Arrive at `(w, t)`: every state of its ε+node-test closure not
+    /// seen before joins the visited set and the frontier.
+    fn enter(&mut self, w: NodeId, t: usize) {
+        if self.nfa.has_node_tests() {
+            for c in self.searcher.close_at_nfa(self.nfa, w, &[t]) {
+                self.admit(w, c / 64, 1 << (c % 64));
             }
-            StateSet::Set(s) => {
-                let mut v: Vec<NodeId> = s
-                    .iter()
-                    .filter(|&&(_, q)| pred(q))
-                    .map(|&(v, _)| v)
-                    .collect();
-                v.sort_unstable();
-                v.dedup();
-                v
+        } else {
+            for i in 0..self.words {
+                self.admit(w, i, self.eps[t * self.words + i]);
             }
         }
+    }
+
+    /// Of the states `mask` selects in word `i` of node `w`, visit those
+    /// that are within bounds and new.
+    fn admit(&mut self, w: NodeId, i: usize, mask: u64) {
+        let key = (w, i as u32);
+        let bound = match self.within {
+            Some(set) => set.bits.get(&key).copied().unwrap_or(0),
+            None => u64::MAX,
+        };
+        if mask & bound == 0 {
+            return;
+        }
+        let word = self.seen.bits.entry(key).or_insert(0);
+        let mut new = mask & bound & !*word;
+        *word |= new;
+        while new != 0 {
+            let state = 64 * i + new.trailing_zeros() as usize;
+            self.frontier.push((w, state));
+            new &= new - 1;
+        }
+    }
+
+    /// Expand every state of the frontier; the states entered on the way
+    /// are the next frontier. Stops early, returning `true`, once an
+    /// expansion enters a state that `meets`. A fired cancellation token
+    /// empties the frontier: the sweep ends wherever it is, and its
+    /// caller's caller turns the token into an error.
+    fn advance(&mut self, meets: impl Fn(NodeId, usize) -> bool) -> bool {
+        let (searcher, nfa) = (self.searcher, self.nfa);
+        for (v, q) in std::mem::take(&mut self.frontier) {
+            if searcher.cancel_tick() {
+                self.frontier.clear();
+                return false;
+            }
+            let entered = self.frontier.len();
+            searcher.for_each_step(nfa, v, q, |_, w, t, _| self.enter(w, t));
+            if self.frontier[entered..].iter().any(|&(w, c)| meets(w, c)) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Advance until nothing new is entered; the visited set.
+    fn run(mut self) -> StateSet {
+        while !self.frontier.is_empty() {
+            self.advance(|_, _| false);
+        }
+        self.seen
     }
 }
 
@@ -251,11 +381,16 @@ impl Tarjan {
 /// The walk contribution of one expansion step, borrowed where a walk
 /// already exists (view segments) and by id where it would have to be
 /// built (graph edges) — so walk-free searches pay nothing for it.
+#[derive(Clone, Copy)]
 enum StepPiece<'v> {
     /// A graph edge traversed to the step's far endpoint.
     Edge(EdgeId),
-    /// A view segment's pre-built walk.
-    Seg(&'v PathShape),
+    /// A view segment's pre-built walk, traversed as stored or
+    /// `backwards`, from its end to its start.
+    Seg {
+        walk: &'v PathShape,
+        backwards: bool,
+    },
 }
 
 /// How the product search enumerates graph edges for a label symbol.
@@ -287,9 +422,8 @@ pub struct PathSearcher<'a> {
     /// caller is responsible for turning "searcher was cancelled" into
     /// an error — partial results never escape as answers.
     cancel: Option<crate::cancel::CancelToken>,
-    /// Lazily compiled reversal of `nfa` (`None` inside = irreversible,
-    /// i.e. the NFA traverses views).
-    rev: OnceCell<Option<Nfa>>,
+    /// Lazily compiled reversal of `nfa`.
+    rev: OnceCell<Nfa>,
     /// Frontier pops across every search this searcher ran: one count
     /// per product-state popped off a frontier (including condensation
     /// frames). The matcher reports it on `path-search` profile spans.
@@ -372,25 +506,20 @@ impl<'a> PathSearcher<'a> {
 
     /// Strided cancellation poll for frontier loops: consults the token
     /// once per [`CHECK_STRIDE`](crate::cancel::CHECK_STRIDE) calls.
-    /// Every call is one frontier pop, so this doubles as the
-    /// [`pops`](Self::pops) counter — the profiling loop boundaries are
-    /// exactly the cancellation ones.
+    /// Every call is one frontier pop, so the [`pops`](Self::pops)
+    /// counter is the stride — the profiling loop boundaries are exactly
+    /// the cancellation ones, and a run of short searches is polled as
+    /// often as one long one.
     #[inline]
-    fn cancel_tick(&self, tick: &mut u32) -> bool {
-        self.pops.set(self.pops.get() + 1);
-        match &self.cancel {
-            None => false,
-            Some(t) => {
-                *tick = tick.wrapping_add(1);
-                tick.is_multiple_of(crate::cancel::CHECK_STRIDE) && t.is_cancelled()
-            }
-        }
+    fn cancel_tick(&self) -> bool {
+        let pops = self.pops.get() + 1;
+        self.pops.set(pops);
+        pops.is_multiple_of(u64::from(crate::cancel::CHECK_STRIDE)) && self.cancelled()
     }
 
-    /// The reversed NFA, compiled on first use; `None` when the NFA is
-    /// irreversible (it traverses PATH views).
-    fn rev_nfa(&self) -> Option<&Nfa> {
-        self.rev.get_or_init(|| self.nfa.reverse()).as_ref()
+    /// The reversed NFA, compiled on first use.
+    fn rev_nfa(&self) -> &Nfa {
+        self.rev.get_or_init(|| self.nfa.reverse())
     }
 
     /// Is the label index actually consulted under the current mode?
@@ -456,10 +585,7 @@ impl<'a> PathSearcher<'a> {
     /// Enumerate every expansion step of `(node, q)` under `nfa`:
     /// `f(cost, next_node, next_state, piece)` is called once per
     /// (graph step × target state). The single place the symbol →
-    /// graph-adjacency mapping lives — [`expand`](Self::expand)
-    /// materializes walks on top of it, the walk-free searches pass
-    /// through [`expand_states`](Self::expand_states) and ignore the
-    /// piece.
+    /// graph-adjacency mapping lives; the next state is not yet closed.
     fn for_each_step(
         &self,
         nfa: &Nfa,
@@ -525,129 +651,43 @@ impl<'a> PathSearcher<'a> {
                         }
                     }
                 }
-                Sym::View(name) => {
-                    if let Some(view) = self.views.get(name) {
-                        if let Some(idxs) = view.by_src.get(&node) {
-                            for &i in idxs {
-                                let seg = &view.segments[i];
-                                for &to in tos {
-                                    f(seg.cost, seg.dst, to, StepPiece::Seg(&seg.walk));
-                                }
-                            }
+                Sym::View(name) | Sym::ViewInv(name) => {
+                    let Some(view) = self.views.get(name) else {
+                        continue;
+                    };
+                    let backwards = matches!(sym, Sym::ViewInv(_));
+                    let idxs = if backwards {
+                        view.ending_at(node)
+                    } else {
+                        view.by_src.get(&node).map_or(&[][..], Vec::as_slice)
+                    };
+                    for &i in idxs {
+                        let seg = &view.segments[i];
+                        let far = if backwards { seg.src } else { seg.dst };
+                        let walk = &seg.walk;
+                        for &to in tos {
+                            f(seg.cost, far, to, StepPiece::Seg { walk, backwards });
                         }
                     }
                 }
             }
-        }
-    }
-
-    /// Edge- and view-consuming expansions from `(node, q)`:
-    /// `(cost, next_node, next_state, appended walk piece)`.
-    fn expand(&self, node: NodeId, q: usize) -> Vec<(f64, NodeId, usize, PathShape)> {
-        let mut out = Vec::new();
-        self.for_each_step(self.nfa, node, q, |cost, far, to, piece| {
-            let shape = match piece {
-                StepPiece::Edge(e) => step(node, e, far),
-                StepPiece::Seg(walk) => walk.clone(),
-            };
-            out.push((cost, far, to, shape));
-        });
-        out
-    }
-
-    /// Walk-free expansion: apply `f` to every `(next_node, next_state)`
-    /// successor of `(node, q)` under `nfa`, without materializing path
-    /// pieces. This is the reachability/cone hot path.
-    fn expand_states(&self, nfa: &Nfa, node: NodeId, q: usize, mut f: impl FnMut(NodeId, usize)) {
-        self.for_each_step(nfa, node, q, |_, far, to, _| f(far, to));
-    }
-
-    /// All product states reachable from `seeds` (already closed) under
-    /// `nfa`, walks not materialized.
-    ///
-    /// Small node-test-free automata (≤ 64 states — virtually every
-    /// query regex) use one bitmask of NFA states per node: closure
-    /// masks are precomputed per state, so an expansion inserts a whole
-    /// closure with two word operations instead of hashing each
-    /// `(node, state)` tuple.
-    fn product_reach(&self, nfa: &Nfa, seeds: Vec<(NodeId, usize)>) -> StateSet {
-        if nfa.num_states() <= 64 && !nfa.has_node_tests() {
-            let closure_mask: Vec<u64> = (0..nfa.num_states())
-                .map(|s| nfa.closure(s).iter().fold(0u64, |m, &c| m | (1 << c)))
-                .collect();
-            let mut seen: FxHashMap<NodeId, u64> = FxHashMap::default();
-            let mut stack: Vec<(NodeId, usize)> = Vec::new();
-            for (v, q) in seeds {
-                let e = seen.entry(v).or_insert(0);
-                if *e & (1 << q) == 0 {
-                    *e |= 1 << q;
-                    stack.push((v, q));
-                }
-            }
-            let mut tick = 0u32;
-            while let Some((v, q)) = stack.pop() {
-                if self.cancel_tick(&mut tick) {
-                    break;
-                }
-                self.expand_states(nfa, v, q, |w, t| {
-                    let mask = closure_mask[t];
-                    let e = seen.entry(w).or_insert(0);
-                    let mut new = mask & !*e;
-                    if new != 0 {
-                        *e |= new;
-                        while new != 0 {
-                            let b = new.trailing_zeros() as usize;
-                            new &= new - 1;
-                            stack.push((w, b));
-                        }
-                    }
-                });
-            }
-            StateSet::Masks(seen)
-        } else {
-            let mut seen: FxHashSet<(NodeId, usize)> = FxHashSet::default();
-            let mut stack: Vec<(NodeId, usize)> = Vec::new();
-            for s in seeds {
-                if seen.insert(s) {
-                    stack.push(s);
-                }
-            }
-            let mut tick = 0u32;
-            while let Some((v, q)) = stack.pop() {
-                if self.cancel_tick(&mut tick) {
-                    break;
-                }
-                self.expand_states(nfa, v, q, |w, t| {
-                    self.for_each_closed(nfa, w, t, |c| {
-                        if seen.insert((w, c)) {
-                            stack.push((w, c));
-                        }
-                    });
-                });
-            }
-            StateSet::Set(seen)
         }
     }
 
     /// The product states co-reachable to acceptance at one of `targets`
-    /// — the backward "cone" the forward search may restrict itself to.
-    /// `None` when the NFA is irreversible.
-    fn co_reachable_cone(&self, targets: &FxHashSet<NodeId>) -> Option<StateSet> {
-        let rev = self.rev_nfa()?;
-        let mut seeds = Vec::new();
-        for &d in targets {
-            if !self.graph.contains_node(d) {
-                continue;
-            }
-            for q in 0..self.nfa.num_states() {
-                if self.nfa.accepts(q) {
-                    for c in self.close_at_nfa(rev, d, &[q]) {
-                        seeds.push((d, c));
-                    }
-                }
-            }
+    /// (among those of `within`, when given) — the backward "cone" a
+    /// forward search may restrict itself to.
+    fn co_reachable_cone(
+        &self,
+        targets: impl IntoIterator<Item = NodeId>,
+        within: Option<&StateSet>,
+    ) -> StateSet {
+        let rev = self.rev_nfa();
+        let mut sweep = Sweep::new(self, rev, within);
+        for d in targets {
+            sweep.seed(d, rev.start());
         }
-        Some(self.product_reach(rev, seeds))
+        sweep.run()
     }
 
     /// Up to `k` cheapest accepting walks from `src` to every reachable
@@ -655,10 +695,10 @@ impl<'a> PathSearcher<'a> {
     /// grouped by destination, cheapest (and lexicographically first)
     /// first.
     ///
-    /// When `targets` are given and the NFA is reversible, the search
-    /// first computes the backward cone of product states co-reachable to
-    /// acceptance at a target and never expands outside it; results are
-    /// identical to the unrestricted search filtered to `targets`.
+    /// When `targets` are given, the search first computes the backward
+    /// cone of product states co-reachable to acceptance at a target and
+    /// never expands outside it; results are identical to the
+    /// unrestricted search filtered to `targets`.
     ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
@@ -689,10 +729,12 @@ impl<'a> PathSearcher<'a> {
         if !self.graph.contains_node(src) || k == 0 {
             return results;
         }
-        // Backward cone: with concrete targets and a reversible NFA,
-        // restrict the forward search to states that can still reach
-        // acceptance at a target. Exact — see the module docs.
-        let cone: Option<StateSet> = targets.and_then(|t| self.co_reachable_cone(t));
+        // Backward cone: with concrete targets, restrict the forward
+        // search to states that can still reach acceptance at a target.
+        // States outside cannot contribute any accepting walk, so results
+        // — tie-breaking included — are those of the unrestricted search.
+        let cone: Option<StateSet> =
+            targets.map(|t| self.co_reachable_cone(t.iter().copied(), None));
         let in_cone =
             |node: NodeId, state: usize| cone.as_ref().is_none_or(|c| c.contains(node, state));
         let mut pops: FxHashMap<(NodeId, usize), usize> = FxHashMap::default();
@@ -716,7 +758,7 @@ impl<'a> PathSearcher<'a> {
             }
             arena.push(TreeEntry {
                 parent: NO_PARENT,
-                piece: TreePiece::Root,
+                piece: None,
                 node: src,
                 state: q,
             });
@@ -725,7 +767,6 @@ impl<'a> PathSearcher<'a> {
                 idx: (arena.len() - 1) as u32,
             });
         }
-        let mut tick = 0u32;
         'search: while let Some(first) = outer.pop() {
             // Drain one cost level: every pending entry whose cost ties
             // `first` moves into the tie heap before any is processed.
@@ -739,7 +780,7 @@ impl<'a> PathSearcher<'a> {
                 batch.push(tie_entry(&arena, e.idx));
             }
             while let Some(top) = batch.pop() {
-                if self.cancel_tick(&mut tick) {
+                if self.cancel_tick() {
                     break 'search;
                 }
                 let (node, state) = {
@@ -764,18 +805,14 @@ impl<'a> PathSearcher<'a> {
                     }
                 }
                 self.for_each_step(self.nfa, node, state, |step_cost, far, to, piece| {
-                    // The walk-carrying form rejected (via `concat`) a
-                    // view segment that does not begin at the current
-                    // node.
-                    if let StepPiece::Seg(w) = piece {
-                        if w.start() != node {
+                    // A segment whose walk does not begin at the current
+                    // node cannot be appended to the walk so far.
+                    if let StepPiece::Seg { walk, backwards } = piece {
+                        let begins = if backwards { walk.end() } else { walk.start() };
+                        if begins != node {
                             return;
                         }
                     }
-                    let tree_piece = match piece {
-                        StepPiece::Edge(e) => TreePiece::Edge(e, far),
-                        StepPiece::Seg(w) => TreePiece::Seg(w),
-                    };
                     let cost = level + step_cost;
                     for q in self.close_at(far, &[to]) {
                         if !in_cone(far, q) {
@@ -783,7 +820,7 @@ impl<'a> PathSearcher<'a> {
                         }
                         arena.push(TreeEntry {
                             parent: top.idx,
-                            piece: tree_piece,
+                            piece: Some(piece),
                             node: far,
                             state: q,
                         });
@@ -832,142 +869,46 @@ impl<'a> PathSearcher<'a> {
     /// assert_eq!(s.reachable(a), vec![a, c]); // knows* reaches a itself too
     /// ```
     pub fn reachable(&self, src: NodeId) -> Vec<NodeId> {
-        if !self.graph.contains_node(src) {
-            return Vec::new();
-        }
-        let seeds: Vec<(NodeId, usize)> = self
-            .close_at(src, &[self.nfa.start()])
-            .into_iter()
-            .map(|q| (src, q))
-            .collect();
-        let seen = self.product_reach(self.nfa, seeds);
-        let n = self.nfa.num_states();
-        let mut v = seen.nodes_with_state(|q| q < n && self.nfa.accepts(q));
-        v.sort_unstable();
-        v
+        self.forward_from(src).accepting_nodes(self.nfa)
+    }
+
+    /// Every product state a walk from `src` reaches.
+    fn forward_from(&self, src: NodeId) -> StateSet {
+        let mut sweep = Sweep::new(self, self.nfa, None);
+        sweep.seed(src, self.nfa.start());
+        sweep.run()
     }
 
     /// Single-pair reachability: is there an accepting walk from `src`
-    /// to `dst`? Runs a bidirectional search — two alternating BFS
-    /// frontiers, forward over the NFA and backward over its reversal,
-    /// stopping at the first product state both sides visit. Falls back
-    /// to the unidirectional search when the NFA traverses views (whose
-    /// segment relations are not reversible).
+    /// to `dst`? Runs a bidirectional search — a forward sweep from `src`
+    /// and a backward one, over the reversed NFA, from `dst`, advancing
+    /// whichever has the smaller frontier — and stops at the first
+    /// product state both have visited.
     pub fn reachable_pair(&self, src: NodeId, dst: NodeId) -> bool {
-        if !self.graph.contains_node(src) || !self.graph.contains_node(dst) {
-            return false;
+        let rev = self.rev_nfa();
+        let mut fwd = Sweep::new(self, self.nfa, None);
+        let mut bwd = Sweep::new(self, rev, None);
+        fwd.seed(src, self.nfa.start());
+        bwd.seed(dst, rev.start());
+        // Acceptance can already hold at length zero.
+        if bwd.frontier.iter().any(|&(v, q)| fwd.seen.contains(v, q)) {
+            return true;
         }
-        let Some(rev) = self.rev_nfa() else {
-            return self.reachable(src).binary_search(&dst).is_ok();
-        };
-        let mut seen_f: FxHashSet<(NodeId, usize)> = FxHashSet::default();
-        let mut seen_b: FxHashSet<(NodeId, usize)> = FxHashSet::default();
-        let mut frontier_f: Vec<(NodeId, usize)> = Vec::new();
-        let mut frontier_b: Vec<(NodeId, usize)> = Vec::new();
-
-        // Seed both sides; acceptance can already hold at length zero.
-        for q in self.close_at(src, &[self.nfa.start()]) {
-            if dst == src && self.nfa.accepts(q) {
+        // An exhausted side has explored everything it reaches without
+        // meeting the other: no accepting walk exists. A fired token
+        // exhausts a side too; the caller checks the token and discards
+        // that (meaningless) `false`.
+        while !fwd.frontier.is_empty() && !bwd.frontier.is_empty() {
+            let met = if fwd.frontier.len() <= bwd.frontier.len() {
+                fwd.advance(|v, q| bwd.seen.contains(v, q))
+            } else {
+                bwd.advance(|v, q| fwd.seen.contains(v, q))
+            };
+            if met {
                 return true;
             }
-            if seen_f.insert((src, q)) {
-                frontier_f.push((src, q));
-            }
         }
-        for q in self.close_at_nfa(rev, dst, &[rev.start()]) {
-            if seen_f.contains(&(dst, q)) {
-                return true; // meet at the seed level
-            }
-            if seen_b.insert((dst, q)) {
-                frontier_b.push((dst, q));
-            }
-        }
-
-        let mut tick = 0u32;
-        loop {
-            // An exhausted side has fully explored its reachable set
-            // without success — no accepting walk exists. A fired
-            // cancellation token also stops here: the caller checks the
-            // token and discards the (meaningless) `false`.
-            if frontier_f.is_empty() || frontier_b.is_empty() || self.cancelled() {
-                return false;
-            }
-            // Expand the smaller frontier one level.
-            if frontier_f.len() <= frontier_b.len() {
-                let level = std::mem::take(&mut frontier_f);
-                for (v, q) in level {
-                    if self.cancel_tick(&mut tick) {
-                        return false;
-                    }
-                    let mut found = false;
-                    self.expand_states(self.nfa, v, q, |w, t| {
-                        self.for_each_closed(self.nfa, w, t, |c| {
-                            if found {
-                                return;
-                            }
-                            if (w == dst && self.nfa.accepts(c)) || seen_b.contains(&(w, c)) {
-                                found = true;
-                                return;
-                            }
-                            if seen_f.insert((w, c)) {
-                                frontier_f.push((w, c));
-                            }
-                        });
-                    });
-                    if found {
-                        return true;
-                    }
-                }
-            } else {
-                let level = std::mem::take(&mut frontier_b);
-                for (v, q) in level {
-                    if self.cancel_tick(&mut tick) {
-                        return false;
-                    }
-                    let mut found = false;
-                    self.expand_states(rev, v, q, |w, t| {
-                        self.for_each_closed(rev, w, t, |c| {
-                            if found {
-                                return;
-                            }
-                            if (w == src && rev.accepts(c)) || seen_f.contains(&(w, c)) {
-                                found = true;
-                                return;
-                            }
-                            if seen_b.insert((w, c)) {
-                                frontier_b.push((w, c));
-                            }
-                        });
-                    });
-                    if found {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Single-pair reachability evaluated backwards: compute the cone of
-    /// product states co-reachable to acceptance at `dst` once, then test
-    /// whether any closed start state at `src` lies inside it. The planner
-    /// picks this over [`reachable_pair`](Self::reachable_pair) when graph
-    /// statistics say backward fan-in is far smaller than forward fan-out
-    /// (many sources funnelling into a hub destination). Falls back to the
-    /// bidirectional search when the NFA is irreversible (it traverses
-    /// PATH views). Results are always identical to `reachable_pair`.
-    pub fn reachable_pair_reverse(&self, src: NodeId, dst: NodeId) -> bool {
-        if !self.graph.contains_node(src) || !self.graph.contains_node(dst) {
-            return false;
-        }
-        let mut targets = FxHashSet::default();
-        targets.insert(dst);
-        match self.co_reachable_cone(&targets) {
-            Some(cone) => self
-                .close_at(src, &[self.nfa.start()])
-                .into_iter()
-                .any(|q| cone.contains(src, q)),
-            None => self.reachable_pair(src, dst),
-        }
+        false
     }
 
     /// Reachability from many sources at once, sharing one product
@@ -1020,7 +961,7 @@ impl<'a> PathSearcher<'a> {
          -> Vec<u32> {
             let (v, q) = states[s as usize];
             let mut out: Vec<u32> = Vec::new();
-            self.expand_states(nfa, v, q, |w, t| {
+            self.for_each_step(nfa, v, q, |_, w, t, _| {
                 self.for_each_closed(nfa, w, t, |c| {
                     out.push(intern(ids, states, (w, c)));
                 });
@@ -1037,7 +978,6 @@ impl<'a> PathSearcher<'a> {
             next: usize,
         }
         let mut frames: Vec<Frame> = Vec::new();
-        let mut tick = 0u32;
         let roots: Vec<u32> = seeds_of.values().flatten().copied().collect();
         for root in roots {
             ts.grow(states.len());
@@ -1052,7 +992,7 @@ impl<'a> PathSearcher<'a> {
                 // A half-run Tarjan leaves components undefined, so a
                 // cancelled search abandons everything: empty map out,
                 // the caller raises the error off the token.
-                if self.cancel_tick(&mut tick) {
+                if self.cancel_tick() {
                     return FxHashMap::default();
                 }
                 let v = fr.v as usize;
@@ -1148,10 +1088,6 @@ impl<'a> PathSearcher<'a> {
     /// The ALL-paths graph projection between `src` and `dst`: every node
     /// and edge on some accepting walk. `None` when no such walk exists.
     ///
-    /// Built from the explicit product digraph: forward-reachable states
-    /// ∩ backward-reachable-from-acceptance states select the product
-    /// edges whose underlying graph elements are projected.
-    ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
     /// use gcore::regex::Nfa;
@@ -1176,87 +1112,58 @@ impl<'a> PathSearcher<'a> {
         src: NodeId,
         dst: NodeId,
     ) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
-        if !self.graph.contains_node(src) || !self.graph.contains_node(dst) {
-            return None;
-        }
-        // Forward exploration, recording product edges.
-        #[derive(Clone)]
-        struct PEdge {
-            from: (NodeId, usize),
-            to: (NodeId, usize),
-            piece: PathShape,
-        }
-        let mut edges: Vec<PEdge> = Vec::new();
-        let mut fwd: FxHashSet<(NodeId, usize)> = FxHashSet::default();
-        let mut stack: Vec<(NodeId, usize)> = Vec::new();
-        for q in self.close_at(src, &[self.nfa.start()]) {
-            if fwd.insert((src, q)) {
-                stack.push((src, q));
-            }
-        }
-        let mut tick = 0u32;
-        while let Some((v, q)) = stack.pop() {
-            if self.cancel_tick(&mut tick) {
-                return None;
-            }
-            for (_, next_node, next_state, piece) in self.expand(v, q) {
-                for c in self.close_at(next_node, &[next_state]) {
-                    edges.push(PEdge {
-                        from: (v, q),
-                        to: (next_node, c),
-                        piece: piece.clone(),
-                    });
-                    if fwd.insert((next_node, c)) {
-                        stack.push((next_node, c));
+        let (_, nodes, edges) = self.all_paths_from(src, Some(dst)).pop()?;
+        Some((nodes, edges))
+    }
+
+    /// The ALL-paths projections from `src`, as `(dst, nodes, edges)` in
+    /// ascending `dst` order: one for every destination an accepting walk
+    /// reaches, or for `only` that destination.
+    ///
+    /// An element lies on an accepting walk to `dst` iff a step between
+    /// two states that are reachable from `src` *and* co-reachable to
+    /// acceptance at `dst` traverses it. The forward sweep is shared by
+    /// all destinations; each destination adds a backward sweep confined
+    /// to the forward states and one pass over the steps of the states
+    /// both visited.
+    pub fn all_paths_from(
+        &self,
+        src: NodeId,
+        only: Option<NodeId>,
+    ) -> Vec<(NodeId, Vec<NodeId>, Vec<EdgeId>)> {
+        let fwd = self.forward_from(src);
+        let mut dsts = fwd.accepting_nodes(self.nfa);
+        dsts.retain(|&d| only.is_none_or(|o| o == d));
+        let projection = |dst: NodeId| {
+            let on_walk = self.co_reachable_cone([dst], Some(&fwd));
+            let mut nodes = vec![src, dst];
+            let mut edges: Vec<EdgeId> = Vec::new();
+            for (v, q) in on_walk.iter() {
+                // `on_walk` is closed backwards under ε, so the unclosed
+                // next state is in it iff any state of its closure is.
+                self.for_each_step(self.nfa, v, q, |_, far, to, piece| {
+                    if !on_walk.contains(far, to) {
+                        return;
                     }
-                }
-            }
-        }
-        // Backward reachability from accepting states at dst.
-        let mut incoming: FxHashMap<(NodeId, usize), Vec<usize>> = FxHashMap::default();
-        for (i, e) in edges.iter().enumerate() {
-            incoming.entry(e.to).or_default().push(i);
-        }
-        let mut bwd: FxHashSet<(NodeId, usize)> = FxHashSet::default();
-        let mut stack: Vec<(NodeId, usize)> = Vec::new();
-        for &(v, q) in fwd.iter() {
-            if v == dst && self.nfa.accepts(q) && bwd.insert((v, q)) {
-                stack.push((v, q));
-            }
-        }
-        if bwd.is_empty() {
-            return None;
-        }
-        while let Some(state) = stack.pop() {
-            if let Some(idxs) = incoming.get(&state) {
-                for &i in idxs {
-                    let from = edges[i].from;
-                    if bwd.insert(from) {
-                        stack.push(from);
+                    match piece {
+                        StepPiece::Edge(e) => {
+                            nodes.push(far);
+                            edges.push(e);
+                        }
+                        StepPiece::Seg { walk, .. } => {
+                            nodes.extend_from_slice(walk.nodes());
+                            edges.extend_from_slice(walk.edges());
+                        }
                     }
-                }
+                });
             }
-        }
-        // Project elements of product edges on accepting walks.
-        let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
-        let mut eids: FxHashSet<EdgeId> = FxHashSet::default();
-        nodes.insert(src);
-        nodes.insert(dst);
-        for e in &edges {
-            if fwd.contains(&e.from) && bwd.contains(&e.to) && bwd.contains(&e.from) {
-                for &n in e.piece.nodes() {
-                    nodes.insert(n);
-                }
-                for &id in e.piece.edges() {
-                    eids.insert(id);
-                }
-            }
-        }
-        let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
-        nodes.sort_unstable();
-        let mut eids: Vec<EdgeId> = eids.into_iter().collect();
-        eids.sort_unstable();
-        Some((nodes, eids))
+            nodes.sort_unstable();
+            nodes.dedup();
+            edges.sort_unstable();
+            edges.dedup();
+            (dst, nodes, edges)
+        };
+        dsts.into_iter().map(projection).collect()
     }
 }
 
@@ -1270,20 +1177,11 @@ fn step(from: NodeId, e: EdgeId, to: NodeId) -> PathShape {
 /// from the chain only on acceptance ([`replay_walk`]).
 struct TreeEntry<'v> {
     parent: u32,
-    piece: TreePiece<'v>,
+    /// The step taken from the parent to `node`; `None` for a seed entry
+    /// — the trivial walk at the source node.
+    piece: Option<StepPiece<'v>>,
     node: NodeId,
     state: usize,
-}
-
-/// The walk piece a [`TreeEntry`] appends to its parent.
-#[derive(Clone, Copy)]
-enum TreePiece<'v> {
-    /// A seed entry — the trivial walk at the source node.
-    Root,
-    /// One graph edge, traversed to the recorded far endpoint.
-    Edge(EdgeId, NodeId),
-    /// A stored PATH-view segment (borrowed from the view map).
-    Seg(&'v PathShape),
 }
 
 /// Parent index marking a search-tree root.
@@ -1378,13 +1276,20 @@ fn tie_entry(arena: &[TreeEntry<'_>], idx: u32) -> TieOrd {
     let chain = chain_of(arena, idx);
     let mut seq: Vec<u64> = vec![arena[chain[0] as usize].node.raw()];
     for &ci in &chain[1..] {
-        match arena[ci as usize].piece {
-            TreePiece::Root => {}
-            TreePiece::Edge(e, far) => {
+        let entry = &arena[ci as usize];
+        match entry.piece {
+            None => {}
+            Some(StepPiece::Edge(e)) => {
                 seq.push(e.raw());
-                seq.push(far.raw());
+                seq.push(entry.node.raw());
             }
-            TreePiece::Seg(w) => seq.extend_from_slice(&w.interleaved()[1..]),
+            Some(StepPiece::Seg { walk, backwards }) => {
+                let mut ids = walk.interleaved();
+                if backwards {
+                    ids.reverse();
+                }
+                seq.extend_from_slice(&ids[1..]);
+            }
         }
     }
     let e = &arena[idx as usize];
@@ -1401,10 +1306,18 @@ fn replay_walk(arena: &[TreeEntry<'_>], idx: u32) -> PathShape {
     let chain = chain_of(arena, idx);
     let mut walk = PathShape::trivial(arena[chain[0] as usize].node);
     for &ci in &chain[1..] {
-        let piece = match arena[ci as usize].piece {
-            TreePiece::Root => continue,
-            TreePiece::Edge(e, far) => step(walk.end(), e, far),
-            TreePiece::Seg(w) => w.clone(),
+        let entry = &arena[ci as usize];
+        let piece = match entry.piece {
+            None => continue,
+            Some(StepPiece::Edge(e)) => step(walk.end(), e, entry.node),
+            Some(StepPiece::Seg { walk, backwards }) => {
+                let (mut nodes, mut edges) = (walk.nodes().to_vec(), walk.edges().to_vec());
+                if backwards {
+                    nodes.reverse();
+                    edges.reverse();
+                }
+                PathShape::new(nodes, edges).expect("a walk read from either end is a walk")
+            }
         };
         walk = walk
             .concat(&piece)
@@ -1628,6 +1541,36 @@ mod tests {
         // Absent endpoints are unreachable.
         assert!(!s.reachable_pair(n(1), n(99)));
         assert!(!s.reachable_pair(n(99), n(1)));
+    }
+
+    #[test]
+    fn automata_wider_than_one_mask_word() {
+        // Seventy knows steps round a ring of five: 71 NFA states, so a
+        // node's visited states span two words.
+        let mut g = PathPropertyGraph::new();
+        for i in 0..5 {
+            g.add_node(n(i), Attributes::labeled("Person"));
+        }
+        for i in 0..5 {
+            g.add_edge(
+                EdgeId(10 + i),
+                n(i),
+                n((i + 1) % 5),
+                Attributes::labeled("knows"),
+            )
+            .unwrap();
+        }
+        let nfa = Nfa::compile(&Regex::Concat(vec![Regex::Label("knows".into()); 70]));
+        assert!(nfa.num_states() > 64);
+        let views = ViewMap::default();
+        let s = PathSearcher::new(&g, &nfa, &views);
+        assert_eq!(s.reachable(n(0)), vec![n(0)]);
+        assert!(s.reachable_pair(n(0), n(0)));
+        assert!(!s.reachable_pair(n(0), n(1)));
+        let (nodes, edges) = s.all_paths_projection(n(0), n(0)).unwrap();
+        assert_eq!((nodes.len(), edges.len()), (5, 5));
+        let targets: FxHashSet<NodeId> = [n(0)].into_iter().collect();
+        assert_eq!(s.k_shortest(n(0), 1, Some(&targets))[&n(0)][0].cost, 70.0);
     }
 
     #[test]

@@ -18,14 +18,13 @@
 //!   top-level conjunct in exactly one place: a *scan filter* the
 //!   matcher applies wherever its one node/edge variable is bound, or
 //!   the *residual* WHERE evaluated on the joined table. Stats-free, so
-//!   evaluation uses it with the planner on or off;
-//! * **path strategy selection** — for fixed-endpoint path checks the
-//!   planner chooses between the bidirectional meet and a reverse-only
-//!   cone from the destination, based on the relation's degree
-//!   statistics ([`bound_pair_strategy`]).
+//!   evaluation uses it with the planner on or off.
+//!
+//! Path steps are not planned: how a path pattern is searched follows
+//! from what it binds (see [`crate::paths`]), never from statistics.
 //!
 //! Every rewrite is **semantics-preserving by construction**, never by
-//! statistics: stats influence only the *order* and *strategy*, so a
+//! statistics: stats influence only the *order*, so a
 //! plan computed from arbitrary (even adversarial) statistics returns
 //! the same bindings as the unplanned evaluation. The differential
 //! suite in `tests/planner_equivalence.rs` pins this down.
@@ -37,7 +36,7 @@
 use gcore_parser::ast::{
     BinaryOp, Connection, Direction, Expr, FullGraphQuery, Func, LabelDisjunction, LocatedPattern,
     Location, MatchClause, NodePattern, PathMode, Pattern, PropEntry, Query, QueryBody,
-    QuerySource, Regex, Statement,
+    QuerySource, Statement,
 };
 use gcore_parser::print_located;
 use gcore_ppg::hash::FxHashSet;
@@ -75,35 +74,6 @@ const DEFAULT_EDGE_FAN: f64 = 3.0;
 const DEFAULT_PATH_FAN: f64 = 8.0;
 const DEFAULT_LABEL_FRACTION: f64 = 0.1;
 const DEFAULT_PROP_SELECTIVITY: f64 = 0.1;
-
-/// Degree thresholds for [`bound_pair_strategy`]: prefer the reverse
-/// cone only when every backward step has (near-)unique fan-in while
-/// the forward expansion branches substantially.
-const REVERSE_MAX_BACK_FAN: f64 = 1.5;
-const REVERSE_MIN_FWD_FAN: f64 = 3.0;
-
-/// How the matcher resolves a path check between two already-bound
-/// endpoints.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundPairStrategy {
-    /// Bidirectional search meeting in the middle (the default).
-    Bidirectional,
-    /// Expand a reverse-only cone from the destination and test the
-    /// source against it; wins when fan-in is tiny and fan-out large.
-    ReverseCone,
-}
-
-impl BoundPairStrategy {
-    /// Stable human-readable name, shared by the `EXPLAIN` rendering
-    /// and `path-search` profile spans.
-    #[must_use]
-    pub fn describe(self) -> &'static str {
-        match self {
-            BoundPairStrategy::Bidirectional => "bidirectional meet",
-            BoundPairStrategy::ReverseCone => "reverse cone",
-        }
-    }
-}
 
 /// One pattern's slot in the planned evaluation order.
 #[derive(Clone, Debug)]
@@ -534,8 +504,8 @@ fn greedy_order(clause: &MatchClause, estimates: &[f64]) -> Vec<usize> {
     order
 }
 
-/// All node/edge/path/cost variables declared structurally.
-fn structural_vars(pattern: &Pattern) -> FxHashSet<String> {
+/// All node/edge/path/cost variables declared structurally by a pattern.
+pub(crate) fn structural_vars(pattern: &Pattern) -> FxHashSet<String> {
     let mut vars = FxHashSet::default();
     for n in pattern.nodes() {
         if let Some(v) = &n.var {
@@ -696,7 +666,7 @@ fn prop_filter_selectivity(props: &[PropEntry], stats: Option<&GraphStats>, on_n
 /// Expected successors per node through one edge step.
 fn edge_fan(e: &gcore_parser::ast::EdgePattern, stats: Option<&GraphStats>) -> f64 {
     let fan = match stats {
-        Some(s) => match single_label(&e.labels) {
+        Some(s) => match first_label(&e.labels) {
             Some(name) => match Label::lookup(&name).and_then(|l| s.edge_relation(l)) {
                 Some(rel) => match e.direction {
                     Direction::Out => rel.avg_out_degree(),
@@ -729,73 +699,12 @@ fn path_fan(_stats: Option<&GraphStats>) -> f64 {
     DEFAULT_PATH_FAN
 }
 
-fn single_label(groups: &[LabelDisjunction]) -> Option<String> {
-    match groups {
-        [LabelDisjunction(names, _)] if names.len() == 1 => Some(names[0].clone()),
+/// The label of the first group when that group is a single label — the
+/// one an index (or a relation's statistics) can be asked for.
+pub(crate) fn first_label(groups: &[LabelDisjunction]) -> Option<String> {
+    match groups.first() {
+        Some(LabelDisjunction(ls, _)) if ls.len() == 1 => Some(ls[0].clone()),
         _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bound-pair path strategy
-// ---------------------------------------------------------------------
-
-/// Choose how to verify conformance between two already-bound path
-/// endpoints. Statistics only ever flip the *strategy* — both
-/// strategies answer the identical boolean — so this is safe to apply
-/// with arbitrary stats.
-pub fn bound_pair_strategy(stats: Option<&GraphStats>, regex: Option<&Regex>) -> BoundPairStrategy {
-    let (Some(stats), Some(regex)) = (stats, regex) else {
-        return BoundPairStrategy::Bidirectional;
-    };
-    let mut fans = Vec::new();
-    if !collect_fans(regex, stats, &mut fans) || fans.is_empty() {
-        return BoundPairStrategy::Bidirectional;
-    }
-    let max_back = fans.iter().map(|f| f.1).fold(0.0_f64, f64::max);
-    let max_fwd = fans.iter().map(|f| f.0).fold(0.0_f64, f64::max);
-    if max_back <= REVERSE_MAX_BACK_FAN && max_fwd >= REVERSE_MIN_FWD_FAN {
-        BoundPairStrategy::ReverseCone
-    } else {
-        BoundPairStrategy::Bidirectional
-    }
-}
-
-/// Collect `(forward, backward)` fan per regex base symbol; `false`
-/// means the regex contains a piece (a PATH view) whose degrees the
-/// stats cannot describe.
-fn collect_fans(r: &Regex, stats: &GraphStats, out: &mut Vec<(f64, f64)>) -> bool {
-    let rel_fans = |name: &str| match Label::lookup(name).and_then(|l| stats.edge_relation(l)) {
-        Some(rel) => (rel.avg_out_degree(), rel.avg_in_degree()),
-        None => (0.0, 0.0),
-    };
-    match r {
-        Regex::Label(l) => {
-            out.push(rel_fans(l));
-            true
-        }
-        Regex::LabelInv(l) => {
-            let (fwd, back) = rel_fans(l);
-            out.push((back, fwd));
-            true
-        }
-        Regex::NodeTest(_) => true,
-        Regex::Wildcard => {
-            let per_node = if stats.node_count > 0 {
-                stats.edge_count as f64 / stats.node_count as f64
-            } else {
-                0.0
-            };
-            out.push((per_node, per_node));
-            true
-        }
-        Regex::View(_) => false,
-        Regex::Concat(parts) | Regex::Alt(parts) => {
-            parts.iter().all(|p| collect_fans(p, stats, out))
-        }
-        Regex::Star(inner) | Regex::Plus(inner) | Regex::Opt(inner) => {
-            collect_fans(inner, stats, out)
-        }
     }
 }
 
@@ -878,23 +787,6 @@ fn render_match(m: &MatchClause, resolve: &PlanResolver<'_>, out: &mut String) {
             print_located(lp),
             format_estimate(slot.estimate),
         );
-        for step in &lp.pattern.steps {
-            if let Connection::Path(pp) = &step.connection {
-                if pp.stored {
-                    continue;
-                }
-                let graph = resolve(lp.on.as_ref());
-                let strategy = bound_pair_strategy(
-                    graph.as_deref().and_then(|g| g.stats()),
-                    pp.regex.as_ref(),
-                );
-                let _ = writeln!(
-                    out,
-                    "     path step: bound-pair strategy = {}",
-                    strategy.describe()
-                );
-            }
-        }
         render_scan_filters(&placed, &lp.pattern, out);
     }
     for p in &plan.pushed {
@@ -1121,32 +1013,6 @@ mod tests {
         let m2 = clause_of("CONSTRUCT (c) MATCH (n:Person)-/<:knows*>/->(m), (c:City)");
         let plan2 = plan_match(&m2, &resolver(g));
         assert!(plan2.reordered);
-    }
-
-    #[test]
-    fn reverse_cone_prefers_tiny_fan_in() {
-        // 20 persons all located in one city: isLocatedIn has fan-out
-        // 1 per person but fan-in 20 at the city. Going backwards over
-        // the *inverse* label is the cheap direction.
-        let g = people_graph();
-        let stats = g.stats();
-        let fwd = Regex::Label("isLocatedIn".into());
-        // forward fan 1.0, backward fan 20.0 → bidirectional.
-        assert_eq!(
-            bound_pair_strategy(stats, Some(&fwd)),
-            BoundPairStrategy::Bidirectional
-        );
-        let inv = Regex::LabelInv("isLocatedIn".into());
-        // forward fan 20.0, backward fan 1.0 → reverse cone.
-        assert_eq!(
-            bound_pair_strategy(stats, Some(&inv)),
-            BoundPairStrategy::ReverseCone
-        );
-        // No stats → always bidirectional.
-        assert_eq!(
-            bound_pair_strategy(None, Some(&inv)),
-            BoundPairStrategy::Bidirectional
-        );
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! The alphabet has five symbol kinds: edge labels `ℓ` (forward), inverse
 //! labels `ℓ⁻` (backward), node tests `!ℓ` (zero-width assertions on the
 //! current node), the wildcard `_` (any edge, either direction), and path
-//! view references `~name` (§A.4).
+//! view references `~name` (§A.4) — which, like labels, have a backward
+//! form that no expression writes but mirroring produces.
 //!
 //! Construction is Thompson-style with ε-transitions; ε-closures are
 //! precomputed. Node tests are treated as *conditional* ε-transitions
 //! taken when the current node carries the label — equivalent to the
 //! paper's interleaved node/edge strings with implicit `_` node symbols.
 
-use gcore_parser::ast::Regex;
+use gcore_parser::ast::{Direction, Regex};
 use gcore_ppg::Label;
 
 /// One edge-consuming (or node-testing) NFA symbol.
@@ -26,6 +27,21 @@ pub enum Sym {
     Wildcard,
     /// Traverse one segment of a PATH view (§A.4), by name.
     View(String),
+    /// Traverse one segment of a PATH view from its end to its start.
+    ViewInv(String),
+}
+
+impl Sym {
+    /// The symbol that reads the same step from its other end.
+    fn mirrored(&self) -> Sym {
+        match self {
+            Sym::Label(l) => Sym::LabelInv(*l),
+            Sym::LabelInv(l) => Sym::Label(*l),
+            Sym::View(v) => Sym::ViewInv(v.clone()),
+            Sym::ViewInv(v) => Sym::View(v.clone()),
+            Sym::NodeTest(_) | Sym::Wildcard => self.clone(),
+        }
+    }
 }
 
 /// A Thompson NFA with precomputed ε-closures.
@@ -52,13 +68,27 @@ pub struct Nfa {
 impl Nfa {
     /// Compile a parsed regular expression.
     pub fn compile(re: &Regex) -> Nfa {
+        Nfa::compile_directed(re, Direction::Out)
+    }
+
+    /// Compile the expression of a path pattern for a search that starts
+    /// at the pattern's left node: as written for `-/…/->`; mirrored for
+    /// `<-/…/-`, whose walks run from the right node to the left one
+    /// (concatenations in reverse order, every symbol read from its
+    /// other end); either reading for `-/…/-`.
+    pub fn compile_directed(re: &Regex, direction: Direction) -> Nfa {
         let mut b = Builder {
             trans: Vec::new(),
             eps: Vec::new(),
         };
         let start = b.state();
         let accept = b.state();
-        b.build(re, start, accept);
+        if direction != Direction::In {
+            b.build(re, start, accept, false);
+        }
+        if direction != Direction::Out {
+            b.build(re, start, accept, true);
+        }
         let closure = b.closures();
         let grouped = group_transitions(&b.trans);
         let node_tests = any_node_tests(&b.trans);
@@ -74,31 +104,20 @@ impl Nfa {
 
     /// The reversed automaton: accepts exactly the reversals of the walks
     /// this NFA accepts. Transitions are transposed with their symbols
-    /// mirrored (`ℓ` ↔ `ℓ⁻`; node tests and the wildcard are their own
-    /// mirror images), ε-reachability is transposed, and start/accept
-    /// swap roles.
+    /// mirrored (`ℓ` ↔ `ℓ⁻`, `~v` ↔ its backward form; node tests and the
+    /// wildcard are their own mirror images), ε-reachability is
+    /// transposed, and start/accept swap roles.
     ///
     /// Running the *forward* product search with the reversed NFA from a
     /// node `d` therefore visits exactly the product states that are
     /// co-reachable to acceptance at `d` in this NFA — the basis of the
     /// bidirectional and cone-pruned searches in [`crate::paths`].
-    ///
-    /// Returns `None` when the automaton traverses PATH views: a view
-    /// segment relation is directed (src → dst) and has no backward
-    /// counterpart, so view-bearing searches stay unidirectional.
-    pub fn reverse(&self) -> Option<Nfa> {
+    pub fn reverse(&self) -> Nfa {
         let n = self.trans.len();
         let mut trans: Vec<Vec<(Sym, usize)>> = vec![Vec::new(); n];
         for (from, ts) in self.trans.iter().enumerate() {
             for (sym, to) in ts {
-                let mirrored = match sym {
-                    Sym::Label(l) => Sym::LabelInv(*l),
-                    Sym::LabelInv(l) => Sym::Label(*l),
-                    Sym::NodeTest(l) => Sym::NodeTest(*l),
-                    Sym::Wildcard => Sym::Wildcard,
-                    Sym::View(_) => return None,
-                };
-                trans[*to].push((mirrored, from));
+                trans[*to].push((sym.mirrored(), from));
             }
         }
         // Reversed ε-closure = transpose of the (transitively closed)
@@ -113,14 +132,14 @@ impl Nfa {
             cl.sort_unstable();
         }
         let grouped = group_transitions(&trans);
-        Some(Nfa {
+        Nfa {
             node_tests: any_node_tests(&trans),
             trans,
             grouped,
             closure,
             start: self.accept,
             accept: self.start,
-        })
+        }
     }
 
     /// Number of states.
@@ -156,14 +175,14 @@ impl Nfa {
         &self.grouped[state]
     }
 
-    /// All `View` names referenced anywhere in the automaton.
+    /// All view names referenced anywhere in the automaton.
     pub fn view_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .trans
             .iter()
             .flatten()
             .filter_map(|(s, _)| match s {
-                Sym::View(n) => Some(n.clone()),
+                Sym::View(n) | Sym::ViewInv(n) => Some(n.clone()),
                 _ => None,
             })
             .collect();
@@ -252,22 +271,23 @@ impl Builder {
         self.trans[from].push((sym, to));
     }
 
-    fn build(&mut self, re: &Regex, from: usize, to: usize) {
+    /// Add `re` between `from` and `to`; `mirror` adds the expression
+    /// that accepts its walks reversed instead.
+    fn build(&mut self, re: &Regex, from: usize, to: usize, mirror: bool) {
+        let sym = |s: Sym| if mirror { s.mirrored() } else { s };
         match re {
-            Regex::Label(l) => self.sym_edge(from, Sym::Label(Label::new(l)), to),
-            Regex::LabelInv(l) => self.sym_edge(from, Sym::LabelInv(Label::new(l)), to),
+            Regex::Label(l) => self.sym_edge(from, sym(Sym::Label(Label::new(l))), to),
+            Regex::LabelInv(l) => self.sym_edge(from, sym(Sym::LabelInv(Label::new(l))), to),
             Regex::NodeTest(l) => self.sym_edge(from, Sym::NodeTest(Label::new(l)), to),
             Regex::Wildcard => self.sym_edge(from, Sym::Wildcard, to),
-            Regex::View(v) => self.sym_edge(from, Sym::View(v.clone()), to),
+            Regex::View(v) => self.sym_edge(from, sym(Sym::View(v.clone())), to),
             Regex::Concat(parts) => {
+                let n = parts.len();
                 let mut cur = from;
-                for (i, part) in parts.iter().enumerate() {
-                    let next = if i + 1 == parts.len() {
-                        to
-                    } else {
-                        self.state()
-                    };
-                    self.build(part, cur, next);
+                for i in 0..n {
+                    let part = &parts[if mirror { n - 1 - i } else { i }];
+                    let next = if i + 1 == n { to } else { self.state() };
+                    self.build(part, cur, next, mirror);
                     cur = next;
                 }
                 if parts.is_empty() {
@@ -276,7 +296,7 @@ impl Builder {
             }
             Regex::Alt(parts) => {
                 for part in parts {
-                    self.build(part, from, to);
+                    self.build(part, from, to, mirror);
                 }
                 if parts.is_empty() {
                     self.eps_edge(from, to);
@@ -288,17 +308,17 @@ impl Builder {
                 self.eps_edge(hub, to);
                 let body_in = self.state();
                 self.eps_edge(hub, body_in);
-                self.build(inner, body_in, hub);
+                self.build(inner, body_in, hub, mirror);
             }
             Regex::Plus(inner) => {
                 // r+ = r r*
                 let mid = self.state();
-                self.build(inner, from, mid);
-                self.build(&Regex::Star(inner.clone()), mid, to);
+                self.build(inner, from, mid, mirror);
+                self.build(&Regex::Star(inner.clone()), mid, to, mirror);
             }
             Regex::Opt(inner) => {
                 self.eps_edge(from, to);
-                self.build(inner, from, to);
+                self.build(inner, from, to, mirror);
             }
         }
     }
@@ -371,7 +391,7 @@ pub fn walk_conforms(nfa: &Nfa, node_labels: &[Vec<Label>], steps: &[(Vec<Label>
                     Sym::Wildcard => true,
                     Sym::Label(l) => *forward && labels.contains(l),
                     Sym::LabelInv(l) => !*forward && labels.contains(l),
-                    Sym::NodeTest(_) | Sym::View(_) => false,
+                    Sym::NodeTest(_) | Sym::View(_) | Sym::ViewInv(_) => false,
                 };
                 if ok {
                     next.push(*to);
@@ -552,7 +572,7 @@ mod tests {
         // backwards (each step direction flips, order reverses).
         let re = Regex::Concat(vec![Regex::Label("a".into()), Regex::Label("b".into())]);
         let nfa = Nfa::compile(&re);
-        let rev = nfa.reverse().expect("no views");
+        let rev = nfa.reverse();
         let n3 = vec![vec![], vec![], vec![]];
         assert!(walk_conforms(
             &nfa,
@@ -581,7 +601,7 @@ mod tests {
             Regex::NodeTest("Stop".into()),
             Regex::Label("b".into()),
         ]);
-        let rev = Nfa::compile(&re).reverse().expect("no views");
+        let rev = Nfa::compile(&re).reverse();
         assert!(rev.has_node_tests());
         assert!(walk_conforms(
             &rev,
@@ -597,16 +617,34 @@ mod tests {
 
     #[test]
     fn reverse_of_star_accepts_empty() {
-        let rev = Nfa::compile(&Regex::Star(Box::new(Regex::Label("a".into()))))
-            .reverse()
-            .expect("no views");
+        let rev = Nfa::compile(&Regex::Star(Box::new(Regex::Label("a".into())))).reverse();
         assert!(rev.accepts(rev.start()));
     }
 
     #[test]
-    fn views_are_irreversible() {
-        let re = Regex::Star(Box::new(Regex::View("w".into())));
-        assert!(Nfa::compile(&re).reverse().is_none());
+    fn views_reverse_to_their_backward_form() {
+        // ~w :a reversed: :a⁻ then ~w read from its end.
+        let re = Regex::Concat(vec![Regex::View("w".into()), Regex::Label("a".into())]);
+        let rev = Nfa::compile(&re).reverse();
+        let (first, mid) = &rev.transitions(rev.start())[0];
+        assert_eq!(*first, Sym::LabelInv(l("a")));
+        assert_eq!(rev.transitions(*mid)[0].0, Sym::ViewInv("w".into()));
+        assert_eq!(rev.view_names(), vec!["w".to_string()]);
+    }
+
+    #[test]
+    fn in_direction_compiles_the_mirror_image() {
+        // The mirror of `r` is, state for state, the reversal-free way
+        // to accept what `reverse` of `r` accepts: :a ~w mirrored reads
+        // ~w from its end, then :a backwards.
+        let re = Regex::Concat(vec![Regex::Label("a".into()), Regex::View("w".into())]);
+        let nfa = Nfa::compile_directed(&re, Direction::In);
+        let (first, mid) = &nfa.transitions(nfa.start())[0];
+        assert_eq!(*first, Sym::ViewInv("w".into()));
+        assert_eq!(nfa.transitions(*mid)[0].0, Sym::LabelInv(l("a")));
+        // Undirected offers both readings from the start state.
+        let both = Nfa::compile_directed(&re, Direction::Undirected);
+        assert_eq!(both.transitions(both.start()).len(), 2);
     }
 
     #[test]

@@ -274,6 +274,62 @@ fn deadline_interrupts_a_large_optional() {
     assert!(t.expect("deadline cleared").len() >= 5);
 }
 
+/// The walk-free path searches poll the token with every product state
+/// they pop: the two sweeps of a bound-pair test, the forward sweep and
+/// the per-destination backward sweeps of an `ALL` pattern, and the
+/// backward cone a bound-target search over view segments computes
+/// before it starts. Each statement here spends almost all of its time
+/// in one of them (thousands of knows edges, each closed into a cycle by
+/// a path step), so a 5 ms budget runs out there and the statement must
+/// come back soon after — and neither the engine nor the snapshot's SCC
+/// cache may remember anything of the abandoned searches.
+#[test]
+fn deadline_interrupts_the_path_sweeps() {
+    const REACH: &str = "SELECT n.personId AS src, COUNT(*) AS reached \
+         MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.personId < 20 GROUP BY n.personId";
+    let snb = || {
+        let mut engine = Engine::new();
+        let data = generate(&SnbConfig::scale(1000), &engine.catalog().ids().clone());
+        engine.register_graph("snb", data.graph);
+        engine.set_default_graph("snb");
+        engine
+    };
+    let expected = snb()
+        .query_table(REACH)
+        .expect("no deadline")
+        .rows()
+        .to_vec();
+
+    let mut engine = snb();
+    for statement in [
+        // No walk exists (tags know nobody), and neither side can tell
+        // before it has swept every person.
+        "SELECT COUNT(*) AS c \
+         MATCH (p:Person)-[:knows]->(q:Person)-/<:knows* :hasInterest :knows*>/->(p)",
+        "SELECT COUNT(*) AS c MATCH (p:Person)-[:knows]->(q:Person)-/ALL w <:knows*>/->(p)",
+        "PATH k = (x)-[:knows]->(y) \
+         SELECT COUNT(*) AS c MATCH (p:Person)-[:knows]->(q:Person)-/w <~k*>/->(p)",
+        // Through the SCC cache: a half-run condensation must not be kept.
+        "SELECT COUNT(*) AS c MATCH (p:Person)-/<:knows*>/->(q:Person)",
+    ] {
+        engine.set_statement_deadline(Some(Duration::from_millis(5)));
+        let started = std::time::Instant::now();
+        let err = engine
+            .run(statement)
+            .expect_err("a 5 ms budget cannot cover the path step");
+        let elapsed = started.elapsed();
+        assert!(err.is_cancelled(), "{statement}: got {err}");
+        assert!(
+            elapsed < Duration::from_millis(750),
+            "{statement}: ran {elapsed:?} past a 5 ms deadline"
+        );
+
+        engine.set_statement_deadline(None);
+        let after = engine.query_table(REACH).expect("deadline cleared");
+        assert_eq!(after.rows(), &expected[..], "after cancelling {statement}");
+    }
+}
+
 /// Cancelling mid-flight from another thread stops a statement that
 /// would otherwise grind through an enormous cross product. The stride
 /// bounds how much work a checkpoint may miss, so a prompt cancel must

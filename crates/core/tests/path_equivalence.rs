@@ -1,29 +1,45 @@
 //! Equivalence property tests for the path-engine search strategies.
 //!
-//! The overhauled product search has four accelerations — label-indexed
-//! expansion, bidirectional single-pair search, backward-cone pruning and
-//! the SCC-condensed shared frontier — all of which must be *invisible*:
-//! on random graphs and random regexes, each strategy's canonical
-//! paths / reachability sets must be identical to the baseline
-//! unidirectional scan search.
+//! The product search has four accelerations — label-indexed expansion,
+//! bidirectional single-pair search, backward-cone pruning and the
+//! SCC-condensed shared frontier — all of which must be *invisible*: on
+//! random graphs, random weighted view segments and random regexes over
+//! both, each strategy's canonical paths / reachability sets must be
+//! identical to the baseline unidirectional scan search; reversal and
+//! mirroring must accept exactly the reversed walks; and the ALL-paths
+//! projection must equal a reference computed by transitive closure of
+//! the explicit product digraph.
 
-use gcore::paths::{ExpandMode, PathSearcher, ViewMap};
-use gcore::regex::Nfa;
-use gcore_parser::ast::Regex;
+use gcore::paths::{ExpandMode, PathSearcher, Segment, ViewMap, ViewSegments};
+use gcore::regex::{Nfa, Sym};
+use gcore_parser::ast::{Direction, Regex};
 use gcore_ppg::hash::FxHashSet;
-use gcore_ppg::{Attributes, EdgeId, NodeId, PathPropertyGraph};
+use gcore_ppg::{Attributes, EdgeId, Label, NodeId, PathPropertyGraph, PathShape};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const EDGE_LABELS: [&str; 2] = ["a", "b"];
 const NODE_LABELS: [&str; 2] = ["P", "Q"];
+/// The one PATH view random regexes refer to.
+const VIEW: &str = "v";
 
-/// A random multigraph: node count, per-node label picks, and a list of
-/// (src, dst, label) edges over those nodes.
+/// A random multigraph: node count, per-node label picks, a list of
+/// (src, dst, label) edges over those nodes, and the segments of view
+/// `v` as (edge, extend by a following edge if there is one, cost).
 #[derive(Clone, Debug)]
 struct RandomGraph {
     nodes: usize,
     node_labels: Vec<usize>, // 0 = none, 1 = P, 2 = Q, 3 = both
     edges: Vec<(usize, usize, usize)>,
+    segments: Vec<(usize, bool, u8)>,
+}
+
+fn node(i: usize) -> NodeId {
+    NodeId(1 + i as u64)
+}
+
+fn edge(i: usize) -> EdgeId {
+    EdgeId(100 + i as u64)
 }
 
 impl RandomGraph {
@@ -37,13 +53,13 @@ impl RandomGraph {
             if self.node_labels[i] & 2 != 0 {
                 attrs = attrs.with_label(NODE_LABELS[1]);
             }
-            g.add_node(NodeId(1 + i as u64), attrs);
+            g.add_node(node(i), attrs);
         }
         for (i, &(s, d, l)) in self.edges.iter().enumerate() {
             g.add_edge(
-                EdgeId(100 + i as u64),
-                NodeId(1 + s as u64),
-                NodeId(1 + d as u64),
+                edge(i),
+                node(s),
+                node(d),
                 Attributes::labeled(EDGE_LABELS[l]),
             )
             .expect("endpoints exist");
@@ -53,29 +69,64 @@ impl RandomGraph {
         }
         g
     }
+
+    /// The segments of view `v` as edge-index walks: one or two edges
+    /// each, directed like their edges, so the relation is asymmetric.
+    fn segment_walks(&self) -> Vec<(Vec<usize>, f64)> {
+        let walks = self.segments.iter().filter_map(|&(i, extend, cost)| {
+            let &(_, mid, _) = self.edges.get(i)?;
+            let next = self.edges.iter().position(|&(s, _, _)| s == mid);
+            let walk = match next {
+                Some(j) if extend => vec![i, j],
+                _ => vec![i],
+            };
+            Some((walk, f64::from(cost)))
+        });
+        walks.collect()
+    }
+
+    fn views(&self) -> ViewMap {
+        let segments = self.segment_walks().into_iter().map(|(walk, cost)| {
+            let mut nodes = vec![node(self.edges[walk[0]].0)];
+            nodes.extend(walk.iter().map(|&i| node(self.edges[i].1)));
+            let edges = walk.iter().map(|&i| edge(i)).collect();
+            let walk = PathShape::new(nodes, edges).expect("edges chain");
+            Segment {
+                src: walk.start(),
+                dst: walk.end(),
+                cost,
+                walk,
+            }
+        });
+        let mut views = ViewMap::default();
+        views.insert(VIEW.into(), ViewSegments::new(segments.collect(), true));
+        views
+    }
 }
 
 fn graph_strategy() -> impl Strategy<Value = RandomGraph> {
     (2usize..6).prop_flat_map(|nodes| {
         let labels = prop::collection::vec(0usize..4, nodes..nodes + 1);
         let edges = prop::collection::vec((0..nodes, 0..nodes, 0..EDGE_LABELS.len()), 0..12);
-        (labels, edges).prop_map(move |(node_labels, edges)| RandomGraph {
+        let segments = prop::collection::vec((0..12usize, any::<bool>(), 1..4u8), 0..6);
+        (labels, edges, segments).prop_map(move |(node_labels, edges, segments)| RandomGraph {
             nodes,
             node_labels,
             edges,
+            segments,
         })
     })
 }
 
-/// Random view-free regexes (views have no reversal, and need an engine
-/// to evaluate; the strategies under test fall back to the baseline for
-/// them anyway).
+/// Random regexes over edge labels, node labels, the wildcard and the
+/// view `v`.
 fn regex_strategy() -> impl Strategy<Value = Regex> {
     let leaf = prop_oneof![
         (0..2usize).prop_map(|i| Regex::Label(EDGE_LABELS[i].to_owned())),
         (0..2usize).prop_map(|i| Regex::LabelInv(EDGE_LABELS[i].to_owned())),
         (0..2usize).prop_map(|i| Regex::NodeTest(NODE_LABELS[i].to_owned())),
         Just(Regex::Wildcard),
+        Just(Regex::View(VIEW.to_owned())),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
@@ -86,6 +137,118 @@ fn regex_strategy() -> impl Strategy<Value = Regex> {
             inner.prop_map(|r| Regex::Opt(Box::new(r))),
         ]
     })
+}
+
+/// The product digraph spelled out, sharing no code with the searcher:
+/// every (node, NFA state) pair is a vertex, ε- and node-test moves are
+/// arcs that traverse nothing, and every symbol transition contributes
+/// one arc per graph edge or view segment it can take, labelled with the
+/// elements that step traverses.
+struct Product {
+    states: usize,
+    arcs: Vec<(usize, usize, Vec<NodeId>, Vec<EdgeId>)>,
+}
+
+impl Product {
+    fn new(rg: &RandomGraph, nfa: &Nfa) -> Self {
+        let states = nfa.num_states();
+        let mut arcs = Vec::new();
+        let has = |v: usize, l: &Label| {
+            (0..2).any(|b| rg.node_labels[v] >> b & 1 != 0 && *l == Label::new(NODE_LABELS[b]))
+        };
+        let segments = rg.segment_walks();
+        for v in 0..rg.nodes {
+            for q in 0..states {
+                let from = v * states + q;
+                for &c in nfa.closure(q) {
+                    arcs.push((from, v * states + c, vec![], vec![]));
+                }
+                for (sym, to) in nfa.transitions(q) {
+                    let mut arc = |far: usize, nodes: Vec<NodeId>, edges: Vec<EdgeId>| {
+                        arcs.push((from, far * states + to, nodes, edges));
+                    };
+                    if let Sym::NodeTest(l) = sym {
+                        if has(v, l) {
+                            arc(v, vec![], vec![]);
+                        }
+                    }
+                    for (i, &(s, d, l)) in rg.edges.iter().enumerate() {
+                        let label = Label::new(EDGE_LABELS[l]);
+                        let (fwd, bwd) = match sym {
+                            Sym::Label(x) => (*x == label, false),
+                            Sym::LabelInv(x) => (false, *x == label),
+                            Sym::Wildcard => (true, true),
+                            _ => (false, false),
+                        };
+                        if fwd && s == v {
+                            arc(d, vec![node(s), node(d)], vec![edge(i)]);
+                        }
+                        if bwd && d == v {
+                            arc(s, vec![node(s), node(d)], vec![edge(i)]);
+                        }
+                    }
+                    for (walk, _) in &segments {
+                        let (start, end) = (rg.edges[walk[0]].0, rg.edges[walk[walk.len() - 1]].1);
+                        let far = match sym {
+                            Sym::View(_) if start == v => end,
+                            Sym::ViewInv(_) if end == v => start,
+                            _ => continue,
+                        };
+                        let ends = walk.iter().flat_map(|&i| [rg.edges[i].0, rg.edges[i].1]);
+                        let edges = walk.iter().map(|&i| edge(i)).collect();
+                        arc(far, ends.map(node).collect(), edges);
+                    }
+                }
+            }
+        }
+        Product { states, arcs }
+    }
+
+    /// Vertices reachable from `seeds` along the arcs, or against them.
+    fn closure(&self, seeds: Vec<usize>, against: bool) -> BTreeSet<usize> {
+        let mut seen: BTreeSet<usize> = seeds.iter().copied().collect();
+        let mut stack = seeds;
+        while let Some(x) = stack.pop() {
+            for (from, to, _, _) in &self.arcs {
+                let (a, b) = if against { (to, from) } else { (from, to) };
+                if *a == x && seen.insert(*b) {
+                    stack.push(*b);
+                }
+            }
+        }
+        seen
+    }
+
+    fn from(&self, nfa: &Nfa, src: usize) -> BTreeSet<usize> {
+        self.closure(vec![src * self.states + nfa.start()], false)
+    }
+
+    fn accepting_at(&self, nfa: &Nfa, dst: usize, within: &BTreeSet<usize>) -> Vec<usize> {
+        let at_dst = (0..self.states).filter(|&q| nfa.accepts(q));
+        at_dst
+            .map(|q| dst * self.states + q)
+            .filter(|x| within.contains(x))
+            .collect()
+    }
+
+    /// Every element some accepting walk from `src` to `dst` traverses.
+    fn projection(&self, nfa: &Nfa, src: usize, dst: usize) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
+        let fwd = self.from(nfa, src);
+        let accepting = self.accepting_at(nfa, dst, &fwd);
+        if accepting.is_empty() {
+            return None;
+        }
+        let bwd = self.closure(accepting, true);
+        let mut nodes = BTreeSet::from([node(src), node(dst)]);
+        let mut edges = BTreeSet::new();
+        for (from, to, ns, es) in &self.arcs {
+            if fwd.contains(from) && bwd.contains(to) {
+                nodes.extend(ns);
+                edges.extend(es);
+            }
+        }
+        Some((nodes.into_iter().collect(), edges.into_iter().collect()))
+    }
 }
 
 /// Flatten a k-shortest result into a comparable, deterministic form.
@@ -109,11 +272,11 @@ proptest! {
     fn indexed_expansion_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = ViewMap::default();
+        let views = rg.views();
         let indexed = PathSearcher::new(&g, &nfa, &views);
         let scan = PathSearcher::new(&g, &nfa, &views).with_expansion(ExpandMode::Scan);
         for i in 0..rg.nodes {
-            let src = NodeId(1 + i as u64);
+            let src = node(i);
             prop_assert_eq!(indexed.reachable(src), scan.reachable(src));
             let a = flat_paths(&indexed.k_shortest(src, 2, None));
             let b = flat_paths(&scan.k_shortest(src, 2, None));
@@ -127,13 +290,13 @@ proptest! {
     fn bidirectional_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = ViewMap::default();
+        let views = rg.views();
         let s = PathSearcher::new(&g, &nfa, &views);
         for i in 0..rg.nodes {
-            let src = NodeId(1 + i as u64);
+            let src = node(i);
             let reach = s.reachable(src);
             for j in 0..rg.nodes {
-                let dst = NodeId(1 + j as u64);
+                let dst = node(j);
                 prop_assert_eq!(
                     s.reachable_pair(src, dst),
                     reach.contains(&dst),
@@ -149,9 +312,9 @@ proptest! {
     fn shared_frontier_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = ViewMap::default();
+        let views = rg.views();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let sources: Vec<NodeId> = (0..rg.nodes).map(|i| NodeId(1 + i as u64)).collect();
+        let sources: Vec<NodeId> = (0..rg.nodes).map(node).collect();
         let many = s.reachable_many(&sources);
         for &src in &sources {
             prop_assert_eq!(&*many[&src], &s.reachable(src), "source {}", src);
@@ -164,13 +327,13 @@ proptest! {
     fn cone_pruning_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = ViewMap::default();
+        let views = rg.views();
         let s = PathSearcher::new(&g, &nfa, &views);
         for i in 0..rg.nodes {
-            let src = NodeId(1 + i as u64);
+            let src = node(i);
             let all = s.k_shortest(src, 2, None);
             for j in 0..rg.nodes {
-                let dst = NodeId(1 + j as u64);
+                let dst = node(j);
                 let mut t = FxHashSet::default();
                 t.insert(dst);
                 let pruned = s.k_shortest(src, 2, Some(&t));
@@ -185,6 +348,68 @@ proptest! {
                         prop_assert_eq!(got, want, "walks ({}, {})", src, dst);
                     }
                 }
+            }
+        }
+    }
+
+    /// The forward sweep and the ALL-paths projection (forward sweep ∩
+    /// backward cone, then the steps between surviving states) agree
+    /// with the explicit product digraph — per destination, and for all
+    /// destinations of a source at once.
+    #[test]
+    fn sweeps_match_the_explicit_product(rg in graph_strategy(), re in regex_strategy()) {
+        let g = rg.build(true);
+        let nfa = Nfa::compile(&re);
+        let views = rg.views();
+        let s = PathSearcher::new(&g, &nfa, &views);
+        let product = Product::new(&rg, &nfa);
+        for i in 0..rg.nodes {
+            let fwd = product.from(&nfa, i);
+            let reach: Vec<NodeId> = (0..rg.nodes)
+                .filter(|&j| !product.accepting_at(&nfa, j, &fwd).is_empty())
+                .map(node)
+                .collect();
+            prop_assert_eq!(s.reachable(node(i)), reach, "reachable from {}", i);
+            let mut all = Vec::new();
+            for j in 0..rg.nodes {
+                let want = product.projection(&nfa, i, j);
+                prop_assert_eq!(
+                    s.all_paths_projection(node(i), node(j)),
+                    want.clone(),
+                    "projection ({}, {})", i, j
+                );
+                all.extend(want.map(|(nodes, edges)| (node(j), nodes, edges)));
+            }
+            prop_assert_eq!(s.all_paths_from(node(i), None), all, "projections from {}", i);
+        }
+    }
+
+    /// Reversing an automaton twice changes nothing; reversing it once,
+    /// or compiling the expression for a `<-/…/-` pattern, accepts the
+    /// walks end to start; a `-/…/-` pattern accepts either reading.
+    #[test]
+    fn reversal_and_mirroring_read_walks_from_the_other_end(
+        rg in graph_strategy(),
+        re in regex_strategy(),
+    ) {
+        let g = rg.build(true);
+        let views = rg.views();
+        let out = Nfa::compile(&re);
+        let reach = |nfa: &Nfa| -> Vec<Vec<NodeId>> {
+            let s = PathSearcher::new(&g, nfa, &views);
+            (0..rg.nodes).map(|i| s.reachable(node(i))).collect()
+        };
+        let reach_out = reach(&out);
+        let reach_in = reach(&Nfa::compile_directed(&re, Direction::In));
+        let reach_either = reach(&Nfa::compile_directed(&re, Direction::Undirected));
+        prop_assert_eq!(&reach(&out.reverse().reverse()), &reach_out);
+        prop_assert_eq!(&reach(&out.reverse()), &reach_in);
+        for i in 0..rg.nodes {
+            for j in 0..rg.nodes {
+                let forwards = reach_out[i].contains(&node(j));
+                prop_assert_eq!(reach_in[j].contains(&node(i)), forwards, "({}, {})", i, j);
+                let either = forwards || reach_in[i].contains(&node(j));
+                prop_assert_eq!(reach_either[i].contains(&node(j)), either, "({}, {})", i, j);
             }
         }
     }

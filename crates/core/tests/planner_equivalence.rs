@@ -1,5 +1,5 @@
 //! Differential planner suite: the cost-based planner (join reordering,
-//! IN-conjunct pushdown, path-strategy selection) is a pure
+//! IN-conjunct pushdown) is a pure
 //! optimization — every query must return exactly the same output with
 //! it on or off, and under *arbitrary* graph statistics (statistics
 //! steer cost estimates, never semantics).
@@ -76,8 +76,7 @@ fn corpus_planner_on_matches_off() {
 /// A 16-query mix exercising every planned shape on the SNB schema:
 /// the benchmark suite's matching shapes (scans, hops, value joins,
 /// optionals), equi-joins the planner reorders, IN conjuncts it pushes
-/// into patterns, and bound-pair path reachability where it consults
-/// the reverse-cone strategy.
+/// into patterns, and bound-pair path reachability.
 const SNB_QUERIES: &[&str] = &[
     // The benchmark suite's matching shapes.
     "CONSTRUCT (n) MATCH (n:Person) WHERE n.personId < 50",
@@ -126,8 +125,7 @@ const SNB_QUERIES: &[&str] = &[
            (p)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(q) \
      WHERE p.personId < 25 AND q.personId < 40",
     // Bound-destination path step: the chain binds q before the knows*
-    // step back to p, so the matcher evaluates src→dst pairs and
-    // consults the planner's bound-pair strategy.
+    // step back to p, so the matcher evaluates src→dst pairs.
     "SELECT p.personId, q.personId \
      MATCH (p:Person)-[:knows]->(q:Person)-/<:knows*>/->(p) \
      WHERE p.personId < 40",
@@ -169,14 +167,14 @@ fn snb_planner_on_matches_off() {
 }
 
 // ---------------------------------------------------------------------
-// Reverse-cone pair reachability ≡ bidirectional
+// Bidirectional pair reachability ≡ membership in the forward set
 // ---------------------------------------------------------------------
 
-/// The two bound-pair strategies must agree on every (src, dst, regex)
-/// — `reachable_pair_reverse` is what the planner dispatches to when
-/// statistics favor searching backward from the destination.
+/// On a graph large enough for the two frontiers to meet in the middle,
+/// the single-pair test must agree with the unidirectional search on
+/// every (src, dst, regex).
 #[test]
-fn pair_reverse_matches_bidirectional() {
+fn pair_matches_forward_reachability() {
     use gcore::paths::{PathSearcher, ViewMap};
     use gcore::regex::Nfa;
     use gcore_parser::ast::Regex;
@@ -211,11 +209,12 @@ fn pair_reverse_matches_bidirectional() {
         let nfa = Nfa::compile(regex);
         let searcher = PathSearcher::new(&graph, &nfa, &views);
         for &src in &sample {
+            let reach = searcher.reachable(src);
             for &dst in &sample {
                 assert_eq!(
                     searcher.reachable_pair(src, dst),
-                    searcher.reachable_pair_reverse(src, dst),
-                    "strategies disagree on {src:?} → {dst:?} via {regex:?}"
+                    reach.binary_search(&dst).is_ok(),
+                    "pair test disagrees on {src:?} → {dst:?} via {regex:?}"
                 );
             }
         }

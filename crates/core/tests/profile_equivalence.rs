@@ -5,7 +5,8 @@
 //! every profiled statement yields a structurally well-formed profile.
 //!
 //! The profile's *counts* also guard MATCH against doing work twice
-//! (`match_work_is_not_repeated`): counts repeat exactly, timings do not.
+//! (`match_work_is_not_repeated`, `all_paths_share_one_forward_sweep`):
+//! counts repeat exactly, timings do not.
 //!
 //! Outputs are compared canonically (see `common/mod.rs`, shared with
 //! the planner, snapshot and cancellation suites).
@@ -221,4 +222,39 @@ fn match_work_is_not_repeated() {
             profile.render(true)
         );
     }
+}
+
+/// An `ALL` pattern with an unbound destination sweeps forward once per
+/// source row, not once per destination. On a star — one source, a hub,
+/// `LEAVES` leaves, every edge labelled `a` — the forward sweep of
+/// `<:a :a>` pops the source, the hub and every leaf, and each leaf then
+/// adds a backward sweep of three states (leaf, hub, source): `4·LEAVES +
+/// 2` pops. Sweeping forward again for every destination is quadratic:
+/// `(LEAVES + 1)·(LEAVES + 2)`.
+#[test]
+fn all_paths_share_one_forward_sweep() {
+    const LEAVES: u64 = 50;
+    let mut engine = Engine::new();
+    let mut b = gcore_ppg::GraphBuilder::new(engine.catalog().ids().clone());
+    let src = b.node(gcore_ppg::Attributes::labeled("Src"));
+    let hub = b.node(gcore_ppg::Attributes::new());
+    b.edge(src, hub, gcore_ppg::Attributes::labeled("a"));
+    for _ in 0..LEAVES {
+        let leaf = b.node(gcore_ppg::Attributes::new());
+        b.edge(hub, leaf, gcore_ppg::Attributes::labeled("a"));
+    }
+    engine.register_graph("star", b.build());
+    engine.set_default_graph("star");
+
+    let (out, profile) = engine
+        .profile("SELECT m MATCH (n:Src)-/ALL p <:a :a>/->(m)")
+        .expect("statement runs");
+    assert_eq!(out.into_table().expect("a table").len() as u64, LEAVES);
+    let search = find_span(&profile.spans, "path-search").expect("a path-search span");
+    let pops = search.counters.iter().find(|(k, _)| k == "frontier_pops");
+    assert!(
+        pops.is_some_and(|&(_, v)| v <= 4 * LEAVES + 2),
+        "{}",
+        profile.render(true)
+    );
 }

@@ -75,7 +75,7 @@ fn golden_in_conjunct_pushdown() {
 }
 
 #[test]
-fn golden_shortest_path_strategy() {
+fn golden_shortest_path_step() {
     assert_golden(
         "explain_stored_paths.txt",
         &explained(corpus::STORED_PATHS.text),
