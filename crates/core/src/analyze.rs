@@ -688,9 +688,7 @@ impl Analyzer<'_> {
         }
         // WHERE conjuncts referencing several components link them too.
         if let Some(w) = &m.where_clause {
-            let mut conjuncts = Vec::new();
-            split_and(w, &mut conjuncts);
-            for c in conjuncts {
+            for c in w.conjuncts() {
                 let mut vars = BTreeSet::new();
                 expr_vars(c, &mut vars);
                 let touched: Vec<usize> = (0..var_sets.len())
@@ -1514,16 +1512,6 @@ fn pattern_var_spans(p: &Pattern, out: &mut BTreeMap<String, Span>) {
                 push(v);
             }
         }
-    }
-}
-
-/// Split a WHERE condition at top-level ANDs.
-fn split_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let Expr::Binary(BinaryOp::And, a, b) = e {
-        split_and(a, out);
-        split_and(b, out);
-    } else {
-        out.push(e);
     }
 }
 

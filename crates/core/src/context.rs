@@ -72,9 +72,10 @@ impl FreshPath {
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
     /// Cost-based MATCH planning: join ordering and IN pushdown —
-    /// evaluation order, never results. Off evaluates patterns in syntactic
-    /// order, the reference semantics the differential suites and the
-    /// planner on/off benchmark compare against. Defaults to on unless
+    /// evaluation order, never results. Off plans every clause in syntactic
+    /// order (what EXPLAIN then prints), the reference semantics the
+    /// differential suites and the planner on/off benchmark compare
+    /// against. Defaults to on unless
     /// the `GCORE_PLAN` environment variable is `off`/`0`/`false`.
     pub planner: bool,
     /// Per-statement wall-clock budget, armed on [`cancel`](Self::cancel)

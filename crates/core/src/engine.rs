@@ -72,9 +72,6 @@ pub struct Engine {
     /// The evaluation settings every derived executor starts from; its
     /// `metrics` are the pre-resolved handles into `registry`.
     options: EvalOptions,
-    /// LRU bound on each snapshot's SCC-condensation cache; `None`
-    /// (the default) keeps the cache unbounded.
-    scc_cache_capacity: Option<usize>,
     /// Monotone commit counter: bumped by every catalog write.
     epoch: u64,
     /// The snapshot of the current epoch, taken lazily and dropped by
@@ -108,7 +105,6 @@ impl Engine {
         Engine {
             catalog,
             options,
-            scc_cache_capacity: None,
             epoch: 0,
             snapshot: None,
             registry,
@@ -170,16 +166,6 @@ impl Engine {
         &self.registry
     }
 
-    /// Bound each snapshot's SCC-condensation cache to at most
-    /// `capacity` live (graph, NFA) condensations, evicting the
-    /// least-recently-used entry beyond that; `None` (the default)
-    /// keeps the cache unbounded, `Some(0)` disables caching. Counts
-    /// as a write: the next snapshot carries the new bound.
-    pub fn set_scc_cache_capacity(&mut self, capacity: Option<usize>) {
-        self.scc_cache_capacity = capacity;
-        self.commit();
-    }
-
     /// The underlying catalog (graphs, tables, id generator).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -236,11 +222,8 @@ impl Engine {
     /// index, so snapshot evaluation never hits the scan fallback.
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         if self.snapshot.is_none() {
-            self.snapshot = Some(Arc::new(EngineSnapshot::freeze_with_scc_capacity(
-                self.catalog.clone(),
-                self.epoch,
-                self.scc_cache_capacity,
-            )));
+            let frozen = EngineSnapshot::freeze(self.catalog.clone(), self.epoch);
+            self.snapshot = Some(Arc::new(frozen));
         }
         self.snapshot.as_ref().expect("just frozen").clone()
     }
@@ -578,26 +561,6 @@ mod tests {
             .max()
             .unwrap();
         assert!(reloaded.catalog().ids().peek() > stored_max);
-    }
-
-    #[test]
-    fn scc_cache_capacity_is_a_commit_and_reaches_the_snapshot() {
-        let mut engine = engine_with_people();
-        let e0 = engine.snapshot_epoch();
-        engine.set_scc_cache_capacity(Some(2));
-        assert!(engine.snapshot_epoch() > e0);
-        // The bound is observable through eviction behavior: three
-        // distinct automata at capacity 2 must evict once.
-        let exec = engine.executor();
-        for q in [
-            "CONSTRUCT (m) MATCH (n)-/<:knows*>/->(m) WHERE n.name = 'Ann'",
-            "CONSTRUCT (m) MATCH (n)-/<:knows>/->(m) WHERE n.name = 'Ann'",
-            "CONSTRUCT (m) MATCH (n)-/<:knows :knows>/->(m) WHERE n.name = 'Ann'",
-        ] {
-            exec.query_graph(q).unwrap();
-        }
-        let (_, _, evictions) = exec.snapshot().scc_cache_stats();
-        assert!(evictions >= 1, "third automaton must evict at capacity 2");
     }
 
     #[test]

@@ -21,9 +21,10 @@ use crate::cancel::CancelToken;
 use crate::context::{EvalCtx, EvalOptions};
 use crate::diag::Diagnostic;
 use crate::error::Result;
+use crate::plan::{explain_statement, plan_graph, PlanResolver};
 use crate::query::{Evaluator, QueryOutput};
 use crate::snapshot::EngineSnapshot;
-use gcore_parser::ast::Statement;
+use gcore_parser::ast::{Location, Statement};
 use gcore_parser::{parse_script, parse_statement};
 use gcore_ppg::{PathPropertyGraph, Table};
 use std::sync::Arc;
@@ -102,16 +103,17 @@ impl QueryExecutor {
         self.options.statement_deadline = budget;
     }
 
-    /// Render the planner's decisions for a statement without running
-    /// it: MATCH pattern order with cardinality estimates, pushed-down
-    /// IN conjuncts, residual WHERE size and path strategies. The
-    /// output is deterministic for a given statement and snapshot.
+    /// Render, without running it, the plan evaluation would interpret
+    /// for each MATCH clause of a statement — under this executor's own
+    /// [`EvalOptions::planner`] setting: pattern order, join variables,
+    /// where each WHERE conjunct runs (pushed, scan filter, residual)
+    /// and, cost-based, the cardinality estimates. The output is
+    /// deterministic for a given statement, snapshot and setting.
     pub fn explain(&self, text: &str) -> Result<String> {
         let stmt = parse_statement(text)?;
-        let catalog = self.snapshot.catalog();
-        Ok(crate::plan::explain_statement(&stmt, &|on| {
-            crate::plan::plan_graph(catalog, on)
-        }))
+        let resolve = |on: Option<&Location>| plan_graph(self.snapshot.catalog(), on);
+        let stats: Option<&PlanResolver<'_>> = self.options.planner.then_some(&resolve);
+        Ok(explain_statement(&stmt, stats))
     }
 
     /// The snapshot this executor evaluates against.

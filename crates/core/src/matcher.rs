@@ -10,8 +10,8 @@
 //! resulting binding table is deterministic.
 //!
 //! The matcher is also where *scan filters* run — the WHERE conjuncts
-//! [`place_conjuncts`](crate::plan::place_conjuncts) assigned to a node
-//! or edge variable are applied at every site that binds the variable,
+//! the plan gave this pattern ([`ScanFilter`]), each on one node or edge
+//! variable, are applied at every site that binds the variable,
 //! and nowhere else — and a pattern whose start variable an earlier
 //! pattern already bound is *seeded* from those identifiers instead of
 //! the label index.

@@ -424,12 +424,6 @@ impl Profiler {
         }
     }
 
-    /// Is this profiler collecting spans?
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Open a span under the innermost open span. `detail` is only
     /// rendered when the profiler is enabled, so call sites can format
     /// freely without a disabled-path cost.
@@ -705,7 +699,7 @@ fn render_span(span: &ProfileSpan, depth: usize, redact: bool, out: &mut String)
 
 /// Estimate formatting shared with the EXPLAIN rendering: round, clamp
 /// huge and non-finite values.
-fn format_estimate(x: f64) -> String {
+pub(crate) fn format_estimate(x: f64) -> String {
     if !x.is_finite() || x >= 1e15 {
         "1e15+".to_string()
     } else {
@@ -722,7 +716,6 @@ mod tests {
         let p = Profiler::disabled();
         let id = p.start("match", || unreachable!("detail must not be formatted"));
         p.finish_rows(id, 3);
-        assert!(!p.is_enabled());
         assert!(p.take().is_none());
     }
 

@@ -1,46 +1,48 @@
-//! Cost-based MATCH planning.
+//! MATCH planning: one borrowed program per clause.
 //!
-//! The planner sits between parsing and evaluation: it takes one
-//! [`MatchClause`] plus the per-graph statistics frozen into the
-//! snapshot ([`GraphStats`]) and produces a *rewritten* clause —
+//! [`plan_match`] describes how one [`MatchClause`] runs as a
+//! [`MatchPlan`]: the main block and every OPTIONAL block in source
+//! order, each a [`PlanBlock`] of [`PlanStep`]s (the patterns, in
+//! evaluation order) plus the residual WHERE conjuncts for the joined
+//! table. `Evaluator::eval_match` interprets exactly this object and
+//! [`explain_statement`] prints it, so EXPLAIN cannot describe a plan
+//! evaluation does not run. The plan *borrows* the clause; the only AST
+//! it copies is a pattern that receives a pushed entry.
 //!
-//! * **join ordering** — the comma-separated patterns of a MATCH are
-//!   natural-joined; the planner picks a greedy least-cardinality order
-//!   that prefers patterns sharing variables with the already-planned
-//!   prefix, so selective patterns shrink the binding table before
-//!   expensive ones touch it;
-//! * **IN-conjunct pushdown** — a top-level WHERE conjunct of the shape
-//!   `e IN b.key` (with `e` value-bound by some pattern and `b` a
-//!   structural node/edge variable) is rewritten into a property entry
-//!   `{key = e}` on `b`'s pattern, turning a post-join filter into a
-//!   match-time constraint;
-//! * **conjunct placement** — [`place_conjuncts`] puts every remaining
-//!   top-level conjunct in exactly one place: a *scan filter* the
-//!   matcher applies wherever its one node/edge variable is bound, or
-//!   the *residual* WHERE evaluated on the joined table. Stats-free, so
-//!   evaluation uses it with the planner on or off.
+//! A block is planned in one of two modes:
 //!
-//! Path steps are not planned: how a path pattern is searched follows
-//! from what it binds (see [`crate::paths`]), never from statistics.
+//! * **cost-based** (a [`PlanResolver`] is given: top-level clauses with
+//!   `EvalOptions::planner` on) — *join ordering*, a greedy
+//!   least-cardinality order over the [`GraphStats`] frozen into the
+//!   snapshot that prefers patterns sharing variables with the prefix;
+//!   *IN-conjunct pushdown*, a conjunct `e IN b.key` (`e` value-bound by
+//!   some pattern, `b` a node/edge variable) becoming a property entry
+//!   `{key = e}` on `b`'s pattern; and an estimate on every step;
+//! * **syntactic** (no resolver: planner off, correlated subqueries,
+//!   OPTIONAL blocks, PATH-view bodies) — source order, no pushdown, no
+//!   estimates.
 //!
-//! Every rewrite is **semantics-preserving by construction**, never by
-//! statistics: stats influence only the *order*, so a
-//! plan computed from arbitrary (even adversarial) statistics returns
-//! the same bindings as the unplanned evaluation. The differential
-//! suite in `tests/planner_equivalence.rs` pins this down.
+//! Either way each top-level WHERE conjunct is classified exactly once:
+//! pushed, *scan filter* (the matcher applies it wherever its one
+//! node/edge variable is bound, see [`ScanFilter`]) or *residual*. Path
+//! steps are not planned: how a path pattern is searched follows from
+//! what it binds (see [`crate::paths`]), never from statistics.
 //!
-//! The planned order is observable without running the query through
-//! [`Engine::explain`](crate::Engine::explain), which renders the
-//! [`MatchPlan`] of every MATCH clause in a statement.
+//! Every decision is **semantics-preserving by construction**:
+//! statistics influence only the *order*, so a plan computed from
+//! arbitrary (even adversarial) statistics returns the same bindings as
+//! the syntactic one — `tests/planner_equivalence.rs` pins this down.
 
+use crate::obs::format_estimate;
 use gcore_parser::ast::{
-    BinaryOp, Connection, Direction, Expr, FullGraphQuery, Func, LabelDisjunction, LocatedPattern,
-    Location, MatchClause, NodePattern, PathMode, Pattern, PropEntry, Query, QueryBody,
-    QuerySource, Statement,
+    BinaryOp, Connection, Direction, Expr, FullGraphQuery, Func, HeadClause, Ident,
+    LabelDisjunction, LocatedPattern, Location, MatchClause, NodePattern, PathMode, Pattern,
+    PropEntry, Query, QueryBody, QuerySource, Statement,
 };
-use gcore_parser::print_located;
+use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::hash::FxHashSet;
 use gcore_ppg::{GraphStats, Key, Label, PathPropertyGraph};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -48,14 +50,11 @@ use std::sync::Arc;
 ///
 /// Plan-time resolution must be side-effect free, so implementations
 /// return `None` for anything that would require evaluation (ON
-/// subqueries, tables viewed as graphs) — the planner then simply has
-/// no statistics for that pattern.
+/// subqueries, tables viewed as graphs) — such a pattern plans without
+/// statistics and inhibits reordering.
 pub type PlanResolver<'a> = dyn Fn(Option<&Location>) -> Option<Arc<PathPropertyGraph>> + 'a;
 
-/// The [`PlanResolver`] over a catalog: side-effect-free location
-/// resolution. Subqueries are never evaluated and tables never
-/// materialized as graphs — those locations plan without statistics
-/// (and inhibit reordering).
+/// The [`PlanResolver`] over a catalog.
 pub(crate) fn plan_graph(
     catalog: &gcore_ppg::Catalog,
     on: Option<&Location>,
@@ -71,155 +70,17 @@ pub(crate) fn plan_graph(
 /// constants are deterministic, so plans are stable for a given input.
 const DEFAULT_NODES: f64 = 1000.0;
 const DEFAULT_EDGE_FAN: f64 = 3.0;
+/// Reachability typically spans a large multiple of a single edge step;
+/// without better information a flat fan-out keeps plans stable.
 const DEFAULT_PATH_FAN: f64 = 8.0;
 const DEFAULT_LABEL_FRACTION: f64 = 0.1;
 const DEFAULT_PROP_SELECTIVITY: f64 = 0.1;
 
-/// One pattern's slot in the planned evaluation order.
-#[derive(Clone, Debug)]
-pub struct PlannedPattern {
-    /// Index of this pattern in the syntactic (source) order.
-    pub original_index: usize,
-    /// Estimated binding cardinality of the pattern evaluated alone.
-    pub estimate: f64,
-    /// Variables shared with the already-planned prefix (sorted); the
-    /// natural join runs over these columns.
-    pub join_vars: Vec<String>,
-}
-
-/// The planner's output for one MATCH clause: a rewritten clause plus
-/// everything needed to render a stable EXPLAIN.
-#[derive(Clone, Debug)]
-pub struct MatchPlan {
-    /// The clause to evaluate: patterns permuted into planned order,
-    /// pushed conjuncts injected as property entries and removed from
-    /// the WHERE. Optionals are never touched.
-    pub clause: MatchClause,
-    /// Planned order, aligned with `clause.patterns`.
-    pub order: Vec<PlannedPattern>,
-    /// Whether the planned order differs from the syntactic order.
-    pub reordered: bool,
-    /// Rendered `e IN b.key` conjuncts that were pushed into patterns.
-    pub pushed: Vec<String>,
-    /// Human-readable notes (why reordering was skipped, etc.).
-    pub notes: Vec<String>,
-}
-
-impl MatchPlan {
-    /// Position in the planned order of the pattern that was
-    /// syntactically last. After evaluating in planned order the
-    /// ambient graph must be re-pinned to this pattern's graph so WHERE
-    /// pattern predicates observe the same graph as the unplanned
-    /// evaluation.
-    pub fn syntactic_last_position(&self) -> Option<usize> {
-        let last = self.clause.patterns.len().checked_sub(1)?;
-        self.order.iter().position(|p| p.original_index == last)
-    }
-}
-
-/// Plan one MATCH clause. Pure: no evaluation, no catalog mutation —
-/// `resolve` is only asked for already-materialized graphs.
-pub fn plan_match(m: &MatchClause, resolve: &PlanResolver<'_>) -> MatchPlan {
-    let mut clause = m.clone();
-    let mut notes = Vec::new();
-
-    // --- IN-conjunct pushdown (unconditional: never gated on stats) ---
-    let mut pushed = Vec::new();
-    if let Some(w) = clause.where_clause.take() {
-        let mut conjuncts = Vec::new();
-        split_and(w, &mut conjuncts);
-        let mut residual = Vec::new();
-        for c in conjuncts {
-            if try_push_in(&c, &mut clause.patterns) {
-                pushed.push(gcore_parser::print_expr(&c));
-            } else {
-                residual.push(c);
-            }
-        }
-        clause.where_clause = rebuild_and(residual);
-    }
-
-    // --- join ordering ---
-    let n = clause.patterns.len();
-    let graphs: Vec<Option<Arc<PathPropertyGraph>>> = clause
-        .patterns
-        .iter()
-        .map(|lp| resolve(lp.on.as_ref()))
-        .collect();
-    let estimates: Vec<f64> = clause
-        .patterns
-        .iter()
-        .zip(&graphs)
-        .map(|(lp, g)| pattern_estimate(&lp.pattern, g.as_deref().and_then(|g| g.stats())))
-        .collect();
-
-    let order: Vec<usize> = if n > 1 && reorder_safe(&clause, &graphs, &mut notes) {
-        greedy_order(&clause, &estimates)
-    } else {
-        (0..n).collect()
-    };
-    let reordered = order.iter().enumerate().any(|(i, &o)| i != o);
-
-    // Permute the patterns into planned order and record join vars.
-    let mut slots: Vec<Option<gcore_parser::ast::LocatedPattern>> =
-        clause.patterns.drain(..).map(Some).collect();
-    let mut bound: FxHashSet<String> = FxHashSet::default();
-    let mut planned = Vec::with_capacity(n);
-    let mut order_info = Vec::with_capacity(n);
-    for &idx in &order {
-        let lp = slots[idx].take().expect("each pattern planned once");
-        let vars = pattern_vars(&lp.pattern);
-        let mut join_vars: Vec<String> = vars.intersection(&bound).cloned().collect();
-        join_vars.sort_unstable();
-        bound.extend(vars);
-        order_info.push(PlannedPattern {
-            original_index: idx,
-            estimate: estimates[idx],
-            join_vars,
-        });
-        planned.push(lp);
-    }
-    clause.patterns = planned;
-
-    MatchPlan {
-        clause,
-        order: order_info,
-        reordered,
-        pushed,
-        notes,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Conjunct placement
-// ---------------------------------------------------------------------
-
-/// A WHERE conjunct the matcher evaluates wherever it binds `var`.
-#[derive(Clone, Copy, Debug)]
-pub struct ScanFilter<'a> {
-    /// The one variable the conjunct reads: a node or edge variable.
-    pub var: &'a str,
-    /// The conjunct.
-    pub expr: &'a Expr,
-}
-
-/// Where each top-level conjunct of one WHERE is evaluated — every
-/// conjunct is in exactly one of the two lists.
-#[derive(Debug, Default)]
-pub struct Placement<'a> {
-    /// Applied by the matcher at every site that binds the variable, in
-    /// WHERE order.
-    pub scan: Vec<ScanFilter<'a>>,
-    /// Evaluated on the joined table, in WHERE order.
-    pub residual: Vec<&'a Expr>,
-}
-
-/// Place the top-level conjuncts of `where_clause` for a block of
-/// `patterns` (the main clause, or one OPTIONAL block with its own
-/// WHERE). A conjunct becomes a scan filter when
+/// A WHERE conjunct the matcher evaluates wherever it binds `var`. A
+/// conjunct of a block's WHERE is one when
 ///
-/// * it reads exactly one variable, and one of `patterns` binds that
-///   variable as a **node or edge** — path, cost and `{k = v}` value
+/// * it reads exactly one variable, and a pattern of the block binds
+///   that variable as a **node or edge** — path, cost and `{k = v}` value
 ///   variables are bound at sites the matcher does not filter;
 /// * it contains no subquery, pattern predicate or aggregate;
 /// * every attribute access (`x.k`, `x:L`, `labels(x)`, `nodes(x)`, …)
@@ -232,41 +93,160 @@ pub struct Placement<'a> {
 /// same graph at every binding site as it would on the joined table, so
 /// evaluating it only there removes exactly the rows the residual pass
 /// would have removed.
-pub fn place_conjuncts<'a>(
+#[derive(Clone, Copy, Debug)]
+pub struct ScanFilter<'a> {
+    /// The one variable the conjunct reads: a node or edge variable.
+    pub var: &'a str,
+    /// The conjunct.
+    pub expr: &'a Expr,
+}
+
+/// One pattern of a block, at its place in the evaluation order.
+#[derive(Clone, Debug)]
+pub struct PlanStep<'a> {
+    /// The pattern to match: the clause's own, or a copy carrying the
+    /// property entries pushed into it.
+    pub pattern: Cow<'a, Pattern>,
+    /// Its `ON` location (`None`: the default graph).
+    pub on: Option<&'a Location>,
+    /// Index of this pattern in the syntactic (source) order.
+    pub original_index: usize,
+    /// Estimated binding cardinality of the pattern evaluated alone
+    /// (cost-based mode only).
+    pub estimate: Option<f64>,
+    /// Variables shared with the earlier steps (sorted); the natural
+    /// join runs over these columns.
+    pub join_vars: Vec<String>,
+    /// The block's scan filters on variables this pattern binds, in
+    /// WHERE order.
+    pub scan_filters: Vec<ScanFilter<'a>>,
+}
+
+/// How one pattern block runs — a MATCH's main block, one OPTIONAL
+/// block with its own WHERE, or the body of a PATH view.
+#[derive(Clone, Debug, Default)]
+pub struct PlanBlock<'a> {
+    /// The patterns in evaluation order.
+    pub steps: Vec<PlanStep<'a>>,
+    /// The `e IN b.key` conjuncts that became property entries.
+    pub pushed: Vec<&'a Expr>,
+    /// Conjuncts evaluated on the joined table, in WHERE order.
+    pub residual: Vec<&'a Expr>,
+    /// Whether the evaluation order differs from the syntactic order.
+    pub reordered: bool,
+    /// Why a cost-based block kept the syntactic order, if it had to.
+    pub note: Option<&'static str>,
+}
+
+/// How one MATCH clause runs: what evaluation interprets and EXPLAIN
+/// prints.
+#[derive(Clone, Debug)]
+pub struct MatchPlan<'a> {
+    /// The comma-separated patterns and the WHERE.
+    pub main: PlanBlock<'a>,
+    /// The OPTIONAL blocks, in source order, each in syntactic order.
+    pub optionals: Vec<PlanBlock<'a>>,
+}
+
+/// A pattern with its location while a block is being planned.
+type Located<'a> = (Cow<'a, Pattern>, Option<&'a Location>);
+
+/// Plan one MATCH clause: cost-based when `stats` is given, in syntactic
+/// order otherwise. Pure: no evaluation, no catalog mutation — `stats`
+/// is only asked for already-materialized graphs.
+pub fn plan_match<'a>(m: &'a MatchClause, stats: Option<&PlanResolver<'_>>) -> MatchPlan<'a> {
+    fn located(ps: &[LocatedPattern]) -> impl Iterator<Item = (&Pattern, Option<&Location>)> {
+        ps.iter().map(|lp| (&lp.pattern, lp.on.as_ref()))
+    }
+    MatchPlan {
+        main: plan_block(located(&m.patterns), m.where_clause.as_ref(), stats),
+        optionals: (m.optionals.iter())
+            .map(|o| plan_block(located(&o.patterns), o.where_clause.as_ref(), None))
+            .collect(),
+    }
+}
+
+/// Plan one block of `patterns` filtered by `where_clause`, in the mode
+/// `stats` selects (see the module docs).
+pub fn plan_block<'a>(
+    patterns: impl Iterator<Item = (&'a Pattern, Option<&'a Location>)>,
     where_clause: Option<&'a Expr>,
-    patterns: &[LocatedPattern],
-) -> Placement<'a> {
-    fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::Binary(BinaryOp::And, a, b) => {
-                conjuncts(a, out);
-                conjuncts(b, out);
-            }
-            other => out.push(other),
+    stats: Option<&PlanResolver<'_>>,
+) -> PlanBlock<'a> {
+    let mut patterns: Vec<Located<'a>> = patterns.map(|(p, on)| (Cow::Borrowed(p), on)).collect();
+    let n = patterns.len();
+    let mut block = PlanBlock::default();
+
+    // --- every conjunct in exactly one place ---
+    let mut scan = Vec::new();
+    for c in where_clause.map(Expr::conjuncts).unwrap_or_default() {
+        // Pushdown is unconditional in cost-based mode: never gated on
+        // statistics.
+        if stats.is_some() && try_push_in(c, &mut patterns) {
+            block.pushed.push(c);
+        } else if let Some(var) = scan_var(c, &patterns) {
+            scan.push(ScanFilter { var, expr: c });
+        } else {
+            block.residual.push(c);
         }
     }
-    let mut placed = Placement::default();
-    let Some(w) = where_clause else {
-        return placed;
-    };
-    let mut all = Vec::new();
-    conjuncts(w, &mut all);
-    for c in all {
-        let mut var = None;
-        let scannable = reads_one_column(c, &mut var);
-        match var {
-            Some(v) if scannable && patterns.iter().any(|lp| binds_element(&lp.pattern, v)) => {
-                placed.scan.push(ScanFilter { var: v, expr: c });
+
+    // --- join ordering ---
+    let vars: Vec<FxHashSet<String>> = patterns.iter().map(|(p, _)| pattern_vars(p)).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut estimates = Vec::new();
+    if let Some(resolve) = stats {
+        let graphs: Vec<_> = patterns.iter().map(|(_, on)| resolve(*on)).collect();
+        estimates = (patterns.iter().zip(&graphs))
+            .map(|((p, _), g)| pattern_estimate(p, g.as_deref().and_then(|g| g.stats())))
+            .collect();
+        if n > 1 {
+            match reorder_safe(&patterns, &graphs) {
+                Ok(()) => order = greedy_order(&vars, &estimates),
+                Err(why) => block.note = Some(why),
             }
-            _ => placed.residual.push(c),
         }
     }
-    placed
+    block.reordered = order.iter().enumerate().any(|(i, &o)| i != o);
+
+    let mut bound: FxHashSet<&str> = FxHashSet::default();
+    let mut slots: Vec<Option<Located<'a>>> = patterns.into_iter().map(Some).collect();
+    for &idx in &order {
+        let shared = vars[idx].iter().filter(|v| bound.contains(v.as_str()));
+        let mut join_vars: Vec<String> = shared.cloned().collect();
+        join_vars.sort_unstable();
+        bound.extend(vars[idx].iter().map(String::as_str));
+        let (pattern, on) = slots[idx].take().expect("each pattern planned once");
+        let binds = |f: &&ScanFilter<'a>| binds_element(&pattern, f.var);
+        block.steps.push(PlanStep {
+            scan_filters: scan.iter().filter(binds).copied().collect(),
+            pattern,
+            on,
+            original_index: idx,
+            estimate: estimates.get(idx).copied(),
+            join_vars,
+        });
+    }
+    block
+}
+
+// ---------------------------------------------------------------------
+// Conjunct classification
+// ---------------------------------------------------------------------
+
+/// The variable at whose binding sites the matcher evaluates conjunct
+/// `c`, when `c` can be a [`ScanFilter`] of a block of `patterns`.
+fn scan_var<'a>(c: &'a Expr, patterns: &[Located<'_>]) -> Option<&'a str> {
+    let mut var = None;
+    if !reads_one_column(c, &mut var) {
+        return None;
+    }
+    var.filter(|v| patterns.iter().any(|(p, _)| binds_element(p, v)))
 }
 
 /// Walk a conjunct: `false` when it cannot be a scan filter whatever it
-/// reads (see [`place_conjuncts`]); otherwise `var` holds the single
-/// variable met so far (`None` for a constant expression).
+/// reads (see [`ScanFilter`]); otherwise `var` holds the single variable
+/// met so far (`None` for a constant expression).
 fn reads_one_column<'a>(e: &'a Expr, var: &mut Option<&'a str>) -> bool {
     let is_var = |x: &Expr| matches!(x, Expr::Var(_));
     match e {
@@ -305,8 +285,8 @@ fn reads_one_column<'a>(e: &'a Expr, var: &mut Option<&'a str>) -> bool {
 
 /// Does the pattern bind `var` as a node or an edge — the sites where
 /// the matcher applies `var`'s scan filters?
-pub(crate) fn binds_element(pattern: &Pattern, var: &str) -> bool {
-    let is = |v: &Option<gcore_parser::ast::Ident>| v.as_ref().is_some_and(|v| v.as_str() == var);
+fn binds_element(pattern: &Pattern, var: &str) -> bool {
+    let is = |v: &Option<Ident>| v.as_ref().is_some_and(|v| v.as_str() == var);
     pattern.nodes().any(|n| is(&n.var))
         || pattern.steps.iter().any(|s| match &s.connection {
             Connection::Edge(e) => is(&e.var),
@@ -314,47 +294,26 @@ pub(crate) fn binds_element(pattern: &Pattern, var: &str) -> bool {
         })
 }
 
-/// Split an expression into its top-level AND conjuncts (owned).
-fn split_and(e: Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Binary(gcore_parser::ast::BinaryOp::And, a, b) => {
-            split_and(*a, out);
-            split_and(*b, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// Re-join conjuncts left-associatively, mirroring the parser.
-fn rebuild_and(conjuncts: Vec<Expr>) -> Option<Expr> {
-    conjuncts
-        .into_iter()
-        .reduce(|acc, c| Expr::Binary(gcore_parser::ast::BinaryOp::And, Box::new(acc), Box::new(c)))
-}
-
-/// Try to rewrite one conjunct `e IN b.key` into a `{key = e}` property
+/// Try to turn one conjunct `e IN b.key` into a `{key = e}` property
 /// entry on `b`'s pattern. Sound iff:
 ///
 /// * `e` is a plain variable that is **value-bound** (appears as a
-///   plain-variable property entry on some main pattern) and is not a
-///   structural variable anywhere — so the column `e` exists with the
-///   same unrolled values in both the original and rewritten clause;
-/// * `b` is a structural **node or edge** variable of a main pattern
-///   (paths carry no matchable properties).
+///   plain-variable property entry on some pattern of the block) and is
+///   not a structural variable anywhere — so the column `e` exists with
+///   the same unrolled values with or without the entry;
+/// * `b` is a structural **node or edge** variable of a pattern of the
+///   block (paths carry no matchable properties).
 ///
 /// The injected entry evaluates in filter form when `e` is already
 /// bound in its pattern (exactly the IN membership test) and in binding
 /// form otherwise, where the natural join on column `e` restores the
 /// same membership semantics. Binding tables are sets, so the unroll
 /// introduces no multiplicity.
-fn try_push_in(c: &Expr, patterns: &mut [gcore_parser::ast::LocatedPattern]) -> bool {
-    let Expr::Binary(gcore_parser::ast::BinaryOp::In, lhs, rhs) = c else {
+fn try_push_in(c: &Expr, patterns: &mut [Located<'_>]) -> bool {
+    let Expr::Binary(BinaryOp::In, lhs, rhs) = c else {
         return false;
     };
-    let Expr::Var(e) = lhs.as_ref() else {
-        return false;
-    };
-    let Expr::Prop(base, key) = rhs.as_ref() else {
+    let (Expr::Var(e), Expr::Prop(base, key)) = (lhs.as_ref(), rhs.as_ref()) else {
         return false;
     };
     let Expr::Var(b) = base.as_ref() else {
@@ -362,45 +321,47 @@ fn try_push_in(c: &Expr, patterns: &mut [gcore_parser::ast::LocatedPattern]) -> 
     };
 
     let mut value_bound = false;
-    for lp in patterns.iter() {
-        if structural_vars(&lp.pattern).contains(e.as_str()) {
+    for (p, _) in patterns.iter() {
+        if structural_vars(p).contains(e.as_str()) {
             return false; // `e` names an element, not a value
         }
-        if prop_value_vars(&lp.pattern).contains(e.as_str()) {
-            value_bound = true;
-        }
+        value_bound |= prop_value_vars(p).contains(e.as_str());
     }
     if !value_bound {
         return false;
     }
-
-    for lp in patterns.iter_mut() {
-        let entry = PropEntry {
-            key: gcore_parser::ast::Ident::new(key.clone(), gcore_parser::token::Span::new(0, 0)),
-            value: Expr::Var(e.clone()),
-        };
-        let pat = &mut lp.pattern;
-        if pat.start.var.as_ref().is_some_and(|v| v.text == b.text) {
-            pat.start.props.push(entry);
+    let Some((pattern, _)) = patterns.iter_mut().find(|(p, _)| binds_element(p, b)) else {
+        return false;
+    };
+    // The first site binding `b` takes the entry; `to_mut` is the one
+    // copy of clause AST that planning makes.
+    let pattern = pattern.to_mut();
+    let is_b = |v: &Option<Ident>| v.as_ref().is_some_and(|v| v.text == b.text);
+    let entry = PropEntry {
+        key: Ident::new(key.clone(), gcore_parser::token::Span::new(0, 0)),
+        value: Expr::Var(e.clone()),
+    };
+    if is_b(&pattern.start.var) {
+        pattern.start.props.push(entry);
+        return true;
+    }
+    for step in &mut pattern.steps {
+        if is_b(&step.node.var) {
+            step.node.props.push(entry);
             return true;
         }
-        for step in &mut pat.steps {
-            if step.node.var.as_ref().is_some_and(|v| v.text == b.text) {
-                step.node.props.push(entry);
+        if let Connection::Edge(edge) = &mut step.connection {
+            if is_b(&edge.var) {
+                edge.props.push(entry);
                 return true;
-            }
-            if let Connection::Edge(edge) = &mut step.connection {
-                if edge.var.as_ref().is_some_and(|v| v.text == b.text) {
-                    edge.props.push(entry);
-                    return true;
-                }
             }
         }
     }
-    false
+    unreachable!("binds_element found `b` in this pattern")
 }
 
-/// Is it safe to evaluate this clause's patterns in a different order?
+/// Is it safe to evaluate this block's patterns in a different order
+/// (`Err`: the reason it is not)?
 ///
 /// Pattern evaluation is standalone-then-join, so most clauses commute;
 /// the exceptions all involve query-global state mutated per pattern:
@@ -416,32 +377,28 @@ fn try_push_in(c: &Expr, patterns: &mut [gcore_parser::ast::LocatedPattern]) -> 
 ///   tables viewed as graphs — the latter draw node identities in
 ///   evaluation order).
 fn reorder_safe(
-    clause: &MatchClause,
+    patterns: &[Located<'_>],
     graphs: &[Option<Arc<PathPropertyGraph>>],
-    notes: &mut Vec<String>,
-) -> bool {
-    for (lp, g) in clause.patterns.iter().zip(graphs) {
+) -> Result<(), &'static str> {
+    for ((pattern, _), g) in patterns.iter().zip(graphs) {
         if g.is_none() {
-            notes.push("order kept: a pattern's ON location is not a named graph".into());
-            return false;
+            return Err("order kept: a pattern's ON location is not a named graph");
         }
-        for step in &lp.pattern.steps {
+        for step in &pattern.steps {
             if let Connection::Path(pp) = &step.connection {
                 let pure_reach = pp.var.is_none()
                     && pp.cost_var.is_none()
                     && matches!(pp.mode, PathMode::Shortest(_));
                 if !pp.stored && !pure_reach {
-                    notes.push("order kept: a path pattern materializes fresh paths".into());
-                    return false;
+                    return Err("order kept: a path pattern materializes fresh paths");
                 }
             }
         }
-        if pattern_prop_exprs(&lp.pattern).any(contains_subquery) {
-            notes.push("order kept: a property entry contains a subquery".into());
-            return false;
+        if pattern_prop_exprs(pattern).any(contains_subquery) {
+            return Err("order kept: a property entry contains a subquery");
         }
     }
-    true
+    Ok(())
 }
 
 fn contains_subquery(e: &Expr) -> bool {
@@ -471,34 +428,19 @@ fn contains_subquery(e: &Expr) -> bool {
 /// chosen prefix (sharing at least one variable), falling back to the
 /// cheapest disconnected one (a cross product either way). Ties break
 /// on the syntactic index, so plans are deterministic.
-fn greedy_order(clause: &MatchClause, estimates: &[f64]) -> Vec<usize> {
-    let vars: Vec<FxHashSet<String>> = clause
-        .patterns
-        .iter()
-        .map(|lp| pattern_vars(&lp.pattern))
-        .collect();
-    let n = clause.patterns.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut bound: FxHashSet<String> = FxHashSet::default();
+fn greedy_order(vars: &[FxHashSet<String>], estimates: &[f64]) -> Vec<usize> {
+    let mut remaining: Vec<usize> = (0..vars.len()).collect();
+    let mut order = Vec::with_capacity(vars.len());
+    let mut bound: FxHashSet<&str> = FxHashSet::default();
     while !remaining.is_empty() {
-        let connected = |&i: &usize| !bound.is_disjoint(&vars[i]);
-        let candidates: Vec<usize> = if order.is_empty() {
-            remaining.clone()
-        } else {
-            let c: Vec<usize> = remaining.iter().copied().filter(|i| connected(i)).collect();
-            if c.is_empty() {
-                remaining.clone()
-            } else {
-                c
-            }
-        };
-        let pick = candidates
-            .into_iter()
+        let connected = |i: usize| vars[i].iter().any(|v| bound.contains(v.as_str()));
+        let any_connected = remaining.iter().any(|&i| connected(i));
+        let pick = (remaining.iter().copied())
+            .filter(|&i| !any_connected || connected(i))
             .min_by(|&a, &b| estimates[a].total_cmp(&estimates[b]).then(a.cmp(&b)))
             .expect("non-empty candidates");
         remaining.retain(|&i| i != pick);
-        bound.extend(vars[pick].iter().cloned());
+        bound.extend(vars[pick].iter().map(String::as_str));
         order.push(pick);
     }
     order
@@ -574,7 +516,7 @@ fn pattern_estimate(pattern: &Pattern, stats: Option<&GraphStats>) -> f64 {
     for step in &pattern.steps {
         let fan = match &step.connection {
             Connection::Edge(e) => edge_fan(e, stats),
-            Connection::Path(_) => path_fan(stats),
+            Connection::Path(_) => DEFAULT_PATH_FAN,
         };
         est *= fan * node_selectivity(&step.node, stats);
     }
@@ -692,13 +634,6 @@ fn edge_fan(e: &gcore_parser::ast::EdgePattern, stats: Option<&GraphStats>) -> f
     fan * prop_filter_selectivity(&e.props, stats, false)
 }
 
-/// Crude fan-out of a path step: reachability typically spans a large
-/// multiple of a single edge step; without better information, a flat
-/// constant keeps plans stable.
-fn path_fan(_stats: Option<&GraphStats>) -> f64 {
-    DEFAULT_PATH_FAN
-}
-
 /// The label of the first group when that group is a single label — the
 /// one an index (or a relation's statistics) can be asked for.
 pub(crate) fn first_label(groups: &[LabelDisjunction]) -> Option<String> {
@@ -712,17 +647,22 @@ pub(crate) fn first_label(groups: &[LabelDisjunction]) -> Option<String> {
 // EXPLAIN rendering
 // ---------------------------------------------------------------------
 
-/// Render the plan of every MATCH clause in a statement, in evaluation
-/// order. Subqueries (inside EXISTS, ON, or query heads) evaluate
-/// unplanned and are not shown. The output is deterministic for a given
-/// statement and catalog — golden tests pin it.
-pub fn explain_statement(stmt: &Statement, resolve: &PlanResolver<'_>) -> String {
+/// Render the [`MatchPlan`] of every MATCH clause a statement evaluates
+/// with a plan of its own, in evaluation order and in the mode `stats`
+/// selects (as in [`plan_match`]): head `GRAPH g AS (…)` queries and
+/// `ON (subquery)` locations indented under their clause, then the body.
+/// A pattern `ON` a head view plans without statistics here — the view
+/// exists only during evaluation. Correlated subqueries (EXISTS, pattern
+/// predicates) always run in syntactic order per outer row and are not
+/// shown. The output is deterministic for a given statement and catalog
+/// — golden tests pin it.
+pub fn explain_statement(stmt: &Statement, stats: Option<&PlanResolver<'_>>) -> String {
     let mut out = String::new();
     match stmt {
-        Statement::Query(q) => explain_query(q, resolve, &mut out),
+        Statement::Query(q) => explain_query(q, stats, &mut out),
         Statement::GraphView { name, query } => {
             let _ = writeln!(out, "GRAPH VIEW {name}:");
-            explain_query(query, resolve, &mut out);
+            explain_query(query, stats, &mut out);
         }
     }
     if out.is_empty() {
@@ -731,113 +671,112 @@ pub fn explain_statement(stmt: &Statement, resolve: &PlanResolver<'_>) -> String
     out
 }
 
-fn explain_query(q: &Query, resolve: &PlanResolver<'_>, out: &mut String) {
+fn explain_query(q: &Query, stats: Option<&PlanResolver<'_>>, out: &mut String) {
+    for head in &q.heads {
+        if let HeadClause::Graph(gc) = head {
+            let _ = writeln!(out, "GRAPH {}:", gc.name);
+            explain_nested(&gc.query, "  ", stats, out);
+        }
+    }
     match &q.body {
-        QueryBody::Graph(g) => explain_full_graph(g, resolve, out),
-        QueryBody::Select(s) => render_match(&s.match_clause, resolve, out),
+        QueryBody::Graph(g) => explain_full_graph(g, stats, out),
+        QueryBody::Select(s) => render_match(&s.match_clause, stats, out),
     }
 }
 
-fn explain_full_graph(q: &FullGraphQuery, resolve: &PlanResolver<'_>, out: &mut String) {
+/// [`explain_query`] with every line behind `indent`.
+fn explain_nested(q: &Query, indent: &str, stats: Option<&PlanResolver<'_>>, out: &mut String) {
+    let mut nested = String::new();
+    explain_query(q, stats, &mut nested);
+    for line in nested.lines() {
+        let _ = writeln!(out, "{indent}{line}");
+    }
+}
+
+fn explain_full_graph(q: &FullGraphQuery, stats: Option<&PlanResolver<'_>>, out: &mut String) {
     match q {
         FullGraphQuery::Basic(b) => {
             if let QuerySource::Match(m) = &b.source {
-                render_match(m, resolve, out);
+                render_match(m, stats, out);
             }
         }
         FullGraphQuery::SetOp { left, right, .. } => {
-            explain_full_graph(left, resolve, out);
-            explain_full_graph(right, resolve, out);
+            explain_full_graph(left, stats, out);
+            explain_full_graph(right, stats, out);
         }
     }
 }
 
-fn render_match(m: &MatchClause, resolve: &PlanResolver<'_>, out: &mut String) {
+fn plural(n: usize) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
+}
+
+fn render_match(m: &MatchClause, stats: Option<&PlanResolver<'_>>, out: &mut String) {
     if m.patterns.is_empty() && m.where_clause.is_none() && m.optionals.is_empty() {
         return;
     }
-    let plan = plan_match(m, resolve);
-    let order_desc = if plan.reordered {
-        let idxs: Vec<String> = plan
-            .order
-            .iter()
-            .map(|p| p.original_index.to_string())
-            .collect();
+    let plan = plan_match(m, stats);
+    let steps = &plan.main.steps;
+    let order = if plan.main.reordered {
+        let idxs: Vec<String> = steps.iter().map(|s| s.original_index.to_string()).collect();
         format!("reordered: {}", idxs.join(", "))
     } else {
         "syntactic order".to_string()
     };
-    let _ = writeln!(
-        out,
-        "MATCH: {} pattern{} ({order_desc})",
-        plan.order.len(),
-        if plan.order.len() == 1 { "" } else { "s" },
-    );
-    let placed = place_conjuncts(plan.clause.where_clause.as_ref(), &plan.clause.patterns);
-    for (i, (slot, lp)) in plan.order.iter().zip(&plan.clause.patterns).enumerate() {
-        let join = if slot.join_vars.is_empty() {
-            String::new()
-        } else {
-            format!("  join on {{{}}}", slot.join_vars.join(", "))
-        };
-        let _ = writeln!(
-            out,
-            "  {}. {}  ~{} rows{join}",
-            i + 1,
-            print_located(lp),
-            format_estimate(slot.estimate),
-        );
-        render_scan_filters(&placed, &lp.pattern, out);
+    let n = steps.len();
+    let _ = writeln!(out, "MATCH: {n} pattern{} ({order})", plural(n));
+    render_block(&plan.main, true, stats, out);
+    for opt in &plan.optionals {
+        let n = opt.steps.len();
+        let _ = writeln!(out, "  OPTIONAL: {n} pattern{} (unplanned)", plural(n));
+        render_block(opt, false, stats, out);
     }
-    for p in &plan.pushed {
-        let _ = writeln!(out, "  pushed into pattern: {p}");
-    }
-    render_residual(&placed, "  ", out);
-    for note in &plan.notes {
-        let _ = writeln!(out, "  note: {note}");
-    }
-    for opt in &m.optionals {
-        let _ = writeln!(
-            out,
-            "  OPTIONAL: {} pattern{} (unplanned)",
-            opt.patterns.len(),
-            if opt.patterns.len() == 1 { "" } else { "s" },
-        );
-        let placed = place_conjuncts(opt.where_clause.as_ref(), &opt.patterns);
-        for lp in &opt.patterns {
-            render_scan_filters(&placed, &lp.pattern, out);
+}
+
+/// The lines of one block: per step its numbered pattern line (main
+/// block only — an OPTIONAL block always runs in source order), the scan
+/// filters it applies and the plan of its `ON (subquery)`; then what was
+/// pushed, the residual count and the reorder note.
+fn render_block(
+    block: &PlanBlock<'_>,
+    main: bool,
+    stats: Option<&PlanResolver<'_>>,
+    out: &mut String,
+) {
+    for (i, step) in block.steps.iter().enumerate() {
+        if main {
+            let text = print_pattern_on(&step.pattern, step.on);
+            let _ = write!(out, "  {}. {text}", i + 1);
+            if let Some(est) = step.estimate {
+                let _ = write!(out, "  ~{} rows", format_estimate(est));
+            }
+            if !step.join_vars.is_empty() {
+                let _ = write!(out, "  join on {{{}}}", step.join_vars.join(", "));
+            }
+            out.push('\n');
         }
-        render_residual(&placed, "     ", out);
+        for f in &step.scan_filters {
+            let _ = writeln!(out, "     scan filter {}: {}", f.var, print_expr(f.expr));
+        }
+        if let Some(Location::Subquery(q)) = step.on {
+            let _ = writeln!(out, "     ON subquery:");
+            explain_nested(q, "       ", stats, out);
+        }
     }
-}
-
-/// One `scan filter <var>: <expr>` line per conjunct `pattern` applies
-/// while binding its variables.
-fn render_scan_filters(placed: &Placement<'_>, pattern: &Pattern, out: &mut String) {
-    for f in placed.scan.iter().filter(|f| binds_element(pattern, f.var)) {
-        let _ = writeln!(
-            out,
-            "     scan filter {}: {}",
-            f.var,
-            gcore_parser::print_expr(f.expr)
-        );
+    for p in &block.pushed {
+        let _ = writeln!(out, "  pushed into pattern: {}", print_expr(p));
     }
-}
-
-fn render_residual(placed: &Placement<'_>, indent: &str, out: &mut String) {
-    let n = placed.residual.len();
+    let n = block.residual.len();
     if n > 0 {
-        let s = if n == 1 { "" } else { "s" };
-        let _ = writeln!(out, "{indent}residual WHERE: {n} conjunct{s}");
+        let indent = if main { "  " } else { "     " };
+        let _ = writeln!(out, "{indent}residual WHERE: {n} conjunct{}", plural(n));
     }
-}
-
-/// Round an estimate for display; huge or non-finite estimates clamp.
-fn format_estimate(x: f64) -> String {
-    if !x.is_finite() || x >= 1e15 {
-        "1e15+".to_string()
-    } else {
-        format!("{}", x.round() as u64)
+    if let Some(note) = block.note {
+        let _ = writeln!(out, "  note: {note}");
     }
 }
 
@@ -886,11 +825,11 @@ mod tests {
     fn selective_pattern_is_planned_first() {
         let g = people_graph();
         let m = clause_of("CONSTRUCT (c) MATCH (n:Person), (c:City)");
-        let plan = plan_match(&m, &resolver(g));
+        let plan = plan_match(&m, Some(&resolver(g))).main;
         // City (1 node) beats Person (20 nodes).
         assert!(plan.reordered);
-        assert_eq!(plan.order[0].original_index, 1);
-        assert_eq!(plan.order[1].original_index, 0);
+        assert_eq!(plan.steps[0].original_index, 1);
+        assert_eq!(plan.steps[1].original_index, 0);
     }
 
     #[test]
@@ -899,18 +838,18 @@ mod tests {
         let m = clause_of(
             "CONSTRUCT (c) MATCH (n:Person {employer = e}), (c:City), (m:Person {employer = e})",
         );
-        let plan = plan_match(&m, &resolver(g));
+        let plan = plan_match(&m, Some(&resolver(g))).main;
         // The seed is the cheapest pattern (City); after that both
         // Person patterns join each other on `e` but not City, so the
         // planner still prefers a connected expansion once one Person
         // pattern enters the prefix.
         let pos = |orig: usize| {
-            plan.order
+            plan.steps
                 .iter()
                 .position(|p| p.original_index == orig)
                 .unwrap()
         };
-        assert_eq!(plan.order[0].original_index, 1);
+        assert_eq!(plan.steps[0].original_index, 1);
         // The two Person patterns must be adjacent (joined on `e`).
         assert_eq!((pos(0) as i64 - pos(2) as i64).abs(), 1);
     }
@@ -922,27 +861,30 @@ mod tests {
             "CONSTRUCT (b) MATCH (a:Person {employer = e}), (b:Person) \
              WHERE e IN b.employer AND a.personId < 3",
         );
-        let plan = plan_match(&m, &resolver(g));
+        let plan = plan_match(&m, Some(&resolver(g))).main;
         assert_eq!(plan.pushed.len(), 1);
-        // What is left, `a.personId < 3`, is a scan filter on `a`.
-        let placed = place_conjuncts(plan.clause.where_clause.as_ref(), &plan.clause.patterns);
-        assert_eq!(placed.scan.len(), 1);
-        assert_eq!(placed.scan[0].var, "a");
-        assert!(placed.residual.is_empty());
-        // The entry landed on b's pattern.
-        let b_pat = plan
-            .clause
-            .patterns
-            .iter()
-            .find(|lp| lp.pattern.start.var.as_ref().is_some_and(|v| v.text == "b"))
-            .unwrap();
-        assert!(b_pat
-            .pattern
-            .start
-            .props
-            .iter()
-            .any(|p| p.key.as_str() == "employer"
-                && matches!(&p.value, Expr::Var(v) if v.text == "e")));
+        assert!(plan.residual.is_empty());
+        for step in &plan.steps {
+            let start = &step.pattern.start;
+            if start.var.as_ref().is_some_and(|v| v.text == "b") {
+                // The entry landed on a copy of b's pattern.
+                assert!(matches!(step.pattern, Cow::Owned(_)));
+                assert!(start.props.iter().any(|p| p.key.as_str() == "employer"
+                    && matches!(&p.value, Expr::Var(v) if v.text == "e")));
+                assert_eq!(step.join_vars, ["e"]);
+            } else {
+                // What is left, `a.personId < 3`, is a scan filter on `a`,
+                // whose pattern the plan only borrows.
+                assert!(matches!(step.pattern, Cow::Borrowed(_)));
+                assert_eq!(step.scan_filters.len(), 1);
+                assert_eq!(step.scan_filters[0].var, "a");
+            }
+        }
+        // Syntactic mode: no pushdown, the conjunct is residual.
+        let off = plan_match(&m, None).main;
+        assert!(off.pushed.is_empty() && !off.reordered);
+        assert_eq!(off.residual.len(), 1);
+        assert!(off.steps.iter().all(|s| s.estimate.is_none()));
     }
 
     #[test]
@@ -950,15 +892,14 @@ mod tests {
         let g = people_graph();
         // `n` is structural: `n IN b.member` must stay in WHERE.
         let m = clause_of("CONSTRUCT (b) MATCH (n:Person), (b:Team) WHERE n IN b.member");
-        let plan = plan_match(&m, &resolver(g));
+        let plan = plan_match(&m, Some(&resolver(g))).main;
         assert!(plan.pushed.is_empty());
-        let placed = place_conjuncts(plan.clause.where_clause.as_ref(), &plan.clause.patterns);
-        assert_eq!(placed.residual.len(), 1, "two variables: residual");
-        assert!(placed.scan.is_empty());
+        assert_eq!(plan.residual.len(), 1, "two variables: residual");
+        assert!(plan.steps.iter().all(|s| s.scan_filters.is_empty()));
     }
 
     /// Every conjunct lands in exactly one list, by the rule in
-    /// [`place_conjuncts`]'s docs.
+    /// [`ScanFilter`]'s docs.
     #[test]
     fn conjuncts_are_placed_once() {
         let m = clause_of(
@@ -967,11 +908,11 @@ mod tests {
                AND p.hops = 2 AND v = 'Acme' AND n.personId < m.personId \
                AND nodes(p)[1].personId = 4 AND (n)-[:knows]->(k) AND 1 = 1 AND x.age > 3",
         );
-        let placed = place_conjuncts(m.where_clause.as_ref(), &m.patterns);
-        let scan: Vec<(&str, String)> = placed
-            .scan
+        let plan = plan_match(&m, None).main;
+        let scan: Vec<(&str, String)> = plan.steps[0]
+            .scan_filters
             .iter()
-            .map(|f| (f.var, gcore_parser::print_expr(f.expr)))
+            .map(|f| (f.var, print_expr(f.expr)))
             .collect();
         assert_eq!(
             scan,
@@ -985,9 +926,9 @@ mod tests {
         // Path variable, value variable, two variables, a non-variable
         // base, a pattern predicate, a constant, a variable no pattern
         // binds.
-        assert_eq!(placed.residual.len(), 7);
+        assert_eq!(plan.residual.len(), 7);
         assert_eq!(
-            placed.scan.len() + placed.residual.len(),
+            scan.len() + plan.residual.len(),
             11,
             "each conjunct placed exactly once"
         );
@@ -998,20 +939,20 @@ mod tests {
         let g = people_graph();
         let m =
             clause_of("CONSTRUCT (c) MATCH (n:Person), (c:City) ON (CONSTRUCT (x) MATCH (x:City))");
-        let plan = plan_match(&m, &resolver(g));
+        let plan = plan_match(&m, Some(&resolver(g))).main;
         assert!(!plan.reordered);
-        assert!(!plan.notes.is_empty());
+        assert!(plan.note.is_some());
     }
 
     #[test]
     fn fresh_path_patterns_disable_reordering() {
         let g = people_graph();
         let m = clause_of("CONSTRUCT (c) MATCH (n:Person)-/p<:knows*>/->(m), (c:City)");
-        let plan = plan_match(&m, &resolver(g.clone()));
+        let plan = plan_match(&m, Some(&resolver(g.clone()))).main;
         assert!(!plan.reordered);
         // A pure reachability check reorders fine.
         let m2 = clause_of("CONSTRUCT (c) MATCH (n:Person)-/<:knows*>/->(m), (c:City)");
-        let plan2 = plan_match(&m2, &resolver(g));
+        let plan2 = plan_match(&m2, Some(&resolver(g))).main;
         assert!(plan2.reordered);
     }
 
@@ -1023,8 +964,8 @@ mod tests {
         )
         .unwrap();
         let r = resolver(g);
-        let a = explain_statement(&stmt, &r);
-        let b = explain_statement(&stmt, &r);
+        let a = explain_statement(&stmt, Some(&r));
+        let b = explain_statement(&stmt, Some(&r));
         assert_eq!(a, b);
         assert!(a.contains("reordered: 1, 0"), "got:\n{a}");
         assert!(a.contains("scan filter n: (n.personId < 3)"), "got:\n{a}");

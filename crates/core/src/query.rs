@@ -7,14 +7,16 @@ use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError, SemanticError};
 use crate::expr::{eval_expr, Env, SubqueryEval};
 use crate::matcher::PatternMatcher;
+use crate::obs::{CoreMetrics, Profiler, SpanId};
 use crate::paths::{Segment, ViewMap, ViewSegments};
-use crate::plan::{binds_element, place_conjuncts, ScanFilter};
+use crate::plan::{plan_block, plan_graph, plan_match, PlanBlock, PlanResolver};
 use crate::regex::Nfa;
 use crate::select::eval_select;
 use gcore_parser::ast::{
     FullGraphQuery, GraphSetOp, HeadClause, Location, MatchClause, PathClause, Pattern, Query,
     QueryBody, QuerySource, Statement,
 };
+use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::{ops, NodeId, PathPropertyGraph, PathShape, Table, Value};
 use std::sync::Arc;
 
@@ -223,89 +225,128 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// Evaluate a MATCH clause: join located patterns, filter by WHERE,
-    /// then left-outer-join the OPTIONAL blocks in order (§A.2).
+    /// Evaluate a MATCH clause (§A.2) by interpreting its
+    /// [`MatchPlan`](crate::plan::MatchPlan) — the object EXPLAIN prints:
+    /// the main block, then each OPTIONAL block left-outer-joined in
+    /// source order, every block through `eval_block`.
     ///
-    /// Each piece of that work happens once. A WHERE conjunct is either a
-    /// scan filter the matcher applies while binding its variable or part
-    /// of the residual evaluated on the joined table, never both
-    /// ([`place_conjuncts`]); and a pattern whose start variable the
-    /// accumulated table already binds is seeded from those nodes rather
-    /// than matched in isolation (`start_seed`).
+    /// A top-level clause is planned in the mode `EvalOptions::planner`
+    /// selects. A correlated (subquery) clause always runs in syntactic
+    /// order: its semantics depend on outer bindings the planner does not
+    /// model.
     pub fn eval_match(&self, m: &MatchClause, outer: Option<&Env<'_>>) -> Result<BindingTable> {
         let prof = &self.ctx.profiler;
-        let cancel = &self.ctx.options.cancel;
         let match_span = prof.start("match", || format!("{} pattern(s)", m.patterns.len()));
-        // Plan top-level MATCH clauses: greedy join ordering and
-        // IN-conjunct pushdown. Correlated (subquery) matches run
-        // unplanned — their semantics depend on outer bindings the
-        // planner does not model.
-        let planned = self.ctx.options.planner && outer.is_none();
-        let plan_span = if planned {
-            prof.start("plan", String::new)
-        } else {
-            crate::obs::SpanId::NONE
-        };
-        let plan = planned.then(|| {
-            crate::plan::plan_match(m, &|on| {
-                crate::plan::plan_graph(&self.ctx.catalog.borrow(), on)
-            })
-        });
-        let m = plan.as_ref().map_or(m, |p| &p.clause);
-        let placed = place_conjuncts(m.where_clause.as_ref(), &m.patterns);
-        if let Some(p) = &plan {
-            let metrics = &self.ctx.options.metrics;
-            if p.reordered {
-                crate::obs::CoreMetrics::add(&metrics.planner_reorders, 1);
-            }
-            crate::obs::CoreMetrics::add(&metrics.planner_pushdowns, p.pushed.len() as u64);
-            prof.annotate(plan_span, || {
-                format!(
-                    "reordered={} pushed={} residual_conjuncts={}",
-                    p.reordered,
-                    p.pushed.len(),
-                    placed.residual.len()
-                )
-            });
-            prof.finish(plan_span);
+        let resolve = |on: Option<&Location>| plan_graph(&self.ctx.catalog.borrow(), on);
+        let (plan_span, stats): (_, Option<&PlanResolver<'_>>) =
+            if self.ctx.options.planner && outer.is_none() {
+                (prof.start("plan", String::new), Some(&resolve))
+            } else {
+                (SpanId::NONE, None)
+            };
+        let plan = plan_match(m, stats);
+        let main = &plan.main;
+        let metrics = &self.ctx.options.metrics;
+        if main.reordered {
+            CoreMetrics::add(&metrics.planner_reorders, 1);
         }
-        // `None` until the first pattern: its table *is* the accumulated
-        // table (a clause without patterns yields the unit table).
-        let mut acc: Option<BindingTable> = None;
-        for (pos, lp) in m.patterns.iter().enumerate() {
+        if !main.pushed.is_empty() {
+            CoreMetrics::add(&metrics.planner_pushdowns, main.pushed.len() as u64);
+        }
+        prof.annotate(plan_span, || {
+            format!(
+                "reordered={} pushed={} residual_conjuncts={}",
+                main.reordered,
+                main.pushed.len(),
+                main.residual.len()
+            )
+        });
+        prof.finish(plan_span);
+
+        let mut table = self.eval_block(main, None, None, None, None, outer)?;
+        for opt in &plan.optionals {
+            let span = prof.start("optional", || format!("{} pattern(s)", opt.steps.len()));
+            let block = self.eval_block(opt, None, None, Some(&table), Some(span), outer)?;
+            table = table.left_outer_join_with(&block, &self.ctx.options.cancel)?;
+            prof.finish_rows(span, table.len() as u64);
+        }
+        // Correlated subqueries: Jγ K_{Ω,G} = Jγ K_G ⋉ Ω (§A.2).
+        if let Some(o) = outer {
+            table = table.semijoin(&env_to_table(o));
+        }
+        prof.finish_rows(match_span, table.len() as u64);
+        Ok(table)
+    }
+
+    /// Evaluate one planned pattern block — the main block of a MATCH, an
+    /// OPTIONAL block, or the extra patterns and WHERE of a PATH view:
+    /// match each step on its graph, join it to what the block has so
+    /// far, then keep the rows the residual conjuncts accept.
+    ///
+    /// * `graph`: what every step is matched on (a PATH view's graph);
+    ///   `None` resolves each step's own `ON` location.
+    /// * `acc`: the table the block starts from (a PATH view's first
+    ///   pattern), if not from its first step's.
+    /// * `joins_to`: the table the caller joins the result to (OPTIONAL:
+    ///   the main table). A step whose start variable `acc` or else
+    ///   `joins_to` binds is seeded from those nodes, not matched alone.
+    /// * `report`: `None` opens `pattern` / `join` / `where` spans;
+    ///   `Some(span)` notes seeds and `pattern_rows` on that span instead.
+    fn eval_block(
+        &self,
+        block: &PlanBlock<'_>,
+        graph: Option<&Arc<PathPropertyGraph>>,
+        mut acc: Option<BindingTable>,
+        joins_to: Option<&BindingTable>,
+        report: Option<SpanId>,
+        outer: Option<&Env<'_>>,
+    ) -> Result<BindingTable> {
+        let prof = &self.ctx.profiler;
+        let muted = Profiler::disabled();
+        let spans = if report.is_some() { &muted } else { prof };
+        let mut pattern_rows = 0;
+        let mut where_graph = None;
+        for (pos, step) in block.steps.iter().enumerate() {
             // One poll per pattern: each iteration runs a full pattern
-            // match plus a join, so a fired token stops the clause
+            // match plus a join, so a fired token stops the block
             // before the next (possibly explosive) product.
             self.ctx.check_cancelled()?;
-            let graph = self.resolve_location(&lp.on)?;
+            let graph = match graph {
+                Some(g) => g.clone(),
+                None => self.resolve_location(step.on)?,
+            };
             self.ctx.set_ambient(graph.clone());
-            let span = prof.start("pattern", || {
-                format!("{}. {}", pos + 1, gcore_parser::print_located(lp))
+            if step.original_index + 1 == block.steps.len() {
+                where_graph = Some(graph.clone());
+            }
+            let span = spans.start("pattern", || {
+                format!("{}. {}", pos + 1, print_pattern_on(&step.pattern, step.on))
             });
-            let seed = start_seed(&lp.pattern, &[acc.as_ref()]);
-            match (&seed, &plan) {
+            let seed = start_seed(&step.pattern, &[acc.as_ref(), joins_to]);
+            match (&seed, step.estimate) {
                 // The planner's estimate is for the pattern matched in
                 // isolation, which a seeded pattern is not.
-                (Some(ids), _) => prof.annotate(span, || seeded_note(&lp.pattern, ids)),
-                (None, Some(p)) => prof.set_estimate(span, p.order[pos].estimate),
+                (Some(ids), _) => prof.annotate(report.unwrap_or(span), || {
+                    let var = step.pattern.start.var.as_ref().map_or("", |v| v.as_str());
+                    format!("[seeded {var}: {} ids]", ids.len())
+                }),
+                (None, Some(estimate)) => spans.set_estimate(span, estimate),
                 (None, None) => {}
             }
-            let matcher = PatternMatcher::new(self, graph).with_scan_filters(&placed.scan);
-            let t = matcher.eval_pattern(&lp.pattern, outer, seed.as_deref())?;
-            if prof.is_enabled() {
-                // `rows` is what is left after the conjuncts this pattern
-                // applied; no `where` span will account for them.
-                let applies = |f: &&ScanFilter<'_>| binds_element(&lp.pattern, f.var);
-                let applied = placed.scan.iter().filter(applies).count();
-                if applied > 0 {
-                    prof.add_counter(span, "scan_filters", applied as u64);
-                }
+            let matcher = PatternMatcher::new(self, graph).with_scan_filters(&step.scan_filters);
+            let t = matcher.eval_pattern(&step.pattern, outer, seed.as_deref())?;
+            pattern_rows += t.len() as u64;
+            // `rows` is what is left after the conjuncts this pattern
+            // applied; no `where` span will account for them.
+            if !step.scan_filters.is_empty() {
+                spans.add_counter(span, "scan_filters", step.scan_filters.len() as u64);
             }
-            prof.finish_rows(span, t.len() as u64);
+            spans.finish_rows(span, t.len() as u64);
+            // The first table *is* the accumulated table: no `unit ⋈ t`.
             acc = Some(match acc {
                 None => t,
                 Some(table) => {
-                    let span = prof.start("join", || {
+                    let span = spans.start("join", || {
                         let shared: Vec<&str> = t
                             .columns()
                             .iter()
@@ -318,79 +359,35 @@ impl<'e> Evaluator<'e> {
                             format!("on {}", shared.join(", "))
                         }
                     });
-                    let joined = table.join_with(&t, cancel)?;
-                    prof.finish_rows(span, joined.len() as u64);
+                    let joined = table.join_with(&t, &self.ctx.options.cancel)?;
+                    spans.finish_rows(span, joined.len() as u64);
                     joined
                 }
             });
         }
-        let mut table = acc.unwrap_or_else(BindingTable::unit);
-        // Re-pin the ambient graph to the syntactically last pattern's:
-        // WHERE pattern predicates must observe the same graph as the
-        // unplanned evaluation.
-        if let Some(p) = &plan {
-            if p.reordered {
-                if let Some(pos) = p.syntactic_last_position() {
-                    let graph = self.resolve_location(&p.clause.patterns[pos].on)?;
-                    self.ctx.set_ambient(graph);
-                }
-            }
+        if let Some(span) = report {
+            prof.add_counter(span, "pattern_rows", pattern_rows);
         }
-        if !placed.residual.is_empty() {
-            let input = table.len() as u64;
-            let span = prof.start("where", || {
-                let conjuncts: Vec<String> = placed
-                    .residual
-                    .iter()
-                    .map(|c| gcore_parser::print_expr(c))
-                    .collect();
+        let mut table = acc.unwrap_or_else(BindingTable::unit);
+        // WHERE pattern predicates read the graph of the syntactically
+        // last pattern, whatever order the steps ran in.
+        if let Some(graph) = where_graph {
+            self.ctx.set_ambient(graph);
+        }
+        if !block.residual.is_empty() {
+            let span = spans.start("where", || {
+                let conjuncts: Vec<String> = block.residual.iter().map(|c| print_expr(c)).collect();
                 conjuncts.join(" AND ")
             });
-            prof.add_counter(span, "input_rows", input);
-            table = self.filter_table(table, &placed.residual, outer)?;
-            prof.finish_rows(span, table.len() as u64);
+            spans.add_counter(span, "input_rows", table.len() as u64);
+            table = self.filter_table(table, &block.residual, outer)?;
+            spans.finish_rows(span, table.len() as u64);
         }
-        for opt in &m.optionals {
-            let span = prof.start("optional", || format!("{} pattern(s)", opt.patterns.len()));
-            let placed = place_conjuncts(opt.where_clause.as_ref(), &opt.patterns);
-            let mut block: Option<BindingTable> = None;
-            let mut pattern_rows = 0u64;
-            for lp in &opt.patterns {
-                self.ctx.check_cancelled()?;
-                let graph = self.resolve_location(&lp.on)?;
-                self.ctx.set_ambient(graph.clone());
-                // The block's own table decides when it binds the start
-                // variable; otherwise the table it will be joined to.
-                let seed = start_seed(&lp.pattern, &[block.as_ref(), Some(&table)]);
-                if let Some(ids) = &seed {
-                    prof.annotate(span, || seeded_note(&lp.pattern, ids));
-                }
-                let matcher = PatternMatcher::new(self, graph).with_scan_filters(&placed.scan);
-                let t = matcher.eval_pattern(&lp.pattern, outer, seed.as_deref())?;
-                pattern_rows += t.len() as u64;
-                block = Some(match block {
-                    None => t,
-                    Some(b) => b.join_with(&t, cancel)?,
-                });
-            }
-            prof.add_counter(span, "pattern_rows", pattern_rows);
-            let mut block = block.unwrap_or_else(BindingTable::unit);
-            if !placed.residual.is_empty() {
-                block = self.filter_table(block, &placed.residual, outer)?;
-            }
-            table = table.left_outer_join_with(&block, cancel)?;
-            prof.finish_rows(span, table.len() as u64);
-        }
-        // Correlated subqueries: Jγ K_{Ω,G} = Jγ K_G ⋉ Ω (§A.2).
-        if let Some(o) = outer {
-            table = table.semijoin(&env_to_table(o));
-        }
-        prof.finish_rows(match_span, table.len() as u64);
         Ok(table)
     }
 
     /// Resolve an `ON location` to a graph; `None` uses the default.
-    pub fn resolve_location(&self, on: &Option<Location>) -> Result<Arc<PathPropertyGraph>> {
+    pub fn resolve_location(&self, on: Option<&Location>) -> Result<Arc<PathPropertyGraph>> {
         match on {
             None => self.ctx.default_graph(),
             Some(Location::Named(name)) => match self.ctx.graph(name) {
@@ -476,7 +473,6 @@ impl<'e> Evaluator<'e> {
         def: &PathClause,
         graph: &Arc<PathPropertyGraph>,
     ) -> Result<ViewSegments> {
-        let matcher = PatternMatcher::new(self, graph.clone());
         let first = def.patterns.first().ok_or_else(|| {
             SemanticError::InvalidPathPattern("PATH clause without a pattern".into())
         })?;
@@ -487,16 +483,16 @@ impl<'e> Evaluator<'e> {
             ))
             .into());
         }
-        let (mut table, chain) = matcher.eval_chain(first, None, None)?;
+        let matcher = PatternMatcher::new(self, graph.clone());
+        let (table, chain) = matcher.eval_chain(first, None, None)?;
         // Non-linear shapes: the remaining comma-separated patterns
         // constrain (and can bind variables usable in COST, footnote 3).
-        for extra in &def.patterns[1..] {
-            let t = matcher.eval_pattern(extra, None, None)?;
-            table = table.join(&t);
-        }
-        if let Some(w) = &def.where_clause {
-            table = self.filter_table(table, &[w], None)?;
-        }
+        // With the WHERE they are one more pattern block, on the view's
+        // graph, starting from the chain's table.
+        let extra = def.patterns[1..].iter().map(|p| (p, None));
+        let body = plan_block(extra, def.where_clause.as_ref(), None);
+        let unreported = Some(SpanId::NONE);
+        let table = self.eval_block(&body, Some(graph), Some(table), None, unreported, None)?;
 
         let start_idx = table
             .column_index(&chain.node_vars[0])
@@ -627,12 +623,6 @@ fn start_seed(pattern: &Pattern, bound: &[Option<&BindingTable>]) -> Option<Vec<
     let var = pattern.start.var.as_ref()?;
     let mut tables = bound.iter().flatten();
     tables.find_map(|t| t.column_index(var).map(|col| t.distinct_nodes(col)))?
-}
-
-/// The `[seeded <var>: k ids]` annotation of a seeded pattern's span.
-fn seeded_note(pattern: &Pattern, ids: &[NodeId]) -> String {
-    let var = pattern.start.var.as_ref().map_or("", |v| v.as_str());
-    format!("[seeded {var}: {} ids]", ids.len())
 }
 
 /// Flatten an environment chain into a one-row table (inner scopes

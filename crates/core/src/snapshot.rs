@@ -27,11 +27,10 @@
 //!   product digraph. Repeated path queries against one snapshot (the
 //!   multi-user steady state) skip re-condensation entirely; the cache
 //!   dies with the snapshot, so an epoch bump naturally starts fresh.
-//!   The cache can be **LRU-bounded** (`Engine::set_scc_cache_capacity`):
-//!   when more than `capacity` distinct (graph, NFA) condensations are
-//!   live, the least-recently-used one is dropped — evictions show up
-//!   in [`EngineSnapshot::scc_cache_stats`]. The default is unbounded,
-//!   preserving the original behavior.
+//!   The cache is **LRU-bounded**: when more than `SCC_CACHE_CAPACITY`
+//!   distinct (graph, NFA) condensations are live, the least-recently-
+//!   used one is dropped — evictions show up in
+//!   [`EngineSnapshot::scc_cache_stats`].
 
 use crate::paths::PathSearcher;
 use crate::regex::{Nfa, NfaKey};
@@ -51,26 +50,14 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// Freeze `catalog` at `epoch`: force-build every graph's label
-    /// index and attach an empty, unbounded condensation cache.
-    pub fn freeze(catalog: Catalog, epoch: u64) -> Self {
-        Self::freeze_with_scc_capacity(catalog, epoch, None)
-    }
-
-    /// [`freeze`](Self::freeze) with an LRU bound on the condensation
-    /// cache: at most `capacity` (graph, NFA) condensations stay live,
-    /// `None` meaning unbounded. `Some(0)` disables caching entirely
-    /// (every lookup condenses, nothing is retained).
-    pub fn freeze_with_scc_capacity(
-        mut catalog: Catalog,
-        epoch: u64,
-        capacity: Option<usize>,
-    ) -> Self {
+    /// index and attach an empty condensation cache.
+    pub fn freeze(mut catalog: Catalog, epoch: u64) -> Self {
         catalog.freeze_indexes();
         debug_assert!(catalog.all_indexed(), "snapshot froze an unindexed graph");
         EngineSnapshot {
             catalog,
             epoch,
-            scc_cache: SccCache::with_capacity(capacity),
+            scc_cache: SccCache::with_capacity(SCC_CACHE_CAPACITY),
         }
     }
 
@@ -168,20 +155,20 @@ impl CacheInner {
     }
 }
 
+/// Most (graph, NFA) condensations one snapshot keeps live. Each entry
+/// can grow to a destination set per source node, so the count is what
+/// bounds a long-lived snapshot's memory; a serving mix uses a handful
+/// of distinct path expressions.
+const SCC_CACHE_CAPACITY: usize = 64;
+
 /// The per-snapshot cache of SCC-condensed reachability closures,
-/// optionally LRU-bounded by entry count.
+/// LRU-bounded by entry count.
 struct SccCache {
     entries: Mutex<CacheInner>,
-    capacity: Option<usize>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-}
-
-impl Default for SccCache {
-    fn default() -> Self {
-        Self::with_capacity(None)
-    }
 }
 
 impl std::fmt::Debug for SccCache {
@@ -197,7 +184,7 @@ impl std::fmt::Debug for SccCache {
 }
 
 impl SccCache {
-    fn with_capacity(capacity: Option<usize>) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         SccCache {
             entries: Mutex::new(CacheInner::default()),
             capacity,
@@ -271,29 +258,26 @@ impl SccCache {
             out.extend(fresh);
             return out;
         }
-        if self.capacity != Some(0) {
-            let mut inner = self.entries.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let entry = inner.map.entry(key).or_insert_with(|| CacheEntry {
-                graph: graph.clone(),
-                reach: FxHashMap::default(),
-                last_used: tick,
-            });
-            entry.last_used = tick;
-            // ABA guard: if the address was recycled by a *different*
-            // graph, repoint the entry and drop the stale closures.
-            if !Arc::ptr_eq(&entry.graph, graph) {
-                entry.graph = graph.clone();
-                entry.reach.clear();
-            }
-            for (src, set) in &fresh {
-                entry.reach.insert(*src, set.clone());
-            }
-            if let Some(capacity) = self.capacity {
-                inner.enforce(capacity, &self.evictions);
-            }
+        let mut inner = self.entries.lock().unwrap();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.map.entry(key).or_insert_with(|| CacheEntry {
+            graph: graph.clone(),
+            reach: FxHashMap::default(),
+            last_used: tick,
+        });
+        entry.last_used = tick;
+        // ABA guard: if the address was recycled by a *different*
+        // graph, repoint the entry and drop the stale closures.
+        if !Arc::ptr_eq(&entry.graph, graph) {
+            entry.graph = graph.clone();
+            entry.reach.clear();
         }
+        for (src, set) in &fresh {
+            entry.reach.insert(*src, set.clone());
+        }
+        inner.enforce(self.capacity, &self.evictions);
+        drop(inner);
         out.extend(fresh);
         out
     }
@@ -398,7 +382,8 @@ mod tests {
     #[test]
     fn lru_bound_evicts_least_recently_used_entry() {
         let (catalog, graph) = chain_catalog();
-        let snap = EngineSnapshot::freeze_with_scc_capacity(catalog, 1, Some(1));
+        let mut snap = EngineSnapshot::freeze(catalog, 1);
+        snap.scc_cache = SccCache::with_capacity(1);
         let views = ViewMap::default();
 
         let star = knows_star();
@@ -420,23 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_caching() {
-        let (catalog, graph) = chain_catalog();
-        let snap = EngineSnapshot::freeze_with_scc_capacity(catalog, 1, Some(0));
-        let views = ViewMap::default();
-        let nfa = knows_star();
-        let searcher = PathSearcher::new(&graph, &nfa, &views);
-
-        let a = snap.reachable_many_cached(&graph, &nfa, &searcher, &[NodeId(1)]);
-        let b = snap.reachable_many_cached(&graph, &nfa, &searcher, &[NodeId(1)]);
-        assert_eq!(*a[&NodeId(1)], *b[&NodeId(1)]);
-        let (h, m, e) = snap.scc_cache_stats();
-        assert_eq!((h, m), (0, 2), "nothing is ever retained");
-        assert_eq!(e, 0, "nothing retained, nothing evicted");
-    }
-
-    #[test]
-    fn unbounded_default_never_evicts() {
+    fn default_bound_holds_a_working_set() {
         let (snap, graph) = snapshot_with_chain();
         let views = ViewMap::default();
         for depth in 1..=8usize {

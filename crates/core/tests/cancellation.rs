@@ -2,8 +2,9 @@
 //! never fires must leave every result bit-identical to an engine with
 //! no token at all, a token that has already fired must fail every
 //! statement with `E016`, and a deadline must cut a pathological
-//! statement short — in the joins, in the OPTIONAL outer join, and in
-//! CONSTRUCT — without wedging the engine for later statements.
+//! statement short — in the joins, in the OPTIONAL outer join, in a
+//! PATH view's product, and in CONSTRUCT — without wedging the engine
+//! for later statements.
 //!
 //! Outputs are compared canonically (see `common/mod.rs`, shared with
 //! the planner, snapshot and cold-start suites).
@@ -191,6 +192,38 @@ fn deadline_interrupts_a_single_large_join() {
         elapsed < Duration::from_millis(750),
         "the join ran {elapsed:?} past a 5 ms deadline"
     );
+}
+
+/// Materializing a PATH view is a pattern block like any other: its
+/// comma-separated patterns are joined by the cancellable join. The view
+/// body here multiplies the `knows` edges by 250² persons; a 5 ms budget
+/// must stop that product, and the engine must answer in full right
+/// after.
+#[test]
+fn deadline_interrupts_a_path_view_product() {
+    let mut engine = Engine::new();
+    let data = generate(&SnbConfig::scale(250), &engine.catalog().ids().clone());
+    engine.register_graph("snb", data.graph);
+    engine.set_default_graph("snb");
+    engine.set_statement_deadline(Some(Duration::from_millis(5)));
+    let started = std::time::Instant::now();
+    let err = engine
+        .run(
+            "PATH v = (a:Person)-[:knows]->(b:Person), (c:Person), (d:Person) \
+             SELECT COUNT(*) AS c MATCH (x:Person)-/<~v*>/->(y) WHERE x.personId = 0",
+        )
+        .expect_err("a 5 ms budget must cancel the view's product");
+    let elapsed = started.elapsed();
+    assert!(err.is_cancelled(), "got {err}");
+    assert!(
+        elapsed < Duration::from_millis(750),
+        "the view ran {elapsed:?} past a 5 ms deadline"
+    );
+
+    engine.set_statement_deadline(None);
+    let t = engine.query_table("SELECT COUNT(*) AS c MATCH (n:Person)");
+    let t = t.expect("deadline cleared, a view-free statement runs");
+    assert_eq!(t.rows()[0][0], gcore_ppg::Value::Int(250));
 }
 
 /// CONSTRUCT polls the token too. The product here is cheap to *match*

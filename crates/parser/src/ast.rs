@@ -870,6 +870,23 @@ impl Expr {
         }
     }
 
+    /// The top-level `AND` conjuncts of this expression, left to right
+    /// (the expression itself when it is not a conjunction).
+    #[must_use]
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        fn split<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            if let Expr::Binary(BinaryOp::And, a, b) = e {
+                split(a, out);
+                split(b, out);
+            } else {
+                out.push(e);
+            }
+        }
+        let mut out = Vec::new();
+        split(self, &mut out);
+        out
+    }
+
     /// Does this expression (transitively) contain an aggregate?
     pub fn contains_aggregate(&self) -> bool {
         match self {

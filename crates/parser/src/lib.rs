@@ -27,4 +27,6 @@ pub mod token;
 pub use ast::{Query, Statement};
 pub use error::{ParseError, ParseErrorKind};
 pub use parser::{parse_query, parse_script, parse_statement};
-pub use pretty::{print_expr, print_located, print_pattern, print_query, print_statement};
+pub use pretty::{
+    print_expr, print_located, print_pattern, print_pattern_on, print_query, print_statement,
+};

@@ -123,8 +123,13 @@ fn print_match(m: &MatchClause) -> String {
 /// downstream tooling (e.g. the engine's `EXPLAIN` renderer) can show
 /// patterns in their canonical surface syntax.
 pub fn print_located(lp: &LocatedPattern) -> String {
-    let mut out = print_pattern(&lp.pattern);
-    match &lp.on {
+    print_pattern_on(&lp.pattern, lp.on.as_ref())
+}
+
+/// [`print_located`] for a pattern held apart from its location.
+pub fn print_pattern_on(pattern: &Pattern, on: Option<&Location>) -> String {
+    let mut out = print_pattern(pattern);
+    match on {
         Some(Location::Named(n)) => {
             let _ = write!(out, " ON {n}");
         }

@@ -9,9 +9,10 @@
 //! # Lint your own `;`-separated script files:
 //! cargo run --example check -- my_queries.gcore more.gcore
 //!
-//! # Print the cost-based query plan (EXPLAIN) instead of linting.
-//! # Corpus mode evaluates as it goes so later plans see the views
-//! # earlier statements define; file mode plans statically:
+//! # Print the query plan (EXPLAIN) instead of linting — the plan
+//! # evaluation would interpret, so syntactic-order plans under
+//! # GCORE_PLAN=off. Corpus mode evaluates as it goes so later plans see
+//! # the views earlier statements define; file mode plans statically:
 //! cargo run --example check -- --explain
 //! cargo run --example check -- --explain my_queries.gcore
 //! ```
@@ -37,10 +38,10 @@ fn tour_engine() -> Engine {
     engine
 }
 
-/// `--explain`: print each statement's cost-based plan instead of
-/// diagnostics. Corpus mode evaluates statement by statement so a later
-/// plan resolves the graph views earlier statements define; file mode
-/// plans statically against the tour catalog.
+/// `--explain`: print each statement's plan instead of diagnostics.
+/// Corpus mode evaluates statement by statement so a later plan
+/// resolves the graph views earlier statements define; file mode plans
+/// statically against the tour catalog.
 fn explain(args: &[String]) -> ExitCode {
     let mut engine = tour_engine();
     if args.is_empty() {
@@ -74,13 +75,10 @@ fn explain(args: &[String]) -> ExitCode {
         };
         for (i, stmt) in stmts.iter().enumerate() {
             println!("── {path} [{}] ──", i + 1);
-            let catalog = engine.catalog();
-            let resolve = |on: Option<&gcore_repro::parser::ast::Location>| match on {
-                None => catalog.default_graph().ok(),
-                Some(gcore_repro::parser::ast::Location::Named(name)) => catalog.graph(name).ok(),
-                Some(gcore_repro::parser::ast::Location::Subquery(_)) => None,
-            };
-            print!("{}", gcore_repro::engine::explain_statement(stmt, &resolve));
+            match engine.explain(&gcore_repro::parser::print_statement(stmt)) {
+                Ok(plan) => print!("{plan}"),
+                Err(e) => println!("error: {e}"),
+            }
             println!();
         }
     }

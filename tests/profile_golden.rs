@@ -11,12 +11,13 @@
 //! GOLDEN_BLESS=1 cargo test --test profile_golden
 //! ```
 //!
-//! Unlike `Engine::explain` (which always renders the planner's
-//! decisions), a profile records the evaluation that actually ran, so
-//! under `GCORE_PLAN=off` the span tree legitimately differs — the
-//! goldens pin the default (planner-on) rendering and comparisons are
-//! skipped in that mode; `crates/core/tests/profile_equivalence.rs`
-//! covers planner-off profiling.
+//! A profile records the evaluation that actually ran, so under
+//! `GCORE_PLAN=off` the span tree legitimately differs (as the EXPLAIN
+//! text does) — the goldens pin the default (planner-on) rendering and
+//! comparisons are skipped in that mode;
+//! `crates/core/tests/profile_equivalence.rs` covers planner-off
+//! profiling and `explain_golden::explain_matches_execution` holds each
+//! profile against the EXPLAIN of the same statement in both modes.
 
 mod common;
 
