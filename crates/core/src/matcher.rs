@@ -21,7 +21,7 @@ use crate::context::FreshPath;
 use crate::error::{Result, SemanticError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::paths::PathSearcher;
-use crate::plan::{first_label, structural_vars, ScanFilter};
+use crate::plan::{first_label, pure_reach, structural_vars, ScanFilter};
 use crate::query::Evaluator;
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
@@ -182,7 +182,7 @@ impl<'e> PatternMatcher<'e> {
                         .map(str::to_owned)
                         .unwrap_or_else(|| self.fresh_anon("p"));
                     info.conn_vars.push(path_var.clone());
-                    self.expand_path(table, &prev_var, &path_var, &dst_var, p, outer)?
+                    self.expand_path(table, &prev_var, &path_var, &dst_var, p, &step.node, outer)?
                 }
             };
             // Apply the destination node's own label/property constraints.
@@ -208,36 +208,77 @@ impl<'e> PatternMatcher<'e> {
             b.push(&[Bound::Node(n)]);
             return self.constrain_node(b.finish(), var, node, outer, structural);
         }
-        let (candidates, rest_groups): (Vec<NodeId>, &[LabelDisjunction]) =
-            match (seed, first_label(&node.labels)) {
-                // Nodes an earlier pattern bound: they may come from
-                // another graph and were not drawn from a label index, so
-                // identifiers this graph lacks are dropped and every
-                // label group is checked.
-                (Some(seed), _) => (
-                    seed.iter()
-                        .copied()
-                        .filter(|&n| self.graph.contains_node(n))
-                        .collect(),
-                    &node.labels[..],
-                ),
-                // When the first group is a single label, seed from the
-                // label index — that group is then already satisfied, so
-                // only the remaining groups are re-checked per candidate.
-                (None, Some(label)) => (
-                    match Label::lookup(&label) {
-                        Some(l) => self.graph.nodes_with_label(l),
-                        None => Vec::new(),
-                    },
-                    &node.labels[1..],
-                ),
-                (None, None) => (self.graph.node_ids_sorted(), &node.labels[..]),
-            };
+        let (candidates, rest_groups) = match seed {
+            // Nodes an earlier pattern bound: they may come from another
+            // graph and were not drawn from a label index, so identifiers
+            // this graph lacks are dropped and every label group is
+            // checked.
+            Some(seed) => (
+                seed.iter()
+                    .copied()
+                    .filter(|&n| self.graph.contains_node(n))
+                    .collect(),
+                &node.labels[..],
+            ),
+            None => self.label_candidates(node),
+        };
+        let table = self.node_column(var, candidates);
+        self.constrain_node_groups(table, var, node, rest_groups, outer, structural)
+    }
+
+    /// The candidates of a node pattern drawn from the graph, with the
+    /// label groups still to check on each: when the first group is a
+    /// single label the candidates come from the label index — that group
+    /// is then already satisfied — otherwise they are every node.
+    fn label_candidates<'n>(&self, node: &'n NodePattern) -> (Vec<NodeId>, &'n [LabelDisjunction]) {
+        match first_label(&node.labels) {
+            Some(label) => (
+                match Label::lookup(&label) {
+                    Some(l) => self.graph.nodes_with_label(l),
+                    None => Vec::new(),
+                },
+                &node.labels[1..],
+            ),
+            None => (self.graph.node_ids_sorted(), &node.labels[..]),
+        }
+    }
+
+    /// A one-column table binding `var` to each of `nodes`.
+    fn node_column(&self, var: &str, nodes: Vec<NodeId>) -> BindingTable {
         let mut b = TableBuilder::new(vec![self.col(var)]);
-        for n in candidates {
+        for n in nodes {
             b.push(&[Bound::Node(n)]);
         }
-        self.constrain_node_groups(b.finish(), var, node, rest_groups, outer, structural)
+        b.finish()
+    }
+
+    /// The nodes a path search's far end `var` (declared by `node`) may
+    /// take, when the plan made scan filters on `var` targets
+    /// ([`crate::plan::is_target`]): those filters, evaluated once over
+    /// the label group's candidates. `None` when no filter is a target.
+    fn far_end_targets(
+        &self,
+        var: &str,
+        node: &NodePattern,
+        outer: Option<&Env<'_>>,
+    ) -> Result<Option<FxHashSet<NodeId>>> {
+        let targets = self
+            .scan_filters
+            .iter()
+            .filter(|f| f.target && f.var == var);
+        let exprs: Vec<&Expr> = targets.map(|f| f.expr).collect();
+        if exprs.is_empty() {
+            return Ok(None);
+        }
+        let (candidates, _) = self.label_candidates(node);
+        let kept = self
+            .ev
+            .filter_table(self.node_column(var, candidates), &exprs, outer)?;
+        let nodes = (0..kept.len()).filter_map(|ri| match kept.bound(ri, 0) {
+            Bound::Node(n) => Some(n),
+            _ => None,
+        });
+        Ok(Some(nodes.collect()))
     }
 
     /// Apply a node pattern's labels and property entries to an existing
@@ -493,7 +534,9 @@ impl<'e> PatternMatcher<'e> {
         self.apply_scan_filters(out, edge_var, outer)
     }
 
-    /// Expand rows over one path pattern (computed or stored).
+    /// Expand rows over one path pattern (computed or stored); `dst` is
+    /// the node pattern at its far end.
+    #[allow(clippy::too_many_arguments)]
     fn expand_path(
         &self,
         table: BindingTable,
@@ -501,7 +544,8 @@ impl<'e> PatternMatcher<'e> {
         path_var: &str,
         dst_var: &str,
         pat: &PathPattern,
-        _outer: Option<&Env<'_>>,
+        dst: &NodePattern,
+        outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
         if pat.stored {
             return self.expand_stored_path(table, prev_var, path_var, dst_var, pat);
@@ -560,7 +604,7 @@ impl<'e> PatternMatcher<'e> {
         // re-condensing. View-bearing NFAs stay uncached (PATH-view
         // segment relations are query-local), as do transient graphs
         // (subquery results, tables viewed as graphs).
-        let pure_reach = matches!(pat.mode, PathMode::Shortest(_)) && !binds_path && !binds_cost;
+        let pure_reach = pure_reach(pat);
         let mut shared: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
         if pure_reach {
             let mut srcs: Vec<NodeId> = (0..table.len())
@@ -588,6 +632,17 @@ impl<'e> PatternMatcher<'e> {
         // A fired token makes the shared search bail with partial maps;
         // they must become an error, never an (empty) answer.
         self.ev.ctx.check_cancelled()?;
+        // An unbound far end whose scan filters the plan made targets:
+        // every row searches towards the same node set. (The filters run
+        // again when the destination is constrained — on rows that
+        // already satisfy them.)
+        let resolved = match dst_bound {
+            None => self.far_end_targets(dst_var, dst, outer)?,
+            Some(_) => None,
+        };
+        if let Some(t) = &resolved {
+            prof.add_counter(span, "targets", t.len() as u64);
+        }
 
         let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
         let mut extra: Vec<Bound> = Vec::with_capacity(3);
@@ -603,11 +658,16 @@ impl<'e> PatternMatcher<'e> {
                 Bound::Node(d) => Some(d),
                 _ => None,
             });
+            let bound_target: Option<FxHashSet<NodeId>> = match pat.mode {
+                PathMode::Shortest(_) if pure_reach => None,
+                _ => target.map(|d| [d].into_iter().collect()),
+            };
+            let targets = bound_target.as_ref().or(resolved.as_ref());
 
             match pat.mode {
                 PathMode::All => {
                     // Graph projection per destination.
-                    for (dst, nodes, edges) in searcher.all_paths_from(src, target) {
+                    for (dst, nodes, edges) in searcher.all_paths_from(src, targets) {
                         extra.clear();
                         if binds_path {
                             extra.push(self.ev.ctx.add_fresh_path(FreshPath::Projection {
@@ -645,9 +705,7 @@ impl<'e> PatternMatcher<'e> {
                     }
                 }
                 PathMode::Shortest(k) => {
-                    let targets: Option<FxHashSet<NodeId>> =
-                        target.map(|d| [d].into_iter().collect());
-                    let found = searcher.k_shortest(src, k as usize, targets.as_ref());
+                    let found = searcher.k_shortest(src, k as usize, targets);
                     let mut dsts: Vec<NodeId> = found.keys().copied().collect();
                     dsts.sort_unstable();
                     for dst in dsts {
@@ -682,6 +740,9 @@ impl<'e> PatternMatcher<'e> {
         self.ev.ctx.check_cancelled()?;
         let out = bld.finish();
         prof.add_counter(span, "frontier_pops", searcher.pops());
+        if searcher.tie_keys() > 0 {
+            prof.add_counter(span, "tie_keys", searcher.tie_keys());
+        }
         prof.finish_rows(span, out.len() as u64);
         Ok(out)
     }

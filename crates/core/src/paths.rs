@@ -40,9 +40,21 @@
 //!   forward fixpoint, then per destination a backward fixpoint confined
 //!   to it and one pass over the steps of the states both visited.
 //! * **The ordered search** — [`k_shortest`](PathSearcher::k_shortest),
-//!   the only search that materializes walks: a Dijkstra over the
-//!   product (inside the cone when targets are given) whose frontier
-//!   entries are parent pointers, replayed into walks on acceptance.
+//!   the only search that materializes walks: frontier entries are
+//!   parent pointers into an arena, replayed into walks on acceptance,
+//!   popped in (cost, walk sequence, node, state) order. Every pop runs
+//!   one admission → accept → expand body: a product state is admitted
+//!   at most `k` times (a successor whose state is already full is never
+//!   entered), and with targets the search stays inside their cone and
+//!   stops once every target holds `k` walks. Two orderings feed it. A
+//!   *unit-cost* search (a view-free automaton: every step is one edge)
+//!   runs one hop per level and sorts each level once by (the dense rank
+//!   of the parent's walk in its level, edge, node, state) — every walk
+//!   of a level has the same length, so that is exactly the walk
+//!   sequence order, and no walk is ever replayed to compare. A search
+//!   over view segments runs a Dijkstra whose cost levels re-order
+//!   through a heap of replayed walk sequences ("tie keys"), built only
+//!   when a level really holds two or more entries.
 //! * **The condensation** —
 //!   [`reachable_many`](PathSearcher::reachable_many) answers
 //!   reachability from many sources with one Tarjan pass over the
@@ -59,7 +71,7 @@
 use crate::regex::{Nfa, Sym};
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -122,7 +134,7 @@ impl ViewSegments {
                 let sb = &segments[b];
                 sa.dst
                     .cmp(&sb.dst)
-                    .then_with(|| sa.walk.interleaved().cmp(&sb.walk.interleaved()))
+                    .then_with(|| sa.walk.cmp_interleaved(&sb.walk))
             });
         }
         ViewSegments {
@@ -200,6 +212,15 @@ impl StateSet {
     }
 }
 
+/// Scratch space of a node-dependent (ε + node-test) closure, kept by
+/// its caller across calls so that closing a state allocates nothing
+/// once warm.
+#[derive(Default)]
+struct Closer {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+}
+
 /// The walk-free traversal of the product of graph and automaton: one
 /// visited set and one frontier of states entered but not yet expanded.
 /// Seeded with [`seed`](Self::seed), then advanced one level at a time
@@ -216,6 +237,7 @@ struct Sweep<'s, 'a> {
     /// many mask words.
     words: usize,
     eps: Vec<u64>,
+    closer: Closer,
 }
 
 impl<'s, 'a> Sweep<'s, 'a> {
@@ -235,6 +257,7 @@ impl<'s, 'a> Sweep<'s, 'a> {
             frontier: Vec::new(),
             words,
             eps,
+            closer: Closer::default(),
         }
     }
 
@@ -250,9 +273,12 @@ impl<'s, 'a> Sweep<'s, 'a> {
     /// seen before joins the visited set and the frontier.
     fn enter(&mut self, w: NodeId, t: usize) {
         if self.nfa.has_node_tests() {
-            for c in self.searcher.close_at_nfa(self.nfa, w, &[t]) {
+            let (searcher, nfa) = (self.searcher, self.nfa);
+            let mut closer = std::mem::take(&mut self.closer);
+            searcher.for_each_closed(nfa, w, t, &mut closer, |c| {
                 self.admit(w, c / 64, 1 << (c % 64));
-            }
+            });
+            self.closer = closer;
         } else {
             for i in 0..self.words {
                 self.admit(w, i, self.eps[t * self.words + i]);
@@ -416,6 +442,9 @@ pub struct PathSearcher<'a> {
     views: &'a ViewMap,
     /// Does any referenced view carry real-valued costs?
     pub weighted: bool,
+    /// Does the automaton name no view, so that every step is one edge
+    /// of cost 1?
+    unit_cost: bool,
     mode: ExpandMode,
     /// Cooperative cancellation: the frontier loops poll this and bail
     /// early (returning partial or empty results) once it fires. The
@@ -427,7 +456,10 @@ pub struct PathSearcher<'a> {
     /// Frontier pops across every search this searcher ran: one count
     /// per product-state popped off a frontier (including condensation
     /// frames). The matcher reports it on `path-search` profile spans.
-    pops: std::cell::Cell<u64>,
+    pops: Cell<u64>,
+    /// Walk sequences replayed to order a cost level of an ordered
+    /// search over views; reported as `tie_keys`.
+    tie_keys: Cell<u64>,
 }
 
 impl<'a> PathSearcher<'a> {
@@ -453,8 +485,8 @@ impl<'a> PathSearcher<'a> {
     /// assert!(searcher.reachable(ann).contains(&bob));
     /// ```
     pub fn new(graph: &'a PathPropertyGraph, nfa: &'a Nfa, views: &'a ViewMap) -> Self {
-        let weighted = nfa
-            .view_names()
+        let names = nfa.view_names();
+        let weighted = names
             .iter()
             .any(|n| views.get(n).is_some_and(|v| v.weighted));
         PathSearcher {
@@ -462,10 +494,12 @@ impl<'a> PathSearcher<'a> {
             nfa,
             views,
             weighted,
+            unit_cost: names.is_empty(),
             mode: ExpandMode::default(),
             cancel: None,
             rev: OnceCell::new(),
-            pops: std::cell::Cell::new(0),
+            pops: Cell::new(0),
+            tie_keys: Cell::new(0),
         }
     }
 
@@ -476,6 +510,14 @@ impl<'a> PathSearcher<'a> {
     #[must_use]
     pub fn pops(&self) -> u64 {
         self.pops.get()
+    }
+
+    /// Tie keys (replayed walk sequences) the ordered searches of this
+    /// searcher built — always 0 for a unit-cost automaton, whose levels
+    /// are ordered by rank. `path-search` spans report it as `tie_keys`.
+    #[must_use]
+    pub fn tie_keys(&self) -> u64 {
+        self.tie_keys.get()
     }
 
     /// Select the edge-expansion strategy (for controlled benchmarks;
@@ -528,55 +570,51 @@ impl<'a> PathSearcher<'a> {
         self.mode == ExpandMode::Indexed && self.graph.has_label_index()
     }
 
-    /// ε+node-test closure of a set of NFA states at a node.
-    fn close_at(&self, node: NodeId, states: &[usize]) -> Vec<usize> {
-        self.close_at_nfa(self.nfa, node, states)
-    }
-
-    /// ε+node-test closure under an explicit automaton (the searcher's
-    /// own NFA or its reversal).
-    fn close_at_nfa(&self, nfa: &Nfa, node: NodeId, states: &[usize]) -> Vec<usize> {
-        let n = nfa.num_states();
-        let mut seen = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for &s in states {
-            for &c in nfa.closure(s) {
-                if !seen[c] {
-                    seen[c] = true;
-                    stack.push(c);
-                }
+    /// Apply `f` to every state of the ε+node-test closure of `state` at
+    /// `node` under `nfa` (the searcher's own NFA or its reversal), in
+    /// ascending order. Without node tests that is the precomputed
+    /// ε-closure; with them the closure is computed in `closer`'s
+    /// scratch space — no allocation either way.
+    #[inline]
+    fn for_each_closed(
+        &self,
+        nfa: &Nfa,
+        node: NodeId,
+        state: usize,
+        closer: &mut Closer,
+        mut f: impl FnMut(usize),
+    ) {
+        if !nfa.has_node_tests() {
+            for &c in nfa.closure(state) {
+                f(c);
             }
+            return;
         }
-        if nfa.has_node_tests() {
-            while let Some(q) = stack.pop() {
-                for (sym, to) in nfa.transitions(q) {
-                    if let Sym::NodeTest(l) = sym {
-                        if self.graph.has_label(node.into(), *l) {
-                            for &c in nfa.closure(*to) {
-                                if !seen[c] {
-                                    seen[c] = true;
-                                    stack.push(c);
-                                }
-                            }
+        let Closer { seen, stack } = closer;
+        seen.clear();
+        seen.resize(nfa.num_states(), false);
+        let mut enter = |c: usize, stack: &mut Vec<usize>| {
+            if !seen[c] {
+                seen[c] = true;
+                stack.push(c);
+            }
+        };
+        for &c in nfa.closure(state) {
+            enter(c, stack);
+        }
+        while let Some(q) = stack.pop() {
+            for (sym, to) in nfa.transitions(q) {
+                if let Sym::NodeTest(l) = sym {
+                    if self.graph.has_label(node.into(), *l) {
+                        for &c in nfa.closure(*to) {
+                            enter(c, stack);
                         }
                     }
                 }
             }
         }
-        (0..n).filter(|&i| seen[i]).collect()
-    }
-
-    /// Apply `f` to every state of the ε+node-test closure of `state` at
-    /// `node`. Avoids the closure-vector allocation when the automaton
-    /// has no node tests (the common case).
-    #[inline]
-    fn for_each_closed(&self, nfa: &Nfa, node: NodeId, state: usize, mut f: impl FnMut(usize)) {
-        if !nfa.has_node_tests() {
-            for &c in nfa.closure(state) {
-                f(c);
-            }
-        } else {
-            for c in self.close_at_nfa(nfa, node, &[state]) {
+        for (c, &closed) in seen.iter().enumerate() {
+            if closed {
                 f(c);
             }
         }
@@ -696,9 +734,10 @@ impl<'a> PathSearcher<'a> {
     /// first.
     ///
     /// When `targets` are given, the search first computes the backward
-    /// cone of product states co-reachable to acceptance at a target and
-    /// never expands outside it; results are identical to the
-    /// unrestricted search filtered to `targets`.
+    /// cone of product states co-reachable to acceptance at a target,
+    /// never expands outside it and stops once every target holds `k`
+    /// walks; results are identical to the unrestricted search filtered
+    /// to `targets`.
     ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
@@ -725,124 +764,38 @@ impl<'a> PathSearcher<'a> {
         k: usize,
         targets: Option<&FxHashSet<NodeId>>,
     ) -> FxHashMap<NodeId, Vec<FoundPath>> {
-        let mut results: FxHashMap<NodeId, Vec<FoundPath>> = FxHashMap::default();
-        if !self.graph.contains_node(src) || k == 0 {
-            return results;
+        if !self.graph.contains_node(src) || k == 0 || targets.is_some_and(FxHashSet::is_empty) {
+            return FxHashMap::default();
         }
         // Backward cone: with concrete targets, restrict the forward
         // search to states that can still reach acceptance at a target.
         // States outside cannot contribute any accepting walk, so results
         // — tie-breaking included — are those of the unrestricted search.
-        let cone: Option<StateSet> =
-            targets.map(|t| self.co_reachable_cone(t.iter().copied(), None));
-        let in_cone =
-            |node: NodeId, state: usize| cone.as_ref().is_none_or(|c| c.contains(node, state));
-        let mut pops: FxHashMap<(NodeId, usize), usize> = FxHashMap::default();
-
-        // Walk-free frontier: a pending entry stores only its parent
-        // index and the one piece appended over it, so it costs O(1)
-        // regardless of walk length. Full walks are replayed from the
-        // parent chain only when a pop is accepted; the lexicographic
-        // tie key is materialized only for entries whose cost actually
-        // ties the current level (`batch`). Together the two heaps pop
-        // in exactly the (cost, sequence, node, state) order the
-        // walk-carrying single heap used.
-        let mut arena: Vec<TreeEntry<'a>> = Vec::new();
-        let mut outer: BinaryHeap<CostOrd> = BinaryHeap::new();
-        let mut batch: BinaryHeap<TieOrd> = BinaryHeap::new();
-        // Seed: closure of the start state at src; enqueue one entry per
-        // closed state so accepting-at-zero-length works.
-        for q in self.close_at(src, &[self.nfa.start()]) {
-            if !in_cone(src, q) {
-                continue;
-            }
-            arena.push(TreeEntry {
-                parent: NO_PARENT,
-                piece: None,
-                node: src,
-                state: q,
-            });
-            outer.push(CostOrd {
-                cost: 0.0,
-                idx: (arena.len() - 1) as u32,
-            });
+        let mut search = Ordered {
+            searcher: self,
+            k,
+            targets,
+            cone: targets.map(|t| self.co_reachable_cone(t.iter().copied(), None)),
+            arena: Vec::new(),
+            pops: FxHashMap::default(),
+            results: FxHashMap::default(),
+            answered: 0,
+            closer: Closer::default(),
+        };
+        // Seed: closure of the start state at src, one entry per closed
+        // state so accepting-at-zero-length works.
+        search.push(NO_PARENT, None, src, self.nfa.start(), 0.0);
+        if self.unit_cost {
+            search.by_levels();
+        } else {
+            search.by_cost();
         }
-        'search: while let Some(first) = outer.pop() {
-            // Drain one cost level: every pending entry whose cost ties
-            // `first` moves into the tie heap before any is processed.
-            let level = first.cost;
-            batch.push(tie_entry(&arena, first.idx));
-            while outer
-                .peek()
-                .is_some_and(|e| e.cost.total_cmp(&level) == Ordering::Equal)
-            {
-                let e = outer.pop().expect("peeked non-empty");
-                batch.push(tie_entry(&arena, e.idx));
-            }
-            while let Some(top) = batch.pop() {
-                if self.cancel_tick() {
-                    break 'search;
-                }
-                let (node, state) = {
-                    let e = &arena[top.idx as usize];
-                    (e.node, e.state)
-                };
-                let count = pops.entry((node, state)).or_insert(0);
-                if *count >= k {
-                    continue;
-                }
-                *count += 1;
-                // An accepted pop at (v, accepting q) yields a result for
-                // v; the same walk may be reported through several states
-                // — dedup.
-                if self.nfa.accepts(state) && targets.is_none_or(|t| t.contains(&node)) {
-                    let bucket = results.entry(node).or_default();
-                    if bucket.len() < k {
-                        let walk = replay_walk(&arena, top.idx);
-                        if !bucket.iter().any(|p| p.walk == walk) {
-                            bucket.push(FoundPath { walk, cost: level });
-                        }
-                    }
-                }
-                self.for_each_step(self.nfa, node, state, |step_cost, far, to, piece| {
-                    // A segment whose walk does not begin at the current
-                    // node cannot be appended to the walk so far.
-                    if let StepPiece::Seg { walk, backwards } = piece {
-                        let begins = if backwards { walk.end() } else { walk.start() };
-                        if begins != node {
-                            return;
-                        }
-                    }
-                    let cost = level + step_cost;
-                    for q in self.close_at(far, &[to]) {
-                        if !in_cone(far, q) {
-                            continue;
-                        }
-                        arena.push(TreeEntry {
-                            parent: top.idx,
-                            piece: Some(piece),
-                            node: far,
-                            state: q,
-                        });
-                        let idx = (arena.len() - 1) as u32;
-                        if cost.total_cmp(&level) == Ordering::Equal {
-                            // Zero-cost steps join the live level: the
-                            // child's sequence strictly extends its
-                            // parent's, so it orders after everything
-                            // already popped at this cost.
-                            batch.push(tie_entry(&arena, idx));
-                        } else {
-                            outer.push(CostOrd { cost, idx });
-                        }
-                    }
-                });
-            }
-        }
+        let mut results = search.results;
         for bucket in results.values_mut() {
             bucket.sort_by(|a, b| {
                 a.cost
                     .total_cmp(&b.cost)
-                    .then_with(|| a.walk.interleaved().cmp(&b.walk.interleaved()))
+                    .then_with(|| a.walk.cmp_interleaved(&b.walk))
             });
         }
         results
@@ -940,29 +893,29 @@ impl<'a> PathSearcher<'a> {
         };
 
         // Seed states per source (deduplicated across sources).
+        let mut closer = Closer::default();
         let mut seeds_of: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
         for &src in sources {
             if seeds_of.contains_key(&src) || !self.graph.contains_node(src) {
                 continue;
             }
-            let seeds: Vec<u32> = self
-                .close_at(src, &[nfa.start()])
-                .into_iter()
-                .map(|q| intern(&mut ids, &mut states, (src, q)))
-                .collect();
+            let mut seeds: Vec<u32> = Vec::new();
+            self.for_each_closed(nfa, src, nfa.start(), &mut closer, |q| {
+                seeds.push(intern(&mut ids, &mut states, (src, q)));
+            });
             seeds_of.insert(src, seeds);
         }
 
         // The (sorted, deduplicated) closed successors of one state,
         // interning any product state seen for the first time.
-        let successors = |ids: &mut FxHashMap<(NodeId, usize), u32>,
-                          states: &mut Vec<(NodeId, usize)>,
-                          s: u32|
+        let mut successors = |ids: &mut FxHashMap<(NodeId, usize), u32>,
+                              states: &mut Vec<(NodeId, usize)>,
+                              s: u32|
          -> Vec<u32> {
             let (v, q) = states[s as usize];
             let mut out: Vec<u32> = Vec::new();
             self.for_each_step(nfa, v, q, |_, w, t, _| {
-                self.for_each_closed(nfa, w, t, |c| {
+                self.for_each_closed(nfa, w, t, &mut closer, |c| {
                     out.push(intern(ids, states, (w, c)));
                 });
             });
@@ -1112,13 +1065,14 @@ impl<'a> PathSearcher<'a> {
         src: NodeId,
         dst: NodeId,
     ) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
-        let (_, nodes, edges) = self.all_paths_from(src, Some(dst)).pop()?;
+        let only: FxHashSet<NodeId> = [dst].into_iter().collect();
+        let (_, nodes, edges) = self.all_paths_from(src, Some(&only)).pop()?;
         Some((nodes, edges))
     }
 
     /// The ALL-paths projections from `src`, as `(dst, nodes, edges)` in
     /// ascending `dst` order: one for every destination an accepting walk
-    /// reaches, or for `only` that destination.
+    /// reaches (among `targets`, when given).
     ///
     /// An element lies on an accepting walk to `dst` iff a step between
     /// two states that are reachable from `src` *and* co-reachable to
@@ -1129,11 +1083,11 @@ impl<'a> PathSearcher<'a> {
     pub fn all_paths_from(
         &self,
         src: NodeId,
-        only: Option<NodeId>,
+        targets: Option<&FxHashSet<NodeId>>,
     ) -> Vec<(NodeId, Vec<NodeId>, Vec<EdgeId>)> {
         let fwd = self.forward_from(src);
         let mut dsts = fwd.accepting_nodes(self.nfa);
-        dsts.retain(|&d| only.is_none_or(|o| o == d));
+        dsts.retain(|d| targets.is_none_or(|t| t.contains(d)));
         let projection = |dst: NodeId| {
             let on_walk = self.co_reachable_cone([dst], Some(&fwd));
             let mut nodes = vec![src, dst];
@@ -1167,14 +1121,11 @@ impl<'a> PathSearcher<'a> {
     }
 }
 
-fn step(from: NodeId, e: EdgeId, to: NodeId) -> PathShape {
-    PathShape::new(vec![from, to], vec![e]).expect("two nodes, one edge")
-}
-
-/// One node of the walk-free k-shortest search tree: a parent pointer
-/// plus the single piece appended over the parent's walk. O(1) memory
-/// per pending entry regardless of walk length; full walks are replayed
-/// from the chain only on acceptance ([`replay_walk`]).
+/// One node of the ordered search tree: a parent pointer plus the single
+/// piece appended over the parent's walk — O(1) memory per pending entry
+/// regardless of walk length. Full walks are replayed from the chain
+/// only on acceptance ([`replay_walk`]).
+#[derive(Clone, Copy)]
 struct TreeEntry<'v> {
     parent: u32,
     /// The step taken from the parent to `node`; `None` for a seed entry
@@ -1182,14 +1133,292 @@ struct TreeEntry<'v> {
     piece: Option<StepPiece<'v>>,
     node: NodeId,
     state: usize,
+    cost: f64,
+    /// Unit-cost levels only: the dense rank of this entry's walk among
+    /// the walks of its level (equal walks, equal rank).
+    rank: u32,
 }
 
 /// Parent index marking a search-tree root.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Outer-heap entry for `k_shortest`: min-orders pending entries by cost
-/// alone. Same-cost entries re-order through the tie heap before any is
-/// processed, so the arena-index tiebreak here only makes the order
+/// A sort key of a unit-cost level: (parent's rank, edge, node, state),
+/// then the arena index, which only makes the order total.
+type LevelKey = (u32, u64, NodeId, usize, u32);
+
+/// The state of one [`k_shortest`](PathSearcher::k_shortest) search: the
+/// search tree, the per-state pop counts, the answers so far. Both level
+/// orderings ([`by_levels`](Self::by_levels), [`by_cost`](Self::by_cost))
+/// hand every pop to the one [`visit`](Self::visit).
+struct Ordered<'s, 'a> {
+    searcher: &'s PathSearcher<'a>,
+    k: usize,
+    targets: Option<&'s FxHashSet<NodeId>>,
+    /// States co-reachable to acceptance at a target (`None`: no targets).
+    cone: Option<StateSet>,
+    arena: Vec<TreeEntry<'a>>,
+    /// Times each product state was admitted; never above `k`.
+    pops: FxHashMap<(NodeId, usize), usize>,
+    results: FxHashMap<NodeId, Vec<FoundPath>>,
+    /// Targets whose bucket holds `k` walks.
+    answered: usize,
+    closer: Closer,
+}
+
+impl<'a> Ordered<'_, 'a> {
+    /// Enter `(node, to)` from `parent` over `piece` at `cost`: one arena
+    /// entry per state of the closure that lies in the cone and has not
+    /// been admitted `k` times already — a pop of a full state would be
+    /// turned away, so it is never queued.
+    fn push(
+        &mut self,
+        parent: u32,
+        piece: Option<StepPiece<'a>>,
+        node: NodeId,
+        to: usize,
+        cost: f64,
+    ) {
+        let Ordered {
+            searcher,
+            k,
+            cone,
+            pops,
+            arena,
+            closer,
+            ..
+        } = self;
+        searcher.for_each_closed(searcher.nfa, node, to, closer, |state| {
+            let in_cone = cone.as_ref().is_none_or(|c| c.contains(node, state));
+            if in_cone && pops.get(&(node, state)).is_none_or(|&n| n < *k) {
+                arena.push(TreeEntry {
+                    parent,
+                    piece,
+                    node,
+                    state,
+                    cost,
+                    rank: 0,
+                });
+            }
+        });
+    }
+
+    /// One pop: admit entry `idx` if its product state has been admitted
+    /// fewer than `k` times, accept its walk if the state accepts at a
+    /// wanted node, and push its successors (appended to the arena).
+    /// Returns `true` once every target holds `k` walks — nothing still
+    /// queued could change the answer.
+    fn visit(&mut self, idx: u32) -> bool {
+        let TreeEntry {
+            node, state, cost, ..
+        } = self.arena[idx as usize];
+        let count = self.pops.entry((node, state)).or_insert(0);
+        if *count >= self.k {
+            return false;
+        }
+        *count += 1;
+        // An accepted pop at (v, accepting q) yields a result for v; the
+        // same walk may be reported through several states — dedup.
+        let nfa = self.searcher.nfa;
+        if nfa.accepts(state) && self.targets.is_none_or(|t| t.contains(&node)) {
+            let bucket = self.results.entry(node).or_default();
+            if bucket.len() < self.k {
+                let walk = replay_walk(&self.arena, idx);
+                if !bucket.iter().any(|p| p.walk == walk) {
+                    bucket.push(FoundPath { walk, cost });
+                    if bucket.len() == self.k {
+                        if let Some(t) = self.targets {
+                            self.answered += 1;
+                            if self.answered == t.len() {
+                                return true;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let searcher = self.searcher;
+        searcher.for_each_step(nfa, node, state, |step_cost, far, to, piece| {
+            // A segment whose walk does not begin at the current node
+            // cannot be appended to the walk so far.
+            if let StepPiece::Seg { walk, backwards } = piece {
+                let begins = if backwards { walk.end() } else { walk.start() };
+                if begins != node {
+                    return;
+                }
+            }
+            self.push(idx, Some(piece), far, to, cost + step_cost);
+        });
+        false
+    }
+
+    /// The unit-cost ordering: every step is one edge of cost 1, so the
+    /// entries of cost `L` are exactly the children of those of cost
+    /// `L − 1`, and all their walks have length `L`. Two such walks
+    /// compare as their parents' walks, then as the (edge, node) they
+    /// append — so sorting a level by (parent's rank, edge, node, state)
+    /// is the (sequence, node, state) order of the cost-ordered search,
+    /// and ranking it densely on (parent's rank, edge, node) makes equal
+    /// walks tie at the next level exactly as they should.
+    fn by_levels(&mut self) {
+        let mut level: Vec<LevelKey> = (0..self.arena.len() as u32)
+            .map(|i| self.level_key(i))
+            .collect();
+        while !level.is_empty() {
+            level.sort_unstable();
+            let mut next: Vec<LevelKey> = Vec::new();
+            let mut rank = 0u32;
+            let mut prev = None;
+            for &(parent_rank, edge, node, _, idx) in &level {
+                let walk = (parent_rank, edge, node);
+                rank += u32::from(prev.is_some_and(|p| p != walk));
+                prev = Some(walk);
+                self.arena[idx as usize].rank = rank;
+                if self.searcher.cancel_tick() {
+                    return;
+                }
+                let children = self.arena.len() as u32;
+                if self.visit(idx) {
+                    return;
+                }
+                next.extend((children..self.arena.len() as u32).map(|i| self.level_key(i)));
+            }
+            level = next;
+        }
+    }
+
+    fn level_key(&self, idx: u32) -> LevelKey {
+        let e = &self.arena[idx as usize];
+        let (parent_rank, edge) = match e.piece {
+            None => (0, 0),
+            Some(StepPiece::Edge(id)) => (self.arena[e.parent as usize].rank, id.raw()),
+            Some(StepPiece::Seg { .. }) => unreachable!("a unit-cost automaton names no view"),
+        };
+        (parent_rank, edge, e.node, e.state, idx)
+    }
+
+    /// The cost ordering, for automata over view segments: a Dijkstra
+    /// whose outer heap orders pending entries by cost alone; every entry
+    /// of a cost level then moves into the tie heap, which re-orders them
+    /// by replayed walk sequence, before any is visited. A level of one
+    /// entry needs no tie key.
+    fn by_cost(&mut self) {
+        let mut outer: BinaryHeap<CostOrd> = (0..self.arena.len() as u32)
+            .map(|idx| CostOrd { cost: 0.0, idx })
+            .collect();
+        let mut batch: BinaryHeap<TieOrd> = BinaryHeap::new();
+        while let Some(first) = outer.pop() {
+            let level = first.cost;
+            let mut single = Some(first.idx);
+            while outer
+                .peek()
+                .is_some_and(|e| e.cost.total_cmp(&level) == Ordering::Equal)
+            {
+                let e = outer.pop().expect("peeked non-empty");
+                if let Some(idx) = single.take() {
+                    batch.push(self.tie_entry(idx));
+                }
+                batch.push(self.tie_entry(e.idx));
+            }
+            while let Some(idx) = single.take().or_else(|| batch.pop().map(|t| t.idx)) {
+                if self.searcher.cancel_tick() {
+                    return;
+                }
+                let children = self.arena.len();
+                if self.visit(idx) {
+                    return;
+                }
+                for child in children..self.arena.len() {
+                    let (cost, idx) = (self.arena[child].cost, child as u32);
+                    if cost.total_cmp(&level) == Ordering::Equal {
+                        // Zero-cost steps join the live level: the
+                        // child's sequence strictly extends its parent's,
+                        // so it orders after everything already popped at
+                        // this cost.
+                        batch.push(self.tie_entry(idx));
+                    } else {
+                        outer.push(CostOrd { cost, idx });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Materialize the tie key (the walk's interleaved id sequence) of
+    /// one arena entry by replaying its parent chain, leaf first.
+    fn tie_entry(&self, idx: u32) -> TieOrd {
+        self.searcher.tie_keys.set(self.searcher.tie_keys.get() + 1);
+        let mut seq: Vec<u64> = Vec::new();
+        for entry in ancestry(&self.arena, idx) {
+            match entry.piece {
+                None => seq.push(entry.node.raw()),
+                Some(StepPiece::Edge(e)) => seq.extend([entry.node.raw(), e.raw()]),
+                Some(StepPiece::Seg { walk, backwards }) => {
+                    // The segment's ids past its first, read backwards.
+                    let len = walk.nodes().len() + walk.edges().len() - 1;
+                    if backwards {
+                        seq.extend(walk.interleaved_ids().take(len));
+                    } else {
+                        seq.extend(walk.interleaved_ids().rev().take(len));
+                    }
+                }
+            }
+        }
+        seq.reverse();
+        let e = &self.arena[idx as usize];
+        TieOrd {
+            seq,
+            node: e.node,
+            state: e.state,
+            idx,
+        }
+    }
+}
+
+/// The entries from `idx` up to its search-tree root.
+fn ancestry<'t, 'v>(
+    arena: &'t [TreeEntry<'v>],
+    idx: u32,
+) -> impl Iterator<Item = &'t TreeEntry<'v>> {
+    let mut next = idx;
+    std::iter::from_fn(move || {
+        (next != NO_PARENT).then(|| {
+            let e = &arena[next as usize];
+            next = e.parent;
+            e
+        })
+    })
+}
+
+/// Replay the full walk of one accepted arena entry, leaf first.
+fn replay_walk(arena: &[TreeEntry<'_>], idx: u32) -> PathShape {
+    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+    for entry in ancestry(arena, idx) {
+        match entry.piece {
+            None => nodes.push(entry.node),
+            Some(StepPiece::Edge(e)) => {
+                nodes.push(entry.node);
+                edges.push(e);
+            }
+            Some(StepPiece::Seg { walk, backwards }) => {
+                let (ns, es) = (walk.nodes(), walk.edges());
+                if backwards {
+                    nodes.extend(&ns[..ns.len() - 1]);
+                    edges.extend(es);
+                } else {
+                    nodes.extend(ns[1..].iter().rev());
+                    edges.extend(es.iter().rev());
+                }
+            }
+        }
+    }
+    nodes.reverse();
+    edges.reverse();
+    PathShape::new(nodes, edges).expect("chained pieces meet by construction")
+}
+
+/// Outer-heap entry of the cost ordering: min-orders pending entries by
+/// cost alone. Same-cost entries re-order through the tie heap before
+/// any is visited, so the arena-index tiebreak here only makes the order
 /// total — it is never observable.
 struct CostOrd {
     cost: f64,
@@ -1217,9 +1446,8 @@ impl Ord for CostOrd {
     }
 }
 
-/// Tie-heap entry: min-orders one cost level by the same (interleaved
-/// sequence, node, state) key the walk-carrying search used, so pops
-/// within a level reproduce its order exactly.
+/// Tie-heap entry: min-orders one cost level by (interleaved sequence,
+/// node, state), the order the ordered search pops in.
 struct TieOrd {
     seq: Vec<u64>,
     node: NodeId,
@@ -1254,78 +1482,6 @@ impl Ord for TieOrd {
     }
 }
 
-/// The root-to-entry chain of arena indices for one search-tree entry.
-fn chain_of(arena: &[TreeEntry<'_>], idx: u32) -> Vec<u32> {
-    let mut chain: Vec<u32> = Vec::new();
-    let mut i = idx;
-    loop {
-        chain.push(i);
-        let p = arena[i as usize].parent;
-        if p == NO_PARENT {
-            break;
-        }
-        i = p;
-    }
-    chain.reverse();
-    chain
-}
-
-/// Materialize the lexicographic tie key (the walk's interleaved id
-/// sequence) for one arena entry by replaying its parent chain.
-fn tie_entry(arena: &[TreeEntry<'_>], idx: u32) -> TieOrd {
-    let chain = chain_of(arena, idx);
-    let mut seq: Vec<u64> = vec![arena[chain[0] as usize].node.raw()];
-    for &ci in &chain[1..] {
-        let entry = &arena[ci as usize];
-        match entry.piece {
-            None => {}
-            Some(StepPiece::Edge(e)) => {
-                seq.push(e.raw());
-                seq.push(entry.node.raw());
-            }
-            Some(StepPiece::Seg { walk, backwards }) => {
-                let mut ids = walk.interleaved();
-                if backwards {
-                    ids.reverse();
-                }
-                seq.extend_from_slice(&ids[1..]);
-            }
-        }
-    }
-    let e = &arena[idx as usize];
-    TieOrd {
-        seq,
-        node: e.node,
-        state: e.state,
-        idx,
-    }
-}
-
-/// Replay the full walk of one accepted arena entry from its chain.
-fn replay_walk(arena: &[TreeEntry<'_>], idx: u32) -> PathShape {
-    let chain = chain_of(arena, idx);
-    let mut walk = PathShape::trivial(arena[chain[0] as usize].node);
-    for &ci in &chain[1..] {
-        let entry = &arena[ci as usize];
-        let piece = match entry.piece {
-            None => continue,
-            Some(StepPiece::Edge(e)) => step(walk.end(), e, entry.node),
-            Some(StepPiece::Seg { walk, backwards }) => {
-                let (mut nodes, mut edges) = (walk.nodes().to_vec(), walk.edges().to_vec());
-                if backwards {
-                    nodes.reverse();
-                    edges.reverse();
-                }
-                PathShape::new(nodes, edges).expect("a walk read from either end is a walk")
-            }
-        };
-        walk = walk
-            .concat(&piece)
-            .expect("chained pieces meet by construction");
-    }
-    walk
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1334,6 +1490,10 @@ mod tests {
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
+    }
+
+    fn step(from: NodeId, e: EdgeId, to: NodeId) -> PathShape {
+        PathShape::new(vec![from, to], vec![e]).expect("two nodes, one edge")
     }
 
     /// A small knows-chain: 1→2→3→4, plus a shortcut 1→3 labeled likes,

@@ -26,7 +26,10 @@
 //! pushed, *scan filter* (the matcher applies it wherever its one
 //! node/edge variable is bound, see [`ScanFilter`]) or *residual*. Path
 //! steps are not planned: how a path pattern is searched follows from
-//! what it binds (see [`crate::paths`]), never from statistics.
+//! what it binds (see [`crate::paths`]), never from statistics — except
+//! that a key-equality scan filter on the far end of a searching path
+//! step is marked as that search's *target* ([`is_target`]), which the
+//! matcher resolves to a node set before searching.
 //!
 //! Every decision is **semantics-preserving by construction**:
 //! statistics influence only the *order*, so a plan computed from
@@ -36,8 +39,8 @@
 use crate::obs::format_estimate;
 use gcore_parser::ast::{
     BinaryOp, Connection, Direction, Expr, FullGraphQuery, Func, HeadClause, Ident,
-    LabelDisjunction, LocatedPattern, Location, MatchClause, NodePattern, PathMode, Pattern,
-    PropEntry, Query, QueryBody, QuerySource, Statement,
+    LabelDisjunction, LocatedPattern, Location, MatchClause, NodePattern, PathMode, PathPattern,
+    Pattern, PropEntry, Query, QueryBody, QuerySource, Statement,
 };
 use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::hash::FxHashSet;
@@ -93,12 +96,19 @@ const DEFAULT_PROP_SELECTIVITY: f64 = 0.1;
 /// same graph at every binding site as it would on the joined table, so
 /// evaluating it only there removes exactly the rows the residual pass
 /// would have removed.
+///
+/// A scan filter on the far end of a path search is also a *target*
+/// when [`is_target`] says so: the matcher resolves it to the node set
+/// the search is asked to reach before searching.
 #[derive(Clone, Copy, Debug)]
 pub struct ScanFilter<'a> {
     /// The one variable the conjunct reads: a node or edge variable.
     pub var: &'a str,
     /// The conjunct.
     pub expr: &'a Expr,
+    /// Whether the path search that first binds `var` in this step's
+    /// pattern resolves the conjunct to its targets (see [`is_target`]).
+    pub target: bool,
 }
 
 /// One pattern of a block, at its place in the evaluation order.
@@ -185,7 +195,11 @@ pub fn plan_block<'a>(
         if stats.is_some() && try_push_in(c, &mut patterns) {
             block.pushed.push(c);
         } else if let Some(var) = scan_var(c, &patterns) {
-            scan.push(ScanFilter { var, expr: c });
+            scan.push(ScanFilter {
+                var,
+                expr: c,
+                target: false,
+            });
         } else {
             block.residual.push(c);
         }
@@ -218,8 +232,12 @@ pub fn plan_block<'a>(
         bound.extend(vars[idx].iter().map(String::as_str));
         let (pattern, on) = slots[idx].take().expect("each pattern planned once");
         let binds = |f: &&ScanFilter<'a>| binds_element(&pattern, f.var);
+        let placed = |f: &ScanFilter<'a>| ScanFilter {
+            target: is_target(&pattern, f.var, f.expr),
+            ..*f
+        };
         block.steps.push(PlanStep {
-            scan_filters: scan.iter().filter(binds).copied().collect(),
+            scan_filters: scan.iter().filter(binds).map(placed).collect(),
             pattern,
             on,
             original_index: idx,
@@ -292,6 +310,71 @@ fn binds_element(pattern: &Pattern, var: &str) -> bool {
             Connection::Edge(e) => is(&e.var),
             Connection::Path(_) => false,
         })
+}
+
+/// Does the scan filter `var` ← `c` of `pattern` become the target set of
+/// a path search? Iff
+///
+/// * `var` is first bound in `pattern` as the far end of a path step that
+///   searches for walks or projections — a `k SHORTEST` or `ALL` step, or
+///   a shortest step binding its path or cost; a pure reachability test
+///   answers from its shared condensation instead, which targets would
+///   not make cheaper;
+/// * `c` is `var.key = literal` in either operand order, with an integer,
+///   float, string or boolean literal: evaluating it on a node the search
+///   would never have reached cannot raise an error the unrestricted
+///   search would not raise.
+///
+/// Such a filter keeps exactly the destinations it would keep after an
+/// unrestricted search, so resolving it first (over the destination's
+/// label group) and searching towards the result returns the same rows.
+/// This is the one place that rule lives: the matcher reads the flag it
+/// sets, EXPLAIN prints it (`targets from m: …`).
+pub fn is_target(pattern: &Pattern, var: &str, c: &Expr) -> bool {
+    let is_var = |e: &Expr| matches!(e, Expr::Var(v) if v.as_str() == var);
+    let is_literal = |e: &Expr| {
+        matches!(
+            e,
+            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_)
+        )
+    };
+    let key_equality = match c {
+        Expr::Binary(BinaryOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
+            (Expr::Prop(base, _), lit) | (lit, Expr::Prop(base, _)) => {
+                is_var(base) && is_literal(lit)
+            }
+            _ => false,
+        },
+        _ => false,
+    };
+    key_equality && first_bound_by_search(pattern, var)
+}
+
+/// Is `var` first bound in `pattern` as the far end of a searching path
+/// step (see [`is_target`])?
+fn first_bound_by_search(pattern: &Pattern, var: &str) -> bool {
+    let is = |v: &Option<Ident>| v.as_ref().is_some_and(|v| v.as_str() == var);
+    if is(&pattern.start.var) {
+        return false;
+    }
+    for step in &pattern.steps {
+        match &step.connection {
+            Connection::Edge(e) if is(&e.var) => return false,
+            Connection::Path(p) if is(&p.var) || is(&p.cost_var) => return false,
+            _ => {}
+        }
+        if is(&step.node.var) {
+            return matches!(&step.connection, Connection::Path(p) if !p.stored && !pure_reach(p));
+        }
+    }
+    false
+}
+
+/// A path step that binds neither its path nor its cost and asks for
+/// shortest walks: only *whether* its far end is reachable matters, and
+/// it allocates no fresh path.
+pub(crate) fn pure_reach(p: &PathPattern) -> bool {
+    p.var.is_none() && p.cost_var.is_none() && matches!(p.mode, PathMode::Shortest(_))
 }
 
 /// Try to turn one conjunct `e IN b.key` into a `{key = e}` property
@@ -386,10 +469,7 @@ fn reorder_safe(
         }
         for step in &pattern.steps {
             if let Connection::Path(pp) = &step.connection {
-                let pure_reach = pp.var.is_none()
-                    && pp.cost_var.is_none()
-                    && matches!(pp.mode, PathMode::Shortest(_));
-                if !pp.stored && !pure_reach {
+                if !pp.stored && !pure_reach(pp) {
                     return Err("order kept: a path pattern materializes fresh paths");
                 }
             }
@@ -760,7 +840,12 @@ fn render_block(
             out.push('\n');
         }
         for f in &step.scan_filters {
-            let _ = writeln!(out, "     scan filter {}: {}", f.var, print_expr(f.expr));
+            let kind = if f.target {
+                "targets from"
+            } else {
+                "scan filter"
+            };
+            let _ = writeln!(out, "     {kind} {}: {}", f.var, print_expr(f.expr));
         }
         if let Some(Location::Subquery(q)) = step.on {
             let _ = writeln!(out, "     ON subquery:");

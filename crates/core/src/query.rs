@@ -519,12 +519,13 @@ impl<'e> Evaluator<'e> {
             let Bound::Node(dst) = table.bound(ri, end_idx) else {
                 continue;
             };
-            // Reassemble the walk from the chain's bound elements.
-            let mut walk = PathShape::trivial(src);
-            let mut ok = true;
+            // Reassemble the walk from the chain's bound elements,
+            // starting from the first piece.
+            // `None` after the loop: the row holds no walk.
+            let mut walk: Option<PathShape> = None;
             for (i, &ci) in conn_idxs.iter().enumerate() {
                 let Bound::Node(next) = table.bound(ri, node_idxs[i + 1]) else {
-                    ok = false;
+                    walk = None;
                     break;
                 };
                 let piece = match table.bound(ri, ci) {
@@ -532,7 +533,7 @@ impl<'e> Evaluator<'e> {
                         let prev = match table.bound(ri, node_idxs[i]) {
                             Bound::Node(n) => n,
                             _ => {
-                                ok = false;
+                                walk = None;
                                 break;
                             }
                         };
@@ -550,21 +551,21 @@ impl<'e> Evaluator<'e> {
                         }
                     },
                     _ => {
-                        ok = false;
+                        walk = None;
                         break;
                     }
                 };
-                match walk.concat(&piece) {
-                    Some(w) => walk = w,
-                    None => {
-                        ok = false;
-                        break;
-                    }
+                walk = match walk {
+                    None => (piece.start() == src).then_some(piece),
+                    Some(w) => w.concat(&piece),
+                };
+                if walk.is_none() {
+                    break;
                 }
             }
-            if !ok {
+            let Some(walk) = walk else {
                 continue;
-            }
+            };
             let cost = match &def.cost {
                 None => 1.0,
                 Some(expr) => {

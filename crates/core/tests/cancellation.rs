@@ -307,15 +307,18 @@ fn deadline_interrupts_a_large_optional() {
     assert!(t.expect("deadline cleared").len() >= 5);
 }
 
-/// The walk-free path searches poll the token with every product state
-/// they pop: the two sweeps of a bound-pair test, the forward sweep and
-/// the per-destination backward sweeps of an `ALL` pattern, and the
-/// backward cone a bound-target search over view segments computes
-/// before it starts. Each statement here spends almost all of its time
-/// in one of them (thousands of knows edges, each closed into a cycle by
-/// a path step), so a 5 ms budget runs out there and the statement must
-/// come back soon after — and neither the engine nor the snapshot's SCC
-/// cache may remember anything of the abandoned searches.
+/// The path searches poll the token with every product state they pop:
+/// the two sweeps of a bound-pair test, the forward sweep and the
+/// per-destination backward sweeps of an `ALL` pattern, the backward
+/// cone a bound-target search over view segments computes before it
+/// starts, and both level orderings of the ordered search — unit-cost
+/// levels from every person, and the cone plus search towards the
+/// targets a far-end filter resolves to. Each statement here spends
+/// almost all of its time in one of them (thousands of knows edges, each
+/// closed into a cycle by a path step, or a thousand sources), so a 5 ms
+/// budget runs out there and the statement must come back soon after —
+/// and neither the engine nor the snapshot's SCC cache may remember
+/// anything of the abandoned searches.
 #[test]
 fn deadline_interrupts_the_path_sweeps() {
     const REACH: &str = "SELECT n.personId AS src, COUNT(*) AS reached \
@@ -344,6 +347,11 @@ fn deadline_interrupts_the_path_sweeps() {
          SELECT COUNT(*) AS c MATCH (p:Person)-[:knows]->(q:Person)-/w <~k*>/->(p)",
         // Through the SCC cache: a half-run condensation must not be kept.
         "SELECT COUNT(*) AS c MATCH (p:Person)-/<:knows*>/->(q:Person)",
+        // The ordered search, unit-cost levels, from every person.
+        "SELECT COUNT(*) AS c MATCH (p:Person)-/3 SHORTEST w <:knows*>/->(q:Person)",
+        // The ordered search towards the targets `q.personId = 7` resolves to.
+        "SELECT COUNT(*) AS c MATCH (p:Person)-/3 SHORTEST w <:knows*>/->(q:Person) \
+         WHERE q.personId = 7",
     ] {
         engine.set_statement_deadline(Some(Duration::from_millis(5)));
         let started = std::time::Instant::now();

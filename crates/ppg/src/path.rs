@@ -79,13 +79,25 @@ impl PathShape {
     /// The interleaved `[a1, e1, a2, …]` view used for display and for the
     /// canonical lexicographic order on paths.
     pub fn interleaved(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.nodes.len() + self.edges.len());
-        for i in 0..self.edges.len() {
-            out.push(self.nodes[i].raw());
-            out.push(self.edges[i].raw());
-        }
-        out.push(self.end().raw());
-        out
+        self.interleaved_ids().collect()
+    }
+
+    /// The identifiers of [`interleaved`](Self::interleaved), without
+    /// building the vector; reversible, to read the path from its end.
+    pub fn interleaved_ids(&self) -> impl DoubleEndedIterator<Item = u64> + '_ {
+        (0..self.nodes.len() + self.edges.len()).map(|i| {
+            if i % 2 == 0 {
+                self.nodes[i / 2].raw()
+            } else {
+                self.edges[i / 2].raw()
+            }
+        })
+    }
+
+    /// The canonical lexicographic order on paths — `interleaved()`
+    /// compared to `other.interleaved()` — without allocating.
+    pub fn cmp_interleaved(&self, other: &PathShape) -> std::cmp::Ordering {
+        self.interleaved_ids().cmp(other.interleaved_ids())
     }
 }
 
@@ -153,5 +165,30 @@ mod tests {
         assert_eq!(a.concat(&t).unwrap(), a);
         let t1 = PathShape::trivial(n(1));
         assert_eq!(t1.concat(&a).unwrap(), a);
+    }
+
+    #[test]
+    fn cmp_interleaved_is_the_order_of_the_interleaved_vectors() {
+        let paths = [
+            PathShape::trivial(n(1)),
+            PathShape::trivial(n(2)),
+            PathShape::new(vec![n(1), n(2)], vec![e(10)]).unwrap(),
+            PathShape::new(vec![n(1), n(3)], vec![e(10)]).unwrap(),
+            PathShape::new(vec![n(1), n(2)], vec![e(11)]).unwrap(),
+            PathShape::new(vec![n(1), n(2), n(3)], vec![e(10), e(12)]).unwrap(),
+        ];
+        for a in &paths {
+            let rev: Vec<u64> = a.interleaved_ids().rev().collect();
+            let mut want = a.interleaved();
+            want.reverse();
+            assert_eq!(rev, want);
+            for b in &paths {
+                assert_eq!(
+                    a.cmp_interleaved(b),
+                    a.interleaved().cmp(&b.interleaved()),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 }

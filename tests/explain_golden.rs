@@ -153,6 +153,17 @@ fn golden_head_view_and_on_subquery() {
     assert_golden("explain_nested_plans.txt", &explained(NESTED_PLANS));
 }
 
+/// A k-shortest search whose far end is filtered by key equality (a
+/// target) and by one more conjunct (a scan filter).
+const FAR_END_TARGETS: &str = "CONSTRUCT (n)-/@p:toPeter {distance := c}/->(m) \
+     MATCH (n:Person)-/3 SHORTEST p <:knows*> COST c/->(m:Person) \
+     WHERE n.firstName = 'John' AND 'Peter' = m.firstName AND m.lastName <> 'Doe'";
+
+#[test]
+fn golden_far_end_equality_becomes_targets() {
+    assert_golden("explain_far_end_targets.txt", &explained(FAR_END_TARGETS));
+}
+
 // ---------------------------------------------------------------------
 // EXPLAIN ≡ execution
 // ---------------------------------------------------------------------
@@ -163,7 +174,7 @@ fn golden_head_view_and_on_subquery() {
 struct Claim {
     /// `N. <pattern>` per step, in evaluation order.
     patterns: Vec<String>,
-    /// `scan filter` lines under each step.
+    /// `scan filter` and `targets from` lines under each step.
     scan_filters: Vec<u64>,
     pushed: usize,
     residual: usize,
@@ -197,7 +208,7 @@ fn claims(explain: &str) -> Vec<Claim> {
                 .patterns
                 .push(body.split("  ").next().unwrap().to_owned());
             claim.scan_filters.push(0);
-        } else if body.starts_with("scan filter ") {
+        } else if body.starts_with("scan filter ") || body.starts_with("targets from ") {
             *claim.scan_filters.last_mut().expect("under a pattern") += 1;
         } else if body.starts_with("pushed into pattern: ") {
             claim.pushed += 1;
@@ -287,6 +298,7 @@ fn explain_matches_execution() {
     let own = [
         TWO_GRAPH_IN,
         NESTED_PLANS,
+        FAR_END_TARGETS,
         // An OPTIONAL with its own WHERE, after a seeded second pattern.
         "SELECT n.firstName AS name, COUNT(*) AS posts \
          MATCH (n:Person)-[:knows]->(m:Person), (m)-[:isLocatedIn]->(c) \

@@ -13,18 +13,16 @@
 //! mints `@p` identifiers along it) and therefore part of the contract.
 //!
 //! Every case runs with the planner on and off and must give the same
-//! text. `max_pops` is the `frontier_pops` the case cost (planner on)
-//! when every search was its own hand-written loop; on one `Sweep` the
-//! product has the same states and each is popped once, so the count may
-//! fall but not rise. Three bounds are higher than that, because the
-//! route changed, not the work per state: `all_bound_destination` (the
-//! backward pass over the forward states was neither counted nor polled
-//! for cancellation), `weighted_bound_destination` (a search over views
-//! now gets the cone every other bound-target search has, which on this
-//! graph prunes nothing) and `reachability_over_a_view_from_one_source`
-//! (one source takes the condensation like any other number of sources,
-//! and the condensation counts a pop per product edge). The three
-//! `asymmetric_view_*` cases carry the count of their corrected rows.
+//! text. `max_pops` is the `frontier_pops` the case costs (planner on)
+//! since the ordered search admits a product state at most `k` times
+//! without queueing the surplus and stops once its targets are answered;
+//! a change may lower a bound, never raise it. The `*far_end*` cases
+//! filter the destination by key equality, which the plan turns into
+//! the targets of the search (`targets` on the `path-search` span) —
+//! their rows are the rows of the unrestricted search, filtered.
+//! `tie_keys` (walk sequences replayed to order a cost level) is never
+//! reported by a case without a view: unit-cost levels are ordered by
+//! rank.
 //!
 //! Rendering as in `match_conformance`: a header line, then one line per
 //! row; computed paths are selected through `nodes(p)` / `edges(p)`
@@ -142,7 +140,7 @@ const CASES: &[Case] = &[
     Case {
         name: "shortest_unbound_destination_breaks_the_hop_tie_towards_edge_10",
         statement: "SELECT nodes(p) AS ns, edges(p) AS es, c, m MATCH (n:Person)-/p <:knows*> COST c/->(m:Person) WHERE n.name = 'Ann'",
-        max_pops: 25,
+        max_pops: 22,
         expected: "
             ns | es | c | m
             [#n1, #n2, #n4] | [#e10, #e12] | 2 | #n4
@@ -155,7 +153,7 @@ const CASES: &[Case] = &[
     Case {
         name: "shortest_bound_destination_closes_each_knows_edge_into_a_cycle",
         statement: "SELECT n, m, nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-[:knows]->(m)-/p <:knows*> COST c/->(n)",
-        max_pops: 240,
+        max_pops: 178,
         expected: "
             n | m | ns | es | c
             #n1 | #n2 | [#n2, #n4, #n5, #n1] | [#e12, #e14, #e16] | 3
@@ -170,7 +168,7 @@ const CASES: &[Case] = &[
     Case {
         name: "zero_length_walk_is_accepted_at_a_node_without_edges",
         statement: "SELECT nodes(p) AS ns, c, nodes(q) AS qs, m MATCH (n:Person)-/p <:knows*> COST c/->(m), (n)-/q <:likes*>/->(n) WHERE n.name = 'Fay'",
-        max_pops: 10,
+        max_pops: 8,
         expected: "
             ns | c | qs | m
             [#n6] | 0 | [#n6] | #n6
@@ -179,7 +177,7 @@ const CASES: &[Case] = &[
     Case {
         name: "at_least_one_step_needs_a_cycle_to_return",
         statement: "SELECT nodes(p) AS ns, c MATCH (n:Person)-/p <:knows :knows*> COST c/->(n) WHERE n.name = 'Dan' OR n.name = 'Fay'",
-        max_pops: 44,
+        max_pops: 35,
         expected: "
             ns | c
             [#n4, #n5, #n1, #n2, #n4] | 4
@@ -188,7 +186,7 @@ const CASES: &[Case] = &[
     Case {
         name: "k_shortest_lists_equal_cost_walks_in_identifier_order",
         statement: "SELECT m, nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/3 SHORTEST p <:knows*> COST c/->(m:Person) WHERE n.name = 'Ann' AND (m.name = 'Dan' OR m.name = 'Eve')",
-        max_pops: 67,
+        max_pops: 58,
         expected: "
             m | ns | es | c
             #n4 | [#n1, #n2, #n4] | [#e10, #e12] | 2
@@ -202,7 +200,7 @@ const CASES: &[Case] = &[
     Case {
         name: "k_shortest_bound_destination",
         statement: "SELECT n, m, nodes(p) AS ns, c MATCH (n:Person)-[:likes]->(m)-/2 SHORTEST p <:knows*> COST c/->(n)",
-        max_pops: 99,
+        max_pops: 68,
         expected: "
             n | m | ns | c
             #n2 | #n3 | [#n3, #n4, #n5, #n1, #n2] | 4
@@ -214,7 +212,7 @@ const CASES: &[Case] = &[
     Case {
         name: "k_shortest_mints_path_ids_in_search_order",
         statement: "CONSTRUCT (n)-/@p:sp/->(m) MATCH (n:Person)-/2 SHORTEST p <:knows*>/->(m:Person) WHERE n.name = 'Cid' AND m.name <> 'Ann'",
-        max_pops: 46,
+        max_pops: 40,
         expected: "
             nodes [1, 2, 3, 4, 5] edges [10, 11, 12, 13, 14, 15, 16]
             /p19 n[3, 5, 1, 2] e[15, 16, 10]/
@@ -230,7 +228,7 @@ const CASES: &[Case] = &[
     Case {
         name: "weighted_shortest_prefers_the_light_route",
         statement: with_views!("SELECT m, nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/p <~w*> COST c/->(m:Person) WHERE n.name = 'Ann'"),
-        max_pops: 25,
+        max_pops: 19,
         expected: "
             m | ns | es | c
             #n1 | [#n1] | [] | 0.0
@@ -243,7 +241,7 @@ const CASES: &[Case] = &[
     Case {
         name: "weighted_tie_is_broken_towards_edge_13",
         statement: with_views!("SELECT nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/2 SHORTEST p <~w*> COST c/->(m:Person) WHERE n.name = 'Cid' AND m.name = 'Eve'"),
-        max_pops: 46,
+        max_pops: 25,
         expected: "
             ns | es | c
             [#n3, #n4, #n5] | [#e13, #e14] | 2.0
@@ -253,7 +251,7 @@ const CASES: &[Case] = &[
     Case {
         name: "weighted_bound_destination",
         statement: with_views!("SELECT n, m, nodes(p) AS ns, c MATCH (n:Person)-[:likes]->(m)-/p <~w ~w*> COST c/->(n)"),
-        max_pops: 86,
+        max_pops: 68,
         expected: "
             n | m | ns | c
             #n2 | #n3 | [#n3, #n4, #n5, #n1, #n2] | 8.0
@@ -263,7 +261,7 @@ const CASES: &[Case] = &[
     Case {
         name: "weighted_paths_mint_ids_and_keep_their_cost_order",
         statement: with_views!("CONSTRUCT (n)-/@p:wp/->(m) MATCH (n:Person)-/2 SHORTEST p <~w ~w*>/->(m:Person) WHERE n.name = 'Cid' AND m.name = 'Eve'"),
-        max_pops: 51,
+        max_pops: 29,
         expected: "
             nodes [3, 4, 5] edges [13, 14, 15]
             /p19 n[3, 4, 5] e[13, 14]/
@@ -273,7 +271,7 @@ const CASES: &[Case] = &[
     Case {
         name: "all_unbound_destination_projects_per_destination",
         statement: "SELECT m, nodes(p) AS ns, edges(p) AS es MATCH (n:Person)-/ALL p <:knows :knows :knows*>/->(m:Person) WHERE n.name = 'Ann'",
-        max_pops: 120,
+        max_pops: 100,
         expected: "
             m | ns | es
             #n1 | [#n1, #n2, #n3, #n4, #n5] | [#e10, #e11, #e12, #e13, #e14, #e15, #e16]
@@ -304,7 +302,7 @@ const CASES: &[Case] = &[
     Case {
         name: "all_over_view_segments_projects_the_segment_walks",
         statement: with_views!("SELECT m, nodes(p) AS ns, edges(p) AS es MATCH (n:Person)-/ALL p <~two :knows>/->(m) WHERE n.name = 'Ann'"),
-        max_pops: 15,
+        max_pops: 11,
         expected: "
             m | ns | es
             #n1 | [#n1, #n3, #n5] | [#e11, #e15, #e16]
@@ -314,7 +312,7 @@ const CASES: &[Case] = &[
     Case {
         name: "all_projection_is_constructed_as_elements",
         statement: "CONSTRUCT (n)-/p/->(m) MATCH (n:Person)-/ALL p <:knows :knows>/->(m:Person) WHERE n.name = 'Ann'",
-        max_pops: 15,
+        max_pops: 12,
         expected: "
             nodes [1, 2, 3, 4, 5] edges [10, 11, 12, 13, 15]
         ",
@@ -322,7 +320,7 @@ const CASES: &[Case] = &[
     Case {
         name: "inverse_labels_walk_edges_backwards",
         statement: "SELECT m, nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/p <:knows-*> COST c/->(m) WHERE n.name = 'Dan' AND c <= 2",
-        max_pops: 25,
+        max_pops: 19,
         expected: "
             m | ns | es | c
             #n1 | [#n4, #n2, #n1] | [#e12, #e10] | 2
@@ -362,7 +360,7 @@ const CASES: &[Case] = &[
     Case {
         name: "node_test_with_a_bound_destination",
         statement: "SELECT n, m, nodes(p) AS ns MATCH (n:Person)-[:likes]->(m)-/p <(:knows !Person)*>/->(n)",
-        max_pops: 93,
+        max_pops: 59,
         expected: "
             n | m | ns
             #n2 | #n3 | [#n3, #n5, #n1, #n2]
@@ -385,7 +383,7 @@ const CASES: &[Case] = &[
     Case {
         name: "alternation_then_star",
         statement: "SELECT m, nodes(p) AS ns, edges(p) AS es MATCH (n:Person)-/p <(:likes + :knows) :likes*>/->(m) WHERE n.name = 'Bob'",
-        max_pops: 12,
+        max_pops: 9,
         expected: "
             m | ns | es
             #n3 | [#n2, #n3] | [#e17]
@@ -395,7 +393,7 @@ const CASES: &[Case] = &[
     Case {
         name: "view_segments_concatenate_their_walks",
         statement: with_views!("SELECT m, nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/p <~two ~two*> COST c/->(m) WHERE n.name = 'Ann'"),
-        max_pops: 40,
+        max_pops: 22,
         expected: "
             m | ns | es | c
             #n1 | [#n1, #n2, #n4, #n5, #n1] | [#e10, #e12, #e14, #e16] | 2
@@ -430,7 +428,7 @@ const CASES: &[Case] = &[
     Case {
         name: "in_direction_with_a_bound_destination",
         statement: "SELECT n, m, nodes(p) AS ns MATCH (n:Person)-[:likes]->(m)<-/p <:knows :knows*>/-(n)",
-        max_pops: 75,
+        max_pops: 58,
         expected: "
             n | m | ns
             #n2 | #n3 | [#n3, #n1, #n5, #n4, #n2]
@@ -538,11 +536,67 @@ const CASES: &[Case] = &[
     Case {
         name: "reachability_over_a_view_with_a_bound_destination",
         statement: with_views!("SELECT n, m MATCH (n:Person)-[:likes]->(m)-/<~two ~two>/->(n)"),
-        max_pops: 14,
+        max_pops: 4,
         expected: "
             n | m
             #n2 | #n3
             #n3 | #n3
+        ",
+    },
+    Case {
+        name: "k_shortest_toward_a_far_end_filter",
+        statement: "SELECT nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/3 SHORTEST p <:knows*> COST c/->(m:Person) WHERE n.name = 'Ann' AND m.name = 'Eve'",
+        max_pops: 34,
+        expected: "
+            ns | es | c
+            [#n1, #n2, #n4, #n5] | [#e10, #e12, #e14] | 3
+            [#n1, #n3, #n4, #n5] | [#e11, #e13, #e14] | 3
+            [#n1, #n3, #n5] | [#e11, #e15] | 2
+        ",
+    },
+    Case {
+        name: "weighted_search_toward_a_far_end_filter",
+        statement: with_views!("SELECT nodes(p) AS ns, edges(p) AS es, c MATCH (n:Person)-/2 SHORTEST p <~w*> COST c/->(m:Person) WHERE n.name = 'Ann' AND 'Dan' = m.name"),
+        max_pops: 37,
+        expected: "
+            ns | es | c
+            [#n1, #n2, #n4] | [#e10, #e12] | 6.0
+            [#n1, #n3, #n4] | [#e11, #e13] | 2.0
+        ",
+    },
+    Case {
+        name: "far_end_filter_no_node_satisfies",
+        statement: "SELECT n, m MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.name = 'Ann' AND m.name = 'Zed'",
+        max_pops: 0,
+        expected: "
+            n | m
+        ",
+    },
+    Case {
+        name: "far_end_filter_on_an_unlabeled_destination",
+        statement: "SELECT m, nodes(p) AS ns, c MATCH (n:Person)-/2 SHORTEST p <:knows*> COST c/->(m) WHERE n.name = 'Bob' AND m.name = 'Ann'",
+        max_pops: 39,
+        expected: "
+            m | ns | c
+            #n1 | [#n2, #n4, #n5, #n1, #n3, #n5, #n1] | 6
+            #n1 | [#n2, #n4, #n5, #n1] | 3
+        ",
+    },
+    Case {
+        name: "far_end_filter_unreachable_from_the_source",
+        statement: "SELECT n, m MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.name = 'Ann' AND m.name = 'Fay'",
+        max_pops: 3,
+        expected: "
+            n | m
+        ",
+    },
+    Case {
+        name: "all_toward_a_far_end_filter",
+        statement: "SELECT m, nodes(p) AS ns, edges(p) AS es MATCH (n:Person)-/ALL p <:knows :knows>/->(m) WHERE n.name = 'Ann' AND m.name = 'Dan'",
+        max_pops: 9,
+        expected: "
+            m | ns | es
+            #n4 | [#n1, #n2, #n3, #n4] | [#e10, #e11, #e12, #e13]
         ",
     },
 ];
@@ -582,4 +636,52 @@ fn frontier_pops_do_not_rise() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// The statement's `name` counters summed over its spans, `None` when no
+/// span reports one.
+fn counter(profile: &gcore_repro::engine::obs::QueryProfile, name: &str) -> Option<u64> {
+    fn walk(span: &gcore_repro::engine::obs::ProfileSpan, name: &str, sum: &mut Option<u64>) {
+        for (k, v) in &span.counters {
+            if k == name {
+                *sum = Some(sum.unwrap_or(0) + v);
+            }
+        }
+        for child in &span.children {
+            walk(child, name, sum);
+        }
+    }
+    let mut sum = None;
+    for span in &profile.spans {
+        walk(span, name, &mut sum);
+    }
+    sum
+}
+
+#[test]
+fn unit_cost_cases_build_no_tie_keys() {
+    let mut failures = Vec::new();
+    for case in CASES.iter().filter(|c| !c.statement.contains('~')) {
+        for planner in [true, false] {
+            let (_, profile) = engine(planner).profile(case.statement).expect("case runs");
+            if let Some(n) = counter(&profile, "tie_keys") {
+                failures.push(format!("{} (planner {planner}): tie_keys={n}", case.name));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn far_end_filters_become_targets() {
+    for case in CASES.iter().filter(|c| c.name.contains("far_end")) {
+        for planner in [true, false] {
+            let (_, profile) = engine(planner).profile(case.statement).expect("case runs");
+            assert!(
+                counter(&profile, "targets").is_some(),
+                "{} (planner {planner}) searched without targets",
+                case.name
+            );
+        }
+    }
 }
