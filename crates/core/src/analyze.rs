@@ -34,9 +34,10 @@
 use crate::diag::{DiagCode, Diagnostic};
 use crate::error::{Result, SemanticError};
 use gcore_parser::ast::{
-    BasicGraphQuery, BinaryOp, Connection, ConstructClause, ConstructItem, ConstructPattern, Expr,
-    FullGraphQuery, HeadClause, Ident, Location, MatchClause, PathClause, PathMode, Pattern, Query,
-    QueryBody, QuerySource, Regex, RemoveItem, SelectQuery, SetItem, Statement,
+    BasicGraphQuery, BinaryOp, BinderRole, Connection, ConstructClause, ConstructItem,
+    ConstructPattern, Expr, FullGraphQuery, HeadClause, Ident, LocatedPattern, Location,
+    MatchClause, PathClause, PathMode, Pattern, Query, QueryBody, QuerySource, Regex, RemoveItem,
+    SelectQuery, SetItem, Statement,
 };
 use gcore_parser::token::Span;
 use gcore_ppg::{Catalog, ElementId};
@@ -333,11 +334,10 @@ impl Analyzer<'_> {
         let views_before = self.views.len();
         let graphs_before = self.graph_scope.len();
         // Heads first: later heads and the body see earlier definitions.
-        let body_vars = body_structural_names(&q.body);
         for head in &q.heads {
             match head {
                 HeadClause::Path(pc) => {
-                    self.path_clause(pc, &body_vars);
+                    self.path_clause(pc, &q.body);
                     self.views.push(pc.name.text.clone());
                 }
                 HeadClause::Graph(gc) => {
@@ -363,12 +363,8 @@ impl Analyzer<'_> {
     }
 
     fn fgq(&mut self, f: &FullGraphQuery, outer: &mut Scope) {
-        match f {
-            FullGraphQuery::Basic(b) => self.basic(b, outer),
-            FullGraphQuery::SetOp { left, right, .. } => {
-                self.fgq(left, outer);
-                self.fgq(right, outer);
-            }
+        for b in f.basic_queries() {
+            self.basic(b, outer);
         }
     }
 
@@ -419,35 +415,19 @@ impl Analyzer<'_> {
         // Pass 1: structural bindings of every pattern (main and
         // OPTIONAL) come first, so `{k = v}` entries naming a
         // structural variable filter instead of binding.
-        for lp in &m.patterns {
+        for lp in m.located_patterns() {
             self.bind_pattern_structure(&lp.pattern, scope);
             self.check_location(&lp.on);
         }
-        for opt in &m.optionals {
-            for lp in &opt.patterns {
-                self.bind_pattern_structure(&lp.pattern, scope);
-                self.check_location(&lp.on);
-            }
-        }
         // Pass 2: property entries — `{k = v}` binds v as a value
         // variable iff v is not already bound.
-        for lp in &m.patterns {
+        for lp in m.located_patterns() {
             self.pattern_props(&lp.pattern, scope);
-        }
-        for opt in &m.optionals {
-            for lp in &opt.patterns {
-                self.pattern_props(&lp.pattern, scope);
-            }
         }
         // Pass 3: WHERE conditions (aggregates are not allowed here —
         // there is no grouping context, E004).
-        if let Some(w) = &m.where_clause {
-            self.where_clause(w, m.where_span.span(), scope);
-        }
-        for opt in &m.optionals {
-            if let Some(w) = &opt.where_clause {
-                self.where_clause(w, opt.where_span.span(), scope);
-            }
+        for (w, span) in m.where_clauses() {
+            self.where_clause(w, span.span(), scope);
         }
         // Pass 4: clause-level shape lints.
         self.check_optional_shared(m);
@@ -473,53 +453,45 @@ impl Analyzer<'_> {
     /// Bind the structural (node/edge/path/cost) variables of a pattern
     /// and run the per-connection path-shape checks (E006).
     fn bind_pattern_structure(&mut self, p: &Pattern, scope: &mut Scope) {
-        if let Some(v) = &p.start.var {
-            self.bind(scope, v, Sort::Node, false);
+        let paths = p.steps.iter().filter_map(|s| match &s.connection {
+            Connection::Path(pp) => Some(pp),
+            Connection::Edge(_) => None,
+        });
+        // Whether each path binder, in order, projects ALL paths (E009).
+        let mut all_paths = (paths.clone())
+            .filter(|pp| pp.var.is_some())
+            .map(|pp| pp.mode == PathMode::All && !pp.stored);
+        for (v, role) in p.binders() {
+            let (sort, all) = match role {
+                BinderRole::Node => (Sort::Node, false),
+                BinderRole::Edge => (Sort::Edge, false),
+                BinderRole::Path => (Sort::Path, all_paths.next() == Some(true)),
+                BinderRole::Cost => (Sort::Value, false),
+                BinderRole::Value => continue, // pass 2: `pattern_props`
+            };
+            self.bind(scope, v, sort, all);
         }
-        self.lint_labels(&p.start.labels);
+        for n in p.nodes() {
+            self.lint_labels(&n.labels);
+        }
         for s in &p.steps {
-            match &s.connection {
-                Connection::Edge(e) => {
-                    if let Some(v) = &e.var {
-                        self.bind(scope, v, Sort::Edge, false);
-                    }
-                    self.lint_labels(&e.labels);
-                }
-                Connection::Path(pp) => {
-                    let all = pp.mode == PathMode::All;
-                    if let Some(v) = &pp.var {
-                        self.bind(scope, v, Sort::Path, all && !pp.stored);
-                    }
-                    if let Some(c) = &pp.cost_var {
-                        self.bind(scope, c, Sort::Value, false);
-                    }
-                    self.lint_labels(&pp.labels);
-                    self.check_path_pattern(pp);
-                    if let Some(r) = &pp.regex {
-                        self.check_regex_views(r, pp.span.span());
-                    }
-                }
+            if let Connection::Edge(e) = &s.connection {
+                self.lint_labels(&e.labels);
             }
-            if let Some(v) = &s.node.var {
-                self.bind(scope, v, Sort::Node, false);
+        }
+        for pp in paths {
+            self.lint_labels(&pp.labels);
+            self.check_path_pattern(pp);
+            if let Some(r) = &pp.regex {
+                self.check_regex_views(r, pp.span.span());
             }
-            self.lint_labels(&s.node.labels);
         }
     }
 
     /// Property entries of every node/edge in the pattern: binder or
     /// filter, per the matcher's rule.
     fn pattern_props(&mut self, p: &Pattern, scope: &mut Scope) {
-        let mut entries = Vec::new();
-        for n in p.nodes() {
-            entries.extend(&n.props);
-        }
-        for s in &p.steps {
-            if let Connection::Edge(e) = &s.connection {
-                entries.extend(&e.props);
-            }
-        }
-        for entry in entries {
+        for entry in p.prop_entries() {
             self.lint_key(&entry.key);
             if let Expr::Var(v) = &entry.value {
                 if scope.binds(v.as_str()) {
@@ -608,22 +580,13 @@ impl Analyzer<'_> {
         if m.optionals.len() < 2 {
             return;
         }
-        let mut main_vars: BTreeMap<String, Span> = BTreeMap::new();
-        for lp in &m.patterns {
-            pattern_var_spans(&lp.pattern, &mut main_vars);
-        }
-        let block_vars: Vec<BTreeMap<String, Span>> = m
+        let main_vars = binder_spans(&m.patterns);
+        let block_vars: Vec<_> = m
             .optionals
             .iter()
-            .map(|b| {
-                let mut vs = BTreeMap::new();
-                for lp in &b.patterns {
-                    pattern_var_spans(&lp.pattern, &mut vs);
-                }
-                vs
-            })
+            .map(|b| binder_spans(&b.patterns))
             .collect();
-        let mut reported: BTreeSet<&String> = BTreeSet::new();
+        let mut reported: BTreeSet<&str> = BTreeSet::new();
         for i in 0..block_vars.len() {
             for j in (i + 1)..block_vars.len() {
                 for v in block_vars[i].keys() {
@@ -657,14 +620,8 @@ impl Analyzer<'_> {
         if m.patterns.len() < 2 {
             return;
         }
-        let var_sets: Vec<BTreeMap<String, Span>> = m
-            .patterns
-            .iter()
-            .map(|lp| {
-                let mut vs = BTreeMap::new();
-                pattern_var_spans(&lp.pattern, &mut vs);
-                vs
-            })
+        let var_sets: Vec<BTreeSet<&str>> = (m.patterns.iter())
+            .map(|lp| lp.pattern.binders().map(|(v, _)| v.as_str()).collect())
             .collect();
         // Union-find over pattern indices.
         let mut comp: Vec<usize> = (0..var_sets.len()).collect();
@@ -681,7 +638,7 @@ impl Analyzer<'_> {
         }
         for i in 0..var_sets.len() {
             for j in (i + 1)..var_sets.len() {
-                if var_sets[i].keys().any(|v| var_sets[j].contains_key(v)) {
+                if !var_sets[i].is_disjoint(&var_sets[j]) {
                     join(&mut comp, i, j);
                 }
             }
@@ -692,7 +649,7 @@ impl Analyzer<'_> {
                 let mut vars = BTreeSet::new();
                 expr_vars(c, &mut vars);
                 let touched: Vec<usize> = (0..var_sets.len())
-                    .filter(|&i| var_sets[i].keys().any(|v| vars.contains(v.as_str())))
+                    .filter(|&i| !var_sets[i].is_disjoint(&vars))
                     .collect();
                 for pair in touched.windows(2) {
                     join(&mut comp, pair[0], pair[1]);
@@ -724,30 +681,19 @@ impl Analyzer<'_> {
         // construct variables — `WHEN e.score > 0` reads a property the
         // clause just computed. Collect them up front.
         let mut escope = scope.clone();
-        for item in &c.items {
-            if let ConstructItem::Pattern(pat) = item {
-                let mut vars: Vec<&Ident> = Vec::new();
-                vars.extend(pat.start.var.as_ref());
-                for s in &pat.steps {
-                    vars.extend(s.node.var.as_ref());
-                    match &s.connection {
-                        gcore_parser::ast::ConstructConnection::Edge(e) => {
-                            vars.extend(e.var.as_ref());
-                        }
-                        gcore_parser::ast::ConstructConnection::Path(p) => vars.push(&p.var),
-                    }
-                }
-                for v in vars {
-                    escope.vars.entry(v.text.clone()).or_insert(VarInfo {
-                        sort: Sort::Value,
-                        span: v.span.span(),
-                        used: true,
-                        inherited: false,
-                        implicit: true,
-                        all_path: false,
-                    });
-                }
-            }
+        let patterns = c.items.iter().filter_map(|item| match item {
+            ConstructItem::Pattern(pat) => Some(pat),
+            ConstructItem::GraphName(_) => None,
+        });
+        for v in patterns.flat_map(ConstructPattern::vars) {
+            escope.vars.entry(v.text.clone()).or_insert(VarInfo {
+                sort: Sort::Value,
+                span: v.span.span(),
+                used: true,
+                inherited: false,
+                implicit: true,
+                all_path: false,
+            });
         }
         // GROUP-conflict detection spans the whole clause (E007).
         let mut groups: BTreeMap<String, (&Vec<Expr>, Span)> = BTreeMap::new();
@@ -781,14 +727,13 @@ impl Analyzer<'_> {
     ) {
         // The construct variables of *this* pattern (SET/REMOVE targets
         // must be among them, E014).
-        let mut own_vars: BTreeSet<&str> = BTreeSet::new();
+        let own_vars: BTreeSet<&str> = pat.vars().map(Ident::as_str).collect();
         let mut nodes = vec![&pat.start];
         for s in &pat.steps {
             nodes.push(&s.node);
         }
         for n in &nodes {
             if let Some(v) = &n.var {
-                own_vars.insert(v.as_str());
                 self.check_construct_use(scope, v, Sort::Node);
                 self.check_group(scope, v, n.group.as_ref(), groups);
             }
@@ -806,7 +751,6 @@ impl Analyzer<'_> {
             match &s.connection {
                 gcore_parser::ast::ConstructConnection::Edge(e) => {
                     if let Some(v) = &e.var {
-                        own_vars.insert(v.as_str());
                         self.check_construct_use(scope, v, Sort::Edge);
                         self.check_group(scope, v, e.group.as_ref(), groups);
                     }
@@ -821,7 +765,6 @@ impl Analyzer<'_> {
                     }
                 }
                 gcore_parser::ast::ConstructConnection::Path(p) => {
-                    own_vars.insert(p.var.as_str());
                     match scope.sort(p.var.as_str()) {
                         Some(Sort::Path) => {
                             scope.mark_used(p.var.as_str());
@@ -1045,7 +988,7 @@ impl Analyzer<'_> {
 
     // -- PATH heads ----------------------------------------------------
 
-    fn path_clause(&mut self, pc: &PathClause, body_vars: &BTreeSet<String>) {
+    fn path_clause(&mut self, pc: &PathClause, body: &QueryBody) {
         let mut scope = Scope::default();
         match pc.patterns.first() {
             None => {
@@ -1099,8 +1042,12 @@ impl Analyzer<'_> {
             self.check_expr(c, &mut scope, false, pc.name.span.span());
         }
         // W102: view-local variables shadowing body variables.
+        let body_vars: BTreeSet<&str> = (body.match_clauses())
+            .flat_map(|m| m.located_patterns().flat_map(|lp| lp.pattern.binders()))
+            .map(|(v, _)| v.as_str())
+            .collect();
         for (name, info) in &scope.vars {
-            if body_vars.contains(name) {
+            if body_vars.contains(name.as_str()) {
                 self.push(
                     Diagnostic::new(
                         DiagCode::ShadowedVariable,
@@ -1118,9 +1065,9 @@ impl Analyzer<'_> {
 
     // -- expressions ---------------------------------------------------
 
-    /// Walk an expression: unbound variables (E002), misplaced
-    /// aggregates (E004 when `agg` is false), name lints, and recursion
-    /// into subqueries.
+    /// Check an expression and everything inside it: unbound variables
+    /// (E002), misplaced aggregates (E004 when `agg` is false), name
+    /// lints, and subqueries in scopes of their own.
     fn check_expr(&mut self, e: &Expr, scope: &mut Scope, agg: bool, fallback: Span) {
         match e {
             Expr::Var(v) => {
@@ -1147,60 +1094,26 @@ impl Analyzer<'_> {
                 if !implicit_base {
                     self.lint_key_name(key, base.first_span().unwrap_or(fallback));
                 }
-                self.check_expr(base, scope, agg, fallback);
             }
             Expr::LabelTest(base, labels) => {
                 for l in labels {
                     self.lint_label_name(l, base.first_span().unwrap_or(fallback));
                 }
-                self.check_expr(base, scope, agg, fallback);
             }
-            Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-                self.check_expr(a, scope, agg, fallback);
-                self.check_expr(b, scope, agg, fallback);
-            }
-            Expr::Unary(_, a) => self.check_expr(a, scope, agg, fallback),
-            Expr::Func(_, args) => {
-                for a in args {
-                    self.check_expr(a, scope, agg, fallback);
-                }
-            }
-            Expr::Aggregate { arg, .. } => {
-                if !agg {
-                    self.push(
-                        Diagnostic::new(
-                            DiagCode::MisplacedAggregate,
-                            arg.as_deref()
-                                .and_then(Expr::first_span)
-                                .unwrap_or(fallback),
-                            "aggregate function is not allowed here",
-                        )
-                        .with_note(
-                            "aggregates need a grouping context: CONSTRUCT assignments, SET \
-                             items, WHEN conditions or SELECT items",
-                        ),
-                    );
-                }
-                // Nested aggregates are never allowed.
-                if let Some(a) = arg {
-                    self.check_expr(a, scope, false, fallback);
-                }
-            }
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                if let Some(o) = operand {
-                    self.check_expr(o, scope, agg, fallback);
-                }
-                for (c, r) in whens {
-                    self.check_expr(c, scope, agg, fallback);
-                    self.check_expr(r, scope, agg, fallback);
-                }
-                if let Some(x) = else_ {
-                    self.check_expr(x, scope, agg, fallback);
-                }
+            Expr::Aggregate { arg, .. } if !agg => {
+                self.push(
+                    Diagnostic::new(
+                        DiagCode::MisplacedAggregate,
+                        arg.as_deref()
+                            .and_then(Expr::first_span)
+                            .unwrap_or(fallback),
+                        "aggregate function is not allowed here",
+                    )
+                    .with_note(
+                        "aggregates need a grouping context: CONSTRUCT assignments, SET \
+                         items, WHEN conditions or SELECT items",
+                    ),
+                );
             }
             Expr::Exists(q) => {
                 // EXISTS subqueries share the outer bindings (§A.2).
@@ -1218,55 +1131,42 @@ impl Analyzer<'_> {
             }
             _ => {}
         }
+        // Nested aggregates are never allowed.
+        let agg = agg && !matches!(e, Expr::Aggregate { .. });
+        for c in e.children() {
+            self.check_expr(c, scope, agg, fallback);
+        }
     }
 
-    /// W106 — comparisons between literals of incompatible types.
+    /// W106 — comparisons between literals of incompatible types,
+    /// anywhere in the expression (subquery bodies are checked with their
+    /// own WHERE).
     fn lint_comparisons(&mut self, e: &Expr, fallback: Span) {
-        match e {
-            Expr::Binary(op, a, b) => {
-                if matches!(
-                    op,
-                    BinaryOp::Eq
-                        | BinaryOp::Neq
-                        | BinaryOp::Lt
-                        | BinaryOp::Le
-                        | BinaryOp::Gt
-                        | BinaryOp::Ge
-                ) {
-                    if let (Some(ka), Some(kb)) = (lit_kind(a), lit_kind(b)) {
-                        if ka != kb {
-                            self.push(
-                                Diagnostic::new(
-                                    DiagCode::SuspiciousComparison,
-                                    e.first_span().unwrap_or(fallback),
-                                    format!("comparison between {ka} and {kb} literals"),
-                                )
-                                .with_note("values of different types never compare equal"),
-                            );
-                        }
-                    }
-                }
-                self.lint_comparisons(a, fallback);
-                self.lint_comparisons(b, fallback);
-            }
-            Expr::Unary(_, a) => self.lint_comparisons(a, fallback),
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                if let Some(o) = operand {
-                    self.lint_comparisons(o, fallback);
-                }
-                for (c, r) in whens {
-                    self.lint_comparisons(c, fallback);
-                    self.lint_comparisons(r, fallback);
-                }
-                if let Some(x) = else_ {
-                    self.lint_comparisons(x, fallback);
+        if let Expr::Binary(op, a, b) = e {
+            let comparison = matches!(
+                op,
+                BinaryOp::Eq
+                    | BinaryOp::Neq
+                    | BinaryOp::Lt
+                    | BinaryOp::Le
+                    | BinaryOp::Gt
+                    | BinaryOp::Ge
+            );
+            if let (true, Some(ka), Some(kb)) = (comparison, lit_kind(a), lit_kind(b)) {
+                if ka != kb {
+                    self.push(
+                        Diagnostic::new(
+                            DiagCode::SuspiciousComparison,
+                            e.first_span().unwrap_or(fallback),
+                            format!("comparison between {ka} and {kb} literals"),
+                        )
+                        .with_note("values of different types never compare equal"),
+                    );
                 }
             }
-            _ => {}
+        }
+        for c in e.children() {
+            self.lint_comparisons(c, fallback);
         }
     }
 
@@ -1401,201 +1301,66 @@ impl Analyzer<'_> {
 /// or a CONSTRUCT graph union)?
 fn references_any(stmt: &Statement, names: &BTreeSet<String>) -> bool {
     fn in_query(q: &Query, names: &BTreeSet<String>) -> bool {
-        q.heads.iter().any(|h| match h {
-            HeadClause::Graph(gc) => in_query(&gc.query, names),
-            HeadClause::Path(_) => false,
-        }) || match &q.body {
-            QueryBody::Graph(f) => in_fgq(f, names),
-            QueryBody::Select(s) => in_match(&s.match_clause, names),
-        }
-    }
-    fn in_fgq(f: &FullGraphQuery, names: &BTreeSet<String>) -> bool {
-        match f {
-            FullGraphQuery::Basic(b) => {
-                b.construct.items.iter().any(|i| match i {
-                    ConstructItem::GraphName(g) => names.contains(g),
-                    ConstructItem::Pattern(_) => false,
-                }) || match &b.source {
-                    QuerySource::Match(m) => in_match(m, names),
-                    QuerySource::From(t) => names.contains(t.as_str()),
-                }
-            }
-            FullGraphQuery::SetOp { left, right, .. } => {
-                in_fgq(left, names) || in_fgq(right, names)
-            }
-        }
-    }
-    fn in_match(m: &MatchClause, names: &BTreeSet<String>) -> bool {
-        let on = |lp: &gcore_parser::ast::LocatedPattern| match &lp.on {
+        let in_head =
+            |h: &HeadClause| matches!(h, HeadClause::Graph(gc) if in_query(&gc.query, names));
+        let in_basic = |b: &BasicGraphQuery| {
+            let union =
+                |i: &ConstructItem| matches!(i, ConstructItem::GraphName(g) if names.contains(g));
+            b.construct.items.iter().any(union)
+                || matches!(&b.source, QuerySource::From(t) if names.contains(t.as_str()))
+        };
+        let in_location = |lp: &LocatedPattern| match &lp.on {
             Some(Location::Named(n)) => names.contains(n.as_str()),
-            Some(Location::Subquery(q)) => in_query(q, names),
+            Some(Location::Subquery(sub)) => in_query(sub, names),
             None => false,
         };
-        m.patterns.iter().any(&on) || m.optionals.iter().any(|b| b.patterns.iter().any(&on))
+        let graph = match &q.body {
+            QueryBody::Graph(f) => Some(f),
+            QueryBody::Select(_) => None,
+        };
+        q.heads.iter().any(in_head)
+            || graph
+                .into_iter()
+                .flat_map(FullGraphQuery::basic_queries)
+                .any(in_basic)
+            || (q.body.match_clauses()).any(|m| m.located_patterns().any(in_location))
     }
-    if names.is_empty() {
-        return false;
-    }
-    match stmt {
-        Statement::Query(q) | Statement::GraphView { query: q, .. } => in_query(q, names),
-    }
+    let (Statement::Query(q) | Statement::GraphView { query: q, .. }) = stmt;
+    !names.is_empty() && in_query(q, names)
 }
 
-/// Structural variable names of every MATCH in the query body (for the
-/// PATH-clause shadowing lint).
-fn body_structural_names(body: &QueryBody) -> BTreeSet<String> {
-    fn from_fgq(f: &FullGraphQuery, out: &mut BTreeSet<String>) {
-        match f {
-            FullGraphQuery::Basic(b) => {
-                if let QuerySource::Match(m) = &b.source {
-                    from_match(m, out);
-                }
-            }
-            FullGraphQuery::SetOp { left, right, .. } => {
-                from_fgq(left, out);
-                from_fgq(right, out);
-            }
-        }
-    }
-    fn from_match(m: &MatchClause, out: &mut BTreeSet<String>) {
-        let mut spans = BTreeMap::new();
-        for lp in &m.patterns {
-            pattern_var_spans(&lp.pattern, &mut spans);
-        }
-        for opt in &m.optionals {
-            for lp in &opt.patterns {
-                pattern_var_spans(&lp.pattern, &mut spans);
-            }
-        }
-        out.extend(spans.into_keys());
-    }
-    let mut out = BTreeSet::new();
-    match body {
-        QueryBody::Graph(f) => from_fgq(f, &mut out),
-        QueryBody::Select(s) => from_match(&s.match_clause, &mut out),
+/// Every variable `patterns` bind, with the span of its first binding.
+fn binder_spans(patterns: &[LocatedPattern]) -> BTreeMap<&str, Span> {
+    let mut out = BTreeMap::new();
+    for (v, _) in patterns.iter().flat_map(|lp| lp.pattern.binders()) {
+        out.entry(v.as_str()).or_insert(v.span.span());
     }
     out
 }
 
-/// Every variable a pattern binds (structural + `{k = v}` binders),
-/// with the span of its first occurrence.
-fn pattern_var_spans(p: &Pattern, out: &mut BTreeMap<String, Span>) {
-    let mut push = |v: &Ident| {
-        out.entry(v.text.clone()).or_insert_with(|| v.span.span());
-    };
-    if let Some(v) = &p.start.var {
-        push(v);
-    }
-    for s in &p.steps {
-        if let Some(v) = &s.node.var {
-            push(v);
-        }
-        match &s.connection {
-            Connection::Edge(e) => {
-                if let Some(v) = &e.var {
-                    push(v);
-                }
-            }
-            Connection::Path(pp) => {
-                if let Some(v) = &pp.var {
-                    push(v);
-                }
-                if let Some(c) = &pp.cost_var {
-                    push(c);
-                }
-            }
-        }
-    }
-    for n in p.nodes() {
-        for pe in &n.props {
-            if let Expr::Var(v) = &pe.value {
-                push(v);
-            }
-        }
-    }
-}
-
-/// All variable names referenced by an expression. Subqueries and
-/// pattern predicates contribute every name they mention — an
-/// over-approximation that is exactly right for connectivity analysis
-/// (a correlated EXISTS relates the outer variables it shares).
-fn expr_vars(e: &Expr, out: &mut BTreeSet<String>) {
-    fn query_vars(q: &Query, out: &mut BTreeSet<String>) {
-        fn fgq_vars(f: &FullGraphQuery, out: &mut BTreeSet<String>) {
-            match f {
-                FullGraphQuery::Basic(b) => {
-                    if let QuerySource::Match(m) = &b.source {
-                        let mut spans = BTreeMap::new();
-                        for lp in &m.patterns {
-                            pattern_var_spans(&lp.pattern, &mut spans);
-                        }
-                        for opt in &m.optionals {
-                            for lp in &opt.patterns {
-                                pattern_var_spans(&lp.pattern, &mut spans);
-                            }
-                        }
-                        out.extend(spans.into_keys());
-                        if let Some(w) = &m.where_clause {
-                            expr_vars(w, out);
-                        }
-                    }
-                }
-                FullGraphQuery::SetOp { left, right, .. } => {
-                    fgq_vars(left, out);
-                    fgq_vars(right, out);
-                }
-            }
-        }
-        match &q.body {
-            QueryBody::Graph(f) => fgq_vars(f, out),
-            QueryBody::Select(s) => {
-                let mut spans = BTreeMap::new();
-                for lp in &s.match_clause.patterns {
-                    pattern_var_spans(&lp.pattern, &mut spans);
-                }
-                out.extend(spans.into_keys());
-            }
-        }
-    }
-    match e {
+/// Every variable name an expression mentions. A subquery contributes
+/// every variable its MATCH clauses bind or their WHEREs mention, for a
+/// graph and a SELECT body alike; a pattern predicate, every variable it
+/// binds. That over-approximates what the subquery correlates on, which
+/// is exactly right for connectivity analysis (a correlated EXISTS
+/// relates the outer variables it shares).
+fn expr_vars<'a>(e: &'a Expr, out: &mut BTreeSet<&'a str>) {
+    e.walk(&mut |x| match x {
         Expr::Var(v) => {
-            out.insert(v.text.clone());
+            out.insert(v.as_str());
         }
-        Expr::Exists(q) => query_vars(q, out),
-        Expr::PatternPredicate(p) => {
-            let mut spans = BTreeMap::new();
-            pattern_var_spans(p, &mut spans);
-            out.extend(spans.into_keys());
-        }
-        Expr::Prop(a, _) | Expr::LabelTest(a, _) | Expr::Unary(_, a) => expr_vars(a, out),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-        Expr::Func(_, args) => {
-            for a in args {
-                expr_vars(a, out);
+        Expr::Exists(q) => {
+            for m in q.body.match_clauses() {
+                let binders = m.located_patterns().flat_map(|lp| lp.pattern.binders());
+                out.extend(binders.map(|(v, _)| v.as_str()));
+                for (w, _) in m.where_clauses() {
+                    expr_vars(w, out);
+                }
             }
         }
-        Expr::Aggregate { arg: Some(a), .. } => expr_vars(a, out),
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                expr_vars(o, out);
-            }
-            for (c, r) in whens {
-                expr_vars(c, out);
-                expr_vars(r, out);
-            }
-            if let Some(x) = else_ {
-                expr_vars(x, out);
-            }
-        }
+        Expr::PatternPredicate(p) => out.extend(p.binders().map(|(v, _)| v.as_str())),
         _ => {}
-    }
+    });
 }
 
 /// The kind of a literal, for W106.

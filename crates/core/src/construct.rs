@@ -133,29 +133,17 @@ pub(crate) fn group_by_exprs(
     Ok(groups)
 }
 
-/// The binding-table columns an expression reads through its variables.
-pub(crate) fn collect_var_cols(e: &Expr, bindings: &BindingTable, out: &mut Vec<usize>) {
-    match e {
-        Expr::Var(v) => {
-            if let Some(i) = bindings.column_index(v) {
-                if !out.contains(&i) {
-                    out.push(i);
-                }
+/// Add the binding-table columns `exprs` read through their variables to
+/// `cols`, in first-read order: the columns a GROUP fixes, which tell
+/// `COUNT(*)` the OPTIONAL padding rows of a group apart.
+pub(crate) fn read_columns(exprs: &[Expr], bindings: &BindingTable, cols: &mut Vec<usize>) {
+    for e in exprs {
+        e.walk(&mut |x| {
+            let Expr::Var(v) = x else { return };
+            if let Some(i) = bindings.column_index(v).filter(|i| !cols.contains(i)) {
+                cols.push(i);
             }
-        }
-        Expr::Prop(b, _) | Expr::LabelTest(b, _) | Expr::Unary(_, b) => {
-            collect_var_cols(b, bindings, out)
-        }
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            collect_var_cols(a, bindings, out);
-            collect_var_cols(b, bindings, out);
-        }
-        Expr::Func(_, args) => {
-            for a in args {
-                collect_var_cols(a, bindings, out);
-            }
-        }
-        _ => {}
+        });
     }
 }
 
@@ -705,9 +693,7 @@ fn group_rows_for(
     match group {
         Some(exprs) => {
             let mut cols: Vec<usize> = Vec::new();
-            for e in exprs {
-                collect_var_cols(e, bindings, &mut cols);
-            }
+            read_columns(exprs, bindings, &mut cols);
             // A NULL component leaves Ω′(Γ) undefined: no element.
             let groups = group_by_exprs(ev, bindings, exprs, outer)?
                 .into_iter()
@@ -1040,9 +1026,7 @@ fn stage_edge(
     // Per row, the ordinal of its GROUP-expression group.
     let mut expr_group: Option<Vec<u64>> = None;
     if let Some(exprs) = &e.group {
-        for ge in exprs {
-            collect_var_cols(ge, bindings, &mut group_cols);
-        }
+        read_columns(exprs, bindings, &mut group_cols);
         let ordinals = expr_group.insert(vec![0; bindings.len()]);
         let by_exprs = group_by_exprs(ev, bindings, exprs, outer)?;
         for (ordinal, (_, rows)) in by_exprs.iter().enumerate() {

@@ -21,7 +21,7 @@ use crate::context::FreshPath;
 use crate::error::{Result, SemanticError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::paths::PathSearcher;
-use crate::plan::{first_label, pure_reach, structural_vars, ScanFilter};
+use crate::plan::{first_label, pure_reach, ScanFilter};
 use crate::query::Evaluator;
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
@@ -139,7 +139,9 @@ impl<'e> PatternMatcher<'e> {
     ) -> Result<(BindingTable, ChainInfo)> {
         // Structural variables of this pattern decide which `{k = v}`
         // entries bind fresh value variables vs. filter.
-        let structural = structural_vars(pattern);
+        let structural: Vec<&str> = (pattern.binders())
+            .filter_map(|(v, role)| role.is_structural().then_some(v.as_str()))
+            .collect();
 
         let start_var = pattern
             .start
@@ -199,7 +201,7 @@ impl<'e> PatternMatcher<'e> {
         node: &NodePattern,
         outer: Option<&Env<'_>>,
         seed: Option<&[NodeId]>,
-        structural: &FxHashSet<String>,
+        structural: &[&str],
     ) -> Result<BindingTable> {
         // If the outer scope (correlated subquery) already binds this
         // variable, start from that binding.
@@ -289,7 +291,7 @@ impl<'e> PatternMatcher<'e> {
         var: &str,
         node: &NodePattern,
         outer: Option<&Env<'_>>,
-        structural: &FxHashSet<String>,
+        structural: &[&str],
     ) -> Result<BindingTable> {
         self.constrain_node_groups(table, var, node, &node.labels, outer, structural)
     }
@@ -303,7 +305,7 @@ impl<'e> PatternMatcher<'e> {
         node: &NodePattern,
         groups: &[LabelDisjunction],
         outer: Option<&Env<'_>>,
-        structural: &FxHashSet<String>,
+        structural: &[&str],
     ) -> Result<BindingTable> {
         let mut table = self.filter_labels(table, var, groups)?;
         for entry in &node.props {
@@ -353,7 +355,7 @@ impl<'e> PatternMatcher<'e> {
         elem_var: &str,
         entry: &PropEntry,
         outer: Option<&Env<'_>>,
-        structural: &FxHashSet<String>,
+        structural: &[&str],
     ) -> Result<BindingTable> {
         let key = Key::lookup(&entry.key);
         let elem_idx = table
@@ -378,7 +380,7 @@ impl<'e> PatternMatcher<'e> {
         // fans out: one row per value of the property.
         if let Expr::Var(v) = &entry.value {
             let is_bound = table.binds(v)
-                || structural.contains(v.as_str())
+                || structural.contains(&v.as_str())
                 || outer.is_some_and(|o| o.binds(v));
             if !is_bound {
                 let mut columns = table.columns().to_vec();
@@ -418,7 +420,7 @@ impl<'e> PatternMatcher<'e> {
         dst_var: &str,
         edge: &EdgePattern,
         outer: Option<&Env<'_>>,
-        structural: &FxHashSet<String>,
+        structural: &[&str],
     ) -> Result<BindingTable> {
         let prev_idx = table
             .column_index(prev_var)

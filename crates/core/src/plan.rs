@@ -38,9 +38,9 @@
 
 use crate::obs::format_estimate;
 use gcore_parser::ast::{
-    BinaryOp, Connection, Direction, Expr, FullGraphQuery, Func, HeadClause, Ident,
-    LabelDisjunction, LocatedPattern, Location, MatchClause, NodePattern, PathMode, PathPattern,
-    Pattern, PropEntry, Query, QueryBody, QuerySource, Statement,
+    BinaryOp, Connection, Direction, Expr, Func, HeadClause, Ident, LabelDisjunction,
+    LocatedPattern, Location, MatchClause, NodePattern, PathMode, PathPattern, Pattern, PropEntry,
+    Query, Statement,
 };
 use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::hash::FxHashSet;
@@ -206,7 +206,9 @@ pub fn plan_block<'a>(
     }
 
     // --- join ordering ---
-    let vars: Vec<FxHashSet<String>> = patterns.iter().map(|(p, _)| pattern_vars(p)).collect();
+    // Every binder is a column of the pattern's table: the join keys.
+    let binders = |p: &Pattern| p.binders().map(|(v, _)| v.text.clone()).collect();
+    let vars: Vec<FxHashSet<String>> = patterns.iter().map(|(p, _)| binders(p)).collect();
     let mut order: Vec<usize> = (0..n).collect();
     let mut estimates = Vec::new();
     if let Some(resolve) = stats {
@@ -231,7 +233,11 @@ pub fn plan_block<'a>(
         join_vars.sort_unstable();
         bound.extend(vars[idx].iter().map(String::as_str));
         let (pattern, on) = slots[idx].take().expect("each pattern planned once");
-        let binds = |f: &&ScanFilter<'a>| binds_element(&pattern, f.var);
+        let binds = |f: &&ScanFilter<'a>| {
+            pattern
+                .binders()
+                .any(|(v, r)| r.is_element() && *v == f.var)
+        };
         let placed = |f: &ScanFilter<'a>| ScanFilter {
             target: is_target(&pattern, f.var, f.expr),
             ..*f
@@ -259,7 +265,9 @@ fn scan_var<'a>(c: &'a Expr, patterns: &[Located<'_>]) -> Option<&'a str> {
     if !reads_one_column(c, &mut var) {
         return None;
     }
-    var.filter(|v| patterns.iter().any(|(p, _)| binds_element(p, v)))
+    // The matcher applies scan filters where it binds a node or an edge.
+    let mut binders = patterns.iter().flat_map(|(p, _)| p.binders());
+    var.filter(|v| binders.any(|(b, r)| r.is_element() && b == v))
 }
 
 /// Walk a conjunct: `false` when it cannot be a scan filter whatever it
@@ -267,49 +275,17 @@ fn scan_var<'a>(c: &'a Expr, patterns: &[Located<'_>]) -> Option<&'a str> {
 /// met so far (`None` for a constant expression).
 fn reads_one_column<'a>(e: &'a Expr, var: &mut Option<&'a str>) -> bool {
     let is_var = |x: &Expr| matches!(x, Expr::Var(_));
-    match e {
-        Expr::Var(v) => *var.get_or_insert(v.as_str()) == v.as_str(),
-        Expr::Prop(base, _) | Expr::LabelTest(base, _) => {
-            is_var(base) && reads_one_column(base, var)
-        }
+    let local = match e {
+        Expr::Var(v) => return *var.get_or_insert(v.as_str()) == v.as_str(),
+        Expr::Prop(base, _) | Expr::LabelTest(base, _) => is_var(base),
         Expr::Func(f, args) => {
             let reads_graph = matches!(f, Func::Labels | Func::Nodes | Func::Edges | Func::Length);
-            (!reads_graph || args.iter().all(is_var))
-                && args.iter().all(|a| reads_one_column(a, var))
+            !reads_graph || args.iter().all(is_var)
         }
-        Expr::Unary(_, a) => reads_one_column(a, var),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            reads_one_column(a, var) && reads_one_column(b, var)
-        }
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => operand
-            .as_deref()
-            .into_iter()
-            .chain(whens.iter().flat_map(|(c, r)| [c, r]))
-            .chain(else_.as_deref())
-            .all(|x| reads_one_column(x, var)),
         Expr::Exists(_) | Expr::PatternPredicate(_) | Expr::Aggregate { .. } => false,
-        Expr::Int(_)
-        | Expr::Float(_)
-        | Expr::Str(_)
-        | Expr::Bool(_)
-        | Expr::Null
-        | Expr::DateLit(_) => true,
-    }
-}
-
-/// Does the pattern bind `var` as a node or an edge — the sites where
-/// the matcher applies `var`'s scan filters?
-fn binds_element(pattern: &Pattern, var: &str) -> bool {
-    let is = |v: &Option<Ident>| v.as_ref().is_some_and(|v| v.as_str() == var);
-    pattern.nodes().any(|n| is(&n.var))
-        || pattern.steps.iter().any(|s| match &s.connection {
-            Connection::Edge(e) => is(&e.var),
-            Connection::Path(_) => false,
-        })
+        _ => true,
+    };
+    local && e.children().all(|c| reads_one_column(c, var))
 }
 
 /// Does the scan filter `var` ← `c` of `pattern` become the target set of
@@ -404,16 +380,17 @@ fn try_push_in(c: &Expr, patterns: &mut [Located<'_>]) -> bool {
     };
 
     let mut value_bound = false;
-    for (p, _) in patterns.iter() {
-        if structural_vars(p).contains(e.as_str()) {
+    for (v, role) in patterns.iter().flat_map(|(p, _)| p.binders()) {
+        if v == e && role.is_structural() {
             return false; // `e` names an element, not a value
         }
-        value_bound |= prop_value_vars(p).contains(e.as_str());
+        value_bound |= v == e;
     }
     if !value_bound {
         return false;
     }
-    let Some((pattern, _)) = patterns.iter_mut().find(|(p, _)| binds_element(p, b)) else {
+    let binds_b = |p: &Cow<'_, Pattern>| p.binders().any(|(v, r)| r.is_element() && v == b);
+    let Some((pattern, _)) = patterns.iter_mut().find(|(p, _)| binds_b(p)) else {
         return false;
     };
     // The first site binding `b` takes the entry; `to_mut` is the one
@@ -440,7 +417,7 @@ fn try_push_in(c: &Expr, patterns: &mut [Located<'_>]) -> bool {
             }
         }
     }
-    unreachable!("binds_element found `b` in this pattern")
+    unreachable!("`b` is bound as an element in this pattern")
 }
 
 /// Is it safe to evaluate this block's patterns in a different order
@@ -474,33 +451,12 @@ fn reorder_safe(
                 }
             }
         }
-        if pattern_prop_exprs(pattern).any(contains_subquery) {
+        let subquery = |e: &Expr| matches!(e, Expr::Exists(_) | Expr::PatternPredicate(_));
+        if pattern.prop_entries().any(|p| p.value.any(&subquery)) {
             return Err("order kept: a property entry contains a subquery");
         }
     }
     Ok(())
-}
-
-fn contains_subquery(e: &Expr) -> bool {
-    match e {
-        Expr::Exists(_) | Expr::PatternPredicate(_) => true,
-        Expr::Prop(a, _) | Expr::LabelTest(a, _) | Expr::Unary(_, a) => contains_subquery(a),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => contains_subquery(a) || contains_subquery(b),
-        Expr::Func(_, args) => args.iter().any(contains_subquery),
-        Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(contains_subquery),
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            operand.as_deref().is_some_and(contains_subquery)
-                || whens
-                    .iter()
-                    .any(|(c, r)| contains_subquery(c) || contains_subquery(r))
-                || else_.as_deref().is_some_and(contains_subquery)
-        }
-        _ => false,
-    }
 }
 
 /// Greedy least-cardinality ordering: seed with the cheapest pattern,
@@ -524,64 +480,6 @@ fn greedy_order(vars: &[FxHashSet<String>], estimates: &[f64]) -> Vec<usize> {
         order.push(pick);
     }
     order
-}
-
-/// All node/edge/path/cost variables declared structurally by a pattern.
-pub(crate) fn structural_vars(pattern: &Pattern) -> FxHashSet<String> {
-    let mut vars = FxHashSet::default();
-    for n in pattern.nodes() {
-        if let Some(v) = &n.var {
-            vars.insert(v.text.clone());
-        }
-    }
-    for step in &pattern.steps {
-        match &step.connection {
-            Connection::Edge(e) => {
-                if let Some(v) = &e.var {
-                    vars.insert(v.text.clone());
-                }
-            }
-            Connection::Path(p) => {
-                if let Some(v) = &p.var {
-                    vars.insert(v.text.clone());
-                }
-                if let Some(c) = &p.cost_var {
-                    vars.insert(c.text.clone());
-                }
-            }
-        }
-    }
-    vars
-}
-
-/// Variables appearing as plain-variable property-entry values
-/// (`{key = e}`): these become value columns of the pattern's table.
-fn prop_value_vars(pattern: &Pattern) -> FxHashSet<String> {
-    let mut vars = FxHashSet::default();
-    for e in pattern_prop_exprs(pattern) {
-        if let Expr::Var(v) = e {
-            vars.insert(v.text.clone());
-        }
-    }
-    vars
-}
-
-/// Every property-entry value expression of a pattern.
-fn pattern_prop_exprs(pattern: &Pattern) -> impl Iterator<Item = &Expr> {
-    let node_props = pattern.nodes().flat_map(|n| n.props.iter());
-    let edge_props = pattern.steps.iter().flat_map(|s| match &s.connection {
-        Connection::Edge(e) => e.props.iter(),
-        Connection::Path(_) => [].iter(),
-    });
-    node_props.chain(edge_props).map(|p| &p.value)
-}
-
-/// All join-relevant variables of a pattern: structural variables plus
-/// plain-variable property values (both become columns).
-fn pattern_vars(pattern: &Pattern) -> FxHashSet<String> {
-    let mut vars = structural_vars(pattern);
-    vars.extend(prop_value_vars(pattern));
-    vars
 }
 
 // ---------------------------------------------------------------------
@@ -758,9 +656,8 @@ fn explain_query(q: &Query, stats: Option<&PlanResolver<'_>>, out: &mut String) 
             explain_nested(&gc.query, "  ", stats, out);
         }
     }
-    match &q.body {
-        QueryBody::Graph(g) => explain_full_graph(g, stats, out),
-        QueryBody::Select(s) => render_match(&s.match_clause, stats, out),
+    for m in q.body.match_clauses() {
+        render_match(m, stats, out);
     }
 }
 
@@ -770,20 +667,6 @@ fn explain_nested(q: &Query, indent: &str, stats: Option<&PlanResolver<'_>>, out
     explain_query(q, stats, &mut nested);
     for line in nested.lines() {
         let _ = writeln!(out, "{indent}{line}");
-    }
-}
-
-fn explain_full_graph(q: &FullGraphQuery, stats: Option<&PlanResolver<'_>>, out: &mut String) {
-    match q {
-        FullGraphQuery::Basic(b) => {
-            if let QuerySource::Match(m) = &b.source {
-                render_match(m, stats, out);
-            }
-        }
-        FullGraphQuery::SetOp { left, right, .. } => {
-            explain_full_graph(left, stats, out);
-            explain_full_graph(right, stats, out);
-        }
     }
 }
 
@@ -868,6 +751,7 @@ fn render_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcore_parser::ast::{FullGraphQuery, QueryBody, QuerySource};
     use gcore_parser::parse_query;
     use gcore_ppg::{Attributes, GraphBuilder};
 

@@ -7,7 +7,7 @@
 //! whole table forms one group; otherwise each binding is its own row.
 
 use crate::binding::BindingTable;
-use crate::construct::{collect_var_cols, eval_group_aggregate, group_by_exprs};
+use crate::construct::{eval_group_aggregate, group_by_exprs, read_columns};
 use crate::error::{Result, RuntimeError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::query::Evaluator;
@@ -33,13 +33,8 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
     };
 
     // Which columns define the group (for COUNT(*) padding detection).
-    let group_cols: Vec<usize> = {
-        let mut cols = Vec::new();
-        for e in &s.group_by {
-            collect_var_cols(e, &bindings, &mut cols);
-        }
-        cols
-    };
+    let mut group_cols = Vec::new();
+    read_columns(&s.group_by, &bindings, &mut group_cols);
 
     let column_names: Vec<String> = s
         .items

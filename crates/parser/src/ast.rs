@@ -231,6 +231,40 @@ pub enum FullGraphQuery {
     },
 }
 
+impl FullGraphQuery {
+    /// The basic queries combined by UNION / INTERSECT / MINUS, left to
+    /// right.
+    pub fn basic_queries(&self) -> impl Iterator<Item = &BasicGraphQuery> {
+        let (mut next, mut rights) = (Some(self), Vec::new());
+        std::iter::from_fn(move || loop {
+            match next.take().or_else(|| rights.pop())? {
+                FullGraphQuery::Basic(b) => return Some(b),
+                FullGraphQuery::SetOp { left, right, .. } => {
+                    rights.push(&**right);
+                    next = Some(left);
+                }
+            }
+        })
+    }
+}
+
+impl QueryBody {
+    /// Every MATCH clause of the body: one per basic query (those reading
+    /// `FROM` a table have none), or the SELECT's.
+    pub fn match_clauses(&self) -> impl Iterator<Item = &MatchClause> {
+        let (graph, select) = match self {
+            QueryBody::Graph(f) => (Some(f), None),
+            QueryBody::Select(s) => (None, Some(&s.match_clause)),
+        };
+        let basics = graph.into_iter().flat_map(FullGraphQuery::basic_queries);
+        let matches = basics.filter_map(|b| match &b.source {
+            QuerySource::Match(m) => Some(m),
+            QuerySource::From(_) => None,
+        });
+        matches.chain(select)
+    }
+}
+
 /// UNION / INTERSECT / MINUS on whole graphs (§A.5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GraphSetOp {
@@ -278,6 +312,24 @@ pub struct MatchClause {
     /// that contain no spanned identifier of their own).
     pub where_span: AstSpan,
     pub optionals: Vec<OptionalBlock>,
+}
+
+impl MatchClause {
+    /// Every pattern of the clause: the main block's, then each OPTIONAL
+    /// block's, in source order.
+    pub fn located_patterns(&self) -> impl Iterator<Item = &LocatedPattern> {
+        let optional = self.optionals.iter().flat_map(|o| &o.patterns);
+        self.patterns.iter().chain(optional)
+    }
+
+    /// Every WHERE of the clause with its source region: the main
+    /// block's, then each OPTIONAL block's.
+    pub fn where_clauses(&self) -> impl Iterator<Item = (&Expr, AstSpan)> {
+        let main = self.where_clause.as_ref().map(|w| (w, self.where_span));
+        let optional =
+            (self.optionals.iter()).filter_map(|o| Some((o.where_clause.as_ref()?, o.where_span)));
+        main.into_iter().chain(optional)
+    }
 }
 
 /// One `OPTIONAL` block: all its comma-separated patterns must match
@@ -328,6 +380,136 @@ impl Pattern {
     /// All node patterns, in order.
     pub fn nodes(&self) -> impl Iterator<Item = &NodePattern> {
         std::iter::once(&self.start).chain(self.steps.iter().map(|s| &s.node))
+    }
+
+    /// Every variable the pattern binds, with the role it is bound in,
+    /// in syntactic order: per element its own variable(s), then the
+    /// `{k = v}` entries on it whose value is a plain variable — on
+    /// nodes and edges alike. Such an entry binds `v` only where nothing
+    /// else does; the matcher filters with it otherwise.
+    #[inline]
+    pub fn binders(&self) -> Binders<'_> {
+        Binders {
+            pattern: self,
+            next: 0,
+            own: [None, None],
+            own_at: 2,
+            props: &[],
+        }
+    }
+
+    /// Every property entry on the pattern's nodes and edges, in
+    /// syntactic order.
+    pub fn prop_entries(&self) -> impl Iterator<Item = &PropEntry> {
+        (0..)
+            .map_while(|i| self.element(i))
+            .flat_map(|(_, props)| props)
+    }
+
+    /// Element `i` of the chain in syntactic order — 0 is the start node,
+    /// `2k + 1` and `2k + 2` are step `k`'s connection and node — as the
+    /// variables it declares, with their roles, and its property entries.
+    #[inline]
+    fn element(&self, i: usize) -> Option<Element<'_>> {
+        fn node(n: &NodePattern) -> Element<'_> {
+            (
+                [n.var.as_ref().map(|v| (v, BinderRole::Node)), None],
+                &n.props,
+            )
+        }
+        let Some(k) = i.checked_sub(1) else {
+            return Some(node(&self.start));
+        };
+        let step = self.steps.get(k / 2)?;
+        if k % 2 == 1 {
+            return Some(node(&step.node));
+        }
+        Some(match &step.connection {
+            Connection::Edge(e) => (
+                [e.var.as_ref().map(|v| (v, BinderRole::Edge)), None],
+                &e.props,
+            ),
+            Connection::Path(p) => {
+                let path = p.var.as_ref().map(|v| (v, BinderRole::Path));
+                (
+                    [path, p.cost_var.as_ref().map(|c| (c, BinderRole::Cost))],
+                    &[],
+                )
+            }
+        })
+    }
+}
+
+/// One element of a pattern chain: the variables it declares, with their
+/// roles, and its property entries.
+type Element<'a> = ([Option<(&'a Ident, BinderRole)>; 2], &'a [PropEntry]);
+
+/// The binders of a [`Pattern`], in syntactic order (see
+/// [`Pattern::binders`]). A plain state machine rather than an adaptor
+/// chain: analysis and planning ask it for every pattern of every
+/// statement.
+pub struct Binders<'a> {
+    pattern: &'a Pattern,
+    /// The element to read after the current one.
+    next: usize,
+    /// The current element's own variables, from `own_at` on, and its
+    /// entries not yet looked at.
+    own: [Option<(&'a Ident, BinderRole)>; 2],
+    own_at: usize,
+    props: &'a [PropEntry],
+}
+
+impl<'a> Iterator for Binders<'a> {
+    type Item = (&'a Ident, BinderRole);
+
+    #[inline]
+    fn next(&mut self) -> Option<(&'a Ident, BinderRole)> {
+        loop {
+            while let Some(&slot) = self.own.get(self.own_at) {
+                self.own_at += 1;
+                if slot.is_some() {
+                    return slot;
+                }
+            }
+            while let Some((entry, rest)) = self.props.split_first() {
+                self.props = rest;
+                if let Expr::Var(v) = &entry.value {
+                    return Some((v, BinderRole::Value));
+                }
+            }
+            (self.own, self.props) = self.pattern.element(self.next)?;
+            (self.next, self.own_at) = (self.next + 1, 0);
+        }
+    }
+}
+
+/// The position at which a MATCH pattern binds a variable.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum BinderRole {
+    /// `(x)`.
+    Node,
+    /// `-[e]-`.
+    Edge,
+    /// `-/p <…>/-`.
+    Path,
+    /// `COST c` on a path pattern.
+    Cost,
+    /// `{k = v}` on a node or an edge.
+    Value,
+}
+
+impl BinderRole {
+    /// A node or an edge: an element the matcher filters where it binds
+    /// it.
+    #[must_use]
+    pub fn is_element(self) -> bool {
+        matches!(self, BinderRole::Node | BinderRole::Edge)
+    }
+
+    /// Declared by the chain itself rather than by a property entry.
+    #[must_use]
+    pub fn is_structural(self) -> bool {
+        self != BinderRole::Value
     }
 }
 
@@ -477,6 +659,22 @@ pub struct ConstructPattern {
     pub sets: Vec<SetItem>,
     /// Trailing `REMOVE` assignments.
     pub removes: Vec<RemoveItem>,
+}
+
+impl ConstructPattern {
+    /// Every construct variable of the chain, in syntactic order.
+    pub fn vars(&self) -> impl Iterator<Item = &Ident> {
+        let steps = self.steps.iter().flat_map(|s| {
+            let connection = match &s.connection {
+                ConstructConnection::Edge(e) => e.var.as_ref(),
+                ConstructConnection::Path(p) => Some(&p.var),
+            };
+            [connection, s.node.var.as_ref()]
+        });
+        std::iter::once(self.start.var.as_ref())
+            .chain(steps)
+            .flatten()
+    }
 }
 
 /// One hop of a construct chain.
@@ -839,7 +1037,107 @@ impl AggOp {
     }
 }
 
+/// The direct sub-expressions of an [`Expr`], left to right (see
+/// [`Expr::children`]). An enum rather than an adaptor chain, so that the
+/// many leaves of an expression cost one tag each.
+pub enum Children<'a> {
+    /// No sub-expression left.
+    Done,
+    /// One operand left.
+    One(&'a Expr),
+    /// Two operands left.
+    Two(&'a Expr, &'a Expr),
+    /// Function arguments.
+    Args(std::slice::Iter<'a, Expr>),
+    /// A `CASE`: its operand, each `WHEN` condition and its result, the
+    /// `ELSE`.
+    Case {
+        next: Option<&'a Expr>,
+        whens: std::slice::Iter<'a, (Expr, Expr)>,
+        else_: Option<&'a Expr>,
+    },
+}
+
+impl<'a> Iterator for Children<'a> {
+    type Item = &'a Expr;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Expr> {
+        match self {
+            Children::Done => None,
+            Children::One(a) => {
+                let a = *a;
+                *self = Children::Done;
+                Some(a)
+            }
+            Children::Two(a, b) => {
+                let (a, b) = (*a, *b);
+                *self = Children::One(b);
+                Some(a)
+            }
+            Children::Args(args) => args.next(),
+            Children::Case { next, whens, else_ } => next
+                .take()
+                .or_else(|| {
+                    let (condition, result) = whens.next()?;
+                    *next = Some(result);
+                    Some(condition)
+                })
+                .or_else(|| else_.take()),
+        }
+    }
+}
+
 impl Expr {
+    /// The direct sub-expressions, left to right. The bodies of `EXISTS`
+    /// subqueries and pattern predicates are not entered: they are
+    /// queries and patterns of their own, not operands.
+    #[inline]
+    pub fn children(&self) -> Children<'_> {
+        match self {
+            Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Str(_)
+            | Expr::Bool(_)
+            | Expr::Null
+            | Expr::DateLit(_)
+            | Expr::Var(_)
+            | Expr::Exists(_)
+            | Expr::PatternPredicate(_)
+            | Expr::Aggregate { arg: None, .. } => Children::Done,
+            Expr::Prop(e, _)
+            | Expr::LabelTest(e, _)
+            | Expr::Unary(_, e)
+            | Expr::Aggregate { arg: Some(e), .. } => Children::One(e),
+            Expr::Index(a, b) | Expr::Binary(_, a, b) => Children::Two(a, b),
+            Expr::Func(_, args) => Children::Args(args.iter()),
+            Expr::Case {
+                operand,
+                whens,
+                else_,
+            } => Children::Case {
+                next: operand.as_deref(),
+                whens: whens.iter(),
+                else_: else_.as_deref(),
+            },
+        }
+    }
+
+    /// Does `pred` hold for this expression or any expression inside it
+    /// (subquery bodies aside, as in [`Expr::children`])?
+    pub fn any(&self, pred: &impl Fn(&Expr) -> bool) -> bool {
+        pred(self) || self.children().any(|c| c.any(pred))
+    }
+
+    /// Call `visit` on this expression and every expression inside it,
+    /// pre-order (subquery bodies aside, as in [`Expr::children`]).
+    pub fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Expr)) {
+        visit(self);
+        for c in self.children() {
+            c.walk(visit);
+        }
+    }
+
     /// The source span of the leftmost spanned identifier inside this
     /// expression, if any. Literals carry no span of their own, so an
     /// all-literal expression yields `None`; callers fall back to the
@@ -848,25 +1146,8 @@ impl Expr {
     pub fn first_span(&self) -> Option<Span> {
         match self {
             Expr::Var(v) => Some(v.span.span()),
-            Expr::Prop(e, _) | Expr::LabelTest(e, _) | Expr::Unary(_, e) => e.first_span(),
-            Expr::Index(a, b) | Expr::Binary(_, a, b) => a.first_span().or_else(|| b.first_span()),
-            Expr::Func(_, args) => args.iter().find_map(Expr::first_span),
-            Expr::Aggregate { arg, .. } => arg.as_deref().and_then(Expr::first_span),
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => operand
-                .as_deref()
-                .and_then(Expr::first_span)
-                .or_else(|| {
-                    whens
-                        .iter()
-                        .find_map(|(c, r)| c.first_span().or_else(|| r.first_span()))
-                })
-                .or_else(|| else_.as_deref().and_then(Expr::first_span)),
             Expr::PatternPredicate(p) => Some(p.span.span()),
-            _ => None,
+            _ => self.children().find_map(Expr::first_span),
         }
     }
 
@@ -889,25 +1170,82 @@ impl Expr {
 
     /// Does this expression (transitively) contain an aggregate?
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Prop(e, _) | Expr::LabelTest(e, _) | Expr::Unary(_, e) => e.contains_aggregate(),
-            Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-                a.contains_aggregate() || b.contains_aggregate()
+        matches!(self, Expr::Aggregate { .. }) || self.children().any(Expr::contains_aggregate)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse_query;
+
+    fn match_clause(q: &Query) -> &MatchClause {
+        q.body.match_clauses().next().expect("a MATCH clause")
+    }
+
+    #[test]
+    fn binders_follow_the_chain_on_nodes_and_edges_alike() {
+        let q = parse_query(
+            "CONSTRUCT (a) MATCH (a {k = v})-[e {s = w, t = 1}]->(b)-/p <:knows*> COST c/->(d)",
+        )
+        .unwrap();
+        let pattern = &match_clause(&q).patterns[0].pattern;
+        let got: Vec<(&str, BinderRole)> =
+            pattern.binders().map(|(v, r)| (v.as_str(), r)).collect();
+        use BinderRole::*;
+        let want = [
+            ("a", Node),
+            ("v", Value),
+            ("e", Edge),
+            ("w", Value),
+            ("b", Node),
+            ("p", Path),
+            ("c", Cost),
+            ("d", Node),
+        ];
+        assert_eq!(got, want);
+        let keys: Vec<&str> = pattern.prop_entries().map(|p| p.key.as_str()).collect();
+        assert_eq!(keys, ["k", "s", "t"]);
+    }
+
+    #[test]
+    fn children_are_the_operands_in_order_and_stop_at_subqueries() {
+        let q = parse_query(
+            "CONSTRUCT (n) MATCH (n) WHERE CASE n.a WHEN 1 THEN size(x) ELSE COUNT(y) END \
+             AND EXISTS (CONSTRUCT () MATCH (m) WHERE m.b = z)",
+        )
+        .unwrap();
+        let w = match_clause(&q).where_clause.as_ref().unwrap();
+        let mut vars = Vec::new();
+        w.walk(&mut |e| {
+            if let Expr::Var(v) = e {
+                vars.push(v.as_str());
             }
-            Expr::Func(_, args) => args.iter().any(Expr::contains_aggregate),
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || whens
-                        .iter()
-                        .any(|(c, r)| c.contains_aggregate() || r.contains_aggregate())
-                    || else_.as_deref().is_some_and(Expr::contains_aggregate)
-            }
-            _ => false,
-        }
+        });
+        // Pre-order, operand before WHEN pairs before ELSE; the EXISTS
+        // body (`m`, `z`) is not entered.
+        assert_eq!(vars, ["n", "x", "y"]);
+        assert!(w.contains_aggregate());
+        assert_eq!(w.children().count(), 2);
+    }
+
+    #[test]
+    fn set_operations_and_blocks_iterate_in_source_order() {
+        let q = parse_query(
+            "CONSTRUCT (a) MATCH (a) OPTIONAL (a)-[]->(b) WHERE b.k = 1 OPTIONAL (c) \
+             UNION CONSTRUCT (d) MATCH (d) MINUS CONSTRUCT (e) FROM t",
+        )
+        .unwrap();
+        let QueryBody::Graph(f) = &q.body else {
+            panic!("graph query")
+        };
+        assert_eq!(f.basic_queries().count(), 3);
+        let clauses: Vec<&MatchClause> = q.body.match_clauses().collect();
+        assert_eq!(clauses.len(), 2);
+        let starts: Vec<&str> = (clauses[0].located_patterns())
+            .map(|lp| lp.pattern.start.var.as_deref().unwrap())
+            .collect();
+        assert_eq!(starts, ["a", "a", "c"]);
+        assert_eq!(clauses[0].where_clauses().count(), 1);
     }
 }

@@ -146,20 +146,16 @@ fn walk_query(q: &Query, out: &mut BTreeSet<Feature>) {
 }
 
 fn walk_fgq(q: &FullGraphQuery, out: &mut BTreeSet<Feature>) {
-    match q {
-        FullGraphQuery::Basic(b) => {
-            walk_construct(&b.construct, out);
-            match &b.source {
-                QuerySource::Match(m) => walk_match(m, out),
-                QuerySource::From(_) => {
-                    out.insert(Feature::TabularInput);
-                }
+    if let FullGraphQuery::SetOp { .. } = q {
+        out.insert(Feature::GraphSetOps);
+    }
+    for b in q.basic_queries() {
+        walk_construct(&b.construct, out);
+        match &b.source {
+            QuerySource::Match(m) => walk_match(m, out),
+            QuerySource::From(_) => {
+                out.insert(Feature::TabularInput);
             }
-        }
-        FullGraphQuery::SetOp { left, right, .. } => {
-            out.insert(Feature::GraphSetOps);
-            walk_fgq(left, out);
-            walk_fgq(right, out);
         }
     }
 }
@@ -229,7 +225,7 @@ fn walk_match(m: &MatchClause, out: &mut BTreeSet<Feature>) {
 
     // Disjoint comma patterns ⇒ Cartesian product.
     if m.patterns.len() > 1 {
-        let var_sets: Vec<BTreeSet<String>> = m
+        let var_sets: Vec<BTreeSet<&str>> = m
             .patterns
             .iter()
             .map(|lp| pattern_vars(&lp.pattern))
@@ -266,31 +262,10 @@ fn walk_match(m: &MatchClause, out: &mut BTreeSet<Feature>) {
     }
 }
 
-fn pattern_vars(p: &Pattern) -> BTreeSet<String> {
-    let mut vars = BTreeSet::new();
-    for n in p.nodes() {
-        if let Some(v) = &n.var {
-            vars.insert(v.text.clone());
-        }
-    }
-    for s in &p.steps {
-        match &s.connection {
-            Connection::Edge(e) => {
-                if let Some(v) = &e.var {
-                    vars.insert(v.text.clone());
-                }
-            }
-            Connection::Path(pp) => {
-                if let Some(v) = &pp.var {
-                    vars.insert(v.text.clone());
-                }
-                if let Some(c) = &pp.cost_var {
-                    vars.insert(c.text.clone());
-                }
-            }
-        }
-    }
-    vars
+/// The variables a pattern's shape binds (`{k = v}` values aside).
+fn pattern_vars(p: &Pattern) -> BTreeSet<&str> {
+    let structural = p.binders().filter(|(_, role)| role.is_structural());
+    structural.map(|(v, _)| v.as_str()).collect()
 }
 
 fn walk_pattern(p: &Pattern, out: &mut BTreeSet<Feature>) {
@@ -346,36 +321,6 @@ fn walk_expr(e: &Expr, out: &mut BTreeSet<Feature>) {
                     }
                 _ => {}
             }
-            walk_expr(a, out);
-            walk_expr(b, out);
-        }
-        Expr::Unary(_, a) | Expr::Prop(a, _) | Expr::LabelTest(a, _) => walk_expr(a, out),
-        Expr::Index(a, b) => {
-            walk_expr(a, out);
-            walk_expr(b, out);
-        }
-        Expr::Func(_, args) => {
-            for a in args {
-                walk_expr(a, out);
-            }
-        }
-        Expr::Aggregate { arg: Some(a), .. } => walk_expr(a, out),
-        Expr::Aggregate { arg: None, .. } => {}
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                walk_expr(o, out);
-            }
-            for (c, r) in whens {
-                walk_expr(c, out);
-                walk_expr(r, out);
-            }
-            if let Some(x) = else_ {
-                walk_expr(x, out);
-            }
         }
         Expr::Exists(q) => {
             out.insert(Feature::ExplicitExists);
@@ -386,6 +331,9 @@ fn walk_expr(e: &Expr, out: &mut BTreeSet<Feature>) {
             walk_pattern(p, out);
         }
         _ => {}
+    }
+    for c in e.children() {
+        walk_expr(c, out);
     }
 }
 

@@ -84,6 +84,25 @@ fn e003_optional_shared_variable() {
     );
 }
 
+/// A `{k = v}` entry binds `v` on an edge exactly as on a node, so two
+/// OPTIONAL blocks binding `y` that way share it.
+#[test]
+fn e003_counts_edge_value_binders() {
+    let t = tour();
+    for text in [
+        "CONSTRUCT (n) MATCH (n) OPTIONAL (n)-[e {since = y}]->(m) OPTIONAL (n)-[f {since = y}]->(k)",
+        "CONSTRUCT (n) MATCH (n) OPTIONAL (n)-[e]->(m {since = y}) OPTIONAL (n)-[f]->(k {since = y})",
+    ] {
+        assert_fires(&t.engine, "E003", text);
+    }
+    assert_clean_of(
+        &t.engine,
+        "E003",
+        "CONSTRUCT (n) MATCH (n)-[{since = y}]->() \
+         OPTIONAL (n)-[e {since = y}]->(m) OPTIONAL (n)-[f {since = y}]->(k)",
+    );
+}
+
 #[test]
 fn e004_misplaced_aggregate() {
     let t = tour();
@@ -276,6 +295,68 @@ fn w102_shadowed_variable() {
     );
 }
 
+/// A PATH clause's variables shadow every binder of the body, `{k = v}`
+/// values on edges included.
+#[test]
+fn w102_path_clause_counts_edge_value_binders() {
+    let t = tour();
+    for text in [
+        "PATH wk = (a)-[:knows]->(b) CONSTRUCT (n) MATCH (n)-[e {since = a}]->(m)",
+        "PATH wk = (a)-[:knows]->(b) CONSTRUCT (n) MATCH (n {since = a})-[e]->(m)",
+    ] {
+        assert_fires(&t.engine, "W102", text);
+    }
+    assert_clean_of(
+        &t.engine,
+        "W102",
+        "PATH wk = (a)-[:knows]->(b) CONSTRUCT (n) MATCH (n)-[e {since = d}]->(m)",
+    );
+}
+
+/// Patterns sharing a `{k = v}` binder are joined on it, on an edge as on
+/// a node.
+#[test]
+fn w103_counts_edge_value_binders() {
+    let t = tour();
+    for text in [
+        "CONSTRUCT (a) MATCH (a)-[e {since = y}]->(b), (c {since = y})",
+        "CONSTRUCT (a) MATCH (a {since = y})-[e]->(b), (c {since = y})",
+    ] {
+        assert_clean_of(&t.engine, "W103", text);
+    }
+    assert_fires(
+        &t.engine,
+        "W103",
+        "CONSTRUCT (a) MATCH (a)-[e {since = y}]->(b), (c {since = z})",
+    );
+}
+
+/// A subquery relates the outer variables its MATCH clause mentions —
+/// patterns and WHEREs of the main and OPTIONAL blocks — whether its body
+/// is a graph query or a SELECT.
+#[test]
+fn w103_subquery_bodies_relate_alike() {
+    let t = tour();
+    for text in [
+        "CONSTRUCT (n)-[:x]->(m) MATCH (n:Person), (m:Person) \
+         WHERE EXISTS (CONSTRUCT () MATCH (k) WHERE k = n OR k = m)",
+        "CONSTRUCT (n)-[:x]->(m) MATCH (n:Person), (m:Person) \
+         WHERE EXISTS (SELECT k MATCH (k) WHERE k = n OR k = m)",
+        "CONSTRUCT (n)-[:x]->(m) MATCH (n:Person), (m:Person) \
+         WHERE EXISTS (SELECT k MATCH (k) OPTIONAL (k)-[:knows]->(j) WHERE j = n OR j = m)",
+        "CONSTRUCT (n)-[:x]->(m) MATCH (n:Person), (m:Person) \
+         WHERE EXISTS (CONSTRUCT () MATCH (k) OPTIONAL (k)-[:knows]->(j) WHERE j = n OR j = m)",
+    ] {
+        assert_clean_of(&t.engine, "W103", text);
+    }
+    assert_fires(
+        &t.engine,
+        "W103",
+        "CONSTRUCT (n)-[:x]->(m) MATCH (n:Person), (m:Person) \
+         WHERE EXISTS (SELECT k MATCH (k) WHERE k = n)",
+    );
+}
+
 #[test]
 fn w103_cartesian_product() {
     let t = tour();
@@ -340,6 +421,24 @@ fn w106_suspicious_comparison() {
         &t.engine,
         "W106",
         "CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'Acme'",
+    );
+}
+
+/// W106 looks at every comparison inside a WHERE: in function arguments
+/// and index expressions too, not only under boolean operators.
+#[test]
+fn w106_looks_inside_every_operand() {
+    let t = tour();
+    for text in [
+        "CONSTRUCT (n) MATCH (n:Person) WHERE toString('Acme' = 1) = 'false'",
+        "CONSTRUCT (n) MATCH (n:Person) WHERE labels(n)[size('x' < 2)] = 'Person'",
+    ] {
+        assert_fires(&t.engine, "W106", text);
+    }
+    assert_clean_of(
+        &t.engine,
+        "W106",
+        "CONSTRUCT (n) MATCH (n:Person) WHERE toString('Acme' = 'x') = 'false'",
     );
 }
 

@@ -1,0 +1,318 @@
+//! Statement conformance table: the guided-tour catalog (Figure 4's
+//! `social_graph`, `company_graph`, the §5 `orders` table), one statement
+//! — or a short script — and the *exact* answer.
+//!
+//! The MATCH, path and CONSTRUCT tables pin one clause each; this one pins
+//! what sits above them: SELECT grouping, aggregates (including
+//! `COUNT(*)` over OPTIONAL padding), ORDER BY / LIMIT / OFFSET /
+//! DISTINCT, graph set operations, head `GRAPH g AS (…)`, `ON
+//! (subquery)`, `FROM` a table, `EXISTS` and `GRAPH VIEW`. Every case
+//! runs on a fresh engine, once with the planner on and once with it
+//! off, and both must give the expected text.
+//!
+//! Rendering: a table is its header line plus one line per row, cells
+//! joined by ` | `; a graph is one line per element in identifier order —
+//! `(n1 :L {k=[v]})` for nodes, `[e10 n1->n2 :L {…}]` for edges — with
+//! labels and keys sorted, so minted identifiers are part of the answer.
+//! A script renders its last output. An error renders as `ERR` plus its
+//! message.
+
+mod common;
+
+use common::tour;
+use gcore_repro::engine::QueryOutput;
+use gcore_repro::ppg::{Attributes, PathPropertyGraph};
+
+fn render_attrs(a: &Attributes) -> String {
+    let mut labels = a.labels.names();
+    labels.sort();
+    let mut props: Vec<String> = a
+        .properties
+        .iter()
+        .map(|(k, vs)| {
+            let mut vals: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
+            vals.sort();
+            format!("{}=[{}]", k.name(), vals.join(", "))
+        })
+        .collect();
+    props.sort();
+    let labels: Vec<String> = labels.iter().map(|l| format!(":{l} ")).collect();
+    format!("{}{{{}}}", labels.concat(), props.join(", "))
+}
+
+fn render_graph(g: &PathPropertyGraph) -> String {
+    let mut out = String::new();
+    for n in g.node_ids_sorted() {
+        let attrs = &g.node(n).unwrap().attrs;
+        out += &format!("(n{} {})\n", n.raw(), render_attrs(attrs));
+    }
+    for e in g.edge_ids_sorted() {
+        let d = g.edge(e).unwrap();
+        out += &format!(
+            "[e{} n{}->n{} {}]\n",
+            e.raw(),
+            d.src.raw(),
+            d.dst.raw(),
+            render_attrs(&d.attrs)
+        );
+    }
+    out
+}
+
+fn render(out: QueryOutput) -> String {
+    match out {
+        QueryOutput::Table(t) => {
+            let mut text = t.columns().join(" | ") + "\n";
+            for row in t.rows() {
+                let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                text += &(cells.join(" | ") + "\n");
+            }
+            text
+        }
+        QueryOutput::Graph(g) => {
+            g.validate().expect("a result graph is well-formed");
+            render_graph(&g)
+        }
+    }
+}
+
+/// Run `script` (one statement, or several one after the other) on a fresh
+/// tour engine and render its last output.
+fn run(script: &str, planner: bool) -> String {
+    let mut t = tour();
+    t.engine.set_planner(planner);
+    match t.engine.run_script(script) {
+        Ok(mut outs) => render(outs.pop().expect("a script has a statement")),
+        Err(e) => format!("ERR {e}\n"),
+    }
+}
+
+struct Case {
+    name: &'static str,
+    statement: &'static str,
+    expected: &'static str,
+}
+
+const CASES: &[Case] = &[
+    Case {
+        name: "select_group_by_count_ordered",
+        statement: "SELECT m.firstName AS name, COUNT(*) AS friends MATCH (n:Person)-[:knows]->(m:Person) GROUP BY m.firstName ORDER BY friends DESC, name",
+        expected: "
+            name | friends
+            Peter | 3
+            John | 2
+            Alice | 1
+            Celine | 1
+            Frank | 1
+        ",
+    },
+    Case {
+        name: "select_count_star_is_zero_on_optional_padding",
+        statement: "SELECT n.firstName AS name, COUNT(*) AS posts MATCH (n:Person) OPTIONAL (n)<-[:has_creator]-(p:Post) GROUP BY n.firstName ORDER BY name",
+        expected: "
+            name | posts
+            Alice | 0
+            Celine | 1
+            Frank | 0
+            John | 1
+            Peter | 1
+        ",
+    },
+    Case {
+        name: "select_count_star_over_padding_grouped_by_expression",
+        statement: "SELECT n.firstName AS name, COUNT(*) AS c MATCH (n:Person) OPTIONAL (n)-[:knows]->(m) WHERE m.firstName = 'Nobody' GROUP BY n.firstName + '' ORDER BY name",
+        expected: "
+            name | c
+            Alice | 0
+            Celine | 0
+            Frank | 0
+            John | 0
+            Peter | 0
+        ",
+    },
+    Case {
+        name: "select_count_star_over_padding_grouped_by_case",
+        statement: "SELECT n.firstName AS name, COUNT(*) AS c MATCH (n:Person) OPTIONAL (n)-[:knows]->(m) WHERE m.firstName = 'Nobody' GROUP BY CASE WHEN TRUE THEN n.firstName END",
+        expected: "
+            name | c
+            Alice | 0
+            Celine | 0
+            Frank | 0
+            John | 0
+            Peter | 0
+        ",
+    },
+    Case {
+        name: "construct_edge_count_star_over_padding_grouped_by_case",
+        statement: "CONSTRUCT (x GROUP 'all' :Stat)-[e GROUP CASE WHEN TRUE THEN n.firstName END :count {who := n.firstName}]->(x) SET e.c := COUNT(*) MATCH (n:Person) OPTIONAL (n)-[:knows]->(m) WHERE m.firstName = 'Nobody'",
+        expected: "
+            (n302 :Stat {})
+            [e303 n302->n302 :count {c=[0], who=[Alice]}]
+            [e304 n302->n302 :count {c=[0], who=[Celine]}]
+            [e305 n302->n302 :count {c=[0], who=[Frank]}]
+            [e306 n302->n302 :count {c=[0], who=[John]}]
+            [e307 n302->n302 :count {c=[0], who=[Peter]}]
+        ",
+    },
+    Case {
+        name: "select_whole_table_aggregates",
+        statement: "SELECT COUNT(*) AS n, COUNT(DISTINCT c) AS cities, MIN(p.firstName) AS first, MAX(p.firstName) AS last, COLLECT(p.firstName) AS names MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            n | cities | first | last | names
+            5 | 2 | Alice | Peter | [Alice, Celine, Frank, John, Peter]
+        ",
+    },
+    Case {
+        name: "select_aggregate_inside_expression",
+        statement: "SELECT c.name AS city, COUNT(*) * 10 + 1 AS score MATCH (p:Person)-[:isLocatedIn]->(c:City) GROUP BY c.name ORDER BY score",
+        expected: "
+            city | score
+            Austin | 11
+            Houston | 41
+        ",
+    },
+    Case {
+        name: "select_distinct",
+        statement: "SELECT DISTINCT c.name AS city MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            city
+            Austin
+            Houston
+        ",
+    },
+    Case {
+        name: "select_order_limit_offset",
+        statement: "SELECT p.firstName AS name MATCH (p:Person) ORDER BY name DESC LIMIT 2 OFFSET 1",
+        expected: "
+            name
+            John
+            Frank
+        ",
+    },
+    Case {
+        name: "union_of_two_filters",
+        statement: "CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'Acme' UNION CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'HAL'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+        ",
+    },
+    Case {
+        name: "intersect_keeps_common_edges",
+        statement: "CONSTRUCT (n)-[e]->(m) MATCH (n:Person)-[e:knows]->(m:Person) INTERSECT CONSTRUCT (n)-[e]->(m) MATCH (n)-[e:knows]->(m) WHERE n.firstName = 'Peter'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+            [e19 n2->n1 :knows {}]
+            [e22 n2->n5 :knows {}]
+            [e24 n2->n4 :knows {}]
+        ",
+    },
+    Case {
+        name: "minus_drops_tag_lovers",
+        statement: "CONSTRUCT (n) MATCH (n:Person) MINUS CONSTRUCT (n) MATCH (n:Person)-[:hasInterest]->(:Tag)",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+        ",
+    },
+    Case {
+        name: "head_graph_is_matched_on",
+        statement: "GRAPH acme AS (CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'Acme') SELECT n.firstName AS name MATCH (n) ON acme ORDER BY name",
+        expected: "
+            name
+            Alice
+            John
+        ",
+    },
+    Case {
+        name: "on_subquery_location",
+        statement: "SELECT n.firstName AS name MATCH (n:Person) ON (CONSTRUCT (x)-[:knows]->(y) MATCH (x)-[:knows]->(y) WHERE y.firstName = 'Frank') ORDER BY name",
+        expected: "
+            name
+            Frank
+            Peter
+        ",
+    },
+    Case {
+        name: "construct_from_table",
+        statement: "CONSTRUCT (c GROUP custName :Customer {name := custName})-[:bought]->(p GROUP prodCode :Product {code := prodCode}) FROM orders",
+        expected: "
+            (n302 :Customer {name=[Ann]})
+            (n303 :Customer {name=[Bob]})
+            (n304 :Customer {name=[Cleo]})
+            (n305 :Product {code=[P-100]})
+            (n306 :Product {code=[P-200]})
+            (n307 :Product {code=[P-300]})
+            [e308 n302->n305 :bought {}]
+            [e309 n302->n306 :bought {}]
+            [e310 n303->n305 :bought {}]
+            [e311 n304->n307 :bought {}]
+        ",
+    },
+    Case {
+        name: "explicit_exists",
+        statement: "SELECT n.firstName AS name MATCH (n:Person) WHERE EXISTS (CONSTRUCT () MATCH (n)-[:hasInterest]->(t:Tag) WHERE t.name = 'Wagner') ORDER BY name",
+        expected: "
+            name
+            Celine
+            Frank
+        ",
+    },
+    Case {
+        name: "pattern_predicate",
+        statement: "SELECT n.firstName AS name MATCH (n:Person) WHERE (n)-[:hasInterest]->(:Tag {name = 'Mozart'})",
+        expected: "
+            name
+            Alice
+        ",
+    },
+    Case {
+        name: "construct_count_star_over_optional_padding",
+        statement: "CONSTRUCT (n {posts := COUNT(*)}) MATCH (n:Person) OPTIONAL (n)<-[:has_creator]-(p:Post)",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe], posts=[1]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith], posts=[1]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop], posts=[0]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer], posts=[1]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold], posts=[0]})
+        ",
+    },
+    Case {
+        name: "graph_view_then_read_back",
+        statement: "GRAPH VIEW acme_friends AS (CONSTRUCT (n)-[:friend]->(m) MATCH (n:Person)-[:knows]->(m:Person) WHERE n.employer = 'Acme') SELECT a.firstName AS a, b.firstName AS b MATCH (a)-[:friend]->(b) ON acme_friends ORDER BY a, b",
+        expected: "
+            a | b
+            Alice | John
+            John | Alice
+            John | Peter
+        ",
+    },
+];
+
+/// One row per line, indentation and blank lines dropped.
+fn lines(text: &str) -> String {
+    let trimmed = text.lines().map(str::trim).filter(|l| !l.is_empty());
+    trimmed.collect::<Vec<_>>().join("\n")
+}
+
+#[test]
+fn statement_conformance_table() {
+    let mut failures = Vec::new();
+    for case in CASES {
+        let want = lines(case.expected);
+        for planner in [true, false] {
+            let got = lines(&run(case.statement, planner));
+            if got != want {
+                failures.push(format!(
+                    "--- {} (planner {planner}) ---\n{}\nexpected:\n{want}\ngot:\n{got}\n",
+                    case.name, case.statement
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
