@@ -1211,7 +1211,7 @@ impl Analyzer<'_> {
     }
 
     fn check_regex_views(&mut self, r: &Regex, span: Span) {
-        match r {
+        r.walk(&mut |r| match r {
             Regex::View(v) if self.catalog.is_some() && !self.views.iter().any(|x| x == v) => {
                 self.push(
                     Diagnostic::new(
@@ -1222,14 +1222,8 @@ impl Analyzer<'_> {
                     .with_help("define it with a PATH clause in the query head"),
                 );
             }
-            Regex::Concat(parts) | Regex::Alt(parts) => {
-                for p in parts {
-                    self.check_regex_views(p, span);
-                }
-            }
-            Regex::Star(i) | Regex::Plus(i) | Regex::Opt(i) => self.check_regex_views(i, span),
             _ => {}
-        }
+        });
     }
 
     fn lint_labels(&mut self, groups: &[gcore_parser::ast::LabelDisjunction]) {

@@ -424,7 +424,7 @@ fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPr
     let mut out = PathPropertyGraph::new();
     for id in g.node_ids_sorted() {
         if !dead.contains(&ElementId::Node(id)) {
-            out.add_node(id, g.node(id).expect("staged node").attrs.clone());
+            out.add_node_ref(id, &g.node(id).expect("staged node").attrs);
         }
     }
     for id in g.edge_ids_sorted() {
@@ -433,7 +433,7 @@ fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPr
             && out.contains_node(e.src)
             && out.contains_node(e.dst)
         {
-            out.add_edge(id, e.src, e.dst, e.attrs.clone())
+            out.add_edge_ref(id, e.src, e.dst, &e.attrs)
                 .expect("endpoints staged");
         }
     }
@@ -443,7 +443,7 @@ fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPr
             && p.shape.nodes().iter().all(|n| out.contains_node(*n))
             && p.shape.edges().iter().all(|e| out.contains_edge(*e))
         {
-            out.add_path(id, p.shape.clone(), p.attrs.clone())
+            out.add_path_ref(id, &p.shape, &p.attrs)
                 .expect("members staged");
         }
     }
@@ -523,6 +523,15 @@ impl<'a> Template<'a> {
             }
         }
         t
+    }
+
+    /// Does the template leave an element's attributes as they are?
+    fn is_empty(&self) -> bool {
+        self.copies.is_empty()
+            && self.labels.is_empty()
+            && self.assigns.is_empty()
+            && self.drop_labels.is_empty()
+            && self.drop_props.is_empty()
     }
 
     /// Instantiate the template for one group on top of `attrs`.
@@ -730,12 +739,12 @@ fn stage_node(
     let token = skolem.token(&spec.token);
     let mut per_row: Vec<Option<NodeId>> = vec![None; bindings.len()];
     let mut tick = 0u32;
+    let none = Attributes::new();
 
     for (key, rows) in groups {
         ev.ctx.options.cancel.checkpoint(&mut tick)?;
         // Identity and its attributes carry over for bound variables.
-        let mut attrs = Attributes::new();
-        let id = if is_bound {
+        let (id, source) = if is_bound {
             let ci = group_cols[0];
             let Bound::Node(n) = bindings.bound(rows[0], ci) else {
                 return Err(SemanticError::SortMismatch {
@@ -745,17 +754,20 @@ fn stage_node(
                 }
                 .into());
             };
-            if let Some(a) = bindings.columns()[ci].graph.attributes(ElementId::Node(n)) {
-                attrs = a.clone();
-            }
-            n
+            (n, bindings.columns()[ci].graph.attributes(n.into()))
         } else {
-            skolem.node(token, key)
+            (skolem.node(token, key), None)
         };
         let template = &spec.template;
-        template.apply(ev, &mut attrs, bindings, &rows, &group_cols, outer)?;
-
-        staging.graph.add_node(id, attrs);
+        if template.is_empty() {
+            // A node bound several times over (an endpoint of many
+            // edges, a path member) has its attributes copied once.
+            staging.graph.add_node_ref(id, source.unwrap_or(&none));
+        } else {
+            let mut attrs = source.cloned().unwrap_or_default();
+            template.apply(ev, &mut attrs, bindings, &rows, &group_cols, outer)?;
+            staging.graph.add_node(id, attrs);
+        }
         for &ri in &rows {
             per_row[ri] = Some(id);
         }
@@ -1112,6 +1124,7 @@ fn stage_path(
 
     let token = skolem.token(&p.var);
     let mut tick = 0u32;
+    let none = Attributes::new();
     for (key, rows) in groups {
         ev.ctx.options.cancel.checkpoint(&mut tick)?;
         // The identity (for a stored path object), the walk or the
@@ -1164,11 +1177,13 @@ fn stage_path(
             Some(walk) => (walk.nodes(), walk.edges()),
             None => (projection.0.as_slice(), projection.1.as_slice()),
         };
-        let node_attrs = |n: NodeId| graph.attributes(ElementId::Node(n)).cloned();
+        // Members shared with earlier paths or items are already staged:
+        // re-adding one merges its attributes without copying them.
+        let node_attrs = |n: NodeId| graph.attributes(n.into()).unwrap_or(&none);
         let mut elems: Vec<ElementId> = Vec::with_capacity(nodes.len() + edges.len() + 1);
         for &n in nodes {
             if walk.is_some() || graph.contains_node(n) {
-                staging.graph.add_node(n, node_attrs(n).unwrap_or_default());
+                staging.graph.add_node_ref(n, node_attrs(n));
                 elems.push(ElementId::Node(n));
             }
         }
@@ -1180,13 +1195,12 @@ fn stage_path(
                 // A projection lists its edges' endpoints only when they
                 // lie on a conforming path themselves.
                 for end in [edata.src, edata.dst] {
-                    staging
-                        .graph
-                        .add_node(end, node_attrs(end).unwrap_or_default());
+                    staging.graph.add_node_ref(end, node_attrs(end));
                 }
             }
-            let attrs = edata.attrs.clone();
-            staging.graph.add_edge(eid, edata.src, edata.dst, attrs)?;
+            staging
+                .graph
+                .add_edge_ref(eid, edata.src, edata.dst, &edata.attrs)?;
             elems.push(ElementId::Edge(eid));
         }
 

@@ -137,9 +137,6 @@ pub struct EvalCtx {
     /// The ambient graph used for pattern predicates in WHERE and for
     /// property access on non-variable expressions.
     pub ambient: RefCell<Option<Arc<PathPropertyGraph>>>,
-    /// Cache of PATH-view segment relations, keyed by (view name, graph
-    /// identity).
-    pub view_cache: RefCell<std::collections::HashMap<(String, usize), crate::paths::ViewSegments>>,
     /// Views currently being materialized (cycle guard).
     pub view_in_progress: RefCell<Vec<String>>,
     /// §5 "interpreting tables as graphs": per-query cache of the
@@ -171,7 +168,6 @@ impl EvalCtx {
             fresh_paths: RefCell::new(Vec::new()),
             path_views: RefCell::new(Vec::new()),
             ambient: RefCell::new(None),
-            view_cache: RefCell::new(std::collections::HashMap::new()),
             view_in_progress: RefCell::new(Vec::new()),
             table_graphs: RefCell::new(std::collections::HashMap::new()),
             options,

@@ -603,9 +603,12 @@ impl<'e> PatternMatcher<'e> {
         // snapshot, the condensation goes through the snapshot's SCC
         // cache: a later query with the same regex on the same snapshot
         // reuses the per-source destination sets instead of
-        // re-condensing. View-bearing NFAs stay uncached (PATH-view
-        // segment relations are query-local), as do transient graphs
-        // (subquery results, tables viewed as graphs).
+        // re-condensing. View-bearing NFAs stay uncached: the key names
+        // a view but does not carry its definition, and one name can
+        // mean another view in the next statement (the relations
+        // themselves are shared through the snapshot's view cache,
+        // keyed by definition). Transient graphs (subquery results,
+        // tables viewed as graphs) stay uncached too.
         let pure_reach = pure_reach(pat);
         let mut shared: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
         if pure_reach {

@@ -74,7 +74,7 @@ use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape};
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One pre-evaluated segment of a PATH view: a (src, dst) pair with the
 /// positive cost of this traversal and the underlying walk.
@@ -91,7 +91,10 @@ pub struct Segment {
 }
 
 /// All segments of one PATH view over one graph, indexed by source.
-#[derive(Clone, Default, Debug)]
+/// Built once and shared by `Arc` (see [`ViewMap`]): a snapshot keeps the
+/// relations of views over its own graphs for every statement that
+/// defines the same view again.
+#[derive(Default, Debug)]
 pub struct ViewSegments {
     /// The segment relation, sorted by (src, dst).
     pub segments: Vec<Segment>,
@@ -103,7 +106,7 @@ pub struct ViewSegments {
     pub weighted: bool,
     /// Indexes into `segments`, keyed by destination node, ascending —
     /// what a backward traversal expands through.
-    by_dst: OnceCell<FxHashMap<NodeId, Vec<usize>>>,
+    by_dst: OnceLock<FxHashMap<NodeId, Vec<usize>>>,
 }
 
 impl ViewSegments {
@@ -141,7 +144,7 @@ impl ViewSegments {
             segments,
             by_src,
             weighted,
-            by_dst: OnceCell::new(),
+            by_dst: OnceLock::new(),
         }
     }
 
@@ -159,7 +162,7 @@ impl ViewSegments {
 }
 
 /// Named view segments available to a search.
-pub type ViewMap = FxHashMap<String, ViewSegments>;
+pub type ViewMap = FxHashMap<String, Arc<ViewSegments>>;
 
 /// A path found by the search.
 #[derive(Clone, Debug)]
@@ -1636,7 +1639,7 @@ mod tests {
             },
         ];
         let mut views = ViewMap::default();
-        views.insert("v".into(), ViewSegments::new(segs, true));
+        views.insert("v".into(), Arc::new(ViewSegments::new(segs, true)));
         let nfa = Nfa::compile(&Regex::Star(Box::new(Regex::View("v".into()))));
         let s = PathSearcher::new(&g, &nfa, &views);
         assert!(s.weighted);

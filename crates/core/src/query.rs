@@ -13,8 +13,8 @@ use crate::plan::{plan_block, plan_graph, plan_match, PlanBlock, PlanResolver};
 use crate::regex::Nfa;
 use crate::select::eval_select;
 use gcore_parser::ast::{
-    FullGraphQuery, GraphSetOp, HeadClause, Location, MatchClause, PathClause, Pattern, Query,
-    QueryBody, QuerySource, Statement,
+    Connection, Expr, FullGraphQuery, GraphSetOp, HeadClause, Location, MatchClause, PathClause,
+    PathPattern, Pattern, Query, QueryBody, QuerySource, Regex, Statement,
 };
 use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::{ops, NodeId, PathPropertyGraph, PathShape, Table, Value};
@@ -413,7 +413,7 @@ impl<'e> Evaluator<'e> {
     pub fn filter_table(
         &self,
         table: BindingTable,
-        conjuncts: &[&gcore_parser::ast::Expr],
+        conjuncts: &[&Expr],
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
         table.try_filter(&self.ctx.options.cancel, |ri| {
@@ -439,16 +439,70 @@ impl<'e> Evaluator<'e> {
         Ok(map)
     }
 
-    /// Build (or fetch from cache) the segment relation of one PATH view.
+    /// The segment relation of one PATH view over `graph`: shared through
+    /// the snapshot's cache when the graph is one of the snapshot's and
+    /// the view's definitions read nothing else, built for this use
+    /// otherwise.
     pub fn view_segments(
         &self,
         name: &str,
         graph: &Arc<PathPropertyGraph>,
-    ) -> Result<ViewSegments> {
-        let cache_key = (name.to_owned(), Arc::as_ptr(graph) as usize);
-        if let Some(hit) = self.ctx.view_cache.borrow().get(&cache_key) {
-            return Ok(hit.clone());
+    ) -> Result<Arc<ViewSegments>> {
+        let snapshot = &self.ctx.snapshot;
+        let defs = if snapshot.catalog().contains_graph_handle(graph) {
+            self.view_definitions(name)
+        } else {
+            None
+        };
+        match defs {
+            Some(defs) => {
+                snapshot.view_segments_cached(graph, &defs, || self.build_view(name, graph))
+            }
+            None => self.build_view(name, graph).map(Arc::new),
         }
+    }
+
+    /// What the segment relation of `name` is a function of, besides its
+    /// graph: the view's PATH clause, then the clause of every view it
+    /// references, transitively, as this scope resolves them — the same
+    /// resolution a build makes. `None` when a name does not resolve
+    /// (the build reports it) or a clause may read more than the view's
+    /// graph: an `EXISTS` or a pattern predicate can see query-local
+    /// graphs.
+    fn view_definitions(&self, name: &str) -> Option<Vec<PathClause>> {
+        let scope = self.ctx.path_views.borrow();
+        let mut defs: Vec<PathClause> = Vec::new();
+        let mut pending = vec![name.to_owned()];
+        while let Some(next) = pending.pop() {
+            if defs.iter().any(|d| d.name == next) {
+                continue;
+            }
+            let def = scope.iter().rev().find(|p| p.name == next)?;
+            let subquery = |e: &Expr| matches!(e, Expr::Exists(_) | Expr::PatternPredicate(_));
+            let entries = def.patterns.iter().flat_map(Pattern::prop_entries);
+            let mut exprs =
+                (def.where_clause.iter().chain(&def.cost)).chain(entries.map(|p| &p.value));
+            if exprs.any(|e| e.any(&subquery)) {
+                return None;
+            }
+            let mut referenced = Vec::new();
+            for step in def.patterns.iter().flat_map(|p| &p.steps) {
+                if let Connection::Path(PathPattern { regex: Some(r), .. }) = &step.connection {
+                    r.walk(&mut |r| {
+                        if let Regex::View(v) = r {
+                            referenced.push(v.clone());
+                        }
+                    });
+                }
+            }
+            pending.extend(referenced.into_iter().rev());
+            defs.push(def.clone());
+        }
+        Some(defs)
+    }
+
+    /// Build the segment relation of one PATH view for this statement.
+    fn build_view(&self, name: &str, graph: &Arc<PathPropertyGraph>) -> Result<ViewSegments> {
         if self.ctx.view_in_progress.borrow().iter().any(|n| n == name) {
             return Err(RuntimeError::Other(format!(
                 "path view '~{name}' is recursive; recursion through PATH views is not part of \
@@ -461,10 +515,10 @@ impl<'e> Evaluator<'e> {
         let built = self.build_view_segments(&def, graph);
         self.ctx.view_in_progress.borrow_mut().pop();
         let segments = built?;
-        self.ctx
-            .view_cache
-            .borrow_mut()
-            .insert(cache_key, segments.clone());
+        // A fired token may have cut a search inside the body short
+        // without failing it: such a relation must not escape, least of
+        // all into the snapshot's cache.
+        self.ctx.check_cancelled()?;
         Ok(segments)
     }
 
@@ -500,11 +554,17 @@ impl<'e> Evaluator<'e> {
         let end_idx = table
             .column_index(chain.node_vars.last().expect("nonempty"))
             .expect("chain column");
-        let conn_idxs: Vec<usize> = chain
-            .conn_vars
-            .iter()
-            .map(|v| table.column_index(v).expect("chain column"))
-            .collect();
+        // An anonymous path step binds no walk column to rebuild the
+        // segment from.
+        let conn_idxs = chain.conn_vars.iter().map(|v| {
+            table.column_index(v).ok_or_else(|| {
+                SemanticError::InvalidPathPattern(format!(
+                    "a path inside PATH view '{}' must be named, as in -/p <…>/->",
+                    def.name
+                ))
+            })
+        });
+        let conn_idxs = conn_idxs.collect::<std::result::Result<Vec<usize>, _>>()?;
         let node_idxs: Vec<usize> = chain
             .node_vars
             .iter()

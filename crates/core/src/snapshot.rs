@@ -30,10 +30,34 @@
 //!   The cache is **LRU-bounded**: when more than `SCC_CACHE_CAPACITY`
 //!   distinct (graph, NFA) condensations are live, the least-recently-
 //!   used one is dropped — evictions show up in
-//!   [`EngineSnapshot::scc_cache_stats`].
+//!   [`EngineSnapshot::scc_cache_stats`]. View-bearing automata never
+//!   enter it: an [`NfaKey`] names the views an automaton steps through
+//!   but does not carry their definitions.
+//! * **PATH-view reuse.** The snapshot also keeps the segment relations
+//!   of PATH views (§A.4) built over its own graphs, keyed by the graph
+//!   and the view's *definition* — its PATH clause and the clause of
+//!   every view it references, transitively, compared with the AST's
+//!   span-transparent equality — never by the view's name. A statement
+//!   that defines `chatty` exactly as an earlier one did shares the
+//!   earlier relation by `Arc` instead of rebuilding it. A view whose
+//!   WHERE, COST or property filters hold an `EXISTS` or a pattern
+//!   predicate, and a view over a graph the snapshot does not hold (`ON
+//!   (subquery)`, a query-local `GRAPH … AS`, a table read as a graph),
+//!   is built per statement and never cached: those can read graphs
+//!   that live only as long as the statement. The cache is LRU-bounded
+//!   by `VIEW_CACHE_CAPACITY` entries; see
+//!   [`EngineSnapshot::view_cache_stats`].
+//!
+//! Both caches share one contract: each entry pins its graph `Arc` and
+//! every lookup checks the pin with `Arc::ptr_eq` (no address can be
+//! recycled under a live entry); the work runs outside the lock, so
+//! concurrent builders race harmlessly to identical answers; a failed or
+//! cancelled computation is never cached.
 
-use crate::paths::PathSearcher;
+use crate::error::Result;
+use crate::paths::{PathSearcher, ViewSegments};
 use crate::regex::{Nfa, NfaKey};
+use gcore_parser::ast::PathClause;
 use gcore_ppg::hash::FxHashMap;
 use gcore_ppg::{Catalog, NodeId, PathPropertyGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +70,7 @@ pub struct EngineSnapshot {
     catalog: Catalog,
     epoch: u64,
     scc_cache: SccCache,
+    view_cache: ViewCache,
 }
 
 impl EngineSnapshot {
@@ -58,6 +83,7 @@ impl EngineSnapshot {
             catalog,
             epoch,
             scc_cache: SccCache::with_capacity(SCC_CACHE_CAPACITY),
+            view_cache: ViewCache::default(),
         }
     }
 
@@ -79,7 +105,36 @@ impl EngineSnapshot {
     /// construction: a fresh snapshot (after any epoch bump) starts at
     /// `(0, 0, 0)`.
     pub fn scc_cache_stats(&self) -> (u64, u64, u64) {
-        self.scc_cache.stats()
+        self.scc_cache.counters.stats()
+    }
+
+    /// `(hits, misses, evictions)` of the PATH-view cache — hits and
+    /// misses counted per view resolution (a miss is a build), evictions
+    /// per relation dropped by the LRU bound. A fresh snapshot starts at
+    /// `(0, 0, 0)`.
+    pub fn view_cache_stats(&self) -> (u64, u64, u64) {
+        self.view_cache.counters.stats()
+    }
+
+    /// The segment relation of the PATH view defined by `defs` over
+    /// `graph` — `defs[0]` is the view's own clause, the rest the
+    /// clauses it references, transitively, as the statement's scope
+    /// resolves them. Served from the cache when an earlier statement on
+    /// this snapshot built the same definitions over the same graph;
+    /// otherwise `build` runs (outside the lock) and its relation is
+    /// cached unless it failed.
+    ///
+    /// The caller decides what may be cached: only views over a graph
+    /// of this snapshot's catalog whose definitions read nothing but
+    /// that graph, and `build` must fail rather than return a relation
+    /// a fired cancellation token cut short.
+    pub fn view_segments_cached(
+        &self,
+        graph: &Arc<PathPropertyGraph>,
+        defs: &[PathClause],
+        build: impl FnOnce() -> Result<ViewSegments>,
+    ) -> Result<Arc<ViewSegments>> {
+        self.view_cache.get_or_build(graph, defs, build)
     }
 
     /// Reachability closure of `sources` under `nfa` on `graph`, served
@@ -96,8 +151,8 @@ impl EngineSnapshot {
     /// Correctness does not depend on the cache: entries are immutable
     /// per-source answers of `reachable_many`, which equals
     /// [`PathSearcher::reachable`] per source. Callers must not use
-    /// this for view-bearing NFAs (view segment relations are
-    /// query-local); the matcher guards that.
+    /// this for view-bearing NFAs (the key names a view but not its
+    /// definition); the matcher guards that.
     pub fn reachable_many_cached(
         &self,
         graph: &Arc<PathPropertyGraph>,
@@ -166,20 +221,33 @@ const SCC_CACHE_CAPACITY: usize = 64;
 struct SccCache {
     entries: Mutex<CacheInner>,
     capacity: usize,
+    counters: Counters,
+}
+
+impl std::fmt::Debug for SccCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SccCache")
+            .field("counters", &self.counters)
+            .field("capacity", &self.capacity)
+            .finish_non_exhaustive()
+    }
+}
+
+/// What a snapshot cache reports: hits, misses and LRU evictions.
+#[derive(Debug, Default)]
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl std::fmt::Debug for SccCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (h, m, e) = self.stats();
-        f.debug_struct("SccCache")
-            .field("hits", &h)
-            .field("misses", &m)
-            .field("evictions", &e)
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
+impl Counters {
+    fn stats(&self) -> (u64, u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -188,18 +256,8 @@ impl SccCache {
         SccCache {
             entries: Mutex::new(CacheInner::default()),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            counters: Counters::default(),
         }
-    }
-
-    fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
     }
 
     fn lookup(
@@ -236,13 +294,15 @@ impl SccCache {
                 missing.extend_from_slice(sources);
             }
         }
-        self.hits.fetch_add(out.len() as u64, Ordering::Relaxed);
+        let counters = &self.counters;
+        counters.hits.fetch_add(out.len() as u64, Ordering::Relaxed);
         if missing.is_empty() {
             return out;
         }
         missing.sort_unstable();
         missing.dedup();
-        self.misses
+        counters
+            .misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
 
         // One shared condensation for everything the cache lacked —
@@ -276,10 +336,108 @@ impl SccCache {
         for (src, set) in &fresh {
             entry.reach.insert(*src, set.clone());
         }
-        inner.enforce(self.capacity, &self.evictions);
+        inner.enforce(self.capacity, &counters.evictions);
         drop(inner);
         out.extend(fresh);
         out
+    }
+}
+
+/// Most PATH-view segment relations one snapshot keeps live. An entry
+/// holds one segment per row of the view's body — as many as the graph
+/// has edges for a one-hop view — so the count bounds a long-lived
+/// snapshot's memory; a serving mix defines a handful of views.
+pub const VIEW_CACHE_CAPACITY: usize = 16;
+
+/// One cached relation: the graph it was built on (pinned), the
+/// definitions it was built from, and the relation itself.
+struct ViewEntry {
+    graph: Arc<PathPropertyGraph>,
+    defs: Vec<PathClause>,
+    segments: Arc<ViewSegments>,
+    /// Recency stamp for the LRU bound.
+    last_used: u64,
+}
+
+#[derive(Default)]
+struct ViewInner {
+    /// Linear-scan list: lookups compare the graph pin first, then the
+    /// definitions, and the list holds at most the capacity.
+    entries: Vec<ViewEntry>,
+    tick: u64,
+}
+
+impl ViewInner {
+    /// The relation built from `defs` over `graph`, marked used.
+    fn find(
+        &mut self,
+        graph: &Arc<PathPropertyGraph>,
+        defs: &[PathClause],
+    ) -> Option<Arc<ViewSegments>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self
+            .entries
+            .iter_mut()
+            .find(|e| Arc::ptr_eq(&e.graph, graph) && e.defs == defs)?;
+        entry.last_used = tick;
+        Some(entry.segments.clone())
+    }
+}
+
+/// The per-snapshot cache of PATH-view segment relations, LRU-bounded
+/// by entry count.
+#[derive(Default)]
+struct ViewCache {
+    inner: Mutex<ViewInner>,
+    counters: Counters,
+}
+
+impl std::fmt::Debug for ViewCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ViewCache")
+            .field("counters", &self.counters)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ViewCache {
+    fn get_or_build(
+        &self,
+        graph: &Arc<PathPropertyGraph>,
+        defs: &[PathClause],
+        build: impl FnOnce() -> Result<ViewSegments>,
+    ) -> Result<Arc<ViewSegments>> {
+        let counters = &self.counters;
+        if let Some(hit) = self.inner.lock().unwrap().find(graph, defs) {
+            counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
+        }
+        counters.misses.fetch_add(1, Ordering::Relaxed);
+        // Built outside the lock: a build runs a whole pattern block,
+        // and may itself resolve the views this one references.
+        let built = Arc::new(build()?);
+        let mut inner = self.inner.lock().unwrap();
+        // A concurrent builder got there first: share its (identical)
+        // relation rather than hold two.
+        if let Some(theirs) = inner.find(graph, defs) {
+            return Ok(theirs);
+        }
+        let last_used = inner.tick;
+        inner.entries.push(ViewEntry {
+            graph: graph.clone(),
+            defs: defs.to_vec(),
+            segments: built.clone(),
+            last_used,
+        });
+        if inner.entries.len() > VIEW_CACHE_CAPACITY {
+            let entries = &inner.entries;
+            if let Some(lru) = (0..entries.len()).min_by_key(|&i| entries[i].last_used) {
+                inner.entries.swap_remove(lru);
+                counters.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(built)
     }
 }
 

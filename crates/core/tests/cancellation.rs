@@ -226,6 +226,50 @@ fn deadline_interrupts_a_path_view_product() {
     assert_eq!(t.rows()[0][0], gcore_ppg::Value::Int(250));
 }
 
+/// A deadline that fires while a PATH view is being materialized leaves
+/// nothing in the snapshot's view cache: the next run without a deadline
+/// builds the relation again and returns the full answer. The view body
+/// is a product (every `knows` edge with every person), so its
+/// materialization is almost all of the statement; the budget is a
+/// quarter of what the statement takes on an engine of its own.
+#[test]
+fn deadline_during_view_materialization_caches_nothing() {
+    const STATEMENT: &str = "PATH v = (a:Person)-[:knows]->(b:Person), (c:Person) \
+         SELECT COUNT(*) AS c MATCH (x:Person)-/<~v>/->(y) WHERE x.personId = 0";
+    let snb = || {
+        let mut engine = Engine::new();
+        let data = generate(&SnbConfig::scale(100), &engine.catalog().ids().clone());
+        engine.register_graph("snb", data.graph);
+        engine.set_default_graph("snb");
+        engine
+    };
+    let mut reference = snb();
+    let started = std::time::Instant::now();
+    let full = reference.query_table(STATEMENT).expect("no deadline");
+    let budget = started.elapsed() / 4;
+
+    let mut engine = snb();
+    engine.set_statement_deadline(Some(budget));
+    let err = engine
+        .run(STATEMENT)
+        .expect_err("a quarter of the statement's time cannot cover the view");
+    assert!(err.is_cancelled(), "got {err}");
+    assert_eq!(
+        engine.snapshot().view_cache_stats(),
+        (0, 1, 0),
+        "the build started and nothing was kept"
+    );
+
+    engine.set_statement_deadline(None);
+    let again = engine.query_table(STATEMENT).expect("deadline cleared");
+    assert_eq!(again.rows(), full.rows());
+    assert_eq!(
+        engine.snapshot().view_cache_stats(),
+        (0, 2, 0),
+        "built again"
+    );
+}
+
 /// CONSTRUCT polls the token too. The product here is cheap to *match*
 /// (250 000 rows, timed first through a SELECT over the same MATCH) and
 /// dear to *construct*: one skolem node with two evaluated properties

@@ -17,6 +17,7 @@ use gcore_ppg::hash::FxHashSet;
 use gcore_ppg::{Attributes, EdgeId, Label, NodeId, PathPropertyGraph, PathShape};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const EDGE_LABELS: [&str; 2] = ["a", "b"];
 const NODE_LABELS: [&str; 2] = ["P", "Q"];
@@ -99,7 +100,10 @@ impl RandomGraph {
             }
         });
         let mut views = ViewMap::default();
-        views.insert(VIEW.into(), ViewSegments::new(segments.collect(), true));
+        views.insert(
+            VIEW.into(),
+            Arc::new(ViewSegments::new(segments.collect(), true)),
+        );
         views
     }
 }

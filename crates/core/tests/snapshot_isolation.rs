@@ -2,9 +2,11 @@
 //! their epoch, catalog writes bump the observable epoch without
 //! disturbing in-flight readers, frozen snapshots never run on
 //! invalidated label indexes, and the per-snapshot SCC-condensation
-//! cache is reused within — and only within — one snapshot.
+//! and PATH-view caches are reused within — and only within — one
+//! snapshot, the view cache by definition and never past a failure.
 
-use gcore::{Engine, QueryExecutor};
+use gcore::snapshot::VIEW_CACHE_CAPACITY;
+use gcore::{Engine, EngineError, QueryExecutor, RuntimeError};
 use gcore_ppg::{Attributes, GraphBuilder, Label};
 use std::borrow::Cow;
 
@@ -242,4 +244,130 @@ fn epoch_bump_starts_a_fresh_cache() {
     // The old snapshot still answers from its own frozen state + cache.
     let g = old.query_graph(REACH).unwrap();
     assert_eq!(g.node_count(), 3);
+}
+
+// ---------------------------------------------------------------------
+// PATH-view cache: one segment relation per snapshot and definition
+// ---------------------------------------------------------------------
+
+/// Ann's cheapest walk to each person over `w`, whose every edge costs
+/// `cost`.
+fn weighted(cost: &str) -> String {
+    format!(
+        "PATH w = (x)-[e:knows]->(y) COST {cost} \
+         SELECT m.name AS m, c AS c MATCH (n:Person)-/p <~w*> COST c/->(m:Person) \
+         WHERE n.name = 'Ann' ORDER BY m"
+    )
+}
+
+fn rows(exec: &QueryExecutor, statement: &str) -> Vec<String> {
+    let t = exec.query_table(statement).unwrap();
+    t.rows().iter().map(|r| format!("{r:?}")).collect()
+}
+
+#[test]
+fn same_view_definition_is_built_once_per_snapshot() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    let first = rows(&exec, &weighted("2"));
+    assert_eq!(first.len(), 3, "Ann, Bob and Eve: {first:?}");
+    assert_eq!(exec.snapshot().view_cache_stats(), (0, 1, 0));
+
+    // The same definition in a new statement (another position in the
+    // text, even) is served from the snapshot, with the same answer.
+    let again = format!("  {}", weighted("2"));
+    assert_eq!(rows(&exec, &again), first);
+    assert_eq!(rows(&exec, &weighted("2")), first);
+    assert_eq!(exec.snapshot().view_cache_stats(), (2, 1, 0));
+}
+
+#[test]
+fn same_view_name_with_another_cost_misses() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    let two = rows(&exec, &weighted("2"));
+    let three = rows(&exec, &weighted("3"));
+    assert_ne!(two, three, "COST 3 must not be served COST 2's segments");
+    let eve_at_six = r#"[Str("Eve"), Float(6.0)]"#;
+    assert_eq!(three.last().map(String::as_str), Some(eve_at_six));
+    assert_eq!(exec.snapshot().view_cache_stats(), (0, 2, 0));
+    assert_eq!(rows(&exec, &weighted("2")), two);
+    assert_eq!(exec.snapshot().view_cache_stats(), (1, 2, 0));
+}
+
+#[test]
+fn graph_view_commit_starts_a_fresh_view_cache() {
+    let mut engine = engine_with_people();
+    let old = engine.executor();
+    let before = rows(&old, &weighted("2"));
+    rows(&old, &weighted("2"));
+    assert_eq!(old.snapshot().view_cache_stats(), (1, 1, 0));
+
+    engine
+        .run("GRAPH VIEW people_again AS (CONSTRUCT (n) MATCH (n:Person))")
+        .unwrap();
+    let new = engine.executor();
+    assert!(new.epoch() > old.epoch());
+    assert_eq!(new.snapshot().view_cache_stats(), (0, 0, 0));
+    assert_eq!(rows(&new, &weighted("2")), before);
+    assert_eq!(new.snapshot().view_cache_stats(), (0, 1, 0));
+    assert_eq!(old.snapshot().view_cache_stats(), (1, 1, 0));
+}
+
+#[test]
+fn failed_view_build_is_not_cached() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    for attempt in 1..=2 {
+        let err = exec.query_table(&weighted("0")).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Runtime(RuntimeError::NonPositiveCost { .. })
+            ),
+            "attempt {attempt}: {err:?}"
+        );
+        assert_eq!(exec.snapshot().view_cache_stats(), (0, attempt, 0));
+    }
+}
+
+#[test]
+fn views_that_can_read_statement_local_graphs_are_never_cached() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    let statements = [
+        // Over a graph the snapshot does not hold.
+        "PATH w = (x)-[e:knows]->(y) SELECT COUNT(*) AS c \
+         MATCH (n:Person)-/<~w*>/->(m) ON (CONSTRUCT (a)-[e]->(b) MATCH (a)-[e:knows]->(b)) \
+         WHERE n.name = 'Ann'",
+        // A WHERE with a subquery.
+        "PATH w = (x)-[e:knows]->(y) WHERE EXISTS (CONSTRUCT (z) MATCH (z:Person) WHERE z.name = 'Eve') \
+         SELECT COUNT(*) AS c MATCH (n:Person)-/<~w*>/->(m) WHERE n.name = 'Ann'",
+        // A pattern predicate in COST.
+        "PATH w = (x)-[e:knows]->(y) COST CASE WHEN (y)-[:knows]->() THEN 1 ELSE 2 END \
+         SELECT COUNT(*) AS c MATCH (n:Person)-/<~w*>/->(m) WHERE n.name = 'Ann'",
+    ];
+    for statement in statements {
+        for _ in 0..2 {
+            assert_eq!(rows(&exec, statement), ["[Int(3)]"], "{statement}");
+        }
+    }
+    assert_eq!(exec.snapshot().view_cache_stats(), (0, 0, 0));
+}
+
+#[test]
+fn view_cache_lru_bound_evicts() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    let cost = |i: usize| (i + 1).to_string();
+    for i in 0..=VIEW_CACHE_CAPACITY {
+        rows(&exec, &weighted(&cost(i)));
+    }
+    let live = VIEW_CACHE_CAPACITY as u64;
+    assert_eq!(exec.snapshot().view_cache_stats(), (0, live + 1, 1));
+    // The most recent definition is resident, the first was evicted.
+    rows(&exec, &weighted(&cost(VIEW_CACHE_CAPACITY)));
+    assert_eq!(exec.snapshot().view_cache_stats(), (1, live + 1, 1));
+    rows(&exec, &weighted(&cost(0)));
+    assert_eq!(exec.snapshot().view_cache_stats(), (1, live + 2, 2));
 }

@@ -625,6 +625,27 @@ pub enum Regex {
     Opt(Box<Regex>),
 }
 
+impl Regex {
+    /// Call `visit` on this expression and every sub-expression inside
+    /// it, pre-order.
+    pub fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Regex)) {
+        visit(self);
+        match self {
+            Regex::Concat(parts) | Regex::Alt(parts) => {
+                for p in parts {
+                    p.walk(visit);
+                }
+            }
+            Regex::Star(r) | Regex::Plus(r) | Regex::Opt(r) => r.walk(visit),
+            Regex::Label(_)
+            | Regex::LabelInv(_)
+            | Regex::NodeTest(_)
+            | Regex::Wildcard
+            | Regex::View(_) => {}
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // CONSTRUCT
 // ---------------------------------------------------------------------

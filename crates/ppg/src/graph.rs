@@ -86,12 +86,27 @@ impl Attributes {
         }
     }
 
-    /// Merge by set union (graph union semantics, §A.5).
+    /// Merge by set union (graph union semantics, §A.5). Allocates only
+    /// for what `other` adds: a label, key or value already present costs
+    /// a lookup, so merging a subset of `self` changes nothing.
     pub fn union_in_place(&mut self, other: &Attributes) {
-        self.labels = self.labels.union(&other.labels);
+        for l in other.labels.iter() {
+            self.labels.insert(l);
+        }
         for (k, vs) in &other.properties {
-            let merged = self.prop(*k).union(vs);
-            self.set_prop(*k, merged);
+            match self.properties.get_mut(k) {
+                Some(mine) => {
+                    mine.union_in_place(vs);
+                    // Both empty: absence, as `set_prop` stores it.
+                    if mine.is_empty() {
+                        self.properties.remove(k);
+                    }
+                }
+                None if !vs.is_empty() => {
+                    self.properties.insert(*k, vs.clone());
+                }
+                None => {}
+            }
         }
     }
 
@@ -187,11 +202,23 @@ impl PathPropertyGraph {
     /// Insert a node. Re-inserting an existing node unions attributes
     /// (identity-respecting merge).
     pub fn add_node(&mut self, id: NodeId, attrs: Attributes) {
+        self.merge_node(id, Cow::Owned(attrs));
+    }
+
+    /// [`add_node`](Self::add_node) with borrowed attributes — the form
+    /// for copying an element out of another graph: they are cloned only
+    /// when `id` is new, and a re-insertion merges without cloning.
+    pub fn add_node_ref(&mut self, id: NodeId, attrs: &Attributes) {
+        self.merge_node(id, Cow::Borrowed(attrs));
+    }
+
+    fn merge_node(&mut self, id: NodeId, attrs: Cow<'_, Attributes>) {
         self.label_index = None;
         self.stats = None;
         match self.nodes.get_mut(&id) {
             Some(existing) => existing.attrs.union_in_place(&attrs),
             None => {
+                let attrs = attrs.into_owned();
                 self.nodes.insert(id, NodeData { attrs });
                 self.out_adj.entry(id).or_default();
                 self.in_adj.entry(id).or_default();
@@ -211,6 +238,28 @@ impl PathPropertyGraph {
         src: NodeId,
         dst: NodeId,
         attrs: Attributes,
+    ) -> Result<(), GraphError> {
+        self.merge_edge(id, src, dst, Cow::Owned(attrs))
+    }
+
+    /// [`add_edge`](Self::add_edge) with borrowed attributes, cloned only
+    /// when `id` is new.
+    pub fn add_edge_ref(
+        &mut self,
+        id: EdgeId,
+        src: NodeId,
+        dst: NodeId,
+        attrs: &Attributes,
+    ) -> Result<(), GraphError> {
+        self.merge_edge(id, src, dst, Cow::Borrowed(attrs))
+    }
+
+    fn merge_edge(
+        &mut self,
+        id: EdgeId,
+        src: NodeId,
+        dst: NodeId,
+        attrs: Cow<'_, Attributes>,
     ) -> Result<(), GraphError> {
         if !self.nodes.contains_key(&src) {
             return Err(GraphError::DanglingEdge {
@@ -238,6 +287,7 @@ impl PathPropertyGraph {
                 existing.attrs.union_in_place(&attrs);
             }
             None => {
+                let attrs = attrs.into_owned();
                 self.edges.insert(id, EdgeData { src, dst, attrs });
                 self.out_adj.entry(src).or_default().push(id);
                 self.in_adj.entry(dst).or_default().push(id);
@@ -254,13 +304,33 @@ impl PathPropertyGraph {
         shape: PathShape,
         attrs: Attributes,
     ) -> Result<(), GraphError> {
+        self.merge_path(id, Cow::Owned(shape), Cow::Owned(attrs))
+    }
+
+    /// [`add_path`](Self::add_path) with a borrowed walk and attributes,
+    /// cloned only when `id` is new.
+    pub fn add_path_ref(
+        &mut self,
+        id: PathId,
+        shape: &PathShape,
+        attrs: &Attributes,
+    ) -> Result<(), GraphError> {
+        self.merge_path(id, Cow::Borrowed(shape), Cow::Borrowed(attrs))
+    }
+
+    fn merge_path(
+        &mut self,
+        id: PathId,
+        shape: Cow<'_, PathShape>,
+        attrs: Cow<'_, Attributes>,
+    ) -> Result<(), GraphError> {
         self.check_path_shape(id, &shape)?;
         // Stored paths don't enter the label index (it only partitions
         // nodes and adjacency) but they do enter the stats.
         self.stats = None;
         match self.paths.get_mut(&id) {
             Some(existing) => {
-                if existing.shape != shape {
+                if existing.shape != *shape {
                     return Err(GraphError::IdentityConflict(format!(
                         "path {id} re-inserted with a different δ"
                     )));
@@ -268,6 +338,7 @@ impl PathPropertyGraph {
                 existing.attrs.union_in_place(&attrs);
             }
             None => {
+                let (shape, attrs) = (shape.into_owned(), attrs.into_owned());
                 self.paths.insert(id, PathData { shape, attrs });
             }
         }
@@ -762,6 +833,89 @@ mod tests {
         let mut g = two_node_graph();
         let err = g
             .add_edge(e(10), n(2), n(1), Attributes::new())
+            .unwrap_err();
+        assert!(matches!(err, GraphError::IdentityConflict(_)));
+    }
+
+    fn ann() -> Attributes {
+        let employers = PropertySet::from_values(vec![Value::str("CWI"), Value::str("MIT")]);
+        Attributes::labeled("Person")
+            .with_label("Manager")
+            .with_prop("name", "Ann")
+            .with_prop_set("employer", employers)
+    }
+
+    #[test]
+    fn union_in_place_with_a_subset_leaves_attributes_equal() {
+        for subset in [
+            Attributes::new(),
+            Attributes::labeled("Manager"),
+            Attributes::new().with_prop("employer", "MIT"),
+            ann(),
+        ] {
+            let mut a = ann();
+            a.union_in_place(&subset);
+            assert_eq!(a, ann(), "merging {subset:?}");
+        }
+    }
+
+    #[test]
+    fn union_in_place_that_grows_still_merges() {
+        let mut a = ann();
+        a.union_in_place(
+            &Attributes::labeled("Admin")
+                .with_prop("employer", "HAL")
+                .with_prop("age", 41),
+        );
+        assert_eq!(a.labels.names(), ["Admin", "Manager", "Person"]);
+        let employers: Vec<String> = a
+            .prop(Key::new("employer"))
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        assert_eq!(employers, ["CWI", "HAL", "MIT"]);
+        assert_eq!(a.prop(Key::new("age")), PropertySet::from(41));
+        assert_eq!(a.prop(Key::new("name")), PropertySet::from("Ann"));
+    }
+
+    #[test]
+    fn borrowed_insertion_clones_once_and_merges_like_the_owned_form() {
+        let (mut owned, mut borrowed) = (two_node_graph(), two_node_graph());
+        let extra = Attributes::labeled("Manager").with_prop("name", "Annie");
+        for _ in 0..2 {
+            owned.add_node(n(1), extra.clone());
+            borrowed.add_node_ref(n(1), &extra);
+            owned.add_node(n(3), extra.clone());
+            borrowed.add_node_ref(n(3), &extra);
+            owned.add_edge(e(10), n(1), n(2), extra.clone()).unwrap();
+            borrowed.add_edge_ref(e(10), n(1), n(2), &extra).unwrap();
+        }
+        assert_eq!(owned, borrowed);
+        assert_eq!(borrowed.node(n(3)).unwrap().attrs, extra);
+        assert_eq!(borrowed.prop(n(1).into(), Key::new("name")).len(), 2);
+    }
+
+    #[test]
+    fn borrowed_insertion_still_raises_identity_conflicts() {
+        let mut g = two_node_graph();
+        let err = g
+            .add_edge_ref(e(10), n(2), n(1), &Attributes::new())
+            .unwrap_err();
+        assert!(matches!(err, GraphError::IdentityConflict(_)));
+
+        g.add_node(n(3), Attributes::new());
+        g.add_edge(e(11), n(2), n(3), Attributes::new()).unwrap();
+        let route = PathShape::new(vec![n(1), n(2), n(3)], vec![e(10), e(11)]).unwrap();
+        g.add_path_ref(p(100), &route, &Attributes::labeled("route"))
+            .unwrap();
+        // The same walk again merges; another walk under the same id is
+        // an identity conflict.
+        g.add_path_ref(p(100), &route, &Attributes::labeled("sp"))
+            .unwrap();
+        assert_eq!(g.path(p(100)).unwrap().attrs.labels.len(), 2);
+        let short = PathShape::new(vec![n(1), n(2)], vec![e(10)]).unwrap();
+        let err = g
+            .add_path_ref(p(100), &short, &Attributes::new())
             .unwrap_err();
         assert!(matches!(err, GraphError::IdentityConflict(_)));
     }

@@ -62,20 +62,20 @@ pub fn try_union(
     let mut out = PathPropertyGraph::new();
     for g in [a, b] {
         for id in g.node_ids_sorted() {
-            out.add_node(id, g.node(id).expect("listed id").attrs.clone());
+            out.add_node_ref(id, &g.node(id).expect("listed id").attrs);
         }
     }
     for g in [a, b] {
         for id in g.edge_ids_sorted() {
             let e = g.edge(id).expect("listed id");
-            out.add_edge(id, e.src, e.dst, e.attrs.clone())
+            out.add_edge_ref(id, e.src, e.dst, &e.attrs)
                 .expect("endpoints inserted above");
         }
     }
     for g in [a, b] {
         for id in g.path_ids_sorted() {
             let p = g.path(id).expect("listed id");
-            out.add_path(id, p.shape.clone(), p.attrs.clone())
+            out.add_path_ref(id, &p.shape, &p.attrs)
                 .expect("constituents inserted above");
         }
     }

@@ -110,10 +110,18 @@ impl PropertySet {
     /// Union (graph union merges property sets, §A.5).
     pub fn union(&self, other: &PropertySet) -> PropertySet {
         let mut out = self.clone();
-        for v in other.iter() {
-            out.insert(v.clone());
-        }
+        out.union_in_place(other);
         out
+    }
+
+    /// Add every value of `other` to this set, cloning only the ones it
+    /// lacks.
+    pub fn union_in_place(&mut self, other: &PropertySet) {
+        for v in other.iter() {
+            if let Err(pos) = self.values.binary_search(v) {
+                self.values.insert(pos, v.clone());
+            }
+        }
     }
 
     /// Intersection (graph intersection, §A.5).

@@ -160,6 +160,25 @@ impl Shared {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+
+    /// The engine-level pairs the `stats` and `metrics` routes report:
+    /// the current snapshot's SCC- and PATH-view-cache counters and the
+    /// epoch, read under one brief lock.
+    fn engine_pairs(&self) -> [(&'static str, u64); 7] {
+        let mut engine = self.lock_engine();
+        let snapshot = engine.snapshot();
+        let (scc_hits, scc_misses, scc_evictions) = snapshot.scc_cache_stats();
+        let (view_hits, view_misses, view_evictions) = snapshot.view_cache_stats();
+        [
+            ("engine_epoch", engine.snapshot_epoch()),
+            ("scc_cache_evictions", scc_evictions),
+            ("scc_cache_hits", scc_hits),
+            ("scc_cache_misses", scc_misses),
+            ("view_cache_evictions", view_evictions),
+            ("view_cache_hits", view_hits),
+            ("view_cache_misses", view_misses),
+        ]
+    }
 }
 
 /// An RAII slot on [`Shared::active`]: acquired by the accept loop
@@ -765,19 +784,12 @@ impl<'a> Connection<'a> {
             }
             AdminRequest::Stats => {
                 // Engine-level pairs ride along with the server
-                // counters: snapshot SCC-cache behavior and the epoch
-                // under one brief lock. Old clients decode them into
-                // `StatsSnapshot::extra`; older ones ignore them.
-                let (hits, misses, evictions, epoch) = {
-                    let mut engine = self.shared.lock_engine();
-                    let (h, m, e) = engine.executor().snapshot().scc_cache_stats();
-                    (h, m, e, engine.snapshot_epoch())
-                };
+                // counters: snapshot cache behavior and the epoch. Old
+                // clients decode them into `StatsSnapshot::extra`; older
+                // ones ignore them.
                 let mut named = self.shared.stats.snapshot().named();
-                named.push(("engine_epoch".to_owned(), epoch));
-                named.push(("scc_cache_evictions".to_owned(), evictions));
-                named.push(("scc_cache_hits".to_owned(), hits));
-                named.push(("scc_cache_misses".to_owned(), misses));
+                let engine = self.shared.engine_pairs();
+                named.extend(engine.map(|(name, value)| (name.to_owned(), value)));
                 named.sort();
                 Ok(AdminResponse::Stats(named))
             }
@@ -785,16 +797,10 @@ impl<'a> Connection<'a> {
                 // Refresh the engine-level gauges, then render both
                 // registries: the server's counters under `gcore_` and
                 // the engine's core metrics under `gcore_engine_`.
-                let (hits, misses, evictions, epoch) = {
-                    let mut engine = self.shared.lock_engine();
-                    let (h, m, e) = engine.executor().snapshot().scc_cache_stats();
-                    (h, m, e, engine.snapshot_epoch())
-                };
                 let core = &self.shared.core_registry;
-                core.set_gauge("scc_cache_hits", hits);
-                core.set_gauge("scc_cache_misses", misses);
-                core.set_gauge("scc_cache_evictions", evictions);
-                core.set_gauge("engine_epoch", epoch);
+                for (name, value) in self.shared.engine_pairs() {
+                    core.set_gauge(name, value);
+                }
                 let mut text = self.shared.stats.registry().render_prometheus("gcore");
                 text.push_str(&core.render_prometheus("gcore_engine"));
                 Ok(AdminResponse::Text(text))

@@ -15,26 +15,44 @@ const PEOPLE_QUERY: &str = "SELECT n.name AS name MATCH (n:Person)";
 /// A reachability query that touches the SCC cache.
 const REACH_QUERY: &str = "CONSTRUCT (m) MATCH (n)-/<:knows*>/->(m) WHERE n.employer = 'Acme'";
 
+/// A weighted search over a PATH view, whose segment relation the
+/// snapshot's view cache keeps.
+const VIEW_QUERY: &str = "PATH w = (x)-[e:knows]->(y) COST 2 \
+     CONSTRUCT (m) MATCH (n)-/p <~w*>/->(m) WHERE n.employer = 'Acme'";
+
 #[test]
 fn metrics_route_serves_both_registries_as_prometheus_text() {
     let server = Server::start(tour_engine(), ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     client.query(PEOPLE_QUERY).unwrap();
     client.query(REACH_QUERY).unwrap();
+    client.query(VIEW_QUERY).unwrap();
+    client.query(VIEW_QUERY).unwrap();
 
     let text = client.metrics().unwrap();
     // Server counters under `gcore_`, typed.
     assert!(text.contains("# TYPE gcore_queries_ok counter"), "{text}");
-    assert!(text.contains("gcore_queries_ok 2"), "{text}");
+    assert!(text.contains("gcore_queries_ok 4"), "{text}");
     assert!(text.contains("# TYPE gcore_connections_active gauge"));
     assert!(text.contains("# TYPE gcore_latency_query_us histogram"));
-    assert!(text.contains("gcore_latency_query_us_count 2"));
-    assert!(text.contains("gcore_latency_query_us_bucket{le=\"+Inf\"} 2"));
+    assert!(text.contains("gcore_latency_query_us_count 4"));
+    assert!(text.contains("gcore_latency_query_us_bucket{le=\"+Inf\"} 4"));
     // Engine core metrics under `gcore_engine_`: every served
-    // statement is counted, and the SCC-cache gauges are refreshed at
-    // render time.
-    assert!(text.contains("gcore_engine_statements 2"), "{text}");
+    // statement is counted, and the cache gauges are refreshed at
+    // render time — the second view query reused the first one's
+    // segment relation.
+    assert!(text.contains("gcore_engine_statements 4"), "{text}");
     assert!(text.contains("# TYPE gcore_engine_scc_cache_misses gauge"));
+    assert!(text.contains("# TYPE gcore_engine_view_cache_hits gauge"));
+    assert!(text.contains("gcore_engine_view_cache_hits 1\n"), "{text}");
+    assert!(
+        text.contains("gcore_engine_view_cache_misses 1\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("gcore_engine_view_cache_evictions 0\n"),
+        "{text}"
+    );
     assert!(text.contains("gcore_engine_engine_epoch"));
 
     drop(client);
@@ -47,6 +65,8 @@ fn stats_route_appends_engine_pairs_that_skewed_clients_keep() {
     let mut client = Client::connect(server.addr()).unwrap();
     client.query(REACH_QUERY).unwrap();
     client.query(REACH_QUERY).unwrap();
+    client.query(VIEW_QUERY).unwrap();
+    client.query(VIEW_QUERY).unwrap();
 
     let named = client.stats().unwrap();
     let get = |name: &str| {
@@ -56,18 +76,23 @@ fn stats_route_appends_engine_pairs_that_skewed_clients_keep() {
             .map(|&(_, v)| v)
             .unwrap_or_else(|| panic!("stats reply lacks '{name}'"))
     };
-    assert_eq!(get("queries_ok"), 2);
+    assert_eq!(get("queries_ok"), 4);
     // The second identical reachability query must hit the SCC cache
     // the first one populated.
     assert!(get("scc_cache_misses") >= 1);
     assert!(get("scc_cache_hits") >= 1);
     let _ = get("scc_cache_evictions");
+    // Likewise the second view query and the view cache.
+    assert_eq!(get("view_cache_misses"), 1);
+    assert_eq!(get("view_cache_hits"), 1);
+    assert_eq!(get("view_cache_evictions"), 0);
     assert!(get("engine_epoch") >= 1);
 
     // This build has no dedicated fields for the engine pairs: they
     // must land in `extra`, not vanish (forward compatibility).
     let snap = StatsSnapshot::from_named(&named);
     assert!(snap.extra.iter().any(|(n, _)| n == "scc_cache_hits"));
+    assert!(snap.extra.iter().any(|(n, _)| n == "view_cache_hits"));
     assert_eq!(StatsSnapshot::from_named(&snap.named()), snap);
 
     drop(client);

@@ -298,6 +298,81 @@ const CASES: &[Case] = &[
             [e12 n1->n3 :knows {}]
         ",
     },
+    Case {
+        name: "stored_paths_sharing_prefixes",
+        statement: "CONSTRUCT (a)-/@p:sp {hops := length(p)}/->(b) MATCH (a:Person)-/2 SHORTEST p <:knows*>/->(b:Person) WHERE a.name = 'Ann'",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            [e10 n1->n2 :knows {}]
+            [e11 n2->n3 :knows {}]
+            [e12 n1->n3 :knows {}]
+            /p22 n[1] e[] :sp {hops=[0]}/
+            /p23 n[1, 2] e[10] :sp {hops=[1]}/
+            /p24 n[1, 3] e[12] :sp {hops=[1]}/
+            /p25 n[1, 2, 3] e[10, 11] :sp {hops=[2]}/
+        ",
+    },
+    Case {
+        name: "stored_paths_sharing_members_keep_their_own_attributes",
+        statement: "CONSTRUCT (a)-/@q:again/->(b) MATCH (a)-/@q:route/->(b)",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            [e10 n1->n2 :knows {}]
+            [e11 n2->n3 :knows {}]
+            [e12 n1->n3 :knows {}]
+            /p20 n[1, 2, 3] e[10, 11] :again :route {hops=[2]}/
+            /p21 n[1, 3] e[12] :again :route {hops=[1]}/
+        ",
+    },
+    Case {
+        name: "all_projections_sharing_edges_and_endpoints",
+        statement: "CONSTRUCT (a)-/p/->(b) MATCH (a:Person)-/ALL p <:knows*>/->(b:Person) WHERE a.name = 'Ann'",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            [e10 n1->n2 :knows {}]
+            [e11 n2->n3 :knows {}]
+            [e12 n1->n3 :knows {}]
+        ",
+    },
+    Case {
+        name: "path_member_also_built_with_set_and_remove",
+        statement: "CONSTRUCT (a)-/@p:sp/->(b), (b) SET b :Reached SET b.seen := 1 REMOVE b.employer MATCH (a:Person)-/p <:knows*>/->(b:Person) WHERE a.name = 'Ann'",
+        expected: "
+            (n1 :Person :Reached {employer=[MIT], name=[Ann], seen=[1]})
+            (n2 :Person :Reached {employer=[CWI, MIT], name=[Bob], seen=[1]})
+            (n3 :Person :Reached {name=[Cid], seen=[1]})
+            [e10 n1->n2 :knows {}]
+            [e12 n1->n3 :knows {}]
+            /p22 n[1] e[] :sp {}/
+            /p23 n[1, 2] e[10] :sp {}/
+            /p24 n[1, 3] e[12] :sp {}/
+        ",
+    },
+    Case {
+        name: "paths_unioned_with_a_named_graph",
+        statement: "CONSTRUCT g, (a)-/@p:sp/->(b) MATCH (a:Person)-/p <:knows*>/->(b:Person) WHERE a.name = 'Bob'",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            (n4 :City {name=[Delft]})
+            (n5 :Person {employer=[CWI, MIT], name=[Dan]})
+            [e10 n1->n2 :knows {}]
+            [e11 n2->n3 :knows {}]
+            [e12 n1->n3 :knows {}]
+            [e13 n1->n4 :livesIn {}]
+            /p20 n[1, 2, 3] e[10, 11] :route {hops=[2]}/
+            /p21 n[1, 3] e[12] :route {hops=[1]}/
+            /p22 n[2] e[] :sp {}/
+            /p23 n[2, 3] e[11] :sp {}/
+        ",
+    },
 ];
 
 /// One element per line, indentation and blank lines dropped.

@@ -291,6 +291,48 @@ const CASES: &[Case] = &[
             John | Peter
         ",
     },
+    Case {
+        name: "path_view_over_an_anonymous_path_step_is_an_error",
+        statement: "PATH w = (x)-[e:knows]->(y) PATH v = (a)-/<~w>/->(b) SELECT COUNT(*) AS c MATCH (n:Person)-/<~v*>/->(m:Person)",
+        expected: "
+            ERR semantic error: invalid path pattern: a path inside PATH view 'v' must be named, as in -/p <…>/->
+        ",
+    },
+];
+
+/// A PATH view is its definition, not its name: a statement may define
+/// `v` twice — in a head `GRAPH … AS (…)` and again at the top — and each
+/// use must search the segments of the definition in scope there, also
+/// when the clause that names `v` is the same text and only a view it
+/// references differs. Each statement gives the answer of its last part
+/// run alone (`c = 8`: Peter's three `knows` edges, to John, Alice and
+/// Celine, reach three people in one step and five more through John's
+/// and Alice's edges back to Peter).
+const VIEW_SCOPE_CASES: &[Case] = &[
+    Case {
+        name: "path_view_alone",
+        statement: "PATH v = (x)-[e:knows]->(y) WHERE x.firstName = 'Peter' SELECT COUNT(*) AS c MATCH (n:Person)-/<~v*>/->(m:Person)",
+        expected: "
+            c
+            8
+        ",
+    },
+    Case {
+        name: "path_view_redefined_under_the_same_name",
+        statement: "GRAPH g AS (PATH v = (x)-[e:knows]->(y) CONSTRUCT (n) MATCH (n:Person)-/<~v*>/->(m:Person)) PATH v = (x)-[e:knows]->(y) WHERE x.firstName = 'Peter' SELECT COUNT(*) AS c MATCH (n:Person)-/<~v*>/->(m:Person)",
+        expected: "
+            c
+            8
+        ",
+    },
+    Case {
+        name: "path_view_same_text_over_a_redefined_view",
+        statement: "GRAPH g AS (PATH w = (x)-[e:knows]->(y) PATH v = (a)-/q <~w>/->(b) CONSTRUCT (n) MATCH (n:Person)-/<~v*>/->(m:Person)) PATH w = (x)-[e:knows]->(y) WHERE x.firstName = 'Peter' PATH v = (a)-/q <~w>/->(b) SELECT COUNT(*) AS c MATCH (n:Person)-/<~v*>/->(m:Person)",
+        expected: "
+            c
+            8
+        ",
+    },
 ];
 
 /// One row per line, indentation and blank lines dropped.
@@ -301,8 +343,17 @@ fn lines(text: &str) -> String {
 
 #[test]
 fn statement_conformance_table() {
+    check(CASES);
+}
+
+#[test]
+fn path_views_are_resolved_by_definition_not_by_name() {
+    check(VIEW_SCOPE_CASES);
+}
+
+fn check(cases: &[Case]) {
     let mut failures = Vec::new();
-    for case in CASES {
+    for case in cases {
         let want = lines(case.expected);
         for planner in [true, false] {
             let got = lines(&run(case.statement, planner));
