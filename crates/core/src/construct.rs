@@ -33,7 +33,7 @@
 use crate::binding::{BindingTable, Bound, Column};
 use crate::context::FreshPath;
 use crate::error::{Result, RuntimeError, SemanticError};
-use crate::expr::{eval_aggregate, eval_expr, Env, Rv};
+use crate::expr::{eval_expr, Env, Group, Rv};
 use crate::query::Evaluator;
 use gcore_parser::ast::{
     ConstructClause, ConstructConnection, ConstructItem, ConstructPattern, Direction, Expr, Ident,
@@ -42,9 +42,8 @@ use gcore_parser::ast::{
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{
     Attributes, EdgeId, ElementId, IdGen, Key, Label, NodeId, PathId, PathPropertyGraph, PathShape,
-    PropertySet, Value,
+    PropertySet,
 };
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -93,16 +92,22 @@ fn group_rows(
     Ok(groups)
 }
 
+/// The groups of a `GROUP e₁, …` / `GROUP BY e₁, …` partition: the
+/// expression values of each group with its rows (ascending).
+type ExprGroups = Vec<(Vec<Rv>, Vec<usize>)>;
+
 /// Partition `table`'s rows by the values of `exprs`: `(key, rows)` per
 /// group, rows ascending, groups in [`Rv::total_cmp`] order of their
 /// keys. SELECT's `GROUP BY` and CONSTRUCT's `GROUP` both partition
-/// with it.
+/// with it. Also returns the columns `exprs` read through their
+/// variables, in first-read order: the columns the grouping fixes, which
+/// tell `COUNT(*)` the OPTIONAL padding rows of a group apart.
 pub(crate) fn group_by_exprs(
     ev: &Evaluator<'_>,
     table: &BindingTable,
     exprs: &[Expr],
     outer: Option<&Env<'_>>,
-) -> Result<Vec<(Vec<Rv>, Vec<usize>)>> {
+) -> Result<(ExprGroups, Vec<usize>)> {
     // Keys are all `exprs.len()` long: lexicographic, first difference.
     let cmp = |a: &[Rv], b: &[Rv]| {
         let mut pairs = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
@@ -123,28 +128,23 @@ pub(crate) fn group_by_exprs(
         keyed.push((key?, ri));
     }
     keyed.sort_by(|a, b| cmp(&a.0, &b.0)); // stable: rows stay ascending
-    let mut groups: Vec<(Vec<Rv>, Vec<usize>)> = Vec::new();
+    let mut groups: ExprGroups = Vec::new();
     for (key, ri) in keyed {
         match groups.last_mut() {
             Some((last, rows)) if cmp(last, &key).is_eq() => rows.push(ri),
             _ => groups.push((key, vec![ri])),
         }
     }
-    Ok(groups)
-}
-
-/// Add the binding-table columns `exprs` read through their variables to
-/// `cols`, in first-read order: the columns a GROUP fixes, which tell
-/// `COUNT(*)` the OPTIONAL padding rows of a group apart.
-pub(crate) fn read_columns(exprs: &[Expr], bindings: &BindingTable, cols: &mut Vec<usize>) {
+    let mut cols: Vec<usize> = Vec::new();
     for e in exprs {
         e.walk(&mut |x| {
             let Expr::Var(v) = x else { return };
-            if let Some(i) = bindings.column_index(v).filter(|i| !cols.contains(i)) {
+            if let Some(i) = table.column_index(v).filter(|i| !cols.contains(i)) {
                 cols.push(i);
             }
         });
     }
+    Ok((groups, cols))
 }
 
 // ---------------------------------------------------------------------
@@ -342,7 +342,8 @@ fn collect_group_overrides(construct: &ConstructClause) -> Result<BTreeMap<Strin
 /// that produced it, so a walk member shared by several stored paths
 /// lives as long as one of them does. Conditions see the construct
 /// variables bound against the staged graph; aggregates in them fold
-/// over the element's feeding rows.
+/// over the element's feeding rows, each row once however many of those
+/// groups it fed.
 fn when_pass(
     ev: &Evaluator<'_>,
     whens: &[(usize, &Expr)],
@@ -368,18 +369,20 @@ fn when_pass(
                 continue;
             }
             let feeding = fed_by[elem].iter().flat_map(|&gi| &staging.groups[gi].rows);
-            let rows: Vec<usize> = feeding.copied().collect();
-            let cond = if cond.contains_aggregate() {
-                Cow::Owned(fold_aggregates(ev, &ext, &rows, &[], cond, outer)?)
-            } else {
-                Cow::Borrowed(cond)
-            };
+            let mut rows: Vec<usize> = feeding.copied().collect();
+            rows.sort_unstable();
+            rows.dedup();
+            let group = Group::new(&rows, &[]);
             let mut alive = false;
             for &ri in &rows {
                 ev.ctx.options.cancel.checkpoint(&mut tick)?;
-                let mut env = Env::new(&ext, ri);
-                env.parent = outer;
-                if eval_expr(ev.ctx, ev, &env, &cond)?.truthy() {
+                let env = Env {
+                    table: &ext,
+                    row: ri,
+                    parent: outer,
+                    group: Some(&group),
+                };
+                if eval_expr(ev.ctx, ev, &env, cond)?.truthy() {
                     alive = true;
                     break;
                 }
@@ -540,17 +543,16 @@ impl<'a> Template<'a> {
         ev: &Evaluator<'_>,
         attrs: &mut Attributes,
         bindings: &BindingTable,
-        rows: &[usize],
-        group_cols: &[usize],
+        group: &Group<'_>,
         outer: Option<&Env<'_>>,
     ) -> Result<()> {
         for cv in &self.copies {
-            union_copied_attrs(attrs, cv, bindings, rows)?;
+            union_copied_attrs(attrs, cv, bindings, group.rows)?;
         }
         for &l in &self.labels {
             attrs.labels.insert(l);
         }
-        assign_props(ev, attrs, &self.assigns, bindings, rows, group_cols, outer)?;
+        assign_props(ev, attrs, &self.assigns, bindings, group, outer)?;
         for &l in &self.drop_labels {
             attrs.labels.remove(l);
         }
@@ -568,12 +570,11 @@ fn assign_props(
     attrs: &mut Attributes,
     assigns: &[(Key, &Expr)],
     bindings: &BindingTable,
-    rows: &[usize],
-    group_cols: &[usize],
+    group: &Group<'_>,
     outer: Option<&Env<'_>>,
 ) -> Result<()> {
     for &(key, value) in assigns {
-        let vs = eval_assign(ev, bindings, rows, group_cols, value, outer)?;
+        let vs = eval_assign(ev, bindings, group, value, outer)?;
         let merged = attrs.prop(key).union(&vs);
         attrs.set_prop(key, merged);
     }
@@ -701,10 +702,9 @@ fn group_rows_for(
     }
     match group {
         Some(exprs) => {
-            let mut cols: Vec<usize> = Vec::new();
-            read_columns(exprs, bindings, &mut cols);
+            let (by_exprs, cols) = group_by_exprs(ev, bindings, exprs, outer)?;
             // A NULL component leaves Ω′(Γ) undefined: no element.
-            let groups = group_by_exprs(ev, bindings, exprs, outer)?
+            let groups = by_exprs
                 .into_iter()
                 .enumerate()
                 .filter(|(_, (key, _))| !key.iter().any(|v| matches!(v, Rv::Null)))
@@ -765,7 +765,8 @@ fn stage_node(
             staging.graph.add_node_ref(id, source.unwrap_or(&none));
         } else {
             let mut attrs = source.cloned().unwrap_or_default();
-            template.apply(ev, &mut attrs, bindings, &rows, &group_cols, outer)?;
+            let group = Group::new(&rows, &group_cols);
+            template.apply(ev, &mut attrs, bindings, &group, outer)?;
             staging.graph.add_node(id, attrs);
         }
         for &ri in &rows {
@@ -805,24 +806,29 @@ fn union_copied_attrs(
     Ok(())
 }
 
-/// Evaluate one `{k := expr}` assignment over a group: aggregates fold
-/// over the group's rows; plain expressions evaluate per row and union
-/// their values (footnote 2 of the paper: constructing a company per
-/// Frank binding would give `name = {"CWI","MIT"}`).
+/// Evaluate one `{k := expr}` assignment over a group: an expression
+/// with aggregates is evaluated once, under the group's scope; a plain
+/// one per row, unioning the values (footnote 2 of the paper:
+/// constructing a company per Frank binding would give
+/// `name = {"CWI","MIT"}`).
 fn eval_assign(
     ev: &Evaluator<'_>,
     bindings: &BindingTable,
-    rows: &[usize],
-    group_cols: &[usize],
+    group: &Group<'_>,
     expr: &Expr,
     outer: Option<&Env<'_>>,
 ) -> Result<PropertySet> {
     if expr.contains_aggregate() {
-        let rv = eval_group_aggregate(ev, bindings, rows, group_cols, expr, outer)?;
-        return rv_to_propset(rv);
+        let env = Env {
+            table: bindings,
+            row: group.rows[0],
+            parent: outer,
+            group: Some(group),
+        };
+        return rv_to_propset(eval_expr(ev.ctx, ev, &env, expr)?);
     }
     let mut out = PropertySet::empty();
-    for &ri in rows {
+    for &ri in group.rows {
         let mut env = Env::new(bindings, ri);
         env.parent = outer;
         let v = eval_expr(ev.ctx, ev, &env, expr)?;
@@ -857,148 +863,6 @@ fn rv_to_propset(rv: Rv) -> Result<PropertySet> {
     }
 }
 
-/// Evaluate an aggregate-bearing expression over one group (shared with
-/// SELECT's projection evaluation).
-pub(crate) fn eval_group_aggregate(
-    ev: &Evaluator<'_>,
-    bindings: &BindingTable,
-    rows: &[usize],
-    group_cols: &[usize],
-    expr: &Expr,
-    outer: Option<&Env<'_>>,
-) -> Result<Rv> {
-    // Bare aggregate: evaluate directly (COLLECT keeps its list shape).
-    if let Expr::Aggregate { op, distinct, arg } = expr {
-        return eval_aggregate(
-            ev.ctx,
-            ev,
-            bindings,
-            rows,
-            group_cols,
-            *op,
-            *distinct,
-            arg.as_deref(),
-            outer,
-        );
-    }
-    let folded = fold_aggregates(ev, bindings, rows, group_cols, expr, outer)?;
-    let repr = rows
-        .first()
-        .copied()
-        .unwrap_or(0)
-        .min(bindings.len().saturating_sub(1));
-    let unit = BindingTable::unit();
-    let (tbl, row): (&BindingTable, usize) = if bindings.is_empty() {
-        (&unit, 0)
-    } else {
-        (bindings, repr)
-    };
-    let mut env = Env::new(tbl, row);
-    env.parent = outer;
-    eval_expr(ev.ctx, ev, &env, &folded)
-}
-
-/// Replace every aggregate subexpression with the literal it evaluates
-/// to for this group. Only scalar aggregate results can be embedded.
-fn fold_aggregates(
-    ev: &Evaluator<'_>,
-    bindings: &BindingTable,
-    rows: &[usize],
-    group_cols: &[usize],
-    expr: &Expr,
-    outer: Option<&Env<'_>>,
-) -> Result<Expr> {
-    if !expr.contains_aggregate() {
-        return Ok(expr.clone());
-    }
-    Ok(match expr {
-        Expr::Aggregate { op, distinct, arg } => {
-            let rv = eval_aggregate(
-                ev.ctx,
-                ev,
-                bindings,
-                rows,
-                group_cols,
-                *op,
-                *distinct,
-                arg.as_deref(),
-                outer,
-            )?;
-            rv_to_literal(rv)?
-        }
-        Expr::Unary(op, e) => Expr::Unary(
-            *op,
-            Box::new(fold_aggregates(ev, bindings, rows, group_cols, e, outer)?),
-        ),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(fold_aggregates(ev, bindings, rows, group_cols, a, outer)?),
-            Box::new(fold_aggregates(ev, bindings, rows, group_cols, b, outer)?),
-        ),
-        Expr::Func(f, args) => Expr::Func(
-            *f,
-            args.iter()
-                .map(|a| fold_aggregates(ev, bindings, rows, group_cols, a, outer))
-                .collect::<Result<Vec<_>>>()?,
-        ),
-        Expr::Prop(e, k) => Expr::Prop(
-            Box::new(fold_aggregates(ev, bindings, rows, group_cols, e, outer)?),
-            k.clone(),
-        ),
-        Expr::Index(a, b) => Expr::Index(
-            Box::new(fold_aggregates(ev, bindings, rows, group_cols, a, outer)?),
-            Box::new(fold_aggregates(ev, bindings, rows, group_cols, b, outer)?),
-        ),
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => Expr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(fold_aggregates(
-                    ev, bindings, rows, group_cols, o, outer,
-                )?)),
-                None => None,
-            },
-            whens: whens
-                .iter()
-                .map(|(c, r)| {
-                    Ok((
-                        fold_aggregates(ev, bindings, rows, group_cols, c, outer)?,
-                        fold_aggregates(ev, bindings, rows, group_cols, r, outer)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>>>()?,
-            else_: match else_ {
-                Some(e) => Some(Box::new(fold_aggregates(
-                    ev, bindings, rows, group_cols, e, outer,
-                )?)),
-                None => None,
-            },
-        },
-        other => other.clone(),
-    })
-}
-
-fn rv_to_literal(rv: Rv) -> Result<Expr> {
-    Ok(match rv.as_scalar() {
-        Some(Value::Int(i)) => Expr::Int(i),
-        Some(Value::Float(f)) => Expr::Float(f),
-        Some(Value::Bool(b)) => Expr::Bool(b),
-        Some(Value::Str(s)) => Expr::Str(s.to_string()),
-        Some(Value::Date(d)) => Expr::DateLit(d.to_string()),
-        Some(Value::Null) | None => match rv {
-            Rv::Null => Expr::Null,
-            other => {
-                return Err(RuntimeError::Type(format!(
-                    "aggregate inside a composite expression must be scalar, got {other:?}"
-                ))
-                .into())
-            }
-        },
-    })
-}
-
 // ---------------------------------------------------------------------
 // Edge staging
 // ---------------------------------------------------------------------
@@ -1028,23 +892,24 @@ fn stage_edge(
         return Err(SemanticError::GroupOnBoundVariable(var.to_owned()).into());
     }
 
-    // Group columns: endpoints' group columns + our own identity/group.
-    let mut group_cols: Vec<usize> = src_cols.to_vec();
-    for &c in dst_cols.iter().chain(bound_col.iter()) {
-        if !group_cols.contains(&c) {
-            group_cols.push(c);
-        }
-    }
     // Per row, the ordinal of its GROUP-expression group.
     let mut expr_group: Option<Vec<u64>> = None;
+    let mut expr_cols: Vec<usize> = Vec::new();
     if let Some(exprs) = &e.group {
-        read_columns(exprs, bindings, &mut group_cols);
         let ordinals = expr_group.insert(vec![0; bindings.len()]);
-        let by_exprs = group_by_exprs(ev, bindings, exprs, outer)?;
+        let (by_exprs, cols) = group_by_exprs(ev, bindings, exprs, outer)?;
         for (ordinal, (_, rows)) in by_exprs.iter().enumerate() {
             for &ri in rows {
                 ordinals[ri] = ordinal as u64;
             }
+        }
+        expr_cols = cols;
+    }
+    // Group columns: endpoints' group columns + our own identity/group.
+    let mut group_cols: Vec<usize> = src_cols.to_vec();
+    for &c in dst_cols.iter().chain(&bound_col).chain(&expr_cols) {
+        if !group_cols.contains(&c) {
+            group_cols.push(c);
         }
     }
 
@@ -1088,7 +953,8 @@ fn stage_edge(
             }
             None => (skolem.edge(token, key), Attributes::new()),
         };
-        template.apply(ev, &mut attrs, bindings, &rows, &group_cols, outer)?;
+        let group = Group::new(&rows, &group_cols);
+        template.apply(ev, &mut attrs, bindings, &group, outer)?;
 
         // Endpoints are guaranteed staged by the node pass.
         staging.graph.add_edge(id, src, dst, attrs)?;
@@ -1209,7 +1075,8 @@ fn stage_path(
             for l in &p.labels {
                 attrs.labels.insert(Label::new(l));
             }
-            assign_props(ev, &mut attrs, assigns, bindings, &rows, &[ci], outer)?;
+            let group = Group::new(&rows, std::slice::from_ref(&ci));
+            assign_props(ev, &mut attrs, assigns, bindings, &group, outer)?;
             staging.graph.add_path(pid, walk, attrs)?;
             elems.push(ElementId::Path(pid));
         }

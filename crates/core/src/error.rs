@@ -67,7 +67,7 @@ pub enum SemanticError {
     /// fixed to identity by §A.3).
     GroupOnBoundVariable(String),
     /// Aggregates are only allowed in CONSTRUCT assignments / SET items /
-    /// SELECT items.
+    /// WHEN conditions / SELECT items, outside any aggregate's argument.
     MisplacedAggregate(String),
     /// A SET/REMOVE/WHEN referenced a variable that is not a construct
     /// variable of its pattern nor a match variable.

@@ -15,6 +15,7 @@ use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError};
 use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, Pattern, Query, UnaryOp};
 use gcore_ppg::{Date, ElementId, Key, Label, PathPropertyGraph, PropertySet, Value};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -120,7 +121,7 @@ impl Rv {
 
 /// Variable environment: a cursor over one row of a binding table plus
 /// an optional outer scope (correlated EXISTS subqueries see their
-/// outer bindings, §A.2).
+/// outer bindings, §A.2) and an optional group the row belongs to.
 pub struct Env<'a> {
     /// The binding table the row belongs to.
     pub table: &'a BindingTable,
@@ -128,6 +129,35 @@ pub struct Env<'a> {
     pub row: usize,
     /// Outer scope for correlated subqueries.
     pub parent: Option<&'a Env<'a>>,
+    /// The group aggregates fold over; `None` (no aggregate allowed) for
+    /// an aggregate's own argument and for every subquery scope.
+    pub group: Option<&'a Group<'a>>,
+}
+
+/// The scope of one group — a SELECT `GROUP BY` group, a CONSTRUCT
+/// grouping set, the rows that fed an element a `WHEN` filters: its rows
+/// of the environment's table, the columns that define it, and the
+/// aggregate values already folded over it.
+pub struct Group<'a> {
+    /// The group's rows.
+    pub(crate) rows: &'a [usize],
+    /// The columns the grouping fixes: a row with every other column
+    /// `Missing` is OPTIONAL padding, which `COUNT(*)` does not count.
+    pub(crate) cols: &'a [usize],
+    /// Folded aggregates by the address of their `Expr::Aggregate` node:
+    /// a condition evaluated once per row folds each aggregate once.
+    memo: RefCell<Vec<(usize, Rv)>>,
+}
+
+impl<'a> Group<'a> {
+    /// A group with nothing folded yet.
+    pub fn new(rows: &'a [usize], cols: &'a [usize]) -> Self {
+        Group {
+            rows,
+            cols,
+            memo: RefCell::default(),
+        }
+    }
 }
 
 impl<'a> Env<'a> {
@@ -137,6 +167,7 @@ impl<'a> Env<'a> {
             table,
             row,
             parent: None,
+            group: None,
         }
     }
 
@@ -272,12 +303,7 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
         }
         Expr::Binary(op, l, r) => eval_binary(ctx, sub, env, *op, l, r),
         Expr::Func(f, args) => eval_func(ctx, sub, env, *f, args),
-        Expr::Aggregate { .. } => Err(crate::error::SemanticError::MisplacedAggregate(
-            "this position (aggregates belong in CONSTRUCT assignments, SET items and SELECT \
-             items)"
-                .into(),
-        )
-        .into()),
+        Expr::Aggregate { .. } => eval_aggregate(ctx, sub, env, e),
         Expr::Case {
             operand,
             whens,
@@ -774,59 +800,69 @@ fn eval_func(
     }
 }
 
-/// Evaluate an aggregate over the rows of one group.
+/// Fold the aggregate `agg` over the rows of the environment's group,
+/// once per group. Each row evaluates the argument in a scope of its
+/// own, with no group: an aggregate inside it is misplaced.
 ///
 /// `COUNT(*)` counts the group's bindings — except pure padding rows
 /// introduced by OPTIONAL's left outer join (rows whose every column
-/// outside `group_cols` is `Missing`), which count as zero. This is what
-/// makes the paper's `nr_messages := COUNT(*)` put `0` (not 1) on knows
-/// edges without any exchanged message (Figure 5).
-#[allow(clippy::too_many_arguments)]
-pub fn eval_aggregate(
-    ctx: &EvalCtx,
-    sub: &dyn SubqueryEval,
-    table: &BindingTable,
-    group_rows: &[usize],
-    group_cols: &[usize],
-    op: AggOp,
-    distinct: bool,
-    arg: Option<&Expr>,
-    outer: Option<&Env<'_>>,
-) -> Result<Rv> {
+/// outside the group's columns is `Missing`), which count as zero. This
+/// is what makes the paper's `nr_messages := COUNT(*)` put `0` (not 1)
+/// on knows edges without any exchanged message (Figure 5).
+fn eval_aggregate(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, agg: &Expr) -> Result<Rv> {
+    let (Some(group), Expr::Aggregate { op, distinct, arg }) = (env.group, agg) else {
+        return Err(crate::error::SemanticError::MisplacedAggregate(
+            "this position (aggregates need a group: CONSTRUCT assignments, SET items, WHEN \
+             conditions and SELECT items, outside any other aggregate's argument)"
+                .into(),
+        )
+        .into());
+    };
+    let key = std::ptr::from_ref(agg) as usize;
+    if let Some((_, rv)) = group.memo.borrow().iter().find(|(k, _)| *k == key) {
+        return Ok(rv.clone());
+    }
+    let table = env.table;
     let mut values: Vec<Rv> = Vec::new();
     let width = table.columns().len();
-    for &ri in group_rows {
+    for &ri in group.rows {
         match arg {
             None => {
                 // COUNT(*): skip pure left-outer padding rows.
                 let padding = (0..width)
-                    .filter(|i| !group_cols.contains(i))
+                    .filter(|i| !group.cols.contains(i))
                     .all(|i| table.is_missing_at(ri, i));
-                let non_trivial = width > group_cols.len();
+                let non_trivial = width > group.cols.len();
                 if !(padding && non_trivial) {
                     values.push(Rv::Value(Value::Int(1)));
                 }
             }
             Some(e) => {
-                let mut env = Env::new(table, ri);
-                env.parent = outer;
-                let v = eval_expr(ctx, sub, &env, e)?;
+                let mut row = Env::new(table, ri);
+                row.parent = env.parent;
+                let v = eval_expr(ctx, sub, &row, e)?;
                 if !matches!(v, Rv::Null) {
                     values.push(v);
                 }
             }
         }
     }
-    if distinct {
+    if *distinct {
         values.sort_by(|a, b| a.total_cmp(b));
         values.dedup_by(|a, b| a.total_cmp(b) == Ordering::Equal);
     }
+    let rv = fold(*op, values);
+    group.memo.borrow_mut().push((key, rv.clone()));
+    Ok(rv)
+}
+
+/// An aggregate's value over the non-null values of its argument.
+fn fold(op: AggOp, mut values: Vec<Rv>) -> Rv {
     match op {
-        AggOp::Count => Ok(Rv::Value(Value::Int(values.len() as i64))),
+        AggOp::Count => Rv::Value(Value::Int(values.len() as i64)),
         AggOp::Collect => {
-            let mut v = values;
-            v.sort_by(|a, b| a.total_cmp(b));
-            Ok(Rv::List(v))
+            values.sort_by(|a, b| a.total_cmp(b));
+            Rv::List(values)
         }
         AggOp::Sum | AggOp::Avg => {
             let mut sum = 0.0;
@@ -847,18 +883,18 @@ pub fn eval_aggregate(
                 }
             }
             if n == 0 {
-                return Ok(if op == AggOp::Sum {
+                return if op == AggOp::Sum {
                     Rv::Value(Value::Int(0))
                 } else {
                     Rv::Null
-                });
+                };
             }
             if op == AggOp::Avg {
-                Ok(Rv::Value(Value::Float(sum / n as f64)))
+                Rv::Value(Value::Float(sum / n as f64))
             } else if all_int {
-                Ok(Rv::Value(Value::Int(sum as i64)))
+                Rv::Value(Value::Int(sum as i64))
             } else {
-                Ok(Rv::Value(Value::Float(sum)))
+                Rv::Value(Value::Float(sum))
             }
         }
         AggOp::Min | AggOp::Max => {
@@ -882,7 +918,7 @@ pub fn eval_aggregate(
                     });
                 }
             }
-            Ok(best.map_or(Rv::Null, Rv::Value))
+            best.map_or(Rv::Null, Rv::Value)
         }
     }
 }
@@ -938,21 +974,24 @@ mod tests {
         (EvalCtx::from_catalog(catalog), table)
     }
 
-    fn eval(ctx: &EvalCtx, table: &BindingTable, src: &str) -> Rv {
-        // Reuse the full parser by wrapping the expression in a query.
+    /// Parse `src` with the full parser, as the WHERE of a query.
+    fn where_expr(src: &str) -> Expr {
         let q = gcore_parser::parse_query(&format!("CONSTRUCT (x) MATCH (x) WHERE {src}"))
             .expect("expr parses");
         let gcore_parser::ast::QueryBody::Graph(gcore_parser::ast::FullGraphQuery::Basic(b)) =
-            &q.body
+            q.body
         else {
             panic!()
         };
-        let gcore_parser::ast::QuerySource::Match(m) = &b.source else {
+        let gcore_parser::ast::QuerySource::Match(m) = b.source else {
             panic!()
         };
-        let expr = m.where_clause.as_ref().unwrap();
+        m.where_clause.unwrap()
+    }
+
+    fn eval(ctx: &EvalCtx, table: &BindingTable, src: &str) -> Rv {
         let env = Env::new(table, 0);
-        eval_expr(ctx, &NoSub, &env, expr).unwrap()
+        eval_expr(ctx, &NoSub, &env, &where_expr(src)).unwrap()
     }
 
     #[test]
@@ -1035,17 +1074,8 @@ mod tests {
     #[test]
     fn division_by_zero_is_an_error() {
         let (ctx, t) = setup();
-        let q = gcore_parser::parse_query("CONSTRUCT (x) MATCH (x) WHERE 1 / 0 = 1").unwrap();
-        let gcore_parser::ast::QueryBody::Graph(gcore_parser::ast::FullGraphQuery::Basic(b)) =
-            &q.body
-        else {
-            panic!()
-        };
-        let gcore_parser::ast::QuerySource::Match(m) = &b.source else {
-            panic!()
-        };
         let env = Env::new(&t, 0);
-        let err = eval_expr(&ctx, &NoSub, &env, m.where_clause.as_ref().unwrap()).unwrap_err();
+        let err = eval_expr(&ctx, &NoSub, &env, &where_expr("1 / 0 = 1")).unwrap_err();
         assert!(matches!(
             err,
             crate::error::EngineError::Runtime(RuntimeError::DivisionByZero)
@@ -1065,6 +1095,41 @@ mod tests {
         assert!(!eval(&ctx, &t, "NULL = NULL").truthy());
         assert!(eval(&ctx, &t, "NOT NULL = NULL").truthy());
         assert!(!eval(&ctx, &t, "missing_var = 1").truthy());
+    }
+
+    #[test]
+    fn aggregates_fold_over_the_group_in_scope() {
+        let (ctx, t) = setup();
+        let misplaced = |src: &str, group: Option<&Group<'_>>| {
+            let env = Env {
+                group,
+                ..Env::new(&t, 0)
+            };
+            let err = eval_expr(&ctx, &NoSub, &env, &where_expr(src)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    crate::error::EngineError::Semantic(
+                        crate::error::SemanticError::MisplacedAggregate(_)
+                    )
+                ),
+                "{src}: {err}"
+            );
+        };
+        let group = Group::new(&[0], &[]);
+        // No group in scope.
+        misplaced("COUNT(*) = 1", None);
+        // Inside another aggregate's argument.
+        misplaced("COUNT(COUNT(*)) = 1", Some(&group));
+        misplaced("SUM(COUNT(*) + 1) = 2", Some(&group));
+        // Anywhere else in a grouped expression.
+        let env = Env {
+            group: Some(&group),
+            ..Env::new(&t, 0)
+        };
+        let grouped = |src: &str| eval_expr(&ctx, &NoSub, &env, &where_expr(src)).unwrap();
+        assert!(grouped("COUNT(*) + 1 = 2").truthy());
+        assert!(grouped("SIZE(COLLECT(n.name)) = 1 AND HEAD(COLLECT(n.name)) = 'Frank'").truthy());
     }
 
     #[test]

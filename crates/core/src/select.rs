@@ -7,9 +7,9 @@
 //! whole table forms one group; otherwise each binding is its own row.
 
 use crate::binding::BindingTable;
-use crate::construct::{eval_group_aggregate, group_by_exprs, read_columns};
+use crate::construct::group_by_exprs;
 use crate::error::{Result, RuntimeError};
-use crate::expr::{eval_expr, Env, Rv};
+use crate::expr::{eval_expr, Env, Group, Rv};
 use crate::query::Evaluator;
 use gcore_parser::ast::{Expr, SelectItem, SelectQuery};
 use gcore_parser::pretty::print_expr;
@@ -22,19 +22,15 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
 
     let aggregated = !s.group_by.is_empty() || s.items.iter().any(|i| i.expr.contains_aggregate());
 
-    // Partition rows into groups.
-    let groups: Vec<Vec<usize>> = if !s.group_by.is_empty() {
-        let by_exprs = group_by_exprs(ev, &bindings, &s.group_by, outer)?;
-        by_exprs.into_iter().map(|(_, rows)| rows).collect()
+    // Partition rows into groups, with the columns that define them.
+    let (groups, group_cols): (Vec<Vec<usize>>, Vec<usize>) = if !s.group_by.is_empty() {
+        let (by_exprs, cols) = group_by_exprs(ev, &bindings, &s.group_by, outer)?;
+        (by_exprs.into_iter().map(|(_, rows)| rows).collect(), cols)
     } else if aggregated {
-        vec![(0..bindings.len()).collect()]
+        (vec![(0..bindings.len()).collect()], Vec::new())
     } else {
-        (0..bindings.len()).map(|i| vec![i]).collect()
+        ((0..bindings.len()).map(|i| vec![i]).collect(), Vec::new())
     };
-
-    // Which columns define the group (for COUNT(*) padding detection).
-    let mut group_cols = Vec::new();
-    read_columns(&s.group_by, &bindings, &mut group_cols);
 
     let column_names: Vec<String> = s
         .items
@@ -45,15 +41,27 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
         })
         .collect();
 
-    // Evaluate projections (and ORDER BY keys) per group.
+    // Evaluate projections (and ORDER BY keys) per group, under its
+    // scope: aggregates fold over the group, everything else reads its
+    // first row. The one group without rows — an aggregating SELECT over
+    // no bindings — reads the unit table.
+    let unit = BindingTable::unit();
     let mut rows: Vec<(Vec<Rv>, Vec<Value>)> = Vec::with_capacity(groups.len());
-    for group in &groups {
-        if group.is_empty() && !aggregated {
-            continue;
-        }
+    for group_rows in &groups {
+        let group = Group::new(group_rows, &group_cols);
+        let (table, row) = match group_rows.first() {
+            Some(&repr) => (&bindings, repr),
+            None => (&unit, 0),
+        };
+        let env = Env {
+            table,
+            row,
+            parent: outer,
+            group: Some(&group),
+        };
         let mut cells = Vec::with_capacity(s.items.len());
         for item in &s.items {
-            let rv = eval_item(ev, &bindings, group, &group_cols, &item.expr, outer)?;
+            let rv = eval_item(ev, &env, &item.expr)?;
             cells.push(rv_to_value(&rv));
         }
         let mut keys = Vec::with_capacity(s.order_by.len());
@@ -61,7 +69,7 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
             // Alias references resolve to the projected cell.
             let rv = match alias_index(&ord.expr, &s.items) {
                 Some(i) => Rv::Value(cells[i].clone()),
-                None => eval_item(ev, &bindings, group, &group_cols, &ord.expr, outer)?,
+                None => eval_item(ev, &env, &ord.expr)?,
             };
             keys.push(rv);
         }
@@ -118,25 +126,13 @@ fn alias_index(e: &Expr, items: &[SelectItem]) -> Option<usize> {
         .position(|i| i.alias.as_deref() == Some(name.as_str()))
 }
 
-/// Evaluate one projection item over a group: aggregates fold over the
-/// group's rows, plain expressions use the representative row.
-fn eval_item(
-    ev: &Evaluator<'_>,
-    bindings: &BindingTable,
-    group: &[usize],
-    group_cols: &[usize],
-    expr: &Expr,
-    outer: Option<&Env<'_>>,
-) -> Result<Rv> {
-    if expr.contains_aggregate() {
-        return eval_group_aggregate(ev, bindings, group, group_cols, expr, outer);
-    }
-    let Some(&repr) = group.first() else {
+/// Evaluate one projection item or ORDER BY key under its group's
+/// scope; an aggregate-free item of a group without rows is NULL.
+fn eval_item(ev: &Evaluator<'_>, env: &Env<'_>, expr: &Expr) -> Result<Rv> {
+    if env.group.is_some_and(|g| g.rows.is_empty()) && !expr.contains_aggregate() {
         return Ok(Rv::Null);
-    };
-    let mut env = Env::new(bindings, repr);
-    env.parent = outer;
-    eval_expr(ev.ctx, ev, &env, expr)
+    }
+    eval_expr(ev.ctx, ev, env, expr)
 }
 
 /// Convert a runtime value to a table cell.

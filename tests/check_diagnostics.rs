@@ -119,6 +119,27 @@ fn e004_misplaced_aggregate() {
     );
 }
 
+/// An aggregate may stand anywhere inside a grouped expression, but never
+/// inside another aggregate's argument: that argument is evaluated per
+/// row, where no group is in scope.
+#[test]
+fn e004_nested_aggregates() {
+    let t = tour();
+    for text in [
+        "SELECT COUNT(COUNT(*)) AS n MATCH (p:Person)",
+        "SELECT SUM(COUNT(*)) + 1 AS n MATCH (p:Person)",
+        "CONSTRUCT (x GROUP 'all' {k := MAX(COUNT(*))}) MATCH (p:Person)",
+    ] {
+        assert_fires(&t.engine, "E004", text);
+    }
+    for text in [
+        "SELECT SIZE(COLLECT(p.firstName)) + 1 AS n MATCH (p:Person)",
+        "CONSTRUCT (x GROUP 'all' {k := SIZE(COLLECT(p.firstName))}) WHEN COUNT(*) > 1 MATCH (p:Person)",
+    ] {
+        assert_clean_of(&t.engine, "E004", text);
+    }
+}
+
 #[test]
 fn e005_unknown_references() {
     let t = tour();

@@ -395,3 +395,75 @@ fn construct_conformance_table() {
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
+
+mod common;
+
+/// Grouped aggregates on the guided-tour catalog (Figure 4's
+/// `social_graph`: four people live in Houston, one in Austin), rendered
+/// like [`CASES`]. An aggregate in a `WHEN` condition folds over the rows
+/// that fed the element, each row once — also when a node is fed both by
+/// its own group and by the group of an edge incident to it — and an
+/// aggregate may stand anywhere inside a grouped expression.
+const TOUR_CASES: &[Case] = &[
+    Case {
+        name: "when_count_counts_each_feeding_row_once",
+        statement: "CONSTRUCT (x GROUP c :City)-[e:has]->(x) WHEN COUNT(*) > 1 MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            (n302 :City {})
+            [e304 n302->n302 :has {}]
+        ",
+    },
+    Case {
+        name: "when_count_on_a_bound_node_and_its_loop",
+        statement: "CONSTRUCT (c)-[e:has]->(c) WHEN COUNT(*) > 1 MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            (n6 :City {name=[Houston]})
+            [e302 n6->n6 :has {}]
+        ",
+    },
+    Case {
+        name: "when_sum_agrees_with_the_assigned_count",
+        statement: "CONSTRUCT (x GROUP c :City {k := COUNT(*)})-[e:has]->(x) WHEN SUM(1) = 4 MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            (n302 :City {k=[4]})
+            [e304 n302->n302 :has {}]
+        ",
+    },
+    Case {
+        name: "assignment_with_an_aggregate_inside_a_function",
+        statement: "CONSTRUCT (x GROUP c :City {names := SIZE(COLLECT(p.firstName))}) MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            (n302 :City {names=[4]})
+            (n303 :City {names=[1]})
+        ",
+    },
+    Case {
+        name: "when_with_an_aggregate_inside_a_function",
+        statement: "CONSTRUCT (x GROUP c :City {city := c.name}) WHEN SIZE(COLLECT(p.firstName)) > 1 MATCH (p:Person)-[:isLocatedIn]->(c:City)",
+        expected: "
+            (n302 :City {city=[Houston]})
+        ",
+    },
+];
+
+#[test]
+fn construct_conformance_on_the_tour() {
+    let mut failures = Vec::new();
+    for case in TOUR_CASES {
+        let got = match common::tour().engine.query_graph(case.statement) {
+            Ok(g) => {
+                g.validate().expect("a constructed graph is well-formed");
+                lines(&render(&g))
+            }
+            Err(e) => format!("ERR {e}"),
+        };
+        let want = lines(case.expected);
+        if got != want {
+            failures.push(format!(
+                "--- {} ---\n{}\nexpected:\n{want}\ngot:\n{got}\n",
+                case.name, case.statement
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}

@@ -298,6 +298,48 @@ const CASES: &[Case] = &[
             ERR semantic error: invalid path pattern: a path inside PATH view 'v' must be named, as in -/p <…>/->
         ",
     },
+    Case {
+        name: "select_aggregate_inside_a_function",
+        statement: "SELECT SIZE(COLLECT(p.firstName)) AS n MATCH (p:Person)",
+        expected: "
+            n
+            5
+        ",
+    },
+    Case {
+        name: "select_head_of_a_collected_list",
+        statement: "SELECT c.name AS city, HEAD(COLLECT(p.firstName)) AS first MATCH (p:Person)-[:isLocatedIn]->(c:City) GROUP BY c.name ORDER BY city",
+        expected: "
+            city | first
+            Austin | Alice
+            Houston | Celine
+        ",
+    },
+    Case {
+        name: "select_index_into_a_collected_list_ordered_by_its_size",
+        statement: "SELECT c.name AS city, COLLECT(p.firstName)[0] AS first MATCH (p:Person)-[:isLocatedIn]->(c:City) GROUP BY c.name ORDER BY SIZE(COLLECT(p.firstName)) DESC",
+        expected: "
+            city | first
+            Houston | Celine
+            Austin | Alice
+        ",
+    },
+    Case {
+        name: "select_case_over_aggregates",
+        statement: "SELECT c.name AS city, CASE WHEN COUNT(*) > 1 THEN COLLECT(p.firstName) END AS names MATCH (p:Person)-[:isLocatedIn]->(c:City) GROUP BY c.name ORDER BY city",
+        expected: "
+            city | names
+            Austin | NULL
+            Houston | [Celine, Frank, John, Peter]
+        ",
+    },
+    Case {
+        name: "construct_assignment_with_an_aggregate_inside_a_function",
+        statement: "CONSTRUCT (x GROUP 'all' :Everyone {names := SIZE(COLLECT(p.firstName))}) MATCH (p:Person)",
+        expected: "
+            (n302 :Everyone {names=[5]})
+        ",
+    },
 ];
 
 /// A PATH view is its definition, not its name: a statement may define
