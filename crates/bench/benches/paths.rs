@@ -3,11 +3,12 @@
 //! ALL-paths projection, at a fixed SNB scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gcore::paths::{ExpandMode, PathSearcher, ViewMap};
+use gcore::paths::{PathSearcher, ViewMap};
 use gcore::regex::Nfa;
 use gcore_bench::{snb_engine_with_messages, tour_engine};
 use gcore_parser::ast::Regex;
 use gcore_ppg::hash::FxHashSet;
+use gcore_ppg::PathPropertyGraph;
 use gcore_snb::{generate_standalone, SnbConfig};
 use std::hint::black_box;
 
@@ -139,18 +140,36 @@ fn bench_tour_pipeline(c: &mut Criterion) {
 
 /// Controlled old-vs-new expansion comparison (mirroring the
 /// `binding_layout_*` pattern): the *same* SNB graph, the *same*
-/// product-automaton searches, in one process — only the edge-expansion
-/// strategy differs. `scan` filters every incident edge by label (the
-/// pre-overhaul expansion); `indexed` reads the label-partitioned
-/// adjacency slices. The workload is label-selective: `(:knows +
+/// product-automaton searches, in one process — only how a step is taken
+/// differs. `scan` searches a rebuild of the graph without its label
+/// index, whose steps filter every incident edge by label (the
+/// pre-overhaul expansion); `indexed` searches the graph itself, whose
+/// steps read the label-partitioned adjacency slices. The workload is label-selective: `(:knows +
 /// :knows-)*` over Person nodes whose in-adjacency is dominated by
 /// `has_creator` message edges that scanning must touch and the index
 /// never sees.
+/// `graph`'s nodes and edges inserted one by one into a new graph, which
+/// `add_node` / `add_edge` never index.
+fn without_label_index(graph: &PathPropertyGraph) -> PathPropertyGraph {
+    let mut copy = PathPropertyGraph::new();
+    for n in graph.node_ids_sorted() {
+        copy.add_node(n, graph.node(n).expect("listed node").attrs.clone());
+    }
+    for e in graph.edge_ids_sorted() {
+        let d = graph.edge(e).expect("listed edge");
+        copy.add_edge(e, d.src, d.dst, d.attrs.clone())
+            .expect("endpoints copied");
+    }
+    assert!(!copy.has_label_index());
+    copy
+}
+
 fn bench_expansion_strategies(c: &mut Criterion) {
     for &scale in &[1000usize, 4000] {
         let data = generate_standalone(&SnbConfig::scale(scale));
         let graph = data.graph;
         assert!(graph.has_label_index(), "GraphBuilder::build indexes");
+        let unindexed = without_label_index(&graph);
         let re = Regex::Star(Box::new(Regex::Alt(vec![
             Regex::Label("knows".into()),
             Regex::LabelInv("knows".into()),
@@ -164,11 +183,8 @@ fn bench_expansion_strategies(c: &mut Criterion) {
         // Reachability from a handful of sources (each explores the
         // whole knows-connected component).
         let sources: Vec<_> = data.persons.iter().take(4).copied().collect();
-        for (name, mode) in [
-            ("reach_scan", ExpandMode::Scan),
-            ("reach_indexed", ExpandMode::Indexed),
-        ] {
-            let s = PathSearcher::new(&graph, &nfa, &views).with_expansion(mode);
+        for (name, graph) in [("reach_scan", &unindexed), ("reach_indexed", &graph)] {
+            let s = PathSearcher::new(graph, &nfa, &views);
             let sources = sources.clone();
             g.bench_function(name, |b| {
                 b.iter(|| {
@@ -186,11 +202,8 @@ fn bench_expansion_strategies(c: &mut Criterion) {
         let (src, dst) = (data.persons[0], data.persons[scale / 2]);
         let mut targets = FxHashSet::default();
         targets.insert(dst);
-        for (name, mode) in [
-            ("shortest_scan", ExpandMode::Scan),
-            ("shortest_indexed", ExpandMode::Indexed),
-        ] {
-            let s = PathSearcher::new(&graph, &nfa, &views).with_expansion(mode);
+        for (name, graph) in [("shortest_scan", &unindexed), ("shortest_indexed", &graph)] {
+            let s = PathSearcher::new(graph, &nfa, &views);
             let targets = targets.clone();
             g.bench_function(name, |b| {
                 b.iter(|| black_box(s.k_shortest(src, 1, Some(&targets))).len())

@@ -28,11 +28,11 @@ pub enum Rv {
     Value(Value),
     /// A value set — the result of property access σ(x, k).
     Set(PropertySet),
-    /// An element identifier.
-    Node(gcore_ppg::NodeId),
     /// A node identifier.
-    Edge(gcore_ppg::EdgeId),
+    Node(gcore_ppg::NodeId),
     /// An edge identifier.
+    Edge(gcore_ppg::EdgeId),
+    /// A stored path identifier.
     Path(gcore_ppg::PathId),
     /// A computed (not stored) path, by arena index.
     FreshPath(usize),

@@ -29,7 +29,7 @@ use gcore_parser::ast::{
     Pattern, PropEntry,
 };
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
-use gcore_ppg::{ElementId, Key, Label, NodeId, PathPropertyGraph, PathShape, Value};
+use gcore_ppg::{ElementId, Key, Label, NodeId, PathPropertyGraph, PathShape, StepDir, Value};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -422,61 +422,73 @@ impl<'e> PatternMatcher<'e> {
         outer: Option<&Env<'_>>,
         structural: &[&str],
     ) -> Result<BindingTable> {
+        // When the first label group is a single label, the steps come
+        // from the label-partitioned adjacency and that group is already
+        // satisfied, so it is skipped below. `None`: the label is not
+        // interned, so no edge anywhere carries it.
+        let (label, rest_groups) = match first_label(&edge.labels) {
+            Some(name) => (Label::lookup(&name).map(Some), &edge.labels[1..]),
+            None => (Some(None), &edge.labels[..]),
+        };
+        let dir = match edge.direction {
+            Direction::Out => StepDir::Out,
+            Direction::In => StepDir::In,
+            Direction::Undirected => StepDir::Both,
+        };
+        let graph = &*self.graph;
+        let mut out = self.extend_rows(
+            &table,
+            prev_var,
+            edge_var,
+            dst_var,
+            Bound::Edge,
+            |src, cands| {
+                if let Some(label) = label {
+                    graph.for_each_step(src, dir, label, |e, far| cands.push((e, far)));
+                }
+            },
+        )?;
+        out = self.filter_labels(out, edge_var, rest_groups)?;
+        for entry in &edge.props {
+            out = self.apply_prop_entry(out, edge_var, entry, outer, structural)?;
+        }
+        self.apply_scan_filters(out, edge_var, outer)
+    }
+
+    /// Extend each row of `table` by the steps from its `prev_var` node
+    /// that `steps(src, cands)` pushes as `(connection, far end)` pairs:
+    /// the connection binds `conn_var` (through `bind`) and the far end
+    /// `dst_var`, or must equal a row's value where it binds one already.
+    /// A row gains its steps in ascending order, so the table is
+    /// deterministic.
+    fn extend_rows<C: Copy + Ord>(
+        &self,
+        table: &BindingTable,
+        prev_var: &str,
+        conn_var: &str,
+        dst_var: &str,
+        bind: impl Fn(C) -> Bound,
+        mut steps: impl FnMut(NodeId, &mut Vec<(C, NodeId)>),
+    ) -> Result<BindingTable> {
         let prev_idx = table
             .column_index(prev_var)
             .ok_or_else(|| SemanticError::UnboundVariable(prev_var.to_owned()))?;
-        let edge_bound = table.column_index(edge_var);
+        let conn_bound = table.column_index(conn_var);
         let dst_bound = table.column_index(dst_var);
-
         let mut columns = table.columns().to_vec();
-        if edge_bound.is_none() {
-            columns.push(self.col(edge_var));
+        if conn_bound.is_none() {
+            columns.push(self.col(conn_var));
         }
         if dst_bound.is_none() {
             columns.push(self.col(dst_var));
         }
-
-        // When the first label group is a single label, enumerate
-        // candidates from the label-partitioned adjacency instead of
-        // filtering the full adjacency list per edge; that group is then
-        // already satisfied and skipped below. An un-interned label means
-        // no edge anywhere carries it, so candidates are empty.
-        let (index_label, rest_groups): (Option<Option<Label>>, &[LabelDisjunction]) =
-            match first_label(&edge.labels) {
-                Some(name) => (Some(Label::lookup(&name)), &edge.labels[1..]),
-                None => (None, &edge.labels[..]),
-            };
-
-        // Candidate enumeration stays zero-copy on the indexed path: the
-        // per-(node, label) steps slice already carries the far endpoint,
-        // so no per-edge payload lookup happens; the unconstrained path
-        // walks the full adjacency list and fetches endpoints.
-        let push_out_cands =
-            |src: NodeId, cands: &mut Vec<(gcore_ppg::EdgeId, NodeId)>| match index_label {
-                Some(Some(l)) => {
-                    cands.extend(self.graph.out_steps_with_label(src, l).iter().copied())
-                }
-                Some(None) => {}
-                None => {
-                    for &e in self.graph.out_edges(src) {
-                        cands.push((e, self.graph.edge(e).expect("adjacent").dst));
-                    }
-                }
-            };
-        let push_in_cands =
-            |src: NodeId, cands: &mut Vec<(gcore_ppg::EdgeId, NodeId)>| match index_label {
-                Some(Some(l)) => {
-                    cands.extend(self.graph.in_steps_with_label(src, l).iter().copied())
-                }
-                Some(None) => {}
-                None => {
-                    for &e in self.graph.in_edges(src) {
-                        cands.push((e, self.graph.edge(e).expect("adjacent").src));
-                    }
-                }
-            };
+        // Does the row's cell in an already-bound column differ from `b`?
+        let differs = |ri: usize, col: Option<usize>, b: &Bound| {
+            col.is_some_and(|i| table.code(ri, i) != table.encode_for_probe(b))
+        };
 
         let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
+        let mut cands: Vec<(C, NodeId)> = Vec::new();
         let mut extra: Vec<Bound> = Vec::with_capacity(2);
         let mut tick = 0u32;
         for ri in 0..table.len() {
@@ -484,56 +496,25 @@ impl<'e> PatternMatcher<'e> {
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
-            // Candidate (edge, other endpoint) pairs, sorted for
-            // determinism.
-            let mut cands: Vec<(gcore_ppg::EdgeId, NodeId)> = Vec::new();
-            match edge.direction {
-                Direction::Out => push_out_cands(src, &mut cands),
-                Direction::In => push_in_cands(src, &mut cands),
-                Direction::Undirected => {
-                    push_out_cands(src, &mut cands);
-                    let before = cands.len();
-                    push_in_cands(src, &mut cands);
-                    // Self-loops already expanded forwards: an in-step
-                    // whose far endpoint is `src` itself is a self-loop.
-                    let mut i = before;
-                    while i < cands.len() {
-                        if cands[i].1 == src {
-                            cands.swap_remove(i);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-            }
+            cands.clear();
+            steps(src, &mut cands);
             cands.sort_unstable();
-            for (e, other) in cands {
-                if let Some(i) = edge_bound {
-                    if table.code(ri, i) != table.encode_for_probe(&Bound::Edge(e)) {
-                        continue;
-                    }
-                }
-                if let Some(i) = dst_bound {
-                    if table.code(ri, i) != table.encode_for_probe(&Bound::Node(other)) {
-                        continue;
-                    }
+            for &(c, far) in &cands {
+                let (c, far) = (bind(c), Bound::Node(far));
+                if differs(ri, conn_bound, &c) || differs(ri, dst_bound, &far) {
+                    continue;
                 }
                 extra.clear();
-                if edge_bound.is_none() {
-                    extra.push(Bound::Edge(e));
+                if conn_bound.is_none() {
+                    extra.push(c);
                 }
                 if dst_bound.is_none() {
-                    extra.push(Bound::Node(other));
+                    extra.push(far);
                 }
-                bld.push_extended(&table, ri, &extra);
+                bld.push_extended(table, ri, &extra);
             }
         }
-        let mut out = bld.finish();
-        out = self.filter_labels(out, edge_var, rest_groups)?;
-        for entry in &edge.props {
-            out = self.apply_prop_entry(out, edge_var, entry, outer, structural)?;
-        }
-        self.apply_scan_filters(out, edge_var, outer)
+        Ok(bld.finish())
     }
 
     /// Expand rows over one path pattern (computed or stored); `dst` is
@@ -769,19 +750,6 @@ impl<'e> PatternMatcher<'e> {
             .into());
         }
         let nfa = pat.regex.as_ref().map(Nfa::compile);
-        let prev_idx = table
-            .column_index(prev_var)
-            .ok_or_else(|| SemanticError::UnboundVariable(prev_var.to_owned()))?;
-        let path_bound = table.column_index(path_var);
-        let dst_bound = table.column_index(dst_var);
-
-        let mut columns = table.columns().to_vec();
-        if path_bound.is_none() {
-            columns.push(self.col(path_var));
-        }
-        if dst_bound.is_none() {
-            columns.push(self.col(dst_var));
-        }
 
         // Candidate stored paths, filtered by labels once.
         let mut candidates: Vec<gcore_ppg::PathId> = self.graph.path_ids_sorted();
@@ -797,47 +765,27 @@ impl<'e> PatternMatcher<'e> {
             candidates.retain(|&p| self.stored_path_conforms(p, nfa));
         }
 
-        let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
-        let mut extra: Vec<Bound> = Vec::with_capacity(2);
-        let mut tick = 0u32;
-        for ri in 0..table.len() {
-            self.ev.ctx.options.cancel.checkpoint(&mut tick)?;
-            let Bound::Node(src) = table.bound(ri, prev_idx) else {
-                continue;
-            };
-            for &p in &candidates {
-                let shape = &self.graph.path(p).expect("listed path").shape;
-                let (a, b) = (shape.start(), shape.end());
-                let endpoints_ok = match pat.direction {
-                    Direction::Out => a == src,
-                    Direction::In => b == src,
-                    Direction::Undirected => a == src || b == src,
-                };
-                if !endpoints_ok {
-                    continue;
-                }
-                let dst = if a == src { b } else { a };
-                if let Some(i) = path_bound {
-                    if table.code(ri, i) != table.encode_for_probe(&Bound::Path(p)) {
-                        continue;
+        self.extend_rows(
+            &table,
+            prev_var,
+            path_var,
+            dst_var,
+            Bound::Path,
+            |src, cands| {
+                for &p in &candidates {
+                    let shape = &self.graph.path(p).expect("listed path").shape;
+                    let (a, b) = (shape.start(), shape.end());
+                    let starts_at_src = match pat.direction {
+                        Direction::Out => a == src,
+                        Direction::In => b == src,
+                        Direction::Undirected => a == src || b == src,
+                    };
+                    if starts_at_src {
+                        cands.push((p, if a == src { b } else { a }));
                     }
                 }
-                if let Some(i) = dst_bound {
-                    if table.code(ri, i) != table.encode_for_probe(&Bound::Node(dst)) {
-                        continue;
-                    }
-                }
-                extra.clear();
-                if path_bound.is_none() {
-                    extra.push(Bound::Path(p));
-                }
-                if dst_bound.is_none() {
-                    extra.push(Bound::Node(dst));
-                }
-                bld.push_extended(&table, ri, &extra);
-            }
-        }
-        Ok(bld.finish())
+            },
+        )
     }
 
     /// Does a stored path's walk conform to the regex?

@@ -18,12 +18,11 @@
 //!
 //! # Search strategy
 //!
-//! Every search expands product states through one step enumerator
-//! ([`ExpandMode::Indexed`], the default, reads the graph's
-//! label-partitioned adjacency slices once per state and symbol;
-//! [`ExpandMode::Scan`] filters full adjacency lists and is the
-//! reference the equivalence tests compare against). On top of it sit
-//! three traversals, and each entry point is a thin caller of one:
+//! Every search expands product states through one step enumerator,
+//! which takes each edge step through the graph's own
+//! [`for_each_step`](PathPropertyGraph::for_each_step) (label-indexed
+//! when the graph has its index, an adjacency scan when not). On top of
+//! it sit three traversals, and each entry point is a thin caller of one:
 //!
 //! * **The sweep** (`Sweep`) — the walk-free traversal: one visited set
 //!   (per-node bitmasks of NFA states), one frontier, advanced a level at
@@ -64,13 +63,14 @@
 //!   components that add nothing of their own. The snapshot's SCC cache
 //!   keeps its answers per (graph, regex).
 //!
-//! `tests/path_equivalence.rs` checks each against the scan-mode
-//! unidirectional search or a brute-force enumeration;
+//! `tests/path_equivalence.rs` checks each against the unidirectional
+//! search over the same graph without its label index, or a brute-force
+//! enumeration;
 //! `tests/path_conformance.rs` pins the exact answers.
 
 use crate::regex::{Nfa, Sym};
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
-use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape};
+use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape, StepDir};
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -422,22 +422,6 @@ enum StepPiece<'v> {
     },
 }
 
-/// How the product search enumerates graph edges for a label symbol.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExpandMode {
-    /// Scan the full adjacency list of the node and filter each edge by
-    /// label — the pre-overhaul behavior, kept selectable so the
-    /// controlled expansion benchmark can compare both strategies in one
-    /// process.
-    Scan,
-    /// Expand label symbols through the graph's label-partitioned
-    /// adjacency slices (the default). Falls back to scanning when the
-    /// graph has no label index built, so it is never a correctness or
-    /// pessimization concern.
-    #[default]
-    Indexed,
-}
-
 /// Search driver over one graph + NFA + views.
 pub struct PathSearcher<'a> {
     graph: &'a PathPropertyGraph,
@@ -448,7 +432,6 @@ pub struct PathSearcher<'a> {
     /// Does the automaton name no view, so that every step is one edge
     /// of cost 1?
     unit_cost: bool,
-    mode: ExpandMode,
     /// Cooperative cancellation: the frontier loops poll this and bail
     /// early (returning partial or empty results) once it fires. The
     /// caller is responsible for turning "searcher was cancelled" into
@@ -498,7 +481,6 @@ impl<'a> PathSearcher<'a> {
             views,
             weighted,
             unit_cost: names.is_empty(),
-            mode: ExpandMode::default(),
             cancel: None,
             rev: OnceCell::new(),
             pops: Cell::new(0),
@@ -521,13 +503,6 @@ impl<'a> PathSearcher<'a> {
     #[must_use]
     pub fn tie_keys(&self) -> u64 {
         self.tie_keys.get()
-    }
-
-    /// Select the edge-expansion strategy (for controlled benchmarks;
-    /// results are identical under either mode).
-    pub fn with_expansion(mut self, mode: ExpandMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Attach a cancellation token: the search loops poll it and return
@@ -565,12 +540,6 @@ impl<'a> PathSearcher<'a> {
     /// The reversed NFA, compiled on first use.
     fn rev_nfa(&self) -> &Nfa {
         self.rev.get_or_init(|| self.nfa.reverse())
-    }
-
-    /// Is the label index actually consulted under the current mode?
-    #[inline]
-    fn use_index(&self) -> bool {
-        self.mode == ExpandMode::Indexed && self.graph.has_label_index()
     }
 
     /// Apply `f` to every state of the ε+node-test closure of `state` at
@@ -625,8 +594,8 @@ impl<'a> PathSearcher<'a> {
 
     /// Enumerate every expansion step of `(node, q)` under `nfa`:
     /// `f(cost, next_node, next_state, piece)` is called once per
-    /// (graph step × target state). The single place the symbol →
-    /// graph-adjacency mapping lives; the next state is not yet closed.
+    /// (graph step × target state). The single place a symbol becomes
+    /// steps; the next state is not yet closed.
     fn for_each_step(
         &self,
         nfa: &Nfa,
@@ -634,64 +603,12 @@ impl<'a> PathSearcher<'a> {
         q: usize,
         mut f: impl FnMut(f64, NodeId, usize, StepPiece<'a>),
     ) {
-        let indexed = self.use_index();
         for (sym, tos) in nfa.grouped_transitions(q) {
-            match sym {
-                Sym::NodeTest(_) => {} // handled by closure
-                Sym::Label(l) => {
-                    if indexed {
-                        for &(e, dst) in self.graph.out_steps_with_label(node, *l).iter() {
-                            for &to in tos {
-                                f(1.0, dst, to, StepPiece::Edge(e));
-                            }
-                        }
-                    } else {
-                        for &e in self.graph.out_edges(node) {
-                            let data = self.graph.edge(e).expect("adjacent edge");
-                            if data.attrs.labels.contains(*l) {
-                                for &to in tos {
-                                    f(1.0, data.dst, to, StepPiece::Edge(e));
-                                }
-                            }
-                        }
-                    }
-                }
-                Sym::LabelInv(l) => {
-                    if indexed {
-                        for &(e, src) in self.graph.in_steps_with_label(node, *l).iter() {
-                            for &to in tos {
-                                f(1.0, src, to, StepPiece::Edge(e));
-                            }
-                        }
-                    } else {
-                        for &e in self.graph.in_edges(node) {
-                            let data = self.graph.edge(e).expect("adjacent edge");
-                            if data.attrs.labels.contains(*l) {
-                                for &to in tos {
-                                    f(1.0, data.src, to, StepPiece::Edge(e));
-                                }
-                            }
-                        }
-                    }
-                }
-                Sym::Wildcard => {
-                    // No label to partition on — always adjacency scans.
-                    for &e in self.graph.out_edges(node) {
-                        let data = self.graph.edge(e).expect("adjacent edge");
-                        for &to in tos {
-                            f(1.0, data.dst, to, StepPiece::Edge(e));
-                        }
-                    }
-                    for &e in self.graph.in_edges(node) {
-                        let data = self.graph.edge(e).expect("adjacent edge");
-                        // Self-loops already expanded forwards.
-                        if data.src != data.dst {
-                            for &to in tos {
-                                f(1.0, data.src, to, StepPiece::Edge(e));
-                            }
-                        }
-                    }
-                }
+            let (dir, label) = match sym {
+                Sym::NodeTest(_) => continue, // handled by closure
+                Sym::Label(l) => (StepDir::Out, Some(*l)),
+                Sym::LabelInv(l) => (StepDir::In, Some(*l)),
+                Sym::Wildcard => (StepDir::Both, None),
                 Sym::View(name) | Sym::ViewInv(name) => {
                     let Some(view) = self.views.get(name) else {
                         continue;
@@ -710,8 +627,14 @@ impl<'a> PathSearcher<'a> {
                             f(seg.cost, far, to, StepPiece::Seg { walk, backwards });
                         }
                     }
+                    continue;
                 }
-            }
+            };
+            self.graph.for_each_step(node, dir, label, |e, far| {
+                for &to in tos {
+                    f(1.0, far, to, StepPiece::Edge(e));
+                }
+            });
         }
     }
 
@@ -1041,8 +964,16 @@ impl<'a> PathSearcher<'a> {
         out
     }
 
-    /// The ALL-paths graph projection between `src` and `dst`: every node
-    /// and edge on some accepting walk. `None` when no such walk exists.
+    /// The ALL-paths projections from `src`, as `(dst, nodes, edges)` in
+    /// ascending `dst` order: one for every destination an accepting walk
+    /// reaches (among `targets`, when given).
+    ///
+    /// An element lies on an accepting walk to `dst` iff a step between
+    /// two states that are reachable from `src` *and* co-reachable to
+    /// acceptance at `dst` traverses it. The forward sweep is shared by
+    /// all destinations; each destination adds a backward sweep confined
+    /// to the forward states and one pass over the steps of the states
+    /// both visited.
     ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
@@ -1059,30 +990,12 @@ impl<'a> PathSearcher<'a> {
     /// let nfa = Nfa::compile(&Regex::Star(Box::new(Regex::Label("knows".into()))));
     /// let views = ViewMap::default();
     /// let s = PathSearcher::new(&g, &nfa, &views);
-    /// let (nodes, edges) = s.all_paths_projection(a, c).unwrap();
-    /// assert_eq!((nodes, edges), (vec![a, c], vec![e])); // the one walk
-    /// assert!(s.all_paths_projection(c, a).is_none());   // no backward walk
+    /// let only_c = [c].into_iter().collect();
+    /// let found = s.all_paths_from(a, Some(&only_c));
+    /// assert_eq!(found, vec![(c, vec![a, c], vec![e])]); // the one walk
+    /// let only_a = [a].into_iter().collect();
+    /// assert!(s.all_paths_from(c, Some(&only_a)).is_empty()); // no backward walk
     /// ```
-    pub fn all_paths_projection(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
-        let only: FxHashSet<NodeId> = [dst].into_iter().collect();
-        let (_, nodes, edges) = self.all_paths_from(src, Some(&only)).pop()?;
-        Some((nodes, edges))
-    }
-
-    /// The ALL-paths projections from `src`, as `(dst, nodes, edges)` in
-    /// ascending `dst` order: one for every destination an accepting walk
-    /// reaches (among `targets`, when given).
-    ///
-    /// An element lies on an accepting walk to `dst` iff a step between
-    /// two states that are reachable from `src` *and* co-reachable to
-    /// acceptance at `dst` traverses it. The forward sweep is shared by
-    /// all destinations; each destination adds a backward sweep confined
-    /// to the forward states and one pass over the steps of the states
-    /// both visited.
     pub fn all_paths_from(
         &self,
         src: NodeId,
@@ -1603,13 +1516,18 @@ mod tests {
         let nfa = knows_star();
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let (nodes, edges) = s.all_paths_projection(n(1), n(3)).unwrap();
+        let only = |d: u64| [n(d)].into_iter().collect::<FxHashSet<NodeId>>();
+        let found = s.all_paths_from(n(1), Some(&only(3)));
+        let [(dst, nodes, edges)] = &found[..] else {
+            panic!("one destination: {found:?}");
+        };
+        assert_eq!(*dst, n(3));
         assert!(nodes.contains(&n(2)) && nodes.contains(&n(5)));
         assert!(edges.contains(&EdgeId(10)) && edges.contains(&EdgeId(15)));
         // likes edge 13 not on any knows* walk
         assert!(!edges.contains(&EdgeId(13)));
         // unreachable pair
-        assert!(s.all_paths_projection(n(4), n(1)).is_none());
+        assert!(s.all_paths_from(n(4), Some(&only(1))).is_empty());
     }
 
     #[test]
@@ -1663,12 +1581,13 @@ mod tests {
 
     #[test]
     fn indexed_and_scan_expansion_agree() {
+        let unindexed = chain();
         let mut g = chain();
         g.build_label_index();
         let nfa = knows_star();
         let views = ViewMap::default();
         let indexed = PathSearcher::new(&g, &nfa, &views);
-        let scan = PathSearcher::new(&g, &nfa, &views).with_expansion(ExpandMode::Scan);
+        let scan = PathSearcher::new(&unindexed, &nfa, &views);
         for src in 1..=4 {
             assert_eq!(indexed.reachable(n(src)), scan.reachable(n(src)));
             let a = indexed.k_shortest(n(src), 3, None);
@@ -1730,9 +1649,11 @@ mod tests {
         assert_eq!(s.reachable(n(0)), vec![n(0)]);
         assert!(s.reachable_pair(n(0), n(0)));
         assert!(!s.reachable_pair(n(0), n(1)));
-        let (nodes, edges) = s.all_paths_projection(n(0), n(0)).unwrap();
-        assert_eq!((nodes.len(), edges.len()), (5, 5));
         let targets: FxHashSet<NodeId> = [n(0)].into_iter().collect();
+        let [(_, nodes, edges)] = &s.all_paths_from(n(0), Some(&targets))[..] else {
+            panic!("one destination");
+        };
+        assert_eq!((nodes.len(), edges.len()), (5, 5));
         assert_eq!(s.k_shortest(n(0), 1, Some(&targets))[&n(0)][0].cost, 70.0);
     }
 

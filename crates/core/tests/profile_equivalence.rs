@@ -16,7 +16,7 @@ mod common;
 use common::{canon_result, corpus_texts, prepared_engine};
 use gcore::obs::ProfileSpan;
 use gcore::Engine;
-use gcore_ppg::{Key, Label, Value};
+use gcore_ppg::{Key, Label, StepDir, Value};
 use gcore_snb::{generate, SnbConfig};
 
 /// Run the whole §3/§5 corpus on a fresh tour engine and canonicalize
@@ -194,8 +194,12 @@ fn match_work_is_not_repeated() {
         let all_posts = graph.nodes_with_label(post);
         let posts_of_the_ten = all_posts
             .iter()
-            .flat_map(|&p| graph.out_steps_with_label(p, has_creator).into_owned())
-            .filter(|&(_, author)| {
+            .flat_map(|&p| {
+                let mut authors = Vec::new();
+                graph.for_each_step(p, StepDir::Out, Some(has_creator), |_, a| authors.push(a));
+                authors
+            })
+            .filter(|&author| {
                 let id = graph.prop(author.into(), Key::new("personId"));
                 matches!(id.as_singleton(), Some(&Value::Int(i)) if (LO..HI).contains(&i))
             })

@@ -157,9 +157,8 @@ pub struct PathData {
 
 /// Label-partitioned adjacency and node sets, built once per graph (at
 /// [`crate::GraphBuilder::build`] or explicitly) and dropped by any
-/// subsequent mutation. Matching consults it through
-/// [`PathPropertyGraph::out_steps_with_label`] /
-/// [`PathPropertyGraph::in_steps_with_label`] /
+/// subsequent mutation. Matching and path search consult it through
+/// [`PathPropertyGraph::for_each_step`] /
 /// [`PathPropertyGraph::nodes_with_label`], which fall back to scanning
 /// when no index is present — so the index is purely an accelerator and
 /// never a correctness concern.
@@ -172,6 +171,17 @@ struct LabelIndex {
     out_by_label: FxHashMap<(NodeId, Label), Vec<(EdgeId, NodeId)>>,
     /// Per (destination node, label): each incoming edge with its source.
     in_by_label: FxHashMap<(NodeId, Label), Vec<(EdgeId, NodeId)>>,
+}
+
+/// Which way a step from a node follows an edge (§A.2, §A.4).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StepDir {
+    /// Source to destination: `-[ℓ]->`, `ℓ`.
+    Out,
+    /// Destination to source: `<-[ℓ]-`, `ℓ⁻`.
+    In,
+    /// Either way, a self-loop once: `-[ℓ]-`, `_`.
+    Both,
 }
 
 /// A Path Property Graph (Definition 2.1).
@@ -468,48 +478,69 @@ impl PathPropertyGraph {
         self.out_edges(node).len() + self.in_edges(node).len()
     }
 
-    /// Outgoing `(edge, destination)` steps of `node` carrying `label`,
-    /// sorted by edge id.
+    /// Every step from `node` toward `dir` over an edge carrying `label`
+    /// (any edge for `None`): `f(edge, far endpoint)`. The one place a
+    /// step is taken — pattern matching and path search both ask here.
     ///
-    /// Served zero-copy from the label index when one is built,
-    /// otherwise by filtering the full adjacency list into an owned
-    /// vector — callers on hot paths only ever iterate the slice. The
-    /// far endpoint rides along so expansion loops (pattern matching,
-    /// product-automaton search) never re-fetch the edge payload.
-    pub fn out_steps_with_label(&self, node: NodeId, label: Label) -> Cow<'_, [(EdgeId, NodeId)]> {
-        if let Some(ix) = &self.label_index {
-            return match ix.out_by_label.get(&(node, label)) {
-                Some(v) => Cow::Borrowed(v.as_slice()),
-                None => Cow::Borrowed(&[]),
-            };
+    /// `Both` takes the `Out` steps, then the `In` steps but a self-loop,
+    /// which it already took forwards. A labelled step reads the label
+    /// index's slice (ascending edge id) when one is built; every other
+    /// step filters the adjacency list (insertion order). Neither
+    /// allocates.
+    #[inline]
+    pub fn for_each_step(
+        &self,
+        node: NodeId,
+        dir: StepDir,
+        label: Option<Label>,
+        mut f: impl FnMut(EdgeId, NodeId),
+    ) {
+        match dir {
+            StepDir::Out => self.steps_one_way(node, true, label, &mut f),
+            StepDir::In => self.steps_one_way(node, false, label, &mut f),
+            StepDir::Both => {
+                self.steps_one_way(node, true, label, &mut f);
+                self.steps_one_way(node, false, label, &mut |e, far| {
+                    if far != node {
+                        f(e, far);
+                    }
+                });
+            }
         }
-        let mut v: Vec<(EdgeId, NodeId)> = self
-            .out_edges(node)
-            .iter()
-            .filter(|e| self.edges[e].attrs.labels.contains(label))
-            .map(|e| (*e, self.edges[e].dst))
-            .collect();
-        v.sort_unstable();
-        Cow::Owned(v)
     }
 
-    /// Incoming `(edge, source)` steps of `node` carrying `label`,
-    /// sorted by edge id.
-    pub fn in_steps_with_label(&self, node: NodeId, label: Label) -> Cow<'_, [(EdgeId, NodeId)]> {
-        if let Some(ix) = &self.label_index {
-            return match ix.in_by_label.get(&(node, label)) {
-                Some(v) => Cow::Borrowed(v.as_slice()),
-                None => Cow::Borrowed(&[]),
+    /// The steps of [`for_each_step`](Self::for_each_step) along (`out`)
+    /// or against one edge direction.
+    #[inline]
+    fn steps_one_way(
+        &self,
+        node: NodeId,
+        out: bool,
+        label: Option<Label>,
+        f: &mut impl FnMut(EdgeId, NodeId),
+    ) {
+        if let (Some(l), Some(ix)) = (label, &self.label_index) {
+            let by_label = if out {
+                &ix.out_by_label
+            } else {
+                &ix.in_by_label
             };
+            for &(e, far) in by_label.get(&(node, l)).map_or(&[][..], Vec::as_slice) {
+                f(e, far);
+            }
+            return;
         }
-        let mut v: Vec<(EdgeId, NodeId)> = self
-            .in_edges(node)
-            .iter()
-            .filter(|e| self.edges[e].attrs.labels.contains(label))
-            .map(|e| (*e, self.edges[e].src))
-            .collect();
-        v.sort_unstable();
-        Cow::Owned(v)
+        let adjacent = if out {
+            self.out_edges(node)
+        } else {
+            self.in_edges(node)
+        };
+        for e in adjacent {
+            let d = &self.edges[e];
+            if label.is_none_or(|l| d.attrs.labels.contains(l)) {
+                f(*e, if out { d.dst } else { d.src });
+            }
+        }
     }
 
     /// Build the label-partitioned index over nodes and adjacency.
@@ -991,47 +1022,52 @@ mod tests {
             .unwrap();
         g.add_edge(e(12), n(3), n(2), Attributes::labeled("knows"))
             .unwrap();
-        let knows = Label::new("knows");
-        let likes = Label::new("likes");
+        g.add_edge(e(14), n(1), n(1), Attributes::labeled("knows"))
+            .unwrap();
+        let knows = Some(Label::new("knows"));
+        let likes = Some(Label::new("likes"));
+        let steps = |g: &PathPropertyGraph, node: u64, dir: StepDir, label: Option<Label>| {
+            let mut out = Vec::new();
+            g.for_each_step(n(node), dir, label, |e, far| out.push((e, far)));
+            out
+        };
+        // (node, dir, label, steps); the self-loop e14 is one Out step,
+        // one In step, and one — not two — Both step.
+        #[rustfmt::skip]
+        let cases = [
+            (1, StepDir::Out, knows, vec![(e(10), n(2)), (e(14), n(1))]),
+            (1, StepDir::Out, likes, vec![(e(11), n(3))]),
+            (1, StepDir::Out, None, vec![(e(10), n(2)), (e(11), n(3)), (e(14), n(1))]),
+            (2, StepDir::Out, knows, vec![]),
+            (2, StepDir::In, knows, vec![(e(10), n(1)), (e(12), n(3))]),
+            (1, StepDir::In, knows, vec![(e(14), n(1))]),
+            (3, StepDir::In, None, vec![(e(11), n(1))]),
+            (1, StepDir::Both, knows, vec![(e(10), n(2)), (e(14), n(1))]),
+            (1, StepDir::Both, None, vec![(e(10), n(2)), (e(11), n(3)), (e(14), n(1))]),
+            (3, StepDir::Both, knows, vec![(e(12), n(2))]),
+            (3, StepDir::Both, None, vec![(e(12), n(2)), (e(11), n(1))]),
+        ];
+        let check = |g: &PathPropertyGraph| {
+            for (node, dir, label, want) in &cases {
+                let got = steps(g, *node, *dir, *label);
+                assert_eq!(&got, want, "{node} {dir:?} {label:?}");
+            }
+        };
 
-        // Fallback path (no index yet).
+        // The scan (no index yet), then the index: the same steps.
         assert!(!g.has_label_index());
-        assert_eq!(
-            g.out_steps_with_label(n(1), knows).as_ref(),
-            [(e(10), n(2))]
-        );
-        assert_eq!(
-            g.out_steps_with_label(n(1), likes).as_ref(),
-            [(e(11), n(3))]
-        );
-        assert_eq!(
-            g.in_steps_with_label(n(2), knows).as_ref(),
-            [(e(10), n(1)), (e(12), n(3))]
-        );
-        assert!(g.out_steps_with_label(n(2), knows).is_empty());
-
-        // Indexed path must agree.
+        check(&g);
         g.build_label_index();
         assert!(g.has_label_index());
-        assert_eq!(
-            g.out_steps_with_label(n(1), knows).as_ref(),
-            [(e(10), n(2))]
-        );
-        assert_eq!(
-            g.out_steps_with_label(n(1), likes).as_ref(),
-            [(e(11), n(3))]
-        );
-        assert_eq!(
-            g.in_steps_with_label(n(2), knows).as_ref(),
-            [(e(10), n(1)), (e(12), n(3))]
-        );
+        check(&g);
         assert_eq!(g.nodes_with_label(Label::new("Person")), vec![n(1), n(2)]);
 
-        // Mutation drops the index; answers stay correct via fallback.
+        // Mutation drops the index; answers stay correct via the scan.
         g.add_edge(e(13), n(2), n(1), Attributes::labeled("knows"))
             .unwrap();
         assert!(!g.has_label_index());
-        assert_eq!(g.in_steps_with_label(n(1), knows).as_ref(), [(e(13), n(2))]);
+        let into_1 = vec![(e(14), n(1)), (e(13), n(2))];
+        assert_eq!(steps(&g, 1, StepDir::In, knows), into_1);
     }
 
     #[test]

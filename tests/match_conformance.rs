@@ -36,6 +36,8 @@ use gcore_repro::ppg::{Attributes, GraphBuilder, IdGen, PathPropertyGraph};
 /// the way the guided tour's `nr_messages` view does for `social_graph`:
 /// persons 1 (age 50), 2 (age 20), 3 (age 40) — Dan is absent — and the
 /// knows edges 10, 11, 12 with `nr_messages` 3, 0, 7.
+///
+/// Graph `loops` is built by [`loops`].
 fn staged(ids: &IdGen) -> (PathPropertyGraph, PathPropertyGraph) {
     let person = |name: &str, age: i64| {
         Attributes::labeled("Person")
@@ -85,6 +87,32 @@ fn staged(ids: &IdGen) -> (PathPropertyGraph, PathPropertyGraph) {
     (g, b.build())
 }
 
+/// Graph `loops`, where undirected steps meet a self-loop:
+///
+/// ```text
+/// (1 a) -10 knows-> (1)    (1) -12 knows-> (3 c)    (3) -13 likes-> (1)
+/// stored path :trip  20 = 1 -12-> 3
+/// ```
+///
+/// It reuses identifiers of `g`, so that registering it leaves the next
+/// fresh identifier at 22 (the CONSTRUCT case pins minted identifiers);
+/// no case reads `loops` together with another graph.
+fn loops(ids: &IdGen) -> PathPropertyGraph {
+    let mut b = GraphBuilder::new(ids.clone());
+    let a = b.node_with_id(1, Attributes::labeled("Node"));
+    let c = b.node_with_id(3, Attributes::labeled("Node"));
+    b.edge_with_id(10, a, a, Attributes::labeled("knows"))
+        .unwrap();
+    let ac = b
+        .edge_with_id(12, a, c, Attributes::labeled("knows"))
+        .unwrap();
+    b.edge_with_id(13, c, a, Attributes::labeled("likes"))
+        .unwrap();
+    b.path_with_id(20, vec![a, c], vec![ac], Attributes::labeled("trip"))
+        .unwrap();
+    b.build()
+}
+
 /// A table as text, or — for the CONSTRUCT case — the stored paths of
 /// the result graph, one `/p<id> n[…] e[…]/` line each.
 fn run(statement: &str) -> String {
@@ -92,6 +120,7 @@ fn run(statement: &str) -> String {
     let (g, h) = staged(&engine.catalog().ids().clone());
     engine.register_graph("g", g);
     engine.register_graph("h", h);
+    engine.register_graph("loops", loops(&engine.catalog().ids().clone()));
     engine.set_default_graph("g");
     match engine.run(statement) {
         Ok(QueryOutput::Table(t)) => {
@@ -393,6 +422,69 @@ const CASES: &[Case] = &[
             n | k
             #n1 | #n8
             #n4 | #n8
+        ",
+    },
+    // -- steps over a self-loop (graph `loops`) ------------------------
+    Case {
+        name: "undirected_step_takes_a_self_loop_once",
+        statement: "SELECT x, y MATCH (x)-[:knows]-(y) ON loops",
+        expected: "
+            x | y
+            #n1 | #n1
+            #n1 | #n3
+            #n3 | #n1
+        ",
+    },
+    Case {
+        name: "undirected_step_back_to_its_own_start",
+        statement: "SELECT x, e MATCH (x)-[e:knows]-(x) ON loops",
+        expected: "
+            x | e
+            #n1 | #e10
+        ",
+    },
+    Case {
+        name: "incoming_step_under_a_label_disjunction_keeps_the_self_loop",
+        statement: "SELECT x, y MATCH (x)<-[:knows|likes]-(y) ON loops",
+        expected: "
+            x | y
+            #n1 | #n1
+            #n1 | #n3
+            #n3 | #n1
+        ",
+    },
+    Case {
+        name: "undirected_unlabelled_steps_counted",
+        statement: "SELECT COUNT(*) AS n MATCH (x)-[e]-(y) ON loops",
+        expected: "
+            n
+            5
+        ",
+    },
+    Case {
+        name: "label_disjunction_with_an_unknown_label",
+        statement: "SELECT x, e, y MATCH (x)-[e:nosuch|knows]->(y) ON loops",
+        expected: "
+            x | e | y
+            #n1 | #e10 | #n1
+            #n1 | #e12 | #n3
+        ",
+    },
+    Case {
+        name: "undirected_step_over_an_already_bound_edge",
+        statement: "SELECT x, e, y MATCH (x)-[e:knows]->(y) ON loops, (y)-[e]-(x) ON loops",
+        expected: "
+            x | e | y
+            #n1 | #e10 | #n1
+            #n1 | #e12 | #n3
+        ",
+    },
+    Case {
+        name: "undirected_stored_path_with_both_ends_bound",
+        statement: "SELECT x, p, y MATCH (x)-[:knows]->(y) ON loops, (y)-/@p:trip/-(x) ON loops",
+        expected: "
+            x | p | y
+            #n1 | #p20 | #n3
         ",
     },
 ];
