@@ -989,6 +989,7 @@ fn stage_path(
     })?;
 
     let token = skolem.token(&p.var);
+    let labels: Vec<Label> = p.labels.iter().map(|l| Label::new(l)).collect();
     let mut tick = 0u32;
     let none = Attributes::new();
     for (key, rows) in groups {
@@ -1072,8 +1073,8 @@ fn stage_path(
 
         // Stored path object (`@p`).
         if let (true, Some(pid), Some(walk)) = (p.stored, id, walk) {
-            for l in &p.labels {
-                attrs.labels.insert(Label::new(l));
+            for &l in &labels {
+                attrs.labels.insert(l);
             }
             let group = Group::new(&rows, std::slice::from_ref(&ci));
             assign_props(ev, &mut attrs, assigns, bindings, &group, outer)?;

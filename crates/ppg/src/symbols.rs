@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 /// An interned label name (element of `L`), used on nodes, edges and paths.
@@ -62,10 +63,27 @@ fn keys() -> &'static RwLock<Interner> {
     KEYS.get_or_init(|| RwLock::new(Interner::new()))
 }
 
+/// Intern `name` in `table`. A name already interned — nearly every
+/// call once a graph is loaded — is found under the shared read lock;
+/// only a miss takes the write lock, and [`Interner::intern`] re-checks
+/// under it, so racing first interners agree on one symbol.
+fn intern(table: &RwLock<Interner>, name: &str) -> u32 {
+    let known = table
+        .read()
+        .expect("a symbol interner panicked while locked")
+        .lookup(name);
+    known.unwrap_or_else(|| {
+        table
+            .write()
+            .expect("a symbol interner panicked while locked")
+            .intern(name)
+    })
+}
+
 impl Label {
     /// Intern `name`, returning its symbol. Idempotent.
     pub fn new(name: &str) -> Label {
-        Label(labels().write().unwrap().intern(name))
+        Label(intern(labels(), name))
     }
 
     /// Look up a label that may or may not have been interned yet.
@@ -89,7 +107,7 @@ impl Label {
 impl Key {
     /// Intern `name`, returning its symbol. Idempotent.
     pub fn new(name: &str) -> Key {
-        Key(keys().write().unwrap().intern(name))
+        Key(intern(keys(), name))
     }
 
     /// Look up a key that may or may not have been interned yet.
@@ -146,10 +164,23 @@ impl From<&str> for Key {
 
 /// A small sorted set of labels, as assigned by the paper's λ function
 /// (λ maps each element to a *finite set* of labels).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
+///
+/// Equality, order and hashing are those of the sorted label slice
+/// ([`LabelSet::iter`]'s order), however the set is stored.
+#[derive(Clone, Default)]
 pub struct LabelSet {
-    // Sorted, deduplicated. Typically 0–2 entries, so a Vec beats any set.
-    labels: Vec<Label>,
+    labels: Labels,
+}
+
+/// Storage of a [`LabelSet`]: sorted, deduplicated. Almost every element
+/// carries exactly one label, and that one lives inline — no heap block
+/// per element; `Many` holds two or more.
+#[derive(Clone, Default)]
+enum Labels {
+    #[default]
+    None,
+    One(Label),
+    Many(Vec<Label>),
 }
 
 impl LabelSet {
@@ -161,50 +192,72 @@ impl LabelSet {
     /// A singleton set.
     pub fn single(label: Label) -> Self {
         LabelSet {
-            labels: vec![label],
+            labels: Labels::One(label),
+        }
+    }
+
+    /// The labels, sorted by symbol.
+    fn as_slice(&self) -> &[Label] {
+        match &self.labels {
+            Labels::None => &[],
+            Labels::One(l) => std::slice::from_ref(l),
+            Labels::Many(v) => v,
         }
     }
 
     /// Insert a label, keeping the set sorted. Returns true if newly added.
     pub fn insert(&mut self, label: Label) -> bool {
-        match self.labels.binary_search(&label) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.labels.insert(pos, label);
-                true
+        match &mut self.labels {
+            Labels::None => self.labels = Labels::One(label),
+            Labels::One(l) if *l == label => return false,
+            Labels::One(l) => {
+                let (lo, hi) = if *l < label { (*l, label) } else { (label, *l) };
+                self.labels = Labels::Many(vec![lo, hi]);
             }
+            Labels::Many(v) => match v.binary_search(&label) {
+                Ok(_) => return false,
+                Err(pos) => v.insert(pos, label),
+            },
         }
+        true
     }
 
     /// Remove a label. Returns true if it was present.
     pub fn remove(&mut self, label: Label) -> bool {
-        match self.labels.binary_search(&label) {
-            Ok(pos) => {
-                self.labels.remove(pos);
-                true
-            }
-            Err(_) => false,
+        match &mut self.labels {
+            Labels::One(l) if *l == label => self.labels = Labels::None,
+            Labels::Many(v) => match v.binary_search(&label) {
+                Ok(pos) => {
+                    v.remove(pos);
+                    if let [only] = v[..] {
+                        self.labels = Labels::One(only);
+                    }
+                }
+                Err(_) => return false,
+            },
+            _ => return false,
         }
+        true
     }
 
     /// Membership test (λ(x) ∋ ℓ).
     pub fn contains(&self, label: Label) -> bool {
-        self.labels.binary_search(&label).is_ok()
+        self.as_slice().binary_search(&label).is_ok()
     }
 
     /// True when no label is assigned.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        matches!(self.labels, Labels::None)
     }
 
     /// Number of labels.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.as_slice().len()
     }
 
     /// Iterate in sorted symbol order.
     pub fn iter(&self) -> impl Iterator<Item = Label> + '_ {
-        self.labels.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Set union (used by graph union, §A.5).
@@ -218,21 +271,48 @@ impl LabelSet {
 
     /// Set intersection (used by graph intersection, §A.5).
     pub fn intersection(&self, other: &LabelSet) -> LabelSet {
-        LabelSet {
-            labels: self
-                .labels
-                .iter()
-                .copied()
-                .filter(|l| other.contains(*l))
-                .collect(),
-        }
+        self.iter().filter(|l| other.contains(*l)).collect()
     }
 
     /// Names of all labels, sorted alphabetically (for display and tests).
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.labels.iter().map(|l| l.name()).collect();
+        let mut v: Vec<String> = self.iter().map(|l| l.name()).collect();
         v.sort();
         v
+    }
+}
+
+impl PartialEq for LabelSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for LabelSet {}
+
+impl PartialOrd for LabelSet {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LabelSet {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for LabelSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for LabelSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LabelSet")
+            .field("labels", &self.as_slice())
+            .finish()
     }
 }
 
@@ -303,6 +383,124 @@ mod tests {
         let i = a.intersection(&b);
         assert_eq!(i.len(), 1);
         assert!(i.contains(Label::new("B")));
+    }
+
+    #[test]
+    fn racing_first_interners_get_one_symbol() {
+        use std::sync::Barrier;
+        let barrier = Barrier::new(8);
+        let (labels, keys): (Vec<Label>, Vec<Key>) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (Label::new("raced_label_xyzzy"), Key::new("raced_key_xyzzy"))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("interning thread panicked"))
+                .unzip()
+        });
+        assert!(labels.iter().all(|l| *l == labels[0]));
+        assert!(keys.iter().all(|k| *k == keys[0]));
+        assert_eq!(labels[0].name(), "raced_label_xyzzy");
+        assert_eq!(keys[0].name(), "raced_key_xyzzy");
+    }
+
+    fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    /// Every sequence of up to four inserts / removes over three labels,
+    /// checked against `BTreeSet<Label>`; equality, order and hashing
+    /// against the sorted `Vec<Label>` the set used to be, whichever
+    /// representation the sequence left behind.
+    #[test]
+    fn label_set_agrees_with_a_btree_set_model() {
+        use std::collections::BTreeSet;
+        let pool = [
+            Label::new("model_label_a"),
+            Label::new("model_label_b"),
+            Label::new("model_label_c"),
+        ];
+        // Every subset, built by insertion in sorted order.
+        let subsets: Vec<Vec<Label>> = (0..8u32)
+            .map(|mask| {
+                let mut v: Vec<Label> = (0..3)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| pool[i])
+                    .collect();
+                v.sort();
+                v
+            })
+            .collect();
+        let ops: Vec<(bool, Label)> = pool.iter().flat_map(|&l| [(true, l), (false, l)]).collect();
+        let mut sequences: Vec<Vec<(bool, Label)>> = vec![vec![]];
+        let mut frontier = sequences.clone();
+        for _ in 0..4 {
+            frontier = frontier
+                .iter()
+                .flat_map(|seq| {
+                    ops.iter().map(move |op| {
+                        let mut next = seq.clone();
+                        next.push(*op);
+                        next
+                    })
+                })
+                .collect();
+            sequences.extend(frontier.iter().cloned());
+        }
+        assert_eq!(sequences.len(), 1 + 6 + 36 + 216 + 1296);
+
+        for seq in &sequences {
+            let mut set = LabelSet::new();
+            let mut model = BTreeSet::new();
+            for &(insert, l) in seq {
+                let changed = if insert { set.insert(l) } else { set.remove(l) };
+                let expected = if insert {
+                    model.insert(l)
+                } else {
+                    model.remove(&l)
+                };
+                assert_eq!(changed, expected, "{seq:?}");
+            }
+            let sorted: Vec<Label> = model.iter().copied().collect();
+            assert_eq!(set.iter().collect::<Vec<_>>(), sorted, "{seq:?}");
+            assert_eq!(set.len(), model.len());
+            assert_eq!(set.is_empty(), model.is_empty());
+            for l in pool {
+                assert_eq!(set.contains(l), model.contains(&l));
+            }
+            assert_eq!(hash_of(&set), hash_of(&sorted), "{seq:?}");
+            if let [only] = sorted[..] {
+                assert_eq!(set, LabelSet::single(only), "{seq:?}");
+            }
+            for other in &subsets {
+                let other_set: LabelSet = other.iter().copied().collect();
+                let other_model: BTreeSet<Label> = other.iter().copied().collect();
+                assert_eq!(set == other_set, sorted == *other, "{seq:?} vs {other:?}");
+                assert_eq!(
+                    set.cmp(&other_set),
+                    sorted.cmp(other),
+                    "{seq:?} vs {other:?}"
+                );
+                assert_eq!(
+                    set.union(&other_set).iter().collect::<Vec<_>>(),
+                    model.union(&other_model).copied().collect::<Vec<_>>()
+                );
+                assert_eq!(
+                    set.intersection(&other_set).iter().collect::<Vec<_>>(),
+                    model
+                        .intersection(&other_model)
+                        .copied()
+                        .collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

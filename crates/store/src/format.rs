@@ -40,7 +40,6 @@ use gcore_ppg::{
     sorted_elements, Attributes, Date, EdgeLabelStats, GraphStats, Key, Label, PathPropertyGraph,
     PathShape, PropStats, PropertySet, Table, Value,
 };
-use std::collections::BTreeMap;
 
 /// The 8-byte magic every graph file starts with.
 pub const MAGIC: [u8; 8] = *b"GCOREPPG";
@@ -74,61 +73,92 @@ const VALUE_DATE: u8 = 4;
 struct SymbolTable {
     labels: Vec<String>,
     keys: Vec<String>,
-    label_index: BTreeMap<Label, u32>,
-    key_index: BTreeMap<Key, u32>,
+    /// Local ref of each label the graph uses, indexed by its process
+    /// symbol number ([`Label::raw`]); other slots are unused.
+    label_refs: Vec<u32>,
+    /// Local ref of each key the graph uses, indexed by [`Key::raw`].
+    key_refs: Vec<u32>,
+}
+
+/// A `label_refs` / `key_refs` slot no element has named yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// Mark process symbol `raw` as used; true the first time.
+fn first_use(refs: &mut Vec<u32>, raw: u32) -> bool {
+    let slot = raw as usize;
+    if slot >= refs.len() {
+        refs.resize(slot + 1, UNSEEN);
+    }
+    let first = refs[slot] == UNSEEN;
+    refs[slot] = 0;
+    first
+}
+
+/// Number the used symbols in name order: fill each one's slot in
+/// `refs` with its local ref and return the names in ref order.
+fn number_by_name(refs: &mut [u32], mut used: Vec<(String, u32)>) -> Vec<String> {
+    // Interned names are distinct, so the order is total.
+    used.sort_unstable();
+    used.into_iter()
+        .enumerate()
+        .map(|(local, (name, raw))| {
+            refs[raw as usize] = local as u32;
+            name
+        })
+        .collect()
 }
 
 impl SymbolTable {
+    /// One pass over every element in storage order, noting each
+    /// distinct symbol; then each used name is resolved once.
     fn collect(g: &PathPropertyGraph) -> Self {
-        let mut label_names: BTreeMap<String, Label> = BTreeMap::new();
-        let mut key_names: BTreeMap<String, Key> = BTreeMap::new();
+        let mut label_refs = Vec::new();
+        let mut key_refs = Vec::new();
+        let mut labels = Vec::new();
+        let mut keys = Vec::new();
         let mut visit = |attrs: &Attributes| {
             for l in attrs.labels.iter() {
-                label_names.entry(l.name()).or_insert(l);
+                if first_use(&mut label_refs, l.raw()) {
+                    labels.push(l);
+                }
             }
             for k in attrs.properties.keys() {
-                key_names.entry(k.name()).or_insert(*k);
+                if first_use(&mut key_refs, k.raw()) {
+                    keys.push(*k);
+                }
             }
         };
-        for el in sorted_elements(g) {
-            match el {
-                ElementRef::Node(_, d) => visit(&d.attrs),
-                ElementRef::Edge(_, d) => visit(&d.attrs),
-                ElementRef::Path(_, d) => visit(&d.attrs),
-            }
+        for id in g.node_ids() {
+            visit(&g.node(id).expect("listed id").attrs);
         }
-        let mut label_index = BTreeMap::new();
-        let labels: Vec<String> = label_names
-            .into_iter()
-            .enumerate()
-            .map(|(i, (name, sym))| {
-                label_index.insert(sym, i as u32);
-                name
-            })
-            .collect();
-        let mut key_index = BTreeMap::new();
-        let keys: Vec<String> = key_names
-            .into_iter()
-            .enumerate()
-            .map(|(i, (name, sym))| {
-                key_index.insert(sym, i as u32);
-                name
-            })
-            .collect();
+        for id in g.edge_ids() {
+            visit(&g.edge(id).expect("listed id").attrs);
+        }
+        for id in g.path_ids() {
+            visit(&g.path(id).expect("listed id").attrs);
+        }
+        let labels = number_by_name(
+            &mut label_refs,
+            labels.into_iter().map(|l| (l.name(), l.raw())).collect(),
+        );
+        let keys = number_by_name(
+            &mut key_refs,
+            keys.into_iter().map(|k| (k.name(), k.raw())).collect(),
+        );
         SymbolTable {
             labels,
             keys,
-            label_index,
-            key_index,
+            label_refs,
+            key_refs,
         }
     }
 
     fn label_ref(&self, l: Label) -> u32 {
-        self.label_index[&l]
+        self.label_refs[l.raw() as usize]
     }
 
     fn key_ref(&self, k: Key) -> u32 {
-        self.key_index[&k]
+        self.key_refs[k.raw() as usize]
     }
 }
 
@@ -174,28 +204,42 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn encode_attrs(
+/// Per-element sort space, reused across a whole encode so that writing
+/// an attribute block allocates nothing.
+#[derive(Default)]
+struct Scratch<'g> {
+    label_refs: Vec<u32>,
+    props: Vec<(u32, &'g PropertySet)>,
+}
+
+fn encode_attrs<'g>(
     out: &mut Vec<u8>,
-    attrs: &Attributes,
+    attrs: &'g Attributes,
     symbols: &SymbolTable,
+    scratch: &mut Scratch<'g>,
 ) -> Result<(), StoreError> {
-    let mut label_refs: Vec<u32> = attrs.labels.iter().map(|l| symbols.label_ref(l)).collect();
+    let label_refs = &mut scratch.label_refs;
+    label_refs.clear();
+    label_refs.extend(attrs.labels.iter().map(|l| symbols.label_ref(l)));
     label_refs.sort_unstable();
     put_u32(out, label_refs.len() as u32);
-    for r in label_refs {
+    for &r in label_refs.iter() {
         put_u32(out, r);
     }
     // Properties sorted by local key ref (= key-name order), values in
     // PropertySet's stored order (Value total order) — both
     // content-determined, never process-determined.
-    let mut props: Vec<(u32, &PropertySet)> = attrs
-        .properties
-        .iter()
-        .map(|(k, vs)| (symbols.key_ref(*k), vs))
-        .collect();
+    let props = &mut scratch.props;
+    props.clear();
+    props.extend(
+        attrs
+            .properties
+            .iter()
+            .map(|(k, vs)| (symbols.key_ref(*k), vs)),
+    );
     props.sort_unstable_by_key(|(r, _)| *r);
     put_u32(out, props.len() as u32);
-    for (key_ref, values) in props {
+    for &(key_ref, values) in props.iter() {
         put_u32(out, key_ref);
         put_u32(out, values.len() as u32);
         for v in values.iter() {
@@ -205,11 +249,31 @@ fn encode_attrs(
     Ok(())
 }
 
-fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+/// Start a section envelope in `out`: its tag and a length placeholder.
+/// Returns where the payload begins, for [`close_section`].
+fn open_section(out: &mut Vec<u8>, tag: u8) -> usize {
     out.push(tag);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    put_u64(out, fnv1a64(payload));
+    put_u64(out, 0);
+    out.len()
+}
+
+/// End the section whose payload began at `start`: fill in its length
+/// and append its checksum.
+fn close_section(out: &mut Vec<u8>, start: usize) {
+    let len = (out.len() - start) as u64;
+    out[start - 8..start].copy_from_slice(&len.to_le_bytes());
+    let checksum = fnv1a64(&out[start..]);
+    put_u64(out, checksum);
+}
+
+/// Close the open `section` (its tag and payload start) and open the
+/// next, until the one tagged `tag` is open.
+fn advance_section(out: &mut Vec<u8>, section: &mut (u8, usize), tag: u8) {
+    while section.0 < tag {
+        close_section(out, section.1);
+        section.0 += 1;
+        section.1 = open_section(out, section.0);
+    }
 }
 
 /// Encode `g` into the versioned binary format.
@@ -220,46 +284,7 @@ fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 pub fn encode_graph(g: &PathPropertyGraph) -> Result<Vec<u8>, StoreError> {
     let symbols = SymbolTable::collect(g);
 
-    let mut sym_payload = Vec::new();
-    for name in &symbols.labels {
-        put_str(&mut sym_payload, name);
-    }
-    for name in &symbols.keys {
-        put_str(&mut sym_payload, name);
-    }
-
-    let mut nodes = Vec::new();
-    let mut edges = Vec::new();
-    let mut paths = Vec::new();
-    for el in sorted_elements(g) {
-        match el {
-            ElementRef::Node(id, d) => {
-                put_u64(&mut nodes, id.raw());
-                encode_attrs(&mut nodes, &d.attrs, &symbols)?;
-            }
-            ElementRef::Edge(id, d) => {
-                put_u64(&mut edges, id.raw());
-                put_u64(&mut edges, d.src.raw());
-                put_u64(&mut edges, d.dst.raw());
-                encode_attrs(&mut edges, &d.attrs, &symbols)?;
-            }
-            ElementRef::Path(id, d) => {
-                put_u64(&mut paths, id.raw());
-                put_u32(&mut paths, d.shape.nodes().len() as u32);
-                for n in d.shape.nodes() {
-                    put_u64(&mut paths, n.raw());
-                }
-                for e in d.shape.edges() {
-                    put_u64(&mut paths, e.raw());
-                }
-                encode_attrs(&mut paths, &d.attrs, &symbols)?;
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(
-        MAGIC.len() + 36 + sym_payload.len() + nodes.len() + edges.len() + paths.len() + 4 * 17,
-    );
+    let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, symbols.labels.len() as u32);
@@ -267,10 +292,46 @@ pub fn encode_graph(g: &PathPropertyGraph) -> Result<Vec<u8>, StoreError> {
     put_u64(&mut out, g.node_count() as u64);
     put_u64(&mut out, g.edge_count() as u64);
     put_u64(&mut out, g.path_count() as u64);
-    put_section(&mut out, TAG_SYMBOLS, &sym_payload);
-    put_section(&mut out, TAG_NODES, &nodes);
-    put_section(&mut out, TAG_EDGES, &edges);
-    put_section(&mut out, TAG_PATHS, &paths);
+
+    let start = open_section(&mut out, TAG_SYMBOLS);
+    for name in symbols.labels.iter().chain(&symbols.keys) {
+        put_str(&mut out, name);
+    }
+    close_section(&mut out, start);
+
+    // The canonical order lists nodes, then edges, then paths, so the
+    // section being written advances with the element sort.
+    let mut scratch = Scratch::default();
+    let mut section = (TAG_NODES, open_section(&mut out, TAG_NODES));
+    for el in sorted_elements(g) {
+        match el {
+            ElementRef::Node(id, d) => {
+                put_u64(&mut out, id.raw());
+                encode_attrs(&mut out, &d.attrs, &symbols, &mut scratch)?;
+            }
+            ElementRef::Edge(id, d) => {
+                advance_section(&mut out, &mut section, TAG_EDGES);
+                put_u64(&mut out, id.raw());
+                put_u64(&mut out, d.src.raw());
+                put_u64(&mut out, d.dst.raw());
+                encode_attrs(&mut out, &d.attrs, &symbols, &mut scratch)?;
+            }
+            ElementRef::Path(id, d) => {
+                advance_section(&mut out, &mut section, TAG_PATHS);
+                put_u64(&mut out, id.raw());
+                put_u32(&mut out, d.shape.nodes().len() as u32);
+                for n in d.shape.nodes() {
+                    put_u64(&mut out, n.raw());
+                }
+                for e in d.shape.edges() {
+                    put_u64(&mut out, e.raw());
+                }
+                encode_attrs(&mut out, &d.attrs, &symbols, &mut scratch)?;
+            }
+        }
+    }
+    advance_section(&mut out, &mut section, TAG_PATHS);
+    close_section(&mut out, section.1);
     Ok(out)
 }
 
@@ -305,6 +366,9 @@ fn decode_attrs(
     labels: &[Label],
     keys: &[Key],
 ) -> Result<Attributes, StoreError> {
+    // Sets are built by insertion, so they come out sorted and
+    // deduplicated whatever order the file lists them in. A first label
+    // is stored inline, and a one-value set is built at its size.
     let mut attrs = Attributes::new();
     let nlabels = cur.u32()? as usize;
     for _ in 0..nlabels {
@@ -321,10 +385,15 @@ fn decode_attrs(
             .get(r)
             .ok_or_else(|| StoreError::Corrupt(format!("key ref {r} out of range")))?;
         let nvalues = cur.u32()? as usize;
-        let mut set = PropertySet::empty();
-        for _ in 0..nvalues {
-            set.insert(decode_value(cur)?);
-        }
+        let set = if nvalues == 1 {
+            PropertySet::single(decode_value(cur)?)
+        } else {
+            let mut set = PropertySet::empty();
+            for _ in 0..nvalues {
+                set.insert(decode_value(cur)?);
+            }
+            set
+        };
         attrs.set_prop(key, set);
     }
     Ok(attrs)
