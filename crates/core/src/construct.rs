@@ -24,11 +24,13 @@
 //! semantics of the formalism. Dangling edges are impossible: an edge or
 //! path whose endpoint group was filtered away is dropped with it.
 //!
-//! Cost is linear in binding rows plus constructed elements: rows are
-//! partitioned by their *encoded* cells, the groups (not the rows) are
-//! ordered, each group yields one element, and the groups themselves are
-//! what is kept for `WHEN` — nothing is recorded per row unless a `WHEN`
-//! asks for it.
+//! Cost is linear in binding rows plus constructed elements, and nothing
+//! is allocated per group: rows are partitioned by their *encoded* cells
+//! into one key array and one offset-indexed row array (`Groups`), the
+//! groups (not the rows) are ordered, the staged graph is reserved for
+//! them, and each group yields one element. Only a CONSTRUCT with a
+//! `WHEN` keeps each group's element and rows for the WHEN pass; without
+//! one nothing is recorded per group.
 
 use crate::binding::{BindingTable, Bound, Column};
 use crate::context::FreshPath;
@@ -39,57 +41,128 @@ use gcore_parser::ast::{
     ConstructClause, ConstructConnection, ConstructItem, ConstructPattern, Direction, Expr, Ident,
     PropAssign, RemoveItem, SetItem,
 };
-use gcore_ppg::hash::{FxHashMap, FxHashSet};
+use gcore_ppg::hash::{FxHashMap, FxHashSet, FxHasher};
 use gcore_ppg::{
     Attributes, EdgeId, ElementId, IdGen, Key, Label, NodeId, PathId, PathPropertyGraph, PathShape,
     PropertySet,
 };
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Groups
 // ---------------------------------------------------------------------
 
-/// What identifies a group: the encoded cells ([`BindingTable::code`]) of
-/// its grouping columns — for an edge preceded by its endpoint
+/// The groups of one object construct with their contributing rows.
+///
+/// A key is `width` words: the encoded cells ([`BindingTable::code`]) of
+/// the grouping columns — for an edge preceded by its endpoint
 /// identifiers; a `GROUP e₁, …` part is the ordinal of the row's
-/// expression group ([`group_by_exprs`]). Equal keys are equal groups.
-type GroupKey = Vec<u64>;
+/// expression group ([`expr_ordinals`]). Equal keys are equal groups.
+/// Keys and rows live in two flat arrays, not in one allocation per
+/// group.
+struct Groups {
+    width: usize,
+    /// Group `g`'s key: `keys[g * width..(g + 1) * width]`.
+    keys: Vec<u64>,
+    /// Group `g`'s rows (ascending): `rows[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+    /// The groups in [`Rv::total_cmp`] order of the values their keys
+    /// stand for — the order elements are staged and skolem identifiers
+    /// minted in.
+    order: Vec<usize>,
+}
 
-/// The groups of one object construct with their contributing rows
-/// (ascending), in [`Rv::total_cmp`] order of the values the keys stand
-/// for — the order elements are staged and skolem identifiers minted in.
-type Groups = Vec<(GroupKey, Vec<usize>)>;
+impl Groups {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
 
-/// Partition the binding rows by the key `key` writes (`false`: the row
-/// contributes nothing), then order the groups — thousands — rather
-/// than the rows — hundreds of thousands.
+    /// Every group's key and rows, in order.
+    fn iter(&self) -> impl Iterator<Item = (&[u64], &[usize])> {
+        self.order.iter().map(|&g| {
+            let key = &self.keys[g * self.width..][..self.width];
+            (key, &self.rows[self.starts[g]..self.starts[g + 1]])
+        })
+    }
+}
+
+/// Partition the binding rows by the `width`-word key `key` writes
+/// (`false`: the row contributes nothing), then order the groups —
+/// thousands — rather than the rows — hundreds of thousands. A key is
+/// looked up by its hash, chaining the groups that share one, so a row
+/// of a known group allocates nothing.
 fn group_rows(
     ev: &Evaluator<'_>,
     bindings: &BindingTable,
-    mut key: impl FnMut(usize, &mut GroupKey) -> bool,
+    width: usize,
+    mut key: impl FnMut(usize, &mut Vec<u64>) -> bool,
 ) -> Result<Groups> {
-    let mut index: FxHashMap<GroupKey, Vec<usize>> = FxHashMap::default();
-    let mut buf = GroupKey::new();
+    const NONE: usize = usize::MAX;
+    let mut keys: Vec<u64> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
+    // The last group seen with each key hash, and each group's
+    // predecessor with the same hash.
+    let mut by_hash: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut same_hash: Vec<usize> = Vec::new();
+    let mut group_of: Vec<usize> = vec![NONE; bindings.len()];
+    let mut buf: Vec<u64> = Vec::with_capacity(width);
     let mut tick = 0u32;
-    for ri in 0..bindings.len() {
+    for (ri, group) in group_of.iter_mut().enumerate() {
         ev.ctx.options.cancel.checkpoint(&mut tick)?;
         buf.clear();
         if !key(ri, &mut buf) {
             continue;
         }
-        match index.get_mut(buf.as_slice()) {
-            Some(rows) => rows.push(ri),
-            None => {
-                index.insert(buf.clone(), vec![ri]);
-            }
+        debug_assert_eq!(buf.len(), width);
+        let mut hasher = FxHasher::default();
+        for &w in &buf {
+            hasher.write_u64(w);
+        }
+        let hash = hasher.finish();
+        let mut g = by_hash.get(&hash).copied().unwrap_or(NONE);
+        while g != NONE && keys[g * width..][..width] != buf[..] {
+            g = same_hash[g];
+        }
+        if g == NONE {
+            g = counts.len();
+            keys.extend_from_slice(&buf);
+            counts.push(0);
+            same_hash.push(by_hash.insert(hash, g).unwrap_or(NONE));
+        }
+        counts[g] += 1;
+        *group = g;
+    }
+
+    // Rows by group, ascending within each: offsets from the counts,
+    // then one pass over the rows.
+    let groups = counts.len();
+    let mut starts: Vec<usize> = Vec::with_capacity(groups + 1);
+    starts.push(0);
+    for (g, count) in counts.iter().enumerate() {
+        starts.push(starts[g] + count);
+    }
+    counts.copy_from_slice(&starts[..groups]);
+    let mut rows: Vec<usize> = vec![0; starts[groups]];
+    for (ri, &g) in group_of.iter().enumerate() {
+        if g != NONE {
+            rows[counts[g]] = ri;
+            counts[g] += 1;
         }
     }
-    let mut groups: Groups = index.into_iter().collect();
-    let order = bindings.rv_key_order();
-    groups.sort_unstable_by(|a, b| order(&a.0, &b.0));
-    Ok(groups)
+    let cmp = bindings.rv_key_order();
+    let key_of = |g: usize| &keys[g * width..][..width];
+    let mut order: Vec<usize> = (0..groups).collect();
+    order.sort_unstable_by(|&a, &b| cmp(key_of(a), key_of(b)));
+    Ok(Groups {
+        width,
+        keys,
+        starts,
+        rows,
+        order,
+    })
 }
 
 /// The groups of a `GROUP e₁, …` / `GROUP BY e₁, …` partition: the
@@ -151,8 +224,8 @@ pub(crate) fn group_by_exprs(
 // Staged elements
 // ---------------------------------------------------------------------
 
-/// One group of one construct pattern, kept (its rows moved here, not
-/// dropped) after its element is staged: everything the WHEN pass reads.
+/// One group of one construct pattern, kept after its element is staged
+/// when the CONSTRUCT has a `WHEN`: everything the WHEN pass reads.
 struct Staged {
     /// Index of the construct pattern that staged the group.
     pattern: usize,
@@ -170,33 +243,38 @@ struct Staged {
 /// Everything a CONSTRUCT produces before WHEN filtering.
 struct Staging {
     graph: PathPropertyGraph,
+    /// Does a `WHEN` read the groups? Without one none is kept.
+    when: bool,
     groups: Vec<Staged>,
     /// Index of the pattern being staged.
     pattern: usize,
 }
 
 impl Staging {
-    fn keep(&mut self, var: Option<(usize, Bound)>, elems: Vec<ElementId>, rows: Vec<usize>) {
-        let pattern = self.pattern;
-        self.groups.push(Staged {
-            pattern,
-            var,
-            elems,
-            rows,
-        });
+    fn keep(&mut self, var: Option<(usize, Bound)>, elems: &[ElementId], rows: &[usize]) {
+        if self.when {
+            self.groups.push(Staged {
+                pattern: self.pattern,
+                var,
+                elems: elems.to_vec(),
+                rows: rows.to_vec(),
+            });
+        }
     }
 }
 
 /// Shared skolem state: `new(x, Ω′(Γ))` must return the same identifier
 /// for the same variable and group across all patterns of one CONSTRUCT.
 /// Variables are interned to token indexes, so a lookup hashes a
-/// `(usize, GroupKey)` it is handed — no string, no second key clone.
+/// `(usize, key)` — no string. An anonymous variable cannot occur twice
+/// and its groups have distinct keys: it mints straight from the
+/// generator, in the same order, without the map.
 struct Skolem {
     ids: IdGen,
     tokens: Vec<String>,
-    nodes: FxHashMap<(usize, GroupKey), NodeId>,
-    edges: FxHashMap<(usize, GroupKey), EdgeId>,
-    paths: FxHashMap<(usize, GroupKey), PathId>,
+    nodes: FxHashMap<(usize, Vec<u64>), NodeId>,
+    edges: FxHashMap<(usize, Vec<u64>), EdgeId>,
+    paths: FxHashMap<(usize, Vec<u64>), PathId>,
 }
 
 impl Skolem {
@@ -208,19 +286,28 @@ impl Skolem {
         })
     }
 
-    fn node(&mut self, token: usize, key: GroupKey) -> NodeId {
+    fn node(&mut self, token: usize, named: bool, key: &[u64]) -> NodeId {
+        if !named {
+            return self.ids.node();
+        }
         let ids = &self.ids;
-        *self.nodes.entry((token, key)).or_insert_with(|| ids.node())
+        let entry = self.nodes.entry((token, key.to_vec()));
+        *entry.or_insert_with(|| ids.node())
     }
 
-    fn edge(&mut self, token: usize, key: GroupKey) -> EdgeId {
+    fn edge(&mut self, token: usize, named: bool, key: &[u64]) -> EdgeId {
+        if !named {
+            return self.ids.edge();
+        }
         let ids = &self.ids;
-        *self.edges.entry((token, key)).or_insert_with(|| ids.edge())
+        let entry = self.edges.entry((token, key.to_vec()));
+        *entry.or_insert_with(|| ids.edge())
     }
 
-    fn path(&mut self, token: usize, key: GroupKey) -> PathId {
+    fn path(&mut self, token: usize, key: &[u64]) -> PathId {
         let ids = &self.ids;
-        *self.paths.entry((token, key)).or_insert_with(|| ids.path())
+        let entry = self.paths.entry((token, key.to_vec()));
+        *entry.or_insert_with(|| ids.path())
     }
 }
 
@@ -243,8 +330,10 @@ pub fn eval_construct(
         edges: FxHashMap::default(),
         paths: FxHashMap::default(),
     };
+    let when = |item: &ConstructItem| matches!(item, ConstructItem::Pattern(p) if p.when.is_some());
     let mut staging = Staging {
         graph: PathPropertyGraph::new(),
+        when: construct.items.iter().any(when),
         groups: Vec::new(),
         pattern: 0,
     };
@@ -285,7 +374,20 @@ pub fn eval_construct(
     let dead = if whens.is_empty() {
         FxHashSet::default()
     } else {
-        when_pass(ev, &whens, &staging, &skolem.tokens, bindings, outer)?
+        // The WHEN pass reads the staged graph through the construct
+        // variables' columns: lend it to them, then take it back.
+        let staged = Arc::new(std::mem::take(&mut staging.graph));
+        let dead = when_pass(
+            ev,
+            &whens,
+            &staging,
+            &staged,
+            &skolem.tokens,
+            bindings,
+            outer,
+        );
+        staging.graph = Arc::try_unwrap(staged).unwrap_or_else(|g| (*g).clone());
+        dead?
     };
     let mut out = if dead.is_empty() {
         staging.graph
@@ -348,11 +450,12 @@ fn when_pass(
     ev: &Evaluator<'_>,
     whens: &[(usize, &Expr)],
     staging: &Staging,
+    staged: &Arc<PathPropertyGraph>,
     tokens: &[String],
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
 ) -> Result<FxHashSet<ElementId>> {
-    let ext = extended_table(bindings, staging, tokens);
+    let ext = extended_table(bindings, staging, staged, tokens);
     let mut fed_by: FxHashMap<ElementId, Vec<usize>> = FxHashMap::default();
     for (gi, group) in staging.groups.iter().enumerate() {
         for elem in &group.elems {
@@ -399,8 +502,12 @@ fn when_pass(
 /// (built column-wise from the staged groups), resolving against the
 /// staged graph so `e.score` sees the freshly computed property. Row
 /// indexes stay those of `bindings`.
-fn extended_table(bindings: &BindingTable, staging: &Staging, tokens: &[String]) -> BindingTable {
-    let staged = Arc::new(staging.graph.clone());
+fn extended_table(
+    bindings: &BindingTable,
+    staging: &Staging,
+    staged: &Arc<PathPropertyGraph>,
+    tokens: &[String],
+) -> BindingTable {
     let mut cells: Vec<Option<Vec<Bound>>> = vec![None; tokens.len()];
     for group in &staging.groups {
         let Some((token, bound)) = &group.var else {
@@ -680,6 +787,30 @@ fn stage_pattern<'a>(
     Ok(())
 }
 
+/// Per row, the ordinal of its `GROUP e₁, …` group — ordinals follow the
+/// groups' [`Rv::total_cmp`] order — and whether that group's value has a
+/// NULL component.
+type Ordinals = Vec<(u64, bool)>;
+
+/// The [`Ordinals`] of `exprs` over `bindings`, and the columns the
+/// expressions read ([`group_by_exprs`]).
+fn expr_ordinals(
+    ev: &Evaluator<'_>,
+    bindings: &BindingTable,
+    exprs: &[Expr],
+    outer: Option<&Env<'_>>,
+) -> Result<(Ordinals, Vec<usize>)> {
+    let (by_exprs, cols) = group_by_exprs(ev, bindings, exprs, outer)?;
+    let mut ordinals = vec![(0, false); bindings.len()];
+    for (ordinal, (key, rows)) in by_exprs.iter().enumerate() {
+        let null = key.iter().any(|v| matches!(v, Rv::Null));
+        for &ri in rows {
+            ordinals[ri] = (ordinal as u64, null);
+        }
+    }
+    Ok((ordinals, cols))
+}
+
 /// The groups of one node construct, the binding-table columns defining
 /// them, and whether the variable was bound by MATCH.
 fn group_rows_for(
@@ -694,7 +825,7 @@ fn group_rows_for(
             return Err(SemanticError::GroupOnBoundVariable(var.unwrap_or("?").to_owned()).into());
         }
         // Γ = {x}: group by identity; Ω′(x) undefined ⇒ G∅ for the row.
-        let groups = group_rows(ev, bindings, |ri, key| {
+        let groups = group_rows(ev, bindings, 1, |ri, key| {
             key.push(bindings.code(ri, ci));
             !bindings.is_missing_at(ri, ci)
         })?;
@@ -702,20 +833,19 @@ fn group_rows_for(
     }
     match group {
         Some(exprs) => {
-            let (by_exprs, cols) = group_by_exprs(ev, bindings, exprs, outer)?;
+            let (ordinals, cols) = expr_ordinals(ev, bindings, exprs, outer)?;
             // A NULL component leaves Ω′(Γ) undefined: no element.
-            let groups = by_exprs
-                .into_iter()
-                .enumerate()
-                .filter(|(_, (key, _))| !key.iter().any(|v| matches!(v, Rv::Null)))
-                .map(|(ordinal, (_, rows))| (vec![ordinal as u64], rows))
-                .collect();
+            let groups = group_rows(ev, bindings, 1, |ri, key| {
+                let (ordinal, null) = ordinals[ri];
+                key.push(ordinal);
+                !null
+            })?;
             Ok((groups, cols, false))
         }
         None => {
             // Default: one element per binding (Γ = all variables).
             let width = bindings.columns().len();
-            let groups = group_rows(ev, bindings, |ri, key| {
+            let groups = group_rows(ev, bindings, width, |ri, key| {
                 key.extend((0..width).map(|ci| bindings.code(ri, ci)));
                 true
             })?;
@@ -740,8 +870,9 @@ fn stage_node(
     let mut per_row: Vec<Option<NodeId>> = vec![None; bindings.len()];
     let mut tick = 0u32;
     let none = Attributes::new();
+    staging.graph.reserve(groups.len(), 0, 0);
 
-    for (key, rows) in groups {
+    for (key, rows) in groups.iter() {
         ev.ctx.options.cancel.checkpoint(&mut tick)?;
         // Identity and its attributes carry over for bound variables.
         let (id, source) = if is_bound {
@@ -756,7 +887,7 @@ fn stage_node(
             };
             (n, bindings.columns()[ci].graph.attributes(n.into()))
         } else {
-            (skolem.node(token, key), None)
+            (skolem.node(token, spec.named.is_some(), key), None)
         };
         let template = &spec.template;
         if template.is_empty() {
@@ -765,15 +896,15 @@ fn stage_node(
             staging.graph.add_node_ref(id, source.unwrap_or(&none));
         } else {
             let mut attrs = source.cloned().unwrap_or_default();
-            let group = Group::new(&rows, &group_cols);
+            let group = Group::new(rows, &group_cols);
             template.apply(ev, &mut attrs, bindings, &group, outer)?;
             staging.graph.add_node(id, attrs);
         }
-        for &ri in &rows {
+        for &ri in rows {
             per_row[ri] = Some(id);
         }
         let var = (!is_bound).then_some((token, Bound::Node(id)));
-        staging.keep(var, vec![ElementId::Node(id)], rows);
+        staging.keep(var, &[ElementId::Node(id)], rows);
     }
     Ok((per_row, group_cols))
 }
@@ -893,18 +1024,13 @@ fn stage_edge(
     }
 
     // Per row, the ordinal of its GROUP-expression group.
-    let mut expr_group: Option<Vec<u64>> = None;
-    let mut expr_cols: Vec<usize> = Vec::new();
-    if let Some(exprs) = &e.group {
-        let ordinals = expr_group.insert(vec![0; bindings.len()]);
-        let (by_exprs, cols) = group_by_exprs(ev, bindings, exprs, outer)?;
-        for (ordinal, (_, rows)) in by_exprs.iter().enumerate() {
-            for &ri in rows {
-                ordinals[ri] = ordinal as u64;
-            }
+    let (expr_group, expr_cols) = match &e.group {
+        Some(exprs) => {
+            let (ordinals, cols) = expr_ordinals(ev, bindings, exprs, outer)?;
+            (Some(ordinals), cols)
         }
-        expr_cols = cols;
-    }
+        None => (None, Vec::new()),
+    };
     // Group columns: endpoints' group columns + our own identity/group.
     let mut group_cols: Vec<usize> = src_cols.to_vec();
     for &c in dst_cols.iter().chain(&bound_col).chain(&expr_cols) {
@@ -914,19 +1040,21 @@ fn stage_edge(
     }
 
     // Group rows: by (src, dst, identity-or-GROUP).
-    let groups = group_rows(ev, bindings, |ri, key| {
+    let width = 2 + usize::from(bound_col.is_some()) + usize::from(expr_group.is_some());
+    let groups = group_rows(ev, bindings, width, |ri, key| {
         let (Some(src), Some(dst)) = (src_ids[ri], dst_ids[ri]) else {
             return false; // dangling prevention
         };
         key.extend([src.raw(), dst.raw()]);
         key.extend(bound_col.map(|ci| bindings.code(ri, ci)));
-        key.extend(expr_group.as_ref().map(|ordinals| ordinals[ri]));
+        key.extend(expr_group.as_ref().map(|ordinals| ordinals[ri].0));
         !bound_col.is_some_and(|ci| bindings.is_missing_at(ri, ci))
     })?;
 
     let token = skolem.token(token);
     let mut tick = 0u32;
-    for (key, rows) in groups {
+    staging.graph.reserve(0, groups.len(), 0);
+    for (key, rows) in groups.iter() {
         ev.ctx.options.cancel.checkpoint(&mut tick)?;
         let (src, dst) = (NodeId(key[0]), NodeId(key[1]));
         let (id, mut attrs) = match bound_col {
@@ -951,15 +1079,15 @@ fn stage_edge(
                 let attrs = col.graph.attributes(ElementId::Edge(eid));
                 (eid, attrs.cloned().unwrap_or_default())
             }
-            None => (skolem.edge(token, key), Attributes::new()),
+            None => (skolem.edge(token, e.var.is_some(), key), Attributes::new()),
         };
-        let group = Group::new(&rows, &group_cols);
+        let group = Group::new(rows, &group_cols);
         template.apply(ev, &mut attrs, bindings, &group, outer)?;
 
         // Endpoints are guaranteed staged by the node pass.
         staging.graph.add_edge(id, src, dst, attrs)?;
         let var = bound_col.is_none().then_some((token, Bound::Edge(id)));
-        staging.keep(var, vec![ElementId::Edge(id)], rows);
+        staging.keep(var, &[ElementId::Edge(id)], rows);
     }
     Ok(())
 }
@@ -983,7 +1111,7 @@ fn stage_path(
     let col_graph = bindings.columns()[ci].graph.clone();
 
     // Group rows by path identity.
-    let groups = group_rows(ev, bindings, |ri, key| {
+    let groups = group_rows(ev, bindings, 1, |ri, key| {
         key.push(bindings.code(ri, ci));
         !bindings.is_missing_at(ri, ci)
     })?;
@@ -992,7 +1120,11 @@ fn stage_path(
     let labels: Vec<Label> = p.labels.iter().map(|l| Label::new(l)).collect();
     let mut tick = 0u32;
     let none = Attributes::new();
-    for (key, rows) in groups {
+    let mut elems: Vec<ElementId> = Vec::new();
+    if p.stored {
+        staging.graph.reserve(0, 0, groups.len());
+    }
+    for (key, rows) in groups.iter() {
         ev.ctx.options.cancel.checkpoint(&mut tick)?;
         // The identity (for a stored path object), the walk or the
         // ALL-paths projection to project, and the graph the members'
@@ -1047,7 +1179,7 @@ fn stage_path(
         // Members shared with earlier paths or items are already staged:
         // re-adding one merges its attributes without copying them.
         let node_attrs = |n: NodeId| graph.attributes(n.into()).unwrap_or(&none);
-        let mut elems: Vec<ElementId> = Vec::with_capacity(nodes.len() + edges.len() + 1);
+        elems.clear();
         for &n in nodes {
             if walk.is_some() || graph.contains_node(n) {
                 staging.graph.add_node_ref(n, node_attrs(n));
@@ -1076,13 +1208,13 @@ fn stage_path(
             for &l in &labels {
                 attrs.labels.insert(l);
             }
-            let group = Group::new(&rows, std::slice::from_ref(&ci));
+            let group = Group::new(rows, std::slice::from_ref(&ci));
             assign_props(ev, &mut attrs, assigns, bindings, &group, outer)?;
             staging.graph.add_path(pid, walk, attrs)?;
             elems.push(ElementId::Path(pid));
         }
         // The path variable is a MATCH column: WHEN reads it from there.
-        staging.keep(None, elems, rows);
+        staging.keep(None, &elems, rows);
     }
     Ok(())
 }

@@ -15,6 +15,7 @@ use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError};
 use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, Pattern, Query, UnaryOp};
 use gcore_ppg::{Date, ElementId, Key, Label, PathPropertyGraph, PropertySet, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -172,12 +173,13 @@ impl<'a> Env<'a> {
     }
 
     /// Look up a variable: the binding and the graph its attributes
-    /// resolve against.
-    pub fn lookup(&self, var: &str) -> Option<(Bound, Arc<PathPropertyGraph>)> {
+    /// resolve against (borrowed from the column: a per-row lookup never
+    /// touches the graph's shared reference count).
+    pub fn lookup(&self, var: &str) -> Option<(Bound, &'a Arc<PathPropertyGraph>)> {
         if let Some(i) = self.table.column_index(var) {
             return Some((
                 self.table.bound(self.row, i),
-                self.table.columns()[i].graph.clone(),
+                &self.table.columns()[i].graph,
             ));
         }
         self.parent.and_then(|p| p.lookup(var))
@@ -205,12 +207,13 @@ impl<'a> Env<'a> {
     }
 
     /// [`lookup_rv`](Self::lookup_rv), also returning the graph the
-    /// variable's column resolves attributes against.
-    pub fn lookup_rv_graph(&self, var: &str) -> Option<(Rv, Arc<PathPropertyGraph>)> {
+    /// variable's column resolves attributes against (borrowed, as in
+    /// [`lookup`](Self::lookup)).
+    pub fn lookup_rv_graph(&self, var: &str) -> Option<(Rv, &'a Arc<PathPropertyGraph>)> {
         if let Some(i) = self.table.column_index(var) {
             return Some((
                 rv_at(self.table, self.row, i),
-                self.table.columns()[i].graph.clone(),
+                &self.table.columns()[i].graph,
             ));
         }
         self.parent.and_then(|p| p.lookup_rv_graph(var))
@@ -335,21 +338,22 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
 }
 
 /// Evaluate `base`, also returning the graph for attribute resolution:
-/// variables use their column's graph, everything else the ambient graph.
-fn eval_with_graph(
+/// variables use their column's graph (borrowed), everything else the
+/// ambient graph.
+fn eval_with_graph<'a>(
     ctx: &EvalCtx,
     sub: &dyn SubqueryEval,
-    env: &Env<'_>,
+    env: &Env<'a>,
     base: &Expr,
-) -> Result<(Rv, Arc<PathPropertyGraph>)> {
+) -> Result<(Rv, Cow<'a, Arc<PathPropertyGraph>>)> {
     if let Expr::Var(v) = base {
         if let Some((rv, g)) = env.lookup_rv_graph(v) {
-            return Ok((rv, g));
+            return Ok((rv, Cow::Borrowed(g)));
         }
-        return Ok((Rv::Null, ctx.ambient_graph()?));
+        return Ok((Rv::Null, Cow::Owned(ctx.ambient_graph()?)));
     }
     let rv = eval_expr(ctx, sub, env, base)?;
-    Ok((rv, ctx.ambient_graph()?))
+    Ok((rv, Cow::Owned(ctx.ambient_graph()?)))
 }
 
 fn eval_prop(

@@ -81,6 +81,85 @@ fn batch_results_are_identical_across_thread_counts() {
     }
 }
 
+/// The seven read classes of the benchmark's 2-client join mix — label
+/// scan, edge hop, two-hop, value join, OPTIONAL count, EXISTS filter,
+/// wide SELECT — at SNB-200, each over three `personId` windows.
+fn match_mix_statements() -> Vec<String> {
+    let range =
+        |k: usize, w: usize, v: &str| format!("{v}.personId >= {k} AND {v}.personId < {}", k + w);
+    let mut texts = Vec::new();
+    for k in [0, 70, 140] {
+        texts.extend([
+            format!("CONSTRUCT (n) MATCH (n:Person) WHERE {}", range(k, 60, "n")),
+            format!(
+                "CONSTRUCT (n)-[e]->(m) MATCH (n:Person)-[e:knows]->(m:Person) WHERE {}",
+                range(k, 30, "n")
+            ),
+            format!(
+                "CONSTRUCT (n)-[:fof]->(k) \
+                 MATCH (n:Person)-[:knows]->(m:Person)-[:knows]->(k:Person) WHERE {}",
+                range(k, 10, "n")
+            ),
+            format!(
+                "CONSTRUCT (a)-[:colleague]->(b) MATCH (a:Person {{employer = e}}), (b:Person) \
+                 WHERE e IN b.employer AND {}",
+                range(k, 10, "a")
+            ),
+            format!(
+                "SELECT n.personId AS id, COUNT(*) AS posts MATCH (n:Person) WHERE {} \
+                 OPTIONAL (n)<-[:has_creator]-(msg:Post) GROUP BY n.personId",
+                range(k, 30, "n")
+            ),
+            format!(
+                "CONSTRUCT (n) MATCH (n:Person) \
+                 WHERE (n)-[:hasInterest]->(:Tag {{name = 'Wagner'}}) AND {}",
+                range(k, 60, "n")
+            ),
+            format!(
+                "SELECT n.personId AS id, n.firstName AS first, n.lastName AS last, \
+                        m.firstName AS friend, m.lastName AS friendLast \
+                 MATCH (n:Person)-[:knows]->(m:Person) WHERE {}",
+                range(k, 40, "n")
+            ),
+        ]);
+    }
+    texts
+}
+
+/// Two workers evaluating the join mix at once on one snapshot — every
+/// statement twice, so both run the same classes side by side, sharing
+/// the input graph and the symbol interner — answer what one thread
+/// answers alone.
+#[test]
+fn match_mix_from_two_threads_matches_one_thread() {
+    let mut engine = gcore::Engine::new();
+    let snb = gcore_snb::generate(
+        &gcore_snb::SnbConfig::scale(200),
+        &engine.catalog().ids().clone(),
+    );
+    engine.register_graph("snb", snb.graph);
+    engine.set_default_graph("snb");
+    let texts = match_mix_statements();
+    let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+    let watermark = engine.catalog().ids().peek();
+    let alone: Vec<String> = texts
+        .iter()
+        .map(|t| canon_result(&engine.run(t), watermark))
+        .collect();
+    let twice: Vec<&str> = texts.iter().flat_map(|&t| [t, t]).collect();
+    let together = engine.run_batch_parallel(&twice, 2);
+    for (i, result) in together.iter().enumerate() {
+        let statement = i / 2;
+        assert!(result.is_ok(), "{}: {result:?}", texts[statement]);
+        assert_eq!(
+            canon_result(result, watermark),
+            alone[statement],
+            "{} diverged on two threads",
+            texts[statement]
+        );
+    }
+}
+
 /// Number of randomized-interleaving cases; pin with `PROPTEST_CASES`
 /// (CI does) — the vendored proptest is seed-deterministic either way.
 fn cases() -> u32 {

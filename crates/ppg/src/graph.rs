@@ -209,6 +209,17 @@ impl PathPropertyGraph {
     // Insertion
     // ------------------------------------------------------------------
 
+    /// Make room for `nodes`, `edges` and `paths` more elements, so a
+    /// caller that knows how many it is about to insert grows each map
+    /// once.
+    pub fn reserve(&mut self, nodes: usize, edges: usize, paths: usize) {
+        self.nodes.reserve(nodes);
+        self.out_adj.reserve(nodes);
+        self.in_adj.reserve(nodes);
+        self.edges.reserve(edges);
+        self.paths.reserve(paths);
+    }
+
     /// Insert a node. Re-inserting an existing node unions attributes
     /// (identity-respecting merge).
     pub fn add_node(&mut self, id: NodeId, attrs: Attributes) {

@@ -7,11 +7,17 @@
 //!
 //! The interner is process-global: a symbol interned once means the same
 //! string everywhere, so graphs, queries and engines can be mixed freely.
+//! Name-to-symbol lookups — once per row in expression evaluation — read
+//! a per-thread cache of it first, so threads evaluating at once do not
+//! write the interner's shared lock state for every name they resolve.
 
+use crate::hash::FxHashMap;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
+use std::thread::LocalKey;
 
 /// An interned label name (element of `L`), used on nodes, edges and paths.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,16 +69,42 @@ fn keys() -> &'static RwLock<Interner> {
     KEYS.get_or_init(|| RwLock::new(Interner::new()))
 }
 
+/// A thread's copy of the names it has resolved in one interner. Symbols
+/// never change once interned, so a cached entry is never stale; a name
+/// not (yet) interned is never cached, so another thread interning it
+/// later is seen by the next lookup.
+type SymbolCache = RefCell<FxHashMap<Box<str>, u32>>;
+
+thread_local! {
+    static LABEL_CACHE: SymbolCache = RefCell::default();
+    static KEY_CACHE: SymbolCache = RefCell::default();
+}
+
+/// `name`'s symbol if this thread has resolved it before.
+fn cached(cache: &'static LocalKey<SymbolCache>, name: &str) -> Option<u32> {
+    cache.with(|c| c.borrow().get(name).copied())
+}
+
+/// Remember in this thread's `cache` that `name` is `id`; returns `id`.
+fn remember(cache: &'static LocalKey<SymbolCache>, name: &str, id: u32) -> u32 {
+    cache.with(|c| c.borrow_mut().insert(name.into(), id));
+    id
+}
+
+/// Look `name` up in `table` without interning it.
+fn lookup(table: &RwLock<Interner>, name: &str) -> Option<u32> {
+    table
+        .read()
+        .expect("a symbol interner panicked while locked")
+        .lookup(name)
+}
+
 /// Intern `name` in `table`. A name already interned — nearly every
 /// call once a graph is loaded — is found under the shared read lock;
 /// only a miss takes the write lock, and [`Interner::intern`] re-checks
 /// under it, so racing first interners agree on one symbol.
 fn intern(table: &RwLock<Interner>, name: &str) -> u32 {
-    let known = table
-        .read()
-        .expect("a symbol interner panicked while locked")
-        .lookup(name);
-    known.unwrap_or_else(|| {
+    lookup(table, name).unwrap_or_else(|| {
         table
             .write()
             .expect("a symbol interner panicked while locked")
@@ -83,14 +115,17 @@ fn intern(table: &RwLock<Interner>, name: &str) -> u32 {
 impl Label {
     /// Intern `name`, returning its symbol. Idempotent.
     pub fn new(name: &str) -> Label {
-        Label(intern(labels(), name))
+        let id = cached(&LABEL_CACHE, name);
+        Label(id.unwrap_or_else(|| remember(&LABEL_CACHE, name, intern(labels(), name))))
     }
 
     /// Look up a label that may or may not have been interned yet.
     /// Useful to test "does this graph use label X" without polluting the
     /// interner.
     pub fn lookup(name: &str) -> Option<Label> {
-        labels().read().unwrap().lookup(name).map(Label)
+        let id = cached(&LABEL_CACHE, name);
+        let id = id.or_else(|| lookup(labels(), name).map(|id| remember(&LABEL_CACHE, name, id)));
+        id.map(Label)
     }
 
     /// The label's textual name.
@@ -107,12 +142,15 @@ impl Label {
 impl Key {
     /// Intern `name`, returning its symbol. Idempotent.
     pub fn new(name: &str) -> Key {
-        Key(intern(keys(), name))
+        let id = cached(&KEY_CACHE, name);
+        Key(id.unwrap_or_else(|| remember(&KEY_CACHE, name, intern(keys(), name))))
     }
 
     /// Look up a key that may or may not have been interned yet.
     pub fn lookup(name: &str) -> Option<Key> {
-        keys().read().unwrap().lookup(name).map(Key)
+        let id = cached(&KEY_CACHE, name);
+        let id = id.or_else(|| lookup(keys(), name).map(|id| remember(&KEY_CACHE, name, id)));
+        id.map(Key)
     }
 
     /// The key's textual name.
@@ -407,6 +445,36 @@ mod tests {
         assert!(keys.iter().all(|k| *k == keys[0]));
         assert_eq!(labels[0].name(), "raced_label_xyzzy");
         assert_eq!(keys[0].name(), "raced_key_xyzzy");
+    }
+
+    /// The per-thread cache never remembers a miss: a name another thread
+    /// interns after this one looked it up in vain is found by this
+    /// thread's next lookup.
+    #[test]
+    fn symbol_cache_sees_names_interned_by_another_thread() {
+        use std::sync::mpsc;
+        let (ask, asked) = mpsc::channel::<()>();
+        let (tell, interned) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                asked.recv().expect("the reader asked");
+                Label::new("late_label_xyzzy");
+                Key::new("late_key_xyzzy");
+                tell.send(()).expect("the reader waits");
+            });
+            assert_eq!(Label::lookup("late_label_xyzzy"), None);
+            assert_eq!(Key::lookup("late_key_xyzzy"), None);
+            ask.send(()).expect("the interner waits");
+            interned.recv().expect("the interner interned");
+            let label = Label::lookup("late_label_xyzzy").expect("interned by now");
+            let key = Key::lookup("late_key_xyzzy").expect("interned by now");
+            assert_eq!(label, Label::new("late_label_xyzzy"));
+            assert_eq!(key, Key::new("late_key_xyzzy"));
+            assert_eq!(
+                (label.name(), key.name()),
+                ("late_label_xyzzy".into(), "late_key_xyzzy".into())
+            );
+        });
     }
 
     fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {

@@ -373,6 +373,116 @@ const CASES: &[Case] = &[
             /p23 n[2, 3] e[11] :sp {}/
         ",
     },
+    // Minted identifiers where the skolem map and the WHEN bookkeeping
+    // could diverge: a named unbound variable in two patterns, anonymous
+    // elements (each occurrence its own), GROUP expressions on nodes and
+    // edges, a WHEN over COUNT(*), fresh stored paths beside minted edges.
+    Case {
+        name: "minted_named_node_shared_by_two_patterns",
+        statement: "CONSTRUCT (x :Hub)-[:origin]->(n), (x)-[:target]->(m) MATCH (n:Person)-[:knows]->(m:Person)",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            (n22 :Hub {})
+            (n23 :Hub {})
+            (n24 :Hub {})
+            [e25 n22->n1 :origin {}]
+            [e26 n23->n1 :origin {}]
+            [e27 n24->n2 :origin {}]
+            [e28 n22->n2 :target {}]
+            [e29 n23->n3 :target {}]
+            [e30 n24->n3 :target {}]
+        ",
+    },
+    Case {
+        name: "minted_anonymous_edges_in_two_patterns",
+        statement: "CONSTRUCT (n)-[:there]->(m), (m)-[:back]->(n) MATCH (n:Person)-[:knows]->(m:Person)",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            [e22 n1->n2 :there {}]
+            [e23 n1->n3 :there {}]
+            [e24 n2->n3 :there {}]
+            [e25 n2->n1 :back {}]
+            [e26 n3->n1 :back {}]
+            [e27 n3->n2 :back {}]
+        ",
+    },
+    Case {
+        name: "minted_group_expression_nodes",
+        statement: "CONSTRUCT (x GROUP SIZE(n.employer) :Size {k := SIZE(n.employer), c := COUNT(*)}), (y GROUP e :Emp {at := e})<-[:at]-(n) MATCH (n:Person) OPTIONAL (n {employer = e})",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            (n5 :Person {employer=[CWI, MIT], name=[Dan]})
+            (n22 :Size {c=[0], k=[0]})
+            (n23 :Size {c=[1], k=[1]})
+            (n24 :Size {c=[4], k=[2]})
+            (n25 :Emp {at=[CWI]})
+            (n26 :Emp {at=[MIT]})
+            [e27 n1->n26 :at {}]
+            [e28 n2->n25 :at {}]
+            [e29 n2->n26 :at {}]
+            [e30 n5->n25 :at {}]
+            [e31 n5->n26 :at {}]
+        ",
+    },
+    Case {
+        name: "minted_unbound_edge_with_group",
+        statement: "CONSTRUCT (n)-[r GROUP m :via {mid := m.name, c := COUNT(*)}]->(k), (n)-[:fof]->(k) MATCH (n)-[:knows]->(m)-[:knows]->(k)",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n3 :Person {name=[Cid]})
+            [e22 n1->n3 :via {c=[1], mid=[Bob]}]
+            [e23 n1->n3 :fof {}]
+        ",
+    },
+    Case {
+        name: "minted_when_over_count",
+        statement: "CONSTRUCT (n)-[:tagged]->(t :Tag), (x GROUP e :Company {name := e})<-[:worksAt]-(n) WHEN COUNT(*) > 1 MATCH (n:Person {employer = e})",
+        expected: "
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n5 :Person {employer=[CWI, MIT], name=[Dan]})
+            (n22 :Tag {})
+            (n23 :Tag {})
+            (n24 :Tag {})
+            (n25 :Tag {})
+            (n26 :Tag {})
+            (n32 :Company {name=[CWI]})
+            (n33 :Company {name=[MIT]})
+            [e28 n2->n23 :tagged {}]
+            [e29 n2->n24 :tagged {}]
+            [e30 n5->n25 :tagged {}]
+            [e31 n5->n26 :tagged {}]
+        ",
+    },
+    Case {
+        name: "minted_stored_paths_beside_minted_edges",
+        statement: "CONSTRUCT (a)-/@p:sp {hops := length(p)}/->(b), (a)-[:reach]->(b) MATCH (a:Person)-/p <:knows*>/->(b:Person) WHERE a.name <> 'Dan'",
+        expected: "
+            (n1 :Person {employer=[MIT], name=[Ann]})
+            (n2 :Person {employer=[CWI, MIT], name=[Bob]})
+            (n3 :Person {name=[Cid]})
+            [e10 n1->n2 :knows {}]
+            [e11 n2->n3 :knows {}]
+            [e12 n1->n3 :knows {}]
+            [e28 n1->n1 :reach {}]
+            [e29 n1->n2 :reach {}]
+            [e30 n1->n3 :reach {}]
+            [e31 n2->n2 :reach {}]
+            [e32 n2->n3 :reach {}]
+            [e33 n3->n3 :reach {}]
+            /p22 n[1] e[] :sp {hops=[0]}/
+            /p23 n[1, 2] e[10] :sp {hops=[1]}/
+            /p24 n[1, 3] e[12] :sp {hops=[1]}/
+            /p25 n[2] e[] :sp {hops=[0]}/
+            /p26 n[2, 3] e[11] :sp {hops=[1]}/
+            /p27 n[3] e[] :sp {hops=[0]}/
+        ",
+    },
 ];
 
 /// One element per line, indentation and blank lines dropped.
