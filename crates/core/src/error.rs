@@ -58,9 +58,6 @@ pub enum SemanticError {
     EdgeEndpointsChanged(String),
     /// A bound edge construct requires its endpoint variables bound too.
     EdgeEndpointsUnbound(String),
-    /// Optional blocks may only share variables that appear in the
-    /// enclosing (earlier) pattern \[31\].
-    OptionalSharedVariable(String),
     /// A construct path variable must be bound by a path pattern in MATCH.
     ConstructPathUnbound(String),
     /// GROUP appeared on a bound variable (grouping of bound elements is
@@ -101,7 +98,6 @@ impl SemanticError {
         match self {
             SemanticError::SortMismatch { .. } => DiagCode::SortMismatch.as_str(),
             SemanticError::UnboundVariable(_) => DiagCode::UnboundVariable.as_str(),
-            SemanticError::OptionalSharedVariable(_) => DiagCode::OptionalSharedVariable.as_str(),
             SemanticError::MisplacedAggregate(_) => DiagCode::MisplacedAggregate.as_str(),
             SemanticError::InvalidPathPattern(_) => DiagCode::InvalidPathPattern.as_str(),
             SemanticError::GroupConflict(_) => DiagCode::GroupConflict.as_str(),
@@ -186,11 +182,6 @@ impl fmt::Display for SemanticError {
                 f,
                 "constructing bound edge '{v}' requires its source and destination variables to \
                  be bound to exactly its endpoints"
-            ),
-            SemanticError::OptionalSharedVariable(v) => write!(
-                f,
-                "variable '{v}' is shared between OPTIONAL blocks but missing from the enclosing \
-                 pattern; this would make the result order-dependent"
             ),
             SemanticError::ConstructPathUnbound(v) => write!(
                 f,

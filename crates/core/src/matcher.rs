@@ -539,6 +539,12 @@ impl<'e> PatternMatcher<'e> {
             ))
             .into());
         };
+        if pat.mode == PathMode::All && pat.cost_var.is_some() {
+            return Err(SemanticError::InvalidPathPattern(
+                "COST cannot be bound on ALL path patterns".into(),
+            )
+            .into());
+        }
         let prof = &self.ev.ctx.profiler;
         let span = prof.start("path-search", || {
             let mode = match pat.mode {
@@ -580,16 +586,11 @@ impl<'e> PatternMatcher<'e> {
         // become single-pair tests, answered by the bidirectional search
         // below.
         //
-        // When the NFA is view-free and the graph lives in the engine
-        // snapshot, the condensation goes through the snapshot's SCC
-        // cache: a later query with the same regex on the same snapshot
-        // reuses the per-source destination sets instead of
-        // re-condensing. View-bearing NFAs stay uncached: the key names
-        // a view but does not carry its definition, and one name can
-        // mean another view in the next statement (the relations
-        // themselves are shared through the snapshot's view cache,
-        // keyed by definition). Transient graphs (subquery results,
-        // tables viewed as graphs) stay uncached too.
+        // The condensation goes through the snapshot, which keeps it
+        // under the regex and the definitions of the views it names
+        // when its rule allows: a later query with the same regex and
+        // views on the same snapshot reuses the per-source destination
+        // sets instead of re-condensing.
         let pure_reach = pure_reach(pat);
         let mut shared: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
         if pure_reach {
@@ -604,15 +605,10 @@ impl<'e> PatternMatcher<'e> {
                 .collect();
             srcs.sort_unstable();
             srcs.dedup();
-            let snapshot = &self.ev.ctx.snapshot;
-            let cacheable =
-                views.is_empty() && snapshot.catalog().contains_graph_handle(&self.graph);
             if !srcs.is_empty() {
-                shared = if cacheable {
-                    snapshot.reachable_many_cached(&self.graph, &nfa, &searcher, &srcs)
-                } else {
-                    searcher.reachable_many(&srcs)
-                };
+                let defs = self.ev.view_definitions(&nfa.view_names());
+                let snapshot = &self.ev.ctx.snapshot;
+                shared = snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs);
             }
         }
         // A fired token makes the shared search bail with partial maps;
@@ -666,12 +662,6 @@ impl<'e> PatternMatcher<'e> {
                         }
                         if dst_bound.is_none() {
                             extra.push(Bound::Node(dst));
-                        }
-                        if binds_cost {
-                            return Err(SemanticError::InvalidPathPattern(
-                                "COST cannot be bound on ALL path patterns".into(),
-                            )
-                            .into());
                         }
                         bld.push_extended(&table, ri, &extra);
                     }

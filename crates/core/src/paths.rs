@@ -60,8 +60,8 @@
 //!   product: every state of a strongly connected component reaches the
 //!   same destinations, so destination sets are accumulated once per
 //!   component in reverse topological order, `Arc`-shared between
-//!   components that add nothing of their own. The snapshot's SCC cache
-//!   keeps its answers per (graph, regex).
+//!   components that add nothing of their own. The snapshot's closure
+//!   cache keeps its answers per (graph, regex, view definitions).
 //!
 //! `tests/path_equivalence.rs` checks each against the unidirectional
 //! search over the same graph without its label index, or a brute-force

@@ -439,52 +439,32 @@ impl<'e> Evaluator<'e> {
         Ok(map)
     }
 
-    /// The segment relation of one PATH view over `graph`: shared through
-    /// the snapshot's cache when the graph is one of the snapshot's and
-    /// the view's definitions read nothing else, built for this use
-    /// otherwise.
+    /// The segment relation of one PATH view over `graph`, as the
+    /// snapshot's cache serves or builds it.
     pub fn view_segments(
         &self,
         name: &str,
         graph: &Arc<PathPropertyGraph>,
     ) -> Result<Arc<ViewSegments>> {
-        let snapshot = &self.ctx.snapshot;
-        let defs = if snapshot.catalog().contains_graph_handle(graph) {
-            self.view_definitions(name)
-        } else {
-            None
-        };
-        match defs {
-            Some(defs) => {
-                snapshot.view_segments_cached(graph, &defs, || self.build_view(name, graph))
-            }
-            None => self.build_view(name, graph).map(Arc::new),
-        }
+        let defs = self.view_definitions(&[name]);
+        let build = || self.build_view(name, graph);
+        self.ctx.snapshot.view_segments_cached(graph, defs, build)
     }
 
-    /// What the segment relation of `name` is a function of, besides its
-    /// graph: the view's PATH clause, then the clause of every view it
-    /// references, transitively, as this scope resolves them — the same
-    /// resolution a build makes. `None` when a name does not resolve
-    /// (the build reports it) or a clause may read more than the view's
-    /// graph: an `EXISTS` or a pattern predicate can see query-local
-    /// graphs.
-    fn view_definitions(&self, name: &str) -> Option<Vec<PathClause>> {
+    /// What an answer over the PATH views `names` is a function of,
+    /// besides its graph: the clause of each view, then the clause of
+    /// every view they reference, transitively, as this scope resolves
+    /// them — the same resolution a build makes. `None` when a name does
+    /// not resolve (the build reports it).
+    pub(crate) fn view_definitions(&self, names: &[impl AsRef<str>]) -> Option<Vec<PathClause>> {
         let scope = self.ctx.path_views.borrow();
         let mut defs: Vec<PathClause> = Vec::new();
-        let mut pending = vec![name.to_owned()];
+        let mut pending: Vec<String> = names.iter().rev().map(|n| n.as_ref().to_owned()).collect();
         while let Some(next) = pending.pop() {
             if defs.iter().any(|d| d.name == next) {
                 continue;
             }
             let def = scope.iter().rev().find(|p| p.name == next)?;
-            let subquery = |e: &Expr| matches!(e, Expr::Exists(_) | Expr::PatternPredicate(_));
-            let entries = def.patterns.iter().flat_map(Pattern::prop_entries);
-            let mut exprs =
-                (def.where_clause.iter().chain(&def.cost)).chain(entries.map(|p| &p.value));
-            if exprs.any(|e| e.any(&subquery)) {
-                return None;
-            }
             let mut referenced = Vec::new();
             for step in def.patterns.iter().flat_map(|p| &p.steps) {
                 if let Connection::Path(PathPattern { regex: Some(r), .. }) = &step.connection {

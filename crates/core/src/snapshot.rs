@@ -13,55 +13,55 @@
 //! and all per-query mutable state lives in the per-thread
 //! [`EvalCtx`](crate::EvalCtx).
 //!
-//! Freezing does two things beyond cloning the catalog:
+//! Freezing force-builds every graph's label-partitioned index
+//! ([`Catalog::freeze_indexes`]), so evaluation over a snapshot never
+//! hits the mutation-invalidated scan fallback — a snapshot is
+//! immutable, hence its indexes can never be invalidated again.
 //!
-//! * **Index freeze.** Every graph's label-partitioned index is
-//!   force-built ([`Catalog::freeze_indexes`]), so evaluation over a
-//!   snapshot never hits the mutation-invalidated scan fallback — a
-//!   snapshot is immutable, hence its indexes can never be invalidated
-//!   again.
-//! * **Search-result reuse.** The snapshot carries a cache of
-//!   SCC-condensed reachability closures keyed by (graph identity, NFA
-//!   structure): the per-source destination sets that
+//! The snapshot also memoizes two kinds of path answer for the
+//! statements that run on it (the multi-user steady state repeats
+//! them):
+//!
+//! * **Reachability closures** — the per-source destination sets that
 //!   [`PathSearcher::reachable_many`] computes by condensing the
-//!   product digraph. Repeated path queries against one snapshot (the
-//!   multi-user steady state) skip re-condensation entirely; the cache
-//!   dies with the snapshot, so an epoch bump naturally starts fresh.
-//!   The cache is **LRU-bounded**: when more than `SCC_CACHE_CAPACITY`
-//!   distinct (graph, NFA) condensations are live, the least-recently-
-//!   used one is dropped — evictions show up in
-//!   [`EngineSnapshot::scc_cache_stats`]. View-bearing automata never
-//!   enter it: an [`NfaKey`] names the views an automaton steps through
-//!   but does not carry their definitions.
-//! * **PATH-view reuse.** The snapshot also keeps the segment relations
-//!   of PATH views (§A.4) built over its own graphs, keyed by the graph
-//!   and the view's *definition* — its PATH clause and the clause of
-//!   every view it references, transitively, compared with the AST's
-//!   span-transparent equality — never by the view's name. A statement
-//!   that defines `chatty` exactly as an earlier one did shares the
-//!   earlier relation by `Arc` instead of rebuilding it. A view whose
-//!   WHERE, COST or property filters hold an `EXISTS` or a pattern
-//!   predicate, and a view over a graph the snapshot does not hold (`ON
-//!   (subquery)`, a query-local `GRAPH … AS`, a table read as a graph),
-//!   is built per statement and never cached: those can read graphs
-//!   that live only as long as the statement. The cache is LRU-bounded
-//!   by `VIEW_CACHE_CAPACITY` entries; see
-//!   [`EngineSnapshot::view_cache_stats`].
+//!   product digraph, keyed by the NFA's structure
+//!   ([`Nfa::identity_key`]); at most `SCC_CACHE_CAPACITY` of them
+//!   ([`EngineSnapshot::scc_cache_stats`]).
+//! * **PATH-view segment relations** (§A.4); at most
+//!   [`VIEW_CACHE_CAPACITY`] ([`EngineSnapshot::view_cache_stats`]).
 //!
-//! Both caches share one contract: each entry pins its graph `Arc` and
-//! every lookup checks the pin with `Arc::ptr_eq` (no address can be
-//! recycled under a live entry); the work runs outside the lock, so
-//! concurrent builders race harmlessly to identical answers; a failed or
-//! cancelled computation is never cached.
+//! **One rule decides what is kept**, here and nowhere else: an answer
+//! is kept under its pinned graph and the *definitions* it depends on —
+//! the PATH clause of every view it reads and of every view those
+//! reference, transitively, compared with the AST's span-transparent
+//! equality, never by name. A statement that defines `chatty` exactly as
+//! an earlier one did shares the earlier answer by `Arc`; a statement
+//! that gives `chatty` another WHERE misses. An answer over a graph the
+//! snapshot does not hold (`ON (subquery)`, a query-local `GRAPH … AS`,
+//! a table read as a graph), or one whose definitions hold an `EXISTS`
+//! or a pattern predicate in a WHERE, COST or property filter, is
+//! computed per use and never kept: those can read graphs that live
+//! only as long as the statement.
+//!
+//! **One implementation keeps them**: a private LRU-bounded list per
+//! kind whose entries each pin their graph `Arc` and match by
+//! `Arc::ptr_eq` plus key equality (no address can be recycled under a
+//! live entry); the work runs outside the lock, so concurrent builders
+//! race harmlessly to identical answers; a failed or cancelled
+//! computation is never kept. The caches die with the snapshot, so an
+//! epoch bump starts fresh.
 
 use crate::error::Result;
 use crate::paths::{PathSearcher, ViewSegments};
 use crate::regex::{Nfa, NfaKey};
-use gcore_parser::ast::PathClause;
+use gcore_parser::ast::{Expr, PathClause, Pattern};
 use gcore_ppg::hash::FxHashMap;
 use gcore_ppg::{Catalog, NodeId, PathPropertyGraph};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Per-source destination sets, exactly `reachable(src)` each,
+/// `Arc`-shared with the condensation that produced them.
+type Closures = FxHashMap<NodeId, Arc<Vec<NodeId>>>;
 
 /// A frozen catalog state at one snapshot epoch, shared read-only by
 /// every executor and evaluation context derived from it.
@@ -69,21 +69,23 @@ use std::sync::{Arc, Mutex};
 pub struct EngineSnapshot {
     catalog: Catalog,
     epoch: u64,
-    scc_cache: SccCache,
-    view_cache: ViewCache,
+    /// Reachability closures by (NFA structure, view definitions).
+    closures: Cache<(NfaKey, Vec<PathClause>), Closures>,
+    /// PATH-view relations by the view's definitions.
+    relations: Cache<Vec<PathClause>, Arc<ViewSegments>>,
 }
 
 impl EngineSnapshot {
     /// Freeze `catalog` at `epoch`: force-build every graph's label
-    /// index and attach an empty condensation cache.
+    /// index and attach empty caches.
     pub fn freeze(mut catalog: Catalog, epoch: u64) -> Self {
         catalog.freeze_indexes();
         debug_assert!(catalog.all_indexed(), "snapshot froze an unindexed graph");
         EngineSnapshot {
             catalog,
             epoch,
-            scc_cache: SccCache::with_capacity(SCC_CACHE_CAPACITY),
-            view_cache: ViewCache::default(),
+            closures: Cache::new(SCC_CACHE_CAPACITY),
+            relations: Cache::new(VIEW_CACHE_CAPACITY),
         }
     }
 
@@ -99,13 +101,13 @@ impl EngineSnapshot {
         self.epoch
     }
 
-    /// `(hits, misses, evictions)` of the condensation cache — hits and
+    /// `(hits, misses, evictions)` of the closure cache — hits and
     /// misses counted per source node served, evictions per (graph,
-    /// NFA) entry dropped by the LRU bound. Snapshot-local by
-    /// construction: a fresh snapshot (after any epoch bump) starts at
-    /// `(0, 0, 0)`.
+    /// NFA, definitions) entry dropped by the LRU bound. Snapshot-local
+    /// by construction: a fresh snapshot (after any epoch bump) starts
+    /// at `(0, 0, 0)`.
     pub fn scc_cache_stats(&self) -> (u64, u64, u64) {
-        self.scc_cache.counters.stats()
+        self.closures.stats()
     }
 
     /// `(hits, misses, evictions)` of the PATH-view cache — hits and
@@ -113,235 +115,155 @@ impl EngineSnapshot {
     /// per relation dropped by the LRU bound. A fresh snapshot starts at
     /// `(0, 0, 0)`.
     pub fn view_cache_stats(&self) -> (u64, u64, u64) {
-        self.view_cache.counters.stats()
+        self.relations.stats()
     }
 
     /// The segment relation of the PATH view defined by `defs` over
     /// `graph` — `defs[0]` is the view's own clause, the rest the
     /// clauses it references, transitively, as the statement's scope
-    /// resolves them. Served from the cache when an earlier statement on
-    /// this snapshot built the same definitions over the same graph;
-    /// otherwise `build` runs (outside the lock) and its relation is
-    /// cached unless it failed.
+    /// resolves them (`None` when a name did not resolve). Served from
+    /// the cache when an earlier statement on this snapshot built the
+    /// same definitions over the same graph; otherwise `build` runs
+    /// (outside the lock), and its relation is kept if the snapshot's
+    /// rule allows and the build did not fail.
     ///
-    /// The caller decides what may be cached: only views over a graph
-    /// of this snapshot's catalog whose definitions read nothing but
-    /// that graph, and `build` must fail rather than return a relation
-    /// a fired cancellation token cut short.
+    /// `build` must fail rather than return a relation a fired
+    /// cancellation token cut short.
     pub fn view_segments_cached(
         &self,
         graph: &Arc<PathPropertyGraph>,
-        defs: &[PathClause],
+        defs: Option<Vec<PathClause>>,
         build: impl FnOnce() -> Result<ViewSegments>,
     ) -> Result<Arc<ViewSegments>> {
-        self.view_cache.get_or_build(graph, defs, build)
+        let Some(key) = self.cache_key(graph, defs) else {
+            return build().map(Arc::new);
+        };
+        let hit = self.relations.locked(|lru| {
+            let hit = lru.find(graph, &key).cloned();
+            lru.counters.hits += u64::from(hit.is_some());
+            lru.counters.misses += u64::from(hit.is_none());
+            hit
+        });
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        // Built outside the lock: a build runs a whole pattern block,
+        // and may itself resolve the views this one references.
+        let built = Arc::new(build()?);
+        Ok(self.relations.locked(|lru| match lru.find(graph, &key) {
+            // A concurrent builder got there first: share its
+            // (identical) relation rather than hold two.
+            Some(theirs) => theirs.clone(),
+            None => {
+                lru.insert(graph, key, built.clone());
+                built
+            }
+        }))
     }
 
     /// Reachability closure of `sources` under `nfa` on `graph`, served
-    /// from the per-snapshot condensation cache where possible.
+    /// from the snapshot's closure cache where possible. `defs` are the
+    /// definitions of the views `nfa` names, as
+    /// [`view_segments_cached`](Self::view_segments_cached) takes them
+    /// (empty for a view-free automaton).
     ///
     /// Sources whose destination set was computed by an earlier query
-    /// with a structurally identical NFA on the identical graph (`Arc`
-    /// pointer equality, revalidated against the pinned graph handle)
-    /// are cache hits; the rest run one shared
+    /// with a structurally identical NFA over the same definitions on
+    /// the identical graph are cache hits; the rest run one shared
     /// [`PathSearcher::reachable_many`] condensation and are merged
     /// into the cache for the snapshot's remaining lifetime (or until
-    /// the LRU bound evicts the entry).
-    ///
-    /// Correctness does not depend on the cache: entries are immutable
-    /// per-source answers of `reachable_many`, which equals
-    /// [`PathSearcher::reachable`] per source. Callers must not use
-    /// this for view-bearing NFAs (the key names a view but not its
-    /// definition); the matcher guards that.
+    /// the LRU bound evicts the entry). Correctness does not depend on
+    /// the cache: entries are immutable per-source answers of
+    /// `reachable_many`, which equals [`PathSearcher::reachable`] per
+    /// source.
     pub fn reachable_many_cached(
         &self,
         graph: &Arc<PathPropertyGraph>,
         nfa: &Nfa,
+        defs: Option<Vec<PathClause>>,
         searcher: &PathSearcher<'_>,
         sources: &[NodeId],
-    ) -> FxHashMap<NodeId, Arc<Vec<NodeId>>> {
-        self.scc_cache.lookup(graph, nfa, searcher, sources)
-    }
-}
-
-/// Cache key: graph address paired with the NFA's structural identity.
-/// The address alone could be reused after a graph is dropped (ABA);
-/// every entry therefore pins its graph `Arc` and lookups revalidate
-/// with pointer equality against the pinned handle.
-type CacheKey = (usize, NfaKey);
-
-struct CacheEntry {
-    /// The graph the closures were computed on, pinned so its address
-    /// can never be recycled while the entry lives.
-    graph: Arc<PathPropertyGraph>,
-    /// Per-source destination sets, exactly `reachable(src)` each,
-    /// `Arc`-shared with the condensation that produced them.
-    reach: FxHashMap<NodeId, Arc<Vec<NodeId>>>,
-    /// Recency stamp for the LRU bound: the cache tick of the last
-    /// lookup or merge that touched this entry.
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    map: FxHashMap<CacheKey, CacheEntry>,
-    /// Monotone lookup counter stamping `last_used`.
-    tick: u64,
-}
-
-impl CacheInner {
-    /// Drop least-recently-used entries until at most `capacity`
-    /// remain. Linear scan per eviction: the entry count is the number
-    /// of distinct (graph, regex) pairs a snapshot has served, which
-    /// stays tiny next to the condensations themselves.
-    fn enforce(&mut self, capacity: usize, evictions: &AtomicU64) {
-        while self.map.len() > capacity {
-            let Some(lru) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&lru);
-            evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Most (graph, NFA) condensations one snapshot keeps live. Each entry
-/// can grow to a destination set per source node, so the count is what
-/// bounds a long-lived snapshot's memory; a serving mix uses a handful
-/// of distinct path expressions.
-const SCC_CACHE_CAPACITY: usize = 64;
-
-/// The per-snapshot cache of SCC-condensed reachability closures,
-/// LRU-bounded by entry count.
-struct SccCache {
-    entries: Mutex<CacheInner>,
-    capacity: usize,
-    counters: Counters,
-}
-
-impl std::fmt::Debug for SccCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SccCache")
-            .field("counters", &self.counters)
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
-/// What a snapshot cache reports: hits, misses and LRU evictions.
-#[derive(Debug, Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Counters {
-    fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl SccCache {
-    fn with_capacity(capacity: usize) -> Self {
-        SccCache {
-            entries: Mutex::new(CacheInner::default()),
-            capacity,
-            counters: Counters::default(),
-        }
-    }
-
-    fn lookup(
-        &self,
-        graph: &Arc<PathPropertyGraph>,
-        nfa: &Nfa,
-        searcher: &PathSearcher<'_>,
-        sources: &[NodeId],
-    ) -> FxHashMap<NodeId, Arc<Vec<NodeId>>> {
-        let key: CacheKey = (Arc::as_ptr(graph) as usize, nfa.identity_key());
+    ) -> Closures {
+        let Some(defs) = self.cache_key(graph, defs) else {
+            return searcher.reachable_many(sources);
+        };
+        let key = (nfa.identity_key(), defs);
 
         // Serve what the cache already knows and collect the rest.
-        let mut out: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
+        let mut out = Closures::default();
         let mut missing: Vec<NodeId> = Vec::new();
-        {
-            let mut inner = self.entries.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let entry = inner
-                .map
-                .get_mut(&key)
-                .filter(|e| Arc::ptr_eq(&e.graph, graph));
-            if let Some(entry) = entry {
-                entry.last_used = tick;
-                for &src in sources {
-                    match entry.reach.get(&src) {
-                        Some(set) => {
-                            out.insert(src, set.clone());
+        self.closures.locked(|lru| {
+            match lru.find(graph, &key) {
+                Some(reach) => {
+                    for &src in sources {
+                        match reach.get(&src) {
+                            Some(set) => {
+                                out.insert(src, set.clone());
+                            }
+                            None => missing.push(src),
                         }
-                        None => missing.push(src),
                     }
                 }
-            } else {
-                missing.extend_from_slice(sources);
+                None => missing.extend_from_slice(sources),
             }
-        }
-        let counters = &self.counters;
-        counters.hits.fetch_add(out.len() as u64, Ordering::Relaxed);
+            missing.sort_unstable();
+            missing.dedup();
+            lru.counters.hits += out.len() as u64;
+            lru.counters.misses += missing.len() as u64;
+        });
         if missing.is_empty() {
             return out;
         }
-        missing.sort_unstable();
-        missing.dedup();
-        counters
-            .misses
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
 
         // One shared condensation for everything the cache lacked —
         // outside the lock, so concurrent queries never serialize on
         // the search itself (two threads may race to compute the same
         // source; both get identical answers and the merge is
-        // idempotent).
+        // idempotent). A cancelled search returns partial (empty)
+        // answers; keeping them would poison later statements on this
+        // snapshot, so they are only handed back — the caller notices
+        // the fired token and raises the error.
         let fresh = searcher.reachable_many(&missing);
-        // A cancelled search returns partial (empty) answers; caching
-        // them would poison later statements on this snapshot. The
-        // caller notices the fired token and raises the error.
-        if searcher.cancelled() {
-            out.extend(fresh);
-            return out;
+        if !searcher.cancelled() {
+            self.closures.locked(|lru| match lru.find(graph, &key) {
+                Some(reach) => reach.extend(fresh.iter().map(|(&s, set)| (s, set.clone()))),
+                None => lru.insert(graph, key, fresh.clone()),
+            });
         }
-        let mut inner = self.entries.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.entry(key).or_insert_with(|| CacheEntry {
-            graph: graph.clone(),
-            reach: FxHashMap::default(),
-            last_used: tick,
-        });
-        entry.last_used = tick;
-        // ABA guard: if the address was recycled by a *different*
-        // graph, repoint the entry and drop the stale closures.
-        if !Arc::ptr_eq(&entry.graph, graph) {
-            entry.graph = graph.clone();
-            entry.reach.clear();
-        }
-        for (src, set) in &fresh {
-            entry.reach.insert(*src, set.clone());
-        }
-        inner.enforce(self.capacity, &counters.evictions);
-        drop(inner);
         out.extend(fresh);
         out
     }
+
+    /// The one rule for what this snapshot keeps: an answer over
+    /// `graph` that depends on `defs` is kept under the pinned graph and
+    /// those definitions — the key this returns — when the graph is one
+    /// of the snapshot's and no definition can read statement-local
+    /// state (an `EXISTS` or a pattern predicate can see query-local
+    /// graphs). Otherwise, or when `defs` did not resolve, `None`: the
+    /// answer is computed per use.
+    fn cache_key(
+        &self,
+        graph: &Arc<PathPropertyGraph>,
+        defs: Option<Vec<PathClause>>,
+    ) -> Option<Vec<PathClause>> {
+        let defs = defs?;
+        let subquery = |e: &Expr| matches!(e, Expr::Exists(_) | Expr::PatternPredicate(_));
+        let reads_local = |def: &PathClause| {
+            let entries = def.patterns.iter().flat_map(Pattern::prop_entries);
+            let mut exprs =
+                (def.where_clause.iter().chain(&def.cost)).chain(entries.map(|p| &p.value));
+            exprs.any(|e| e.any(&subquery))
+        };
+        let keep = self.catalog.contains_graph_handle(graph) && !defs.iter().any(reads_local);
+        keep.then_some(defs)
+    }
 }
+
+/// Most reachability closures one snapshot keeps live. Each entry can
+/// grow to a destination set per source node, so the count is what
+/// bounds a long-lived snapshot's memory; a serving mix uses a handful
+/// of distinct path expressions.
+const SCC_CACHE_CAPACITY: usize = 64;
 
 /// Most PATH-view segment relations one snapshot keeps live. An entry
 /// holds one segment per row of the view's body — as many as the graph
@@ -349,95 +271,100 @@ impl SccCache {
 /// snapshot's memory; a serving mix defines a handful of views.
 pub const VIEW_CACHE_CAPACITY: usize = 16;
 
-/// One cached relation: the graph it was built on (pinned), the
-/// definitions it was built from, and the relation itself.
-struct ViewEntry {
+/// One LRU-bounded memo of answers `V` by graph and key `K`.
+struct Cache<K, V>(Mutex<Lru<K, V>>);
+
+impl<K: PartialEq, V> Cache<K, V> {
+    fn new(capacity: usize) -> Self {
+        Cache(Mutex::new(Lru {
+            entries: Vec::new(),
+            capacity,
+            tick: 0,
+            counters: Counters::default(),
+        }))
+    }
+
+    /// Run `f` under the cache's lock — the one place it is taken. A
+    /// panic elsewhere cannot leave an entry half-written, so a
+    /// poisoned lock is used as is.
+    fn locked<R>(&self, f: impl FnOnce(&mut Lru<K, V>) -> R) -> R {
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    fn stats(&self) -> (u64, u64, u64) {
+        self.locked(|lru| {
+            let c = &lru.counters;
+            (c.hits, c.misses, c.evictions)
+        })
+    }
+}
+
+impl<K, V> std::fmt::Debug for Cache<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cache").finish_non_exhaustive()
+    }
+}
+
+/// A cache's state: a linear-scan list (lookups compare the graph pin
+/// first, then the key, and the list holds at most `capacity` entries,
+/// tiny next to the answers themselves) and what it reports.
+struct Lru<K, V> {
+    entries: Vec<Entry<K, V>>,
+    capacity: usize,
+    /// Monotone use counter stamping `Entry::last_used`.
+    tick: u64,
+    counters: Counters,
+}
+
+struct Entry<K, V> {
+    /// The graph the answer was computed on, pinned so its address can
+    /// never be recycled while the entry lives.
     graph: Arc<PathPropertyGraph>,
-    defs: Vec<PathClause>,
-    segments: Arc<ViewSegments>,
+    key: K,
+    value: V,
     /// Recency stamp for the LRU bound.
     last_used: u64,
 }
 
+/// What a snapshot cache reports: hits, misses and LRU evictions.
 #[derive(Default)]
-struct ViewInner {
-    /// Linear-scan list: lookups compare the graph pin first, then the
-    /// definitions, and the list holds at most the capacity.
-    entries: Vec<ViewEntry>,
-    tick: u64,
+struct Counters {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl ViewInner {
-    /// The relation built from `defs` over `graph`, marked used.
-    fn find(
-        &mut self,
-        graph: &Arc<PathPropertyGraph>,
-        defs: &[PathClause],
-    ) -> Option<Arc<ViewSegments>> {
+impl<K: PartialEq, V> Lru<K, V> {
+    /// The answer kept for `key` over `graph`, marked used.
+    fn find(&mut self, graph: &Arc<PathPropertyGraph>, key: &K) -> Option<&mut V> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self
             .entries
             .iter_mut()
-            .find(|e| Arc::ptr_eq(&e.graph, graph) && e.defs == defs)?;
+            .find(|e| Arc::ptr_eq(&e.graph, graph) && e.key == *key)?;
         entry.last_used = tick;
-        Some(entry.segments.clone())
+        Some(&mut entry.value)
     }
-}
 
-/// The per-snapshot cache of PATH-view segment relations, LRU-bounded
-/// by entry count.
-#[derive(Default)]
-struct ViewCache {
-    inner: Mutex<ViewInner>,
-    counters: Counters,
-}
-
-impl std::fmt::Debug for ViewCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ViewCache")
-            .field("counters", &self.counters)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ViewCache {
-    fn get_or_build(
-        &self,
-        graph: &Arc<PathPropertyGraph>,
-        defs: &[PathClause],
-        build: impl FnOnce() -> Result<ViewSegments>,
-    ) -> Result<Arc<ViewSegments>> {
-        let counters = &self.counters;
-        if let Some(hit) = self.inner.lock().unwrap().find(graph, defs) {
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        counters.misses.fetch_add(1, Ordering::Relaxed);
-        // Built outside the lock: a build runs a whole pattern block,
-        // and may itself resolve the views this one references.
-        let built = Arc::new(build()?);
-        let mut inner = self.inner.lock().unwrap();
-        // A concurrent builder got there first: share its (identical)
-        // relation rather than hold two.
-        if let Some(theirs) = inner.find(graph, defs) {
-            return Ok(theirs);
-        }
-        let last_used = inner.tick;
-        inner.entries.push(ViewEntry {
+    /// Keep `value` for `key` over `graph`, then drop least-recently-used
+    /// entries until at most `capacity` remain.
+    fn insert(&mut self, graph: &Arc<PathPropertyGraph>, key: K, value: V) {
+        self.tick += 1;
+        self.entries.push(Entry {
             graph: graph.clone(),
-            defs: defs.to_vec(),
-            segments: built.clone(),
-            last_used,
+            key,
+            value,
+            last_used: self.tick,
         });
-        if inner.entries.len() > VIEW_CACHE_CAPACITY {
-            let entries = &inner.entries;
-            if let Some(lru) = (0..entries.len()).min_by_key(|&i| entries[i].last_used) {
-                inner.entries.swap_remove(lru);
-                counters.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        while self.entries.len() > self.capacity {
+            let entries = &self.entries;
+            let Some(lru) = (0..entries.len()).min_by_key(|&i| entries[i].last_used) else {
+                break;
+            };
+            self.entries.swap_remove(lru);
+            self.counters.evictions += 1;
         }
-        Ok(built)
     }
 }
 
@@ -498,21 +425,34 @@ mod tests {
         let views = ViewMap::default();
         let searcher = PathSearcher::new(&graph, &nfa, &views);
 
-        let first = snap.reachable_many_cached(&graph, &nfa, &searcher, &[NodeId(1), NodeId(2)]);
+        let first = snap.reachable_many_cached(
+            &graph,
+            &nfa,
+            Some(vec![]),
+            &searcher,
+            &[NodeId(1), NodeId(2)],
+        );
         assert_eq!(*first[&NodeId(1)], vec![NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(snap.scc_cache_stats(), (0, 2, 0));
 
         // Same NFA structure (fresh compilation), same graph: all hits.
         let nfa2 = knows_star();
         let searcher2 = PathSearcher::new(&graph, &nfa2, &views);
-        let second = snap.reachable_many_cached(&graph, &nfa2, &searcher2, &[NodeId(2), NodeId(1)]);
+        let second = snap.reachable_many_cached(
+            &graph,
+            &nfa2,
+            Some(vec![]),
+            &searcher2,
+            &[NodeId(2), NodeId(1)],
+        );
         assert_eq!(snap.scc_cache_stats(), (2, 2, 0));
         assert_eq!(*second[&NodeId(1)], *first[&NodeId(1)]);
 
         // A structurally different NFA misses.
         let plus = Nfa::compile(&Regex::Plus(Box::new(Regex::Label("knows".into()))));
         let searcher3 = PathSearcher::new(&graph, &plus, &views);
-        let third = snap.reachable_many_cached(&graph, &plus, &searcher3, &[NodeId(1)]);
+        let third =
+            snap.reachable_many_cached(&graph, &plus, Some(vec![]), &searcher3, &[NodeId(1)]);
         assert_eq!(snap.scc_cache_stats(), (2, 3, 0));
         // knows+ does not accept the empty walk: 1 reaches only 2, 3.
         assert_eq!(*third[&NodeId(1)], vec![NodeId(2), NodeId(3)]);
@@ -529,10 +469,12 @@ mod tests {
         let views = ViewMap::default();
         let searcher = PathSearcher::new(&graph, &nfa, &views);
 
-        let first = snap.reachable_many_cached(&graph, &nfa, &searcher, &[NodeId(99)]);
+        let first =
+            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(99)]);
         assert!(first[&NodeId(99)].is_empty());
         assert_eq!(snap.scc_cache_stats(), (0, 1, 0));
-        let second = snap.reachable_many_cached(&graph, &nfa, &searcher, &[NodeId(99)]);
+        let second =
+            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(99)]);
         assert!(second[&NodeId(99)].is_empty());
         assert_eq!(snap.scc_cache_stats(), (1, 1, 0), "absent source must hit");
     }
@@ -541,7 +483,7 @@ mod tests {
     fn lru_bound_evicts_least_recently_used_entry() {
         let (catalog, graph) = chain_catalog();
         let mut snap = EngineSnapshot::freeze(catalog, 1);
-        snap.scc_cache = SccCache::with_capacity(1);
+        snap.closures = Cache::new(1);
         let views = ViewMap::default();
 
         let star = knows_star();
@@ -550,15 +492,15 @@ mod tests {
         let plus_search = PathSearcher::new(&graph, &plus, &views);
 
         // Populate entry A, then entry B: capacity 1 evicts A.
-        snap.reachable_many_cached(&graph, &star, &star_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &star, Some(vec![]), &star_search, &[NodeId(1)]);
         assert_eq!(snap.scc_cache_stats(), (0, 1, 0));
-        snap.reachable_many_cached(&graph, &plus, &plus_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &plus, Some(vec![]), &plus_search, &[NodeId(1)]);
         assert_eq!(snap.scc_cache_stats(), (0, 2, 1), "star entry evicted");
 
         // B is resident (hit); A was evicted (miss again, evicting B).
-        snap.reachable_many_cached(&graph, &plus, &plus_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &plus, Some(vec![]), &plus_search, &[NodeId(1)]);
         assert_eq!(snap.scc_cache_stats(), (1, 2, 1));
-        snap.reachable_many_cached(&graph, &star, &star_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &star, Some(vec![]), &star_search, &[NodeId(1)]);
         assert_eq!(snap.scc_cache_stats(), (1, 3, 2));
     }
 
@@ -574,7 +516,7 @@ mod tests {
             }
             let nfa = Nfa::compile(&r);
             let searcher = PathSearcher::new(&graph, &nfa, &views);
-            snap.reachable_many_cached(&graph, &nfa, &searcher, &[NodeId(1)]);
+            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(1)]);
         }
         let (_, _, evictions) = snap.scc_cache_stats();
         assert_eq!(evictions, 0);

@@ -259,6 +259,11 @@ fn deadline_during_view_materialization_caches_nothing() {
         (0, 1, 0),
         "the build started and nothing was kept"
     );
+    assert_eq!(
+        engine.snapshot().scc_cache_stats(),
+        (0, 0, 0),
+        "no closure is computed over a view that was never built"
+    );
 
     engine.set_statement_deadline(None);
     let again = engine.query_table(STATEMENT).expect("deadline cleared");

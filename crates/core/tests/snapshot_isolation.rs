@@ -3,7 +3,7 @@
 //! disturbing in-flight readers, frozen snapshots never run on
 //! invalidated label indexes, and the per-snapshot SCC-condensation
 //! and PATH-view caches are reused within — and only within — one
-//! snapshot, the view cache by definition and never past a failure.
+//! snapshot, both by definition and never past a failure.
 
 use gcore::snapshot::VIEW_CACHE_CAPACITY;
 use gcore::{Engine, EngineError, QueryExecutor, RuntimeError};
@@ -345,6 +345,59 @@ fn views_that_can_read_statement_local_graphs_are_never_cached() {
         }
     }
     assert_eq!(exec.snapshot().view_cache_stats(), (0, 0, 0));
+    assert_eq!(exec.snapshot().scc_cache_stats(), (0, 0, 0));
+}
+
+// ---------------------------------------------------------------------
+// Both caches, one rule: view-bearing reachability keyed by definition
+// ---------------------------------------------------------------------
+
+/// How many people Ann reaches over `w`, a PATH view with `where_` as
+/// its WHERE (empty for none).
+fn view_reach(where_: &str) -> String {
+    format!(
+        "PATH w = (x)-[e:knows]->(y) {where_} \
+         SELECT COUNT(*) AS c MATCH (n:Person)-/<~w*>/->(m) WHERE n.name = 'Ann'"
+    )
+}
+
+#[test]
+fn view_bearing_reachability_is_served_from_the_closure_cache() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    let first = rows(&exec, &view_reach(""));
+    assert_eq!(first, ["[Int(3)]"], "Ann, Bob and Eve");
+    let (h0, m0, _) = exec.snapshot().scc_cache_stats();
+    assert_eq!(h0, 0, "first condensation cannot hit");
+    assert!(m0 > 0, "first condensation must populate the cache");
+
+    assert_eq!(rows(&exec, &view_reach("")), first);
+    let (h1, m1, _) = exec.snapshot().scc_cache_stats();
+    assert!(h1 > h0, "repeat query must hit the closure cache");
+    assert_eq!(m1, m0, "repeat query must not re-condense");
+    assert_eq!(exec.snapshot().view_cache_stats(), (1, 1, 0));
+}
+
+#[test]
+fn same_view_name_with_another_where_misses_the_closure_cache() {
+    let mut engine = engine_with_people();
+    let exec = engine.executor();
+    assert_eq!(rows(&exec, &view_reach("")), ["[Int(3)]"]);
+    let (h0, m0, _) = exec.snapshot().scc_cache_stats();
+
+    // `w` now stops at Bob's outgoing edge: Ann reaches herself and Bob.
+    let narrowed = view_reach("WHERE x.name = 'Ann'");
+    assert_eq!(rows(&exec, &narrowed), ["[Int(2)]"]);
+    let (h1, m1, _) = exec.snapshot().scc_cache_stats();
+    assert_eq!(h1, h0, "another definition of `w` must not hit");
+    assert!(m1 > m0, "another definition of `w` must miss");
+
+    // Both definitions stay resident under their own keys.
+    assert_eq!(rows(&exec, &view_reach("")), ["[Int(3)]"]);
+    assert_eq!(rows(&exec, &narrowed), ["[Int(2)]"]);
+    let (h2, m2, _) = exec.snapshot().scc_cache_stats();
+    assert!(h2 > h1);
+    assert_eq!(m2, m1);
 }
 
 #[test]

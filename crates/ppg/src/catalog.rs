@@ -106,10 +106,10 @@ impl Catalog {
     }
 
     /// Is this exact `Arc` handle (pointer identity, not content) one of
-    /// the registered graphs? Lets per-snapshot caches restrict
-    /// themselves to catalog-resident graphs — query-local graphs
-    /// (subquery results, tables viewed as graphs) are transient and
-    /// must not be pinned by a long-lived snapshot.
+    /// the registered graphs? Lets a snapshot keep answers only over
+    /// catalog-resident graphs — query-local graphs (subquery results,
+    /// tables viewed as graphs) are transient and must not be pinned by
+    /// a long-lived snapshot.
     pub fn contains_graph_handle(&self, graph: &Arc<PathPropertyGraph>) -> bool {
         self.graphs.values().any(|g| Arc::ptr_eq(g, graph))
     }

@@ -787,7 +787,7 @@ impl<'a> Connection<'a> {
                 // counters: snapshot cache behavior and the epoch. Old
                 // clients decode them into `StatsSnapshot::extra`; older
                 // ones ignore them.
-                let mut named = self.shared.stats.snapshot().named();
+                let mut named = self.shared.stats.registry().snapshot();
                 let engine = self.shared.engine_pairs();
                 named.extend(engine.map(|(name, value)| (name.to_owned(), value)));
                 named.sort();

@@ -122,28 +122,10 @@ impl ServerStats {
         &self.registry
     }
 
-    /// An instantaneous copy of every counter.
+    /// An instantaneous copy of every counter, read through the
+    /// registry under the same wire names the admin `stats` route sends.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected_busy: self.connections_rejected_busy.load(Ordering::Relaxed),
-            connections_shed_queue_full: self.connections_shed_queue_full.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            connections_pending: self.connections_pending.load(Ordering::Relaxed),
-            queries_ok: self.queries_ok.load(Ordering::Relaxed),
-            queries_err: self.queries_err.load(Ordering::Relaxed),
-            transacts_ok: self.transacts_ok.load(Ordering::Relaxed),
-            transacts_err: self.transacts_err.load(Ordering::Relaxed),
-            statement_timeouts: self.statement_timeouts.load(Ordering::Relaxed),
-            statements_cancelled: self.statements_cancelled.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            admin_requests: self.admin_requests.load(Ordering::Relaxed),
-            slow_queries: self.slow_queries.load(Ordering::Relaxed),
-            latency_query: self.latency_query.snapshot(),
-            latency_transact: self.latency_transact.snapshot(),
-            latency_admin: self.latency_admin.snapshot(),
-            extra: Vec::new(),
-        }
+        StatsSnapshot::from_named(&self.registry.snapshot())
     }
 
     /// Bump a counter by one.
@@ -431,6 +413,24 @@ mod tests {
         let snap = StatsSnapshot::from_named(&pairs);
         assert_eq!(snap.latency_query.count(), 0);
         assert_eq!(snap.extra.len(), 1);
+    }
+
+    /// The registry already emits the wire pairs: a snapshot is those
+    /// pairs decoded, and encodes back to them.
+    #[test]
+    fn registry_pairs_are_the_snapshot_wire_pairs() {
+        let stats = ServerStats::new();
+        stats.queries_ok.store(3, Ordering::Relaxed);
+        stats.connections_active.store(2, Ordering::Relaxed);
+        stats.slow_queries.store(1, Ordering::Relaxed);
+        stats.latency_query.record(Duration::from_micros(7));
+        stats.latency_transact.record(Duration::from_secs(1));
+        stats.latency_admin.record(Duration::ZERO);
+        let snap = stats.snapshot();
+        assert_eq!(snap.queries_ok, 3);
+        assert_eq!(snap.latency_transact.count(), 1);
+        assert!(snap.extra.is_empty(), "{:?}", snap.extra);
+        assert_eq!(stats.registry().snapshot(), snap.named());
     }
 
     #[test]
