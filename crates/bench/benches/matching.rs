@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcore::binding::{BindingTable, Bound, Column, TableBuilder};
+use gcore::cancel::CancelToken;
 use gcore_bench::snb_engine;
 use gcore_ppg::{Label, NodeId, PathPropertyGraph};
 use std::collections::BTreeMap;
@@ -279,7 +280,7 @@ fn bench_binding_layout(c: &mut Criterion, engine: &gcore::Engine) {
             };
             let left = build("n", "m");
             let right = build("m", "k");
-            black_box(left.join(&right).len())
+            black_box(left.join(&right, &CancelToken::new()).unwrap().len())
         })
     });
     g.finish();

@@ -190,7 +190,7 @@ fn bench_expansion_strategies(c: &mut Criterion) {
                 b.iter(|| {
                     let mut total = 0usize;
                     for &src in &sources {
-                        total += black_box(s.reachable(src)).len();
+                        total += black_box(s.reachable(src).unwrap()).len();
                     }
                     total
                 })
@@ -206,7 +206,7 @@ fn bench_expansion_strategies(c: &mut Criterion) {
             let s = PathSearcher::new(graph, &nfa, &views);
             let targets = targets.clone();
             g.bench_function(name, |b| {
-                b.iter(|| black_box(s.k_shortest(src, 1, Some(&targets))).len())
+                b.iter(|| black_box(s.k_shortest(src, 1, Some(&targets)).unwrap()).len())
             });
         }
 
@@ -220,7 +220,7 @@ fn bench_expansion_strategies(c: &mut Criterion) {
                 b.iter(|| {
                     let mut total = 0usize;
                     for &src in &many {
-                        total += black_box(s.reachable(src)).len();
+                        total += black_box(s.reachable(src).unwrap()).len();
                     }
                     total
                 })
@@ -230,7 +230,7 @@ fn bench_expansion_strategies(c: &mut Criterion) {
             let many = many.clone();
             g.bench_function("multi_source_shared_frontier", |b| {
                 b.iter(|| {
-                    let m = black_box(s.reachable_many(&many));
+                    let m = black_box(s.reachable_many(&many).unwrap());
                     m.values().map(|v| v.len()).sum::<usize>()
                 })
             });

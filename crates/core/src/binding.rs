@@ -584,62 +584,44 @@ impl BindingTable {
     /// `Missing` is treated as "unbound": compatible with anything, and
     /// the non-missing side wins in the merged row. This matches the
     /// partial-function reading of §A.1.
-    pub fn join(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::Inner, None)
+    ///
+    /// Every join kind polls `cancel` about once per [`CHECK_STRIDE`]
+    /// candidate row pairs and fails with
+    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError) once it
+    /// fires, so even a single explosive product stops within its
+    /// deadline. A token that never fires has no effect on the result.
+    pub fn join(&self, other: &BindingTable, cancel: &CancelToken) -> Result<BindingTable> {
+        self.join_inner(other, JoinKind::Inner, cancel)
     }
 
     /// Ω₁ ⋉ Ω₂ — bindings of Ω₁ compatible with at least one of Ω₂.
-    pub fn semijoin(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::Semi, None)
+    pub fn semijoin(&self, other: &BindingTable, cancel: &CancelToken) -> Result<BindingTable> {
+        self.join_inner(other, JoinKind::Semi, cancel)
     }
 
     /// Ω₁ ∖ Ω₂ — bindings of Ω₁ compatible with none of Ω₂.
-    pub fn antijoin(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::Anti, None)
+    pub fn antijoin(&self, other: &BindingTable, cancel: &CancelToken) -> Result<BindingTable> {
+        self.join_inner(other, JoinKind::Anti, cancel)
     }
 
     /// Ω₁ ⟕ Ω₂ = (Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂) — the OPTIONAL operator, in one
     /// probe pass: a left row no right row is compatible with is emitted
     /// once, padded with `Missing`.
-    pub fn left_outer_join(&self, other: &BindingTable) -> BindingTable {
-        self.join_inner(other, JoinKind::LeftOuter, None)
-    }
-
-    /// [`join`](Self::join) under a cancellation token, polled about
-    /// once per [`CHECK_STRIDE`] candidate row pairs: a fired token
-    /// abandons the probe loop and surfaces as
-    /// [`RuntimeError::Cancelled`](crate::error::RuntimeError), so even
-    /// a single explosive product stops within its deadline. A token
-    /// that never fires leaves the result bit-identical to `join`.
-    pub fn join_with(&self, other: &BindingTable, cancel: &CancelToken) -> Result<BindingTable> {
-        let joined = self.join_inner(other, JoinKind::Inner, Some(cancel));
-        cancel.check()?;
-        Ok(joined)
-    }
-
-    /// [`left_outer_join`](Self::left_outer_join) under a cancellation
-    /// token, with the guarantees of [`join_with`](Self::join_with).
-    pub fn left_outer_join_with(
+    pub fn left_outer_join(
         &self,
         other: &BindingTable,
         cancel: &CancelToken,
     ) -> Result<BindingTable> {
-        let joined = self.join_inner(other, JoinKind::LeftOuter, Some(cancel));
-        cancel.check()?;
-        Ok(joined)
+        self.join_inner(other, JoinKind::LeftOuter, cancel)
     }
 
-    /// The one hash join behind ⋈, ⋉, ∖ and ⟕. With a `cancel` token
-    /// the result is *empty* once the token has fired — only
-    /// [`join_with`](Self::join_with) and
-    /// [`left_outer_join_with`](Self::left_outer_join_with), which turn
-    /// that into an error, pass one.
+    /// The one hash join behind ⋈, ⋉, ∖ and ⟕.
     fn join_inner(
         &self,
         other: &BindingTable,
         kind: JoinKind,
-        cancel: Option<&CancelToken>,
-    ) -> BindingTable {
+        cancel: &CancelToken,
+    ) -> Result<BindingTable> {
         // Shared variables drive a hash join on encoded keys; rows with
         // Missing in a shared column fall back to a scan bucket (they
         // are compatible with every key).
@@ -700,18 +682,10 @@ impl BindingTable {
             } else {
                 Some(keyed.get(&key).map_or(&[], Vec::as_slice))
             };
-            if let Some(token) = cancel {
-                unpolled += 1 + bucket.map_or(other.nrows, |b| b.len() + wild.len());
-                if unpolled >= CHECK_STRIDE as usize {
-                    unpolled = 0;
-                    if token.is_cancelled() {
-                        // The caller discards a cancelled join: do not
-                        // sort and dedup what was emitted so far.
-                        data.clear();
-                        emitted = 0;
-                        break;
-                    }
-                }
+            unpolled += 1 + bucket.map_or(other.nrows, |b| b.len() + wild.len());
+            if unpolled >= CHECK_STRIDE as usize {
+                unpolled = 0;
+                cancel.check()?;
             }
             let mut matched = false;
             let emit = |b_row: u32, data: &mut Vec<Code>, emitted: &mut usize| {
@@ -769,7 +743,7 @@ impl BindingTable {
                 emitted += 1;
             }
         }
-        if merges {
+        Ok(if merges {
             BindingTable::from_flat_rows(
                 columns,
                 pool,
@@ -785,7 +759,7 @@ impl BindingTable {
                 emitted,
                 self.has_values,
             )
-        }
+        })
     }
 }
 
@@ -983,9 +957,9 @@ mod tests {
     #[test]
     fn unit_is_join_identity() {
         let t = table(&["x"], vec![vec![n(1)], vec![n(2)]]);
-        let j = t.join(&BindingTable::unit());
+        let j = t.join(&BindingTable::unit(), &CancelToken::new()).unwrap();
         assert_eq!(j.len(), 2);
-        let j2 = BindingTable::unit().join(&t);
+        let j2 = BindingTable::unit().join(&t, &CancelToken::new()).unwrap();
         assert_eq!(j2.len(), 2);
         assert_eq!(j2.var_names(), vec!["x"]);
     }
@@ -1019,7 +993,7 @@ mod tests {
         // (x,y) pairs.
         let a = table(&["x"], vec![vec![n(105)], vec![n(102)]]);
         let b = table(&["x", "y"], vec![vec![n(105), n(102)], vec![n(7), n(8)]]);
-        let j = a.join(&b);
+        let j = a.join(&b, &CancelToken::new()).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(row(&j, 0), vec![n(105), n(102)]);
     }
@@ -1028,7 +1002,7 @@ mod tests {
     fn join_disjoint_schemas_is_cartesian_product() {
         let a = table(&["x"], vec![vec![n(1)], vec![n(2)]]);
         let b = table(&["y"], vec![vec![n(10)], vec![n(20)], vec![n(30)]]);
-        assert_eq!(a.join(&b).len(), 6);
+        assert_eq!(a.join(&b, &CancelToken::new()).unwrap().len(), 6);
     }
 
     #[test]
@@ -1042,7 +1016,7 @@ mod tests {
             ],
         );
         let b = table(&["v"], vec![vec![Bound::Value(Value::str("mit"))]]);
-        let j = a.join(&b);
+        let j = a.join(&b, &CancelToken::new()).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(row(&j, 0), vec![n(2), Bound::Value(Value::str("mit"))]);
     }
@@ -1051,10 +1025,10 @@ mod tests {
     fn semijoin_and_antijoin() {
         let a = table(&["x"], vec![vec![n(1)], vec![n(2)], vec![n(3)]]);
         let b = table(&["x", "y"], vec![vec![n(1), n(9)], vec![n(3), n(9)]]);
-        let s = a.semijoin(&b);
+        let s = a.semijoin(&b, &CancelToken::new()).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.var_names(), vec!["x"]);
-        let d = a.antijoin(&b);
+        let d = a.antijoin(&b, &CancelToken::new()).unwrap();
         assert_eq!(d.len(), 1);
         assert_eq!(row(&d, 0), vec![n(2)]);
     }
@@ -1063,7 +1037,7 @@ mod tests {
     fn left_outer_join_pads_with_missing() {
         let a = table(&["x"], vec![vec![n(1)], vec![n(2)]]);
         let b = table(&["x", "y"], vec![vec![n(1), n(9)]]);
-        let l = a.left_outer_join(&b);
+        let l = a.left_outer_join(&b, &CancelToken::new()).unwrap();
         assert_eq!(l.len(), 2);
         // Row for x=2 has y missing.
         let xi = l.column_index("x").unwrap();
@@ -1079,7 +1053,7 @@ mod tests {
             vec![vec![Bound::Missing, n(5)], vec![n(1), n(6)]],
         );
         let b = table(&["x"], vec![vec![n(1)]]);
-        let j = a.join(&b);
+        let j = a.join(&b, &CancelToken::new()).unwrap();
         // Missing x row joins (x filled in), bound x=1 row joins too.
         assert_eq!(j.len(), 2);
         let xi = j.column_index("x").unwrap();
@@ -1110,7 +1084,7 @@ mod tests {
         // compatible with both right rows.
         let a = table(&["x"], vec![vec![n(1)], vec![n(2)], vec![Bound::Missing]]);
         let b = table(&["x", "y"], vec![vec![n(1), n(8)], vec![n(1), n(9)]]);
-        let l = a.left_outer_join(&b);
+        let l = a.left_outer_join(&b, &CancelToken::new()).unwrap();
         assert_eq!(l.var_names(), vec!["x", "y"]);
         let rows: Vec<Vec<Bound>> = (0..l.len()).map(|r| row(&l, r)).collect();
         assert_eq!(
@@ -1122,7 +1096,10 @@ mod tests {
             ]
         );
         assert_eq!(rows, {
-            let u = a.join(&b).union(&a.antijoin(&b));
+            let u = a
+                .join(&b, &CancelToken::new())
+                .unwrap()
+                .union(&a.antijoin(&b, &CancelToken::new()).unwrap());
             (0..u.len()).map(|r| row(&u, r)).collect::<Vec<_>>()
         });
     }
@@ -1139,6 +1116,30 @@ mod tests {
         assert_eq!(padded.distinct_nodes(0), None);
         let edges = table(&["e"], vec![vec![Bound::Edge(EdgeId(4))]]);
         assert_eq!(edges.distinct_nodes(0), None);
+    }
+
+    #[test]
+    fn every_join_kind_fails_on_a_fired_token() {
+        // No shared variable: every left row faces every right row, so
+        // the probe examines 64 × 64 candidate pairs — several strides.
+        let side = |var: &str| table(&[var], (0..64).map(|i| vec![n(i)]).collect());
+        let (a, b) = (side("x"), side("y"));
+        assert!(a.len() * b.len() >= CHECK_STRIDE as usize);
+        let live = CancelToken::new();
+        let fired = CancelToken::new();
+        fired.cancel();
+        type Join = fn(&BindingTable, &BindingTable, &CancelToken) -> Result<BindingTable>;
+        let kinds: [(&str, Join, usize); 4] = [
+            ("join", BindingTable::join, 64 * 64),
+            ("semijoin", BindingTable::semijoin, 64),
+            ("antijoin", BindingTable::antijoin, 0),
+            ("left_outer_join", BindingTable::left_outer_join, 64 * 64),
+        ];
+        for (name, join, rows) in kinds {
+            assert_eq!(join(&a, &b, &live).unwrap().len(), rows, "{name}");
+            let err = join(&a, &b, &fired).expect_err(name);
+            assert!(err.is_cancelled(), "{name}: {err}");
+        }
     }
 
     #[test]

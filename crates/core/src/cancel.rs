@@ -3,17 +3,24 @@
 //! A [`CancelToken`] is a shared flag plus an optional deadline that
 //! travels with an evaluation: the executor installs one in the
 //! [`EvalCtx`](crate::EvalCtx), and the long loops in the matcher,
-//! the join kernels, and the path searchers poll it at their natural
-//! iteration boundaries. Polling is *cooperative* — nothing is ever
-//! interrupted mid-operation, so a fired token surfaces as an ordinary
-//! [`RuntimeError::Cancelled`](crate::error::RuntimeError)
-//! and the worker thread returns to its pool instead of being
+//! the join kernels, the path searchers and CONSTRUCT poll it at their
+//! natural iteration boundaries. Polling is *cooperative* — nothing is
+//! ever interrupted mid-operation, so a fired token surfaces as an
+//! ordinary [`RuntimeError::Cancelled`](crate::error::RuntimeError)
+//! (`E016`) and the worker thread returns to its pool instead of being
 //! abandoned mid-flight.
 //!
-//! Checking the flag is a relaxed atomic load; checking the deadline
-//! costs an `Instant::now()` call, so hot loops amortise it through
-//! [`CancelToken::checkpoint`], which only consults the clock once per
-//! [`CHECK_STRIDE`] iterations.
+//! Two routines read a token, and every poll site goes through one of
+//! them: [`CancelToken::check`] polls now — at a loop head, or where a
+//! loop keeps its own stride (the path searchers count frontier pops,
+//! the joins candidate row pairs) — and [`CancelToken::checkpoint`]
+//! keeps the count for a hot loop, consulting the token once per
+//! [`CHECK_STRIDE`] iterations (checking the flag is a relaxed atomic
+//! load, checking the deadline an `Instant::now()` call). Both return
+//! the error, and every poll site propagates it where it stands: no
+//! search or join hands back a partial or empty answer because its
+//! token fired, so no caller checks the token again to throw such an
+//! answer away.
 
 use crate::error::{EngineError, Result, RuntimeError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,8 +90,7 @@ impl CancelToken {
 
     /// Has this token fired — either the shared flag was raised or the
     /// deadline passed?
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         if self.flag.load(Ordering::Relaxed) {
             return true;
         }

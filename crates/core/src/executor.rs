@@ -89,13 +89,6 @@ impl QueryExecutor {
         self.options.cancel = token;
     }
 
-    /// The executor's cancellation token; cancel through a clone of it
-    /// to stop an in-flight statement from another thread.
-    #[must_use]
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.options.cancel
-    }
-
     /// Set [`EvalOptions::statement_deadline`]. Composes with
     /// [`set_cancel_token`](QueryExecutor::set_cancel_token): whichever
     /// fires first wins.

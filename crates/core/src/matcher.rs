@@ -608,12 +608,10 @@ impl<'e> PatternMatcher<'e> {
             if !srcs.is_empty() {
                 let defs = self.ev.view_definitions(&nfa.view_names());
                 let snapshot = &self.ev.ctx.snapshot;
-                shared = snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs);
+                shared =
+                    snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs)?;
             }
         }
-        // A fired token makes the shared search bail with partial maps;
-        // they must become an error, never an (empty) answer.
-        self.ev.ctx.check_cancelled()?;
         // An unbound far end whose scan filters the plan made targets:
         // every row searches towards the same node set. (The filters run
         // again when the destination is constrained — on rows that
@@ -628,11 +626,11 @@ impl<'e> PatternMatcher<'e> {
 
         let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
         let mut extra: Vec<Bound> = Vec::with_capacity(3);
+        let mut tick = 0u32;
         for ri in 0..table.len() {
-            // Every row may run a whole search; poll per row so a row
-            // whose search bailed early errors instead of contributing
-            // partial matches.
-            self.ev.ctx.check_cancelled()?;
+            // Rows answered from the shared condensation run no search of
+            // their own, yet each may emit many rows: poll per row too.
+            self.ev.ctx.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
@@ -649,7 +647,7 @@ impl<'e> PatternMatcher<'e> {
             match pat.mode {
                 PathMode::All => {
                     // Graph projection per destination.
-                    for (dst, nodes, edges) in searcher.all_paths_from(src, targets) {
+                    for (dst, nodes, edges) in searcher.all_paths_from(src, targets)? {
                         extra.clear();
                         if binds_path {
                             extra.push(self.ev.ctx.add_fresh_path(FreshPath::Projection {
@@ -668,7 +666,7 @@ impl<'e> PatternMatcher<'e> {
                 }
                 PathMode::Shortest(_) if pure_reach => {
                     let dsts: &[NodeId] = match &target {
-                        Some(d) if searcher.reachable_pair(src, *d) => std::slice::from_ref(d),
+                        Some(d) if searcher.reachable_pair(src, *d)? => std::slice::from_ref(d),
                         Some(_) => &[],
                         None => shared.get(&src).map_or(&[], |v| v.as_slice()),
                     };
@@ -681,7 +679,7 @@ impl<'e> PatternMatcher<'e> {
                     }
                 }
                 PathMode::Shortest(k) => {
-                    let found = searcher.k_shortest(src, k as usize, targets);
+                    let found = searcher.k_shortest(src, k as usize, targets)?;
                     let mut dsts: Vec<NodeId> = found.keys().copied().collect();
                     dsts.sort_unstable();
                     for dst in dsts {
@@ -711,9 +709,6 @@ impl<'e> PatternMatcher<'e> {
                 }
             }
         }
-        // The last row's search may have been cut short after the final
-        // loop-head poll.
-        self.ev.ctx.check_cancelled()?;
         let out = bld.finish();
         prof.add_counter(span, "frontier_pops", searcher.pops());
         if searcher.tie_keys() > 0 {

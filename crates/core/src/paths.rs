@@ -63,11 +63,22 @@
 //!   components that add nothing of their own. The snapshot's closure
 //!   cache keeps its answers per (graph, regex, view definitions).
 //!
+//! # Cancellation
+//!
+//! Every entry point returns a [`Result`]. A searcher counts the
+//! frontier pops of all the searches it runs and polls the token
+//! [`with_cancel`](PathSearcher::with_cancel) attached once per
+//! [`CHECK_STRIDE`] of them; a fired token ends the search with
+//! [`RuntimeError::Cancelled`](crate::error::RuntimeError) where it
+//! stands — never a partial or empty answer.
+//!
 //! `tests/path_equivalence.rs` checks each against the unidirectional
 //! search over the same graph without its label index, or a brute-force
 //! enumeration;
 //! `tests/path_conformance.rs` pins the exact answers.
 
+use crate::cancel::{CancelToken, CHECK_STRIDE};
+use crate::error::Result;
 use crate::regex::{Nfa, Sym};
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape, StepDir};
@@ -172,6 +183,10 @@ pub struct FoundPath {
     /// Its total cost.
     pub cost: f64,
 }
+
+/// One ALL-paths projection: a destination, then the nodes and the
+/// edges that lie on some accepting walk to it, ascending.
+pub type Projection = (NodeId, Vec<NodeId>, Vec<EdgeId>);
 
 /// A set of product states: per node, a bitmask of NFA states, 64 to a
 /// word — so a whole ε-closure is tested and inserted with one lookup.
@@ -312,31 +327,26 @@ impl<'s, 'a> Sweep<'s, 'a> {
 
     /// Expand every state of the frontier; the states entered on the way
     /// are the next frontier. Stops early, returning `true`, once an
-    /// expansion enters a state that `meets`. A fired cancellation token
-    /// empties the frontier: the sweep ends wherever it is, and its
-    /// caller's caller turns the token into an error.
-    fn advance(&mut self, meets: impl Fn(NodeId, usize) -> bool) -> bool {
+    /// expansion enters a state that `meets`.
+    fn advance(&mut self, meets: impl Fn(NodeId, usize) -> bool) -> Result<bool> {
         let (searcher, nfa) = (self.searcher, self.nfa);
         for (v, q) in std::mem::take(&mut self.frontier) {
-            if searcher.cancel_tick() {
-                self.frontier.clear();
-                return false;
-            }
+            searcher.tick()?;
             let entered = self.frontier.len();
             searcher.for_each_step(nfa, v, q, |_, w, t, _| self.enter(w, t));
             if self.frontier[entered..].iter().any(|&(w, c)| meets(w, c)) {
-                return true;
+                return Ok(true);
             }
         }
-        false
+        Ok(false)
     }
 
     /// Advance until nothing new is entered; the visited set.
-    fn run(mut self) -> StateSet {
+    fn run(mut self) -> Result<StateSet> {
         while !self.frontier.is_empty() {
-            self.advance(|_, _| false);
+            self.advance(|_, _| false)?;
         }
-        self.seen
+        Ok(self.seen)
     }
 }
 
@@ -422,7 +432,9 @@ enum StepPiece<'v> {
     },
 }
 
-/// Search driver over one graph + NFA + views.
+/// Search driver over one graph + NFA + views. Each search either
+/// answers in full or fails once the attached token fires (see the
+/// [module docs](self)).
 pub struct PathSearcher<'a> {
     graph: &'a PathPropertyGraph,
     nfa: &'a Nfa,
@@ -432,11 +444,9 @@ pub struct PathSearcher<'a> {
     /// Does the automaton name no view, so that every step is one edge
     /// of cost 1?
     unit_cost: bool,
-    /// Cooperative cancellation: the frontier loops poll this and bail
-    /// early (returning partial or empty results) once it fires. The
-    /// caller is responsible for turning "searcher was cancelled" into
-    /// an error — partial results never escape as answers.
-    cancel: Option<crate::cancel::CancelToken>,
+    /// Polled once per [`CHECK_STRIDE`] frontier pops; a fresh token
+    /// never fires.
+    cancel: CancelToken,
     /// Lazily compiled reversal of `nfa`.
     rev: OnceCell<Nfa>,
     /// Frontier pops across every search this searcher ran: one count
@@ -468,7 +478,8 @@ impl<'a> PathSearcher<'a> {
     /// let views = ViewMap::default();
     /// let searcher = PathSearcher::new(&g, &nfa, &views);
     /// assert!(!searcher.weighted); // no COST view in sight
-    /// assert!(searcher.reachable(ann).contains(&bob));
+    /// assert!(searcher.reachable(ann)?.contains(&bob));
+    /// # Ok::<(), gcore::EngineError>(())
     /// ```
     pub fn new(graph: &'a PathPropertyGraph, nfa: &'a Nfa, views: &'a ViewMap) -> Self {
         let names = nfa.view_names();
@@ -481,7 +492,7 @@ impl<'a> PathSearcher<'a> {
             views,
             weighted,
             unit_cost: names.is_empty(),
-            cancel: None,
+            cancel: CancelToken::new(),
             rev: OnceCell::new(),
             pops: Cell::new(0),
             tie_keys: Cell::new(0),
@@ -505,36 +516,28 @@ impl<'a> PathSearcher<'a> {
         self.tie_keys.get()
     }
 
-    /// Attach a cancellation token: the search loops poll it and return
-    /// early once it fires. A search that was cut short reports so via
-    /// [`cancelled`](Self::cancelled); its partial results must be
-    /// discarded by the caller.
+    /// Attach a cancellation token: every search polls it and fails
+    /// with `E016` once it fires.
     #[must_use]
-    pub fn with_cancel(mut self, token: crate::cancel::CancelToken) -> Self {
-        self.cancel = Some(token);
+    pub fn with_cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = token;
         self
     }
 
-    /// Has the attached cancellation token fired? Always `false` when
-    /// no token is attached.
-    #[must_use]
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(crate::cancel::CancelToken::is_cancelled)
-    }
-
-    /// Strided cancellation poll for frontier loops: consults the token
-    /// once per [`CHECK_STRIDE`](crate::cancel::CHECK_STRIDE) calls.
-    /// Every call is one frontier pop, so the [`pops`](Self::pops)
-    /// counter is the stride — the profiling loop boundaries are exactly
-    /// the cancellation ones, and a run of short searches is polled as
-    /// often as one long one.
+    /// Count one frontier pop, and poll the token once per
+    /// [`CHECK_STRIDE`] of them: the [`pops`](Self::pops) counter is the
+    /// stride, so the profiling loop boundaries are exactly the
+    /// cancellation ones, and a run of short searches is polled as often
+    /// as one long one.
     #[inline]
-    fn cancel_tick(&self) -> bool {
+    fn tick(&self) -> Result<()> {
         let pops = self.pops.get() + 1;
         self.pops.set(pops);
-        pops.is_multiple_of(u64::from(crate::cancel::CHECK_STRIDE)) && self.cancelled()
+        if pops.is_multiple_of(u64::from(CHECK_STRIDE)) {
+            self.cancel.check()
+        } else {
+            Ok(())
+        }
     }
 
     /// The reversed NFA, compiled on first use.
@@ -645,7 +648,7 @@ impl<'a> PathSearcher<'a> {
         &self,
         targets: impl IntoIterator<Item = NodeId>,
         within: Option<&StateSet>,
-    ) -> StateSet {
+    ) -> Result<StateSet> {
         let rev = self.rev_nfa();
         let mut sweep = Sweep::new(self, rev, within);
         for d in targets {
@@ -663,7 +666,7 @@ impl<'a> PathSearcher<'a> {
     /// cone of product states co-reachable to acceptance at a target,
     /// never expands outside it and stops once every target holds `k`
     /// walks; results are identical to the unrestricted search filtered
-    /// to `targets`.
+    /// to `targets`. Fails only when the searcher's token fires.
     ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
@@ -680,18 +683,19 @@ impl<'a> PathSearcher<'a> {
     /// let nfa = Nfa::compile(&Regex::Plus(Box::new(Regex::Label("knows".into()))));
     /// let views = ViewMap::default();
     /// let s = PathSearcher::new(&g, &nfa, &views);
-    /// let found = s.k_shortest(a, 1, None);
+    /// let found = s.k_shortest(a, 1, None)?;
     /// assert_eq!(found[&c][0].cost, 1.0); // one hop, unit edge costs
     /// assert_eq!(found[&c][0].walk.length(), 1);
+    /// # Ok::<(), gcore::EngineError>(())
     /// ```
     pub fn k_shortest(
         &self,
         src: NodeId,
         k: usize,
         targets: Option<&FxHashSet<NodeId>>,
-    ) -> FxHashMap<NodeId, Vec<FoundPath>> {
+    ) -> Result<FxHashMap<NodeId, Vec<FoundPath>>> {
         if !self.graph.contains_node(src) || k == 0 || targets.is_some_and(FxHashSet::is_empty) {
-            return FxHashMap::default();
+            return Ok(FxHashMap::default());
         }
         // Backward cone: with concrete targets, restrict the forward
         // search to states that can still reach acceptance at a target.
@@ -701,7 +705,9 @@ impl<'a> PathSearcher<'a> {
             searcher: self,
             k,
             targets,
-            cone: targets.map(|t| self.co_reachable_cone(t.iter().copied(), None)),
+            cone: targets
+                .map(|t| self.co_reachable_cone(t.iter().copied(), None))
+                .transpose()?,
             arena: Vec::new(),
             pops: FxHashMap::default(),
             results: FxHashMap::default(),
@@ -712,9 +718,9 @@ impl<'a> PathSearcher<'a> {
         // state so accepting-at-zero-length works.
         search.push(NO_PARENT, None, src, self.nfa.start(), 0.0);
         if self.unit_cost {
-            search.by_levels();
+            search.by_levels()?;
         } else {
-            search.by_cost();
+            search.by_cost()?;
         }
         let mut results = search.results;
         for bucket in results.values_mut() {
@@ -724,11 +730,12 @@ impl<'a> PathSearcher<'a> {
                     .then_with(|| a.walk.cmp_interleaved(&b.walk))
             });
         }
-        results
+        Ok(results)
     }
 
     /// Destinations reachable from `src` via an accepting walk —
     /// the reachability-test semantics of `-/<r>/->` without a variable.
+    /// Fails only when the searcher's token fires.
     ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
@@ -745,14 +752,15 @@ impl<'a> PathSearcher<'a> {
     /// let nfa = Nfa::compile(&Regex::Star(Box::new(Regex::Label("knows".into()))));
     /// let views = ViewMap::default();
     /// let s = PathSearcher::new(&g, &nfa, &views);
-    /// assert_eq!(s.reachable(a), vec![a, c]); // knows* reaches a itself too
+    /// assert_eq!(s.reachable(a)?, vec![a, c]); // knows* reaches a itself too
+    /// # Ok::<(), gcore::EngineError>(())
     /// ```
-    pub fn reachable(&self, src: NodeId) -> Vec<NodeId> {
-        self.forward_from(src).accepting_nodes(self.nfa)
+    pub fn reachable(&self, src: NodeId) -> Result<Vec<NodeId>> {
+        Ok(self.forward_from(src)?.accepting_nodes(self.nfa))
     }
 
     /// Every product state a walk from `src` reaches.
-    fn forward_from(&self, src: NodeId) -> StateSet {
+    fn forward_from(&self, src: NodeId) -> Result<StateSet> {
         let mut sweep = Sweep::new(self, self.nfa, None);
         sweep.seed(src, self.nfa.start());
         sweep.run()
@@ -762,8 +770,9 @@ impl<'a> PathSearcher<'a> {
     /// to `dst`? Runs a bidirectional search — a forward sweep from `src`
     /// and a backward one, over the reversed NFA, from `dst`, advancing
     /// whichever has the smaller frontier — and stops at the first
-    /// product state both have visited.
-    pub fn reachable_pair(&self, src: NodeId, dst: NodeId) -> bool {
+    /// product state both have visited. `Ok(false)` means no accepting
+    /// walk exists; a fired token is an error.
+    pub fn reachable_pair(&self, src: NodeId, dst: NodeId) -> Result<bool> {
         let rev = self.rev_nfa();
         let mut fwd = Sweep::new(self, self.nfa, None);
         let mut bwd = Sweep::new(self, rev, None);
@@ -771,23 +780,21 @@ impl<'a> PathSearcher<'a> {
         bwd.seed(dst, rev.start());
         // Acceptance can already hold at length zero.
         if bwd.frontier.iter().any(|&(v, q)| fwd.seen.contains(v, q)) {
-            return true;
+            return Ok(true);
         }
         // An exhausted side has explored everything it reaches without
-        // meeting the other: no accepting walk exists. A fired token
-        // exhausts a side too; the caller checks the token and discards
-        // that (meaningless) `false`.
+        // meeting the other: no accepting walk exists.
         while !fwd.frontier.is_empty() && !bwd.frontier.is_empty() {
             let met = if fwd.frontier.len() <= bwd.frontier.len() {
-                fwd.advance(|v, q| bwd.seen.contains(v, q))
+                fwd.advance(|v, q| bwd.seen.contains(v, q))?
             } else {
-                bwd.advance(|v, q| fwd.seen.contains(v, q))
+                bwd.advance(|v, q| fwd.seen.contains(v, q))?
             };
             if met {
-                return true;
+                return Ok(true);
             }
         }
-        false
+        Ok(false)
     }
 
     /// Reachability from many sources at once, sharing one product
@@ -801,8 +808,12 @@ impl<'a> PathSearcher<'a> {
     /// that source (`Arc`-shared: sources whose seed states land in the
     /// same component share one allocation). This is the shared-frontier
     /// strategy the matcher uses for `MATCH (x)-/<r>/->(y)` shapes that
-    /// seed many sources.
-    pub fn reachable_many(&self, sources: &[NodeId]) -> FxHashMap<NodeId, Arc<Vec<NodeId>>> {
+    /// seed many sources. Fails only when the searcher's token fires:
+    /// a half-run condensation has no answer for any source.
+    pub fn reachable_many(
+        &self,
+        sources: &[NodeId],
+    ) -> Result<FxHashMap<NodeId, Arc<Vec<NodeId>>>> {
         let nfa = self.nfa;
 
         // Interned product states.
@@ -868,12 +879,7 @@ impl<'a> PathSearcher<'a> {
             frames.push(Frame { v: root, next: 0 });
 
             while let Some(fr) = frames.last_mut() {
-                // A half-run Tarjan leaves components undefined, so a
-                // cancelled search abandons everything: empty map out,
-                // the caller raises the error off the token.
-                if self.cancel_tick() {
-                    return FxHashMap::default();
-                }
+                self.tick()?;
                 let v = fr.v as usize;
                 if fr.next < ts.succs[v].len() {
                     let w = ts.succs[v][fr.next] as usize;
@@ -961,7 +967,7 @@ impl<'a> PathSearcher<'a> {
         for &src in sources {
             out.entry(src).or_default();
         }
-        out
+        Ok(out)
     }
 
     /// The ALL-paths projections from `src`, as `(dst, nodes, edges)` in
@@ -973,7 +979,7 @@ impl<'a> PathSearcher<'a> {
     /// acceptance at `dst` traverses it. The forward sweep is shared by
     /// all destinations; each destination adds a backward sweep confined
     /// to the forward states and one pass over the steps of the states
-    /// both visited.
+    /// both visited. Fails only when the searcher's token fires.
     ///
     /// ```
     /// use gcore::paths::{PathSearcher, ViewMap};
@@ -991,21 +997,22 @@ impl<'a> PathSearcher<'a> {
     /// let views = ViewMap::default();
     /// let s = PathSearcher::new(&g, &nfa, &views);
     /// let only_c = [c].into_iter().collect();
-    /// let found = s.all_paths_from(a, Some(&only_c));
+    /// let found = s.all_paths_from(a, Some(&only_c))?;
     /// assert_eq!(found, vec![(c, vec![a, c], vec![e])]); // the one walk
     /// let only_a = [a].into_iter().collect();
-    /// assert!(s.all_paths_from(c, Some(&only_a)).is_empty()); // no backward walk
+    /// assert!(s.all_paths_from(c, Some(&only_a))?.is_empty()); // no backward walk
+    /// # Ok::<(), gcore::EngineError>(())
     /// ```
     pub fn all_paths_from(
         &self,
         src: NodeId,
         targets: Option<&FxHashSet<NodeId>>,
-    ) -> Vec<(NodeId, Vec<NodeId>, Vec<EdgeId>)> {
-        let fwd = self.forward_from(src);
+    ) -> Result<Vec<Projection>> {
+        let fwd = self.forward_from(src)?;
         let mut dsts = fwd.accepting_nodes(self.nfa);
         dsts.retain(|d| targets.is_none_or(|t| t.contains(d)));
         let projection = |dst: NodeId| {
-            let on_walk = self.co_reachable_cone([dst], Some(&fwd));
+            let on_walk = self.co_reachable_cone([dst], Some(&fwd))?;
             let mut nodes = vec![src, dst];
             let mut edges: Vec<EdgeId> = Vec::new();
             for (v, q) in on_walk.iter() {
@@ -1031,7 +1038,7 @@ impl<'a> PathSearcher<'a> {
             nodes.dedup();
             edges.sort_unstable();
             edges.dedup();
-            (dst, nodes, edges)
+            Ok((dst, nodes, edges))
         };
         dsts.into_iter().map(projection).collect()
     }
@@ -1175,7 +1182,7 @@ impl<'a> Ordered<'_, 'a> {
     /// is the (sequence, node, state) order of the cost-ordered search,
     /// and ranking it densely on (parent's rank, edge, node) makes equal
     /// walks tie at the next level exactly as they should.
-    fn by_levels(&mut self) {
+    fn by_levels(&mut self) -> Result<()> {
         let mut level: Vec<LevelKey> = (0..self.arena.len() as u32)
             .map(|i| self.level_key(i))
             .collect();
@@ -1189,17 +1196,16 @@ impl<'a> Ordered<'_, 'a> {
                 rank += u32::from(prev.is_some_and(|p| p != walk));
                 prev = Some(walk);
                 self.arena[idx as usize].rank = rank;
-                if self.searcher.cancel_tick() {
-                    return;
-                }
+                self.searcher.tick()?;
                 let children = self.arena.len() as u32;
                 if self.visit(idx) {
-                    return;
+                    return Ok(());
                 }
                 next.extend((children..self.arena.len() as u32).map(|i| self.level_key(i)));
             }
             level = next;
         }
+        Ok(())
     }
 
     fn level_key(&self, idx: u32) -> LevelKey {
@@ -1217,7 +1223,7 @@ impl<'a> Ordered<'_, 'a> {
     /// of a cost level then moves into the tie heap, which re-orders them
     /// by replayed walk sequence, before any is visited. A level of one
     /// entry needs no tie key.
-    fn by_cost(&mut self) {
+    fn by_cost(&mut self) -> Result<()> {
         let mut outer: BinaryHeap<CostOrd> = (0..self.arena.len() as u32)
             .map(|idx| CostOrd { cost: 0.0, idx })
             .collect();
@@ -1236,12 +1242,10 @@ impl<'a> Ordered<'_, 'a> {
                 batch.push(self.tie_entry(e.idx));
             }
             while let Some(idx) = single.take().or_else(|| batch.pop().map(|t| t.idx)) {
-                if self.searcher.cancel_tick() {
-                    return;
-                }
+                self.searcher.tick()?;
                 let children = self.arena.len();
                 if self.visit(idx) {
-                    return;
+                    return Ok(());
                 }
                 for child in children..self.arena.len() {
                     let (cost, idx) = (self.arena[child].cost, child as u32);
@@ -1257,6 +1261,7 @@ impl<'a> Ordered<'_, 'a> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Materialize the tie key (the walk's interleaved id sequence) of
@@ -1442,7 +1447,7 @@ mod tests {
         let nfa = knows_star();
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let found = s.k_shortest(n(1), 1, None);
+        let found = s.k_shortest(n(1), 1, None).unwrap();
         // 1 reaches 1 (length 0), 2, 3, 4 over knows*
         assert_eq!(found[&n(1)][0].cost, 0.0);
         assert_eq!(found[&n(2)][0].cost, 1.0);
@@ -1458,7 +1463,7 @@ mod tests {
         let nfa = knows_star();
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let found = s.k_shortest(n(1), 3, None);
+        let found = s.k_shortest(n(1), 3, None).unwrap();
         // Walks to node 2: [1,10,2] (len 1), [1,10,2,11,3,14,2] (len 3), …
         let to2 = &found[&n(2)];
         assert!(to2.len() >= 2);
@@ -1476,8 +1481,8 @@ mod tests {
         let nfa = knows_star();
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        assert_eq!(s.reachable(n(1)), vec![n(1), n(2), n(3), n(4)]);
-        assert_eq!(s.reachable(n(4)), vec![n(4)]);
+        assert_eq!(s.reachable(n(1)).unwrap(), vec![n(1), n(2), n(3), n(4)]);
+        assert_eq!(s.reachable(n(4)).unwrap(), vec![n(4)]);
     }
 
     #[test]
@@ -1488,7 +1493,7 @@ mod tests {
         let s = PathSearcher::new(&g, &nfa, &views);
         let mut t = FxHashSet::default();
         t.insert(n(4));
-        let found = s.k_shortest(n(1), 1, Some(&t));
+        let found = s.k_shortest(n(1), 1, Some(&t)).unwrap();
         assert_eq!(found.len(), 1);
         assert!(found.contains_key(&n(4)));
     }
@@ -1500,7 +1505,7 @@ mod tests {
         let nfa = Nfa::compile(&Regex::Star(Box::new(Regex::LabelInv("knows".into()))));
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let r = s.reachable(n(4));
+        let r = s.reachable(n(4)).unwrap();
         assert!(r.contains(&n(1)) && r.contains(&n(2)) && r.contains(&n(3)));
     }
 
@@ -1517,7 +1522,7 @@ mod tests {
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
         let only = |d: u64| [n(d)].into_iter().collect::<FxHashSet<NodeId>>();
-        let found = s.all_paths_from(n(1), Some(&only(3)));
+        let found = s.all_paths_from(n(1), Some(&only(3))).unwrap();
         let [(dst, nodes, edges)] = &found[..] else {
             panic!("one destination: {found:?}");
         };
@@ -1527,7 +1532,7 @@ mod tests {
         // likes edge 13 not on any knows* walk
         assert!(!edges.contains(&EdgeId(13)));
         // unreachable pair
-        assert!(s.all_paths_from(n(4), Some(&only(1))).is_empty());
+        assert!(s.all_paths_from(n(4), Some(&only(1))).unwrap().is_empty());
     }
 
     #[test]
@@ -1561,7 +1566,7 @@ mod tests {
         let nfa = Nfa::compile(&Regex::Star(Box::new(Regex::View("v".into()))));
         let s = PathSearcher::new(&g, &nfa, &views);
         assert!(s.weighted);
-        let found = s.k_shortest(n(1), 1, None);
+        let found = s.k_shortest(n(1), 1, None).unwrap();
         // cheapest to 3 is the direct cost-2 segment, not 10+1
         assert_eq!(found[&n(3)][0].cost, 2.0);
         assert_eq!(found[&n(3)][0].walk.interleaved(), vec![1, 13, 3]);
@@ -1573,7 +1578,7 @@ mod tests {
         let nfa = knows_star();
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let found = s.k_shortest(n(2), 1, None);
+        let found = s.k_shortest(n(2), 1, None).unwrap();
         let self_path = &found[&n(2)][0];
         assert_eq!(self_path.cost, 0.0);
         assert_eq!(self_path.walk.length(), 0);
@@ -1589,9 +1594,12 @@ mod tests {
         let indexed = PathSearcher::new(&g, &nfa, &views);
         let scan = PathSearcher::new(&unindexed, &nfa, &views);
         for src in 1..=4 {
-            assert_eq!(indexed.reachable(n(src)), scan.reachable(n(src)));
-            let a = indexed.k_shortest(n(src), 3, None);
-            let b = scan.k_shortest(n(src), 3, None);
+            assert_eq!(
+                indexed.reachable(n(src)).unwrap(),
+                scan.reachable(n(src)).unwrap()
+            );
+            let a = indexed.k_shortest(n(src), 3, None).unwrap();
+            let b = scan.k_shortest(n(src), 3, None).unwrap();
             assert_eq!(a.len(), b.len());
             for (dst, paths) in &a {
                 let other = &b[dst];
@@ -1611,18 +1619,18 @@ mod tests {
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
         for src in 1..=4 {
-            let reach = s.reachable(n(src));
+            let reach = s.reachable(n(src)).unwrap();
             for dst in 1..=4 {
                 assert_eq!(
-                    s.reachable_pair(n(src), n(dst)),
+                    s.reachable_pair(n(src), n(dst)).unwrap(),
                     reach.contains(&n(dst)),
                     "pair ({src}, {dst})"
                 );
             }
         }
         // Absent endpoints are unreachable.
-        assert!(!s.reachable_pair(n(1), n(99)));
-        assert!(!s.reachable_pair(n(99), n(1)));
+        assert!(!s.reachable_pair(n(1), n(99)).unwrap());
+        assert!(!s.reachable_pair(n(99), n(1)).unwrap());
     }
 
     #[test]
@@ -1646,15 +1654,65 @@ mod tests {
         assert!(nfa.num_states() > 64);
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        assert_eq!(s.reachable(n(0)), vec![n(0)]);
-        assert!(s.reachable_pair(n(0), n(0)));
-        assert!(!s.reachable_pair(n(0), n(1)));
+        assert_eq!(s.reachable(n(0)).unwrap(), vec![n(0)]);
+        assert!(s.reachable_pair(n(0), n(0)).unwrap());
+        assert!(!s.reachable_pair(n(0), n(1)).unwrap());
         let targets: FxHashSet<NodeId> = [n(0)].into_iter().collect();
-        let [(_, nodes, edges)] = &s.all_paths_from(n(0), Some(&targets))[..] else {
+        let [(_, nodes, edges)] = &s.all_paths_from(n(0), Some(&targets)).unwrap()[..] else {
             panic!("one destination");
         };
         assert_eq!((nodes.len(), edges.len()), (5, 5));
-        assert_eq!(s.k_shortest(n(0), 1, Some(&targets))[&n(0)][0].cost, 70.0);
+        assert_eq!(
+            s.k_shortest(n(0), 1, Some(&targets)).unwrap()[&n(0)][0].cost,
+            70.0
+        );
+    }
+
+    /// A knows-chain 0 → 1 → … → `len − 1`.
+    fn long_chain(len: u64) -> PathPropertyGraph {
+        let mut g = PathPropertyGraph::new();
+        for i in 0..len {
+            g.add_node(n(i), Attributes::labeled("Person"));
+        }
+        for i in 1..len {
+            g.add_edge(EdgeId(i), n(i - 1), n(i), Attributes::labeled("knows"))
+                .unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn a_fired_token_is_an_error_from_every_search() {
+        // Every search from one end pops each of the chain's states, so
+        // each polls its token at least once.
+        let len = 2 * u64::from(CHECK_STRIDE);
+        let g = long_chain(len);
+        let nfa = knows_star();
+        let views = ViewMap::default();
+        let (src, dst) = (n(0), n(len - 1));
+        let only_dst: FxHashSet<NodeId> = [dst].into_iter().collect();
+
+        let live = PathSearcher::new(&g, &nfa, &views);
+        assert_eq!(live.reachable(src).unwrap().len(), len as usize);
+        assert!(live.reachable_pair(src, dst).unwrap());
+        assert_eq!(
+            live.reachable_many(&[src]).unwrap()[&src].len(),
+            len as usize
+        );
+        assert_eq!(live.k_shortest(src, 1, None).unwrap().len(), len as usize);
+        assert_eq!(live.all_paths_from(src, Some(&only_dst)).unwrap().len(), 1);
+
+        let token = CancelToken::new();
+        token.cancel();
+        let fired = || PathSearcher::new(&g, &nfa, &views).with_cancel(token.clone());
+        let cancelled = |r: Result<()>| r.is_err_and(|e| e.is_cancelled());
+        assert!(cancelled(fired().reachable(src).map(drop)));
+        assert!(cancelled(fired().reachable_pair(src, dst).map(drop)));
+        assert!(cancelled(fired().reachable_many(&[src]).map(drop)));
+        assert!(cancelled(fired().k_shortest(src, 1, None).map(drop)));
+        assert!(cancelled(
+            fired().all_paths_from(src, Some(&only_dst)).map(drop)
+        ));
     }
 
     #[test]
@@ -1664,12 +1722,12 @@ mod tests {
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
         let sources: Vec<NodeId> = (1..=4).map(n).collect();
-        let many = s.reachable_many(&sources);
+        let many = s.reachable_many(&sources).unwrap();
         for &src in &sources {
-            assert_eq!(*many[&src], s.reachable(src), "source {src}");
+            assert_eq!(*many[&src], s.reachable(src).unwrap(), "source {src}");
         }
         // A source outside the graph reaches nothing.
-        let many = s.reachable_many(&[n(1), n(99)]);
+        let many = s.reachable_many(&[n(1), n(99)]).unwrap();
         assert!(many[&n(99)].is_empty());
     }
 
@@ -1679,11 +1737,11 @@ mod tests {
         let nfa = knows_star();
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let all = s.k_shortest(n(1), 3, None);
+        let all = s.k_shortest(n(1), 3, None).unwrap();
         for dst in 1..=4 {
             let mut t = FxHashSet::default();
             t.insert(n(dst));
-            let pruned = s.k_shortest(n(1), 3, Some(&t));
+            let pruned = s.k_shortest(n(1), 3, Some(&t)).unwrap();
             assert_eq!(pruned.len(), 1);
             let (a, b) = (&all[&n(dst)], &pruned[&n(dst)]);
             assert_eq!(a.len(), b.len());
@@ -1718,7 +1776,7 @@ mod tests {
         let nfa = Nfa::compile(&re);
         let views = ViewMap::default();
         let s = PathSearcher::new(&g, &nfa, &views);
-        let found = s.k_shortest(n(1), 1, None);
+        let found = s.k_shortest(n(1), 1, None).unwrap();
         assert_eq!(found[&n(4)][0].walk.interleaved(), vec![1, 12, 3, 13, 4]);
     }
 }

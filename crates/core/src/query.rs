@@ -267,12 +267,12 @@ impl<'e> Evaluator<'e> {
         for opt in &plan.optionals {
             let span = prof.start("optional", || format!("{} pattern(s)", opt.steps.len()));
             let block = self.eval_block(opt, None, None, Some(&table), Some(span), outer)?;
-            table = table.left_outer_join_with(&block, &self.ctx.options.cancel)?;
+            table = table.left_outer_join(&block, &self.ctx.options.cancel)?;
             prof.finish_rows(span, table.len() as u64);
         }
         // Correlated subqueries: Jγ K_{Ω,G} = Jγ K_G ⋉ Ω (§A.2).
         if let Some(o) = outer {
-            table = table.semijoin(&env_to_table(o));
+            table = table.semijoin(&env_to_table(o), &self.ctx.options.cancel)?;
         }
         prof.finish_rows(match_span, table.len() as u64);
         Ok(table)
@@ -359,7 +359,7 @@ impl<'e> Evaluator<'e> {
                             format!("on {}", shared.join(", "))
                         }
                     });
-                    let joined = table.join_with(&t, &self.ctx.options.cancel)?;
+                    let joined = table.join(&t, &self.ctx.options.cancel)?;
                     spans.finish_rows(span, joined.len() as u64);
                     joined
                 }
@@ -494,12 +494,7 @@ impl<'e> Evaluator<'e> {
         self.ctx.view_in_progress.borrow_mut().push(name.to_owned());
         let built = self.build_view_segments(&def, graph);
         self.ctx.view_in_progress.borrow_mut().pop();
-        let segments = built?;
-        // A fired token may have cut a search inside the body short
-        // without failing it: such a relation must not escape, least of
-        // all into the snapshot's cache.
-        self.ctx.check_cancelled()?;
-        Ok(segments)
+        built
     }
 
     fn build_view_segments(
@@ -552,7 +547,11 @@ impl<'e> Evaluator<'e> {
             .collect();
 
         let mut segments = Vec::with_capacity(table.len());
+        let mut tick = 0u32;
         for ri in 0..table.len() {
+            // A view body can be a product: each of its rows rebuilds a
+            // walk, so poll here as the per-row loops of MATCH do.
+            self.ctx.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, start_idx) else {
                 continue;
             };
@@ -651,7 +650,7 @@ impl SubqueryEval for Evaluator<'_> {
         let graph = self.ctx.ambient_graph()?;
         let matcher = PatternMatcher::new(self, graph);
         let table = matcher.eval_pattern(p, Some(env), None)?;
-        let filtered = table.semijoin(&env_to_table(env));
+        let filtered = table.semijoin(&env_to_table(env), &self.ctx.options.cancel)?;
         Ok(!filtered.is_empty())
     }
 }

@@ -175,7 +175,7 @@ impl EngineSnapshot {
     /// the LRU bound evicts the entry). Correctness does not depend on
     /// the cache: entries are immutable per-source answers of
     /// `reachable_many`, which equals [`PathSearcher::reachable`] per
-    /// source.
+    /// source. A search that fails — its token fired — keeps nothing.
     pub fn reachable_many_cached(
         &self,
         graph: &Arc<PathPropertyGraph>,
@@ -183,7 +183,7 @@ impl EngineSnapshot {
         defs: Option<Vec<PathClause>>,
         searcher: &PathSearcher<'_>,
         sources: &[NodeId],
-    ) -> Closures {
+    ) -> Result<Closures> {
         let Some(defs) = self.cache_key(graph, defs) else {
             return searcher.reachable_many(sources);
         };
@@ -212,26 +212,21 @@ impl EngineSnapshot {
             lru.counters.misses += missing.len() as u64;
         });
         if missing.is_empty() {
-            return out;
+            return Ok(out);
         }
 
         // One shared condensation for everything the cache lacked —
         // outside the lock, so concurrent queries never serialize on
         // the search itself (two threads may race to compute the same
         // source; both get identical answers and the merge is
-        // idempotent). A cancelled search returns partial (empty)
-        // answers; keeping them would poison later statements on this
-        // snapshot, so they are only handed back — the caller notices
-        // the fired token and raises the error.
-        let fresh = searcher.reachable_many(&missing);
-        if !searcher.cancelled() {
-            self.closures.locked(|lru| match lru.find(graph, &key) {
-                Some(reach) => reach.extend(fresh.iter().map(|(&s, set)| (s, set.clone()))),
-                None => lru.insert(graph, key, fresh.clone()),
-            });
-        }
+        // idempotent).
+        let fresh = searcher.reachable_many(&missing)?;
+        self.closures.locked(|lru| match lru.find(graph, &key) {
+            Some(reach) => reach.extend(fresh.iter().map(|(&s, set)| (s, set.clone()))),
+            None => lru.insert(graph, key, fresh.clone()),
+        });
         out.extend(fresh);
-        out
+        Ok(out)
     }
 
     /// The one rule for what this snapshot keeps: an answer over
@@ -425,34 +420,39 @@ mod tests {
         let views = ViewMap::default();
         let searcher = PathSearcher::new(&graph, &nfa, &views);
 
-        let first = snap.reachable_many_cached(
-            &graph,
-            &nfa,
-            Some(vec![]),
-            &searcher,
-            &[NodeId(1), NodeId(2)],
-        );
+        let first = snap
+            .reachable_many_cached(
+                &graph,
+                &nfa,
+                Some(vec![]),
+                &searcher,
+                &[NodeId(1), NodeId(2)],
+            )
+            .unwrap();
         assert_eq!(*first[&NodeId(1)], vec![NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(snap.scc_cache_stats(), (0, 2, 0));
 
         // Same NFA structure (fresh compilation), same graph: all hits.
         let nfa2 = knows_star();
         let searcher2 = PathSearcher::new(&graph, &nfa2, &views);
-        let second = snap.reachable_many_cached(
-            &graph,
-            &nfa2,
-            Some(vec![]),
-            &searcher2,
-            &[NodeId(2), NodeId(1)],
-        );
+        let second = snap
+            .reachable_many_cached(
+                &graph,
+                &nfa2,
+                Some(vec![]),
+                &searcher2,
+                &[NodeId(2), NodeId(1)],
+            )
+            .unwrap();
         assert_eq!(snap.scc_cache_stats(), (2, 2, 0));
         assert_eq!(*second[&NodeId(1)], *first[&NodeId(1)]);
 
         // A structurally different NFA misses.
         let plus = Nfa::compile(&Regex::Plus(Box::new(Regex::Label("knows".into()))));
         let searcher3 = PathSearcher::new(&graph, &plus, &views);
-        let third =
-            snap.reachable_many_cached(&graph, &plus, Some(vec![]), &searcher3, &[NodeId(1)]);
+        let third = snap
+            .reachable_many_cached(&graph, &plus, Some(vec![]), &searcher3, &[NodeId(1)])
+            .unwrap();
         assert_eq!(snap.scc_cache_stats(), (2, 3, 0));
         // knows+ does not accept the empty walk: 1 reaches only 2, 3.
         assert_eq!(*third[&NodeId(1)], vec![NodeId(2), NodeId(3)]);
@@ -469,12 +469,14 @@ mod tests {
         let views = ViewMap::default();
         let searcher = PathSearcher::new(&graph, &nfa, &views);
 
-        let first =
-            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(99)]);
+        let first = snap
+            .reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(99)])
+            .unwrap();
         assert!(first[&NodeId(99)].is_empty());
         assert_eq!(snap.scc_cache_stats(), (0, 1, 0));
-        let second =
-            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(99)]);
+        let second = snap
+            .reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(99)])
+            .unwrap();
         assert!(second[&NodeId(99)].is_empty());
         assert_eq!(snap.scc_cache_stats(), (1, 1, 0), "absent source must hit");
     }
@@ -492,15 +494,19 @@ mod tests {
         let plus_search = PathSearcher::new(&graph, &plus, &views);
 
         // Populate entry A, then entry B: capacity 1 evicts A.
-        snap.reachable_many_cached(&graph, &star, Some(vec![]), &star_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &star, Some(vec![]), &star_search, &[NodeId(1)])
+            .unwrap();
         assert_eq!(snap.scc_cache_stats(), (0, 1, 0));
-        snap.reachable_many_cached(&graph, &plus, Some(vec![]), &plus_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &plus, Some(vec![]), &plus_search, &[NodeId(1)])
+            .unwrap();
         assert_eq!(snap.scc_cache_stats(), (0, 2, 1), "star entry evicted");
 
         // B is resident (hit); A was evicted (miss again, evicting B).
-        snap.reachable_many_cached(&graph, &plus, Some(vec![]), &plus_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &plus, Some(vec![]), &plus_search, &[NodeId(1)])
+            .unwrap();
         assert_eq!(snap.scc_cache_stats(), (1, 2, 1));
-        snap.reachable_many_cached(&graph, &star, Some(vec![]), &star_search, &[NodeId(1)]);
+        snap.reachable_many_cached(&graph, &star, Some(vec![]), &star_search, &[NodeId(1)])
+            .unwrap();
         assert_eq!(snap.scc_cache_stats(), (1, 3, 2));
     }
 
@@ -516,10 +522,50 @@ mod tests {
             }
             let nfa = Nfa::compile(&r);
             let searcher = PathSearcher::new(&graph, &nfa, &views);
-            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(1)]);
+            snap.reachable_many_cached(&graph, &nfa, Some(vec![]), &searcher, &[NodeId(1)])
+                .unwrap();
         }
         let (_, _, evictions) = snap.scc_cache_stats();
         assert_eq!(evictions, 0);
+    }
+
+    #[test]
+    fn a_cancelled_condensation_is_an_error_and_keeps_nothing() {
+        // A chain long enough that the condensation pops several strides.
+        let len = 4 * u64::from(crate::cancel::CHECK_STRIDE);
+        let mut g = PathPropertyGraph::new();
+        for i in 0..len {
+            g.add_node(NodeId(i), Attributes::labeled("Person"));
+        }
+        for i in 1..len {
+            let knows = Attributes::labeled("knows");
+            g.add_edge(gcore_ppg::EdgeId(i), NodeId(i - 1), NodeId(i), knows)
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register_graph("g", g);
+        let snap = EngineSnapshot::freeze(catalog, 1);
+        let graph = snap.catalog().graph("g").unwrap();
+        let nfa = knows_star();
+        let views = ViewMap::default();
+        let src = [NodeId(0)];
+
+        let token = crate::cancel::CancelToken::new();
+        token.cancel();
+        let fired = PathSearcher::new(&graph, &nfa, &views).with_cancel(token);
+        let err = snap
+            .reachable_many_cached(&graph, &nfa, Some(vec![]), &fired, &src)
+            .expect_err("a fired token is an error, not a partial closure");
+        assert!(err.is_cancelled(), "{err}");
+        assert_eq!(snap.scc_cache_stats(), (0, 1, 0));
+
+        // Nothing was kept: a live search misses again and answers in full.
+        let live = PathSearcher::new(&graph, &nfa, &views);
+        let reach = snap
+            .reachable_many_cached(&graph, &nfa, Some(vec![]), &live, &src)
+            .unwrap();
+        assert_eq!(snap.scc_cache_stats(), (0, 2, 0));
+        assert_eq!(reach[&NodeId(0)].len(), len as usize);
     }
 
     #[test]

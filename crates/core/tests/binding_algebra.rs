@@ -7,6 +7,7 @@
 //! unification agree on which rows are duplicates.
 
 use gcore::binding::{BindingTable, Bound, Column, TableBuilder};
+use gcore::cancel::CancelToken;
 use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -127,8 +128,8 @@ proptest! {
     ) {
         let a = table_from(&["x", "y"], &ra);
         let b = table_from(&["y", "z"], &rb);
-        let ab = a.join(&b);
-        let ba = b.join(&a);
+        let ab = a.join(&b, &CancelToken::new()).unwrap();
+        let ba = b.join(&a, &CancelToken::new()).unwrap();
         let order = ["x", "y", "z"];
         prop_assert_eq!(
             rows_of(&ab.project(&order)),
@@ -145,8 +146,8 @@ proptest! {
     ) {
         let a = table_from(&["x", "y"], &ra);
         let b = table_from(&["y", "z"], &rb);
-        let lhs = a.left_outer_join(&b);
-        let rhs = a.join(&b).union(&a.antijoin(&b));
+        let lhs = a.left_outer_join(&b, &CancelToken::new()).unwrap();
+        let rhs = a.join(&b, &CancelToken::new()).unwrap().union(&a.antijoin(&b, &CancelToken::new()).unwrap());
         prop_assert_eq!(rows_of(&lhs), rows_of(&rhs));
     }
 
@@ -154,8 +155,8 @@ proptest! {
     #[test]
     fn unit_is_join_identity(ra in rows_strategy(2)) {
         let a = table_from(&["x", "y"], &ra);
-        let left = BindingTable::unit().join(&a);
-        let right = a.join(&BindingTable::unit());
+        let left = BindingTable::unit().join(&a, &CancelToken::new()).unwrap();
+        let right = a.join(&BindingTable::unit(), &CancelToken::new()).unwrap();
         prop_assert_eq!(rows_of(&left), rows_of(&a));
         prop_assert_eq!(rows_of(&right), rows_of(&a));
     }
@@ -180,7 +181,7 @@ proptest! {
     ) {
         let a = table_from(&["x", "y"], &ra);
         let b = table_from(&["y", "z"], &rb);
-        prop_assert_eq!(rows_of(&a.join(&b)), oracle_join(&a, &b));
+        prop_assert_eq!(rows_of(&a.join(&b, &CancelToken::new()).unwrap()), oracle_join(&a, &b));
     }
 
     /// ⋉ and ∖ agree with the oracle and partition Ω₁.
@@ -191,8 +192,8 @@ proptest! {
     ) {
         let a = table_from(&["x", "y"], &ra);
         let b = table_from(&["y", "z"], &rb);
-        let semi = a.semijoin(&b);
-        let anti = a.antijoin(&b);
+        let semi = a.semijoin(&b, &CancelToken::new()).unwrap();
+        let anti = a.antijoin(&b, &CancelToken::new()).unwrap();
         prop_assert_eq!(rows_of(&semi), oracle_semi(&a, &b, true));
         prop_assert_eq!(rows_of(&anti), oracle_semi(&a, &b, false));
         // ⋉ ∪ ∖ = Ω₁ (they partition the left table).

@@ -282,9 +282,9 @@ proptest! {
         let scan = PathSearcher::new(&unindexed, &nfa, &views);
         for i in 0..rg.nodes {
             let src = node(i);
-            prop_assert_eq!(indexed.reachable(src), scan.reachable(src));
-            let a = flat_paths(&indexed.k_shortest(src, 2, None));
-            let b = flat_paths(&scan.k_shortest(src, 2, None));
+            prop_assert_eq!(indexed.reachable(src).unwrap(), scan.reachable(src).unwrap());
+            let a = flat_paths(&indexed.k_shortest(src, 2, None).unwrap());
+            let b = flat_paths(&scan.k_shortest(src, 2, None).unwrap());
             prop_assert_eq!(a, b, "k-shortest from {}", src);
         }
     }
@@ -299,11 +299,11 @@ proptest! {
         let s = PathSearcher::new(&g, &nfa, &views);
         for i in 0..rg.nodes {
             let src = node(i);
-            let reach = s.reachable(src);
+            let reach = s.reachable(src).unwrap();
             for j in 0..rg.nodes {
                 let dst = node(j);
                 prop_assert_eq!(
-                    s.reachable_pair(src, dst),
+                    s.reachable_pair(src, dst).unwrap(),
                     reach.contains(&dst),
                     "pair ({}, {})", src, dst
                 );
@@ -320,9 +320,9 @@ proptest! {
         let views = rg.views();
         let s = PathSearcher::new(&g, &nfa, &views);
         let sources: Vec<NodeId> = (0..rg.nodes).map(node).collect();
-        let many = s.reachable_many(&sources);
+        let many = s.reachable_many(&sources).unwrap();
         for &src in &sources {
-            prop_assert_eq!(&*many[&src], &s.reachable(src), "source {}", src);
+            prop_assert_eq!(&*many[&src], &s.reachable(src).unwrap(), "source {}", src);
         }
     }
 
@@ -336,12 +336,12 @@ proptest! {
         let s = PathSearcher::new(&g, &nfa, &views);
         for i in 0..rg.nodes {
             let src = node(i);
-            let all = s.k_shortest(src, 2, None);
+            let all = s.k_shortest(src, 2, None).unwrap();
             for j in 0..rg.nodes {
                 let dst = node(j);
                 let mut t = FxHashSet::default();
                 t.insert(dst);
-                let pruned = s.k_shortest(src, 2, Some(&t));
+                let pruned = s.k_shortest(src, 2, Some(&t)).unwrap();
                 match all.get(&dst) {
                     None => prop_assert!(pruned.is_empty(), "({}, {})", src, dst),
                     Some(paths) => {
@@ -374,12 +374,12 @@ proptest! {
                 .filter(|&j| !product.accepting_at(&nfa, j, &fwd).is_empty())
                 .map(node)
                 .collect();
-            prop_assert_eq!(s.reachable(node(i)), reach, "reachable from {}", i);
+            prop_assert_eq!(s.reachable(node(i)).unwrap(), reach, "reachable from {}", i);
             let mut all = Vec::new();
             for j in 0..rg.nodes {
                 let want = product.projection(&nfa, i, j);
                 let only: FxHashSet<NodeId> = [node(j)].into_iter().collect();
-                let mut to_j = s.all_paths_from(node(i), Some(&only));
+                let mut to_j = s.all_paths_from(node(i), Some(&only)).unwrap();
                 prop_assert_eq!(
                     to_j.pop().map(|(_, nodes, edges)| (nodes, edges)),
                     want.clone(),
@@ -387,7 +387,7 @@ proptest! {
                 );
                 all.extend(want.map(|(nodes, edges)| (node(j), nodes, edges)));
             }
-            prop_assert_eq!(s.all_paths_from(node(i), None), all, "projections from {}", i);
+            prop_assert_eq!(s.all_paths_from(node(i), None).unwrap(), all, "projections from {}", i);
         }
     }
 
@@ -404,7 +404,7 @@ proptest! {
         let out = Nfa::compile(&re);
         let reach = |nfa: &Nfa| -> Vec<Vec<NodeId>> {
             let s = PathSearcher::new(&g, nfa, &views);
-            (0..rg.nodes).map(|i| s.reachable(node(i))).collect()
+            (0..rg.nodes).map(|i| s.reachable(node(i)).unwrap()).collect()
         };
         let reach_out = reach(&out);
         let reach_in = reach(&Nfa::compile_directed(&re, Direction::In));

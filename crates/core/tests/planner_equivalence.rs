@@ -209,10 +209,10 @@ fn pair_matches_forward_reachability() {
         let nfa = Nfa::compile(regex);
         let searcher = PathSearcher::new(&graph, &nfa, &views);
         for &src in &sample {
-            let reach = searcher.reachable(src);
+            let reach = searcher.reachable(src).unwrap();
             for &dst in &sample {
                 assert_eq!(
-                    searcher.reachable_pair(src, dst),
+                    searcher.reachable_pair(src, dst).unwrap(),
                     reach.binary_search(&dst).is_ok(),
                     "pair test disagrees on {src:?} → {dst:?} via {regex:?}"
                 );

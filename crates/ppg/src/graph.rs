@@ -71,11 +71,6 @@ impl Attributes {
         self.properties.get(&key).cloned().unwrap_or_default()
     }
 
-    /// Borrowing accessor; `None` means absent.
-    pub fn prop_ref(&self, key: Key) -> Option<&PropertySet> {
-        self.properties.get(&key)
-    }
-
     /// Assign σ(x, k) := values. Setting an empty set removes the entry
     /// (absence and the empty set are indistinguishable, per §2).
     pub fn set_prop(&mut self, key: Key, values: PropertySet) {
@@ -437,17 +432,6 @@ impl PathPropertyGraph {
             ElementId::Node(n) => self.nodes.get(&n).map(|d| &d.attrs),
             ElementId::Edge(e) => self.edges.get(&e).map(|d| &d.attrs),
             ElementId::Path(p) => self.paths.get(&p).map(|d| &d.attrs),
-        }
-    }
-
-    /// Mutable attributes of any element sort.
-    pub fn attributes_mut(&mut self, id: ElementId) -> Option<&mut Attributes> {
-        self.label_index = None;
-        self.stats = None;
-        match id {
-            ElementId::Node(n) => self.nodes.get_mut(&n).map(|d| &mut d.attrs),
-            ElementId::Edge(e) => self.edges.get_mut(&e).map(|d| &mut d.attrs),
-            ElementId::Path(p) => self.paths.get_mut(&p).map(|d| &mut d.attrs),
         }
     }
 

@@ -4,11 +4,10 @@
 //! *identities*. Two graphs are **consistent** when every shared edge has
 //! the same endpoints (ρ₁ = ρ₂ on E₁∩E₂) and every shared path the same
 //! δ. The paper defines union/intersection of inconsistent graphs as the
-//! empty PPG; [`union`] and [`intersect`] follow that literally, while the
-//! `try_*` variants surface the conflict to callers who prefer an error.
+//! empty PPG; [`union`] and [`intersect`] follow that literally.
 
 use crate::error::GraphError;
-use crate::graph::{Attributes, PathPropertyGraph};
+use crate::graph::PathPropertyGraph;
 use crate::ids::{EdgeId, PathId};
 
 /// Are `a` and `b` consistent in the sense of §A.5?
@@ -54,7 +53,7 @@ pub fn union(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyGraph 
 }
 
 /// Like [`union`] but reports the inconsistency instead of returning G∅.
-pub fn try_union(
+fn try_union(
     a: &PathPropertyGraph,
     b: &PathPropertyGraph,
 ) -> Result<PathPropertyGraph, GraphError> {
@@ -82,18 +81,6 @@ pub fn try_union(
     Ok(out)
 }
 
-/// Union of many graphs, left to right (used by CONSTRUCT, which unions
-/// one graph per object construct).
-pub fn union_all<'a, I: IntoIterator<Item = &'a PathPropertyGraph>>(
-    graphs: I,
-) -> PathPropertyGraph {
-    let mut out = PathPropertyGraph::new();
-    for g in graphs {
-        out = union(&out, g);
-    }
-    out
-}
-
 /// G₁ ∩ G₂ per §A.5: shared identities only; labels and property sets
 /// intersect. Inconsistent inputs yield the empty PPG.
 pub fn intersect(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyGraph {
@@ -101,7 +88,7 @@ pub fn intersect(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyGr
 }
 
 /// Like [`intersect`] but reports inconsistency.
-pub fn try_intersect(
+fn try_intersect(
     a: &PathPropertyGraph,
     b: &PathPropertyGraph,
 ) -> Result<PathPropertyGraph, GraphError> {
@@ -168,38 +155,6 @@ pub fn difference(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyG
         if nodes_ok && edges_ok {
             out.add_path(id, p.shape.clone(), p.attrs.clone())
                 .expect("constituents checked");
-        }
-    }
-    out
-}
-
-/// Extract the subgraph induced by a set of paths: every node and edge on
-/// any of the paths, with attributes restricted from `g` (λ|, σ| in the
-/// path-construct semantics of §A.3). Optionally keeps the stored paths
-/// themselves.
-pub fn project_paths(
-    g: &PathPropertyGraph,
-    shapes: &[crate::path::PathShape],
-) -> PathPropertyGraph {
-    let mut out = PathPropertyGraph::new();
-    for shape in shapes {
-        for &n in shape.nodes() {
-            if let Some(data) = g.node(n) {
-                out.add_node(n, data.attrs.clone());
-            } else {
-                out.add_node(n, Attributes::new());
-            }
-        }
-    }
-    for shape in shapes {
-        for &e in shape.edges() {
-            if out.contains_edge(e) {
-                continue;
-            }
-            if let Some(data) = g.edge(e) {
-                out.add_edge(e, data.src, data.dst, data.attrs.clone())
-                    .expect("path nodes inserted above");
-            }
         }
     }
     out
@@ -324,15 +279,5 @@ mod tests {
         let ba = union(&g2(), &g1());
         assert_eq!(ab, ba);
         assert_eq!(union(&g1(), &g1()), g1());
-    }
-
-    #[test]
-    fn project_paths_extracts_induced_subgraph() {
-        let g = g1();
-        let shape = g.path(p(100)).unwrap().shape.clone();
-        let proj = project_paths(&g, &[shape]);
-        assert_eq!(proj.node_count(), 2);
-        assert_eq!(proj.edge_count(), 1);
-        assert_eq!(proj.path_count(), 0);
     }
 }

@@ -102,11 +102,6 @@ impl PropertySet {
         &self.values
     }
 
-    /// Consume into the sorted value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Union (graph union merges property sets, §A.5).
     pub fn union(&self, other: &PropertySet) -> PropertySet {
         let mut out = self.clone();

@@ -127,18 +127,6 @@ impl Value {
         }
     }
 
-    /// A short tag for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Date(_) => "date",
-            Value::Null => "null",
-        }
-    }
-
     fn rank(&self) -> u8 {
         match self {
             Value::Null => 0,

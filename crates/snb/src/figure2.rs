@@ -17,7 +17,7 @@
 //! `knows` edges. The elided parts (node 104 and edges 203–206) are
 //! reconstructed consistently and documented here.
 
-use gcore_ppg::{Attributes, GraphBuilder, IdGen, NodeId, PathPropertyGraph};
+use gcore_ppg::{Attributes, GraphBuilder, IdGen, PathPropertyGraph};
 
 /// Node identifiers of Figure 2, by role.
 pub mod ids {
@@ -112,11 +112,6 @@ pub fn figure2(idgen: &IdGen) -> PathPropertyGraph {
 /// Convenience: the Figure 2 graph with a private generator.
 pub fn figure2_standalone() -> PathPropertyGraph {
     figure2(&IdGen::new())
-}
-
-/// Node 105 (the start of the stored path), typed.
-pub fn start_node() -> NodeId {
-    NodeId(ids::PERSON_START)
 }
 
 #[cfg(test)]
