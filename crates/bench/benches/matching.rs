@@ -132,8 +132,8 @@ fn bench_matching_snb4000(c: &mut Criterion, engine: &mut gcore::Engine) {
 
 /// Profiling overhead, one process, two code paths (the preferred
 /// comparison shape): the same join-heavy statements with span
-/// collection off (the production default — one `Option` check per
-/// boundary, no clock reads) and on (`Engine::set_profiling`). The
+/// collection off (`Engine::run`, the production path — one `Option`
+/// check per boundary, no clock reads) and on (`Engine::profile`). The
 /// `_off` numbers double as the matching_snb4000 regression reference;
 /// the `_on` deltas are the cost of `EXPLAIN ANALYZE` / the serve
 /// slow-query log.
@@ -156,15 +156,12 @@ fn bench_profiling_overhead(c: &mut Criterion, engine: &mut gcore::Engine) {
         ),
     ];
     for (name, query) in cases {
-        engine.set_profiling(false);
         g.bench_function(format!("{name}_off"), |b| {
-            b.iter(|| black_box(engine.query_graph(query).unwrap()))
+            b.iter(|| black_box(engine.run(query).unwrap()))
         });
-        engine.set_profiling(true);
         g.bench_function(format!("{name}_on"), |b| {
-            b.iter(|| black_box(engine.query_graph(query).unwrap()))
+            b.iter(|| black_box(engine.profile(query).unwrap()))
         });
-        engine.set_profiling(false);
     }
     g.finish();
 }

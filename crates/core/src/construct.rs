@@ -33,10 +33,9 @@
 //! one nothing is recorded per group.
 
 use crate::binding::{BindingTable, Bound, Column};
-use crate::context::FreshPath;
+use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError, SemanticError};
 use crate::expr::{eval_expr, Env, Group, Rv};
-use crate::query::Evaluator;
 use gcore_parser::ast::{
     ConstructClause, ConstructConnection, ConstructItem, ConstructPattern, Direction, Expr, Ident,
     PropAssign, RemoveItem, SetItem,
@@ -95,7 +94,7 @@ impl Groups {
 /// looked up by its hash, chaining the groups that share one, so a row
 /// of a known group allocates nothing.
 fn group_rows(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     bindings: &BindingTable,
     width: usize,
     mut key: impl FnMut(usize, &mut Vec<u64>) -> bool,
@@ -111,7 +110,7 @@ fn group_rows(
     let mut buf: Vec<u64> = Vec::with_capacity(width);
     let mut tick = 0u32;
     for (ri, group) in group_of.iter_mut().enumerate() {
-        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        ctx.options.cancel.checkpoint(&mut tick)?;
         buf.clear();
         if !key(ri, &mut buf) {
             continue;
@@ -176,7 +175,7 @@ type ExprGroups = Vec<(Vec<Rv>, Vec<usize>)>;
 /// variables, in first-read order: the columns the grouping fixes, which
 /// tell `COUNT(*)` the OPTIONAL padding rows of a group apart.
 pub(crate) fn group_by_exprs(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     table: &BindingTable,
     exprs: &[Expr],
     outer: Option<&Env<'_>>,
@@ -191,13 +190,10 @@ pub(crate) fn group_by_exprs(
     let mut keyed: Vec<(Vec<Rv>, usize)> = Vec::with_capacity(table.len());
     let mut tick = 0u32;
     for ri in 0..table.len() {
-        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        ctx.options.cancel.checkpoint(&mut tick)?;
         let mut env = Env::new(table, ri);
         env.parent = outer;
-        let key: Result<Vec<Rv>> = exprs
-            .iter()
-            .map(|e| eval_expr(ev.ctx, ev, &env, e))
-            .collect();
+        let key: Result<Vec<Rv>> = exprs.iter().map(|e| eval_expr(ctx, &env, e)).collect();
         keyed.push((key?, ri));
     }
     keyed.sort_by(|a, b| cmp(&a.0, &b.0)); // stable: rows stay ascending
@@ -317,14 +313,14 @@ impl Skolem {
 
 /// Evaluate a CONSTRUCT clause over the bindings produced by MATCH,
 /// returning the new graph (§A.3).
-pub fn eval_construct(
-    ev: &Evaluator<'_>,
+pub(crate) fn eval_construct(
+    ctx: &EvalCtx,
     construct: &ConstructClause,
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
 ) -> Result<PathPropertyGraph> {
     let mut skolem = Skolem {
-        ids: ev.ctx.catalog.borrow().ids().clone(),
+        ids: ctx.catalog.borrow().ids().clone(),
         tokens: Vec::new(),
         nodes: FxHashMap::default(),
         edges: FxHashMap::default(),
@@ -345,16 +341,16 @@ pub fn eval_construct(
     // variable across the CONSTRUCT ("unbound variables … occur multiple
     // times in the construct patterns, in order to ensure that the same
     // identities will be used").
-    let group_overrides = collect_group_overrides(construct)?;
+    let group_overrides = collect_group_overrides(construct);
 
     for item in &construct.items {
         match item {
             ConstructItem::GraphName(name) => {
-                union_graphs.push(ev.ctx.graph(name)?);
+                union_graphs.push(ctx.graph(name)?);
             }
             ConstructItem::Pattern(pat) => {
                 stage_pattern(
-                    ev,
+                    ctx,
                     pat,
                     bindings,
                     outer,
@@ -378,7 +374,7 @@ pub fn eval_construct(
         // variables' columns: lend it to them, then take it back.
         let staged = Arc::new(std::mem::take(&mut staging.graph));
         let dead = when_pass(
-            ev,
+            ctx,
             &whens,
             &staging,
             &staged,
@@ -402,36 +398,29 @@ pub fn eval_construct(
     Ok(out)
 }
 
-/// Gather the explicit GROUP clause of every named construct variable;
-/// conflicting GROUP clauses for one variable are rejected.
-fn collect_group_overrides(construct: &ConstructClause) -> Result<BTreeMap<String, Vec<Expr>>> {
+/// Gather the explicit GROUP clause of every named construct variable.
+/// The analyzer (E007) has rejected two different GROUPs on one
+/// variable, so the first occurrence's is every occurrence's.
+fn collect_group_overrides(construct: &ConstructClause) -> BTreeMap<String, Vec<Expr>> {
     let mut map: BTreeMap<String, Vec<Expr>> = BTreeMap::new();
-    let mut add = |var: &Option<Ident>, group: &Option<Vec<Expr>>| -> Result<()> {
-        let (Some(v), Some(g)) = (var, group) else {
-            return Ok(());
-        };
-        if let Some(prev) = map.get(v.as_str()) {
-            if prev != g {
-                return Err(SemanticError::GroupConflict(v.text.clone()).into());
-            }
-        } else {
-            map.insert(v.text.clone(), g.clone());
+    let mut add = |var: &Option<Ident>, group: &Option<Vec<Expr>>| {
+        if let (Some(v), Some(g)) = (var, group) {
+            map.entry(v.text.clone()).or_insert_with(|| g.clone());
         }
-        Ok(())
     };
     for item in &construct.items {
         let ConstructItem::Pattern(pat) = item else {
             continue;
         };
-        add(&pat.start.var, &pat.start.group)?;
+        add(&pat.start.var, &pat.start.group);
         for step in &pat.steps {
-            add(&step.node.var, &step.node.group)?;
+            add(&step.node.var, &step.node.group);
             if let ConstructConnection::Edge(e) = &step.connection {
-                add(&e.var, &e.group)?;
+                add(&e.var, &e.group);
             }
         }
     }
-    Ok(map)
+    map
 }
 
 // ---------------------------------------------------------------------
@@ -447,7 +436,7 @@ fn collect_group_overrides(construct: &ConstructClause) -> Result<BTreeMap<Strin
 /// over the element's feeding rows, each row once however many of those
 /// groups it fed.
 fn when_pass(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     whens: &[(usize, &Expr)],
     staging: &Staging,
     staged: &Arc<PathPropertyGraph>,
@@ -478,14 +467,14 @@ fn when_pass(
             let group = Group::new(&rows, &[]);
             let mut alive = false;
             for &ri in &rows {
-                ev.ctx.options.cancel.checkpoint(&mut tick)?;
+                ctx.options.cancel.checkpoint(&mut tick)?;
                 let env = Env {
                     table: &ext,
                     row: ri,
                     parent: outer,
                     group: Some(&group),
                 };
-                if eval_expr(ev.ctx, ev, &env, cond)?.truthy() {
+                if eval_expr(ctx, &env, cond)?.truthy() {
                     alive = true;
                     break;
                 }
@@ -647,7 +636,7 @@ impl<'a> Template<'a> {
     /// Instantiate the template for one group on top of `attrs`.
     fn apply(
         &self,
-        ev: &Evaluator<'_>,
+        ctx: &EvalCtx,
         attrs: &mut Attributes,
         bindings: &BindingTable,
         group: &Group<'_>,
@@ -659,7 +648,7 @@ impl<'a> Template<'a> {
         for &l in &self.labels {
             attrs.labels.insert(l);
         }
-        assign_props(ev, attrs, &self.assigns, bindings, group, outer)?;
+        assign_props(ctx, attrs, &self.assigns, bindings, group, outer)?;
         for &l in &self.drop_labels {
             attrs.labels.remove(l);
         }
@@ -673,7 +662,7 @@ impl<'a> Template<'a> {
 /// Evaluate `{k := v}` assignments over a group and union the values
 /// into `attrs`.
 fn assign_props(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     attrs: &mut Attributes,
     assigns: &[(Key, &Expr)],
     bindings: &BindingTable,
@@ -681,7 +670,7 @@ fn assign_props(
     outer: Option<&Env<'_>>,
 ) -> Result<()> {
     for &(key, value) in assigns {
-        let vs = eval_assign(ev, bindings, group, value, outer)?;
+        let vs = eval_assign(ctx, bindings, group, value, outer)?;
         let merged = attrs.prop(key).union(&vs);
         attrs.set_prop(key, merged);
     }
@@ -697,7 +686,7 @@ struct NodeSpec<'a> {
 
 #[allow(clippy::too_many_arguments)]
 fn stage_pattern<'a>(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     pat: &'a ConstructPattern,
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
@@ -729,33 +718,12 @@ fn stage_pattern<'a>(
         })
         .collect();
 
-    // ---- every SET / REMOVE must target a variable of this pattern ---
-    let connection_vars = pat.steps.iter().filter_map(|s| match &s.connection {
-        ConstructConnection::Edge(e) => e.var.as_deref(),
-        ConstructConnection::Path(p) => Some(p.var.as_str()),
-    });
-    let targets: Vec<&str> = (node_specs.iter().filter_map(|s| s.named))
-        .chain(connection_vars)
-        .collect();
-    let set_vars = pat.sets.iter().map(|set| match set {
-        SetItem::Prop { var, .. } | SetItem::Label { var, .. } | SetItem::Copy { var, .. } => var,
-    });
-    let remove_vars = pat.removes.iter().map(|rem| match rem {
-        RemoveItem::Prop { var, .. } | RemoveItem::Label { var, .. } => var,
-    });
-    if let Some(var) = set_vars
-        .chain(remove_vars)
-        .find(|v| !targets.contains(&v.as_str()))
-    {
-        return Err(SemanticError::UnknownSetTarget(var.text.clone()).into());
-    }
-
     // ---- stage nodes -------------------------------------------------
     // node_ids[i][row] = the node this row's group produced (None = skip).
     let mut node_ids: Vec<Vec<Option<NodeId>>> = Vec::with_capacity(node_specs.len());
     let mut node_group_cols: Vec<Vec<usize>> = Vec::with_capacity(node_specs.len());
     for spec in &node_specs {
-        let (ids, cols) = stage_node(ev, spec, bindings, outer, skolem, staging)?;
+        let (ids, cols) = stage_node(ctx, spec, bindings, outer, skolem, staging)?;
         node_ids.push(ids);
         node_group_cols.push(cols);
     }
@@ -766,7 +734,7 @@ fn stage_pattern<'a>(
             ConstructConnection::Edge(e) => {
                 let var = e.var.as_deref();
                 stage_edge(
-                    ev,
+                    ctx,
                     e,
                     &token_for(e.var.as_ref(), "e"),
                     &Template::new(pat, var, e.copy_of.as_deref(), &e.labels, &e.assigns),
@@ -780,7 +748,7 @@ fn stage_pattern<'a>(
             }
             ConstructConnection::Path(p) => {
                 let assigns = assigns_for(pat, Some(p.var.as_str()), &p.assigns);
-                stage_path(ev, p, &assigns, bindings, outer, skolem, staging)?;
+                stage_path(ctx, p, &assigns, bindings, outer, skolem, staging)?;
             }
         }
     }
@@ -795,12 +763,12 @@ type Ordinals = Vec<(u64, bool)>;
 /// The [`Ordinals`] of `exprs` over `bindings`, and the columns the
 /// expressions read ([`group_by_exprs`]).
 fn expr_ordinals(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     bindings: &BindingTable,
     exprs: &[Expr],
     outer: Option<&Env<'_>>,
 ) -> Result<(Ordinals, Vec<usize>)> {
-    let (by_exprs, cols) = group_by_exprs(ev, bindings, exprs, outer)?;
+    let (by_exprs, cols) = group_by_exprs(ctx, bindings, exprs, outer)?;
     let mut ordinals = vec![(0, false); bindings.len()];
     for (ordinal, (key, rows)) in by_exprs.iter().enumerate() {
         let null = key.iter().any(|v| matches!(v, Rv::Null));
@@ -814,7 +782,7 @@ fn expr_ordinals(
 /// The groups of one node construct, the binding-table columns defining
 /// them, and whether the variable was bound by MATCH.
 fn group_rows_for(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     var: Option<&str>,
     group: Option<&[Expr]>,
     bindings: &BindingTable,
@@ -825,7 +793,7 @@ fn group_rows_for(
             return Err(SemanticError::GroupOnBoundVariable(var.unwrap_or("?").to_owned()).into());
         }
         // Γ = {x}: group by identity; Ω′(x) undefined ⇒ G∅ for the row.
-        let groups = group_rows(ev, bindings, 1, |ri, key| {
+        let groups = group_rows(ctx, bindings, 1, |ri, key| {
             key.push(bindings.code(ri, ci));
             !bindings.is_missing_at(ri, ci)
         })?;
@@ -833,9 +801,9 @@ fn group_rows_for(
     }
     match group {
         Some(exprs) => {
-            let (ordinals, cols) = expr_ordinals(ev, bindings, exprs, outer)?;
+            let (ordinals, cols) = expr_ordinals(ctx, bindings, exprs, outer)?;
             // A NULL component leaves Ω′(Γ) undefined: no element.
-            let groups = group_rows(ev, bindings, 1, |ri, key| {
+            let groups = group_rows(ctx, bindings, 1, |ri, key| {
                 let (ordinal, null) = ordinals[ri];
                 key.push(ordinal);
                 !null
@@ -845,7 +813,7 @@ fn group_rows_for(
         None => {
             // Default: one element per binding (Γ = all variables).
             let width = bindings.columns().len();
-            let groups = group_rows(ev, bindings, width, |ri, key| {
+            let groups = group_rows(ctx, bindings, width, |ri, key| {
                 key.extend((0..width).map(|ci| bindings.code(ri, ci)));
                 true
             })?;
@@ -857,7 +825,7 @@ fn group_rows_for(
 /// Stage one node construct; returns per-row node assignment and the
 /// grouping columns.
 fn stage_node(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     spec: &NodeSpec<'_>,
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
@@ -865,7 +833,7 @@ fn stage_node(
     staging: &mut Staging,
 ) -> Result<(Vec<Option<NodeId>>, Vec<usize>)> {
     let (groups, group_cols, is_bound) =
-        group_rows_for(ev, spec.named, spec.group, bindings, outer)?;
+        group_rows_for(ctx, spec.named, spec.group, bindings, outer)?;
     let token = skolem.token(&spec.token);
     let mut per_row: Vec<Option<NodeId>> = vec![None; bindings.len()];
     let mut tick = 0u32;
@@ -873,7 +841,7 @@ fn stage_node(
     staging.graph.reserve(groups.len(), 0, 0);
 
     for (key, rows) in groups.iter() {
-        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        ctx.options.cancel.checkpoint(&mut tick)?;
         // Identity and its attributes carry over for bound variables.
         let (id, source) = if is_bound {
             let ci = group_cols[0];
@@ -897,7 +865,7 @@ fn stage_node(
         } else {
             let mut attrs = source.cloned().unwrap_or_default();
             let group = Group::new(rows, &group_cols);
-            template.apply(ev, &mut attrs, bindings, &group, outer)?;
+            template.apply(ctx, &mut attrs, bindings, &group, outer)?;
             staging.graph.add_node(id, attrs);
         }
         for &ri in rows {
@@ -943,7 +911,7 @@ fn union_copied_attrs(
 /// constructing a company per Frank binding would give
 /// `name = {"CWI","MIT"}`).
 fn eval_assign(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     bindings: &BindingTable,
     group: &Group<'_>,
     expr: &Expr,
@@ -956,13 +924,13 @@ fn eval_assign(
             parent: outer,
             group: Some(group),
         };
-        return rv_to_propset(eval_expr(ev.ctx, ev, &env, expr)?);
+        return rv_to_propset(eval_expr(ctx, &env, expr)?);
     }
     let mut out = PropertySet::empty();
     for &ri in group.rows {
         let mut env = Env::new(bindings, ri);
         env.parent = outer;
-        let v = eval_expr(ev.ctx, ev, &env, expr)?;
+        let v = eval_expr(ctx, &env, expr)?;
         out = out.union(&rv_to_propset(v)?);
     }
     Ok(out)
@@ -1000,7 +968,7 @@ fn rv_to_propset(rv: Rv) -> Result<PropertySet> {
 
 #[allow(clippy::too_many_arguments)]
 fn stage_edge(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     e: &gcore_parser::ast::ConstructEdge,
     token: &str,
     template: &Template<'_>,
@@ -1026,7 +994,7 @@ fn stage_edge(
     // Per row, the ordinal of its GROUP-expression group.
     let (expr_group, expr_cols) = match &e.group {
         Some(exprs) => {
-            let (ordinals, cols) = expr_ordinals(ev, bindings, exprs, outer)?;
+            let (ordinals, cols) = expr_ordinals(ctx, bindings, exprs, outer)?;
             (Some(ordinals), cols)
         }
         None => (None, Vec::new()),
@@ -1041,7 +1009,7 @@ fn stage_edge(
 
     // Group rows: by (src, dst, identity-or-GROUP).
     let width = 2 + usize::from(bound_col.is_some()) + usize::from(expr_group.is_some());
-    let groups = group_rows(ev, bindings, width, |ri, key| {
+    let groups = group_rows(ctx, bindings, width, |ri, key| {
         let (Some(src), Some(dst)) = (src_ids[ri], dst_ids[ri]) else {
             return false; // dangling prevention
         };
@@ -1055,7 +1023,7 @@ fn stage_edge(
     let mut tick = 0u32;
     staging.graph.reserve(0, groups.len(), 0);
     for (key, rows) in groups.iter() {
-        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        ctx.options.cancel.checkpoint(&mut tick)?;
         let (src, dst) = (NodeId(key[0]), NodeId(key[1]));
         let (id, mut attrs) = match bound_col {
             Some(ci) => {
@@ -1082,7 +1050,7 @@ fn stage_edge(
             None => (skolem.edge(token, e.var.is_some(), key), Attributes::new()),
         };
         let group = Group::new(rows, &group_cols);
-        template.apply(ev, &mut attrs, bindings, &group, outer)?;
+        template.apply(ctx, &mut attrs, bindings, &group, outer)?;
 
         // Endpoints are guaranteed staged by the node pass.
         staging.graph.add_edge(id, src, dst, attrs)?;
@@ -1097,7 +1065,7 @@ fn stage_edge(
 // ---------------------------------------------------------------------
 
 fn stage_path(
-    ev: &Evaluator<'_>,
+    ctx: &EvalCtx,
     p: &gcore_parser::ast::ConstructPath,
     assigns: &[(Key, &Expr)],
     bindings: &BindingTable,
@@ -1111,7 +1079,7 @@ fn stage_path(
     let col_graph = bindings.columns()[ci].graph.clone();
 
     // Group rows by path identity.
-    let groups = group_rows(ev, bindings, 1, |ri, key| {
+    let groups = group_rows(ctx, bindings, 1, |ri, key| {
         key.push(bindings.code(ri, ci));
         !bindings.is_missing_at(ri, ci)
     })?;
@@ -1125,7 +1093,7 @@ fn stage_path(
         staging.graph.reserve(0, 0, groups.len());
     }
     for (key, rows) in groups.iter() {
-        ev.ctx.options.cancel.checkpoint(&mut tick)?;
+        ctx.options.cancel.checkpoint(&mut tick)?;
         // The identity (for a stored path object), the walk or the
         // ALL-paths projection to project, and the graph the members'
         // attributes come from.
@@ -1142,7 +1110,7 @@ fn stage_path(
                     }
                     (Some(pid), Some(data.shape.clone()), col_graph.clone())
                 }
-                Bound::FreshPath(idx) => match ev.ctx.fresh_path(idx) {
+                Bound::FreshPath(idx) => match ctx.fresh_path(idx) {
                     FreshPath::Walk { shape, graph, .. } => (
                         p.stored.then(|| skolem.path(token, key)),
                         Some(shape),
@@ -1209,7 +1177,7 @@ fn stage_path(
                 attrs.labels.insert(l);
             }
             let group = Group::new(rows, std::slice::from_ref(&ci));
-            assign_props(ev, &mut attrs, assigns, bindings, &group, outer)?;
+            assign_props(ctx, &mut attrs, assigns, bindings, &group, outer)?;
             staging.graph.add_path(pid, walk, attrs)?;
             elems.push(ElementId::Path(pid));
         }

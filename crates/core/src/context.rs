@@ -5,7 +5,7 @@
 //! during evaluation, until a CONSTRUCT stores or projects them), and the
 //! PATH-view definitions from the query head.
 
-use crate::binding::{Bound, Column};
+use crate::binding::Bound;
 use crate::cancel::CancelToken;
 use crate::error::{EngineError, Result};
 use crate::obs::CoreMetrics;
@@ -84,11 +84,6 @@ pub struct EvalOptions {
     /// read-only against a snapshot, so an over-budget statement simply
     /// has no result. `None` (the default) = no limit.
     pub statement_deadline: Option<Duration>,
-    /// Collect a [`QueryProfile`](crate::obs::QueryProfile) span tree
-    /// for every statement (default: off, at near-zero cost). Its only
-    /// observable effects are the profile itself and the cost of
-    /// collecting it.
-    pub profiling: bool,
     /// Cooperative cancellation signal. The long loops in the matcher,
     /// the joins and the path searchers poll it; at the next loop
     /// boundary after it fires, evaluation unwinds with
@@ -109,55 +104,62 @@ impl Default for EvalOptions {
                 Ok("off") | Ok("0") | Ok("false")
             ),
             statement_deadline: None,
-            profiling: false,
             cancel: CancelToken::new(),
             metrics: CoreMetrics::standalone(),
         }
     }
 }
 
-/// Evaluation context for one top-level query.
+/// Evaluation context for one top-level query — and its evaluator: the
+/// evaluation routines of `query.rs` are methods on it.
 ///
-/// Created per statement from an immutable [`EngineSnapshot`]; all the
-/// interior mutability here is *query-local* (the context never leaves
-/// the evaluating thread), which is what keeps the snapshot itself
-/// lock-free and shareable across concurrently evaluating queries.
+/// Created per statement from an immutable [`EngineSnapshot`], only by
+/// the executor and only after the analyzer has accepted the statement.
+/// All the interior mutability here is *query-local* (the context never
+/// leaves the evaluating thread), which is what keeps the snapshot
+/// itself lock-free and shareable across concurrently evaluating
+/// queries.
 pub struct EvalCtx {
     /// The frozen engine state this query evaluates against. Shared
     /// read-only with every concurrent query on the same epoch; carries
     /// the per-snapshot search caches.
-    pub snapshot: Arc<EngineSnapshot>,
+    pub(crate) snapshot: Arc<EngineSnapshot>,
     /// Catalog overlay seeded from the snapshot (GRAPH … AS views are
     /// registered here and dropped with the context).
-    pub catalog: RefCell<Catalog>,
+    pub(crate) catalog: RefCell<Catalog>,
     /// Arena of computed paths; `Bound::FreshPath` indexes into it.
-    pub fresh_paths: RefCell<Vec<FreshPath>>,
+    pub(crate) fresh_paths: RefCell<Vec<FreshPath>>,
     /// PATH views from the query head, innermost last.
-    pub path_views: RefCell<Vec<PathClause>>,
+    pub(crate) path_views: RefCell<Vec<PathClause>>,
     /// The ambient graph used for pattern predicates in WHERE and for
     /// property access on non-variable expressions.
-    pub ambient: RefCell<Option<Arc<PathPropertyGraph>>>,
+    pub(crate) ambient: RefCell<Option<Arc<PathPropertyGraph>>>,
     /// Views currently being materialized (cycle guard).
-    pub view_in_progress: RefCell<Vec<String>>,
+    pub(crate) view_in_progress: RefCell<Vec<String>>,
     /// §5 "interpreting tables as graphs": per-query cache of the
     /// isolated-node graph derived from a table, so several patterns ON
     /// the same table see the same node identities.
-    pub table_graphs: RefCell<std::collections::HashMap<String, Arc<PathPropertyGraph>>>,
+    pub(crate) table_graphs: RefCell<std::collections::HashMap<String, Arc<PathPropertyGraph>>>,
     /// The settings this statement evaluates under — fixed at
     /// construction, so nothing below the executor can change them.
-    pub options: EvalOptions,
+    pub(crate) options: EvalOptions,
     /// Per-statement span collector for execution profiles; collects
-    /// only when [`EvalOptions::profiling`] is set. Query-local like
-    /// everything else here, and guaranteed not to change results.
-    pub profiler: crate::obs::Profiler,
+    /// only for a statement evaluated with profiling (the executor's
+    /// `eval_profiled`). Query-local like everything else here, and
+    /// guaranteed not to change results.
+    pub(crate) profiler: crate::obs::Profiler,
 }
 
 impl EvalCtx {
     /// Fresh context over a frozen engine snapshot, evaluating under
-    /// `options`.
-    pub fn new(snapshot: Arc<EngineSnapshot>, options: EvalOptions) -> Self {
+    /// `options`, collecting a profile when `profiling` is set.
+    pub(crate) fn new(
+        snapshot: Arc<EngineSnapshot>,
+        options: EvalOptions,
+        profiling: bool,
+    ) -> Self {
         let catalog = snapshot.catalog().clone();
-        let profiler = if options.profiling {
+        let profiler = if profiling {
             crate::obs::Profiler::enabled()
         } else {
             crate::obs::Profiler::disabled()
@@ -175,45 +177,41 @@ impl EvalCtx {
         }
     }
 
-    /// Error out when this statement's cancellation token has fired.
-    pub fn check_cancelled(&self) -> Result<()> {
-        self.options.cancel.check()
-    }
-
-    /// Convenience for tests and standalone evaluation: freeze `catalog`
-    /// into a throwaway epoch-0 snapshot and build a context over it
-    /// with default options.
-    pub fn from_catalog(catalog: Catalog) -> Self {
+    /// For unit tests: freeze `catalog` into a throwaway epoch-0
+    /// snapshot and build a context over it with default options.
+    #[cfg(test)]
+    pub(crate) fn from_catalog(catalog: Catalog) -> Self {
         Self::new(
             Arc::new(EngineSnapshot::freeze(catalog, 0)),
             EvalOptions::default(),
+            false,
         )
     }
 
     /// Intern a fresh path, returning its arena binding.
-    pub fn add_fresh_path(&self, p: FreshPath) -> Bound {
+    pub(crate) fn add_fresh_path(&self, p: FreshPath) -> Bound {
         let mut arena = self.fresh_paths.borrow_mut();
         arena.push(p);
         Bound::FreshPath(arena.len() - 1)
     }
 
     /// Clone a fresh path out of the arena.
-    pub fn fresh_path(&self, idx: usize) -> FreshPath {
+    pub(crate) fn fresh_path(&self, idx: usize) -> FreshPath {
         self.fresh_paths.borrow()[idx].clone()
     }
 
     /// Resolve a graph by name.
-    pub fn graph(&self, name: &str) -> Result<Arc<PathPropertyGraph>> {
+    pub(crate) fn graph(&self, name: &str) -> Result<Arc<PathPropertyGraph>> {
         Ok(self.catalog.borrow().graph(name)?)
     }
 
     /// Resolve a table by name.
-    pub fn table(&self, name: &str) -> Result<Arc<Table>> {
+    pub(crate) fn table(&self, name: &str) -> Result<Arc<Table>> {
         Ok(self.catalog.borrow().table(name)?)
     }
 
     /// The default graph.
-    pub fn default_graph(&self) -> Result<Arc<PathPropertyGraph>> {
+    pub(crate) fn default_graph(&self) -> Result<Arc<PathPropertyGraph>> {
         Ok(self.catalog.borrow().default_graph()?)
     }
 
@@ -221,7 +219,7 @@ impl EvalCtx {
     /// graph of isolated nodes, one per row, whose properties are the
     /// row's non-NULL cells. Node identities are drawn once per query
     /// and cached.
-    pub fn table_as_graph(&self, name: &str) -> Result<Arc<PathPropertyGraph>> {
+    pub(crate) fn table_as_graph(&self, name: &str) -> Result<Arc<PathPropertyGraph>> {
         if let Some(g) = self.table_graphs.borrow().get(name) {
             return Ok(g.clone());
         }
@@ -246,7 +244,7 @@ impl EvalCtx {
 
     /// The ambient graph for pattern predicates: the last graph a MATCH
     /// pattern was evaluated on, falling back to the catalog default.
-    pub fn ambient_graph(&self) -> Result<Arc<PathPropertyGraph>> {
+    pub(crate) fn ambient_graph(&self) -> Result<Arc<PathPropertyGraph>> {
         if let Some(g) = self.ambient.borrow().as_ref() {
             return Ok(g.clone());
         }
@@ -254,12 +252,12 @@ impl EvalCtx {
     }
 
     /// Set the ambient graph.
-    pub fn set_ambient(&self, g: Arc<PathPropertyGraph>) {
+    pub(crate) fn set_ambient(&self, g: Arc<PathPropertyGraph>) {
         *self.ambient.borrow_mut() = Some(g);
     }
 
     /// Find a PATH view by name (most recent definition wins).
-    pub fn path_view(&self, name: &str) -> Result<PathClause> {
+    pub(crate) fn path_view(&self, name: &str) -> Result<PathClause> {
         self.path_views
             .borrow()
             .iter()
@@ -269,13 +267,5 @@ impl EvalCtx {
             .ok_or_else(|| {
                 EngineError::Runtime(crate::error::RuntimeError::UnknownPathView(name.to_owned()))
             })
-    }
-
-    /// Column helper bound to a specific graph.
-    pub fn column(&self, var: &str, graph: Arc<PathPropertyGraph>) -> Column {
-        Column {
-            var: var.to_owned(),
-            graph,
-        }
     }
 }

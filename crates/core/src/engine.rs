@@ -136,14 +136,6 @@ impl Engine {
         self.executor().explain(text)
     }
 
-    /// Set [`EvalOptions::profiling`] for every statement this engine
-    /// (or an executor derived from it) evaluates from now on.
-    /// [`Engine::run`] discards the collected profile — use
-    /// [`Engine::profile`] to get it back.
-    pub fn set_profiling(&mut self, enabled: bool) {
-        self.options.profiling = enabled;
-    }
-
     /// `EXPLAIN ANALYZE`: run one statement with profiling forced on
     /// and return its output together with the execution profile —
     /// the operator span tree with planner estimates, actual row

@@ -66,15 +66,10 @@ pub enum SemanticError {
     /// Aggregates are only allowed in CONSTRUCT assignments / SET items /
     /// WHEN conditions / SELECT items, outside any aggregate's argument.
     MisplacedAggregate(String),
-    /// A SET/REMOVE/WHEN referenced a variable that is not a construct
-    /// variable of its pattern nor a match variable.
-    UnknownSetTarget(String),
-    /// A path pattern with inconsistent modifiers (COST on ALL, mode on a
-    /// stored-path pattern, a computed pattern without a regex, or a PATH
-    /// view without a path segment).
+    /// A path pattern the evaluator cannot run: a computed pattern
+    /// without a regex, or a PATH view whose walks cannot be rebuilt.
+    /// The analyzer reports these and every other E006 case first.
     InvalidPathPattern(String),
-    /// One construct variable carries two different GROUP clauses.
-    GroupConflict(String),
     /// A graph-valued query was required, but the body is a SELECT.
     GraphExpected(String),
     /// The statement produced the wrong output sort for the API used.
@@ -100,14 +95,12 @@ impl SemanticError {
             SemanticError::UnboundVariable(_) => DiagCode::UnboundVariable.as_str(),
             SemanticError::MisplacedAggregate(_) => DiagCode::MisplacedAggregate.as_str(),
             SemanticError::InvalidPathPattern(_) => DiagCode::InvalidPathPattern.as_str(),
-            SemanticError::GroupConflict(_) => DiagCode::GroupConflict.as_str(),
             SemanticError::GraphExpected(_) => DiagCode::GraphExpected.as_str(),
             SemanticError::AllPathsEscape(_) => DiagCode::AllPathsEscape.as_str(),
             SemanticError::EdgeEndpointsChanged(_) => DiagCode::EdgeEndpointsChanged.as_str(),
             SemanticError::EdgeEndpointsUnbound(_) => DiagCode::EdgeEndpointsUnbound.as_str(),
             SemanticError::ConstructPathUnbound(_) => DiagCode::ConstructPathUnbound.as_str(),
             SemanticError::GroupOnBoundVariable(_) => DiagCode::GroupOnBoundVariable.as_str(),
-            SemanticError::UnknownSetTarget(_) => DiagCode::UnknownSetTarget.as_str(),
             SemanticError::WrongOutputSort { .. } => DiagCode::WrongOutputSort.as_str(),
             SemanticError::Analysis(diags) => diags
                 .iter()
@@ -195,16 +188,7 @@ impl fmt::Display for SemanticError {
             SemanticError::MisplacedAggregate(w) => {
                 write!(f, "aggregate function not allowed in {w}")
             }
-            SemanticError::UnknownSetTarget(v) => write!(
-                f,
-                "SET/REMOVE/WHEN references '{v}', which is neither a construct variable of this \
-                 pattern nor a match variable"
-            ),
             SemanticError::InvalidPathPattern(m) => write!(f, "invalid path pattern: {m}"),
-            SemanticError::GroupConflict(v) => write!(
-                f,
-                "construct variable '{v}' has two different GROUP clauses"
-            ),
             SemanticError::GraphExpected(w) => {
                 write!(f, "{w} must be a graph query, not SELECT")
             }

@@ -22,7 +22,7 @@ use crate::context::{EvalCtx, EvalOptions};
 use crate::diag::Diagnostic;
 use crate::error::Result;
 use crate::plan::{explain_statement, plan_graph, PlanResolver};
-use crate::query::{Evaluator, QueryOutput};
+use crate::query::QueryOutput;
 use crate::snapshot::EngineSnapshot;
 use gcore_parser::ast::{Location, Statement};
 use gcore_parser::{parse_script, parse_statement};
@@ -65,11 +65,6 @@ pub struct QueryExecutor {
 }
 
 impl QueryExecutor {
-    /// An executor over an existing snapshot, with default options.
-    pub fn new(snapshot: Arc<EngineSnapshot>) -> Self {
-        Self::with_options(snapshot, EvalOptions::default())
-    }
-
     /// An executor evaluating under `options` (how
     /// [`Engine::executor`](crate::Engine::executor) hands its own on).
     pub(crate) fn with_options(snapshot: Arc<EngineSnapshot>, options: EvalOptions) -> Self {
@@ -167,8 +162,7 @@ impl QueryExecutor {
     /// `GRAPH VIEW` statements evaluate and return their materialized
     /// graph but register nothing (the executor is read-only).
     pub fn eval(&self, stmt: &Statement) -> Result<QueryOutput> {
-        self.eval_inner(stmt, self.options.profiling)
-            .map(|(out, _)| out)
+        self.eval_inner(stmt, false).map(|(out, _)| out)
     }
 
     /// Parse and evaluate one statement with profiling forced on,
@@ -190,6 +184,11 @@ impl QueryExecutor {
             .map(|(out, profile)| (out, profile.expect("profiling was enabled")))
     }
 
+    /// The one way a statement is evaluated: the analyzer judges it,
+    /// then a fresh [`EvalCtx`] evaluates it. The evaluator relies on
+    /// that order — the syntactic rules (path modifiers, PATH-view
+    /// shape, GROUP conflicts, SET/REMOVE targets) are checked only by
+    /// the analyzer.
     fn eval_inner(
         &self,
         stmt: &Statement,
@@ -199,17 +198,15 @@ impl QueryExecutor {
         // any evaluation work (§3 "they must be of the right sort").
         crate::analyze::check_statement(stmt)?;
         let mut options = self.options.clone();
-        options.profiling = profiling;
         // The per-statement budget starts now; an explicit token and a
         // deadline compose (whichever fires first cancels).
         if let Some(budget) = options.statement_deadline {
             options.cancel = options.cancel.with_timeout(budget);
         }
-        let ctx = EvalCtx::new(self.snapshot.clone(), options);
+        let ctx = EvalCtx::new(self.snapshot.clone(), options, profiling);
         let metrics = &ctx.options.metrics;
         crate::obs::CoreMetrics::add(&metrics.statements, 1);
-        let evaluator = Evaluator::new(&ctx);
-        let result = evaluator.eval_statement(stmt);
+        let result = ctx.eval_statement(stmt);
         if result.as_ref().is_err_and(|e| e.is_cancelled()) {
             crate::obs::CoreMetrics::add(&metrics.cancellations, 1);
         }

@@ -13,7 +13,7 @@
 use crate::binding::{BindingTable, Bound};
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError};
-use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, Pattern, Query, UnaryOp};
+use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, UnaryOp};
 use gcore_ppg::{Date, ElementId, Key, Label, PathPropertyGraph, PropertySet, Value};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -229,16 +229,8 @@ fn rv_at(table: &BindingTable, row: usize, col: usize) -> Rv {
     }
 }
 
-/// Hook for subquery evaluation, implemented by the query evaluator.
-pub trait SubqueryEval {
-    /// `EXISTS (q)` with the current binding visible as outer scope.
-    fn eval_exists(&self, q: &Query, env: &Env<'_>) -> Result<bool>;
-    /// A graph pattern used as a predicate (implicit existential).
-    fn eval_pattern_predicate(&self, p: &Pattern, env: &Env<'_>) -> Result<bool>;
-}
-
 /// Evaluate an expression for one binding.
-pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr) -> Result<Rv> {
+pub(crate) fn eval_expr(ctx: &EvalCtx, env: &Env<'_>, e: &Expr) -> Result<Rv> {
     match e {
         Expr::Int(i) => Ok(Rv::Value(Value::Int(*i))),
         Expr::Float(x) => Ok(Rv::Value(Value::Float(*x))),
@@ -249,9 +241,9 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
             .map(|d| Rv::Value(Value::Date(d)))
             .ok_or_else(|| RuntimeError::Type(format!("invalid date literal '{s}'")).into()),
         Expr::Var(v) => Ok(env.lookup_rv(v).unwrap_or(Rv::Null)),
-        Expr::Prop(base, key) => eval_prop(ctx, sub, env, base, key),
+        Expr::Prop(base, key) => eval_prop(ctx, env, base, key),
         Expr::LabelTest(base, labels) => {
-            let (rv, graph) = eval_with_graph(ctx, sub, env, base)?;
+            let (rv, graph) = eval_with_graph(ctx, env, base)?;
             let id = match rv {
                 Rv::Node(n) => Some(ElementId::Node(n)),
                 Rv::Edge(e) => Some(ElementId::Edge(e)),
@@ -267,8 +259,8 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
             Ok(Rv::Value(Value::Bool(ok)))
         }
         Expr::Index(base, idx) => {
-            let list = eval_expr(ctx, sub, env, base)?;
-            let i = eval_expr(ctx, sub, env, idx)?;
+            let list = eval_expr(ctx, env, base)?;
+            let i = eval_expr(ctx, env, idx)?;
             let Some(Value::Int(i)) = i.as_scalar() else {
                 return Ok(Rv::Null);
             };
@@ -293,20 +285,20 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
             }
         }
         Expr::Unary(UnaryOp::Not, inner) => {
-            let v = eval_expr(ctx, sub, env, inner)?;
+            let v = eval_expr(ctx, env, inner)?;
             Ok(Rv::Value(Value::Bool(!v.truthy())))
         }
         Expr::Unary(UnaryOp::Neg, inner) => {
-            let v = eval_expr(ctx, sub, env, inner)?;
+            let v = eval_expr(ctx, env, inner)?;
             match v.as_scalar() {
                 Some(Value::Int(i)) => Ok(Rv::Value(Value::Int(-i))),
                 Some(Value::Float(f)) => Ok(Rv::Value(Value::Float(-f))),
                 _ => Ok(Rv::Null),
             }
         }
-        Expr::Binary(op, l, r) => eval_binary(ctx, sub, env, *op, l, r),
-        Expr::Func(f, args) => eval_func(ctx, sub, env, *f, args),
-        Expr::Aggregate { .. } => eval_aggregate(ctx, sub, env, e),
+        Expr::Binary(op, l, r) => eval_binary(ctx, env, *op, l, r),
+        Expr::Func(f, args) => eval_func(ctx, env, *f, args),
+        Expr::Aggregate { .. } => eval_aggregate(ctx, env, e),
         Expr::Case {
             operand,
             whens,
@@ -315,24 +307,24 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
             for (cond, result) in whens {
                 let hit = match operand {
                     Some(op_expr) => {
-                        let lhs = eval_expr(ctx, sub, env, op_expr)?;
-                        let rhs = eval_expr(ctx, sub, env, cond)?;
+                        let lhs = eval_expr(ctx, env, op_expr)?;
+                        let rhs = eval_expr(ctx, env, cond)?;
                         rv_eq(&lhs, &rhs)
                     }
-                    None => eval_expr(ctx, sub, env, cond)?.truthy(),
+                    None => eval_expr(ctx, env, cond)?.truthy(),
                 };
                 if hit {
-                    return eval_expr(ctx, sub, env, result);
+                    return eval_expr(ctx, env, result);
                 }
             }
             match else_ {
-                Some(e) => eval_expr(ctx, sub, env, e),
+                Some(e) => eval_expr(ctx, env, e),
                 None => Ok(Rv::Null),
             }
         }
-        Expr::Exists(q) => Ok(Rv::Value(Value::Bool(sub.eval_exists(q, env)?))),
+        Expr::Exists(q) => Ok(Rv::Value(Value::Bool(ctx.eval_exists(q, env)?))),
         Expr::PatternPredicate(p) => {
-            Ok(Rv::Value(Value::Bool(sub.eval_pattern_predicate(p, env)?)))
+            Ok(Rv::Value(Value::Bool(ctx.eval_pattern_predicate(p, env)?)))
         }
     }
 }
@@ -342,7 +334,6 @@ pub fn eval_expr(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, e: &Expr)
 /// ambient graph.
 fn eval_with_graph<'a>(
     ctx: &EvalCtx,
-    sub: &dyn SubqueryEval,
     env: &Env<'a>,
     base: &Expr,
 ) -> Result<(Rv, Cow<'a, Arc<PathPropertyGraph>>)> {
@@ -352,18 +343,12 @@ fn eval_with_graph<'a>(
         }
         return Ok((Rv::Null, Cow::Owned(ctx.ambient_graph()?)));
     }
-    let rv = eval_expr(ctx, sub, env, base)?;
+    let rv = eval_expr(ctx, env, base)?;
     Ok((rv, Cow::Owned(ctx.ambient_graph()?)))
 }
 
-fn eval_prop(
-    ctx: &EvalCtx,
-    sub: &dyn SubqueryEval,
-    env: &Env<'_>,
-    base: &Expr,
-    key: &str,
-) -> Result<Rv> {
-    let (rv, graph) = eval_with_graph(ctx, sub, env, base)?;
+fn eval_prop(ctx: &EvalCtx, env: &Env<'_>, base: &Expr, key: &str) -> Result<Rv> {
+    let (rv, graph) = eval_with_graph(ctx, env, base)?;
     let Some(key) = Key::lookup(key) else {
         // Never-interned key: no graph anywhere assigns it.
         return Ok(Rv::Set(PropertySet::empty()));
@@ -383,36 +368,29 @@ fn eval_prop(
     Ok(Rv::Set(graph.prop(id, key)))
 }
 
-fn eval_binary(
-    ctx: &EvalCtx,
-    sub: &dyn SubqueryEval,
-    env: &Env<'_>,
-    op: BinaryOp,
-    l: &Expr,
-    r: &Expr,
-) -> Result<Rv> {
+fn eval_binary(ctx: &EvalCtx, env: &Env<'_>, op: BinaryOp, l: &Expr, r: &Expr) -> Result<Rv> {
     // Short-circuit logic first.
     match op {
         BinaryOp::And => {
-            let lv = eval_expr(ctx, sub, env, l)?;
+            let lv = eval_expr(ctx, env, l)?;
             if !lv.truthy() {
                 return Ok(Rv::Value(Value::Bool(false)));
             }
-            let rv = eval_expr(ctx, sub, env, r)?;
+            let rv = eval_expr(ctx, env, r)?;
             return Ok(Rv::Value(Value::Bool(rv.truthy())));
         }
         BinaryOp::Or => {
-            let lv = eval_expr(ctx, sub, env, l)?;
+            let lv = eval_expr(ctx, env, l)?;
             if lv.truthy() {
                 return Ok(Rv::Value(Value::Bool(true)));
             }
-            let rv = eval_expr(ctx, sub, env, r)?;
+            let rv = eval_expr(ctx, env, r)?;
             return Ok(Rv::Value(Value::Bool(rv.truthy())));
         }
         _ => {}
     }
-    let lv = eval_expr(ctx, sub, env, l)?;
-    let rv = eval_expr(ctx, sub, env, r)?;
+    let lv = eval_expr(ctx, env, l)?;
+    let rv = eval_expr(ctx, env, r)?;
     match op {
         BinaryOp::Eq => Ok(Rv::Value(Value::Bool(rv_eq(&lv, &rv)))),
         BinaryOp::Neq => Ok(Rv::Value(Value::Bool(!rv_eq(&lv, &rv)))),
@@ -544,13 +522,7 @@ pub fn rv_eq(a: &Rv, b: &Rv) -> bool {
     }
 }
 
-fn eval_func(
-    ctx: &EvalCtx,
-    sub: &dyn SubqueryEval,
-    env: &Env<'_>,
-    f: Func,
-    args: &[Expr],
-) -> Result<Rv> {
+fn eval_func(ctx: &EvalCtx, env: &Env<'_>, f: Func, args: &[Expr]) -> Result<Rv> {
     let arity_err = |n: usize| -> crate::error::EngineError {
         RuntimeError::Type(format!("{} expects {n} argument(s)", f.name())).into()
     };
@@ -559,7 +531,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let (rv, graph) = eval_with_graph(ctx, sub, env, arg)?;
+            let (rv, graph) = eval_with_graph(ctx, env, arg)?;
             let id = match rv {
                 Rv::Node(n) => ElementId::Node(n),
                 Rv::Edge(e) => ElementId::Edge(e),
@@ -579,7 +551,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let (rv, graph) = eval_with_graph(ctx, sub, env, arg)?;
+            let (rv, graph) = eval_with_graph(ctx, env, arg)?;
             let (nodes, edges): (Vec<_>, Vec<_>) = match rv {
                 Rv::Path(p) => {
                     let Some(data) = graph.path(p) else {
@@ -606,7 +578,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             let n = match &rv {
                 Rv::Set(s) => s.len(),
                 Rv::List(l) => l.len(),
@@ -620,7 +592,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             match rv.as_scalar() {
                 Some(v) => Ok(Rv::Value(Value::Str(v.to_string()))),
                 None => Ok(Rv::Null),
@@ -630,7 +602,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv.as_scalar() {
                 Some(Value::Int(i)) => Rv::Value(Value::Int(i)),
                 Some(Value::Float(f)) => Rv::Value(Value::Int(f.trunc() as i64)),
@@ -647,7 +619,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv.as_scalar() {
                 Some(Value::Int(i)) => Rv::Value(Value::Float(i as f64)),
                 Some(Value::Float(f)) => Rv::Value(Value::Float(f)),
@@ -663,7 +635,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             match rv.as_scalar() {
                 Some(Value::Str(s)) => Ok(Rv::Value(Value::Str(if f == Func::Lower {
                     s.to_lowercase()
@@ -677,7 +649,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv.as_scalar() {
                 Some(Value::Int(i)) => Rv::Value(Value::Int(i.abs())),
                 Some(Value::Float(f)) => Rv::Value(Value::Float(f.abs())),
@@ -688,7 +660,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv.as_scalar() {
                 Some(Value::Str(s)) => Rv::Value(Value::Str(s.trim().to_owned())),
                 _ => Rv::Null,
@@ -698,8 +670,8 @@ fn eval_func(
             let [a, b] = args else {
                 return Err(arity_err(2));
             };
-            let a = eval_expr(ctx, sub, env, a)?;
-            let b = eval_expr(ctx, sub, env, b)?;
+            let a = eval_expr(ctx, env, a)?;
+            let b = eval_expr(ctx, env, b)?;
             Ok(match (a.as_scalar(), b.as_scalar()) {
                 (Some(Value::Str(hay)), Some(Value::Str(needle))) => {
                     Rv::Value(Value::Bool(match f {
@@ -716,8 +688,8 @@ fn eval_func(
             if args.len() != 2 && args.len() != 3 {
                 return Err(arity_err(2));
             }
-            let s = eval_expr(ctx, sub, env, &args[0])?;
-            let start = eval_expr(ctx, sub, env, &args[1])?;
+            let s = eval_expr(ctx, env, &args[0])?;
+            let start = eval_expr(ctx, env, &args[1])?;
             let (Some(Value::Str(s)), Some(Value::Int(start))) = (s.as_scalar(), start.as_scalar())
             else {
                 return Ok(Rv::Null);
@@ -727,7 +699,7 @@ fn eval_func(
             let end = match args.get(2) {
                 None => chars.len(),
                 Some(len_expr) => {
-                    let len = eval_expr(ctx, sub, env, len_expr)?;
+                    let len = eval_expr(ctx, env, len_expr)?;
                     match len.as_scalar() {
                         Some(Value::Int(l)) => (start + l.max(0) as usize).min(chars.len()),
                         _ => return Ok(Rv::Null),
@@ -743,7 +715,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             // Accept both Date values and ISO-formatted strings.
             let date = match rv.as_scalar() {
                 Some(Value::Date(d)) => Some(d),
@@ -764,7 +736,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv.as_scalar() {
                 Some(Value::Int(i)) => Rv::Value(Value::Int(i)),
                 Some(Value::Float(x)) => Rv::Value(Value::Int(if f == Func::Floor {
@@ -779,7 +751,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv.as_scalar().and_then(|v| v.as_f64()) {
                 Some(x) if x >= 0.0 => Rv::Value(Value::Float(x.sqrt())),
                 _ => Rv::Null,
@@ -789,7 +761,7 @@ fn eval_func(
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let rv = eval_expr(ctx, sub, env, arg)?;
+            let rv = eval_expr(ctx, env, arg)?;
             Ok(match rv {
                 Rv::List(items) if !items.is_empty() => {
                     if f == Func::Head {
@@ -813,7 +785,7 @@ fn eval_func(
 /// outside the group's columns is `Missing`), which count as zero. This
 /// is what makes the paper's `nr_messages := COUNT(*)` put `0` (not 1)
 /// on knows edges without any exchanged message (Figure 5).
-fn eval_aggregate(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, agg: &Expr) -> Result<Rv> {
+fn eval_aggregate(ctx: &EvalCtx, env: &Env<'_>, agg: &Expr) -> Result<Rv> {
     let (Some(group), Expr::Aggregate { op, distinct, arg }) = (env.group, agg) else {
         return Err(crate::error::SemanticError::MisplacedAggregate(
             "this position (aggregates need a group: CONSTRUCT assignments, SET items, WHEN \
@@ -844,7 +816,7 @@ fn eval_aggregate(ctx: &EvalCtx, sub: &dyn SubqueryEval, env: &Env<'_>, agg: &Ex
             Some(e) => {
                 let mut row = Env::new(table, ri);
                 row.parent = env.parent;
-                let v = eval_expr(ctx, sub, &row, e)?;
+                let v = eval_expr(ctx, &row, e)?;
                 if !matches!(v, Rv::Null) {
                     values.push(v);
                 }
@@ -933,16 +905,6 @@ mod tests {
     use crate::binding::Column;
     use gcore_ppg::{Attributes, Catalog, NodeId};
 
-    struct NoSub;
-    impl SubqueryEval for NoSub {
-        fn eval_exists(&self, _: &Query, _: &Env<'_>) -> Result<bool> {
-            panic!("no subqueries in these tests")
-        }
-        fn eval_pattern_predicate(&self, _: &Pattern, _: &Env<'_>) -> Result<bool> {
-            panic!("no pattern predicates in these tests")
-        }
-    }
-
     fn setup() -> (EvalCtx, BindingTable) {
         let mut g = PathPropertyGraph::new();
         g.add_node(
@@ -995,7 +957,7 @@ mod tests {
 
     fn eval(ctx: &EvalCtx, table: &BindingTable, src: &str) -> Rv {
         let env = Env::new(table, 0);
-        eval_expr(ctx, &NoSub, &env, &where_expr(src)).unwrap()
+        eval_expr(ctx, &env, &where_expr(src)).unwrap()
     }
 
     #[test]
@@ -1079,7 +1041,7 @@ mod tests {
     fn division_by_zero_is_an_error() {
         let (ctx, t) = setup();
         let env = Env::new(&t, 0);
-        let err = eval_expr(&ctx, &NoSub, &env, &where_expr("1 / 0 = 1")).unwrap_err();
+        let err = eval_expr(&ctx, &env, &where_expr("1 / 0 = 1")).unwrap_err();
         assert!(matches!(
             err,
             crate::error::EngineError::Runtime(RuntimeError::DivisionByZero)
@@ -1109,7 +1071,7 @@ mod tests {
                 group,
                 ..Env::new(&t, 0)
             };
-            let err = eval_expr(&ctx, &NoSub, &env, &where_expr(src)).unwrap_err();
+            let err = eval_expr(&ctx, &env, &where_expr(src)).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1131,7 +1093,7 @@ mod tests {
             group: Some(&group),
             ..Env::new(&t, 0)
         };
-        let grouped = |src: &str| eval_expr(&ctx, &NoSub, &env, &where_expr(src)).unwrap();
+        let grouped = |src: &str| eval_expr(&ctx, &env, &where_expr(src)).unwrap();
         assert!(grouped("COUNT(*) + 1 = 2").truthy());
         assert!(grouped("SIZE(COLLECT(n.name)) = 1 AND HEAD(COLLECT(n.name)) = 'Frank'").truthy());
     }

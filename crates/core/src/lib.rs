@@ -87,5 +87,5 @@ pub use executor::QueryExecutor;
 pub use expr::{Env, Rv};
 pub use obs::{CoreMetrics, MetricsRegistry, Profiler, QueryProfile};
 pub use plan::{explain_statement, plan_match, MatchPlan};
-pub use query::{Evaluator, QueryOutput};
+pub use query::QueryOutput;
 pub use snapshot::EngineSnapshot;

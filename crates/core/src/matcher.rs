@@ -17,12 +17,11 @@
 //! the label index.
 
 use crate::binding::{BindingTable, Bound, Column, TableBuilder};
-use crate::context::FreshPath;
+use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, SemanticError};
 use crate::expr::{eval_expr, Env, Rv};
 use crate::paths::PathSearcher;
 use crate::plan::{first_label, pure_reach, ScanFilter};
-use crate::query::Evaluator;
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
     Connection, Direction, EdgePattern, Expr, LabelDisjunction, NodePattern, PathMode, PathPattern,
@@ -43,9 +42,9 @@ pub struct ChainInfo {
 }
 
 /// Matcher for one graph.
-pub struct PatternMatcher<'e> {
-    /// The evaluator (for subqueries and context access).
-    pub ev: &'e Evaluator<'e>,
+pub(crate) struct PatternMatcher<'e> {
+    /// The statement's evaluation context.
+    ctx: &'e EvalCtx,
     /// The graph being matched.
     pub graph: Arc<PathPropertyGraph>,
     anon: Cell<usize>,
@@ -58,9 +57,9 @@ pub struct PatternMatcher<'e> {
 
 impl<'e> PatternMatcher<'e> {
     /// Create a matcher over `graph`.
-    pub fn new(ev: &'e Evaluator<'e>, graph: Arc<PathPropertyGraph>) -> Self {
+    pub(crate) fn new(ctx: &'e EvalCtx, graph: Arc<PathPropertyGraph>) -> Self {
         PatternMatcher {
-            ev,
+            ctx,
             graph,
             anon: Cell::new(0),
             scan_filters: &[],
@@ -68,7 +67,7 @@ impl<'e> PatternMatcher<'e> {
     }
 
     /// Attach the scan filters of the clause being matched.
-    pub fn with_scan_filters(mut self, scan_filters: &'e [ScanFilter<'e>]) -> Self {
+    pub(crate) fn with_scan_filters(mut self, scan_filters: &'e [ScanFilter<'e>]) -> Self {
         self.scan_filters = scan_filters;
         self
     }
@@ -85,7 +84,7 @@ impl<'e> PatternMatcher<'e> {
         if exprs.is_empty() {
             return Ok(table);
         }
-        self.ev.filter_table(table, &exprs, outer)
+        self.ctx.filter_table(table, &exprs, outer)
     }
 
     fn fresh_anon(&self, kind: &str) -> String {
@@ -108,7 +107,7 @@ impl<'e> PatternMatcher<'e> {
     /// (ascending): the caller joins the result on that variable against
     /// a table holding exactly these nodes, so seeding is a semijoin
     /// reduction and the join's result is unchanged.
-    pub fn eval_pattern(
+    pub(crate) fn eval_pattern(
         &self,
         pattern: &Pattern,
         outer: Option<&Env<'_>>,
@@ -131,7 +130,7 @@ impl<'e> PatternMatcher<'e> {
     /// Evaluate a pattern keeping anonymous columns, returning chain
     /// column info (for PATH-view walk extraction). `seed` as in
     /// [`eval_pattern`](Self::eval_pattern).
-    pub fn eval_chain(
+    pub(crate) fn eval_chain(
         &self,
         pattern: &Pattern,
         outer: Option<&Env<'_>>,
@@ -159,7 +158,7 @@ impl<'e> PatternMatcher<'e> {
             // Chain steps are the matcher's outermost expansion loop:
             // one poll per step bounds the latency of noticing a
             // cancellation by one expansion.
-            self.ev.ctx.check_cancelled()?;
+            self.ctx.options.cancel.check()?;
             let dst_var = step
                 .node
                 .var
@@ -274,7 +273,7 @@ impl<'e> PatternMatcher<'e> {
         }
         let (candidates, _) = self.label_candidates(node);
         let kept = self
-            .ev
+            .ctx
             .filter_table(self.node_column(var, candidates), &exprs, outer)?;
         let nodes = (0..kept.len()).filter_map(|ri| match kept.bound(ri, 0) {
             Bound::Node(n) => Some(n),
@@ -331,7 +330,7 @@ impl<'e> PatternMatcher<'e> {
         let idx = table
             .column_index(var)
             .ok_or_else(|| SemanticError::UnboundVariable(var.to_owned()))?;
-        table.try_filter(&self.ev.ctx.options.cancel, |ri| {
+        table.try_filter(&self.ctx.options.cancel, |ri| {
             let id: ElementId = match table.bound(ri, idx) {
                 Bound::Node(n) => n.into(),
                 Bound::Edge(e) => e.into(),
@@ -374,7 +373,7 @@ impl<'e> PatternMatcher<'e> {
             self.graph.prop(id, key)
         };
 
-        let cancel = &self.ev.ctx.options.cancel;
+        let cancel = &self.ctx.options.cancel;
         // Binding form: RHS is a variable that is neither structural nor
         // already bound (here or in the outer scope). The new column
         // fans out: one row per value of the property.
@@ -401,7 +400,7 @@ impl<'e> PatternMatcher<'e> {
         table.try_filter(cancel, |ri| {
             let mut env = Env::new(&table, ri);
             env.parent = outer;
-            let rv = eval_expr(self.ev.ctx, self.ev, &env, &entry.value)?;
+            let rv = eval_expr(self.ctx, &env, &entry.value)?;
             let props = prop_of(&table, ri);
             Ok(match &rv {
                 Rv::Set(s) => props.set_eq(s),
@@ -492,7 +491,7 @@ impl<'e> PatternMatcher<'e> {
         let mut extra: Vec<Bound> = Vec::with_capacity(2);
         let mut tick = 0u32;
         for ri in 0..table.len() {
-            self.ev.ctx.options.cancel.checkpoint(&mut tick)?;
+            self.ctx.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
@@ -539,13 +538,7 @@ impl<'e> PatternMatcher<'e> {
             ))
             .into());
         };
-        if pat.mode == PathMode::All && pat.cost_var.is_some() {
-            return Err(SemanticError::InvalidPathPattern(
-                "COST cannot be bound on ALL path patterns".into(),
-            )
-            .into());
-        }
-        let prof = &self.ev.ctx.profiler;
+        let prof = &self.ctx.profiler;
         let span = prof.start("path-search", || {
             let mode = match pat.mode {
                 PathMode::All => "ALL".to_owned(),
@@ -557,9 +550,9 @@ impl<'e> PatternMatcher<'e> {
         // Every search starts at `prev_var`, whichever way the pattern
         // points: the automaton is compiled for that reading.
         let nfa = Nfa::compile_directed(regex, pat.direction);
-        let views = self.ev.resolve_views(&nfa, &self.graph)?;
+        let views = self.ctx.resolve_views(&nfa, &self.graph)?;
         let searcher = PathSearcher::new(&self.graph, &nfa, &views)
-            .with_cancel(self.ev.ctx.options.cancel.clone());
+            .with_cancel(self.ctx.options.cancel.clone());
 
         let prev_idx = table
             .column_index(prev_var)
@@ -606,8 +599,8 @@ impl<'e> PatternMatcher<'e> {
             srcs.sort_unstable();
             srcs.dedup();
             if !srcs.is_empty() {
-                let defs = self.ev.view_definitions(&nfa.view_names());
-                let snapshot = &self.ev.ctx.snapshot;
+                let defs = self.ctx.view_definitions(&nfa.view_names());
+                let snapshot = &self.ctx.snapshot;
                 shared =
                     snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs)?;
             }
@@ -630,7 +623,7 @@ impl<'e> PatternMatcher<'e> {
         for ri in 0..table.len() {
             // Rows answered from the shared condensation run no search of
             // their own, yet each may emit many rows: poll per row too.
-            self.ev.ctx.options.cancel.checkpoint(&mut tick)?;
+            self.ctx.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, prev_idx) else {
                 continue;
             };
@@ -650,7 +643,7 @@ impl<'e> PatternMatcher<'e> {
                     for (dst, nodes, edges) in searcher.all_paths_from(src, targets)? {
                         extra.clear();
                         if binds_path {
-                            extra.push(self.ev.ctx.add_fresh_path(FreshPath::Projection {
+                            extra.push(self.ctx.add_fresh_path(FreshPath::Projection {
                                 src,
                                 dst,
                                 nodes,
@@ -686,7 +679,7 @@ impl<'e> PatternMatcher<'e> {
                         for fp in &found[&dst] {
                             extra.clear();
                             if binds_path {
-                                extra.push(self.ev.ctx.add_fresh_path(FreshPath::Walk {
+                                extra.push(self.ctx.add_fresh_path(FreshPath::Walk {
                                     shape: fp.walk.clone(),
                                     cost: fp.cost,
                                     weighted: searcher.weighted,
@@ -728,12 +721,6 @@ impl<'e> PatternMatcher<'e> {
         dst_var: &str,
         pat: &PathPattern,
     ) -> Result<BindingTable> {
-        if pat.mode != PathMode::Shortest(1) {
-            return Err(SemanticError::InvalidPathPattern(
-                "ALL / k SHORTEST do not apply to stored-path patterns".into(),
-            )
-            .into());
-        }
         let nfa = pat.regex.as_ref().map(Nfa::compile);
 
         // Candidate stored paths, filtered by labels once.

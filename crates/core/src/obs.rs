@@ -611,26 +611,6 @@ impl QueryProfile {
         out
     }
 
-    /// One-line summary for slow-query logs: top-level operators with
-    /// their cardinalities and the misestimate count.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let ops: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| match s.rows {
-                Some(rows) => format!("{}={} rows", s.op, rows),
-                None => s.op.clone(),
-            })
-            .collect();
-        format!(
-            "{} ({} spans, misestimates: {})",
-            ops.join(", "),
-            self.span_count(),
-            self.misestimates
-        )
-    }
-
     /// Structural well-formedness, for the CI profile tour
     /// (`examples/profile.rs`): every span must carry an operator tag,
     /// row-producing operators must report actual rows, and children

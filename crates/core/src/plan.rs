@@ -4,7 +4,7 @@
 //! [`MatchPlan`]: the main block and every OPTIONAL block in source
 //! order, each a [`PlanBlock`] of [`PlanStep`]s (the patterns, in
 //! evaluation order) plus the residual WHERE conjuncts for the joined
-//! table. `Evaluator::eval_match` interprets exactly this object and
+//! table. `EvalCtx::eval_match` interprets exactly this object and
 //! [`explain_statement`] prints it, so EXPLAIN cannot describe a plan
 //! evaluation does not run. The plan *borrows* the clause; the only AST
 //! it copies is a pattern that receives a pushed entry.

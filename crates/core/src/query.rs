@@ -5,7 +5,7 @@ use crate::binding::{BindingTable, Bound, Column, TableBuilder};
 use crate::construct::eval_construct;
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError, SemanticError};
-use crate::expr::{eval_expr, Env, SubqueryEval};
+use crate::expr::{eval_expr, Env};
 use crate::matcher::PatternMatcher;
 use crate::obs::{CoreMetrics, Profiler, SpanId};
 use crate::paths::{Segment, ViewMap, ViewSegments};
@@ -73,22 +73,14 @@ impl QueryOutput {
     }
 }
 
-/// Evaluator for one top-level statement, holding the shared context.
-pub struct Evaluator<'e> {
-    /// The shared evaluation context.
-    pub ctx: &'e EvalCtx,
-}
-
-impl<'e> Evaluator<'e> {
-    /// Create an evaluator over a context.
-    pub fn new(ctx: &'e EvalCtx) -> Self {
-        Evaluator { ctx }
-    }
-
+/// The evaluation of one top-level statement: every routine below runs
+/// on the statement's [`EvalCtx`], which `QueryExecutor::eval_inner`
+/// builds only after the analyzer has accepted the statement.
+impl EvalCtx {
     /// Evaluate a statement. `GRAPH VIEW` definitions evaluate their
     /// query and return the materialized view graph (the engine registers
     /// it persistently).
-    pub fn eval_statement(&self, stmt: &Statement) -> Result<QueryOutput> {
+    pub(crate) fn eval_statement(&self, stmt: &Statement) -> Result<QueryOutput> {
         match stmt {
             Statement::Query(q) => self.eval_query(q, None),
             Statement::GraphView { query, .. } => self.eval_query(query, None),
@@ -96,17 +88,20 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Evaluate a query: head clauses first (PATH views, query-local
-    /// GRAPH views), then the body. Head registrations are scoped — they
-    /// are rolled back afterwards.
-    pub fn eval_query(&self, q: &Query, outer: Option<&Env<'_>>) -> Result<QueryOutput> {
-        let views_before = self.ctx.path_views.borrow().len();
+    /// GRAPH views), then the body. Head registrations and the ambient
+    /// graph the body's patterns set are scoped — they are rolled back
+    /// afterwards, so a subquery never changes what the rest of its
+    /// enclosing WHERE reads.
+    pub(crate) fn eval_query(&self, q: &Query, outer: Option<&Env<'_>>) -> Result<QueryOutput> {
+        let views_before = self.path_views.borrow().len();
+        let ambient_before = self.ambient.borrow().clone();
         let mut shadowed: Vec<(String, Option<Arc<PathPropertyGraph>>)> = Vec::new();
 
         let mut run = || -> Result<QueryOutput> {
             for head in &q.heads {
                 match head {
                     HeadClause::Path(pc) => {
-                        self.ctx.path_views.borrow_mut().push(pc.clone());
+                        self.path_views.borrow_mut().push(pc.clone());
                     }
                     HeadClause::Graph(gc) => {
                         let out = self.eval_query(&gc.query, outer)?;
@@ -117,7 +112,7 @@ impl<'e> Evaluator<'e> {
                             ))
                             .into());
                         };
-                        let mut catalog = self.ctx.catalog.borrow_mut();
+                        let mut catalog = self.catalog.borrow_mut();
                         let prev = catalog.graph(&gc.name).ok();
                         shadowed.push((gc.name.text.clone(), prev));
                         catalog.register_graph(gc.name.clone(), graph);
@@ -129,18 +124,19 @@ impl<'e> Evaluator<'e> {
                     Ok(QueryOutput::Graph(self.eval_full_graph_query(g, outer)?))
                 }
                 QueryBody::Select(s) => {
-                    let span = self.ctx.profiler.start("select", String::new);
+                    let span = self.profiler.start("select", String::new);
                     let t = eval_select(self, s, outer)?;
-                    self.ctx.profiler.finish_rows(span, t.len() as u64);
+                    self.profiler.finish_rows(span, t.len() as u64);
                     Ok(QueryOutput::Table(t))
                 }
             }
         };
         let result = run();
 
-        // Roll back head-clause registrations.
-        self.ctx.path_views.borrow_mut().truncate(views_before);
-        let mut catalog = self.ctx.catalog.borrow_mut();
+        // Roll back head-clause registrations and the ambient graph.
+        self.path_views.borrow_mut().truncate(views_before);
+        *self.ambient.borrow_mut() = ambient_before;
+        let mut catalog = self.catalog.borrow_mut();
         for (name, prev) in shadowed.into_iter().rev() {
             catalog.unregister_graph(&name);
             if let Some(prev) = prev {
@@ -152,7 +148,7 @@ impl<'e> Evaluator<'e> {
     }
 
     /// UNION / INTERSECT / MINUS of basic graph queries (§A.5).
-    pub fn eval_full_graph_query(
+    pub(crate) fn eval_full_graph_query(
         &self,
         q: &FullGraphQuery,
         outer: Option<&Env<'_>>,
@@ -160,21 +156,19 @@ impl<'e> Evaluator<'e> {
         match q {
             FullGraphQuery::Basic(b) => {
                 let bindings = self.eval_source(&b.source, outer)?;
-                let span = self.ctx.profiler.start("construct", String::new);
-                self.ctx
-                    .profiler
+                let span = self.profiler.start("construct", String::new);
+                self.profiler
                     .add_counter(span, "input_rows", bindings.len() as u64);
                 let g = eval_construct(self, &b.construct, &bindings, outer)?;
-                self.ctx
-                    .profiler
+                self.profiler
                     .add_counter(span, "edges", g.edge_count() as u64);
-                self.ctx.profiler.finish_rows(span, g.node_count() as u64);
+                self.profiler.finish_rows(span, g.node_count() as u64);
                 Ok(g)
             }
             FullGraphQuery::SetOp { op, left, right } => {
                 let l = self.eval_full_graph_query(left, outer)?;
                 let r = self.eval_full_graph_query(right, outer)?;
-                let span = self.ctx.profiler.start("set-op", || {
+                let span = self.profiler.start("set-op", || {
                     match op {
                         GraphSetOp::Union => "union",
                         GraphSetOp::Intersect => "intersect",
@@ -187,7 +181,7 @@ impl<'e> Evaluator<'e> {
                     GraphSetOp::Intersect => ops::intersect(&l, &r),
                     GraphSetOp::Minus => ops::difference(&l, &r),
                 };
-                self.ctx.profiler.finish_rows(span, g.node_count() as u64);
+                self.profiler.finish_rows(span, g.node_count() as u64);
                 Ok(g)
             }
         }
@@ -199,7 +193,7 @@ impl<'e> Evaluator<'e> {
             QuerySource::From(table_name) => {
                 // §5 "binding table inputs": one binding per row, one
                 // value variable per column; NULL cells stay unbound.
-                let table = self.ctx.table(table_name)?;
+                let table = self.table(table_name)?;
                 let none = Arc::new(PathPropertyGraph::new());
                 let columns: Vec<Column> = table
                     .columns()
@@ -234,19 +228,23 @@ impl<'e> Evaluator<'e> {
     /// selects. A correlated (subquery) clause always runs in syntactic
     /// order: its semantics depend on outer bindings the planner does not
     /// model.
-    pub fn eval_match(&self, m: &MatchClause, outer: Option<&Env<'_>>) -> Result<BindingTable> {
-        let prof = &self.ctx.profiler;
+    pub(crate) fn eval_match(
+        &self,
+        m: &MatchClause,
+        outer: Option<&Env<'_>>,
+    ) -> Result<BindingTable> {
+        let prof = &self.profiler;
         let match_span = prof.start("match", || format!("{} pattern(s)", m.patterns.len()));
-        let resolve = |on: Option<&Location>| plan_graph(&self.ctx.catalog.borrow(), on);
+        let resolve = |on: Option<&Location>| plan_graph(&self.catalog.borrow(), on);
         let (plan_span, stats): (_, Option<&PlanResolver<'_>>) =
-            if self.ctx.options.planner && outer.is_none() {
+            if self.options.planner && outer.is_none() {
                 (prof.start("plan", String::new), Some(&resolve))
             } else {
                 (SpanId::NONE, None)
             };
         let plan = plan_match(m, stats);
         let main = &plan.main;
-        let metrics = &self.ctx.options.metrics;
+        let metrics = &self.options.metrics;
         if main.reordered {
             CoreMetrics::add(&metrics.planner_reorders, 1);
         }
@@ -267,12 +265,12 @@ impl<'e> Evaluator<'e> {
         for opt in &plan.optionals {
             let span = prof.start("optional", || format!("{} pattern(s)", opt.steps.len()));
             let block = self.eval_block(opt, None, None, Some(&table), Some(span), outer)?;
-            table = table.left_outer_join(&block, &self.ctx.options.cancel)?;
+            table = table.left_outer_join(&block, &self.options.cancel)?;
             prof.finish_rows(span, table.len() as u64);
         }
         // Correlated subqueries: Jγ K_{Ω,G} = Jγ K_G ⋉ Ω (§A.2).
         if let Some(o) = outer {
-            table = table.semijoin(&env_to_table(o), &self.ctx.options.cancel)?;
+            table = table.semijoin(&env_to_table(o), &self.options.cancel)?;
         }
         prof.finish_rows(match_span, table.len() as u64);
         Ok(table)
@@ -301,7 +299,7 @@ impl<'e> Evaluator<'e> {
         report: Option<SpanId>,
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
-        let prof = &self.ctx.profiler;
+        let prof = &self.profiler;
         let muted = Profiler::disabled();
         let spans = if report.is_some() { &muted } else { prof };
         let mut pattern_rows = 0;
@@ -310,12 +308,12 @@ impl<'e> Evaluator<'e> {
             // One poll per pattern: each iteration runs a full pattern
             // match plus a join, so a fired token stops the block
             // before the next (possibly explosive) product.
-            self.ctx.check_cancelled()?;
+            self.options.cancel.check()?;
             let graph = match graph {
                 Some(g) => g.clone(),
                 None => self.resolve_location(step.on)?,
             };
-            self.ctx.set_ambient(graph.clone());
+            self.set_ambient(graph.clone());
             if step.original_index + 1 == block.steps.len() {
                 where_graph = Some(graph.clone());
             }
@@ -359,7 +357,7 @@ impl<'e> Evaluator<'e> {
                             format!("on {}", shared.join(", "))
                         }
                     });
-                    let joined = table.join(&t, &self.ctx.options.cancel)?;
+                    let joined = table.join(&t, &self.options.cancel)?;
                     spans.finish_rows(span, joined.len() as u64);
                     joined
                 }
@@ -372,7 +370,7 @@ impl<'e> Evaluator<'e> {
         // WHERE pattern predicates read the graph of the syntactically
         // last pattern, whatever order the steps ran in.
         if let Some(graph) = where_graph {
-            self.ctx.set_ambient(graph);
+            self.set_ambient(graph);
         }
         if !block.residual.is_empty() {
             let span = spans.start("where", || {
@@ -387,14 +385,14 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Resolve an `ON location` to a graph; `None` uses the default.
-    pub fn resolve_location(&self, on: Option<&Location>) -> Result<Arc<PathPropertyGraph>> {
+    pub(crate) fn resolve_location(&self, on: Option<&Location>) -> Result<Arc<PathPropertyGraph>> {
         match on {
-            None => self.ctx.default_graph(),
-            Some(Location::Named(name)) => match self.ctx.graph(name) {
+            None => self.default_graph(),
+            Some(Location::Named(name)) => match self.graph(name) {
                 Ok(g) => Ok(g),
                 // §5: a table name after ON is interpreted as a graph of
                 // isolated nodes, one per row.
-                Err(graph_err) => self.ctx.table_as_graph(name).map_err(|_| graph_err),
+                Err(graph_err) => self.table_as_graph(name).map_err(|_| graph_err),
             },
             Some(Location::Subquery(q)) => {
                 let out = self.eval_query(q, None)?;
@@ -410,17 +408,17 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Keep the rows on which every one of `conjuncts` is TRUE.
-    pub fn filter_table(
+    pub(crate) fn filter_table(
         &self,
         table: BindingTable,
         conjuncts: &[&Expr],
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
-        table.try_filter(&self.ctx.options.cancel, |ri| {
+        table.try_filter(&self.options.cancel, |ri| {
             let mut env = Env::new(&table, ri);
             env.parent = outer;
             for c in conjuncts {
-                if !eval_expr(self.ctx, self, &env, c)?.truthy() {
+                if !eval_expr(self, &env, c)?.truthy() {
                     return Ok(false);
                 }
             }
@@ -430,7 +428,11 @@ impl<'e> Evaluator<'e> {
 
     /// Materialize the segments of every PATH view referenced by an NFA
     /// (§A.4), over the given graph.
-    pub fn resolve_views(&self, nfa: &Nfa, graph: &Arc<PathPropertyGraph>) -> Result<ViewMap> {
+    pub(crate) fn resolve_views(
+        &self,
+        nfa: &Nfa,
+        graph: &Arc<PathPropertyGraph>,
+    ) -> Result<ViewMap> {
         let mut map = ViewMap::default();
         for name in nfa.view_names() {
             let segments = self.view_segments(&name, graph)?;
@@ -441,14 +443,14 @@ impl<'e> Evaluator<'e> {
 
     /// The segment relation of one PATH view over `graph`, as the
     /// snapshot's cache serves or builds it.
-    pub fn view_segments(
+    pub(crate) fn view_segments(
         &self,
         name: &str,
         graph: &Arc<PathPropertyGraph>,
     ) -> Result<Arc<ViewSegments>> {
         let defs = self.view_definitions(&[name]);
         let build = || self.build_view(name, graph);
-        self.ctx.snapshot.view_segments_cached(graph, defs, build)
+        self.snapshot.view_segments_cached(graph, defs, build)
     }
 
     /// What an answer over the PATH views `names` is a function of,
@@ -457,7 +459,7 @@ impl<'e> Evaluator<'e> {
     /// them — the same resolution a build makes. `None` when a name does
     /// not resolve (the build reports it).
     pub(crate) fn view_definitions(&self, names: &[impl AsRef<str>]) -> Option<Vec<PathClause>> {
-        let scope = self.ctx.path_views.borrow();
+        let scope = self.path_views.borrow();
         let mut defs: Vec<PathClause> = Vec::new();
         let mut pending: Vec<String> = names.iter().rev().map(|n| n.as_ref().to_owned()).collect();
         while let Some(next) = pending.pop() {
@@ -483,17 +485,17 @@ impl<'e> Evaluator<'e> {
 
     /// Build the segment relation of one PATH view for this statement.
     fn build_view(&self, name: &str, graph: &Arc<PathPropertyGraph>) -> Result<ViewSegments> {
-        if self.ctx.view_in_progress.borrow().iter().any(|n| n == name) {
+        if self.view_in_progress.borrow().iter().any(|n| n == name) {
             return Err(RuntimeError::Other(format!(
                 "path view '~{name}' is recursive; recursion through PATH views is not part of \
                  G-CORE"
             ))
             .into());
         }
-        let def = self.ctx.path_view(name)?;
-        self.ctx.view_in_progress.borrow_mut().push(name.to_owned());
+        let def = self.path_view(name)?;
+        self.view_in_progress.borrow_mut().push(name.to_owned());
         let built = self.build_view_segments(&def, graph);
-        self.ctx.view_in_progress.borrow_mut().pop();
+        self.view_in_progress.borrow_mut().pop();
         built
     }
 
@@ -505,13 +507,6 @@ impl<'e> Evaluator<'e> {
         let first = def.patterns.first().ok_or_else(|| {
             SemanticError::InvalidPathPattern("PATH clause without a pattern".into())
         })?;
-        if first.steps.is_empty() {
-            return Err(SemanticError::InvalidPathPattern(format!(
-                "PATH view '{}' must contain a path segment (start and end node)",
-                def.name
-            ))
-            .into());
-        }
         let matcher = PatternMatcher::new(self, graph.clone());
         let (table, chain) = matcher.eval_chain(first, None, None)?;
         // Non-linear shapes: the remaining comma-separated patterns
@@ -551,7 +546,7 @@ impl<'e> Evaluator<'e> {
         for ri in 0..table.len() {
             // A view body can be a product: each of its rows rebuilds a
             // walk, so poll here as the per-row loops of MATCH do.
-            self.ctx.options.cancel.checkpoint(&mut tick)?;
+            self.options.cancel.checkpoint(&mut tick)?;
             let Bound::Node(src) = table.bound(ri, start_idx) else {
                 continue;
             };
@@ -579,7 +574,7 @@ impl<'e> Evaluator<'e> {
                         PathShape::new(vec![prev, next], vec![e]).expect("edge step")
                     }
                     Bound::Path(p) => graph.path(p).expect("stored path").shape.clone(),
-                    Bound::FreshPath(fi) => match self.ctx.fresh_path(fi) {
+                    Bound::FreshPath(fi) => match self.fresh_path(fi) {
                         FreshPath::Walk { shape, .. } => shape,
                         FreshPath::Projection { .. } => {
                             return Err(SemanticError::InvalidPathPattern(format!(
@@ -609,7 +604,7 @@ impl<'e> Evaluator<'e> {
                 None => 1.0,
                 Some(expr) => {
                     let env = Env::new(&table, ri);
-                    let rv = eval_expr(self.ctx, self, &env, expr)?;
+                    let rv = eval_expr(self, &env, expr)?;
                     let scalar = rv.as_scalar().and_then(|v| v.as_f64());
                     match scalar {
                         Some(c) if c > 0.0 => c,
@@ -632,10 +627,9 @@ impl<'e> Evaluator<'e> {
         }
         Ok(ViewSegments::new(segments, def.cost.is_some()))
     }
-}
 
-impl SubqueryEval for Evaluator<'_> {
-    fn eval_exists(&self, q: &Query, env: &Env<'_>) -> Result<bool> {
+    /// `EXISTS (q)` with the current binding visible as outer scope.
+    pub(crate) fn eval_exists(&self, q: &Query, env: &Env<'_>) -> Result<bool> {
         // §A.1: Exists q is ⊤ iff the subquery's node set is non-empty.
         match self.eval_query(q, Some(env))? {
             QueryOutput::Graph(g) => Ok(g.node_count() > 0),
@@ -643,14 +637,15 @@ impl SubqueryEval for Evaluator<'_> {
         }
     }
 
-    fn eval_pattern_predicate(&self, p: &Pattern, env: &Env<'_>) -> Result<bool> {
+    /// A graph pattern used as a predicate (implicit existential).
+    pub(crate) fn eval_pattern_predicate(&self, p: &Pattern, env: &Env<'_>) -> Result<bool> {
         // Implicit existential (§3): the pattern, evaluated on the
         // ambient graph, must have a binding compatible with the current
         // one.
-        let graph = self.ctx.ambient_graph()?;
+        let graph = self.ambient_graph()?;
         let matcher = PatternMatcher::new(self, graph);
         let table = matcher.eval_pattern(p, Some(env), None)?;
-        let filtered = table.semijoin(&env_to_table(env), &self.ctx.options.cancel)?;
+        let filtered = table.semijoin(&env_to_table(env), &self.options.cancel)?;
         Ok(!filtered.is_empty())
     }
 }

@@ -8,23 +8,27 @@
 
 use crate::binding::BindingTable;
 use crate::construct::group_by_exprs;
+use crate::context::EvalCtx;
 use crate::error::{Result, RuntimeError};
 use crate::expr::{eval_expr, Env, Group, Rv};
-use crate::query::Evaluator;
 use gcore_parser::ast::{Expr, SelectItem, SelectQuery};
 use gcore_parser::pretty::print_expr;
 use gcore_ppg::{Table, Value};
 use std::cmp::Ordering;
 
 /// Evaluate a SELECT query into a table.
-pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>) -> Result<Table> {
-    let bindings = ev.eval_match(&s.match_clause, outer)?;
+pub(crate) fn eval_select(
+    ctx: &EvalCtx,
+    s: &SelectQuery,
+    outer: Option<&Env<'_>>,
+) -> Result<Table> {
+    let bindings = ctx.eval_match(&s.match_clause, outer)?;
 
     let aggregated = !s.group_by.is_empty() || s.items.iter().any(|i| i.expr.contains_aggregate());
 
     // Partition rows into groups, with the columns that define them.
     let (groups, group_cols): (Vec<Vec<usize>>, Vec<usize>) = if !s.group_by.is_empty() {
-        let (by_exprs, cols) = group_by_exprs(ev, &bindings, &s.group_by, outer)?;
+        let (by_exprs, cols) = group_by_exprs(ctx, &bindings, &s.group_by, outer)?;
         (by_exprs.into_iter().map(|(_, rows)| rows).collect(), cols)
     } else if aggregated {
         (vec![(0..bindings.len()).collect()], Vec::new())
@@ -61,7 +65,7 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
         };
         let mut cells = Vec::with_capacity(s.items.len());
         for item in &s.items {
-            let rv = eval_item(ev, &env, &item.expr)?;
+            let rv = eval_item(ctx, &env, &item.expr)?;
             cells.push(rv_to_value(&rv));
         }
         let mut keys = Vec::with_capacity(s.order_by.len());
@@ -69,7 +73,7 @@ pub fn eval_select(ev: &Evaluator<'_>, s: &SelectQuery, outer: Option<&Env<'_>>)
             // Alias references resolve to the projected cell.
             let rv = match alias_index(&ord.expr, &s.items) {
                 Some(i) => Rv::Value(cells[i].clone()),
-                None => eval_item(ev, &env, &ord.expr)?,
+                None => eval_item(ctx, &env, &ord.expr)?,
             };
             keys.push(rv);
         }
@@ -128,11 +132,11 @@ fn alias_index(e: &Expr, items: &[SelectItem]) -> Option<usize> {
 
 /// Evaluate one projection item or ORDER BY key under its group's
 /// scope; an aggregate-free item of a group without rows is NULL.
-fn eval_item(ev: &Evaluator<'_>, env: &Env<'_>, expr: &Expr) -> Result<Rv> {
+fn eval_item(ctx: &EvalCtx, env: &Env<'_>, expr: &Expr) -> Result<Rv> {
     if env.group.is_some_and(|g| g.rows.is_empty()) && !expr.contains_aggregate() {
         return Ok(Rv::Null);
     }
-    eval_expr(ev.ctx, ev, env, expr)
+    eval_expr(ctx, env, expr)
 }
 
 /// Convert a runtime value to a table cell.

@@ -13,10 +13,10 @@
 //! and all per-query mutable state lives in the per-thread
 //! [`EvalCtx`](crate::EvalCtx).
 //!
-//! Freezing force-builds every graph's label-partitioned index
-//! ([`Catalog::freeze_indexes`]), so evaluation over a snapshot never
-//! hits the mutation-invalidated scan fallback — a snapshot is
-//! immutable, hence its indexes can never be invalidated again.
+//! Every graph in a snapshot carries its label-partitioned index and
+//! planner statistics: [`Catalog::register_graph`] builds both on entry
+//! and is the only way into a catalog, and a snapshot is immutable,
+//! so evaluation over one never hits the scan fallback.
 //!
 //! The snapshot also memoizes two kinds of path answer for the
 //! statements that run on it (the multi-user steady state repeats
@@ -76,11 +76,8 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Freeze `catalog` at `epoch`: force-build every graph's label
-    /// index and attach empty caches.
-    pub fn freeze(mut catalog: Catalog, epoch: u64) -> Self {
-        catalog.freeze_indexes();
-        debug_assert!(catalog.all_indexed(), "snapshot froze an unindexed graph");
+    /// Freeze `catalog` at `epoch` and attach empty caches.
+    pub fn freeze(catalog: Catalog, epoch: u64) -> Self {
         EngineSnapshot {
             catalog,
             epoch,
@@ -406,10 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn freeze_indexes_every_graph() {
+    fn frozen_graphs_carry_index_and_stats() {
         let (snap, graph) = snapshot_with_chain();
         assert!(graph.has_label_index());
-        assert!(snap.catalog().all_indexed());
+        let frozen = snap.catalog().graph("g").unwrap();
+        assert!(frozen.has_label_index() && frozen.has_stats());
         assert_eq!(snap.epoch(), 1);
     }
 

@@ -15,20 +15,45 @@ mod common;
 
 use common::{canon_result, corpus_texts, prepared_engine};
 use gcore::obs::ProfileSpan;
-use gcore::Engine;
+use gcore::{Engine, QueryOutput, SemanticError};
+use gcore_parser::ast::Statement;
 use gcore_ppg::{Key, Label, StepDir, Value};
 use gcore_snb::{generate, SnbConfig};
 
 /// Run the whole §3/§5 corpus on a fresh tour engine and canonicalize
-/// every statement's result (errors included).
+/// every statement's result (errors included): through `Engine::run`,
+/// or profiled through `QueryExecutor::eval_profiled`, committing each
+/// `GRAPH VIEW` the way `Engine::eval` does so later statements see it.
 fn corpus_canon(profiling: bool) -> Vec<String> {
     let mut engine = prepared_engine();
-    engine.set_profiling(profiling);
     let watermark = engine.catalog().ids().peek();
     corpus_texts()
         .iter()
-        .map(|t| canon_result(&engine.run(t), watermark))
+        .map(|t| {
+            let out = if profiling {
+                run_profiled(&mut engine, t)
+            } else {
+                engine.run(t)
+            };
+            canon_result(&out, watermark)
+        })
         .collect()
+}
+
+/// [`Engine::run`] with a profile collected (and checked) on the way.
+fn run_profiled(engine: &mut Engine, text: &str) -> gcore::Result<QueryOutput> {
+    let stmt = gcore_parser::parse_statement(text)?;
+    let (out, profile) = engine.executor().eval_profiled(&stmt)?;
+    profile
+        .validate()
+        .unwrap_or_else(|e| panic!("{text}: malformed profile: {e}"));
+    if let Statement::GraphView { name, .. } = &stmt {
+        let Some(g) = out.clone().into_graph() else {
+            return Err(SemanticError::GraphExpected(format!("GRAPH VIEW {name} AS (…)")).into());
+        };
+        engine.register_graph(name.clone(), g);
+    }
+    Ok(out)
 }
 
 /// Every profile span boundary sits on an existing evaluation boundary;
@@ -92,11 +117,17 @@ fn snb_engine_at(persons: usize) -> Engine {
 
 fn snb_canon(profiling: bool) -> Vec<String> {
     let mut engine = snb_engine();
-    engine.set_profiling(profiling);
     let watermark = engine.catalog().ids().peek();
     SNB_MIX
         .iter()
-        .map(|t| canon_result(&engine.run(t), watermark))
+        .map(|t| {
+            let out = if profiling {
+                engine.profile(t).map(|(out, _)| out)
+            } else {
+                engine.run(t)
+            };
+            canon_result(&out, watermark)
+        })
         .collect()
 }
 
@@ -132,9 +163,8 @@ fn profile_returns_the_same_output_plus_a_wellformed_profile() {
 #[test]
 fn profiled_statements_reach_the_metrics_registry() {
     let mut engine = snb_engine();
-    engine.set_profiling(true);
     for text in SNB_MIX {
-        engine.run(text).expect(text);
+        engine.profile(text).expect(text);
     }
     let snap = engine.metrics_registry().snapshot();
     let get = |name: &str| {

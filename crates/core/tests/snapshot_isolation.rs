@@ -125,12 +125,11 @@ fn snapshot_freezes_label_indexes_after_mutation() {
     };
     engine.catalog_mut().register_graph("people", mutated);
 
-    // The frozen snapshot must have rebuilt the index (not silently
-    // fallen back to scanning).
+    // Re-registering rebuilt the index and the statistics, so the
+    // frozen snapshot serves them (no silent fallback to scanning).
     let snap = engine.snapshot();
     let g = snap.catalog().graph("people").unwrap();
-    assert!(g.has_label_index());
-    assert!(snap.catalog().all_indexed());
+    assert!(g.has_label_index() && g.has_stats());
     let person = Label::lookup("Person").unwrap();
     assert_eq!(g.nodes_with_label(person).len(), 4);
 
@@ -149,7 +148,10 @@ fn snapshot_freeze_edge_cases_empty_and_single_label() {
     engine.set_default_graph("single");
 
     let snap = engine.snapshot();
-    assert!(snap.catalog().all_indexed());
+    for name in ["empty", "single"] {
+        let g = snap.catalog().graph(name).unwrap();
+        assert!(g.has_label_index() && g.has_stats(), "{name}");
+    }
     let empty = snap.catalog().graph("empty").unwrap();
     assert!(empty.has_label_index());
     assert!(empty.nodes_with_label(Label::new("anything")).is_empty());

@@ -156,45 +156,6 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Force-build the label index of every registered graph that lost
-    /// (or never had) one, returning how many graphs were (re)indexed.
-    ///
-    /// [`register_graph`](Self::register_graph) indexes graphs on entry,
-    /// but direct mutation through a `&mut Catalog` (tests, bulk
-    /// loaders) drops indexes, and the accessors then silently fall back
-    /// to scanning. A catalog about to be frozen into an engine snapshot
-    /// calls this so that *every* graph evaluation sees is indexed —
-    /// scan fallback is a per-call pessimization a long-lived snapshot
-    /// must never pay. Indexed graphs are untouched (their `Arc`s are
-    /// shared, not cloned); an unindexed graph is cloned once, indexed,
-    /// and swapped in.
-    pub fn freeze_indexes(&mut self) -> usize {
-        let mut rebuilt = 0;
-        for graph in self.graphs.values_mut() {
-            if !graph.has_label_index() || !graph.has_stats() {
-                let mut g = (**graph).clone();
-                if !g.has_label_index() {
-                    g.build_label_index();
-                }
-                if !g.has_stats() {
-                    g.build_stats();
-                }
-                *graph = Arc::new(g);
-                rebuilt += 1;
-            }
-        }
-        rebuilt
-    }
-
-    /// True when every registered graph currently has a valid label
-    /// index and valid planner statistics (the invariant a frozen
-    /// snapshot maintains).
-    pub fn all_indexed(&self) -> bool {
-        self.graphs
-            .values()
-            .all(|g| g.has_label_index() && g.has_stats())
-    }
-
     /// Sorted names of all registered graphs.
     pub fn graph_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.graphs.keys().cloned().collect();
@@ -276,68 +237,6 @@ mod tests {
         assert!(c.has_table("orders"));
         assert!(c.table("orders").is_ok());
         assert!(matches!(c.table("x"), Err(CatalogError::UnknownTable(_))));
-    }
-
-    #[test]
-    fn freeze_indexes_rebuilds_only_invalidated_graphs() {
-        use crate::symbols::Label;
-
-        let mut c = Catalog::new();
-        let mut g = PathPropertyGraph::new();
-        g.add_node(NodeId(1), Attributes::labeled("Person"));
-        c.register_graph("g", g); // register_graph indexes on entry
-        assert!(c.all_indexed());
-        let before = c.graph("g").unwrap();
-
-        // An untouched catalog freezes for free: no graph is cloned.
-        assert_eq!(c.freeze_indexes(), 0);
-        assert!(Arc::ptr_eq(&before, &c.graph("g").unwrap()));
-
-        // Mutating a graph through the catalog drops its index…
-        let mutated = {
-            let mut g = (*before).clone();
-            g.add_node(NodeId(2), Attributes::labeled("Person"));
-            g
-        };
-        assert!(!mutated.has_label_index());
-        c.graphs.insert("g".into(), Arc::new(mutated));
-        assert!(!c.all_indexed());
-
-        // …and freezing rebuilds it, so lookups are index-served again.
-        assert_eq!(c.freeze_indexes(), 1);
-        assert!(c.all_indexed());
-        let frozen = c.graph("g").unwrap();
-        assert!(frozen.has_label_index());
-        assert_eq!(
-            frozen.nodes_with_label(Label::new("Person")),
-            vec![NodeId(1), NodeId(2)]
-        );
-    }
-
-    #[test]
-    fn freeze_indexes_edge_cases() {
-        use crate::symbols::Label;
-
-        // The empty graph is indexable: freezing builds a (trivial)
-        // index and the accessors answer through it.
-        let mut c = Catalog::new();
-        c.graphs
-            .insert("empty".into(), Arc::new(PathPropertyGraph::new()));
-        assert_eq!(c.freeze_indexes(), 1);
-        let g = c.graph("empty").unwrap();
-        assert!(g.has_label_index());
-        assert!(g.nodes_with_label(Label::new("Person")).is_empty());
-
-        // Single-label graph: one node, one label, index-served.
-        let mut single = PathPropertyGraph::new();
-        single.add_node(NodeId(9), Attributes::labeled("Only"));
-        c.graphs.insert("single".into(), Arc::new(single));
-        assert_eq!(c.freeze_indexes(), 1);
-        let g = c.graph("single").unwrap();
-        assert!(g.has_label_index());
-        assert_eq!(g.nodes_with_label(Label::new("Only")), vec![NodeId(9)]);
-        // Freezing again is a no-op for both.
-        assert_eq!(c.freeze_indexes(), 0);
     }
 
     #[test]

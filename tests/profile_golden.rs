@@ -25,8 +25,8 @@ use common::tour;
 use gcore_repro::corpus;
 use std::path::PathBuf;
 
-/// True unless `GCORE_PLAN` disables the planner (mirrors
-/// `gcore::context::planner_default`, which tests cannot call).
+/// True unless `GCORE_PLAN` disables the planner (mirrors the default
+/// of `gcore::EvalOptions::planner`).
 fn planner_on() -> bool {
     !matches!(
         std::env::var("GCORE_PLAN").as_deref(),

@@ -145,6 +145,79 @@ fn set_on_unknown_variable_rejected() {
     assert_eq!(semantic_code(&err), "E014", "got {err:?}");
 }
 
+/// The syntactic rules behind E006, E007 and E014 are judged by the
+/// analyzer alone — the evaluator keeps no copy of them — so each must
+/// come back as a `SemanticError::Analysis` carrying its code, wherever
+/// the offending pattern sits: the main MATCH, an OPTIONAL block, an
+/// EXISTS body or a WHERE pattern predicate.
+#[test]
+fn the_analyzer_alone_judges_path_group_and_set_rules() {
+    const ROWS: &[(&str, &str)] = &[
+        // COST bound on an ALL path pattern.
+        (
+            "E006",
+            "CONSTRUCT (m) MATCH (n:Person)-/ALL p <:knows*> COST c/->(m:Person)",
+        ),
+        (
+            "E006",
+            "CONSTRUCT (n) MATCH (n:Person) \
+             OPTIONAL (n)-/ALL p <:knows*> COST c/->(m:Person)",
+        ),
+        (
+            "E006",
+            "CONSTRUCT (n) MATCH (n:Person) \
+             WHERE EXISTS (CONSTRUCT (m) MATCH (n)-/ALL p <:knows*> COST c/->(m:Person))",
+        ),
+        (
+            "E006",
+            "CONSTRUCT (n) MATCH (n:Person) \
+             WHERE (n)-/ALL p <:knows*> COST c/->(:Person)",
+        ),
+        // A path mode on a stored-path pattern.
+        ("E006", "CONSTRUCT (m) MATCH (n:Person)-/ALL @p/->(m)"),
+        (
+            "E006",
+            "CONSTRUCT (m) MATCH (n:Person)-/2 SHORTEST @p/->(m)",
+        ),
+        // A PATH view without a segment.
+        (
+            "E006",
+            "PATH v = (x:Person) CONSTRUCT (m) MATCH (n:Person)-/<~v*>/->(m)",
+        ),
+        // Two different GROUPs on one node, then on one edge, across
+        // patterns.
+        (
+            "E007",
+            "CONSTRUCT (x GROUP n.employer)-[:a]->(n), (x GROUP n.lastName)-[:b]->(n) \
+             MATCH (n:Person)",
+        ),
+        (
+            "E007",
+            "CONSTRUCT (n)-[e GROUP n.employer :a]->(m), (n)-[e GROUP n.lastName :a]->(m) \
+             MATCH (n:Person)-[:knows]->(m:Person)",
+        ),
+        // SET / REMOVE on a variable of another construct pattern.
+        (
+            "E014",
+            "CONSTRUCT (n), (m) SET n.seen := 1 MATCH (n:Person)-[:knows]->(m:Person)",
+        ),
+        (
+            "E014",
+            "CONSTRUCT (n), (m) REMOVE n:Person MATCH (n:Person)-[:knows]->(m:Person)",
+        ),
+    ];
+    let mut t = tour();
+    for (code, statement) in ROWS {
+        match t.engine.query_graph(statement) {
+            Err(EngineError::Semantic(SemanticError::Analysis(diags))) => {
+                let first = diags.iter().find(|d| d.is_error()).map(|d| d.code.as_str());
+                assert_eq!(first, Some(*code), "{statement}: {diags:?}");
+            }
+            other => panic!("{statement}: expected an {code} analysis error, got {other:?}"),
+        }
+    }
+}
+
 /// Unknown graphs / tables are catalog errors.
 #[test]
 fn unknown_graph_and_table_are_catalog_errors() {

@@ -270,6 +270,42 @@ const CASES: &[Case] = &[
             Alice
         ",
     },
+    // A subquery ON another graph must not become the graph the rest of
+    // its WHERE (or a WHEN) reads pattern predicates on: every Person
+    // knows a Person on the default graph, whichever conjunct runs first.
+    Case {
+        name: "pattern_predicate_before_exists_on_another_graph",
+        statement: "CONSTRUCT (n) MATCH (n:Person) WHERE (n)-[:knows]->(:Person) AND EXISTS (CONSTRUCT (c) MATCH (c:Company) ON company_graph)",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
+        name: "exists_on_another_graph_before_pattern_predicate",
+        statement: "CONSTRUCT (n) MATCH (n:Person) WHERE EXISTS (CONSTRUCT (c) MATCH (c:Company) ON company_graph) AND (n)-[:knows]->(:Person)",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
+        name: "when_pattern_predicate_after_exists_on_another_graph",
+        statement: "CONSTRUCT (n) WHEN (n)-[:knows]->(:Person) MATCH (n:Person) WHERE EXISTS (CONSTRUCT (c) MATCH (c:Company) ON company_graph)",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
     Case {
         name: "construct_count_star_over_optional_padding",
         statement: "CONSTRUCT (n {posts := COUNT(*)}) MATCH (n:Person) OPTIONAL (n)<-[:has_creator]-(p:Post)",
