@@ -327,7 +327,7 @@ impl Engine {
 
     /// Cold-start an engine from a store written by
     /// [`save_to`](Self::save_to): decode every persisted graph,
-    /// register it (rebuilding label indexes and reserving the stored
+    /// register it (building its read layout and reserving the stored
     /// identifier space, so fresh skolemized identifiers never collide
     /// with loaded elements) and restore the default graph.
     ///

@@ -14,7 +14,7 @@
 //! variable, are applied at every site that binds the variable,
 //! and nowhere else — and a pattern whose start variable an earlier
 //! pattern already bound is *seeded* from those identifiers instead of
-//! the label index.
+//! the graph's label groups.
 
 use crate::binding::{BindingTable, Bound, Column, TableBuilder};
 use crate::context::{EvalCtx, FreshPath};
@@ -211,7 +211,7 @@ impl<'e> PatternMatcher<'e> {
         }
         let (candidates, rest_groups) = match seed {
             // Nodes an earlier pattern bound: they may come from another
-            // graph and were not drawn from a label index, so identifiers
+            // graph and were not drawn from a label group, so identifiers
             // this graph lacks are dropped and every label group is
             // checked.
             Some(seed) => (
@@ -229,7 +229,7 @@ impl<'e> PatternMatcher<'e> {
 
     /// The candidates of a node pattern drawn from the graph, with the
     /// label groups still to check on each: when the first group is a
-    /// single label the candidates come from the label index — that group
+    /// single label the candidates come from its label group — that group
     /// is then already satisfied — otherwise they are every node.
     fn label_candidates<'n>(&self, node: &'n NodePattern) -> (Vec<NodeId>, &'n [LabelDisjunction]) {
         match first_label(&node.labels) {
@@ -422,7 +422,7 @@ impl<'e> PatternMatcher<'e> {
         structural: &[&str],
     ) -> Result<BindingTable> {
         // When the first label group is a single label, the steps come
-        // from the label-partitioned adjacency and that group is already
+        // from the label's CSR in the read layout and that group is already
         // satisfied, so it is skipped below. `None`: the label is not
         // interned, so no edge anywhere carries it.
         let (label, rest_groups) = match first_label(&edge.labels) {

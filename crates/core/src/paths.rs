@@ -18,14 +18,20 @@
 //!
 //! # Search strategy
 //!
-//! Every search expands product states through one step enumerator,
-//! which takes each edge step through the graph's own
-//! [`for_each_step`](PathPropertyGraph::for_each_step) (label-indexed
-//! when the graph has its index, an adjacency scan when not). On top of
-//! it sit three traversals, and each entry point is a thin caller of one:
+//! Every search keeps its product states `(node, NFA state)` by the
+//! node's *position* in the graph's read layout ([`Positions`]: ids
+//! ascending, so position order is id order), numbering a graph without
+//! the layout once per searcher. It expands them through one step
+//! enumerator, which takes each edge step through the graph's own
+//! [`for_each_step_at`](PathPropertyGraph::for_each_step_at) (a per-label
+//! CSR range when the graph has its read layout, an adjacency scan when
+//! not); view segments are indexed by source and destination position.
+//! On top of it sit three traversals, and each entry point is a thin
+//! caller of one:
 //!
 //! * **The sweep** (`Sweep`) — the walk-free traversal: one visited set
-//!   (per-node bitmasks of NFA states), one frontier, advanced a level at
+//!   (per position, a bitmask of NFA states: one flat array of words),
+//!   one frontier, advanced a level at
 //!   a time or run to its fixpoint, under the searcher's NFA or its
 //!   reversal ([`Nfa::reverse`], total: view segments are indexed by
 //!   destination on first backward use), optionally confined to the
@@ -43,7 +49,8 @@
 //!   parent pointers into an arena, replayed into walks on acceptance,
 //!   popped in (cost, walk sequence, node, state) order. Every pop runs
 //!   one admission → accept → expand body: a product state is admitted
-//!   at most `k` times (a successor whose state is already full is never
+//!   at most `k` times, counted in one array over `pos · |Q| + q` (a
+//!   successor whose state is already full is never
 //!   entered), and with targets the search stays inside their cone and
 //!   stops once every target holds `k` walks. Two orderings feed it. A
 //!   *unit-cost* search (a view-free automaton: every step is one edge)
@@ -57,7 +64,9 @@
 //! * **The condensation** —
 //!   [`reachable_many`](PathSearcher::reachable_many) answers
 //!   reachability from many sources with one Tarjan pass over the
-//!   product: every state of a strongly connected component reaches the
+//!   product, whose states are numbered `pos · |Q| + q` (no intern map)
+//!   and whose successor lists share one flat array: every state of a
+//!   strongly connected component reaches the
 //!   same destinations, so destination sets are accumulated once per
 //!   component in reverse topological order, `Arc`-shared between
 //!   components that add nothing of their own. The snapshot's closure
@@ -73,7 +82,7 @@
 //! stands — never a partial or empty answer.
 //!
 //! `tests/path_equivalence.rs` checks each against the unidirectional
-//! search over the same graph without its label index, or a brute-force
+//! search over the same graph without its read layout, or a brute-force
 //! enumeration;
 //! `tests/path_conformance.rs` pins the exact answers.
 
@@ -81,7 +90,8 @@ use crate::cancel::{CancelToken, CHECK_STRIDE};
 use crate::error::Result;
 use crate::regex::{Nfa, Sym};
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
-use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape, StepDir};
+use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape, Positions, StepDir};
+use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -101,74 +111,111 @@ pub struct Segment {
     pub walk: PathShape,
 }
 
-/// All segments of one PATH view over one graph, indexed by source.
-/// Built once and shared by `Arc` (see [`ViewMap`]): a snapshot keeps the
-/// relations of views over its own graphs for every statement that
-/// defines the same view again.
-#[derive(Default, Debug)]
+/// All segments of one PATH view over one graph, indexed by the source
+/// and the destination position of each in that graph. Built once and
+/// shared by `Arc` (see [`ViewMap`]): a snapshot keeps the relations of
+/// views over its own graphs for every statement that defines the same
+/// view again.
+#[derive(Debug)]
 pub struct ViewSegments {
     /// The segment relation, sorted by (src, dst).
     pub segments: Vec<Segment>,
-    /// Indexes into `segments`, keyed by source node (deterministic
-    /// expansion order within each source).
-    pub by_src: FxHashMap<NodeId, Vec<usize>>,
     /// True when the view declares an explicit COST (so path costs are
     /// real-valued, not hop counts).
     pub weighted: bool,
-    /// Indexes into `segments`, keyed by destination node, ascending —
-    /// what a backward traversal expands through.
-    by_dst: OnceLock<FxHashMap<NodeId, Vec<usize>>>,
+    /// Per segment, its (source, destination) positions.
+    ends: Vec<(u32, u32)>,
+    /// Segments by source position `p`: `from[by_src[p]..by_src[p + 1]]`,
+    /// each run in (dst, walk) order — the deterministic expansion order.
+    by_src: Vec<u32>,
+    from: Vec<u32>,
+    /// Segments by destination position, the same way, ascending within
+    /// a run — what a backward traversal expands through.
+    by_dst: OnceLock<(Vec<u32>, Vec<u32>)>,
+}
+
+/// Offsets of the runs of `items`, sorted by `pos_of`, over `n`
+/// positions: position `p`'s run is `items[offsets[p]..offsets[p + 1]]`.
+fn runs(n: usize, items: &[u32], pos_of: impl Fn(u32) -> u32) -> Vec<u32> {
+    let mut offsets = vec![0u32; n + 1];
+    for &i in items {
+        offsets[pos_of(i) as usize + 1] += 1;
+    }
+    for p in 0..n {
+        offsets[p + 1] += offsets[p];
+    }
+    offsets
 }
 
 impl ViewSegments {
-    /// Build the index from a segment list.
+    /// Index a segment list over `graph`, whose nodes the segments join.
     ///
     /// ```
     /// use gcore::paths::{Segment, ViewSegments};
-    /// use gcore_ppg::{EdgeId, NodeId, PathShape};
+    /// use gcore_ppg::{Attributes, GraphBuilder, PathShape};
     ///
-    /// let (a, b) = (NodeId(1), NodeId(2));
-    /// let walk = PathShape::new(vec![a, b], vec![EdgeId(10)]).unwrap();
+    /// let mut b = GraphBuilder::standalone();
+    /// let (a, c) = (b.node(Attributes::new()), b.node(Attributes::new()));
+    /// let e = b.edge(a, c, Attributes::labeled("knows"));
+    /// let g = b.build();
+    /// let walk = PathShape::new(vec![a, c], vec![e]).unwrap();
     /// let view = ViewSegments::new(
-    ///     vec![Segment { src: a, dst: b, cost: 2.5, walk }],
+    ///     vec![Segment { src: a, dst: c, cost: 2.5, walk }],
     ///     true, // the view declares an explicit COST
+    ///     &g,
     /// );
     /// assert!(view.weighted);
-    /// assert_eq!(view.by_src[&a], vec![0]); // segment 0 starts at `a`
+    /// assert_eq!(view.segments[0].src, a);
     /// ```
-    pub fn new(segments: Vec<Segment>, weighted: bool) -> Self {
-        let mut by_src: FxHashMap<NodeId, Vec<usize>> = FxHashMap::default();
-        for (i, s) in segments.iter().enumerate() {
-            by_src.entry(s.src).or_default().push(i);
-        }
-        // Deterministic expansion order: by (dst, walk).
-        for idxs in by_src.values_mut() {
-            idxs.sort_by(|&a, &b| {
-                let sa = &segments[a];
-                let sb = &segments[b];
-                sa.dst
-                    .cmp(&sb.dst)
-                    .then_with(|| sa.walk.cmp_interleaved(&sb.walk))
-            });
-        }
+    pub fn new(segments: Vec<Segment>, weighted: bool, graph: &PathPropertyGraph) -> Self {
+        let at = graph.positions();
+        // A segment between nodes the graph lacks is never stepped over.
+        let ends: Vec<(u32, u32)> = segments
+            .iter()
+            .map(|s| {
+                at.of(s.src)
+                    .zip(at.of(s.dst))
+                    .unwrap_or((u32::MAX, u32::MAX))
+            })
+            .collect();
+        let mut from: Vec<u32> = (0..segments.len() as u32)
+            .filter(|&i| ends[i as usize].0 != u32::MAX)
+            .collect();
+        from.sort_by(|&a, &b| {
+            let (sa, sb) = (&segments[a as usize], &segments[b as usize]);
+            (ends[a as usize].0, sa.dst)
+                .cmp(&(ends[b as usize].0, sb.dst))
+                .then_with(|| sa.walk.cmp_interleaved(&sb.walk))
+        });
+        let by_src = runs(at.len(), &from, |i| ends[i as usize].0);
         ViewSegments {
             segments,
-            by_src,
             weighted,
+            ends,
+            by_src,
+            from,
             by_dst: OnceLock::new(),
         }
     }
 
-    /// The segments ending at `node`, built on first use.
-    fn ending_at(&self, node: NodeId) -> &[usize] {
-        let by_dst = self.by_dst.get_or_init(|| {
-            let mut by_dst: FxHashMap<NodeId, Vec<usize>> = FxHashMap::default();
-            for (i, s) in self.segments.iter().enumerate() {
-                by_dst.entry(s.dst).or_default().push(i);
-            }
-            by_dst
+    /// The segments starting at position `pos`.
+    fn starting_at(&self, pos: u32) -> &[u32] {
+        let p = pos as usize;
+        &self.from[self.by_src[p] as usize..self.by_src[p + 1] as usize]
+    }
+
+    /// The segments ending at position `pos`, indexed on first use.
+    fn ending_at(&self, pos: u32) -> &[u32] {
+        let (by_dst, to) = self.by_dst.get_or_init(|| {
+            let mut to = self.from.clone();
+            to.sort_by_key(|&i| (self.ends[i as usize].1, i));
+            (
+                runs(self.by_src.len() - 1, &to, |i| self.ends[i as usize].1),
+                to,
+            )
         });
-        by_dst.get(&node).map_or(&[], Vec::as_slice)
+        let p = pos as usize;
+        &to[by_dst[p] as usize..by_dst[p + 1] as usize]
     }
 }
 
@@ -188,28 +235,42 @@ pub struct FoundPath {
 /// edges that lie on some accepting walk to it, ascending.
 pub type Projection = (NodeId, Vec<NodeId>, Vec<EdgeId>);
 
-/// A set of product states: per node, a bitmask of NFA states, 64 to a
-/// word — so a whole ε-closure is tested and inserted with one lookup.
-#[derive(Default)]
+/// A set of product states: per node position, a bitmask of NFA
+/// states in `words` words of 64 — so a whole ε-closure is tested and
+/// inserted a word at a time.
 struct StateSet {
-    /// Bit `b` of `bits[(v, i)]` is set iff `(v, 64·i + b)` is a member.
-    bits: FxHashMap<(NodeId, u32), u64>,
+    words: usize,
+    /// Bit `b` of `bits[pos · words + i]` is set iff `(pos, 64·i + b)` is
+    /// a member.
+    bits: Vec<u64>,
 }
 
 impl StateSet {
-    #[inline]
-    fn contains(&self, v: NodeId, q: usize) -> bool {
-        let word = self.bits.get(&(v, (q / 64) as u32));
-        word.is_some_and(|w| w >> (q % 64) & 1 != 0)
+    /// The empty set over `nodes` positions and `nfa`'s states.
+    fn new(nodes: usize, nfa: &Nfa) -> Self {
+        let words = nfa.num_states().div_ceil(64).max(1);
+        StateSet {
+            words,
+            bits: vec![0; nodes * words],
+        }
     }
 
-    fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        self.bits.iter().flat_map(|(&(v, i), &word)| {
+    #[inline]
+    fn contains(&self, v: u32, q: usize) -> bool {
+        self.bits[v as usize * self.words + q / 64] >> (q % 64) & 1 != 0
+    }
+
+    /// The members, by ascending position.
+    fn iter(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let words = self.words;
+        let set = self.bits.iter().enumerate().filter(|(_, &w)| w != 0);
+        set.flat_map(move |(j, &word)| {
+            let (v, i) = ((j / words) as u32, j % words);
             // Peel the lowest set bit off the word until none is left.
             let mut rest = word;
             std::iter::from_fn(move || {
                 (rest != 0).then(|| {
-                    let state = 64 * i as usize + rest.trailing_zeros() as usize;
+                    let state = 64 * i + rest.trailing_zeros() as usize;
                     rest &= rest - 1;
                     (v, state)
                 })
@@ -218,15 +279,16 @@ impl StateSet {
     }
 
     /// The nodes with a member state the automaton accepts in, ascending.
-    fn accepting_nodes(&self, nfa: &Nfa) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .iter()
-            .filter(|&(_, q)| nfa.accepts(q))
-            .map(|(v, _)| v)
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
+    fn accepting_nodes(&self, nfa: &Nfa, at: &Positions) -> Vec<NodeId> {
+        let mut accepting = vec![0u64; self.words];
+        for q in (0..nfa.num_states()).filter(|&q| nfa.accepts(q)) {
+            accepting[q / 64] |= 1 << (q % 64);
+        }
+        let per_node = self.bits.chunks_exact(self.words).enumerate();
+        per_node
+            .filter(|(_, ws)| ws.iter().zip(&accepting).any(|(w, a)| w & a != 0))
+            .map(|(p, _)| at.id(p as u32))
+            .collect()
     }
 }
 
@@ -250,8 +312,9 @@ struct Sweep<'s, 'a> {
     /// States outside this set are never entered (`None`: no bound).
     within: Option<&'s StateSet>,
     seen: StateSet,
-    frontier: Vec<(NodeId, usize)>,
-    /// Words per node in `seen`, and every state's ε-closure as that
+    /// (position, state) pairs.
+    frontier: Vec<(u32, usize)>,
+    /// Words per position in `seen`, and every state's ε-closure as that
     /// many mask words.
     words: usize,
     eps: Vec<u64>,
@@ -260,7 +323,8 @@ struct Sweep<'s, 'a> {
 
 impl<'s, 'a> Sweep<'s, 'a> {
     fn new(searcher: &'s PathSearcher<'a>, nfa: &'s Nfa, within: Option<&'s StateSet>) -> Self {
-        let words = nfa.num_states().div_ceil(64);
+        let seen = StateSet::new(searcher.at.len(), nfa);
+        let words = seen.words;
         let mut eps = vec![0u64; nfa.num_states() * words];
         for s in 0..nfa.num_states() {
             for &c in nfa.closure(s) {
@@ -271,7 +335,7 @@ impl<'s, 'a> Sweep<'s, 'a> {
             searcher,
             nfa,
             within,
-            seen: StateSet::default(),
+            seen,
             frontier: Vec::new(),
             words,
             eps,
@@ -282,14 +346,14 @@ impl<'s, 'a> Sweep<'s, 'a> {
     /// Start from `state` at `node` (a node the graph lacks seeds
     /// nothing).
     fn seed(&mut self, node: NodeId, state: usize) {
-        if self.searcher.graph.contains_node(node) {
-            self.enter(node, state);
+        if let Some(pos) = self.searcher.at.of(node) {
+            self.enter(pos, state);
         }
     }
 
     /// Arrive at `(w, t)`: every state of its ε+node-test closure not
     /// seen before joins the visited set and the frontier.
-    fn enter(&mut self, w: NodeId, t: usize) {
+    fn enter(&mut self, w: u32, t: usize) {
         if self.nfa.has_node_tests() {
             let (searcher, nfa) = (self.searcher, self.nfa);
             let mut closer = std::mem::take(&mut self.closer);
@@ -304,18 +368,13 @@ impl<'s, 'a> Sweep<'s, 'a> {
         }
     }
 
-    /// Of the states `mask` selects in word `i` of node `w`, visit those
-    /// that are within bounds and new.
-    fn admit(&mut self, w: NodeId, i: usize, mask: u64) {
-        let key = (w, i as u32);
-        let bound = match self.within {
-            Some(set) => set.bits.get(&key).copied().unwrap_or(0),
-            None => u64::MAX,
-        };
-        if mask & bound == 0 {
-            return;
-        }
-        let word = self.seen.bits.entry(key).or_insert(0);
+    /// Of the states `mask` selects in word `i` of position `w`, visit
+    /// those that are within bounds and new.
+    #[inline]
+    fn admit(&mut self, w: u32, i: usize, mask: u64) {
+        let j = w as usize * self.words + i;
+        let bound = self.within.map_or(u64::MAX, |set| set.bits[j]);
+        let word = &mut self.seen.bits[j];
         let mut new = mask & bound & !*word;
         *word |= new;
         while new != 0 {
@@ -328,7 +387,7 @@ impl<'s, 'a> Sweep<'s, 'a> {
     /// Expand every state of the frontier; the states entered on the way
     /// are the next frontier. Stops early, returning `true`, once an
     /// expansion enters a state that `meets`.
-    fn advance(&mut self, meets: impl Fn(NodeId, usize) -> bool) -> Result<bool> {
+    fn advance(&mut self, meets: impl Fn(u32, usize) -> bool) -> Result<bool> {
         let (searcher, nfa) = (self.searcher, self.nfa);
         for (v, q) in std::mem::take(&mut self.frontier) {
             searcher.tick()?;
@@ -351,18 +410,20 @@ impl<'s, 'a> Sweep<'s, 'a> {
 }
 
 /// The per-product-state arrays of the iterative Tarjan SCC pass in
-/// [`PathSearcher::reachable_many`], grown together as product states
-/// are interned on the fly. [`Tarjan::UNDEF`] marks unvisited (`index`)
-/// / unassigned (`comp`) entries.
-#[derive(Default)]
+/// [`PathSearcher::reachable_many`], over the states `pos · |Q| + q`.
+/// [`Tarjan::UNDEF`] marks unvisited (`index`) / unassigned (`comp`)
+/// entries.
 struct Tarjan {
     index: Vec<u32>,
     lowlink: Vec<u32>,
     comp: Vec<u32>,
     on_stack: Vec<bool>,
-    /// Successor lists, kept for the condensation-DAG pass after the
-    /// SCC assignment.
-    succs: Vec<Vec<u32>>,
+    /// The successors of every opened state, one run per state in
+    /// opening order, kept for the condensation-DAG pass after the SCC
+    /// assignment.
+    succs: Vec<u32>,
+    /// Every opened state with the start of its run in `succs`.
+    opened: Vec<(u32, u32)>,
     /// The SCC candidate stack.
     stack: Vec<u32>,
     next_index: u32,
@@ -372,27 +433,31 @@ struct Tarjan {
 impl Tarjan {
     const UNDEF: u32 = u32::MAX;
 
-    /// Grow every per-state array to cover `n` interned states.
-    fn grow(&mut self, n: usize) {
-        self.index.resize(n, Self::UNDEF);
-        self.lowlink.resize(n, Self::UNDEF);
-        self.comp.resize(n, Self::UNDEF);
-        self.on_stack.resize(n, false);
-        self.succs.resize(n, Vec::new());
+    fn new(states: usize) -> Self {
+        assert!(states < Self::UNDEF as usize, "product states are u32");
+        Tarjan {
+            index: vec![Self::UNDEF; states],
+            lowlink: vec![Self::UNDEF; states],
+            comp: vec![Self::UNDEF; states],
+            on_stack: vec![false; states],
+            succs: Vec::new(),
+            opened: Vec::new(),
+            stack: Vec::new(),
+            next_index: 0,
+            comp_count: 0,
+        }
     }
 
-    /// Open a DFS frame for `v`: grow to `n_states` (the successor
-    /// computation may have interned new states), number the state,
-    /// push it on the SCC stack and record its successor list.
-    fn open(&mut self, v: u32, succs: Vec<u32>, n_states: usize) {
-        self.grow(n_states);
+    /// Open a DFS frame for `v`, whose successors `succs` holds from
+    /// `start` on: number the state and push it on the SCC stack.
+    fn open(&mut self, v: u32, start: usize) {
         let i = v as usize;
         self.index[i] = self.next_index;
         self.lowlink[i] = self.next_index;
         self.next_index += 1;
         self.on_stack[i] = true;
         self.stack.push(v);
-        self.succs[i] = succs;
+        self.opened.push((v, start as u32));
     }
 
     /// Close `fin`'s DFS frame: fold its lowlink into `parent` and, if
@@ -414,6 +479,14 @@ impl Tarjan {
             }
             self.comp_count += 1;
         }
+    }
+
+    /// Every opened state with its successors.
+    fn arcs(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let ends = self.opened.iter().skip(1).map(|&(_, start)| start as usize);
+        let ends = ends.chain([self.succs.len()]);
+        let runs = self.opened.iter().zip(ends);
+        runs.map(|(&(v, start), end)| (v, &self.succs[start as usize..end]))
     }
 }
 
@@ -437,6 +510,8 @@ enum StepPiece<'v> {
 /// [module docs](self)).
 pub struct PathSearcher<'a> {
     graph: &'a PathPropertyGraph,
+    /// The graph's node positions: its read layout's, or numbered here.
+    at: Cow<'a, Positions>,
     nfa: &'a Nfa,
     views: &'a ViewMap,
     /// Does any referenced view carry real-valued costs?
@@ -486,8 +561,17 @@ impl<'a> PathSearcher<'a> {
         let weighted = names
             .iter()
             .any(|n| views.get(n).is_some_and(|v| v.weighted));
+        let at = graph.positions();
+        debug_assert!(
+            names
+                .iter()
+                .filter_map(|n| views.get(n))
+                .all(|v| v.by_src.len() == at.len() + 1),
+            "a view is indexed over the searched graph's positions"
+        );
         PathSearcher {
             graph,
+            at,
             nfa,
             views,
             weighted,
@@ -554,7 +638,7 @@ impl<'a> PathSearcher<'a> {
     fn for_each_closed(
         &self,
         nfa: &Nfa,
-        node: NodeId,
+        node: u32,
         state: usize,
         closer: &mut Closer,
         mut f: impl FnMut(usize),
@@ -580,7 +664,7 @@ impl<'a> PathSearcher<'a> {
         while let Some(q) = stack.pop() {
             for (sym, to) in nfa.transitions(q) {
                 if let Sym::NodeTest(l) = sym {
-                    if self.graph.has_label(node.into(), *l) {
+                    if self.graph.has_label(self.at.id(node).into(), *l) {
                         for &c in nfa.closure(*to) {
                             enter(c, stack);
                         }
@@ -595,16 +679,16 @@ impl<'a> PathSearcher<'a> {
         }
     }
 
-    /// Enumerate every expansion step of `(node, q)` under `nfa`:
-    /// `f(cost, next_node, next_state, piece)` is called once per
-    /// (graph step × target state). The single place a symbol becomes
-    /// steps; the next state is not yet closed.
+    /// Enumerate every expansion step of `(node, q)` under `nfa`, between
+    /// positions: `f(cost, next_node, next_state, piece)` is called once
+    /// per (graph step × target state). The single place a symbol
+    /// becomes steps; the next state is not yet closed.
     fn for_each_step(
         &self,
         nfa: &Nfa,
-        node: NodeId,
+        node: u32,
         q: usize,
-        mut f: impl FnMut(f64, NodeId, usize, StepPiece<'a>),
+        mut f: impl FnMut(f64, u32, usize, StepPiece<'a>),
     ) {
         for (sym, tos) in nfa.grouped_transitions(q) {
             let (dir, label) = match sym {
@@ -620,11 +704,12 @@ impl<'a> PathSearcher<'a> {
                     let idxs = if backwards {
                         view.ending_at(node)
                     } else {
-                        view.by_src.get(&node).map_or(&[][..], Vec::as_slice)
+                        view.starting_at(node)
                     };
                     for &i in idxs {
-                        let seg = &view.segments[i];
-                        let far = if backwards { seg.src } else { seg.dst };
+                        let (src, dst) = view.ends[i as usize];
+                        let far = if backwards { src } else { dst };
+                        let seg = &view.segments[i as usize];
                         let walk = &seg.walk;
                         for &to in tos {
                             f(seg.cost, far, to, StepPiece::Seg { walk, backwards });
@@ -633,7 +718,8 @@ impl<'a> PathSearcher<'a> {
                     continue;
                 }
             };
-            self.graph.for_each_step(node, dir, label, |e, far| {
+            let at = &*self.at;
+            self.graph.for_each_step_at(at, node, dir, label, |e, far| {
                 for &to in tos {
                     f(1.0, far, to, StepPiece::Edge(e));
                 }
@@ -694,9 +780,10 @@ impl<'a> PathSearcher<'a> {
         k: usize,
         targets: Option<&FxHashSet<NodeId>>,
     ) -> Result<FxHashMap<NodeId, Vec<FoundPath>>> {
-        if !self.graph.contains_node(src) || k == 0 || targets.is_some_and(FxHashSet::is_empty) {
-            return Ok(FxHashMap::default());
-        }
+        let src = match self.at.of(src) {
+            Some(pos) if k > 0 && !targets.is_some_and(FxHashSet::is_empty) => pos,
+            _ => return Ok(FxHashMap::default()),
+        };
         // Backward cone: with concrete targets, restrict the forward
         // search to states that can still reach acceptance at a target.
         // States outside cannot contribute any accepting walk, so results
@@ -709,7 +796,8 @@ impl<'a> PathSearcher<'a> {
                 .map(|t| self.co_reachable_cone(t.iter().copied(), None))
                 .transpose()?,
             arena: Vec::new(),
-            pops: FxHashMap::default(),
+            states: self.nfa.num_states(),
+            pops: vec![0; self.at.len() * self.nfa.num_states()],
             results: FxHashMap::default(),
             answered: 0,
             closer: Closer::default(),
@@ -756,7 +844,7 @@ impl<'a> PathSearcher<'a> {
     /// # Ok::<(), gcore::EngineError>(())
     /// ```
     pub fn reachable(&self, src: NodeId) -> Result<Vec<NodeId>> {
-        Ok(self.forward_from(src)?.accepting_nodes(self.nfa))
+        Ok(self.forward_from(src)?.accepting_nodes(self.nfa, &self.at))
     }
 
     /// Every product state a walk from `src` reaches.
@@ -814,83 +902,71 @@ impl<'a> PathSearcher<'a> {
         &self,
         sources: &[NodeId],
     ) -> Result<FxHashMap<NodeId, Arc<Vec<NodeId>>>> {
-        let nfa = self.nfa;
-
-        // Interned product states.
-        let mut ids: FxHashMap<(NodeId, usize), u32> = FxHashMap::default();
-        let mut states: Vec<(NodeId, usize)> = Vec::new();
-        let intern = |ids: &mut FxHashMap<(NodeId, usize), u32>,
-                      states: &mut Vec<(NodeId, usize)>,
-                      s: (NodeId, usize)|
-         -> u32 {
-            *ids.entry(s).or_insert_with(|| {
-                states.push(s);
-                (states.len() - 1) as u32
-            })
-        };
-
-        // Seed states per source (deduplicated across sources).
+        let (nfa, at) = (self.nfa, &*self.at);
+        let width = nfa.num_states();
+        let mut ts = Tarjan::new(at.len() * width);
         let mut closer = Closer::default();
-        let mut seeds_of: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
-        for &src in sources {
-            if seeds_of.contains_key(&src) || !self.graph.contains_node(src) {
+
+        // Seed states per distinct source the graph holds.
+        let mut distinct = sources.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut seeds_of: Vec<(NodeId, Vec<u32>)> = Vec::new();
+        for src in distinct {
+            let Some(pos) = at.of(src) else {
                 continue;
-            }
+            };
             let mut seeds: Vec<u32> = Vec::new();
-            self.for_each_closed(nfa, src, nfa.start(), &mut closer, |q| {
-                seeds.push(intern(&mut ids, &mut states, (src, q)));
+            self.for_each_closed(nfa, pos, nfa.start(), &mut closer, |q| {
+                seeds.push(pos * width as u32 + q as u32);
             });
-            seeds_of.insert(src, seeds);
+            seeds_of.push((src, seeds));
         }
 
-        // The (sorted, deduplicated) closed successors of one state,
-        // interning any product state seen for the first time.
-        let mut successors = |ids: &mut FxHashMap<(NodeId, usize), u32>,
-                              states: &mut Vec<(NodeId, usize)>,
-                              s: u32|
-         -> Vec<u32> {
-            let (v, q) = states[s as usize];
-            let mut out: Vec<u32> = Vec::new();
-            self.for_each_step(nfa, v, q, |_, w, t, _| {
-                self.for_each_closed(nfa, w, t, &mut closer, |c| {
-                    out.push(intern(ids, states, (w, c)));
-                });
-            });
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-
-        // Iterative Tarjan over the implicit product digraph.
-        let mut ts = Tarjan::default();
+        // Open a DFS frame for product state `s`: its (sorted,
+        // deduplicated) closed successors become its run in `ts.succs`.
         struct Frame {
             v: u32,
             next: usize,
+            end: usize,
         }
+        let mut scratch: Vec<u32> = Vec::new();
+        let mut open = |ts: &mut Tarjan, frames: &mut Vec<Frame>, s: u32| {
+            let (v, q) = (s / width as u32, s as usize % width);
+            scratch.clear();
+            self.for_each_step(nfa, v, q, |_, w, t, _| {
+                self.for_each_closed(nfa, w, t, &mut closer, |c| {
+                    scratch.push(w * width as u32 + c as u32);
+                });
+            });
+            scratch.sort_unstable();
+            scratch.dedup();
+            let start = ts.succs.len();
+            ts.succs.extend_from_slice(&scratch);
+            ts.open(s, start);
+            let end = ts.succs.len();
+            frames.push(Frame {
+                v: s,
+                next: start,
+                end,
+            });
+        };
+
+        // Iterative Tarjan over the implicit product digraph.
         let mut frames: Vec<Frame> = Vec::new();
-        let roots: Vec<u32> = seeds_of.values().flatten().copied().collect();
-        for root in roots {
-            ts.grow(states.len());
+        for &root in seeds_of.iter().flat_map(|(_, seeds)| seeds) {
             if ts.index[root as usize] != Tarjan::UNDEF {
                 continue;
             }
-            let sv = successors(&mut ids, &mut states, root);
-            ts.open(root, sv, states.len());
-            frames.push(Frame { v: root, next: 0 });
-
+            open(&mut ts, &mut frames, root);
             while let Some(fr) = frames.last_mut() {
                 self.tick()?;
                 let v = fr.v as usize;
-                if fr.next < ts.succs[v].len() {
-                    let w = ts.succs[v][fr.next] as usize;
+                if fr.next < fr.end {
+                    let w = ts.succs[fr.next] as usize;
                     fr.next += 1;
                     if ts.index[w] == Tarjan::UNDEF {
-                        let sw = successors(&mut ids, &mut states, w as u32);
-                        ts.open(w as u32, sw, states.len());
-                        frames.push(Frame {
-                            v: w as u32,
-                            next: 0,
-                        });
+                        open(&mut ts, &mut frames, w as u32);
                     } else if ts.on_stack[w] {
                         ts.lowlink[v] = ts.lowlink[v].min(ts.index[w]);
                     }
@@ -908,19 +984,15 @@ impl<'a> PathSearcher<'a> {
         let ncomp = ts.comp_count as usize;
         let comp = &ts.comp;
         let mut own: Vec<Vec<NodeId>> = vec![Vec::new(); ncomp];
-        for (s, &(v, q)) in states.iter().enumerate() {
-            if comp[s] != Tarjan::UNDEF && nfa.accepts(q) {
-                own[comp[s] as usize].push(v);
-            }
-        }
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); ncomp];
-        for s in 0..states.len() {
-            if comp[s] == Tarjan::UNDEF {
-                continue;
+        for (s, succs) in ts.arcs() {
+            let c = comp[s as usize];
+            if nfa.accepts(s as usize % width) {
+                own[c as usize].push(at.id(s / width as u32));
             }
-            for &w in &ts.succs[s] {
-                if comp[w as usize] != comp[s] {
-                    children[comp[s] as usize].push(comp[w as usize]);
+            for &w in succs {
+                if comp[w as usize] != c {
+                    children[c as usize].push(comp[w as usize]);
                 }
             }
         }
@@ -945,7 +1017,7 @@ impl<'a> PathSearcher<'a> {
 
         // Answer per source: union over its seed components.
         let mut out: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
-        for (&src, seeds) in &seeds_of {
+        for (src, seeds) in seeds_of {
             let mut comps: Vec<u32> = seeds.iter().map(|&s| comp[s as usize]).collect();
             comps.sort_unstable();
             comps.dedup();
@@ -1009,7 +1081,7 @@ impl<'a> PathSearcher<'a> {
         targets: Option<&FxHashSet<NodeId>>,
     ) -> Result<Vec<Projection>> {
         let fwd = self.forward_from(src)?;
-        let mut dsts = fwd.accepting_nodes(self.nfa);
+        let mut dsts = fwd.accepting_nodes(self.nfa, &self.at);
         dsts.retain(|d| targets.is_none_or(|t| t.contains(d)));
         let projection = |dst: NodeId| {
             let on_walk = self.co_reachable_cone([dst], Some(&fwd))?;
@@ -1024,7 +1096,7 @@ impl<'a> PathSearcher<'a> {
                     }
                     match piece {
                         StepPiece::Edge(e) => {
-                            nodes.push(far);
+                            nodes.push(self.at.id(far));
                             edges.push(e);
                         }
                         StepPiece::Seg { walk, .. } => {
@@ -1054,7 +1126,8 @@ struct TreeEntry<'v> {
     /// The step taken from the parent to `node`; `None` for a seed entry
     /// — the trivial walk at the source node.
     piece: Option<StepPiece<'v>>,
-    node: NodeId,
+    /// The position of the walk's last node.
+    node: u32,
     state: usize,
     cost: f64,
     /// Unit-cost levels only: the dense rank of this entry's walk among
@@ -1065,9 +1138,9 @@ struct TreeEntry<'v> {
 /// Parent index marking a search-tree root.
 const NO_PARENT: u32 = u32::MAX;
 
-/// A sort key of a unit-cost level: (parent's rank, edge, node, state),
-/// then the arena index, which only makes the order total.
-type LevelKey = (u32, u64, NodeId, usize, u32);
+/// A sort key of a unit-cost level: (parent's rank, edge, node position,
+/// state), then the arena index, which only makes the order total.
+type LevelKey = (u32, u64, u32, usize, u32);
 
 /// The state of one [`k_shortest`](PathSearcher::k_shortest) search: the
 /// search tree, the per-state pop counts, the answers so far. Both level
@@ -1080,8 +1153,11 @@ struct Ordered<'s, 'a> {
     /// States co-reachable to acceptance at a target (`None`: no targets).
     cone: Option<StateSet>,
     arena: Vec<TreeEntry<'a>>,
-    /// Times each product state was admitted; never above `k`.
-    pops: FxHashMap<(NodeId, usize), usize>,
+    /// |Q|, the stride of `pops`.
+    states: usize,
+    /// Times each product state `pos · |Q| + q` was admitted; never
+    /// above `k`.
+    pops: Vec<u32>,
     results: FxHashMap<NodeId, Vec<FoundPath>>,
     /// Targets whose bucket holds `k` walks.
     answered: usize,
@@ -1093,26 +1169,21 @@ impl<'a> Ordered<'_, 'a> {
     /// entry per state of the closure that lies in the cone and has not
     /// been admitted `k` times already — a pop of a full state would be
     /// turned away, so it is never queued.
-    fn push(
-        &mut self,
-        parent: u32,
-        piece: Option<StepPiece<'a>>,
-        node: NodeId,
-        to: usize,
-        cost: f64,
-    ) {
+    fn push(&mut self, parent: u32, piece: Option<StepPiece<'a>>, node: u32, to: usize, cost: f64) {
         let Ordered {
             searcher,
             k,
             cone,
+            states,
             pops,
             arena,
             closer,
             ..
         } = self;
+        let popped = &pops[node as usize * *states..][..*states];
         searcher.for_each_closed(searcher.nfa, node, to, closer, |state| {
             let in_cone = cone.as_ref().is_none_or(|c| c.contains(node, state));
-            if in_cone && pops.get(&(node, state)).is_none_or(|&n| n < *k) {
+            if in_cone && (popped[state] as usize) < *k {
                 arena.push(TreeEntry {
                     parent,
                     piece,
@@ -1134,18 +1205,19 @@ impl<'a> Ordered<'_, 'a> {
         let TreeEntry {
             node, state, cost, ..
         } = self.arena[idx as usize];
-        let count = self.pops.entry((node, state)).or_insert(0);
-        if *count >= self.k {
+        let count = &mut self.pops[node as usize * self.states + state];
+        if *count as usize >= self.k {
             return false;
         }
         *count += 1;
         // An accepted pop at (v, accepting q) yields a result for v; the
         // same walk may be reported through several states — dedup.
-        let nfa = self.searcher.nfa;
-        if nfa.accepts(state) && self.targets.is_none_or(|t| t.contains(&node)) {
-            let bucket = self.results.entry(node).or_default();
+        let (nfa, at) = (self.searcher.nfa, &*self.searcher.at);
+        let id = at.id(node);
+        if nfa.accepts(state) && self.targets.is_none_or(|t| t.contains(&id)) {
+            let bucket = self.results.entry(id).or_default();
             if bucket.len() < self.k {
-                let walk = replay_walk(&self.arena, idx);
+                let walk = replay_walk(&self.arena, idx, at);
                 if !bucket.iter().any(|p| p.walk == walk) {
                     bucket.push(FoundPath { walk, cost });
                     if bucket.len() == self.k {
@@ -1165,7 +1237,7 @@ impl<'a> Ordered<'_, 'a> {
             // cannot be appended to the walk so far.
             if let StepPiece::Seg { walk, backwards } = piece {
                 let begins = if backwards { walk.end() } else { walk.start() };
-                if begins != node {
+                if begins != id {
                     return;
                 }
             }
@@ -1267,12 +1339,14 @@ impl<'a> Ordered<'_, 'a> {
     /// Materialize the tie key (the walk's interleaved id sequence) of
     /// one arena entry by replaying its parent chain, leaf first.
     fn tie_entry(&self, idx: u32) -> TieOrd {
-        self.searcher.tie_keys.set(self.searcher.tie_keys.get() + 1);
+        let searcher = self.searcher;
+        searcher.tie_keys.set(searcher.tie_keys.get() + 1);
         let mut seq: Vec<u64> = Vec::new();
         for entry in ancestry(&self.arena, idx) {
+            let node = searcher.at.id(entry.node).raw();
             match entry.piece {
-                None => seq.push(entry.node.raw()),
-                Some(StepPiece::Edge(e)) => seq.extend([entry.node.raw(), e.raw()]),
+                None => seq.push(node),
+                Some(StepPiece::Edge(e)) => seq.extend([node, e.raw()]),
                 Some(StepPiece::Seg { walk, backwards }) => {
                     // The segment's ids past its first, read backwards.
                     let len = walk.nodes().len() + walk.edges().len() - 1;
@@ -1311,13 +1385,13 @@ fn ancestry<'t, 'v>(
 }
 
 /// Replay the full walk of one accepted arena entry, leaf first.
-fn replay_walk(arena: &[TreeEntry<'_>], idx: u32) -> PathShape {
+fn replay_walk(arena: &[TreeEntry<'_>], idx: u32, at: &Positions) -> PathShape {
     let (mut nodes, mut edges) = (Vec::new(), Vec::new());
     for entry in ancestry(arena, idx) {
         match entry.piece {
-            None => nodes.push(entry.node),
+            None => nodes.push(at.id(entry.node)),
             Some(StepPiece::Edge(e)) => {
-                nodes.push(entry.node);
+                nodes.push(at.id(entry.node));
                 edges.push(e);
             }
             Some(StepPiece::Seg { walk, backwards }) => {
@@ -1371,7 +1445,8 @@ impl Ord for CostOrd {
 /// node, state), the order the ordered search pops in.
 struct TieOrd {
     seq: Vec<u64>,
-    node: NodeId,
+    /// Position order is id order.
+    node: u32,
     state: usize,
     idx: u32,
 }
@@ -1562,7 +1637,7 @@ mod tests {
             },
         ];
         let mut views = ViewMap::default();
-        views.insert("v".into(), Arc::new(ViewSegments::new(segs, true)));
+        views.insert("v".into(), Arc::new(ViewSegments::new(segs, true, &g)));
         let nfa = Nfa::compile(&Regex::Star(Box::new(Regex::View("v".into()))));
         let s = PathSearcher::new(&g, &nfa, &views);
         assert!(s.weighted);

@@ -625,7 +625,7 @@ impl EvalCtx {
                 walk,
             });
         }
-        Ok(ViewSegments::new(segments, def.cost.is_some()))
+        Ok(ViewSegments::new(segments, def.cost.is_some(), graph))
     }
 
     /// `EXISTS (q)` with the current binding visible as outer scope.

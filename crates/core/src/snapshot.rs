@@ -13,8 +13,8 @@
 //! and all per-query mutable state lives in the per-thread
 //! [`EvalCtx`](crate::EvalCtx).
 //!
-//! Every graph in a snapshot carries its label-partitioned index and
-//! planner statistics: [`Catalog::register_graph`] builds both on entry
+//! Every graph in a snapshot carries its read layout (node positions,
+//! a CSR per edge label, label groups) and planner statistics: [`Catalog::register_graph`] builds both on entry
 //! and is the only way into a catalog, and a snapshot is immutable,
 //! so evaluation over one never hits the scan fallback.
 //!

@@ -8,7 +8,10 @@
 //! identical to the baseline unidirectional scan search; reversal and
 //! mirroring must accept exactly the reversed walks; and the ALL-paths
 //! projection must equal a reference computed by transitive closure of
-//! the explicit product digraph.
+//! the explicit product digraph. The random graphs number their nodes
+//! and edges from one shuffled range and insert nodes out of id order, so
+//! a layout that confused identifiers with positions, or dropped an
+//! edge without a label, would show.
 
 use gcore::paths::{PathSearcher, Segment, ViewMap, ViewSegments};
 use gcore::regex::{Nfa, Sym};
@@ -24,44 +27,56 @@ const NODE_LABELS: [&str; 2] = ["P", "Q"];
 /// The one PATH view random regexes refer to.
 const VIEW: &str = "v";
 
-/// A random multigraph: node count, per-node label picks, a list of
-/// (src, dst, label) edges over those nodes, and the segments of view
-/// `v` as (edge, extend by a following edge if there is one, cost).
+/// A random multigraph whose identifiers are not positions: nodes and
+/// edges draw distinct ids from one shuffled range (so node ids are
+/// sparse and interleaved with edge ids), nodes are inserted in a
+/// shuffled order, and an edge carries no label, one, or both. Also the
+/// segments of view `v` as (edge, extend by a following edge if there is
+/// one, cost).
 #[derive(Clone, Debug)]
 struct RandomGraph {
     nodes: usize,
-    node_labels: Vec<usize>, // 0 = none, 1 = P, 2 = Q, 3 = both
-    edges: Vec<(usize, usize, usize)>,
+    /// Node `i`'s id is `ids[i]`, edge `i`'s is `ids[nodes + i]`.
+    ids: Vec<u64>,
+    /// Node indexes in insertion order.
+    insertion: Vec<usize>,
+    node_labels: Vec<usize>,           // 0 = none, 1 = P, 2 = Q, 3 = both
+    edges: Vec<(usize, usize, usize)>, // (src, dst, 0 = none, 1 = a, 2 = b, 3 = both)
     segments: Vec<(usize, bool, u8)>,
 }
 
-fn node(i: usize) -> NodeId {
-    NodeId(1 + i as u64)
+/// Does a label pick (bit `b` set: `names[b]`) include `l`?
+fn picks(bits: usize, names: &[&str; 2], l: Label) -> bool {
+    (0..2).any(|b| bits >> b & 1 != 0 && l == Label::new(names[b]))
 }
 
-fn edge(i: usize) -> EdgeId {
-    EdgeId(100 + i as u64)
+/// The attributes of a label pick.
+fn labelled(bits: usize, names: &[&str; 2]) -> Attributes {
+    (0..2)
+        .filter(|b| bits >> b & 1 != 0)
+        .fold(Attributes::new(), |attrs, b| attrs.with_label(names[b]))
 }
 
 impl RandomGraph {
+    fn node(&self, i: usize) -> NodeId {
+        NodeId(self.ids[i])
+    }
+
+    fn edge(&self, i: usize) -> EdgeId {
+        EdgeId(self.ids[self.nodes + i])
+    }
+
     fn build(&self, indexed: bool) -> PathPropertyGraph {
         let mut g = PathPropertyGraph::new();
-        for i in 0..self.nodes {
-            let mut attrs = Attributes::new();
-            if self.node_labels[i] & 1 != 0 {
-                attrs = attrs.with_label(NODE_LABELS[0]);
-            }
-            if self.node_labels[i] & 2 != 0 {
-                attrs = attrs.with_label(NODE_LABELS[1]);
-            }
-            g.add_node(node(i), attrs);
+        for &i in &self.insertion {
+            g.add_node(self.node(i), labelled(self.node_labels[i], &NODE_LABELS));
         }
         for (i, &(s, d, l)) in self.edges.iter().enumerate() {
             g.add_edge(
-                edge(i),
-                node(s),
-                node(d),
-                Attributes::labeled(EDGE_LABELS[l]),
+                self.edge(i),
+                self.node(s),
+                self.node(d),
+                labelled(l, &EDGE_LABELS),
             )
             .expect("endpoints exist");
         }
@@ -86,11 +101,11 @@ impl RandomGraph {
         walks.collect()
     }
 
-    fn views(&self) -> ViewMap {
+    fn views(&self, g: &PathPropertyGraph) -> ViewMap {
         let segments = self.segment_walks().into_iter().map(|(walk, cost)| {
-            let mut nodes = vec![node(self.edges[walk[0]].0)];
-            nodes.extend(walk.iter().map(|&i| node(self.edges[i].1)));
-            let edges = walk.iter().map(|&i| edge(i)).collect();
+            let mut nodes = vec![self.node(self.edges[walk[0]].0)];
+            nodes.extend(walk.iter().map(|&i| self.node(self.edges[i].1)));
+            let edges = walk.iter().map(|&i| self.edge(i)).collect();
             let walk = PathShape::new(nodes, edges).expect("edges chain");
             Segment {
                 src: walk.start(),
@@ -102,23 +117,41 @@ impl RandomGraph {
         let mut views = ViewMap::default();
         views.insert(
             VIEW.into(),
-            Arc::new(ViewSegments::new(segments.collect(), true)),
+            Arc::new(ViewSegments::new(segments.collect(), true, g)),
         );
         views
     }
 }
 
+/// A random permutation of `0..len`.
+fn shuffled(len: usize) -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(any::<u32>(), len..len + 1).prop_map(move |keys| {
+        let mut order: Vec<usize> = (0..len).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        order
+    })
+}
+
 fn graph_strategy() -> impl Strategy<Value = RandomGraph> {
     (2usize..6).prop_flat_map(|nodes| {
+        // Distinct ids for every node and edge, drawn from a range
+        // twice as wide as they need.
+        let ids =
+            shuffled(2 * (nodes + 12)).prop_map(|p| p.iter().map(|&i| 1 + i as u64).collect());
+        let insertion = shuffled(nodes);
         let labels = prop::collection::vec(0usize..4, nodes..nodes + 1);
-        let edges = prop::collection::vec((0..nodes, 0..nodes, 0..EDGE_LABELS.len()), 0..12);
+        let edges = prop::collection::vec((0..nodes, 0..nodes, 0usize..4), 0..12);
         let segments = prop::collection::vec((0..12usize, any::<bool>(), 1..4u8), 0..6);
-        (labels, edges, segments).prop_map(move |(node_labels, edges, segments)| RandomGraph {
-            nodes,
-            node_labels,
-            edges,
-            segments,
-        })
+        (ids, insertion, labels, edges, segments).prop_map(
+            move |(ids, insertion, node_labels, edges, segments)| RandomGraph {
+                nodes,
+                ids,
+                insertion,
+                node_labels,
+                edges,
+                segments,
+            },
+        )
     })
 }
 
@@ -150,6 +183,7 @@ fn regex_strategy() -> impl Strategy<Value = Regex> {
 /// elements that step traverses.
 struct Product {
     states: usize,
+    node_ids: Vec<NodeId>,
     arcs: Vec<(usize, usize, Vec<NodeId>, Vec<EdgeId>)>,
 }
 
@@ -157,9 +191,6 @@ impl Product {
     fn new(rg: &RandomGraph, nfa: &Nfa) -> Self {
         let states = nfa.num_states();
         let mut arcs = Vec::new();
-        let has = |v: usize, l: &Label| {
-            (0..2).any(|b| rg.node_labels[v] >> b & 1 != 0 && *l == Label::new(NODE_LABELS[b]))
-        };
         let segments = rg.segment_walks();
         for v in 0..rg.nodes {
             for q in 0..states {
@@ -172,23 +203,22 @@ impl Product {
                         arcs.push((from, far * states + to, nodes, edges));
                     };
                     if let Sym::NodeTest(l) = sym {
-                        if has(v, l) {
+                        if picks(rg.node_labels[v], &NODE_LABELS, *l) {
                             arc(v, vec![], vec![]);
                         }
                     }
                     for (i, &(s, d, l)) in rg.edges.iter().enumerate() {
-                        let label = Label::new(EDGE_LABELS[l]);
                         let (fwd, bwd) = match sym {
-                            Sym::Label(x) => (*x == label, false),
-                            Sym::LabelInv(x) => (false, *x == label),
+                            Sym::Label(x) => (picks(l, &EDGE_LABELS, *x), false),
+                            Sym::LabelInv(x) => (false, picks(l, &EDGE_LABELS, *x)),
                             Sym::Wildcard => (true, true),
                             _ => (false, false),
                         };
                         if fwd && s == v {
-                            arc(d, vec![node(s), node(d)], vec![edge(i)]);
+                            arc(d, vec![rg.node(s), rg.node(d)], vec![rg.edge(i)]);
                         }
                         if bwd && d == v {
-                            arc(s, vec![node(s), node(d)], vec![edge(i)]);
+                            arc(s, vec![rg.node(s), rg.node(d)], vec![rg.edge(i)]);
                         }
                     }
                     for (walk, _) in &segments {
@@ -199,13 +229,18 @@ impl Product {
                             _ => continue,
                         };
                         let ends = walk.iter().flat_map(|&i| [rg.edges[i].0, rg.edges[i].1]);
-                        let edges = walk.iter().map(|&i| edge(i)).collect();
-                        arc(far, ends.map(node).collect(), edges);
+                        let edges = walk.iter().map(|&i| rg.edge(i)).collect();
+                        arc(far, ends.map(|v| rg.node(v)).collect(), edges);
                     }
                 }
             }
         }
-        Product { states, arcs }
+        let node_ids = (0..rg.nodes).map(|v| rg.node(v)).collect();
+        Product {
+            states,
+            node_ids,
+            arcs,
+        }
     }
 
     /// Vertices reachable from `seeds` along the arcs, or against them.
@@ -243,7 +278,7 @@ impl Product {
             return None;
         }
         let bwd = self.closure(accepting, true);
-        let mut nodes = BTreeSet::from([node(src), node(dst)]);
+        let mut nodes = BTreeSet::from([self.node_ids[src], self.node_ids[dst]]);
         let mut edges = BTreeSet::new();
         for (from, to, ns, es) in &self.arcs {
             if fwd.contains(from) && bwd.contains(to) {
@@ -277,11 +312,11 @@ proptest! {
     fn indexed_expansion_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let (g, unindexed) = (rg.build(true), rg.build(false));
         let nfa = Nfa::compile(&re);
-        let views = rg.views();
+        let views = rg.views(&g);
         let indexed = PathSearcher::new(&g, &nfa, &views);
         let scan = PathSearcher::new(&unindexed, &nfa, &views);
         for i in 0..rg.nodes {
-            let src = node(i);
+            let src = rg.node(i);
             prop_assert_eq!(indexed.reachable(src).unwrap(), scan.reachable(src).unwrap());
             let a = flat_paths(&indexed.k_shortest(src, 2, None).unwrap());
             let b = flat_paths(&scan.k_shortest(src, 2, None).unwrap());
@@ -295,13 +330,13 @@ proptest! {
     fn bidirectional_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = rg.views();
+        let views = rg.views(&g);
         let s = PathSearcher::new(&g, &nfa, &views);
         for i in 0..rg.nodes {
-            let src = node(i);
+            let src = rg.node(i);
             let reach = s.reachable(src).unwrap();
             for j in 0..rg.nodes {
-                let dst = node(j);
+                let dst = rg.node(j);
                 prop_assert_eq!(
                     s.reachable_pair(src, dst).unwrap(),
                     reach.contains(&dst),
@@ -317,9 +352,9 @@ proptest! {
     fn shared_frontier_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = rg.views();
+        let views = rg.views(&g);
         let s = PathSearcher::new(&g, &nfa, &views);
-        let sources: Vec<NodeId> = (0..rg.nodes).map(node).collect();
+        let sources: Vec<NodeId> = (0..rg.nodes).map(|i| rg.node(i)).collect();
         let many = s.reachable_many(&sources).unwrap();
         for &src in &sources {
             prop_assert_eq!(&*many[&src], &s.reachable(src).unwrap(), "source {}", src);
@@ -332,13 +367,13 @@ proptest! {
     fn cone_pruning_is_equivalent(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = rg.views();
+        let views = rg.views(&g);
         let s = PathSearcher::new(&g, &nfa, &views);
         for i in 0..rg.nodes {
-            let src = node(i);
+            let src = rg.node(i);
             let all = s.k_shortest(src, 2, None).unwrap();
             for j in 0..rg.nodes {
-                let dst = node(j);
+                let dst = rg.node(j);
                 let mut t = FxHashSet::default();
                 t.insert(dst);
                 let pruned = s.k_shortest(src, 2, Some(&t)).unwrap();
@@ -365,29 +400,32 @@ proptest! {
     fn sweeps_match_the_explicit_product(rg in graph_strategy(), re in regex_strategy()) {
         let g = rg.build(true);
         let nfa = Nfa::compile(&re);
-        let views = rg.views();
+        let views = rg.views(&g);
         let s = PathSearcher::new(&g, &nfa, &views);
         let product = Product::new(&rg, &nfa);
         for i in 0..rg.nodes {
             let fwd = product.from(&nfa, i);
-            let reach: Vec<NodeId> = (0..rg.nodes)
+            let mut reach: Vec<NodeId> = (0..rg.nodes)
                 .filter(|&j| !product.accepting_at(&nfa, j, &fwd).is_empty())
-                .map(node)
+                .map(|j| rg.node(j))
                 .collect();
-            prop_assert_eq!(s.reachable(node(i)).unwrap(), reach, "reachable from {}", i);
+            reach.sort_unstable();
+            prop_assert_eq!(s.reachable(rg.node(i)).unwrap(), reach, "reachable from {}", i);
             let mut all = Vec::new();
             for j in 0..rg.nodes {
                 let want = product.projection(&nfa, i, j);
-                let only: FxHashSet<NodeId> = [node(j)].into_iter().collect();
-                let mut to_j = s.all_paths_from(node(i), Some(&only)).unwrap();
+                let only: FxHashSet<NodeId> = [rg.node(j)].into_iter().collect();
+                let mut to_j = s.all_paths_from(rg.node(i), Some(&only)).unwrap();
                 prop_assert_eq!(
                     to_j.pop().map(|(_, nodes, edges)| (nodes, edges)),
                     want.clone(),
                     "projection ({}, {})", i, j
                 );
-                all.extend(want.map(|(nodes, edges)| (node(j), nodes, edges)));
+                all.extend(want.map(|(nodes, edges)| (rg.node(j), nodes, edges)));
             }
-            prop_assert_eq!(s.all_paths_from(node(i), None).unwrap(), all, "projections from {}", i);
+            all.sort_unstable_by_key(|&(dst, _, _)| dst);
+            let got = s.all_paths_from(rg.node(i), None).unwrap();
+            prop_assert_eq!(got, all, "projections from {}", i);
         }
     }
 
@@ -400,11 +438,11 @@ proptest! {
         re in regex_strategy(),
     ) {
         let g = rg.build(true);
-        let views = rg.views();
+        let views = rg.views(&g);
         let out = Nfa::compile(&re);
         let reach = |nfa: &Nfa| -> Vec<Vec<NodeId>> {
             let s = PathSearcher::new(&g, nfa, &views);
-            (0..rg.nodes).map(|i| s.reachable(node(i)).unwrap()).collect()
+            (0..rg.nodes).map(|i| s.reachable(rg.node(i)).unwrap()).collect()
         };
         let reach_out = reach(&out);
         let reach_in = reach(&Nfa::compile_directed(&re, Direction::In));
@@ -413,10 +451,11 @@ proptest! {
         prop_assert_eq!(&reach(&out.reverse()), &reach_in);
         for i in 0..rg.nodes {
             for j in 0..rg.nodes {
-                let forwards = reach_out[i].contains(&node(j));
-                prop_assert_eq!(reach_in[j].contains(&node(i)), forwards, "({}, {})", i, j);
-                let either = forwards || reach_in[i].contains(&node(j));
-                prop_assert_eq!(reach_either[i].contains(&node(j)), either, "({}, {})", i, j);
+                let (ni, nj) = (rg.node(i), rg.node(j));
+                let forwards = reach_out[i].contains(&nj);
+                prop_assert_eq!(reach_in[j].contains(&ni), forwards, "({}, {})", i, j);
+                let either = forwards || reach_in[i].contains(&nj);
+                prop_assert_eq!(reach_either[i].contains(&nj), either, "({}, {})", i, j);
             }
         }
     }

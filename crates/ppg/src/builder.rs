@@ -126,10 +126,11 @@ impl GraphBuilder {
         &self.graph
     }
 
-    /// Finish, returning the graph with its label index built (seeding
-    /// and edge expansion by label become O(1) lookups instead of
-    /// scans) and its planner statistics collected (cost-based planning
-    /// never falls back to blind estimates on builder output).
+    /// Finish, returning the graph with its read layout built (seeding
+    /// by label reads a position list and a labelled step a CSR range,
+    /// instead of scanning) and its planner statistics collected
+    /// (cost-based planning never falls back to blind estimates on
+    /// builder output).
     pub fn build(self) -> PathPropertyGraph {
         let mut g = self.graph;
         g.build_label_index();

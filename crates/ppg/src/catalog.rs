@@ -80,9 +80,11 @@ impl Catalog {
             .unwrap_or(0);
         self.ids.reserve_up_to(max_id);
         // Every graph entering the catalog — builder output, CONSTRUCT
-        // result, GRAPH VIEW — gets the label index, so later queries
-        // over it match at indexed speed, and planner statistics, so
-        // later queries over it plan from real cardinalities.
+        // result, GRAPH VIEW — gets the read layout (node positions, a
+        // CSR per edge label, label groups), so later queries over it
+        // match and search without hashing per step, and planner
+        // statistics, so later queries over it plan from real
+        // cardinalities.
         if !graph.has_label_index() {
             graph.build_label_index();
         }

@@ -11,8 +11,25 @@
 //! * `λ : N ∪ E ∪ P → FSET(L)` — the per-element [`LabelSet`]s;
 //! * `σ : (N ∪ E ∪ P) × K → FSET(V)` — the per-element property maps.
 //!
-//! Graphs also maintain in/out adjacency lists so that matching and path
-//! search are O(degree) per expansion.
+//! # Two layouts
+//!
+//! The *write layout* is what every mutation edits: hash maps from
+//! identifier to payload plus in/out adjacency lists in insertion order,
+//! so that CONSTRUCT staging, SET / REMOVE, set operations and decoding
+//! insert and merge in O(1). The *read layout* is built once
+//! over a finished graph — by [`crate::GraphBuilder::build`] or
+//! [`PathPropertyGraph::build_label_index`] — and dropped by any
+//! mutation:
+//!
+//! * node ids, ascending, numbered `0..n` as [`Positions`], so position
+//!   order is id order;
+//! * per edge label, an out- and an in-range per position of
+//!   `(edge, far position)` steps in ascending edge id — a CSR;
+//! * per node label, the group's positions, ascending.
+//!
+//! [`PathPropertyGraph::for_each_step`] and
+//! [`PathPropertyGraph::nodes_with_label`] read it when it is built and
+//! scan the write layout when not, so it is purely an accelerator.
 
 use crate::error::GraphError;
 use crate::hash::FxHashMap;
@@ -24,6 +41,7 @@ use crate::symbols::{Key, Label, LabelSet};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Labels and properties shared by every element sort.
 #[derive(Clone, PartialEq, Eq, Default, Debug)]
@@ -150,22 +168,229 @@ pub struct PathData {
     pub attrs: Attributes,
 }
 
-/// Label-partitioned adjacency and node sets, built once per graph (at
-/// [`crate::GraphBuilder::build`] or explicitly) and dropped by any
-/// subsequent mutation. Matching and path search consult it through
-/// [`PathPropertyGraph::for_each_step`] /
-/// [`PathPropertyGraph::nodes_with_label`], which fall back to scanning
-/// when no index is present — so the index is purely an accelerator and
-/// never a correctness concern.
-#[derive(Clone, Default, Debug)]
-struct LabelIndex {
-    nodes_by_label: FxHashMap<Label, Vec<NodeId>>,
-    /// Per (source node, label): each outgoing edge with its destination,
-    /// sorted by edge id — one slice read expands a product state without
-    /// a per-edge payload lookup.
-    out_by_label: FxHashMap<(NodeId, Label), Vec<(EdgeId, NodeId)>>,
-    /// Per (destination node, label): each incoming edge with its source.
-    in_by_label: FxHashMap<(NodeId, Label), Vec<(EdgeId, NodeId)>>,
+/// A graph's nodes numbered by ascending id: node `ids[p]` has position
+/// `p`, so position order is id order. The read layout keeps one; a
+/// search over a graph without it numbers the nodes itself
+/// ([`PathPropertyGraph::positions`]).
+#[derive(Clone, Debug)]
+pub struct Positions {
+    ids: Vec<NodeId>,
+    of: FxHashMap<NodeId, u32>,
+}
+
+impl Positions {
+    fn new(graph: &PathPropertyGraph) -> Self {
+        let ids = graph.node_ids_sorted();
+        assert!(ids.len() < u32::MAX as usize, "positions are u32");
+        let mut of = FxHashMap::with_capacity_and_hasher(ids.len(), Default::default());
+        of.extend(ids.iter().enumerate().map(|(p, &id)| (id, p as u32)));
+        Positions { ids, of }
+    }
+
+    /// The number of positions: |N|.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The node at position `pos`.
+    #[inline]
+    pub fn id(&self, pos: u32) -> NodeId {
+        self.ids[pos as usize]
+    }
+
+    /// The position of node `id`, if it is one of the graph's.
+    #[inline]
+    pub fn of(&self, id: NodeId) -> Option<u32> {
+        self.of.get(&id).copied()
+    }
+}
+
+/// The read layout (see the [module docs](self)): built once per graph,
+/// each array sized by a counting pass, and dropped by any mutation.
+#[derive(Clone, Debug)]
+struct Dense {
+    at: Positions,
+    /// The edge labels, ascending. Label `edge_labels[l]`'s out-ranges
+    /// start at `offsets[2l · (n + 1)]`, its in-ranges at
+    /// `offsets[(2l + 1) · (n + 1)]`.
+    edge_labels: Vec<Label>,
+    /// Per (label, direction), `n + 1` offsets into the steps: position
+    /// `p`'s range is `offsets[b + p]..offsets[b + p + 1]`.
+    offsets: Vec<u32>,
+    /// The edge and the far position of every step, ascending edge id
+    /// within a range.
+    step_edges: Vec<EdgeId>,
+    step_far: Vec<u32>,
+    /// The node labels, ascending; label `node_labels[g]`'s nodes are
+    /// `groups[group_offsets[g]..group_offsets[g + 1]]`, ascending.
+    node_labels: Vec<Label>,
+    group_offsets: Vec<u32>,
+    groups: Vec<u32>,
+}
+
+/// Insert `l` into the ascending, duplicate-free `labels`.
+fn insert_label(labels: &mut Vec<Label>, l: Label) {
+    if let Err(i) = labels.binary_search(&l) {
+        labels.insert(i, l);
+    }
+}
+
+/// Turn per-slot counts, each one slot past the range it counts, into
+/// offsets.
+fn prefix_sum(counts: &mut [u32]) {
+    let mut total = 0u64;
+    for c in counts {
+        total += u64::from(*c);
+        assert!(u32::try_from(total).is_ok(), "layout offsets are u32");
+        *c = total as u32;
+    }
+}
+
+impl Dense {
+    fn new(graph: &PathPropertyGraph) -> Self {
+        let at = Positions::new(graph);
+        let (mut node_labels, mut edge_labels) = (Vec::new(), Vec::new());
+        for l in graph.nodes.values().flat_map(|d| d.attrs.labels.iter()) {
+            insert_label(&mut node_labels, l);
+        }
+        for l in graph.edges.values().flat_map(|d| d.attrs.labels.iter()) {
+            insert_label(&mut edge_labels, l);
+        }
+        let label_of = |labels: &[Label], l| labels.partition_point(|&x| x < l);
+
+        // Node groups: count, then fill in position order.
+        let mut group_offsets = vec![0u32; node_labels.len() + 1];
+        for &id in &at.ids {
+            for l in graph.nodes[&id].attrs.labels.iter() {
+                group_offsets[label_of(&node_labels, l) + 1] += 1;
+            }
+        }
+        prefix_sum(&mut group_offsets);
+        let mut groups = vec![0u32; group_offsets[node_labels.len()] as usize];
+        let mut next = group_offsets.clone();
+        for (p, &id) in at.ids.iter().enumerate() {
+            for l in graph.nodes[&id].attrs.labels.iter() {
+                let g = label_of(&node_labels, l);
+                groups[next[g] as usize] = p as u32;
+                next[g] += 1;
+            }
+        }
+
+        // Edge CSRs: count every (label, direction, position) one slot
+        // past its range, then fill in ascending edge id.
+        let stride = at.len() + 1;
+        let mut edges: Vec<(EdgeId, u32, u32, &LabelSet)> = graph
+            .edges
+            .iter()
+            .map(|(&id, d)| (id, at.of[&d.src], at.of[&d.dst], &d.attrs.labels))
+            .collect();
+        edges.sort_unstable_by_key(|e| e.0);
+        let mut offsets = vec![0u32; 2 * edge_labels.len() * stride];
+        let slots = |l: Label, src: u32, dst: u32| {
+            let out = 2 * label_of(&edge_labels, l) * stride;
+            [out + src as usize, out + stride + dst as usize]
+        };
+        for &(_, src, dst, labels) in &edges {
+            for l in labels.iter() {
+                for slot in slots(l, src, dst) {
+                    offsets[slot + 1] += 1;
+                }
+            }
+        }
+        prefix_sum(&mut offsets);
+        let total = offsets.last().map_or(0, |&t| t as usize);
+        let (mut step_edges, mut step_far) = (vec![EdgeId(0); total], vec![0u32; total]);
+        let mut next = offsets.clone();
+        for &(id, src, dst, labels) in &edges {
+            for l in labels.iter() {
+                for (slot, far) in slots(l, src, dst).into_iter().zip([dst, src]) {
+                    let i = next[slot] as usize;
+                    (step_edges[i], step_far[i]) = (id, far);
+                    next[slot] += 1;
+                }
+            }
+        }
+        Dense {
+            at,
+            edge_labels,
+            offsets,
+            step_edges,
+            step_far,
+            node_labels,
+            group_offsets,
+            groups,
+        }
+    }
+
+    /// The steps of position `pos` along (`out`) or against the edges
+    /// of label number `label`.
+    #[inline]
+    fn range(&self, label: usize, out: bool, pos: u32) -> Range<usize> {
+        let b = (2 * label + usize::from(!out)) * (self.at.len() + 1) + pos as usize;
+        self.offsets[b] as usize..self.offsets[b + 1] as usize
+    }
+}
+
+/// A way of taking steps from a node named by a `T`: one way along
+/// (`out`) or against the edges, and by [`StepDir`].
+trait Steps<T: Copy + PartialEq> {
+    fn one_way(&self, at: T, out: bool, f: &mut impl FnMut(EdgeId, T));
+
+    /// The steps toward `dir`. `Both` takes the `Out` steps, then the
+    /// `In` steps but a self-loop, which it already took forwards.
+    #[inline]
+    fn toward(&self, at: T, dir: StepDir, f: &mut impl FnMut(EdgeId, T)) {
+        match dir {
+            StepDir::Out => self.one_way(at, true, f),
+            StepDir::In => self.one_way(at, false, f),
+            StepDir::Both => {
+                self.one_way(at, true, f);
+                self.one_way(at, false, &mut |e, far| {
+                    if far != at {
+                        f(e, far);
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// Steps read off one label's CSR, between positions.
+struct LabelSteps<'d> {
+    dense: &'d Dense,
+    label: usize,
+}
+
+impl Steps<u32> for LabelSteps<'_> {
+    #[inline]
+    fn one_way(&self, at: u32, out: bool, f: &mut impl FnMut(EdgeId, u32)) {
+        let r = self.dense.range(self.label, out, at);
+        let far = &self.dense.step_far[r.clone()];
+        for (&e, &w) in self.dense.step_edges[r].iter().zip(far) {
+            f(e, w);
+        }
+    }
+}
+
+/// Steps that filter the adjacency lists (insertion order) by an
+/// optional label, between node ids.
+struct Scan<'g> {
+    graph: &'g PathPropertyGraph,
+    label: Option<Label>,
+}
+
+impl Steps<NodeId> for Scan<'_> {
+    #[inline]
+    fn one_way(&self, at: NodeId, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
+        let g = self.graph;
+        let adjacent = if out { g.out_edges(at) } else { g.in_edges(at) };
+        for e in adjacent {
+            let d = &g.edges[e];
+            if self.label.is_none_or(|l| d.attrs.labels.contains(l)) {
+                f(*e, if out { d.dst } else { d.src });
+            }
+        }
+    }
 }
 
 /// Which way a step from a node follows an edge (§A.2, §A.4).
@@ -187,8 +412,9 @@ pub struct PathPropertyGraph {
     paths: FxHashMap<PathId, PathData>,
     out_adj: FxHashMap<NodeId, Vec<EdgeId>>,
     in_adj: FxHashMap<NodeId, Vec<EdgeId>>,
-    label_index: Option<LabelIndex>,
-    /// Planner statistics, same lifecycle as the label index: built by
+    /// The read layout, while no mutation has dropped it.
+    dense: Option<Dense>,
+    /// Planner statistics, same lifecycle as the read layout: built by
     /// [`crate::GraphBuilder::build`] / [`Self::build_stats`], dropped
     /// by any mutation. Purely advisory — never a correctness concern.
     stats: Option<GraphStats>,
@@ -229,7 +455,7 @@ impl PathPropertyGraph {
     }
 
     fn merge_node(&mut self, id: NodeId, attrs: Cow<'_, Attributes>) {
-        self.label_index = None;
+        self.dense = None;
         self.stats = None;
         match self.nodes.get_mut(&id) {
             Some(existing) => existing.attrs.union_in_place(&attrs),
@@ -289,7 +515,7 @@ impl PathPropertyGraph {
                 node: dst,
             });
         }
-        self.label_index = None;
+        self.dense = None;
         self.stats = None;
         match self.edges.get_mut(&id) {
             Some(existing) => {
@@ -341,8 +567,8 @@ impl PathPropertyGraph {
         attrs: Cow<'_, Attributes>,
     ) -> Result<(), GraphError> {
         self.check_path_shape(id, &shape)?;
-        // Stored paths don't enter the label index (it only partitions
-        // nodes and adjacency) but they do enter the stats.
+        // Stored paths don't enter the read layout (it only numbers
+        // nodes and partitions adjacency) but they do enter the stats.
         self.stats = None;
         match self.paths.get_mut(&id) {
             Some(existing) => {
@@ -475,13 +701,15 @@ impl PathPropertyGraph {
 
     /// Every step from `node` toward `dir` over an edge carrying `label`
     /// (any edge for `None`): `f(edge, far endpoint)`. The one place a
-    /// step is taken — pattern matching and path search both ask here.
+    /// step is taken — pattern matching and path search both ask here,
+    /// by id or ([`for_each_step_at`](Self::for_each_step_at)) by
+    /// position.
     ///
     /// `Both` takes the `Out` steps, then the `In` steps but a self-loop,
-    /// which it already took forwards. A labelled step reads the label
-    /// index's slice (ascending edge id) when one is built; every other
-    /// step filters the adjacency list (insertion order). Neither
-    /// allocates.
+    /// which it already took forwards. A labelled step over the read
+    /// layout looks up `node`'s position once and reads its CSR range
+    /// (ascending edge id); every other step filters the adjacency list
+    /// (insertion order). Neither allocates.
     #[inline]
     pub fn for_each_step(
         &self,
@@ -490,91 +718,61 @@ impl PathPropertyGraph {
         label: Option<Label>,
         mut f: impl FnMut(EdgeId, NodeId),
     ) {
-        match dir {
-            StepDir::Out => self.steps_one_way(node, true, label, &mut f),
-            StepDir::In => self.steps_one_way(node, false, label, &mut f),
-            StepDir::Both => {
-                self.steps_one_way(node, true, label, &mut f);
-                self.steps_one_way(node, false, label, &mut |e, far| {
-                    if far != node {
-                        f(e, far);
-                    }
-                });
+        match (label, &self.dense) {
+            (Some(_), Some(d)) => {
+                if let Some(pos) = d.at.of(node) {
+                    self.for_each_step_at(&d.at, pos, dir, label, |e, far| f(e, d.at.id(far)));
+                }
             }
+            _ => Scan { graph: self, label }.toward(node, dir, &mut f),
         }
     }
 
-    /// The steps of [`for_each_step`](Self::for_each_step) along (`out`)
-    /// or against one edge direction.
+    /// [`for_each_step`](Self::for_each_step) between positions of `at`,
+    /// which must be this graph's [`positions`](Self::positions): the
+    /// same steps in the same order. A labelled step over the read layout
+    /// looks nothing up; a scanned step looks up its far end's position.
     #[inline]
-    fn steps_one_way(
+    pub fn for_each_step_at(
         &self,
-        node: NodeId,
-        out: bool,
+        at: &Positions,
+        pos: u32,
+        dir: StepDir,
         label: Option<Label>,
-        f: &mut impl FnMut(EdgeId, NodeId),
+        mut f: impl FnMut(EdgeId, u32),
     ) {
-        if let (Some(l), Some(ix)) = (label, &self.label_index) {
-            let by_label = if out {
-                &ix.out_by_label
-            } else {
-                &ix.in_by_label
-            };
-            for &(e, far) in by_label.get(&(node, l)).map_or(&[][..], Vec::as_slice) {
-                f(e, far);
+        match (label, &self.dense) {
+            (Some(l), Some(d)) => {
+                if let Ok(label) = d.edge_labels.binary_search(&l) {
+                    LabelSteps { dense: d, label }.toward(pos, dir, &mut f);
+                }
             }
-            return;
-        }
-        let adjacent = if out {
-            self.out_edges(node)
-        } else {
-            self.in_edges(node)
-        };
-        for e in adjacent {
-            let d = &self.edges[e];
-            if label.is_none_or(|l| d.attrs.labels.contains(l)) {
-                f(*e, if out { d.dst } else { d.src });
+            _ => {
+                Scan { graph: self, label }.toward(at.id(pos), dir, &mut |e, far| f(e, at.of[&far]))
             }
         }
     }
 
-    /// Build the label-partitioned index over nodes and adjacency.
-    /// Called once by [`crate::GraphBuilder::build`]; any later mutation
-    /// drops the index and the accessors fall back to scanning.
+    /// This graph's node positions: the read layout's when it is built,
+    /// otherwise numbered now — the same numbering either way.
+    pub fn positions(&self) -> Cow<'_, Positions> {
+        match &self.dense {
+            Some(d) => Cow::Borrowed(&d.at),
+            None => Cow::Owned(Positions::new(self)),
+        }
+    }
+
+    /// Build the read layout (see the [module docs](self)): node
+    /// positions, a CSR per edge label, the node label groups. Called
+    /// once by [`crate::GraphBuilder::build`]; any later mutation drops
+    /// it and the accessors fall back to scanning.
     pub fn build_label_index(&mut self) {
-        let mut ix = LabelIndex::default();
-        for (&id, d) in &self.nodes {
-            for l in d.attrs.labels.iter() {
-                ix.nodes_by_label.entry(l).or_default().push(id);
-            }
-        }
-        for (&id, d) in &self.edges {
-            for l in d.attrs.labels.iter() {
-                ix.out_by_label
-                    .entry((d.src, l))
-                    .or_default()
-                    .push((id, d.dst));
-                ix.in_by_label
-                    .entry((d.dst, l))
-                    .or_default()
-                    .push((id, d.src));
-            }
-        }
-        for v in ix.nodes_by_label.values_mut() {
-            v.sort_unstable();
-        }
-        for v in ix.out_by_label.values_mut() {
-            v.sort_unstable();
-        }
-        for v in ix.in_by_label.values_mut() {
-            v.sort_unstable();
-        }
-        self.label_index = Some(ix);
+        self.dense = Some(Dense::new(self));
     }
 
-    /// True when a label index is currently built and valid.
+    /// True when the read layout is currently built and valid.
     pub fn has_label_index(&self) -> bool {
-        self.label_index.is_some()
+        self.dense.is_some()
     }
 
     // ------------------------------------------------------------------
@@ -582,7 +780,7 @@ impl PathPropertyGraph {
     // ------------------------------------------------------------------
 
     /// Compute and cache the planner statistics (see [`GraphStats`]).
-    /// Same lifecycle as the label index: any mutation drops them.
+    /// Same lifecycle as the read layout: any mutation drops them.
     pub fn build_stats(&mut self) {
         self.stats = Some(GraphStats::compute(self));
     }
@@ -675,11 +873,15 @@ impl PathPropertyGraph {
         v
     }
 
-    /// Nodes carrying `label`, sorted by id. Served from the label index
-    /// when one is built, otherwise by a full scan.
+    /// Nodes carrying `label`, sorted by id. Served from the read
+    /// layout's label group when it is built, otherwise by a full scan.
     pub fn nodes_with_label(&self, label: Label) -> Vec<NodeId> {
-        if let Some(ix) = &self.label_index {
-            return ix.nodes_by_label.get(&label).cloned().unwrap_or_default();
+        if let Some(d) = &self.dense {
+            let Ok(g) = d.node_labels.binary_search(&label) else {
+                return Vec::new();
+            };
+            let group = d.group_offsets[g] as usize..d.group_offsets[g + 1] as usize;
+            return d.groups[group].iter().map(|&p| d.at.id(p)).collect();
         }
         let mut v: Vec<NodeId> = self
             .nodes
@@ -1042,10 +1244,19 @@ mod tests {
             (3, StepDir::Both, knows, vec![(e(12), n(2))]),
             (3, StepDir::Both, None, vec![(e(12), n(2)), (e(11), n(1))]),
         ];
+        // The same steps by position, mapped back to ids.
+        let steps_at = |g: &PathPropertyGraph, node: u64, dir: StepDir, label: Option<Label>| {
+            let (at, mut out) = (g.positions(), Vec::new());
+            let pos = at.of(n(node)).expect("a node");
+            g.for_each_step_at(&at, pos, dir, label, |e, far| out.push((e, at.id(far))));
+            out
+        };
         let check = |g: &PathPropertyGraph| {
             for (node, dir, label, want) in &cases {
                 let got = steps(g, *node, *dir, *label);
                 assert_eq!(&got, want, "{node} {dir:?} {label:?}");
+                let got = steps_at(g, *node, *dir, *label);
+                assert_eq!(&got, want, "by position: {node} {dir:?} {label:?}");
             }
         };
 

@@ -50,7 +50,7 @@ pub use builder::GraphBuilder;
 pub use catalog::{Catalog, CatalogError};
 pub use error::GraphError;
 pub use export::{sorted_elements, to_dot, to_text, ElementRef};
-pub use graph::{Attributes, EdgeData, NodeData, PathData, PathPropertyGraph, StepDir};
+pub use graph::{Attributes, EdgeData, NodeData, PathData, PathPropertyGraph, Positions, StepDir};
 pub use ids::{EdgeId, ElementId, ElementSort, IdGen, NodeId, PathId};
 pub use intern::ValueInterner;
 pub use path::PathShape;

@@ -5,11 +5,12 @@
 //! of every labeled edge relation (from which a planner derives average
 //! degrees), and per-key property sketches (carrier counts and distinct
 //! values, from which equality selectivities follow). The summary is
-//! computed in one pass over the graph, cached on the graph next to the
-//! label index (same lifecycle: built at [`crate::GraphBuilder::build`],
-//! dropped by any mutation, force-built when a catalog is frozen into a
-//! snapshot), and is *purely advisory* — a planner consulting wrong or
-//! missing stats may pick a worse plan but never a wrong answer.
+//! computed in one pass over the graph, cached on the graph next to its
+//! read layout (same lifecycle: built at [`crate::GraphBuilder::build`]
+//! and by [`crate::Catalog::register_graph`] for every graph entering a
+//! catalog, dropped by any mutation), and is *purely advisory* — a
+//! planner consulting wrong or missing stats may pick a worse plan but
+//! never a wrong answer.
 //!
 //! Determinism matters more than precision here: equal graphs produce
 //! equal stats in any process (everything is an exact count over sorted

@@ -1,0 +1,124 @@
+//! Counted size: the live heap bytes and the allocations the dense read
+//! layout costs.
+//!
+//! `build_label_index` numbers the nodes and lays out one CSR per edge
+//! label plus the node label groups, each in a block sized once from a
+//! counting pass. So what it leaves live is a few bytes per node and per
+//! labelled edge, and how many blocks it allocates depends on the labels
+//! and not on the graph's size.
+//!
+//! A counting `#[global_allocator]` tallies the live bytes and the
+//! allocations of the calling thread only (thread-local counters), so
+//! tests running in parallel in this binary never pollute each other's
+//! figures. Counts, not timings: they repeat exactly from run to run.
+
+use gcore_ppg::PathPropertyGraph;
+use gcore_snb::{generate_standalone, SnbConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `grown` bytes (negative: freed).
+fn count(allocations: u64, grown: i64) {
+    // `try_with`: the slots may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + allocations));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + grown));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; the counters
+// are const-initialized thread-local `Cell`s, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(1, layout.size() as i64);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(1, layout.size() as i64);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(1, new_size as i64 - layout.size() as i64);
+        // SAFETY: forwarded unchanged; the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
+        // SAFETY: forwarded unchanged; the caller upholds `dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `graph`'s nodes and edges inserted one by one into a new graph, which
+/// `add_node` / `add_edge` never index.
+fn without_label_index(graph: &PathPropertyGraph) -> PathPropertyGraph {
+    let mut copy = PathPropertyGraph::new();
+    for n in graph.node_ids_sorted() {
+        copy.add_node(n, graph.node(n).expect("listed node").attrs.clone());
+    }
+    for e in graph.edge_ids_sorted() {
+        let d = graph.edge(e).expect("listed edge");
+        copy.add_edge(e, d.src, d.dst, d.attrs.clone())
+            .expect("endpoints copied");
+    }
+    assert!(!copy.has_label_index());
+    copy
+}
+
+/// The live bytes `build_label_index` leaves on an unindexed copy of
+/// generated SNB-`persons`, and the allocations it makes.
+fn layout_cost(persons: usize) -> (i64, u64) {
+    let graph = without_label_index(&generate_standalone(&SnbConfig::scale(persons)).graph);
+    let mut built = graph.clone();
+    let (bytes, allocations) = (LIVE_BYTES.with(Cell::get), ALLOCATIONS.with(Cell::get));
+    built.build_label_index();
+    let cost = (
+        LIVE_BYTES.with(Cell::get) - bytes,
+        ALLOCATIONS.with(Cell::get) - allocations,
+    );
+    assert!(built.has_label_index());
+    println!(
+        "SNB-{persons} ({} nodes, {} edges): layout {} live bytes, {} allocations",
+        graph.node_count(),
+        graph.edge_count(),
+        cost.0,
+        cost.1
+    );
+    cost
+}
+
+#[test]
+fn the_layout_is_at_most_half_the_hash_map_index() {
+    // The hash-map label index it replaced left 2 331 384 live bytes here.
+    let (bytes, _) = layout_cost(1000);
+    assert!(bytes <= 1_165_692, "layout of SNB-1000 holds {bytes} B");
+}
+
+#[test]
+fn layout_allocations_do_not_grow_with_the_graph() {
+    let (_, small) = layout_cost(250);
+    let (_, large) = layout_cost(1000);
+    assert_eq!(small, large, "allocations at SNB-250 vs SNB-1000");
+}
+
+/// The SNB-4000 figure the benchmark's `store_restart` graph pays, for
+/// the record.
+#[test]
+#[ignore = "a report, not a gate: generating SNB-4000 takes a while in debug"]
+fn report_the_snb_4000_layout() {
+    layout_cost(4000);
+}

@@ -185,7 +185,7 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Catalog, StoreError>
 
 /// Load a catalog previously written by [`save_catalog_at_epoch`]:
 /// read the manifest, decode every named graph and table, register
-/// them (which rebuilds label indexes and reserves the stored
+/// them (which builds their read layouts and reserves the stored
 /// identifier space in the catalog's generator — skolemized
 /// identifiers minted after a cold start can never collide with stored
 /// elements), and restore the default graph. Returns the catalog

@@ -463,10 +463,22 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
         return Err(StoreError::Corrupt("trailing bytes in symbols".into()));
     }
 
+    // The element sections, then room for every element they hold at
+    // once — clamped, like the symbols, by the fewest bytes an entry
+    // takes: a node 16 (id, label and property counts), an edge 32
+    // (three ids, two counts), a path 28 (id, node count, one node, two
+    // counts).
+    let nodes = read_section(&mut cur, TAG_NODES, "nodes")?;
+    let edges = read_section(&mut cur, TAG_EDGES, "edges")?;
+    let paths = read_section(&mut cur, TAG_PATHS, "paths")?;
     let mut g = PathPropertyGraph::new();
+    g.reserve(
+        Cursor::new(nodes).capacity_for(node_count, 16),
+        Cursor::new(edges).capacity_for(edge_count, 32),
+        Cursor::new(paths).capacity_for(path_count, 28),
+    );
 
-    let payload = read_section(&mut cur, TAG_NODES, "nodes")?;
-    let mut sec = Cursor::new(payload);
+    let mut sec = Cursor::new(nodes);
     for _ in 0..node_count {
         let id = gcore_ppg::NodeId(sec.u64()?);
         let attrs = decode_attrs(&mut sec, &labels, &keys)?;
@@ -479,8 +491,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
         return Err(StoreError::Corrupt("duplicate node identifiers".into()));
     }
 
-    let payload = read_section(&mut cur, TAG_EDGES, "edges")?;
-    let mut sec = Cursor::new(payload);
+    let mut sec = Cursor::new(edges);
     for _ in 0..edge_count {
         let id = gcore_ppg::EdgeId(sec.u64()?);
         let src = gcore_ppg::NodeId(sec.u64()?);
@@ -495,8 +506,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
         return Err(StoreError::Corrupt("duplicate edge identifiers".into()));
     }
 
-    let payload = read_section(&mut cur, TAG_PATHS, "paths")?;
-    let mut sec = Cursor::new(payload);
+    let mut sec = Cursor::new(paths);
     for _ in 0..path_count {
         let id = gcore_ppg::PathId(sec.u64()?);
         let nnodes = sec.u32()? as usize;
