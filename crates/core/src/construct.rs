@@ -35,7 +35,7 @@
 use crate::binding::{BindingTable, Bound, Column};
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError, SemanticError};
-use crate::expr::{eval_expr, Env, Group, Rv};
+use crate::expr::{Compiled, Compiler, Env, Group, Rv};
 use gcore_parser::ast::{
     ConstructClause, ConstructConnection, ConstructItem, ConstructPattern, Direction, Expr, Ident,
     PropAssign, RemoveItem, SetItem,
@@ -166,7 +166,7 @@ fn group_rows(
 
 /// The groups of a `GROUP e₁, …` / `GROUP BY e₁, …` partition: the
 /// expression values of each group with its rows (ascending).
-type ExprGroups = Vec<(Vec<Rv>, Vec<usize>)>;
+type ExprGroups = Vec<(Vec<Rv<'static>>, Vec<usize>)>;
 
 /// Partition `table`'s rows by the values of `exprs`: `(key, rows)` per
 /// group, rows ascending, groups in [`Rv::total_cmp`] order of their
@@ -181,20 +181,22 @@ pub(crate) fn group_by_exprs(
     outer: Option<&Env<'_>>,
 ) -> Result<(ExprGroups, Vec<usize>)> {
     // Keys are all `exprs.len()` long: lexicographic, first difference.
-    let cmp = |a: &[Rv], b: &[Rv]| {
+    let cmp = |a: &[Rv<'_>], b: &[Rv<'_>]| {
         let mut pairs = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
         pairs
             .find(|c| c.is_ne())
             .unwrap_or(std::cmp::Ordering::Equal)
     };
-    let mut keyed: Vec<(Vec<Rv>, usize)> = Vec::with_capacity(table.len());
+    let mut compiler = Compiler::new(table, outer);
+    let compiled: Vec<Compiled<'_>> = exprs.iter().map(|e| compiler.compile(e)).collect();
+    let mut keyed: Vec<(Vec<Rv<'static>>, usize)> = Vec::with_capacity(table.len());
     let mut tick = 0u32;
     for ri in 0..table.len() {
         ctx.options.cancel.checkpoint(&mut tick)?;
         let mut env = Env::new(table, ri);
         env.parent = outer;
-        let key: Result<Vec<Rv>> = exprs.iter().map(|e| eval_expr(ctx, &env, e)).collect();
-        keyed.push((key?, ri));
+        let key = compiled.iter().map(|e| Ok(e.eval(ctx, &env)?.into_owned()));
+        keyed.push((key.collect::<Result<_>>()?, ri));
     }
     keyed.sort_by(|a, b| cmp(&a.0, &b.0)); // stable: rows stay ascending
     let mut groups: ExprGroups = Vec::new();
@@ -454,6 +456,7 @@ fn when_pass(
     let mut dead: FxHashSet<ElementId> = FxHashSet::default();
     let mut tick = 0u32;
     for &(pattern, cond) in whens {
+        let cond = Compiler::new(&ext, outer).compile(cond);
         let mut seen: FxHashSet<ElementId> = FxHashSet::default();
         let of_pattern = staging.groups.iter().filter(|g| g.pattern == pattern);
         for elem in of_pattern.flat_map(|g| &g.elems) {
@@ -474,7 +477,7 @@ fn when_pass(
                     parent: outer,
                     group: Some(&group),
                 };
-                if eval_expr(ctx, &env, cond)?.truthy() {
+                if cond.test(ctx, &env)? {
                     alive = true;
                     break;
                 }
@@ -563,27 +566,39 @@ struct Template<'a> {
     /// `:Label` and `SET x:Label`.
     labels: Vec<Label>,
     /// `{k := v}` and `SET x.k := v`.
-    assigns: Vec<(Key, &'a Expr)>,
+    assigns: Vec<Assign<'a>>,
     /// `REMOVE x:Label`.
     drop_labels: Vec<Label>,
     /// `REMOVE x.k`.
     drop_props: Vec<Key>,
 }
 
+/// One `{k := v}` assignment: the key, whether the value aggregates,
+/// and the value compiled against the binding table.
+type Assign<'a> = (Key, bool, Compiled<'a>);
+
 /// `{k := v}` items followed by the pattern's `SET var.k := v` items.
 fn assigns_for<'a>(
     pat: &'a ConstructPattern,
     var: Option<&str>,
     own: &'a [PropAssign],
-) -> Vec<(Key, &'a Expr)> {
-    let own = own.iter().map(|a| (Key::new(&a.key), &a.value));
+    compiler: &mut Compiler<'_>,
+) -> Vec<Assign<'a>> {
+    let own = own.iter().map(|a| (a.key.as_str(), &a.value));
     let set = pat.sets.iter().filter_map(move |s| match s {
         SetItem::Prop { var: v, key, value } if var == Some(v.as_str()) => {
-            Some((Key::new(key), value))
+            Some((key.as_str(), value))
         }
         _ => None,
     });
-    own.chain(set).collect()
+    let assign = |(key, value): (&str, &'a Expr)| {
+        (
+            Key::new(key),
+            value.contains_aggregate(),
+            compiler.compile(value),
+        )
+    };
+    own.chain(set).map(assign).collect()
 }
 
 impl<'a> Template<'a> {
@@ -593,11 +608,12 @@ impl<'a> Template<'a> {
         copy_of: Option<&'a str>,
         labels: &[String],
         assigns: &'a [PropAssign],
+        compiler: &mut Compiler<'_>,
     ) -> Self {
         let mut t = Template {
             copies: copy_of.into_iter().collect(),
             labels: labels.iter().map(|l| Label::new(l)).collect(),
-            assigns: assigns_for(pat, var, assigns),
+            assigns: assigns_for(pat, var, assigns, compiler),
             drop_labels: Vec::new(),
             drop_props: Vec::new(),
         };
@@ -664,13 +680,14 @@ impl<'a> Template<'a> {
 fn assign_props(
     ctx: &EvalCtx,
     attrs: &mut Attributes,
-    assigns: &[(Key, &Expr)],
+    assigns: &[Assign<'_>],
     bindings: &BindingTable,
     group: &Group<'_>,
     outer: Option<&Env<'_>>,
 ) -> Result<()> {
-    for &(key, value) in assigns {
-        let vs = eval_assign(ctx, bindings, group, value, outer)?;
+    for (key, aggregate, value) in assigns {
+        let key = *key;
+        let vs = eval_assign(ctx, bindings, group, *aggregate, value, outer)?;
         let merged = attrs.prop(key).union(&vs);
         attrs.set_prop(key, merged);
     }
@@ -704,16 +721,18 @@ fn stage_pattern<'a>(
     };
 
     // ---- collect the node constructs of the chain -------------------
+    let mut compiler = Compiler::new(bindings, outer);
     let nodes = std::iter::once(&pat.start).chain(pat.steps.iter().map(|s| &s.node));
     let node_specs: Vec<NodeSpec<'_>> = nodes
         .map(|n| {
             let named = n.var.as_deref();
             let inherited = named.and_then(|v| overrides.get(v)).map(Vec::as_slice);
+            let (copy_of, labels) = (n.copy_of.as_deref(), &n.labels);
             NodeSpec {
                 token: token_for(n.var.as_ref(), "n"),
                 named,
                 group: n.group.as_deref().or(inherited),
-                template: Template::new(pat, named, n.copy_of.as_deref(), &n.labels, &n.assigns),
+                template: Template::new(pat, named, copy_of, labels, &n.assigns, &mut compiler),
             }
         })
         .collect();
@@ -737,7 +756,14 @@ fn stage_pattern<'a>(
                     ctx,
                     e,
                     &token_for(e.var.as_ref(), "e"),
-                    &Template::new(pat, var, e.copy_of.as_deref(), &e.labels, &e.assigns),
+                    &Template::new(
+                        pat,
+                        var,
+                        e.copy_of.as_deref(),
+                        &e.labels,
+                        &e.assigns,
+                        &mut compiler,
+                    ),
                     (&node_ids[i], &node_group_cols[i]),
                     (&node_ids[i + 1], &node_group_cols[i + 1]),
                     bindings,
@@ -747,7 +773,7 @@ fn stage_pattern<'a>(
                 )?;
             }
             ConstructConnection::Path(p) => {
-                let assigns = assigns_for(pat, Some(p.var.as_str()), &p.assigns);
+                let assigns = assigns_for(pat, Some(p.var.as_str()), &p.assigns, &mut compiler);
                 stage_path(ctx, p, &assigns, bindings, outer, skolem, staging)?;
             }
         }
@@ -914,38 +940,39 @@ fn eval_assign(
     ctx: &EvalCtx,
     bindings: &BindingTable,
     group: &Group<'_>,
-    expr: &Expr,
+    aggregate: bool,
+    expr: &Compiled<'_>,
     outer: Option<&Env<'_>>,
 ) -> Result<PropertySet> {
-    if expr.contains_aggregate() {
+    if aggregate {
         let env = Env {
             table: bindings,
             row: group.rows[0],
             parent: outer,
             group: Some(group),
         };
-        return rv_to_propset(eval_expr(ctx, &env, expr)?);
+        return rv_to_propset(expr.eval(ctx, &env)?);
     }
     let mut out = PropertySet::empty();
     for &ri in group.rows {
         let mut env = Env::new(bindings, ri);
         env.parent = outer;
-        let v = eval_expr(ctx, &env, expr)?;
+        let v = expr.eval(ctx, &env)?;
         out = out.union(&rv_to_propset(v)?);
     }
     Ok(out)
 }
 
-fn rv_to_propset(rv: Rv) -> Result<PropertySet> {
+fn rv_to_propset(rv: Rv<'_>) -> Result<PropertySet> {
     match rv {
         Rv::Null => Ok(PropertySet::empty()),
-        Rv::Value(v) => Ok(PropertySet::single(v)),
-        Rv::Set(s) => Ok(s),
+        Rv::Value(v) => Ok(PropertySet::single(v.into_owned())),
+        Rv::Set(s) => Ok(s.into_owned()),
         Rv::List(items) => {
             let mut vals = Vec::with_capacity(items.len());
             for i in items {
                 match i.as_scalar() {
-                    Some(v) => vals.push(v),
+                    Some(v) => vals.push(v.clone()),
                     None => {
                         return Err(RuntimeError::Type(
                             "cannot store a non-scalar list element as a property".into(),
@@ -1067,7 +1094,7 @@ fn stage_edge(
 fn stage_path(
     ctx: &EvalCtx,
     p: &gcore_parser::ast::ConstructPath,
-    assigns: &[(Key, &Expr)],
+    assigns: &[Assign<'_>],
     bindings: &BindingTable,
     outer: Option<&Env<'_>>,
     skolem: &mut Skolem,

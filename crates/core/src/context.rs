@@ -225,12 +225,13 @@ impl EvalCtx {
         }
         let table = self.table(name)?;
         let ids = self.catalog.borrow().ids().clone();
+        let keys: Vec<Key> = table.columns().iter().map(|c| Key::new(c)).collect();
         let mut g = PathPropertyGraph::new();
         for row in table.rows() {
             let mut attrs = Attributes::new();
-            for (ci, col) in table.columns().iter().enumerate() {
-                if !matches!(row[ci], Value::Null) {
-                    attrs.set_prop(Key::new(col), PropertySet::single(row[ci].clone()));
+            for (&key, cell) in keys.iter().zip(row) {
+                if !matches!(cell, Value::Null) {
+                    attrs.set_prop(key, PropertySet::single(cell.clone()));
                 }
             }
             g.add_node(ids.node(), attrs);

@@ -9,26 +9,42 @@
 //! singletons), `IN` is membership, `SUBSET` is inclusion, and absent
 //! properties are the empty set (so `"MIT" = {"CWI","MIT"}` is FALSE while
 //! `"MIT" IN {"CWI","MIT"}` is TRUE).
+//!
+//! An expression is compiled once per evaluation site and table — a
+//! WHERE over one table, the items of one SELECT, the assignments of one
+//! construct pattern — by a `Compiler` that knows the table's schema
+//! and the outer scopes: variables become (scope depth, column), keys
+//! and labels their symbols, literals prebuilt values and aggregates
+//! ordinals into their group's memo. The `Compiled` form is then
+//! evaluated once per row. A property read borrows the graph's value
+//! set and a literal its prebuilt value, so comparing a property with a
+//! literal allocates nothing; only what a caller keeps (a SELECT cell, a
+//! grouping key) is cloned out. A name no graph has ever used compiles
+//! to the empty set (a key) or to FALSE (a label test). Errors stay lazy:
+//! an invalid `DATE` literal compiles to its error, raised when a row
+//! reaches it, so a statement whose rows never do still succeeds.
+//! `EXISTS` and pattern predicates stay references to their own blocks.
 
 use crate::binding::{BindingTable, Bound};
 use crate::context::{EvalCtx, FreshPath};
-use crate::error::{Result, RuntimeError};
-use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, UnaryOp};
+use crate::error::{Result, RuntimeError, SemanticError};
+use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, Pattern, Query, UnaryOp};
 use gcore_ppg::{Date, ElementId, Key, Label, PathPropertyGraph, PropertySet, Value};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Runtime value of an expression.
+/// Runtime value of an expression. Literals and value sets may borrow
+/// (`'a`) from the graph they were read from or from a compiled constant.
 #[derive(Clone, Debug)]
-pub enum Rv {
+pub enum Rv<'a> {
     /// Absence (failed lookups, missing variables).
     Null,
     /// A scalar literal.
-    Value(Value),
+    Value(Cow<'a, Value>),
     /// A value set — the result of property access σ(x, k).
-    Set(PropertySet),
+    Set(Cow<'a, PropertySet>),
     /// A node identifier.
     Node(gcore_ppg::NodeId),
     /// An edge identifier.
@@ -38,15 +54,28 @@ pub enum Rv {
     /// A computed (not stored) path, by arena index.
     FreshPath(usize),
     /// A list (nodes(p), edges(p), labels(x), COLLECT(…)).
-    List(Vec<Rv>),
+    List(Vec<Rv<'a>>),
 }
 
-impl Rv {
+impl<'a> Rv<'a> {
+    /// An owned scalar.
+    pub fn value(v: Value) -> Self {
+        Rv::Value(Cow::Owned(v))
+    }
+
+    fn bool(b: bool) -> Self {
+        Rv::value(Value::Bool(b))
+    }
+
+    fn empty_set() -> Self {
+        Rv::Set(Cow::Owned(PropertySet::empty()))
+    }
+
     /// Boolean truthiness: only `TRUE` (possibly as a singleton set)
     /// passes a WHERE filter.
     pub fn truthy(&self) -> bool {
         match self {
-            Rv::Value(Value::Bool(b)) => *b,
+            Rv::Value(v) => v.as_bool().unwrap_or(false),
             Rv::Set(s) => s.as_singleton().and_then(Value::as_bool).unwrap_or(false),
             _ => false,
         }
@@ -54,40 +83,70 @@ impl Rv {
 
     /// Scalar coercion: singleton sets unwrap; everything non-scalar
     /// becomes `None`.
-    pub fn as_scalar(&self) -> Option<Value> {
+    pub fn as_scalar(&self) -> Option<&Value> {
         match self {
-            Rv::Value(v) => Some(v.clone()),
-            Rv::Set(s) => s.as_singleton().cloned(),
+            Rv::Value(v) => Some(v),
+            Rv::Set(s) => s.as_singleton(),
             _ => None,
         }
     }
 
-    /// Coercion to a value set: scalars become singletons, Null the empty
-    /// set. `None` for element ids and lists.
-    pub fn as_set(&self) -> Option<PropertySet> {
+    /// Coercion to a value set, as its sorted values: scalars are
+    /// singletons, NULL (and a NULL scalar) the empty set. `None` for
+    /// element ids and lists.
+    fn set_values(&self) -> Option<&[Value]> {
         match self {
-            Rv::Value(v) => Some(PropertySet::single(v.clone())),
-            Rv::Set(s) => Some(s.clone()),
-            Rv::Null => Some(PropertySet::empty()),
+            Rv::Value(v) if v.is_null() => Some(&[]),
+            Rv::Value(v) => Some(std::slice::from_ref(&**v)),
+            Rv::Set(s) => Some(s.values()),
+            Rv::Null => Some(&[]),
             _ => None,
         }
     }
 
     /// Convert a binding to an Rv.
-    pub fn from_bound(b: &Bound) -> Rv {
+    pub fn from_bound(b: &Bound) -> Rv<'static> {
         match b {
             Bound::Missing => Rv::Null,
             Bound::Node(n) => Rv::Node(*n),
             Bound::Edge(e) => Rv::Edge(*e),
             Bound::Path(p) => Rv::Path(*p),
             Bound::FreshPath(i) => Rv::FreshPath(*i),
-            Bound::Value(v) => Rv::Value(v.clone()),
+            Bound::Value(v) => Rv::value(v.clone()),
+        }
+    }
+
+    /// This value, borrowing whatever it owns.
+    fn reborrow(&self) -> Rv<'_> {
+        match self {
+            Rv::Value(v) => Rv::Value(Cow::Borrowed(&**v)),
+            Rv::Set(s) => Rv::Set(Cow::Borrowed(&**s)),
+            Rv::List(items) => Rv::List(items.iter().map(Rv::reborrow).collect()),
+            Rv::Null => Rv::Null,
+            Rv::Node(n) => Rv::Node(*n),
+            Rv::Edge(e) => Rv::Edge(*e),
+            Rv::Path(p) => Rv::Path(*p),
+            Rv::FreshPath(i) => Rv::FreshPath(*i),
+        }
+    }
+
+    /// This value, owning what it borrowed.
+    pub fn into_owned(self) -> Rv<'static> {
+        match self {
+            Rv::Value(v) => Rv::value(v.into_owned()),
+            Rv::Set(s) => Rv::Set(Cow::Owned(s.into_owned())),
+            Rv::List(items) => Rv::List(items.into_iter().map(Rv::into_owned).collect()),
+            Rv::Null => Rv::Null,
+            Rv::Node(n) => Rv::Node(n),
+            Rv::Edge(e) => Rv::Edge(e),
+            Rv::Path(p) => Rv::Path(p),
+            Rv::FreshPath(i) => Rv::FreshPath(i),
         }
     }
 
     /// Deterministic total order (used by COLLECT and grouping keys).
-    pub fn total_cmp(&self, other: &Rv) -> Ordering {
-        fn rank(r: &Rv) -> u8 {
+    pub fn total_cmp(&self, other: &Rv<'_>) -> Ordering {
+        fn rank(r: &Rv<'_>) -> u8 {
             match r {
                 Rv::Null => 0,
                 Rv::Value(_) => 1,
@@ -145,9 +204,10 @@ pub struct Group<'a> {
     /// The columns the grouping fixes: a row with every other column
     /// `Missing` is OPTIONAL padding, which `COUNT(*)` does not count.
     pub(crate) cols: &'a [usize],
-    /// Folded aggregates by the address of their `Expr::Aggregate` node:
+    /// Folded aggregates by their ordinal (numbered by the [`Compiler`]
+    /// of the site, so a group serves the expressions of one compiler):
     /// a condition evaluated once per row folds each aggregate once.
-    memo: RefCell<Vec<(usize, Rv)>>,
+    memo: RefCell<Vec<Option<Rv<'static>>>>,
 }
 
 impl<'a> Group<'a> {
@@ -172,9 +232,8 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// Look up a variable: the binding and the graph its attributes
-    /// resolve against (borrowed from the column: a per-row lookup never
-    /// touches the graph's shared reference count).
+    /// Look up a variable by name: the binding and the graph its
+    /// attributes resolve against.
     pub fn lookup(&self, var: &str) -> Option<(Bound, &'a Arc<PathPropertyGraph>)> {
         if let Some(i) = self.table.column_index(var) {
             return Some((
@@ -185,317 +244,469 @@ impl<'a> Env<'a> {
         self.parent.and_then(|p| p.lookup(var))
     }
 
-    /// Does any scope bind `var`? Schema-only — no cell is decoded, so
-    /// this is the accessor for "is it bound" checks on literal-heavy
-    /// tables (where [`lookup`](Self::lookup) would clone a value out of
-    /// the pool just to drop it).
+    /// Does any scope bind `var`? Schema-only — no cell is decoded.
     pub fn binds(&self, var: &str) -> bool {
         self.table.binds(var) || self.parent.is_some_and(|p| p.binds(var))
     }
 
-    /// Look up a variable directly as an [`Rv`]. Literal cells are
-    /// resolved through [`gcore_ppg::ValueInterner::with_resolved`] —
-    /// one borrow of the shared pool and a single clone into the result,
-    /// instead of the decode-clone *plus* conversion-clone (and the
-    /// graph-handle clone) that `lookup` + [`Rv::from_bound`] would pay
-    /// per cell. This is the `Expr::Var` hot path.
-    pub fn lookup_rv(&self, var: &str) -> Option<Rv> {
-        if let Some(i) = self.table.column_index(var) {
-            return Some(rv_at(self.table, self.row, i));
+    /// The table and row of the scope `depth` parents out.
+    fn scope(&self, depth: usize) -> Option<(&'a BindingTable, usize)> {
+        let mut env = self;
+        for _ in 0..depth {
+            env = env.parent?;
         }
-        self.parent.and_then(|p| p.lookup_rv(var))
-    }
-
-    /// [`lookup_rv`](Self::lookup_rv), also returning the graph the
-    /// variable's column resolves attributes against (borrowed, as in
-    /// [`lookup`](Self::lookup)).
-    pub fn lookup_rv_graph(&self, var: &str) -> Option<(Rv, &'a Arc<PathPropertyGraph>)> {
-        if let Some(i) = self.table.column_index(var) {
-            return Some((
-                rv_at(self.table, self.row, i),
-                &self.table.columns()[i].graph,
-            ));
-        }
-        self.parent.and_then(|p| p.lookup_rv_graph(var))
+        Some((env.table, env.row))
     }
 }
 
-/// Decode one table cell straight to an [`Rv`], borrowing literal values
-/// from the pool (a single clone into the result).
-fn rv_at(table: &BindingTable, row: usize, col: usize) -> Rv {
+/// Decode one table cell straight to an [`Rv`]: a literal cell is cloned
+/// out of the pool once, into the result.
+fn rv_at(table: &BindingTable, row: usize, col: usize) -> Rv<'static> {
     match table.value_code(row, col) {
-        Some(code) => Rv::Value(table.pool().with_resolved(code, Value::clone)),
+        Some(code) => Rv::value(table.pool().with_resolved(code, Value::clone)),
         None => Rv::from_bound(&table.bound(row, col)),
     }
 }
 
-/// Evaluate an expression for one binding.
-pub(crate) fn eval_expr(ctx: &EvalCtx, env: &Env<'_>, e: &Expr) -> Result<Rv> {
-    match e {
-        Expr::Int(i) => Ok(Rv::Value(Value::Int(*i))),
-        Expr::Float(x) => Ok(Rv::Value(Value::Float(*x))),
-        Expr::Str(s) => Ok(Rv::Value(Value::str(s.clone()))),
-        Expr::Bool(b) => Ok(Rv::Value(Value::Bool(*b))),
-        Expr::Null => Ok(Rv::Null),
-        Expr::DateLit(s) => Date::parse(s)
-            .map(|d| Rv::Value(Value::Date(d)))
-            .ok_or_else(|| RuntimeError::Type(format!("invalid date literal '{s}'")).into()),
-        Expr::Var(v) => Ok(env.lookup_rv(v).unwrap_or(Rv::Null)),
-        Expr::Prop(base, key) => eval_prop(ctx, env, base, key),
-        Expr::LabelTest(base, labels) => {
-            let (rv, graph) = eval_with_graph(ctx, env, base)?;
-            let id = match rv {
-                Rv::Node(n) => Some(ElementId::Node(n)),
-                Rv::Edge(e) => Some(ElementId::Edge(e)),
-                Rv::Path(p) => Some(ElementId::Path(p)),
-                _ => None,
-            };
-            let Some(id) = id else {
-                return Ok(Rv::Value(Value::Bool(false)));
-            };
-            let ok = labels
-                .iter()
-                .any(|l| Label::lookup(l).is_some_and(|label| graph.has_label(id, label)));
-            Ok(Rv::Value(Value::Bool(ok)))
+// ---------------------------------------------------------------------
+// Compilation
+// ---------------------------------------------------------------------
+
+/// An expression compiled against the scopes it is evaluated in (see
+/// the module documentation); `'e` is the lifetime of its source AST,
+/// which subqueries keep referring to.
+pub(crate) enum Compiled<'e> {
+    /// A prebuilt literal — also a never-interned key's empty set and a
+    /// never-interned label's FALSE.
+    Const(Rv<'static>),
+    /// A `DATE` literal that does not parse: an error once evaluated.
+    BadDate(&'e str),
+    /// A variable: column `col` of the scope `depth` parents out.
+    Var {
+        depth: usize,
+        col: usize,
+    },
+    /// A variable no scope binds: NULL.
+    Unbound,
+    /// `x.k`; `None`: a key no graph has ever used.
+    Prop(Box<Compiled<'e>>, Option<Key>),
+    /// `x:ℓ₁|ℓ₂`, over the labels some graph has used.
+    LabelTest(Box<Compiled<'e>>, Vec<Label>),
+    Index(Box<Compiled<'e>>, Box<Compiled<'e>>),
+    Unary(UnaryOp, Box<Compiled<'e>>),
+    Binary(BinaryOp, Box<Compiled<'e>>, Box<Compiled<'e>>),
+    /// `x.k op literal` (`literal op x.k` when the flag is set) for a
+    /// comparison operator: the shape of nearly every filter, tested
+    /// without a literal node or a value for its outcome.
+    Compare(BinaryOp, Box<Compiled<'e>>, Rv<'static>, bool),
+    Func(Func, Vec<Compiled<'e>>),
+    /// An aggregate, with its ordinal in its group's memo.
+    Aggregate {
+        ordinal: usize,
+        op: AggOp,
+        distinct: bool,
+        arg: Option<Box<Compiled<'e>>>,
+    },
+    Case {
+        operand: Option<Box<Compiled<'e>>>,
+        whens: Vec<(Compiled<'e>, Compiled<'e>)>,
+        else_: Option<Box<Compiled<'e>>>,
+    },
+    Exists(&'e Query),
+    PatternPredicate(&'e Pattern),
+}
+
+/// Compiles the expressions of one evaluation site: rows of `table`,
+/// under the `outer` scopes. Aggregates are numbered across every
+/// expression it compiles, so the expressions of a site can share one
+/// [`Group`].
+pub(crate) struct Compiler<'s> {
+    table: &'s BindingTable,
+    outer: Option<&'s Env<'s>>,
+    aggregates: usize,
+}
+
+impl<'s> Compiler<'s> {
+    /// A compiler for rows of `table` under `outer`.
+    pub(crate) fn new(table: &'s BindingTable, outer: Option<&'s Env<'s>>) -> Self {
+        Compiler {
+            table,
+            outer,
+            aggregates: 0,
         }
-        Expr::Index(base, idx) => {
-            let list = eval_expr(ctx, env, base)?;
-            let i = eval_expr(ctx, env, idx)?;
-            let Some(Value::Int(i)) = i.as_scalar() else {
-                return Ok(Rv::Null);
-            };
-            match list {
-                Rv::List(items) => {
-                    if i >= 0 && (i as usize) < items.len() {
-                        Ok(items[i as usize].clone())
-                    } else {
-                        Ok(Rv::Null)
-                    }
-                }
-                Rv::Set(s) => {
-                    // Indexing a value set uses its sorted order.
-                    let vs = s.values();
-                    if i >= 0 && (i as usize) < vs.len() {
-                        Ok(Rv::Value(vs[i as usize].clone()))
-                    } else {
-                        Ok(Rv::Null)
-                    }
-                }
-                _ => Ok(Rv::Null),
+    }
+
+    /// Resolve a variable to (scope depth, column).
+    fn resolve(&self, var: &str) -> Option<(usize, usize)> {
+        if let Some(col) = self.table.column_index(var) {
+            return Some((0, col));
+        }
+        let mut scope = self.outer;
+        let mut depth = 1;
+        while let Some(env) = scope {
+            if let Some(col) = env.table.column_index(var) {
+                return Some((depth, col));
             }
+            scope = env.parent;
+            depth += 1;
         }
-        Expr::Unary(UnaryOp::Not, inner) => {
-            let v = eval_expr(ctx, env, inner)?;
-            Ok(Rv::Value(Value::Bool(!v.truthy())))
-        }
-        Expr::Unary(UnaryOp::Neg, inner) => {
-            let v = eval_expr(ctx, env, inner)?;
-            match v.as_scalar() {
-                Some(Value::Int(i)) => Ok(Rv::Value(Value::Int(-i))),
-                Some(Value::Float(f)) => Ok(Rv::Value(Value::Float(-f))),
-                _ => Ok(Rv::Null),
+        None
+    }
+
+    /// Compile `e` for this site.
+    pub(crate) fn compile<'e>(&mut self, e: &'e Expr) -> Compiled<'e> {
+        let mut boxed = |e: &'e Expr| Box::new(self.compile(e));
+        match e {
+            Expr::Int(i) => Compiled::Const(Rv::value(Value::Int(*i))),
+            Expr::Float(x) => Compiled::Const(Rv::value(Value::Float(*x))),
+            Expr::Str(s) => Compiled::Const(Rv::value(Value::str(s.clone()))),
+            Expr::Bool(b) => Compiled::Const(Rv::bool(*b)),
+            Expr::Null => Compiled::Const(Rv::Null),
+            Expr::DateLit(s) => match Date::parse(s) {
+                Some(d) => Compiled::Const(Rv::value(Value::Date(d))),
+                None => Compiled::BadDate(s),
+            },
+            Expr::Var(v) => match self.resolve(v) {
+                Some((depth, col)) => Compiled::Var { depth, col },
+                None => Compiled::Unbound,
+            },
+            Expr::Prop(base, key) => {
+                let base = boxed(base);
+                match (Key::lookup(key), &*base) {
+                    // Nothing to evaluate for: the base cannot fail.
+                    (None, Compiled::Var { .. }) => Compiled::Const(Rv::empty_set()),
+                    (key, _) => Compiled::Prop(base, key),
+                }
             }
+            Expr::LabelTest(base, labels) => {
+                let base = boxed(base);
+                let labels: Vec<Label> = labels.iter().filter_map(|l| Label::lookup(l)).collect();
+                match (labels.is_empty(), &*base) {
+                    (true, Compiled::Var { .. }) => Compiled::Const(Rv::bool(false)),
+                    _ => Compiled::LabelTest(base, labels),
+                }
+            }
+            Expr::Index(base, idx) => Compiled::Index(boxed(base), boxed(idx)),
+            Expr::Unary(op, inner) => Compiled::Unary(*op, boxed(inner)),
+            Expr::Binary(op, l, r) => binary(*op, self.compile(l), self.compile(r)),
+            Expr::Func(f, args) => {
+                Compiled::Func(*f, args.iter().map(|a| self.compile(a)).collect())
+            }
+            Expr::Aggregate { op, distinct, arg } => {
+                let ordinal = self.aggregates;
+                self.aggregates += 1;
+                Compiled::Aggregate {
+                    ordinal,
+                    op: *op,
+                    distinct: *distinct,
+                    arg: arg.as_deref().map(|a| Box::new(self.compile(a))),
+                }
+            }
+            Expr::Case {
+                operand,
+                whens,
+                else_,
+            } => Compiled::Case {
+                operand: operand.as_deref().map(|o| Box::new(self.compile(o))),
+                whens: whens
+                    .iter()
+                    .map(|(c, r)| (self.compile(c), self.compile(r)))
+                    .collect(),
+                else_: else_.as_deref().map(|e| Box::new(self.compile(e))),
+            },
+            Expr::Exists(q) => Compiled::Exists(q),
+            Expr::PatternPredicate(p) => Compiled::PatternPredicate(p),
         }
-        Expr::Binary(op, l, r) => eval_binary(ctx, env, *op, l, r),
-        Expr::Func(f, args) => eval_func(ctx, env, *f, args),
-        Expr::Aggregate { .. } => eval_aggregate(ctx, env, e),
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            for (cond, result) in whens {
-                let hit = match operand {
-                    Some(op_expr) => {
-                        let lhs = eval_expr(ctx, env, op_expr)?;
-                        let rhs = eval_expr(ctx, env, cond)?;
-                        rv_eq(&lhs, &rhs)
-                    }
-                    None => eval_expr(ctx, env, cond)?.truthy(),
+    }
+}
+
+/// `l op r`, fusing a comparison of a property read with a literal.
+fn binary<'e>(op: BinaryOp, l: Compiled<'e>, r: Compiled<'e>) -> Compiled<'e> {
+    use BinaryOp::{Eq, Ge, Gt, In, Le, Lt, Neq, Subset};
+    let compares = matches!(op, Eq | Neq | Lt | Le | Gt | Ge | In | Subset);
+    match (l, r) {
+        (p @ Compiled::Prop(..), Compiled::Const(c)) if compares => {
+            Compiled::Compare(op, Box::new(p), c, false)
+        }
+        (Compiled::Const(c), p @ Compiled::Prop(..)) if compares => {
+            Compiled::Compare(op, Box::new(p), c, true)
+        }
+        (l, r) => Compiled::Binary(op, Box::new(l), Box::new(r)),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------
+
+/// The element an [`Rv`] identifies, if any.
+fn element(rv: &Rv<'_>) -> Option<ElementId> {
+    match *rv {
+        Rv::Node(n) => Some(ElementId::Node(n)),
+        Rv::Edge(e) => Some(ElementId::Edge(e)),
+        Rv::Path(p) => Some(ElementId::Path(p)),
+        _ => None,
+    }
+}
+
+impl<'e> Compiled<'e> {
+    /// Evaluate for the row of `env` (which must have the scopes the
+    /// expression was compiled against).
+    pub(crate) fn eval<'a>(&'a self, ctx: &EvalCtx, env: &Env<'a>) -> Result<Rv<'a>> {
+        match self {
+            Compiled::Const(rv) => Ok(rv.reborrow()),
+            Compiled::BadDate(s) => {
+                Err(RuntimeError::Type(format!("invalid date literal '{s}'")).into())
+            }
+            Compiled::Var { depth, col } => Ok(match env.scope(*depth) {
+                Some((table, row)) => rv_at(table, row, *col),
+                None => Rv::Null,
+            }),
+            Compiled::Unbound => Ok(Rv::Null),
+            Compiled::Prop(base, key) => {
+                let (rv, graph) = base.eval_with_graph(ctx, env)?;
+                let Some(key) = *key else {
+                    return Ok(Rv::empty_set());
                 };
-                if hit {
-                    return eval_expr(ctx, env, result);
-                }
+                let id = match rv {
+                    Rv::FreshPath(_) | Rv::Null => return Ok(Rv::empty_set()),
+                    ref other => element(other).ok_or_else(|| {
+                        RuntimeError::Type(format!(
+                            "property access on a non-element value ({other:?})"
+                        ))
+                    })?,
+                };
+                Ok(Rv::Set(match graph {
+                    Cow::Borrowed(g) => g
+                        .prop_ref(id, key)
+                        .map_or_else(|| Cow::Owned(PropertySet::empty()), Cow::Borrowed),
+                    Cow::Owned(g) => Cow::Owned(g.prop(id, key)),
+                }))
             }
-            match else_ {
-                Some(e) => eval_expr(ctx, env, e),
-                None => Ok(Rv::Null),
+            Compiled::LabelTest(base, labels) => {
+                let (rv, graph) = base.eval_with_graph(ctx, env)?;
+                let ok = element(&rv)
+                    .is_some_and(|id| labels.iter().any(|&label| graph.has_label(id, label)));
+                Ok(Rv::bool(ok))
             }
-        }
-        Expr::Exists(q) => Ok(Rv::Value(Value::Bool(ctx.eval_exists(q, env)?))),
-        Expr::PatternPredicate(p) => {
-            Ok(Rv::Value(Value::Bool(ctx.eval_pattern_predicate(p, env)?)))
-        }
-    }
-}
-
-/// Evaluate `base`, also returning the graph for attribute resolution:
-/// variables use their column's graph (borrowed), everything else the
-/// ambient graph.
-fn eval_with_graph<'a>(
-    ctx: &EvalCtx,
-    env: &Env<'a>,
-    base: &Expr,
-) -> Result<(Rv, Cow<'a, Arc<PathPropertyGraph>>)> {
-    if let Expr::Var(v) = base {
-        if let Some((rv, g)) = env.lookup_rv_graph(v) {
-            return Ok((rv, Cow::Borrowed(g)));
-        }
-        return Ok((Rv::Null, Cow::Owned(ctx.ambient_graph()?)));
-    }
-    let rv = eval_expr(ctx, env, base)?;
-    Ok((rv, Cow::Owned(ctx.ambient_graph()?)))
-}
-
-fn eval_prop(ctx: &EvalCtx, env: &Env<'_>, base: &Expr, key: &str) -> Result<Rv> {
-    let (rv, graph) = eval_with_graph(ctx, env, base)?;
-    let Some(key) = Key::lookup(key) else {
-        // Never-interned key: no graph anywhere assigns it.
-        return Ok(Rv::Set(PropertySet::empty()));
-    };
-    let id = match rv {
-        Rv::Node(n) => ElementId::Node(n),
-        Rv::Edge(e) => ElementId::Edge(e),
-        Rv::Path(p) => ElementId::Path(p),
-        Rv::FreshPath(_) | Rv::Null => return Ok(Rv::Set(PropertySet::empty())),
-        other => {
-            return Err(RuntimeError::Type(format!(
-                "property access on a non-element value ({other:?})"
-            ))
-            .into())
-        }
-    };
-    Ok(Rv::Set(graph.prop(id, key)))
-}
-
-fn eval_binary(ctx: &EvalCtx, env: &Env<'_>, op: BinaryOp, l: &Expr, r: &Expr) -> Result<Rv> {
-    // Short-circuit logic first.
-    match op {
-        BinaryOp::And => {
-            let lv = eval_expr(ctx, env, l)?;
-            if !lv.truthy() {
-                return Ok(Rv::Value(Value::Bool(false)));
+            Compiled::Index(base, idx) => {
+                let list = base.eval(ctx, env)?;
+                let i = idx.eval(ctx, env)?;
+                let Some(&Value::Int(i)) = i.as_scalar() else {
+                    return Ok(Rv::Null);
+                };
+                let Ok(i) = usize::try_from(i) else {
+                    return Ok(Rv::Null);
+                };
+                Ok(match list {
+                    Rv::List(items) => items.into_iter().nth(i).unwrap_or(Rv::Null),
+                    // Indexing a value set uses its sorted order.
+                    Rv::Set(s) => s.values().get(i).map_or(Rv::Null, |v| Rv::value(v.clone())),
+                    _ => Rv::Null,
+                })
             }
-            let rv = eval_expr(ctx, env, r)?;
-            return Ok(Rv::Value(Value::Bool(rv.truthy())));
-        }
-        BinaryOp::Or => {
-            let lv = eval_expr(ctx, env, l)?;
-            if lv.truthy() {
-                return Ok(Rv::Value(Value::Bool(true)));
+            Compiled::Unary(UnaryOp::Not, inner) => Ok(Rv::bool(!inner.eval(ctx, env)?.truthy())),
+            Compiled::Unary(UnaryOp::Neg, inner) => Ok(match inner.eval(ctx, env)?.as_scalar() {
+                Some(&Value::Int(i)) => Rv::value(Value::Int(-i)),
+                Some(&Value::Float(f)) => Rv::value(Value::Float(-f)),
+                _ => Rv::Null,
+            }),
+            Compiled::Binary(BinaryOp::And | BinaryOp::Or, ..) | Compiled::Compare(..) => {
+                Ok(Rv::bool(self.test(ctx, env)?))
             }
-            let rv = eval_expr(ctx, env, r)?;
-            return Ok(Rv::Value(Value::Bool(rv.truthy())));
-        }
-        _ => {}
-    }
-    let lv = eval_expr(ctx, env, l)?;
-    let rv = eval_expr(ctx, env, r)?;
-    match op {
-        BinaryOp::Eq => Ok(Rv::Value(Value::Bool(rv_eq(&lv, &rv)))),
-        BinaryOp::Neq => Ok(Rv::Value(Value::Bool(!rv_eq(&lv, &rv)))),
-        BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
-            let (Some(a), Some(b)) = (lv.as_scalar(), rv.as_scalar()) else {
-                return Ok(Rv::Value(Value::Bool(false)));
-            };
-            let Some(ord) = a.partial_order(&b) else {
-                return Ok(Rv::Value(Value::Bool(false)));
-            };
-            let ok = match op {
-                BinaryOp::Lt => ord == Ordering::Less,
-                BinaryOp::Le => ord != Ordering::Greater,
-                BinaryOp::Gt => ord == Ordering::Greater,
-                BinaryOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Rv::Value(Value::Bool(ok)))
-        }
-        BinaryOp::In => {
-            // Scalar (or singleton-set) membership in a set or list.
-            match &rv {
-                Rv::List(items) => {
-                    let ok = items.iter().any(|i| rv_eq(&lv, i));
-                    Ok(Rv::Value(Value::Bool(ok)))
-                }
-                _ => {
-                    let (Some(needle), Some(hay)) = (lv.as_scalar(), rv.as_set()) else {
-                        return Ok(Rv::Value(Value::Bool(false)));
+            Compiled::Binary(op, l, r) => {
+                let lv = l.eval(ctx, env)?;
+                let rv = r.eval(ctx, env)?;
+                apply(*op, &lv, &rv)
+            }
+            Compiled::Func(f, args) => eval_func(ctx, env, *f, args),
+            Compiled::Aggregate {
+                ordinal,
+                op,
+                distinct,
+                arg,
+            } => eval_aggregate(ctx, env, *ordinal, *op, *distinct, arg.as_deref()),
+            Compiled::Case {
+                operand,
+                whens,
+                else_,
+            } => {
+                for (cond, result) in whens {
+                    let hit = match operand {
+                        Some(op_expr) => {
+                            let lhs = op_expr.eval(ctx, env)?;
+                            let rhs = cond.eval(ctx, env)?;
+                            rv_eq(&lhs, &rhs)
+                        }
+                        None => cond.eval(ctx, env)?.truthy(),
                     };
-                    Ok(Rv::Value(Value::Bool(hay.contains(&needle))))
+                    if hit {
+                        return result.eval(ctx, env);
+                    }
+                }
+                match else_ {
+                    Some(e) => e.eval(ctx, env),
+                    None => Ok(Rv::Null),
                 }
             }
+            Compiled::Exists(q) => Ok(Rv::bool(ctx.eval_exists(q, env)?)),
+            Compiled::PatternPredicate(p) => Ok(Rv::bool(ctx.eval_pattern_predicate(p, env)?)),
         }
-        BinaryOp::Subset => {
-            let (Some(a), Some(b)) = (lv.as_set(), rv.as_set()) else {
-                return Ok(Rv::Value(Value::Bool(false)));
-            };
-            Ok(Rv::Value(Value::Bool(a.is_subset_of(&b))))
+    }
+
+    /// Evaluate as a condition (WHERE, WHEN): is it TRUE? The same as
+    /// [`eval`](Self::eval) and [`Rv::truthy`], without building the
+    /// values of a comparison or a conjunction. `AND` and `OR` evaluate
+    /// their right operand only when the left one leaves it open.
+    pub(crate) fn test(&self, ctx: &EvalCtx, env: &Env<'_>) -> Result<bool> {
+        match self {
+            Compiled::Compare(op, prop, literal, flipped) => {
+                let prop = prop.eval(ctx, env)?;
+                Ok(match flipped {
+                    false => compare(*op, &prop, literal),
+                    true => compare(*op, literal, &prop),
+                })
+            }
+            Compiled::Binary(BinaryOp::And, l, r) => Ok(l.test(ctx, env)? && r.test(ctx, env)?),
+            Compiled::Binary(BinaryOp::Or, l, r) => Ok(l.test(ctx, env)? || r.test(ctx, env)?),
+            _ => Ok(self.eval(ctx, env)?.truthy()),
         }
+    }
+
+    /// Evaluate as the base of an attribute read, also returning the
+    /// graph the attributes resolve against: a variable's column graph
+    /// (borrowed), for anything else the ambient graph.
+    fn eval_with_graph<'a>(
+        &'a self,
+        ctx: &EvalCtx,
+        env: &Env<'a>,
+    ) -> Result<(Rv<'a>, Cow<'a, Arc<PathPropertyGraph>>)> {
+        if let Compiled::Var { depth, col } = *self {
+            if let Some((table, row)) = env.scope(depth) {
+                return Ok((
+                    rv_at(table, row, col),
+                    Cow::Borrowed(&table.columns()[col].graph),
+                ));
+            }
+        }
+        let rv = self.eval(ctx, env)?;
+        Ok((rv, Cow::Owned(ctx.ambient_graph()?)))
+    }
+}
+
+/// `lv op rv` for every operator but the short-circuit ones.
+fn apply(op: BinaryOp, lv: &Rv<'_>, rv: &Rv<'_>) -> Result<Rv<'static>> {
+    match op {
+        BinaryOp::Eq
+        | BinaryOp::Neq
+        | BinaryOp::Lt
+        | BinaryOp::Le
+        | BinaryOp::Gt
+        | BinaryOp::Ge
+        | BinaryOp::In
+        | BinaryOp::Subset => Ok(Rv::bool(compare(op, lv, rv))),
         BinaryOp::Add => {
             // String concatenation or numeric addition.
             match (lv.as_scalar(), rv.as_scalar()) {
-                (Some(Value::Str(a)), Some(b)) => Ok(Rv::Value(Value::Str(format!("{a}{b}")))),
-                (Some(a), Some(Value::Str(b))) => Ok(Rv::Value(Value::Str(format!("{a}{b}")))),
-                (Some(a), Some(b)) => numeric_op(&a, &b, |x, y| x + y, |x, y| x.checked_add(y)),
+                (Some(Value::Str(a)), Some(b)) => Ok(Rv::value(Value::Str(format!("{a}{b}")))),
+                (Some(a), Some(Value::Str(b))) => Ok(Rv::value(Value::Str(format!("{a}{b}")))),
+                (Some(a), Some(b)) => Ok(numeric_op(a, b, |x, y| x + y, i64::checked_add)),
                 _ => Ok(Rv::Null),
             }
         }
-        BinaryOp::Sub => scalar_numeric(&lv, &rv, |x, y| x - y, |x, y| x.checked_sub(y)),
-        BinaryOp::Mul => scalar_numeric(&lv, &rv, |x, y| x * y, |x, y| x.checked_mul(y)),
+        BinaryOp::Sub => Ok(scalar_numeric(lv, rv, |x, y| x - y, i64::checked_sub)),
+        BinaryOp::Mul => Ok(scalar_numeric(lv, rv, |x, y| x * y, i64::checked_mul)),
         BinaryOp::Div => {
             // Division is real-valued: the paper's weight expression
             // `1 / (1 + e.nr_messages)` must not truncate to zero.
-            let (Some(a), Some(b)) = (lv.as_scalar(), rv.as_scalar()) else {
-                return Ok(Rv::Null);
-            };
-            let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
+            let (Some(x), Some(y)) = (
+                lv.as_scalar().and_then(Value::as_f64),
+                rv.as_scalar().and_then(Value::as_f64),
+            ) else {
                 return Ok(Rv::Null);
             };
             if y == 0.0 {
                 return Err(RuntimeError::DivisionByZero.into());
             }
-            Ok(Rv::Value(Value::Float(x / y)))
+            Ok(Rv::value(Value::Float(x / y)))
         }
         BinaryOp::Mod => {
-            let (Some(Value::Int(a)), Some(Value::Int(b))) = (lv.as_scalar(), rv.as_scalar())
+            let (Some(&Value::Int(a)), Some(&Value::Int(b))) = (lv.as_scalar(), rv.as_scalar())
             else {
                 return Ok(Rv::Null);
             };
             if b == 0 {
                 return Err(RuntimeError::DivisionByZero.into());
             }
-            Ok(Rv::Value(Value::Int(a % b)))
+            Ok(Rv::value(Value::Int(a % b)))
         }
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
+        BinaryOp::And | BinaryOp::Or => unreachable!("short-circuit operators are tested"),
+    }
+}
+
+/// `lv op rv` for a comparison operator (`=`, `<>`, `<`, `<=`, `>`,
+/// `>=`, `IN`, `SUBSET`): never NULL, never an error.
+fn compare(op: BinaryOp, lv: &Rv<'_>, rv: &Rv<'_>) -> bool {
+    match op {
+        BinaryOp::Eq => rv_eq(lv, rv),
+        BinaryOp::Neq => !rv_eq(lv, rv),
+        BinaryOp::In => match rv {
+            // Scalar (or singleton-set) membership in a set or list.
+            Rv::List(items) => items.iter().any(|i| rv_eq(lv, i)),
+            _ => match (lv.as_scalar(), rv.set_values()) {
+                (Some(needle), Some(hay)) => hay.binary_search(needle).is_ok(),
+                _ => false,
+            },
+        },
+        BinaryOp::Subset => match (lv.set_values(), rv.set_values()) {
+            (Some(a), Some(b)) => a.iter().all(|v| b.binary_search(v).is_ok()),
+            _ => false,
+        },
+        _ => {
+            let (Some(a), Some(b)) = (lv.as_scalar(), rv.as_scalar()) else {
+                return false;
+            };
+            let Some(ord) = a.partial_order(b) else {
+                return false;
+            };
+            match op {
+                BinaryOp::Lt => ord == Ordering::Less,
+                BinaryOp::Le => ord != Ordering::Greater,
+                BinaryOp::Gt => ord == Ordering::Greater,
+                _ => ord != Ordering::Less,
+            }
+        }
     }
 }
 
 fn scalar_numeric(
-    lv: &Rv,
-    rv: &Rv,
+    lv: &Rv<'_>,
+    rv: &Rv<'_>,
     ff: impl Fn(f64, f64) -> f64,
     fi: impl Fn(i64, i64) -> Option<i64>,
-) -> Result<Rv> {
+) -> Rv<'static> {
     match (lv.as_scalar(), rv.as_scalar()) {
-        (Some(a), Some(b)) => numeric_op(&a, &b, ff, fi),
-        _ => Ok(Rv::Null),
+        (Some(a), Some(b)) => numeric_op(a, b, ff, fi),
+        _ => Rv::Null,
     }
 }
 
+/// Integers stay integers until `fi` overflows, then fall back to `ff`
+/// over floats; anything else numeric is a float.
 fn numeric_op(
     a: &Value,
     b: &Value,
     ff: impl Fn(f64, f64) -> f64,
     fi: impl Fn(i64, i64) -> Option<i64>,
-) -> Result<Rv> {
+) -> Rv<'static> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => match fi(*x, *y) {
-            Some(r) => Ok(Rv::Value(Value::Int(r))),
-            None => Ok(Rv::Value(Value::Float(ff(*x as f64, *y as f64)))),
+            Some(r) => Rv::value(Value::Int(r)),
+            None => Rv::value(Value::Float(ff(*x as f64, *y as f64))),
         },
         _ => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => Ok(Rv::Value(Value::Float(ff(x, y)))),
-            _ => Ok(Rv::Null),
+            (Some(x), Some(y)) => Rv::value(Value::Float(ff(x, y))),
+            _ => Rv::Null,
         },
     }
 }
@@ -503,7 +714,7 @@ fn numeric_op(
 /// Set-aware equality: sets compare as sets (scalars coerce to
 /// singletons), elements by identity, lists pointwise; Null equals
 /// nothing.
-pub fn rv_eq(a: &Rv, b: &Rv) -> bool {
+pub fn rv_eq(a: &Rv<'_>, b: &Rv<'_>) -> bool {
     match (a, b) {
         (Rv::Null, _) | (_, Rv::Null) => false,
         (Rv::Node(x), Rv::Node(y)) => x == y,
@@ -513,8 +724,8 @@ pub fn rv_eq(a: &Rv, b: &Rv) -> bool {
         (Rv::List(xs), Rv::List(ys)) => {
             xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| rv_eq(x, y))
         }
-        (Rv::Set(_), _) | (_, Rv::Set(_)) => match (a.as_set(), b.as_set()) {
-            (Some(x), Some(y)) => x.set_eq(&y),
+        (Rv::Set(_), _) | (_, Rv::Set(_)) => match (a.set_values(), b.set_values()) {
+            (Some(x), Some(y)) => x == y,
             _ => false,
         },
         (Rv::Value(x), Rv::Value(y)) => x.sem_eq(y),
@@ -522,36 +733,40 @@ pub fn rv_eq(a: &Rv, b: &Rv) -> bool {
     }
 }
 
-fn eval_func(ctx: &EvalCtx, env: &Env<'_>, f: Func, args: &[Expr]) -> Result<Rv> {
+fn eval_func<'a>(
+    ctx: &EvalCtx,
+    env: &Env<'a>,
+    f: Func,
+    args: &'a [Compiled<'_>],
+) -> Result<Rv<'a>> {
     let arity_err = |n: usize| -> crate::error::EngineError {
         RuntimeError::Type(format!("{} expects {n} argument(s)", f.name())).into()
+    };
+    let str_of = |s: String| Rv::value(Value::Str(s));
+    // Single-argument functions of a scalar.
+    let scalar = |args: &'a [Compiled<'_>]| -> Result<Rv<'a>> {
+        let [arg] = args else {
+            return Err(arity_err(1));
+        };
+        arg.eval(ctx, env)
     };
     match f {
         Func::Labels => {
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let (rv, graph) = eval_with_graph(ctx, env, arg)?;
-            let id = match rv {
-                Rv::Node(n) => ElementId::Node(n),
-                Rv::Edge(e) => ElementId::Edge(e),
-                Rv::Path(p) => ElementId::Path(p),
-                _ => return Ok(Rv::List(Vec::new())),
+            let (rv, graph) = arg.eval_with_graph(ctx, env)?;
+            let Some(id) = element(&rv) else {
+                return Ok(Rv::List(Vec::new()));
             };
-            Ok(Rv::List(
-                graph
-                    .labels(id)
-                    .names()
-                    .into_iter()
-                    .map(|n| Rv::Value(Value::Str(n)))
-                    .collect(),
-            ))
+            let names = graph.labels(id).names();
+            Ok(Rv::List(names.into_iter().map(str_of).collect()))
         }
         Func::Nodes | Func::Edges | Func::Length => {
             let [arg] = args else {
                 return Err(arity_err(1));
             };
-            let (rv, graph) = eval_with_graph(ctx, env, arg)?;
+            let (rv, graph) = arg.eval_with_graph(ctx, env)?;
             let (nodes, edges): (Vec<_>, Vec<_>) = match rv {
                 Rv::Path(p) => {
                     let Some(data) = graph.path(p) else {
@@ -570,117 +785,72 @@ fn eval_func(ctx: &EvalCtx, env: &Env<'_>, f: Func, args: &[Expr]) -> Result<Rv>
             Ok(match f {
                 Func::Nodes => Rv::List(nodes.into_iter().map(Rv::Node).collect()),
                 Func::Edges => Rv::List(edges.into_iter().map(Rv::Edge).collect()),
-                Func::Length => Rv::Value(Value::Int(edges.len() as i64)),
-                _ => unreachable!(),
+                _ => Rv::value(Value::Int(edges.len() as i64)),
             })
         }
         Func::Size => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
+            let rv = scalar(args)?;
             let n = match &rv {
                 Rv::Set(s) => s.len(),
                 Rv::List(l) => l.len(),
-                Rv::Value(Value::Str(s)) => s.chars().count(),
+                Rv::Value(v) => match &**v {
+                    Value::Str(s) => s.chars().count(),
+                    _ => return Ok(Rv::Null),
+                },
                 Rv::Null => 0,
                 _ => return Ok(Rv::Null),
             };
-            Ok(Rv::Value(Value::Int(n as i64)))
+            Ok(Rv::value(Value::Int(n as i64)))
         }
-        Func::ToString => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            match rv.as_scalar() {
-                Some(v) => Ok(Rv::Value(Value::Str(v.to_string()))),
-                None => Ok(Rv::Null),
-            }
-        }
-        Func::ToInteger => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv.as_scalar() {
-                Some(Value::Int(i)) => Rv::Value(Value::Int(i)),
-                Some(Value::Float(f)) => Rv::Value(Value::Int(f.trunc() as i64)),
-                Some(Value::Str(s)) => s
-                    .trim()
-                    .parse::<i64>()
-                    .map(|i| Rv::Value(Value::Int(i)))
-                    .unwrap_or(Rv::Null),
-                Some(Value::Bool(b)) => Rv::Value(Value::Int(b as i64)),
-                _ => Rv::Null,
-            })
-        }
-        Func::ToFloat => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv.as_scalar() {
-                Some(Value::Int(i)) => Rv::Value(Value::Float(i as f64)),
-                Some(Value::Float(f)) => Rv::Value(Value::Float(f)),
-                Some(Value::Str(s)) => s
-                    .trim()
-                    .parse::<f64>()
-                    .map(|f| Rv::Value(Value::Float(f)))
-                    .unwrap_or(Rv::Null),
-                _ => Rv::Null,
-            })
-        }
-        Func::Lower | Func::Upper => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            match rv.as_scalar() {
-                Some(Value::Str(s)) => Ok(Rv::Value(Value::Str(if f == Func::Lower {
-                    s.to_lowercase()
-                } else {
-                    s.to_uppercase()
-                }))),
-                _ => Ok(Rv::Null),
-            }
-        }
-        Func::Abs => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv.as_scalar() {
-                Some(Value::Int(i)) => Rv::Value(Value::Int(i.abs())),
-                Some(Value::Float(f)) => Rv::Value(Value::Float(f.abs())),
-                _ => Rv::Null,
-            })
-        }
-        Func::Trim => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv.as_scalar() {
-                Some(Value::Str(s)) => Rv::Value(Value::Str(s.trim().to_owned())),
-                _ => Rv::Null,
-            })
-        }
+        Func::ToString => Ok(match scalar(args)?.as_scalar() {
+            Some(v) => str_of(v.to_string()),
+            None => Rv::Null,
+        }),
+        Func::ToInteger => Ok(match scalar(args)?.as_scalar() {
+            Some(&Value::Int(i)) => Rv::value(Value::Int(i)),
+            Some(&Value::Float(f)) => Rv::value(Value::Int(f.trunc() as i64)),
+            Some(Value::Str(s)) => s
+                .trim()
+                .parse::<i64>()
+                .map_or(Rv::Null, |i| Rv::value(Value::Int(i))),
+            Some(&Value::Bool(b)) => Rv::value(Value::Int(b as i64)),
+            _ => Rv::Null,
+        }),
+        Func::ToFloat => Ok(match scalar(args)?.as_scalar() {
+            Some(&Value::Int(i)) => Rv::value(Value::Float(i as f64)),
+            Some(&Value::Float(f)) => Rv::value(Value::Float(f)),
+            Some(Value::Str(s)) => s
+                .trim()
+                .parse::<f64>()
+                .map_or(Rv::Null, |f| Rv::value(Value::Float(f))),
+            _ => Rv::Null,
+        }),
+        Func::Lower | Func::Upper => Ok(match scalar(args)?.as_scalar() {
+            Some(Value::Str(s)) if f == Func::Lower => str_of(s.to_lowercase()),
+            Some(Value::Str(s)) => str_of(s.to_uppercase()),
+            _ => Rv::Null,
+        }),
+        Func::Abs => Ok(match scalar(args)?.as_scalar() {
+            Some(&Value::Int(i)) => Rv::value(Value::Int(i.abs())),
+            Some(&Value::Float(f)) => Rv::value(Value::Float(f.abs())),
+            _ => Rv::Null,
+        }),
+        Func::Trim => Ok(match scalar(args)?.as_scalar() {
+            Some(Value::Str(s)) => str_of(s.trim().to_owned()),
+            _ => Rv::Null,
+        }),
         Func::Contains | Func::StartsWith | Func::EndsWith => {
             let [a, b] = args else {
                 return Err(arity_err(2));
             };
-            let a = eval_expr(ctx, env, a)?;
-            let b = eval_expr(ctx, env, b)?;
+            let a = a.eval(ctx, env)?;
+            let b = b.eval(ctx, env)?;
             Ok(match (a.as_scalar(), b.as_scalar()) {
-                (Some(Value::Str(hay)), Some(Value::Str(needle))) => {
-                    Rv::Value(Value::Bool(match f {
-                        Func::Contains => hay.contains(&needle),
-                        Func::StartsWith => hay.starts_with(&needle),
-                        Func::EndsWith => hay.ends_with(&needle),
-                        _ => unreachable!(),
-                    }))
-                }
+                (Some(Value::Str(hay)), Some(Value::Str(needle))) => Rv::bool(match f {
+                    Func::Contains => hay.contains(needle.as_str()),
+                    Func::StartsWith => hay.starts_with(needle.as_str()),
+                    _ => hay.ends_with(needle.as_str()),
+                }),
                 _ => Rv::Null,
             })
         }
@@ -688,9 +858,10 @@ fn eval_func(ctx: &EvalCtx, env: &Env<'_>, f: Func, args: &[Expr]) -> Result<Rv>
             if args.len() != 2 && args.len() != 3 {
                 return Err(arity_err(2));
             }
-            let s = eval_expr(ctx, env, &args[0])?;
-            let start = eval_expr(ctx, env, &args[1])?;
-            let (Some(Value::Str(s)), Some(Value::Int(start))) = (s.as_scalar(), start.as_scalar())
+            let s = args[0].eval(ctx, env)?;
+            let start = args[1].eval(ctx, env)?;
+            let (Some(Value::Str(s)), Some(&Value::Int(start))) =
+                (s.as_scalar(), start.as_scalar())
             else {
                 return Ok(Rv::Null);
             };
@@ -698,203 +869,221 @@ fn eval_func(ctx: &EvalCtx, env: &Env<'_>, f: Func, args: &[Expr]) -> Result<Rv>
             let chars: Vec<char> = s.chars().collect();
             let end = match args.get(2) {
                 None => chars.len(),
-                Some(len_expr) => {
-                    let len = eval_expr(ctx, env, len_expr)?;
-                    match len.as_scalar() {
-                        Some(Value::Int(l)) => (start + l.max(0) as usize).min(chars.len()),
-                        _ => return Ok(Rv::Null),
-                    }
-                }
+                Some(len_expr) => match len_expr.eval(ctx, env)?.as_scalar() {
+                    Some(&Value::Int(l)) => (start + l.max(0) as usize).min(chars.len()),
+                    _ => return Ok(Rv::Null),
+                },
             };
             if start >= chars.len() {
-                return Ok(Rv::Value(Value::Str(String::new())));
+                return Ok(str_of(String::new()));
             }
-            Ok(Rv::Value(Value::Str(chars[start..end].iter().collect())))
+            Ok(str_of(chars[start..end].iter().collect()))
         }
         Func::Year | Func::Month | Func::Day => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
             // Accept both Date values and ISO-formatted strings.
-            let date = match rv.as_scalar() {
-                Some(Value::Date(d)) => Some(d),
-                Some(Value::Str(s)) => Date::parse(&s),
+            let date = match scalar(args)?.as_scalar() {
+                Some(Value::Date(d)) => Some(*d),
+                Some(Value::Str(s)) => Date::parse(s),
                 _ => None,
             };
             Ok(match date {
-                Some(d) => Rv::Value(Value::Int(match f {
+                Some(d) => Rv::value(Value::Int(match f {
                     Func::Year => d.year as i64,
                     Func::Month => d.month as i64,
-                    Func::Day => d.day as i64,
-                    _ => unreachable!(),
+                    _ => d.day as i64,
                 })),
                 None => Rv::Null,
             })
         }
-        Func::Floor | Func::Ceil => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv.as_scalar() {
-                Some(Value::Int(i)) => Rv::Value(Value::Int(i)),
-                Some(Value::Float(x)) => Rv::Value(Value::Int(if f == Func::Floor {
-                    x.floor() as i64
-                } else {
-                    x.ceil() as i64
-                })),
-                _ => Rv::Null,
-            })
-        }
-        Func::Sqrt => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv.as_scalar().and_then(|v| v.as_f64()) {
-                Some(x) if x >= 0.0 => Rv::Value(Value::Float(x.sqrt())),
-                _ => Rv::Null,
-            })
-        }
-        Func::Head | Func::Last => {
-            let [arg] = args else {
-                return Err(arity_err(1));
-            };
-            let rv = eval_expr(ctx, env, arg)?;
-            Ok(match rv {
-                Rv::List(items) if !items.is_empty() => {
-                    if f == Func::Head {
-                        items.into_iter().next().expect("nonempty")
-                    } else {
-                        items.into_iter().next_back().expect("nonempty")
-                    }
-                }
-                _ => Rv::Null,
-            })
-        }
+        Func::Floor | Func::Ceil => Ok(match scalar(args)?.as_scalar() {
+            Some(&Value::Int(i)) => Rv::value(Value::Int(i)),
+            Some(&Value::Float(x)) => Rv::value(Value::Int(if f == Func::Floor {
+                x.floor() as i64
+            } else {
+                x.ceil() as i64
+            })),
+            _ => Rv::Null,
+        }),
+        Func::Sqrt => Ok(match scalar(args)?.as_scalar().and_then(Value::as_f64) {
+            Some(x) if x >= 0.0 => Rv::value(Value::Float(x.sqrt())),
+            _ => Rv::Null,
+        }),
+        Func::Head | Func::Last => Ok(match scalar(args)? {
+            Rv::List(items) if f == Func::Head => items.into_iter().next().unwrap_or(Rv::Null),
+            Rv::List(items) => items.into_iter().next_back().unwrap_or(Rv::Null),
+            _ => Rv::Null,
+        }),
     }
 }
 
-/// Fold the aggregate `agg` over the rows of the environment's group,
-/// once per group. Each row evaluates the argument in a scope of its
-/// own, with no group: an aggregate inside it is misplaced.
+/// Fold the aggregate `ordinal` over the rows of the environment's
+/// group, once per group. Each row evaluates the argument in a scope of
+/// its own, with no group: an aggregate inside it is misplaced.
 ///
 /// `COUNT(*)` counts the group's bindings — except pure padding rows
 /// introduced by OPTIONAL's left outer join (rows whose every column
 /// outside the group's columns is `Missing`), which count as zero. This
 /// is what makes the paper's `nr_messages := COUNT(*)` put `0` (not 1)
 /// on knows edges without any exchanged message (Figure 5).
-fn eval_aggregate(ctx: &EvalCtx, env: &Env<'_>, agg: &Expr) -> Result<Rv> {
-    let (Some(group), Expr::Aggregate { op, distinct, arg }) = (env.group, agg) else {
-        return Err(crate::error::SemanticError::MisplacedAggregate(
+fn eval_aggregate<'a>(
+    ctx: &EvalCtx,
+    env: &Env<'a>,
+    ordinal: usize,
+    op: AggOp,
+    distinct: bool,
+    arg: Option<&'a Compiled<'_>>,
+) -> Result<Rv<'a>> {
+    let Some(group) = env.group else {
+        return Err(SemanticError::MisplacedAggregate(
             "this position (aggregates need a group: CONSTRUCT assignments, SET items, WHEN \
              conditions and SELECT items, outside any other aggregate's argument)"
                 .into(),
         )
         .into());
     };
-    let key = std::ptr::from_ref(agg) as usize;
-    if let Some((_, rv)) = group.memo.borrow().iter().find(|(k, _)| *k == key) {
+    if let Some(Some(rv)) = group.memo.borrow().get(ordinal) {
         return Ok(rv.clone());
     }
     let table = env.table;
-    let mut values: Vec<Rv> = Vec::new();
-    let width = table.columns().len();
-    for &ri in group.rows {
-        match arg {
-            None => {
-                // COUNT(*): skip pure left-outer padding rows.
+    let mut fold = Fold::new(op);
+    match arg {
+        None => {
+            // COUNT(*): skip pure left-outer padding rows.
+            let width = table.columns().len();
+            let non_trivial = width > group.cols.len();
+            for &ri in group.rows {
                 let padding = (0..width)
                     .filter(|i| !group.cols.contains(i))
                     .all(|i| table.is_missing_at(ri, i));
-                let non_trivial = width > group.cols.len();
                 if !(padding && non_trivial) {
-                    values.push(Rv::Value(Value::Int(1)));
-                }
-            }
-            Some(e) => {
-                let mut row = Env::new(table, ri);
-                row.parent = env.parent;
-                let v = eval_expr(ctx, &row, e)?;
-                if !matches!(v, Rv::Null) {
-                    values.push(v);
+                    fold.push(Rv::value(Value::Int(1)));
                 }
             }
         }
+        Some(e) => {
+            let mut values: Vec<Rv<'a>> = Vec::new();
+            for &ri in group.rows {
+                let row = Env {
+                    table,
+                    row: ri,
+                    parent: env.parent,
+                    group: None,
+                };
+                let v = e.eval(ctx, &row)?;
+                if matches!(v, Rv::Null) {
+                    continue;
+                }
+                if distinct {
+                    values.push(v);
+                } else {
+                    fold.push(v);
+                }
+            }
+            if distinct {
+                values.sort_by(|a, b| a.total_cmp(b));
+                values.dedup_by(|a, b| a.total_cmp(b) == Ordering::Equal);
+                values.into_iter().for_each(|v| fold.push(v));
+            }
+        }
     }
-    if *distinct {
-        values.sort_by(|a, b| a.total_cmp(b));
-        values.dedup_by(|a, b| a.total_cmp(b) == Ordering::Equal);
+    let rv = fold.finish().into_owned();
+    let mut memo = group.memo.borrow_mut();
+    if memo.len() <= ordinal {
+        memo.resize(ordinal + 1, None);
     }
-    let rv = fold(*op, values);
-    group.memo.borrow_mut().push((key, rv.clone()));
+    memo[ordinal] = Some(rv.clone());
     Ok(rv)
 }
 
-/// An aggregate's value over the non-null values of its argument.
-fn fold(op: AggOp, mut values: Vec<Rv>) -> Rv {
-    match op {
-        AggOp::Count => Rv::Value(Value::Int(values.len() as i64)),
-        AggOp::Collect => {
-            values.sort_by(|a, b| a.total_cmp(b));
-            Rv::List(values)
+/// An aggregate's running state over the non-null values of its
+/// argument, taken one at a time.
+struct Fold<'a> {
+    op: AggOp,
+    count: usize,
+    /// `SUM`: the exact integer sum while every value is an integer and
+    /// it fits, and the float sum of every value.
+    exact: Option<i64>,
+    sum: f64,
+    all_int: bool,
+    /// Numeric values seen (`SUM` / `AVG`).
+    numeric: usize,
+    best: Option<Cow<'a, Value>>,
+    collected: Vec<Rv<'a>>,
+}
+
+impl<'a> Fold<'a> {
+    fn new(op: AggOp) -> Self {
+        Fold {
+            op,
+            count: 0,
+            exact: Some(0),
+            sum: 0.0,
+            all_int: true,
+            numeric: 0,
+            best: None,
+            collected: Vec::new(),
         }
-        AggOp::Sum | AggOp::Avg => {
-            let mut sum = 0.0;
-            let mut all_int = true;
-            let mut n = 0usize;
-            for v in &values {
-                match v.as_scalar() {
-                    Some(Value::Int(i)) => {
-                        sum += i as f64;
-                        n += 1;
-                    }
-                    Some(Value::Float(f)) => {
-                        sum += f;
-                        all_int = false;
-                        n += 1;
-                    }
-                    _ => {}
+    }
+
+    fn push(&mut self, v: Rv<'a>) {
+        self.count += 1;
+        match self.op {
+            AggOp::Count => {}
+            AggOp::Collect => self.collected.push(v),
+            AggOp::Sum | AggOp::Avg => match v.as_scalar() {
+                Some(&Value::Int(i)) => {
+                    self.exact = self.exact.and_then(|s| s.checked_add(i));
+                    self.sum += i as f64;
+                    self.numeric += 1;
                 }
-            }
-            if n == 0 {
-                return if op == AggOp::Sum {
-                    Rv::Value(Value::Int(0))
-                } else {
-                    Rv::Null
+                Some(&Value::Float(f)) => {
+                    self.sum += f;
+                    self.all_int = false;
+                    self.numeric += 1;
+                }
+                _ => {}
+            },
+            AggOp::Min | AggOp::Max => {
+                let scalar = match v {
+                    Rv::Value(v) => Some(v),
+                    Rv::Set(Cow::Borrowed(s)) => s.as_singleton().map(Cow::Borrowed),
+                    Rv::Set(Cow::Owned(s)) => s.as_singleton().cloned().map(Cow::Owned),
+                    _ => None,
                 };
-            }
-            if op == AggOp::Avg {
-                Rv::Value(Value::Float(sum / n as f64))
-            } else if all_int {
-                Rv::Value(Value::Int(sum as i64))
-            } else {
-                Rv::Value(Value::Float(sum))
-            }
-        }
-        AggOp::Min | AggOp::Max => {
-            let mut best: Option<Value> = None;
-            for v in &values {
-                if let Some(s) = v.as_scalar() {
-                    best = Some(match best {
-                        None => s,
-                        Some(b) => {
-                            let keep_new = match s.partial_order(&b) {
-                                Some(Ordering::Less) => op == AggOp::Min,
-                                Some(Ordering::Greater) => op == AggOp::Max,
-                                _ => false,
-                            };
-                            if keep_new {
-                                s
-                            } else {
-                                b
-                            }
-                        }
-                    });
+                let Some(s) = scalar else { return };
+                let keep_new = match &self.best {
+                    None => true,
+                    Some(b) => match s.partial_order(b) {
+                        Some(Ordering::Less) => self.op == AggOp::Min,
+                        Some(Ordering::Greater) => self.op == AggOp::Max,
+                        _ => false,
+                    },
+                };
+                if keep_new {
+                    self.best = Some(s);
                 }
             }
-            best.map_or(Rv::Null, Rv::Value)
+        }
+    }
+
+    fn finish(mut self) -> Rv<'a> {
+        match self.op {
+            AggOp::Count => Rv::value(Value::Int(self.count as i64)),
+            AggOp::Collect => {
+                self.collected.sort_by(|a, b| a.total_cmp(b));
+                Rv::List(self.collected)
+            }
+            AggOp::Sum | AggOp::Avg if self.numeric == 0 => match self.op {
+                AggOp::Sum => Rv::value(Value::Int(0)),
+                _ => Rv::Null,
+            },
+            AggOp::Avg => Rv::value(Value::Float(self.sum / self.numeric as f64)),
+            // Past `i64` an integer sum turns to a float, as `+` does.
+            AggOp::Sum => Rv::value(match self.exact {
+                Some(exact) if self.all_int => Value::Int(exact),
+                _ => Value::Float(self.sum),
+            }),
+            AggOp::Min | AggOp::Max => self.best.map_or(Rv::Null, Rv::Value),
         }
     }
 }
@@ -955,9 +1144,15 @@ mod tests {
         m.where_clause.unwrap()
     }
 
-    fn eval(ctx: &EvalCtx, table: &BindingTable, src: &str) -> Rv {
-        let env = Env::new(table, 0);
-        eval_expr(ctx, &env, &where_expr(src)).unwrap()
+    /// Compile `src` against `env`'s table and evaluate it for its row.
+    fn eval_in(ctx: &EvalCtx, env: &Env<'_>, src: &str) -> Result<Rv<'static>> {
+        let e = where_expr(src);
+        let compiled = Compiler::new(env.table, None).compile(&e);
+        compiled.eval(ctx, env).map(Rv::into_owned)
+    }
+
+    fn eval(ctx: &EvalCtx, table: &BindingTable, src: &str) -> Rv<'static> {
+        eval_in(ctx, &Env::new(table, 0), src).unwrap()
     }
 
     #[test]
@@ -1040,8 +1235,7 @@ mod tests {
     #[test]
     fn division_by_zero_is_an_error() {
         let (ctx, t) = setup();
-        let env = Env::new(&t, 0);
-        let err = eval_expr(&ctx, &env, &where_expr("1 / 0 = 1")).unwrap_err();
+        let err = eval_in(&ctx, &Env::new(&t, 0), "1 / 0 = 1").unwrap_err();
         assert!(matches!(
             err,
             crate::error::EngineError::Runtime(RuntimeError::DivisionByZero)
@@ -1071,7 +1265,7 @@ mod tests {
                 group,
                 ..Env::new(&t, 0)
             };
-            let err = eval_expr(&ctx, &env, &where_expr(src)).unwrap_err();
+            let err = eval_in(&ctx, &env, src).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1088,12 +1282,17 @@ mod tests {
         // Inside another aggregate's argument.
         misplaced("COUNT(COUNT(*)) = 1", Some(&group));
         misplaced("SUM(COUNT(*) + 1) = 2", Some(&group));
-        // Anywhere else in a grouped expression.
-        let env = Env {
-            group: Some(&group),
-            ..Env::new(&t, 0)
+        // Anywhere else in a grouped expression. Each expression is
+        // compiled on its own, so each gets a group of its own: a memo's
+        // ordinals are those of one compiler.
+        let grouped = |src: &str| {
+            let group = Group::new(&[0], &[]);
+            let env = Env {
+                group: Some(&group),
+                ..Env::new(&t, 0)
+            };
+            eval_in(&ctx, &env, src).unwrap()
         };
-        let grouped = |src: &str| eval_expr(&ctx, &env, &where_expr(src)).unwrap();
         assert!(grouped("COUNT(*) + 1 = 2").truthy());
         assert!(grouped("SIZE(COLLECT(n.name)) = 1 AND HEAD(COLLECT(n.name)) = 'Frank'").truthy());
     }

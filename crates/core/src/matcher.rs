@@ -19,7 +19,7 @@
 use crate::binding::{BindingTable, Bound, Column, TableBuilder};
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, SemanticError};
-use crate::expr::{eval_expr, Env, Rv};
+use crate::expr::{Compiler, Env, Rv};
 use crate::paths::PathSearcher;
 use crate::plan::{first_label, pure_reach, ScanFilter};
 use crate::regex::{walk_conforms, Nfa};
@@ -360,17 +360,18 @@ impl<'e> PatternMatcher<'e> {
         let elem_idx = table
             .column_index(elem_var)
             .ok_or_else(|| SemanticError::UnboundVariable(elem_var.to_owned()))?;
-        let prop_of = |table: &BindingTable, ri: usize| -> gcore_ppg::PropertySet {
+        let empty = gcore_ppg::PropertySet::empty();
+        let prop_of = |table: &BindingTable, ri: usize| -> &gcore_ppg::PropertySet {
             let Some(key) = key else {
-                return Default::default();
+                return &empty;
             };
             let id: ElementId = match table.bound(ri, elem_idx) {
                 Bound::Node(n) => n.into(),
                 Bound::Edge(e) => e.into(),
                 Bound::Path(p) => p.into(),
-                _ => return Default::default(),
+                _ => return &empty,
             };
-            self.graph.prop(id, key)
+            self.graph.prop_ref(id, key).unwrap_or(&empty)
         };
 
         let cancel = &self.ctx.options.cancel;
@@ -397,14 +398,15 @@ impl<'e> PatternMatcher<'e> {
         }
         // Filter form: membership of the evaluated scalar (set equality
         // when the RHS itself evaluates to a set).
+        let value = Compiler::new(&table, outer).compile(&entry.value);
         table.try_filter(cancel, |ri| {
             let mut env = Env::new(&table, ri);
             env.parent = outer;
-            let rv = eval_expr(self.ctx, &env, &entry.value)?;
+            let rv = value.eval(self.ctx, &env)?;
             let props = prop_of(&table, ri);
             Ok(match &rv {
                 Rv::Set(s) => props.set_eq(s),
-                _ => rv.as_scalar().is_some_and(|v| props.contains(&v)),
+                _ => rv.as_scalar().is_some_and(|v| props.contains(v)),
             })
         })
     }

@@ -5,7 +5,7 @@ use crate::binding::{BindingTable, Bound, Column, TableBuilder};
 use crate::construct::eval_construct;
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError, SemanticError};
-use crate::expr::{eval_expr, Env};
+use crate::expr::{Compiler, Env};
 use crate::matcher::PatternMatcher;
 use crate::obs::{CoreMetrics, Profiler, SpanId};
 use crate::paths::{Segment, ViewMap, ViewSegments};
@@ -414,11 +414,13 @@ impl EvalCtx {
         conjuncts: &[&Expr],
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
+        let mut compiler = Compiler::new(&table, outer);
+        let conjuncts: Vec<_> = conjuncts.iter().map(|c| compiler.compile(c)).collect();
         table.try_filter(&self.options.cancel, |ri| {
             let mut env = Env::new(&table, ri);
             env.parent = outer;
-            for c in conjuncts {
-                if !eval_expr(self, &env, c)?.truthy() {
+            for c in &conjuncts {
+                if !c.test(self, &env)? {
                     return Ok(false);
                 }
             }
@@ -541,6 +543,10 @@ impl EvalCtx {
             .map(|v| table.column_index(v).expect("chain column"))
             .collect();
 
+        let cost_expr = def
+            .cost
+            .as_ref()
+            .map(|e| Compiler::new(&table, None).compile(e));
         let mut segments = Vec::with_capacity(table.len());
         let mut tick = 0u32;
         for ri in 0..table.len() {
@@ -600,11 +606,10 @@ impl EvalCtx {
             let Some(walk) = walk else {
                 continue;
             };
-            let cost = match &def.cost {
+            let cost = match &cost_expr {
                 None => 1.0,
                 Some(expr) => {
-                    let env = Env::new(&table, ri);
-                    let rv = eval_expr(self, &env, expr)?;
+                    let rv = expr.eval(self, &Env::new(&table, ri))?;
                     let scalar = rv.as_scalar().and_then(|v| v.as_f64());
                     match scalar {
                         Some(c) if c > 0.0 => c,

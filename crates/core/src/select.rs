@@ -10,7 +10,7 @@ use crate::binding::BindingTable;
 use crate::construct::group_by_exprs;
 use crate::context::EvalCtx;
 use crate::error::{Result, RuntimeError};
-use crate::expr::{eval_expr, Env, Group, Rv};
+use crate::expr::{Compiled, Compiler, Env, Group, Rv};
 use gcore_parser::ast::{Expr, SelectItem, SelectQuery};
 use gcore_parser::pretty::print_expr;
 use gcore_ppg::{Table, Value};
@@ -26,14 +26,20 @@ pub(crate) fn eval_select(
 
     let aggregated = !s.group_by.is_empty() || s.items.iter().any(|i| i.expr.contains_aggregate());
 
-    // Partition rows into groups, with the columns that define them.
-    let (groups, group_cols): (Vec<Vec<usize>>, Vec<usize>) = if !s.group_by.is_empty() {
-        let (by_exprs, cols) = group_by_exprs(ctx, &bindings, &s.group_by, outer)?;
-        (by_exprs.into_iter().map(|(_, rows)| rows).collect(), cols)
-    } else if aggregated {
-        (vec![(0..bindings.len()).collect()], Vec::new())
+    // Partition rows into groups, with the columns that define them;
+    // without aggregates each binding is its own group.
+    let all: Vec<usize> = (0..bindings.len()).collect();
+    let (by_exprs, group_cols) = if s.group_by.is_empty() {
+        (Vec::new(), Vec::new())
     } else {
-        ((0..bindings.len()).map(|i| vec![i]).collect(), Vec::new())
+        group_by_exprs(ctx, &bindings, &s.group_by, outer)?
+    };
+    let groups: Vec<&[usize]> = if !s.group_by.is_empty() {
+        by_exprs.iter().map(|(_, rows)| rows.as_slice()).collect()
+    } else if aggregated {
+        vec![&all]
+    } else {
+        all.chunks(1).collect()
     };
 
     let column_names: Vec<String> = s
@@ -50,30 +56,34 @@ pub(crate) fn eval_select(
     // first row. The one group without rows — an aggregating SELECT over
     // no bindings — reads the unit table.
     let unit = BindingTable::unit();
-    let mut rows: Vec<(Vec<Rv>, Vec<Value>)> = Vec::with_capacity(groups.len());
-    for group_rows in &groups {
+    let table = if bindings.is_empty() {
+        &unit
+    } else {
+        &bindings
+    };
+    let mut compiler = Compiler::new(table, outer);
+    let mut compile = |e| (Expr::contains_aggregate(e), compiler.compile(e));
+    let items: Vec<_> = s.items.iter().map(|i| compile(&i.expr)).collect();
+    let order_by: Vec<_> = s.order_by.iter().map(|o| compile(&o.expr)).collect();
+    let mut rows: Vec<(Vec<Rv<'static>>, Vec<Value>)> = Vec::with_capacity(groups.len());
+    for group_rows in groups {
         let group = Group::new(group_rows, &group_cols);
-        let (table, row) = match group_rows.first() {
-            Some(&repr) => (&bindings, repr),
-            None => (&unit, 0),
-        };
         let env = Env {
             table,
-            row,
+            row: group_rows.first().copied().unwrap_or(0),
             parent: outer,
             group: Some(&group),
         };
-        let mut cells = Vec::with_capacity(s.items.len());
-        for item in &s.items {
-            let rv = eval_item(ctx, &env, &item.expr)?;
-            cells.push(rv_to_value(&rv));
+        let mut cells = Vec::with_capacity(items.len());
+        for item in &items {
+            cells.push(rv_to_value(&eval_item(ctx, &env, item)?));
         }
-        let mut keys = Vec::with_capacity(s.order_by.len());
-        for ord in &s.order_by {
+        let mut keys = Vec::with_capacity(order_by.len());
+        for (ord, key) in s.order_by.iter().zip(&order_by) {
             // Alias references resolve to the projected cell.
             let rv = match alias_index(&ord.expr, &s.items) {
-                Some(i) => Rv::Value(cells[i].clone()),
-                None => eval_item(ctx, &env, &ord.expr)?,
+                Some(i) => Rv::value(cells[i].clone()),
+                None => eval_item(ctx, &env, key)?.into_owned(),
             };
             keys.push(rv);
         }
@@ -130,13 +140,18 @@ fn alias_index(e: &Expr, items: &[SelectItem]) -> Option<usize> {
         .position(|i| i.alias.as_deref() == Some(name.as_str()))
 }
 
-/// Evaluate one projection item or ORDER BY key under its group's
-/// scope; an aggregate-free item of a group without rows is NULL.
-fn eval_item(ctx: &EvalCtx, env: &Env<'_>, expr: &Expr) -> Result<Rv> {
-    if env.group.is_some_and(|g| g.rows.is_empty()) && !expr.contains_aggregate() {
+/// Evaluate one projection item or ORDER BY key — compiled, and whether
+/// it holds an aggregate — under its group's scope; an aggregate-free
+/// item of a group without rows is NULL.
+fn eval_item<'a>(
+    ctx: &EvalCtx,
+    env: &Env<'a>,
+    (aggregate, expr): &'a (bool, Compiled<'_>),
+) -> Result<Rv<'a>> {
+    if env.group.is_some_and(|g| g.rows.is_empty()) && !aggregate {
         return Ok(Rv::Null);
     }
-    eval_expr(ctx, env, expr)
+    expr.eval(ctx, env)
 }
 
 /// Convert a runtime value to a table cell.
@@ -144,10 +159,10 @@ fn eval_item(ctx: &EvalCtx, env: &Env<'_>, expr: &Expr) -> Result<Rv> {
 /// Element identifiers render as opaque `#id` strings (the presentation
 /// used by the paper's binding tables); value sets unwrap singletons and
 /// render multi-valued sets with braces.
-pub fn rv_to_value(rv: &Rv) -> Value {
+pub fn rv_to_value(rv: &Rv<'_>) -> Value {
     match rv {
         Rv::Null => Value::Null,
-        Rv::Value(v) => v.clone(),
+        Rv::Value(v) => (**v).clone(),
         Rv::Set(s) => match s.as_singleton() {
             Some(v) => v.clone(),
             None if s.is_empty() => Value::Null,
@@ -164,7 +179,7 @@ pub fn rv_to_value(rv: &Rv) -> Value {
     }
 }
 
-fn render_rv(rv: &Rv) -> String {
+fn render_rv(rv: &Rv<'_>) -> String {
     match rv {
         Rv::Null => "null".to_owned(),
         Rv::Value(v) => v.to_string(),

@@ -9,65 +9,14 @@
 //! element's attributes, a node's adjacency lists) — and it must not grow
 //! with the graph.
 //!
-//! A counting `#[global_allocator]` tallies allocations made by the
-//! calling thread only (a thread-local counter), so tests running in
-//! parallel in this binary never pollute each other's counts. Counts,
-//! not timings: they repeat exactly from run to run.
+//! Counted with the shared thread-local counting allocator
+//! (`tests/support/counting_alloc.rs`): counts, not timings, so they
+//! repeat exactly from run to run.
 
 use gcore::Engine;
 use gcore_snb::{generate, SnbConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the slot may already be gone while a thread exits.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counter
-// is a const-initialized thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: forwarded unchanged; the caller upholds `realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged; the caller upholds `dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Run `f` and return its result with the allocations (fresh blocks and
-/// reallocations) it made on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+include!("../../../tests/support/counting_alloc.rs");
 
 fn snb(persons: usize) -> Engine {
     let mut engine = Engine::new();
@@ -92,6 +41,7 @@ fn per_element(construct: &str, body: &str) -> Vec<f64> {
         engine.query_table(&baseline).expect("counts");
         let (graph, built) = counted(|| engine.query_graph(&statement).expect("constructs"));
         let (_, matched) = counted(|| engine.query_table(&baseline).expect("counts"));
+        let (built, matched) = (built.allocations, matched.allocations);
         let elements = graph.node_count() + graph.edge_count() + graph.path_count();
         assert!(elements > 0, "{statement} constructs nothing");
         let ratio = (built as f64 - matched as f64) / elements as f64;

@@ -680,6 +680,12 @@ impl PathPropertyGraph {
         self.attributes(id).map(|a| a.prop(key)).unwrap_or_default()
     }
 
+    /// σ(x, k), borrowed: `None` when the element lacks the key (the
+    /// empty set) or is absent.
+    pub fn prop_ref(&self, id: ElementId, key: Key) -> Option<&PropertySet> {
+        self.attributes(id)?.properties.get(&key)
+    }
+
     // ------------------------------------------------------------------
     // Adjacency
     // ------------------------------------------------------------------
@@ -1024,6 +1030,10 @@ mod tests {
             PropertySet::from("Ann")
         );
         assert!(g.prop(n(1).into(), Key::new("missing")).is_empty());
+        let name = g.prop_ref(n(1).into(), Key::new("name"));
+        assert_eq!(name, Some(&PropertySet::from("Ann")));
+        assert_eq!(g.prop_ref(n(1).into(), Key::new("missing")), None);
+        assert_eq!(g.prop_ref(n(9).into(), Key::new("name")), None);
         g.validate().unwrap();
     }
 

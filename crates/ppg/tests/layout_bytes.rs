@@ -7,61 +7,14 @@
 //! labelled edge, and how many blocks it allocates depends on the labels
 //! and not on the graph's size.
 //!
-//! A counting `#[global_allocator]` tallies the live bytes and the
-//! allocations of the calling thread only (thread-local counters), so
-//! tests running in parallel in this binary never pollute each other's
-//! figures. Counts, not timings: they repeat exactly from run to run.
+//! Counted with the shared thread-local counting allocator
+//! (`tests/support/counting_alloc.rs`): counts, not timings, so they
+//! repeat exactly from run to run.
 
 use gcore_ppg::PathPropertyGraph;
 use gcore_snb::{generate_standalone, SnbConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-/// Count one allocation of `grown` bytes (negative: freed).
-fn count(allocations: u64, grown: i64) {
-    // `try_with`: the slots may already be gone while a thread exits.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + allocations));
-    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + grown));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counters
-// are const-initialized thread-local `Cell`s, which never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64);
-        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64);
-        // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size as i64 - layout.size() as i64);
-        // SAFETY: forwarded unchanged; the caller upholds `realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
-        // SAFETY: forwarded unchanged; the caller upholds `dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+include!("../../../tests/support/counting_alloc.rs");
 
 /// `graph`'s nodes and edges inserted one by one into a new graph, which
 /// `add_node` / `add_edge` never index.
@@ -84,12 +37,8 @@ fn without_label_index(graph: &PathPropertyGraph) -> PathPropertyGraph {
 fn layout_cost(persons: usize) -> (i64, u64) {
     let graph = without_label_index(&generate_standalone(&SnbConfig::scale(persons)).graph);
     let mut built = graph.clone();
-    let (bytes, allocations) = (LIVE_BYTES.with(Cell::get), ALLOCATIONS.with(Cell::get));
-    built.build_label_index();
-    let cost = (
-        LIVE_BYTES.with(Cell::get) - bytes,
-        ALLOCATIONS.with(Cell::get) - allocations,
-    );
+    let ((), cost) = counted(|| built.build_label_index());
+    let cost = (cost.live_bytes, cost.allocations);
     assert!(built.has_label_index());
     println!(
         "SNB-{persons} ({} nodes, {} edges): layout {} live bytes, {} allocations",

@@ -139,3 +139,28 @@ fn sum_and_avg() {
     assert_eq!(row[0], Value::Int(5)); // 1+0+1+1+2
     assert_eq!(row[1], Value::Float(1.0));
 }
+
+/// `SUM` over integers is exact and, past `i64`, turns to a float the
+/// way `+` does — it neither rounds through a float nor saturates.
+#[test]
+fn sum_of_integers_is_exact_and_overflows_like_addition() {
+    let one_row = "MATCH (n:Person) WHERE n.firstName = 'John'";
+    let two_rows = "MATCH (n:Person) WHERE n.firstName = 'John' OR n.firstName = 'Peter'";
+    // 2^53 + 1: the first integer an f64 accumulator rounds away.
+    let exact = 9_007_199_254_740_993_i64;
+    assert_eq!(
+        eval_one(&format!("SELECT SUM({exact}) AS s {one_row}")),
+        Value::Int(exact)
+    );
+    assert_eq!(
+        eval_one(&format!("SELECT {exact} + 0 AS s {one_row}")),
+        Value::Int(exact)
+    );
+    let max = i64::MAX;
+    let added = eval_one(&format!("SELECT {max} + {max} AS s {one_row}"));
+    assert_eq!(added, Value::Float(1.844_674_407_370_955_2e19));
+    assert_eq!(
+        eval_one(&format!("SELECT SUM({max}) AS s {two_rows}")),
+        added
+    );
+}

@@ -376,6 +376,45 @@ const CASES: &[Case] = &[
             (n302 :Everyone {names=[5]})
         ",
     },
+    Case {
+        name: "invalid_date_literal_errors_when_a_row_reaches_it",
+        statement: "SELECT n.firstName AS name MATCH (n:Person) WHERE n.firstName = 'John' AND DATE '2020-13-45' < DATE '2021-01-01'",
+        expected: "
+            ERR runtime error: type error: invalid date literal '2020-13-45'
+        ",
+    },
+    Case {
+        name: "invalid_date_literal_no_row_reaches_is_an_empty_table",
+        statement: "SELECT n.firstName AS name MATCH (n:NoSuchLabelInTheTour) WHERE DATE '2020-13-45' < DATE '2021-01-01'",
+        expected: "
+            name
+        ",
+    },
+    Case {
+        name: "never_interned_key_reads_as_the_empty_set",
+        statement: "SELECT n.firstName AS name, SIZE(n.keyNoGraphEverHas) AS k, n.keyNoGraphEverHas AS v, n.keyNoGraphEverHas = n.otherKeyNoGraphEverHas AS same MATCH (n:Person) WHERE n.firstName = 'John' OR n.keyNoGraphEverHas = 1",
+        expected: "
+            name | k | v | same
+            John | 0 | NULL | TRUE
+        ",
+    },
+    Case {
+        name: "never_interned_label_test_is_false",
+        statement: "SELECT n.firstName AS name, (n:LabelNoGraphEverHas) AS t MATCH (n:Person) WHERE n.firstName = 'John' OR (n:LabelNoGraphEverHas)",
+        expected: "
+            name | t
+            John | FALSE
+        ",
+    },
+    Case {
+        name: "key_first_interned_by_the_statements_own_construct",
+        statement: "CONSTRUCT (n)-[:copyOf]->(x GROUP n :Copy {keyFirstInternedHere := 1}) SET n.keyFirstInternedByASet := 2 WHEN x.keyFirstInternedHere = 1 AND SIZE(n.keyFirstInternedByASet) = 0 MATCH (n:Person) WHERE SIZE(n.keyFirstInternedHere) = 0 AND n.firstName = 'John'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], keyFirstInternedByASet=[2], lastName=[Doe]})
+            (n302 :Copy {keyFirstInternedHere=[1]})
+            [e303 n1->n302 :copyOf {}]
+        ",
+    },
 ];
 
 /// A PATH view is its definition, not its name: a statement may define
