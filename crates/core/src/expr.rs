@@ -15,7 +15,8 @@
 //! construct pattern — by a `Compiler` that knows the table's schema
 //! and the outer scopes: variables become (scope depth, column), keys
 //! and labels their symbols, literals prebuilt values and aggregates
-//! ordinals into their group's memo. The `Compiled` form is then
+//! ordinals into their group's memo (a group folds the aggregates of
+//! one compiler; another's is an error). The `Compiled` form is then
 //! evaluated once per row. A property read borrows the graph's value
 //! set and a literal its prebuilt value, so comparing a property with a
 //! literal allocates nothing; only what a caller keeps (a SELECT cell, a
@@ -31,8 +32,9 @@ use crate::error::{Result, RuntimeError, SemanticError};
 use gcore_parser::ast::{AggOp, BinaryOp, Expr, Func, Pattern, Query, UnaryOp};
 use gcore_ppg::{Date, ElementId, Key, Label, PathPropertyGraph, PropertySet, Value};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Runtime value of an expression. Literals and value sets may borrow
@@ -204,9 +206,12 @@ pub struct Group<'a> {
     /// The columns the grouping fixes: a row with every other column
     /// `Missing` is OPTIONAL padding, which `COUNT(*)` does not count.
     pub(crate) cols: &'a [usize],
-    /// Folded aggregates by their ordinal (numbered by the [`Compiler`]
-    /// of the site, so a group serves the expressions of one compiler):
-    /// a condition evaluated once per row folds each aggregate once.
+    /// The compiler whose aggregate ordinals index `memo`, fixed by the
+    /// first aggregate evaluated: an aggregate of another compiler is an
+    /// error, not a read of someone else's fold.
+    site: Cell<Option<Site>>,
+    /// Folded aggregates by their ordinal: a condition evaluated once
+    /// per row folds each aggregate once.
     memo: RefCell<Vec<Option<Rv<'static>>>>,
 }
 
@@ -216,6 +221,7 @@ impl<'a> Group<'a> {
         Group {
             rows,
             cols,
+            site: Cell::new(None),
             memo: RefCell::default(),
         }
     }
@@ -295,13 +301,10 @@ pub(crate) enum Compiled<'e> {
     Index(Box<Compiled<'e>>, Box<Compiled<'e>>),
     Unary(UnaryOp, Box<Compiled<'e>>),
     Binary(BinaryOp, Box<Compiled<'e>>, Box<Compiled<'e>>),
-    /// `x.k op literal` (`literal op x.k` when the flag is set) for a
-    /// comparison operator: the shape of nearly every filter, tested
-    /// without a literal node or a value for its outcome.
-    Compare(BinaryOp, Box<Compiled<'e>>, Rv<'static>, bool),
     Func(Func, Vec<Compiled<'e>>),
     /// An aggregate, with its ordinal in its group's memo.
     Aggregate {
+        site: Site,
         ordinal: usize,
         op: AggOp,
         distinct: bool,
@@ -318,13 +321,21 @@ pub(crate) enum Compiled<'e> {
 
 /// Compiles the expressions of one evaluation site: rows of `table`,
 /// under the `outer` scopes. Aggregates are numbered across every
-/// expression it compiles, so the expressions of a site can share one
-/// [`Group`].
+/// expression it compiles, so the expressions of a site share one
+/// [`Group`] per group of rows — and only they may: a group is bound to
+/// the [`Site`] of the first aggregate it folds.
 pub(crate) struct Compiler<'s> {
     table: &'s BindingTable,
     outer: Option<&'s Env<'s>>,
+    site: Site,
     aggregates: usize,
 }
+
+/// Identifies one [`Compiler`], the numbering of its aggregates.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Site(u64);
+
+static NEXT_SITE: AtomicU64 = AtomicU64::new(0);
 
 impl<'s> Compiler<'s> {
     /// A compiler for rows of `table` under `outer`.
@@ -332,6 +343,7 @@ impl<'s> Compiler<'s> {
         Compiler {
             table,
             outer,
+            site: Site(NEXT_SITE.fetch_add(1, AtomicOrdering::Relaxed)),
             aggregates: 0,
         }
     }
@@ -388,7 +400,7 @@ impl<'s> Compiler<'s> {
             }
             Expr::Index(base, idx) => Compiled::Index(boxed(base), boxed(idx)),
             Expr::Unary(op, inner) => Compiled::Unary(*op, boxed(inner)),
-            Expr::Binary(op, l, r) => binary(*op, self.compile(l), self.compile(r)),
+            Expr::Binary(op, l, r) => Compiled::Binary(*op, boxed(l), boxed(r)),
             Expr::Func(f, args) => {
                 Compiled::Func(*f, args.iter().map(|a| self.compile(a)).collect())
             }
@@ -396,6 +408,7 @@ impl<'s> Compiler<'s> {
                 let ordinal = self.aggregates;
                 self.aggregates += 1;
                 Compiled::Aggregate {
+                    site: self.site,
                     ordinal,
                     op: *op,
                     distinct: *distinct,
@@ -417,21 +430,6 @@ impl<'s> Compiler<'s> {
             Expr::Exists(q) => Compiled::Exists(q),
             Expr::PatternPredicate(p) => Compiled::PatternPredicate(p),
         }
-    }
-}
-
-/// `l op r`, fusing a comparison of a property read with a literal.
-fn binary<'e>(op: BinaryOp, l: Compiled<'e>, r: Compiled<'e>) -> Compiled<'e> {
-    use BinaryOp::{Eq, Ge, Gt, In, Le, Lt, Neq, Subset};
-    let compares = matches!(op, Eq | Neq | Lt | Le | Gt | Ge | In | Subset);
-    match (l, r) {
-        (p @ Compiled::Prop(..), Compiled::Const(c)) if compares => {
-            Compiled::Compare(op, Box::new(p), c, false)
-        }
-        (Compiled::Const(c), p @ Compiled::Prop(..)) if compares => {
-            Compiled::Compare(op, Box::new(p), c, true)
-        }
-        (l, r) => Compiled::Binary(op, Box::new(l), Box::new(r)),
     }
 }
 
@@ -511,21 +509,18 @@ impl<'e> Compiled<'e> {
                 Some(&Value::Float(f)) => Rv::value(Value::Float(-f)),
                 _ => Rv::Null,
             }),
-            Compiled::Binary(BinaryOp::And | BinaryOp::Or, ..) | Compiled::Compare(..) => {
+            Compiled::Binary(BinaryOp::And | BinaryOp::Or, ..) => {
                 Ok(Rv::bool(self.test(ctx, env)?))
             }
-            Compiled::Binary(op, l, r) => {
-                let lv = l.eval(ctx, env)?;
-                let rv = r.eval(ctx, env)?;
-                apply(*op, &lv, &rv)
-            }
+            Compiled::Binary(op, l, r) => apply(*op, &l.operand(ctx, env)?, &r.operand(ctx, env)?),
             Compiled::Func(f, args) => eval_func(ctx, env, *f, args),
             Compiled::Aggregate {
+                site,
                 ordinal,
                 op,
                 distinct,
                 arg,
-            } => eval_aggregate(ctx, env, *ordinal, *op, *distinct, arg.as_deref()),
+            } => eval_aggregate(ctx, env, (*site, *ordinal), *op, *distinct, arg.as_deref()),
             Compiled::Case {
                 operand,
                 whens,
@@ -555,21 +550,28 @@ impl<'e> Compiled<'e> {
     }
 
     /// Evaluate as a condition (WHERE, WHEN): is it TRUE? The same as
-    /// [`eval`](Self::eval) and [`Rv::truthy`], without building the
-    /// values of a comparison or a conjunction. `AND` and `OR` evaluate
+    /// [`eval`](Self::eval) and [`Rv::truthy`], without building a value
+    /// for the outcome of a comparison or a conjunction. `AND` and `OR` evaluate
     /// their right operand only when the left one leaves it open.
     pub(crate) fn test(&self, ctx: &EvalCtx, env: &Env<'_>) -> Result<bool> {
+        use BinaryOp::{Eq, Ge, Gt, In, Le, Lt, Neq, Subset};
         match self {
-            Compiled::Compare(op, prop, literal, flipped) => {
-                let prop = prop.eval(ctx, env)?;
-                Ok(match flipped {
-                    false => compare(*op, &prop, literal),
-                    true => compare(*op, literal, &prop),
-                })
+            Compiled::Binary(op @ (Eq | Neq | Lt | Le | Gt | Ge | In | Subset), l, r) => {
+                Ok(compare(*op, &l.operand(ctx, env)?, &r.operand(ctx, env)?))
             }
             Compiled::Binary(BinaryOp::And, l, r) => Ok(l.test(ctx, env)? && r.test(ctx, env)?),
             Compiled::Binary(BinaryOp::Or, l, r) => Ok(l.test(ctx, env)? || r.test(ctx, env)?),
             _ => Ok(self.eval(ctx, env)?.truthy()),
+        }
+    }
+
+    /// [`eval`](Self::eval) for an operand of a binary operator: a
+    /// literal, the common case, is lent in place.
+    #[inline]
+    fn operand<'a>(&'a self, ctx: &EvalCtx, env: &Env<'a>) -> Result<Rv<'a>> {
+        match self {
+            Compiled::Const(rv) => Ok(rv.reborrow()),
+            _ => self.eval(ctx, env),
         }
     }
 
@@ -928,7 +930,7 @@ fn eval_func<'a>(
 fn eval_aggregate<'a>(
     ctx: &EvalCtx,
     env: &Env<'a>,
-    ordinal: usize,
+    (site, ordinal): (Site, usize),
     op: AggOp,
     distinct: bool,
     arg: Option<&'a Compiled<'_>>,
@@ -941,6 +943,11 @@ fn eval_aggregate<'a>(
         )
         .into());
     };
+    let bound = group.site.replace(Some(site));
+    if bound.is_some_and(|bound| bound != site) {
+        let msg = "an aggregate evaluated under the group of another evaluation site";
+        return Err(RuntimeError::Other(msg.into()).into());
+    }
     if let Some(Some(rv)) = group.memo.borrow().get(ordinal) {
         return Ok(rv.clone());
     }
@@ -1260,9 +1267,10 @@ mod tests {
     #[test]
     fn aggregates_fold_over_the_group_in_scope() {
         let (ctx, t) = setup();
-        let misplaced = |src: &str, group: Option<&Group<'_>>| {
+        let misplaced = |src: &str, grouped: bool| {
+            let group = Group::new(&[0], &[]);
             let env = Env {
-                group,
+                group: grouped.then_some(&group),
                 ..Env::new(&t, 0)
             };
             let err = eval_in(&ctx, &env, src).unwrap_err();
@@ -1276,25 +1284,32 @@ mod tests {
                 "{src}: {err}"
             );
         };
-        let group = Group::new(&[0], &[]);
         // No group in scope.
-        misplaced("COUNT(*) = 1", None);
+        misplaced("COUNT(*) = 1", false);
         // Inside another aggregate's argument.
-        misplaced("COUNT(COUNT(*)) = 1", Some(&group));
-        misplaced("SUM(COUNT(*) + 1) = 2", Some(&group));
-        // Anywhere else in a grouped expression. Each expression is
-        // compiled on its own, so each gets a group of its own: a memo's
-        // ordinals are those of one compiler.
-        let grouped = |src: &str| {
-            let group = Group::new(&[0], &[]);
-            let env = Env {
-                group: Some(&group),
-                ..Env::new(&t, 0)
-            };
-            eval_in(&ctx, &env, src).unwrap()
+        misplaced("COUNT(COUNT(*)) = 1", true);
+        misplaced("SUM(COUNT(*) + 1) = 2", true);
+        // Anywhere else in a grouped expression: the expressions of one
+        // compiler share the group.
+        let group = Group::new(&[0], &[]);
+        let sources = [
+            "COUNT(*) + 1 = 2",
+            "SIZE(COLLECT(n.name)) = 1 AND HEAD(COLLECT(n.name)) = 'Frank'",
+        ];
+        let exprs: Vec<Expr> = sources.iter().map(|src| where_expr(src)).collect();
+        let mut compiler = Compiler::new(&t, None);
+        let compiled: Vec<_> = exprs.iter().map(|e| compiler.compile(e)).collect();
+        let env = Env {
+            group: Some(&group),
+            ..Env::new(&t, 0)
         };
-        assert!(grouped("COUNT(*) + 1 = 2").truthy());
-        assert!(grouped("SIZE(COLLECT(n.name)) = 1 AND HEAD(COLLECT(n.name)) = 'Frank'").truthy());
+        for c in &compiled {
+            assert!(c.eval(&ctx, &env).unwrap().truthy());
+        }
+        // Another compiler numbers its aggregates from 0 too: its
+        // `COUNT(*)` must not read the memo's `COUNT(*)` of the first.
+        let err = eval_in(&ctx, &env, "COUNT(*)").unwrap_err();
+        assert!(err.to_string().contains("another evaluation site"), "{err}");
     }
 
     #[test]
