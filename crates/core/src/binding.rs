@@ -881,6 +881,28 @@ impl TableBuilder {
     pub fn push_extended(&mut self, src: &BindingTable, row: usize, extra: &[Bound]) {
         let scols = src.cols.len();
         debug_assert_eq!(scols + extra.len(), self.columns.len());
+        self.push_prefix(src, row);
+        for (i, b) in extra.iter().enumerate() {
+            let code = encode(&self.pool, b);
+            self.has_values |= tag_of(code) == TAG_VALUE;
+            self.cols[scols + i].push(code);
+        }
+        self.nrows += 1;
+    }
+
+    /// [`push_extended`](Self::push_extended) by one value cell, taken
+    /// by reference: the pool clones `v` only the first time it sees it.
+    pub fn push_extended_value(&mut self, src: &BindingTable, row: usize, v: &Value) {
+        debug_assert_eq!(src.cols.len() + 1, self.columns.len());
+        self.push_prefix(src, row);
+        let code = pack(TAG_VALUE, self.pool.intern(v) as u64);
+        self.has_values = true;
+        self.cols[src.cols.len()].push(code);
+        self.nrows += 1;
+    }
+
+    /// Push `src`'s row onto the builder's leading columns.
+    fn push_prefix(&mut self, src: &BindingTable, row: usize) {
         let same_pool = Arc::ptr_eq(&self.pool, &src.pool);
         for (c, col) in src.cols.iter().enumerate() {
             let code = col[row];
@@ -895,12 +917,6 @@ impl TableBuilder {
             self.has_values |= tag_of(code) == TAG_VALUE;
             self.cols[c].push(code);
         }
-        for (i, b) in extra.iter().enumerate() {
-            let code = encode(&self.pool, b);
-            self.has_values |= tag_of(code) == TAG_VALUE;
-            self.cols[scols + i].push(code);
-        }
-        self.nrows += 1;
     }
 
     /// Rows pushed so far.

@@ -390,7 +390,7 @@ impl<'e> PatternMatcher<'e> {
                 for ri in 0..table.len() {
                     cancel.checkpoint(&mut tick)?;
                     for val in prop_of(&table, ri).iter() {
-                        b.push_extended(&table, ri, &[Bound::Value(val.clone())]);
+                        b.push_extended_value(&table, ri, val);
                     }
                 }
                 return Ok(b.finish());

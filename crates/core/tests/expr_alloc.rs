@@ -5,8 +5,9 @@
 //! read borrows the graph's value set. So a WHERE comparing a property
 //! with a literal allocates nothing per row — a statement's allocations
 //! minus those of the same MATCH unfiltered are the same whatever the
-//! number of rows filtered — and a SELECT item allocates only the cell
-//! it outputs.
+//! number of rows filtered — a SELECT item allocates only the cell
+//! it outputs, and a property entry that binds a variable copies a
+//! value once per distinct value, not per row.
 //!
 //! Counted with the shared thread-local counting allocator
 //! (`tests/support/counting_alloc.rs`): counts, not timings, so they
@@ -102,4 +103,45 @@ fn projecting_a_string_property_allocates_once_per_cell() {
             "SNB-{persons}: {per_cell:.2} allocations per projected string cell"
         );
     }
+}
+
+/// `{employer = e}` binds one row per value of a Person's employer set.
+/// The new column's cell is interned from the borrowed value, so the
+/// scan copies a value once per distinct employer — the pool's list
+/// and map each keep one — not once per row. Against the same MATCH
+/// without the binding, the allocations the larger scale adds stay
+/// within three per further distinct employer (two copies, and the
+/// pool's growth), though it binds hundreds more rows.
+#[test]
+fn a_binding_scan_allocates_per_distinct_value_not_per_row() {
+    let bound = "SELECT COUNT(*) AS c MATCH (n:Person {employer = e})";
+    let plain = "SELECT COUNT(*) AS c MATCH (n:Person)";
+    let distinct = "SELECT DISTINCT e MATCH (n:Person {employer = e})";
+    let mut costs = Vec::new();
+    for persons in SCALES {
+        let mut engine = snb(persons);
+        let (with, count) = allocations(&mut engine, bound);
+        let (without, _) = allocations(&mut engine, plain);
+        let Value::Int(rows) = count.rows()[0][0] else {
+            panic!("COUNT(*) is an integer");
+        };
+        let employers = engine.query_table(distinct).expect("runs").len() as i64;
+        println!(
+            "SNB-{persons}: {with} - {without} allocations binding {rows} rows, {employers} employers"
+        );
+        costs.push((with as i64 - without as i64, rows, employers));
+    }
+    let (added, rows, employers) = (
+        costs[1].0 - costs[0].0,
+        costs[1].1 - costs[0].1,
+        costs[1].2 - costs[0].2,
+    );
+    assert!(
+        rows > 10 * employers,
+        "too few further rows to tell per-row from per-employer copies: {costs:?}"
+    );
+    assert!(
+        added <= 3 * employers,
+        "{added} more allocations for {rows} more rows and {employers} more employers: {costs:?}"
+    );
 }

@@ -13,10 +13,15 @@
 //!
 //! # Two layouts
 //!
-//! The *write layout* is what every mutation edits: hash maps from
-//! identifier to payload plus in/out adjacency lists in insertion order,
-//! so that CONSTRUCT staging, SET / REMOVE, set operations and decoding
-//! insert and merge in O(1). The *read layout* is built once
+//! The *write layout* is what every mutation edits: one hash map per
+//! element sort from identifier to payload, a node's entry holding its
+//! out- and in-edge lists (insertion order) beside its attributes, so
+//! that CONSTRUCT staging, SET / REMOVE, set operations and decoding
+//! insert and merge in O(1) — a node is one map insertion, an edge one
+//! plus a push onto each endpoint's entry. Payloads are compact (see
+//! [`crate::property`]): a label set or property set of one member holds
+//! it inline, and an element's properties are one vector sorted by key.
+//! The *read layout* is built once
 //! over a finished graph — by [`crate::GraphBuilder::build`] or
 //! [`PathPropertyGraph::build_label_index`] — and dropped by any
 //! mutation:
@@ -35,12 +40,11 @@ use crate::error::GraphError;
 use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, ElementId, NodeId, PathId};
 use crate::path::PathShape;
-use crate::property::PropertySet;
+use crate::property::{PropertyMap, PropertySet};
 use crate::stats::GraphStats;
 use crate::symbols::{Key, Label, LabelSet};
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Labels and properties shared by every element sort.
@@ -49,7 +53,7 @@ pub struct Attributes {
     /// Labels attached to the element (λ).
     pub labels: LabelSet,
     /// Property map of the element (σ), values are finite sets.
-    pub properties: BTreeMap<Key, PropertySet>,
+    pub properties: PropertyMap,
 }
 
 impl Attributes {
@@ -125,7 +129,7 @@ impl Attributes {
 
     /// Merge by set intersection (graph intersection semantics, §A.5).
     pub fn intersect(&self, other: &Attributes) -> Attributes {
-        let mut props = BTreeMap::new();
+        let mut props = PropertyMap::new();
         for (k, vs) in &self.properties {
             if let Some(other_vs) = other.properties.get(k) {
                 let both = vs.intersection(other_vs);
@@ -166,6 +170,18 @@ pub struct PathData {
     pub shape: PathShape,
     /// Labels and properties of the path object.
     pub attrs: Attributes,
+}
+
+/// A node's payload and adjacency in the write layout: one map entry
+/// per node, so inserting a node is one insertion and an edge pushes onto
+/// its endpoints' entries.
+#[derive(Clone, Default, Debug)]
+struct NodeEntry {
+    data: NodeData,
+    /// Edges e with ρ(e) = (node, _), in insertion order.
+    outgoing: Vec<EdgeId>,
+    /// Edges e with ρ(e) = (_, node), in insertion order.
+    incoming: Vec<EdgeId>,
 }
 
 /// A graph's nodes numbered by ascending id: node `ids[p]` has position
@@ -250,7 +266,11 @@ impl Dense {
     fn new(graph: &PathPropertyGraph) -> Self {
         let at = Positions::new(graph);
         let (mut node_labels, mut edge_labels) = (Vec::new(), Vec::new());
-        for l in graph.nodes.values().flat_map(|d| d.attrs.labels.iter()) {
+        for l in graph
+            .nodes
+            .values()
+            .flat_map(|n| n.data.attrs.labels.iter())
+        {
             insert_label(&mut node_labels, l);
         }
         for l in graph.edges.values().flat_map(|d| d.attrs.labels.iter()) {
@@ -261,7 +281,7 @@ impl Dense {
         // Node groups: count, then fill in position order.
         let mut group_offsets = vec![0u32; node_labels.len() + 1];
         for &id in &at.ids {
-            for l in graph.nodes[&id].attrs.labels.iter() {
+            for l in graph.nodes[&id].data.attrs.labels.iter() {
                 group_offsets[label_of(&node_labels, l) + 1] += 1;
             }
         }
@@ -269,7 +289,7 @@ impl Dense {
         let mut groups = vec![0u32; group_offsets[node_labels.len()] as usize];
         let mut next = group_offsets.clone();
         for (p, &id) in at.ids.iter().enumerate() {
-            for l in graph.nodes[&id].attrs.labels.iter() {
+            for l in graph.nodes[&id].data.attrs.labels.iter() {
                 let g = label_of(&node_labels, l);
                 groups[next[g] as usize] = p as u32;
                 next[g] += 1;
@@ -407,11 +427,9 @@ pub enum StepDir {
 /// A Path Property Graph (Definition 2.1).
 #[derive(Clone, Default, Debug)]
 pub struct PathPropertyGraph {
-    nodes: FxHashMap<NodeId, NodeData>,
+    nodes: FxHashMap<NodeId, NodeEntry>,
     edges: FxHashMap<EdgeId, EdgeData>,
     paths: FxHashMap<PathId, PathData>,
-    out_adj: FxHashMap<NodeId, Vec<EdgeId>>,
-    in_adj: FxHashMap<NodeId, Vec<EdgeId>>,
     /// The read layout, while no mutation has dropped it.
     dense: Option<Dense>,
     /// Planner statistics, same lifecycle as the read layout: built by
@@ -435,8 +453,6 @@ impl PathPropertyGraph {
     /// once.
     pub fn reserve(&mut self, nodes: usize, edges: usize, paths: usize) {
         self.nodes.reserve(nodes);
-        self.out_adj.reserve(nodes);
-        self.in_adj.reserve(nodes);
         self.edges.reserve(edges);
         self.paths.reserve(paths);
     }
@@ -458,12 +474,18 @@ impl PathPropertyGraph {
         self.dense = None;
         self.stats = None;
         match self.nodes.get_mut(&id) {
-            Some(existing) => existing.attrs.union_in_place(&attrs),
+            Some(existing) => existing.data.attrs.union_in_place(&attrs),
             None => {
-                let attrs = attrs.into_owned();
-                self.nodes.insert(id, NodeData { attrs });
-                self.out_adj.entry(id).or_default();
-                self.in_adj.entry(id).or_default();
+                let data = NodeData {
+                    attrs: attrs.into_owned(),
+                };
+                self.nodes.insert(
+                    id,
+                    NodeEntry {
+                        data,
+                        ..NodeEntry::default()
+                    },
+                );
             }
         }
     }
@@ -531,8 +553,13 @@ impl PathPropertyGraph {
             None => {
                 let attrs = attrs.into_owned();
                 self.edges.insert(id, EdgeData { src, dst, attrs });
-                self.out_adj.entry(src).or_default().push(id);
-                self.in_adj.entry(dst).or_default().push(id);
+                // Both endpoints were checked above.
+                if let Some(s) = self.nodes.get_mut(&src) {
+                    s.outgoing.push(id);
+                }
+                if let Some(d) = self.nodes.get_mut(&dst) {
+                    d.incoming.push(id);
+                }
             }
         }
         Ok(())
@@ -619,7 +646,7 @@ impl PathPropertyGraph {
 
     /// The node payload, if `id ∈ N`.
     pub fn node(&self, id: NodeId) -> Option<&NodeData> {
-        self.nodes.get(&id)
+        self.nodes.get(&id).map(|n| &n.data)
     }
 
     /// The edge payload, if `id ∈ E`.
@@ -655,7 +682,7 @@ impl PathPropertyGraph {
     /// The attributes of any element sort, or `None` if absent.
     pub fn attributes(&self, id: ElementId) -> Option<&Attributes> {
         match id {
-            ElementId::Node(n) => self.nodes.get(&n).map(|d| &d.attrs),
+            ElementId::Node(n) => self.nodes.get(&n).map(|n| &n.data.attrs),
             ElementId::Edge(e) => self.edges.get(&e).map(|d| &d.attrs),
             ElementId::Path(p) => self.paths.get(&p).map(|d| &d.attrs),
         }
@@ -692,12 +719,12 @@ impl PathPropertyGraph {
 
     /// Edges e with ρ(e) = (node, _), in insertion order.
     pub fn out_edges(&self, node: NodeId) -> &[EdgeId] {
-        self.out_adj.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.nodes.get(&node).map_or(&[], |n| &n.outgoing)
     }
 
     /// Edges e with ρ(e) = (_, node), in insertion order.
     pub fn in_edges(&self, node: NodeId) -> &[EdgeId] {
-        self.in_adj.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.nodes.get(&node).map_or(&[], |n| &n.incoming)
     }
 
     /// Total degree (in + out).
@@ -892,7 +919,7 @@ impl PathPropertyGraph {
         let mut v: Vec<NodeId> = self
             .nodes
             .iter()
-            .filter(|(_, d)| d.attrs.labels.contains(label))
+            .filter(|(_, n)| n.data.attrs.labels.contains(label))
             .map(|(id, _)| *id)
             .collect();
         v.sort_unstable();
@@ -969,7 +996,8 @@ impl PathPropertyGraph {
             return Err("path sets differ".into());
         }
         for id in self.node_ids_sorted() {
-            if self.nodes[&id] != other.nodes[&id] {
+            // Adjacency follows from the edges, compared below.
+            if self.nodes[&id].data != other.nodes[&id].data {
                 return Err(format!("node {id} differs"));
             }
         }

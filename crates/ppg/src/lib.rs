@@ -54,7 +54,7 @@ pub use graph::{Attributes, EdgeData, NodeData, PathData, PathPropertyGraph, Pos
 pub use ids::{EdgeId, ElementId, ElementSort, IdGen, NodeId, PathId};
 pub use intern::ValueInterner;
 pub use path::PathShape;
-pub use property::PropertySet;
+pub use property::{PropertyMap, PropertySet};
 pub use stats::{EdgeLabelStats, GraphStats, PropStats};
 pub use symbols::{Key, Label, LabelSet};
 pub use table::{Table, TableError};

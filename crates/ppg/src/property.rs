@@ -6,16 +6,44 @@
 //! evaluates to FALSE while `"MIT" IN {"CWI","MIT"}` is TRUE.
 //!
 //! [`PropertySet`] is that finite set: sorted, deduplicated, never containing
-//! `Null`. The empty set means "property absent".
+//! `Null`. The empty set means "property absent". [`PropertyMap`] is one
+//! element's σ(x, ·): its sets by key.
+//!
+//! Nearly every stored set is a singleton and nearly every element has a
+//! handful of keys, so both are kept small: a one-value set holds its value
+//! inline (no heap block), and a map is one vector of `(key, set)` pairs
+//! sorted by key — one heap block per element with properties, however
+//! many keys it has. A set's equality, order and hashing are those of
+//! its sorted values, however it is stored.
 
+use crate::symbols::Key;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A finite set of values — σ(x, k) in Definition 2.1.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
+///
+/// Equality, order and hashing are those of the sorted value slice
+/// ([`PropertySet::values`]), however the set is stored.
+#[derive(Clone, Default)]
 pub struct PropertySet {
-    // Sorted by Value's total order, deduplicated.
-    values: Vec<Value>,
+    values: Values,
+}
+
+/// Storage of a [`PropertySet`]: sorted by `Value`'s total order,
+/// deduplicated. A lone value lives inline; `Many` holds none (the empty
+/// set, which allocates nothing) or two and more.
+#[derive(Clone)]
+enum Values {
+    One(Value),
+    Many(Vec<Value>),
+}
+
+impl Default for Values {
+    fn default() -> Self {
+        Values::Many(Vec::new())
+    }
 }
 
 impl PropertySet {
@@ -30,7 +58,9 @@ impl PropertySet {
         if v.is_null() {
             return Self::empty();
         }
-        PropertySet { values: vec![v] }
+        PropertySet {
+            values: Values::One(v),
+        }
     }
 
     /// Build from any collection of values; `Null`s are dropped,
@@ -48,58 +78,75 @@ impl PropertySet {
         if v.is_null() {
             return false;
         }
-        match self.values.binary_search(&v) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.values.insert(pos, v);
-                true
+        match &mut self.values {
+            Values::Many(vs) if vs.is_empty() => self.values = Values::One(v),
+            Values::Many(vs) => match vs.binary_search(&v) {
+                Ok(_) => return false,
+                Err(pos) => vs.insert(pos, v),
+            },
+            Values::One(one) => {
+                let order = (*one).cmp(&v);
+                if order == Ordering::Equal {
+                    return false;
+                }
+                // The inline value moves to the heap with the new one.
+                let one = std::mem::replace(one, Value::Null);
+                let both = if order == Ordering::Less {
+                    vec![one, v]
+                } else {
+                    vec![v, one]
+                };
+                self.values = Values::Many(both);
             }
         }
+        true
     }
 
     /// True when the property is absent (σ(x,k) = ∅).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values().is_empty()
     }
 
     /// Cardinality of the set (the paper's SIZE-style length test on
     /// multi-valued properties).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Membership, using semantic value equality.
     pub fn contains(&self, v: &Value) -> bool {
-        self.values.binary_search(v).is_ok()
+        self.values().binary_search(v).is_ok()
     }
 
     /// Set inclusion (the paper's SUBSET operator).
     pub fn is_subset_of(&self, other: &PropertySet) -> bool {
-        self.values.iter().all(|v| other.contains(v))
+        self.iter().all(|v| other.contains(v))
     }
 
     /// Set equality as used by `=` on multi-valued properties.
     pub fn set_eq(&self, other: &PropertySet) -> bool {
-        self.values == other.values
+        self.values() == other.values()
     }
 
     /// If the set is a singleton, the lone value.
     pub fn as_singleton(&self) -> Option<&Value> {
-        if self.values.len() == 1 {
-            Some(&self.values[0])
-        } else {
-            None
+        match &self.values {
+            Values::One(v) => Some(v),
+            Values::Many(_) => None,
         }
     }
 
     /// Iterate values in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        self.values.iter()
+        self.values().iter()
     }
 
     /// Sorted values as a slice.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        match &self.values {
+            Values::One(v) => std::slice::from_ref(v),
+            Values::Many(vs) => vs,
+        }
     }
 
     /// Union (graph union merges property sets, §A.5).
@@ -113,22 +160,49 @@ impl PropertySet {
     /// lacks.
     pub fn union_in_place(&mut self, other: &PropertySet) {
         for v in other.iter() {
-            if let Err(pos) = self.values.binary_search(v) {
-                self.values.insert(pos, v.clone());
+            if !self.contains(v) {
+                self.insert(v.clone());
             }
         }
     }
 
     /// Intersection (graph intersection, §A.5).
     pub fn intersection(&self, other: &PropertySet) -> PropertySet {
-        PropertySet {
-            values: self
-                .values
-                .iter()
-                .filter(|v| other.contains(v))
-                .cloned()
-                .collect(),
-        }
+        self.iter().filter(|v| other.contains(v)).cloned().collect()
+    }
+}
+
+impl PartialEq for PropertySet {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for PropertySet {}
+
+impl PartialOrd for PropertySet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PropertySet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl Hash for PropertySet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for PropertySet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PropertySet")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
@@ -139,7 +213,7 @@ impl fmt::Display for PropertySet {
             Some(v) => write!(f, "{v}"),
             None => {
                 write!(f, "{{")?;
-                for (i, v) in self.values.iter().enumerate() {
+                for (i, v) in self.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
@@ -178,6 +252,107 @@ impl From<f64> for PropertySet {
 impl FromIterator<Value> for PropertySet {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
         PropertySet::from_values(iter)
+    }
+}
+
+/// σ(x, ·) of one element: its property sets by key, iterated in
+/// ascending key order. The map operations of a `BTreeMap<Key,
+/// PropertySet>` that the engine uses, over one vector sorted by key.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct PropertyMap {
+    entries: Vec<(Key, PropertySet)>,
+}
+
+impl PropertyMap {
+    /// The empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty map with room for exactly `keys` keys.
+    pub fn with_capacity(keys: usize) -> Self {
+        PropertyMap {
+            entries: Vec::with_capacity(keys),
+        }
+    }
+
+    fn find(&self, key: &Key) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// The set stored under `key`.
+    pub fn get(&self, key: &Key) -> Option<&PropertySet> {
+        let i = self.find(key).ok()?;
+        Some(&self.entries[i].1)
+    }
+
+    /// The set stored under `key`, mutably.
+    pub fn get_mut(&mut self, key: &Key) -> Option<&mut PropertySet> {
+        let i = self.find(key).ok()?;
+        Some(&mut self.entries[i].1)
+    }
+
+    /// Store `values` under `key`; returns the set it replaces.
+    pub fn insert(&mut self, key: Key, values: PropertySet) -> Option<PropertySet> {
+        match self.find(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, values)),
+            Err(i) => {
+                // Most elements have one key: room for one, not the
+                // four a vector's first growth makes.
+                if self.entries.capacity() == 0 {
+                    self.entries.reserve_exact(1);
+                }
+                self.entries.insert(i, (key, values));
+                None
+            }
+        }
+    }
+
+    /// Remove `key`'s set and return it.
+    pub fn remove(&mut self, key: &Key) -> Option<PropertySet> {
+        let i = self.find(key).ok()?;
+        Some(self.entries.remove(i).1)
+    }
+
+    /// The `(key, set)` pairs in ascending key order.
+    pub fn iter(&self) -> Iter<'_> {
+        self.entries.iter().map(|(k, vs)| (k, vs))
+    }
+
+    /// The keys, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &Key> {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    /// The number of keys.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the element has no property.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// The pairs of a [`PropertyMap`], in ascending key order.
+pub type Iter<'a> = std::iter::Map<
+    std::slice::Iter<'a, (Key, PropertySet)>,
+    fn(&'a (Key, PropertySet)) -> (&'a Key, &'a PropertySet),
+>;
+
+impl<'a> IntoIterator for &'a PropertyMap {
+    type Item = (&'a Key, &'a PropertySet);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for PropertyMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 

@@ -107,7 +107,7 @@ impl GraphStats {
     /// Compute the summary in one pass over `graph`.
     pub fn compute(graph: &PathPropertyGraph) -> GraphStats {
         let mut nodes_per_label: FxHashMap<Label, u64> = FxHashMap::default();
-        let mut node_props: FxHashMap<Key, (u64, u64, Vec<Value>)> = FxHashMap::default();
+        let mut node_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
         for id in graph.node_ids() {
             let attrs = &graph.node(id).expect("iterated id").attrs;
             for l in attrs.labels.iter() {
@@ -117,12 +117,12 @@ impl GraphStats {
                 let slot = node_props.entry(*k).or_default();
                 slot.0 += 1;
                 slot.1 += vs.len() as u64;
-                slot.2.extend(vs.iter().cloned());
+                slot.2.extend(vs.iter());
             }
         }
 
         let mut edge_rel: FxHashMap<Label, (u64, Vec<NodeId>, Vec<NodeId>)> = FxHashMap::default();
-        let mut edge_props: FxHashMap<Key, (u64, u64, Vec<Value>)> = FxHashMap::default();
+        let mut edge_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
         for id in graph.edge_ids() {
             let data = graph.edge(id).expect("iterated id");
             for l in data.attrs.labels.iter() {
@@ -135,7 +135,7 @@ impl GraphStats {
                 let slot = edge_props.entry(*k).or_default();
                 slot.0 += 1;
                 slot.1 += vs.len() as u64;
-                slot.2.extend(vs.iter().cloned());
+                slot.2.extend(vs.iter());
             }
         }
 
@@ -144,12 +144,14 @@ impl GraphStats {
             v.dedup();
             v.len() as u64
         };
-        let distinct_values = |mut v: Vec<Value>| -> u64 {
+        // Distinct values are counted over borrowed values: no copy of a
+        // string per carrier.
+        let distinct_values = |mut v: Vec<&Value>| -> u64 {
             v.sort_unstable_by(|a, b| a.total_cmp(b));
             v.dedup_by(|a, b| a.total_cmp(b).is_eq());
             v.len() as u64
         };
-        let prop_table = |m: FxHashMap<Key, (u64, u64, Vec<Value>)>| -> Vec<(Key, PropStats)> {
+        let prop_table = |m: FxHashMap<Key, (u64, u64, Vec<&Value>)>| -> Vec<(Key, PropStats)> {
             let mut v: Vec<(Key, PropStats)> = m
                 .into_iter()
                 .map(|(k, (carriers, values, vals))| {

@@ -38,7 +38,7 @@ use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
 use gcore_ppg::export::ElementRef;
 use gcore_ppg::{
     sorted_elements, Attributes, Date, EdgeLabelStats, GraphStats, Key, Label, PathPropertyGraph,
-    PathShape, PropStats, PropertySet, Table, Value,
+    PathShape, PropStats, PropertyMap, PropertySet, Table, Value,
 };
 
 /// The 8-byte magic every graph file starts with.
@@ -368,7 +368,9 @@ fn decode_attrs(
 ) -> Result<Attributes, StoreError> {
     // Sets are built by insertion, so they come out sorted and
     // deduplicated whatever order the file lists them in. A first label
-    // is stored inline, and a one-value set is built at its size.
+    // and a one-value set are stored inline, and the property map is
+    // sized once — clamped by the 8 bytes (key ref, value count) each
+    // entry takes at least.
     let mut attrs = Attributes::new();
     let nlabels = cur.u32()? as usize;
     for _ in 0..nlabels {
@@ -379,21 +381,17 @@ fn decode_attrs(
         attrs.labels.insert(label);
     }
     let nprops = cur.u32()? as usize;
+    attrs.properties = PropertyMap::with_capacity(cur.capacity_for(nprops, 8));
     for _ in 0..nprops {
         let r = cur.u32()? as usize;
         let key = *keys
             .get(r)
             .ok_or_else(|| StoreError::Corrupt(format!("key ref {r} out of range")))?;
         let nvalues = cur.u32()? as usize;
-        let set = if nvalues == 1 {
-            PropertySet::single(decode_value(cur)?)
-        } else {
-            let mut set = PropertySet::empty();
-            for _ in 0..nvalues {
-                set.insert(decode_value(cur)?);
-            }
-            set
-        };
+        let mut set = PropertySet::empty();
+        for _ in 0..nvalues {
+            set.insert(decode_value(cur)?);
+        }
         attrs.set_prop(key, set);
     }
     Ok(attrs)
