@@ -40,7 +40,7 @@ use gcore_parser::ast::{
     SelectQuery, SetItem, Statement,
 };
 use gcore_parser::token::Span;
-use gcore_ppg::{Catalog, ElementId};
+use gcore_ppg::Catalog;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -161,18 +161,12 @@ impl CatalogSummary {
             let Ok(graph) = catalog.graph(&name) else {
                 continue;
             };
-            let ids = graph
-                .node_ids()
-                .map(ElementId::Node)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .chain(graph.edge_ids().map(ElementId::Edge).collect::<Vec<_>>())
-                .chain(graph.path_ids().map(ElementId::Path).collect::<Vec<_>>());
-            for id in ids {
-                if let Some(attrs) = graph.attributes(id) {
-                    s.labels.extend(attrs.labels.iter().map(|l| l.name()));
-                    s.keys.extend(attrs.properties.keys().map(|k| k.name()));
-                }
+            let nodes = graph.nodes().map(|(_, d)| &d.attrs);
+            let edges = graph.edges().map(|(_, d)| &d.attrs);
+            let paths = graph.paths().map(|(_, d)| &d.attrs);
+            for attrs in nodes.chain(edges).chain(paths) {
+                s.labels.extend(attrs.labels.iter().map(|l| l.name()));
+                s.keys.extend(attrs.properties.keys().map(|k| k.name()));
             }
             s.graphs.insert(name);
         }

@@ -28,7 +28,9 @@
 //! is allocated per group: rows are partitioned by their *encoded* cells
 //! into one key array and one offset-indexed row array (`Groups`), the
 //! groups (not the rows) are ordered, the staged graph is reserved for
-//! them, and each group yields one element. Only a CONSTRUCT with a
+//! them, and each group yields one element. Edges and stored paths are
+//! inserted once every pattern is staged, the edges sorted by identifier
+//! so that each appends to the graph's edge store. Only a CONSTRUCT with a
 //! `WHEN` keeps each group's element and rows for the WHEN pass; without
 //! one nothing is recorded per group.
 
@@ -240,7 +242,15 @@ struct Staged {
 
 /// Everything a CONSTRUCT produces before WHEN filtering.
 struct Staging {
+    /// The staged nodes; the staged edges and paths once every pattern
+    /// is staged ([`Staging::insert_edges_and_paths`]).
     graph: PathPropertyGraph,
+    /// The edges staged so far, in staging order.
+    edges: Vec<StagedEdge>,
+    /// The graphs staged edges copy their attributes from.
+    sources: Vec<Arc<PathPropertyGraph>>,
+    /// The stored paths staged so far: identifier, walk, attributes.
+    paths: Vec<(PathId, PathShape, Attributes)>,
     /// Does a `WHEN` read the groups? Without one none is kept.
     when: bool,
     groups: Vec<Staged>,
@@ -248,7 +258,69 @@ struct Staging {
     pattern: usize,
 }
 
+/// An edge staged for the graph.
+enum StagedEdge {
+    /// An edge with the endpoints and attributes computed for it.
+    Own(EdgeId, NodeId, NodeId, Attributes),
+    /// An edge as it is in a graph a path was found in (an index into
+    /// [`Staging::sources`]): looked up there, and its attributes copied
+    /// only if it is new to the staged graph, when the edges are
+    /// inserted.
+    Of(EdgeId, usize),
+}
+
+impl StagedEdge {
+    fn id(&self) -> EdgeId {
+        match self {
+            StagedEdge::Own(id, ..) | StagedEdge::Of(id, _) => *id,
+        }
+    }
+}
+
 impl Staging {
+    /// Insert the staged edges in ascending id, so each one appends to
+    /// the edge store (an edge staged twice merges, in staging order;
+    /// a repeat from the same source adds nothing and is skipped), then
+    /// the stored paths over them.
+    fn insert_edges_and_paths(&mut self) -> Result<()> {
+        let mut edges = std::mem::take(&mut self.edges);
+        // Sort (id, staging index) pairs, not the staged edges themselves.
+        let mut order: Vec<(EdgeId, usize)> = edges.iter().map(StagedEdge::id).zip(0..).collect();
+        order.sort_unstable();
+        let distinct = order.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let distinct = distinct + usize::from(!order.is_empty());
+        self.graph.reserve(0, distinct, self.paths.len());
+        let mut last = None;
+        for (id, i) in order {
+            match &mut edges[i] {
+                StagedEdge::Own(_, src, dst, attrs) => {
+                    last = None;
+                    self.graph.add_edge(id, *src, *dst, std::mem::take(attrs))?;
+                }
+                StagedEdge::Of(_, source) if last == Some((id, *source)) => {}
+                StagedEdge::Of(_, source) => {
+                    last = Some((id, *source));
+                    if let Some(e) = self.sources[*source].edge(id) {
+                        self.graph.add_edge_ref(id, e.src, e.dst, &e.attrs)?;
+                    }
+                }
+            }
+        }
+        for (id, shape, attrs) in std::mem::take(&mut self.paths) {
+            self.graph.add_path(id, shape, attrs)?;
+        }
+        Ok(())
+    }
+
+    /// The [`sources`](Self::sources) index of `graph`, added when it is
+    /// not the last one.
+    fn source(&mut self, graph: &Arc<PathPropertyGraph>) -> usize {
+        if !self.sources.last().is_some_and(|g| Arc::ptr_eq(g, graph)) {
+            self.sources.push(graph.clone());
+        }
+        self.sources.len() - 1
+    }
+
     fn keep(&mut self, var: Option<(usize, Bound)>, elems: &[ElementId], rows: &[usize]) {
         if self.when {
             self.groups.push(Staged {
@@ -331,6 +403,9 @@ pub(crate) fn eval_construct(
     let when = |item: &ConstructItem| matches!(item, ConstructItem::Pattern(p) if p.when.is_some());
     let mut staging = Staging {
         graph: PathPropertyGraph::new(),
+        edges: Vec::new(),
+        sources: Vec::new(),
+        paths: Vec::new(),
         when: construct.items.iter().any(when),
         groups: Vec::new(),
         pattern: 0,
@@ -368,6 +443,8 @@ pub(crate) fn eval_construct(
             }
         }
     }
+
+    staging.insert_edges_and_paths()?;
 
     let dead = if whens.is_empty() {
         FxHashSet::default()
@@ -529,8 +606,7 @@ fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPr
             out.add_node_ref(id, &g.node(id).expect("staged node").attrs);
         }
     }
-    for id in g.edge_ids_sorted() {
-        let e = g.edge(id).expect("staged edge");
+    for (id, e) in g.edges() {
         if !dead.contains(&ElementId::Edge(id))
             && out.contains_node(e.src)
             && out.contains_node(e.dst)
@@ -1048,7 +1124,7 @@ fn stage_edge(
 
     let token = skolem.token(token);
     let mut tick = 0u32;
-    staging.graph.reserve(0, groups.len(), 0);
+    staging.edges.reserve(groups.len());
     for (key, rows) in groups.iter() {
         ctx.options.cancel.checkpoint(&mut tick)?;
         let (src, dst) = (NodeId(key[0]), NodeId(key[1]));
@@ -1064,15 +1140,13 @@ fn stage_edge(
                     .into());
                 };
                 // Identity rule (§3): a bound edge keeps its endpoints.
-                let col = &bindings.columns()[ci];
-                let Some(original) = col.graph.endpoints(eid) else {
+                let Some(original) = bindings.columns()[ci].graph.edge(eid) else {
                     return Err(SemanticError::EdgeEndpointsUnbound(var.to_owned()).into());
                 };
-                if original != (src, dst) {
+                if (original.src, original.dst) != (src, dst) {
                     return Err(SemanticError::EdgeEndpointsChanged(var.to_owned()).into());
                 }
-                let attrs = col.graph.attributes(ElementId::Edge(eid));
-                (eid, attrs.cloned().unwrap_or_default())
+                (eid, original.attrs.clone())
             }
             None => (skolem.edge(token, e.var.is_some(), key), Attributes::new()),
         };
@@ -1080,7 +1154,7 @@ fn stage_edge(
         template.apply(ctx, &mut attrs, bindings, &group, outer)?;
 
         // Endpoints are guaranteed staged by the node pass.
-        staging.graph.add_edge(id, src, dst, attrs)?;
+        staging.edges.push(StagedEdge::Own(id, src, dst, attrs));
         let var = bound_col.is_none().then_some((token, Bound::Edge(id)));
         staging.keep(var, &[ElementId::Edge(id)], rows);
     }
@@ -1117,7 +1191,7 @@ fn stage_path(
     let none = Attributes::new();
     let mut elems: Vec<ElementId> = Vec::new();
     if p.stored {
-        staging.graph.reserve(0, 0, groups.len());
+        staging.paths.reserve(groups.len());
     }
     for (key, rows) in groups.iter() {
         ctx.options.cancel.checkpoint(&mut tick)?;
@@ -1172,7 +1246,8 @@ fn stage_path(
             None => (projection.0.as_slice(), projection.1.as_slice()),
         };
         // Members shared with earlier paths or items are already staged:
-        // re-adding one merges its attributes without copying them.
+        // re-adding one merges its attributes without copying them (an
+        // edge's when the staged edges are inserted).
         let node_attrs = |n: NodeId| graph.attributes(n.into()).unwrap_or(&none);
         elems.clear();
         for &n in nodes {
@@ -1182,19 +1257,18 @@ fn stage_path(
             }
         }
         for &eid in edges {
-            let Some(edata) = graph.edge(eid) else {
-                continue;
-            };
             if walk.is_none() {
                 // A projection lists its edges' endpoints only when they
                 // lie on a conforming path themselves.
+                let Some(edata) = graph.edge(eid) else {
+                    continue;
+                };
                 for end in [edata.src, edata.dst] {
                     staging.graph.add_node_ref(end, node_attrs(end));
                 }
             }
-            staging
-                .graph
-                .add_edge_ref(eid, edata.src, edata.dst, &edata.attrs)?;
+            let source = staging.source(&graph);
+            staging.edges.push(StagedEdge::Of(eid, source));
             elems.push(ElementId::Edge(eid));
         }
 
@@ -1205,7 +1279,7 @@ fn stage_path(
             }
             let group = Group::new(rows, std::slice::from_ref(&ci));
             assign_props(ctx, &mut attrs, assigns, bindings, &group, outer)?;
-            staging.graph.add_path(pid, walk, attrs)?;
+            staging.paths.push((pid, walk, attrs));
             elems.push(ElementId::Path(pid));
         }
         // The path variable is a MATCH column: WHEN reads it from there.

@@ -13,15 +13,22 @@
 //!
 //! # Two layouts
 //!
-//! The *write layout* is what every mutation edits: one hash map per
-//! element sort from identifier to payload, a node's entry holding its
-//! out- and in-edge lists (insertion order) beside its attributes, so
-//! that CONSTRUCT staging, SET / REMOVE, set operations and decoding
-//! insert and merge in O(1) — a node is one map insertion, an edge one
-//! plus a push onto each endpoint's entry. Payloads are compact (see
-//! [`crate::property`]): a label set or property set of one member holds
-//! it inline, and an element's properties are one vector sorted by key.
-//! The *read layout* is built once
+//! The *write layout* is what every mutation edits. Nodes and stored
+//! paths live in one hash map per sort from identifier to payload, a
+//! node's entry holding its out- and in-edge lists (insertion order)
+//! beside its attributes. Edges live in id order: one ascending vector
+//! of identifiers and, at the same index, one vector of payloads. A
+//! lookup binary-searches the identifiers alone, so the search stays in
+//! cache; an insert above the last identifier appends, and any other
+//! shifts both vectors. Every bulk producer hands its edges over in
+//! ascending order — decoding, [`crate::GraphBuilder`] and minted
+//! identifiers arrive that way, the set operations merge two sorted
+//! stores, CONSTRUCT sorts what it stages — so building a graph appends,
+//! and whatever reads every edge (encoding, the read layout, equality)
+//! reads the vectors in order with nothing to sort. Payloads are compact
+//! (see [`crate::property`]): a label set or property set of one member
+//! holds it inline, and an element's properties are one vector sorted
+//! by key. The *read layout* is built once
 //! over a finished graph — by [`crate::GraphBuilder::build`] or
 //! [`PathPropertyGraph::build_label_index`] — and dropped by any
 //! mutation:
@@ -184,6 +191,48 @@ struct NodeEntry {
     incoming: Vec<EdgeId>,
 }
 
+/// The edges in id order (see the [module docs](self)): `ids` ascending,
+/// `data[i]` the payload of edge `ids[i]`.
+#[derive(Clone, Default, Debug)]
+struct Edges {
+    ids: Vec<EdgeId>,
+    data: Vec<EdgeData>,
+    /// Inserts that landed below the last identifier and shifted the
+    /// vectors.
+    shifted: usize,
+}
+
+impl Edges {
+    /// The index of edge `id` (`Ok`), or where it would be inserted
+    /// (`Err`). An id above the last one is not searched for.
+    #[inline]
+    fn find(&self, id: EdgeId) -> Result<usize, usize> {
+        match self.ids.last() {
+            Some(&last) if last < id => Err(self.ids.len()),
+            _ => self.ids.binary_search(&id),
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: EdgeId) -> Option<&EdgeData> {
+        self.find(id).ok().map(|i| &self.data[i])
+    }
+
+    /// Put edge `id` at index `at`, which [`find`](Self::find) gave.
+    fn insert(&mut self, at: usize, id: EdgeId, data: EdgeData) {
+        if at < self.ids.len() {
+            self.shifted += 1;
+        }
+        self.ids.insert(at, id);
+        self.data.insert(at, data);
+    }
+
+    /// Every edge with its payload, ascending.
+    fn iter(&self) -> impl ExactSizeIterator<Item = (EdgeId, &EdgeData)> + Clone {
+        self.ids.iter().copied().zip(&self.data)
+    }
+}
+
 /// A graph's nodes numbered by ascending id: node `ids[p]` has position
 /// `p`, so position order is id order. The read layout keeps one; a
 /// search over a graph without it numbers the nodes itself
@@ -273,7 +322,7 @@ impl Dense {
         {
             insert_label(&mut node_labels, l);
         }
-        for l in graph.edges.values().flat_map(|d| d.attrs.labels.iter()) {
+        for l in graph.edges.data.iter().flat_map(|d| d.attrs.labels.iter()) {
             insert_label(&mut edge_labels, l);
         }
         let label_of = |labels: &[Label], l| labels.partition_point(|&x| x < l);
@@ -297,21 +346,23 @@ impl Dense {
         }
 
         // Edge CSRs: count every (label, direction, position) one slot
-        // past its range, then fill in ascending edge id.
+        // past its range, then fill — the store lists the edges in
+        // ascending id, so each range does too.
         let stride = at.len() + 1;
-        let mut edges: Vec<(EdgeId, u32, u32, &LabelSet)> = graph
+        let ends: Vec<(u32, u32)> = graph
             .edges
+            .data
             .iter()
-            .map(|(&id, d)| (id, at.of[&d.src], at.of[&d.dst], &d.attrs.labels))
+            .map(|d| (at.of[&d.src], at.of[&d.dst]))
             .collect();
-        edges.sort_unstable_by_key(|e| e.0);
+        let edges = || graph.edges.iter().zip(&ends);
         let mut offsets = vec![0u32; 2 * edge_labels.len() * stride];
         let slots = |l: Label, src: u32, dst: u32| {
             let out = 2 * label_of(&edge_labels, l) * stride;
             [out + src as usize, out + stride + dst as usize]
         };
-        for &(_, src, dst, labels) in &edges {
-            for l in labels.iter() {
+        for ((_, d), &(src, dst)) in edges() {
+            for l in d.attrs.labels.iter() {
                 for slot in slots(l, src, dst) {
                     offsets[slot + 1] += 1;
                 }
@@ -321,8 +372,8 @@ impl Dense {
         let total = offsets.last().map_or(0, |&t| t as usize);
         let (mut step_edges, mut step_far) = (vec![EdgeId(0); total], vec![0u32; total]);
         let mut next = offsets.clone();
-        for &(id, src, dst, labels) in &edges {
-            for l in labels.iter() {
+        for ((id, d), &(src, dst)) in edges() {
+            for l in d.attrs.labels.iter() {
                 for (slot, far) in slots(l, src, dst).into_iter().zip([dst, src]) {
                     let i = next[slot] as usize;
                     (step_edges[i], step_far[i]) = (id, far);
@@ -404,10 +455,11 @@ impl Steps<NodeId> for Scan<'_> {
     fn one_way(&self, at: NodeId, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
         let g = self.graph;
         let adjacent = if out { g.out_edges(at) } else { g.in_edges(at) };
-        for e in adjacent {
-            let d = &g.edges[e];
+        for &e in adjacent {
+            // An adjacency list names edges of the graph only.
+            let Some(d) = g.edges.get(e) else { continue };
             if self.label.is_none_or(|l| d.attrs.labels.contains(l)) {
-                f(*e, if out { d.dst } else { d.src });
+                f(e, if out { d.dst } else { d.src });
             }
         }
     }
@@ -428,7 +480,7 @@ pub enum StepDir {
 #[derive(Clone, Default, Debug)]
 pub struct PathPropertyGraph {
     nodes: FxHashMap<NodeId, NodeEntry>,
-    edges: FxHashMap<EdgeId, EdgeData>,
+    edges: Edges,
     paths: FxHashMap<PathId, PathData>,
     /// The read layout, while no mutation has dropped it.
     dense: Option<Dense>,
@@ -449,12 +501,23 @@ impl PathPropertyGraph {
     // ------------------------------------------------------------------
 
     /// Make room for `nodes`, `edges` and `paths` more elements, so a
-    /// caller that knows how many it is about to insert grows each map
+    /// caller that knows how many it is about to insert grows each store
     /// once.
     pub fn reserve(&mut self, nodes: usize, edges: usize, paths: usize) {
         self.nodes.reserve(nodes);
-        self.edges.reserve(edges);
+        self.edges.ids.reserve(edges);
+        self.edges.data.reserve(edges);
         self.paths.reserve(paths);
+    }
+
+    /// Make room for exactly `out` more out-edges and `incoming` more
+    /// in-edges of `node` (nothing when it is no node), so a caller that
+    /// knows the degrees it is about to insert sizes each list once.
+    pub fn reserve_adjacency(&mut self, node: NodeId, out: usize, incoming: usize) {
+        if let Some(n) = self.nodes.get_mut(&node) {
+            n.outgoing.reserve_exact(out);
+            n.incoming.reserve_exact(incoming);
+        }
     }
 
     /// Insert a node. Re-inserting an existing node unions attributes
@@ -539,8 +602,9 @@ impl PathPropertyGraph {
         }
         self.dense = None;
         self.stats = None;
-        match self.edges.get_mut(&id) {
-            Some(existing) => {
+        match self.edges.find(id) {
+            Ok(i) => {
+                let existing = &mut self.edges.data[i];
                 if existing.src != src || existing.dst != dst {
                     return Err(GraphError::IdentityConflict(format!(
                         "edge {id} re-inserted with endpoints ({src}, {dst}), \
@@ -550,9 +614,9 @@ impl PathPropertyGraph {
                 }
                 existing.attrs.union_in_place(&attrs);
             }
-            None => {
+            Err(i) => {
                 let attrs = attrs.into_owned();
-                self.edges.insert(id, EdgeData { src, dst, attrs });
+                self.edges.insert(i, id, EdgeData { src, dst, attrs });
                 // Both endpoints were checked above.
                 if let Some(s) = self.nodes.get_mut(&src) {
                     s.outgoing.push(id);
@@ -621,7 +685,7 @@ impl PathPropertyGraph {
             }
         }
         for (i, &e) in shape.edges().iter().enumerate() {
-            let Some(data) = self.edges.get(&e) else {
+            let Some(data) = self.edges.get(e) else {
                 return Err(GraphError::PathUnknownEdge { path: id, edge: e });
             };
             let a = shape.nodes()[i];
@@ -651,7 +715,7 @@ impl PathPropertyGraph {
 
     /// The edge payload, if `id ∈ E`.
     pub fn edge(&self, id: EdgeId) -> Option<&EdgeData> {
-        self.edges.get(&id)
+        self.edges.get(id)
     }
 
     /// The path payload, if `id ∈ P`.
@@ -666,7 +730,7 @@ impl PathPropertyGraph {
 
     /// True iff `id ∈ E`.
     pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edges.contains_key(&id)
+        self.edges.find(id).is_ok()
     }
 
     /// True iff `id ∈ P`.
@@ -676,14 +740,14 @@ impl PathPropertyGraph {
 
     /// ρ(e) = (src, dst).
     pub fn endpoints(&self, id: EdgeId) -> Option<(NodeId, NodeId)> {
-        self.edges.get(&id).map(|e| (e.src, e.dst))
+        self.edges.get(id).map(|e| (e.src, e.dst))
     }
 
     /// The attributes of any element sort, or `None` if absent.
     pub fn attributes(&self, id: ElementId) -> Option<&Attributes> {
         match id {
             ElementId::Node(n) => self.nodes.get(&n).map(|n| &n.data.attrs),
-            ElementId::Edge(e) => self.edges.get(&e).map(|d| &d.attrs),
+            ElementId::Edge(e) => self.edges.get(e).map(|d| &d.attrs),
             ElementId::Path(p) => self.paths.get(&p).map(|d| &d.attrs),
         }
     }
@@ -856,7 +920,7 @@ impl PathPropertyGraph {
 
     /// |E|.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edges.ids.len()
     }
 
     /// |P|.
@@ -866,7 +930,7 @@ impl PathPropertyGraph {
 
     /// True for G∅.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty() && self.edges.is_empty() && self.paths.is_empty()
+        self.nodes.is_empty() && self.edges.ids.is_empty() && self.paths.is_empty()
     }
 
     /// Node identifiers in arbitrary order (fast).
@@ -874,14 +938,37 @@ impl PathPropertyGraph {
         self.nodes.keys().copied()
     }
 
-    /// Edge identifiers in arbitrary order (fast).
+    /// Edge identifiers, ascending (the store's order: fast).
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges.keys().copied()
+        self.edges.ids.iter().copied()
     }
 
     /// Path identifiers in arbitrary order (fast).
     pub fn path_ids(&self) -> impl Iterator<Item = PathId> + '_ {
         self.paths.keys().copied()
+    }
+
+    /// Every node with its payload, in arbitrary order (fast).
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &NodeData)> + '_ {
+        self.nodes.iter().map(|(&id, n)| (id, &n.data))
+    }
+
+    /// Every edge with its payload, ascending (the store's order: fast).
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (EdgeId, &EdgeData)> + Clone + '_ {
+        self.edges.iter()
+    }
+
+    /// Every stored path with its payload, in arbitrary order (fast).
+    pub fn paths(&self) -> impl Iterator<Item = (PathId, &PathData)> + '_ {
+        self.paths.iter().map(|(&id, p)| (id, p))
+    }
+
+    /// How many edge inserts so far landed below the graph's last edge
+    /// identifier and so shifted the edge store, rather than appending.
+    /// Zero for a graph built in id order; a diagnostic of who hands
+    /// edges over out of order.
+    pub fn shifted_edge_inserts(&self) -> usize {
+        self.edges.shifted
     }
 
     /// Node identifiers sorted ascending — the deterministic order used by
@@ -894,9 +981,7 @@ impl PathPropertyGraph {
 
     /// Edge identifiers sorted ascending (deterministic order).
     pub fn edge_ids_sorted(&self) -> Vec<EdgeId> {
-        let mut v: Vec<EdgeId> = self.edges.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.edges.ids.clone()
     }
 
     /// Path identifiers sorted ascending (deterministic order).
@@ -928,14 +1013,9 @@ impl PathPropertyGraph {
 
     /// Edges carrying `label`, sorted by id.
     pub fn edges_with_label(&self, label: Label) -> Vec<EdgeId> {
-        let mut v: Vec<EdgeId> = self
-            .edges
-            .iter()
-            .filter(|(_, d)| d.attrs.labels.contains(label))
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
+        let edges = self.edges.iter();
+        let carrying = edges.filter(|(_, d)| d.attrs.labels.contains(label));
+        carrying.map(|(id, _)| id).collect()
     }
 
     /// Paths carrying `label`, sorted by id.
@@ -958,7 +1038,7 @@ impl PathPropertyGraph {
     /// mutation API maintains these invariants; this is the belt-and-braces
     /// check used by tests and after bulk operations.
     pub fn validate(&self) -> Result<(), GraphError> {
-        for (&id, e) in &self.edges {
+        for (id, e) in self.edges.iter() {
             if !self.nodes.contains_key(&e.src) {
                 return Err(GraphError::DanglingEdge {
                     edge: id,
@@ -982,27 +1062,28 @@ impl PathPropertyGraph {
     // Structural equality
     // ------------------------------------------------------------------
 
-    /// Equality of the tuples (N, E, P, ρ, δ, λ, σ). Unlike `==` on the
-    /// struct (which compares hash maps directly and is also fine), this
-    /// reports the first difference for test diagnostics.
+    /// Equality of the tuples (N, E, P, ρ, δ, λ, σ), reporting the first
+    /// difference for test diagnostics; `==` is `same_as(..).is_ok()`.
+    /// Two edge stores are equal when their vectors are.
     pub fn same_as(&self, other: &PathPropertyGraph) -> Result<(), String> {
-        if self.node_ids_sorted() != other.node_ids_sorted() {
+        let nodes = self.node_ids_sorted();
+        if nodes != other.node_ids_sorted() {
             return Err("node sets differ".into());
         }
-        if self.edge_ids_sorted() != other.edge_ids_sorted() {
+        if self.edges.ids != other.edges.ids {
             return Err("edge sets differ".into());
         }
         if self.path_ids_sorted() != other.path_ids_sorted() {
             return Err("path sets differ".into());
         }
-        for id in self.node_ids_sorted() {
+        for id in nodes {
             // Adjacency follows from the edges, compared below.
             if self.nodes[&id].data != other.nodes[&id].data {
                 return Err(format!("node {id} differs"));
             }
         }
-        for id in self.edge_ids_sorted() {
-            if self.edges[&id] != other.edges[&id] {
+        for ((id, mine), theirs) in self.edges.iter().zip(&other.edges.data) {
+            if mine != theirs {
                 return Err(format!("edge {id} differs"));
             }
         }

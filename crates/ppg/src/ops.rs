@@ -7,23 +7,53 @@
 //! empty PPG; [`union`] and [`intersect`] follow that literally.
 
 use crate::error::GraphError;
-use crate::graph::PathPropertyGraph;
-use crate::ids::{EdgeId, PathId};
+use crate::graph::{EdgeData, PathPropertyGraph};
+use crate::ids::EdgeId;
+use std::cmp::Ordering;
+
+/// Where an edge of a two-graph merge lies.
+enum Merged<'g> {
+    /// In the first graph only.
+    Left(&'g EdgeData),
+    /// In the second graph only.
+    Right(&'g EdgeData),
+    /// In both.
+    Both(&'g EdgeData, &'g EdgeData),
+}
+
+/// The edges of `a` and `b` in one ascending walk over their two sorted
+/// stores, each identifier once.
+fn merged_edges<'g>(
+    a: &'g PathPropertyGraph,
+    b: &'g PathPropertyGraph,
+) -> impl Iterator<Item = (EdgeId, Merged<'g>)> {
+    let (mut a, mut b) = (a.edges().peekable(), b.edges().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x.0.cmp(&y.0),
+            (Some(_), None) => Ordering::Less,
+            (None, _) => Ordering::Greater,
+        };
+        Some(match order {
+            Ordering::Less => a.next().map(|(id, x)| (id, Merged::Left(x)))?,
+            Ordering::Greater => b.next().map(|(id, y)| (id, Merged::Right(y)))?,
+            Ordering::Equal => {
+                let ((id, x), (_, y)) = a.next().zip(b.next())?;
+                (id, Merged::Both(x, y))
+            }
+        })
+    })
+}
 
 /// Are `a` and `b` consistent in the sense of §A.5?
 pub fn consistent(a: &PathPropertyGraph, b: &PathPropertyGraph) -> Result<(), GraphError> {
-    // Iterate over the smaller edge set.
-    let (small, large) = if a.edge_count() <= b.edge_count() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    for e in small.edge_ids() {
-        if let (Some(x), Some(y)) = (small.endpoints(e), large.endpoints(e)) {
-            if x != y {
+    for (e, merged) in merged_edges(a, b) {
+        if let Merged::Both(x, y) = merged {
+            if (x.src, x.dst) != (y.src, y.dst) {
                 return Err(GraphError::IdentityConflict(format!(
                     "shared edge {e} has endpoints {:?} in one graph and {:?} in the other",
-                    x, y
+                    (x.src, x.dst),
+                    (y.src, y.dst)
                 )));
             }
         }
@@ -64,12 +94,18 @@ fn try_union(
             out.add_node_ref(id, &g.node(id).expect("listed id").attrs);
         }
     }
-    for g in [a, b] {
-        for id in g.edge_ids_sorted() {
-            let e = g.edge(id).expect("listed id");
-            out.add_edge_ref(id, e.src, e.dst, &e.attrs)
-                .expect("endpoints inserted above");
+    // The merge hands the edges over in ascending id: each one appends.
+    out.reserve(0, a.edge_count().max(b.edge_count()), 0);
+    for (id, merged) in merged_edges(a, b) {
+        match merged {
+            Merged::Left(e) | Merged::Right(e) => out.add_edge_ref(id, e.src, e.dst, &e.attrs),
+            Merged::Both(x, y) => {
+                let mut attrs = x.attrs.clone();
+                attrs.union_in_place(&y.attrs);
+                out.add_edge(id, x.src, x.dst, attrs)
+            }
         }
+        .expect("endpoints inserted above");
     }
     for g in [a, b] {
         for id in g.path_ids_sorted() {
@@ -99,8 +135,8 @@ fn try_intersect(
             out.add_node(id, na.attrs.intersect(&nb.attrs));
         }
     }
-    for id in a.edge_ids_sorted() {
-        if let (Some(ea), Some(eb)) = (a.edge(id), b.edge(id)) {
+    for (id, merged) in merged_edges(a, b) {
+        if let Merged::Both(ea, eb) = merged {
             // Consistency guarantees equal endpoints; both graphs are
             // well-formed, so the endpoints are in N₁ ∩ N₂.
             out.add_edge(id, ea.src, ea.dst, ea.attrs.intersect(&eb.attrs))
@@ -131,24 +167,18 @@ pub fn difference(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyG
             out.add_node(id, a.node(id).expect("listed id").attrs.clone());
         }
     }
-    let mut surviving_edges: Vec<EdgeId> = Vec::new();
-    for id in a.edge_ids_sorted() {
-        if b.contains_edge(id) {
-            continue;
-        }
-        let e = a.edge(id).expect("listed id");
-        if out.contains_node(e.src) && out.contains_node(e.dst) {
-            out.add_edge(id, e.src, e.dst, e.attrs.clone())
-                .expect("endpoints checked");
-            surviving_edges.push(id);
+    for (id, merged) in merged_edges(a, b) {
+        if let Merged::Left(e) = merged {
+            if out.contains_node(e.src) && out.contains_node(e.dst) {
+                out.add_edge(id, e.src, e.dst, e.attrs.clone())
+                    .expect("endpoints checked");
+            }
         }
     }
-    let surviving_paths: Vec<PathId> = a
-        .path_ids_sorted()
-        .into_iter()
-        .filter(|id| !b.contains_path(*id))
-        .collect();
-    for id in surviving_paths {
+    for id in a.path_ids_sorted() {
+        if b.contains_path(id) {
+            continue;
+        }
         let p = a.path(id).expect("listed id");
         let nodes_ok = p.shape.nodes().iter().all(|n| out.contains_node(*n));
         let edges_ok = p.shape.edges().iter().all(|e| out.contains_edge(*e));
@@ -164,7 +194,7 @@ pub fn difference(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyG
 mod tests {
     use super::*;
     use crate::graph::Attributes;
-    use crate::ids::NodeId;
+    use crate::ids::{NodeId, PathId};
     use crate::path::PathShape;
     use crate::symbols::Key;
 

@@ -108,8 +108,8 @@ impl GraphStats {
     pub fn compute(graph: &PathPropertyGraph) -> GraphStats {
         let mut nodes_per_label: FxHashMap<Label, u64> = FxHashMap::default();
         let mut node_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
-        for id in graph.node_ids() {
-            let attrs = &graph.node(id).expect("iterated id").attrs;
+        for (_, node) in graph.nodes() {
+            let attrs = &node.attrs;
             for l in attrs.labels.iter() {
                 *nodes_per_label.entry(l).or_default() += 1;
             }
@@ -123,8 +123,7 @@ impl GraphStats {
 
         let mut edge_rel: FxHashMap<Label, (u64, Vec<NodeId>, Vec<NodeId>)> = FxHashMap::default();
         let mut edge_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
-        for id in graph.edge_ids() {
-            let data = graph.edge(id).expect("iterated id");
+        for (_, data) in graph.edges() {
             for l in data.attrs.labels.iter() {
                 let slot = edge_rel.entry(l).or_default();
                 slot.0 += 1;

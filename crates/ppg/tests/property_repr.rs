@@ -1,13 +1,20 @@
-//! The compact property representations against plain models.
+//! The compact write-layout representations against plain models.
 //!
 //! [`PropertySet`] keeps a lone value inline and [`PropertyMap`] keeps
 //! one vector sorted by key. Whatever a sequence of operations leaves
 //! behind, both must behave like the sorted, deduplicated `Vec<Value>`
 //! and the `BTreeMap<Key, PropertySet>` they stand for: the same
-//! members, and the same equality, order and hash.
+//! members, and the same equality, order and hash. A graph's edges are
+//! one identifier-ordered pair of vectors; inserted in any order, merged
+//! and combined by the set operations, they must behave like a
+//! `BTreeMap<EdgeId, EdgeData>`.
 
-use gcore_ppg::{Key, PropertyMap, PropertySet, Value};
+use gcore_ppg::{
+    ops, Attributes, EdgeData, EdgeId, GraphError, Key, NodeId, PathPropertyGraph, PropertyMap,
+    PropertySet, Value,
+};
 use proptest::prelude::*;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -190,6 +197,187 @@ proptest! {
             prop_assert!(map.keys().eq(oracle.keys()));
             prop_assert_eq!(map.iter().len(), oracle.len());
             prop_assert_eq!(format!("{map:?}"), format!("{oracle:?}"));
+        }
+    }
+}
+
+/// Edge identifiers are drawn below this, node identifiers below
+/// [`NODES`]: small, so inserts collide and re-inserts merge.
+const EDGE_IDS: u64 = 12;
+const NODES: u64 = 5;
+
+/// One edge insert: identifier, source, destination, and a label and a
+/// property value by pool index.
+type EdgeOp = (u64, u64, u64, usize, usize);
+
+fn edge_ops() -> impl Strategy<Value = Vec<EdgeOp>> {
+    let op = (0..EDGE_IDS, 0..NODES, 0..NODES, 0usize..3, 0usize..9);
+    prop::collection::vec(op, 0..24)
+}
+
+fn edge_attrs(label: usize, value: usize) -> Attributes {
+    let attrs = Attributes::labeled(["repr_a", "repr_b", "repr_c"][label]);
+    match pool(value) {
+        Value::Null => attrs,
+        v => attrs.with_prop("repr_w", v),
+    }
+}
+
+/// A graph of `nodes` after `ops`, and its model, checked after every
+/// insert: a new identifier is inserted, a known one with the same
+/// endpoints merges, with other endpoints it is an identity conflict and
+/// changes nothing, and an endpoint that is no node is refused.
+fn build(nodes: &[u64], ops: &[EdgeOp]) -> (PathPropertyGraph, BTreeMap<EdgeId, EdgeData>) {
+    let mut g = PathPropertyGraph::new();
+    for &n in nodes {
+        g.add_node(NodeId(n), Attributes::new());
+    }
+    let mut model: BTreeMap<EdgeId, EdgeData> = BTreeMap::new();
+    for &(id, src, dst, label, value) in ops {
+        let (id, src, dst) = (EdgeId(id), NodeId(src), NodeId(dst));
+        let attrs = edge_attrs(label, value);
+        let got = g.add_edge(id, src, dst, attrs.clone());
+        if ![src, dst].iter().all(|n| nodes.contains(&n.raw())) {
+            assert!(
+                matches!(got, Err(GraphError::DanglingEdge { .. })),
+                "{got:?}"
+            );
+            continue;
+        }
+        match model.entry(id) {
+            Entry::Vacant(slot) => {
+                assert_eq!(got, Ok(()));
+                slot.insert(EdgeData { src, dst, attrs });
+            }
+            Entry::Occupied(mut slot) => {
+                let known = slot.get_mut();
+                if (known.src, known.dst) == (src, dst) {
+                    assert_eq!(got, Ok(()));
+                    known.attrs.union_in_place(&attrs);
+                } else {
+                    assert!(
+                        matches!(got, Err(GraphError::IdentityConflict(_))),
+                        "{got:?}"
+                    );
+                }
+            }
+        }
+        check_edges(&g, &model);
+    }
+    (g, model)
+}
+
+/// `g`'s edges are the model's: lookups, the ascending listings, and
+/// each node's adjacency.
+fn check_edges(g: &PathPropertyGraph, model: &BTreeMap<EdgeId, EdgeData>) {
+    assert_eq!(g.edge_count(), model.len());
+    assert!(g.edge_ids().eq(model.keys().copied()), "{:?}", model.keys());
+    assert_eq!(
+        g.edge_ids_sorted(),
+        model.keys().copied().collect::<Vec<_>>()
+    );
+    assert!(g.edges().eq(model.iter().map(|(&id, e)| (id, e))));
+    for id in (0..=EDGE_IDS).map(EdgeId) {
+        assert_eq!(g.edge(id), model.get(&id), "{id}");
+        assert_eq!(g.contains_edge(id), model.contains_key(&id), "{id}");
+        assert_eq!(g.endpoints(id), model.get(&id).map(|e| (e.src, e.dst)));
+    }
+    for n in (0..NODES).map(NodeId) {
+        let ending = |at: fn(&EdgeData) -> NodeId| -> Vec<EdgeId> {
+            let at_n = model.iter().filter(|(_, e)| at(e) == n);
+            at_n.map(|(&id, _)| id).collect()
+        };
+        let sorted = |edges: &[EdgeId]| {
+            let mut edges = edges.to_vec();
+            edges.sort_unstable();
+            edges
+        };
+        assert_eq!(sorted(g.out_edges(n)), ending(|e| e.src), "out of {n}");
+        assert_eq!(sorted(g.in_edges(n)), ending(|e| e.dst), "into {n}");
+    }
+    g.validate().expect("well-formed");
+}
+
+/// The model's graph, built in ascending identifier order.
+fn from_model(nodes: &[u64], model: &BTreeMap<EdgeId, EdgeData>) -> PathPropertyGraph {
+    let mut g = PathPropertyGraph::new();
+    for &n in nodes {
+        g.add_node(NodeId(n), Attributes::new());
+    }
+    for (&id, e) in model {
+        g.add_edge(id, e.src, e.dst, e.attrs.clone())
+            .expect("model edge");
+    }
+    assert_eq!(g.shifted_edge_inserts(), 0);
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn edges_agree_with_a_btree_map(ops in edge_ops(), pick in 0usize..EDGE_IDS as usize) {
+        let nodes: Vec<u64> = (0..NODES).collect();
+        let (g, model) = build(&nodes, &ops);
+        // Equal whatever order the edges came in; one edge fewer, or
+        // one edge's attributes changed, is a difference.
+        let same = from_model(&nodes, &model);
+        prop_assert_eq!(g.same_as(&same), Ok(()));
+        prop_assert_eq!(&g, &same);
+        if let Some(&id) = model.keys().nth(pick % model.len().max(1)) {
+            let mut fewer = model.clone();
+            fewer.remove(&id);
+            prop_assert!(g.same_as(&from_model(&nodes, &fewer)).is_err());
+            let mut changed = model.clone();
+            if let Some(e) = changed.get_mut(&id) {
+                e.attrs.labels.insert(gcore_ppg::Label::new("repr_changed"));
+            }
+            let differs = g.same_as(&from_model(&nodes, &changed));
+            prop_assert_eq!(differs, Err(format!("edge {id} differs")));
+        }
+    }
+
+    #[test]
+    fn set_operations_on_edges_agree_with_the_model(
+        a_ops in edge_ops(),
+        b_ops in edge_ops(),
+        b_mask in 0u8..32,
+    ) {
+        let a_nodes: Vec<u64> = (0..NODES).collect();
+        let b_nodes: Vec<u64> = (0..NODES).filter(|n| b_mask & (1 << n) != 0).collect();
+        let (a, ma) = build(&a_nodes, &a_ops);
+        let (b, mb) = build(&b_nodes, &b_ops);
+        let consistent = ma.iter().all(|(id, e)| {
+            mb.get(id).is_none_or(|f| (f.src, f.dst) == (e.src, e.dst))
+        });
+        let (union, intersection) = (ops::union(&a, &b), ops::intersect(&a, &b));
+        if consistent {
+            let mut mu = ma.clone();
+            for (&id, e) in &mb {
+                mu.entry(id)
+                    .and_modify(|mine| mine.attrs.union_in_place(&e.attrs))
+                    .or_insert_with(|| e.clone());
+            }
+            check_edges(&union, &mu);
+            let shared = ma.iter().filter_map(|(&id, e)| {
+                let f = mb.get(&id)?;
+                let attrs = e.attrs.intersect(&f.attrs);
+                Some((id, EdgeData { attrs, ..e.clone() }))
+            });
+            check_edges(&intersection, &shared.collect());
+        } else {
+            // §A.5: inconsistent graphs have the empty union and
+            // intersection.
+            prop_assert!(union.is_empty() && intersection.is_empty());
+        }
+        // G₁ ∖ G₂ keeps G₁'s edges outside E₂ with both endpoints
+        // outside N₂.
+        let survives = |e: &EdgeData| [e.src, e.dst].iter().all(|n| !b_nodes.contains(&n.raw()));
+        let kept = ma.iter().filter(|(id, e)| !mb.contains_key(id) && survives(e));
+        let md: BTreeMap<EdgeId, EdgeData> = kept.map(|(&id, e)| (id, e.clone())).collect();
+        check_edges(&ops::difference(&a, &b), &md);
+        for g in [union, intersection, ops::difference(&a, &b)] {
+            prop_assert_eq!(g.shifted_edge_inserts(), 0);
         }
     }
 }

@@ -36,6 +36,7 @@
 use crate::error::StoreError;
 use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
 use gcore_ppg::export::ElementRef;
+use gcore_ppg::hash::FxHashMap;
 use gcore_ppg::{
     sorted_elements, Attributes, Date, EdgeLabelStats, GraphStats, Key, Label, PathPropertyGraph,
     PathShape, PropStats, PropertyMap, PropertySet, Table, Value,
@@ -128,14 +129,14 @@ impl SymbolTable {
                 }
             }
         };
-        for id in g.node_ids() {
-            visit(&g.node(id).expect("listed id").attrs);
+        for (_, d) in g.nodes() {
+            visit(&d.attrs);
         }
-        for id in g.edge_ids() {
-            visit(&g.edge(id).expect("listed id").attrs);
+        for (_, d) in g.edges() {
+            visit(&d.attrs);
         }
-        for id in g.path_ids() {
-            visit(&g.path(id).expect("listed id").attrs);
+        for (_, d) in g.paths() {
+            visit(&d.attrs);
         }
         let labels = number_by_name(
             &mut label_refs,
@@ -397,6 +398,28 @@ fn decode_attrs(
     Ok(attrs)
 }
 
+/// Step over one attribute block without building it: the degree
+/// count reads only an edge's endpoints.
+fn skip_attrs(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
+    for _ in 0..cur.u32()? {
+        let _label_ref = cur.u32()?;
+    }
+    for _ in 0..cur.u32()? {
+        let _key_ref = cur.u32()?;
+        for _ in 0..cur.u32()? {
+            let len = match cur.u8()? {
+                VALUE_BOOL => 1,
+                VALUE_INT | VALUE_FLOAT => 8,
+                VALUE_STR => cur.u32()? as usize,
+                VALUE_DATE => 6,
+                tag => return Err(StoreError::Corrupt(format!("unknown value tag {tag}"))),
+            };
+            cur.take(len)?;
+        }
+    }
+    Ok(())
+}
+
 /// Read one section envelope: expect `tag`, verify the checksum, return
 /// the payload slice.
 fn read_section<'a>(
@@ -477,16 +500,40 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
     );
 
     let mut sec = Cursor::new(nodes);
+    let mut degrees =
+        FxHashMap::with_capacity_and_hasher(sec.capacity_for(node_count, 16), Default::default());
     for _ in 0..node_count {
         let id = gcore_ppg::NodeId(sec.u64()?);
         let attrs = decode_attrs(&mut sec, &labels, &keys)?;
         g.add_node(id, attrs);
+        degrees.insert(id, (0usize, 0usize));
     }
     if !sec.is_empty() {
         return Err(StoreError::Corrupt("trailing bytes in nodes".into()));
     }
     if g.node_count() != node_count {
         return Err(StoreError::Corrupt("duplicate node identifiers".into()));
+    }
+
+    // Each node's out- and in-degree, counted in one pass over the
+    // checksummed edge section, so every adjacency list is sized once.
+    // An endpoint that is no node is left to the decoding pass to report.
+    let mut sec = Cursor::new(edges);
+    for _ in 0..edge_count {
+        let _id = sec.u64()?;
+        let (src, dst) = (gcore_ppg::NodeId(sec.u64()?), gcore_ppg::NodeId(sec.u64()?));
+        skip_attrs(&mut sec)?;
+        if let Some(d) = degrees.get_mut(&src) {
+            d.0 += 1;
+        }
+        if let Some(d) = degrees.get_mut(&dst) {
+            d.1 += 1;
+        }
+    }
+    for (id, (out, incoming)) in degrees {
+        if out + incoming > 0 {
+            g.reserve_adjacency(id, out, incoming);
+        }
     }
 
     let mut sec = Cursor::new(edges);
