@@ -40,7 +40,7 @@ use gcore_parser::ast::{
     SelectQuery, SetItem, Statement,
 };
 use gcore_parser::token::Span;
-use gcore_ppg::Catalog;
+use gcore_ppg::{Catalog, Key, Label};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -153,10 +153,12 @@ pub struct CatalogSummary {
 }
 
 impl CatalogSummary {
-    /// Summarize `catalog`: one pass over every element of every graph.
+    /// Summarize `catalog`: one pass over every element of every graph,
+    /// collecting label and key symbols; each distinct one is named once.
     #[must_use]
     pub fn of(catalog: &Catalog) -> CatalogSummary {
         let mut s = CatalogSummary::default();
+        let (mut labels, mut keys) = (BTreeSet::<Label>::new(), BTreeSet::<Key>::new());
         for name in catalog.graph_names() {
             let Ok(graph) = catalog.graph(&name) else {
                 continue;
@@ -165,11 +167,13 @@ impl CatalogSummary {
             let edges = graph.edges().map(|(_, d)| &d.attrs);
             let paths = graph.paths().map(|(_, d)| &d.attrs);
             for attrs in nodes.chain(edges).chain(paths) {
-                s.labels.extend(attrs.labels.iter().map(|l| l.name()));
-                s.keys.extend(attrs.properties.keys().map(|k| k.name()));
+                labels.extend(attrs.labels.iter());
+                keys.extend(attrs.properties.keys());
             }
             s.graphs.insert(name);
         }
+        s.labels.extend(labels.into_iter().map(Label::name));
+        s.keys.extend(keys.into_iter().map(Key::name));
         for name in catalog.table_names() {
             if let Ok(table) = catalog.table(&name) {
                 // `MATCH (o) ON table` exposes columns as properties.

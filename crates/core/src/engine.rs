@@ -210,8 +210,9 @@ impl Engine {
     }
 
     /// The snapshot of the current epoch, freezing one lazily on first
-    /// use after a commit. Freezing force-builds every graph's label
-    /// index, so snapshot evaluation never hits the scan fallback.
+    /// use after a commit. Freezing builds nothing: every catalog graph
+    /// already carries its read layout and statistics, built when it was
+    /// registered.
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         if self.snapshot.is_none() {
             let frozen = EngineSnapshot::freeze(self.catalog.clone(), self.epoch);

@@ -59,7 +59,7 @@ pub enum Rv<'a> {
     List(Vec<Rv<'a>>),
 }
 
-impl<'a> Rv<'a> {
+impl Rv<'_> {
     /// An owned scalar.
     pub fn value(v: Value) -> Self {
         Rv::Value(Cow::Owned(v))
@@ -447,7 +447,7 @@ fn element(rv: &Rv<'_>) -> Option<ElementId> {
     }
 }
 
-impl<'e> Compiled<'e> {
+impl Compiled<'_> {
     /// Evaluate for the row of `env` (which must have the scopes the
     /// expression was compiled against).
     pub(crate) fn eval<'a>(&'a self, ctx: &EvalCtx, env: &Env<'a>) -> Result<Rv<'a>> {
@@ -989,7 +989,9 @@ fn eval_aggregate<'a>(
             if distinct {
                 values.sort_by(|a, b| a.total_cmp(b));
                 values.dedup_by(|a, b| a.total_cmp(b) == Ordering::Equal);
-                values.into_iter().for_each(|v| fold.push(v));
+                for v in values {
+                    fold.push(v);
+                }
             }
         }
     }

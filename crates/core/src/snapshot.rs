@@ -14,9 +14,11 @@
 //! [`EvalCtx`](crate::EvalCtx).
 //!
 //! Every graph in a snapshot carries its read layout (node positions,
-//! a CSR per edge label, label groups) and planner statistics: [`Catalog::register_graph`] builds both on entry
-//! and is the only way into a catalog, and a snapshot is immutable,
-//! so evaluation over one never hits the scan fallback.
+//! a CSR per edge label, label groups) and planner statistics:
+//! [`Catalog::register_graph`] builds both on entry and is the only way
+//! into a catalog, and a snapshot is immutable, so no evaluation drops
+//! them. A labelled step reads its label's CSR; an unlabelled step
+//! scans the node's adjacency, as it does on every graph.
 //!
 //! The snapshot also memoizes two kinds of path answer for the
 //! statements that run on it (the multi-user steady state repeats

@@ -114,9 +114,7 @@ impl Attributes {
     /// for what `other` adds: a label, key or value already present costs
     /// a lookup, so merging a subset of `self` changes nothing.
     pub fn union_in_place(&mut self, other: &Attributes) {
-        for l in other.labels.iter() {
-            self.labels.insert(l);
-        }
+        self.labels.union_in_place(&other.labels);
         for (k, vs) in &other.properties {
             match self.properties.get_mut(k) {
                 Some(mine) => {
@@ -275,7 +273,7 @@ impl Positions {
 #[derive(Clone, Debug)]
 struct Dense {
     at: Positions,
-    /// The edge labels, ascending. Label `edge_labels[l]`'s out-ranges
+    /// The edge labels, ascending. The `l`-th label's out-ranges
     /// start at `offsets[2l · (n + 1)]`, its in-ranges at
     /// `offsets[(2l + 1) · (n + 1)]`.
     edge_labels: Vec<Label>,
@@ -286,18 +284,20 @@ struct Dense {
     /// within a range.
     step_edges: Vec<EdgeId>,
     step_far: Vec<u32>,
-    /// The node labels, ascending; label `node_labels[g]`'s nodes are
+    /// The node labels, ascending; the `g`-th label's nodes are
     /// `groups[group_offsets[g]..group_offsets[g + 1]]`, ascending.
     node_labels: Vec<Label>,
     group_offsets: Vec<u32>,
     groups: Vec<u32>,
 }
 
-/// Insert `l` into the ascending, duplicate-free `labels`.
-fn insert_label(labels: &mut Vec<Label>, l: Label) {
-    if let Err(i) = labels.binary_search(&l) {
-        labels.insert(i, l);
-    }
+/// Every label `attrs` carry, ascending, once: a vector, as labelled
+/// steps search it each time and a set's storage branch costs there.
+fn labels_of<'g>(attrs: impl Iterator<Item = &'g Attributes>) -> Vec<Label> {
+    attrs
+        .flat_map(|a| a.labels.iter())
+        .collect::<LabelSet>()
+        .into_vec()
 }
 
 /// Turn per-slot counts, each one slot past the range it counts, into
@@ -314,17 +314,8 @@ fn prefix_sum(counts: &mut [u32]) {
 impl Dense {
     fn new(graph: &PathPropertyGraph) -> Self {
         let at = Positions::new(graph);
-        let (mut node_labels, mut edge_labels) = (Vec::new(), Vec::new());
-        for l in graph
-            .nodes
-            .values()
-            .flat_map(|n| n.data.attrs.labels.iter())
-        {
-            insert_label(&mut node_labels, l);
-        }
-        for l in graph.edges.data.iter().flat_map(|d| d.attrs.labels.iter()) {
-            insert_label(&mut edge_labels, l);
-        }
+        let node_labels = labels_of(graph.nodes.values().map(|n| &n.data.attrs));
+        let edge_labels = labels_of(graph.edges.data.iter().map(|d| &d.attrs));
         let label_of = |labels: &[Label], l| labels.partition_point(|&x| x < l);
 
         // Node groups: count, then fill in position order.
@@ -1001,14 +992,7 @@ impl PathPropertyGraph {
             let group = d.group_offsets[g] as usize..d.group_offsets[g + 1] as usize;
             return d.groups[group].iter().map(|&p| d.at.id(p)).collect();
         }
-        let mut v: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.data.attrs.labels.contains(label))
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
+        sorted_keys(&self.nodes, |n| n.data.attrs.labels.contains(label))
     }
 
     /// Edges carrying `label`, sorted by id.
@@ -1020,14 +1004,7 @@ impl PathPropertyGraph {
 
     /// Paths carrying `label`, sorted by id.
     pub fn paths_with_label(&self, label: Label) -> Vec<PathId> {
-        let mut v: Vec<PathId> = self
-            .paths
-            .iter()
-            .filter(|(_, d)| d.attrs.labels.contains(label))
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
+        sorted_keys(&self.paths, |d| d.attrs.labels.contains(label))
     }
 
     // ------------------------------------------------------------------
@@ -1094,6 +1071,18 @@ impl PathPropertyGraph {
         }
         Ok(())
     }
+}
+
+/// The identifiers in `map` whose entry passes `keep`, ascending (a
+/// scan: what the label listings do without the read layout).
+fn sorted_keys<I: Ord + Copy, V>(map: &FxHashMap<I, V>, keep: impl Fn(&V) -> bool) -> Vec<I> {
+    let mut v: Vec<I> = map
+        .iter()
+        .filter(|(_, e)| keep(e))
+        .map(|(&id, _)| id)
+        .collect();
+    v.sort_unstable();
+    v
 }
 
 impl PartialEq for PathPropertyGraph {

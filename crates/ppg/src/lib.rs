@@ -32,6 +32,7 @@
 
 pub mod builder;
 pub mod catalog;
+mod collections;
 pub mod error;
 pub mod export;
 pub mod graph;

@@ -10,41 +10,20 @@
 //! element's σ(x, ·): its sets by key.
 //!
 //! Nearly every stored set is a singleton and nearly every element has a
-//! handful of keys, so both are kept small: a one-value set holds its value
-//! inline (no heap block), and a map is one vector of `(key, set)` pairs
-//! sorted by key — one heap block per element with properties, however
-//! many keys it has. A set's equality, order and hashing are those of
-//! its sorted values, however it is stored.
+//! handful of keys: a one-value set holds its value inline, and a map is
+//! one vector of `(key, set)` pairs sorted by key — one heap block per
+//! element with properties.
 
+use crate::collections::SortedSet;
 use crate::symbols::Key;
 use crate::value::Value;
-use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
-/// A finite set of values — σ(x, k) in Definition 2.1.
-///
-/// Equality, order and hashing are those of the sorted value slice
-/// ([`PropertySet::values`]), however the set is stored.
-#[derive(Clone, Default)]
-pub struct PropertySet {
-    values: Values,
-}
-
-/// Storage of a [`PropertySet`]: sorted by `Value`'s total order,
-/// deduplicated. A lone value lives inline; `Many` holds none (the empty
-/// set, which allocates nothing) or two and more.
-#[derive(Clone)]
-enum Values {
-    One(Value),
-    Many(Vec<Value>),
-}
-
-impl Default for Values {
-    fn default() -> Self {
-        Values::Many(Vec::new())
-    }
-}
+/// A finite set of values — σ(x, k) in Definition 2.1 — that never holds
+/// `Null`. Equality, order and hashing are those of the sorted value
+/// slice ([`PropertySet::values`]), however the set is stored.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct PropertySet(SortedSet<Value>);
 
 impl PropertySet {
     /// The empty set (property absent).
@@ -58,64 +37,34 @@ impl PropertySet {
         if v.is_null() {
             return Self::empty();
         }
-        PropertySet {
-            values: Values::One(v),
-        }
+        PropertySet(SortedSet::single(v))
     }
 
     /// Build from any collection of values; `Null`s are dropped,
     /// duplicates collapse.
     pub fn from_values<I: IntoIterator<Item = Value>>(values: I) -> Self {
-        let mut s = Self::empty();
-        for v in values {
-            s.insert(v);
-        }
-        s
+        PropertySet(values.into_iter().filter(|v| !v.is_null()).collect())
     }
 
     /// Insert a value; returns true if it was new. `Null` is ignored.
     pub fn insert(&mut self, v: Value) -> bool {
-        if v.is_null() {
-            return false;
-        }
-        match &mut self.values {
-            Values::Many(vs) if vs.is_empty() => self.values = Values::One(v),
-            Values::Many(vs) => match vs.binary_search(&v) {
-                Ok(_) => return false,
-                Err(pos) => vs.insert(pos, v),
-            },
-            Values::One(one) => {
-                let order = (*one).cmp(&v);
-                if order == Ordering::Equal {
-                    return false;
-                }
-                // The inline value moves to the heap with the new one.
-                let one = std::mem::replace(one, Value::Null);
-                let both = if order == Ordering::Less {
-                    vec![one, v]
-                } else {
-                    vec![v, one]
-                };
-                self.values = Values::Many(both);
-            }
-        }
-        true
+        !v.is_null() && self.0.insert(v)
     }
 
     /// True when the property is absent (σ(x,k) = ∅).
     pub fn is_empty(&self) -> bool {
-        self.values().is_empty()
+        self.0.is_empty()
     }
 
     /// Cardinality of the set (the paper's SIZE-style length test on
     /// multi-valued properties).
     pub fn len(&self) -> usize {
-        self.values().len()
+        self.0.len()
     }
 
     /// Membership, using semantic value equality.
     pub fn contains(&self, v: &Value) -> bool {
-        self.values().binary_search(v).is_ok()
+        self.0.contains(v)
     }
 
     /// Set inclusion (the paper's SUBSET operator).
@@ -125,14 +74,14 @@ impl PropertySet {
 
     /// Set equality as used by `=` on multi-valued properties.
     pub fn set_eq(&self, other: &PropertySet) -> bool {
-        self.values() == other.values()
+        self == other
     }
 
     /// If the set is a singleton, the lone value.
     pub fn as_singleton(&self) -> Option<&Value> {
-        match &self.values {
-            Values::One(v) => Some(v),
-            Values::Many(_) => None,
+        match self.values() {
+            [v] => Some(v),
+            _ => None,
         }
     }
 
@@ -143,66 +92,23 @@ impl PropertySet {
 
     /// Sorted values as a slice.
     pub fn values(&self) -> &[Value] {
-        match &self.values {
-            Values::One(v) => std::slice::from_ref(v),
-            Values::Many(vs) => vs,
-        }
+        self.0.as_slice()
     }
 
     /// Union (graph union merges property sets, §A.5).
     pub fn union(&self, other: &PropertySet) -> PropertySet {
-        let mut out = self.clone();
-        out.union_in_place(other);
-        out
+        PropertySet(self.0.union(&other.0))
     }
 
     /// Add every value of `other` to this set, cloning only the ones it
     /// lacks.
     pub fn union_in_place(&mut self, other: &PropertySet) {
-        for v in other.iter() {
-            if !self.contains(v) {
-                self.insert(v.clone());
-            }
-        }
+        self.0.union_in_place(&other.0);
     }
 
     /// Intersection (graph intersection, §A.5).
     pub fn intersection(&self, other: &PropertySet) -> PropertySet {
-        self.iter().filter(|v| other.contains(v)).cloned().collect()
-    }
-}
-
-impl PartialEq for PropertySet {
-    fn eq(&self, other: &Self) -> bool {
-        self.values() == other.values()
-    }
-}
-
-impl Eq for PropertySet {}
-
-impl PartialOrd for PropertySet {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PropertySet {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.values().cmp(other.values())
-    }
-}
-
-impl Hash for PropertySet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.values().hash(state);
-    }
-}
-
-impl fmt::Debug for PropertySet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PropertySet")
-            .field("values", &self.values())
-            .finish()
+        PropertySet(self.0.intersection(&other.0))
     }
 }
 
@@ -225,29 +131,18 @@ impl fmt::Display for PropertySet {
     }
 }
 
-impl From<Value> for PropertySet {
-    fn from(v: Value) -> Self {
-        PropertySet::single(v)
-    }
+/// The singleton set of one scalar.
+macro_rules! singleton_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for PropertySet {
+            fn from(v: $t) -> Self {
+                PropertySet::single(v.into())
+            }
+        }
+    )*};
 }
 
-impl From<&str> for PropertySet {
-    fn from(s: &str) -> Self {
-        PropertySet::single(Value::str(s))
-    }
-}
-
-impl From<i64> for PropertySet {
-    fn from(i: i64) -> Self {
-        PropertySet::single(Value::Int(i))
-    }
-}
-
-impl From<f64> for PropertySet {
-    fn from(f: f64) -> Self {
-        PropertySet::single(Value::Float(f))
-    }
-}
+singleton_from!(Value, &str, i64, f64);
 
 impl FromIterator<Value> for PropertySet {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
@@ -276,25 +171,25 @@ impl PropertyMap {
         }
     }
 
-    fn find(&self, key: &Key) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    fn find(&self, key: Key) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(&key))
     }
 
     /// The set stored under `key`.
     pub fn get(&self, key: &Key) -> Option<&PropertySet> {
-        let i = self.find(key).ok()?;
+        let i = self.find(*key).ok()?;
         Some(&self.entries[i].1)
     }
 
     /// The set stored under `key`, mutably.
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut PropertySet> {
-        let i = self.find(key).ok()?;
+        let i = self.find(*key).ok()?;
         Some(&mut self.entries[i].1)
     }
 
     /// Store `values` under `key`; returns the set it replaces.
     pub fn insert(&mut self, key: Key, values: PropertySet) -> Option<PropertySet> {
-        match self.find(&key) {
+        match self.find(key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, values)),
             Err(i) => {
                 // Most elements have one key: room for one, not the
@@ -310,7 +205,7 @@ impl PropertyMap {
 
     /// Remove `key`'s set and return it.
     pub fn remove(&mut self, key: &Key) -> Option<PropertySet> {
-        let i = self.find(key).ok()?;
+        let i = self.find(*key).ok()?;
         Some(self.entries.remove(i).1)
     }
 

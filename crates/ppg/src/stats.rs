@@ -19,7 +19,7 @@
 //! that reloads persisted stats plans identically to the engine that
 //! saved them.
 
-use crate::graph::PathPropertyGraph;
+use crate::graph::{Attributes, PathPropertyGraph};
 use crate::hash::FxHashMap;
 use crate::ids::NodeId;
 use crate::symbols::{Key, Label};
@@ -109,16 +109,10 @@ impl GraphStats {
         let mut nodes_per_label: FxHashMap<Label, u64> = FxHashMap::default();
         let mut node_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
         for (_, node) in graph.nodes() {
-            let attrs = &node.attrs;
-            for l in attrs.labels.iter() {
+            for l in node.attrs.labels.iter() {
                 *nodes_per_label.entry(l).or_default() += 1;
             }
-            for (k, vs) in &attrs.properties {
-                let slot = node_props.entry(*k).or_default();
-                slot.0 += 1;
-                slot.1 += vs.len() as u64;
-                slot.2.extend(vs.iter());
-            }
+            tally(&mut node_props, &node.attrs);
         }
 
         let mut edge_rel: FxHashMap<Label, (u64, Vec<NodeId>, Vec<NodeId>)> = FxHashMap::default();
@@ -130,12 +124,7 @@ impl GraphStats {
                 slot.1.push(data.src);
                 slot.2.push(data.dst);
             }
-            for (k, vs) in &data.attrs.properties {
-                let slot = edge_props.entry(*k).or_default();
-                slot.0 += 1;
-                slot.1 += vs.len() as u64;
-                slot.2.extend(vs.iter());
-            }
+            tally(&mut edge_props, &data.attrs);
         }
 
         let distinct_ids = |mut v: Vec<NodeId>| -> u64 {
@@ -198,35 +187,40 @@ impl GraphStats {
 
     /// Nodes carrying `label` (0 when the label occurs on no node).
     pub fn nodes_with_label(&self, label: Label) -> u64 {
-        self.nodes_per_label
-            .binary_search_by_key(&label, |(l, _)| *l)
-            .map(|i| self.nodes_per_label[i].1)
-            .unwrap_or(0)
+        assoc(&self.nodes_per_label, label).copied().unwrap_or(0)
     }
 
     /// The labeled edge relation for `label`, if any edge carries it.
     pub fn edge_relation(&self, label: Label) -> Option<&EdgeLabelStats> {
-        self.edges_per_label
-            .binary_search_by_key(&label, |(l, _)| *l)
-            .map(|i| &self.edges_per_label[i].1)
-            .ok()
+        assoc(&self.edges_per_label, label)
     }
 
     /// The node-property sketch for `key`, if any node carries it.
     pub fn node_prop(&self, key: Key) -> Option<&PropStats> {
-        self.node_props
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .map(|i| &self.node_props[i].1)
-            .ok()
+        assoc(&self.node_props, key)
     }
 
     /// The edge-property sketch for `key`, if any edge carries it.
     pub fn edge_prop(&self, key: Key) -> Option<&PropStats> {
-        self.edge_props
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .map(|i| &self.edge_props[i].1)
-            .ok()
+        assoc(&self.edge_props, key)
     }
+}
+
+/// Count `attrs`' properties into `props`: per key, the carriers, the
+/// values and the values themselves.
+fn tally<'g>(props: &mut FxHashMap<Key, (u64, u64, Vec<&'g Value>)>, attrs: &'g Attributes) {
+    for (k, vs) in &attrs.properties {
+        let slot = props.entry(*k).or_default();
+        slot.0 += 1;
+        slot.1 += vs.len() as u64;
+        slot.2.extend(vs.iter());
+    }
+}
+
+/// What `symbol` is paired with in a list sorted by symbol.
+fn assoc<S: Ord, T>(list: &[(S, T)], symbol: S) -> Option<&T> {
+    let i = list.binary_search_by(|(s, _)| s.cmp(&symbol)).ok()?;
+    Some(&list[i].1)
 }
 
 #[cfg(test)]

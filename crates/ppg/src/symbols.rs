@@ -5,80 +5,22 @@
 //! `u32` symbols so label tests and property lookups in the hot matching
 //! loops compare integers instead of strings.
 //!
-//! The interner is process-global: a symbol interned once means the same
-//! string everywhere, so graphs, queries and engines can be mixed freely.
-//! Name-to-symbol lookups — once per row in expression evaluation — read
-//! a per-thread cache of it first, so threads evaluating at once do not
-//! write the interner's shared lock state for every name they resolve.
+//! The symbol tables are process-global, so graphs, queries and engines
+//! can be mixed freely. Name-to-symbol lookups — once per row in
+//! expression evaluation — read a per-thread cache first, so threads
+//! evaluating at once do not write a table's lock for every name.
 
+use crate::collections::{Pool, SortedSet};
 use crate::hash::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{OnceLock, RwLock};
 use std::thread::LocalKey;
 
-/// An interned label name (element of `L`), used on nodes, edges and paths.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Label(u32);
-
-/// An interned property key (element of `K`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(u32);
-
-struct Interner {
-    by_name: HashMap<String, u32>,
-    names: Vec<String>,
-}
-
-impl Interner {
-    fn new() -> Self {
-        Interner {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-        }
-    }
-
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
-        id
-    }
-
-    fn resolve(&self, id: u32) -> String {
-        self.names[id as usize].clone()
-    }
-
-    fn lookup(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
-    }
-}
-
-fn labels() -> &'static RwLock<Interner> {
-    static LABELS: OnceLock<RwLock<Interner>> = OnceLock::new();
-    LABELS.get_or_init(|| RwLock::new(Interner::new()))
-}
-
-fn keys() -> &'static RwLock<Interner> {
-    static KEYS: OnceLock<RwLock<Interner>> = OnceLock::new();
-    KEYS.get_or_init(|| RwLock::new(Interner::new()))
-}
-
-/// A thread's copy of the names it has resolved in one interner. Symbols
-/// never change once interned, so a cached entry is never stale; a name
-/// not (yet) interned is never cached, so another thread interning it
-/// later is seen by the next lookup.
+/// A thread's copy of the names it has resolved in one symbol table.
+/// Symbols never change once interned, so a cached entry is never
+/// stale; a name not (yet) interned is never cached, so another thread
+/// interning it later is seen by the next lookup.
 type SymbolCache = RefCell<FxHashMap<Box<str>, u32>>;
-
-thread_local! {
-    static LABEL_CACHE: SymbolCache = RefCell::default();
-    static KEY_CACHE: SymbolCache = RefCell::default();
-}
 
 /// `name`'s symbol if this thread has resolved it before.
 fn cached(cache: &'static LocalKey<SymbolCache>, name: &str) -> Option<u32> {
@@ -91,276 +33,93 @@ fn remember(cache: &'static LocalKey<SymbolCache>, name: &str, id: u32) -> u32 {
     id
 }
 
-/// Look `name` up in `table` without interning it.
-fn lookup(table: &RwLock<Interner>, name: &str) -> Option<u32> {
-    table
-        .read()
-        .expect("a symbol interner panicked while locked")
-        .lookup(name)
-}
+/// A symbol type over its own process-global `table` of names, read
+/// through this thread's `cache` first.
+macro_rules! symbol_type {
+    ($(#[$doc:meta])* $name:ident, $table:ident, $cache:ident, $sigil:literal) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $name(u32);
 
-/// Intern `name` in `table`. A name already interned — nearly every
-/// call once a graph is loaded — is found under the shared read lock;
-/// only a miss takes the write lock, and [`Interner::intern`] re-checks
-/// under it, so racing first interners agree on one symbol.
-fn intern(table: &RwLock<Interner>, name: &str) -> u32 {
-    lookup(table, name).unwrap_or_else(|| {
-        table
-            .write()
-            .expect("a symbol interner panicked while locked")
-            .intern(name)
-    })
-}
+        static $table: Pool<String> = Pool::new();
 
-impl Label {
-    /// Intern `name`, returning its symbol. Idempotent.
-    pub fn new(name: &str) -> Label {
-        let id = cached(&LABEL_CACHE, name);
-        Label(id.unwrap_or_else(|| remember(&LABEL_CACHE, name, intern(labels(), name))))
-    }
-
-    /// Look up a label that may or may not have been interned yet.
-    /// Useful to test "does this graph use label X" without polluting the
-    /// interner.
-    pub fn lookup(name: &str) -> Option<Label> {
-        let id = cached(&LABEL_CACHE, name);
-        let id = id.or_else(|| lookup(labels(), name).map(|id| remember(&LABEL_CACHE, name, id)));
-        id.map(Label)
-    }
-
-    /// The label's textual name.
-    pub fn name(self) -> String {
-        labels().read().unwrap().resolve(self.0)
-    }
-
-    /// Raw symbol number (stable within a process only).
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-impl Key {
-    /// Intern `name`, returning its symbol. Idempotent.
-    pub fn new(name: &str) -> Key {
-        let id = cached(&KEY_CACHE, name);
-        Key(id.unwrap_or_else(|| remember(&KEY_CACHE, name, intern(keys(), name))))
-    }
-
-    /// Look up a key that may or may not have been interned yet.
-    pub fn lookup(name: &str) -> Option<Key> {
-        let id = cached(&KEY_CACHE, name);
-        let id = id.or_else(|| lookup(keys(), name).map(|id| remember(&KEY_CACHE, name, id)));
-        id.map(Key)
-    }
-
-    /// The key's textual name.
-    pub fn name(self) -> String {
-        keys().read().unwrap().resolve(self.0)
-    }
-
-    /// Raw symbol number (stable within a process only).
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Debug for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, ":{}", self.name())
-    }
-}
-
-impl fmt::Display for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
-    }
-}
-
-impl fmt::Debug for Key {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, ".{}", self.name())
-    }
-}
-
-impl fmt::Display for Key {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
-    }
-}
-
-impl From<&str> for Label {
-    fn from(s: &str) -> Self {
-        Label::new(s)
-    }
-}
-
-impl From<&str> for Key {
-    fn from(s: &str) -> Self {
-        Key::new(s)
-    }
-}
-
-/// A small sorted set of labels, as assigned by the paper's λ function
-/// (λ maps each element to a *finite set* of labels).
-///
-/// Equality, order and hashing are those of the sorted label slice
-/// ([`LabelSet::iter`]'s order), however the set is stored.
-#[derive(Clone, Default)]
-pub struct LabelSet {
-    labels: Labels,
-}
-
-/// Storage of a [`LabelSet`]: sorted, deduplicated. Almost every element
-/// carries exactly one label, and that one lives inline — no heap block
-/// per element; `Many` holds two or more.
-#[derive(Clone, Default)]
-enum Labels {
-    #[default]
-    None,
-    One(Label),
-    Many(Vec<Label>),
-}
-
-impl LabelSet {
-    /// The empty label set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A singleton set.
-    pub fn single(label: Label) -> Self {
-        LabelSet {
-            labels: Labels::One(label),
+        thread_local! {
+            static $cache: SymbolCache = RefCell::default();
         }
-    }
 
-    /// The labels, sorted by symbol.
-    fn as_slice(&self) -> &[Label] {
-        match &self.labels {
-            Labels::None => &[],
-            Labels::One(l) => std::slice::from_ref(l),
-            Labels::Many(v) => v,
-        }
-    }
-
-    /// Insert a label, keeping the set sorted. Returns true if newly added.
-    pub fn insert(&mut self, label: Label) -> bool {
-        match &mut self.labels {
-            Labels::None => self.labels = Labels::One(label),
-            Labels::One(l) if *l == label => return false,
-            Labels::One(l) => {
-                let (lo, hi) = if *l < label { (*l, label) } else { (label, *l) };
-                self.labels = Labels::Many(vec![lo, hi]);
+        impl $name {
+            /// Intern `name`, returning its symbol. Idempotent.
+            pub fn new(name: &str) -> Self {
+                let id = cached(&$cache, name);
+                $name(id.unwrap_or_else(|| remember(&$cache, name, $table.intern(name))))
             }
-            Labels::Many(v) => match v.binary_search(&label) {
-                Ok(_) => return false,
-                Err(pos) => v.insert(pos, label),
-            },
+
+            /// Look `name` up without interning it: useful to test "does
+            /// any graph use this name" without polluting the table.
+            pub fn lookup(name: &str) -> Option<Self> {
+                let id = cached(&$cache, name);
+                let id = id.or_else(|| $table.lookup(name).map(|id| remember(&$cache, name, id)));
+                id.map($name)
+            }
+
+            /// The symbol's textual name.
+            pub fn name(self) -> String {
+                $table.resolve(self.0)
+            }
+
+            /// Raw symbol number (stable within a process only).
+            pub fn raw(self) -> u32 {
+                self.0
+            }
         }
-        true
-    }
 
-    /// Remove a label. Returns true if it was present.
-    pub fn remove(&mut self, label: Label) -> bool {
-        match &mut self.labels {
-            Labels::One(l) if *l == label => self.labels = Labels::None,
-            Labels::Many(v) => match v.binary_search(&label) {
-                Ok(pos) => {
-                    v.remove(pos);
-                    if let [only] = v[..] {
-                        self.labels = Labels::One(only);
-                    }
-                }
-                Err(_) => return false,
-            },
-            _ => return false,
+        impl fmt::Debug for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, concat!($sigil, "{}"), self.name())
+            }
         }
-        true
-    }
 
-    /// Membership test (λ(x) ∋ ℓ).
-    pub fn contains(&self, label: Label) -> bool {
-        self.as_slice().binary_search(&label).is_ok()
-    }
-
-    /// True when no label is assigned.
-    pub fn is_empty(&self) -> bool {
-        matches!(self.labels, Labels::None)
-    }
-
-    /// Number of labels.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Iterate in sorted symbol order.
-    pub fn iter(&self) -> impl Iterator<Item = Label> + '_ {
-        self.as_slice().iter().copied()
-    }
-
-    /// Set union (used by graph union, §A.5).
-    pub fn union(&self, other: &LabelSet) -> LabelSet {
-        let mut out = self.clone();
-        for l in other.iter() {
-            out.insert(l);
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(&self.name())
+            }
         }
-        out
-    }
 
-    /// Set intersection (used by graph intersection, §A.5).
-    pub fn intersection(&self, other: &LabelSet) -> LabelSet {
-        self.iter().filter(|l| other.contains(*l)).collect()
-    }
+        impl From<&str> for $name {
+            fn from(s: &str) -> Self {
+                $name::new(s)
+            }
+        }
+    };
+}
 
+symbol_type!(
+    /// An interned label name (element of `L`), used on nodes, edges and paths.
+    Label,
+    LABELS,
+    LABEL_CACHE,
+    ":"
+);
+symbol_type!(
+    /// An interned property key (element of `K`).
+    Key,
+    KEYS,
+    KEY_CACHE,
+    "."
+);
+
+/// A finite set of labels, as assigned by the paper's λ function (λ maps
+/// each element to a *finite set* of labels): sorted by symbol, a lone
+/// label inline. Equality, order and hashing are those of the sorted
+/// label slice (`iter`'s order), however the set is stored.
+pub type LabelSet = SortedSet<Label>;
+
+impl SortedSet<Label> {
     /// Names of all labels, sorted alphabetically (for display and tests).
     pub fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.iter().map(|l| l.name()).collect();
         v.sort();
         v
-    }
-}
-
-impl PartialEq for LabelSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for LabelSet {}
-
-impl PartialOrd for LabelSet {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for LabelSet {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for LabelSet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl fmt::Debug for LabelSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LabelSet")
-            .field("labels", &self.as_slice())
-            .finish()
-    }
-}
-
-impl FromIterator<Label> for LabelSet {
-    fn from_iter<I: IntoIterator<Item = Label>>(iter: I) -> Self {
-        let mut s = LabelSet::new();
-        for l in iter {
-            s.insert(l);
-        }
-        s
     }
 }
 
@@ -373,6 +132,7 @@ impl<'a> FromIterator<&'a str> for LabelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{Hash, Hasher};
 
     #[test]
     fn interning_is_idempotent() {

@@ -3,8 +3,7 @@
 //! Section 5 extends the language with `SELECT` (projecting bindings into a
 //! table) and two ways of importing tables (`FROM <table>` and
 //! `MATCH (o) ON <table>`). This module provides the table type shared by
-//! those features, plus a small CSV-style loader so examples can ship data
-//! as plain text without external dependencies.
+//! those features; tables are built row by row with [`Table::push_row`].
 
 use crate::value::Value;
 use std::fmt;
@@ -16,7 +15,7 @@ pub struct Table {
     rows: Vec<Vec<Value>>,
 }
 
-/// Errors raised by table construction and parsing.
+/// Errors raised by table construction.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TableError {
     /// A row's arity differs from the header's.
@@ -30,8 +29,6 @@ pub enum TableError {
     },
     /// Two columns share a name.
     DuplicateColumn(String),
-    /// The CSV text had no header line.
-    MissingHeader,
 }
 
 impl fmt::Display for TableError {
@@ -41,7 +38,6 @@ impl fmt::Display for TableError {
                 write!(f, "row {row} has {got} cells, expected {expected}")
             }
             TableError::DuplicateColumn(c) => write!(f, "duplicate column name {c:?}"),
-            TableError::MissingHeader => write!(f, "table text has no header line"),
         }
     }
 }
@@ -113,89 +109,6 @@ impl Table {
         self.rows.sort();
         self
     }
-
-    /// Parse a simple comma-separated text table. The first line is the
-    /// header. Cells are parsed as (in order): empty → `Null`, `true`/
-    /// `false` → bool, integer, float, `YYYY-MM-DD` date, else string.
-    /// Double-quoted cells are always strings and may contain commas.
-    pub fn parse_csv(text: &str) -> Result<Self, TableError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or(TableError::MissingHeader)?;
-        let mut table = Table::new(split_csv_line(header))?;
-        for line in lines {
-            let cells = split_csv_line(line);
-            let row = cells.into_iter().map(|c| parse_cell(&c)).collect();
-            table.push_row(row)?;
-        }
-        Ok(table)
-    }
-}
-
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut was_quoted = false;
-    let mut chars = line.chars().peekable();
-    while let Some(ch) = chars.next() {
-        match ch {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => {
-                in_quotes = true;
-                was_quoted = true;
-            }
-            ',' if !in_quotes => {
-                cells.push(finish_cell(&mut cur, &mut was_quoted));
-            }
-            _ => cur.push(ch),
-        }
-    }
-    cells.push(finish_cell(&mut cur, &mut was_quoted));
-    cells
-}
-
-fn finish_cell(cur: &mut String, was_quoted: &mut bool) -> String {
-    let cell = if *was_quoted {
-        // Quoted cells keep their text verbatim, marked with a sentinel
-        // prefix so parse_cell skips type inference.
-        format!("\u{1}{cur}")
-    } else {
-        cur.trim().to_string()
-    };
-    cur.clear();
-    *was_quoted = false;
-    cell
-}
-
-fn parse_cell(cell: &str) -> Value {
-    if let Some(text) = cell.strip_prefix('\u{1}') {
-        return Value::str(text);
-    }
-    if cell.is_empty() {
-        return Value::Null;
-    }
-    match cell {
-        "true" | "TRUE" => return Value::Bool(true),
-        "false" | "FALSE" => return Value::Bool(false),
-        _ => {}
-    }
-    if let Ok(i) = cell.parse::<i64>() {
-        return Value::Int(i);
-    }
-    if let Ok(f) = cell.parse::<f64>() {
-        return Value::Float(f);
-    }
-    if let Some(d) = crate::value::Date::parse(cell) {
-        return Value::Date(d);
-    }
-    Value::str(cell)
 }
 
 impl fmt::Display for Table {
@@ -241,7 +154,6 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Date;
 
     #[test]
     fn build_and_access() {
@@ -274,31 +186,6 @@ mod tests {
             Table::new(vec!["a", "a"]),
             Err(TableError::DuplicateColumn(_))
         ));
-    }
-
-    #[test]
-    fn csv_type_inference() {
-        let t = Table::parse_csv(
-            "name,age,score,member,joined,note\n\
-             Ann,41,3.5,true,2020-01-02,hello\n\
-             Bob,,,,false,\"quoted, text\"\n",
-        )
-        .unwrap();
-        assert_eq!(t.cell(0, "age"), Some(&Value::Int(41)));
-        assert_eq!(t.cell(0, "score"), Some(&Value::Float(3.5)));
-        assert_eq!(t.cell(0, "member"), Some(&Value::Bool(true)));
-        assert_eq!(
-            t.cell(0, "joined"),
-            Some(&Value::Date(Date::new(2020, 1, 2).unwrap()))
-        );
-        assert_eq!(t.cell(1, "age"), Some(&Value::Null));
-        assert_eq!(t.cell(1, "note"), Some(&Value::str("quoted, text")));
-    }
-
-    #[test]
-    fn quoted_cells_stay_strings() {
-        let t = Table::parse_csv("v\n\"42\"\n").unwrap();
-        assert_eq!(t.cell(0, "v"), Some(&Value::str("42")));
     }
 
     #[test]

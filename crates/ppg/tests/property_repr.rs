@@ -1,17 +1,18 @@
 //! The compact write-layout representations against plain models.
 //!
-//! [`PropertySet`] keeps a lone value inline and [`PropertyMap`] keeps
-//! one vector sorted by key. Whatever a sequence of operations leaves
-//! behind, both must behave like the sorted, deduplicated `Vec<Value>`
-//! and the `BTreeMap<Key, PropertySet>` they stand for: the same
-//! members, and the same equality, order and hash. A graph's edges are
+//! [`LabelSet`] and [`PropertySet`] keep a lone member inline and
+//! [`PropertyMap`] keeps one vector sorted by key. Whatever a sequence of
+//! operations leaves behind, they must behave like the sorted,
+//! deduplicated `Vec<Label>` and `Vec<Value>` and the `BTreeMap<Key,
+//! PropertySet>` they stand for: the same members, and the same
+//! equality, order and hash. A graph's edges are
 //! one identifier-ordered pair of vectors; inserted in any order, merged
 //! and combined by the set operations, they must behave like a
 //! `BTreeMap<EdgeId, EdgeData>`.
 
 use gcore_ppg::{
-    ops, Attributes, EdgeData, EdgeId, GraphError, Key, NodeId, PathPropertyGraph, PropertyMap,
-    PropertySet, Value,
+    ops, Attributes, EdgeData, EdgeId, GraphError, Key, Label, LabelSet, NodeId, PathPropertyGraph,
+    PropertyMap, PropertySet, Value,
 };
 use proptest::prelude::*;
 use std::collections::btree_map::Entry;
@@ -158,6 +159,106 @@ proptest! {
         if let [only] = &mx[..] {
             prop_assert_eq!(&x, &PropertySet::single(only.clone()));
             prop_assert_eq!(hash_of(&x), hash_of(&PropertySet::single(only.clone())));
+        }
+    }
+}
+
+/// The element payloads keep the sizes the compact layout gave them.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn element_payloads_keep_their_sizes() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<LabelSet>(), 24);
+    assert_eq!(size_of::<PropertySet>(), 32);
+    assert_eq!(size_of::<Attributes>(), 48);
+}
+
+fn label(i: usize) -> Label {
+    Label::new(["repr_l0", "repr_l1", "repr_l2", "repr_l3"][i % 4])
+}
+
+/// A label set built by insertion, with its sorted-vector model.
+fn label_set_of(indices: &[usize]) -> (LabelSet, Vec<Label>) {
+    let mut model: Vec<Label> = indices.iter().map(|&i| label(i)).collect();
+    model.sort();
+    model.dedup();
+    (indices.iter().map(|&i| label(i)).collect(), model)
+}
+
+fn check_labels(set: &LabelSet, model: &[Label]) {
+    assert_eq!(set.iter().collect::<Vec<_>>(), model);
+    assert_eq!(set.len(), model.len());
+    assert_eq!(set.is_empty(), model.is_empty());
+    assert_eq!(hash_of(set), hash_of(model));
+    for i in 0..4 {
+        assert_eq!(set.contains(label(i)), model.contains(&label(i)));
+    }
+    let mut names: Vec<String> = model.iter().map(|l| l.name()).collect();
+    names.sort();
+    assert_eq!(set.names(), names);
+    // However the set got here — grown from empty, shrunk from two or
+    // more, or combined — it is the set built directly.
+    match model {
+        [] => assert_eq!(
+            (set, hash_of(set)),
+            (&LabelSet::new(), hash_of(&LabelSet::new()))
+        ),
+        [only] => {
+            let single = LabelSet::single(*only);
+            assert_eq!((set, hash_of(set)), (&single, hash_of(&single)));
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn label_sets_agree_with_the_sorted_vector_model(
+        ops in prop::collection::vec(
+            (0usize..6, 0usize..4, prop::collection::vec(0usize..4, 0..4)),
+            0..24,
+        ),
+    ) {
+        let mut set = LabelSet::new();
+        let mut model: Vec<Label> = Vec::new();
+        for (op, i, other) in &ops {
+            let l = label(*i);
+            let (other, other_model) = label_set_of(other);
+            let at = model.binary_search(&l);
+            match op {
+                // Inserts and removes weigh double, so sets pass through
+                // one member on their way up and down.
+                0 | 1 => {
+                    prop_assert_eq!(set.insert(l), at.is_err());
+                    if let Err(pos) = at {
+                        model.insert(pos, l);
+                    }
+                }
+                2 | 3 => {
+                    prop_assert_eq!(set.remove(l), at.is_ok());
+                    if let Ok(pos) = at {
+                        model.remove(pos);
+                    }
+                }
+                4 => {
+                    set = set.union(&other);
+                    model.extend(other_model.iter().copied());
+                    model.sort();
+                    model.dedup();
+                }
+                _ => {
+                    set = set.intersection(&other);
+                    model.retain(|l| other_model.contains(l));
+                }
+            }
+            check_labels(&set, &model);
+            prop_assert_eq!(set == other, model == other_model);
+            prop_assert_eq!(set.cmp(&other), model.cmp(&other_model));
+            if set == other {
+                prop_assert_eq!(hash_of(&set), hash_of(&other));
+            }
         }
     }
 }
