@@ -328,9 +328,10 @@ impl Engine {
 
     /// Cold-start an engine from a store written by
     /// [`save_to`](Self::save_to): decode every persisted graph,
-    /// register it (building its read layout and reserving the stored
-    /// identifier space, so fresh skolemized identifiers never collide
-    /// with loaded elements) and restore the default graph.
+    /// register it (building its read layout with its planner
+    /// statistics, and reserving the stored identifier space, so fresh
+    /// skolemized identifiers never collide with loaded elements) and
+    /// restore the default graph.
     ///
     /// The engine resumes at the snapshot epoch recorded in the
     /// manifest (what [`snapshot_epoch`](Self::snapshot_epoch) read

@@ -776,9 +776,7 @@ mod tests {
         for &p in &person {
             b.edge(p, hub, Attributes::labeled("isLocatedIn"));
         }
-        let mut g = b.build();
-        g.build_stats();
-        Arc::new(g)
+        Arc::new(b.build())
     }
 
     fn resolver(

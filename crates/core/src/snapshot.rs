@@ -14,10 +14,10 @@
 //! [`EvalCtx`](crate::EvalCtx).
 //!
 //! Every graph in a snapshot carries its read layout (node positions,
-//! a CSR per edge label, label groups) and planner statistics:
-//! [`Catalog::register_graph`] builds both on entry and is the only way
+//! a CSR per edge label, label groups, planner statistics):
+//! [`Catalog::register_graph`] builds it on entry and is the only way
 //! into a catalog, and a snapshot is immutable, so no evaluation drops
-//! them. A labelled step reads its label's CSR; an unlabelled step
+//! it. A labelled step reads its label's CSR; an unlabelled step
 //! scans the node's adjacency, as it does on every graph.
 //!
 //! The snapshot also memoizes two kinds of path answer for the
@@ -409,7 +409,7 @@ mod tests {
         let (snap, graph) = snapshot_with_chain();
         assert!(graph.has_label_index());
         let frozen = snap.catalog().graph("g").unwrap();
-        assert!(frozen.has_label_index() && frozen.has_stats());
+        assert!(frozen.has_label_index() && frozen.stats().is_some());
         assert_eq!(snap.epoch(), 1);
     }
 

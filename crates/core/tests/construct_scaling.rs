@@ -44,11 +44,13 @@ fn growth(statement: &str, n: usize, edges: impl Fn(usize) -> usize) -> (Duratio
 /// Eight times the constructed edges must cost about eight times the
 /// CONSTRUCT time. A per-element `Vec::contains` dedup (what staging did
 /// before) makes it 64×; the bound of 24 leaves a linear implementation
-/// 3× of headroom for cache effects and timer noise.
+/// 3× of headroom for cache effects and timer noise. `N` keeps the small
+/// run above 20 ms in release, so the timer's resolution and a stray
+/// interrupt do not decide the ratio.
 #[test]
 #[ignore = "timing test: run with --release -- --ignored (CI test-release job)"]
 fn construct_time_grows_linearly_with_constructed_edges() {
-    const N: usize = 4_000;
+    const N: usize = 32_000;
     let statement = "CONSTRUCT (a)-[:hop2]->(c) MATCH (a)-[:next]->(b)-[:next]->(c)";
     let (small, large, ratio) = growth(statement, N, |n| n);
     assert!(
@@ -62,11 +64,12 @@ fn construct_time_grows_linearly_with_constructed_edges() {
 /// once per row it is evaluated for: the condition below is never true,
 /// so it is evaluated for every one of the `n` rows feeding the single
 /// node, and recomputing `COUNT(*)` per row would make 8× the rows 64×
-/// the time. Same bound as above.
+/// the time. Same bound as above, and `N` again keeps the small run
+/// above 20 ms.
 #[test]
 #[ignore = "timing test: run with --release -- --ignored (CI test-release job)"]
 fn when_aggregate_time_grows_linearly_with_feeding_rows() {
-    const N: usize = 4_000;
+    const N: usize = 64_000;
     let statement = "CONSTRUCT (x GROUP 'all' :Total) WHEN COUNT(*) < 0 MATCH (a)-[:next]->(b)";
     let (small, large, ratio) = growth(statement, N, |_| 0);
     assert!(

@@ -230,7 +230,7 @@ fn pair_matches_forward_reachability() {
 /// replaced by values drawn from `vals`, cycled. `set_stats` keeps the
 /// payload because the element counts still match the graph.
 fn scramble_stats(g: &mut PathPropertyGraph, vals: &[u64]) {
-    g.build_stats();
+    g.build_label_index();
     let mut s: GraphStats = g.stats().expect("just built").clone();
     let mut i = 0usize;
     let mut next = || {

@@ -129,7 +129,7 @@ fn snapshot_freezes_label_indexes_after_mutation() {
     // frozen snapshot serves them (no silent fallback to scanning).
     let snap = engine.snapshot();
     let g = snap.catalog().graph("people").unwrap();
-    assert!(g.has_label_index() && g.has_stats());
+    assert!(g.has_label_index() && g.stats().is_some());
     let person = Label::lookup("Person").unwrap();
     assert_eq!(g.nodes_with_label(person).len(), 4);
 
@@ -150,7 +150,7 @@ fn snapshot_freeze_edge_cases_empty_and_single_label() {
     let snap = engine.snapshot();
     for name in ["empty", "single"] {
         let g = snap.catalog().graph(name).unwrap();
-        assert!(g.has_label_index() && g.has_stats(), "{name}");
+        assert!(g.has_label_index() && g.stats().is_some(), "{name}");
     }
     let empty = snap.catalog().graph("empty").unwrap();
     assert!(empty.has_label_index());

@@ -209,3 +209,78 @@ fn save_reload_save_is_stable() {
         );
     }
 }
+
+/// SNB-1000 plus views, saved to disk and reopened: every graph's
+/// planner statistics, and the plans `EXPLAIN` renders for a mix the
+/// planner reorders, are the saving engine's.
+#[test]
+fn snb_1000_cold_start_plans_as_the_saving_engine_did() {
+    const VIEWS: &[&str] = &[
+        "GRAPH VIEW mv0 AS (CONSTRUCT (n)-[e]->(m) \
+         MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.personId < 400)",
+        "GRAPH VIEW interests AS (CONSTRUCT (n)-[e]->(t) \
+         MATCH (n:Person)-[e:hasInterest]->(t:Tag) WHERE n.personId < 300)",
+        "GRAPH VIEW fof AS (CONSTRUCT (n)-[:fof]->(k) \
+         MATCH (n:Person)-[:knows]->(m:Person)-[:knows]->(k:Person) WHERE n.personId < 20)",
+        "GRAPH VIEW sp AS (CONSTRUCT (n)-/@p:sp/->(m) \
+         MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.personId = 1)",
+    ];
+    const MIX: &[&str] = &[
+        "SELECT p.firstName, q.firstName \
+         MATCH (p:Person)-[:knows]->(q:Person), (q)-[:isLocatedIn]->(c:City) \
+         WHERE c.name = 'Arnhem'",
+        "CONSTRUCT (b)<-[:sameEmployer]-(a) \
+         MATCH (b:Person), (a:Person {employer = e}) \
+         WHERE e IN b.employer AND a.personId < 20",
+        "CONSTRUCT (c)<-[:electorate]-(p) \
+         MATCH (c:City), (p:Person) \
+         WHERE (p)-[:isLocatedIn]->(c) AND p.personId < 120",
+        "SELECT n.firstName, t.name \
+         MATCH (n:Person)-[:knows]->(m:Person) ON mv0, \
+               (m)-[:hasInterest]->(t:Tag) ON interests \
+         WHERE t.name = 'Wagner'",
+        "SELECT n.personId \
+         MATCH (n)-[:fof]->(k) ON fof, (k:Person)-[:isLocatedIn]->(c:City) \
+         WHERE c.name = 'Arnhem'",
+    ];
+
+    let mut warm = Engine::new();
+    warm.set_planner(true);
+    let data = generate(&SnbConfig::scale(1000), &warm.catalog().ids().clone());
+    warm.register_graph("snb", data.graph);
+    warm.set_default_graph("snb");
+    for view in VIEWS {
+        warm.run(view).expect("view commits");
+    }
+
+    let tmp = TempDir::new("snb1000-plans");
+    let backend = DirBackend::new(&tmp.0).unwrap();
+    warm.save_to(&backend).expect("save snb");
+    let mut cold = Engine::open_from(&backend).expect("open snb");
+    cold.set_planner(true);
+
+    let names = warm.catalog().graph_names();
+    assert_eq!(names, cold.catalog().graph_names());
+    assert_eq!(names.len(), 1 + VIEWS.len());
+    for name in &names {
+        let (a, b) = (warm.graph(name).unwrap(), cold.graph(name).unwrap());
+        assert!(a.stats().is_some(), "{name} has statistics");
+        assert_eq!(a.stats(), b.stats(), "statistics of {name}");
+    }
+    assert!(warm.graph("sp").unwrap().stats().unwrap().path_count > 0);
+
+    let mut reordered = 0;
+    for text in MIX {
+        let plan = warm.executor().explain(text).expect("explains");
+        assert_eq!(
+            plan,
+            cold.executor().explain(text).expect("explains"),
+            "{text}"
+        );
+        reordered += usize::from(plan.contains("reordered"));
+    }
+    assert!(
+        reordered > 0,
+        "the mix holds a statement the planner reorders"
+    );
+}

@@ -4,6 +4,8 @@
 //! Person named Bob" without threading raw identifiers around. The builder
 //! draws fresh identifiers from a shared [`IdGen`] and also supports the
 //! explicit identifiers needed to replicate the paper's figures verbatim.
+//! [`GraphBuilder::build`] hands the graph over with its read layout,
+//! planner statistics included, already built.
 
 use crate::error::GraphError;
 use crate::graph::{Attributes, PathPropertyGraph};
@@ -126,15 +128,13 @@ impl GraphBuilder {
         &self.graph
     }
 
-    /// Finish, returning the graph with its read layout built (seeding
+    /// Finish, returning the graph with its read layout built: seeding
     /// by label reads a position list and a labelled step a CSR range,
-    /// instead of scanning) and its planner statistics collected
-    /// (cost-based planning never falls back to blind estimates on
-    /// builder output).
+    /// instead of scanning, and cost-based planning reads the layout's
+    /// statistics, never blind estimates.
     pub fn build(self) -> PathPropertyGraph {
         let mut g = self.graph;
         g.build_label_index();
-        g.build_stats();
         g
     }
 }

@@ -5,6 +5,11 @@
 //! catalog is that function, extended with named tables for the §5
 //! extensions and a *default graph* (`MATCH … ON` may be omitted when a
 //! default is set, as the guided tour does after its first example).
+//!
+//! Registration is where a graph gets what it derives: the read layout,
+//! with the planner statistics in it (see [`crate::graph`]). A graph
+//! loaded from a store is registered like any other, so nothing derived
+//! needs storing.
 
 use crate::graph::PathPropertyGraph;
 use crate::hash::FxHashMap;
@@ -80,16 +85,13 @@ impl Catalog {
             .unwrap_or(0);
         self.ids.reserve_up_to(max_id);
         // Every graph entering the catalog — builder output, CONSTRUCT
-        // result, GRAPH VIEW — gets the read layout (node positions, a
-        // CSR per edge label, label groups), so later queries over it
-        // match and search without hashing per step, and planner
-        // statistics, so later queries over it plan from real
-        // cardinalities.
+        // result, GRAPH VIEW, a graph loaded from a store — gets the read
+        // layout (node positions, a CSR per edge label, label groups), so
+        // later queries over it match and search without hashing per
+        // step, and with it the planner statistics, so they plan from
+        // real cardinalities.
         if !graph.has_label_index() {
             graph.build_label_index();
-        }
-        if !graph.has_stats() {
-            graph.build_stats();
         }
         self.graphs.insert(name.into(), Arc::new(graph));
     }

@@ -28,8 +28,9 @@
 //! reads the vectors in order with nothing to sort. Payloads are compact
 //! (see [`crate::property`]): a label set or property set of one member
 //! holds it inline, and an element's properties are one vector sorted
-//! by key. The *read layout* is built once
-//! over a finished graph — by [`crate::GraphBuilder::build`] or
+//! by key. The *read layout* is the one state a graph derives: built
+//! once over a finished graph — by [`crate::GraphBuilder::build`],
+//! [`crate::Catalog::register_graph`] or
 //! [`PathPropertyGraph::build_label_index`] — and dropped by any
 //! mutation:
 //!
@@ -37,7 +38,10 @@
 //!   order is id order;
 //! * per edge label, an out- and an in-range per position of
 //!   `(edge, far position)` steps in ascending edge id — a CSR;
-//! * per node label, the group's positions, ascending.
+//! * per node label, the group's positions, ascending;
+//! * the planner's [`GraphStats`], read off the arrays above (a label
+//!   group's length, a CSR's total and its non-empty ranges) and a tally
+//!   of the property values.
 //!
 //! [`PathPropertyGraph::for_each_step`] and
 //! [`PathPropertyGraph::nodes_with_label`] read it when it is built and
@@ -48,7 +52,7 @@ use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, ElementId, NodeId, PathId};
 use crate::path::PathShape;
 use crate::property::{PropertyMap, PropertySet};
-use crate::stats::GraphStats;
+use crate::stats::{EdgeLabelStats, GraphStats, PropTally};
 use crate::symbols::{Key, Label, LabelSet};
 use crate::value::Value;
 use std::borrow::Cow;
@@ -289,6 +293,7 @@ struct Dense {
     node_labels: Vec<Label>,
     group_offsets: Vec<u32>,
     groups: Vec<u32>,
+    stats: GraphStats,
 }
 
 /// Every label `attrs` carry, ascending, once: a vector, as labelled
@@ -318,22 +323,28 @@ impl Dense {
         let edge_labels = labels_of(graph.edges.data.iter().map(|d| &d.attrs));
         let label_of = |labels: &[Label], l| labels.partition_point(|&x| x < l);
 
-        // Node groups: count, then fill in position order.
+        // Node groups and property tallies: count, then fill in
+        // position order.
+        let node_attrs = || at.ids.iter().map(|id| &graph.nodes[id].data.attrs);
+        let mut node_props = PropTally::default();
         let mut group_offsets = vec![0u32; node_labels.len() + 1];
-        for &id in &at.ids {
-            for l in graph.nodes[&id].data.attrs.labels.iter() {
+        for attrs in node_attrs() {
+            for l in attrs.labels.iter() {
                 group_offsets[label_of(&node_labels, l) + 1] += 1;
             }
+            node_props.count(attrs);
         }
         prefix_sum(&mut group_offsets);
+        node_props.size();
         let mut groups = vec![0u32; group_offsets[node_labels.len()] as usize];
         let mut next = group_offsets.clone();
-        for (p, &id) in at.ids.iter().enumerate() {
-            for l in graph.nodes[&id].data.attrs.labels.iter() {
+        for (p, attrs) in node_attrs().enumerate() {
+            for l in attrs.labels.iter() {
                 let g = label_of(&node_labels, l);
                 groups[next[g] as usize] = p as u32;
                 next[g] += 1;
             }
+            node_props.fill(attrs);
         }
 
         // Edge CSRs: count every (label, direction, position) one slot
@@ -347,6 +358,7 @@ impl Dense {
             .map(|d| (at.of[&d.src], at.of[&d.dst]))
             .collect();
         let edges = || graph.edges.iter().zip(&ends);
+        let mut edge_props = PropTally::default();
         let mut offsets = vec![0u32; 2 * edge_labels.len() * stride];
         let slots = |l: Label, src: u32, dst: u32| {
             let out = 2 * label_of(&edge_labels, l) * stride;
@@ -358,8 +370,10 @@ impl Dense {
                     offsets[slot + 1] += 1;
                 }
             }
+            edge_props.count(&d.attrs);
         }
         prefix_sum(&mut offsets);
+        edge_props.size();
         let total = offsets.last().map_or(0, |&t| t as usize);
         let (mut step_edges, mut step_far) = (vec![EdgeId(0); total], vec![0u32; total]);
         let mut next = offsets.clone();
@@ -371,7 +385,37 @@ impl Dense {
                     next[slot] += 1;
                 }
             }
+            edge_props.fill(&d.attrs);
         }
+
+        // The statistics: a label group's length, an edge label's CSR
+        // total and its non-empty out- and in-ranges.
+        let nodes_per_label = node_labels
+            .iter()
+            .enumerate()
+            .map(|(g, &l)| (l, u64::from(group_offsets[g + 1] - group_offsets[g])));
+        let non_empty = |b: usize| {
+            let ranges = offsets[b..b + stride].windows(2);
+            ranges.filter(|r| r[0] < r[1]).count() as u64
+        };
+        let edges_per_label = edge_labels.iter().enumerate().map(|(l, &label)| {
+            let out = 2 * l * stride;
+            let relation = EdgeLabelStats {
+                count: u64::from(offsets[out + stride - 1] - offsets[out]),
+                distinct_src: non_empty(out),
+                distinct_dst: non_empty(out + stride),
+            };
+            (label, relation)
+        });
+        let stats = GraphStats {
+            node_count: at.len() as u64,
+            edge_count: graph.edge_count() as u64,
+            path_count: graph.path_count() as u64,
+            nodes_per_label: nodes_per_label.collect(),
+            edges_per_label: edges_per_label.collect(),
+            node_props: node_props.finish(),
+            edge_props: edge_props.finish(),
+        };
         Dense {
             at,
             edge_labels,
@@ -381,6 +425,7 @@ impl Dense {
             node_labels,
             group_offsets,
             groups,
+            stats,
         }
     }
 
@@ -473,12 +518,9 @@ pub struct PathPropertyGraph {
     nodes: FxHashMap<NodeId, NodeEntry>,
     edges: Edges,
     paths: FxHashMap<PathId, PathData>,
-    /// The read layout, while no mutation has dropped it.
+    /// The read layout with the planner statistics, while no mutation
+    /// has dropped it.
     dense: Option<Dense>,
-    /// Planner statistics, same lifecycle as the read layout: built by
-    /// [`crate::GraphBuilder::build`] / [`Self::build_stats`], dropped
-    /// by any mutation. Purely advisory — never a correctness concern.
-    stats: Option<GraphStats>,
 }
 
 impl PathPropertyGraph {
@@ -526,7 +568,6 @@ impl PathPropertyGraph {
 
     fn merge_node(&mut self, id: NodeId, attrs: Cow<'_, Attributes>) {
         self.dense = None;
-        self.stats = None;
         match self.nodes.get_mut(&id) {
             Some(existing) => existing.data.attrs.union_in_place(&attrs),
             None => {
@@ -592,7 +633,6 @@ impl PathPropertyGraph {
             });
         }
         self.dense = None;
-        self.stats = None;
         match self.edges.find(id) {
             Ok(i) => {
                 let existing = &mut self.edges.data[i];
@@ -649,9 +689,7 @@ impl PathPropertyGraph {
         attrs: Cow<'_, Attributes>,
     ) -> Result<(), GraphError> {
         self.check_path_shape(id, &shape)?;
-        // Stored paths don't enter the read layout (it only numbers
-        // nodes and partitions adjacency) but they do enter the stats.
-        self.stats = None;
+        self.dense = None;
         match self.paths.get_mut(&id) {
             Some(existing) => {
                 if existing.shape != *shape {
@@ -851,8 +889,9 @@ impl PathPropertyGraph {
     }
 
     /// Build the read layout (see the [module docs](self)): node
-    /// positions, a CSR per edge label, the node label groups. Called
-    /// once by [`crate::GraphBuilder::build`]; any later mutation drops
+    /// positions, a CSR per edge label, the node label groups and the
+    /// planner statistics. Called once by [`crate::GraphBuilder::build`]
+    /// and [`crate::Catalog::register_graph`]; any later mutation drops
     /// it and the accessors fall back to scanning.
     pub fn build_label_index(&mut self) {
         self.dense = Some(Dense::new(self));
@@ -863,40 +902,22 @@ impl PathPropertyGraph {
         self.dense.is_some()
     }
 
-    // ------------------------------------------------------------------
-    // Planner statistics
-    // ------------------------------------------------------------------
-
-    /// Compute and cache the planner statistics (see [`GraphStats`]).
-    /// Same lifecycle as the read layout: any mutation drops them.
-    pub fn build_stats(&mut self) {
-        self.stats = Some(GraphStats::compute(self));
-    }
-
-    /// The cached planner statistics, if currently valid.
+    /// The planner statistics (see [`GraphStats`]), while the read
+    /// layout is built.
     pub fn stats(&self) -> Option<&GraphStats> {
-        self.stats.as_ref()
+        self.dense.as_ref().map(|d| &d.stats)
     }
 
-    /// True when planner statistics are currently built and valid.
-    pub fn has_stats(&self) -> bool {
-        self.stats.is_some()
-    }
-
-    /// Attach externally computed statistics (a persisted side object
-    /// reloaded by `gcore-store`). The caller vouches that `stats`
-    /// describes this exact graph; since [`GraphStats::compute`] is
-    /// deterministic, attaching anything else would only mislead the
-    /// planner, never corrupt results. Element counts are checked as a
-    /// cheap guard — on mismatch the stats are recomputed instead.
+    /// Replace the planner statistics of the built read layout: a hook
+    /// for showing that any statistics leave answers unchanged. Without
+    /// the layout, or with element counts that are not this graph's,
+    /// the statistics are refused.
     pub fn set_stats(&mut self, stats: GraphStats) {
-        if stats.node_count == self.node_count() as u64
-            && stats.edge_count == self.edge_count() as u64
-            && stats.path_count == self.path_count() as u64
-        {
-            self.stats = Some(stats);
-        } else {
-            self.build_stats();
+        let counts = |s: &GraphStats| (s.node_count, s.edge_count, s.path_count);
+        if let Some(d) = &mut self.dense {
+            if counts(&stats) == counts(&d.stats) {
+                d.stats = stats;
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Fast, non-cryptographic hashing for hot identifier-keyed maps.
+//! Fast, non-cryptographic hashing for hot maps.
 //!
 //! Graph evaluation hashes millions of small integer keys (node/edge/path
 //! identifiers and interned symbols). The standard library's SipHash is
@@ -7,8 +7,17 @@
 //! implemented in-tree so the workspace stays within its approved
 //! dependency set.
 //!
-//! HashDoS resistance is irrelevant here: keys are internally generated
-//! identifiers, never attacker-controlled strings.
+//! Fx is not HashDoS-resistant, and not every key it hashes is generated
+//! internally. Identifier-keyed maps are safe: identifiers come from the
+//! engine's generator. But the same hasher, chosen for the same speed,
+//! keys every interning pool (`collections.rs`): the label and key
+//! symbol tables and the per-thread symbol caches in front of them
+//! ([`crate::symbols`]), and every [`crate::ValueInterner`]. There it
+//! hashes label names, property keys and values, strings included, that
+//! clients supply in statements and stored graphs. Many names chosen to
+//! collide under Fx would make those lookups degrade toward linear
+//! scans. Keying the pools with a seeded hasher is an open item
+//! (ROADMAP item 13); it needs a measured change of its own.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

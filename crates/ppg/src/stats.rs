@@ -1,27 +1,31 @@
 //! Per-graph statistics for cost-based query planning.
 //!
 //! [`GraphStats`] is a small, deterministic summary of one
-//! [`PathPropertyGraph`]: element counts per label, endpoint-distinctness
-//! of every labeled edge relation (from which a planner derives average
-//! degrees), and per-key property sketches (carrier counts and distinct
-//! values, from which equality selectivities follow). The summary is
-//! computed in one pass over the graph, cached on the graph next to its
-//! read layout (same lifecycle: built at [`crate::GraphBuilder::build`]
-//! and by [`crate::Catalog::register_graph`] for every graph entering a
-//! catalog, dropped by any mutation), and is *purely advisory* — a
-//! planner consulting wrong or missing stats may pick a worse plan but
-//! never a wrong answer.
+//! [`PathPropertyGraph`](crate::PathPropertyGraph): element counts per
+//! label, endpoint-distinctness of every labeled edge relation (from
+//! which a planner derives average degrees), and per-key property
+//! sketches (carrier counts and distinct values, from which equality
+//! selectivities follow). The summary is built with the graph's read
+//! layout and kept in it (see [`crate::graph`]): the label counts are
+//! the lengths of its label groups, an edge relation is its label's CSR
+//! (the total, and the non-empty out- and in-ranges), and only the
+//! property sketches tally values (`PropTally`, in the layout's two
+//! passes). So it is built wherever the layout is — by
+//! [`crate::GraphBuilder::build`], by [`crate::Catalog::register_graph`]
+//! for every graph entering a catalog, by
+//! [`build_label_index`](crate::PathPropertyGraph::build_label_index) —
+//! and dropped by any mutation. It is *purely advisory* — a planner
+//! consulting wrong or missing stats may pick a worse plan but never a
+//! wrong answer.
 //!
 //! Determinism matters more than precision here: equal graphs produce
 //! equal stats in any process (everything is an exact count over sorted
 //! data, no sampling, no hashing of addresses), so plans — and their
-//! `EXPLAIN` renderings — are reproducible, and a cold-started engine
-//! that reloads persisted stats plans identically to the engine that
-//! saved them.
+//! `EXPLAIN` renderings — are reproducible, and a cold-started engine,
+//! which rebuilds the stats as it registers each stored graph, plans
+//! identically to the engine that saved them.
 
-use crate::graph::{Attributes, PathPropertyGraph};
-use crate::hash::FxHashMap;
-use crate::ids::NodeId;
+use crate::graph::Attributes;
 use crate::symbols::{Key, Label};
 use crate::value::Value;
 
@@ -104,87 +108,6 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Compute the summary in one pass over `graph`.
-    pub fn compute(graph: &PathPropertyGraph) -> GraphStats {
-        let mut nodes_per_label: FxHashMap<Label, u64> = FxHashMap::default();
-        let mut node_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
-        for (_, node) in graph.nodes() {
-            for l in node.attrs.labels.iter() {
-                *nodes_per_label.entry(l).or_default() += 1;
-            }
-            tally(&mut node_props, &node.attrs);
-        }
-
-        let mut edge_rel: FxHashMap<Label, (u64, Vec<NodeId>, Vec<NodeId>)> = FxHashMap::default();
-        let mut edge_props: FxHashMap<Key, (u64, u64, Vec<&Value>)> = FxHashMap::default();
-        for (_, data) in graph.edges() {
-            for l in data.attrs.labels.iter() {
-                let slot = edge_rel.entry(l).or_default();
-                slot.0 += 1;
-                slot.1.push(data.src);
-                slot.2.push(data.dst);
-            }
-            tally(&mut edge_props, &data.attrs);
-        }
-
-        let distinct_ids = |mut v: Vec<NodeId>| -> u64 {
-            v.sort_unstable();
-            v.dedup();
-            v.len() as u64
-        };
-        // Distinct values are counted over borrowed values: no copy of a
-        // string per carrier.
-        let distinct_values = |mut v: Vec<&Value>| -> u64 {
-            v.sort_unstable_by(|a, b| a.total_cmp(b));
-            v.dedup_by(|a, b| a.total_cmp(b).is_eq());
-            v.len() as u64
-        };
-        let prop_table = |m: FxHashMap<Key, (u64, u64, Vec<&Value>)>| -> Vec<(Key, PropStats)> {
-            let mut v: Vec<(Key, PropStats)> = m
-                .into_iter()
-                .map(|(k, (carriers, values, vals))| {
-                    (
-                        k,
-                        PropStats {
-                            carriers,
-                            values,
-                            distinct: distinct_values(vals),
-                        },
-                    )
-                })
-                .collect();
-            v.sort_unstable_by_key(|(k, _)| *k);
-            v
-        };
-
-        let mut nodes_per_label: Vec<(Label, u64)> = nodes_per_label.into_iter().collect();
-        nodes_per_label.sort_unstable_by_key(|(l, _)| *l);
-        let mut edges_per_label: Vec<(Label, EdgeLabelStats)> = edge_rel
-            .into_iter()
-            .map(|(l, (count, srcs, dsts))| {
-                (
-                    l,
-                    EdgeLabelStats {
-                        count,
-                        distinct_src: distinct_ids(srcs),
-                        distinct_dst: distinct_ids(dsts),
-                    },
-                )
-            })
-            .collect();
-        edges_per_label.sort_unstable_by_key(|(l, _)| *l);
-
-        GraphStats {
-            node_count: graph.node_count() as u64,
-            edge_count: graph.edge_count() as u64,
-            path_count: graph.path_count() as u64,
-            nodes_per_label,
-            edges_per_label,
-            node_props: prop_table(node_props),
-            edge_props: prop_table(edge_props),
-        }
-    }
-
     /// Nodes carrying `label` (0 when the label occurs on no node).
     pub fn nodes_with_label(&self, label: Label) -> u64 {
         assoc(&self.nodes_per_label, label).copied().unwrap_or(0)
@@ -206,14 +129,60 @@ impl GraphStats {
     }
 }
 
-/// Count `attrs`' properties into `props`: per key, the carriers, the
-/// values and the values themselves.
-fn tally<'g>(props: &mut FxHashMap<Key, (u64, u64, Vec<&'g Value>)>, attrs: &'g Attributes) {
-    for (k, vs) in &attrs.properties {
-        let slot = props.entry(*k).or_default();
-        slot.0 += 1;
-        slot.1 += vs.len() as u64;
-        slot.2.extend(vs.iter());
+/// The property sketches of one element sort, tallied in the read
+/// layout's two passes over it: the first [`count`](Self::count)s each
+/// key's carriers and values, which [`size`](Self::size) the key's list
+/// of values; the second [`fill`](Self::fill)s the lists; and
+/// [`finish`](Self::finish) sorts each list to count its distinct
+/// values. Values are borrowed, so no string is copied per carrier.
+#[derive(Default)]
+pub(crate) struct PropTally<'g> {
+    /// Per key, sorted by key: the sketch so far.
+    keys: Vec<(Key, PropStats)>,
+    /// Per key, at the same index: its values, once sized.
+    values: Vec<Vec<&'g Value>>,
+}
+
+impl<'g> PropTally<'g> {
+    /// First pass: count one element's carried keys and their values.
+    pub(crate) fn count(&mut self, attrs: &Attributes) {
+        for (k, vs) in &attrs.properties {
+            let i = match self.keys.binary_search_by_key(k, |(key, _)| *key) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.keys.insert(i, (*k, PropStats::default()));
+                    i
+                }
+            };
+            self.keys[i].1.carriers += 1;
+            self.keys[i].1.values += vs.len() as u64;
+        }
+    }
+
+    /// Between the passes: give each key's list the room its values
+    /// take.
+    pub(crate) fn size(&mut self) {
+        let room = |(_, t): &(Key, PropStats)| Vec::with_capacity(t.values as usize);
+        self.values = self.keys.iter().map(room).collect();
+    }
+
+    /// Second pass: list one element's values under their keys.
+    pub(crate) fn fill(&mut self, attrs: &'g Attributes) {
+        for (k, vs) in &attrs.properties {
+            let i = self.keys.partition_point(|(key, _)| key < k);
+            self.values[i].extend(vs.iter());
+        }
+    }
+
+    /// The sketches, sorted by key, with the distinct values counted
+    /// under `total_cmp`.
+    pub(crate) fn finish(mut self) -> Vec<(Key, PropStats)> {
+        for ((_, t), list) in self.keys.iter_mut().zip(&mut self.values) {
+            list.sort_unstable_by(|a, b| a.total_cmp(b));
+            list.dedup_by(|a, b| a.total_cmp(b).is_eq());
+            t.distinct = list.len() as u64;
+        }
+        self.keys
     }
 }
 
@@ -226,9 +195,15 @@ fn assoc<S: Ord, T>(list: &[(S, T)], symbol: S) -> Option<&T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Attributes;
-    use crate::ids::EdgeId;
+    use crate::graph::PathPropertyGraph;
+    use crate::ids::{EdgeId, NodeId};
     use crate::property::PropertySet;
+
+    /// The statistics `g`'s read layout carries.
+    fn stats_of(mut g: PathPropertyGraph) -> GraphStats {
+        g.build_label_index();
+        g.stats().expect("built with the layout").clone()
+    }
 
     fn sample() -> PathPropertyGraph {
         let mut g = PathPropertyGraph::new();
@@ -270,7 +245,7 @@ mod tests {
 
     #[test]
     fn counts_and_relations() {
-        let s = GraphStats::compute(&sample());
+        let s = stats_of(sample());
         assert_eq!(s.node_count, 3);
         assert_eq!(s.edge_count, 3);
         assert_eq!(s.nodes_with_label(Label::new("Person")), 2);
@@ -286,7 +261,7 @@ mod tests {
 
     #[test]
     fn property_sketches() {
-        let s = GraphStats::compute(&sample());
+        let s = stats_of(sample());
         let name = s.node_prop(Key::new("name")).unwrap();
         assert_eq!(name.carriers, 3);
         assert_eq!(name.values, 3);
@@ -308,7 +283,7 @@ mod tests {
             ),
         );
         g.add_node(NodeId(2), Attributes::new().with_prop("employer", "Acme"));
-        let s = GraphStats::compute(&g);
+        let s = stats_of(g);
         let emp = s.node_prop(Key::new("employer")).unwrap();
         assert_eq!(emp.carriers, 2);
         assert_eq!(emp.values, 3);
@@ -318,7 +293,7 @@ mod tests {
     #[test]
     fn equal_graphs_equal_stats() {
         // Insertion order must not matter.
-        let a = GraphStats::compute(&sample());
+        let a = stats_of(sample());
         let mut g = PathPropertyGraph::new();
         g.add_node(
             NodeId(3),
@@ -353,6 +328,6 @@ mod tests {
             Attributes::labeled("knows"),
         )
         .unwrap();
-        assert_eq!(a, GraphStats::compute(&g));
+        assert_eq!(a, stats_of(g));
     }
 }

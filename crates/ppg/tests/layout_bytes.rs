@@ -3,9 +3,11 @@
 //!
 //! `build_label_index` numbers the nodes and lays out one CSR per edge
 //! label plus the node label groups, each in a block sized once from a
-//! counting pass. So what it leaves live is a few bytes per node and per
-//! labelled edge, and how many blocks it allocates depends on the labels
-//! and not on the graph's size.
+//! counting pass, and keeps the planner statistics beside them: a row per
+//! label and per property key, whose value lists are sized the same way
+//! and freed once counted. So what it leaves live is a few bytes per node
+//! and per labelled edge, and how many blocks it allocates depends on the
+//! labels and keys and not on the graph's size.
 //!
 //! Counted with the shared thread-local counting allocator
 //! (`tests/support/counting_alloc.rs`): counts, not timings, so they

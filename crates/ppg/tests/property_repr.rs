@@ -8,15 +8,17 @@
 //! equality, order and hash. A graph's edges are
 //! one identifier-ordered pair of vectors; inserted in any order, merged
 //! and combined by the set operations, they must behave like a
-//! `BTreeMap<EdgeId, EdgeData>`.
+//! `BTreeMap<EdgeId, EdgeData>`. A registered graph's planner statistics
+//! must be the counts their definitions give, tallied naively here.
 
 use gcore_ppg::{
-    ops, Attributes, EdgeData, EdgeId, GraphError, Key, Label, LabelSet, NodeId, PathPropertyGraph,
-    PropertyMap, PropertySet, Value,
+    ops, Attributes, Catalog, EdgeData, EdgeId, EdgeLabelStats, GraphError, GraphStats, Key, Label,
+    LabelSet, NodeId, PathId, PathPropertyGraph, PathShape, PropStats, PropertyMap, PropertySet,
+    Value,
 };
 use proptest::prelude::*;
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 /// A small pool, so sets collide: `Int(1)` and `Float(1.0)` are one
@@ -480,5 +482,172 @@ proptest! {
         for g in [union, intersection, ops::difference(&a, &b)] {
             prop_assert_eq!(g.shifted_edge_inserts(), 0);
         }
+    }
+}
+
+/// One generated element's labels (a mask over three labels) and
+/// properties: per key, the pool indices of its values (empty, or all
+/// `Null`, means the key is absent).
+type Payload = (u8, Vec<Vec<usize>>);
+
+fn payload() -> impl Strategy<Value = Payload> {
+    let values = prop::collection::vec(0usize..9, 0..3);
+    (0u8..8, prop::collection::vec(values, 3..4))
+}
+
+fn model_label(i: usize) -> Label {
+    Label::new(["stats_l0", "stats_l1", "stats_l2"][i])
+}
+
+fn model_key(i: usize) -> Key {
+    Key::new(["stats_k0", "stats_k1", "stats_k2"][i])
+}
+
+/// The labels a mask names.
+fn labels_of(mask: u8) -> Vec<Label> {
+    (0..3)
+        .filter(|i| mask & (1 << i) != 0)
+        .map(model_label)
+        .collect()
+}
+
+/// `values` without `Null` and without repeats under `total_cmp`, so
+/// `Int(1)` and `Float(1.0)` are one value.
+fn distinct_of(values: impl IntoIterator<Item = Value>) -> Vec<Value> {
+    let mut out: Vec<Value> = Vec::new();
+    for v in values {
+        if !v.is_null() && !out.iter().any(|o| o.total_cmp(&v).is_eq()) {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// Per key, the value set an element with `props` carries.
+fn value_sets(props: &[Vec<usize>]) -> Vec<(usize, Vec<Value>)> {
+    let sets = props.iter().enumerate();
+    let sets = sets.map(|(k, vs)| (k, distinct_of(vs.iter().map(|&i| pool(i)))));
+    sets.filter(|(_, vs)| !vs.is_empty()).collect()
+}
+
+fn attrs_of((mask, props): &Payload) -> Attributes {
+    let mut attrs = Attributes::new();
+    for l in labels_of(*mask) {
+        attrs.labels.insert(l);
+    }
+    for (k, vs) in value_sets(props) {
+        attrs.set_prop(model_key(k), PropertySet::from_values(vs));
+    }
+    attrs
+}
+
+/// The property sketches of `elements`, counted from the definitions:
+/// carriers have σ(x, k) ≠ ∅, values are summed over carriers, and
+/// distinct values are counted across carriers under `total_cmp`.
+fn model_props<'a>(elements: impl Iterator<Item = &'a Payload> + Clone) -> Vec<(Key, PropStats)> {
+    let mut out = Vec::new();
+    for k in 0..3 {
+        let carried: Vec<Vec<Value>> = elements
+            .clone()
+            .filter_map(|(_, props)| value_sets(props).into_iter().find(|(j, _)| *j == k))
+            .map(|(_, vs)| vs)
+            .collect();
+        if carried.is_empty() {
+            continue;
+        }
+        let stats = PropStats {
+            carriers: carried.len() as u64,
+            values: carried.iter().map(|vs| vs.len() as u64).sum(),
+            distinct: distinct_of(carried.into_iter().flatten()).len() as u64,
+        };
+        out.push((model_key(k), stats));
+    }
+    out.sort_by_key(|(k, _)| *k);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A registered graph's statistics are the counts their definitions
+    /// give: nodes per label; edges, distinct sources and distinct
+    /// destinations per edge label; and the per-key property sketches.
+    /// Stored paths count only in `path_count`.
+    #[test]
+    fn graph_stats_agree_with_a_naive_count(
+        nodes in prop::collection::vec(payload(), 0..7),
+        edges in prop::collection::vec((0usize..7, 0usize..7, payload()), 0..16),
+        paths in prop::collection::vec((0usize..16, payload()), 0..3),
+    ) {
+        let n = nodes.len();
+        let mut g = PathPropertyGraph::new();
+        for (i, p) in nodes.iter().enumerate() {
+            g.add_node(NodeId(i as u64), attrs_of(p));
+        }
+        // Endpoints wrap onto the nodes there are; with none, no edge.
+        let edges: Vec<(usize, usize, Payload)> = edges
+            .into_iter()
+            .filter(|_| n > 0)
+            .map(|(s, d, p)| (s % n.max(1), d % n.max(1), p))
+            .collect();
+        for (i, (s, d, p)) in edges.iter().enumerate() {
+            let (s, d) = (NodeId(*s as u64), NodeId(*d as u64));
+            g.add_edge(EdgeId(100 + i as u64), s, d, attrs_of(p)).unwrap();
+        }
+        // A stored path is one edge walked forwards, or a lone node.
+        for (i, (pick, p)) in paths.iter().enumerate() {
+            let shape = match edges.get(*pick) {
+                Some((s, d, _)) => PathShape::new(
+                    vec![NodeId(*s as u64), NodeId(*d as u64)],
+                    vec![EdgeId(100 + *pick as u64)],
+                ),
+                None if n > 0 => PathShape::new(vec![NodeId((pick % n) as u64)], vec![]),
+                None => continue,
+            };
+            g.add_path(PathId(200 + i as u64), shape.unwrap(), attrs_of(p)).unwrap();
+        }
+        let path_count = g.path_count() as u64;
+
+        let mut nodes_per_label = BTreeMap::<Label, u64>::new();
+        for (mask, _) in &nodes {
+            for l in labels_of(*mask) {
+                *nodes_per_label.entry(l).or_default() += 1;
+            }
+        }
+        type Ends = (u64, BTreeSet<usize>, BTreeSet<usize>);
+        let mut relations = BTreeMap::<Label, Ends>::new();
+        for (s, d, (mask, _)) in &edges {
+            for l in labels_of(*mask) {
+                let r = relations.entry(l).or_default();
+                r.0 += 1;
+                r.1.insert(*s);
+                r.2.insert(*d);
+            }
+        }
+        let model = GraphStats {
+            node_count: n as u64,
+            edge_count: edges.len() as u64,
+            path_count,
+            nodes_per_label: nodes_per_label.into_iter().collect(),
+            edges_per_label: relations
+                .into_iter()
+                .map(|(l, (count, srcs, dsts))| {
+                    let (distinct_src, distinct_dst) = (srcs.len() as u64, dsts.len() as u64);
+                    (l, EdgeLabelStats { count, distinct_src, distinct_dst })
+                })
+                .collect(),
+            node_props: model_props(nodes.iter()),
+            edge_props: model_props(edges.iter().map(|(_, _, p)| p)),
+        };
+
+        prop_assert!(g.stats().is_none(), "a graph under construction has none");
+        let mut catalog = Catalog::new();
+        catalog.register_graph("g", g);
+        let registered = catalog.graph("g").unwrap();
+        prop_assert_eq!(registered.stats(), Some(&model));
+        // Any mutation drops them.
+        let mut changed = (*registered).clone();
+        changed.add_node(NodeId(999), Attributes::new());
+        prop_assert!(changed.stats().is_none());
     }
 }

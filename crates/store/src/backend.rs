@@ -7,16 +7,16 @@
 //! implement, and the graph-level helpers ([`put_graph`] /
 //! [`get_graph`]) ride on top of them via the binary format. Keys are
 //! flat `/`-separated strings; graph objects live under `graphs/`,
-//! the catalog manifest under [`MANIFEST_KEY`].
+//! table objects under `tables/`, the catalog manifest under
+//! [`MANIFEST_KEY`]. Nothing derived from a graph is stored: its read
+//! layout and planner statistics are rebuilt when it is registered.
 //!
 //! [`put_graph`]: StorageBackend::put_graph
 //! [`get_graph`]: StorageBackend::get_graph
 
 use crate::error::StoreError;
-use crate::format::{
-    decode_graph, decode_stats, decode_table, encode_graph, encode_stats, encode_table,
-};
-use gcore_ppg::{GraphStats, PathPropertyGraph, Table};
+use crate::format::{decode_graph, decode_table, encode_graph, encode_table};
+use gcore_ppg::{PathPropertyGraph, Table};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -29,7 +29,6 @@ pub const MANIFEST_KEY: &str = "manifest";
 
 const GRAPH_PREFIX: &str = "graphs/";
 const TABLE_PREFIX: &str = "tables/";
-const STATS_PREFIX: &str = "stats/";
 
 /// Escape an arbitrary graph name into a key segment that is safe as a
 /// filename on any filesystem: `[A-Za-z0-9._-]` pass through, every
@@ -56,12 +55,6 @@ pub fn graph_key(name: &str) -> String {
 /// The storage key under which a table named `name` is kept.
 pub fn table_key(name: &str) -> String {
     format!("{TABLE_PREFIX}{}.gtb", escape_name(name))
-}
-
-/// The storage key under which the planner-stats side object of the
-/// graph named `name` is kept.
-pub fn stats_key(name: &str) -> String {
-    format!("{STATS_PREFIX}{}.gst", escape_name(name))
 }
 
 /// A named-blob store. All operations are `&self` (backends are shared
@@ -99,17 +92,6 @@ pub trait StorageBackend: Send + Sync {
     /// Fetch and decode the table stored under [`table_key`]`(name)`.
     fn get_table(&self, name: &str) -> Result<Table, StoreError> {
         decode_table(&self.get_bytes(&table_key(name))?)
-    }
-
-    /// Encode `stats` and store them under [`stats_key`]`(name)` — the
-    /// planner-stats side object of the graph named `name`.
-    fn put_stats(&self, name: &str, stats: &GraphStats) -> Result<(), StoreError> {
-        self.put_bytes(&stats_key(name), &encode_stats(stats))
-    }
-
-    /// Fetch and decode the stats side object under [`stats_key`]`(name)`.
-    fn get_stats(&self, name: &str) -> Result<GraphStats, StoreError> {
-        decode_stats(&self.get_bytes(&stats_key(name))?)
     }
 }
 

@@ -8,11 +8,18 @@
 //! [`DirBackend`](crate::DirBackend) rename makes each object write
 //! atomic, and a crash between objects leaves the previous manifest
 //! pointing at the previous, complete set).
+//!
+//! A save writes only what a graph *is*. What it derives — the read
+//! layout and the planner statistics — is rebuilt when the loaded graph
+//! is registered, so a cold-started engine plans from the same numbers
+//! the saving engine did. Stores written while planner statistics were
+//! a side object (`stats/<name>.gst`) still load: the object is never
+//! read, and the next save deletes it.
 
-use crate::backend::{graph_key, stats_key, table_key, StorageBackend, MANIFEST_KEY};
+use crate::backend::{graph_key, table_key, StorageBackend, MANIFEST_KEY};
 use crate::error::StoreError;
 use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
-use gcore_ppg::{Catalog, GraphStats};
+use gcore_ppg::Catalog;
 
 const MANIFEST_MAGIC: [u8; 8] = *b"GCOREMAN";
 const MANIFEST_VERSION: u32 = 2;
@@ -139,14 +146,6 @@ pub fn save_catalog_at_epoch(
             .graph(name)
             .expect("graph_names lists registered graphs");
         backend.put_graph(name, &graph)?;
-        // Planner statistics ride along as a side object, so a
-        // cold-started engine plans identically without recomputing.
-        // Computation is deterministic, so recomputing when the cached
-        // copy was invalidated yields the same bytes either way.
-        match graph.stats() {
-            Some(stats) => backend.put_stats(name, stats)?,
-            None => backend.put_stats(name, &GraphStats::compute(&graph))?,
-        }
     }
     let table_names = catalog.table_names();
     for name in &table_names {
@@ -163,9 +162,9 @@ pub fn save_catalog_at_epoch(
     };
     backend.put_bytes(MANIFEST_KEY, &manifest.encode())?;
 
-    // Garbage-collect objects dropped since the previous save.
+    // Garbage-collect objects dropped since the previous save, and the
+    // planner-stats side objects older stores hold.
     let mut live: Vec<String> = names.iter().map(|n| graph_key(n)).collect();
-    live.extend(names.iter().map(|n| stats_key(n)));
     live.extend(table_names.iter().map(|n| table_key(n)));
     for key in backend.list()? {
         if (key.starts_with("graphs/") || key.starts_with("tables/") || key.starts_with("stats/"))
@@ -185,26 +184,17 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Catalog, StoreError>
 
 /// Load a catalog previously written by [`save_catalog_at_epoch`]:
 /// read the manifest, decode every named graph and table, register
-/// them (which builds their read layouts and reserves the stored
-/// identifier space in the catalog's generator — skolemized
-/// identifiers minted after a cold start can never collide with stored
-/// elements), and restore the default graph. Returns the catalog
+/// them (which builds their read layouts with their planner statistics
+/// and reserves the stored identifier space in the catalog's generator
+/// — skolemized identifiers minted after a cold start can never collide
+/// with stored elements), and restore the default graph. Returns the catalog
 /// together with the epoch recorded at save time (0 for version-1
 /// stores).
 pub fn load_catalog_at_epoch(backend: &dyn StorageBackend) -> Result<(Catalog, u64), StoreError> {
     let manifest = Manifest::decode(&backend.get_bytes(MANIFEST_KEY)?)?;
     let mut catalog = Catalog::new();
     for name in &manifest.graphs {
-        let mut graph = backend.get_graph(name)?;
-        // Stats side objects are advisory: attach when present and
-        // readable, otherwise registration recomputes them (the
-        // deterministic computation yields the same stats either way —
-        // stores written before the stats side object existed load
-        // fine).
-        if let Ok(stats) = backend.get_stats(name) {
-            graph.set_stats(stats);
-        }
-        catalog.register_graph(name.clone(), graph);
+        catalog.register_graph(name.clone(), backend.get_graph(name)?);
     }
     for name in &manifest.tables {
         let table = backend.get_table(name)?;
@@ -224,7 +214,7 @@ pub fn load_catalog_at_epoch(backend: &dyn StorageBackend) -> Result<(Catalog, u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{stats_key, MemBackend};
+    use crate::backend::MemBackend;
     use gcore_ppg::{Attributes, EdgeId, NodeId, PathPropertyGraph};
 
     fn people() -> PathPropertyGraph {
@@ -339,14 +329,23 @@ mod tests {
         assert_eq!(t.rows(), catalog.table("orders").unwrap().rows());
         // Registration reserved the identifier space of stored elements.
         assert!(loaded.ids().peek() > 3);
-        // Loaded graphs are indexed, like any registered graph.
+        // Loaded graphs are indexed, like any registered graph, and plan
+        // from the same statistics the saving catalog did.
         assert!(loaded.graph("people").unwrap().has_label_index());
-        // Planner stats rode along as side objects — a cold start plans
-        // from the same numbers the saving engine did.
-        assert!(loaded.graph("people").unwrap().has_stats());
+        assert!(loaded.graph("people").unwrap().stats().is_some());
         assert_eq!(
             loaded.graph("people").unwrap().stats(),
             catalog.graph("people").unwrap().stats()
+        );
+        // Nothing derived is stored.
+        assert_eq!(
+            backend.list().unwrap(),
+            vec![
+                graph_key("empty"),
+                graph_key("people"),
+                MANIFEST_KEY.to_owned(),
+                table_key("orders")
+            ]
         );
     }
 
@@ -357,21 +356,41 @@ mod tests {
         catalog.register_graph("drop", people());
         let backend = MemBackend::new();
         save_catalog(&catalog, &backend).unwrap();
-        // 2 graphs + 2 stats side objects + manifest.
-        assert_eq!(backend.list().unwrap().len(), 5);
+        // 2 graphs + manifest.
+        assert_eq!(backend.list().unwrap().len(), 3);
 
         catalog.unregister_graph("drop");
         save_catalog(&catalog, &backend).unwrap();
         assert_eq!(
             backend.list().unwrap(),
-            vec![
-                graph_key("keep"),
-                MANIFEST_KEY.to_owned(),
-                stats_key("keep")
-            ]
+            vec![graph_key("keep"), MANIFEST_KEY.to_owned()]
         );
         let loaded = load_catalog(&backend).unwrap();
         assert_eq!(loaded.graph_names(), vec!["keep"]);
+    }
+
+    #[test]
+    fn stats_side_objects_of_older_stores_are_ignored_then_deleted() {
+        let mut catalog = Catalog::new();
+        catalog.register_graph("people", people());
+        let backend = MemBackend::new();
+        save_catalog(&catalog, &backend).unwrap();
+        // An older store kept each graph's planner statistics beside it;
+        // unreadable bytes show that the object is never decoded.
+        let side = "stats/people.gst";
+        backend
+            .put_bytes(side, b"GCORESTA not a stats object")
+            .unwrap();
+
+        let loaded = load_catalog(&backend).unwrap();
+        let people = loaded.graph("people").unwrap();
+        assert_eq!(people.stats(), catalog.graph("people").unwrap().stats());
+
+        save_catalog(&loaded, &backend).unwrap();
+        assert_eq!(
+            backend.list().unwrap(),
+            vec![graph_key("people"), MANIFEST_KEY.to_owned()]
+        );
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
 use gcore_ppg::export::ElementRef;
 use gcore_ppg::hash::FxHashMap;
 use gcore_ppg::{
-    sorted_elements, Attributes, Date, EdgeLabelStats, GraphStats, Key, Label, PathPropertyGraph,
-    PathShape, PropStats, PropertyMap, PropertySet, Table, Value,
+    sorted_elements, Attributes, Date, Key, Label, PathPropertyGraph, PathShape, PropertyMap,
+    PropertySet, Table, Value,
 };
 
 /// The 8-byte magic every graph file starts with.
@@ -47,9 +47,6 @@ pub const MAGIC: [u8; 8] = *b"GCOREPPG";
 
 /// The 8-byte magic every table file starts with.
 pub const TABLE_MAGIC: [u8; 8] = *b"GCORETBL";
-
-/// The 8-byte magic every planner-stats side object starts with.
-pub const STATS_MAGIC: [u8; 8] = *b"GCORESTA";
 
 /// The format version this build writes (and the only one it reads).
 pub const FORMAT_VERSION: u32 = 1;
@@ -591,153 +588,6 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// Planner statistics (side objects)
-// ---------------------------------------------------------------------
-
-/// Encode a [`GraphStats`] side object: `STATS_MAGIC`, version, then one
-/// checksummed payload. Symbols are written by *name*, sorted by name,
-/// so the blob never embeds process-local interner state — the same
-/// rule the graph format follows. Deterministic: equal stats encode to
-/// byte-identical blobs in any process.
-pub fn encode_stats(s: &GraphStats) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, s.node_count);
-    put_u64(&mut payload, s.edge_count);
-    put_u64(&mut payload, s.path_count);
-
-    let mut node_labels: Vec<(String, u64)> = s
-        .nodes_per_label
-        .iter()
-        .map(|(l, n)| (l.name(), *n))
-        .collect();
-    node_labels.sort_unstable();
-    put_u32(&mut payload, node_labels.len() as u32);
-    for (name, n) in &node_labels {
-        put_str(&mut payload, name);
-        put_u64(&mut payload, *n);
-    }
-
-    let mut edge_labels: Vec<(String, EdgeLabelStats)> = s
-        .edges_per_label
-        .iter()
-        .map(|(l, e)| (l.name(), *e))
-        .collect();
-    edge_labels.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    put_u32(&mut payload, edge_labels.len() as u32);
-    for (name, e) in &edge_labels {
-        put_str(&mut payload, name);
-        put_u64(&mut payload, e.count);
-        put_u64(&mut payload, e.distinct_src);
-        put_u64(&mut payload, e.distinct_dst);
-    }
-
-    let put_props = |payload: &mut Vec<u8>, props: &[(Key, PropStats)]| {
-        let mut rows: Vec<(String, PropStats)> =
-            props.iter().map(|(k, p)| (k.name(), *p)).collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        put_u32(payload, rows.len() as u32);
-        for (name, p) in &rows {
-            put_str(payload, name);
-            put_u64(payload, p.carriers);
-            put_u64(payload, p.values);
-            put_u64(payload, p.distinct);
-        }
-    };
-    put_props(&mut payload, &s.node_props);
-    put_props(&mut payload, &s.edge_props);
-
-    let mut out = Vec::with_capacity(STATS_MAGIC.len() + 12 + payload.len() + 8);
-    out.extend_from_slice(&STATS_MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    put_u64(&mut out, fnv1a64(&payload));
-    out
-}
-
-/// Decode a stats side object previously produced by [`encode_stats`].
-pub fn decode_stats(bytes: &[u8]) -> Result<GraphStats, StoreError> {
-    let mut cur = Cursor::new(bytes);
-    if cur.take(STATS_MAGIC.len())? != STATS_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
-    let len = cur.u64()? as usize;
-    let payload = cur.take(len)?;
-    let checksum = cur.u64()?;
-    if checksum != fnv1a64(payload) {
-        return Err(StoreError::ChecksumMismatch { section: "stats" });
-    }
-    if !cur.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes after stats".into()));
-    }
-
-    let mut sec = Cursor::new(payload);
-    let node_count = sec.u64()?;
-    let edge_count = sec.u64()?;
-    let path_count = sec.u64()?;
-
-    let n = sec.u32()? as usize;
-    let mut nodes_per_label = Vec::with_capacity(sec.capacity_for(n, 12));
-    for _ in 0..n {
-        let label = Label::new(sec.str()?);
-        nodes_per_label.push((label, sec.u64()?));
-    }
-    nodes_per_label.sort_unstable_by_key(|(l, _)| *l);
-
-    let n = sec.u32()? as usize;
-    let mut edges_per_label = Vec::with_capacity(sec.capacity_for(n, 28));
-    for _ in 0..n {
-        let label = Label::new(sec.str()?);
-        edges_per_label.push((
-            label,
-            EdgeLabelStats {
-                count: sec.u64()?,
-                distinct_src: sec.u64()?,
-                distinct_dst: sec.u64()?,
-            },
-        ));
-    }
-    edges_per_label.sort_unstable_by_key(|(l, _)| *l);
-
-    let read_props = |sec: &mut Cursor<'_>| -> Result<Vec<(Key, PropStats)>, StoreError> {
-        let n = sec.u32()? as usize;
-        let mut rows = Vec::with_capacity(sec.capacity_for(n, 28));
-        for _ in 0..n {
-            let key = Key::new(sec.str()?);
-            rows.push((
-                key,
-                PropStats {
-                    carriers: sec.u64()?,
-                    values: sec.u64()?,
-                    distinct: sec.u64()?,
-                },
-            ));
-        }
-        rows.sort_unstable_by_key(|(k, _)| *k);
-        Ok(rows)
-    };
-    let node_props = read_props(&mut sec)?;
-    let edge_props = read_props(&mut sec)?;
-    if !sec.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in stats".into()));
-    }
-
-    Ok(GraphStats {
-        node_count,
-        edge_count,
-        path_count,
-        nodes_per_label,
-        edges_per_label,
-        node_props,
-        edge_props,
-    })
-}
-
-// ---------------------------------------------------------------------
 // Tables (§5 named inputs)
 // ---------------------------------------------------------------------
 
@@ -989,32 +839,6 @@ mod tests {
         let back = decode_table(&encode_table(&t).unwrap()).unwrap();
         assert_eq!(back.columns(), t.columns());
         assert!(back.rows().is_empty());
-    }
-
-    #[test]
-    fn stats_round_trip_and_corruption() {
-        let mut g = sample();
-        g.build_stats();
-        let s = g.stats().unwrap().clone();
-        let bytes = encode_stats(&s);
-        assert_eq!(decode_stats(&bytes).unwrap(), s);
-        // Deterministic writer.
-        assert_eq!(bytes, encode_stats(&s));
-        // Truncation and byte flips never decode to the wrong stats.
-        for len in 0..bytes.len() {
-            assert!(decode_stats(&bytes[..len]).is_err());
-        }
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x40;
-            assert!(
-                decode_stats(&corrupt).is_err() || decode_stats(&corrupt).unwrap() != s,
-                "flipping byte {i} went unnoticed"
-            );
-        }
-        // The empty graph has (trivial) stats too.
-        let empty = GraphStats::compute(&PathPropertyGraph::new());
-        assert_eq!(decode_stats(&encode_stats(&empty)).unwrap(), empty);
     }
 
     #[test]

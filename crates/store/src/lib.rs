@@ -65,7 +65,6 @@ pub use catalog_io::{
 };
 pub use error::StoreError;
 pub use format::{
-    decode_graph, decode_stats, decode_table, encode_graph, encode_stats, encode_table,
-    FORMAT_VERSION, MAGIC, STATS_MAGIC, TABLE_MAGIC,
+    decode_graph, decode_table, encode_graph, encode_table, FORMAT_VERSION, MAGIC, TABLE_MAGIC,
 };
 pub use wire::fnv1a64;

@@ -1,7 +1,7 @@
 //! The byte-level primitives every codec in the workspace is built
 //! from: little-endian integers, `u32`-length-prefixed UTF-8 strings, a
-//! bounds-checked reader and the FNV-1a checksum. The graph / table /
-//! stats formats ([`mod@crate::format`]), the manifest
+//! bounds-checked reader and the FNV-1a checksum. The graph and table
+//! formats ([`mod@crate::format`]), the manifest
 //! ([`crate::catalog_io`]) and the `gcore-serve` wire protocol all use
 //! these, so "what a string looks like on the wire" and "a hostile
 //! length never drives an allocation" are each stated once.
