@@ -27,12 +27,12 @@
 //! Cost is linear in binding rows plus constructed elements, and nothing
 //! is allocated per group: rows are partitioned by their *encoded* cells
 //! into one key array and one offset-indexed row array (`Groups`), the
-//! groups (not the rows) are ordered, the staged graph is reserved for
-//! them, and each group yields one element. Edges and stored paths are
-//! inserted once every pattern is staged, the edges sorted by identifier
-//! so that each appends to the graph's edge store. Only a CONSTRUCT with a
-//! `WHEN` keeps each group's element and rows for the WHEN pass; without
-//! one nothing is recorded per group.
+//! groups (not the rows) are ordered, the staging lists are reserved for
+//! them, and each group yields one element. The elements are inserted
+//! once every pattern is staged, the nodes and the edges sorted by
+//! identifier so that each appends to the graph's node or edge store.
+//! Only a CONSTRUCT with a `WHEN` keeps each group's element and rows
+//! for the WHEN pass; without one nothing is recorded per group.
 
 use crate::binding::{BindingTable, Bound, Column};
 use crate::context::{EvalCtx, FreshPath};
@@ -242,12 +242,14 @@ struct Staged {
 
 /// Everything a CONSTRUCT produces before WHEN filtering.
 struct Staging {
-    /// The staged nodes; the staged edges and paths once every pattern
-    /// is staged ([`Staging::insert_edges_and_paths`]).
+    /// The staged graph, once every pattern is staged
+    /// ([`Staging::insert`]).
     graph: PathPropertyGraph,
+    /// The nodes staged so far, in staging order.
+    nodes: Vec<StagedNode>,
     /// The edges staged so far, in staging order.
     edges: Vec<StagedEdge>,
-    /// The graphs staged edges copy their attributes from.
+    /// The graphs staged nodes and edges copy their attributes from.
     sources: Vec<Arc<PathPropertyGraph>>,
     /// The stored paths staged so far: identifier, walk, attributes.
     paths: Vec<(PathId, PathShape, Attributes)>,
@@ -256,6 +258,17 @@ struct Staging {
     groups: Vec<Staged>,
     /// Index of the pattern being staged.
     pattern: usize,
+}
+
+/// A node staged for the graph.
+enum StagedNode {
+    /// A node with the attributes computed for it.
+    Own(NodeId, Attributes),
+    /// A node as it is in a graph it was bound or found in (an index
+    /// into [`Staging::sources`]): looked up there, and its attributes
+    /// copied only if it is new to the staged graph, when the nodes are
+    /// inserted.
+    Of(NodeId, usize),
 }
 
 /// An edge staged for the graph.
@@ -277,19 +290,47 @@ impl StagedEdge {
     }
 }
 
+/// The staging indexes of `ids` sorted by (id, staging index) — the
+/// pairs are sorted, not the staged elements themselves — and how many
+/// distinct ids there are.
+fn id_order<I: Ord + Copy>(ids: impl Iterator<Item = I>) -> (Vec<(I, usize)>, usize) {
+    let mut order: Vec<(I, usize)> = ids.zip(0..).collect();
+    order.sort_unstable();
+    let distinct = order.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    let distinct = distinct + usize::from(!order.is_empty());
+    (order, distinct)
+}
+
 impl Staging {
-    /// Insert the staged edges in ascending id, so each one appends to
-    /// the edge store (an edge staged twice merges, in staging order;
-    /// a repeat from the same source adds nothing and is skipped), then
-    /// the stored paths over them.
-    fn insert_edges_and_paths(&mut self) -> Result<()> {
+    /// Insert the staged nodes, then the staged edges, each sort in
+    /// ascending id, so each one appends to its store (an element staged
+    /// twice merges, in staging order; a repeat from the same source adds
+    /// nothing and is skipped), then the stored paths over them.
+    fn insert(&mut self) -> Result<()> {
+        let mut nodes = std::mem::take(&mut self.nodes);
         let mut edges = std::mem::take(&mut self.edges);
-        // Sort (id, staging index) pairs, not the staged edges themselves.
-        let mut order: Vec<(EdgeId, usize)> = edges.iter().map(StagedEdge::id).zip(0..).collect();
-        order.sort_unstable();
-        let distinct = order.windows(2).filter(|w| w[0].0 != w[1].0).count();
-        let distinct = distinct + usize::from(!order.is_empty());
-        self.graph.reserve(0, distinct, self.paths.len());
+        let node_id = |n: &StagedNode| match n {
+            StagedNode::Own(id, _) | StagedNode::Of(id, _) => *id,
+        };
+        let (node_order, distinct_nodes) = id_order(nodes.iter().map(node_id));
+        let (order, distinct) = id_order(edges.iter().map(StagedEdge::id));
+        self.graph
+            .reserve(distinct_nodes, distinct, self.paths.len());
+        let (none, mut last) = (Attributes::new(), None);
+        for (id, i) in node_order {
+            match &mut nodes[i] {
+                StagedNode::Own(_, attrs) => {
+                    last = None;
+                    self.graph.add_node(id, std::mem::take(attrs));
+                }
+                StagedNode::Of(_, source) if last == Some((id, *source)) => {}
+                StagedNode::Of(_, source) => {
+                    last = Some((id, *source));
+                    let n = self.sources[*source].node(id);
+                    self.graph.add_node_ref(id, n.map_or(&none, |n| &n.attrs));
+                }
+            }
+        }
         let mut last = None;
         for (id, i) in order {
             match &mut edges[i] {
@@ -403,6 +444,7 @@ pub(crate) fn eval_construct(
     let when = |item: &ConstructItem| matches!(item, ConstructItem::Pattern(p) if p.when.is_some());
     let mut staging = Staging {
         graph: PathPropertyGraph::new(),
+        nodes: Vec::new(),
         edges: Vec::new(),
         sources: Vec::new(),
         paths: Vec::new(),
@@ -444,7 +486,7 @@ pub(crate) fn eval_construct(
         }
     }
 
-    staging.insert_edges_and_paths()?;
+    staging.insert()?;
 
     let dead = if whens.is_empty() {
         FxHashSet::default()
@@ -601,9 +643,9 @@ fn extended_table(
 /// member.
 fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPropertyGraph {
     let mut out = PathPropertyGraph::new();
-    for id in g.node_ids_sorted() {
+    for (id, n) in g.nodes() {
         if !dead.contains(&ElementId::Node(id)) {
-            out.add_node_ref(id, &g.node(id).expect("staged node").attrs);
+            out.add_node_ref(id, &n.attrs);
         }
     }
     for (id, e) in g.edges() {
@@ -939,8 +981,7 @@ fn stage_node(
     let token = skolem.token(&spec.token);
     let mut per_row: Vec<Option<NodeId>> = vec![None; bindings.len()];
     let mut tick = 0u32;
-    let none = Attributes::new();
-    staging.graph.reserve(groups.len(), 0, 0);
+    staging.nodes.reserve(groups.len());
 
     for (key, rows) in groups.iter() {
         ctx.options.cancel.checkpoint(&mut tick)?;
@@ -955,21 +996,27 @@ fn stage_node(
                 }
                 .into());
             };
-            (n, bindings.columns()[ci].graph.attributes(n.into()))
+            (n, Some(&bindings.columns()[ci].graph))
         } else {
             (skolem.node(token, spec.named.is_some(), key), None)
         };
         let template = &spec.template;
-        if template.is_empty() {
+        let staged = match source {
             // A node bound several times over (an endpoint of many
-            // edges, a path member) has its attributes copied once.
-            staging.graph.add_node_ref(id, source.unwrap_or(&none));
-        } else {
-            let mut attrs = source.cloned().unwrap_or_default();
-            let group = Group::new(rows, &group_cols);
-            template.apply(ctx, &mut attrs, bindings, &group, outer)?;
-            staging.graph.add_node(id, attrs);
-        }
+            // edges, a path member) has its attributes copied once, when
+            // the nodes are inserted.
+            Some(graph) if template.is_empty() => StagedNode::Of(id, staging.source(graph)),
+            _ => {
+                let attrs = source.and_then(|g| g.attributes(id.into()));
+                let mut attrs = attrs.cloned().unwrap_or_default();
+                if !template.is_empty() {
+                    let group = Group::new(rows, &group_cols);
+                    template.apply(ctx, &mut attrs, bindings, &group, outer)?;
+                }
+                StagedNode::Own(id, attrs)
+            }
+        };
+        staging.nodes.push(staged);
         for &ri in rows {
             per_row[ri] = Some(id);
         }
@@ -1188,7 +1235,6 @@ fn stage_path(
     let token = skolem.token(&p.var);
     let labels: Vec<Label> = p.labels.iter().map(|l| Label::new(l)).collect();
     let mut tick = 0u32;
-    let none = Attributes::new();
     let mut elems: Vec<ElementId> = Vec::new();
     if p.stored {
         staging.paths.reserve(groups.len());
@@ -1245,14 +1291,14 @@ fn stage_path(
             Some(walk) => (walk.nodes(), walk.edges()),
             None => (projection.0.as_slice(), projection.1.as_slice()),
         };
-        // Members shared with earlier paths or items are already staged:
-        // re-adding one merges its attributes without copying them (an
-        // edge's when the staged edges are inserted).
-        let node_attrs = |n: NodeId| graph.attributes(n.into()).unwrap_or(&none);
+        // Members shared with earlier paths or items merge their
+        // attributes without copying them when the staged elements are
+        // inserted.
+        let source = staging.source(&graph);
         elems.clear();
         for &n in nodes {
             if walk.is_some() || graph.contains_node(n) {
-                staging.graph.add_node_ref(n, node_attrs(n));
+                staging.nodes.push(StagedNode::Of(n, source));
                 elems.push(ElementId::Node(n));
             }
         }
@@ -1264,10 +1310,9 @@ fn stage_path(
                     continue;
                 };
                 for end in [edata.src, edata.dst] {
-                    staging.graph.add_node_ref(end, node_attrs(end));
+                    staging.nodes.push(StagedNode::Of(end, source));
                 }
             }
-            let source = staging.source(&graph);
             staging.edges.push(StagedEdge::Of(eid, source));
             elems.push(ElementId::Edge(eid));
         }

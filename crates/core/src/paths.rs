@@ -19,10 +19,10 @@
 //! # Search strategy
 //!
 //! Every search keeps its product states `(node, NFA state)` by the
-//! node's *position* in the graph's read layout ([`Positions`]: ids
-//! ascending, so position order is id order), numbering a graph without
-//! the layout once per searcher. It expands them through one step
-//! enumerator, which takes each edge step through the graph's own
+//! node's *position* in the graph ([`Positions`]: its slot in the node
+//! store, ids ascending, so position order is id order). It expands them
+//! through one step enumerator, which takes each edge step through the
+//! graph's own
 //! [`for_each_step_at`](PathPropertyGraph::for_each_step_at) (a per-label
 //! CSR range when the graph has its read layout, an adjacency scan when
 //! not); view segments are indexed by source and destination position.
@@ -91,7 +91,6 @@ use crate::error::Result;
 use crate::regex::{Nfa, Sym};
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, PathShape, Positions, StepDir};
-use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -510,8 +509,8 @@ enum StepPiece<'v> {
 /// [module docs](self)).
 pub struct PathSearcher<'a> {
     graph: &'a PathPropertyGraph,
-    /// The graph's node positions: its read layout's, or numbered here.
-    at: Cow<'a, Positions>,
+    /// The graph's node positions.
+    at: Positions<'a>,
     nfa: &'a Nfa,
     views: &'a ViewMap,
     /// Does any referenced view carry real-valued costs?
@@ -718,8 +717,7 @@ impl<'a> PathSearcher<'a> {
                     continue;
                 }
             };
-            let at = &*self.at;
-            self.graph.for_each_step_at(at, node, dir, label, |e, far| {
+            self.graph.for_each_step_at(node, dir, label, |e, far| {
                 for &to in tos {
                     f(1.0, far, to, StepPiece::Edge(e));
                 }
@@ -902,7 +900,7 @@ impl<'a> PathSearcher<'a> {
         &self,
         sources: &[NodeId],
     ) -> Result<FxHashMap<NodeId, Arc<Vec<NodeId>>>> {
-        let (nfa, at) = (self.nfa, &*self.at);
+        let (nfa, at) = (self.nfa, &self.at);
         let width = nfa.num_states();
         let mut ts = Tarjan::new(at.len() * width);
         let mut closer = Closer::default();
@@ -1212,7 +1210,7 @@ impl<'a> Ordered<'_, 'a> {
         *count += 1;
         // An accepted pop at (v, accepting q) yields a result for v; the
         // same walk may be reported through several states — dedup.
-        let (nfa, at) = (self.searcher.nfa, &*self.searcher.at);
+        let (nfa, at) = (self.searcher.nfa, &self.searcher.at);
         let id = at.id(node);
         if nfa.accepts(state) && self.targets.is_none_or(|t| t.contains(&id)) {
             let bucket = self.results.entry(id).or_default();

@@ -4,8 +4,8 @@
 //! Person named Bob" without threading raw identifiers around. The builder
 //! draws fresh identifiers from a shared [`IdGen`] and also supports the
 //! explicit identifiers needed to replicate the paper's figures verbatim.
-//! [`GraphBuilder::build`] hands the graph over with its read layout,
-//! planner statistics included, already built.
+//! [`GraphBuilder::build`] hands the graph over with its read layout
+//! already built.
 
 use crate::error::GraphError;
 use crate::graph::{Attributes, PathPropertyGraph};

@@ -7,7 +7,8 @@
 //! default is set, as the guided tour does after its first example).
 //!
 //! Registration is where a graph gets what it derives: the read layout,
-//! with the planner statistics in it (see [`crate::graph`]). A graph
+//! which tallies the planner statistics on their first read (see
+//! [`crate::graph`]). A graph
 //! loaded from a store is registered like any other, so nothing derived
 //! needs storing.
 
@@ -86,10 +87,10 @@ impl Catalog {
         self.ids.reserve_up_to(max_id);
         // Every graph entering the catalog — builder output, CONSTRUCT
         // result, GRAPH VIEW, a graph loaded from a store — gets the read
-        // layout (node positions, a CSR per edge label, label groups), so
+        // layout (the slot table, a CSR per edge label, label groups), so
         // later queries over it match and search without hashing per
-        // step, and with it the planner statistics, so they plan from
-        // real cardinalities.
+        // step, and with it the planner statistics, tallied when first
+        // read, so they plan from real cardinalities.
         if !graph.has_label_index() {
             graph.build_label_index();
         }

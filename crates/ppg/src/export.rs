@@ -55,13 +55,11 @@ pub enum ElementRef<'g> {
 /// assert_eq!(order, ["#n1", "#n2", "#e5"]);
 /// ```
 pub fn sorted_elements(g: &PathPropertyGraph) -> impl Iterator<Item = ElementRef<'_>> {
-    // Nodes and paths are sorted once as (id, payload) pairs; the edge
-    // store is in id order already. Nothing is looked up twice.
-    let mut nodes: Vec<_> = g.nodes().collect();
-    nodes.sort_unstable_by_key(|&(id, _)| id);
+    // Paths are sorted once as (id, payload) pairs; the node and edge
+    // stores are in id order already. Nothing is looked up twice.
     let mut paths: Vec<_> = g.paths().collect();
     paths.sort_unstable_by_key(|&(id, _)| id);
-    let nodes = nodes.into_iter().map(|(id, d)| ElementRef::Node(id, d));
+    let nodes = g.nodes().map(|(id, d)| ElementRef::Node(id, d));
     let edges = g.edges().map(|(id, d)| ElementRef::Edge(id, d));
     let paths = paths.into_iter().map(|(id, d)| ElementRef::Path(id, d));
     nodes.chain(edges).chain(paths)

@@ -13,35 +13,48 @@
 //!
 //! # Two layouts
 //!
-//! The *write layout* is what every mutation edits. Nodes and stored
-//! paths live in one hash map per sort from identifier to payload, a
-//! node's entry holding its out- and in-edge lists (insertion order)
-//! beside its attributes. Edges live in id order: one ascending vector
-//! of identifiers and, at the same index, one vector of payloads. A
-//! lookup binary-searches the identifiers alone, so the search stays in
-//! cache; an insert above the last identifier appends, and any other
-//! shifts both vectors. Every bulk producer hands its edges over in
-//! ascending order — decoding, [`crate::GraphBuilder`] and minted
-//! identifiers arrive that way, the set operations merge two sorted
-//! stores, CONSTRUCT sorts what it stages — so building a graph appends,
-//! and whatever reads every edge (encoding, the read layout, equality)
-//! reads the vectors in order with nothing to sort. Payloads are compact
-//! (see [`crate::property`]): a label set or property set of one member
-//! holds it inline, and an element's properties are one vector sorted
-//! by key. The *read layout* is the one state a graph derives: built
-//! once over a finished graph — by [`crate::GraphBuilder::build`],
+//! The *write layout* is what every mutation edits. Nodes and edges each
+//! live in id order: one ascending vector of identifiers and, at the same
+//! index, one vector of payloads — an element's index is its *slot*. A
+//! node's payload holds its out- and in-edge lists (insertion order)
+//! beside its attributes; stored paths live in a hash map from
+//! identifier to payload. An insert above the last identifier appends,
+//! and any other shifts both vectors (counted by
+//! [`PathPropertyGraph::shifted_node_inserts`] and
+//! [`PathPropertyGraph::shifted_edge_inserts`]). Every bulk producer
+//! hands its nodes and edges over in ascending order — decoding,
+//! [`crate::GraphBuilder`] and minted identifiers arrive that way, the
+//! set operations merge two sorted stores, CONSTRUCT sorts what it
+//! stages — so building a graph appends, and whatever reads every node
+//! or edge (encoding, the read layout, equality) reads the vectors in
+//! order with nothing to sort. Payloads are compact (see
+//! [`crate::property`]): a label set or property set of one member holds
+//! it inline, and an element's properties are one vector sorted by key.
+//!
+//! The *read layout* is the one state a graph derives: built once over a
+//! finished graph — by [`crate::GraphBuilder::build`],
 //! [`crate::Catalog::register_graph`] or
 //! [`PathPropertyGraph::build_label_index`] — and dropped by any
 //! mutation:
 //!
-//! * node ids, ascending, numbered `0..n` as [`Positions`], so position
-//!   order is id order;
+//! * the slot table: for every number from the lowest node or edge
+//!   identifier to the highest, the slot of the node or edge of that
+//!   number. One [`crate::IdGen`] numbers every sort, so one table serves
+//!   both; a lookup checks the slot's identifier, so the number of an
+//!   element of another sort is absent. It is built when that span is at
+//!   most 4 entries per node and edge and no node shares a number with an
+//!   edge; otherwise — and in a graph without the layout, such as a
+//!   decoded reply or CONSTRUCT's staging — a lookup binary-searches the
+//!   identifiers alone, so the search stays in cache;
+//! * a node's position ([`Positions`]) is its slot, so position order is
+//!   id order;
 //! * per edge label, an out- and an in-range per position of
 //!   `(edge, far position)` steps in ascending edge id — a CSR;
 //! * per node label, the group's positions, ascending;
-//! * the planner's [`GraphStats`], read off the arrays above (a label
-//!   group's length, a CSR's total and its non-empty ranges) and a tally
-//!   of the property values.
+//! * the planner's [`GraphStats`], tallied by the first
+//!   [`PathPropertyGraph::stats`] call from the arrays above (a label
+//!   group's length, a CSR's total and its non-empty ranges) and the
+//!   property values — a graph no planner asks about never pays for it.
 //!
 //! [`PathPropertyGraph::for_each_step`] and
 //! [`PathPropertyGraph::nodes_with_label`] read it when it is built and
@@ -52,11 +65,12 @@ use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, ElementId, NodeId, PathId};
 use crate::path::PathShape;
 use crate::property::{PropertyMap, PropertySet};
-use crate::stats::{EdgeLabelStats, GraphStats, PropTally};
+use crate::stats::{EdgeLabelStats, GraphStats, PropStats, PropTally};
 use crate::symbols::{Key, Label, LabelSet};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Labels and properties shared by every element sort.
 #[derive(Clone, PartialEq, Eq, Default, Debug)]
@@ -181,8 +195,8 @@ pub struct PathData {
     pub attrs: Attributes,
 }
 
-/// A node's payload and adjacency in the write layout: one map entry
-/// per node, so inserting a node is one insertion and an edge pushes onto
+/// A node's payload and adjacency in the write layout: one entry per
+/// node, so inserting a node is one insertion and an edge pushes onto
 /// its endpoints' entries.
 #[derive(Clone, Default, Debug)]
 struct NodeEntry {
@@ -193,35 +207,38 @@ struct NodeEntry {
     incoming: Vec<EdgeId>,
 }
 
-/// The edges in id order (see the [module docs](self)): `ids` ascending,
-/// `data[i]` the payload of edge `ids[i]`.
-#[derive(Clone, Default, Debug)]
-struct Edges {
-    ids: Vec<EdgeId>,
-    data: Vec<EdgeData>,
+/// One element sort in id order (see the [module docs](self)): `ids`
+/// ascending, `data[i]` the payload of element `ids[i]`. An element's
+/// index is its *slot*.
+#[derive(Clone, Debug)]
+struct Sorted<I, T> {
+    ids: Vec<I>,
+    data: Vec<T>,
     /// Inserts that landed below the last identifier and shifted the
     /// vectors.
     shifted: usize,
 }
 
-impl Edges {
-    /// The index of edge `id` (`Ok`), or where it would be inserted
-    /// (`Err`). An id above the last one is not searched for.
-    #[inline]
-    fn find(&self, id: EdgeId) -> Result<usize, usize> {
-        match self.ids.last() {
-            Some(&last) if last < id => Err(self.ids.len()),
-            _ => self.ids.binary_search(&id),
+impl<I, T> Default for Sorted<I, T> {
+    fn default() -> Self {
+        Sorted {
+            ids: Vec::new(),
+            data: Vec::new(),
+            shifted: 0,
         }
     }
+}
 
+impl<I: Copy + Ord, T> Sorted<I, T> {
+    /// The slot of element `id` (`Ok`), or where it would be inserted
+    /// (`Err`). An id above the last one is not searched for.
     #[inline]
-    fn get(&self, id: EdgeId) -> Option<&EdgeData> {
-        self.find(id).ok().map(|i| &self.data[i])
+    fn find(&self, id: I) -> Result<usize, usize> {
+        find(&self.ids, id)
     }
 
-    /// Put edge `id` at index `at`, which [`find`](Self::find) gave.
-    fn insert(&mut self, at: usize, id: EdgeId, data: EdgeData) {
+    /// Put element `id` at slot `at`, which [`find`](Self::find) gave.
+    fn insert(&mut self, at: usize, id: I, data: T) {
         if at < self.ids.len() {
             self.shifted += 1;
         }
@@ -229,31 +246,133 @@ impl Edges {
         self.data.insert(at, data);
     }
 
-    /// Every edge with its payload, ascending.
-    fn iter(&self) -> impl ExactSizeIterator<Item = (EdgeId, &EdgeData)> + Clone {
+    fn reserve(&mut self, more: usize) {
+        self.ids.reserve(more);
+        self.data.reserve(more);
+    }
+
+    /// Every element with its payload, ascending.
+    fn iter(&self) -> impl ExactSizeIterator<Item = (I, &T)> + Clone {
         self.ids.iter().copied().zip(&self.data)
     }
 }
 
-/// A graph's nodes numbered by ascending id: node `ids[p]` has position
-/// `p`, so position order is id order. The read layout keeps one; a
-/// search over a graph without it numbers the nodes itself
-/// ([`PathPropertyGraph::positions`]).
-#[derive(Clone, Debug)]
-pub struct Positions {
-    ids: Vec<NodeId>,
-    of: FxHashMap<NodeId, u32>,
+/// The index of `id` in the ascending `ids` (`Ok`), or where it would be
+/// inserted (`Err`).
+#[inline]
+fn find<I: Copy + Ord>(ids: &[I], id: I) -> Result<usize, usize> {
+    match ids.last() {
+        Some(&last) if last < id => Err(ids.len()),
+        _ => ids.binary_search(&id),
+    }
 }
 
-impl Positions {
-    fn new(graph: &PathPropertyGraph) -> Self {
-        let ids = graph.node_ids_sorted();
-        assert!(ids.len() < u32::MAX as usize, "positions are u32");
-        let mut of = FxHashMap::with_capacity_and_hasher(ids.len(), Default::default());
-        of.extend(ids.iter().enumerate().map(|(p, &id)| (id, p as u32)));
-        Positions { ids, of }
+/// An identifier the slot table numbers: a node's or an edge's.
+trait Numbered: Copy + Ord {
+    fn raw(self) -> u64;
+}
+
+impl Numbered for NodeId {
+    #[inline]
+    fn raw(self) -> u64 {
+        self.0
+    }
+}
+
+impl Numbered for EdgeId {
+    #[inline]
+    fn raw(self) -> u64 {
+        self.0
+    }
+}
+
+/// The slot of `id` among the ascending `ids`: the slot table's entry
+/// when there is one, checked against `ids` — so the number of an
+/// element of another sort is absent — else a binary search.
+#[inline]
+fn slot_of<I: Numbered>(ids: &[I], table: Option<&SlotTable>, id: I) -> Option<usize> {
+    match table {
+        Some(t) => t.get(id.raw()).filter(|&s| ids.get(s) == Some(&id)),
+        None => find(ids, id).ok(),
+    }
+}
+
+/// The read layout's id → slot table: one entry per number of the span
+/// from the graph's lowest node or edge identifier to its highest, the
+/// slot of the node or edge of that number, or [`SlotTable::NONE`]. One
+/// [`crate::IdGen`] numbers every sort, so one table serves nodes and
+/// edges.
+#[derive(Clone, Debug)]
+struct SlotTable {
+    base: u64,
+    slots: Vec<u32>,
+}
+
+impl SlotTable {
+    const NONE: u32 = u32::MAX;
+
+    /// Build the table when the span is at most [`SPAN_PER_ELEMENT`]
+    /// times the number of nodes and edges and no node shares its number
+    /// with an edge; otherwise lookups search.
+    fn new(nodes: &[NodeId], edges: &[EdgeId]) -> Option<Self> {
+        // Each store is ascending: its first and last ids bound the span.
+        fn ends<I: Numbered>(ids: &[I]) -> Option<(u64, u64)> {
+            Some((ids.first()?.raw(), ids.last()?.raw()))
+        }
+        fn numbered<I: Numbered>(ids: &[I]) -> impl Iterator<Item = (usize, u64)> + '_ {
+            ids.iter().map(|&id| id.raw()).enumerate()
+        }
+        let spans = [ends(nodes), ends(edges)].into_iter().flatten();
+        let (base, top) = spans.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))?;
+        // The span is `top - base + 1` entries, which may not fit a u64.
+        let elements = (nodes.len() + edges.len()) as u64;
+        let last = top - base;
+        if last >= SPAN_PER_ELEMENT * elements || last >= u64::from(Self::NONE) {
+            return None;
+        }
+        let mut slots = vec![Self::NONE; last as usize + 1];
+        for (slot, raw) in numbered(nodes).chain(numbered(edges)) {
+            let entry = &mut slots[(raw - base) as usize];
+            if *entry != Self::NONE {
+                return None;
+            }
+            *entry = slot as u32;
+        }
+        Some(SlotTable { base, slots })
     }
 
+    /// The slot of the element numbered `raw`, if the table has one.
+    #[inline]
+    fn get(&self, raw: u64) -> Option<usize> {
+        let i = usize::try_from(raw.wrapping_sub(self.base)).ok()?;
+        match self.slots.get(i) {
+            Some(&s) if s != Self::NONE => Some(s as usize),
+            _ => None,
+        }
+    }
+}
+
+/// How many table entries the read layout spends per node and edge at
+/// most: a graph whose identifiers spread wider searches instead. Four
+/// bounds the table at 16 B per element, about a seventh of what a
+/// decoded SNB element holds. A generated or decoded catalog graph spans
+/// one entry per element and gets the table; a CONSTRUCT view over a
+/// slice of a large graph (ten entries per element in the benchmark's
+/// `store_restart`) would spend 40 B per element on it, and searches.
+const SPAN_PER_ELEMENT: u64 = 4;
+
+/// A graph's nodes numbered by ascending id: node `id(p)` has position
+/// `p`, which is its slot in the node store, so position order is id
+/// order. Borrowed from the graph ([`PathPropertyGraph::positions`]):
+/// a position is looked up in the read layout's slot table when there
+/// is one, and searched for otherwise.
+#[derive(Clone, Copy, Debug)]
+pub struct Positions<'g> {
+    ids: &'g [NodeId],
+    table: Option<&'g SlotTable>,
+}
+
+impl Positions<'_> {
     /// The number of positions: |N|.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -268,7 +387,7 @@ impl Positions {
     /// The position of node `id`, if it is one of the graph's.
     #[inline]
     pub fn of(&self, id: NodeId) -> Option<u32> {
-        self.of.get(&id).copied()
+        slot_of(self.ids, self.table, id).map(|s| s as u32)
     }
 }
 
@@ -276,7 +395,9 @@ impl Positions {
 /// each array sized by a counting pass, and dropped by any mutation.
 #[derive(Clone, Debug)]
 struct Dense {
-    at: Positions,
+    table: Option<SlotTable>,
+    /// |N| + 1: the offsets each (label, direction) keeps.
+    stride: usize,
     /// The edge labels, ascending. The `l`-th label's out-ranges
     /// start at `offsets[2l · (n + 1)]`, its in-ranges at
     /// `offsets[(2l + 1) · (n + 1)]`.
@@ -293,7 +414,9 @@ struct Dense {
     node_labels: Vec<Label>,
     group_offsets: Vec<u32>,
     groups: Vec<u32>,
-    stats: GraphStats,
+    /// The planner statistics, tallied by the first
+    /// [`stats`](PathPropertyGraph::stats) call.
+    stats: OnceLock<GraphStats>,
 }
 
 /// Every label `attrs` carry, ascending, once: a vector, as labelled
@@ -316,26 +439,33 @@ fn prefix_sum(counts: &mut [u32]) {
     }
 }
 
+/// The property sketches of one element sort's attributes.
+fn tally<'g>(attrs: impl Iterator<Item = &'g Attributes> + Clone) -> Vec<(Key, PropStats)> {
+    let mut props = PropTally::default();
+    attrs.clone().for_each(|a| props.count(a));
+    props.size();
+    attrs.for_each(|a| props.fill(a));
+    props.finish()
+}
+
 impl Dense {
     fn new(graph: &PathPropertyGraph) -> Self {
-        let at = Positions::new(graph);
-        let node_labels = labels_of(graph.nodes.values().map(|n| &n.data.attrs));
-        let edge_labels = labels_of(graph.edges.data.iter().map(|d| &d.attrs));
+        let (nodes, edges) = (&graph.nodes, &graph.edges);
+        assert!(nodes.ids.len() < u32::MAX as usize, "positions are u32");
+        let table = SlotTable::new(&nodes.ids, &edges.ids);
+        let node_attrs = || nodes.data.iter().map(|n| &n.data.attrs);
+        let node_labels = labels_of(node_attrs());
+        let edge_labels = labels_of(edges.data.iter().map(|d| &d.attrs));
         let label_of = |labels: &[Label], l| labels.partition_point(|&x| x < l);
 
-        // Node groups and property tallies: count, then fill in
-        // position order.
-        let node_attrs = || at.ids.iter().map(|id| &graph.nodes[id].data.attrs);
-        let mut node_props = PropTally::default();
+        // Node groups: count, then fill in position order.
         let mut group_offsets = vec![0u32; node_labels.len() + 1];
         for attrs in node_attrs() {
             for l in attrs.labels.iter() {
                 group_offsets[label_of(&node_labels, l) + 1] += 1;
             }
-            node_props.count(attrs);
         }
         prefix_sum(&mut group_offsets);
-        node_props.size();
         let mut groups = vec![0u32; group_offsets[node_labels.len()] as usize];
         let mut next = group_offsets.clone();
         for (p, attrs) in node_attrs().enumerate() {
@@ -344,21 +474,19 @@ impl Dense {
                 groups[next[g] as usize] = p as u32;
                 next[g] += 1;
             }
-            node_props.fill(attrs);
         }
 
         // Edge CSRs: count every (label, direction, position) one slot
         // past its range, then fill — the store lists the edges in
         // ascending id, so each range does too.
-        let stride = at.len() + 1;
-        let ends: Vec<(u32, u32)> = graph
-            .edges
+        let stride = nodes.ids.len() + 1;
+        let at = |n: NodeId| slot_of(&nodes.ids, table.as_ref(), n).expect("endpoint");
+        let ends: Vec<(u32, u32)> = edges
             .data
             .iter()
-            .map(|d| (at.of[&d.src], at.of[&d.dst]))
+            .map(|d| (at(d.src) as u32, at(d.dst) as u32))
             .collect();
         let edges = || graph.edges.iter().zip(&ends);
-        let mut edge_props = PropTally::default();
         let mut offsets = vec![0u32; 2 * edge_labels.len() * stride];
         let slots = |l: Label, src: u32, dst: u32| {
             let out = 2 * label_of(&edge_labels, l) * stride;
@@ -370,10 +498,8 @@ impl Dense {
                     offsets[slot + 1] += 1;
                 }
             }
-            edge_props.count(&d.attrs);
         }
         prefix_sum(&mut offsets);
-        edge_props.size();
         let total = offsets.last().map_or(0, |&t| t as usize);
         let (mut step_edges, mut step_far) = (vec![EdgeId(0); total], vec![0u32; total]);
         let mut next = offsets.clone();
@@ -385,39 +511,10 @@ impl Dense {
                     next[slot] += 1;
                 }
             }
-            edge_props.fill(&d.attrs);
         }
-
-        // The statistics: a label group's length, an edge label's CSR
-        // total and its non-empty out- and in-ranges.
-        let nodes_per_label = node_labels
-            .iter()
-            .enumerate()
-            .map(|(g, &l)| (l, u64::from(group_offsets[g + 1] - group_offsets[g])));
-        let non_empty = |b: usize| {
-            let ranges = offsets[b..b + stride].windows(2);
-            ranges.filter(|r| r[0] < r[1]).count() as u64
-        };
-        let edges_per_label = edge_labels.iter().enumerate().map(|(l, &label)| {
-            let out = 2 * l * stride;
-            let relation = EdgeLabelStats {
-                count: u64::from(offsets[out + stride - 1] - offsets[out]),
-                distinct_src: non_empty(out),
-                distinct_dst: non_empty(out + stride),
-            };
-            (label, relation)
-        });
-        let stats = GraphStats {
-            node_count: at.len() as u64,
-            edge_count: graph.edge_count() as u64,
-            path_count: graph.path_count() as u64,
-            nodes_per_label: nodes_per_label.collect(),
-            edges_per_label: edges_per_label.collect(),
-            node_props: node_props.finish(),
-            edge_props: edge_props.finish(),
-        };
         Dense {
-            at,
+            table,
+            stride,
             edge_labels,
             offsets,
             step_edges,
@@ -425,7 +522,40 @@ impl Dense {
             node_labels,
             group_offsets,
             groups,
-            stats,
+            stats: OnceLock::new(),
+        }
+    }
+
+    /// The statistics of `graph`, whose layout this is: a label group's
+    /// length, an edge label's CSR total and its non-empty out- and
+    /// in-ranges, and a tally of the property values.
+    fn stats(&self, graph: &PathPropertyGraph) -> GraphStats {
+        let stride = self.stride;
+        let nodes_per_label = self.node_labels.iter().enumerate().map(|(g, &l)| {
+            let group = self.group_offsets[g + 1] - self.group_offsets[g];
+            (l, u64::from(group))
+        });
+        let non_empty = |b: usize| {
+            let ranges = self.offsets[b..b + stride].windows(2);
+            ranges.filter(|r| r[0] < r[1]).count() as u64
+        };
+        let edges_per_label = self.edge_labels.iter().enumerate().map(|(l, &label)| {
+            let out = 2 * l * stride;
+            let relation = EdgeLabelStats {
+                count: u64::from(self.offsets[out + stride - 1] - self.offsets[out]),
+                distinct_src: non_empty(out),
+                distinct_dst: non_empty(out + stride),
+            };
+            (label, relation)
+        });
+        GraphStats {
+            node_count: graph.node_count() as u64,
+            edge_count: graph.edge_count() as u64,
+            path_count: graph.path_count() as u64,
+            nodes_per_label: nodes_per_label.collect(),
+            edges_per_label: edges_per_label.collect(),
+            node_props: tally(graph.nodes.data.iter().map(|n| &n.data.attrs)),
+            edge_props: tally(graph.edges.data.iter().map(|d| &d.attrs)),
         }
     }
 
@@ -433,7 +563,7 @@ impl Dense {
     /// of label number `label`.
     #[inline]
     fn range(&self, label: usize, out: bool, pos: u32) -> Range<usize> {
-        let b = (2 * label + usize::from(!out)) * (self.at.len() + 1) + pos as usize;
+        let b = (2 * label + usize::from(!out)) * self.stride + pos as usize;
         self.offsets[b] as usize..self.offsets[b + 1] as usize
     }
 }
@@ -486,18 +616,38 @@ struct Scan<'g> {
     label: Option<Label>,
 }
 
-impl Steps<NodeId> for Scan<'_> {
+impl Scan<'_> {
+    /// The steps from the node at `slot`, to far ends named by id.
     #[inline]
-    fn one_way(&self, at: NodeId, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
-        let g = self.graph;
-        let adjacent = if out { g.out_edges(at) } else { g.in_edges(at) };
+    fn steps_from(&self, slot: usize, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
+        let (g, n) = (self.graph, &self.graph.nodes.data[slot]);
+        let adjacent = if out { &n.outgoing } else { &n.incoming };
         for &e in adjacent {
             // An adjacency list names edges of the graph only.
-            let Some(d) = g.edges.get(e) else { continue };
+            let Some(d) = g.edge(e) else { continue };
             if self.label.is_none_or(|l| d.attrs.labels.contains(l)) {
                 f(e, if out { d.dst } else { d.src });
             }
         }
+    }
+}
+
+impl Steps<NodeId> for Scan<'_> {
+    #[inline]
+    fn one_way(&self, at: NodeId, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
+        if let Some(slot) = self.graph.node_slot(at) {
+            self.steps_from(slot, out, f);
+        }
+    }
+}
+
+impl Steps<u32> for Scan<'_> {
+    #[inline]
+    fn one_way(&self, at: u32, out: bool, f: &mut impl FnMut(EdgeId, u32)) {
+        let g = self.graph;
+        self.steps_from(at as usize, out, &mut |e, far| {
+            f(e, g.node_slot(far).expect("an endpoint") as u32);
+        });
     }
 }
 
@@ -515,8 +665,8 @@ pub enum StepDir {
 /// A Path Property Graph (Definition 2.1).
 #[derive(Clone, Default, Debug)]
 pub struct PathPropertyGraph {
-    nodes: FxHashMap<NodeId, NodeEntry>,
-    edges: Edges,
+    nodes: Sorted<NodeId, NodeEntry>,
+    edges: Sorted<EdgeId, EdgeData>,
     paths: FxHashMap<PathId, PathData>,
     /// The read layout with the planner statistics, while no mutation
     /// has dropped it.
@@ -538,19 +688,22 @@ impl PathPropertyGraph {
     /// once.
     pub fn reserve(&mut self, nodes: usize, edges: usize, paths: usize) {
         self.nodes.reserve(nodes);
-        self.edges.ids.reserve(edges);
-        self.edges.data.reserve(edges);
+        self.edges.reserve(edges);
         self.paths.reserve(paths);
     }
 
     /// Make room for exactly `out` more out-edges and `incoming` more
-    /// in-edges of `node` (nothing when it is no node), so a caller that
-    /// knows the degrees it is about to insert sizes each list once.
-    pub fn reserve_adjacency(&mut self, node: NodeId, out: usize, incoming: usize) {
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.outgoing.reserve_exact(out);
-            n.incoming.reserve_exact(incoming);
-        }
+    /// in-edges of the node at position `pos` (see
+    /// [`positions`](Self::positions)), so a caller that knows the
+    /// degrees it is about to insert sizes each list once.
+    ///
+    /// # Panics
+    ///
+    /// If `pos` is no position of the graph.
+    pub fn reserve_adjacency(&mut self, pos: u32, out: usize, incoming: usize) {
+        let n = &mut self.nodes.data[pos as usize];
+        n.outgoing.reserve_exact(out);
+        n.incoming.reserve_exact(incoming);
     }
 
     /// Insert a node. Re-inserting an existing node unions attributes
@@ -568,19 +721,17 @@ impl PathPropertyGraph {
 
     fn merge_node(&mut self, id: NodeId, attrs: Cow<'_, Attributes>) {
         self.dense = None;
-        match self.nodes.get_mut(&id) {
-            Some(existing) => existing.data.attrs.union_in_place(&attrs),
-            None => {
+        match self.nodes.find(id) {
+            Ok(i) => self.nodes.data[i].data.attrs.union_in_place(&attrs),
+            Err(i) => {
                 let data = NodeData {
                     attrs: attrs.into_owned(),
                 };
-                self.nodes.insert(
-                    id,
-                    NodeEntry {
-                        data,
-                        ..NodeEntry::default()
-                    },
-                );
+                let entry = NodeEntry {
+                    data,
+                    ..NodeEntry::default()
+                };
+                self.nodes.insert(i, id, entry);
             }
         }
     }
@@ -620,18 +771,39 @@ impl PathPropertyGraph {
         dst: NodeId,
         attrs: Cow<'_, Attributes>,
     ) -> Result<(), GraphError> {
-        if !self.nodes.contains_key(&src) {
-            return Err(GraphError::DanglingEdge {
-                edge: id,
-                node: src,
-            });
-        }
-        if !self.nodes.contains_key(&dst) {
-            return Err(GraphError::DanglingEdge {
-                edge: id,
-                node: dst,
-            });
-        }
+        let at = |node| {
+            self.node_slot(node)
+                .ok_or(GraphError::DanglingEdge { edge: id, node })
+        };
+        let (s, d) = (at(src)?, at(dst)?);
+        self.merge_edge_at(id, s, d, attrs)
+    }
+
+    /// [`add_edge`](Self::add_edge) between the nodes at positions `src`
+    /// and `dst` (see [`positions`](Self::positions)): the form for a
+    /// caller that has looked its endpoints up already.
+    ///
+    /// # Panics
+    ///
+    /// If `src` or `dst` is no position of the graph.
+    pub fn add_edge_at(
+        &mut self,
+        id: EdgeId,
+        src: u32,
+        dst: u32,
+        attrs: Attributes,
+    ) -> Result<(), GraphError> {
+        self.merge_edge_at(id, src as usize, dst as usize, Cow::Owned(attrs))
+    }
+
+    fn merge_edge_at(
+        &mut self,
+        id: EdgeId,
+        s: usize,
+        d: usize,
+        attrs: Cow<'_, Attributes>,
+    ) -> Result<(), GraphError> {
+        let (src, dst) = (self.nodes.ids[s], self.nodes.ids[d]);
         self.dense = None;
         match self.edges.find(id) {
             Ok(i) => {
@@ -648,13 +820,8 @@ impl PathPropertyGraph {
             Err(i) => {
                 let attrs = attrs.into_owned();
                 self.edges.insert(i, id, EdgeData { src, dst, attrs });
-                // Both endpoints were checked above.
-                if let Some(s) = self.nodes.get_mut(&src) {
-                    s.outgoing.push(id);
-                }
-                if let Some(d) = self.nodes.get_mut(&dst) {
-                    d.incoming.push(id);
-                }
+                self.nodes.data[s].outgoing.push(id);
+                self.nodes.data[d].incoming.push(id);
             }
         }
         Ok(())
@@ -709,12 +876,12 @@ impl PathPropertyGraph {
 
     fn check_path_shape(&self, id: PathId, shape: &PathShape) -> Result<(), GraphError> {
         for &n in shape.nodes() {
-            if !self.nodes.contains_key(&n) {
+            if !self.contains_node(n) {
                 return Err(GraphError::PathUnknownNode { path: id, node: n });
             }
         }
         for (i, &e) in shape.edges().iter().enumerate() {
-            let Some(data) = self.edges.get(e) else {
+            let Some(data) = self.edge(e) else {
                 return Err(GraphError::PathUnknownEdge { path: id, edge: e });
             };
             let a = shape.nodes()[i];
@@ -737,14 +904,33 @@ impl PathPropertyGraph {
     // Lookup
     // ------------------------------------------------------------------
 
+    /// The slot table of the read layout, while it is built and has one.
+    #[inline]
+    fn table(&self) -> Option<&SlotTable> {
+        self.dense.as_ref()?.table.as_ref()
+    }
+
+    /// The slot of node `id` in the node store: its position.
+    #[inline]
+    fn node_slot(&self, id: NodeId) -> Option<usize> {
+        slot_of(&self.nodes.ids, self.table(), id)
+    }
+
+    #[inline]
+    fn node_entry(&self, id: NodeId) -> Option<&NodeEntry> {
+        self.node_slot(id).map(|s| &self.nodes.data[s])
+    }
+
     /// The node payload, if `id ∈ N`.
     pub fn node(&self, id: NodeId) -> Option<&NodeData> {
-        self.nodes.get(&id).map(|n| &n.data)
+        self.node_entry(id).map(|n| &n.data)
     }
 
     /// The edge payload, if `id ∈ E`.
+    #[inline]
     pub fn edge(&self, id: EdgeId) -> Option<&EdgeData> {
-        self.edges.get(id)
+        let slot = slot_of(&self.edges.ids, self.table(), id);
+        slot.map(|s| &self.edges.data[s])
     }
 
     /// The path payload, if `id ∈ P`.
@@ -754,12 +940,12 @@ impl PathPropertyGraph {
 
     /// True iff `id ∈ N`.
     pub fn contains_node(&self, id: NodeId) -> bool {
-        self.nodes.contains_key(&id)
+        self.node_slot(id).is_some()
     }
 
     /// True iff `id ∈ E`.
     pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edges.find(id).is_ok()
+        self.edge(id).is_some()
     }
 
     /// True iff `id ∈ P`.
@@ -769,14 +955,14 @@ impl PathPropertyGraph {
 
     /// ρ(e) = (src, dst).
     pub fn endpoints(&self, id: EdgeId) -> Option<(NodeId, NodeId)> {
-        self.edges.get(id).map(|e| (e.src, e.dst))
+        self.edge(id).map(|e| (e.src, e.dst))
     }
 
     /// The attributes of any element sort, or `None` if absent.
     pub fn attributes(&self, id: ElementId) -> Option<&Attributes> {
         match id {
-            ElementId::Node(n) => self.nodes.get(&n).map(|n| &n.data.attrs),
-            ElementId::Edge(e) => self.edges.get(e).map(|d| &d.attrs),
+            ElementId::Node(n) => self.node(n).map(|n| &n.attrs),
+            ElementId::Edge(e) => self.edge(e).map(|d| &d.attrs),
             ElementId::Path(p) => self.paths.get(&p).map(|d| &d.attrs),
         }
     }
@@ -812,12 +998,12 @@ impl PathPropertyGraph {
 
     /// Edges e with ρ(e) = (node, _), in insertion order.
     pub fn out_edges(&self, node: NodeId) -> &[EdgeId] {
-        self.nodes.get(&node).map_or(&[], |n| &n.outgoing)
+        self.node_entry(node).map_or(&[], |n| &n.outgoing)
     }
 
     /// Edges e with ρ(e) = (_, node), in insertion order.
     pub fn in_edges(&self, node: NodeId) -> &[EdgeId] {
-        self.nodes.get(&node).map_or(&[], |n| &n.incoming)
+        self.node_entry(node).map_or(&[], |n| &n.incoming)
     }
 
     /// Total degree (in + out).
@@ -833,9 +1019,9 @@ impl PathPropertyGraph {
     ///
     /// `Both` takes the `Out` steps, then the `In` steps but a self-loop,
     /// which it already took forwards. A labelled step over the read
-    /// layout looks up `node`'s position once and reads its CSR range
-    /// (ascending edge id); every other step filters the adjacency list
-    /// (insertion order). Neither allocates.
+    /// layout reads `node`'s CSR range (ascending edge id); every other
+    /// step filters the adjacency list (insertion order). Either looks
+    /// up `node`'s position once, and neither allocates.
     #[inline]
     pub fn for_each_step(
         &self,
@@ -845,23 +1031,24 @@ impl PathPropertyGraph {
         mut f: impl FnMut(EdgeId, NodeId),
     ) {
         match (label, &self.dense) {
-            (Some(_), Some(d)) => {
-                if let Some(pos) = d.at.of(node) {
-                    self.for_each_step_at(&d.at, pos, dir, label, |e, far| f(e, d.at.id(far)));
+            (Some(_), Some(_)) => {
+                if let Some(pos) = self.node_slot(node) {
+                    let ids = &self.nodes.ids;
+                    let f = |e, far: u32| f(e, ids[far as usize]);
+                    self.for_each_step_at(pos as u32, dir, label, f);
                 }
             }
             _ => Scan { graph: self, label }.toward(node, dir, &mut f),
         }
     }
 
-    /// [`for_each_step`](Self::for_each_step) between positions of `at`,
-    /// which must be this graph's [`positions`](Self::positions): the
-    /// same steps in the same order. A labelled step over the read layout
-    /// looks nothing up; a scanned step looks up its far end's position.
+    /// [`for_each_step`](Self::for_each_step) between this graph's
+    /// [`positions`](Self::positions): the same steps in the same order.
+    /// A labelled step over the read layout looks nothing up; a scanned
+    /// step looks up its far end's position.
     #[inline]
     pub fn for_each_step_at(
         &self,
-        at: &Positions,
         pos: u32,
         dir: StepDir,
         label: Option<Label>,
@@ -873,26 +1060,25 @@ impl PathPropertyGraph {
                     LabelSteps { dense: d, label }.toward(pos, dir, &mut f);
                 }
             }
-            _ => {
-                Scan { graph: self, label }.toward(at.id(pos), dir, &mut |e, far| f(e, at.of[&far]))
-            }
+            _ => Scan { graph: self, label }.toward(pos, dir, &mut f),
         }
     }
 
-    /// This graph's node positions: the read layout's when it is built,
-    /// otherwise numbered now — the same numbering either way.
-    pub fn positions(&self) -> Cow<'_, Positions> {
-        match &self.dense {
-            Some(d) => Cow::Borrowed(&d.at),
-            None => Cow::Owned(Positions::new(self)),
+    /// This graph's node positions: the slots of the node store, looked
+    /// up through the read layout's slot table when it has one.
+    pub fn positions(&self) -> Positions<'_> {
+        Positions {
+            ids: &self.nodes.ids,
+            table: self.table(),
         }
     }
 
-    /// Build the read layout (see the [module docs](self)): node
-    /// positions, a CSR per edge label, the node label groups and the
-    /// planner statistics. Called once by [`crate::GraphBuilder::build`]
-    /// and [`crate::Catalog::register_graph`]; any later mutation drops
-    /// it and the accessors fall back to scanning.
+    /// Build the read layout (see the [module docs](self)): the slot
+    /// table, a CSR per edge label and the node label groups; the planner
+    /// statistics follow on the first [`stats`](Self::stats) call. Called
+    /// once by [`crate::GraphBuilder::build`] and
+    /// [`crate::Catalog::register_graph`]; any later mutation drops it
+    /// and the accessors fall back to searching and scanning.
     pub fn build_label_index(&mut self) {
         self.dense = Some(Dense::new(self));
     }
@@ -903,9 +1089,10 @@ impl PathPropertyGraph {
     }
 
     /// The planner statistics (see [`GraphStats`]), while the read
-    /// layout is built.
+    /// layout is built: tallied by the first call, kept by the layout.
     pub fn stats(&self) -> Option<&GraphStats> {
-        self.dense.as_ref().map(|d| &d.stats)
+        let d = self.dense.as_ref()?;
+        Some(d.stats.get_or_init(|| d.stats(self)))
     }
 
     /// Replace the planner statistics of the built read layout: a hook
@@ -913,21 +1100,22 @@ impl PathPropertyGraph {
     /// the layout, or with element counts that are not this graph's,
     /// the statistics are refused.
     pub fn set_stats(&mut self, stats: GraphStats) {
-        let counts = |s: &GraphStats| (s.node_count, s.edge_count, s.path_count);
+        let counts = [stats.node_count, stats.edge_count, stats.path_count];
+        let mine = [self.node_count(), self.edge_count(), self.path_count()].map(|c| c as u64);
         if let Some(d) = &mut self.dense {
-            if counts(&stats) == counts(&d.stats) {
-                d.stats = stats;
+            if counts == mine {
+                d.stats = OnceLock::from(stats);
             }
         }
     }
 
     // ------------------------------------------------------------------
-    // Iteration (deterministic variants sort by identifier)
+    // Iteration
     // ------------------------------------------------------------------
 
     /// |N|.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.ids.len()
     }
 
     /// |E|.
@@ -942,12 +1130,12 @@ impl PathPropertyGraph {
 
     /// True for G∅.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty() && self.edges.ids.is_empty() && self.paths.is_empty()
+        self.nodes.ids.is_empty() && self.edges.ids.is_empty() && self.paths.is_empty()
     }
 
-    /// Node identifiers in arbitrary order (fast).
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.keys().copied()
+    /// Node identifiers, ascending (the store's order: fast).
+    pub fn node_ids(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
+        self.nodes.ids.iter().copied()
     }
 
     /// Edge identifiers, ascending (the store's order: fast).
@@ -960,9 +1148,9 @@ impl PathPropertyGraph {
         self.paths.keys().copied()
     }
 
-    /// Every node with its payload, in arbitrary order (fast).
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &NodeData)> + '_ {
-        self.nodes.iter().map(|(&id, n)| (id, &n.data))
+    /// Every node with its payload, ascending (the store's order: fast).
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = (NodeId, &NodeData)> + Clone + '_ {
+        self.nodes.iter().map(|(id, n)| (id, &n.data))
     }
 
     /// Every edge with its payload, ascending (the store's order: fast).
@@ -975,10 +1163,16 @@ impl PathPropertyGraph {
         self.paths.iter().map(|(&id, p)| (id, p))
     }
 
-    /// How many edge inserts so far landed below the graph's last edge
-    /// identifier and so shifted the edge store, rather than appending.
+    /// How many node inserts so far landed below the graph's last node
+    /// identifier and so shifted the node store, rather than appending.
     /// Zero for a graph built in id order; a diagnostic of who hands
-    /// edges over out of order.
+    /// nodes over out of order.
+    pub fn shifted_node_inserts(&self) -> usize {
+        self.nodes.shifted
+    }
+
+    /// [`shifted_node_inserts`](Self::shifted_node_inserts) for the edge
+    /// store.
     pub fn shifted_edge_inserts(&self) -> usize {
         self.edges.shifted
     }
@@ -986,9 +1180,7 @@ impl PathPropertyGraph {
     /// Node identifiers sorted ascending — the deterministic order used by
     /// the matcher and by all exports.
     pub fn node_ids_sorted(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.nodes.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.nodes.ids.clone()
     }
 
     /// Edge identifiers sorted ascending (deterministic order).
@@ -1011,9 +1203,14 @@ impl PathPropertyGraph {
                 return Vec::new();
             };
             let group = d.group_offsets[g] as usize..d.group_offsets[g + 1] as usize;
-            return d.groups[group].iter().map(|&p| d.at.id(p)).collect();
+            return d.groups[group]
+                .iter()
+                .map(|&p| self.nodes.ids[p as usize])
+                .collect();
         }
-        sorted_keys(&self.nodes, |n| n.data.attrs.labels.contains(label))
+        let nodes = self.nodes.iter();
+        let carrying = nodes.filter(|(_, n)| n.data.attrs.labels.contains(label));
+        carrying.map(|(id, _)| id).collect()
     }
 
     /// Edges carrying `label`, sorted by id.
@@ -1025,7 +1222,11 @@ impl PathPropertyGraph {
 
     /// Paths carrying `label`, sorted by id.
     pub fn paths_with_label(&self, label: Label) -> Vec<PathId> {
-        sorted_keys(&self.paths, |d| d.attrs.labels.contains(label))
+        let paths = self.paths.iter();
+        let carrying = paths.filter(|(_, d)| d.attrs.labels.contains(label));
+        let mut ids: Vec<PathId> = carrying.map(|(&id, _)| id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     // ------------------------------------------------------------------
@@ -1037,13 +1238,13 @@ impl PathPropertyGraph {
     /// check used by tests and after bulk operations.
     pub fn validate(&self) -> Result<(), GraphError> {
         for (id, e) in self.edges.iter() {
-            if !self.nodes.contains_key(&e.src) {
+            if !self.contains_node(e.src) {
                 return Err(GraphError::DanglingEdge {
                     edge: id,
                     node: e.src,
                 });
             }
-            if !self.nodes.contains_key(&e.dst) {
+            if !self.contains_node(e.dst) {
                 return Err(GraphError::DanglingEdge {
                     edge: id,
                     node: e.dst,
@@ -1062,10 +1263,9 @@ impl PathPropertyGraph {
 
     /// Equality of the tuples (N, E, P, ρ, δ, λ, σ), reporting the first
     /// difference for test diagnostics; `==` is `same_as(..).is_ok()`.
-    /// Two edge stores are equal when their vectors are.
+    /// Two node or edge stores are equal when their vectors are.
     pub fn same_as(&self, other: &PathPropertyGraph) -> Result<(), String> {
-        let nodes = self.node_ids_sorted();
-        if nodes != other.node_ids_sorted() {
+        if self.nodes.ids != other.nodes.ids {
             return Err("node sets differ".into());
         }
         if self.edges.ids != other.edges.ids {
@@ -1074,9 +1274,9 @@ impl PathPropertyGraph {
         if self.path_ids_sorted() != other.path_ids_sorted() {
             return Err("path sets differ".into());
         }
-        for id in nodes {
+        for ((id, mine), theirs) in self.nodes.iter().zip(&other.nodes.data) {
             // Adjacency follows from the edges, compared below.
-            if self.nodes[&id].data != other.nodes[&id].data {
+            if mine.data != theirs.data {
                 return Err(format!("node {id} differs"));
             }
         }
@@ -1092,18 +1292,6 @@ impl PathPropertyGraph {
         }
         Ok(())
     }
-}
-
-/// The identifiers in `map` whose entry passes `keep`, ascending (a
-/// scan: what the label listings do without the read layout).
-fn sorted_keys<I: Ord + Copy, V>(map: &FxHashMap<I, V>, keep: impl Fn(&V) -> bool) -> Vec<I> {
-    let mut v: Vec<I> = map
-        .iter()
-        .filter(|(_, e)| keep(e))
-        .map(|(&id, _)| id)
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 impl PartialEq for PathPropertyGraph {
@@ -1377,7 +1565,7 @@ mod tests {
         let steps_at = |g: &PathPropertyGraph, node: u64, dir: StepDir, label: Option<Label>| {
             let (at, mut out) = (g.positions(), Vec::new());
             let pos = at.of(n(node)).expect("a node");
-            g.for_each_step_at(&at, pos, dir, label, |e, far| out.push((e, at.id(far))));
+            g.for_each_step_at(pos, dir, label, |e, far| out.push((e, at.id(far))));
             out
         };
         let check = |g: &PathPropertyGraph| {
@@ -1403,6 +1591,23 @@ mod tests {
         assert!(!g.has_label_index());
         let into_1 = vec![(e(14), n(1)), (e(13), n(2))];
         assert_eq!(steps(&g, 1, StepDir::In, knows), into_1);
+    }
+
+    #[test]
+    fn the_slot_table_serves_dense_disjoint_numbers_only() {
+        let built = |nodes: &[u64], edges: &[u64]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
+            let edges: Vec<EdgeId> = edges.iter().copied().map(EdgeId).collect();
+            SlotTable::new(&nodes, &edges).is_some()
+        };
+        assert!(built(&[1, 2], &[3]));
+        // A span of 4 entries per element at most: 16 for four.
+        assert!(built(&[10, 11], &[12, 25]));
+        assert!(!built(&[10, 11], &[12, 26]));
+        // Node 2 and edge 2 would share an entry.
+        assert!(!built(&[1, 2], &[2]));
+        assert!(!built(&[], &[]));
+        assert!(!built(&[0], &[u64::MAX]));
     }
 
     #[test]

@@ -7,27 +7,26 @@
 //! empty PPG; [`union`] and [`intersect`] follow that literally.
 
 use crate::error::GraphError;
-use crate::graph::{EdgeData, PathPropertyGraph};
-use crate::ids::EdgeId;
+use crate::graph::PathPropertyGraph;
 use std::cmp::Ordering;
 
-/// Where an edge of a two-graph merge lies.
-enum Merged<'g> {
+/// Where an element of a two-graph merge lies.
+enum Merged<'g, T> {
     /// In the first graph only.
-    Left(&'g EdgeData),
+    Left(&'g T),
     /// In the second graph only.
-    Right(&'g EdgeData),
+    Right(&'g T),
     /// In both.
-    Both(&'g EdgeData, &'g EdgeData),
+    Both(&'g T, &'g T),
 }
 
-/// The edges of `a` and `b` in one ascending walk over their two sorted
-/// stores, each identifier once.
-fn merged_edges<'g>(
-    a: &'g PathPropertyGraph,
-    b: &'g PathPropertyGraph,
-) -> impl Iterator<Item = (EdgeId, Merged<'g>)> {
-    let (mut a, mut b) = (a.edges().peekable(), b.edges().peekable());
+/// The elements of two ascending listings — the node or the edge stores
+/// of two graphs — in one ascending walk, each identifier once.
+fn merged<'g, I: Ord, T: 'g>(
+    a: impl Iterator<Item = (I, &'g T)>,
+    b: impl Iterator<Item = (I, &'g T)>,
+) -> impl Iterator<Item = (I, Merged<'g, T>)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
     std::iter::from_fn(move || {
         let order = match (a.peek(), b.peek()) {
             (Some(x), Some(y)) => x.0.cmp(&y.0),
@@ -47,7 +46,7 @@ fn merged_edges<'g>(
 
 /// Are `a` and `b` consistent in the sense of §A.5?
 pub fn consistent(a: &PathPropertyGraph, b: &PathPropertyGraph) -> Result<(), GraphError> {
-    for (e, merged) in merged_edges(a, b) {
+    for (e, merged) in merged(a.edges(), b.edges()) {
         if let Merged::Both(x, y) = merged {
             if (x.src, x.dst) != (y.src, y.dst) {
                 return Err(GraphError::IdentityConflict(format!(
@@ -88,15 +87,26 @@ fn try_union(
     b: &PathPropertyGraph,
 ) -> Result<PathPropertyGraph, GraphError> {
     consistent(a, b)?;
+    // The merges hand the nodes and the edges over in ascending id:
+    // each one appends.
     let mut out = PathPropertyGraph::new();
-    for g in [a, b] {
-        for id in g.node_ids_sorted() {
-            out.add_node_ref(id, &g.node(id).expect("listed id").attrs);
+    let most = |count: fn(&PathPropertyGraph) -> usize| count(a).max(count(b));
+    out.reserve(
+        most(PathPropertyGraph::node_count),
+        most(PathPropertyGraph::edge_count),
+        0,
+    );
+    for (id, merged) in merged(a.nodes(), b.nodes()) {
+        match merged {
+            Merged::Left(n) | Merged::Right(n) => out.add_node_ref(id, &n.attrs),
+            Merged::Both(x, y) => {
+                let mut attrs = x.attrs.clone();
+                attrs.union_in_place(&y.attrs);
+                out.add_node(id, attrs);
+            }
         }
     }
-    // The merge hands the edges over in ascending id: each one appends.
-    out.reserve(0, a.edge_count().max(b.edge_count()), 0);
-    for (id, merged) in merged_edges(a, b) {
+    for (id, merged) in merged(a.edges(), b.edges()) {
         match merged {
             Merged::Left(e) | Merged::Right(e) => out.add_edge_ref(id, e.src, e.dst, &e.attrs),
             Merged::Both(x, y) => {
@@ -130,12 +140,12 @@ fn try_intersect(
 ) -> Result<PathPropertyGraph, GraphError> {
     consistent(a, b)?;
     let mut out = PathPropertyGraph::new();
-    for id in a.node_ids_sorted() {
-        if let (Some(na), Some(nb)) = (a.node(id), b.node(id)) {
+    for (id, merged) in merged(a.nodes(), b.nodes()) {
+        if let Merged::Both(na, nb) = merged {
             out.add_node(id, na.attrs.intersect(&nb.attrs));
         }
     }
-    for (id, merged) in merged_edges(a, b) {
+    for (id, merged) in merged(a.edges(), b.edges()) {
         if let Merged::Both(ea, eb) = merged {
             // Consistency guarantees equal endpoints; both graphs are
             // well-formed, so the endpoints are in N₁ ∩ N₂.
@@ -162,12 +172,12 @@ fn try_intersect(
 /// from G₁.
 pub fn difference(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyGraph {
     let mut out = PathPropertyGraph::new();
-    for id in a.node_ids_sorted() {
-        if !b.contains_node(id) {
-            out.add_node(id, a.node(id).expect("listed id").attrs.clone());
+    for (id, merged) in merged(a.nodes(), b.nodes()) {
+        if let Merged::Left(n) = merged {
+            out.add_node(id, n.attrs.clone());
         }
     }
-    for (id, merged) in merged_edges(a, b) {
+    for (id, merged) in merged(a.edges(), b.edges()) {
         if let Merged::Left(e) = merged {
             if out.contains_node(e.src) && out.contains_node(e.dst) {
                 out.add_edge(id, e.src, e.dst, e.attrs.clone())
@@ -194,7 +204,7 @@ pub fn difference(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyG
 mod tests {
     use super::*;
     use crate::graph::Attributes;
-    use crate::ids::{NodeId, PathId};
+    use crate::ids::{EdgeId, NodeId, PathId};
     use crate::path::PathShape;
     use crate::symbols::Key;
 

@@ -5,25 +5,26 @@
 //! label, endpoint-distinctness of every labeled edge relation (from
 //! which a planner derives average degrees), and per-key property
 //! sketches (carrier counts and distinct values, from which equality
-//! selectivities follow). The summary is built with the graph's read
-//! layout and kept in it (see [`crate::graph`]): the label counts are
+//! selectivities follow). The summary is kept in the graph's read layout
+//! (see [`crate::graph`]) and tallied by the first
+//! [`stats`](crate::PathPropertyGraph::stats) call: the label counts are
 //! the lengths of its label groups, an edge relation is its label's CSR
 //! (the total, and the non-empty out- and in-ranges), and only the
-//! property sketches tally values (`PropTally`, in the layout's two
-//! passes). So it is built wherever the layout is — by
+//! property sketches tally values (`PropTally`, in two passes over the
+//! element payloads). So it is there wherever the layout is — built by
 //! [`crate::GraphBuilder::build`], by [`crate::Catalog::register_graph`]
 //! for every graph entering a catalog, by
 //! [`build_label_index`](crate::PathPropertyGraph::build_label_index) —
-//! and dropped by any mutation. It is *purely advisory* — a planner
-//! consulting wrong or missing stats may pick a worse plan but never a
-//! wrong answer.
+//! paid for only where a planner reads it, and dropped by any mutation.
+//! It is *purely advisory* — a planner consulting wrong or missing stats
+//! may pick a worse plan but never a wrong answer.
 //!
 //! Determinism matters more than precision here: equal graphs produce
 //! equal stats in any process (everything is an exact count over sorted
 //! data, no sampling, no hashing of addresses), so plans — and their
 //! `EXPLAIN` renderings — are reproducible, and a cold-started engine,
-//! which rebuilds the stats as it registers each stored graph, plans
-//! identically to the engine that saved them.
+//! which tallies the stats again for each stored graph it registers,
+//! plans identically to the engine that saved them.
 
 use crate::graph::Attributes;
 use crate::symbols::{Key, Label};
@@ -129,8 +130,8 @@ impl GraphStats {
     }
 }
 
-/// The property sketches of one element sort, tallied in the read
-/// layout's two passes over it: the first [`count`](Self::count)s each
+/// The property sketches of one element sort, tallied in two passes
+/// over its payloads: the first [`count`](Self::count)s each
 /// key's carriers and values, which [`size`](Self::size) the key's list
 /// of values; the second [`fill`](Self::fill)s the lists; and
 /// [`finish`](Self::finish) sorts each list to count its distinct

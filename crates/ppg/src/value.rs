@@ -218,15 +218,16 @@ impl std::hash::Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Numbers hash through their f64 bit pattern so Int(1) and
-            // Float(1.0) — which compare equal — hash equal too.
+            // Numbers hash through their f64 value, as they compare, so
+            // Int(1) and Float(1.0) — which compare equal — hash equal
+            // too (see `number_word`).
             Value::Int(i) => {
                 2u8.hash(state);
-                (*i as f64).to_bits().hash(state);
+                number_word(*i as f64).hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                number_word(*f).hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -238,6 +239,22 @@ impl std::hash::Hash for Value {
             }
         }
     }
+}
+
+/// The word a number hashes as: an integral one its integer, any other
+/// its bits mixed (the SplitMix64 finalizer). A hash table indexes by
+/// the low bits, and the low bits of a simple number's f64 pattern are
+/// all zero — its differences are in the exponent and the top of the
+/// mantissa — so hashing the bits as they are would put 1, 2, 3 … or
+/// 0.5, 1.5, 2.5 … in one bucket.
+fn number_word(f: f64) -> u64 {
+    if f.fract() == 0.0 {
+        return f as i64 as u64;
+    }
+    let mut x = f.to_bits();
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 impl fmt::Display for Value {
@@ -371,6 +388,40 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
+    }
+
+    #[test]
+    fn numbers_and_dates_spread_over_the_low_hash_bits() {
+        use crate::hash::FxHasher;
+        use std::hash::{Hash, Hasher};
+        // A hash table indexes by the low bits of the hash: 2^15 distinct
+        // values of one kind must reach most of the 1 024 values of the
+        // low 10 bits, as they would under a random hash.
+        let spread = |values: &mut dyn Iterator<Item = Value>| {
+            let mut seen = vec![false; 1 << 10];
+            for v in values {
+                let mut h = FxHasher::default();
+                v.hash(&mut h);
+                seen[(h.finish() & 0x3ff) as usize] = true;
+            }
+            seen.iter().filter(|&&s| s).count()
+        };
+        let n = 1i64 << 15;
+        let days =
+            (1900..).flat_map(|y| (1..=12).flat_map(move |m| (1..=31).map(move |d| (y, m, d))));
+        let dates = days.filter_map(|(y, m, d)| Date::new(y, m, d));
+        #[rustfmt::skip]
+        let kinds: [(&str, Box<dyn Iterator<Item = Value>>); 5] = [
+            ("ints", Box::new((0..n).map(Value::Int))),
+            ("negative ints", Box::new((1..=n).map(|i| Value::Int(-i)))),
+            ("integral floats", Box::new((0..n).map(|i| Value::Float(i as f64)))),
+            ("halves", Box::new((0..n).map(|i| Value::Float(i as f64 + 0.5)))),
+            ("dates", Box::new(dates.take(n as usize).map(Value::Date))),
+        ];
+        for (what, mut values) in kinds {
+            let reached = spread(&mut values);
+            assert!(reached >= 1000, "{what}: {reached} of 1 024 low-bit values");
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Counted size: the live heap bytes and the allocations the dense read
 //! layout costs.
 //!
-//! `build_label_index` numbers the nodes and lays out one CSR per edge
-//! label plus the node label groups, each in a block sized once from a
-//! counting pass, and keeps the planner statistics beside them: a row per
-//! label and per property key, whose value lists are sized the same way
-//! and freed once counted. So what it leaves live is a few bytes per node
-//! and per labelled edge, and how many blocks it allocates depends on the
+//! `build_label_index` lays out the id → slot table, one CSR per edge
+//! label and the node label groups, each in a block sized once from a
+//! counting pass; the first `stats()` call keeps the planner statistics
+//! beside them: a row per label and per property key, whose value lists
+//! are sized the same way and freed once counted. Both are measured
+//! together. So what they leave live is a few bytes per node and per
+//! labelled edge, and how many blocks they allocate depends on the
 //! labels and keys and not on the graph's size.
 //!
 //! Counted with the shared thread-local counting allocator
@@ -34,14 +35,18 @@ fn without_label_index(graph: &PathPropertyGraph) -> PathPropertyGraph {
     copy
 }
 
-/// The live bytes `build_label_index` leaves on an unindexed copy of
-/// generated SNB-`persons`, and the allocations it makes.
+/// The live bytes `build_label_index` and the statistics leave on an
+/// unindexed copy of generated SNB-`persons`, and the allocations they
+/// make.
 fn layout_cost(persons: usize) -> (i64, u64) {
     let graph = without_label_index(&generate_standalone(&SnbConfig::scale(persons)).graph);
     let mut built = graph.clone();
-    let ((), cost) = counted(|| built.build_label_index());
+    let (stats, cost) = counted(|| {
+        built.build_label_index();
+        built.stats().is_some()
+    });
     let cost = (cost.live_bytes, cost.allocations);
-    assert!(built.has_label_index());
+    assert!(built.has_label_index() && stats);
     println!(
         "SNB-{persons} ({} nodes, {} edges): layout {} live bytes, {} allocations",
         graph.node_count(),

@@ -5,16 +5,18 @@
 //! operations leaves behind, they must behave like the sorted,
 //! deduplicated `Vec<Label>` and `Vec<Value>` and the `BTreeMap<Key,
 //! PropertySet>` they stand for: the same members, and the same
-//! equality, order and hash. A graph's edges are
-//! one identifier-ordered pair of vectors; inserted in any order, merged
-//! and combined by the set operations, they must behave like a
-//! `BTreeMap<EdgeId, EdgeData>`. A registered graph's planner statistics
-//! must be the counts their definitions give, tallied naively here.
+//! equality, order and hash. A graph's nodes and its edges are each
+//! one identifier-ordered pair of vectors; inserted in any order, merged,
+//! looked up with and without the read layout's slot table and combined
+//! by the set operations, they must behave like a
+//! `BTreeMap<NodeId, Attributes>` and a `BTreeMap<EdgeId, EdgeData>`.
+//! A registered graph's planner statistics must be the counts their
+//! definitions give, tallied naively here.
 
 use gcore_ppg::{
     ops, Attributes, Catalog, EdgeData, EdgeId, EdgeLabelStats, GraphError, GraphStats, Key, Label,
     LabelSet, NodeId, PathId, PathPropertyGraph, PathShape, PropStats, PropertyMap, PropertySet,
-    Value,
+    StepDir, Value,
 };
 use proptest::prelude::*;
 use std::collections::btree_map::Entry;
@@ -482,6 +484,127 @@ proptest! {
         for g in [union, intersection, ops::difference(&a, &b)] {
             prop_assert_eq!(g.shifted_edge_inserts(), 0);
         }
+    }
+}
+
+/// Node identifiers are drawn below this: small, so inserts collide and
+/// re-inserts merge.
+const NODE_IDS: u64 = 16;
+
+/// One node insert: identifier, and a label and a property value by pool
+/// index.
+type NodeOp = (u64, usize, usize);
+
+fn node_ops() -> impl Strategy<Value = Vec<NodeOp>> {
+    prop::collection::vec((0..NODE_IDS, 0usize..3, 0usize..9), 1..40)
+}
+
+/// `g`'s nodes are the model's: lookups of every candidate number as a
+/// node and as an edge, the ascending listings, the positions, and —
+/// `links` edges in — each node's adjacency.
+fn check_nodes(
+    g: &PathPropertyGraph,
+    model: &BTreeMap<NodeId, Attributes>,
+    candidates: &[u64],
+    links: &BTreeMap<EdgeId, (NodeId, NodeId)>,
+) {
+    assert_eq!(g.node_count(), model.len());
+    assert!(g.node_ids().eq(model.keys().copied()));
+    assert_eq!(
+        g.node_ids_sorted(),
+        model.keys().copied().collect::<Vec<_>>()
+    );
+    let listed = g.nodes().map(|(id, n)| (id, &n.attrs));
+    assert!(listed.eq(model.iter().map(|(&id, a)| (id, a))));
+    let at = g.positions();
+    assert_eq!(at.len(), model.len());
+    let (label, key) = (Label::new("repr_a"), Key::new("repr_w"));
+    for &raw in candidates {
+        let id = NodeId(raw);
+        let want = model.get(&id);
+        assert_eq!(g.node(id).map(|n| &n.attrs), want, "{id}");
+        assert_eq!(g.contains_node(id), want.is_some(), "{id}");
+        assert_eq!(g.attributes(id.into()), want, "{id}");
+        let labelled = want.is_some_and(|a| a.labels.contains(label));
+        assert_eq!(g.has_label(id.into(), label), labelled, "{id}");
+        assert_eq!(
+            g.prop_ref(id.into(), key),
+            want.and_then(|a| a.properties.get(&key))
+        );
+        let pos = model.keys().position(|&n| n == id).map(|p| p as u32);
+        assert_eq!(at.of(id), pos, "{id}");
+        if let Some(p) = pos {
+            assert_eq!(at.id(p), id);
+        }
+        let out: Vec<EdgeId> = links
+            .iter()
+            .filter(|(_, e)| e.0 == id)
+            .map(|(&e, _)| e)
+            .collect();
+        let into: Vec<EdgeId> = links
+            .iter()
+            .filter(|(_, e)| e.1 == id)
+            .map(|(&e, _)| e)
+            .collect();
+        assert_eq!(g.out_edges(id), out, "out of {id}");
+        assert_eq!(g.in_edges(id), into, "into {id}");
+        assert_eq!(g.degree(id), out.len() + into.len());
+        // The number as an edge's: the links are the only edges.
+        let edge = EdgeId(raw);
+        assert_eq!(g.endpoints(edge), links.get(&edge).copied(), "{edge}");
+        assert_eq!(g.contains_edge(edge), links.contains_key(&edge));
+    }
+    g.validate().expect("well-formed");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Nodes inserted in any order, merged, and looked up after every
+    /// insert behave like a `BTreeMap<NodeId, Attributes>`; so do they
+    /// once edges link them and the read layout is built. Node `k` is
+    /// numbered `stride · k`, its out-edge `stride · k + 1`: a stride of
+    /// 2 is dense enough for the layout's slot table, one of 1 000 is
+    /// not, and the search serves; either way every node's number, asked
+    /// for as an edge, and every edge's, asked for as a node, is absent.
+    #[test]
+    fn nodes_agree_with_a_btree_map(ops in node_ops(), dense in any::<bool>()) {
+        let stride = if dense { 2 } else { 1000 };
+        // Every node's and edge's number, and one past each edge's.
+        let around = |k: u64| [k * stride, k * stride + 1, k * stride + 2];
+        let candidates: Vec<u64> = (0..=NODE_IDS).flat_map(around).collect();
+        let mut g = PathPropertyGraph::new();
+        let mut model: BTreeMap<NodeId, Attributes> = BTreeMap::new();
+        let mut links = BTreeMap::new();
+        for &(k, label, value) in &ops {
+            let id = NodeId(k * stride);
+            let attrs = edge_attrs(label, value);
+            g.add_node(id, attrs.clone());
+            model.entry(id).or_default().union_in_place(&attrs);
+            check_nodes(&g, &model, &around(k), &links);
+        }
+        // Each node links to the next one around, over its out-edge.
+        let ids: Vec<NodeId> = model.keys().copied().collect();
+        for (i, &n) in ids.iter().enumerate() {
+            let (e, next) = (EdgeId(n.raw() + 1), ids[(i + 1) % ids.len()]);
+            g.add_edge(e, n, next, Attributes::labeled("repr_b")).expect("endpoints");
+            links.insert(e, (n, next));
+        }
+        check_nodes(&g, &model, &candidates, &links);
+        g.build_label_index();
+        check_nodes(&g, &model, &candidates, &links);
+        let mut steps = Vec::new();
+        for &n in &ids {
+            g.for_each_step(n, StepDir::Out, Some(Label::new("repr_b")), |e, far| steps.push((e, n, far)));
+        }
+        let want: Vec<(EdgeId, NodeId, NodeId)> = links.iter().map(|(&e, &(s, d))| (e, s, d)).collect();
+        prop_assert_eq!(steps, want);
+        // An insert shifts when its node is new and below the last one.
+        let shifted = ops.iter().enumerate().filter(|&(i, &(k, ..))| {
+            let before = &ops[..i];
+            before.iter().all(|o| o.0 != k) && before.iter().any(|o| o.0 > k)
+        });
+        prop_assert_eq!(g.shifted_node_inserts(), shifted.count());
     }
 }
 

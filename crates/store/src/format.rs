@@ -36,10 +36,9 @@
 use crate::error::StoreError;
 use crate::wire::{fnv1a64, put_str, put_u32, put_u64, Cursor};
 use gcore_ppg::export::ElementRef;
-use gcore_ppg::hash::FxHashMap;
 use gcore_ppg::{
-    sorted_elements, Attributes, Date, Key, Label, PathPropertyGraph, PathShape, PropertyMap,
-    PropertySet, Table, Value,
+    sorted_elements, Attributes, Date, GraphError, Key, Label, PathPropertyGraph, PathShape,
+    PropertyMap, PropertySet, Table, Value,
 };
 
 /// The 8-byte magic every graph file starts with.
@@ -496,14 +495,12 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
         Cursor::new(paths).capacity_for(path_count, 28),
     );
 
+    // The file lists the nodes ascending, so each insert appends.
     let mut sec = Cursor::new(nodes);
-    let mut degrees =
-        FxHashMap::with_capacity_and_hasher(sec.capacity_for(node_count, 16), Default::default());
     for _ in 0..node_count {
         let id = gcore_ppg::NodeId(sec.u64()?);
         let attrs = decode_attrs(&mut sec, &labels, &keys)?;
         g.add_node(id, attrs);
-        degrees.insert(id, (0usize, 0usize));
     }
     if !sec.is_empty() {
         return Err(StoreError::Corrupt("trailing bytes in nodes".into()));
@@ -512,34 +509,41 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PathPropertyGraph, StoreError> {
         return Err(StoreError::Corrupt("duplicate node identifiers".into()));
     }
 
-    // Each node's out- and in-degree, counted in one pass over the
-    // checksummed edge section, so every adjacency list is sized once.
-    // An endpoint that is no node is left to the decoding pass to report.
+    // Each edge's endpoints, resolved to node positions once, and each
+    // node's out- and in-degree, counted by position in one pass over
+    // the checksummed edge section, so every adjacency list is sized
+    // once and the decoding pass pushes onto it by position.
+    let mut ends = Vec::with_capacity(Cursor::new(edges).capacity_for(edge_count, 32));
+    let mut degrees = vec![(0usize, 0usize); g.node_count()];
     let mut sec = Cursor::new(edges);
+    let at = g.positions();
     for _ in 0..edge_count {
-        let _id = sec.u64()?;
-        let (src, dst) = (gcore_ppg::NodeId(sec.u64()?), gcore_ppg::NodeId(sec.u64()?));
+        let edge = gcore_ppg::EdgeId(sec.u64()?);
+        let mut end = || {
+            let node = gcore_ppg::NodeId(sec.u64()?);
+            at.of(node)
+                .ok_or(StoreError::Graph(GraphError::DanglingEdge { edge, node }))
+        };
+        let (src, dst) = (end()?, end()?);
         skip_attrs(&mut sec)?;
-        if let Some(d) = degrees.get_mut(&src) {
-            d.0 += 1;
-        }
-        if let Some(d) = degrees.get_mut(&dst) {
-            d.1 += 1;
-        }
+        degrees[src as usize].0 += 1;
+        degrees[dst as usize].1 += 1;
+        ends.push((src, dst));
     }
-    for (id, (out, incoming)) in degrees {
+    for (pos, (out, incoming)) in (0..).zip(degrees) {
         if out + incoming > 0 {
-            g.reserve_adjacency(id, out, incoming);
+            g.reserve_adjacency(pos, out, incoming);
         }
     }
 
     let mut sec = Cursor::new(edges);
-    for _ in 0..edge_count {
+    for (src, dst) in ends {
         let id = gcore_ppg::EdgeId(sec.u64()?);
-        let src = gcore_ppg::NodeId(sec.u64()?);
-        let dst = gcore_ppg::NodeId(sec.u64()?);
+        // The endpoints, resolved above.
+        sec.u64()?;
+        sec.u64()?;
         let attrs = decode_attrs(&mut sec, &labels, &keys)?;
-        g.add_edge(id, src, dst, attrs)?;
+        g.add_edge_at(id, src, dst, attrs)?;
     }
     if !sec.is_empty() {
         return Err(StoreError::Corrupt("trailing bytes in edges".into()));
