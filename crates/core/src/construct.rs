@@ -302,10 +302,11 @@ fn id_order<I: Ord + Copy>(ids: impl Iterator<Item = I>) -> (Vec<(I, usize)>, us
 }
 
 impl Staging {
-    /// Insert the staged nodes, then the staged edges, each sort in
-    /// ascending id, so each one appends to its store (an element staged
-    /// twice merges, in staging order; a repeat from the same source adds
-    /// nothing and is skipped), then the stored paths over them.
+    /// Insert the staged nodes, then the staged edges, then the stored
+    /// paths over them, each sort in ascending id, so each one appends to
+    /// its store (an element staged twice merges, in staging order; a
+    /// node or edge repeated from the same source adds nothing and is
+    /// skipped).
     fn insert(&mut self) -> Result<()> {
         let mut nodes = std::mem::take(&mut self.nodes);
         let mut edges = std::mem::take(&mut self.edges);
@@ -347,7 +348,10 @@ impl Staging {
                 }
             }
         }
-        for (id, shape, attrs) in std::mem::take(&mut self.paths) {
+        // Sorted stably: a path staged twice merges in staging order.
+        let mut paths = std::mem::take(&mut self.paths);
+        paths.sort_by_key(|&(id, ..)| id);
+        for (id, shape, attrs) in paths {
             self.graph.add_path(id, shape, attrs)?;
         }
         Ok(())
@@ -657,8 +661,7 @@ fn rebuild_without(g: &PathPropertyGraph, dead: &FxHashSet<ElementId>) -> PathPr
                 .expect("endpoints staged");
         }
     }
-    for id in g.path_ids_sorted() {
-        let p = g.path(id).expect("staged path");
+    for (id, p) in g.paths() {
         if !dead.contains(&ElementId::Path(id))
             && p.shape.nodes().iter().all(|n| out.contains_node(*n))
             && p.shape.edges().iter().all(|e| out.contains_edge(*e))

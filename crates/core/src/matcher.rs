@@ -28,7 +28,9 @@ use gcore_parser::ast::{
     Pattern, PropEntry,
 };
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
-use gcore_ppg::{ElementId, Key, Label, NodeId, PathPropertyGraph, PathShape, StepDir, Value};
+use gcore_ppg::{
+    ElementId, Key, Label, NodeId, PathData, PathPropertyGraph, PathShape, StepDir, Value,
+};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -725,18 +727,18 @@ impl<'e> PatternMatcher<'e> {
     ) -> Result<BindingTable> {
         let nfa = pat.regex.as_ref().map(Nfa::compile);
 
-        // Candidate stored paths, filtered by labels once.
-        let mut candidates: Vec<gcore_ppg::PathId> = self.graph.path_ids_sorted();
+        // Candidate stored paths, filtered by labels and regex once.
+        let mut candidates: Vec<(gcore_ppg::PathId, &PathData)> = self.graph.paths().collect();
         for group in &pat.labels {
             let resolved: Vec<Option<Label>> = group.0.iter().map(|l| Label::lookup(l)).collect();
-            candidates.retain(|&p| {
+            candidates.retain(|(_, d)| {
                 resolved
                     .iter()
-                    .any(|l| l.is_some_and(|l| self.graph.has_label(p.into(), l)))
+                    .any(|l| l.is_some_and(|l| d.attrs.labels.contains(l)))
             });
         }
         if let Some(nfa) = &nfa {
-            candidates.retain(|&p| self.stored_path_conforms(p, nfa));
+            candidates.retain(|(_, d)| conforms(&self.graph, &d.shape, nfa));
         }
 
         self.extend_rows(
@@ -746,9 +748,8 @@ impl<'e> PatternMatcher<'e> {
             dst_var,
             Bound::Path,
             |src, cands| {
-                for &p in &candidates {
-                    let shape = &self.graph.path(p).expect("listed path").shape;
-                    let (a, b) = (shape.start(), shape.end());
+                for &(p, d) in &candidates {
+                    let (a, b) = (d.shape.start(), d.shape.end());
                     let starts_at_src = match pat.direction {
                         Direction::Out => a == src,
                         Direction::In => b == src,
@@ -760,12 +761,6 @@ impl<'e> PatternMatcher<'e> {
                 }
             },
         )
-    }
-
-    /// Does a stored path's walk conform to the regex?
-    fn stored_path_conforms(&self, p: gcore_ppg::PathId, nfa: &Nfa) -> bool {
-        let shape = &self.graph.path(p).expect("candidate path").shape;
-        conforms(&self.graph, shape, nfa)
     }
 }
 

@@ -77,14 +77,7 @@ impl Catalog {
     /// Register (or replace) a named graph. The graph's identifier space
     /// is reserved in the shared generator.
     pub fn register_graph(&mut self, name: impl Into<String>, mut graph: PathPropertyGraph) {
-        let max_id = graph
-            .node_ids()
-            .map(|n| n.raw())
-            .chain(graph.edge_ids().map(|e| e.raw()))
-            .chain(graph.path_ids().map(|p| p.raw()))
-            .max()
-            .unwrap_or(0);
-        self.ids.reserve_up_to(max_id);
+        self.ids.reserve_up_to(graph.max_id());
         // Every graph entering the catalog — builder output, CONSTRUCT
         // result, GRAPH VIEW, a graph loaded from a store — gets the read
         // layout (the slot table, a CSR per edge label, label groups), so

@@ -27,8 +27,8 @@ pub enum ElementRef<'g> {
 }
 
 /// Iterate every element of `g` in the canonical export order: all
-/// nodes, then all edges, then all paths, each group sorted ascending
-/// by identifier.
+/// nodes, then all edges, then all paths, each group ascending by
+/// identifier — the order each of the graph's stores keeps.
 ///
 /// This is the single definition of "element order" shared by
 /// [`to_text`], [`to_dot`] and the binary graph writer in the
@@ -55,13 +55,10 @@ pub enum ElementRef<'g> {
 /// assert_eq!(order, ["#n1", "#n2", "#e5"]);
 /// ```
 pub fn sorted_elements(g: &PathPropertyGraph) -> impl Iterator<Item = ElementRef<'_>> {
-    // Paths are sorted once as (id, payload) pairs; the node and edge
-    // stores are in id order already. Nothing is looked up twice.
-    let mut paths: Vec<_> = g.paths().collect();
-    paths.sort_unstable_by_key(|&(id, _)| id);
+    // Each store is in id order already: nothing is sorted or looked up.
     let nodes = g.nodes().map(|(id, d)| ElementRef::Node(id, d));
     let edges = g.edges().map(|(id, d)| ElementRef::Edge(id, d));
-    let paths = paths.into_iter().map(|(id, d)| ElementRef::Path(id, d));
+    let paths = g.paths().map(|(id, d)| ElementRef::Path(id, d));
     nodes.chain(edges).chain(paths)
 }
 

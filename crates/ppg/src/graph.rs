@@ -13,20 +13,18 @@
 //!
 //! # Two layouts
 //!
-//! The *write layout* is what every mutation edits. Nodes and edges each
-//! live in id order: one ascending vector of identifiers and, at the same
-//! index, one vector of payloads — an element's index is its *slot*. A
-//! node's payload holds its out- and in-edge lists (insertion order)
-//! beside its attributes; stored paths live in a hash map from
-//! identifier to payload. An insert above the last identifier appends,
-//! and any other shifts both vectors (counted by
-//! [`PathPropertyGraph::shifted_node_inserts`] and
-//! [`PathPropertyGraph::shifted_edge_inserts`]). Every bulk producer
-//! hands its nodes and edges over in ascending order — decoding,
+//! The *write layout* is what every mutation edits. Nodes, edges and
+//! stored paths each live in id order: one ascending vector of
+//! identifiers and, at the same index, one vector of payloads — an
+//! element's index is its *slot*. A node's payload holds its out- and
+//! in-edge lists (insertion order) beside its attributes. An insert above
+//! the last identifier appends, and any other shifts both vectors
+//! (counted by [`PathPropertyGraph::shifted_inserts`]). Every bulk
+//! producer hands its elements over in ascending order — decoding,
 //! [`crate::GraphBuilder`] and minted identifiers arrive that way, the
 //! set operations merge two sorted stores, CONSTRUCT sorts what it
-//! stages — so building a graph appends, and whatever reads every node
-//! or edge (encoding, the read layout, equality) reads the vectors in
+//! stages — so building a graph appends, and whatever reads every
+//! element (encoding, the read layout, equality) reads the vectors in
 //! order with nothing to sort. Payloads are compact (see
 //! [`crate::property`]): a label set or property set of one member holds
 //! it inline, and an element's properties are one vector sorted by key.
@@ -45,7 +43,9 @@
 //!   most 4 entries per node and edge and no node shares a number with an
 //!   edge; otherwise — and in a graph without the layout, such as a
 //!   decoded reply or CONSTRUCT's staging — a lookup binary-searches the
-//!   identifiers alone, so the search stays in cache;
+//!   identifiers alone, so the search stays in cache. Stored paths stay
+//!   out of the table, as CONSTRUCT mints them late and their numbers
+//!   would widen the span: a path lookup always searches;
 //! * a node's position ([`Positions`]) is its slot, so position order is
 //!   id order;
 //! * per edge label, an out- and an in-range per position of
@@ -61,11 +61,10 @@
 //! scan the write layout when not, so it is purely an accelerator.
 
 use crate::error::GraphError;
-use crate::hash::FxHashMap;
-use crate::ids::{EdgeId, ElementId, NodeId, PathId};
+use crate::ids::{EdgeId, ElementId, ElementSort, NodeId, PathId};
 use crate::path::PathShape;
 use crate::property::{PropertyMap, PropertySet};
-use crate::stats::{EdgeLabelStats, GraphStats, PropStats, PropTally};
+use crate::stats::{tally, EdgeLabelStats, GraphStats};
 use crate::symbols::{Key, Label, LabelSet};
 use crate::value::Value;
 use std::borrow::Cow;
@@ -439,15 +438,6 @@ fn prefix_sum(counts: &mut [u32]) {
     }
 }
 
-/// The property sketches of one element sort's attributes.
-fn tally<'g>(attrs: impl Iterator<Item = &'g Attributes> + Clone) -> Vec<(Key, PropStats)> {
-    let mut props = PropTally::default();
-    attrs.clone().for_each(|a| props.count(a));
-    props.size();
-    attrs.for_each(|a| props.fill(a));
-    props.finish()
-}
-
 impl Dense {
     fn new(graph: &PathPropertyGraph) -> Self {
         let (nodes, edges) = (&graph.nodes, &graph.edges);
@@ -568,15 +558,15 @@ impl Dense {
     }
 }
 
-/// A way of taking steps from a node named by a `T`: one way along
-/// (`out`) or against the edges, and by [`StepDir`].
-trait Steps<T: Copy + PartialEq> {
-    fn one_way(&self, at: T, out: bool, f: &mut impl FnMut(EdgeId, T));
+/// A way of taking steps from a node's position: one way along (`out`)
+/// or against the edges, and by [`StepDir`].
+trait Steps {
+    fn one_way(&self, at: u32, out: bool, f: &mut impl FnMut(EdgeId, u32));
 
     /// The steps toward `dir`. `Both` takes the `Out` steps, then the
     /// `In` steps but a self-loop, which it already took forwards.
     #[inline]
-    fn toward(&self, at: T, dir: StepDir, f: &mut impl FnMut(EdgeId, T)) {
+    fn toward(&self, at: u32, dir: StepDir, f: &mut impl FnMut(EdgeId, u32)) {
         match dir {
             StepDir::Out => self.one_way(at, true, f),
             StepDir::In => self.one_way(at, false, f),
@@ -592,13 +582,13 @@ trait Steps<T: Copy + PartialEq> {
     }
 }
 
-/// Steps read off one label's CSR, between positions.
+/// Steps read off one label's CSR.
 struct LabelSteps<'d> {
     dense: &'d Dense,
     label: usize,
 }
 
-impl Steps<u32> for LabelSteps<'_> {
+impl Steps for LabelSteps<'_> {
     #[inline]
     fn one_way(&self, at: u32, out: bool, f: &mut impl FnMut(EdgeId, u32)) {
         let r = self.dense.range(self.label, out, at);
@@ -610,44 +600,25 @@ impl Steps<u32> for LabelSteps<'_> {
 }
 
 /// Steps that filter the adjacency lists (insertion order) by an
-/// optional label, between node ids.
+/// optional label, looking up each far end's position.
 struct Scan<'g> {
     graph: &'g PathPropertyGraph,
     label: Option<Label>,
 }
 
-impl Scan<'_> {
-    /// The steps from the node at `slot`, to far ends named by id.
+impl Steps for Scan<'_> {
     #[inline]
-    fn steps_from(&self, slot: usize, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
-        let (g, n) = (self.graph, &self.graph.nodes.data[slot]);
+    fn one_way(&self, at: u32, out: bool, f: &mut impl FnMut(EdgeId, u32)) {
+        let (g, n) = (self.graph, &self.graph.nodes.data[at as usize]);
         let adjacent = if out { &n.outgoing } else { &n.incoming };
         for &e in adjacent {
             // An adjacency list names edges of the graph only.
             let Some(d) = g.edge(e) else { continue };
             if self.label.is_none_or(|l| d.attrs.labels.contains(l)) {
-                f(e, if out { d.dst } else { d.src });
+                let far = if out { d.dst } else { d.src };
+                f(e, g.node_slot(far).expect("an endpoint") as u32);
             }
         }
-    }
-}
-
-impl Steps<NodeId> for Scan<'_> {
-    #[inline]
-    fn one_way(&self, at: NodeId, out: bool, f: &mut impl FnMut(EdgeId, NodeId)) {
-        if let Some(slot) = self.graph.node_slot(at) {
-            self.steps_from(slot, out, f);
-        }
-    }
-}
-
-impl Steps<u32> for Scan<'_> {
-    #[inline]
-    fn one_way(&self, at: u32, out: bool, f: &mut impl FnMut(EdgeId, u32)) {
-        let g = self.graph;
-        self.steps_from(at as usize, out, &mut |e, far| {
-            f(e, g.node_slot(far).expect("an endpoint") as u32);
-        });
     }
 }
 
@@ -667,7 +638,7 @@ pub enum StepDir {
 pub struct PathPropertyGraph {
     nodes: Sorted<NodeId, NodeEntry>,
     edges: Sorted<EdgeId, EdgeData>,
-    paths: FxHashMap<PathId, PathData>,
+    paths: Sorted<PathId, PathData>,
     /// The read layout with the planner statistics, while no mutation
     /// has dropped it.
     dense: Option<Dense>,
@@ -857,8 +828,9 @@ impl PathPropertyGraph {
     ) -> Result<(), GraphError> {
         self.check_path_shape(id, &shape)?;
         self.dense = None;
-        match self.paths.get_mut(&id) {
-            Some(existing) => {
+        match self.paths.find(id) {
+            Ok(i) => {
+                let existing = &mut self.paths.data[i];
                 if existing.shape != *shape {
                     return Err(GraphError::IdentityConflict(format!(
                         "path {id} re-inserted with a different δ"
@@ -866,9 +838,9 @@ impl PathPropertyGraph {
                 }
                 existing.attrs.union_in_place(&attrs);
             }
-            None => {
+            Err(i) => {
                 let (shape, attrs) = (shape.into_owned(), attrs.into_owned());
-                self.paths.insert(id, PathData { shape, attrs });
+                self.paths.insert(i, id, PathData { shape, attrs });
             }
         }
         Ok(())
@@ -935,7 +907,7 @@ impl PathPropertyGraph {
 
     /// The path payload, if `id ∈ P`.
     pub fn path(&self, id: PathId) -> Option<&PathData> {
-        self.paths.get(&id)
+        self.paths.find(id).ok().map(|i| &self.paths.data[i])
     }
 
     /// True iff `id ∈ N`.
@@ -950,7 +922,7 @@ impl PathPropertyGraph {
 
     /// True iff `id ∈ P`.
     pub fn contains_path(&self, id: PathId) -> bool {
-        self.paths.contains_key(&id)
+        self.paths.find(id).is_ok()
     }
 
     /// ρ(e) = (src, dst).
@@ -963,7 +935,7 @@ impl PathPropertyGraph {
         match id {
             ElementId::Node(n) => self.node(n).map(|n| &n.attrs),
             ElementId::Edge(e) => self.edge(e).map(|d| &d.attrs),
-            ElementId::Path(p) => self.paths.get(&p).map(|d| &d.attrs),
+            ElementId::Path(p) => self.path(p).map(|d| &d.attrs),
         }
     }
 
@@ -1015,13 +987,9 @@ impl PathPropertyGraph {
     /// (any edge for `None`): `f(edge, far endpoint)`. The one place a
     /// step is taken — pattern matching and path search both ask here,
     /// by id or ([`for_each_step_at`](Self::for_each_step_at)) by
-    /// position.
-    ///
-    /// `Both` takes the `Out` steps, then the `In` steps but a self-loop,
-    /// which it already took forwards. A labelled step over the read
-    /// layout reads `node`'s CSR range (ascending edge id); every other
-    /// step filters the adjacency list (insertion order). Either looks
-    /// up `node`'s position once, and neither allocates.
+    /// position. By id is by position with `node`'s position looked up
+    /// once and each far position read back as its node: the same steps
+    /// in the same order.
     #[inline]
     pub fn for_each_step(
         &self,
@@ -1030,22 +998,21 @@ impl PathPropertyGraph {
         label: Option<Label>,
         mut f: impl FnMut(EdgeId, NodeId),
     ) {
-        match (label, &self.dense) {
-            (Some(_), Some(_)) => {
-                if let Some(pos) = self.node_slot(node) {
-                    let ids = &self.nodes.ids;
-                    let f = |e, far: u32| f(e, ids[far as usize]);
-                    self.for_each_step_at(pos as u32, dir, label, f);
-                }
-            }
-            _ => Scan { graph: self, label }.toward(node, dir, &mut f),
+        if let Some(pos) = self.node_slot(node) {
+            let ids = &self.nodes.ids;
+            self.for_each_step_at(pos as u32, dir, label, |e, far| f(e, ids[far as usize]));
         }
     }
 
     /// [`for_each_step`](Self::for_each_step) between this graph's
-    /// [`positions`](Self::positions): the same steps in the same order.
-    /// A labelled step over the read layout looks nothing up; a scanned
-    /// step looks up its far end's position.
+    /// [`positions`](Self::positions).
+    ///
+    /// `Both` takes the `Out` steps, then the `In` steps but a self-loop,
+    /// which it already took forwards. A labelled step over the read
+    /// layout reads `pos`'s CSR range (ascending edge id) and looks
+    /// nothing up; every other step filters the adjacency list
+    /// (insertion order) and looks up its far end's position. Neither
+    /// allocates.
     #[inline]
     pub fn for_each_step_at(
         &self,
@@ -1125,12 +1092,12 @@ impl PathPropertyGraph {
 
     /// |P|.
     pub fn path_count(&self) -> usize {
-        self.paths.len()
+        self.paths.ids.len()
     }
 
     /// True for G∅.
     pub fn is_empty(&self) -> bool {
-        self.nodes.ids.is_empty() && self.edges.ids.is_empty() && self.paths.is_empty()
+        self.nodes.ids.is_empty() && self.edges.ids.is_empty() && self.paths.ids.is_empty()
     }
 
     /// Node identifiers, ascending (the store's order: fast).
@@ -1143,9 +1110,9 @@ impl PathPropertyGraph {
         self.edges.ids.iter().copied()
     }
 
-    /// Path identifiers in arbitrary order (fast).
+    /// Path identifiers, ascending (the store's order: fast).
     pub fn path_ids(&self) -> impl Iterator<Item = PathId> + '_ {
-        self.paths.keys().copied()
+        self.paths.ids.iter().copied()
     }
 
     /// Every node with its payload, ascending (the store's order: fast).
@@ -1158,23 +1125,33 @@ impl PathPropertyGraph {
         self.edges.iter()
     }
 
-    /// Every stored path with its payload, in arbitrary order (fast).
-    pub fn paths(&self) -> impl Iterator<Item = (PathId, &PathData)> + '_ {
-        self.paths.iter().map(|(&id, p)| (id, p))
+    /// Every stored path with its payload, ascending (the store's order:
+    /// fast).
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = (PathId, &PathData)> + Clone + '_ {
+        self.paths.iter()
     }
 
-    /// How many node inserts so far landed below the graph's last node
-    /// identifier and so shifted the node store, rather than appending.
-    /// Zero for a graph built in id order; a diagnostic of who hands
-    /// nodes over out of order.
-    pub fn shifted_node_inserts(&self) -> usize {
-        self.nodes.shifted
+    /// How many inserts of elements of `sort` so far landed below the
+    /// last identifier of their store and so shifted it, rather than
+    /// appending. Zero for a graph built in id order; a diagnostic of who
+    /// hands elements over out of order.
+    pub fn shifted_inserts(&self, sort: ElementSort) -> usize {
+        match sort {
+            ElementSort::Node => self.nodes.shifted,
+            ElementSort::Edge => self.edges.shifted,
+            ElementSort::Path => self.paths.shifted,
+        }
     }
 
-    /// [`shifted_node_inserts`](Self::shifted_node_inserts) for the edge
+    /// The largest identifier of any sort, 0 for G∅: the last one of a
     /// store.
-    pub fn shifted_edge_inserts(&self) -> usize {
-        self.edges.shifted
+    pub(crate) fn max_id(&self) -> u64 {
+        let last = [
+            self.nodes.ids.last().map(|n| n.raw()),
+            self.edges.ids.last().map(|e| e.raw()),
+            self.paths.ids.last().map(|p| p.raw()),
+        ];
+        last.into_iter().flatten().max().unwrap_or(0)
     }
 
     /// Node identifiers sorted ascending — the deterministic order used by
@@ -1190,9 +1167,7 @@ impl PathPropertyGraph {
 
     /// Path identifiers sorted ascending (deterministic order).
     pub fn path_ids_sorted(&self) -> Vec<PathId> {
-        let mut v: Vec<PathId> = self.paths.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.paths.ids.clone()
     }
 
     /// Nodes carrying `label`, sorted by id. Served from the read
@@ -1224,9 +1199,7 @@ impl PathPropertyGraph {
     pub fn paths_with_label(&self, label: Label) -> Vec<PathId> {
         let paths = self.paths.iter();
         let carrying = paths.filter(|(_, d)| d.attrs.labels.contains(label));
-        let mut ids: Vec<PathId> = carrying.map(|(&id, _)| id).collect();
-        ids.sort_unstable();
-        ids
+        carrying.map(|(id, _)| id).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1251,7 +1224,7 @@ impl PathPropertyGraph {
                 });
             }
         }
-        for (&id, p) in &self.paths {
+        for (id, p) in self.paths.iter() {
             self.check_path_shape(id, &p.shape)?;
         }
         Ok(())
@@ -1263,7 +1236,7 @@ impl PathPropertyGraph {
 
     /// Equality of the tuples (N, E, P, ρ, δ, λ, σ), reporting the first
     /// difference for test diagnostics; `==` is `same_as(..).is_ok()`.
-    /// Two node or edge stores are equal when their vectors are.
+    /// Two stores of a sort are equal when their vectors are.
     pub fn same_as(&self, other: &PathPropertyGraph) -> Result<(), String> {
         if self.nodes.ids != other.nodes.ids {
             return Err("node sets differ".into());
@@ -1271,7 +1244,7 @@ impl PathPropertyGraph {
         if self.edges.ids != other.edges.ids {
             return Err("edge sets differ".into());
         }
-        if self.path_ids_sorted() != other.path_ids_sorted() {
+        if self.paths.ids != other.paths.ids {
             return Err("path sets differ".into());
         }
         for ((id, mine), theirs) in self.nodes.iter().zip(&other.nodes.data) {
@@ -1285,8 +1258,8 @@ impl PathPropertyGraph {
                 return Err(format!("edge {id} differs"));
             }
         }
-        for id in self.path_ids_sorted() {
-            if self.paths[&id] != other.paths[&id] {
+        for ((id, mine), theirs) in self.paths.iter().zip(&other.paths.data) {
+            if mine != theirs {
                 return Err(format!("path {id} differs"));
             }
         }

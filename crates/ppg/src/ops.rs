@@ -20,8 +20,9 @@ enum Merged<'g, T> {
     Both(&'g T, &'g T),
 }
 
-/// The elements of two ascending listings — the node or the edge stores
-/// of two graphs — in one ascending walk, each identifier once.
+/// The elements of two ascending listings — the node, the edge or the
+/// path stores of two graphs — in one ascending walk, each identifier
+/// once.
 fn merged<'g, I: Ord, T: 'g>(
     a: impl Iterator<Item = (I, &'g T)>,
     b: impl Iterator<Item = (I, &'g T)>,
@@ -57,13 +58,8 @@ pub fn consistent(a: &PathPropertyGraph, b: &PathPropertyGraph) -> Result<(), Gr
             }
         }
     }
-    let (small, large) = if a.path_count() <= b.path_count() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    for p in small.path_ids() {
-        if let (Some(x), Some(y)) = (small.path(p), large.path(p)) {
+    for (p, merged) in merged(a.paths(), b.paths()) {
+        if let Merged::Both(x, y) = merged {
             if x.shape != y.shape {
                 return Err(GraphError::IdentityConflict(format!(
                     "shared path {p} has different δ in the two graphs"
@@ -87,14 +83,14 @@ fn try_union(
     b: &PathPropertyGraph,
 ) -> Result<PathPropertyGraph, GraphError> {
     consistent(a, b)?;
-    // The merges hand the nodes and the edges over in ascending id:
-    // each one appends.
+    // The merges hand every element over in ascending id: each one
+    // appends.
     let mut out = PathPropertyGraph::new();
     let most = |count: fn(&PathPropertyGraph) -> usize| count(a).max(count(b));
     out.reserve(
         most(PathPropertyGraph::node_count),
         most(PathPropertyGraph::edge_count),
-        0,
+        most(PathPropertyGraph::path_count),
     );
     for (id, merged) in merged(a.nodes(), b.nodes()) {
         match merged {
@@ -117,12 +113,16 @@ fn try_union(
         }
         .expect("endpoints inserted above");
     }
-    for g in [a, b] {
-        for id in g.path_ids_sorted() {
-            let p = g.path(id).expect("listed id");
-            out.add_path_ref(id, &p.shape, &p.attrs)
-                .expect("constituents inserted above");
+    for (id, merged) in merged(a.paths(), b.paths()) {
+        match merged {
+            Merged::Left(p) | Merged::Right(p) => out.add_path_ref(id, &p.shape, &p.attrs),
+            Merged::Both(x, y) => {
+                let mut attrs = x.attrs.clone();
+                attrs.union_in_place(&y.attrs);
+                out.add_path(id, x.shape.clone(), attrs)
+            }
         }
+        .expect("constituents inserted above");
     }
     Ok(out)
 }
@@ -153,8 +153,8 @@ fn try_intersect(
                 .expect("endpoints present by well-formedness");
         }
     }
-    for id in a.path_ids_sorted() {
-        if let (Some(pa), Some(pb)) = (a.path(id), b.path(id)) {
+    for (id, merged) in merged(a.paths(), b.paths()) {
+        if let Merged::Both(pa, pb) = merged {
             out.add_path(id, pa.shape.clone(), pa.attrs.intersect(&pb.attrs))
                 .expect("constituents present by well-formedness");
         }
@@ -185,16 +185,14 @@ pub fn difference(a: &PathPropertyGraph, b: &PathPropertyGraph) -> PathPropertyG
             }
         }
     }
-    for id in a.path_ids_sorted() {
-        if b.contains_path(id) {
-            continue;
-        }
-        let p = a.path(id).expect("listed id");
-        let nodes_ok = p.shape.nodes().iter().all(|n| out.contains_node(*n));
-        let edges_ok = p.shape.edges().iter().all(|e| out.contains_edge(*e));
-        if nodes_ok && edges_ok {
-            out.add_path(id, p.shape.clone(), p.attrs.clone())
-                .expect("constituents checked");
+    for (id, merged) in merged(a.paths(), b.paths()) {
+        if let Merged::Left(p) = merged {
+            let nodes_ok = p.shape.nodes().iter().all(|n| out.contains_node(*n));
+            let edges_ok = p.shape.edges().iter().all(|e| out.contains_edge(*e));
+            if nodes_ok && edges_ok {
+                out.add_path(id, p.shape.clone(), p.attrs.clone())
+                    .expect("constituents checked");
+            }
         }
     }
     out

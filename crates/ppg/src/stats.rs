@@ -10,8 +10,8 @@
 //! [`stats`](crate::PathPropertyGraph::stats) call: the label counts are
 //! the lengths of its label groups, an edge relation is its label's CSR
 //! (the total, and the non-empty out- and in-ranges), and only the
-//! property sketches tally values (`PropTally`, in two passes over the
-//! element payloads). So it is there wherever the layout is — built by
+//! property sketches tally values (`tally`, in one pass over the element
+//! payloads). So it is there wherever the layout is — built by
 //! [`crate::GraphBuilder::build`], by [`crate::Catalog::register_graph`]
 //! for every graph entering a catalog, by
 //! [`build_label_index`](crate::PathPropertyGraph::build_label_index) —
@@ -27,6 +27,7 @@
 //! plans identically to the engine that saved them.
 
 use crate::graph::Attributes;
+use crate::hash::FxHashSet;
 use crate::symbols::{Key, Label};
 use crate::value::Value;
 
@@ -130,61 +131,35 @@ impl GraphStats {
     }
 }
 
-/// The property sketches of one element sort, tallied in two passes
-/// over its payloads: the first [`count`](Self::count)s each
-/// key's carriers and values, which [`size`](Self::size) the key's list
-/// of values; the second [`fill`](Self::fill)s the lists; and
-/// [`finish`](Self::finish) sorts each list to count its distinct
-/// values. Values are borrowed, so no string is copied per carrier.
-#[derive(Default)]
-pub(crate) struct PropTally<'g> {
-    /// Per key, sorted by key: the sketch so far.
-    keys: Vec<(Key, PropStats)>,
-    /// Per key, at the same index: its values, once sized.
-    values: Vec<Vec<&'g Value>>,
-}
-
-impl<'g> PropTally<'g> {
-    /// First pass: count one element's carried keys and their values.
-    pub(crate) fn count(&mut self, attrs: &Attributes) {
-        for (k, vs) in &attrs.properties {
-            let i = match self.keys.binary_search_by_key(k, |(key, _)| *key) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.keys.insert(i, (*k, PropStats::default()));
-                    i
-                }
-            };
-            self.keys[i].1.carriers += 1;
-            self.keys[i].1.values += vs.len() as u64;
+/// The property sketches of one element sort, tallied in one pass over
+/// its payloads: per key, sorted by key, its carriers, its values and,
+/// in one set of borrowed values, its distinct ones. `Value`'s `Eq` and
+/// `Hash` are `total_cmp`'s, so `Int(1)` and `Float(1.0)` are one value.
+/// Each key's set is sized once, for as many values as the sort has
+/// elements, so a single-valued key never grows it.
+pub(crate) fn tally<'g>(
+    attrs: impl ExactSizeIterator<Item = &'g Attributes>,
+) -> Vec<(Key, PropStats)> {
+    let elements = attrs.len();
+    let mut keys: Vec<(Key, PropStats)> = Vec::new();
+    let mut seen: Vec<FxHashSet<&'g Value>> = Vec::new();
+    for a in attrs {
+        for (k, vs) in &a.properties {
+            let i = keys.partition_point(|(key, _)| key < k);
+            if keys.get(i).is_none_or(|(key, _)| key != k) {
+                keys.insert(i, (*k, PropStats::default()));
+                let room = FxHashSet::with_capacity_and_hasher(elements, Default::default());
+                seen.insert(i, room);
+            }
+            keys[i].1.carriers += 1;
+            keys[i].1.values += vs.len() as u64;
+            seen[i].extend(vs.iter());
         }
     }
-
-    /// Between the passes: give each key's list the room its values
-    /// take.
-    pub(crate) fn size(&mut self) {
-        let room = |(_, t): &(Key, PropStats)| Vec::with_capacity(t.values as usize);
-        self.values = self.keys.iter().map(room).collect();
+    for ((_, t), distinct) in keys.iter_mut().zip(&seen) {
+        t.distinct = distinct.len() as u64;
     }
-
-    /// Second pass: list one element's values under their keys.
-    pub(crate) fn fill(&mut self, attrs: &'g Attributes) {
-        for (k, vs) in &attrs.properties {
-            let i = self.keys.partition_point(|(key, _)| key < k);
-            self.values[i].extend(vs.iter());
-        }
-    }
-
-    /// The sketches, sorted by key, with the distinct values counted
-    /// under `total_cmp`.
-    pub(crate) fn finish(mut self) -> Vec<(Key, PropStats)> {
-        for ((_, t), list) in self.keys.iter_mut().zip(&mut self.values) {
-            list.sort_unstable_by(|a, b| a.total_cmp(b));
-            list.dedup_by(|a, b| a.total_cmp(b).is_eq());
-            t.distinct = list.len() as u64;
-        }
-        self.keys
-    }
+    keys
 }
 
 /// What `symbol` is paired with in a list sorted by symbol.

@@ -4,11 +4,11 @@
 //! `build_label_index` lays out the id → slot table, one CSR per edge
 //! label and the node label groups, each in a block sized once from a
 //! counting pass; the first `stats()` call keeps the planner statistics
-//! beside them: a row per label and per property key, whose value lists
-//! are sized the same way and freed once counted. Both are measured
-//! together. So what they leave live is a few bytes per node and per
-//! labelled edge, and how many blocks they allocate depends on the
-//! labels and keys and not on the graph's size.
+//! beside them: a row per label and per property key, whose set of
+//! distinct values is sized once, for the element count, and freed once
+//! counted. Both are measured together. So what they leave live is a
+//! few bytes per node and per labelled edge, and how many blocks they
+//! allocate depends on the labels and keys and not on the graph's size.
 //!
 //! Counted with the shared thread-local counting allocator
 //! (`tests/support/counting_alloc.rs`): counts, not timings, so they

@@ -5,18 +5,19 @@
 //! operations leaves behind, they must behave like the sorted,
 //! deduplicated `Vec<Label>` and `Vec<Value>` and the `BTreeMap<Key,
 //! PropertySet>` they stand for: the same members, and the same
-//! equality, order and hash. A graph's nodes and its edges are each
-//! one identifier-ordered pair of vectors; inserted in any order, merged,
-//! looked up with and without the read layout's slot table and combined
-//! by the set operations, they must behave like a
-//! `BTreeMap<NodeId, Attributes>` and a `BTreeMap<EdgeId, EdgeData>`.
+//! equality, order and hash. A graph's nodes, its edges and its stored
+//! paths are each one identifier-ordered pair of vectors; inserted in any
+//! order, merged, looked up with and without the read layout's slot
+//! table and combined by the set operations, they must behave like a
+//! `BTreeMap<NodeId, Attributes>`, a `BTreeMap<EdgeId, EdgeData>` and a
+//! `BTreeMap<PathId, PathData>`.
 //! A registered graph's planner statistics must be the counts their
 //! definitions give, tallied naively here.
 
 use gcore_ppg::{
-    ops, Attributes, Catalog, EdgeData, EdgeId, EdgeLabelStats, GraphError, GraphStats, Key, Label,
-    LabelSet, NodeId, PathId, PathPropertyGraph, PathShape, PropStats, PropertyMap, PropertySet,
-    StepDir, Value,
+    ops, Attributes, Catalog, EdgeData, EdgeId, EdgeLabelStats, ElementSort, GraphError,
+    GraphStats, Key, Label, LabelSet, NodeId, PathData, PathId, PathPropertyGraph, PathShape,
+    PropStats, PropertyMap, PropertySet, StepDir, Value,
 };
 use proptest::prelude::*;
 use std::collections::btree_map::Entry;
@@ -413,7 +414,7 @@ fn from_model(nodes: &[u64], model: &BTreeMap<EdgeId, EdgeData>) -> PathProperty
         g.add_edge(id, e.src, e.dst, e.attrs.clone())
             .expect("model edge");
     }
-    assert_eq!(g.shifted_edge_inserts(), 0);
+    assert_eq!(g.shifted_inserts(ElementSort::Edge), 0);
     g
 }
 
@@ -482,7 +483,7 @@ proptest! {
         let md: BTreeMap<EdgeId, EdgeData> = kept.map(|(&id, e)| (id, e.clone())).collect();
         check_edges(&ops::difference(&a, &b), &md);
         for g in [union, intersection, ops::difference(&a, &b)] {
-            prop_assert_eq!(g.shifted_edge_inserts(), 0);
+            prop_assert_eq!(g.shifted_inserts(ElementSort::Edge), 0);
         }
     }
 }
@@ -604,7 +605,7 @@ proptest! {
             let before = &ops[..i];
             before.iter().all(|o| o.0 != k) && before.iter().any(|o| o.0 > k)
         });
-        prop_assert_eq!(g.shifted_node_inserts(), shifted.count());
+        prop_assert_eq!(g.shifted_inserts(ElementSort::Node), shifted.count());
     }
 }
 
@@ -772,5 +773,205 @@ proptest! {
         let mut changed = (*registered).clone();
         changed.add_node(NodeId(999), Attributes::new());
         prop_assert!(changed.stats().is_none());
+    }
+}
+
+/// Path identifiers are drawn below this: small, so inserts collide and
+/// re-inserts merge.
+const PATH_IDS: u64 = 12;
+
+/// The graph stored paths are inserted into: nodes 0–3, edges 10: 0→1,
+/// 11: 1→2, 12: 2→0 and the self-loop 13: 3→3. `nodes` (a mask) keeps
+/// some nodes and the edges between them.
+fn path_base(nodes: u8) -> PathPropertyGraph {
+    let mut g = PathPropertyGraph::new();
+    for n in (0..4).filter(|n| nodes & (1 << n) != 0) {
+        g.add_node(NodeId(n), Attributes::new());
+    }
+    for (e, src, dst) in [(10, 0, 1), (11, 1, 2), (12, 2, 0), (13, 3, 3)] {
+        let (src, dst) = (NodeId(src), NodeId(dst));
+        if g.contains_node(src) && g.contains_node(dst) {
+            g.add_edge(EdgeId(e), src, dst, Attributes::new())
+                .expect("endpoints");
+        }
+    }
+    g
+}
+
+/// The walks a path insert picks from: the last two name a node and an
+/// edge no graph has.
+fn walk(i: usize) -> PathShape {
+    let (nodes, edges): (&[u64], &[u64]) = match i {
+        0 => (&[0], &[]),
+        1 => (&[0, 1], &[10]),
+        2 => (&[0, 1, 2], &[10, 11]),
+        3 => (&[2, 1], &[11]),
+        4 => (&[3, 3], &[13]),
+        5 => (&[0, 9], &[10]),
+        _ => (&[0, 1], &[99]),
+    };
+    let nodes = nodes.iter().copied().map(NodeId).collect();
+    PathShape::new(nodes, edges.iter().copied().map(EdgeId).collect()).expect("a walk")
+}
+const WALKS: usize = 7;
+
+/// One path insert: identifier, walk, and a label and a property value
+/// by pool index.
+type PathOp = (u64, usize, usize, usize);
+
+fn path_ops() -> impl Strategy<Value = Vec<PathOp>> {
+    let op = (0..PATH_IDS, 0..WALKS, 0usize..3, 0usize..9);
+    prop::collection::vec(op, 0..24)
+}
+
+/// `base` with the paths of `ops` inserted in their order, and its
+/// model, checked after every insert: a walk over a node or an edge
+/// `base` lacks is refused, a new identifier is inserted, a known one
+/// with the same walk merges, and with another walk it is an identity
+/// conflict and changes nothing.
+fn build_paths(
+    base: &PathPropertyGraph,
+    ops: &[PathOp],
+) -> (PathPropertyGraph, BTreeMap<PathId, PathData>) {
+    let mut g = base.clone();
+    let mut model: BTreeMap<PathId, PathData> = BTreeMap::new();
+    for &(id, w, label, value) in ops {
+        let (id, shape, attrs) = (PathId(id), walk(w), edge_attrs(label, value));
+        let got = g.add_path(id, shape.clone(), attrs.clone());
+        if let Some(&node) = shape.nodes().iter().find(|&&n| !base.contains_node(n)) {
+            assert_eq!(got, Err(GraphError::PathUnknownNode { path: id, node }));
+        } else if let Some(&edge) = shape.edges().iter().find(|&&e| !base.contains_edge(e)) {
+            assert_eq!(got, Err(GraphError::PathUnknownEdge { path: id, edge }));
+        } else {
+            match model.entry(id) {
+                Entry::Vacant(slot) => {
+                    assert_eq!(got, Ok(()));
+                    slot.insert(PathData { shape, attrs });
+                }
+                Entry::Occupied(mut slot) if slot.get().shape == shape => {
+                    assert_eq!(got, Ok(()));
+                    slot.get_mut().attrs.union_in_place(&attrs);
+                }
+                Entry::Occupied(_) => {
+                    assert!(
+                        matches!(got, Err(GraphError::IdentityConflict(_))),
+                        "{got:?}"
+                    );
+                }
+            }
+        }
+        check_paths(&g, &model);
+    }
+    (g, model)
+}
+
+/// `g`'s stored paths are the model's: lookups of present and absent
+/// identifiers, the ascending listings and the label filter.
+fn check_paths(g: &PathPropertyGraph, model: &BTreeMap<PathId, PathData>) {
+    assert_eq!(g.path_count(), model.len());
+    assert!(g.path_ids().eq(model.keys().copied()), "{:?}", model.keys());
+    assert_eq!(
+        g.path_ids_sorted(),
+        model.keys().copied().collect::<Vec<_>>()
+    );
+    assert!(g.paths().eq(model.iter().map(|(&id, p)| (id, p))));
+    for id in (0..=PATH_IDS).map(PathId) {
+        assert_eq!(g.path(id), model.get(&id), "{id}");
+        assert_eq!(g.contains_path(id), model.contains_key(&id), "{id}");
+        assert_eq!(g.attributes(id.into()), model.get(&id).map(|p| &p.attrs));
+    }
+    for l in ["repr_a", "repr_b", "repr_c"].map(Label::new) {
+        let carrying = model.iter().filter(|(_, p)| p.attrs.labels.contains(l));
+        let want: Vec<PathId> = carrying.map(|(&id, _)| id).collect();
+        assert_eq!(g.paths_with_label(l), want, "{l:?}");
+    }
+    g.validate().expect("well-formed");
+}
+
+/// `base` with the model's paths inserted in ascending identifier order.
+fn paths_from_model(
+    base: &PathPropertyGraph,
+    model: &BTreeMap<PathId, PathData>,
+) -> PathPropertyGraph {
+    let mut g = base.clone();
+    for (&id, p) in model {
+        g.add_path(id, p.shape.clone(), p.attrs.clone())
+            .expect("model path");
+    }
+    assert_eq!(g.shifted_inserts(ElementSort::Path), 0);
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Stored paths inserted in any order, merged, refused and looked up
+    /// after every insert behave like a `BTreeMap<PathId, PathData>`,
+    /// and the graph equals the one the model builds in order.
+    #[test]
+    fn paths_agree_with_a_btree_map(ops in path_ops(), pick in 0usize..PATH_IDS as usize) {
+        let base = path_base(0b1111);
+        let (g, model) = build_paths(&base, &ops);
+        let same = paths_from_model(&base, &model);
+        prop_assert_eq!(g.same_as(&same), Ok(()));
+        prop_assert_eq!(&g, &same);
+        if let Some(&id) = model.keys().nth(pick % model.len().max(1)) {
+            let mut fewer = model.clone();
+            fewer.remove(&id);
+            let differs = g.same_as(&paths_from_model(&base, &fewer));
+            prop_assert_eq!(differs, Err("path sets differ".to_string()));
+            let mut changed = model.clone();
+            if let Some(p) = changed.get_mut(&id) {
+                p.attrs.labels.insert(Label::new("repr_changed"));
+            }
+            let differs = g.same_as(&paths_from_model(&base, &changed));
+            prop_assert_eq!(differs, Err(format!("path {id} differs")));
+        }
+    }
+
+    /// Union, intersection and difference of two graphs sharing stored
+    /// paths agree with the models: a shared identifier with another walk
+    /// makes the union and the intersection empty (§A.5), and the
+    /// difference drops a path of G₁ ∖ G₂ whose node or edge is gone.
+    #[test]
+    fn set_operations_on_paths_agree_with_the_model(
+        a_ops in path_ops(),
+        b_ops in path_ops(),
+        b_mask in 0u8..16,
+    ) {
+        let (a_base, b_base) = (path_base(0b1111), path_base(b_mask));
+        let (a, ma) = build_paths(&a_base, &a_ops);
+        let (b, mb) = build_paths(&b_base, &b_ops);
+        let consistent = ma.iter().all(|(id, p)| mb.get(id).is_none_or(|q| q.shape == p.shape));
+        let (union, intersection) = (ops::union(&a, &b), ops::intersect(&a, &b));
+        if consistent {
+            let mut mu = ma.clone();
+            for (&id, p) in &mb {
+                mu.entry(id)
+                    .and_modify(|mine| mine.attrs.union_in_place(&p.attrs))
+                    .or_insert_with(|| p.clone());
+            }
+            check_paths(&union, &mu);
+            let shared = ma.iter().filter_map(|(&id, p)| {
+                let attrs = p.attrs.intersect(&mb.get(&id)?.attrs);
+                Some((id, PathData { attrs, ..p.clone() }))
+            });
+            check_paths(&intersection, &shared.collect());
+        } else {
+            prop_assert!(union.is_empty() && intersection.is_empty());
+        }
+        // G₁ ∖ G₂ keeps G₁'s paths outside P₂ whose nodes lie outside N₂
+        // and whose edges lie outside E₂.
+        let difference = ops::difference(&a, &b);
+        let survives = |p: &PathData| {
+            p.shape.nodes().iter().all(|&n| !b.contains_node(n))
+                && p.shape.edges().iter().all(|&e| !b.contains_edge(e))
+        };
+        let kept = ma.iter().filter(|(id, p)| !mb.contains_key(id) && survives(p));
+        let md: BTreeMap<PathId, PathData> = kept.map(|(&id, p)| (id, p.clone())).collect();
+        check_paths(&difference, &md);
+        for g in [union, intersection, difference] {
+            prop_assert_eq!(g.shifted_inserts(ElementSort::Path), 0);
+        }
     }
 }

@@ -1,12 +1,13 @@
-//! Every bulk producer hands its nodes and its edges to the node and
-//! edge stores in ascending identifier, so each insert appends and none
-//! shifts a store: generating, decoding, the set operations, CONSTRUCT
-//! copying bound nodes and edges (whose groups come in pattern and
-//! endpoint order, not identifier order) or the members of found paths,
-//! and CONSTRUCT's rebuild after a `WHEN` drops elements.
+//! Every bulk producer hands its nodes, its edges and its stored paths
+//! to their stores in ascending identifier, so each insert appends and
+//! none shifts a store: generating, decoding, the set operations,
+//! CONSTRUCT copying bound nodes, edges and stored paths (whose groups
+//! come in pattern and endpoint order, not identifier order) or the
+//! members of found paths, and CONSTRUCT's rebuild after a `WHEN` drops
+//! elements.
 
 use gcore::Engine;
-use gcore_ppg::{ops, NodeId, PathPropertyGraph};
+use gcore_ppg::{ops, ElementSort, NodeId, PathPropertyGraph};
 use gcore_snb::{generate, SnbConfig};
 use gcore_store::{decode_graph, encode_graph};
 use std::collections::BTreeSet;
@@ -59,7 +60,11 @@ fn bulk_producers_insert_edges_in_id_order() {
     let all = produced();
     for (what, g) in &all {
         assert!(g.edge_count() > 0, "{what}: no edges, so nothing is shown");
-        assert_eq!(g.shifted_edge_inserts(), 0, "{what}: an insert shifted");
+        assert_eq!(
+            g.shifted_inserts(ElementSort::Edge),
+            0,
+            "{what}: an insert shifted"
+        );
     }
     // The groups' (src, dst) order is not identifier order: inserting in
     // group order would have shifted.
@@ -83,7 +88,11 @@ fn bulk_producers_insert_nodes_in_id_order() {
     let all = produced();
     for (what, g) in &all {
         assert!(g.node_count() > 0, "{what}: no nodes, so nothing is shown");
-        assert_eq!(g.shifted_node_inserts(), 0, "{what}: an insert shifted");
+        assert_eq!(
+            g.shifted_inserts(ElementSort::Node),
+            0,
+            "{what}: an insert shifted"
+        );
     }
     // CONSTRUCT stages `n`'s groups, then `c`'s: a destination that is
     // no source and lies below the last source would have shifted had
@@ -94,4 +103,69 @@ fn bulk_producers_insert_nodes_in_id_order() {
     let shifting = located.edges().map(|(_, e)| e.dst);
     assert!(shifting.filter(|m| !sources.contains(m)).any(|m| m < last));
     assert!(graph(&all, "path members").node_count() > 1);
+}
+
+/// The graphs with stored paths every bulk producer makes, by name:
+/// CONSTRUCT `@p` over found walks from two persons, its decoded copy,
+/// the set operations over those graphs, and a CONSTRUCT of two bound
+/// stored-path variables over one graph, which stages `@p`'s paths, then
+/// `@q`'s.
+fn produced_with_paths() -> Vec<(&'static str, PathPropertyGraph)> {
+    let mut engine = Engine::new();
+    let ids = engine.catalog().ids().clone();
+    engine.register_graph("snb", generate(&SnbConfig::scale(200), &ids).graph);
+    engine.set_default_graph("snb");
+    let mut run = |text: &str| engine.query_graph(text).expect("statement runs");
+    let from = |person: u32| {
+        format!(
+            "CONSTRUCT (n)-/@p:sp/->(m) \
+             MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.personId = {person}"
+        )
+    };
+    let (walks, others) = (run(&from(1)), run(&from(2)));
+    let second = run("CONSTRUCT (n) MATCH (n:Person) WHERE n.personId = 2");
+    let decoded = decode_graph(&encode_graph(&walks).expect("encodes")).expect("decodes");
+    assert_eq!(decoded, walks);
+    let union = ops::union(&walks, &others);
+    let (intersection, difference) = (
+        ops::intersect(&union, &walks),
+        ops::difference(&union, &second),
+    );
+    engine.register_graph("walks", walks.clone());
+    let both = engine
+        .query_graph(
+            "CONSTRUCT (a)-/@p:high/->(b), (c)-/@q:low/->(d) \
+             MATCH (a)-/@p:sp/->(b), (c)-/@q:sp/->(d) ON walks \
+             WHERE b.personId >= 100 AND d.personId < 100",
+        )
+        .expect("statement runs");
+    vec![
+        ("path members", walks),
+        ("decoded", decoded),
+        ("union", union),
+        ("intersection", intersection),
+        ("difference", difference),
+        ("two stored-path variables", both),
+    ]
+}
+
+#[test]
+fn bulk_producers_insert_paths_in_id_order() {
+    let all = produced_with_paths();
+    for (what, g) in &all {
+        assert!(g.path_count() > 1, "{what}: no paths, so nothing is shown");
+        let shifted = g.shifted_inserts(ElementSort::Path);
+        assert_eq!(shifted, 0, "{what}: an insert shifted");
+    }
+    // The difference drops the walks through person 2, and keeps others.
+    let (union, difference) = (graph(&all, "union"), graph(&all, "difference"));
+    assert!(difference.path_count() < union.path_count());
+    // `@p`'s paths (to persons 100 and up) are staged before `@q`'s (to
+    // the others): a `low` path below the last `high` one would have
+    // shifted had the paths been inserted in staging order.
+    let both = graph(&all, "two stored-path variables");
+    let labelled = |l: &str| both.paths_with_label(gcore_ppg::Label::new(l));
+    let (high, low) = (labelled("high"), labelled("low"));
+    let last_high = *high.last().expect("a high path");
+    assert!(low.iter().any(|&q| q < last_high), "{high:?} then {low:?}");
 }
