@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gcore::binding::{BindingTable, Bound, Column, TableBuilder};
 use gcore::cancel::CancelToken;
 use gcore_bench::snb_engine;
-use gcore_ppg::{Label, NodeId, PathPropertyGraph};
+use gcore_ppg::{Label, NodeId, PathPropertyGraph, ValueInterner};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -268,8 +268,9 @@ fn bench_binding_layout(c: &mut Criterion, engine: &gcore::Engine) {
 
     g.bench_function("columnar_two_hop_join", |b| {
         b.iter(|| {
+            let pool = std::sync::Arc::new(ValueInterner::new());
             let build = |lv: &str, rv: &str| -> BindingTable {
-                let mut t = TableBuilder::new(vec![col(lv), col(rv)]);
+                let mut t = TableBuilder::new(vec![col(lv), col(rv)], pool.clone());
                 for &(s, d) in &pairs {
                     t.push(&[Bound::Node(s), Bound::Node(d)]);
                 }

@@ -21,10 +21,19 @@
 //! tagged code — the element sort in the top bits, the identifier (or a
 //! [`ValueInterner`] code for literals) in the low bits. Joins hash and
 //! compare raw codes, sort/dedup runs over a permutation index, and
-//! derived tables share the interner `Arc` so copying a cell is copying
-//! one `u64`. [`Bound`] remains the decoded per-cell view; rows as a
-//! whole are never materialized. New tables are assembled through
-//! [`TableBuilder`].
+//! copying a cell is copying one `u64`. [`Bound`] remains the decoded
+//! per-cell view; rows as a whole are never materialized. New tables are
+//! assembled through [`TableBuilder`].
+//!
+//! # One pool per evaluation scope
+//!
+//! Every table encodes its literals against the pool it is built with,
+//! and the evaluator hands every builder the pool of the current scope
+//! (`EvalCtx::pool`: the statement, or one correlated evaluation). So
+//! the literal codes of two tables of one scope are comparable as they
+//! are, and no operation translates a code from one pool into another.
+//! A binary operation over two tables whose literals come from
+//! different pools panics: it has no correct answer to give.
 //!
 //! Two encoding consequences worth knowing:
 //!
@@ -238,34 +247,24 @@ pub struct BindingTable {
     cols: Vec<Vec<Code>>,
     /// Row count (needed because a zero-column table still has rows).
     nrows: usize,
-    /// Literal pool shared by every table derived from this one.
+    /// The literal pool of the scope this table was built in.
     pool: Arc<ValueInterner>,
     /// Whether any cell may carry a `Value` tag (conservative). Gates
     /// the pool rank snapshot during normalization so literal-free
-    /// tables never pay for a shared pool another table has grown.
+    /// tables never pay for a shared pool another table has grown, and
+    /// lets a literal-free table meet a table of any pool.
     has_values: bool,
 }
 
 impl BindingTable {
-    /// The *unit* table: one binding µ∅ with empty domain. This is the
-    /// identity of ⋈ and the seed for CONSTRUCT-without-MATCH.
-    pub fn unit() -> Self {
+    /// The *unit* table: one binding µ∅ with empty domain, over `pool`.
+    /// This is the identity of ⋈ and the seed for CONSTRUCT-without-MATCH.
+    pub fn unit(pool: Arc<ValueInterner>) -> Self {
         BindingTable {
             columns: Vec::new(),
             cols: Vec::new(),
             nrows: 1,
-            pool: Arc::new(ValueInterner::new()),
-            has_values: false,
-        }
-    }
-
-    /// The empty table (no bindings at all) over an empty schema.
-    pub fn empty() -> Self {
-        BindingTable {
-            columns: Vec::new(),
-            cols: Vec::new(),
-            nrows: 0,
-            pool: Arc::new(ValueInterner::new()),
+            pool,
             has_values: false,
         }
     }
@@ -384,11 +383,12 @@ impl BindingTable {
     ///
     /// ```
     /// use gcore::binding::{Bound, Column, TableBuilder};
-    /// use gcore_ppg::{NodeId, PathPropertyGraph};
+    /// use gcore_ppg::{NodeId, PathPropertyGraph, ValueInterner};
     /// use std::sync::Arc;
     ///
     /// let g = Arc::new(PathPropertyGraph::new());
-    /// let mut b = TableBuilder::new(vec![Column { var: "x".into(), graph: g }]);
+    /// let pool = Arc::new(ValueInterner::new());
+    /// let mut b = TableBuilder::new(vec![Column { var: "x".into(), graph: g }], pool);
     /// b.push(&[Bound::Node(NodeId(7))]);
     /// let table = b.finish();
     /// assert_eq!(table.bound(0, 0), Bound::Node(NodeId(7)));
@@ -402,11 +402,12 @@ impl BindingTable {
     ///
     /// ```
     /// use gcore::binding::{Bound, Column, TableBuilder};
-    /// use gcore_ppg::{NodeId, PathPropertyGraph};
+    /// use gcore_ppg::{NodeId, PathPropertyGraph, ValueInterner};
     /// use std::sync::Arc;
     ///
     /// let g = Arc::new(PathPropertyGraph::new());
-    /// let mut b = TableBuilder::new(vec![Column { var: "x".into(), graph: g }]);
+    /// let pool = Arc::new(ValueInterner::new());
+    /// let mut b = TableBuilder::new(vec![Column { var: "x".into(), graph: g }], pool);
     /// b.push(&[Bound::Node(NodeId(7))]);
     /// let table = b.finish();
     /// assert_eq!(table.get(0, "x"), Some(Bound::Node(NodeId(7))));
@@ -503,18 +504,24 @@ impl BindingTable {
                 keep.push(r as u32);
             }
         }
+        Ok(self.rows_at(&keep))
+    }
+
+    /// The rows at `keep` (ascending indexes), in their order: a subset
+    /// of a sorted, deduplicated table, so nothing is re-normalized.
+    fn rows_at(&self, keep: &[u32]) -> BindingTable {
         let cols = self
             .cols
             .iter()
             .map(|col| keep.iter().map(|&r| col[r as usize]).collect())
             .collect();
-        Ok(BindingTable {
+        BindingTable {
             columns: self.columns.clone(),
             cols,
             nrows: keep.len(),
             pool: self.pool.clone(),
             has_values: self.has_values,
-        })
+        }
     }
 
     /// The distinct node identifiers of column `col`, ascending — read
@@ -554,7 +561,7 @@ impl BindingTable {
     pub fn union(&self, other: &BindingTable) -> BindingTable {
         let (columns, map_a, map_b) = merged_schema(self, other);
         let width = columns.len();
-        let (pool, other_map) = unify_pools(self, other);
+        let pool = common_pool(self, other);
         let mut data = Vec::with_capacity((self.nrows + other.nrows) * width);
         for r in 0..self.nrows {
             let base = data.len();
@@ -567,7 +574,7 @@ impl BindingTable {
             let base = data.len();
             data.resize(base + width, MISSING);
             for (i, &mi) in map_b.iter().enumerate() {
-                data[base + mi] = translate_code(other.cols[i][r], other_map.as_deref());
+                data[base + mi] = other.cols[i][r];
             }
         }
         BindingTable::from_flat_rows(
@@ -634,18 +641,14 @@ impl BindingTable {
 
         let (columns, map_a, map_b) = merged_schema(self, other);
         let width = columns.len();
-        let (pool, other_map) = unify_pools(self, other);
-        let translate = other_map.as_deref();
+        let pool = common_pool(self, other);
 
         // Partition `other` rows: fully-keyed rows go into the hash map;
         // rows with a Missing shared column are checked by scan.
         let mut keyed: FxHashMap<Vec<Code>, Vec<u32>> = FxHashMap::default();
         let mut wild: Vec<u32> = Vec::new();
         for r in 0..other.nrows {
-            let key: Vec<Code> = shared
-                .iter()
-                .map(|&(_, j)| translate_code(other.cols[j][r], translate))
-                .collect();
+            let key: Vec<Code> = shared.iter().map(|&(_, j)| other.cols[j][r]).collect();
             if key.contains(&MISSING) {
                 wild.push(r as u32);
             } else {
@@ -656,7 +659,7 @@ impl BindingTable {
         let compatible = |a_row: usize, b_row: usize| {
             shared.iter().all(|&(i, j)| {
                 let a = self.cols[i][a_row];
-                let b = translate_code(other.cols[j][b_row], translate);
+                let b = other.cols[j][b_row];
                 a == MISSING || b == MISSING || a == b
             })
         };
@@ -666,8 +669,9 @@ impl BindingTable {
         let mut data: Vec<Code> = Vec::new();
         let mut emitted = 0usize;
         // ⋈ and ⟕ emit merged rows; ⋉ and ∖ only need existence and keep
-        // the left schema and row verbatim.
+        // left rows as they are, by index.
         let merges = matches!(kind, JoinKind::Inner | JoinKind::LeftOuter);
+        let mut kept: Vec<u32> = Vec::new();
         let mut key = Vec::with_capacity(shared.len());
         // Candidate pairs examined since the last poll. Counting pairs
         // rather than probe rows bounds the work between polls even
@@ -701,7 +705,7 @@ impl BindingTable {
                     }
                     for (bi, &mi) in map_b.iter().enumerate() {
                         if data[base + mi] == MISSING {
-                            data[base + mi] = translate_code(other.cols[bi][b_row], translate);
+                            data[base + mi] = other.cols[bi][b_row];
                         }
                     }
                     *emitted += 1;
@@ -729,18 +733,19 @@ impl BindingTable {
                     }
                 }
             }
-            let keep_left = match kind {
-                JoinKind::Semi => matched,
-                JoinKind::Anti | JoinKind::LeftOuter => !matched,
-                JoinKind::Inner => false,
-            };
-            if keep_left {
-                // The left columns are the merged schema's prefix.
-                data.extend(self.cols.iter().map(|c| c[a_row]));
-                if merges {
-                    data.resize(data.len() + width - self.cols.len(), MISSING);
+            match kind {
+                JoinKind::Semi | JoinKind::Anti => {
+                    if matched == (kind == JoinKind::Semi) {
+                        kept.push(a_row as u32);
+                    }
                 }
-                emitted += 1;
+                JoinKind::LeftOuter if !matched => {
+                    // The left columns are the merged schema's prefix.
+                    data.extend(self.cols.iter().map(|c| c[a_row]));
+                    data.resize(data.len() + width - self.cols.len(), MISSING);
+                    emitted += 1;
+                }
+                JoinKind::Inner | JoinKind::LeftOuter => {}
             }
         }
         Ok(if merges {
@@ -752,13 +757,8 @@ impl BindingTable {
                 self.has_values || other.has_values,
             )
         } else {
-            BindingTable::from_flat_rows(
-                self.columns.clone(),
-                self.pool.clone(),
-                data,
-                emitted,
-                self.has_values,
-            )
+            // Left rows in left order: already normalized.
+            self.rows_at(&kept)
         })
     }
 }
@@ -771,46 +771,22 @@ enum JoinKind {
     LeftOuter,
 }
 
-#[inline]
-fn translate_code(c: Code, translate: Option<&[Code]>) -> Code {
-    match translate {
-        Some(map) if tag_of(c) == TAG_VALUE => map[payload_of(c) as usize],
-        _ => c,
+/// The pool a binary operation's result encodes against. Tables of one
+/// evaluation scope share the scope's pool, and a side without literal
+/// cells holds no code that needs one; literals of two different pools
+/// have codes that do not compare, and nothing translates them.
+fn common_pool(a: &BindingTable, b: &BindingTable) -> Arc<ValueInterner> {
+    if Arc::ptr_eq(&a.pool, &b.pool) || !b.has_values {
+        a.pool.clone()
+    } else if !a.has_values {
+        b.pool.clone()
+    } else {
+        panic!("{CROSS_POOL}")
     }
 }
 
-/// Pick the pool a binary operation's result lives in: the shared pool
-/// when both sides already use one `Arc`, the non-empty side when the
-/// other has no literals, otherwise the left pool plus a translation
-/// table for the right side's codes.
-///
-/// Only codes that actually occur in `b`'s cells are interned into the
-/// left pool — translating the whole right pool would permanently grow
-/// the shared pool with values the operation never touches. Unreferenced
-/// map slots keep a sentinel that `translate_code` can never look up.
-fn unify_pools(a: &BindingTable, b: &BindingTable) -> (Arc<ValueInterner>, Option<Vec<Code>>) {
-    if Arc::ptr_eq(&a.pool, &b.pool) || b.pool.is_empty() {
-        return (a.pool.clone(), None);
-    }
-    if a.pool.is_empty() {
-        // `a` holds no Value cells, so its codes are valid under any pool.
-        return (b.pool.clone(), None);
-    }
-    let mut map: Vec<Code> = vec![MISSING; b.pool.len()];
-    let mut seen = vec![false; b.pool.len()];
-    for col in &b.cols {
-        for &c in col {
-            if tag_of(c) == TAG_VALUE {
-                let p = payload_of(c) as usize;
-                if !seen[p] {
-                    seen[p] = true;
-                    map[p] = pack(TAG_VALUE, a.pool.intern(&b.pool.resolve(p as u32)) as u64);
-                }
-            }
-        }
-    }
-    (a.pool.clone(), Some(map))
-}
+const CROSS_POOL: &str = "binding tables with literals from different value pools: \
+                          every table of one evaluation scope is built with the scope's pool";
 
 /// Merged schema of two tables; returns (columns, map_a, map_b) where
 /// map_x[i] is the merged index of x's column i.
@@ -836,8 +812,7 @@ fn merged_schema(a: &BindingTable, b: &BindingTable) -> (Vec<Column>, Vec<usize>
 
 /// Assembles a [`BindingTable`] row by row. The only way to create a
 /// table with content — producers either push decoded [`Bound`]s or
-/// extend existing rows (a raw `u64` copy when the source shares the
-/// builder's pool).
+/// extend rows of a table built with the same pool (a raw `u64` copy).
 pub struct TableBuilder {
     columns: Vec<Column>,
     cols: Vec<Vec<Code>>,
@@ -847,14 +822,9 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// A builder over a fresh literal pool.
-    pub fn new(columns: Vec<Column>) -> Self {
-        Self::with_pool(columns, Arc::new(ValueInterner::new()))
-    }
-
-    /// A builder sharing an existing pool — use this when deriving from
-    /// another table so cell copies stay `u64` copies.
-    pub fn with_pool(columns: Vec<Column>, pool: Arc<ValueInterner>) -> Self {
+    /// A builder whose literal cells are encoded against `pool` — the
+    /// pool of the evaluation scope the table belongs to.
+    pub fn new(columns: Vec<Column>, pool: Arc<ValueInterner>) -> Self {
         let cols = vec![Vec::new(); columns.len()];
         TableBuilder {
             columns,
@@ -903,17 +873,12 @@ impl TableBuilder {
 
     /// Push `src`'s row onto the builder's leading columns.
     fn push_prefix(&mut self, src: &BindingTable, row: usize) {
-        let same_pool = Arc::ptr_eq(&self.pool, &src.pool);
+        assert!(
+            !src.has_values || Arc::ptr_eq(&self.pool, &src.pool),
+            "{CROSS_POOL}"
+        );
         for (c, col) in src.cols.iter().enumerate() {
             let code = col[row];
-            let code = if same_pool || tag_of(code) != TAG_VALUE {
-                code
-            } else {
-                pack(
-                    TAG_VALUE,
-                    self.pool.intern(&src.pool.resolve(payload_of(code) as u32)) as u64,
-                )
-            };
             self.has_values |= tag_of(code) == TAG_VALUE;
             self.cols[c].push(code);
         }
@@ -957,8 +922,22 @@ mod tests {
         Bound::Node(NodeId(i))
     }
 
+    thread_local! {
+        /// One pool per test (each test runs on a thread of its own),
+        /// as the tables of one evaluation scope share theirs.
+        static POOL: Arc<ValueInterner> = Arc::default();
+    }
+
+    fn pool() -> Arc<ValueInterner> {
+        POOL.with(Arc::clone)
+    }
+
     fn table(vars: &[&str], rows: Vec<Vec<Bound>>) -> BindingTable {
-        let mut b = TableBuilder::new(vars.iter().map(|v| col(v)).collect());
+        table_in(pool(), vars, rows)
+    }
+
+    fn table_in(pool: Arc<ValueInterner>, vars: &[&str], rows: Vec<Vec<Bound>>) -> BindingTable {
+        let mut b = TableBuilder::new(vars.iter().map(|v| col(v)).collect(), pool);
         for r in &rows {
             b.push(r);
         }
@@ -973,9 +952,13 @@ mod tests {
     #[test]
     fn unit_is_join_identity() {
         let t = table(&["x"], vec![vec![n(1)], vec![n(2)]]);
-        let j = t.join(&BindingTable::unit(), &CancelToken::new()).unwrap();
+        let j = t
+            .join(&BindingTable::unit(pool()), &CancelToken::new())
+            .unwrap();
         assert_eq!(j.len(), 2);
-        let j2 = BindingTable::unit().join(&t, &CancelToken::new()).unwrap();
+        let j2 = BindingTable::unit(pool())
+            .join(&t, &CancelToken::new())
+            .unwrap();
         assert_eq!(j2.len(), 2);
         assert_eq!(j2.var_names(), vec!["x"]);
     }
@@ -1022,8 +1005,7 @@ mod tests {
     }
 
     #[test]
-    fn join_on_literal_values_across_pools() {
-        // Each table has its own interner; the join must unify codes.
+    fn join_on_literal_values() {
         let a = table(
             &["x", "v"],
             vec![
@@ -1035,6 +1017,24 @@ mod tests {
         let j = a.join(&b, &CancelToken::new()).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(row(&j, 0), vec![n(2), Bound::Value(Value::str("mit"))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different value pools")]
+    fn a_join_refuses_literals_from_two_pools() {
+        // The same values, interned in another order: raw codes would
+        // silently pair "mit" with "cwi".
+        let a = table_in(
+            Arc::default(),
+            &["v"],
+            vec![vec![Bound::Value(Value::str("cwi"))]],
+        );
+        let b = table_in(
+            Arc::default(),
+            &["v"],
+            vec![vec![Bound::Value(Value::str("mit"))]],
+        );
+        let _ = a.join(&b, &CancelToken::new());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::snapshot::EngineSnapshot;
 use gcore_parser::ast::PathClause;
 use gcore_ppg::{
     Attributes, Catalog, EdgeId, Key, NodeId, PathPropertyGraph, PathShape, PropertySet, Table,
-    Value,
+    Value, ValueInterner,
 };
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -129,6 +129,9 @@ pub struct EvalCtx {
     pub(crate) catalog: RefCell<Catalog>,
     /// Arena of computed paths; `Bound::FreshPath` indexes into it.
     pub(crate) fresh_paths: RefCell<Vec<FreshPath>>,
+    /// The value pool of the current evaluation scope — the statement,
+    /// or one correlated evaluation (see [`EvalCtx::pool`]).
+    pool: RefCell<Arc<ValueInterner>>,
     /// PATH views from the query head, innermost last.
     pub(crate) path_views: RefCell<Vec<PathClause>>,
     /// The ambient graph used for pattern predicates in WHERE and for
@@ -168,6 +171,7 @@ impl EvalCtx {
             snapshot,
             catalog: RefCell::new(catalog),
             fresh_paths: RefCell::new(Vec::new()),
+            pool: RefCell::default(),
             path_views: RefCell::new(Vec::new()),
             ambient: RefCell::new(None),
             view_in_progress: RefCell::new(Vec::new()),
@@ -186,6 +190,26 @@ impl EvalCtx {
             EvalOptions::default(),
             false,
         )
+    }
+
+    /// The pool every binding table of the current scope encodes its
+    /// literals against, so the codes of any two of them compare as they
+    /// are.
+    pub(crate) fn pool(&self) -> Arc<ValueInterner> {
+        self.pool.borrow().clone()
+    }
+
+    /// Run `f` as a correlated evaluation — an `EXISTS` body or a
+    /// pattern predicate, once per outer row: a scope of its own, over a
+    /// fresh pool, and the enclosing pool back on return. Tables built
+    /// inside meet only each other; the outer row enters decoded. A pool
+    /// shared with the statement would grow with each row's values, and
+    /// each growth re-sorts the pool's whole rank order.
+    pub(crate) fn correlated<R>(&self, f: impl FnOnce() -> R) -> R {
+        let enclosing = self.pool.replace(Arc::default());
+        let out = f();
+        self.pool.replace(enclosing);
+        out
     }
 
     /// Intern a fresh path, returning its arena binding.

@@ -1129,11 +1129,11 @@ mod tests {
                 graph: g.clone(),
             },
         ];
-        let mut b = crate::binding::TableBuilder::new(cols);
+        let mut b = crate::binding::TableBuilder::new(cols, Arc::default());
         b.push(&[Bound::Node(NodeId(1)), Bound::Node(NodeId(2))]);
         let table = b.finish();
         let mut catalog = Catalog::new();
-        catalog.register_graph("g", Arc::try_unwrap(g).unwrap_or_else(|a| (*a).clone()));
+        catalog.register_graph("g", g);
         catalog.set_default_graph("g");
         (EvalCtx::from_catalog(catalog), table)
     }

@@ -207,7 +207,7 @@ impl<'e> PatternMatcher<'e> {
         // If the outer scope (correlated subquery) already binds this
         // variable, start from that binding.
         if let Some((Bound::Node(n), _)) = outer.and_then(|o| o.lookup(var)) {
-            let mut b = TableBuilder::new(vec![self.col(var)]);
+            let mut b = TableBuilder::new(vec![self.col(var)], self.ctx.pool());
             b.push(&[Bound::Node(n)]);
             return self.constrain_node(b.finish(), var, node, outer, structural);
         }
@@ -248,7 +248,7 @@ impl<'e> PatternMatcher<'e> {
 
     /// A one-column table binding `var` to each of `nodes`.
     fn node_column(&self, var: &str, nodes: Vec<NodeId>) -> BindingTable {
-        let mut b = TableBuilder::new(vec![self.col(var)]);
+        let mut b = TableBuilder::new(vec![self.col(var)], self.ctx.pool());
         for n in nodes {
             b.push(&[Bound::Node(n)]);
         }
@@ -387,7 +387,7 @@ impl<'e> PatternMatcher<'e> {
             if !is_bound {
                 let mut columns = table.columns().to_vec();
                 columns.push(self.col(v));
-                let mut b = TableBuilder::with_pool(columns, table.pool().clone());
+                let mut b = TableBuilder::new(columns, self.ctx.pool());
                 let mut tick = 0u32;
                 for ri in 0..table.len() {
                     cancel.checkpoint(&mut tick)?;
@@ -490,7 +490,7 @@ impl<'e> PatternMatcher<'e> {
             col.is_some_and(|i| table.code(ri, i) != table.encode_for_probe(b))
         };
 
-        let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
+        let mut bld = TableBuilder::new(columns, self.ctx.pool());
         let mut cands: Vec<(C, NodeId)> = Vec::new();
         let mut extra: Vec<Bound> = Vec::with_capacity(2);
         let mut tick = 0u32;
@@ -621,7 +621,7 @@ impl<'e> PatternMatcher<'e> {
             prof.add_counter(span, "targets", t.len() as u64);
         }
 
-        let mut bld = TableBuilder::with_pool(columns, table.pool().clone());
+        let mut bld = TableBuilder::new(columns, self.ctx.pool());
         let mut extra: Vec<Bound> = Vec::with_capacity(3);
         let mut tick = 0u32;
         for ri in 0..table.len() {

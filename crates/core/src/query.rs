@@ -17,7 +17,7 @@ use gcore_parser::ast::{
     PathPattern, Pattern, Query, QueryBody, QuerySource, Regex, Statement,
 };
 use gcore_parser::{print_expr, print_pattern_on};
-use gcore_ppg::{ops, NodeId, PathPropertyGraph, PathShape, Table, Value};
+use gcore_ppg::{ops, NodeId, PathPropertyGraph, PathShape, Table, Value, ValueInterner};
 use std::sync::Arc;
 
 /// The result of a G-CORE query: a graph (the core language) or a table
@@ -91,7 +91,9 @@ impl EvalCtx {
     /// GRAPH views), then the body. Head registrations and the ambient
     /// graph the body's patterns set are scoped — they are rolled back
     /// afterwards, so a subquery never changes what the rest of its
-    /// enclosing WHERE reads.
+    /// enclosing WHERE reads. With an `outer` row the query is a
+    /// correlated evaluation, over a value pool of its own
+    /// ([`EvalCtx::correlated`]).
     pub(crate) fn eval_query(&self, q: &Query, outer: Option<&Env<'_>>) -> Result<QueryOutput> {
         let views_before = self.path_views.borrow().len();
         let ambient_before = self.ambient.borrow().clone();
@@ -131,7 +133,10 @@ impl EvalCtx {
                 }
             }
         };
-        let result = run();
+        let result = match outer {
+            Some(_) => self.correlated(run),
+            None => run(),
+        };
 
         // Roll back head-clause registrations and the ambient graph.
         self.path_views.borrow_mut().truncate(views_before);
@@ -140,8 +145,7 @@ impl EvalCtx {
         for (name, prev) in shadowed.into_iter().rev() {
             catalog.unregister_graph(&name);
             if let Some(prev) = prev {
-                catalog
-                    .register_graph(name, Arc::try_unwrap(prev).unwrap_or_else(|a| (*a).clone()));
+                catalog.register_graph(name, prev);
             }
         }
         result
@@ -203,7 +207,7 @@ impl EvalCtx {
                         graph: none.clone(),
                     })
                     .collect();
-                let mut b = TableBuilder::new(columns);
+                let mut b = TableBuilder::new(columns, self.pool());
                 for r in table.rows() {
                     let row: Vec<Bound> = r
                         .iter()
@@ -270,7 +274,7 @@ impl EvalCtx {
         }
         // Correlated subqueries: Jγ K_{Ω,G} = Jγ K_G ⋉ Ω (§A.2).
         if let Some(o) = outer {
-            table = table.semijoin(&env_to_table(o), &self.options.cancel)?;
+            table = table.semijoin(&env_to_table(o, self.pool()), &self.options.cancel)?;
         }
         prof.finish_rows(match_span, table.len() as u64);
         Ok(table)
@@ -366,7 +370,7 @@ impl EvalCtx {
         if let Some(span) = report {
             prof.add_counter(span, "pattern_rows", pattern_rows);
         }
-        let mut table = acc.unwrap_or_else(BindingTable::unit);
+        let mut table = acc.unwrap_or_else(|| BindingTable::unit(self.pool()));
         // WHERE pattern predicates read the graph of the syntactically
         // last pattern, whatever order the steps ran in.
         if let Some(graph) = where_graph {
@@ -648,10 +652,12 @@ impl EvalCtx {
         // ambient graph, must have a binding compatible with the current
         // one.
         let graph = self.ambient_graph()?;
-        let matcher = PatternMatcher::new(self, graph);
-        let table = matcher.eval_pattern(p, Some(env), None)?;
-        let filtered = table.semijoin(&env_to_table(env), &self.options.cancel)?;
-        Ok(!filtered.is_empty())
+        self.correlated(|| {
+            let matcher = PatternMatcher::new(self, graph);
+            let table = matcher.eval_pattern(p, Some(env), None)?;
+            let filtered = table.semijoin(&env_to_table(env, self.pool()), &self.options.cancel)?;
+            Ok(!filtered.is_empty())
+        })
     }
 }
 
@@ -665,9 +671,9 @@ fn start_seed(pattern: &Pattern, bound: &[Option<&BindingTable>]) -> Option<Vec<
     tables.find_map(|t| t.column_index(var).map(|col| t.distinct_nodes(col)))?
 }
 
-/// Flatten an environment chain into a one-row table (inner scopes
-/// shadow outer ones).
-pub fn env_to_table(env: &Env<'_>) -> BindingTable {
+/// Flatten an environment chain into a one-row table over `pool` (inner
+/// scopes shadow outer ones).
+pub fn env_to_table(env: &Env<'_>, pool: Arc<ValueInterner>) -> BindingTable {
     let mut columns: Vec<Column> = Vec::new();
     let mut row: Vec<Bound> = Vec::new();
     let mut cur = Some(env);
@@ -680,7 +686,35 @@ pub fn env_to_table(env: &Env<'_>) -> BindingTable {
         }
         cur = e.parent;
     }
-    let mut b = TableBuilder::new(columns);
+    let mut b = TableBuilder::new(columns, pool);
     b.push(&row);
     b.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcore_ppg::{Attributes, Catalog};
+
+    /// A head `GRAPH g AS (…)` that shadows a catalog graph puts the
+    /// snapshot's own handle back afterwards, not a copy of it, so the
+    /// answers the snapshot keeps by graph identity still match it for
+    /// the rest of the statement.
+    #[test]
+    fn a_shadowed_graph_is_restored_as_the_snapshots_handle() {
+        let mut g = PathPropertyGraph::new();
+        g.add_node(NodeId(1), Attributes::labeled("Person"));
+        let mut catalog = Catalog::new();
+        catalog.register_graph("g", g);
+        catalog.set_default_graph("g");
+        let ctx = EvalCtx::from_catalog(catalog);
+        let q =
+            gcore_parser::parse_query("GRAPH g AS (CONSTRUCT (x)) CONSTRUCT (n) MATCH (n) ON g")
+                .expect("parses");
+        let out = ctx.eval_query(&q, None).expect("runs");
+        assert_eq!(out.into_graph().map(|g| g.node_count()), Some(1));
+        let restored = ctx.graph("g").expect("registered");
+        let snapshot = ctx.snapshot.catalog().graph("g").expect("registered");
+        assert!(Arc::ptr_eq(&restored, &snapshot));
+    }
 }

@@ -55,7 +55,7 @@ pub(crate) fn eval_select(
     // scope: aggregates fold over the group, everything else reads its
     // first row. The one group without rows — an aggregating SELECT over
     // no bindings — reads the unit table.
-    let unit = BindingTable::unit();
+    let unit = BindingTable::unit(ctx.pool());
     let table = if bindings.is_empty() {
         &unit
     } else {

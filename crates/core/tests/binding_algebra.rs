@@ -8,7 +8,7 @@
 
 use gcore::binding::{BindingTable, Bound, Column, TableBuilder};
 use gcore::cancel::CancelToken;
-use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, Value};
+use gcore_ppg::{EdgeId, NodeId, PathPropertyGraph, Value, ValueInterner};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -19,8 +19,10 @@ fn col(var: &str) -> Column {
     }
 }
 
-fn table_from(vars: &[&str], rows: &[Vec<Bound>]) -> BindingTable {
-    let mut b = TableBuilder::new(vars.iter().map(|v| col(v)).collect());
+/// A table over `pool`: each generated case builds all of its tables
+/// over one pool, as the evaluator builds those of one scope.
+fn table_from(pool: &Arc<ValueInterner>, vars: &[&str], rows: &[Vec<Bound>]) -> BindingTable {
+    let mut b = TableBuilder::new(vars.iter().map(|v| col(v)).collect(), pool.clone());
     for r in rows {
         b.push(r);
     }
@@ -126,8 +128,9 @@ proptest! {
         ra in rows_strategy(2),
         rb in rows_strategy(2),
     ) {
-        let a = table_from(&["x", "y"], &ra);
-        let b = table_from(&["y", "z"], &rb);
+        let pool = Arc::default();
+        let a = table_from(&pool, &["x", "y"], &ra);
+        let b = table_from(&pool, &["y", "z"], &rb);
         let ab = a.join(&b, &CancelToken::new()).unwrap();
         let ba = b.join(&a, &CancelToken::new()).unwrap();
         let order = ["x", "y", "z"];
@@ -144,8 +147,9 @@ proptest! {
         ra in rows_strategy(2),
         rb in rows_strategy(2),
     ) {
-        let a = table_from(&["x", "y"], &ra);
-        let b = table_from(&["y", "z"], &rb);
+        let pool = Arc::default();
+        let a = table_from(&pool, &["x", "y"], &ra);
+        let b = table_from(&pool, &["y", "z"], &rb);
         let lhs = a.left_outer_join(&b, &CancelToken::new()).unwrap();
         let rhs = a.join(&b, &CancelToken::new()).unwrap().union(&a.antijoin(&b, &CancelToken::new()).unwrap());
         prop_assert_eq!(rows_of(&lhs), rows_of(&rhs));
@@ -154,9 +158,10 @@ proptest! {
     /// The unit table is the ⋈ identity on both sides.
     #[test]
     fn unit_is_join_identity(ra in rows_strategy(2)) {
-        let a = table_from(&["x", "y"], &ra);
-        let left = BindingTable::unit().join(&a, &CancelToken::new()).unwrap();
-        let right = a.join(&BindingTable::unit(), &CancelToken::new()).unwrap();
+        let pool = Arc::default();
+        let a = table_from(&pool, &["x", "y"], &ra);
+        let left = BindingTable::unit(pool.clone()).join(&a, &CancelToken::new()).unwrap();
+        let right = a.join(&BindingTable::unit(pool.clone()), &CancelToken::new()).unwrap();
         prop_assert_eq!(rows_of(&left), rows_of(&a));
         prop_assert_eq!(rows_of(&right), rows_of(&a));
     }
@@ -165,11 +170,12 @@ proptest! {
     /// identity: normalization is idempotent and set semantics hold.
     #[test]
     fn dedup_is_idempotent(ra in rows_strategy(3)) {
-        let a = table_from(&["x", "y", "z"], &ra);
+        let pool = Arc::default();
+        let a = table_from(&pool, &["x", "y", "z"], &ra);
         let decoded = rows_of(&a);
         let doubled: Vec<Vec<Bound>> =
             decoded.iter().chain(decoded.iter()).cloned().collect();
-        let rebuilt = table_from(&["x", "y", "z"], &doubled);
+        let rebuilt = table_from(&pool, &["x", "y", "z"], &doubled);
         prop_assert_eq!(rows_of(&rebuilt), decoded);
     }
 
@@ -179,8 +185,9 @@ proptest! {
         ra in rows_strategy(2),
         rb in rows_strategy(2),
     ) {
-        let a = table_from(&["x", "y"], &ra);
-        let b = table_from(&["y", "z"], &rb);
+        let pool = Arc::default();
+        let a = table_from(&pool, &["x", "y"], &ra);
+        let b = table_from(&pool, &["y", "z"], &rb);
         prop_assert_eq!(rows_of(&a.join(&b, &CancelToken::new()).unwrap()), oracle_join(&a, &b));
     }
 
@@ -190,8 +197,9 @@ proptest! {
         ra in rows_strategy(2),
         rb in rows_strategy(2),
     ) {
-        let a = table_from(&["x", "y"], &ra);
-        let b = table_from(&["y", "z"], &rb);
+        let pool = Arc::default();
+        let a = table_from(&pool, &["x", "y"], &ra);
+        let b = table_from(&pool, &["y", "z"], &rb);
         let semi = a.semijoin(&b, &CancelToken::new()).unwrap();
         let anti = a.antijoin(&b, &CancelToken::new()).unwrap();
         prop_assert_eq!(rows_of(&semi), oracle_semi(&a, &b, true));

@@ -7,14 +7,15 @@
 //! minus those of the same MATCH unfiltered are the same whatever the
 //! number of rows filtered — a SELECT item allocates only the cell
 //! it outputs, and a property entry that binds a variable copies a
-//! value once per distinct value, not per row.
+//! value once per distinct value, not per row — also when two patterns
+//! bind it and join on it.
 //!
 //! Counted with the shared thread-local counting allocator
 //! (`tests/support/counting_alloc.rs`): counts, not timings, so they
 //! repeat exactly from run to run.
 
 use gcore::Engine;
-use gcore_ppg::{Table, Value};
+use gcore_ppg::{Attributes, NodeId, PathPropertyGraph, Table, Value};
 use gcore_snb::{generate, SnbConfig};
 
 include!("../../../tests/support/counting_alloc.rs");
@@ -143,5 +144,50 @@ fn a_binding_scan_allocates_per_distinct_value_not_per_row() {
     assert!(
         added <= 3 * employers,
         "{added} more allocations for {rows} more rows and {employers} more employers: {costs:?}"
+    );
+}
+
+/// `persons` Persons, two per employer, whose employer is `employer(i)`
+/// for the i-th pair.
+fn employers(persons: u64, employer: impl Fn(u64) -> Value) -> Engine {
+    let mut g = PathPropertyGraph::new();
+    for i in 0..persons {
+        let attrs = Attributes::labeled("Person").with_prop("employer", employer(i / 2));
+        g.add_node(NodeId(i + 1), attrs);
+    }
+    let mut engine = Engine::new();
+    engine.register_graph("g", g);
+    engine.set_default_graph("g");
+    engine
+}
+
+/// Two patterns that bind `e` and join on it encode it against the one
+/// pool of their statement: each distinct employer is copied into it
+/// once (its list and its map each keep one, two allocations), and the
+/// second pattern and the join find it there. The same statement over
+/// integer employers, which copy without allocating, runs the same rows
+/// through the same tables, so the difference is the string copies
+/// alone. (With a pool per pattern, each was copied into both pools and
+/// cloned once more to be re-interned for the join: five allocations.)
+#[test]
+fn a_value_join_copies_each_distinct_value_once() {
+    let join = "SELECT COUNT(*) AS c MATCH (a:Person {employer = e}), (b:Person {employer = e})";
+    let persons = 400;
+    let distinct = persons / 2;
+    let (strings, count) = allocations(
+        &mut employers(persons, |i| Value::str(format!("employer number {i}"))),
+        join,
+    );
+    let (integers, same) = allocations(&mut employers(persons, |i| Value::Int(i as i64)), join);
+    assert_eq!(count.rows(), same.rows(), "the same rows either way");
+    assert_eq!(count.rows()[0][0], Value::Int(2 * persons as i64));
+    let per_employer = (strings as f64 - integers as f64) / distinct as f64;
+    println!(
+        "{strings} - {integers} allocations joining {persons} Persons on {distinct} employers \
+         ({per_employer:.2} each)"
+    );
+    assert!(
+        per_employer <= 2.0,
+        "{per_employer:.2} allocations per distinct employer: a value is copied more than once"
     );
 }

@@ -75,8 +75,14 @@ impl Catalog {
     }
 
     /// Register (or replace) a named graph. The graph's identifier space
-    /// is reserved in the shared generator.
-    pub fn register_graph(&mut self, name: impl Into<String>, mut graph: PathPropertyGraph) {
+    /// is reserved in the shared generator. A shared handle that already
+    /// has its read layout is registered as it is, not copied.
+    pub fn register_graph(
+        &mut self,
+        name: impl Into<String>,
+        graph: impl Into<Arc<PathPropertyGraph>>,
+    ) {
+        let mut graph = graph.into();
         self.ids.reserve_up_to(graph.max_id());
         // Every graph entering the catalog — builder output, CONSTRUCT
         // result, GRAPH VIEW, a graph loaded from a store — gets the read
@@ -85,9 +91,9 @@ impl Catalog {
         // step, and with it the planner statistics, tallied when first
         // read, so they plan from real cardinalities.
         if !graph.has_label_index() {
-            graph.build_label_index();
+            Arc::make_mut(&mut graph).build_label_index();
         }
-        self.graphs.insert(name.into(), Arc::new(graph));
+        self.graphs.insert(name.into(), graph);
     }
 
     /// `gr(gid)`.

@@ -2,10 +2,14 @@
 //!
 //! Binding tables intern the *values* that flow through them (property
 //! unrolling, COST variables, FROM columns) as [`symbols`](crate::symbols)
-//! interns names, but **per evaluation**, not globally, so a long-running
-//! engine never accumulates every literal it has seen. Equal values (so
-//! `Int(1)` and `Float(1.0)`) get one code, which lets the tables compare
-//! and hash encoded `u64` cells instead of cloning `Value`s.
+//! interns names, but **per evaluation scope**, not globally, so a
+//! long-running engine never accumulates every literal it has seen. A
+//! scope is a statement, or one correlated evaluation inside it (an
+//! `EXISTS` body or a pattern predicate, per outer row); every table of a
+//! scope shares its pool, so the codes of any two of them are comparable
+//! and nothing translates codes between pools. Equal values (so `Int(1)`
+//! and `Float(1.0)`) get one code, which lets the tables compare and hash
+//! encoded `u64` cells instead of cloning `Value`s.
 
 use crate::collections::Pool;
 use crate::value::Value;
@@ -14,8 +18,8 @@ use std::sync::{Arc, RwLock};
 const POISONED: &str = "a rank snapshot panicked while locked";
 
 /// An append-only pool of distinct [`Value`]s, shared (by `Arc`) by the
-/// binding tables of one evaluation; equal values map to equal codes,
-/// and a code handed out stays valid.
+/// binding tables of one evaluation scope; equal values map to equal
+/// codes, and a code handed out stays valid.
 #[derive(Default, Debug)]
 pub struct ValueInterner {
     pool: Pool<Value>,

@@ -452,6 +452,69 @@ const VIEW_SCOPE_CASES: &[Case] = &[
     },
 ];
 
+/// Values bound by different patterns, blocks and scopes of one
+/// statement: two binding-form patterns joined on their value, an
+/// OPTIONAL block whose patterns bind and join a value, a correlated
+/// pattern predicate and `EXISTS` that compare a value they bind with
+/// the outer row's, and the value columns of a `FROM` table tested
+/// against a pattern (`FROM` is a query's whole source, so a table meets
+/// a pattern through a correlated subquery).
+const VALUE_SCOPE_CASES: &[Case] = &[
+    Case {
+        name: "two_patterns_joined_on_a_bound_value",
+        statement: "SELECT a.firstName AS a, b.firstName AS b, e AS employer MATCH (a:Person {employer = e}), (b:Person {employer = e}) ORDER BY a, b, employer",
+        expected: "
+            a | b | employer
+            Alice | Alice | Acme
+            Alice | John | Acme
+            Celine | Celine | HAL
+            Frank | Frank | CWI
+            Frank | Frank | MIT
+            John | Alice | Acme
+            John | John | Acme
+        ",
+    },
+    Case {
+        name: "optional_block_binds_and_joins_a_value",
+        statement: "SELECT n.firstName AS name, e AS employer, c.name AS company MATCH (n:Person) OPTIONAL (n {employer = e}) ON social_graph, (c:Company {name = e}) ON company_graph ORDER BY name, employer",
+        expected: "
+            name | employer | company
+            Alice | Acme | Acme
+            Celine | HAL | HAL
+            Frank | CWI | CWI
+            Frank | MIT | MIT
+            John | Acme | Acme
+            Peter | NULL | NULL
+        ",
+    },
+    Case {
+        name: "pattern_predicate_compares_an_outer_value",
+        statement: "SELECT n.firstName AS name, e AS employer MATCH (n:Person {employer = e}) WHERE (n)-[:knows]->(:Person {employer = e}) ORDER BY name",
+        expected: "
+            name | employer
+            Alice | Acme
+            John | Acme
+        ",
+    },
+    Case {
+        name: "exists_binds_a_value_and_compares_it_with_an_outer_one",
+        statement: "SELECT n.firstName AS name, e AS employer MATCH (n:Person {employer = e}) WHERE EXISTS (CONSTRUCT () MATCH (n)-[:knows]->(m:Person {employer = f}) WHERE f = e) ORDER BY name",
+        expected: "
+            name | employer
+            Alice | Acme
+            John | Acme
+        ",
+    },
+    Case {
+        name: "from_table_values_tested_against_a_pattern",
+        statement: "CONSTRUCT (c GROUP custName :Customer {name := custName}) WHEN EXISTS (CONSTRUCT () MATCH (o {custName = n, prodCode = 'P-100'}) ON orders WHERE n = custName) FROM orders",
+        expected: "
+            (n302 :Customer {name=[Ann]})
+            (n303 :Customer {name=[Bob]})
+        ",
+    },
+];
+
 /// One row per line, indentation and blank lines dropped.
 fn lines(text: &str) -> String {
     let trimmed = text.lines().map(str::trim).filter(|l| !l.is_empty());
@@ -466,6 +529,11 @@ fn statement_conformance_table() {
 #[test]
 fn path_views_are_resolved_by_definition_not_by_name() {
     check(VIEW_SCOPE_CASES);
+}
+
+#[test]
+fn values_compare_within_and_across_evaluation_scopes() {
+    check(VALUE_SCOPE_CASES);
 }
 
 fn check(cases: &[Case]) {
