@@ -50,9 +50,10 @@
 
 use crate::cancel::{CancelToken, CHECK_STRIDE};
 use crate::error::Result;
-use gcore_ppg::hash::FxHashMap;
+use gcore_ppg::hash::{FxHashMap, FxHasher};
 use gcore_ppg::{EdgeId, NodeId, PathId, PathPropertyGraph, Value, ValueInterner};
 use std::cmp::Ordering;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// A value bound to a variable — the decoded view of one table cell.
@@ -643,18 +644,17 @@ impl BindingTable {
         let width = columns.len();
         let pool = common_pool(self, other);
 
-        // Partition `other` rows: fully-keyed rows go into the hash map;
-        // rows with a Missing shared column are checked by scan.
-        let mut keyed: FxHashMap<Vec<Code>, Vec<u32>> = FxHashMap::default();
-        let mut wild: Vec<u32> = Vec::new();
-        for r in 0..other.nrows {
-            let key: Vec<Code> = shared.iter().map(|&(_, j)| other.cols[j][r]).collect();
-            if key.contains(&MISSING) {
-                wild.push(r as u32);
-            } else {
-                keyed.entry(key).or_default().push(r as u32);
+        // Partition `other` rows: fully-keyed rows are grouped by their
+        // key; rows with a Missing shared column are checked by scan.
+        let mut wild: Vec<usize> = Vec::new();
+        let keyed = RowGroups::build(other.nrows, shared.len(), cancel, |r, key| {
+            key.extend(shared.iter().map(|&(_, j)| other.cols[j][r]));
+            let full = !key.contains(&MISSING);
+            if !full {
+                wild.push(r);
             }
-        }
+            Ok(full)
+        })?;
 
         let compatible = |a_row: usize, b_row: usize| {
             shared.iter().all(|&(i, j)| {
@@ -681,10 +681,10 @@ impl BindingTable {
             key.clear();
             key.extend(shared.iter().map(|&(i, _)| self.cols[i][a_row]));
             // `None`: a Missing key cell — every build row is a candidate.
-            let bucket: Option<&[u32]> = if key.contains(&MISSING) {
+            let bucket: Option<&[usize]> = if key.contains(&MISSING) {
                 None
             } else {
-                Some(keyed.get(&key).map_or(&[], Vec::as_slice))
+                Some(keyed.find(&key).map_or(&[], |g| keyed.rows(g)))
             };
             unpolled += 1 + bucket.map_or(other.nrows, |b| b.len() + wild.len());
             if unpolled >= CHECK_STRIDE as usize {
@@ -692,8 +692,7 @@ impl BindingTable {
                 cancel.check()?;
             }
             let mut matched = false;
-            let emit = |b_row: u32, data: &mut Vec<Code>, emitted: &mut usize| {
-                let b_row = b_row as usize;
+            let emit = |b_row: usize, data: &mut Vec<Code>, emitted: &mut usize| {
                 if !compatible(a_row, b_row) {
                     return false;
                 }
@@ -717,7 +716,7 @@ impl BindingTable {
             let exists_only = !merges;
             match bucket {
                 None => {
-                    for b_row in 0..other.nrows as u32 {
+                    for b_row in 0..other.nrows {
                         matched |= emit(b_row, &mut data, &mut emitted);
                         if matched && exists_only {
                             break;
@@ -761,6 +760,128 @@ impl BindingTable {
             self.rows_at(&kept)
         })
     }
+}
+
+/// Rows partitioned by a `width`-word key, with nothing allocated per
+/// row: the groups' keys in one flat array (group `g`'s is
+/// `keys[g · width..][..width]`), their rows in one offset-indexed array,
+/// and a key found by its hash through a chain of the groups that share
+/// it. A hash join's build side and CONSTRUCT's grouping sets both
+/// partition this way.
+pub(crate) struct RowGroups {
+    width: usize,
+    keys: Vec<u64>,
+    /// The last group with each key hash, and each group's predecessor
+    /// with the same hash.
+    by_hash: FxHashMap<u64, usize>,
+    same_hash: Vec<usize>,
+    /// Group `g`'s rows (ascending): `rows[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+const NO_GROUP: usize = usize::MAX;
+
+impl RowGroups {
+    /// Partition rows `0..nrows` by the key `key` writes for each
+    /// (`false`: the row joins no group). `cancel` is polled once per
+    /// [`CHECK_STRIDE`] rows.
+    pub(crate) fn build(
+        nrows: usize,
+        width: usize,
+        cancel: &CancelToken,
+        mut key: impl FnMut(usize, &mut Vec<u64>) -> Result<bool>,
+    ) -> Result<RowGroups> {
+        let mut groups = RowGroups {
+            width,
+            keys: Vec::new(),
+            by_hash: FxHashMap::default(),
+            same_hash: Vec::new(),
+            starts: Vec::new(),
+            rows: Vec::new(),
+        };
+        // Row counts per group first; they become offsets below.
+        let mut counts: Vec<usize> = Vec::new();
+        let mut group_of: Vec<usize> = vec![NO_GROUP; nrows];
+        let mut buf: Vec<u64> = Vec::with_capacity(width);
+        let mut tick = 0u32;
+        for (ri, group) in group_of.iter_mut().enumerate() {
+            cancel.checkpoint(&mut tick)?;
+            buf.clear();
+            if !key(ri, &mut buf)? {
+                continue;
+            }
+            debug_assert_eq!(buf.len(), width);
+            let hash = hash_key(&buf);
+            let g = match groups.find_hashed(hash, &buf) {
+                Some(g) => g,
+                None => {
+                    let g = counts.len();
+                    groups.keys.extend_from_slice(&buf);
+                    counts.push(0);
+                    let previous = groups.by_hash.insert(hash, g);
+                    groups.same_hash.push(previous.unwrap_or(NO_GROUP));
+                    g
+                }
+            };
+            counts[g] += 1;
+            *group = g;
+        }
+
+        // Rows by group, ascending within each: offsets from the counts,
+        // then one pass over the rows.
+        let n = counts.len();
+        groups.starts.reserve_exact(n + 1);
+        groups.starts.push(0);
+        for (g, count) in counts.iter().enumerate() {
+            groups.starts.push(groups.starts[g] + count);
+        }
+        counts.copy_from_slice(&groups.starts[..n]);
+        groups.rows = vec![0; groups.starts[n]];
+        for (ri, &g) in group_of.iter().enumerate() {
+            if g != NO_GROUP {
+                groups.rows[counts[g]] = ri;
+                counts[g] += 1;
+            }
+        }
+        Ok(groups)
+    }
+
+    /// The number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Group `g`'s key.
+    pub(crate) fn key(&self, g: usize) -> &[u64] {
+        &self.keys[g * self.width..][..self.width]
+    }
+
+    /// Group `g`'s rows, ascending.
+    pub(crate) fn rows(&self, g: usize) -> &[usize] {
+        &self.rows[self.starts[g]..self.starts[g + 1]]
+    }
+
+    /// The group whose key is `key`, if any.
+    pub(crate) fn find(&self, key: &[u64]) -> Option<usize> {
+        self.find_hashed(hash_key(key), key)
+    }
+
+    fn find_hashed(&self, hash: u64, key: &[u64]) -> Option<usize> {
+        let mut g = self.by_hash.get(&hash).copied().unwrap_or(NO_GROUP);
+        while g != NO_GROUP && self.keys[g * self.width..][..self.width] != *key {
+            g = self.same_hash[g];
+        }
+        (g != NO_GROUP).then_some(g)
+    }
+}
+
+fn hash_key(key: &[u64]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for &w in key {
+        hasher.write_u64(w);
+    }
+    hasher.finish()
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -856,6 +977,33 @@ impl TableBuilder {
             let code = encode(&self.pool, b);
             self.has_values |= tag_of(code) == TAG_VALUE;
             self.cols[scols + i].push(code);
+        }
+        self.nrows += 1;
+    }
+
+    /// Append `src`'s cells at `cols`, in that order, followed by `extra`
+    /// cells.
+    pub(crate) fn push_picked(
+        &mut self,
+        src: &BindingTable,
+        row: usize,
+        cols: &[usize],
+        extra: &[Bound],
+    ) {
+        debug_assert_eq!(cols.len() + extra.len(), self.columns.len());
+        assert!(
+            !src.has_values || Arc::ptr_eq(&self.pool, &src.pool),
+            "{CROSS_POOL}"
+        );
+        for (i, &c) in cols.iter().enumerate() {
+            let code = src.cols[c][row];
+            self.has_values |= tag_of(code) == TAG_VALUE;
+            self.cols[i].push(code);
+        }
+        for (i, b) in extra.iter().enumerate() {
+            let code = encode(&self.pool, b);
+            self.has_values |= tag_of(code) == TAG_VALUE;
+            self.cols[cols.len() + i].push(code);
         }
         self.nrows += 1;
     }

@@ -26,7 +26,7 @@
 //!
 //! Cost is linear in binding rows plus constructed elements, and nothing
 //! is allocated per group: rows are partitioned by their *encoded* cells
-//! into one key array and one offset-indexed row array (`Groups`), the
+//! into one key array and one offset-indexed row array (`RowGroups`), the
 //! groups (not the rows) are ordered, the staging lists are reserved for
 //! them, and each group yields one element. The elements are inserted
 //! once every pattern is staged, the nodes and the edges sorted by
@@ -34,7 +34,7 @@
 //! Only a CONSTRUCT with a `WHEN` keeps each group's element and rows
 //! for the WHEN pass; without one nothing is recorded per group.
 
-use crate::binding::{BindingTable, Bound, Column};
+use crate::binding::{BindingTable, Bound, Column, RowGroups};
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, RuntimeError, SemanticError};
 use crate::expr::{Compiled, Compiler, Env, Group, Rv};
@@ -42,13 +42,12 @@ use gcore_parser::ast::{
     ConstructClause, ConstructConnection, ConstructItem, ConstructPattern, Direction, Expr, Ident,
     PropAssign, RemoveItem, SetItem,
 };
-use gcore_ppg::hash::{FxHashMap, FxHashSet, FxHasher};
+use gcore_ppg::hash::{FxHashMap, FxHashSet};
 use gcore_ppg::{
     Attributes, EdgeId, ElementId, IdGen, Key, Label, NodeId, PathId, PathPropertyGraph, PathShape,
     PropertySet,
 };
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -57,19 +56,14 @@ use std::sync::Arc;
 
 /// The groups of one object construct with their contributing rows.
 ///
-/// A key is `width` words: the encoded cells ([`BindingTable::code`]) of
-/// the grouping columns — for an edge preceded by its endpoint
-/// identifiers; a `GROUP e₁, …` part is the ordinal of the row's
-/// expression group ([`expr_ordinals`]). Equal keys are equal groups.
-/// Keys and rows live in two flat arrays, not in one allocation per
+/// A key is the encoded cells ([`BindingTable::code`]) of the grouping
+/// columns — for an edge preceded by its endpoint identifiers; a `GROUP
+/// e₁, …` part is the ordinal of the row's expression group
+/// ([`expr_ordinals`]). Equal keys are equal groups. Keys and rows live
+/// in the flat arrays of a [`RowGroups`], not in one allocation per
 /// group.
 struct Groups {
-    width: usize,
-    /// Group `g`'s key: `keys[g * width..(g + 1) * width]`.
-    keys: Vec<u64>,
-    /// Group `g`'s rows (ascending): `rows[starts[g]..starts[g + 1]]`.
-    starts: Vec<usize>,
-    rows: Vec<usize>,
+    index: RowGroups,
     /// The groups in [`Rv::total_cmp`] order of the values their keys
     /// stand for — the order elements are staged and skolem identifiers
     /// minted in.
@@ -83,87 +77,26 @@ impl Groups {
 
     /// Every group's key and rows, in order.
     fn iter(&self) -> impl Iterator<Item = (&[u64], &[usize])> {
-        self.order.iter().map(|&g| {
-            let key = &self.keys[g * self.width..][..self.width];
-            (key, &self.rows[self.starts[g]..self.starts[g + 1]])
-        })
+        (self.order.iter()).map(|&g| (self.index.key(g), self.index.rows(g)))
     }
 }
 
 /// Partition the binding rows by the `width`-word key `key` writes
 /// (`false`: the row contributes nothing), then order the groups —
-/// thousands — rather than the rows — hundreds of thousands. A key is
-/// looked up by its hash, chaining the groups that share one, so a row
-/// of a known group allocates nothing.
+/// thousands — rather than the rows — hundreds of thousands. A row of a
+/// known group allocates nothing.
 fn group_rows(
     ctx: &EvalCtx,
     bindings: &BindingTable,
     width: usize,
     mut key: impl FnMut(usize, &mut Vec<u64>) -> bool,
 ) -> Result<Groups> {
-    const NONE: usize = usize::MAX;
-    let mut keys: Vec<u64> = Vec::new();
-    let mut counts: Vec<usize> = Vec::new();
-    // The last group seen with each key hash, and each group's
-    // predecessor with the same hash.
-    let mut by_hash: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut same_hash: Vec<usize> = Vec::new();
-    let mut group_of: Vec<usize> = vec![NONE; bindings.len()];
-    let mut buf: Vec<u64> = Vec::with_capacity(width);
-    let mut tick = 0u32;
-    for (ri, group) in group_of.iter_mut().enumerate() {
-        ctx.options.cancel.checkpoint(&mut tick)?;
-        buf.clear();
-        if !key(ri, &mut buf) {
-            continue;
-        }
-        debug_assert_eq!(buf.len(), width);
-        let mut hasher = FxHasher::default();
-        for &w in &buf {
-            hasher.write_u64(w);
-        }
-        let hash = hasher.finish();
-        let mut g = by_hash.get(&hash).copied().unwrap_or(NONE);
-        while g != NONE && keys[g * width..][..width] != buf[..] {
-            g = same_hash[g];
-        }
-        if g == NONE {
-            g = counts.len();
-            keys.extend_from_slice(&buf);
-            counts.push(0);
-            same_hash.push(by_hash.insert(hash, g).unwrap_or(NONE));
-        }
-        counts[g] += 1;
-        *group = g;
-    }
-
-    // Rows by group, ascending within each: offsets from the counts,
-    // then one pass over the rows.
-    let groups = counts.len();
-    let mut starts: Vec<usize> = Vec::with_capacity(groups + 1);
-    starts.push(0);
-    for (g, count) in counts.iter().enumerate() {
-        starts.push(starts[g] + count);
-    }
-    counts.copy_from_slice(&starts[..groups]);
-    let mut rows: Vec<usize> = vec![0; starts[groups]];
-    for (ri, &g) in group_of.iter().enumerate() {
-        if g != NONE {
-            rows[counts[g]] = ri;
-            counts[g] += 1;
-        }
-    }
+    let cancel = &ctx.options.cancel;
+    let index = RowGroups::build(bindings.len(), width, cancel, |ri, buf| Ok(key(ri, buf)))?;
     let cmp = bindings.rv_key_order();
-    let key_of = |g: usize| &keys[g * width..][..width];
-    let mut order: Vec<usize> = (0..groups).collect();
-    order.sort_unstable_by(|&a, &b| cmp(key_of(a), key_of(b)));
-    Ok(Groups {
-        width,
-        keys,
-        starts,
-        rows,
-        order,
-    })
+    let mut order: Vec<usize> = (0..index.len()).collect();
+    order.sort_unstable_by(|&a, &b| cmp(index.key(a), index.key(b)));
+    Ok(Groups { index, order })
 }
 
 /// The groups of a `GROUP e₁, …` / `GROUP BY e₁, …` partition: the

@@ -15,13 +15,19 @@
 //! and nowhere else — and a pattern whose start variable an earlier
 //! pattern already bound is *seeded* from those identifiers instead of
 //! the graph's label groups.
+//!
+//! A pattern matched for a plan step leaves out the columns nothing after
+//! it reads: its anonymous elements and the step's
+//! [`drops`](crate::plan::PlanStep::drops). A pure reachability step whose
+//! source is one of them groups its rows by the columns still read and
+//! returns, per group, the union of its sources' closures.
 
-use crate::binding::{BindingTable, Bound, Column, TableBuilder};
+use crate::binding::{BindingTable, Bound, Column, RowGroups, TableBuilder};
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, SemanticError};
 use crate::expr::{Compiler, Env, Rv};
 use crate::paths::PathSearcher;
-use crate::plan::{first_label, pure_reach, ScanFilter};
+use crate::plan::{first_label, pure_reach, PlanStep, Reads, ScanFilter};
 use crate::regex::{walk_conforms, Nfa};
 use gcore_parser::ast::{
     Connection, Direction, EdgePattern, Expr, LabelDisjunction, NodePattern, PathMode, PathPattern,
@@ -55,6 +61,9 @@ pub(crate) struct PatternMatcher<'e> {
     /// importantly the *source set* of path patterns) — and is not
     /// evaluated again on the joined table.
     scan_filters: &'e [ScanFilter<'e>],
+    /// The named variables nothing reads after the pattern, when it is
+    /// matched for a plan step; `None` keeps every column of the chain.
+    drops: Option<&'e [String]>,
 }
 
 impl<'e> PatternMatcher<'e> {
@@ -65,13 +74,22 @@ impl<'e> PatternMatcher<'e> {
             graph,
             anon: Cell::new(0),
             scan_filters: &[],
+            drops: None,
         }
     }
 
-    /// Attach the scan filters of the clause being matched.
-    pub(crate) fn with_scan_filters(mut self, scan_filters: &'e [ScanFilter<'e>]) -> Self {
-        self.scan_filters = scan_filters;
+    /// Match for one plan step: apply its scan filters and leave out the
+    /// columns it drops.
+    pub(crate) fn for_step(mut self, step: &'e PlanStep<'e>) -> Self {
+        self.scan_filters = &step.scan_filters;
+        self.drops = Some(&step.drops);
         self
+    }
+
+    /// Is `var`'s column read by nothing after the pattern? Anonymous
+    /// columns never are; a named one when the plan step drops it.
+    fn dropped(&self, var: &str) -> bool {
+        var.starts_with('#') || self.drops.is_some_and(|d| d.iter().any(|v| v == var))
     }
 
     /// Apply the scan filters on `var`, if any.
@@ -103,7 +121,8 @@ impl<'e> PatternMatcher<'e> {
         }
     }
 
-    /// Evaluate a pattern; anonymous element columns are projected away.
+    /// Evaluate a pattern; anonymous element columns and the plan step's
+    /// dropped ones are projected away.
     ///
     /// `seed`, when given, lists every node the start variable may take
     /// (ascending): the caller joins the result on that variable against
@@ -116,7 +135,7 @@ impl<'e> PatternMatcher<'e> {
         seed: Option<&[NodeId]>,
     ) -> Result<BindingTable> {
         let (table, _) = self.eval_chain(pattern, outer, seed)?;
-        if table.columns().iter().all(|c| !c.var.starts_with('#')) {
+        if table.columns().iter().all(|c| !self.dropped(&c.var)) {
             // Nothing to drop: the chain table is the pattern's table.
             return Ok(table);
         }
@@ -124,7 +143,7 @@ impl<'e> PatternMatcher<'e> {
             .columns()
             .iter()
             .map(|c| c.var.as_str())
-            .filter(|v| !v.starts_with('#'))
+            .filter(|v| !self.dropped(v))
             .collect::<Vec<_>>();
         Ok(table.project(&keep))
     }
@@ -156,7 +175,7 @@ impl<'e> PatternMatcher<'e> {
         };
 
         let mut table = self.bind_start(&start_var, &pattern.start, outer, seed, &structural)?;
-        for step in &pattern.steps {
+        for (k, step) in pattern.steps.iter().enumerate() {
             // Chain steps are the matcher's outermost expansion loop:
             // one poll per step bounds the latency of noticing a
             // cancellation by one expansion.
@@ -185,7 +204,9 @@ impl<'e> PatternMatcher<'e> {
                         .map(str::to_owned)
                         .unwrap_or_else(|| self.fresh_anon("p"));
                     info.conn_vars.push(path_var.clone());
-                    self.expand_path(table, &prev_var, &path_var, &dst_var, p, &step.node, outer)?
+                    let live = self.live_without(&table, &prev_var, pattern, k);
+                    let (node, live) = (&step.node, live.as_deref());
+                    self.expand_path(table, &prev_var, &path_var, &dst_var, p, node, live, outer)?
                 }
             };
             // Apply the destination node's own label/property constraints.
@@ -193,6 +214,32 @@ impl<'e> PatternMatcher<'e> {
             info.node_vars.push(dst_var);
         }
         Ok((table, info))
+    }
+
+    /// The columns of `table` read after chain step `k` of `pattern` when
+    /// its source `src` is not one of them; `None` when it is, or when
+    /// every column is kept. A column is read after the step when the
+    /// pattern does not drop it or a later element of the chain reads it.
+    fn live_without(
+        &self,
+        table: &BindingTable,
+        src: &str,
+        pattern: &Pattern,
+        k: usize,
+    ) -> Option<Vec<usize>> {
+        self.drops?;
+        let later = Reads::of_steps(&pattern.steps[k..]);
+        let dead = |v: &str| self.dropped(v) && !later.contains(v);
+        if !dead(src) {
+            return None;
+        }
+        let columns = table.columns().iter().enumerate();
+        Some(
+            columns
+                .filter(|(_, c)| !dead(&c.var))
+                .map(|(i, _)| i)
+                .collect(),
+        )
     }
 
     /// Seed the table with candidates for the first node pattern.
@@ -521,7 +568,8 @@ impl<'e> PatternMatcher<'e> {
     }
 
     /// Expand rows over one path pattern (computed or stored); `dst` is
-    /// the node pattern at its far end.
+    /// the node pattern at its far end. `live`, when given, lists the
+    /// columns read after the step, `prev_var`'s not among them.
     #[allow(clippy::too_many_arguments)]
     fn expand_path(
         &self,
@@ -531,6 +579,7 @@ impl<'e> PatternMatcher<'e> {
         dst_var: &str,
         pat: &PathPattern,
         dst: &NodePattern,
+        live: Option<&[usize]>,
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
         if pat.stored {
@@ -608,6 +657,14 @@ impl<'e> PatternMatcher<'e> {
                 shared =
                     snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs)?;
             }
+        }
+        // A source nothing reads after the step: one row per distinct
+        // live cells and far end, not one per (source, destination).
+        if let Some(live) = live.filter(|_| pure_reach && dst_bound.is_none()) {
+            let out = self.reach_by_group(&table, prev_idx, live, dst_var, &shared)?;
+            prof.add_counter(span, "frontier_pops", searcher.pops());
+            prof.finish_rows(span, out.len() as u64);
+            return Ok(out);
         }
         // An unbound far end whose scan filters the plan made targets:
         // every row searches towards the same node set. (The filters run
@@ -713,6 +770,61 @@ impl<'e> PatternMatcher<'e> {
         }
         prof.finish_rows(span, out.len() as u64);
         Ok(out)
+    }
+
+    /// The rows of a pure reachability step whose source column (at
+    /// `src_idx`) is read by nothing after it: rows that agree on the
+    /// `live` columns form one group, which reaches the union of its
+    /// sources' closures in `shared`. Each distinct closure is read once
+    /// per group, into a bitset over node positions, so a group emits each
+    /// far end once.
+    fn reach_by_group(
+        &self,
+        table: &BindingTable,
+        src_idx: usize,
+        live: &[usize],
+        dst_var: &str,
+        shared: &FxHashMap<NodeId, Arc<Vec<NodeId>>>,
+    ) -> Result<BindingTable> {
+        let mut columns: Vec<Column> = live.iter().map(|&c| table.columns()[c].clone()).collect();
+        columns.push(self.col(dst_var));
+        let mut bld = TableBuilder::new(columns, self.ctx.pool());
+        let cancel = &self.ctx.options.cancel;
+        let groups = RowGroups::build(table.len(), live.len(), cancel, |ri, key| {
+            key.extend(live.iter().map(|&c| table.code(ri, c)));
+            Ok(true)
+        })?;
+        let positions = self.graph.positions();
+        let mut reached: Vec<u64> = vec![0; positions.len().div_ceil(64)];
+        let mut read: FxHashSet<*const Vec<NodeId>> = FxHashSet::default();
+        let mut tick = 0u32;
+        for group in (0..groups.len()).map(|g| groups.rows(g)) {
+            read.clear();
+            for &ri in group {
+                cancel.checkpoint(&mut tick)?;
+                let Bound::Node(src) = table.bound(ri, src_idx) else {
+                    continue;
+                };
+                let Some(closure) = shared.get(&src) else {
+                    continue;
+                };
+                if !read.insert(Arc::as_ptr(closure)) {
+                    continue;
+                }
+                for pos in closure.iter().filter_map(|&n| positions.of(n)) {
+                    reached[pos as usize / 64] |= 1 << (pos % 64);
+                }
+            }
+            for (w, word) in reached.iter_mut().enumerate() {
+                while *word != 0 {
+                    let pos = w * 64 + word.trailing_zeros() as usize;
+                    *word &= *word - 1;
+                    let far = Bound::Node(positions.id(pos as u32));
+                    bld.push_picked(table, group[0], live, &[far]);
+                }
+            }
+        }
+        Ok(bld.finish())
     }
 
     /// Match stored paths (`-/@p:Label/->`), optionally checking regex

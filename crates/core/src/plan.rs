@@ -35,12 +35,20 @@
 //! statistics influence only the *order*, so a plan computed from
 //! arbitrary (even adversarial) statistics returns the same bindings as
 //! the syntactic one — `tests/planner_equivalence.rs` pins this down.
+//!
+//! Either way each step also records what it *drops*: the variables it
+//! binds that nothing after it reads ([`Reads`]) — no later step, join,
+//! OPTIONAL block, residual conjunct or the clause's consumer. A MATCH
+//! binds a *set* of mappings, so a dead column is projected away where it
+//! is bound, and a pure reachability step whose source is dead returns
+//! its distinct far ends instead of one row per (source, destination).
 
 use crate::obs::format_estimate;
 use gcore_parser::ast::{
-    BinaryOp, Connection, Direction, Expr, Func, HeadClause, Ident, LabelDisjunction,
-    LocatedPattern, Location, MatchClause, NodePattern, PathMode, PathPattern, Pattern, PropEntry,
-    Query, Statement,
+    BinaryOp, Connection, ConstructClause, ConstructConnection, ConstructItem, Direction, Expr,
+    Func, HeadClause, Ident, LabelDisjunction, LocatedPattern, Location, MatchClause, NodePattern,
+    PathMode, PathPattern, Pattern, PatternStep, PropEntry, Query, QueryBody, QuerySource, SetItem,
+    Statement,
 };
 use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::hash::FxHashSet;
@@ -130,6 +138,9 @@ pub struct PlanStep<'a> {
     /// The block's scan filters on variables this pattern binds, in
     /// WHERE order.
     pub scan_filters: Vec<ScanFilter<'a>>,
+    /// The variables this pattern binds that nothing after it reads, in
+    /// syntactic order: the matcher leaves their columns out.
+    pub drops: Vec<String>,
 }
 
 /// How one pattern block runs — a MATCH's main block, one OPTIONAL
@@ -161,27 +172,237 @@ pub struct MatchPlan<'a> {
 /// A pattern with its location while a block is being planned.
 type Located<'a> = (Cow<'a, Pattern>, Option<&'a Location>);
 
-/// Plan one MATCH clause: cost-based when `stats` is given, in syntactic
-/// order otherwise. Pure: no evaluation, no catalog mutation — `stats`
-/// is only asked for already-materialized graphs.
-pub fn plan_match<'a>(m: &'a MatchClause, stats: Option<&PlanResolver<'_>>) -> MatchPlan<'a> {
+/// What is read of a MATCH's bindings after some point of its
+/// evaluation: a set of variables, or every column.
+///
+/// Planning starts from what the clause's consumer reads — a CONSTRUCT
+/// head's [`Reads::of_construct`]; [`Reads::All`] for SELECT, which
+/// returns one row per binding, and for correlated evaluations — and
+/// adds, going backwards, what the rest of the clause reads: later steps,
+/// joins, OPTIONAL blocks and residual conjuncts. A variable a step binds
+/// that is not read after it is dropped there ([`PlanStep::drops`]).
+#[derive(Clone, Debug)]
+pub enum Reads {
+    /// Every variable stays live.
+    All,
+    /// Exactly these variables are read.
+    Vars(FxHashSet<String>),
+}
+
+impl Reads {
+    /// Nothing is read yet.
+    fn none() -> Reads {
+        Reads::Vars(FxHashSet::default())
+    }
+
+    /// Is `var` read?
+    pub(crate) fn contains(&self, var: &str) -> bool {
+        match self {
+            Reads::All => true,
+            Reads::Vars(vars) => vars.contains(var),
+        }
+    }
+
+    fn add(&mut self, var: &str) {
+        if let Reads::Vars(vars) = self {
+            if !vars.contains(var) {
+                vars.insert(var.to_owned());
+            }
+        }
+    }
+
+    /// Add what `e` reads: its variables, and those of its pattern
+    /// predicates. An `EXISTS` body may read any variable of the row.
+    fn add_expr(&mut self, e: &Expr) {
+        e.walk(&mut |x| match x {
+            Expr::Var(v) => self.add(v),
+            Expr::PatternPredicate(p) => self.add_pattern(p),
+            Expr::Exists(_) => *self = Reads::All,
+            _ => {}
+        });
+    }
+
+    fn add_node(&mut self, n: &NodePattern) {
+        if let Some(v) = &n.var {
+            self.add(v);
+        }
+        for entry in &n.props {
+            self.add_expr(&entry.value);
+        }
+    }
+
+    /// Add what one chain step reads: the variables its connection and
+    /// its far node name, and what their property entries read.
+    fn add_step(&mut self, step: &PatternStep) {
+        match &step.connection {
+            Connection::Edge(e) => {
+                if let Some(v) = &e.var {
+                    self.add(v);
+                }
+                for entry in &e.props {
+                    self.add_expr(&entry.value);
+                }
+            }
+            Connection::Path(p) => {
+                for v in [&p.var, &p.cost_var].into_iter().flatten() {
+                    self.add(v);
+                }
+            }
+        }
+        self.add_node(&step.node);
+    }
+
+    /// Add what a pattern reads: every variable it binds or joins on,
+    /// and what its property entries read.
+    fn add_pattern(&mut self, p: &Pattern) {
+        self.add_node(&p.start);
+        for step in &p.steps {
+            self.add_step(step);
+        }
+    }
+
+    /// Add what a block of patterns and its WHERE read.
+    fn add_block(&mut self, patterns: &[LocatedPattern], where_clause: Option<&Expr>) {
+        for lp in patterns {
+            self.add_pattern(&lp.pattern);
+        }
+        if let Some(w) = where_clause {
+            self.add_expr(w);
+        }
+    }
+
+    /// What a CONSTRUCT head reads of the bindings of `m`: every
+    /// variable it names — bound elements, `(=x)` copies, `GROUP`, `SET`,
+    /// `REMOVE`, `WHEN` and property expressions, path constructs. It
+    /// reads [`Reads::All`] when it counts bindings: an aggregate
+    /// (`COUNT(*)`), or a node construct that `m` does not bind and no
+    /// `GROUP` groups, whose grouping set is every variable.
+    pub fn of_construct(c: &ConstructClause, m: &MatchClause) -> Reads {
+        let bound = |v: &Ident| {
+            (m.located_patterns()).any(|lp| lp.pattern.binders().any(|(b, _)| b.text == v.text))
+        };
+        let mut reads = Reads::none();
+        let mut exprs: Vec<&Expr> = Vec::new();
+        // A variable's GROUP applies to each of its occurrences.
+        let mut grouped: FxHashSet<&str> = FxHashSet::default();
+        let mut ungrouped: Vec<Option<&Ident>> = Vec::new();
+        for item in &c.items {
+            let ConstructItem::Pattern(p) = item else {
+                continue;
+            };
+            let nodes = std::iter::once(&p.start).chain(p.steps.iter().map(|s| &s.node));
+            for n in nodes {
+                match (&n.var, &n.group) {
+                    (Some(v), Some(_)) => {
+                        grouped.insert(v.as_str());
+                    }
+                    (None, Some(_)) => {}
+                    (Some(v), None) if bound(v) => {}
+                    (var, None) => ungrouped.push(var.as_ref()),
+                }
+                exprs.extend(n.group.iter().flatten());
+                exprs.extend(n.assigns.iter().map(|a| &a.value));
+                reads.add_all(&n.copy_of);
+            }
+            for step in &p.steps {
+                match &step.connection {
+                    ConstructConnection::Edge(e) => {
+                        exprs.extend(e.group.iter().flatten());
+                        exprs.extend(e.assigns.iter().map(|a| &a.value));
+                        reads.add_all(&e.copy_of);
+                    }
+                    ConstructConnection::Path(path) => {
+                        exprs.extend(path.assigns.iter().map(|a| &a.value));
+                    }
+                }
+            }
+            reads.add_all(p.vars());
+            exprs.extend(&p.when);
+            // A SET or REMOVE target is a construct variable of its
+            // pattern (E014), so `p.vars()` has it.
+            for set in &p.sets {
+                match set {
+                    SetItem::Prop { value, .. } => exprs.push(value),
+                    SetItem::Copy { from, .. } => reads.add(from),
+                    SetItem::Label { .. } => {}
+                }
+            }
+        }
+        let per_binding = |v: &Option<&Ident>| v.is_none_or(|v| !grouped.contains(v.as_str()));
+        if ungrouped.iter().any(per_binding) || exprs.iter().any(|e| e.contains_aggregate()) {
+            return Reads::All;
+        }
+        for e in exprs {
+            reads.add_expr(e);
+        }
+        reads
+    }
+
+    /// What chain steps `steps` read.
+    pub(crate) fn of_steps(steps: &[PatternStep]) -> Reads {
+        let mut reads = Reads::none();
+        for step in steps {
+            reads.add_step(step);
+        }
+        reads
+    }
+
+    fn add_all<'v>(&mut self, vars: impl IntoIterator<Item = &'v Ident>) {
+        for v in vars {
+            self.add(v);
+        }
+    }
+}
+
+/// Plan one MATCH clause whose consumer reads `head`: cost-based when
+/// `stats` is given, in syntactic order otherwise. Pure: no evaluation,
+/// no catalog mutation — `stats` is only asked for already-materialized
+/// graphs.
+///
+/// A variable of the main block is read after it by `head` and by every
+/// OPTIONAL block; one of an OPTIONAL block by `head`, the main block's
+/// patterns (its join) and every other OPTIONAL block.
+pub fn plan_match<'a>(
+    m: &'a MatchClause,
+    stats: Option<&PlanResolver<'_>>,
+    head: Reads,
+) -> MatchPlan<'a> {
     fn located(ps: &[LocatedPattern]) -> impl Iterator<Item = (&Pattern, Option<&Location>)> {
         ps.iter().map(|lp| (&lp.pattern, lp.on.as_ref()))
     }
+    let mut after_main = head.clone();
+    for o in &m.optionals {
+        after_main.add_block(&o.patterns, o.where_clause.as_ref());
+    }
+    let optionals = (m.optionals.iter().enumerate()).map(|(k, o)| {
+        let mut after = head.clone();
+        after.add_block(&m.patterns, None);
+        for (j, other) in m.optionals.iter().enumerate() {
+            if j != k {
+                after.add_block(&other.patterns, other.where_clause.as_ref());
+            }
+        }
+        plan_block(located(&o.patterns), o.where_clause.as_ref(), None, after)
+    });
     MatchPlan {
-        main: plan_block(located(&m.patterns), m.where_clause.as_ref(), stats),
-        optionals: (m.optionals.iter())
-            .map(|o| plan_block(located(&o.patterns), o.where_clause.as_ref(), None))
-            .collect(),
+        optionals: optionals.collect(),
+        main: plan_block(
+            located(&m.patterns),
+            m.where_clause.as_ref(),
+            stats,
+            after_main,
+        ),
     }
 }
 
 /// Plan one block of `patterns` filtered by `where_clause`, in the mode
-/// `stats` selects (see the module docs).
+/// `stats` selects (see the module docs), for a caller that reads `after`
+/// of its result.
 pub fn plan_block<'a>(
     patterns: impl Iterator<Item = (&'a Pattern, Option<&'a Location>)>,
     where_clause: Option<&'a Expr>,
     stats: Option<&PlanResolver<'_>>,
+    after: Reads,
 ) -> PlanBlock<'a> {
     let mut patterns: Vec<Located<'a>> = patterns.map(|(p, on)| (Cow::Borrowed(p), on)).collect();
     let n = patterns.len();
@@ -249,7 +470,25 @@ pub fn plan_block<'a>(
             original_index: idx,
             estimate: estimates.get(idx).copied(),
             join_vars,
+            drops: Vec::new(),
         });
+    }
+
+    // --- liveness, backwards: a step keeps what a later step, the
+    // residual WHERE, the caller, or its own join reads ---
+    let mut later = after;
+    for c in &block.residual {
+        later.add_expr(c);
+    }
+    for step in block.steps.iter_mut().rev() {
+        for (v, _) in step.pattern.binders() {
+            let v = v.as_str();
+            let dead = !later.contains(v) && !step.join_vars.iter().any(|j| j == v);
+            if dead && !step.drops.iter().any(|d| d == v) {
+                step.drops.push(v.to_owned());
+            }
+        }
+        later.add_pattern(&step.pattern);
     }
     block
 }
@@ -656,8 +895,15 @@ fn explain_query(q: &Query, stats: Option<&PlanResolver<'_>>, out: &mut String) 
             explain_nested(&gc.query, "  ", stats, out);
         }
     }
-    for m in q.body.match_clauses() {
-        render_match(m, stats, out);
+    match &q.body {
+        QueryBody::Graph(g) => {
+            for b in g.basic_queries() {
+                if let QuerySource::Match(m) = &b.source {
+                    render_match(m, Reads::of_construct(&b.construct, m), stats, out);
+                }
+            }
+        }
+        QueryBody::Select(s) => render_match(&s.match_clause, Reads::All, stats, out),
     }
 }
 
@@ -678,11 +924,11 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
-fn render_match(m: &MatchClause, stats: Option<&PlanResolver<'_>>, out: &mut String) {
+fn render_match(m: &MatchClause, head: Reads, stats: Option<&PlanResolver<'_>>, out: &mut String) {
     if m.patterns.is_empty() && m.where_clause.is_none() && m.optionals.is_empty() {
         return;
     }
-    let plan = plan_match(m, stats);
+    let plan = plan_match(m, stats, head);
     let steps = &plan.main.steps;
     let order = if plan.main.reordered {
         let idxs: Vec<String> = steps.iter().map(|s| s.original_index.to_string()).collect();
@@ -702,8 +948,9 @@ fn render_match(m: &MatchClause, stats: Option<&PlanResolver<'_>>, out: &mut Str
 
 /// The lines of one block: per step its numbered pattern line (main
 /// block only — an OPTIONAL block always runs in source order), the scan
-/// filters it applies and the plan of its `ON (subquery)`; then what was
-/// pushed, the residual count and the reorder note.
+/// filters it applies, the variables it drops and the plan of its `ON
+/// (subquery)`; then what was pushed, the residual count and the reorder
+/// note.
 fn render_block(
     block: &PlanBlock<'_>,
     main: bool,
@@ -729,6 +976,9 @@ fn render_block(
                 "scan filter"
             };
             let _ = writeln!(out, "     {kind} {}: {}", f.var, print_expr(f.expr));
+        }
+        if !step.drops.is_empty() {
+            let _ = writeln!(out, "     drops {}", step.drops.join(", "));
         }
         if let Some(Location::Subquery(q)) = step.on {
             let _ = writeln!(out, "     ON subquery:");
@@ -756,14 +1006,50 @@ mod tests {
     use gcore_ppg::{Attributes, GraphBuilder};
 
     fn clause_of(src: &str) -> MatchClause {
+        basic_of(src).1
+    }
+
+    fn basic_of(src: &str) -> (ConstructClause, MatchClause) {
         let q = parse_query(src).unwrap();
         match q.body {
             QueryBody::Graph(FullGraphQuery::Basic(b)) => match b.source {
-                QuerySource::Match(m) => m,
+                QuerySource::Match(m) => (b.construct, m),
                 _ => panic!("expected MATCH"),
             },
             _ => panic!("expected basic graph query"),
         }
+    }
+
+    /// A step drops what it binds and nothing after it reads: not a
+    /// variable a later pattern joins on or an OPTIONAL block reads, and
+    /// nothing when the head counts bindings.
+    #[test]
+    fn steps_drop_what_nothing_after_them_reads() {
+        let drops = |src: &str| {
+            let (c, m) = basic_of(src);
+            let plan = plan_match(&m, None, Reads::of_construct(&c, &m));
+            let blocks = std::iter::once(&plan.main).chain(&plan.optionals);
+            let steps = blocks.flat_map(|b| &b.steps);
+            steps.map(|s| s.drops.join(" ")).collect::<Vec<_>>()
+        };
+        let body =
+            "MATCH (n:Person)-/<:knows*>/->(m)-[e:isLocatedIn]->(x), (m)-[:isLocatedIn]->(c) \
+                    WHERE n.personId < 3 \
+                    OPTIONAL (c)<-[:isLocatedIn]-(p)-[:knows]->(q)";
+        let near = format!("CONSTRUCT (m)-[:near]->(c) {body}");
+        assert_eq!(drops(&near), ["n e x", "", "p q"]);
+        let reads_q = format!("CONSTRUCT (m)-[:near]->(c) SET c.q := q.personId {body}");
+        assert_eq!(drops(&reads_q), ["n e x", "", "p"]);
+        for counts in [
+            format!("CONSTRUCT (m {{k := COUNT(*)}}) {body}"),
+            format!("CONSTRUCT (m)-[:near]->(y) {body}"),
+        ] {
+            assert_eq!(drops(&counts), ["", "", ""], "{counts}");
+        }
+        let grouped = format!("CONSTRUCT (m)-[:near]->(y GROUP c.name) {body}");
+        assert_eq!(drops(&grouped), ["n e x", "", "p q"]);
+        let exists = "CONSTRUCT (m) MATCH (n)-[:knows]->(m) WHERE EXISTS (CONSTRUCT () MATCH (n))";
+        assert_eq!(drops(exists), [""]);
     }
 
     fn people_graph() -> Arc<PathPropertyGraph> {
@@ -792,7 +1078,7 @@ mod tests {
     fn selective_pattern_is_planned_first() {
         let g = people_graph();
         let m = clause_of("CONSTRUCT (c) MATCH (n:Person), (c:City)");
-        let plan = plan_match(&m, Some(&resolver(g))).main;
+        let plan = plan_match(&m, Some(&resolver(g)), Reads::All).main;
         // City (1 node) beats Person (20 nodes).
         assert!(plan.reordered);
         assert_eq!(plan.steps[0].original_index, 1);
@@ -805,7 +1091,7 @@ mod tests {
         let m = clause_of(
             "CONSTRUCT (c) MATCH (n:Person {employer = e}), (c:City), (m:Person {employer = e})",
         );
-        let plan = plan_match(&m, Some(&resolver(g))).main;
+        let plan = plan_match(&m, Some(&resolver(g)), Reads::All).main;
         // The seed is the cheapest pattern (City); after that both
         // Person patterns join each other on `e` but not City, so the
         // planner still prefers a connected expansion once one Person
@@ -828,7 +1114,7 @@ mod tests {
             "CONSTRUCT (b) MATCH (a:Person {employer = e}), (b:Person) \
              WHERE e IN b.employer AND a.personId < 3",
         );
-        let plan = plan_match(&m, Some(&resolver(g))).main;
+        let plan = plan_match(&m, Some(&resolver(g)), Reads::All).main;
         assert_eq!(plan.pushed.len(), 1);
         assert!(plan.residual.is_empty());
         for step in &plan.steps {
@@ -848,7 +1134,7 @@ mod tests {
             }
         }
         // Syntactic mode: no pushdown, the conjunct is residual.
-        let off = plan_match(&m, None).main;
+        let off = plan_match(&m, None, Reads::All).main;
         assert!(off.pushed.is_empty() && !off.reordered);
         assert_eq!(off.residual.len(), 1);
         assert!(off.steps.iter().all(|s| s.estimate.is_none()));
@@ -859,7 +1145,7 @@ mod tests {
         let g = people_graph();
         // `n` is structural: `n IN b.member` must stay in WHERE.
         let m = clause_of("CONSTRUCT (b) MATCH (n:Person), (b:Team) WHERE n IN b.member");
-        let plan = plan_match(&m, Some(&resolver(g))).main;
+        let plan = plan_match(&m, Some(&resolver(g)), Reads::All).main;
         assert!(plan.pushed.is_empty());
         assert_eq!(plan.residual.len(), 1, "two variables: residual");
         assert!(plan.steps.iter().all(|s| s.scan_filters.is_empty()));
@@ -875,7 +1161,7 @@ mod tests {
                AND p.hops = 2 AND v = 'Acme' AND n.personId < m.personId \
                AND nodes(p)[1].personId = 4 AND (n)-[:knows]->(k) AND 1 = 1 AND x.age > 3",
         );
-        let plan = plan_match(&m, None).main;
+        let plan = plan_match(&m, None, Reads::All).main;
         let scan: Vec<(&str, String)> = plan.steps[0]
             .scan_filters
             .iter()
@@ -906,7 +1192,7 @@ mod tests {
         let g = people_graph();
         let m =
             clause_of("CONSTRUCT (c) MATCH (n:Person), (c:City) ON (CONSTRUCT (x) MATCH (x:City))");
-        let plan = plan_match(&m, Some(&resolver(g))).main;
+        let plan = plan_match(&m, Some(&resolver(g)), Reads::All).main;
         assert!(!plan.reordered);
         assert!(plan.note.is_some());
     }
@@ -915,11 +1201,11 @@ mod tests {
     fn fresh_path_patterns_disable_reordering() {
         let g = people_graph();
         let m = clause_of("CONSTRUCT (c) MATCH (n:Person)-/p<:knows*>/->(m), (c:City)");
-        let plan = plan_match(&m, Some(&resolver(g.clone()))).main;
+        let plan = plan_match(&m, Some(&resolver(g.clone())), Reads::All).main;
         assert!(!plan.reordered);
         // A pure reachability check reorders fine.
         let m2 = clause_of("CONSTRUCT (c) MATCH (n:Person)-/<:knows*>/->(m), (c:City)");
-        let plan2 = plan_match(&m2, Some(&resolver(g))).main;
+        let plan2 = plan_match(&m2, Some(&resolver(g)), Reads::All).main;
         assert!(plan2.reordered);
     }
 

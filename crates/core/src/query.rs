@@ -9,12 +9,12 @@ use crate::expr::{Compiler, Env};
 use crate::matcher::PatternMatcher;
 use crate::obs::{CoreMetrics, Profiler, SpanId};
 use crate::paths::{Segment, ViewMap, ViewSegments};
-use crate::plan::{plan_block, plan_graph, plan_match, PlanBlock, PlanResolver};
+use crate::plan::{plan_block, plan_graph, plan_match, PlanBlock, PlanResolver, Reads};
 use crate::regex::Nfa;
 use crate::select::eval_select;
 use gcore_parser::ast::{
-    Connection, Expr, FullGraphQuery, GraphSetOp, HeadClause, Location, MatchClause, PathClause,
-    PathPattern, Pattern, Query, QueryBody, QuerySource, Regex, Statement,
+    BasicGraphQuery, Connection, Expr, FullGraphQuery, GraphSetOp, HeadClause, Location,
+    MatchClause, PathClause, PathPattern, Pattern, Query, QueryBody, QuerySource, Regex, Statement,
 };
 use gcore_parser::{print_expr, print_pattern_on};
 use gcore_ppg::{ops, NodeId, PathPropertyGraph, PathShape, Table, Value, ValueInterner};
@@ -159,7 +159,7 @@ impl EvalCtx {
     ) -> Result<PathPropertyGraph> {
         match q {
             FullGraphQuery::Basic(b) => {
-                let bindings = self.eval_source(&b.source, outer)?;
+                let bindings = self.eval_source(b, outer)?;
                 let span = self.profiler.start("construct", String::new);
                 self.profiler
                     .add_counter(span, "input_rows", bindings.len() as u64);
@@ -191,9 +191,13 @@ impl EvalCtx {
         }
     }
 
-    fn eval_source(&self, source: &QuerySource, outer: Option<&Env<'_>>) -> Result<BindingTable> {
-        match source {
-            QuerySource::Match(m) => self.eval_match(m, outer),
+    /// The bindings of a basic query: its MATCH, keeping what its
+    /// CONSTRUCT reads, or its `FROM` table.
+    fn eval_source(&self, b: &BasicGraphQuery, outer: Option<&Env<'_>>) -> Result<BindingTable> {
+        match &b.source {
+            QuerySource::Match(m) => {
+                self.eval_match(m, Reads::of_construct(&b.construct, m), outer)
+            }
             QuerySource::From(table_name) => {
                 // §5 "binding table inputs": one binding per row, one
                 // value variable per column; NULL cells stay unbound.
@@ -231,10 +235,12 @@ impl EvalCtx {
     /// A top-level clause is planned in the mode `EvalOptions::planner`
     /// selects. A correlated (subquery) clause always runs in syntactic
     /// order: its semantics depend on outer bindings the planner does not
-    /// model.
+    /// model. `head` is what the clause's consumer reads of the bindings;
+    /// a correlated clause keeps every column.
     pub(crate) fn eval_match(
         &self,
         m: &MatchClause,
+        head: Reads,
         outer: Option<&Env<'_>>,
     ) -> Result<BindingTable> {
         let prof = &self.profiler;
@@ -246,7 +252,8 @@ impl EvalCtx {
             } else {
                 (SpanId::NONE, None)
             };
-        let plan = plan_match(m, stats);
+        let head = if outer.is_some() { Reads::All } else { head };
+        let plan = plan_match(m, stats, head);
         let main = &plan.main;
         let metrics = &self.options.metrics;
         if main.reordered {
@@ -324,6 +331,9 @@ impl EvalCtx {
             let span = spans.start("pattern", || {
                 format!("{}. {}", pos + 1, print_pattern_on(&step.pattern, step.on))
             });
+            if !step.drops.is_empty() {
+                spans.annotate(span, || format!("[drops {}]", step.drops.join(", ")));
+            }
             let seed = start_seed(&step.pattern, &[acc.as_ref(), joins_to]);
             match (&seed, step.estimate) {
                 // The planner's estimate is for the pattern matched in
@@ -335,7 +345,7 @@ impl EvalCtx {
                 (None, Some(estimate)) => spans.set_estimate(span, estimate),
                 (None, None) => {}
             }
-            let matcher = PatternMatcher::new(self, graph).with_scan_filters(&step.scan_filters);
+            let matcher = PatternMatcher::new(self, graph).for_step(step);
             let t = matcher.eval_pattern(&step.pattern, outer, seed.as_deref())?;
             pattern_rows += t.len() as u64;
             // `rows` is what is left after the conjuncts this pattern
@@ -520,7 +530,7 @@ impl EvalCtx {
         // With the WHERE they are one more pattern block, on the view's
         // graph, starting from the chain's table.
         let extra = def.patterns[1..].iter().map(|p| (p, None));
-        let body = plan_block(extra, def.where_clause.as_ref(), None);
+        let body = plan_block(extra, def.where_clause.as_ref(), None, Reads::All);
         let unreported = Some(SpanId::NONE);
         let table = self.eval_block(&body, Some(graph), Some(table), None, unreported, None)?;
 

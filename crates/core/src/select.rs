@@ -11,6 +11,7 @@ use crate::construct::group_by_exprs;
 use crate::context::EvalCtx;
 use crate::error::{Result, RuntimeError};
 use crate::expr::{Compiled, Compiler, Env, Group, Rv};
+use crate::plan::Reads;
 use gcore_parser::ast::{Expr, SelectItem, SelectQuery};
 use gcore_parser::pretty::print_expr;
 use gcore_ppg::{Table, Value};
@@ -22,7 +23,8 @@ pub(crate) fn eval_select(
     s: &SelectQuery,
     outer: Option<&Env<'_>>,
 ) -> Result<Table> {
-    let bindings = ctx.eval_match(&s.match_clause, outer)?;
+    // SELECT returns one row per binding: every column stays live.
+    let bindings = ctx.eval_match(&s.match_clause, Reads::All, outer)?;
 
     let aggregated = !s.group_by.is_empty() || s.items.iter().any(|i| i.expr.contains_aggregate());
 

@@ -8,7 +8,8 @@
 //! number of rows filtered — a SELECT item allocates only the cell
 //! it outputs, and a property entry that binds a variable copies a
 //! value once per distinct value, not per row — also when two patterns
-//! bind it and join on it.
+//! bind it and join on it, and the join's build side is a few flat
+//! arrays, not a key and a bucket per row.
 //!
 //! Counted with the shared thread-local counting allocator
 //! (`tests/support/counting_alloc.rs`): counts, not timings, so they
@@ -189,5 +190,28 @@ fn a_value_join_copies_each_distinct_value_once() {
     assert!(
         per_employer <= 2.0,
         "{per_employer:.2} allocations per distinct employer: a value is copied more than once"
+    );
+}
+
+/// The hash join's build side is one flat key array, a hash chain and
+/// offset-indexed rows: it allocates per table, not per build row. Two
+/// patterns joined on an integer `e` (which copies without allocating),
+/// two Persons per employer, at 400, 800 and 1 600 Persons: quadrupling
+/// the rows adds a bounded number of allocations — a growing vector's
+/// doublings — where a key `Vec` and a bucket per row added 1 820.
+#[test]
+fn a_hash_join_allocates_per_table_not_per_row() {
+    let join = "SELECT COUNT(*) AS c MATCH (a:Person {employer = e}), (b:Person {employer = e})";
+    let mut costs = Vec::new();
+    for persons in [400, 800, 1600] {
+        let (cost, count) = allocations(&mut employers(persons, |i| Value::Int(i as i64)), join);
+        assert_eq!(count.rows()[0][0], Value::Int(2 * persons as i64));
+        println!("{persons} Persons: {cost} allocations");
+        costs.push(cost as i64);
+    }
+    let added = costs[2] - costs[0];
+    assert!(
+        added <= 40,
+        "{added} more allocations for 1 200 more Persons: the join allocates per row ({costs:?})"
     );
 }

@@ -292,3 +292,83 @@ fn all_paths_share_one_forward_sweep() {
         profile.render(true)
     );
 }
+
+/// The persons whose `personId` is below `bound`, and every node each
+/// reaches over zero or more `knows` edges, counted from the graph.
+fn knows_closures(graph: &gcore_ppg::PathPropertyGraph, bound: i64) -> Vec<Vec<gcore_ppg::NodeId>> {
+    let knows = Label::new("knows");
+    let sources = graph
+        .nodes_with_label(Label::new("Person"))
+        .into_iter()
+        .filter(|&n| {
+            let id = graph.prop(n.into(), Key::new("personId"));
+            matches!(id.as_singleton(), Some(&Value::Int(i)) if i < bound)
+        });
+    sources
+        .map(|src| {
+            let mut seen = std::collections::BTreeSet::from([src]);
+            let mut frontier = vec![src];
+            while let Some(n) = frontier.pop() {
+                graph.for_each_step(n, StepDir::Out, Some(knows), |_, far| {
+                    if seen.insert(far) {
+                        frontier.push(far);
+                    }
+                });
+            }
+            seen.into_iter().collect()
+        })
+        .collect()
+}
+
+/// The counter `name` of `span`.
+fn counter(span: &ProfileSpan, name: &str) -> Option<u64> {
+    span.counters
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|&(_, v)| v)
+}
+
+/// A reachability step whose source the head never reads returns its
+/// distinct far ends: for `wide_par_1c`'s `reach_many` shape at SNB-500,
+/// the `path-search` span's `rows` and CONSTRUCT's `input_rows` are the
+/// number of nodes the 250 sources reach together, counted from the
+/// graph — not one row per (source, destination). The same MATCH under a
+/// head that reads the source keeps every pair. Counts, not timings.
+#[test]
+fn existential_sources_emit_distinct_far_ends() {
+    const PERSONS: usize = 500;
+    let bound = PERSONS as i64 / 2;
+    let mut engine = snb_engine_at(PERSONS);
+    let graph = engine.graph("snb").expect("registered");
+    let closures = knows_closures(&graph, bound);
+    let pairs: u64 = closures.iter().map(|c| c.len() as u64).sum();
+    let far_ends = closures
+        .iter()
+        .flatten()
+        .collect::<std::collections::BTreeSet<_>>();
+    let far_ends = far_ends.len() as u64;
+    assert!(closures.len() == PERSONS / 2 && far_ends < pairs / 10);
+
+    let body = format!("MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.personId < {bound}");
+    // Each source reaches itself, so either head builds the far ends.
+    let heads = [
+        ("CONSTRUCT (m)", far_ends, 0),
+        ("CONSTRUCT (n)-[:r]->(m)", pairs, pairs),
+    ];
+    for (head, rows, edges) in heads {
+        let text = format!("{head} {body}");
+        let (out, profile) = engine.profile(&text).expect("statement runs");
+        let rendered = profile.render(true);
+        let search = find_span(&profile.spans, "path-search").expect("a path-search span");
+        assert_eq!(search.rows, Some(rows), "{text}\n{rendered}");
+        let construct = find_span(&profile.spans, "construct").expect("a construct span");
+        assert_eq!(
+            counter(construct, "input_rows"),
+            Some(rows),
+            "{text}\n{rendered}"
+        );
+        let graph = out.into_graph().expect("a graph");
+        assert_eq!(graph.node_count() as u64, far_ends, "{text}");
+        assert_eq!(graph.edge_count() as u64, edges, "{text}");
+    }
+}

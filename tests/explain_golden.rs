@@ -176,6 +176,8 @@ struct Claim {
     patterns: Vec<String>,
     /// `scan filter` and `targets from` lines under each step.
     scan_filters: Vec<u64>,
+    /// The variables each step drops (`drops …`, empty when none).
+    drops: Vec<String>,
     pushed: usize,
     residual: usize,
 }
@@ -208,8 +210,11 @@ fn claims(explain: &str) -> Vec<Claim> {
                 .patterns
                 .push(body.split("  ").next().unwrap().to_owned());
             claim.scan_filters.push(0);
+            claim.drops.push(String::new());
         } else if body.starts_with("scan filter ") || body.starts_with("targets from ") {
             *claim.scan_filters.last_mut().expect("under a pattern") += 1;
+        } else if let Some(vars) = body.strip_prefix("drops ") {
+            *claim.drops.last_mut().expect("under a pattern") = vars.to_owned();
         } else if body.starts_with("pushed into pattern: ") {
             claim.pushed += 1;
         } else if let Some(rest) = body.strip_prefix("residual WHERE: ") {
@@ -248,7 +253,12 @@ fn observed(m: &ProfileSpan) -> Claim {
         match child.op.as_str() {
             "pattern" => {
                 let text = child.detail.split(" [seeded").next().unwrap();
+                let (text, drops) = match text.split_once(" [drops ") {
+                    Some((text, vars)) => (text, vars.trim_end_matches(']')),
+                    None => (text, ""),
+                };
                 seen.patterns.push(text.to_owned());
+                seen.drops.push(drops.to_owned());
                 let applied = child
                     .counters
                     .iter()
@@ -291,8 +301,9 @@ fn conjuncts_of_where(m: &ProfileSpan) -> usize {
 /// EXPLAIN prints the plan evaluation interprets: for every corpus
 /// statement and a few shapes of its own, with the planner on and off,
 /// the patterns EXPLAIN lists are the `pattern` spans of the profile in
-/// order, with as many scan filters each, and the pushed and residual
-/// conjunct counts are the ones the `plan` and `where` spans report.
+/// order, with as many scan filters each and the variables each drops,
+/// and the pushed and residual conjunct counts are the ones the `plan`
+/// and `where` spans report.
 #[test]
 fn explain_matches_execution() {
     let own = [
@@ -309,6 +320,11 @@ fn explain_matches_execution() {
         "CONSTRUCT (a)-[:colleague]->(b) \
          MATCH (a:Person {employer = e}), (b:Person) \
          WHERE e IN b.employer AND a.firstName = 'John' AND a.lastName <> b.lastName",
+        // A reachability source and a middle node nothing reads after
+        // their steps, next to a variable the second pattern joins on.
+        "CONSTRUCT (m)-[:near]->(c) \
+         MATCH (n:Person)-/<:knows*>/->(m:Person)-[:isLocatedIn]->(x), (m)-[:isLocatedIn]->(c) \
+         WHERE n.employer = 'Acme'",
     ];
     for planner in [true, false] {
         let mut t = tour();

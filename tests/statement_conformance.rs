@@ -6,7 +6,8 @@
 //! what sits above them: SELECT grouping, aggregates (including
 //! `COUNT(*)` over OPTIONAL padding), ORDER BY / LIMIT / OFFSET /
 //! DISTINCT, graph set operations, head `GRAPH g AS (…)`, `ON
-//! (subquery)`, `FROM` a table, `EXISTS` and `GRAPH VIEW`. Every case
+//! (subquery)`, `FROM` a table, `EXISTS`, `GRAPH VIEW` and the variables
+//! a MATCH leaves early because nothing reads them. Every case
 //! runs on a fresh engine, once with the planner on and once with it
 //! off, and both must give the expected text.
 //!
@@ -515,6 +516,177 @@ const VALUE_SCOPE_CASES: &[Case] = &[
     },
 ];
 
+/// A MATCH variable nothing after its step reads leaves the bindings
+/// there — a reachability step whose source is dead returns its distinct
+/// far ends — and the answer must not move: the dead source, the same
+/// reach with its source read by the head, a residual conjunct or a
+/// later chain step, heads that count bindings (`COUNT(*)`, an unbound
+/// node without `GROUP`) or group them by what is live, dead variables in
+/// an OPTIONAL block, a variable two patterns share, and stored-path and
+/// path-variable constructs.
+const EXISTENTIAL_CASES: &[Case] = &[
+    Case {
+        name: "dead_reach_source",
+        statement: "CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.employer = 'Acme'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
+        name: "reach_source_read_by_the_head",
+        statement: "CONSTRUCT (n)-[:reaches]->(m) MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.employer = 'Acme'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+            [e302 n1->n1 :reaches {}]
+            [e303 n1->n2 :reaches {}]
+            [e304 n1->n3 :reaches {}]
+            [e305 n1->n4 :reaches {}]
+            [e306 n1->n5 :reaches {}]
+            [e307 n3->n1 :reaches {}]
+            [e308 n3->n2 :reaches {}]
+            [e309 n3->n3 :reaches {}]
+            [e310 n3->n4 :reaches {}]
+            [e311 n3->n5 :reaches {}]
+        ",
+    },
+    Case {
+        name: "reach_source_read_by_a_residual_conjunct",
+        statement: "CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.firstName > m.firstName",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
+        name: "reach_source_read_by_a_later_chain_step",
+        statement: "CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person)-[:knows]->(n) WHERE n.employer = 'HAL'",
+        expected: "
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+        ",
+    },
+    Case {
+        name: "count_star_counts_every_source",
+        statement: "CONSTRUCT (m {reachers := COUNT(*)}) MATCH (n:Person)-/<:knows*>/->(m:Person)",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe], reachers=[5]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith], reachers=[5]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop], reachers=[5]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer], reachers=[5]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold], reachers=[5]})
+        ",
+    },
+    Case {
+        name: "unbound_node_without_group_is_one_per_binding",
+        statement: "CONSTRUCT (x :Reach {to := m.firstName}) MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.employer = 'Acme'",
+        expected: "
+            (n302 :Reach {to=[John]})
+            (n303 :Reach {to=[Peter]})
+            (n304 :Reach {to=[Alice]})
+            (n305 :Reach {to=[Celine]})
+            (n306 :Reach {to=[Frank]})
+            (n307 :Reach {to=[John]})
+            (n308 :Reach {to=[Peter]})
+            (n309 :Reach {to=[Alice]})
+            (n310 :Reach {to=[Celine]})
+            (n311 :Reach {to=[Frank]})
+        ",
+    },
+    Case {
+        name: "unbound_node_grouped_by_a_live_variable",
+        statement: "CONSTRUCT (x GROUP m :Reach {to := m.firstName}) MATCH (n:Person)-/<:knows*>/->(m:Person)",
+        expected: "
+            (n302 :Reach {to=[John]})
+            (n303 :Reach {to=[Peter]})
+            (n304 :Reach {to=[Alice]})
+            (n305 :Reach {to=[Celine]})
+            (n306 :Reach {to=[Frank]})
+        ",
+    },
+    Case {
+        name: "dead_variables_in_an_optional_block",
+        statement: "CONSTRUCT (n)-[:far]->(k) MATCH (n:Person) OPTIONAL (n)-[:knows]->(m:Person)-/<:knows*>/->(k:Person) WHERE k.firstName <> n.firstName",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+            [e302 n1->n2 :far {}]
+            [e303 n1->n3 :far {}]
+            [e304 n1->n4 :far {}]
+            [e305 n1->n5 :far {}]
+            [e306 n2->n1 :far {}]
+            [e307 n2->n3 :far {}]
+            [e308 n2->n4 :far {}]
+            [e309 n2->n5 :far {}]
+            [e310 n3->n1 :far {}]
+            [e311 n3->n2 :far {}]
+            [e312 n3->n4 :far {}]
+            [e313 n3->n5 :far {}]
+            [e314 n4->n1 :far {}]
+            [e315 n4->n2 :far {}]
+            [e316 n4->n3 :far {}]
+            [e317 n4->n5 :far {}]
+            [e318 n5->n1 :far {}]
+            [e319 n5->n2 :far {}]
+            [e320 n5->n3 :far {}]
+            [e321 n5->n4 :far {}]
+        ",
+    },
+    Case {
+        name: "two_patterns_share_the_dead_looking_variable",
+        statement: "CONSTRUCT (k) MATCH (n:Person)-/<:knows*>/->(m:Person), (m)-[:knows]->(k:Person) WHERE n.employer = 'HAL'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
+        name: "stored_path_construct",
+        statement: "CONSTRUCT (n)-/@p:reach/->(m) MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.employer = 'Acme'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+            [e18 n1->n2 :knows {}]
+            [e20 n1->n3 :knows {}]
+            [e21 n3->n1 :knows {}]
+            [e22 n2->n5 :knows {}]
+            [e24 n2->n4 :knows {}]
+        ",
+    },
+    Case {
+        name: "path_variable_construct",
+        statement: "CONSTRUCT (m)<-/p/-(n) MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.employer = 'HAL'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+            [e19 n2->n1 :knows {}]
+            [e20 n1->n3 :knows {}]
+            [e22 n2->n5 :knows {}]
+            [e25 n4->n2 :knows {}]
+        ",
+    },
+];
+
 /// One row per line, indentation and blank lines dropped.
 fn lines(text: &str) -> String {
     let trimmed = text.lines().map(str::trim).filter(|l| !l.is_empty());
@@ -534,6 +706,11 @@ fn path_views_are_resolved_by_definition_not_by_name() {
 #[test]
 fn values_compare_within_and_across_evaluation_scopes() {
     check(VALUE_SCOPE_CASES);
+}
+
+#[test]
+fn existential_variables_keep_their_answers() {
+    check(EXISTENTIAL_CASES);
 }
 
 fn check(cases: &[Case]) {
