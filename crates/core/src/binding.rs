@@ -486,6 +486,46 @@ impl BindingTable {
         t
     }
 
+    /// A *scratch row*: a one-row table over `columns`, every cell
+    /// `Missing`, whose cells [`set`](Self::set) overwrites in place — a
+    /// candidate binding expressions are evaluated on before it becomes
+    /// a row of any table.
+    pub(crate) fn scratch(columns: Vec<Column>, pool: Arc<ValueInterner>) -> Self {
+        BindingTable {
+            cols: vec![vec![MISSING]; columns.len()],
+            columns,
+            nrows: 1,
+            pool,
+            has_values: false,
+        }
+    }
+
+    /// Overwrite the scratch row's cell in column `col` with `b`.
+    pub(crate) fn set(&mut self, col: usize, b: &Bound) {
+        let code = encode(&self.pool, b);
+        self.has_values |= tag_of(code) == TAG_VALUE;
+        self.cols[col][0] = code;
+    }
+
+    /// [`set`](Self::set) to a value taken by reference: the pool clones
+    /// `v` only the first time it sees it.
+    pub(crate) fn set_value(&mut self, col: usize, v: &Value) {
+        self.has_values = true;
+        self.cols[col][0] = pack(TAG_VALUE, self.pool.intern(v) as u64);
+    }
+
+    /// Overwrite the scratch row's leading columns with `src`'s row `row`.
+    pub(crate) fn set_prefix(&mut self, src: &BindingTable, row: usize) {
+        assert!(
+            !src.has_values || Arc::ptr_eq(&self.pool, &src.pool),
+            "{CROSS_POOL}"
+        );
+        self.has_values |= src.has_values;
+        for (c, col) in src.cols.iter().enumerate() {
+            self.cols[c][0] = col[row];
+        }
+    }
+
     /// Keep only rows satisfying the predicate (row order preserved — a
     /// subset of a sorted, deduplicated table needs no re-normalizing).
     /// The predicate may fail (the first error wins and ends the pass),
@@ -933,7 +973,7 @@ fn merged_schema(a: &BindingTable, b: &BindingTable) -> (Vec<Column>, Vec<usize>
 
 /// Assembles a [`BindingTable`] row by row. The only way to create a
 /// table with content — producers either push decoded [`Bound`]s or
-/// extend rows of a table built with the same pool (a raw `u64` copy).
+/// pick cells of a table built with the same pool (a raw `u64` copy).
 pub struct TableBuilder {
     columns: Vec<Column>,
     cols: Vec<Vec<Code>>,
@@ -967,30 +1007,17 @@ impl TableBuilder {
         self.nrows += 1;
     }
 
-    /// Append `src`'s row followed by `extra` cells; the source columns
-    /// must form the builder schema's prefix.
-    pub fn push_extended(&mut self, src: &BindingTable, row: usize, extra: &[Bound]) {
-        let scols = src.cols.len();
-        debug_assert_eq!(scols + extra.len(), self.columns.len());
-        self.push_prefix(src, row);
-        for (i, b) in extra.iter().enumerate() {
-            let code = encode(&self.pool, b);
-            self.has_values |= tag_of(code) == TAG_VALUE;
-            self.cols[scols + i].push(code);
+    /// Make room for `rows` more rows: a producer that knows how many
+    /// rows it may push grows each column once.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        for col in &mut self.cols {
+            col.reserve(rows);
         }
-        self.nrows += 1;
     }
 
-    /// Append `src`'s cells at `cols`, in that order, followed by `extra`
-    /// cells.
-    pub(crate) fn push_picked(
-        &mut self,
-        src: &BindingTable,
-        row: usize,
-        cols: &[usize],
-        extra: &[Bound],
-    ) {
-        debug_assert_eq!(cols.len() + extra.len(), self.columns.len());
+    /// Append `src`'s cells at `cols`, in that order.
+    pub(crate) fn push_picked(&mut self, src: &BindingTable, row: usize, cols: &[usize]) {
+        debug_assert_eq!(cols.len(), self.columns.len());
         assert!(
             !src.has_values || Arc::ptr_eq(&self.pool, &src.pool),
             "{CROSS_POOL}"
@@ -1000,36 +1027,7 @@ impl TableBuilder {
             self.has_values |= tag_of(code) == TAG_VALUE;
             self.cols[i].push(code);
         }
-        for (i, b) in extra.iter().enumerate() {
-            let code = encode(&self.pool, b);
-            self.has_values |= tag_of(code) == TAG_VALUE;
-            self.cols[cols.len() + i].push(code);
-        }
         self.nrows += 1;
-    }
-
-    /// [`push_extended`](Self::push_extended) by one value cell, taken
-    /// by reference: the pool clones `v` only the first time it sees it.
-    pub fn push_extended_value(&mut self, src: &BindingTable, row: usize, v: &Value) {
-        debug_assert_eq!(src.cols.len() + 1, self.columns.len());
-        self.push_prefix(src, row);
-        let code = pack(TAG_VALUE, self.pool.intern(v) as u64);
-        self.has_values = true;
-        self.cols[src.cols.len()].push(code);
-        self.nrows += 1;
-    }
-
-    /// Push `src`'s row onto the builder's leading columns.
-    fn push_prefix(&mut self, src: &BindingTable, row: usize) {
-        assert!(
-            !src.has_values || Arc::ptr_eq(&self.pool, &src.pool),
-            "{CROSS_POOL}"
-        );
-        for (c, col) in src.cols.iter().enumerate() {
-            let code = col[row];
-            self.has_values |= tag_of(code) == TAG_VALUE;
-            self.cols[c].push(code);
-        }
     }
 
     /// Rows pushed so far.

@@ -1,43 +1,37 @@
 //! Evaluation of basic graph patterns (§A.2) on one graph.
 //!
 //! A pattern chain `(n)-[e:knows]->(m)-/p<:r*>/->(k)` is evaluated left to
-//! right: the start node pattern seeds a binding table, and each step
-//! expands rows through adjacency (edge patterns) or product-automaton
-//! search (path patterns). Homomorphism semantics: no implicit
-//! disjointness between variables (§3 "Match and Filter").
+//! right in *stages*: stage 0 binds the start node, stage k + 1 runs chain
+//! step k through adjacency, stored paths or product-automaton search.
+//! Homomorphism semantics: no implicit disjointness between variables
+//! (§3 "Match and Filter"). Candidates are enumerated in sorted
+//! identifier order and every table is sorted, so the result is
+//! deterministic.
 //!
-//! All candidate enumeration is in sorted identifier order, so the
-//! resulting binding table is deterministic.
-//!
-//! The matcher is also where *scan filters* run — the WHERE conjuncts
-//! the plan gave this pattern ([`ScanFilter`]), each on one node or edge
-//! variable, are applied at every site that binds the variable,
-//! and nowhere else — and a pattern whose start variable an earlier
-//! pattern already bound is *seeded* from those identifiers instead of
-//! the graph's label groups.
-//!
-//! A pattern matched for a plan step leaves out the columns nothing after
-//! it reads: its anonymous elements and the step's
-//! [`drops`](crate::plan::PlanStep::drops). A pure reachability step whose
-//! source is one of them groups its rows by the columns still read and
-//! returns, per group, the union of its sources' closures.
+//! Each stage writes rows at one emission site (`Emit`): a candidate is
+//! tested on a scratch row before its row is written — the label groups
+//! and filter-form `{k = v}` entries of the connection and the far end,
+//! and the *scan filters* on either, the WHERE conjuncts the plan gave
+//! this pattern ([`ScanFilter`]), evaluated nowhere else. Only
+//! binding-form entries and filter entries reading a variable the stage
+//! binds run on the candidate's row. A stage writes only the columns
+//! something after it reads (`Chain`). A pattern whose start variable
+//! an earlier pattern bound is *seeded* from those identifiers.
 
 use crate::binding::{BindingTable, Bound, Column, RowGroups, TableBuilder};
 use crate::context::{EvalCtx, FreshPath};
 use crate::error::{Result, SemanticError};
-use crate::expr::{Compiler, Env, Rv};
+use crate::expr::{Compiled, Compiler, Env, Rv};
 use crate::paths::PathSearcher;
 use crate::plan::{first_label, pure_reach, PlanStep, Reads, ScanFilter};
-use crate::regex::{walk_conforms, Nfa};
+use crate::regex::{conforms, Nfa};
 use gcore_parser::ast::{
-    Connection, Direction, EdgePattern, Expr, LabelDisjunction, NodePattern, PathMode, PathPattern,
-    Pattern, PropEntry,
+    Connection, Direction, EdgePattern, Expr, Ident, LabelDisjunction, NodePattern, PathMode,
+    PathPattern, Pattern, PropEntry,
 };
 use gcore_ppg::hash::{FxHashMap, FxHashSet};
-use gcore_ppg::{
-    ElementId, Key, Label, NodeId, PathData, PathPropertyGraph, PathShape, StepDir, Value,
-};
-use std::cell::Cell;
+use gcore_ppg::{ElementId, Key, Label, NodeId, PathPropertyGraph, PathShape, PropertySet};
+use gcore_ppg::{StepDir, Value};
 use std::sync::Arc;
 
 /// Description of a pattern chain's columns after evaluation, used by
@@ -49,21 +43,304 @@ pub struct ChainInfo {
     pub conn_vars: Vec<String>,
 }
 
+/// One chain evaluation: its column names (`#n…`, `#e…`, `#p…` for
+/// anonymous elements; '#' cannot appear in user identifiers), what
+/// decides the columns each stage writes, and the outer scope.
+///
+/// A stage writes a column when something after it reads it: the
+/// pattern's consumer (a named variable the plan step does not drop), a
+/// later element of the chain, or the next stage, which steps from it.
+/// So anonymous elements and dropped variables are left out as soon as no
+/// later element reads them. A stage that mints fresh paths reads every
+/// column before it: it mints one walk per input row.
+struct Chain<'c> {
+    info: ChainInfo,
+    /// The named variables nothing after the pattern reads; `None` keeps
+    /// every column (PATH-view chains).
+    drops: Option<&'c [String]>,
+    /// The last stage whose own elements read each variable.
+    last_read: FxHashMap<String, usize>,
+    /// Every stage before this one writes every column.
+    barrier: usize,
+    /// The pattern's structural variables: a `{k = v}` entry whose `v` is
+    /// one of them filters; one binding nothing else binds binds `v`.
+    structural: Vec<&'c str>,
+    outer: Option<&'c Env<'c>>,
+}
+
+impl<'c> Chain<'c> {
+    fn new(pattern: &'c Pattern, drops: Option<&'c [String]>, outer: Option<&'c Env<'c>>) -> Self {
+        let mut anon = 0;
+        let mut name = |var: &Option<Ident>, kind: char| {
+            anon += 1;
+            var.as_ref()
+                .map_or_else(|| format!("#{kind}{anon}"), |v| v.text.clone())
+        };
+        let node_vars = pattern.nodes().map(|n| name(&n.var, 'n')).collect();
+        let conn_vars = (pattern.steps.iter())
+            .map(|step| match &step.connection {
+                Connection::Edge(e) => name(&e.var, 'e'),
+                Connection::Path(p) => name(&p.var, 'p'),
+            })
+            .collect();
+        let structural = pattern.binders().filter(|(_, role)| role.is_structural());
+        let mut chain = Chain {
+            info: ChainInfo {
+                node_vars,
+                conn_vars,
+            },
+            drops,
+            last_read: FxHashMap::default(),
+            barrier: 0,
+            structural: structural.map(|(v, _)| v.as_str()).collect(),
+            outer,
+        };
+        for (k, step) in pattern.steps.iter().enumerate() {
+            match Reads::of_steps(std::slice::from_ref(step)) {
+                Reads::All => chain.barrier = k + 1,
+                Reads::Vars(vars) => chain.last_read.extend(vars.into_iter().map(|v| (v, k + 1))),
+            }
+            if matches!(&step.connection, Connection::Path(p) if !p.stored && p.var.is_some()) {
+                chain.barrier = k + 1;
+            }
+        }
+        chain
+    }
+
+    /// Does stage `stage` write `var`'s column?
+    fn written(&self, var: &str, stage: usize) -> bool {
+        let Some(drops) = self.drops else {
+            return true;
+        };
+        let nodes = &self.info.node_vars;
+        !(var.starts_with('#') || drops.iter().any(|d| d == var))
+            || stage < self.barrier
+            || self.last_read.get(var).is_some_and(|&s| s > stage)
+            || (stage + 1 < nodes.len() && nodes[stage] == var)
+    }
+
+    /// Is stage `stage`'s source read by nothing but its stepping from it?
+    /// Then a pure reachability step returns, per group of rows that
+    /// differ only in their source, the union of their closures.
+    fn dead_source(&self, stage: usize) -> bool {
+        let src = &self.info.node_vars[stage - 1];
+        !self.written(src, stage) && self.last_read.get(src).is_none_or(|&s| s < stage)
+    }
+}
+
+/// What one stage binds and tests.
+struct Stage<'p> {
+    /// 0 binds the start node; k + 1 runs chain step k.
+    index: usize,
+    /// The connection when it is an element (an edge or a stored path):
+    /// its column, the label groups still to test, its property entries.
+    conn: Option<(&'p str, &'p [LabelDisjunction], &'p [PropEntry])>,
+    /// The far end (the start node at stage 0): its column, its pattern,
+    /// the label groups still to test.
+    far: (&'p str, &'p NodePattern, &'p [LabelDisjunction]),
+    /// The stage's cells, in column order: the connection's or a named
+    /// computed path's, the far end's, a computed path's cost.
+    cells: Vec<&'p str>,
+}
+
+/// Label-disjunction groups resolved once: an element passes when it
+/// carries a label of every group (a label no graph has used, nothing).
+struct LabelGroups(Vec<Vec<Label>>);
+
+impl LabelGroups {
+    fn new(groups: &[LabelDisjunction]) -> Self {
+        let resolve = |g: &LabelDisjunction| g.0.iter().filter_map(|l| Label::lookup(l)).collect();
+        LabelGroups(groups.iter().map(resolve).collect())
+    }
+
+    fn admit(&self, carries: impl Fn(Label) -> bool) -> bool {
+        self.0.iter().all(|group| group.iter().any(|&l| carries(l)))
+    }
+}
+
+/// The element a node, edge or stored-path cell binds.
+fn element(b: &Bound) -> Option<ElementId> {
+    match *b {
+        Bound::Node(n) => Some(n.into()),
+        Bound::Edge(e) => Some(e.into()),
+        Bound::Path(p) => Some(p.into()),
+        _ => None,
+    }
+}
+
+/// Does a property set (`None`: absent) hold an entry's value: contain
+/// the scalar, or equal the set?
+fn holds(props: Option<&PropertySet>, value: &Rv<'_>) -> bool {
+    let empty = PropertySet::empty();
+    let props = props.unwrap_or(&empty);
+    match value {
+        Rv::Set(s) => props.set_eq(s),
+        _ => value.as_scalar().is_some_and(|v| props.contains(v)),
+    }
+}
+
+/// Does `e` read a variable `var` accepts, or any variable of the row
+/// (an `EXISTS` or a pattern predicate)?
+fn reads(e: &Expr, var: impl Fn(&str) -> bool) -> bool {
+    let mut hit = false;
+    e.walk(&mut |x| match x {
+        Expr::Var(v) => hit |= var(v),
+        Expr::Exists(_) | Expr::PatternPredicate(_) => hit = true,
+        _ => {}
+    });
+    hit
+}
+
+/// A test of a stage's candidate, on its connection or (`true`) its far
+/// end.
+enum Test<'a> {
+    Labels(bool, LabelGroups),
+    /// `Entry(far, key, value, per_row, cached)`: a filter-form entry
+    /// whose value reads nothing the stage binds, evaluated once per stage
+    /// or, when it reads the input row, once per row (`per_row`), by the
+    /// first candidate that gets this far.
+    Entry(bool, Option<Key>, Compiled<'a>, bool, Option<Rv<'static>>),
+    /// A scan filter, evaluated on the scratch row.
+    Scan(Compiled<'a>),
+}
+
+/// An entry run on the row of a candidate that passed its tests, on the
+/// element in scratch column `elem`: the binding form (no `value`), one
+/// row per value in scratch column `col`, or a filter reading a variable
+/// the stage binds.
+struct Post<'a> {
+    elem: usize,
+    key: Option<Key>,
+    col: usize,
+    value: Option<Compiled<'a>>,
+}
+
+/// One stage's emission site: a candidate is tested on a scratch row (the
+/// input row, then the cells the stage binds), and one that passes is
+/// written with the live columns only.
+struct Emit<'a> {
+    ctx: &'a EvalCtx,
+    graph: &'a PathPropertyGraph,
+    input: &'a BindingTable,
+    outer: Option<&'a Env<'a>>,
+    scratch: BindingTable,
+    /// The input row in the scratch row.
+    row: usize,
+    /// The scratch columns of the connection (if an element) and the far
+    /// end; one the input row binds admits only the element it holds.
+    ends: [Option<usize>; 2],
+    tests: Vec<Test<'a>>,
+    /// The far ends a search was sent towards, when the plan made far-end
+    /// scan filters targets ([`PatternMatcher::far_end_targets`]).
+    targets: Option<FxHashSet<NodeId>>,
+    /// The scratch columns of the cells [`write`](Self::write) is given.
+    more: Vec<usize>,
+    post: Vec<Post<'a>>,
+    /// The scratch columns something after the stage reads.
+    live: Vec<usize>,
+    out: TableBuilder,
+    tick: u32,
+}
+
+impl Emit<'_> {
+    /// Move to input row `ri`.
+    fn row(&mut self, ri: usize) -> Result<()> {
+        self.ctx.options.cancel.checkpoint(&mut self.tick)?;
+        self.row = ri;
+        self.scratch.set_prefix(self.input, ri);
+        for test in &mut self.tests {
+            if let Test::Entry(_, _, _, true, cached) = test {
+                *cached = None;
+            }
+        }
+        Ok(())
+    }
+
+    /// Test a candidate of the current row: `conn` its edge or stored path
+    /// (`None` at a start node or a computed path), `far` its far end.
+    fn test(&mut self, conn: Option<Bound>, far: NodeId) -> Result<bool> {
+        if self.targets.as_ref().is_some_and(|t| !t.contains(&far)) {
+            return Ok(false);
+        }
+        let cells = [conn, Some(Bound::Node(far))];
+        let ends = self.ends.iter().zip(&cells);
+        for (col, b) in ends.filter_map(|(&col, b)| col.zip(b.as_ref())) {
+            if col >= self.input.columns().len() {
+                self.scratch.set(col, b);
+            } else if self.scratch.code(0, col) != self.scratch.encode_for_probe(b) {
+                return Ok(false);
+            }
+        }
+        let ids = cells.map(|b| b.as_ref().and_then(element));
+        let (mut env, mut row) = (Env::new(&self.scratch, 0), Env::new(self.input, self.row));
+        (env.parent, row.parent) = (self.outer, self.outer);
+        for test in &mut self.tests {
+            let held = match test {
+                Test::Labels(far, groups) => ids[*far as usize]
+                    .is_some_and(|id| groups.admit(|l| self.graph.has_label(id, l))),
+                Test::Entry(far, key, value, _, cached) => {
+                    let value = match cached {
+                        Some(v) => v,
+                        None => cached.insert(value.eval(self.ctx, &row)?.into_owned()),
+                    };
+                    let props = |id| key.and_then(|k| self.graph.prop_ref(id, k));
+                    ids[*far as usize].is_some_and(|id| holds(props(id), value))
+                }
+                Test::Scan(scan) => scan.test(self.ctx, &env)?,
+            };
+            if !held {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Write the candidate last tested, with `more` — a computed path's
+    /// path and cost cells — through the entries run on its row.
+    fn write(&mut self, more: impl IntoIterator<Item = Bound>) -> Result<()> {
+        for (&col, b) in self.more.iter().zip(more) {
+            self.scratch.set(col, &b);
+        }
+        self.run_post(0)
+    }
+
+    fn run_post(&mut self, i: usize) -> Result<()> {
+        let Some(post) = self.post.get(i) else {
+            self.ctx.options.cancel.checkpoint(&mut self.tick)?;
+            self.out.push_picked(&self.scratch, 0, &self.live);
+            return Ok(());
+        };
+        let (graph, col) = (self.graph, post.col);
+        let id = element(&self.scratch.bound(0, post.elem));
+        let props = id.zip(post.key).and_then(|(id, k)| graph.prop_ref(id, k));
+        if let Some(value) = &post.value {
+            let mut env = Env::new(&self.scratch, 0);
+            env.parent = self.outer;
+            if holds(props, &value.eval(self.ctx, &env)?) {
+                self.run_post(i + 1)?;
+            }
+            return Ok(());
+        }
+        for v in props.into_iter().flat_map(PropertySet::iter) {
+            self.scratch.set_value(col, v);
+            self.run_post(i + 1)?;
+        }
+        self.scratch.set(col, &Bound::Missing);
+        Ok(())
+    }
+}
+
 /// Matcher for one graph.
 pub(crate) struct PatternMatcher<'e> {
     /// The statement's evaluation context.
     ctx: &'e EvalCtx,
     /// The graph being matched.
     pub graph: Arc<PathPropertyGraph>,
-    anon: Cell<usize>,
-    /// The WHERE conjuncts this matcher owns: each is applied the moment
-    /// its variable is bound — pruning the search space (most
-    /// importantly the *source set* of path patterns) — and is not
-    /// evaluated again on the joined table.
+    /// The WHERE conjuncts this matcher owns, applied the moment their
+    /// variable is bound and not again on the joined table.
     scan_filters: &'e [ScanFilter<'e>],
-    /// The named variables nothing reads after the pattern, when it is
-    /// matched for a plan step; `None` keeps every column of the chain.
-    drops: Option<&'e [String]>,
+    /// The named variables nothing reads after the pattern.
+    drops: &'e [String],
 }
 
 impl<'e> PatternMatcher<'e> {
@@ -72,9 +349,8 @@ impl<'e> PatternMatcher<'e> {
         PatternMatcher {
             ctx,
             graph,
-            anon: Cell::new(0),
             scan_filters: &[],
-            drops: None,
+            drops: &[],
         }
     }
 
@@ -82,36 +358,8 @@ impl<'e> PatternMatcher<'e> {
     /// columns it drops.
     pub(crate) fn for_step(mut self, step: &'e PlanStep<'e>) -> Self {
         self.scan_filters = &step.scan_filters;
-        self.drops = Some(&step.drops);
+        self.drops = &step.drops;
         self
-    }
-
-    /// Is `var`'s column read by nothing after the pattern? Anonymous
-    /// columns never are; a named one when the plan step drops it.
-    fn dropped(&self, var: &str) -> bool {
-        var.starts_with('#') || self.drops.is_some_and(|d| d.iter().any(|v| v == var))
-    }
-
-    /// Apply the scan filters on `var`, if any.
-    fn apply_scan_filters(
-        &self,
-        table: BindingTable,
-        var: &str,
-        outer: Option<&Env<'_>>,
-    ) -> Result<BindingTable> {
-        let on_var = self.scan_filters.iter().filter(|f| f.var == var);
-        let exprs: Vec<&Expr> = on_var.map(|f| f.expr).collect();
-        if exprs.is_empty() {
-            return Ok(table);
-        }
-        self.ctx.filter_table(table, &exprs, outer)
-    }
-
-    fn fresh_anon(&self, kind: &str) -> String {
-        let n = self.anon.get();
-        self.anon.set(n + 1);
-        // '#' cannot appear in user identifiers, so no collisions.
-        format!("#{kind}{n}")
     }
 
     fn col(&self, var: &str) -> Column {
@@ -121,8 +369,8 @@ impl<'e> PatternMatcher<'e> {
         }
     }
 
-    /// Evaluate a pattern; anonymous element columns and the plan step's
-    /// dropped ones are projected away.
+    /// Evaluate a pattern into the columns read after it: neither its
+    /// anonymous elements nor the plan step's dropped variables.
     ///
     /// `seed`, when given, lists every node the start variable may take
     /// (ascending): the caller joins the result on that variable against
@@ -134,146 +382,183 @@ impl<'e> PatternMatcher<'e> {
         outer: Option<&Env<'_>>,
         seed: Option<&[NodeId]>,
     ) -> Result<BindingTable> {
-        let (table, _) = self.eval_chain(pattern, outer, seed)?;
-        if table.columns().iter().all(|c| !self.dropped(&c.var)) {
-            // Nothing to drop: the chain table is the pattern's table.
-            return Ok(table);
-        }
-        let keep: Vec<&str> = table
-            .columns()
-            .iter()
-            .map(|c| c.var.as_str())
-            .filter(|v| !self.dropped(v))
-            .collect::<Vec<_>>();
-        Ok(table.project(&keep))
+        Ok(self.eval_chain(pattern, outer, seed, false)?.0)
     }
 
-    /// Evaluate a pattern keeping anonymous columns, returning chain
-    /// column info (for PATH-view walk extraction). `seed` as in
-    /// [`eval_pattern`](Self::eval_pattern).
+    /// [`eval_pattern`](Self::eval_pattern), or with `keep_all` every
+    /// column, anonymous ones included (for PATH-view walk extraction),
+    /// with the chain's column names.
     pub(crate) fn eval_chain(
         &self,
         pattern: &Pattern,
         outer: Option<&Env<'_>>,
         seed: Option<&[NodeId]>,
+        keep_all: bool,
     ) -> Result<(BindingTable, ChainInfo)> {
-        // Structural variables of this pattern decide which `{k = v}`
-        // entries bind fresh value variables vs. filter.
-        let structural: Vec<&str> = (pattern.binders())
-            .filter_map(|(v, role)| role.is_structural().then_some(v.as_str()))
-            .collect();
-
-        let start_var = pattern
-            .start
-            .var
-            .as_deref()
-            .map(str::to_owned)
-            .unwrap_or_else(|| self.fresh_anon("n"));
-        let mut info = ChainInfo {
-            node_vars: vec![start_var.clone()],
-            conn_vars: Vec::new(),
-        };
-
-        let mut table = self.bind_start(&start_var, &pattern.start, outer, seed, &structural)?;
+        let chain = Chain::new(pattern, (!keep_all).then_some(self.drops), outer);
+        let vars = &chain.info;
+        let mut table = self.bind_start(&pattern.start, &vars.node_vars[0], &chain, seed)?;
         for (k, step) in pattern.steps.iter().enumerate() {
-            // Chain steps are the matcher's outermost expansion loop:
-            // one poll per step bounds the latency of noticing a
+            // One poll per step bounds the latency of noticing a
             // cancellation by one expansion.
             self.ctx.options.cancel.check()?;
-            let dst_var = step
-                .node
-                .var
-                .as_deref()
-                .map(str::to_owned)
-                .unwrap_or_else(|| self.fresh_anon("n"));
-            let prev_var = info.node_vars.last().expect("chain nonempty").clone();
+            let src = &vars.node_vars[k];
+            let src = (table.column_index(src))
+                .ok_or_else(|| SemanticError::UnboundVariable(src.clone()))?;
+            let (conn, dst) = (&vars.conn_vars[k], &vars.node_vars[k + 1]);
+            let mut stage = Stage {
+                index: k + 1,
+                conn: None,
+                far: (dst, &step.node, &step.node.labels),
+                cells: vec![conn, dst],
+            };
             table = match &step.connection {
-                Connection::Edge(e) => {
-                    let edge_var = e
-                        .var
-                        .as_deref()
-                        .map(str::to_owned)
-                        .unwrap_or_else(|| self.fresh_anon("e"));
-                    info.conn_vars.push(edge_var.clone());
-                    self.expand_edge(table, &prev_var, &edge_var, &dst_var, e, outer, &structural)?
+                Connection::Edge(e) => self.expand_edge(&table, src, stage, e, &chain)?,
+                Connection::Path(p) if p.stored => {
+                    self.expand_stored_path(&table, src, stage, p, &chain)?
                 }
                 Connection::Path(p) => {
-                    let path_var = p
-                        .var
-                        .as_deref()
-                        .map(str::to_owned)
-                        .unwrap_or_else(|| self.fresh_anon("p"));
-                    info.conn_vars.push(path_var.clone());
-                    let live = self.live_without(&table, &prev_var, pattern, k);
-                    let (node, live) = (&step.node, live.as_deref());
-                    self.expand_path(table, &prev_var, &path_var, &dst_var, p, node, live, outer)?
+                    if p.var.is_none() {
+                        stage.cells.remove(0);
+                    }
+                    stage.cells.extend(p.cost_var.as_deref());
+                    self.expand_path(&table, src, stage, p, &chain)?
                 }
             };
-            // Apply the destination node's own label/property constraints.
-            table = self.constrain_node(table, &dst_var, &step.node, outer, &structural)?;
-            info.node_vars.push(dst_var);
         }
-        Ok((table, info))
+        Ok((table, chain.info))
     }
 
-    /// The columns of `table` read after chain step `k` of `pattern` when
-    /// its source `src` is not one of them; `None` when it is, or when
-    /// every column is kept. A column is read after the step when the
-    /// pattern does not drop it or a later element of the chain reads it.
-    fn live_without(
-        &self,
-        table: &BindingTable,
-        src: &str,
-        pattern: &Pattern,
-        k: usize,
-    ) -> Option<Vec<usize>> {
-        self.drops?;
-        let later = Reads::of_steps(&pattern.steps[k..]);
-        let dead = |v: &str| self.dropped(v) && !later.contains(v);
-        if !dead(src) {
-            return None;
+    /// The emission site of `stage` over the rows of `input`.
+    fn emitter<'a>(
+        &'a self,
+        input: &'a BindingTable,
+        stage: Stage<'a>,
+        chain: &'a Chain<'a>,
+        targets: Option<FxHashSet<NodeId>>,
+    ) -> Emit<'a> {
+        let (outer, width) = (chain.outer, input.columns().len());
+        let mut columns = input.columns().to_vec();
+        let cells = stage.cells.iter().filter(|&&v| !input.binds(v));
+        columns.extend(cells.map(|v| self.col(v)));
+        let mut col = columns.len();
+        // The entries in pattern order, on the connection or (`true`) the
+        // far end; one whose value is a variable nothing binds yet binds it.
+        let conn_entries = stage.conn.map_or(&[][..], |c| c.2);
+        let entries: Vec<(bool, &PropEntry, bool)> = (conn_entries.iter().map(|e| (false, e)))
+            .chain(stage.far.1.props.iter().map(|e| (true, e)))
+            .map(|(far, entry)| {
+                let binds = matches!(&entry.value, Expr::Var(v)
+                    if !columns.iter().any(|c| c.var == v.as_str())
+                        && !chain.structural.contains(&v.as_str())
+                        && !outer.is_some_and(|o| o.binds(v)));
+                if let (true, Expr::Var(v)) = (binds, &entry.value) {
+                    columns.push(self.col(v));
+                }
+                (far, entry, binds)
+            })
+            .collect();
+        let pool = self.ctx.pool();
+        let scratch = BindingTable::scratch(columns, pool.clone());
+        let columns = scratch.columns();
+        let position = |v: &str| columns.iter().position(|c| c.var == v);
+
+        let mut on_input = Compiler::new(input, outer);
+        let mut on_scratch = Compiler::new(&scratch, outer);
+        let (mut tests, mut post) = (Vec::new(), Vec::new());
+        let conn = stage.conn.map(|(var, groups, _)| (false, var, groups));
+        for (far, var, groups) in conn.into_iter().chain([(true, stage.far.0, stage.far.2)]) {
+            let elem = position(var).unwrap_or_default();
+            tests.push(Test::Labels(far, LabelGroups::new(groups)));
+            for &(_, entry, binds) in entries.iter().filter(|e| e.0 == far) {
+                let (key, value) = (Key::lookup(&entry.key), &entry.value);
+                if binds || reads(value, |v| position(v).is_some_and(|i| i >= width)) {
+                    // A filter is compiled against the columns bound before it.
+                    let schema = || BindingTable::scratch(columns[..col].to_vec(), pool.clone());
+                    let value = (!binds).then(|| Compiler::new(&schema(), outer).compile(value));
+                    post.push(Post {
+                        elem,
+                        key,
+                        col,
+                        value,
+                    });
+                    col += usize::from(binds);
+                } else {
+                    let per_row = reads(value, |v| input.binds(v));
+                    let value = on_input.compile(value);
+                    tests.push(Test::Entry(far, key, value, per_row, None));
+                }
+            }
+            let targeted = far && targets.is_some();
+            let scans = self.scan_filters.iter();
+            let scans = scans.filter(|f| f.var == var && !(targeted && f.target));
+            tests.extend(scans.map(|f| Test::Scan(on_scratch.compile(f.expr))));
         }
-        let columns = table.columns().iter().enumerate();
-        Some(
-            columns
-                .filter(|(_, c)| !dead(&c.var))
-                .map(|(i, _)| i)
-                .collect(),
-        )
+        let conn = stage.conn.map(|c| c.0);
+        let more = stage
+            .cells
+            .iter()
+            .filter(|&&v| conn != Some(v) && v != stage.far.0);
+        let more = more.filter_map(|&v| position(v)).collect();
+        let live: Vec<usize> = (0..columns.len())
+            .filter(|&i| chain.written(&columns[i].var, stage.index))
+            .collect();
+        let out = TableBuilder::new(live.iter().map(|&i| columns[i].clone()).collect(), pool);
+        Emit {
+            ctx: self.ctx,
+            graph: &self.graph,
+            input,
+            outer,
+            ends: [conn.and_then(position), position(stage.far.0)],
+            scratch,
+            row: 0,
+            tests,
+            targets,
+            more,
+            post,
+            live,
+            out,
+            tick: 0,
+        }
     }
 
-    /// Seed the table with candidates for the first node pattern.
+    /// Bind the start node `var` (declared by `node`).
     fn bind_start(
         &self,
-        var: &str,
         node: &NodePattern,
-        outer: Option<&Env<'_>>,
+        var: &str,
+        chain: &Chain<'_>,
         seed: Option<&[NodeId]>,
-        structural: &[&str],
     ) -> Result<BindingTable> {
-        // If the outer scope (correlated subquery) already binds this
-        // variable, start from that binding.
-        if let Some((Bound::Node(n), _)) = outer.and_then(|o| o.lookup(var)) {
-            let mut b = TableBuilder::new(vec![self.col(var)], self.ctx.pool());
-            b.push(&[Bound::Node(n)]);
-            return self.constrain_node(b.finish(), var, node, outer, structural);
-        }
-        let (candidates, rest_groups) = match seed {
-            // Nodes an earlier pattern bound: they may come from another
-            // graph and were not drawn from a label group, so identifiers
-            // this graph lacks are dropped and every label group is
-            // checked.
-            Some(seed) => (
-                seed.iter()
-                    .copied()
-                    .filter(|&n| self.graph.contains_node(n))
-                    .collect(),
-                &node.labels[..],
-            ),
-            None => self.label_candidates(node),
+        // The outer scope (a correlated subquery) may bind it already;
+        // nodes an earlier pattern bound may come from another graph and
+        // were not drawn from a label group, so identifiers this graph
+        // lacks are dropped and every label group is tested.
+        let (candidates, groups) = match (chain.outer.and_then(|o| o.lookup(var)), seed) {
+            (Some((Bound::Node(n), _)), _) => (vec![n], &node.labels[..]),
+            (_, Some(seed)) => {
+                let mut seed = seed.to_vec();
+                seed.retain(|&n| self.graph.contains_node(n));
+                (seed, &node.labels[..])
+            }
+            (_, None) => self.label_candidates(node),
         };
-        let table = self.node_column(var, candidates);
-        self.constrain_node_groups(table, var, node, rest_groups, outer, structural)
+        let unit = BindingTable::unit(self.ctx.pool());
+        let stage = Stage {
+            index: 0,
+            conn: None,
+            far: (var, node, groups),
+            cells: vec![var],
+        };
+        let mut emit = self.emitter(&unit, stage, chain, None);
+        emit.out.reserve(candidates.len());
+        emit.row(0)?;
+        for n in candidates {
+            if emit.test(None, n)? {
+                emit.write([])?;
+            }
+        }
+        Ok(emit.out.finish())
     }
 
     /// The candidates of a node pattern drawn from the graph, with the
@@ -281,25 +566,11 @@ impl<'e> PatternMatcher<'e> {
     /// single label the candidates come from its label group — that group
     /// is then already satisfied — otherwise they are every node.
     fn label_candidates<'n>(&self, node: &'n NodePattern) -> (Vec<NodeId>, &'n [LabelDisjunction]) {
-        match first_label(&node.labels) {
-            Some(label) => (
-                match Label::lookup(&label) {
-                    Some(l) => self.graph.nodes_with_label(l),
-                    None => Vec::new(),
-                },
-                &node.labels[1..],
-            ),
-            None => (self.graph.node_ids_sorted(), &node.labels[..]),
-        }
-    }
-
-    /// A one-column table binding `var` to each of `nodes`.
-    fn node_column(&self, var: &str, nodes: Vec<NodeId>) -> BindingTable {
-        let mut b = TableBuilder::new(vec![self.col(var)], self.ctx.pool());
-        for n in nodes {
-            b.push(&[Bound::Node(n)]);
-        }
-        b.finish()
+        let Some(label) = first_label(&node.labels) else {
+            return (self.graph.node_ids_sorted(), &node.labels[..]);
+        };
+        let nodes = Label::lookup(&label).map_or_else(Vec::new, |l| self.graph.nodes_with_label(l));
+        (nodes, &node.labels[1..])
     }
 
     /// The nodes a path search's far end `var` (declared by `node`) may
@@ -312,170 +583,30 @@ impl<'e> PatternMatcher<'e> {
         node: &NodePattern,
         outer: Option<&Env<'_>>,
     ) -> Result<Option<FxHashSet<NodeId>>> {
-        let targets = self
-            .scan_filters
-            .iter()
-            .filter(|f| f.target && f.var == var);
+        let targets = (self.scan_filters.iter()).filter(|f| f.target && f.var == var);
         let exprs: Vec<&Expr> = targets.map(|f| f.expr).collect();
         if exprs.is_empty() {
             return Ok(None);
         }
-        let (candidates, _) = self.label_candidates(node);
-        let kept = self
-            .ctx
-            .filter_table(self.node_column(var, candidates), &exprs, outer)?;
-        let nodes = (0..kept.len()).filter_map(|ri| match kept.bound(ri, 0) {
-            Bound::Node(n) => Some(n),
-            _ => None,
-        });
-        Ok(Some(nodes.collect()))
-    }
-
-    /// Apply a node pattern's labels and property entries to an existing
-    /// column (binding value variables / filtering).
-    fn constrain_node(
-        &self,
-        table: BindingTable,
-        var: &str,
-        node: &NodePattern,
-        outer: Option<&Env<'_>>,
-        structural: &[&str],
-    ) -> Result<BindingTable> {
-        self.constrain_node_groups(table, var, node, &node.labels, outer, structural)
-    }
-
-    /// `constrain_node` with an explicit label-group slice, so callers
-    /// that already satisfied a group via an index can skip it.
-    fn constrain_node_groups(
-        &self,
-        table: BindingTable,
-        var: &str,
-        node: &NodePattern,
-        groups: &[LabelDisjunction],
-        outer: Option<&Env<'_>>,
-        structural: &[&str],
-    ) -> Result<BindingTable> {
-        let mut table = self.filter_labels(table, var, groups)?;
-        for entry in &node.props {
-            table = self.apply_prop_entry(table, var, entry, outer, structural)?;
+        let mut column = TableBuilder::new(vec![self.col(var)], self.ctx.pool());
+        for n in self.label_candidates(node).0 {
+            column.push(&[Bound::Node(n)]);
         }
-        self.apply_scan_filters(table, var, outer)
-    }
-
-    /// Every label-disjunction group must be satisfied.
-    fn filter_labels(
-        &self,
-        table: BindingTable,
-        var: &str,
-        groups: &[LabelDisjunction],
-    ) -> Result<BindingTable> {
-        if groups.is_empty() {
-            return Ok(table);
-        }
-        let resolved: Vec<Vec<Option<Label>>> = groups
-            .iter()
-            .map(|g| g.0.iter().map(|l| Label::lookup(l)).collect())
-            .collect();
-        let idx = table
-            .column_index(var)
-            .ok_or_else(|| SemanticError::UnboundVariable(var.to_owned()))?;
-        table.try_filter(&self.ctx.options.cancel, |ri| {
-            let id: ElementId = match table.bound(ri, idx) {
-                Bound::Node(n) => n.into(),
-                Bound::Edge(e) => e.into(),
-                Bound::Path(p) => p.into(),
-                // Computed paths carry no labels.
-                _ => return Ok(false),
-            };
-            Ok(resolved.iter().all(|group| {
-                group
-                    .iter()
-                    .any(|l| l.is_some_and(|l| self.graph.has_label(id, l)))
-            }))
-        })
-    }
-
-    /// `{key = expr}`: bind (unrolling multi-valued properties) when the
-    /// RHS is an unbound value variable, otherwise filter by membership.
-    fn apply_prop_entry(
-        &self,
-        table: BindingTable,
-        elem_var: &str,
-        entry: &PropEntry,
-        outer: Option<&Env<'_>>,
-        structural: &[&str],
-    ) -> Result<BindingTable> {
-        let key = Key::lookup(&entry.key);
-        let elem_idx = table
-            .column_index(elem_var)
-            .ok_or_else(|| SemanticError::UnboundVariable(elem_var.to_owned()))?;
-        let empty = gcore_ppg::PropertySet::empty();
-        let prop_of = |table: &BindingTable, ri: usize| -> &gcore_ppg::PropertySet {
-            let Some(key) = key else {
-                return &empty;
-            };
-            let id: ElementId = match table.bound(ri, elem_idx) {
-                Bound::Node(n) => n.into(),
-                Bound::Edge(e) => e.into(),
-                Bound::Path(p) => p.into(),
-                _ => return &empty,
-            };
-            self.graph.prop_ref(id, key).unwrap_or(&empty)
-        };
-
-        let cancel = &self.ctx.options.cancel;
-        // Binding form: RHS is a variable that is neither structural nor
-        // already bound (here or in the outer scope). The new column
-        // fans out: one row per value of the property.
-        if let Expr::Var(v) = &entry.value {
-            let is_bound = table.binds(v)
-                || structural.contains(&v.as_str())
-                || outer.is_some_and(|o| o.binds(v));
-            if !is_bound {
-                let mut columns = table.columns().to_vec();
-                columns.push(self.col(v));
-                let mut b = TableBuilder::new(columns, self.ctx.pool());
-                let mut tick = 0u32;
-                for ri in 0..table.len() {
-                    cancel.checkpoint(&mut tick)?;
-                    for val in prop_of(&table, ri).iter() {
-                        b.push_extended_value(&table, ri, val);
-                    }
-                }
-                return Ok(b.finish());
-            }
-        }
-        // Filter form: membership of the evaluated scalar (set equality
-        // when the RHS itself evaluates to a set).
-        let value = Compiler::new(&table, outer).compile(&entry.value);
-        table.try_filter(cancel, |ri| {
-            let mut env = Env::new(&table, ri);
-            env.parent = outer;
-            let rv = value.eval(self.ctx, &env)?;
-            let props = prop_of(&table, ri);
-            Ok(match &rv {
-                Rv::Set(s) => props.set_eq(s),
-                _ => rv.as_scalar().is_some_and(|v| props.contains(v)),
-            })
-        })
+        let kept = self.ctx.filter_table(column.finish(), &exprs, outer)?;
+        Ok(Some(kept.distinct_nodes(0).into_iter().flatten().collect()))
     }
 
     /// Expand rows over one edge pattern.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_edge(
-        &self,
-        table: BindingTable,
-        prev_var: &str,
-        edge_var: &str,
-        dst_var: &str,
-        edge: &EdgePattern,
-        outer: Option<&Env<'_>>,
-        structural: &[&str],
+    fn expand_edge<'a>(
+        &'a self,
+        table: &'a BindingTable,
+        src: usize,
+        mut stage: Stage<'a>,
+        edge: &'a EdgePattern,
+        chain: &'a Chain<'a>,
     ) -> Result<BindingTable> {
-        // When the first label group is a single label, the steps come
-        // from the label's CSR in the read layout and that group is already
-        // satisfied, so it is skipped below. `None`: the label is not
-        // interned, so no edge anywhere carries it.
+        // A first group of one label is satisfied by the label's CSR in the
+        // read layout; `None`: the label is not interned, so no edge has it.
         let (label, rest_groups) = match first_label(&edge.labels) {
             Some(name) => (Label::lookup(&name).map(Some), &edge.labels[1..]),
             None => (Some(None), &edge.labels[..]),
@@ -485,106 +616,92 @@ impl<'e> PatternMatcher<'e> {
             Direction::In => StepDir::In,
             Direction::Undirected => StepDir::Both,
         };
+        stage.conn = Some((stage.cells[0], rest_groups, &edge.props));
         let graph = &*self.graph;
-        let mut out = self.extend_rows(
-            &table,
-            prev_var,
-            edge_var,
-            dst_var,
-            Bound::Edge,
-            |src, cands| {
-                if let Some(label) = label {
-                    graph.for_each_step(src, dir, label, |e, far| cands.push((e, far)));
-                }
-            },
-        )?;
-        out = self.filter_labels(out, edge_var, rest_groups)?;
-        for entry in &edge.props {
-            out = self.apply_prop_entry(out, edge_var, entry, outer, structural)?;
-        }
-        self.apply_scan_filters(out, edge_var, outer)
+        self.extend_rows(table, src, stage, chain, Bound::Edge, |src, cands| {
+            if let Some(label) = label {
+                graph.for_each_step(src, dir, label, |e, far| cands.push((e, far)));
+            }
+        })
     }
 
-    /// Extend each row of `table` by the steps from its `prev_var` node
-    /// that `steps(src, cands)` pushes as `(connection, far end)` pairs:
-    /// the connection binds `conn_var` (through `bind`) and the far end
-    /// `dst_var`, or must equal a row's value where it binds one already.
-    /// A row gains its steps in ascending order, so the table is
-    /// deterministic.
-    fn extend_rows<C: Copy + Ord>(
-        &self,
-        table: &BindingTable,
-        prev_var: &str,
-        conn_var: &str,
-        dst_var: &str,
+    /// Extend each row of `table` by the steps from its node in column
+    /// `src` that `steps(node, cands)` pushes as `(connection, far end)`
+    /// pairs, in ascending order; `bind` makes the connection's cell.
+    fn extend_rows<'a, C: Copy + Ord>(
+        &'a self,
+        table: &'a BindingTable,
+        src: usize,
+        stage: Stage<'a>,
+        chain: &'a Chain<'a>,
         bind: impl Fn(C) -> Bound,
         mut steps: impl FnMut(NodeId, &mut Vec<(C, NodeId)>),
     ) -> Result<BindingTable> {
-        let prev_idx = table
-            .column_index(prev_var)
-            .ok_or_else(|| SemanticError::UnboundVariable(prev_var.to_owned()))?;
-        let conn_bound = table.column_index(conn_var);
-        let dst_bound = table.column_index(dst_var);
-        let mut columns = table.columns().to_vec();
-        if conn_bound.is_none() {
-            columns.push(self.col(conn_var));
-        }
-        if dst_bound.is_none() {
-            columns.push(self.col(dst_var));
-        }
-        // Does the row's cell in an already-bound column differ from `b`?
-        let differs = |ri: usize, col: Option<usize>, b: &Bound| {
-            col.is_some_and(|i| table.code(ri, i) != table.encode_for_probe(b))
-        };
-
-        let mut bld = TableBuilder::new(columns, self.ctx.pool());
+        let mut emit = self.emitter(table, stage, chain, None);
         let mut cands: Vec<(C, NodeId)> = Vec::new();
-        let mut extra: Vec<Bound> = Vec::with_capacity(2);
-        let mut tick = 0u32;
         for ri in 0..table.len() {
-            self.ctx.options.cancel.checkpoint(&mut tick)?;
-            let Bound::Node(src) = table.bound(ri, prev_idx) else {
+            emit.row(ri)?;
+            let Bound::Node(src) = table.bound(ri, src) else {
                 continue;
             };
             cands.clear();
             steps(src, &mut cands);
             cands.sort_unstable();
             for &(c, far) in &cands {
-                let (c, far) = (bind(c), Bound::Node(far));
-                if differs(ri, conn_bound, &c) || differs(ri, dst_bound, &far) {
-                    continue;
+                if emit.test(Some(bind(c)), far)? {
+                    emit.write([])?;
                 }
-                extra.clear();
-                if conn_bound.is_none() {
-                    extra.push(c);
-                }
-                if dst_bound.is_none() {
-                    extra.push(far);
-                }
-                bld.push_extended(table, ri, &extra);
             }
         }
-        Ok(bld.finish())
+        Ok(emit.out.finish())
     }
 
-    /// Expand rows over one path pattern (computed or stored); `dst` is
-    /// the node pattern at its far end. `live`, when given, lists the
-    /// columns read after the step, `prev_var`'s not among them.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_path(
-        &self,
-        table: BindingTable,
-        prev_var: &str,
-        path_var: &str,
-        dst_var: &str,
-        pat: &PathPattern,
-        dst: &NodePattern,
-        live: Option<&[usize]>,
-        outer: Option<&Env<'_>>,
+    /// Match stored paths (`-/@p:Label/->`), optionally checking regex
+    /// conformance.
+    fn expand_stored_path<'a>(
+        &'a self,
+        table: &'a BindingTable,
+        src: usize,
+        mut stage: Stage<'a>,
+        pat: &'a PathPattern,
+        chain: &'a Chain<'a>,
     ) -> Result<BindingTable> {
-        if pat.stored {
-            return self.expand_stored_path(table, prev_var, path_var, dst_var, pat);
-        }
+        let nfa = pat.regex.as_ref().map(Nfa::compile);
+        let graph = &*self.graph;
+        // Candidate stored paths, tested on their labels and regex once.
+        let labels = LabelGroups::new(&pat.labels);
+        let candidates: Vec<(gcore_ppg::PathId, &PathShape)> = (graph.paths())
+            .filter(|(_, d)| labels.admit(|l| d.attrs.labels.contains(l)))
+            .filter(|(_, d)| nfa.as_ref().is_none_or(|a| conforms(graph, &d.shape, a)))
+            .map(|(p, d)| (p, &d.shape))
+            .collect();
+        stage.conn = Some((stage.cells[0], &[], &[]));
+        self.extend_rows(table, src, stage, chain, Bound::Path, |src, cands| {
+            for &(p, shape) in &candidates {
+                let (a, b) = (shape.start(), shape.end());
+                let starts_at_src = match pat.direction {
+                    Direction::Out => a == src,
+                    Direction::In => b == src,
+                    Direction::Undirected => a == src || b == src,
+                };
+                if starts_at_src {
+                    cands.push((p, if a == src { b } else { a }));
+                }
+            }
+        })
+    }
+
+    /// Expand rows over one computed path pattern.
+    fn expand_path<'a>(
+        &'a self,
+        table: &'a BindingTable,
+        src: usize,
+        stage: Stage<'a>,
+        pat: &'a PathPattern,
+        chain: &'a Chain<'a>,
+    ) -> Result<BindingTable> {
+        let (src_idx, src) = (src, &chain.info.node_vars[stage.index - 1]);
+        let (path_var, dst_var) = (&chain.info.conn_vars[stage.index - 1], stage.far.0);
         let Some(regex) = &pat.regex else {
             return Err(SemanticError::InvalidPathPattern(format!(
                 "binding '{path_var}' needs a <regex> (only stored-path patterns may omit it)"
@@ -592,178 +709,119 @@ impl<'e> PatternMatcher<'e> {
             .into());
         };
         let prof = &self.ctx.profiler;
-        let span = prof.start("path-search", || {
-            let mode = match pat.mode {
-                PathMode::All => "ALL".to_owned(),
-                PathMode::Shortest(1) => "shortest".to_owned(),
-                PathMode::Shortest(k) => format!("{k}-shortest"),
-            };
-            format!("{mode} {prev_var}→{dst_var}")
+        let span = prof.start("path-search", || match pat.mode {
+            PathMode::All => format!("ALL {src}→{dst_var}"),
+            PathMode::Shortest(1) => format!("shortest {src}→{dst_var}"),
+            PathMode::Shortest(k) => format!("{k}-shortest {src}→{dst_var}"),
         });
-        // Every search starts at `prev_var`, whichever way the pattern
+        // Every search starts at `src`, whichever way the pattern
         // points: the automaton is compiled for that reading.
         let nfa = Nfa::compile_directed(regex, pat.direction);
         let views = self.ctx.resolve_views(&nfa, &self.graph)?;
         let searcher = PathSearcher::new(&self.graph, &nfa, &views)
             .with_cancel(self.ctx.options.cancel.clone());
 
-        let prev_idx = table
-            .column_index(prev_var)
-            .ok_or_else(|| SemanticError::UnboundVariable(prev_var.to_owned()))?;
         let dst_bound = table.column_index(dst_var);
-        let binds_path = pat.var.is_some();
-        let binds_cost = pat.cost_var.is_some();
+        let (binds_path, binds_cost) = (pat.var.is_some(), pat.cost_var.is_some());
 
-        let mut columns = table.columns().to_vec();
-        if binds_path {
-            columns.push(self.col(path_var));
-        }
-        if dst_bound.is_none() {
-            columns.push(self.col(dst_var));
-        }
-        if let Some(cv) = &pat.cost_var {
-            columns.push(self.col(cv));
-        }
-
-        // Pure reachability (`-/<r>/->` with neither path nor cost bound)
-        // shares one product search between all rows whose destination
-        // is unbound: the SCC-condensed multi-source reachability over
-        // their distinct sources. Rows whose destination *is* bound
-        // become single-pair tests, answered by the bidirectional search
-        // below.
-        //
-        // The condensation goes through the snapshot, which keeps it
-        // under the regex and the definitions of the views it names
-        // when its rule allows: a later query with the same regex and
-        // views on the same snapshot reuses the per-source destination
-        // sets instead of re-condensing.
+        // Pure reachability (`-/<r>/->`, binding neither path nor cost)
+        // towards an unbound destination shares one product search between
+        // all rows: the SCC-condensed multi-source reachability over their
+        // distinct sources, which the snapshot keeps under the regex and
+        // the definitions of the views it names when its rule allows. A
+        // bound destination makes each row a single-pair test.
         let pure_reach = pure_reach(pat);
         let mut shared: FxHashMap<NodeId, Arc<Vec<NodeId>>> = FxHashMap::default();
-        if pure_reach {
-            let mut srcs: Vec<NodeId> = (0..table.len())
-                .filter(|&ri| {
-                    !dst_bound.is_some_and(|i| matches!(table.bound(ri, i), Bound::Node(_)))
-                })
-                .filter_map(|ri| match table.bound(ri, prev_idx) {
-                    Bound::Node(s) => Some(s),
-                    _ => None,
-                })
-                .collect();
-            srcs.sort_unstable();
-            srcs.dedup();
-            if !srcs.is_empty() {
-                let defs = self.ctx.view_definitions(&nfa.view_names());
-                let snapshot = &self.ctx.snapshot;
-                shared =
-                    snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs)?;
-            }
-        }
-        // A source nothing reads after the step: one row per distinct
-        // live cells and far end, not one per (source, destination).
-        if let Some(live) = live.filter(|_| pure_reach && dst_bound.is_none()) {
-            let out = self.reach_by_group(&table, prev_idx, live, dst_var, &shared)?;
-            prof.add_counter(span, "frontier_pops", searcher.pops());
-            prof.finish_rows(span, out.len() as u64);
-            return Ok(out);
+        let srcs = (pure_reach && dst_bound.is_none()).then(|| table.distinct_nodes(src_idx));
+        if let Some(srcs) = srcs.flatten().filter(|s| !s.is_empty()) {
+            let defs = self.ctx.view_definitions(&nfa.view_names());
+            let snapshot = &self.ctx.snapshot;
+            shared = snapshot.reachable_many_cached(&self.graph, &nfa, defs, &searcher, &srcs)?;
         }
         // An unbound far end whose scan filters the plan made targets:
-        // every row searches towards the same node set. (The filters run
-        // again when the destination is constrained — on rows that
-        // already satisfy them.)
-        let resolved = match dst_bound {
-            None => self.far_end_targets(dst_var, dst, outer)?,
+        // every row searches towards the same node set, and a far end is
+        // tested for membership in it instead of by those filters again.
+        let targets = match dst_bound {
+            None => self.far_end_targets(dst_var, stage.far.1, chain.outer)?,
             Some(_) => None,
         };
-        if let Some(t) = &resolved {
+        if let Some(t) = &targets {
             prof.add_counter(span, "targets", t.len() as u64);
         }
+        let grouped = pure_reach && dst_bound.is_none() && chain.dead_source(stage.index);
+        let mut emit = self.emitter(table, stage, chain, targets);
+        if grouped {
+            self.reach_by_group(table, src_idx, &mut emit, &shared)?;
+        }
 
-        let mut bld = TableBuilder::new(columns, self.ctx.pool());
-        let mut extra: Vec<Bound> = Vec::with_capacity(3);
-        let mut tick = 0u32;
-        for ri in 0..table.len() {
+        for ri in (0..table.len()).filter(|_| !grouped) {
             // Rows answered from the shared condensation run no search of
             // their own, yet each may emit many rows: poll per row too.
-            self.ctx.options.cancel.checkpoint(&mut tick)?;
-            let Bound::Node(src) = table.bound(ri, prev_idx) else {
+            emit.row(ri)?;
+            let Bound::Node(src) = table.bound(ri, src_idx) else {
                 continue;
             };
             let target: Option<NodeId> = dst_bound.and_then(|i| match table.bound(ri, i) {
                 Bound::Node(d) => Some(d),
                 _ => None,
             });
-            let bound_target: Option<FxHashSet<NodeId>> = match pat.mode {
-                PathMode::Shortest(_) if pure_reach => None,
-                _ => target.map(|d| [d].into_iter().collect()),
+            if pure_reach {
+                let dsts: &[NodeId] = match &target {
+                    Some(d) if searcher.reachable_pair(src, *d)? => std::slice::from_ref(d),
+                    Some(_) => &[],
+                    None => shared.get(&src).map_or(&[], |v| v.as_slice()),
+                };
+                for &dst in dsts {
+                    if emit.test(None, dst)? {
+                        emit.write([])?;
+                    }
+                }
+                continue;
+            }
+            let bound_target: Option<FxHashSet<NodeId>> = target.map(|d| [d].into_iter().collect());
+            let targets = bound_target.as_ref().or(emit.targets.as_ref());
+            let PathMode::Shortest(k) = pat.mode else {
+                // Graph projection per destination.
+                for (dst, nodes, edges) in searcher.all_paths_from(src, targets)? {
+                    if emit.test(None, dst)? {
+                        let graph = self.graph.clone();
+                        let projection = FreshPath::Projection {
+                            src,
+                            dst,
+                            nodes,
+                            edges,
+                            graph,
+                        };
+                        emit.write(binds_path.then(|| self.ctx.add_fresh_path(projection)))?;
+                    }
+                }
+                continue;
             };
-            let targets = bound_target.as_ref().or(resolved.as_ref());
-
-            match pat.mode {
-                PathMode::All => {
-                    // Graph projection per destination.
-                    for (dst, nodes, edges) in searcher.all_paths_from(src, targets)? {
-                        extra.clear();
-                        if binds_path {
-                            extra.push(self.ctx.add_fresh_path(FreshPath::Projection {
-                                src,
-                                dst,
-                                nodes,
-                                edges,
-                                graph: self.graph.clone(),
-                            }));
-                        }
-                        if dst_bound.is_none() {
-                            extra.push(Bound::Node(dst));
-                        }
-                        bld.push_extended(&table, ri, &extra);
-                    }
+            let found = searcher.k_shortest(src, k as usize, targets)?;
+            let mut dsts: Vec<NodeId> = found.keys().copied().collect();
+            dsts.sort_unstable();
+            for dst in dsts {
+                if !emit.test(None, dst)? {
+                    continue;
                 }
-                PathMode::Shortest(_) if pure_reach => {
-                    let dsts: &[NodeId] = match &target {
-                        Some(d) if searcher.reachable_pair(src, *d)? => std::slice::from_ref(d),
-                        Some(_) => &[],
-                        None => shared.get(&src).map_or(&[], |v| v.as_slice()),
-                    };
-                    for &dst in dsts {
-                        extra.clear();
-                        if dst_bound.is_none() {
-                            extra.push(Bound::Node(dst));
-                        }
-                        bld.push_extended(&table, ri, &extra);
-                    }
-                }
-                PathMode::Shortest(k) => {
-                    let found = searcher.k_shortest(src, k as usize, targets)?;
-                    let mut dsts: Vec<NodeId> = found.keys().copied().collect();
-                    dsts.sort_unstable();
-                    for dst in dsts {
-                        for fp in &found[&dst] {
-                            extra.clear();
-                            if binds_path {
-                                extra.push(self.ctx.add_fresh_path(FreshPath::Walk {
-                                    shape: fp.walk.clone(),
-                                    cost: fp.cost,
-                                    weighted: searcher.weighted,
-                                    graph: self.graph.clone(),
-                                }));
-                            }
-                            if dst_bound.is_none() {
-                                extra.push(Bound::Node(dst));
-                            }
-                            if binds_cost {
-                                extra.push(Bound::Value(if searcher.weighted {
-                                    Value::Float(fp.cost)
-                                } else {
-                                    Value::Int(fp.cost as i64)
-                                }));
-                            }
-                            bld.push_extended(&table, ri, &extra);
-                        }
-                    }
+                for fp in &found[&dst] {
+                    let path = binds_path.then(|| {
+                        self.ctx.add_fresh_path(FreshPath::Walk {
+                            shape: fp.walk.clone(),
+                            cost: fp.cost,
+                            weighted: searcher.weighted,
+                            graph: self.graph.clone(),
+                        })
+                    });
+                    let cost = Bound::Value(match searcher.weighted {
+                        true => Value::Float(fp.cost),
+                        false => Value::Int(fp.cost as i64),
+                    });
+                    emit.write(path.into_iter().chain(binds_cost.then_some(cost)))?;
                 }
             }
         }
-        let out = bld.finish();
+        let out = emit.out.finish();
         prof.add_counter(span, "frontier_pops", searcher.pops());
         if searcher.tie_keys() > 0 {
             prof.add_counter(span, "tie_keys", searcher.tie_keys());
@@ -773,25 +831,24 @@ impl<'e> PatternMatcher<'e> {
     }
 
     /// The rows of a pure reachability step whose source column (at
-    /// `src_idx`) is read by nothing after it: rows that agree on the
-    /// `live` columns form one group, which reaches the union of its
-    /// sources' closures in `shared`. Each distinct closure is read once
-    /// per group, into a bitset over node positions, so a group emits each
+    /// `src_idx`) nothing reads after it: rows that differ only in their
+    /// source form one group, which reaches the union of its sources'
+    /// closures in `shared`. Each distinct closure is read once per group,
+    /// into a bitset over node positions, so a group tests and emits each
     /// far end once.
     fn reach_by_group(
         &self,
         table: &BindingTable,
         src_idx: usize,
-        live: &[usize],
-        dst_var: &str,
+        emit: &mut Emit<'_>,
         shared: &FxHashMap<NodeId, Arc<Vec<NodeId>>>,
-    ) -> Result<BindingTable> {
-        let mut columns: Vec<Column> = live.iter().map(|&c| table.columns()[c].clone()).collect();
-        columns.push(self.col(dst_var));
-        let mut bld = TableBuilder::new(columns, self.ctx.pool());
+    ) -> Result<()> {
+        let key: Vec<usize> = (0..table.columns().len())
+            .filter(|&c| c != src_idx)
+            .collect();
         let cancel = &self.ctx.options.cancel;
-        let groups = RowGroups::build(table.len(), live.len(), cancel, |ri, key| {
-            key.extend(live.iter().map(|&c| table.code(ri, c)));
+        let groups = RowGroups::build(table.len(), key.len(), cancel, |ri, cells| {
+            cells.extend(key.iter().map(|&c| table.code(ri, c)));
             Ok(true)
         })?;
         let positions = self.graph.positions();
@@ -802,97 +859,28 @@ impl<'e> PatternMatcher<'e> {
             read.clear();
             for &ri in group {
                 cancel.checkpoint(&mut tick)?;
-                let Bound::Node(src) = table.bound(ri, src_idx) else {
+                let closure = match table.bound(ri, src_idx) {
+                    Bound::Node(src) => shared.get(&src),
+                    _ => None,
+                };
+                let Some(closure) = closure.filter(|c| read.insert(Arc::as_ptr(c))) else {
                     continue;
                 };
-                let Some(closure) = shared.get(&src) else {
-                    continue;
-                };
-                if !read.insert(Arc::as_ptr(closure)) {
-                    continue;
-                }
                 for pos in closure.iter().filter_map(|&n| positions.of(n)) {
                     reached[pos as usize / 64] |= 1 << (pos % 64);
                 }
             }
+            emit.row(group[0])?;
             for (w, word) in reached.iter_mut().enumerate() {
                 while *word != 0 {
                     let pos = w * 64 + word.trailing_zeros() as usize;
                     *word &= *word - 1;
-                    let far = Bound::Node(positions.id(pos as u32));
-                    bld.push_picked(table, group[0], live, &[far]);
+                    if emit.test(None, positions.id(pos as u32))? {
+                        emit.write([])?;
+                    }
                 }
             }
         }
-        Ok(bld.finish())
+        Ok(())
     }
-
-    /// Match stored paths (`-/@p:Label/->`), optionally checking regex
-    /// conformance.
-    fn expand_stored_path(
-        &self,
-        table: BindingTable,
-        prev_var: &str,
-        path_var: &str,
-        dst_var: &str,
-        pat: &PathPattern,
-    ) -> Result<BindingTable> {
-        let nfa = pat.regex.as_ref().map(Nfa::compile);
-
-        // Candidate stored paths, filtered by labels and regex once.
-        let mut candidates: Vec<(gcore_ppg::PathId, &PathData)> = self.graph.paths().collect();
-        for group in &pat.labels {
-            let resolved: Vec<Option<Label>> = group.0.iter().map(|l| Label::lookup(l)).collect();
-            candidates.retain(|(_, d)| {
-                resolved
-                    .iter()
-                    .any(|l| l.is_some_and(|l| d.attrs.labels.contains(l)))
-            });
-        }
-        if let Some(nfa) = &nfa {
-            candidates.retain(|(_, d)| conforms(&self.graph, &d.shape, nfa));
-        }
-
-        self.extend_rows(
-            &table,
-            prev_var,
-            path_var,
-            dst_var,
-            Bound::Path,
-            |src, cands| {
-                for &(p, d) in &candidates {
-                    let (a, b) = (d.shape.start(), d.shape.end());
-                    let starts_at_src = match pat.direction {
-                        Direction::Out => a == src,
-                        Direction::In => b == src,
-                        Direction::Undirected => a == src || b == src,
-                    };
-                    if starts_at_src {
-                        cands.push((p, if a == src { b } else { a }));
-                    }
-                }
-            },
-        )
-    }
-}
-
-/// Check a concrete walk in `graph` against an NFA.
-pub fn conforms(graph: &PathPropertyGraph, shape: &PathShape, nfa: &Nfa) -> bool {
-    let node_labels: Vec<Vec<Label>> = shape
-        .nodes()
-        .iter()
-        .map(|&n| graph.labels(n.into()).iter().collect())
-        .collect();
-    let steps: Vec<(Vec<Label>, bool)> = shape
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| {
-            let labels: Vec<Label> = graph.labels(e.into()).iter().collect();
-            let (src, _) = graph.endpoints(e).expect("path edge");
-            let forward = src == shape.nodes()[i];
-            (labels, forward)
-        })
-        .collect();
-    walk_conforms(nfa, &node_labels, &steps)
 }

@@ -524,7 +524,7 @@ impl EvalCtx {
             SemanticError::InvalidPathPattern("PATH clause without a pattern".into())
         })?;
         let matcher = PatternMatcher::new(self, graph.clone());
-        let (table, chain) = matcher.eval_chain(first, None, None)?;
+        let (table, chain) = matcher.eval_chain(first, None, None, true)?;
         // Non-linear shapes: the remaining comma-separated patterns
         // constrain (and can bind variables usable in COST, footnote 3).
         // With the WHERE they are one more pattern block, on the view's

@@ -12,7 +12,7 @@
 //! paper's interleaved node/edge strings with implicit `_` node symbols.
 
 use gcore_parser::ast::{Direction, Regex};
-use gcore_ppg::Label;
+use gcore_ppg::{ElementId, Label, PathPropertyGraph, PathShape};
 
 /// One edge-consuming (or node-testing) NFA symbol.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -342,6 +342,17 @@ impl Builder {
         }
         out
     }
+}
+
+/// Check a concrete walk in `graph` against an NFA.
+pub fn conforms(graph: &PathPropertyGraph, shape: &PathShape, nfa: &Nfa) -> bool {
+    let labels = |id: ElementId| graph.labels(id).iter().collect::<Vec<Label>>();
+    let nodes: Vec<Vec<Label>> = shape.nodes().iter().map(|&n| labels(n.into())).collect();
+    let forward = |e, from| graph.endpoints(e).is_some_and(|(src, _)| src == from);
+    let steps: Vec<(Vec<Label>, bool)> = (shape.edges().iter().zip(shape.nodes()))
+        .map(|(&e, &from)| (labels(e.into()), forward(e, from)))
+        .collect();
+    walk_conforms(nfa, &nodes, &steps)
 }
 
 /// Run the NFA over a concrete walk to test conformance — used for

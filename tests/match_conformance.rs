@@ -487,6 +487,155 @@ const CASES: &[Case] = &[
             #n1 | #p20 | #n3
         ",
     },
+    // -- labels and property entries tested on each candidate ----------
+    Case {
+        name: "far_end_label_disjunction",
+        statement: "SELECT x, y MATCH (x)-[]->(y:City|Tag)",
+        expected: "
+            x | y
+            #n1 | #n8
+            #n4 | #n8
+            #n5 | #n9
+        ",
+    },
+    Case {
+        name: "far_end_with_two_label_groups",
+        statement: "SELECT x, y MATCH (x)-[]->(y:Person|Tag :Tag|City)",
+        expected: "
+            x | y
+            #n5 | #n9
+        ",
+    },
+    Case {
+        name: "edge_label_beyond_its_first_group",
+        statement: "SELECT x, e, y MATCH (x)-[e:has_creator|livesIn :livesIn|tagged]->(y)",
+        expected: "
+            x | e | y
+            #n1 | #e17 | #n8
+            #n4 | #e18 | #n8
+        ",
+    },
+    Case {
+        name: "edge_label_group_beyond_an_indexed_first_label",
+        statement: "SELECT x, e, y MATCH (x)-[e:knows :knows|tagged]->(y:Person :Person)",
+        expected: "
+            x | e | y
+            #n1 | #e10 | #n2
+            #n1 | #e12 | #n3
+            #n2 | #e11 | #n3
+            #n3 | #e13 | #n4
+        ",
+    },
+    Case {
+        name: "literal_entries_on_an_edge_and_its_far_end",
+        statement: "SELECT x, e, y MATCH (x)-[e:knows {since = 2012}]->(y {name = 'Cid'})",
+        expected: "
+            x | e | y
+            #n1 | #e12 | #n3
+        ",
+    },
+    Case {
+        name: "entries_read_from_the_input_row",
+        statement: "SELECT x, y, e, z MATCH (x:Person)-[:knows]->(y)-[e:knows {since = y.age + 1990}]->(z {age = x.age + 10})",
+        expected: "
+            x | y | e | z
+            #n1 | #n2 | #e11 | #n3
+        ",
+    },
+    Case {
+        name: "far_end_entry_read_from_the_input_row",
+        statement: "SELECT x, y, z MATCH (x:Person)-[:knows]->(y)-[:knows]->(z {age = x.age + 10})",
+        expected: "
+            x | y | z
+            #n1 | #n2 | #n3
+            #n2 | #n3 | #n4
+        ",
+    },
+    Case {
+        name: "far_end_entry_read_from_the_steps_own_edge",
+        statement: "SELECT x, e, y MATCH (x)-[e:knows]->(y {age = e.since - 1975})",
+        expected: "
+            x | e | y
+            #n2 | #e11 | #n3
+        ",
+    },
+    Case {
+        name: "edge_entry_read_from_the_edge_itself",
+        statement: "SELECT x, e MATCH (x)-[e:knows {since = e.since}]->(y:Person {age = 35})",
+        expected: "
+            x | e
+            #n3 | #e13
+        ",
+    },
+    Case {
+        name: "binding_entry_on_an_edge",
+        statement: "SELECT x, s, y MATCH (x:Person)-[:knows {since = s}]->(y) WHERE s > 2011",
+        expected: "
+            x | s | y
+            #n1 | 2012 | #n3
+            #n2 | 2015 | #n3
+            #n3 | 2018 | #n4
+        ",
+    },
+    Case {
+        name: "far_end_entry_read_from_a_value_the_edge_binds",
+        statement: "SELECT x, s, y MATCH (x)-[:knows {since = s}]->(y {age = s - 1975})",
+        expected: "
+            x | s | y
+            #n2 | 2015 | #n3
+        ",
+    },
+    Case {
+        name: "stored_path_with_far_end_labels_and_entries",
+        statement: "SELECT p, b MATCH (a:Person {age = 30})-/@p:route/->(b:Person {age = a.age + 10})",
+        expected: "
+            p | b
+            #p20 | #n3
+            #p21 | #n3
+        ",
+    },
+    Case {
+        name: "stored_path_whose_far_end_fails_its_labels",
+        statement: "SELECT p MATCH (a)-/@p:route/->(b:City|Post)",
+        expected: "
+            p
+        ",
+    },
+    Case {
+        name: "computed_path_with_far_end_labels_and_entries",
+        statement: "SELECT a, nodes(p) AS walk, b MATCH (a:Person {name = 'Ann'})-/p <:knows*>/->(b:Person|Post {age = 35})",
+        expected: "
+            a | walk | b
+            #n1 | [#n1, #n3, #n4] | #n4
+        ",
+    },
+    Case {
+        name: "computed_path_far_end_entry_read_from_the_input_row",
+        statement: "SELECT a, nodes(p) AS walk, b MATCH (a:Person)-/p <:knows*>/->(b {age = a.age})",
+        expected: "
+            a | walk | b
+            #n1 | [#n1] | #n1
+            #n2 | [#n2] | #n2
+            #n3 | [#n3] | #n3
+            #n4 | [#n4] | #n4
+        ",
+    },
+    Case {
+        name: "labels_that_are_not_interned",
+        statement: "SELECT x, y MATCH (x)-[]->(y:Nosuch|City)",
+        expected: "
+            x | y
+            #n1 | #n8
+            #n4 | #n8
+        ",
+    },
+    Case {
+        name: "a_label_group_of_labels_that_are_not_interned",
+        statement: "SELECT x, y MATCH (x:Person)-[:knows]->(y:Person :Nosuch)",
+        expected: "
+            x | y
+        ",
+    },
 ];
 
 /// One row per line, indentation and blank lines dropped.

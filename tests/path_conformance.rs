@@ -591,6 +591,19 @@ const CASES: &[Case] = &[
         ",
     },
     Case {
+        name: "reachability_toward_a_destination_filter",
+        statement: "SELECT n, m MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE m.name = 'Dan'",
+        max_pops: 45,
+        expected: "
+            n | m
+            #n1 | #n4
+            #n2 | #n4
+            #n3 | #n4
+            #n4 | #n4
+            #n5 | #n4
+        ",
+    },
+    Case {
         name: "all_toward_a_far_end_filter",
         statement: "SELECT m, nodes(p) AS ns, edges(p) AS es MATCH (n:Person)-/ALL p <:knows :knows>/->(m) WHERE n.name = 'Ann' AND m.name = 'Dan'",
         max_pops: 9,

@@ -655,6 +655,46 @@ const EXISTENTIAL_CASES: &[Case] = &[
         ",
     },
     Case {
+        name: "dead_scan_filtered_far_end",
+        statement: "CONSTRUCT (n) MATCH (n:Person)-[:knows]->(m:Person) WHERE m.employer = 'HAL'",
+        expected: "
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+        ",
+    },
+    Case {
+        name: "dead_labelled_middle_node",
+        statement: "CONSTRUCT (n)-[:fof]->(k) MATCH (n:Person)-[:knows]->(m:Person)-[:knows]->(k:Person) WHERE n.employer = 'Acme'",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n2 :Person {firstName=[Peter], lastName=[Smith]})
+            (n3 :Person {employer=[Acme], firstName=[Alice], lastName=[Bishop]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+            [e302 n1->n1 :fof {}]
+            [e303 n1->n4 :fof {}]
+            [e304 n1->n5 :fof {}]
+            [e305 n3->n2 :fof {}]
+            [e306 n3->n3 :fof {}]
+        ",
+    },
+    Case {
+        name: "dead_edge_with_a_filter_entry",
+        statement: "GRAPH VIEW met AS (CONSTRUCT social_graph, (n)-[e]->(m) SET e.friend := m.firstName MATCH (n:Person)-[e:knows]->(m:Person)) CONSTRUCT (n) MATCH (n:Person)-[e:knows {friend = 'Peter'}]->(m) ON met",
+        expected: "
+            (n1 :Person {employer=[Acme], firstName=[John], lastName=[Doe]})
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
+        name: "pattern_predicate_with_a_constant_entry",
+        statement: "CONSTRUCT (n) MATCH (n:Person) WHERE (n)-[:hasInterest]->(:Tag {name = 'Wagner'})",
+        expected: "
+            (n4 :Person {employer=[HAL], firstName=[Celine], lastName=[Mayer]})
+            (n5 :Person {employer=[CWI, MIT], firstName=[Frank], lastName=[Gold]})
+        ",
+    },
+    Case {
         name: "stored_path_construct",
         statement: "CONSTRUCT (n)-/@p:reach/->(m) MATCH (n:Person)-/p <:knows*>/->(m:Person) WHERE n.employer = 'Acme'",
         expected: "
